@@ -109,6 +109,8 @@ pub struct DiskStats {
 pub struct Disk {
     sim: Sim,
     arm: Resource,
+    /// The disk's name as its trace events carry it.
+    label: Rc<str>,
     params: DiskParams,
     sched: DiskSched,
     state: Rc<RefCell<DiskState>>,
@@ -158,8 +160,10 @@ impl Disk {
         params: DiskParams,
         sched: DiskSched,
     ) -> Self {
+        let name = name.into();
         Disk {
             sim: sim.clone(),
+            label: Rc::from(name.as_str()),
             arm: Resource::new(sim, name, 1),
             params,
             sched,
@@ -217,9 +221,11 @@ impl Disk {
         *self.tracer.borrow_mut() = Some(tracer);
     }
 
-    fn emit(&self, kind: EventKind) {
+    /// Emits the event `kind` builds, if a tracer is attached; an
+    /// untraced run builds nothing.
+    fn emit(&self, kind: impl FnOnce(Rc<str>) -> EventKind) {
         if let Some(t) = self.tracer.borrow().as_ref() {
-            t.emit(0, kind);
+            t.emit(0, kind(self.label.clone()));
         }
     }
 
@@ -254,8 +260,8 @@ impl Disk {
     /// what it was before scheduling existed.
     async fn access_fifo(&self, block: u64, bytes: usize, is_write: bool) {
         let req = self.next_req_id();
-        self.emit(EventKind::DiskQueue {
-            disk: self.arm.name(),
+        self.emit(|disk| EventKind::DiskQueue {
+            disk,
             req,
             block,
             write: is_write,
@@ -279,8 +285,8 @@ impl Disk {
         self.pos_ms.record(pos.as_micros() / 1_000);
         self.sim.sleep(service).await;
         self.finish_access(block, bytes, is_write);
-        self.emit(EventKind::DiskDone {
-            disk: self.arm.name(),
+        self.emit(|disk| EventKind::DiskDone {
+            disk,
             req,
             block,
             write: is_write,
@@ -302,8 +308,8 @@ impl Disk {
         stroke_blocks: u64,
     ) {
         let req = self.next_req_id();
-        self.emit(EventKind::DiskQueue {
-            disk: self.arm.name(),
+        self.emit(|disk| EventKind::DiskQueue {
+            disk,
             req,
             block,
             write: is_write,
@@ -336,8 +342,8 @@ impl Disk {
         self.pos_ms.record(pos.as_micros() / 1_000);
         self.sim.sleep(pos + self.params.transfer_time(bytes)).await;
         self.finish_access(block, bytes, is_write);
-        self.emit(EventKind::DiskDone {
-            disk: self.arm.name(),
+        self.emit(|disk| EventKind::DiskDone {
+            disk,
             req,
             block,
             write: is_write,

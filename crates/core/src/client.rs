@@ -22,11 +22,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use spritely_localfs::{BlockCache, DirtyRun, DirtyVictim};
+use spritely_localfs::{BlockCache, DirtyRun, DirtyVictim, DropCounts};
 use spritely_metrics::{Histogram, InflightGauge, OpCounter};
 use spritely_proto::{
-    block_of, blocks_for, CallbackArg, CallbackReply, ClientId, DirEntry, Fattr, FileHandle,
-    FileVersion, NfsReply, NfsRequest, NfsStatus, ReadReply, Result, BLOCK_SIZE,
+    block_of, blocks_for, Buf, CallbackArg, CallbackReply, ClientId, DirEntry, Fattr, FileHandle,
+    FileVersion, NfsReply, NfsRequest, NfsStatus, Payload, ReadReply, Result, BLOCK_SIZE,
 };
 use spritely_rpcnet::{Endpoint, EndpointParams, RpcError, ShardCaller};
 use spritely_sim::{Event, Resource, Semaphore, Sim, SimDuration, SimTime};
@@ -196,6 +196,9 @@ struct Inner {
     cache: RefCell<BlockCache<Key>>,
     files: RefCell<HashMap<FileHandle, FileInfo>>,
     in_flight: RefCell<HashMap<Key, Event>>,
+    /// Per-file invalidation epoch: bumped whenever a file's blocks are
+    /// dropped wholesale, compared by a read reply before it caches.
+    inval_epochs: RefCell<HashMap<FileHandle, u64>>,
     stats: Cell<ClientStats>,
     /// Last server epoch observed via `keepalive`/`recover` (0 = never).
     known_epoch: Cell<u64>,
@@ -296,6 +299,7 @@ impl SnfsClient {
                 cache: RefCell::new(BlockCache::new(params.cache_blocks)),
                 files: RefCell::new(HashMap::new()),
                 in_flight: RefCell::new(HashMap::new()),
+                inval_epochs: RefCell::new(HashMap::new()),
                 stats: Cell::new(ClientStats::default()),
                 known_epoch: Cell::new(0),
                 names: RefCell::new(HashMap::new()),
@@ -676,7 +680,7 @@ impl SnfsClient {
         }
         if drop_blocks {
             self.bump_stats(|s| s.invalidations += 1);
-            self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh);
+            self.drop_file_blocks(fh);
         }
         Ok(attr)
     }
@@ -902,72 +906,89 @@ impl SnfsClient {
 
     // ---- data path ----------------------------------------------------------
 
-    async fn fetch_block(
-        &self,
-        fh: FileHandle,
-        lblk: u64,
-        cache_it: bool,
-        bg: bool,
-    ) -> Result<Vec<u8>> {
+    /// Fetches one block from the server and caches it — unless an
+    /// invalidate or purge of `fh` landed while the read was in flight
+    /// (the file's invalidation epoch moved), or the read was issued
+    /// after one switched caching off (a read-ahead spawned by a `read`
+    /// that began before the callback): the reply then describes a
+    /// version this client was told to forget, so it still answers the
+    /// waiting reader but must not repopulate the cache, where the next
+    /// `open` would adopt it under the new version.
+    async fn fetch_block(&self, fh: FileHandle, lblk: u64, bg: bool) -> Result<Buf> {
         let key = (fh, lblk);
-        if cache_it {
-            // Coalesce with an identical fetch already in flight. If that
-            // fetch is a read-ahead parked in the batcher, kick it onto
-            // the wire: someone is waiting for the data now.
-            let waiting = self.inner.in_flight.borrow().get(&key).cloned();
-            if let Some(ev) = waiting {
-                if !bg {
-                    self.inner.caller.kick();
-                }
-                ev.wait().await;
-                if let Some(b) = self.inner.cache.borrow_mut().get(&key) {
-                    return Ok(b);
-                }
+        // Coalesce with an identical fetch already in flight. If that
+        // fetch is a read-ahead parked in the batcher, kick it onto
+        // the wire: someone is waiting for the data now.
+        let waiting = self.inner.in_flight.borrow().get(&key).cloned();
+        if let Some(ev) = waiting {
+            if !bg {
+                self.inner.caller.kick();
             }
-            let ev = Event::new();
-            self.inner.in_flight.borrow_mut().insert(key, ev.clone());
-            let req = NfsRequest::Read {
-                fh,
-                offset: lblk * BLOCK_SIZE as u64,
-                count: BLOCK_SIZE as u32,
-            };
-            let res = if bg {
-                self.call_bg(0, req).await
-            } else {
-                self.call(req).await
-            };
-            self.inner.in_flight.borrow_mut().remove(&key);
-            ev.set();
-            match res? {
-                NfsReply::Read(ReadReply { data, .. }) => {
+            ev.wait().await;
+            if let Some(b) = self.inner.cache.borrow_mut().get(&key) {
+                return Ok(b);
+            }
+        }
+        let ev = Event::new();
+        self.inner.in_flight.borrow_mut().insert(key, ev.clone());
+        // Caching can only be switched off together with an invalidation
+        // (callback, or an open that finds the file write-shared), so
+        // "cachable when issued and epoch unmoved at the reply" means no
+        // invalidate and no write-sharing came in between.
+        let cachable = self.is_cacheable(fh);
+        let epoch = self.inval_epoch(fh);
+        let req = NfsRequest::Read {
+            fh,
+            offset: lblk * BLOCK_SIZE as u64,
+            count: BLOCK_SIZE as u32,
+        };
+        let res = if bg {
+            self.call_bg(0, req).await
+        } else {
+            self.call(req).await
+        };
+        self.inner.in_flight.borrow_mut().remove(&key);
+        ev.set();
+        match res? {
+            NfsReply::Read(ReadReply { data, .. }) => {
+                let block = data.to_buf();
+                if cachable && self.inval_epoch(fh) == epoch {
                     let victim = self
                         .inner
                         .cache
                         .borrow_mut()
-                        .insert_clean(key, data.clone());
+                        .insert_clean(key, block.clone());
                     // A fetch (or prefetch) can evict a dirty block of an
                     // all-dirty cache; its data must be written out, not
                     // dropped.
                     if let Some(v) = victim {
                         self.write_back_victim(v).await;
                     }
-                    Ok(data)
                 }
-                _ => Err(NfsStatus::Io),
+                Ok(block)
             }
-        } else {
-            match self
-                .call(NfsRequest::Read {
-                    fh,
-                    offset: lblk * BLOCK_SIZE as u64,
-                    count: BLOCK_SIZE as u32,
-                })
-                .await?
-            {
-                NfsReply::Read(ReadReply { data, .. }) => Ok(data),
-                _ => Err(NfsStatus::Io),
-            }
+            _ => Err(NfsStatus::Io),
         }
+    }
+
+    /// How many times `fh`'s cached blocks have been invalidated or
+    /// purged wholesale; see [`fetch_block`](Self::fetch_block).
+    fn inval_epoch(&self, fh: FileHandle) -> u64 {
+        self.inner
+            .inval_epochs
+            .borrow()
+            .get(&fh)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Drops every cached block of `fh` (invalidate callback, version
+    /// mismatch at open, lease lapse, fenced return, unlink) and bumps
+    /// the file's invalidation epoch so reads in flight do not put the
+    /// old version back.
+    fn drop_file_blocks(&self, fh: FileHandle) -> DropCounts {
+        *self.inner.inval_epochs.borrow_mut().entry(fh).or_insert(0) += 1;
+        self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh)
     }
 
     fn spawn_read_ahead(&self, fh: FileHandle, lblk: u64, size: u64) {
@@ -988,12 +1009,14 @@ impl SnfsClient {
             }
             let this = self.clone();
             self.inner.sim.spawn(async move {
-                let _ = this.fetch_block(fh, next, true, true).await;
+                let _ = this.fetch_block(fh, next, true).await;
             });
         }
     }
 
-    /// Reads up to `len` bytes at `offset`. Returns `(data, eof)`.
+    /// Reads up to `len` bytes at `offset`. Returns `(data, eof)`: the
+    /// `read(2)` copy-out, the one copy on the way from the cache (or,
+    /// write-shared, from the reply).
     pub async fn read(&self, fh: FileHandle, offset: u64, len: u32) -> Result<(Vec<u8>, bool)> {
         if !self.is_cacheable(fh) {
             // Write-shared: every read goes to the server; no cache, no
@@ -1008,7 +1031,7 @@ impl SnfsClient {
             return match rep {
                 NfsReply::Read(ReadReply { data, eof, attr }) => {
                     self.note_piggyback_attr(fh, attr);
-                    Ok((data, eof))
+                    Ok((data.to_vec(), eof))
                 }
                 _ => Err(NfsStatus::Io),
             };
@@ -1043,7 +1066,7 @@ impl SnfsClient {
             let from = (offset.max(blk_start) - blk_start) as usize;
             let to = ((end - blk_start).min(BLOCK_SIZE as u64)) as usize;
             let cached = self.inner.cache.borrow_mut().get(&(fh, lblk));
-            let mut block = match cached {
+            let block = match cached {
                 Some(b) => {
                     if !hit_traced {
                         if let Some(v) = cached_version {
@@ -1061,16 +1084,17 @@ impl SnfsClient {
                     b
                 }
                 None => {
-                    let b = self.fetch_block(fh, lblk, true, false).await?;
+                    let b = self.fetch_block(fh, lblk, false).await?;
                     self.spawn_read_ahead(fh, lblk, size);
                     b
                 }
             };
             // A short cached block inside the file is a hole: zero-fill.
-            if block.len() < to {
-                block.resize(to, 0);
+            let have = block.len().min(to);
+            if from < have {
+                out.extend_from_slice(&block[from..have]);
             }
-            out.extend_from_slice(&block[from..to]);
+            out.resize(out.len() + (to - from.max(have)), 0);
         }
         Ok((out, end == size))
     }
@@ -1087,7 +1111,7 @@ impl SnfsClient {
                 .call(NfsRequest::Write {
                     fh,
                     offset,
-                    data: data.to_vec(),
+                    data: Payload::copy_in(offset, data),
                 })
                 .await?;
             return match rep {
@@ -1112,25 +1136,23 @@ impl SnfsClient {
             let off_in_block = (from - blk_start) as usize;
             let full = off_in_block == 0 && chunk.len() == BLOCK_SIZE;
             let merged = if full {
-                chunk.to_vec()
+                Buf::from(chunk)
             } else {
                 // NOTE: take the cache lookup out of the `match` scrutinee —
                 // a borrow held there would live across the `fetch_block`
                 // await below and collide with its own cache borrow.
                 let cached = self.inner.cache.borrow_mut().get(&key);
-                let mut base = match cached {
+                let base = match cached {
                     Some(b) => b,
                     None if blk_start < old_size => {
                         // Partial write into an existing block: fetch it.
-                        self.fetch_block(fh, lblk, true, false).await?
+                        self.fetch_block(fh, lblk, false).await?
                     }
-                    None => Vec::new(),
+                    None => Buf::empty(),
                 };
-                if base.len() < off_in_block + chunk.len() {
-                    base.resize(off_in_block + chunk.len(), 0);
-                }
-                base[off_in_block..off_in_block + chunk.len()].copy_from_slice(chunk);
-                base
+                // Copy-on-write: a flush or retransmission still holding
+                // the old buffer keeps the bytes of its own generation.
+                base.patched(off_in_block, chunk)
             };
             let victim = self.inner.cache.borrow_mut().write(key, merged, now);
             self.emit(
@@ -1232,7 +1254,7 @@ impl SnfsClient {
                         blocks: 1,
                     },
                 );
-            } else if let Err(e) = this.write_back_rpc(fh, lblk, v.data, 1, 0).await {
+            } else if let Err(e) = this.write_back_rpc(fh, lblk, v.data.into(), 1, 0).await {
                 this.inner
                     .eviction_errors
                     .borrow_mut()
@@ -1250,7 +1272,7 @@ impl SnfsClient {
         &self,
         fh: FileHandle,
         start: u64,
-        data: Vec<u8>,
+        data: Payload,
         blocks: u64,
         parent: u64,
     ) -> Result<()> {
@@ -1602,7 +1624,7 @@ impl SnfsClient {
         fhs.sort_unstable();
         for fh in fhs {
             if purge {
-                self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh);
+                self.drop_file_blocks(fh);
                 if let Some(info) = self.inner.files.borrow_mut().get_mut(&fh) {
                     info.cached_version = None;
                 }
@@ -1807,7 +1829,7 @@ impl SnfsClient {
                     fh,
                 },
             );
-            let dropped = self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh);
+            let dropped = self.drop_file_blocks(fh);
             debug_assert_eq!(dropped.dirty, 0, "writeback should have preceded");
             // If `fh` is a directory this drops our name translations
             // under it (§7 extension); for files it is a no-op.
@@ -1934,7 +1956,7 @@ impl SnfsClient {
                             fh,
                         },
                     );
-                    self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh);
+                    self.drop_file_blocks(fh);
                 }
                 Ok(())
             }
@@ -2151,7 +2173,7 @@ impl SnfsClient {
                 .get(&fh)
                 .map_or(1, |i| i.attr.nlink);
             if nlink <= 1 {
-                let dropped = self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh);
+                let dropped = self.drop_file_blocks(fh);
                 self.bump_stats(|s| s.cancelled_blocks += dropped.dirty);
                 self.emit(
                     op,

@@ -332,8 +332,14 @@ impl SnfsServer {
     }
 
     fn emit(&self, parent: u64, kind: EventKind) -> u64 {
+        self.emit_with(parent, || kind)
+    }
+
+    /// [`emit`](Self::emit) for events that own strings: `kind` runs, and
+    /// clones them, only when a tracer is attached.
+    fn emit_with(&self, parent: u64, kind: impl FnOnce() -> EventKind) -> u64 {
         match self.inner.tracer.borrow().as_ref() {
-            Some(t) => t.emit(parent, kind),
+            Some(t) => t.emit(parent, kind()),
             None => 0,
         }
     }
@@ -620,16 +626,11 @@ impl SnfsServer {
             }
             let epoch = layout.epoch();
             drop(layout);
-            if self.inner.tracer.borrow().is_some() {
-                self.emit(
-                    ctx,
-                    EventKind::ShardRoute {
-                        shard: view.shard,
-                        name: name.to_string(),
-                        epoch,
-                    },
-                );
-            }
+            self.emit_with(ctx, || EventKind::ShardRoute {
+                shard: view.shard,
+                name: name.to_string(),
+                epoch,
+            });
             None
         };
         match req {
@@ -819,17 +820,14 @@ impl SnfsServer {
             self.unlock_name(&to_name);
             return rep;
         }
-        let begin = self.emit(
-            ctx,
-            EventKind::ShardTxBegin {
-                txid,
-                from_shard: view.shard,
-                to_shard: peer_shard,
-                from_name: from_name.clone(),
-                to_name: to_name.clone(),
-                link: false,
-            },
-        );
+        let begin = self.emit_with(ctx, || EventKind::ShardTxBegin {
+            txid,
+            from_shard: view.shard,
+            to_shard: peer_shard,
+            from_name: from_name.clone(),
+            to_name: to_name.clone(),
+            link: false,
+        });
         // Phase 2, local half: the rename inside this shard's store. The
         // name locks guarantee no other operation observes the window,
         // even across the handler's awaits.
@@ -864,15 +862,12 @@ impl SnfsServer {
             .layout
             .borrow_mut()
             .record_move(Some(&from_name), &to_name, view.shard);
-        self.emit(
-            begin,
-            EventKind::ShardMove {
-                from_name: from_name.clone(),
-                to_name: to_name.clone(),
-                shard: view.shard,
-                epoch,
-            },
-        );
+        self.emit_with(begin, || EventKind::ShardMove {
+            from_name: from_name.clone(),
+            to_name: to_name.clone(),
+            shard: view.shard,
+            epoch,
+        });
         self.spawn_tx_commit(begin, peer_shard, txid);
         self.invalidate_dir_watchers(ctx, from_dir, from).await;
         self.unlock_name(&from_name);
@@ -912,17 +907,14 @@ impl SnfsServer {
             self.unlock_name(&to_name);
             return NfsReply::Err(NfsStatus::Exist);
         }
-        let begin = self.emit(
-            ctx,
-            EventKind::ShardTxBegin {
-                txid,
-                from_shard: view.shard,
-                to_shard: peer_shard,
-                from_name: String::new(),
-                to_name: to_name.clone(),
-                link: true,
-            },
-        );
+        let begin = self.emit_with(ctx, || EventKind::ShardTxBegin {
+            txid,
+            from_shard: view.shard,
+            to_shard: peer_shard,
+            from_name: String::new(),
+            to_name: to_name.clone(),
+            link: true,
+        });
         let rep = spritely_nfs::handle(
             &self.inner.fs,
             NfsRequest::Link {
@@ -949,15 +941,12 @@ impl SnfsServer {
             .layout
             .borrow_mut()
             .record_move(None, &to_name, view.shard);
-        self.emit(
-            begin,
-            EventKind::ShardMove {
-                from_name: String::new(),
-                to_name: to_name.clone(),
-                shard: view.shard,
-                epoch,
-            },
-        );
+        self.emit_with(begin, || EventKind::ShardMove {
+            from_name: String::new(),
+            to_name: to_name.clone(),
+            shard: view.shard,
+            epoch,
+        });
         self.spawn_tx_commit(begin, peer_shard, txid);
         self.invalidate_dir_watchers(ctx, to_dir, from).await;
         if self.inner.params.dir_callbacks {

@@ -8,20 +8,25 @@
 //! cache, and the SNFS client's delayed-write cache — which flush to very
 //! different places.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
+use spritely_proto::{Buf, Payload};
 use spritely_sim::SimTime;
 
 /// One cached block.
 struct Entry {
-    data: Vec<u8>,
+    data: Buf,
     /// `Some(t)` if dirty, where `t` is when it first became dirty.
     dirty_since: Option<SimTime>,
     /// Incremented on every write; used to detect writes that raced a
     /// flush (the flusher only marks clean if the seq is unchanged).
     seq: u64,
     lru: u64,
+    /// The stamp this block is filed under in the recency index: its
+    /// `lru` when it was last filed there. A hit moves `lru` on without
+    /// refiling, so `filed <= lru`.
+    filed: u64,
 }
 
 /// A dirty block evicted to make room; the owner must write it out.
@@ -30,15 +35,16 @@ pub struct DirtyVictim<K> {
     /// The evicted block's key.
     pub key: K,
     /// The evicted block's data.
-    pub data: Vec<u8>,
+    pub data: Buf,
 }
 
 /// Data handed out for flushing, with the seq to pass back to
 /// [`BlockCache::mark_clean`].
 #[derive(Debug)]
 pub struct FlushData {
-    /// Copy of the block contents at flush time.
-    pub data: Vec<u8>,
+    /// The block contents at flush time (the cache's own buffer: a
+    /// later write replaces the entry's buffer, it never changes this one).
+    pub data: Buf,
     /// Sequence number at flush time.
     pub seq: u64,
 }
@@ -56,6 +62,16 @@ pub struct DropCounts {
 pub struct BlockCache<K> {
     capacity: usize,
     map: HashMap<K, Entry>,
+    /// Recency index: stamp → key, clean and dirty blocks apart, so the
+    /// eviction victim (lowest-stamped clean block, else lowest-stamped
+    /// dirty one) comes off the front of a tree instead of out of a scan
+    /// of the map. Every resident block is in exactly one of the two,
+    /// under its `filed` stamp — which a hit leaves behind: refiling is
+    /// put off until the block reaches the front ([`Self::lru_of`]), so
+    /// a hit costs no tree operation and an eviction pays for the hits
+    /// since the last one.
+    clean_lru: BTreeMap<u64, K>,
+    dirty_lru: BTreeMap<u64, K>,
     next_lru: u64,
     hits: u64,
     misses: u64,
@@ -76,6 +92,8 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
         BlockCache {
             capacity,
             map: HashMap::new(),
+            clean_lru: BTreeMap::new(),
+            dirty_lru: BTreeMap::new(),
             next_lru: 0,
             hits: 0,
             misses: 0,
@@ -115,8 +133,9 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
         }
     }
 
-    /// Looks a block up, bumping its recency and counting hit/miss.
-    pub fn get(&mut self, k: &K) -> Option<Vec<u8>> {
+    /// Looks a block up, bumping its recency and counting hit/miss. A hit
+    /// hands out the cache's own buffer (a reference-count bump).
+    pub fn get(&mut self, k: &K) -> Option<Buf> {
         match self.map.get_mut(k) {
             Some(e) => {
                 self.hits += 1;
@@ -141,6 +160,37 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
         self.map.get(k).is_some_and(|e| e.dirty_since.is_some())
     }
 
+    /// The least recently used block of one index. Blocks found at the
+    /// front under a stamp they have since outgrown are refiled under
+    /// their current one first; every other block is filed at or below
+    /// its own stamp, so the first block found under its *current* stamp
+    /// has the lowest stamp of all.
+    fn lru_of(index: &mut BTreeMap<u64, K>, map: &mut HashMap<K, Entry>) -> Option<K> {
+        loop {
+            let front = index.first_entry()?;
+            let k = *front.get();
+            let e = map.get_mut(&k).expect("indexed block is resident");
+            if e.lru == *front.key() {
+                return Some(k);
+            }
+            front.remove();
+            e.filed = e.lru;
+            index.insert(e.lru, k);
+        }
+    }
+
+    /// Takes a block out of the map and out of its index.
+    fn take(&mut self, k: &K) -> Option<Entry> {
+        let e = self.map.remove(k)?;
+        let index = if e.dirty_since.is_some() {
+            &mut self.dirty_lru
+        } else {
+            &mut self.clean_lru
+        };
+        index.remove(&e.filed);
+        Some(e)
+    }
+
     /// Evicts the least-recently-used block if the cache is over capacity.
     /// Clean blocks are preferred; an all-dirty cache evicts its LRU dirty
     /// block, which the owner must write out.
@@ -148,25 +198,13 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
         if self.map.len() <= self.capacity {
             return None;
         }
-        // One pass over the residents: the LRU clean block (preferred
-        // victim) and the LRU block overall. `lru` stamps are unique, so
-        // the choice is deterministic whatever the map's iteration order.
-        let mut lru_clean: Option<(u64, K)> = None;
-        let mut lru_any: Option<(u64, K)> = None;
-        for (k, e) in &self.map {
-            if lru_any.is_none_or(|(l, _)| e.lru < l) {
-                lru_any = Some((e.lru, *k));
-            }
-            if e.dirty_since.is_none() && lru_clean.is_none_or(|(l, _)| e.lru < l) {
-                lru_clean = Some((e.lru, *k));
-            }
-        }
-        if let Some((_, k)) = lru_clean {
-            self.map.remove(&k);
+        if let Some(k) = Self::lru_of(&mut self.clean_lru, &mut self.map) {
+            self.take(&k);
             return None;
         }
-        let (_, victim) = lru_any.expect("over capacity implies nonempty");
-        let e = self.map.remove(&victim).expect("victim resident");
+        let victim = Self::lru_of(&mut self.dirty_lru, &mut self.map)
+            .expect("over capacity implies nonempty");
+        let e = self.take(&victim).expect("victim resident");
         Some(DirtyVictim {
             key: victim,
             data: e.data,
@@ -175,7 +213,7 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
 
     /// Inserts a clean block (e.g. fetched from disk or the server).
     /// Returns a dirty victim if one had to be evicted.
-    pub fn insert_clean(&mut self, k: K, data: Vec<u8>) -> Option<DirtyVictim<K>> {
+    pub fn insert_clean(&mut self, k: K, data: impl Into<Buf>) -> Option<DirtyVictim<K>> {
         let lru = self.next_lru;
         self.next_lru += 1;
         // Overwriting a dirty block with "clean" data would lose the dirty
@@ -183,7 +221,7 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
         match self.map.get_mut(&k) {
             Some(e) => {
                 if e.dirty_since.is_none() {
-                    e.data = data;
+                    e.data = data.into();
                 }
                 e.lru = lru;
                 None
@@ -192,12 +230,14 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
                 self.map.insert(
                     k,
                     Entry {
-                        data,
+                        data: data.into(),
                         dirty_since: None,
                         seq: 0,
                         lru,
+                        filed: lru,
                     },
                 );
+                self.clean_lru.insert(lru, k);
                 let victim = self.make_room();
                 self.note_peak();
                 victim
@@ -207,12 +247,17 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
 
     /// Writes a block (marks it dirty). Returns a dirty victim if one had
     /// to be evicted.
-    pub fn write(&mut self, k: K, data: Vec<u8>, now: SimTime) -> Option<DirtyVictim<K>> {
+    pub fn write(&mut self, k: K, data: impl Into<Buf>, now: SimTime) -> Option<DirtyVictim<K>> {
         let lru = self.next_lru;
         self.next_lru += 1;
         match self.map.get_mut(&k) {
             Some(e) => {
-                e.data = data;
+                if e.dirty_since.is_none() {
+                    self.clean_lru.remove(&e.filed);
+                    e.filed = lru;
+                    self.dirty_lru.insert(lru, k);
+                }
+                e.data = data.into();
                 e.dirty_since.get_or_insert(now);
                 e.seq += 1;
                 e.lru = lru;
@@ -222,12 +267,14 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
                 self.map.insert(
                     k,
                     Entry {
-                        data,
+                        data: data.into(),
                         dirty_since: Some(now),
                         seq: 1,
                         lru,
+                        filed: lru,
                     },
                 );
+                self.dirty_lru.insert(lru, k);
                 let victim = self.make_room();
                 self.note_peak();
                 victim
@@ -235,7 +282,7 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
         }
     }
 
-    /// Copies out a dirty block for flushing. Returns `None` if the block
+    /// Hands out a dirty block for flushing. Returns `None` if the block
     /// is not resident or not dirty.
     pub fn flush_data(&self, k: &K) -> Option<FlushData> {
         self.map.get(k).and_then(|e| {
@@ -250,8 +297,11 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
     /// the flush was in flight (seq mismatch).
     pub fn mark_clean(&mut self, k: &K, seq: u64) {
         if let Some(e) = self.map.get_mut(k) {
-            if e.seq == seq {
-                e.dirty_since = None;
+            if e.seq == seq && e.dirty_since.take().is_some() {
+                // Other index, same recency.
+                self.dirty_lru.remove(&e.filed);
+                e.filed = e.lru;
+                self.clean_lru.insert(e.lru, *k);
             }
         }
     }
@@ -269,10 +319,7 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
 
     /// Count of dirty blocks.
     pub fn dirty_count(&self) -> usize {
-        self.map
-            .values()
-            .filter(|e| e.dirty_since.is_some())
-            .count()
+        self.dirty_lru.len()
     }
 
     /// Drops every block matching `pred` without writing it anywhere
@@ -284,8 +331,10 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
             if pred(k) {
                 if e.dirty_since.is_some() {
                     counts.dirty += 1;
+                    self.dirty_lru.remove(&e.filed);
                 } else {
                     counts.clean += 1;
+                    self.clean_lru.remove(&e.filed);
                 }
                 false
             } else {
@@ -293,6 +342,11 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
             }
         });
         counts
+    }
+
+    /// Drops one block, if resident, without writing it anywhere.
+    pub fn remove(&mut self, k: &K) {
+        self.take(k);
     }
 
     /// Drops all blocks.
@@ -316,15 +370,16 @@ pub struct DirtyRun {
     pub len: usize,
 }
 
-/// One gathered write copied out of the cache: contiguous data starting
-/// at block `start`, plus the per-block seqs to pass back to
-/// [`BlockCache::mark_clean`] after the write lands.
+/// One gathered write handed out of the cache: contiguous data starting
+/// at block `start` — one segment per block, each the cache's own buffer
+/// — plus the per-block seqs to pass back to [`BlockCache::mark_clean`]
+/// after the write lands.
 #[derive(Debug)]
 pub struct GatheredWrite {
     /// First logical block index covered by `data`.
     pub start: u64,
-    /// Concatenated block contents.
-    pub data: Vec<u8>,
+    /// The blocks' contents, in order.
+    pub data: Payload,
     /// `(block index, seq at copy time)` for every block included.
     pub seqs: Vec<(u64, u64)>,
 }
@@ -379,7 +434,7 @@ impl<F: Eq + Hash + Copy> BlockCache<(F, u64)> {
         self.dirty_runs_where(file, max_blocks, block_size, |_, _| true)
     }
 
-    /// Copies a planned run out of the cache for writing. Blocks that
+    /// Hands a planned run out of the cache for writing. Blocks that
     /// went clean or vanished since planning (a raced flush, a remove)
     /// split the run; a block that became short mid-run ends its
     /// segment, exactly as in [`dirty_runs_where`](Self::dirty_runs_where).
@@ -395,12 +450,12 @@ impl<F: Eq + Hash + Copy> BlockCache<(F, u64)> {
             let short = fd.data.len() != block_size;
             if open {
                 let gw = out.last_mut().expect("open implies a segment");
-                gw.data.extend_from_slice(&fd.data);
+                gw.data.push(fd.data);
                 gw.seqs.push((b, fd.seq));
             } else {
                 out.push(GatheredWrite {
                     start: b,
-                    data: fd.data,
+                    data: fd.data.into(),
                     seqs: vec![(b, fd.seq)],
                 });
             }
@@ -423,7 +478,7 @@ mod tests {
         let mut c: BlockCache<u32> = BlockCache::new(4);
         assert!(c.get(&1).is_none());
         c.insert_clean(1, vec![1]);
-        assert_eq!(c.get(&1), Some(vec![1]));
+        assert_eq!(c.get(&1).as_deref(), Some(&[1u8][..]));
         assert_eq!(c.hit_stats(), (1, 1));
     }
 
@@ -448,7 +503,7 @@ mod tests {
             victim,
             DirtyVictim {
                 key: 1,
-                data: vec![1]
+                data: vec![1].into()
             }
         );
         assert_eq!(c.len(), 2);
@@ -471,7 +526,7 @@ mod tests {
         c.write(1, vec![9], t(5));
         assert!(c.is_dirty(&1));
         let fd = c.flush_data(&1).expect("dirty");
-        assert_eq!(fd.data, vec![9]);
+        assert_eq!(&*fd.data, &[9]);
         c.mark_clean(&1, fd.seq);
         assert!(!c.is_dirty(&1));
         assert!(c.flush_data(&1).is_none());
@@ -486,7 +541,7 @@ mod tests {
         c.write(1, vec![2], t(1));
         c.mark_clean(&1, fd.seq);
         assert!(c.is_dirty(&1), "newer data must stay dirty");
-        assert_eq!(c.get(&1), Some(vec![2]));
+        assert_eq!(c.get(&1).as_deref(), Some(&[2u8][..]));
     }
 
     #[test]
@@ -495,7 +550,7 @@ mod tests {
         c.write(1, vec![7], t(0));
         c.insert_clean(1, vec![0]);
         assert!(c.is_dirty(&1));
-        assert_eq!(c.get(&1), Some(vec![7]));
+        assert_eq!(c.get(&1).as_deref(), Some(&[7u8][..]));
     }
 
     #[test]
@@ -545,6 +600,104 @@ mod tests {
             c.insert_clean(k, vec![k as u8]);
         }
         assert_eq!(c.peak_resident(), 2);
+    }
+
+    #[test]
+    fn a_hit_shares_the_cached_buffer_and_a_write_replaces_it() {
+        let mut c: BlockCache<u32> = BlockCache::new(4);
+        c.write(1, vec![1; 8], t(0));
+        let held = c.get(&1).expect("resident");
+        assert!(held.shares_allocation(&c.get(&1).expect("resident")));
+        assert!(held.shares_allocation(&c.flush_data(&1).expect("dirty").data));
+        // Re-dirtying the block swaps the entry's buffer; the one handed
+        // out earlier (to a flush in flight, say) keeps its bytes.
+        c.write(1, held.patched(0, &[9]), t(1));
+        assert_eq!(&*held, &[1; 8]);
+        assert_eq!(c.get(&1).expect("resident")[0], 9);
+    }
+
+    impl<K: Eq + Hash + Copy> BlockCache<K> {
+        /// The victim search as it was before the recency index: one pass
+        /// over the residents for the lowest-stamped clean block, else
+        /// the lowest-stamped block overall. Kept as the reference the
+        /// index is held against.
+        fn scan_victim(&self) -> Option<K> {
+            let mut lru_clean: Option<(u64, K)> = None;
+            let mut lru_any: Option<(u64, K)> = None;
+            for (k, e) in &self.map {
+                if lru_any.is_none_or(|(l, _)| e.lru < l) {
+                    lru_any = Some((e.lru, *k));
+                }
+                if e.dirty_since.is_none() && lru_clean.is_none_or(|(l, _)| e.lru < l) {
+                    lru_clean = Some((e.lru, *k));
+                }
+            }
+            lru_clean.or(lru_any).map(|(_, k)| k)
+        }
+
+        /// What `make_room` would evict, without evicting it.
+        fn index_victim(&mut self) -> Option<K> {
+            Self::lru_of(&mut self.clean_lru, &mut self.map)
+                .or_else(|| Self::lru_of(&mut self.dirty_lru, &mut self.map))
+        }
+    }
+
+    #[test]
+    fn index_picks_the_victim_the_scan_picked() {
+        use spritely_sim::SimRng;
+        for seed in 0..20 {
+            let rng = SimRng::new(seed);
+            let mut c: BlockCache<(u32, u64)> = BlockCache::new(24);
+            let mut flushing: Vec<((u32, u64), u64)> = Vec::new();
+            let mut evicted = 0;
+            for step in 0..4_000u64 {
+                let k = (rng.range_u64(0, 3) as u32, rng.range_u64(0, 16));
+                // What the old scan would evict if this step brings in a
+                // new block at capacity: its pick among the residents —
+                // unless they are all dirty and the newcomer is clean, in
+                // which case the newcomer is the one clean block.
+                let evicts = c.len() == c.capacity() && !c.contains(&k);
+                let all_dirty = c.map.values().all(|e| e.dirty_since.is_some());
+                let mut expect_gone = None;
+                match rng.range_u64(0, 100) {
+                    0..30 => drop(c.get(&k)),
+                    30..50 => {
+                        expect_gone = if all_dirty { Some(k) } else { c.scan_victim() };
+                        c.insert_clean(k, vec![step as u8]);
+                    }
+                    50..75 => {
+                        expect_gone = c.scan_victim();
+                        c.write(k, vec![step as u8], t(step));
+                    }
+                    75..85 => flushing.extend(c.flush_data(&k).map(|fd| (k, fd.seq))),
+                    85..95 => {
+                        if !flushing.is_empty() {
+                            let (k, seq) = flushing.swap_remove(rng.index(flushing.len()));
+                            c.mark_clean(&k, seq);
+                        }
+                    }
+                    95..97 => drop(c.drop_matching(|q| q.0 == k.0 && q.1 >= k.1)),
+                    97..99 => c.remove(&k),
+                    _ => drop(c.clear()),
+                }
+                if let Some(gone) = expect_gone.filter(|_| evicts) {
+                    assert!(!c.contains(&gone), "seed {seed} step {step}: wrong victim");
+                    assert_eq!(c.len(), c.capacity());
+                    evicted += 1;
+                }
+                assert_eq!(
+                    c.index_victim(),
+                    c.scan_victim(),
+                    "seed {seed} step {step}: index and scan disagree"
+                );
+                assert_eq!(c.clean_lru.len() + c.dirty_lru.len(), c.len());
+                assert_eq!(
+                    c.dirty_count(),
+                    c.map.values().filter(|e| e.dirty_since.is_some()).count()
+                );
+            }
+            assert!(evicted > 100, "seed {seed}: the sequence must evict");
+        }
     }
 
     #[test]
@@ -635,7 +788,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_copies_data_and_seqs() {
+    fn gather_shares_data_and_records_seqs() {
         let mut c: BlockCache<(u32, u64)> = BlockCache::new(64);
         dirty_file_blocks(&mut c, 1, &[3, 4, 5]);
         let runs = c.dirty_runs(1, 16, BS);
@@ -644,8 +797,10 @@ mod tests {
         let gw = &gws[0];
         assert_eq!(gw.start, 3);
         assert_eq!(gw.data.len(), 3 * BS);
-        assert_eq!(&gw.data[..BS], &[3u8; BS][..]);
-        assert_eq!(&gw.data[2 * BS..], &[5u8; BS][..]);
+        // One segment per block, each the cache's own buffer.
+        let cached = c.flush_data(&(1, 4)).expect("dirty").data;
+        assert!(gw.data.segments()[1].shares_allocation(&cached));
+        assert_eq!(gw.data.to_vec(), [[3u8; BS], [4; BS], [5; BS]].concat());
         assert_eq!(
             gw.seqs.iter().map(|&(b, _)| b).collect::<Vec<_>>(),
             [3, 4, 5]

@@ -7,7 +7,8 @@ use std::rc::Rc;
 
 use spritely_blockdev::Disk;
 use spritely_proto::{
-    block_of, blocks_for, DirEntry, Fattr, FileHandle, FileType, NfsStatus, Result, BLOCK_SIZE,
+    block_of, blocks_for, Buf, DirEntry, Fattr, FileHandle, FileType, NfsStatus, Payload, Result,
+    BLOCK_SIZE,
 };
 use spritely_sim::{Event, Sim, SimDuration};
 use spritely_trace::{EventKind, Tracer};
@@ -301,7 +302,7 @@ impl LocalFs {
 
     // ---- data operations --------------------------------------------------
 
-    async fn flush_victim(&self, key: Key, data: Vec<u8>) {
+    async fn flush_victim(&self, key: Key, data: Buf) {
         let addr = self.inner.store.borrow().addr_by_ino(key.0, key.1);
         match addr {
             Some(addr) => {
@@ -324,7 +325,7 @@ impl LocalFs {
     /// read + clean insert. In single-flight mode, concurrent misses on
     /// the same block coalesce — followers wait for the leader's fetch
     /// and then re-check the cache.
-    async fn fetch_cached_block(&self, fh: FileHandle, lblk: u64) -> Result<Vec<u8>> {
+    async fn fetch_cached_block(&self, fh: FileHandle, lblk: u64) -> Result<Buf> {
         let key = (fh.inode, lblk);
         loop {
             let cached = self.inner.cache.borrow_mut().get(&key);
@@ -367,7 +368,7 @@ impl LocalFs {
         }
     }
 
-    async fn fetch_from_disk(&self, fh: FileHandle, lblk: u64) -> Result<Vec<u8>> {
+    async fn fetch_from_disk(&self, fh: FileHandle, lblk: u64) -> Result<Buf> {
         let (has, addr) = {
             let st = self.inner.store.borrow();
             (
@@ -381,17 +382,18 @@ impl LocalFs {
             self.inner.store.borrow().read_stable(fh, lblk)
         } else {
             // Hole or never-flushed region: zero fill, no disk.
-            Ok(vec![0; BLOCK_SIZE])
+            Ok(Buf::zeros(BLOCK_SIZE))
         }
     }
 
-    /// Reads up to `len` bytes at `offset`. Returns `(data, eof, attr)`.
+    /// Reads up to `len` bytes at `offset`. Returns `(data, eof, attr)`;
+    /// the data is slices of the cached blocks, not a copy of them.
     pub async fn read(
         &self,
         fh: FileHandle,
         offset: u64,
         len: u32,
-    ) -> Result<(Vec<u8>, bool, Fattr)> {
+    ) -> Result<(Payload, bool, Fattr)> {
         let attr = self.inner.store.borrow().getattr(fh)?;
         if attr.ftype == FileType::Directory {
             return Err(NfsStatus::IsDir);
@@ -400,10 +402,10 @@ impl LocalFs {
         if offset >= size || len == 0 {
             let now = self.now_us();
             let attr = self.inner.store.borrow_mut().note_read(fh, now)?;
-            return Ok((Vec::new(), true, attr));
+            return Ok((Payload::new(), true, attr));
         }
         let end = size.min(offset + u64::from(len));
-        let mut out = Vec::with_capacity((end - offset) as usize);
+        let mut out = Payload::new();
         let first = block_of(offset);
         let last = block_of(end - 1);
         for lblk in first..=last {
@@ -411,21 +413,37 @@ impl LocalFs {
             let blk_start = lblk * BLOCK_SIZE as u64;
             let from = offset.max(blk_start) - blk_start;
             let to = (end - blk_start).min(BLOCK_SIZE as u64);
-            out.extend_from_slice(&block[from as usize..to as usize]);
+            out.push(block.slice(from as usize..to as usize));
         }
         let now = self.now_us();
         let attr = self.inner.store.borrow_mut().note_read(fh, now)?;
         Ok((out, end == size, attr))
     }
 
-    /// Writes `data` at `offset`. With `sync`, the affected blocks are
-    /// flushed to disk before returning (NFS server semantics); otherwise
-    /// the write is delayed in the cache (Unix local semantics).
+    /// Writes `data` at `offset`, copying it in (block-aligned) first:
+    /// the `write(2)` edge of [`write_payload`](Self::write_payload).
     pub async fn write(
         &self,
         fh: FileHandle,
         offset: u64,
         data: &[u8],
+        sync: bool,
+    ) -> Result<Fattr> {
+        self.write_payload(fh, offset, &Payload::copy_in(offset, data), sync)
+            .await
+    }
+
+    /// Writes `data` at `offset`. With `sync`, the affected blocks are
+    /// flushed to disk before returning (NFS server semantics); otherwise
+    /// the write is delayed in the cache (Unix local semantics). A segment
+    /// that covers a whole block becomes the cached block itself; a
+    /// partial block is merged into a new buffer, so whoever still holds
+    /// the old one (a reply, the stable store) keeps the old bytes.
+    pub async fn write_payload(
+        &self,
+        fh: FileHandle,
+        offset: u64,
+        data: &Payload,
         sync: bool,
     ) -> Result<Fattr> {
         if data.is_empty() {
@@ -443,38 +461,18 @@ impl LocalFs {
             let blk_start = lblk * BLOCK_SIZE as u64;
             let from = offset.max(blk_start);
             let to = end.min(blk_start + BLOCK_SIZE as u64);
-            let chunk = &data[(from - offset) as usize..(to - offset) as usize];
+            let chunk = data.range((from - offset) as usize..(to - offset) as usize);
             let key = (fh.inode, lblk);
-            let full = from == blk_start && (to - from) as usize == BLOCK_SIZE;
-            let merged = if full {
-                chunk.to_vec()
+            let merged = if chunk.len() == BLOCK_SIZE {
+                chunk
             } else {
                 // Read-modify-write of a partial block.
-                let mut base = {
-                    let cached = self.inner.cache.borrow_mut().get(&key);
-                    match cached {
-                        Some(b) => b,
-                        None => {
-                            let (has, addr) = {
-                                let st = self.inner.store.borrow();
-                                (
-                                    st.has_stable(fh.inode, lblk),
-                                    st.addr_by_ino(fh.inode, lblk),
-                                )
-                            };
-                            if has {
-                                let addr = addr.expect("stable block has an address");
-                                self.inner.disk.read(addr, BLOCK_SIZE).await;
-                                self.inner.store.borrow().read_stable(fh, lblk)?
-                            } else {
-                                vec![0; BLOCK_SIZE]
-                            }
-                        }
-                    }
+                let cached = self.inner.cache.borrow_mut().get(&key);
+                let base = match cached {
+                    Some(b) => b,
+                    None => self.fetch_from_disk(fh, lblk).await?,
                 };
-                let off = (from - blk_start) as usize;
-                base[off..off + chunk.len()].copy_from_slice(chunk);
-                base
+                base.patched((from - blk_start) as usize, &chunk)
             };
             self.inner.store.borrow_mut().ensure_block(fh, lblk)?;
             let victim = self.inner.cache.borrow_mut().write(key, merged, now);

@@ -68,7 +68,7 @@ mod tests {
             let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
             f2.write(fh, 0, &data, false).await.unwrap();
             let (got, eof, attr) = f2.read(fh, 0, 10_000).await.unwrap();
-            assert_eq!(got, data);
+            assert_eq!(got.to_vec(), data);
             assert!(eof);
             assert_eq!(attr.size, 10_000);
         });
@@ -158,7 +158,7 @@ mod tests {
                 let f2 = f.clone();
                 sim.spawn(async move {
                     let (got, _, _) = f2.read(fh, 0, BLOCK_SIZE as u32).await.unwrap();
-                    assert_eq!(got, vec![7u8; BLOCK_SIZE]);
+                    assert_eq!(got.to_vec(), vec![7u8; BLOCK_SIZE]);
                 });
             }
             sim.run_to_quiescence();
@@ -221,6 +221,7 @@ mod tests {
             f2.write(fh, 0, &[0xAAu8; BLOCK_SIZE], false).await.unwrap();
             f2.write(fh, 100, &[0xBBu8; 8], false).await.unwrap();
             let (got, _, _) = f2.read(fh, 0, BLOCK_SIZE as u32).await.unwrap();
+            let got = got.to_vec();
             assert_eq!(&got[..100], &[0xAAu8; 100][..]);
             assert_eq!(&got[100..108], &[0xBBu8; 8][..]);
             assert_eq!(&got[108..], &[0xAAu8; BLOCK_SIZE - 108][..]);
@@ -240,7 +241,7 @@ mod tests {
             assert!(got.is_empty());
             assert!(eof);
             let (got, eof, _) = f2.read(fh, 3, 100).await.unwrap();
-            assert_eq!(got, b"lo");
+            assert_eq!(got.to_vec(), b"lo");
             assert!(eof);
         });
     }
@@ -281,7 +282,10 @@ mod tests {
                 .unwrap();
             assert!(f2.stats().flushed_blocks >= 4);
             let (got, _, _) = f2.read(fh, 0, (8 * BLOCK_SIZE) as u32).await.unwrap();
-            assert!(got.iter().all(|&b| b == 1), "data survives eviction");
+            assert!(
+                got.to_vec().iter().all(|&b| b == 1),
+                "data survives eviction"
+            );
         });
     }
 

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 
 use spritely_proto::{
-    blocks_for, DirEntry, Fattr, FileHandle, FileType, NfsStatus, Result, BLOCK_SIZE,
+    blocks_for, Buf, DirEntry, Fattr, FileHandle, FileType, NfsStatus, Result, BLOCK_SIZE,
 };
 
 /// Maximum name length, as in traditional Unix.
@@ -30,8 +30,9 @@ pub(crate) struct Inode {
     pub atime: u64,
     /// Logical block index → allocated disk address.
     pub addrs: Vec<u64>,
-    /// Stable block contents (only what has reached "disk").
-    pub stable: Vec<Option<Vec<u8>>>,
+    /// Stable block contents (only what has reached "disk"): the very
+    /// buffers the cache flushed, not copies of them.
+    pub stable: Vec<Option<Buf>>,
     /// Directory entries (`Some` iff `ftype == Directory`).
     pub entries: Option<BTreeMap<String, u64>>,
     /// Symlink target (`Some` iff `ftype == Symlink`).
@@ -502,7 +503,7 @@ impl Store {
 
     /// Writes stable content by raw inode number; a vanished file is a
     /// silent no-op (the flush raced a delete).
-    pub fn write_stable_by_ino(&mut self, ino: u64, lblk: u64, data: Vec<u8>) {
+    pub fn write_stable_by_ino(&mut self, ino: u64, lblk: u64, data: Buf) {
         if let Some(i) = self.inodes.get_mut(&ino) {
             if let Some(slot) = i.stable.get_mut(lblk as usize) {
                 *slot = Some(data);
@@ -510,18 +511,19 @@ impl Store {
         }
     }
 
-    /// Reads stable content of one block (zeros if never written).
-    pub fn read_stable(&self, fh: FileHandle, lblk: u64) -> Result<Vec<u8>> {
+    /// Reads stable content of one block (the shared zero block if never
+    /// written).
+    pub fn read_stable(&self, fh: FileHandle, lblk: u64) -> Result<Buf> {
         let i = self.get(fh)?;
         Ok(i.stable
             .get(lblk as usize)
             .and_then(|b| b.clone())
-            .unwrap_or_else(|| vec![0; BLOCK_SIZE]))
+            .unwrap_or_else(|| Buf::zeros(BLOCK_SIZE)))
     }
 
     /// Writes stable content of one block (called after the disk write
     /// completes) and grows size/mtime.
-    pub fn write_stable(&mut self, fh: FileHandle, lblk: u64, data: Vec<u8>) -> Result<()> {
+    pub fn write_stable(&mut self, fh: FileHandle, lblk: u64, data: Buf) -> Result<()> {
         self.ensure_block(fh, lblk)?;
         let i = self.get_mut(fh)?;
         i.stable[lblk as usize] = Some(data);
@@ -713,9 +715,9 @@ mod tests {
         let root = s.root();
         let (fh, _) = s.create(root, "f", 0).unwrap();
         s.ensure_block(fh, 0).unwrap();
-        assert_eq!(s.read_stable(fh, 0).unwrap(), vec![0; BLOCK_SIZE]);
-        s.write_stable(fh, 0, vec![7; BLOCK_SIZE]).unwrap();
-        assert_eq!(s.read_stable(fh, 0).unwrap(), vec![7; BLOCK_SIZE]);
+        assert_eq!(&*s.read_stable(fh, 0).unwrap(), &[0; BLOCK_SIZE]);
+        s.write_stable(fh, 0, vec![7; BLOCK_SIZE].into()).unwrap();
+        assert_eq!(&*s.read_stable(fh, 0).unwrap(), &[7; BLOCK_SIZE]);
     }
 
     #[test]
@@ -749,7 +751,7 @@ mod tests {
         let root = s.root();
         let (fh, _) = s.create(root, "a", 0).unwrap();
         s.ensure_block(fh, 0).unwrap();
-        s.write_stable(fh, 0, vec![5; BLOCK_SIZE]).unwrap();
+        s.write_stable(fh, 0, vec![5; BLOCK_SIZE].into()).unwrap();
         let attr = s.link(fh, root, "b", 1).unwrap();
         assert_eq!(attr.nlink, 2);
         let (fh_b, _) = s.lookup(root, "b").unwrap();
@@ -758,7 +760,7 @@ mod tests {
         let (_, gone) = s.remove(root, "a", 2).unwrap();
         assert!(!gone, "one link remains");
         assert_eq!(s.getattr(fh).unwrap().nlink, 1);
-        assert_eq!(s.read_stable(fh, 0).unwrap(), vec![5; BLOCK_SIZE]);
+        assert_eq!(&*s.read_stable(fh, 0).unwrap(), &[5; BLOCK_SIZE]);
         let (_, gone) = s.remove(root, "b", 3).unwrap();
         assert!(gone, "last link frees the inode");
         assert_eq!(s.getattr(fh).unwrap_err(), NfsStatus::Stale);

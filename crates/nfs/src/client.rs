@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 use spritely_localfs::BlockCache;
 use spritely_proto::{
-    block_of, DirEntry, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, ReadReply, Result,
+    block_of, Buf, DirEntry, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, ReadReply, Result,
     BLOCK_SIZE,
 };
 use spritely_rpcnet::{RpcError, ShardCaller};
@@ -91,9 +91,12 @@ struct PendingWrites {
     error: Option<NfsStatus>,
 }
 
+/// A delayed partial-block write (footnote 4): bytes short of the next
+/// block boundary, held back until the block fills or the file closes.
+/// Always inside one block.
 struct Tail {
     offset: u64,
-    data: Vec<u8>,
+    data: Buf,
 }
 
 impl Tail {
@@ -329,7 +332,7 @@ impl NfsClient {
 
     // ---- data path ----------------------------------------------------------
 
-    async fn fetch_block(&self, fh: FileHandle, lblk: u64, bg: bool) -> Result<Vec<u8>> {
+    async fn fetch_block(&self, fh: FileHandle, lblk: u64, bg: bool) -> Result<Buf> {
         let key = (fh, lblk);
         // Coalesce with an identical fetch already in flight. If that
         // fetch is a read-ahead parked in the batcher, kick it onto the
@@ -362,11 +365,12 @@ impl NfsClient {
         match res? {
             NfsReply::Read(ReadReply { data, attr, .. }) => {
                 self.note_attrs_own(fh, attr);
+                let block = data.to_buf();
                 self.inner
                     .cache
                     .borrow_mut()
-                    .insert_clean(key, data.clone());
-                Ok(data)
+                    .insert_clean(key, block.clone());
+                Ok(block)
             }
             _ => Err(NfsStatus::Io),
         }
@@ -393,7 +397,8 @@ impl NfsClient {
         });
     }
 
-    /// Reads up to `len` bytes at `offset`. Returns `(data, eof)`.
+    /// Reads up to `len` bytes at `offset`. Returns `(data, eof)`: the
+    /// `read(2)` copy-out, the one copy on the way from the cache.
     pub async fn read(&self, fh: FileHandle, offset: u64, len: u32) -> Result<(Vec<u8>, bool)> {
         // Consistency check (may be served by the attribute cache).
         let attr = self.probe_attrs(fh, false).await?;
@@ -447,12 +452,17 @@ impl NfsClient {
         p.count += 1;
     }
 
-    fn spawn_write_rpc(&self, fh: FileHandle, offset: u64, data: Vec<u8>) {
+    fn spawn_write_rpc(&self, fh: FileHandle, offset: u64, data: Buf) {
         self.bump_pending(fh);
         let this = self.clone();
         self.inner.sim.spawn(async move {
             let permit = this.inner.biods.acquire().await;
-            let res = this.call_bg(NfsRequest::Write { fh, offset, data }).await;
+            let req = NfsRequest::Write {
+                fh,
+                offset,
+                data: data.into(),
+            };
+            let res = this.call_bg(req).await;
             drop(permit);
             let mut pending = this.inner.pending.borrow_mut();
             let p = pending.entry(fh).or_default();
@@ -498,82 +508,83 @@ impl NfsClient {
     /// Emits the pending partial-block tail as a write RPC, if any.
     fn flush_tail(&self, fh: FileHandle) {
         if let Some(t) = self.inner.tails.borrow_mut().remove(&fh) {
-            self.emit_pieces(fh, t.offset, t.data);
+            self.emit_piece(fh, t.offset, t.data);
         }
     }
 
-    /// Splits `[offset, offset+data.len())` at block boundaries and spawns
-    /// one write-behind RPC per piece, caching full-block pieces.
-    fn emit_pieces(&self, fh: FileHandle, offset: u64, data: Vec<u8>) {
-        let end = offset + data.len() as u64;
-        let mut cur = offset;
-        while cur < end {
-            let blk_end = (block_of(cur) + 1) * BLOCK_SIZE as u64;
-            let piece_end = end.min(blk_end);
-            let piece = data[(cur - offset) as usize..(piece_end - offset) as usize].to_vec();
-            if piece.len() == BLOCK_SIZE {
-                self.inner
-                    .cache
-                    .borrow_mut()
-                    .insert_clean((fh, block_of(cur)), piece.clone());
-            }
-            self.spawn_write_rpc(fh, cur, piece);
-            cur = piece_end;
+    /// Spawns the write-behind RPC for one piece (bytes of a single
+    /// block), caching it if it is a whole block: the cache, the request
+    /// and every clone rpcnet makes of it share the one buffer.
+    fn emit_piece(&self, fh: FileHandle, offset: u64, piece: Buf) {
+        let key = (fh, block_of(offset));
+        if piece.len() == BLOCK_SIZE {
+            self.inner
+                .cache
+                .borrow_mut()
+                .insert_clean(key, piece.clone());
+        } else {
+            // A cached copy of the block predates these bytes; our own
+            // write does not invalidate it (`note_attrs_own`), so it
+            // would be served until the file closes.
+            self.inner.cache.borrow_mut().remove(&key);
         }
+        self.spawn_write_rpc(fh, offset, piece);
     }
 
     /// Writes `data` at `offset` with write-behind semantics: the call
     /// returns as soon as the write is queued; `close` synchronizes.
+    /// This is the `write(2)` copy-in: each byte is copied once, into the
+    /// buffer of the block it belongs to (bytes that wait in the tail are
+    /// copied again when their block fills).
     pub async fn write(&self, fh: FileHandle, offset: u64, data: &[u8]) -> Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        // Merge with (or flush) the partial-write tail.
-        let mut start = offset;
-        let mut buf: Vec<u8>;
-        {
-            let mut tails = self.inner.tails.borrow_mut();
-            match tails.remove(&fh) {
-                Some(t) if t.end() == offset => {
-                    start = t.offset;
-                    buf = t.data;
-                    buf.extend_from_slice(data);
-                }
-                Some(t) => {
-                    drop(tails);
-                    // Non-contiguous: push the old tail out first.
-                    self.emit_pieces(fh, t.offset, t.data);
-                    buf = data.to_vec();
-                }
-                None => {
-                    buf = data.to_vec();
-                }
+        // Merge with (or flush) the partial-write tail: `head` holds
+        // `[start, offset)`, `data` holds `[offset, end)`.
+        let old_tail = self.inner.tails.borrow_mut().remove(&fh);
+        let (start, head) = match old_tail {
+            Some(t) if t.end() == offset => (t.offset, t.data),
+            Some(t) => {
+                // Non-contiguous: push the old tail out first.
+                self.emit_piece(fh, t.offset, t.data);
+                (offset, Buf::empty())
             }
-        }
-        let end = start + buf.len() as u64;
-        let emit_end = if self.inner.params.delay_partial_writes {
-            (end / BLOCK_SIZE as u64) * BLOCK_SIZE as u64
+            None => (offset, Buf::empty()),
+        };
+        let end = offset + data.len() as u64;
+        let bytes = |a: u64, b: u64| -> Buf {
+            if a >= offset {
+                Buf::from(&data[(a - offset) as usize..(b - offset) as usize])
+            } else if b <= offset {
+                head.slice((a - start) as usize..(b - start) as usize)
+            } else {
+                Buf::concat(
+                    &head[(a - start) as usize..],
+                    &data[..(b - offset) as usize],
+                )
+            }
+        };
+        // Everything below `cut` goes out now, one piece per block; the
+        // rest (short of a block boundary) waits in the tail.
+        let cut = if self.inner.params.delay_partial_writes {
+            ((end / BLOCK_SIZE as u64) * BLOCK_SIZE as u64).max(start)
         } else {
             end
         };
-        if emit_end > start {
-            let rest = buf.split_off((emit_end - start) as usize);
-            self.emit_pieces(fh, start, buf);
-            if !rest.is_empty() {
-                self.inner.tails.borrow_mut().insert(
-                    fh,
-                    Tail {
-                        offset: emit_end,
-                        data: rest,
-                    },
-                );
-            }
-        } else if !buf.is_empty() {
+        let mut cur = start;
+        while cur < cut {
+            let piece_end = cut.min((block_of(cur) + 1) * BLOCK_SIZE as u64);
+            self.emit_piece(fh, cur, bytes(cur, piece_end));
+            cur = piece_end;
+        }
+        if cut < end {
+            debug_assert_eq!(block_of(cut), block_of(end - 1), "tail spans blocks");
             self.inner.tails.borrow_mut().insert(
                 fh,
                 Tail {
-                    offset: start,
-                    data: buf,
+                    offset: cut,
+                    data: bytes(cut, end),
                 },
             );
         }

@@ -66,7 +66,7 @@ pub async fn handle(fs: &LocalFs, req: NfsRequest) -> NfsReply {
         NfsRequest::Write { fh, offset, data } => {
             // RFC 1094: the server must reach stable storage before the
             // reply. This is the write-through cost SNFS avoids.
-            match fs.write(fh, offset, &data, true).await {
+            match fs.write_payload(fh, offset, &data, true).await {
                 Ok(attr) => NfsReply::Attr(attr),
                 Err(e) => NfsReply::Err(e),
             }

@@ -10,10 +10,14 @@
 //! vocabulary and *adds* three operations — `open`, `close` (client→server)
 //! and `callback` (server→client) — plus a per-file version number.
 //!
+//! File data travels in the refcounted buffers of [`Buf`] and [`Payload`],
+//! never in a `Vec<u8>` (DESIGN.md "Buffer ownership").
+//!
 //! This crate is dependency-free; times inside attributes are raw virtual
 //! microseconds (see `spritely-sim::SimTime`).
 
 mod attr;
+mod buf;
 mod handle;
 mod layout;
 mod message;
@@ -21,6 +25,7 @@ mod procs;
 mod status;
 
 pub use attr::{Fattr, FileType};
+pub use buf::{Buf, Payload};
 pub use handle::{ClientId, FileHandle, FileVersion};
 pub use layout::{default_shard, Layout};
 pub use message::{

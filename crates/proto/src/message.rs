@@ -5,6 +5,7 @@
 //! its approximate wire size (for network transfer-time modelling).
 
 use crate::attr::Fattr;
+use crate::buf::Payload;
 use crate::handle::{ClientId, FileHandle, FileVersion};
 use crate::procs::NfsProc;
 use crate::status::NfsStatus;
@@ -46,7 +47,7 @@ pub enum NfsRequest {
     Write {
         fh: FileHandle,
         offset: u64,
-        data: Vec<u8>,
+        data: Payload,
     },
     /// Create a regular file under `dir`.
     Create { dir: FileHandle, name: String },
@@ -246,7 +247,7 @@ pub struct DirEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadReply {
     /// The bytes read (may be shorter than requested at end of file).
-    pub data: Vec<u8>,
+    pub data: Payload,
     /// True if the read reached end of file.
     pub eof: bool,
     /// Post-read attributes.
@@ -498,7 +499,7 @@ mod tests {
                 NfsRequest::Write {
                     fh: fh(),
                     offset: 0,
-                    data: vec![0; 100],
+                    data: vec![0; 100].into(),
                 },
                 NfsProc::Write,
             ),
@@ -530,7 +531,7 @@ mod tests {
         let big = NfsRequest::Write {
             fh: fh(),
             offset: 0,
-            data: vec![0; 4096],
+            data: vec![0; 4096].into(),
         }
         .wire_size();
         assert!(big >= small + 4096);
@@ -539,7 +540,7 @@ mod tests {
     #[test]
     fn read_reply_wire_size_includes_data() {
         let r = NfsReply::Read(ReadReply {
-            data: vec![0; 2048],
+            data: vec![0; 2048].into(),
             eof: false,
             attr: attr(),
         });
@@ -562,7 +563,7 @@ mod tests {
             NfsRequest::Write {
                 fh: fh(),
                 offset: 0,
-                data: vec![0; 4096],
+                data: vec![0; 4096].into(),
             },
             NfsRequest::Lookup {
                 dir: fh(),
@@ -593,7 +594,7 @@ mod tests {
         let replies = vec![
             NfsReply::Attr(attr()),
             NfsReply::Read(ReadReply {
-                data: vec![0; 2048],
+                data: vec![0; 2048].into(),
                 eof: false,
                 attr: attr(),
             }),

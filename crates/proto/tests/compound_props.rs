@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use spritely_proto::{
-    DirEntry, Fattr, FileHandle, FileType, NfsProc, NfsReply, NfsRequest, COMPOUND_OP_BYTES,
+    DirEntry, Fattr, FileHandle, FileType, NfsProc, NfsReply, NfsRequest, Payload,
+    COMPOUND_OP_BYTES,
 };
 
 fn fh() -> FileHandle {
@@ -36,7 +37,8 @@ fn arb_request() -> impl Strategy<Value = NfsRequest> {
         (0usize..8192).prop_map(|n| NfsRequest::Write {
             fh: fh(),
             offset: 0,
-            data: vec![0xa5; n],
+            // Block-aligned copy-in: up to three segments, one wire size.
+            data: Payload::copy_in(0, &vec![0xa5; n]),
         }),
         (1usize..14).prop_map(|n| NfsRequest::Lookup {
             dir: fh(),
@@ -55,7 +57,7 @@ fn arb_reply() -> impl Strategy<Value = NfsReply> {
         Just(NfsReply::Ok),
         Just(NfsReply::Attr(attr())),
         (0usize..8192).prop_map(|n| NfsReply::Read(spritely_proto::ReadReply {
-            data: vec![0x5a; n],
+            data: vec![0x5a; n].into(),
             eof: false,
             attr: attr(),
         })),

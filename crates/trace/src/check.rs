@@ -44,6 +44,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::rc::Rc;
 
 use spritely_proto::{default_shard, ClientId, FileHandle, NfsProc, BLOCK_SIZE};
 
@@ -163,7 +164,7 @@ struct CheckState {
     disk_bound: Option<u64>,
     /// Queued-but-uncompleted disk requests per disk, in arrival order:
     /// (req id, times bypassed).
-    disk_pending: HashMap<String, Vec<(u64, u64)>>,
+    disk_pending: HashMap<Rc<str>, Vec<(u64, u64)>>,
     /// Open compound batches: (from, batch id) -> inner request count.
     batches: HashMap<(ClientId, u64), u64>,
     /// `(from, xid)` pairs that already had a handler execution.

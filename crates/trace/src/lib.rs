@@ -242,9 +242,11 @@ pub enum EventKind {
     /// The server crashed, losing its state table.
     ServerCrash,
     /// A request entered a disk's scheduler queue. `req` is a per-disk
-    /// monotone id; `disk` names the device (traces may carry several).
+    /// monotone id; `disk` names the device (traces may carry several) —
+    /// the disk's own label, shared, so two events per request cost no
+    /// allocation.
     DiskQueue {
-        disk: String,
+        disk: Rc<str>,
         req: u64,
         block: u64,
         write: bool,
@@ -252,7 +254,7 @@ pub enum EventKind {
     /// A disk request finished service: `wait_us` is queue wait (enqueue
     /// to dispatch), `pos_us` the positioning time charged.
     DiskDone {
-        disk: String,
+        disk: Rc<str>,
         req: u64,
         block: u64,
         write: bool,

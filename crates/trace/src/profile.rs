@@ -528,12 +528,12 @@ impl<'a> Profiler<'a> {
                     // executions count; callback handlers running on
                     // client hosts never issue server-disk I/O.
                     let h = open_server_handlers.last().copied();
-                    disk_pending.insert((disk.as_str(), *req), (e.t_us, h));
+                    disk_pending.insert((&**disk, *req), (e.t_us, h));
                 }
                 EventKind::DiskDone {
                     disk, req, wait_us, ..
                 } => {
-                    if let Some((t_q, Some(h))) = disk_pending.remove(&(disk.as_str(), *req)) {
+                    if let Some((t_q, Some(h))) = disk_pending.remove(&(&**disk, *req)) {
                         if let Some(handler) = handlers.get_mut(&h) {
                             let dispatch = (t_q + wait_us).min(e.t_us);
                             if dispatch > t_q {

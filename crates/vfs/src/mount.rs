@@ -58,7 +58,7 @@ impl FsBackend {
     /// Reads up to `len` bytes at `offset`.
     pub async fn read(&self, fh: FileHandle, offset: u64, len: u32) -> Result<Vec<u8>> {
         match self {
-            FsBackend::Local(fs) => fs.read(fh, offset, len).await.map(|(d, _, _)| d),
+            FsBackend::Local(fs) => fs.read(fh, offset, len).await.map(|(d, _, _)| d.to_vec()),
             FsBackend::Nfs(c) => c.read(fh, offset, len).await.map(|(d, _)| d),
             FsBackend::Snfs(c) => c.read(fh, offset, len).await.map(|(d, _)| d),
         }

@@ -154,6 +154,72 @@ fn snfs_concurrent_write_sharing_never_stale() {
 }
 
 #[test]
+fn snfs_late_read_reply_does_not_repopulate_an_invalidated_cache() {
+    // Defect 1 of benchmark/README.md ("What the oracle found"), as a
+    // fixed schedule: a reader's read RPC is on the server's disk when a
+    // writer's open makes the file write-shared; the invalidate callback
+    // reaches the reader first, the read reply (and the read-ahead the
+    // reader then starts) after it. Those blocks must not land in the
+    // cache, or the reader's next open adopts them under the new version.
+    let tb = Testbed::build_with_clients(
+        TestbedParams {
+            protocol: Protocol::Snfs,
+            ..TestbedParams::default()
+        },
+        2,
+    );
+    let (reader, writer) = two_snfs(&tb);
+    let root = tb.server_fs.root();
+    let server_fs = tb.server_fs.clone();
+    let sim = tb.sim.clone();
+    let s = sim.clone();
+    let h = sim.spawn(async move {
+        let len = (2 * BLOCK_SIZE) as u32;
+        let (fh, _) = writer.create(root, "f").await.unwrap();
+        writer.open(fh, true).await.unwrap();
+        writer.write(fh, 0, &vec![1u8; len as usize]).await.unwrap();
+        writer.fsync(fh).await.unwrap();
+        writer.close(fh, true).await.unwrap();
+        // Empty the server's buffer cache, so the read below waits for
+        // the disk while the open and its callback overtake it.
+        assert_eq!(server_fs.crash(), 0, "version 1 is on the disk");
+
+        reader.open(fh, false).await.unwrap();
+        let reply_in = std::rc::Rc::new(std::cell::Cell::new(false));
+        let late_read = s.spawn({
+            let (reader, reply_in) = (reader.clone(), reply_in.clone());
+            async move {
+                let got = reader.read(fh, 0, BLOCK_SIZE as u32).await.unwrap().0;
+                reply_in.set(true);
+                got
+            }
+        });
+        s.sleep(SimDuration::from_millis(1)).await;
+        writer.open(fh, true).await.unwrap();
+        assert_eq!(reader.stats().invalidations, 1, "the callback has landed");
+        assert!(!reply_in.get(), "the read reply is still in flight");
+        // The read itself overlapped the writer's open: version 1 is a
+        // legitimate answer for it.
+        assert!(late_read.await.iter().all(|&x| x == 1));
+
+        writer.write(fh, 0, &vec![2u8; len as usize]).await.unwrap();
+        writer.close(fh, true).await.unwrap();
+        reader.close(fh, false).await.unwrap();
+        // Let the read-ahead the late read started finish too.
+        s.sleep(SimDuration::from_secs(1)).await;
+
+        reader.open(fh, false).await.unwrap();
+        let (got, _) = reader.read(fh, 0, len).await.unwrap();
+        assert!(
+            got.iter().all(|&x| x == 2),
+            "the reopened file must not serve blocks of the invalidated version"
+        );
+        reader.close(fh, false).await.unwrap();
+    });
+    sim.run_until(h);
+}
+
+#[test]
 fn snfs_three_clients_reader_population() {
     // read-only sharing caches everywhere; a late writer invalidates all.
     let tb = Testbed::build_with_clients(

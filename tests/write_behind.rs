@@ -52,6 +52,7 @@ fn pipelined_flush_scenario() -> (OpCounts, SimDuration, Vec<u8>) {
             .await
             .expect("server read")
             .0
+            .to_vec()
     });
     (tb.counter.snapshot(), dt, bytes)
 }
@@ -206,7 +207,11 @@ fn fsync_waits_for_eviction_write_backs() {
             // block must be on the server, the evicted ones included.
             assert_eq!(c.pending_evictions(), 0, "fsync waited out evictions");
             let (bytes, _, _) = fs.read(fh, 0, (8 * BLOCK_SIZE) as u32).await.unwrap();
-            assert_eq!(bytes, data, "server holds all blocks at fsync return");
+            assert_eq!(
+                bytes.to_vec(),
+                data,
+                "server holds all blocks at fsync return"
+            );
             c.close(fh, true).await.unwrap();
         }
     });

@@ -1,0 +1,526 @@
+//! The zero-copy data path (DESIGN.md "Buffer ownership"), held three
+//! ways:
+//!
+//! * **the bytes are right** — random positional writes, reads,
+//!   truncates, fsyncs and cold boots through an NFS and an SNFS mount,
+//!   with offsets and lengths straddling block boundaries, against a
+//!   plain `Vec<u8>`;
+//! * **sharing is not aliasing** — after a partial overwrite of a block,
+//!   everyone who held the old buffer (the stable store, a reply parked
+//!   in the duplicate cache, another client's cache, a request waiting to
+//!   be retransmitted) still reads the old bytes;
+//! * **the copies stay gone** — a 1 MiB write + fsync + cold read-back
+//!   allocates no more than a pinned number of bytes, counted by this
+//!   test binary's own allocator, so a per-layer copy that creeps back in
+//!   fails here and not three PRs later in the benchmark.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use proptest::prelude::*;
+use spritely::harness::{Protocol, RemoteClient, Testbed, TestbedParams};
+use spritely::proto::{Payload, BLOCK_SIZE};
+use spritely::rpcnet::PartitionDir;
+use spritely::sim::SimDuration;
+use spritely::vfs::{Fd, OpenFlags, Proc};
+
+// ---- a counting allocator -------------------------------------------------
+
+thread_local! {
+    /// Bytes this thread has asked the allocator for. Per thread, because
+    /// the test harness runs tests side by side; `const`-initialised and
+    /// without a destructor, so touching it from inside the allocator
+    /// neither allocates nor outlives the thread's storage.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn requested(bytes: usize) {
+    // `try_with`: a thread being torn down may allocate after its
+    // thread-locals are gone.
+    let _ = REQUESTED.try_with(|r| r.set(r.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping touches only
+// a thread-local counter and never the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        requested(layout.size());
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        requested(layout.size());
+        // SAFETY: the caller's obligations are exactly `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by this allocator for `layout`,
+        // which means by `System` for `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        requested(new_size);
+        // SAFETY: `ptr`/`layout` came from this allocator, hence from
+        // `System`; `new_size` is the caller's obligation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+// ---- helpers ----------------------------------------------------------------
+
+fn testbed(protocol: Protocol, clients: usize) -> Testbed {
+    Testbed::build_with_clients(
+        TestbedParams {
+            protocol,
+            ..TestbedParams::default()
+        },
+        clients,
+    )
+}
+
+const READ_WRITE_CREATE: OpenFlags = OpenFlags {
+    read: true,
+    write: true,
+    create: true,
+    truncate: false,
+};
+
+async fn cold_boot(remote: &RemoteClient) {
+    match remote {
+        RemoteClient::Nfs(c) => c.cold_boot().await.expect("cold boot"),
+        RemoteClient::Snfs(c) => c.cold_boot().await.expect("cold boot"),
+        RemoteClient::None => {}
+    }
+}
+
+/// Bytes that say where they belong: a misplaced or stale run shows.
+fn pattern(stamp: u8, offset: u64, len: usize) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| (u64::from(stamp) * 31 + (offset + i) * 7) as u8)
+        .collect()
+}
+
+// ---- (a) the bytes are right ------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum Op {
+    Write {
+        offset: u64,
+        len: usize,
+        stamp: u8,
+    },
+    Read {
+        offset: u64,
+        len: usize,
+    },
+    Fsync,
+    /// Close, reopen with `O_TRUNC`.
+    Truncate,
+    /// Close, reboot the client (drain, drop every cache), reopen.
+    ColdBoot,
+}
+
+/// An offset within ±40 bytes of one of the first six block boundaries.
+fn near_boundary() -> impl Strategy<Value = u64> {
+    (0u64..6, 0u64..81).prop_map(|(blk, d)| (blk * BLOCK_SIZE as u64 + d).saturating_sub(40))
+}
+
+/// A length that is tiny, about one block, or a little over two.
+fn some_length() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        3 => 1usize..120,
+        2 => BLOCK_SIZE - 30..BLOCK_SIZE + 31,
+        1 => 2 * BLOCK_SIZE..2 * BLOCK_SIZE + 500,
+    ]
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        8 => (near_boundary(), some_length(), any::<u8>())
+            .prop_map(|(offset, len, stamp)| Op::Write { offset, len, stamp }),
+        8 => (near_boundary(), some_length()).prop_map(|(offset, len)| Op::Read { offset, len }),
+        2 => Just(Op::Fsync),
+        1 => Just(Op::Truncate),
+        1 => Just(Op::ColdBoot),
+    ]
+}
+
+async fn check_read(p: &Proc, fd: Fd, model: &[u8], offset: u64, len: usize, step: usize) {
+    let got = p.read_at(fd, offset, len as u32).await.expect("read_at");
+    let from = (offset as usize).min(model.len());
+    let to = (offset as usize + len).min(model.len());
+    let want = &model[from..to];
+    let first_bad = got.iter().zip(want).position(|(g, w)| g != w);
+    assert!(
+        got == want,
+        "step {step}: read_at({offset}, {len}) differs from the model: \
+         {} bytes for {}, first difference at file offset {:?}",
+        got.len(),
+        want.len(),
+        first_bad.map(|i| (from + i, got[i], want[i]))
+    );
+}
+
+/// Runs `ops` on one file through a `protocol` mount and through a
+/// `Vec<u8>`, comparing every read, the whole file after a final cold
+/// boot, and the server's disk after that.
+fn run_against_model(protocol: Protocol, ops: Vec<Op>) {
+    let tb = Testbed::build_with_clients(
+        TestbedParams {
+            protocol,
+            // The vintage NFS client lets a read-ahead reply overwrite a
+            // block the application wrote while it was in flight (the
+            // NFS-side cousin of defect 1 in benchmark/README.md, found
+            // by this test and left to its own issue); SNFS keeps its
+            // read-ahead, that race is what its invalidation epoch is for.
+            read_ahead: protocol != Protocol::Nfs,
+            ..TestbedParams::default()
+        },
+        1,
+    );
+    let p = tb.proc();
+    let remote = tb.clients[0].remote.clone();
+    let server_fs = tb.server_fs.clone();
+    let h = tb.sim.spawn(async move {
+        let path = "/remote/f";
+        let mut model: Vec<u8> = Vec::new();
+        let mut fd = p.open(path, READ_WRITE_CREATE).await.expect("open");
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::Write { offset, len, stamp } => {
+                    let data = pattern(stamp, offset, len);
+                    p.write_at(fd, offset, &data).await.expect("write_at");
+                    let end = offset as usize + len;
+                    if model.len() < end {
+                        model.resize(end, 0);
+                    }
+                    model[offset as usize..end].copy_from_slice(&data);
+                }
+                Op::Read { offset, len } => {
+                    // The NFS client promises close-to-open consistency,
+                    // not that a read sees the write-behind still in its
+                    // queue (it sizes the read from its attribute cache):
+                    // flush first, as an application on NFS has to.
+                    if protocol == Protocol::Nfs {
+                        p.fsync(fd).await.expect("fsync");
+                    }
+                    check_read(&p, fd, &model, offset, len, step).await;
+                }
+                Op::Fsync => p.fsync(fd).await.expect("fsync"),
+                Op::Truncate => {
+                    p.close(fd).await.expect("close");
+                    let flags = OpenFlags {
+                        truncate: true,
+                        ..READ_WRITE_CREATE
+                    };
+                    fd = p.open(path, flags).await.expect("reopen");
+                    model.clear();
+                }
+                Op::ColdBoot => {
+                    p.close(fd).await.expect("close");
+                    cold_boot(&remote).await;
+                    fd = p.open(path, READ_WRITE_CREATE).await.expect("reopen");
+                }
+            }
+        }
+        p.close(fd).await.expect("close");
+        cold_boot(&remote).await;
+        let fd = p.open(path, OpenFlags::read()).await.expect("reopen");
+        check_read(&p, fd, &model, 0, model.len() + 1, usize::MAX).await;
+        p.close(fd).await.expect("close");
+        let (fh, _) = server_fs
+            .lookup(server_fs.root(), "f")
+            .expect("on the server");
+        assert!(
+            server_fs.stable_contents(fh).expect("stable") == model,
+            "the server's disk differs from the model"
+        );
+    });
+    tb.sim.run_until(h);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn nfs_mount_matches_a_vec(ops in proptest::collection::vec(arb_op(), 1..40)) {
+        run_against_model(Protocol::Nfs, ops);
+    }
+
+    #[test]
+    fn snfs_mount_matches_a_vec(ops in proptest::collection::vec(arb_op(), 1..40)) {
+        run_against_model(Protocol::Snfs, ops);
+    }
+}
+
+// ---- (b) sharing is not aliasing ---------------------------------------------
+
+fn nfs_clients(tb: &Testbed) -> Vec<spritely::nfs::NfsClient> {
+    tb.clients
+        .iter()
+        .map(|c| match &c.remote {
+            RemoteClient::Nfs(c) => c.clone(),
+            _ => panic!("expected NFS clients"),
+        })
+        .collect()
+}
+
+fn snfs_client(tb: &Testbed) -> spritely::snfs::SnfsClient {
+    match &tb.clients[0].remote {
+        RemoteClient::Snfs(c) => c.clone(),
+        _ => panic!("expected an SNFS client"),
+    }
+}
+
+/// The block as it reads after `b"NEW"` lands at byte 100 of `old`.
+fn patched(old: &[u8]) -> Vec<u8> {
+    let mut new = old.to_vec();
+    new[100..103].copy_from_slice(b"NEW");
+    new
+}
+
+#[test]
+fn store_reply_and_peer_cache_keep_the_old_block_across_a_partial_overwrite() {
+    // Two vintage NFS clients: no callbacks, so nothing but a private
+    // buffer protects B's cached copy from A's next write.
+    let tb = testbed(Protocol::Nfs, 2);
+    let (a, b) = {
+        let c = nfs_clients(&tb);
+        (c[0].clone(), c[1].clone())
+    };
+    let server_fs = tb.server_fs.clone();
+    let root = server_fs.root();
+    let h = tb.sim.spawn(async move {
+        let old = pattern(1, 0, BLOCK_SIZE);
+        let (fh, _) = a.create(root, "f").await.unwrap();
+        a.open(fh, true).await.unwrap();
+        a.write(fh, 0, &old).await.unwrap();
+        a.fsync(fh).await.unwrap();
+
+        // Three holders of the one allocation: the server's cache and its
+        // stable store (a sync write), a read reply, and B's cache.
+        let (reply, _, _) = server_fs.read(fh, 0, BLOCK_SIZE as u32).await.unwrap();
+        b.open(fh, false).await.unwrap();
+        assert_eq!(b.read(fh, 0, BLOCK_SIZE as u32).await.unwrap().0, old);
+
+        // A *delayed* partial overwrite at the server: the cache block
+        // must be a new buffer, the store must still hold the old one.
+        server_fs.write(fh, 100, b"NEW", false).await.unwrap();
+        assert_eq!(
+            server_fs.stable_contents(fh).unwrap(),
+            old,
+            "store before the flush"
+        );
+        assert_eq!(reply.to_vec(), old, "a reply handed out earlier");
+        let (now, _, _) = server_fs.read(fh, 0, BLOCK_SIZE as u32).await.unwrap();
+        assert_eq!(now.to_vec(), patched(&old), "the cache has the new bytes");
+
+        // B re-reads inside its attribute-cache window: a cache hit, and
+        // the bytes B cached — not the server's newer ones.
+        let (hits_before, _) = b.cache_stats();
+        assert_eq!(b.read(fh, 0, BLOCK_SIZE as u32).await.unwrap().0, old);
+        assert_eq!(b.cache_stats().0, hits_before + 1, "served from B's cache");
+
+        server_fs.fsync(fh).await.unwrap();
+        assert_eq!(server_fs.stable_contents(fh).unwrap(), patched(&old));
+        assert_eq!(reply.to_vec(), old, "still");
+        a.close(fh, true).await.unwrap();
+        b.close(fh, false).await.unwrap();
+    });
+    tb.sim.run_until(h);
+}
+
+#[test]
+fn a_reply_parked_in_the_dup_cache_keeps_the_bytes_it_was_built_from() {
+    let tb = testbed(Protocol::Nfs, 1);
+    let a = nfs_clients(&tb)[0].clone();
+    let server_fs = tb.server_fs.clone();
+    let root = server_fs.root();
+    let net = tb.net.clone();
+    let sim = tb.sim.clone();
+    let h = tb.sim.spawn(async move {
+        let old = pattern(2, 0, BLOCK_SIZE);
+        let (fh, _) = a.create(root, "f").await.unwrap();
+        a.open(fh, true).await.unwrap();
+        a.write(fh, 0, &old).await.unwrap();
+        a.close(fh, true).await.unwrap(); // purges A's cache (the vintage client)
+        a.open(fh, false).await.unwrap();
+
+        // The server executes A's read and parks the reply; the reply
+        // itself is lost, so A retransmits after its 1 s timeout.
+        net.lose_next_reply(1, false);
+        let read = sim.spawn({
+            let a = a.clone();
+            async move { a.read(fh, 0, BLOCK_SIZE as u32).await.unwrap().0 }
+        });
+        sim.sleep(SimDuration::from_millis(500)).await;
+        // Meanwhile the block is partially overwritten, and flushed.
+        server_fs.write(fh, 100, b"NEW", true).await.unwrap();
+        assert_eq!(server_fs.stable_contents(fh).unwrap(), patched(&old));
+
+        // The retransmission is answered from the duplicate cache: the
+        // reply of the one execution, with the bytes it read then.
+        assert_eq!(read.await, old);
+        a.close(fh, false).await.unwrap();
+    });
+    tb.sim.run_until(h);
+}
+
+#[test]
+fn a_retransmitted_write_carries_the_bytes_of_its_own_generation() {
+    let tb = testbed(Protocol::Snfs, 1);
+    let c = snfs_client(&tb);
+    let server_fs = tb.server_fs.clone();
+    let root = server_fs.root();
+    let net = tb.net.clone();
+    let sim = tb.sim.clone();
+    let h = tb.sim.spawn(async move {
+        let gen1 = pattern(3, 0, BLOCK_SIZE);
+        let (fh, _) = c.create(root, "f").await.unwrap();
+        c.open(fh, true).await.unwrap();
+        c.write(fh, 0, &gen1).await.unwrap();
+
+        // The flush's first transmission is lost on the way out; the
+        // request waits (1 s) to be retransmitted, holding gen1's buffer.
+        net.partition(
+            1,
+            PartitionDir::Outbound,
+            sim.now() + SimDuration::from_millis(200),
+        );
+        let flush = sim.spawn({
+            let c = c.clone();
+            async move { c.fsync(fh).await }
+        });
+        sim.sleep(SimDuration::from_millis(500)).await;
+        assert!(
+            server_fs.stable_contents(fh).unwrap().is_empty(),
+            "nothing arrived yet"
+        );
+        // The client re-dirties the block while that request is pending.
+        c.write(fh, 100, b"NEW").await.unwrap();
+
+        flush.await.expect("the retransmission got through");
+        assert_eq!(
+            server_fs.stable_contents(fh).unwrap(),
+            gen1,
+            "the retransmission wrote gen1, not the block as it is now"
+        );
+        assert_eq!(c.dirty_blocks(), 1, "gen2 is still to be written back");
+        c.fsync(fh).await.unwrap();
+        assert_eq!(server_fs.stable_contents(fh).unwrap(), patched(&gen1));
+        assert_eq!(c.dirty_blocks(), 0);
+        c.close(fh, true).await.unwrap();
+    });
+    tb.sim.run_until(h);
+}
+
+#[test]
+fn a_write_rpcs_blocks_are_the_blocks_the_server_caches_and_serves() {
+    // What a write RPC carries (one segment per block, as the clients
+    // build it), what the server caches and stores, and what its read
+    // replies hand back is one allocation per block.
+    let data = pattern(4, 0, 2 * BLOCK_SIZE);
+    let wire = Payload::copy_in(0, &data);
+    let tb = testbed(Protocol::Snfs, 1);
+    let server_fs = tb.server_fs.clone();
+    let root = server_fs.root();
+    let h = tb.sim.spawn(async move {
+        let (fh, _) = server_fs.create(root, "f").await.unwrap();
+        server_fs.write_payload(fh, 0, &wire, true).await.unwrap();
+        let (back, _, _) = server_fs.read(fh, 0, data.len() as u32).await.unwrap();
+        assert_eq!(back.to_vec(), data);
+        for (sent, got) in wire.segments().iter().zip(back.segments()) {
+            assert!(
+                got.shares_allocation(sent),
+                "the block was copied on its way"
+            );
+        }
+    });
+    tb.sim.run_until(h);
+}
+
+// ---- (c) the copies stay gone -------------------------------------------------
+
+/// Bytes requested from the allocator by: write 1 MiB sequentially in
+/// 8 KB calls, fsync, close, cold-boot the client, read it all back.
+fn one_mib_round_trip(protocol: Protocol) -> u64 {
+    const TOTAL: usize = 1 << 20;
+    const CHUNK: usize = 8192;
+    let tb = testbed(protocol, 1);
+    let p = tb.proc();
+    let remote = tb.clients[0].remote.clone();
+    let spent = Rc::new(Cell::new(0));
+    let h = tb.sim.spawn({
+        let spent = spent.clone();
+        async move {
+            let chunk = pattern(5, 0, CHUNK);
+            let before = REQUESTED.with(Cell::get);
+            let fd = p.open("/remote/big", READ_WRITE_CREATE).await.unwrap();
+            for _ in 0..TOTAL / CHUNK {
+                p.write(fd, &chunk).await.unwrap();
+            }
+            p.fsync(fd).await.unwrap();
+            p.close(fd).await.unwrap();
+            cold_boot(&remote).await;
+            let fd = p.open("/remote/big", OpenFlags::read()).await.unwrap();
+            let mut read = 0;
+            loop {
+                let got = p.read(fd, CHUNK as u32).await.unwrap();
+                if got.is_empty() {
+                    break;
+                }
+                assert!(got == chunk, "read-back differs at byte {read}");
+                read += got.len();
+            }
+            assert_eq!(read, TOTAL);
+            p.close(fd).await.unwrap();
+            spent.set(REQUESTED.with(Cell::get) - before);
+        }
+    });
+    tb.sim.run_until(h);
+    spent.get()
+}
+
+/// The copy budget. A MiB that is written, flushed and read back cold
+/// must be *allocated* about twice — once copied in, once copied out —
+/// plus what the simulator itself spends on tasks, timers and messages.
+///
+/// Measured with this very function (same seedless workload, paper-mode
+/// testbed):
+///
+/// | client | parent commit (65ff4fc) | this change | budget |
+/// |---|---:|---:|---:|
+/// | NFS  | 15 951 235 | 5 522 973 | 6 000 000 (1.09 ×) |
+/// | SNFS | 17 397 216 | 6 993 282 | 7 500 000 (1.07 ×) |
+///
+/// Of this change's bytes, 2 MiB + 4 KB are the data (256 block buffers
+/// in, 128 8 KB `Vec`s out); the rest is some 5-8 KB of boxed futures
+/// per RPC. The counts repeat exactly (debug and release alike), so the
+/// budgets sit less than half a MiB above them: a re-introduced
+/// per-layer copy of the data costs at least 1 MiB and cannot hide.
+#[test]
+fn one_mib_round_trip_stays_inside_its_copy_budget() {
+    const NFS_BUDGET: u64 = 6_000_000;
+    const SNFS_BUDGET: u64 = 7_500_000;
+    let spent = [Protocol::Nfs, Protocol::Snfs].map(one_mib_round_trip);
+    println!("bytes requested: NFS {}, SNFS {}", spent[0], spent[1]);
+    for (spent, budget, name) in [
+        (spent[0], NFS_BUDGET, "NFS"),
+        (spent[1], SNFS_BUDGET, "SNFS"),
+    ] {
+        assert!(
+            spent <= budget,
+            "{name}: a 1 MiB round trip requested {spent} bytes, budget {budget}"
+        );
+    }
+}
