@@ -20,8 +20,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use spritely_bench::{artifact, artifact_file, bench_ledger, config};
 use spritely_harness::{
-    report, run_andrew_with, Protocol, RemoteClient, ServerIoParams, Testbed, TestbedParams,
-    TransportParams, TransportSnapshot, WriteBehindParams,
+    report, run_andrew_with, Protocol, ServerIoParams, Testbed, TestbedParams, TransportParams,
+    TransportSnapshot, WriteBehindParams,
 };
 use spritely_metrics::TextTable;
 use spritely_sim::SimDuration;
@@ -71,21 +71,9 @@ fn run_data_scaling(t: TransportParams, n: usize, trace: bool) -> (Testbed, f64,
         });
         tb.sim.run_until(h);
         for host in &tb.clients {
-            match host.remote.clone() {
-                RemoteClient::None => {}
-                RemoteClient::Nfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-                RemoteClient::Snfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-            }
+            let remote = host.remote.clone();
+            tb.sim
+                .block_on(async move { remote.cold_boot().await.expect("cold boot") });
         }
     }
     let t0 = tb.sim.now();

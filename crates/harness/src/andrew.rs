@@ -100,18 +100,9 @@ pub fn run_andrew_with(params: TestbedParams, seed: u64) -> AndrewRun {
         // The benchmark starts from a cold client cache: in the paper the
         // source tree pre-exists at the server, it was not written moments
         // earlier by the measuring client.
-        let boot = match tb.clients[0].remote.clone() {
-            crate::RemoteClient::None => None,
-            crate::RemoteClient::Nfs(c) => Some(tb.sim.spawn(async move {
-                c.cold_boot().await.expect("cold boot");
-            })),
-            crate::RemoteClient::Snfs(c) => Some(tb.sim.spawn(async move {
-                c.cold_boot().await.expect("cold boot");
-            })),
-        };
-        if let Some(h) = boot {
-            tb.sim.run_until(h);
-        }
+        let remote = tb.clients[0].remote.clone();
+        tb.sim
+            .block_on(async move { remote.cold_boot().await.expect("cold boot") });
     }
     // Measurement window starts here.
     let bench_start = tb.sim.now();

@@ -20,7 +20,7 @@ use spritely_rpcnet::{FaultParams, PartitionDir};
 use spritely_sim::SimDuration;
 
 use crate::snapshot::FaultSnapshot;
-use crate::testbed::{Protocol, RemoteClient, ShardParams, Testbed, TestbedParams};
+use crate::testbed::{Protocol, ShardParams, Testbed, TestbedParams};
 use crate::{report, run_andrew_with};
 
 /// Outcome of one chaos run, with everything a gate needs to decide
@@ -76,19 +76,14 @@ impl ChaosVerdict {
     }
 }
 
-/// Digest of a whole testbed's stable server contents: the one server's
-/// in the paper configuration, or every shard's store folded together in
-/// shard order for a sharded namespace (DESIGN.md §18).
+/// Digest of a whole testbed's stable server contents: every server's
+/// store folded together in shard order (DESIGN.md §18).
 pub fn testbed_digest(tb: &Testbed) -> u64 {
-    if tb.shard_hosts.is_empty() {
-        server_digest(&tb.server_fs)
-    } else {
-        let mut h = Fnv::new();
-        for sh in &tb.shard_hosts {
-            h.write(&server_digest(&sh.fs).to_le_bytes());
-        }
-        h.0
+    let mut h = Fnv::new();
+    for host in &tb.servers {
+        h.write(&server_digest(&host.fs).to_le_bytes());
     }
+    h.0
 }
 
 /// Path-ordered FNV-1a digest of a file system's *stable* contents
@@ -276,10 +271,11 @@ fn run_shard_chaos(seed: u64, faulted: bool) -> SharingRun {
     };
     let mut handles = Vec::new();
     for c in 0..2u32 {
-        let client = match &tb.clients[c as usize].remote {
-            RemoteClient::Snfs(cl) => cl.clone(),
-            _ => unreachable!("SNFS testbed"),
-        };
+        let client = tb.clients[c as usize]
+            .remote
+            .snfs()
+            .expect("SNFS testbed")
+            .clone();
         // Disjoint per-client names; every rename crosses shards so the
         // digests converge regardless of client interleaving.
         let pairs: Vec<(String, String)> = (0..FILES)
@@ -405,14 +401,8 @@ fn run_delegation(seed: u64, faulted: bool) -> SharingRun {
         },
         2,
     );
-    let a = match &tb.clients[0].remote {
-        RemoteClient::Snfs(c) => c.clone(),
-        _ => unreachable!("SNFS testbed"),
-    };
-    let b = match &tb.clients[1].remote {
-        RemoteClient::Snfs(c) => c.clone(),
-        _ => unreachable!("SNFS testbed"),
-    };
+    let a = tb.clients[0].remote.snfs().expect("SNFS testbed").clone();
+    let b = tb.clients[1].remote.snfs().expect("SNFS testbed").clone();
     let root = tb.server_fs.root();
     let sim = tb.sim.clone();
     let net = tb.net.clone();
@@ -531,14 +521,8 @@ fn run_write_sharing(seed: u64, faulted: bool) -> SharingRun {
         },
         2,
     );
-    let a = match &tb.clients[0].remote {
-        RemoteClient::Snfs(c) => c.clone(),
-        _ => unreachable!("SNFS testbed"),
-    };
-    let b = match &tb.clients[1].remote {
-        RemoteClient::Snfs(c) => c.clone(),
-        _ => unreachable!("SNFS testbed"),
-    };
+    let a = tb.clients[0].remote.snfs().expect("SNFS testbed").clone();
+    let b = tb.clients[1].remote.snfs().expect("SNFS testbed").clone();
     let root = tb.server_fs.root();
     let sim = tb.sim.clone();
     let net = tb.net.clone();

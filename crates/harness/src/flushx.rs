@@ -11,7 +11,7 @@ use spritely_proto::{NfsProc, BLOCK_SIZE};
 use spritely_sim::SimDuration;
 use spritely_vfs::OpenFlags;
 
-use crate::testbed::{Protocol, RemoteClient, Testbed, TestbedParams};
+use crate::testbed::{Protocol, Testbed, TestbedParams};
 
 /// Result of one flush-latency point.
 pub struct FlushRun {
@@ -80,9 +80,10 @@ pub fn run_flush_with(label: &'static str, params: TestbedParams, blocks: usize)
         flush_time
     });
     let flush_time = tb.sim.run_until(h);
-    let RemoteClient::Snfs(client) = &tb.clients[0].remote else {
-        unreachable!("flush probe runs over SNFS");
-    };
+    let client = tb.clients[0]
+        .remote
+        .snfs()
+        .expect("flush probe runs over SNFS");
     let ops = tb.counter.snapshot() - ops_before;
     FlushRun {
         label,

@@ -50,7 +50,7 @@ pub use spritely_core::{
 };
 pub use spritely_rpcnet::{FaultParams, PartitionDir, TransportParams, TransportStats};
 pub use testbed::{
-    ClientHost, Protocol, RemoteClient, ShardHost, ShardParams, Testbed, TestbedParams,
+    ClientHost, Protocol, RemoteClient, ServerHost, ShardHost, ShardParams, Testbed, TestbedParams,
 };
 
 #[cfg(test)]

@@ -109,21 +109,9 @@ pub fn run_scaling_with(params: TestbedParams, n_clients: usize, seed: u64) -> S
             .spawn(async move { sim.sleep(SimDuration::from_secs(65)).await });
         tb.sim.run_until(h);
         for host in &tb.clients {
-            match host.remote.clone() {
-                crate::RemoteClient::None => {}
-                crate::RemoteClient::Nfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-                crate::RemoteClient::Snfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-            }
+            let remote = host.remote.clone();
+            tb.sim
+                .block_on(async move { remote.cold_boot().await.expect("cold boot") });
         }
     }
     // Measured run: all clients at once.
@@ -246,14 +234,12 @@ pub fn run_scaling_shards(n_shards: usize, n_clients: usize, seed: u64) -> Scali
     }
     // Measured run: all clients at once, shared-nothing.
     let t0 = tb.sim.now();
-    let shard_before: Vec<u64> = if tb.shard_hosts.is_empty() {
-        vec![tb.counter.snapshot().total()]
-    } else {
-        tb.shard_hosts
+    let served = || {
+        tb.servers
             .iter()
-            .map(|sh| sh.counter.snapshot().total())
-            .collect()
+            .map(|host| host.counter.snapshot().total())
     };
+    let shard_before: Vec<u64> = served().collect();
     let mut handles = Vec::new();
     for (i, host) in tb.clients.iter().enumerate() {
         let p = host.proc(&tb.sim);
@@ -354,15 +340,7 @@ pub fn run_scaling_shards(n_shards: usize, n_clients: usize, seed: u64) -> Scali
         tb.sim.run_until(h);
     }
     let makespan = tb.sim.now().duration_since(t0);
-    let per_shard_rpcs: Vec<u64> = if tb.shard_hosts.is_empty() {
-        vec![tb.counter.snapshot().total() - shard_before[0]]
-    } else {
-        tb.shard_hosts
-            .iter()
-            .zip(&shard_before)
-            .map(|(sh, b)| sh.counter.snapshot().total() - b)
-            .collect()
-    };
+    let per_shard_rpcs: Vec<u64> = served().zip(&shard_before).map(|(a, b)| a - b).collect();
     let total_rpcs: u64 = per_shard_rpcs.iter().sum();
     let stats = tb.stats_snapshot();
     ScalingShardsRun {

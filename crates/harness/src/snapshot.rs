@@ -271,7 +271,7 @@ pub struct ShardsSnapshot {
 }
 
 /// The server's counters at the end of a run (SNFS protocols only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerSnapshot {
     /// Callback statistics.
     pub stats: ServerStats,

@@ -1,6 +1,6 @@
-//! Testbed construction: one server (or a sharded group of servers),
-//! one or more diskful clients, a shared Ethernet, and a protocol
-//! choice per experiment.
+//! Testbed construction: one or more server stacks (a sharded group
+//! when more than one), one or more diskful clients, a shared Ethernet,
+//! and a protocol choice per experiment.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -13,15 +13,20 @@ use spritely_core::{
 use spritely_localfs::LocalFs;
 use spritely_metrics::{GaugeSeries, LatencyStats, OpCounter, RateSeries};
 use spritely_nfs::{nfs_server, NfsClient, NfsClientParams};
-use spritely_proto::{ClientId, FileHandle, Layout, NfsReply, NfsRequest, BLOCK_SIZE};
+use spritely_proto::{
+    CallbackArg, CallbackReply, ClientId, FileHandle, Layout, NfsReply, NfsRequest, Result,
+    BLOCK_SIZE,
+};
 use spritely_rpcnet::{
-    Caller, Endpoint, FaultParams, Network, ShardCaller, TransportParams, TransportStats,
+    Caller, Compoundable, Endpoint, FaultParams, Network, ReplyStatus, ShardCaller,
+    TransportParams, TransportStats, Wire,
 };
 use spritely_sim::{Resource, Sim, SimDuration};
 use spritely_trace::Tracer;
 use spritely_vfs::{FsBackend, Mount, Proc, Vfs};
 
 use crate::config;
+use crate::snapshot::ClientSnapshot;
 
 /// Which file service the experiment runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,9 +66,10 @@ impl Protocol {
 /// with its own disk, file system, CPU, state table, and endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardParams {
-    /// Number of server shards. With `n = 1` — the paper configuration —
-    /// the sharded build path is not even taken: the testbed constructs
-    /// the exact single-server topology it always has, byte for byte.
+    /// Number of server shards. `n = 1` — the paper configuration — is
+    /// the degenerate layout of the one builder: a single server stack,
+    /// no layout map, no inter-shard callers, and pass-through client
+    /// routing. The paper baselines pin it byte for byte.
     pub n: usize,
 }
 
@@ -146,8 +152,8 @@ pub struct TestbedParams {
     /// inert — no grants, no new RPCs, byte-identical artifacts.
     pub delegation: DelegationParams,
     /// Namespace sharding (DESIGN.md §18). The default
-    /// ([`ShardParams::paper`], one shard) leaves the single-server
-    /// build path untouched and byte-identical.
+    /// ([`ShardParams::paper`], one shard) is the single-server topology
+    /// of the paper: the same construction with one server stack.
     pub shards: ShardParams,
 }
 
@@ -186,6 +192,44 @@ pub enum RemoteClient {
     Snfs(SnfsClient),
 }
 
+impl RemoteClient {
+    /// The SNFS client, if that is what this host runs.
+    pub fn snfs(&self) -> Option<&SnfsClient> {
+        match self {
+            RemoteClient::Snfs(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// Reboots the protocol client: flushes what it owes the server and
+    /// drops every cache, so the next run starts cold. A no-op for the
+    /// local protocol.
+    pub async fn cold_boot(&self) -> Result<()> {
+        match self {
+            RemoteClient::None => Ok(()),
+            RemoteClient::Nfs(c) => c.cold_boot().await,
+            RemoteClient::Snfs(c) => c.cold_boot().await,
+        }
+    }
+
+    /// This client's cache counters as snapshot row `id` (`None` for
+    /// the local protocol, which has no remote cache to report).
+    pub fn snapshot(&self, id: u32) -> Option<ClientSnapshot> {
+        let ((cache_hits, cache_misses), dirty_blocks, snfs) = match self {
+            RemoteClient::None => return None,
+            RemoteClient::Nfs(c) => (c.cache_stats(), 0, None),
+            RemoteClient::Snfs(c) => (c.cache_stats(), c.dirty_blocks() as u64, Some(c.stats())),
+        };
+        Some(ClientSnapshot {
+            id,
+            cache_hits,
+            cache_misses,
+            dirty_blocks,
+            snfs,
+        })
+    }
+}
+
 /// One client host: CPU, local disk FS, its remote-protocol client, and
 /// a process factory.
 pub struct ClientHost {
@@ -211,10 +255,27 @@ impl ClientHost {
     }
 }
 
-/// One shard's server stack in a sharded testbed: its own CPU, disk
-/// file system, SNFS server, endpoint, and RPC counter. All handles are
-/// cheap clones of reference-counted state; shard 0's are the same
-/// objects as the `Testbed`'s dedicated single-server fields.
+/// One server stack: its own CPU, disk file system, RPC counter and —
+/// per protocol — endpoint and SNFS server. The testbed builds
+/// `params.shards.n` of these; every other server-side handle on
+/// [`Testbed`] is a cheap clone of one of them.
+#[derive(Clone)]
+pub struct ServerHost {
+    /// Server host CPU.
+    pub cpu: Resource,
+    /// The server's exported file system (`fsid` = index + 1).
+    pub fs: LocalFs,
+    /// The SNFS server object (SNFS protocols only).
+    pub server: Option<SnfsServer>,
+    /// The NFS/SNFS endpoint (absent for `Protocol::Local`).
+    pub endpoint: Option<Endpoint<NfsRequest, NfsReply>>,
+    /// Per-procedure counter on this server's endpoint.
+    pub counter: OpCounter,
+}
+
+/// One shard of a sharded (`n ≥ 2`, hence SNFS) testbed: the matching
+/// [`ServerHost`] with its server and endpoint known to exist. All
+/// handles are cheap clones of reference-counted state.
 #[derive(Clone)]
 pub struct ShardHost {
     /// Shard index (0-based; this shard exports `fsid = shard + 1`).
@@ -237,13 +298,13 @@ pub struct Testbed {
     pub sim: Sim,
     /// Parameters it was built with.
     pub params: TestbedParams,
-    /// Server host CPU.
+    /// Server 0's host CPU.
     pub server_cpu: Resource,
-    /// The server's exported file system.
+    /// Server 0's exported file system.
     pub server_fs: LocalFs,
-    /// The SNFS server object (present for SNFS protocols).
+    /// Server 0's SNFS server object (present for SNFS protocols).
     pub snfs_server: Option<SnfsServer>,
-    /// Per-procedure counter on the server endpoint.
+    /// Per-procedure counter on server 0's endpoint.
     pub counter: OpCounter,
     /// Call-rate series feeding the figures.
     pub rates: RateSeries,
@@ -259,23 +320,25 @@ pub struct Testbed {
     pub transport_stats: TransportStats,
     /// The run's event tracer (present when [`TestbedParams::trace`]).
     pub tracer: Option<Tracer>,
-    /// The NFS/SNFS endpoint (absent for `Protocol::Local`).
+    /// Server 0's NFS/SNFS endpoint (absent for `Protocol::Local`).
     pub endpoint: Option<Endpoint<NfsRequest, NfsReply>>,
     /// The per-client callback-service endpoints (SNFS only): the
     /// server's callbacks — write-back, invalidate, delegation recall —
     /// land here, so their duplicate-request caches are where a
     /// retransmitted callback is replayed from.
-    pub cb_endpoints: Vec<Endpoint<spritely_proto::CallbackArg, spritely_proto::CallbackReply>>,
+    pub cb_endpoints: Vec<Endpoint<CallbackArg, CallbackReply>>,
     /// Client hosts (at least one).
     pub clients: Vec<ClientHost>,
     /// Well-known directories on the server: (src, target, tmp).
     pub server_dirs: (FileHandle, FileHandle, FileHandle),
-    /// Per-shard server stacks. Empty in the single-server paper
-    /// configuration; length `n ≥ 2` in sharded runs, where entry 0
-    /// aliases the dedicated single-server fields above.
+    /// Every server stack the builder produced, in shard order (length
+    /// `params.shards.n`); entry 0 is what the `server_*` fields alias.
+    pub servers: Vec<ServerHost>,
+    /// The same stacks viewed as shards: empty when there is one server
+    /// and nothing to route between, length `n ≥ 2` otherwise.
     pub shard_hosts: Vec<ShardHost>,
     /// The authoritative layout map shared by the shard servers
-    /// (sharded runs only).
+    /// (`None` with one server).
     pub layout: Option<Rc<RefCell<Layout>>>,
 }
 
@@ -285,30 +348,53 @@ impl Testbed {
         Self::build_with_clients(params, 1)
     }
 
-    /// Builds a testbed with `n_clients` client hosts.
+    /// Builds a testbed with `n_clients` client hosts over
+    /// `params.shards.n` server stacks (DESIGN.md §18). One server is
+    /// the degenerate layout: no layout map, no peer callers, and every
+    /// client's [`ShardCaller`] a pass-through to its single caller.
     pub fn build_with_clients(params: TestbedParams, n_clients: usize) -> Self {
         assert!(n_clients >= 1, "need at least one client");
-        if params.shards.n > 1 {
-            // The sharded topology is a separate construction path so
-            // the single-server path below stays byte-for-byte what it
-            // always was.
-            return Self::build_sharded(params, n_clients);
+        let n_shards = params.shards.n;
+        if n_shards > 1 {
+            assert!(
+                params.protocol.is_snfs(),
+                "a sharded namespace requires an SNFS protocol (got {:?})",
+                params.protocol
+            );
+            assert!(
+                !params.name_cache,
+                "name caching is not supported over a sharded namespace: \
+                 a cached root binding would bypass the layout map"
+            );
         }
         let sim = Sim::new();
-        // ---- server ------------------------------------------------------
-        let server_disk = Disk::with_sched(
-            &sim,
-            "server-disk",
-            config::disk_params(),
-            params.server_io.sched,
-        );
-        let mut server_fsp = config::server_fs_params(params.update_enabled);
-        server_fsp.cache_blocks = params.server_io.cache_blocks;
-        server_fsp.single_flight_reads = params.server_io.single_flight_reads;
-        let server_fs = LocalFs::new(&sim, 1, server_disk, server_fsp);
-        server_fs.spawn_update_daemon();
-        let server_cpu = Resource::new(&sim, "server-cpu", 1);
-        let counter = OpCounter::new();
+        // The authoritative layout map exists only when there is more
+        // than one shard to route between.
+        let layout = (n_shards > 1).then(|| Rc::new(RefCell::new(Layout::new(n_shards as u32))));
+        // ---- per-server disk, file system, CPU, counter ---------------------
+        let mut servers: Vec<ServerHost> = Vec::new();
+        for s in 0..n_shards {
+            let disk = Disk::with_sched(
+                &sim,
+                format!("server{s}-disk"),
+                config::disk_params(),
+                params.server_io.sched,
+            );
+            let mut fsp = config::server_fs_params(params.update_enabled);
+            fsp.cache_blocks = params.server_io.cache_blocks;
+            fsp.single_flight_reads = params.server_io.single_flight_reads;
+            // Server s exports fsid s + 1; handle-addressed requests
+            // route on nothing else.
+            let fs = LocalFs::new(&sim, s as u32 + 1, disk, fsp);
+            fs.spawn_update_daemon();
+            servers.push(ServerHost {
+                cpu: Resource::new(&sim, format!("server{s}-cpu"), 1),
+                fs,
+                server: None,
+                endpoint: None,
+                counter: OpCounter::new(),
+            });
+        }
         let rates = RateSeries::new(config::figure_bucket());
         let util = GaugeSeries::new();
         let latency = LatencyStats::new();
@@ -327,67 +413,90 @@ impl Testbed {
             t.meta("protocol", params.protocol.label());
             t.meta("clients", n_clients.to_string());
             t.meta("disk_sched", params.server_io.sched.meta_value());
-            server_fs.disk().set_tracer(t.clone());
-            server_fs.set_tracer(t.clone());
+            if layout.is_some() {
+                t.meta("shards", n_shards.to_string());
+            }
+            for host in &servers {
+                host.fs.disk().set_tracer(t.clone());
+                host.fs.set_tracer(t.clone());
+            }
             net.set_tracer(t.clone());
             t
         });
-        // Well-known server directories.
-        let root = server_fs.root();
-        let (src_dir, target_dir, tmp_dir) = {
-            let fs = server_fs.clone();
-            sim.block_on(async move {
-                let (s, _) = fs.mkdir(root, "src").await.expect("mkdir src");
-                let (t, _) = fs.mkdir(root, "target").await.expect("mkdir target");
-                let (m, _) = fs.mkdir(root, "tmp").await.expect("mkdir tmp");
-                (s, t, m)
-            })
+        // Well-known directories, each created on the server that owns
+        // its name under the initial layout.
+        let roots: Vec<FileHandle> = servers.iter().map(|host| host.fs.root()).collect();
+        let home = |name: &'static str| {
+            let s = layout
+                .as_ref()
+                .map_or(0, |l| l.borrow().owner(name) as usize);
+            (servers[s].fs.clone(), roots[s], name)
         };
-        // ---- protocol endpoint --------------------------------------------
+        let homes = [home("src"), home("target"), home("tmp")];
+        let server_dirs = sim.block_on(async move {
+            let mut dirs = Vec::new();
+            for (fs, root, name) in homes {
+                let (fh, _) = fs.mkdir(root, name).await.expect("mkdir well-known dir");
+                dirs.push(fh);
+            }
+            (dirs[0], dirs[1], dirs[2])
+        });
+        // ---- per-server protocol endpoint -----------------------------------
         // The admission width (endpoint threads) comes from the server I/O
         // params: that many RPCs may overlap CPU with disk waits.
         let mut ep_params = config::endpoint_params();
         ep_params.threads = params.server_io.service_threads;
-        let mut snfs_server = None;
-        let endpoint = match params.protocol {
-            Protocol::Local => None,
-            Protocol::Nfs | Protocol::NfsFixed => {
-                let ep = nfs_server(
+        for (s, host) in servers.iter_mut().enumerate() {
+            let (fs, cpu, counter) = (host.fs.clone(), host.cpu.clone(), host.counter.clone());
+            host.endpoint = match params.protocol {
+                Protocol::Local => None,
+                Protocol::Nfs | Protocol::NfsFixed => Some(nfs_server(
                     &sim,
-                    "nfsd",
-                    server_fs.clone(),
-                    server_cpu.clone(),
+                    format!("nfsd{s}"),
+                    fs,
+                    cpu,
                     ep_params,
-                    counter.clone(),
-                );
+                    counter,
+                )),
+                Protocol::Snfs | Protocol::SnfsDelayedClose => {
+                    let mut sp = params.snfs_server;
+                    sp.delegation = params.delegation;
+                    let srv = SnfsServer::new(&sim, fs, params.server_io.service_threads, sp);
+                    if let Some(t) = &tracer {
+                        srv.set_tracer(t.clone());
+                    }
+                    if let Some(l) = &layout {
+                        srv.set_shard(s as u32, roots[s], Rc::clone(l));
+                    }
+                    let ep = srv.endpoint(format!("snfsd{s}"), cpu, ep_params, counter);
+                    host.server = Some(srv);
+                    Some(ep)
+                }
+            };
+            if let Some(ep) = &host.endpoint {
                 ep.set_rate_series(rates.clone());
                 if let Some(t) = &tracer {
                     ep.set_tracer(t.clone());
                 }
-                Some(ep)
             }
-            Protocol::Snfs | Protocol::SnfsDelayedClose => {
-                let mut sp = params.snfs_server;
-                sp.delegation = params.delegation;
-                let srv = SnfsServer::new(
-                    &sim,
-                    server_fs.clone(),
-                    params.server_io.service_threads,
-                    sp,
-                );
-                if let Some(t) = &tracer {
-                    srv.set_tracer(t.clone());
-                }
-                let ep = srv.endpoint("snfsd", server_cpu.clone(), ep_params, counter.clone());
-                ep.set_rate_series(rates.clone());
-                if let Some(t) = &tracer {
-                    ep.set_tracer(t.clone());
-                }
-                snfs_server = Some(srv);
-                Some(ep)
+        }
+        // ---- inter-shard coordination callers -------------------------------
+        // Coordinator shard s reaches peer p through a dedicated caller
+        // carrying ClientId(10_000 + s). Their fault link is host 200 + s,
+        // so a chaos script can sever one shard's coordination traffic
+        // without touching any client's. (No peers at one server.)
+        let endpoints: Vec<_> = servers.iter().filter_map(|h| h.endpoint.clone()).collect();
+        for (s, host) in servers.iter().enumerate() {
+            let peers = (0..n_shards).filter(|&p| p != s);
+            let targets = peers.clone().map(|p| (&endpoints[p], &host.cpu));
+            let from = ClientId(10_000 + s as u32);
+            for (p, c) in peers.zip(fan_out(&sim, &net, &tracer, from, targets)) {
+                c.set_fault_link(200 + s as u32, false);
+                let srv = host.server.as_ref().expect("shards are SNFS servers");
+                srv.register_peer(p as u32, c);
             }
-        };
-        // ---- clients -------------------------------------------------------
+        }
+        // ---- clients --------------------------------------------------------
         let mut clients = Vec::new();
         let mut cb_endpoints = Vec::new();
         for i in 0..n_clients {
@@ -410,58 +519,35 @@ impl Testbed {
                     t
                 })
             };
-            let (remote, remote_backend) = match (&endpoint, params.protocol) {
-                (None, _) => (RemoteClient::None, None),
-                (Some(ep), Protocol::Nfs | Protocol::NfsFixed) => {
-                    let caller = Caller::new(
-                        &sim,
-                        net.clone(),
-                        ep.clone(),
-                        cid,
-                        cpu.clone(),
-                        config::caller_params(),
-                    );
-                    caller.set_transport(params.transport);
-                    caller.set_transport_stats(transport_stats.clone());
-                    caller.set_latency_stats(latency.clone());
-                    if let Some(t) = &tracer {
-                        caller.set_tracer(t.clone());
-                    }
-                    let client = NfsClient::new(
-                        &sim,
-                        caller,
-                        NfsClientParams {
-                            attr_min: params.nfs_attr_min,
-                            invalidate_on_close: params.protocol == Protocol::Nfs,
-                            read_ahead: params.read_ahead,
-                            cache_blocks: params.client_cache_blocks,
-                            name_cache: params.name_cache,
-                            ..NfsClientParams::default()
-                        },
-                    );
-                    (
-                        RemoteClient::Nfs(client.clone()),
-                        Some(FsBackend::Nfs(client)),
-                    )
+            // One caller per server, all in this client's xid space.
+            let shard_caller = || {
+                let targets = endpoints.iter().map(|ep| (ep, &cpu));
+                let callers = fan_out(&sim, &net, &tracer, cid, targets);
+                for c in &callers {
+                    c.set_transport(params.transport);
+                    c.set_transport_stats(transport_stats.clone());
+                    c.set_latency_stats(latency.clone());
                 }
-                (Some(ep), Protocol::Snfs | Protocol::SnfsDelayedClose) => {
-                    let caller = Caller::new(
-                        &sim,
-                        net.clone(),
-                        ep.clone(),
-                        cid,
-                        cpu.clone(),
-                        config::caller_params(),
-                    );
-                    caller.set_transport(params.transport);
-                    caller.set_transport_stats(transport_stats.clone());
-                    caller.set_latency_stats(latency.clone());
-                    if let Some(t) = &tracer {
-                        caller.set_tracer(t.clone());
-                    }
+                ShardCaller::sharded(&sim, callers, roots.clone(), params.protocol.is_snfs())
+            };
+            let remote = match params.protocol {
+                Protocol::Local => RemoteClient::None,
+                Protocol::Nfs | Protocol::NfsFixed => RemoteClient::Nfs(NfsClient::new(
+                    &sim,
+                    shard_caller(),
+                    NfsClientParams {
+                        attr_min: params.nfs_attr_min,
+                        invalidate_on_close: params.protocol == Protocol::Nfs,
+                        read_ahead: params.read_ahead,
+                        cache_blocks: params.client_cache_blocks,
+                        name_cache: params.name_cache,
+                        ..NfsClientParams::default()
+                    },
+                )),
+                Protocol::Snfs | Protocol::SnfsDelayedClose => {
                     let client = SnfsClient::new(
                         &sim,
-                        caller,
+                        shard_caller(),
                         SnfsClientParams {
                             cache_blocks: params.client_cache_blocks,
                             write_delay: params.snfs_write_delay,
@@ -482,69 +568,48 @@ impl Testbed {
                     }
                     client.spawn_update_daemon();
                     client.spawn_keepalive_daemon(SimDuration::from_secs(10));
-                    // Register the callback channel.
-                    let srv = snfs_server.as_ref().expect("SNFS server exists");
+                    // One callback endpoint per client, registered with
+                    // every server through that server's own caller.
                     let cb_ep = client.callback_endpoint(
                         format!("cbsrv{}", cid.0),
                         cpu.clone(),
                         config::callback_endpoint_params(),
-                        counter.clone(),
+                        servers[0].counter.clone(),
                     );
                     if let Some(t) = &tracer {
                         cb_ep.set_tracer(t.clone());
                     }
-                    cb_endpoints.push(cb_ep.clone());
-                    let cb_caller = Caller::new(
-                        &sim,
-                        net.clone(),
-                        cb_ep,
-                        ClientId(0),
-                        server_cpu.clone(),
-                        config::caller_params(),
-                    );
-                    // Callback callers carry ClientId(0) (they originate at
-                    // the server); their fault link is the *client* host in
-                    // the server→client direction, so a partition of the
-                    // client host severs both its request and callback legs.
-                    cb_caller.set_fault_link(cid.0, true);
-                    if let Some(t) = &tracer {
-                        cb_caller.set_tracer(t.clone());
+                    let targets = servers.iter().map(|host| (&cb_ep, &host.cpu));
+                    let cb_callers = fan_out(&sim, &net, &tracer, ClientId(0), targets);
+                    for (host, cb_caller) in servers.iter().zip(cb_callers) {
+                        // Callback callers carry ClientId(0) (they originate
+                        // at a server); their fault link is the *client*
+                        // host in the server→client direction, so a
+                        // partition of the client host severs both its
+                        // request and callback legs.
+                        cb_caller.set_fault_link(cid.0, true);
+                        let srv = host.server.as_ref().expect("SNFS server exists");
+                        srv.register_client(cid, cb_caller);
                     }
-                    srv.register_client(cid, cb_caller);
-                    (
-                        RemoteClient::Snfs(client.clone()),
-                        Some(FsBackend::Snfs(client)),
-                    )
+                    cb_endpoints.push(cb_ep);
+                    RemoteClient::Snfs(client)
                 }
-                (Some(_), Protocol::Local) => unreachable!("local has no endpoint"),
             };
             // ---- mounts ----
-            let mut mounts = vec![Mount::new("/", FsBackend::Local(local_fs.clone()), lroot)];
-            match &remote_backend {
-                Some(backend) => {
-                    mounts.push(Mount::new("/remote", backend.clone(), root));
-                    let tmp_backend = if params.tmp_remote {
-                        Mount::new("/usr/tmp", backend.clone(), tmp_dir)
-                    } else {
-                        Mount::new("/usr/tmp", FsBackend::Local(local_fs.clone()), ltmp)
-                    };
-                    mounts.push(tmp_backend);
-                }
-                None => {
-                    // Local protocol: "/remote" is just the local disk too.
-                    mounts.push(Mount::new(
-                        "/remote",
-                        FsBackend::Local(local_fs.clone()),
-                        lroot,
-                    ));
-                    mounts.push(Mount::new(
-                        "/usr/tmp",
-                        FsBackend::Local(local_fs.clone()),
-                        ltmp,
-                    ));
-                }
-            }
-            let vfs = Vfs::new(mounts);
+            let local = FsBackend::Local(local_fs.clone());
+            let (export, export_root) = match &remote {
+                // Local protocol: "/remote" is just the local disk too.
+                RemoteClient::None => (local.clone(), lroot),
+                RemoteClient::Nfs(c) => (FsBackend::Nfs(c.clone()), roots[0]),
+                RemoteClient::Snfs(c) => (FsBackend::Snfs(c.clone()), roots[0]),
+            };
+            let tmp = if params.tmp_remote && params.protocol != Protocol::Local {
+                Mount::new("/usr/tmp", export.clone(), server_dirs.2)
+            } else {
+                Mount::new("/usr/tmp", local.clone(), ltmp)
+            };
+            let remote_mount = Mount::new("/remote", export, export_root);
+            let vfs = Vfs::new(vec![Mount::new("/", local, lroot), remote_mount, tmp]);
             clients.push(ClientHost {
                 cpu,
                 local_fs,
@@ -552,316 +617,37 @@ impl Testbed {
                 vfs,
             });
         }
-        Testbed {
-            sim,
-            params,
-            server_cpu,
-            server_fs,
-            snfs_server,
-            counter,
-            rates,
-            latency,
-            util,
-            net,
-            transport_stats,
-            tracer,
-            endpoint,
-            cb_endpoints,
-            clients,
-            server_dirs: (src_dir, target_dir, tmp_dir),
-            shard_hosts: Vec::new(),
-            layout: None,
-        }
-    }
-
-    /// Builds the sharded topology (DESIGN.md §18): `n` full server
-    /// stacks, one authoritative layout map, inter-shard coordination
-    /// callers, and per-client shard-routing callers. SNFS only.
-    fn build_sharded(params: TestbedParams, n_clients: usize) -> Self {
-        let n_shards = params.shards.n;
-        assert!(
-            params.protocol.is_snfs(),
-            "a sharded namespace requires an SNFS protocol (got {:?})",
-            params.protocol
-        );
-        assert!(
-            !params.name_cache,
-            "name caching is not supported over a sharded namespace: \
-             a cached root binding would bypass the layout map"
-        );
-        let sim = Sim::new();
-        let layout = Rc::new(RefCell::new(Layout::new(n_shards as u32)));
-        // ---- per-shard server stacks --------------------------------------
-        let mut shard_fs: Vec<LocalFs> = Vec::new();
-        let mut shard_cpu: Vec<Resource> = Vec::new();
-        let mut shard_counter: Vec<OpCounter> = Vec::new();
-        for s in 0..n_shards {
-            let disk = Disk::with_sched(
-                &sim,
-                format!("server{s}-disk"),
-                config::disk_params(),
-                params.server_io.sched,
-            );
-            let mut fsp = config::server_fs_params(params.update_enabled);
-            fsp.cache_blocks = params.server_io.cache_blocks;
-            fsp.single_flight_reads = params.server_io.single_flight_reads;
-            // Shard s exports fsid s + 1; handle-addressed requests
-            // route on nothing else.
-            let fs = LocalFs::new(&sim, s as u32 + 1, disk, fsp);
-            fs.spawn_update_daemon();
-            shard_fs.push(fs);
-            shard_cpu.push(Resource::new(&sim, format!("server{s}-cpu"), 1));
-            shard_counter.push(OpCounter::new());
-        }
-        let rates = RateSeries::new(config::figure_bucket());
-        let util = GaugeSeries::new();
-        let latency = LatencyStats::new();
-        let netp = if params.transport.switched {
-            config::net_params().switched_full_duplex()
-        } else {
-            config::net_params()
-        };
-        let net = Network::new(&sim, "ether", netp);
-        if params.faults.any() {
-            net.set_faults(params.faults);
-        }
-        let transport_stats = TransportStats::new();
-        let tracer = params.trace.then(|| {
-            let t = Tracer::new(&sim);
-            t.meta("protocol", params.protocol.label());
-            t.meta("clients", n_clients.to_string());
-            t.meta("disk_sched", params.server_io.sched.meta_value());
-            t.meta("shards", n_shards.to_string());
-            for fs in &shard_fs {
-                fs.disk().set_tracer(t.clone());
-                fs.set_tracer(t.clone());
-            }
-            net.set_tracer(t.clone());
-            t
-        });
-        // Well-known directories, each created on the shard that owns
-        // its name under the initial layout.
-        let roots: Vec<FileHandle> = shard_fs.iter().map(|f| f.root()).collect();
-        let mkdir_on = |name: &'static str| {
-            let s = layout.borrow().owner(name) as usize;
-            let fs = shard_fs[s].clone();
-            let root = roots[s];
-            sim.block_on(async move {
-                let (fh, _) = fs.mkdir(root, name).await.expect("mkdir well-known dir");
-                fh
-            })
-        };
-        let src_dir = mkdir_on("src");
-        let target_dir = mkdir_on("target");
-        let tmp_dir = mkdir_on("tmp");
-        // ---- per-shard servers + endpoints --------------------------------
-        let mut ep_params = config::endpoint_params();
-        ep_params.threads = params.server_io.service_threads;
-        let mut shard_hosts: Vec<ShardHost> = Vec::new();
-        for s in 0..n_shards {
-            let mut sp = params.snfs_server;
-            sp.delegation = params.delegation;
-            let srv = SnfsServer::new(
-                &sim,
-                shard_fs[s].clone(),
-                params.server_io.service_threads,
-                sp,
-            );
-            if let Some(t) = &tracer {
-                srv.set_tracer(t.clone());
-            }
-            srv.set_shard(s as u32, roots[s], Rc::clone(&layout));
-            let ep = srv.endpoint(
-                format!("snfsd{s}"),
-                shard_cpu[s].clone(),
-                ep_params,
-                shard_counter[s].clone(),
-            );
-            ep.set_rate_series(rates.clone());
-            if let Some(t) = &tracer {
-                ep.set_tracer(t.clone());
-            }
-            shard_hosts.push(ShardHost {
+        let shards = servers.iter().enumerate().filter_map(|(s, host)| {
+            layout.as_ref()?;
+            Some(ShardHost {
                 shard: s as u32,
-                cpu: shard_cpu[s].clone(),
-                fs: shard_fs[s].clone(),
-                server: srv,
-                endpoint: ep,
-                counter: shard_counter[s].clone(),
-            });
-        }
-        // ---- inter-shard coordination callers -----------------------------
-        // Coordinator shard s reaches peer p through a dedicated caller
-        // carrying ClientId(10_000 + s); all of s's peer callers share
-        // one xid space. Their fault link is host 200 + s, so a chaos
-        // script can sever one shard's coordination traffic without
-        // touching any client's.
-        for s in 0..n_shards {
-            let mut first: Option<Caller<NfsRequest, NfsReply>> = None;
-            for p in 0..n_shards {
-                if p == s {
-                    continue;
-                }
-                let mut c = Caller::new(
-                    &sim,
-                    net.clone(),
-                    shard_hosts[p].endpoint.clone(),
-                    ClientId(10_000 + s as u32),
-                    shard_cpu[s].clone(),
-                    config::caller_params(),
-                );
-                c.set_fault_link(200 + s as u32, false);
-                if let Some(t) = &tracer {
-                    c.set_tracer(t.clone());
-                }
-                match &first {
-                    Some(f) => c.share_xids_with(f),
-                    None => first = Some(c.clone()),
-                }
-                shard_hosts[s].server.register_peer(p as u32, c);
-            }
-        }
-        // ---- clients ------------------------------------------------------
-        let mut clients = Vec::new();
-        let mut cb_endpoints = Vec::new();
-        for i in 0..n_clients {
-            let cid = ClientId(i as u32 + 1);
-            let cpu = Resource::new(&sim, format!("client{}-cpu", cid.0), 1);
-            let disk = Disk::new(&sim, format!("client{}-disk", cid.0), config::disk_params());
-            let local_fs = LocalFs::new(
-                &sim,
-                100 + cid.0,
-                disk,
-                config::client_fs_params(params.update_enabled),
-            );
-            local_fs.spawn_update_daemon();
-            let lroot = local_fs.root();
-            let ltmp = {
-                let fs = local_fs.clone();
-                sim.block_on(async move {
-                    let (t, _) = fs.mkdir(lroot, "tmp").await.expect("mkdir local tmp");
-                    t
-                })
-            };
-            // One caller per shard, all sharing this client's xid space
-            // so retransmit detection and the per-shard duplicate caches
-            // see one coherent (client, xid) stream.
-            let mut callers: Vec<Caller<NfsRequest, NfsReply>> = Vec::new();
-            for sh in &shard_hosts {
-                let mut c = Caller::new(
-                    &sim,
-                    net.clone(),
-                    sh.endpoint.clone(),
-                    cid,
-                    cpu.clone(),
-                    config::caller_params(),
-                );
-                c.set_transport(params.transport);
-                c.set_transport_stats(transport_stats.clone());
-                c.set_latency_stats(latency.clone());
-                if let Some(t) = &tracer {
-                    c.set_tracer(t.clone());
-                }
-                if let Some(f) = callers.first() {
-                    c.share_xids_with(f);
-                }
-                callers.push(c);
-            }
-            let shard_caller = ShardCaller::sharded(&sim, callers, roots.clone(), true);
-            let client = SnfsClient::new(
-                &sim,
-                shard_caller,
-                SnfsClientParams {
-                    cache_blocks: params.client_cache_blocks,
-                    write_delay: params.snfs_write_delay,
-                    update_interval: params.update_enabled.then(|| SimDuration::from_secs(30)),
-                    read_ahead: params.read_ahead,
-                    read_ahead_window: params.read_ahead_window,
-                    write_behind: params.write_behind,
-                    delayed_close: params.protocol == Protocol::SnfsDelayedClose,
-                    name_cache: params.name_cache,
-                    delegation: params.delegation,
-                    ..SnfsClientParams::default()
-                },
-            );
-            if let Some(t) = &tracer {
-                client.set_tracer(t.clone());
-            }
-            client.spawn_update_daemon();
-            client.spawn_keepalive_daemon(SimDuration::from_secs(10));
-            // One callback endpoint per client, registered with every
-            // shard's server. The per-shard callback callers share one
-            // xid space per client — two shards must never reuse an xid
-            // against the same client's duplicate-request cache.
-            let cb_ep = client.callback_endpoint(
-                format!("cbsrv{}", cid.0),
-                cpu.clone(),
-                config::callback_endpoint_params(),
-                shard_counter[0].clone(),
-            );
-            if let Some(t) = &tracer {
-                cb_ep.set_tracer(t.clone());
-            }
-            cb_endpoints.push(cb_ep.clone());
-            let mut first_cb: Option<
-                Caller<spritely_proto::CallbackArg, spritely_proto::CallbackReply>,
-            > = None;
-            for sh in &shard_hosts {
-                let mut cb_caller = Caller::new(
-                    &sim,
-                    net.clone(),
-                    cb_ep.clone(),
-                    ClientId(0),
-                    sh.cpu.clone(),
-                    config::caller_params(),
-                );
-                cb_caller.set_fault_link(cid.0, true);
-                if let Some(t) = &tracer {
-                    cb_caller.set_tracer(t.clone());
-                }
-                match &first_cb {
-                    Some(f) => cb_caller.share_xids_with(f),
-                    None => first_cb = Some(cb_caller.clone()),
-                }
-                sh.server.register_client(cid, cb_caller);
-            }
-            // ---- mounts ----
-            let backend = FsBackend::Snfs(client.clone());
-            let mut mounts = vec![Mount::new("/", FsBackend::Local(local_fs.clone()), lroot)];
-            mounts.push(Mount::new("/remote", backend.clone(), roots[0]));
-            let tmp_backend = if params.tmp_remote {
-                Mount::new("/usr/tmp", backend.clone(), tmp_dir)
-            } else {
-                Mount::new("/usr/tmp", FsBackend::Local(local_fs.clone()), ltmp)
-            };
-            mounts.push(tmp_backend);
-            let vfs = Vfs::new(mounts);
-            clients.push(ClientHost {
-                cpu,
-                local_fs,
-                remote: RemoteClient::Snfs(client),
-                vfs,
-            });
-        }
+                cpu: host.cpu.clone(),
+                fs: host.fs.clone(),
+                server: host.server.clone()?,
+                endpoint: host.endpoint.clone()?,
+                counter: host.counter.clone(),
+            })
+        });
         Testbed {
             sim,
             params,
-            server_cpu: shard_cpu[0].clone(),
-            server_fs: shard_fs[0].clone(),
-            snfs_server: Some(shard_hosts[0].server.clone()),
-            counter: shard_counter[0].clone(),
+            server_cpu: servers[0].cpu.clone(),
+            server_fs: servers[0].fs.clone(),
+            snfs_server: servers[0].server.clone(),
+            counter: servers[0].counter.clone(),
             rates,
             latency,
             util,
             net,
             transport_stats,
             tracer,
-            endpoint: Some(shard_hosts[0].endpoint.clone()),
+            endpoint: servers[0].endpoint.clone(),
             cb_endpoints,
             clients,
-            server_dirs: (src_dir, target_dir, tmp_dir),
-            shard_hosts,
-            layout: Some(layout),
+            server_dirs,
+            shard_hosts: shards.collect(),
+            servers,
+            layout,
         }
     }
 
@@ -881,82 +667,96 @@ impl Testbed {
     /// Unified statistics snapshot of every host (serializable; see
     /// [`crate::snapshot::StatsSnapshot`]).
     pub fn stats_snapshot(&self) -> crate::snapshot::StatsSnapshot {
-        let clients = self
-            .clients
-            .iter()
-            .enumerate()
-            .filter_map(|(i, host)| {
-                let id = i as u32 + 1;
-                match &host.remote {
-                    RemoteClient::None => None,
-                    RemoteClient::Nfs(c) => {
-                        let (hits, misses) = c.cache_stats();
-                        Some(crate::snapshot::ClientSnapshot {
-                            id,
-                            cache_hits: hits,
-                            cache_misses: misses,
-                            dirty_blocks: 0,
-                            snfs: None,
-                        })
-                    }
-                    RemoteClient::Snfs(c) => {
-                        let (hits, misses) = c.cache_stats();
-                        Some(crate::snapshot::ClientSnapshot {
-                            id,
-                            cache_hits: hits,
-                            cache_misses: misses,
-                            dirty_blocks: c.dirty_blocks() as u64,
-                            snfs: Some(c.stats()),
-                        })
-                    }
-                }
-            })
-            .collect();
-        let disk = self.server_fs.disk();
-        let (cache_hits, cache_misses) = self.server_fs.cache_stats();
-        let dstats = disk.stats();
-        let attr_elisions: u64 = self
-            .clients
-            .iter()
-            .map(|host| match &host.remote {
-                RemoteClient::None => 0,
-                RemoteClient::Nfs(c) => c.elided_probes(),
-                RemoteClient::Snfs(c) => c.stats().attr_piggybacks,
-            })
-            .sum();
-        let ts = &self.transport_stats;
-        let rpc_total = if self.shard_hosts.is_empty() {
-            self.counter.snapshot().total()
-        } else {
-            self.shard_hosts
-                .iter()
-                .map(|sh| sh.counter.snapshot().total())
-                .sum()
+        use crate::snapshot::{
+            DelegationSnapshot, FaultSnapshot, ServerIoSnapshot, ServerSnapshot, ShardSnapshot,
+            ShardsSnapshot, StatsSnapshot, TransportSnapshot,
         };
-        crate::snapshot::StatsSnapshot {
+        // One pass over the clients: their snapshot rows plus the
+        // client-side halves of the transport, fault, delegation and
+        // shard sections.
+        let mut clients = Vec::new();
+        let mut attr_elisions = 0u64;
+        let mut callback_dupes = 0u64;
+        let mut peak_blocks = 0usize;
+        let mut held = 0u64;
+        let mut delegation = DelegationStats::default();
+        for (i, host) in self.clients.iter().enumerate() {
+            clients.extend(host.remote.snapshot(i as u32 + 1));
+            match &host.remote {
+                RemoteClient::None => {}
+                RemoteClient::Nfs(c) => attr_elisions += c.elided_probes(),
+                RemoteClient::Snfs(c) => {
+                    attr_elisions += c.stats().attr_piggybacks;
+                    callback_dupes += c.callback_dupes();
+                    peak_blocks = peak_blocks.max(c.peak_cache_blocks());
+                    let cs = c.delegation_stats();
+                    delegation.local_opens += cs.local_opens;
+                    delegation.local_closes += cs.local_closes;
+                    held += c.delegations_held() as u64;
+                }
+            }
+        }
+        // One pass over every server stack the builder produced: counters
+        // sum, peaks take the maximum. The servers carry the
+        // grants/recalls/returns/revokes half of the delegation stats and
+        // the recall-latency histogram.
+        let mut rpc_total = 0u64;
+        let mut server: Option<ServerSnapshot> = None;
+        let mut io = ServerIoSnapshot::default();
+        let (mut dup_cache_hits, mut dup_cache_joins, mut callback_retries) = (0u64, 0u64, 0u64);
+        for host in &self.servers {
+            rpc_total += host.counter.snapshot().total();
+            let disk = host.fs.disk();
+            let (hits, misses) = host.fs.cache_stats();
+            let dstats = disk.stats();
+            io.cache_hits += hits;
+            io.cache_misses += misses;
+            io.disk_reads += dstats.reads;
+            io.disk_writes += dstats.writes;
+            io.disk_queue_peak = io.disk_queue_peak.max(disk.queue_depth().peak());
+            io.disk_requests += disk.wait_ms().count();
+            io.disk_wait_ms_sum += disk.wait_ms().sum();
+            io.disk_wait_ms_max = io.disk_wait_ms_max.max(disk.wait_ms().max());
+            io.disk_pos_ms_sum += disk.pos_ms().sum();
+            if let Some(ep) = &host.endpoint {
+                dup_cache_hits += ep.dup_hits();
+                dup_cache_joins += ep.dup_joins();
+            }
+            if let Some(srv) = &host.server {
+                let s = server.get_or_insert_with(ServerSnapshot::default);
+                let stats = srv.stats();
+                s.stats.callbacks_sent += stats.callbacks_sent;
+                s.stats.callbacks_failed += stats.callbacks_failed;
+                s.stats.reclaim_passes += stats.reclaim_passes;
+                s.callback_peak = s.callback_peak.max(srv.callback_gauge().peak());
+                s.table_entries += srv.table_len() as u64;
+                callback_retries += srv.callback_retries();
+                let d = srv.delegation_stats();
+                delegation.grants_read += d.grants_read;
+                delegation.grants_write += d.grants_write;
+                delegation.recalls += d.recalls;
+                delegation.returns += d.returns;
+                delegation.revokes += d.revokes;
+                let buckets = &mut delegation.recall_latency.buckets;
+                for (sum, b) in buckets.iter_mut().zip(d.recall_latency.buckets) {
+                    *sum += b;
+                }
+            }
+        }
+        // Retransmitted callbacks (write-back, invalidate, recall) are
+        // replayed from the *clients'* endpoint caches; count them too.
+        for ep in &self.cb_endpoints {
+            dup_cache_hits += ep.dup_hits();
+            dup_cache_joins += ep.dup_joins();
+        }
+        let ts = &self.transport_stats;
+        StatsSnapshot {
             protocol: self.params.protocol.label().to_string(),
             rpc_total,
             clients,
-            server: self
-                .snfs_server
-                .as_ref()
-                .map(|srv| crate::snapshot::ServerSnapshot {
-                    stats: srv.stats(),
-                    callback_peak: srv.callback_gauge().peak(),
-                    table_entries: srv.table_len() as u64,
-                }),
-            server_io: crate::snapshot::ServerIoSnapshot {
-                cache_hits,
-                cache_misses,
-                disk_reads: dstats.reads,
-                disk_writes: dstats.writes,
-                disk_queue_peak: disk.queue_depth().peak(),
-                disk_requests: disk.wait_ms().count(),
-                disk_wait_ms_sum: disk.wait_ms().sum(),
-                disk_wait_ms_max: disk.wait_ms().max(),
-                disk_pos_ms_sum: disk.pos_ms().sum(),
-            },
-            transport: crate::snapshot::TransportSnapshot {
+            server,
+            server_io: io,
+            transport: TransportSnapshot {
                 net_messages: self.net.messages(),
                 net_bytes: self.net.bytes(),
                 wire_busy_ms: (self.net.busy_micros() / 1000) as u64,
@@ -970,23 +770,7 @@ impl Testbed {
             sim: self.sim.stats().into(),
             faults: self.net.faults_active().then(|| {
                 let fs = self.net.fault_stats();
-                let (mut dup_cache_hits, mut dup_cache_joins) = self
-                    .endpoint
-                    .as_ref()
-                    .map_or((0, 0), |ep| (ep.dup_hits(), ep.dup_joins()));
-                // Extra shards' endpoints (shard 0 is `self.endpoint`).
-                for sh in self.shard_hosts.iter().skip(1) {
-                    dup_cache_hits += sh.endpoint.dup_hits();
-                    dup_cache_joins += sh.endpoint.dup_joins();
-                }
-                // Retransmitted callbacks (write-back, invalidate,
-                // recall) are replayed from the *clients'* endpoint
-                // caches; count them too.
-                for ep in &self.cb_endpoints {
-                    dup_cache_hits += ep.dup_hits();
-                    dup_cache_joins += ep.dup_joins();
-                }
-                crate::snapshot::FaultSnapshot {
+                FaultSnapshot {
                     drops: fs.drops(),
                     dups: fs.dups(),
                     delays: fs.delays(),
@@ -997,83 +781,44 @@ impl Testbed {
                     outstanding_kills: fs.outstanding_kills(),
                     dup_cache_hits,
                     dup_cache_joins,
-                    callback_retries: if self.shard_hosts.is_empty() {
-                        self.snfs_server
-                            .as_ref()
-                            .map_or(0, |srv| srv.callback_retries())
-                    } else {
-                        self.shard_hosts
-                            .iter()
-                            .map(|sh| sh.server.callback_retries())
-                            .sum()
-                    },
-                    callback_dupes: self
-                        .clients
-                        .iter()
-                        .map(|host| match &host.remote {
-                            RemoteClient::Snfs(c) => c.callback_dupes(),
-                            _ => 0,
-                        })
-                        .sum(),
+                    callback_retries,
+                    callback_dupes,
                 }
             }),
             profile: self
                 .tracer
                 .as_ref()
                 .map(|t| (&spritely_trace::profile_trace(&t.finish())).into()),
-            delegation: self.params.delegation.enabled.then(|| {
-                // Server side carries grants/recalls/returns/revokes and
-                // the latency histogram; the clients contribute the local
-                // fast-path counters. Merge into one DelegationStats.
-                let mut stats: DelegationStats = self
-                    .snfs_server
-                    .as_ref()
-                    .map(|srv| srv.delegation_stats())
-                    .unwrap_or_default();
-                let mut held = 0u64;
-                for host in &self.clients {
-                    if let RemoteClient::Snfs(c) = &host.remote {
-                        let cs = c.delegation_stats();
-                        stats.local_opens += cs.local_opens;
-                        stats.local_closes += cs.local_closes;
-                        held += c.delegations_held() as u64;
-                    }
-                }
-                crate::snapshot::DelegationSnapshot { stats, held }
-            }),
-            shards: (!self.shard_hosts.is_empty()).then(|| {
-                let peak_blocks = self
-                    .clients
+            delegation: self
+                .params
+                .delegation
+                .enabled
+                .then_some(DelegationSnapshot {
+                    stats: delegation,
+                    held,
+                }),
+            shards: self.layout.as_ref().map(|_| ShardsSnapshot {
+                n: self.shard_hosts.len() as u64,
+                peak_client_kb: (peak_blocks * BLOCK_SIZE) as u64 / 1024,
+                shards: self
+                    .shard_hosts
                     .iter()
-                    .map(|host| match &host.remote {
-                        RemoteClient::Snfs(c) => c.peak_cache_blocks(),
-                        _ => 0,
+                    .map(|sh| {
+                        let ops = sh.server.shard_stats();
+                        ShardSnapshot {
+                            shard: sh.shard,
+                            rpcs: sh.counter.snapshot().total(),
+                            dup_hits: sh.endpoint.dup_hits(),
+                            table_entries: sh.server.table_len() as u64,
+                            cross_renames: ops.cross_renames,
+                            cross_links: ops.cross_links,
+                            wrong_shard_replies: ops.wrong_shard_replies,
+                            busy_rejections: ops.busy_rejections,
+                            lock_contention: ops.lock_contention,
+                            dup_contention: sh.endpoint.dup_contention(),
+                        }
                     })
-                    .max()
-                    .unwrap_or(0);
-                crate::snapshot::ShardsSnapshot {
-                    n: self.shard_hosts.len() as u64,
-                    peak_client_kb: (peak_blocks * BLOCK_SIZE) as u64 / 1024,
-                    shards: self
-                        .shard_hosts
-                        .iter()
-                        .map(|sh| {
-                            let ops = sh.server.shard_stats();
-                            crate::snapshot::ShardSnapshot {
-                                shard: sh.shard,
-                                rpcs: sh.counter.snapshot().total(),
-                                dup_hits: sh.endpoint.dup_hits(),
-                                table_entries: sh.server.table_len() as u64,
-                                cross_renames: ops.cross_renames,
-                                cross_links: ops.cross_links,
-                                wrong_shard_replies: ops.wrong_shard_replies,
-                                busy_rejections: ops.busy_rejections,
-                                lock_contention: ops.lock_contention,
-                                dup_contention: sh.endpoint.dup_contention(),
-                            }
-                        })
-                        .collect(),
-                }
+                    .collect(),
             }),
         }
     }
@@ -1088,15 +833,50 @@ impl Testbed {
         self.sim.spawn(async move {
             let mut last_busy = cpu.busy_permit_micros();
             loop {
-                let start = sim.now();
                 sim.sleep(bucket).await;
                 let busy = cpu.busy_permit_micros();
                 let frac =
                     (busy - last_busy) as f64 / (bucket.as_micros() as f64 * cpu.capacity() as f64);
                 util.push(sim.now(), frac);
                 last_busy = busy;
-                let _ = start;
             }
         });
     }
+}
+
+/// Builds one traced caller per `(endpoint, calling CPU)` target, all
+/// speaking as `from` and sharing one xid space — so retransmit detection
+/// and the targets' duplicate-request caches see one coherent
+/// `(client, xid)` stream, and no two callers ever reuse an xid against
+/// the same cache.
+fn fan_out<'a, Req, Rep>(
+    sim: &Sim,
+    net: &Network,
+    tracer: &Option<Tracer>,
+    from: ClientId,
+    targets: impl Iterator<Item = (&'a Endpoint<Req, Rep>, &'a Resource)>,
+) -> Vec<Caller<Req, Rep>>
+where
+    Req: spritely_rpcnet::Proc + Wire + Clone + Compoundable + 'static,
+    Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
+{
+    let mut callers: Vec<Caller<Req, Rep>> = Vec::with_capacity(targets.size_hint().0);
+    for (endpoint, cpu) in targets {
+        let mut c = Caller::new(
+            sim,
+            net.clone(),
+            endpoint.clone(),
+            from,
+            cpu.clone(),
+            config::caller_params(),
+        );
+        if let Some(t) = tracer {
+            c.set_tracer(t.clone());
+        }
+        if let Some(first) = callers.first() {
+            c.share_xids_with(first);
+        }
+        callers.push(c);
+    }
+    callers
 }

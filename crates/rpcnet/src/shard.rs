@@ -18,9 +18,11 @@
 //!   A `Busy` reply (name momentarily locked by a cross-shard
 //!   transaction) is retried after a fixed backoff.
 //!
-//! With one shard — the paper configuration — every method is a pure
-//! pass-through to the single inner caller: no layout borrow, no
-//! rewrite, no extra allocation, byte-identical scheduling.
+//! One shard — the paper configuration — is the degenerate layout, not
+//! a separate mode: the testbed builds every client over
+//! [`ShardCaller::sharded`], and with a single inner caller every method
+//! is a pure pass-through — no layout borrow, no rewrite, no extra
+//! allocation per call, byte-identical scheduling.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -59,8 +61,9 @@ struct Inner {
 }
 
 /// A shard-routing caller: one [`Caller`] per shard plus a cached
-/// layout map. `From<Caller>` wraps a single caller for the unsharded
-/// configuration, so every existing call site keeps compiling.
+/// layout map. `From<Caller>` is the shorthand for the one-shard case,
+/// used by hand-built rigs (unit tests, examples) that wire a client to
+/// a lone endpoint without a testbed.
 #[derive(Clone)]
 pub struct ShardCaller {
     inner: Rc<Inner>,

@@ -24,7 +24,8 @@ use spritely::harness::{
 fn main() -> ExitCode {
     let mut ok = true;
 
-    // Paper configuration: no shard hosts, no layout, no snapshot section.
+    // Paper configuration — the builder's one-server case: no shard
+    // hosts, no layout, no snapshot section.
     let paper = Testbed::build(TestbedParams {
         protocol: Protocol::Snfs,
         shards: ShardParams::paper(),
@@ -32,7 +33,7 @@ fn main() -> ExitCode {
     });
     let json = paper.stats_snapshot().to_json();
     if paper.shard_hosts.is_empty() && paper.layout.is_none() && !json.contains("\"shards\"") {
-        println!("paper config: unsharded path, no shards section — OK");
+        println!("paper config: one server, no layout, no shards section — OK");
     } else {
         println!("FAIL: ShardParams::paper() leaked sharding state into the testbed");
         ok = false;

@@ -13,8 +13,7 @@
 use std::process::ExitCode;
 
 use spritely::harness::{
-    report, Protocol, RemoteClient, ServerIoParams, Testbed, TestbedParams, TransportParams,
-    WriteBehindParams,
+    report, Protocol, ServerIoParams, Testbed, TestbedParams, TransportParams, WriteBehindParams,
 };
 use spritely::sim::SimDuration;
 use spritely::vfs::OpenFlags;
@@ -53,21 +52,9 @@ fn run(t: TransportParams, trace: bool) -> (Testbed, f64, u64) {
         });
         tb.sim.run_until(h);
         for host in &tb.clients {
-            match host.remote.clone() {
-                RemoteClient::None => {}
-                RemoteClient::Nfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-                RemoteClient::Snfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-            }
+            let remote = host.remote.clone();
+            tb.sim
+                .block_on(async move { remote.cold_boot().await.expect("cold boot") });
         }
     }
     let t0 = tb.sim.now();

@@ -54,4 +54,9 @@ echo "==> benchmark: cargo test --release --offline"
 echo "==> benchmark: sort_nfs, 2 s, traced (exit 2 = traced and untraced passes disagree on a simulated-clock number)"
 bash benchmark/run.sh --workload sort_nfs --seed 42 --seconds 2 --trace 1 > /dev/null
 
+# The other end of the one testbed construction: sort_nfs is NFS over one
+# server, fleet is 8 shards x 512 SNFS clients.
+echo "==> benchmark: fleet, 2 s, traced (same exit-2 rule, sharded end of the builder)"
+bash benchmark/run.sh --workload fleet --seed 42 --seconds 2 --trace 1 > /dev/null
+
 echo "==> OK"

@@ -3,7 +3,9 @@
 //! the two-phase coordination path, stale-layout redirects, and
 //! atomicity under seeded network faults.
 
-use spritely::harness::{FaultParams, Protocol, RemoteClient, ShardParams, Testbed, TestbedParams};
+use spritely::harness::{
+    DelegationParams, FaultParams, Protocol, ShardParams, Testbed, TestbedParams,
+};
 use spritely::proto::{default_shard, NfsStatus, BLOCK_SIZE};
 use spritely::sim::SimDuration;
 use spritely::snfs::SnfsClient;
@@ -22,10 +24,8 @@ fn sharded(n: usize, n_clients: usize, trace: bool, faults: FaultParams) -> Test
 }
 
 fn snfs(tb: &Testbed, i: usize) -> SnfsClient {
-    match &tb.clients[i].remote {
-        RemoteClient::Snfs(c) => c.clone(),
-        _ => panic!("sharded testbeds are SNFS"),
-    }
+    let c = tb.clients[i].remote.snfs();
+    c.expect("sharded testbeds are SNFS").clone()
 }
 
 /// First name of the form `{prefix}{i}` that the default layout places
@@ -293,21 +293,129 @@ fn chaos_shard_partition_mid_rename_converges() {
     assert!(v.converged(), "{}", v.report());
 }
 
+/// What `Testbed::build_with_clients` panics with for `params`, if it
+/// panics.
+fn build_panic(params: TestbedParams, n_clients: usize) -> Option<String> {
+    let built = std::panic::catch_unwind(move || {
+        Testbed::build_with_clients(params, n_clients);
+    });
+    built.err().map(|e| {
+        e.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    })
+}
+
 #[test]
-fn shards_section_absent_in_paper_configuration() {
-    // ShardParams::paper() takes the unsharded build path: no shard
-    // hosts, no layout, and a snapshot byte-identical to one from
-    // before sharding existed.
+fn topology_contract_over_protocols_shards_and_name_cache() {
+    // One construction builds every topology: `ShardParams::paper()` is
+    // its one-server case, not a separate path. The public shape is the
+    // same contract at every point of the table.
+    const CLIENTS: usize = 2;
+    let protocols = [
+        Protocol::Local,
+        Protocol::Nfs,
+        Protocol::NfsFixed,
+        Protocol::Snfs,
+        Protocol::SnfsDelayedClose,
+    ];
+    for protocol in protocols {
+        for n in [1usize, 2] {
+            for name_cache in [false, true] {
+                let case = format!("{protocol:?} x {n} shards x name_cache={name_cache}");
+                let params = TestbedParams {
+                    protocol,
+                    name_cache,
+                    shards: ShardParams::sharded(n),
+                    ..TestbedParams::default()
+                };
+                // A sharded namespace is SNFS-only and excludes name
+                // caching; everything else must build.
+                let refusal = if n > 1 && !protocol.is_snfs() {
+                    Some("a sharded namespace requires an SNFS protocol")
+                } else if n > 1 && name_cache {
+                    Some("name caching is not supported over a sharded namespace")
+                } else {
+                    None
+                };
+                if let Some(expected) = refusal {
+                    let msg =
+                        build_panic(params, CLIENTS).unwrap_or_else(|| panic!("{case} built"));
+                    assert!(msg.contains(expected), "{case}: {msg}");
+                    continue;
+                }
+                let tb = Testbed::build_with_clients(params, CLIENTS);
+                assert_eq!(tb.servers.len(), n, "{case}");
+                assert_eq!(tb.shard_hosts.len(), if n > 1 { n } else { 0 }, "{case}");
+                assert_eq!(tb.layout.is_some(), n > 1, "{case}");
+                assert_eq!(tb.clients.len(), CLIENTS, "{case}");
+                let cb = if protocol.is_snfs() { CLIENTS } else { 0 };
+                assert_eq!(tb.cb_endpoints.len(), cb, "{case}");
+                assert_eq!(tb.endpoint.is_none(), protocol == Protocol::Local, "{case}");
+                assert_eq!(tb.snfs_server.is_some(), protocol.is_snfs(), "{case}");
+                // Shard s exports fsid s + 1, and entry 0 is the store the
+                // dedicated single-server fields name.
+                assert_eq!(tb.server_fs.root().fsid, 1, "{case}");
+                for sh in &tb.shard_hosts {
+                    assert_eq!(sh.fs.root().fsid, sh.shard + 1, "{case}");
+                }
+                let json = tb.stats_snapshot().to_json();
+                assert_eq!(json.contains("\"shards\""), n > 1, "{case}: {json}");
+            }
+        }
+    }
+}
+
+#[test]
+fn sharded_snapshot_aggregates_every_server() {
+    // The snapshot's server-side sections cover all shards, not shard 0
+    // alone: disk writes and delegation grants land on both stores here.
     let tb = Testbed::build(TestbedParams {
         protocol: Protocol::Snfs,
-        shards: ShardParams::paper(),
+        shards: ShardParams::sharded(2),
+        delegation: DelegationParams::pipelined(),
         ..TestbedParams::default()
     });
-    assert!(tb.shard_hosts.is_empty());
-    assert!(tb.layout.is_none());
-    let json = tb.stats_snapshot().to_json();
-    assert!(!json.contains("\"shards\""), "{json}");
-    let tb2 = sharded(2, 1, false, FaultParams::default());
-    let json2 = tb2.stats_snapshot().to_json();
-    assert!(json2.contains("\"shards\":{\"n\":2"), "{json2}");
+    let c = snfs(&tb, 0);
+    let root = tb.server_fs.root();
+    let sim = tb.sim.clone();
+    let names = [name_on(2, 0, "left"), name_on(2, 1, "right")];
+    let h = sim.spawn({
+        let sim = sim.clone();
+        async move {
+            for name in &names {
+                let (fh, _) = c.create(root, name).await.unwrap();
+                c.open(fh, true).await.unwrap();
+                c.write(fh, 0, &[9u8; BLOCK_SIZE]).await.unwrap();
+                c.close(fh, true).await.unwrap();
+            }
+            // Let the delayed writes and both update daemons drain.
+            sim.sleep(SimDuration::from_secs(70)).await;
+        }
+    });
+    sim.run_until(h);
+    let writes: Vec<u64> = tb
+        .shard_hosts
+        .iter()
+        .map(|sh| sh.fs.disk().stats().writes)
+        .collect();
+    let grants: Vec<u64> = tb
+        .shard_hosts
+        .iter()
+        .map(|sh| sh.server.delegation_stats())
+        .map(|d| d.grants_read + d.grants_write)
+        .collect();
+    assert!(
+        writes.iter().all(|&w| w > 0),
+        "both disks wrote: {writes:?}"
+    );
+    assert!(
+        grants.iter().all(|&g| g > 0),
+        "both shards granted: {grants:?}"
+    );
+    let snap = tb.stats_snapshot();
+    assert_eq!(snap.server_io.disk_writes, writes.iter().sum::<u64>());
+    let d = snap.delegation.expect("delegations were on").stats;
+    assert_eq!(d.grants_read + d.grants_write, grants.iter().sum::<u64>());
 }

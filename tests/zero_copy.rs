@@ -96,11 +96,7 @@ const READ_WRITE_CREATE: OpenFlags = OpenFlags {
 };
 
 async fn cold_boot(remote: &RemoteClient) {
-    match remote {
-        RemoteClient::Nfs(c) => c.cold_boot().await.expect("cold boot"),
-        RemoteClient::Snfs(c) => c.cold_boot().await.expect("cold boot"),
-        RemoteClient::None => {}
-    }
+    remote.cold_boot().await.expect("cold boot");
 }
 
 /// Bytes that say where they belong: a misplaced or stale run shows.
