@@ -469,6 +469,15 @@ impl SnfsServer {
         self.inner.callback_clients.borrow_mut().insert(id, caller);
     }
 
+    /// Forgets every registered client callback channel and peer-shard
+    /// channel. Those callers reach endpoints whose handlers hold the
+    /// clients and peers, which in turn hold callers back to this server:
+    /// whoever tears a topology down calls this to break the loop.
+    pub fn disconnect(&self) {
+        self.inner.callback_clients.borrow_mut().clear();
+        self.inner.peers.borrow_mut().clear();
+    }
+
     /// The exported file system.
     pub fn fs(&self) -> &LocalFs {
         &self.inner.fs

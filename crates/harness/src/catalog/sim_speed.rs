@@ -1,0 +1,290 @@
+//! Simulator-core speed: how many scheduler events per second the DES
+//! retires, on three workload shapes — a timer storm (timeout guards
+//! abandoned every iteration: the stale-timer worst case), an RPC echo
+//! stream (caller/endpoint/network machinery) and a full Andrew run (the
+//! realistic mix) — plus the parallel experiment-matrix runner against
+//! its serial twin. The one entry that reads the host clock: its
+//! wall-clock ledger fields sit on the compare ignore-list, its event
+//! counts are deterministic and compared exactly.
+
+use std::rc::Rc;
+use std::time::Instant;
+
+use spritely_metrics::{OpCounter, TextTable};
+use spritely_proto::{ClientId, NfsReply, NfsRequest};
+use spritely_rpcnet::{Caller, CallerParams, Endpoint, EndpointParams, NetParams, Network};
+use spritely_sim::{Resource, Sim, SimDuration, SimStats};
+
+use super::{Entry, Outcome};
+use crate::{render_matrix, run_andrew, run_matrix, Experiment, Protocol, SimSnapshot};
+
+/// `tasks` staggered tasks each run `iters` timeouts whose inner sleep
+/// always wins — every iteration abandons a 10 s guard timer, which the
+/// cancel-aware timer queue must remove on drop rather than leave to
+/// fire spuriously. Returns the host seconds taken and the counters.
+fn timer_storm(tasks: u64, iters: u64) -> (f64, SimStats) {
+    let sim = Sim::new();
+    for i in 0..tasks {
+        let s = sim.clone();
+        sim.spawn(async move {
+            s.sleep(SimDuration::from_micros(i)).await;
+            for _ in 0..iters {
+                let r = s
+                    .timeout(
+                        SimDuration::from_secs(10),
+                        s.sleep(SimDuration::from_millis(1)),
+                    )
+                    .await;
+                assert!(r.is_ok());
+            }
+        });
+    }
+    let t0 = Instant::now();
+    sim.run_to_quiescence();
+    let wall = t0.elapsed().as_secs_f64();
+    assert_eq!(sim.live_timers(), 0, "timers left after quiescence");
+    (wall, sim.stats())
+}
+
+/// `clients` callers each push `calls` Null RPCs through the full
+/// caller/wire/endpoint stack against an instant-reply handler.
+fn rpc_echo(clients: u32, calls: u64) -> (f64, SimStats) {
+    let sim = Sim::new();
+    let server_cpu = Resource::new(&sim, "scpu", 2);
+    let net = Network::new(
+        &sim,
+        "net",
+        NetParams {
+            latency: SimDuration::from_micros(500),
+            bandwidth: 1_250_000,
+            switched: false,
+        },
+    );
+    let handler = Rc::new(move |_from: ClientId, _ctx: u64, _req: NfsRequest| {
+        Box::pin(async move { NfsReply::Ok })
+            as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
+    });
+    let ep = Endpoint::new(
+        &sim,
+        "svc",
+        server_cpu,
+        EndpointParams {
+            threads: 4,
+            cpu_per_call: SimDuration::from_micros(200),
+            cpu_per_kb: SimDuration::ZERO,
+            dup_retention: SimDuration::from_secs(600),
+        },
+        OpCounter::new(),
+        handler,
+    );
+    for c in 0..clients {
+        let client_cpu = Resource::new(&sim, "ccpu", 1);
+        let caller = Caller::new(
+            &sim,
+            net.clone(),
+            ep.clone(),
+            ClientId(c + 1),
+            client_cpu,
+            CallerParams {
+                timeout: SimDuration::from_secs(2),
+                max_retries: 3,
+                cpu_per_call: SimDuration::from_micros(100),
+            },
+        );
+        sim.spawn(async move {
+            for _ in 0..calls {
+                caller.call(NfsRequest::Null).await.expect("echo call");
+            }
+        });
+    }
+    let t0 = Instant::now();
+    sim.run_to_quiescence();
+    (t0.elapsed().as_secs_f64(), sim.stats())
+}
+
+/// Pre-PR-6 executor throughput on the timer-storm mix, compiled in from
+/// `baselines/sim_speed.txt` (an input, not an artifact).
+fn reference_units_per_sec() -> f64 {
+    include_str!("../../../../baselines/sim_speed.txt")
+        .lines()
+        .find_map(|l| l.strip_prefix("timer_storm_units_per_sec "))
+        .expect("timer_storm_units_per_sec line in baselines/sim_speed.txt")
+        .trim()
+        .parse()
+        .expect("numeric reference")
+}
+
+struct Point {
+    name: &'static str,
+    wall_s: f64,
+    stats: SimSnapshot,
+}
+
+impl Point {
+    fn events_per_sec(&self) -> f64 {
+        self.stats.events_retired as f64 / self.wall_s
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"name\":\"{}\",\"wall_ms\":{:.1},\"events_per_sec\":{:.0},\
+             \"events_retired\":{},\"polls\":{},\"stale_wakes\":{},\
+             \"timer_cancels\":{},\"peak_ready_depth\":{},\
+             \"peak_live_tasks\":{},\"peak_live_timers\":{}}}",
+            self.name,
+            self.wall_s * 1e3,
+            self.events_per_sec(),
+            self.stats.events_retired,
+            self.stats.polls,
+            self.stats.stale_wakes,
+            self.stats.timer_cancels,
+            self.stats.peak_ready_depth,
+            self.stats.peak_live_tasks,
+            self.stats.peak_live_timers
+        )
+    }
+}
+
+/// The fastest of `n` repetitions (the counters are the same in each).
+fn best_of(n: u32, name: &'static str, mut f: impl FnMut() -> (f64, SimStats)) -> Point {
+    let (wall_s, stats) = (0..n)
+        .map(|_| f())
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("n >= 1");
+    Point {
+        name,
+        wall_s,
+        stats: stats.into(),
+    }
+}
+
+const STORM_TASKS: u64 = 512;
+const STORM_ITERS: u64 = 1000;
+
+pub(super) const SIM_SPEED: Entry = Entry {
+    name: "sim_speed",
+    title: "Sim-core speed: events/sec and matrix fan-out",
+    run: |_| {
+        let storm = best_of(3, "timer_storm", || timer_storm(STORM_TASKS, STORM_ITERS));
+        // The gate metric is comparable across executors: completed
+        // timeouts per second (the old and new executors retire different
+        // event counts for the same program, so raw events/sec is not).
+        let units_per_sec = (STORM_TASKS * STORM_ITERS) as f64 / storm.wall_s;
+        let echo = best_of(3, "rpc_echo", || rpc_echo(8, 2000));
+
+        let t0 = Instant::now();
+        let andrew = run_andrew(Protocol::Snfs, false, 42);
+        let mix = Point {
+            name: "andrew_mix",
+            wall_s: t0.elapsed().as_secs_f64(),
+            stats: andrew.stats.sim,
+        };
+
+        // 4-way experiment matrix, serial vs 4 worker threads. Byte-identity
+        // is gated unconditionally (it is the determinism contract); the
+        // wall-clock speedup only where the host has the cores to show it.
+        let jobs = [
+            (Protocol::Snfs, false),
+            (Protocol::Snfs, true),
+            (Protocol::Nfs, false),
+            (Protocol::Nfs, true),
+        ];
+        let jobs: Vec<Experiment> = (1..)
+            .zip(jobs)
+            .map(|(seed, (protocol, tmp_remote))| Experiment::Andrew {
+                protocol,
+                tmp_remote,
+                seed,
+            })
+            .collect();
+        let t0 = Instant::now();
+        let serial = run_matrix(&jobs, 1);
+        let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let t0 = Instant::now();
+        let parallel = run_matrix(&jobs, 4);
+        let parallel_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let byte_identical = serial == parallel;
+        let matrix_speedup = serial_ms / parallel_ms;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+
+        let reference = reference_units_per_sec();
+        let vs_pre_pr = units_per_sec / reference;
+
+        let mut t = TextTable::new(vec![
+            "bench",
+            "wall ms",
+            "events/s",
+            "events",
+            "stale wakes",
+            "cancels",
+            "peak timers",
+        ]);
+        for p in [&storm, &echo, &mix] {
+            t.row(vec![
+                p.name.to_string(),
+                format!("{:.1}", p.wall_s * 1e3),
+                format!("{:.0}", p.events_per_sec()),
+                p.stats.events_retired.to_string(),
+                p.stats.stale_wakes.to_string(),
+                p.stats.timer_cancels.to_string(),
+                p.stats.peak_live_timers.to_string(),
+            ]);
+        }
+        let mut o = Outcome {
+            body: format!(
+                "{t}\ntimer_storm: {units_per_sec:.0} timeouts/s = {vs_pre_pr:.2}x the pre-PR \
+                 executor ({reference:.0})\nmatrix (4 Andrew runs): serial {serial_ms:.0} ms, \
+                 4 threads {parallel_ms:.0} ms = {matrix_speedup:.2}x on {cores} core(s), \
+                 {identical}\n\n{matrix}",
+                t = t.render(),
+                identical = if byte_identical {
+                    "byte-identical"
+                } else {
+                    "NOT byte-identical"
+                },
+                matrix = render_matrix(&serial),
+            ),
+            ..Outcome::default()
+        };
+        o.field(
+            "benches",
+            format!("[{},{},{}]", storm.json(), echo.json(), mix.json()),
+        );
+        o.field(
+            "matrix",
+            format!(
+                "{{\"jobs\":{},\"threads\":4,\"serial_ms\":{serial_ms:.1},\
+                 \"parallel_ms\":{parallel_ms:.1},\"speedup\":{matrix_speedup:.2},\
+                 \"cores\":{cores},\"byte_identical\":{byte_identical}}}",
+                jobs.len(),
+            ),
+        );
+        o.field("timer_storm_units_per_sec", format!("{units_per_sec:.0}"));
+        o.field("pre_pr_units_per_sec", format!("{reference:.0}"));
+        o.field("speedup_vs_pre_pr", format!("{vs_pre_pr:.2}"));
+
+        o.gate(storm.stats.stale_wakes == 0, || {
+            "timer storm produced stale wakes: the cancel-aware timer is not cancelling".to_string()
+        });
+        o.gate(
+            storm.stats.timer_cancels == STORM_TASKS * STORM_ITERS,
+            || "every abandoned guard must be cancelled, not left to fire".to_string(),
+        );
+        o.gate(vs_pre_pr >= 1.5, || {
+            format!(
+                "executor must retire >= 1.5x the pre-PR timeouts/s on the timer storm, \
+                 got {vs_pre_pr:.2}x ({units_per_sec:.0} vs {reference:.0})"
+            )
+        });
+        o.gate(byte_identical, || {
+            "parallel matrix results must be byte-identical to serial".to_string()
+        });
+        o.gate(cores < 4 || matrix_speedup >= 3.0, || {
+            format!(
+                "4-way matrix on {cores} cores must run >= 3x faster than serial, \
+                 got {matrix_speedup:.2}x"
+            )
+        });
+        o
+    },
+};

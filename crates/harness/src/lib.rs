@@ -13,6 +13,7 @@
 //! | §5.3 micro | [`run_reopen`] | [`report::reopen_table`] |
 //! | temp-lifetime ablation | [`run_temp_lifetime`] | — |
 
+pub mod catalog;
 pub mod compare;
 pub mod config;
 pub mod report;
@@ -73,6 +74,46 @@ mod tests {
             });
             assert_eq!(tb.clients.len(), 1);
             assert_eq!(tb.endpoint.is_some(), p != Protocol::Local, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn dropping_a_testbed_frees_it() {
+        // The daemons never finish and hold the server file system (and
+        // the `Sim`); the testbed's `Drop` has to end them.
+        for (p, shards) in [(Protocol::Nfs, 1), (Protocol::Snfs, 1), (Protocol::Snfs, 2)] {
+            let tb = Testbed::build_with_clients(
+                TestbedParams {
+                    protocol: p,
+                    shards: ShardParams::sharded(shards),
+                    ..TestbedParams::default()
+                },
+                2,
+            );
+            let fs = tb.server_fs.downgrade();
+            let stats = tb.server_fs.clone();
+            let proc = tb.proc();
+            let sim = tb.sim.clone();
+            sim.block_on(async move {
+                let fd = proc
+                    .open("/remote/src/f", spritely_vfs::OpenFlags::create_write())
+                    .await
+                    .unwrap();
+                proc.write(fd, &[1u8; 4096]).await.unwrap();
+                proc.close(fd).await.unwrap();
+            });
+            drop(tb);
+            assert!(
+                fs.upgrade().is_some(),
+                "{p:?}/{shards}: a clone keeps it alive"
+            );
+            // A handle cloned out stays readable after the testbed is gone.
+            let _ = stats.stats();
+            drop(stats);
+            assert!(
+                fs.upgrade().is_none(),
+                "{p:?}/{shards}: server LocalFs leaked"
+            );
         }
     }
 

@@ -844,6 +844,26 @@ impl Testbed {
     }
 }
 
+/// Ends the simulation with the testbed. Two reference cycles would
+/// otherwise keep every testbed alive for the life of the process: the
+/// daemon tasks (update, keepalive, samplers) never finish and hold
+/// clones of everything they serve, the `Sim` included; and an SNFS
+/// server's callback and peer callers reach clients and peers that hold
+/// callers back to it. Handles cloned out beforehand (`Tracer`,
+/// counters, `LocalFs`) stay readable. Skipped while unwinding: a second
+/// panic from a task's destructor would abort and hide the first.
+impl Drop for Testbed {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        self.sim.shutdown();
+        for server in self.servers.iter().filter_map(|h| h.server.as_ref()) {
+            server.disconnect();
+        }
+    }
+}
+
 /// Builds one traced caller per `(endpoint, calling CPU)` target, all
 /// speaking as `from` and sharing one xid space — so retransmit detection
 /// and the targets' duplicate-request caches see one coherent

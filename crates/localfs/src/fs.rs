@@ -128,6 +128,13 @@ impl LocalFs {
         }
     }
 
+    /// A weak handle on this file system's state: it upgrades for as
+    /// long as any clone of the `LocalFs` is alive (leak tests).
+    pub fn downgrade(&self) -> std::rc::Weak<dyn std::any::Any> {
+        let weak: std::rc::Weak<Inner> = Rc::downgrade(&self.inner);
+        weak
+    }
+
     /// Root directory handle.
     pub fn root(&self) -> FileHandle {
         self.inner.store.borrow().root()

@@ -85,6 +85,14 @@ impl ReadyQueue {
     fn peak_depth(&self) -> usize {
         self.state.lock().expect("ready queue poisoned").peak_depth
     }
+
+    /// Empties the queue, returning how many entries it held.
+    fn clear(&self) -> usize {
+        let mut s = self.state.lock().expect("ready queue poisoned");
+        let n = s.queue.len();
+        s.queue.clear();
+        n
+    }
 }
 
 struct TaskWaker {
@@ -429,6 +437,44 @@ impl Sim {
         loop {
             self.drain_ready();
             if !self.advance_time() {
+                return;
+            }
+        }
+    }
+
+    /// Ends the simulation: drops every task that has not finished,
+    /// every pending timer and every queued wake, and leaves the clock
+    /// and the counters ([`now`](Self::now), [`stats`](Self::stats))
+    /// readable.
+    ///
+    /// Tasks hold clones of the `Sim` they run on, so a simulation with a
+    /// task that never finishes (a daemon loop) is a reference cycle that
+    /// dropping the last outside handle does not free; this breaks it.
+    /// The futures are dropped with the core not borrowed, because their
+    /// destructors re-enter it (a `Sleep` cancels its timer), and the
+    /// sweep repeats in case a destructor spawned or registered more.
+    /// A task being polled right now — one that owned the last handle and
+    /// is ending the simulation from inside it — is left to finish.
+    /// Awaiting the `JoinHandle` of a task dropped here never resolves.
+    pub fn shutdown(&self) {
+        loop {
+            let (tasks, timers) = {
+                let mut core = self.core.borrow_mut();
+                let core = &mut *core;
+                let mut tasks = Vec::new();
+                for (i, slot) in core.tasks.iter_mut().enumerate() {
+                    // `fut` is out of its slot exactly while it is polled.
+                    if slot.as_ref().is_some_and(|t| t.fut.is_some()) {
+                        tasks.extend(slot.take());
+                        core.gens[i] = core.gens[i].wrapping_add(1);
+                        core.free.push(i as u32);
+                        core.live_tasks -= 1;
+                    }
+                }
+                (tasks, core.timers.drain())
+            };
+            let queued = self.ready.clear();
+            if tasks.is_empty() && timers.is_empty() && queued == 0 {
                 return;
             }
         }
@@ -872,6 +918,51 @@ mod tests {
         assert_eq!(st.tasks_spawned, 8);
         assert_eq!(st.tasks_completed, 8);
         assert!(st.peak_live_tasks <= 4, "slots were not reused");
+    }
+
+    #[test]
+    fn shutdown_frees_what_a_forever_sleeping_daemon_captured() {
+        let sim = Sim::new();
+        let held = Rc::new(());
+        {
+            let s = sim.clone();
+            let held = Rc::clone(&held);
+            sim.spawn(async move {
+                loop {
+                    s.sleep(SimDuration::from_secs(30)).await;
+                    let _ = &held;
+                }
+            });
+        }
+        let s = sim.clone();
+        sim.block_on(async move { s.sleep(SimDuration::from_secs(100)).await });
+        assert_eq!(Rc::strong_count(&held), 2, "the daemon holds its capture");
+        let before = sim.stats();
+        sim.shutdown();
+        assert_eq!(Rc::strong_count(&held), 1, "shutdown dropped the daemon");
+        assert_eq!(sim.live_tasks(), 0);
+        assert_eq!(sim.live_timers(), 0);
+        // The clock and the counters outlive the tasks.
+        assert_eq!(sim.now().as_micros(), 100_000_000);
+        assert_eq!(sim.stats(), before);
+        // The executor is still usable (slots and timer ids were retired).
+        let s = sim.clone();
+        sim.block_on(async move { s.sleep(SimDuration::from_secs(1)).await });
+        assert_eq!(sim.now().as_micros(), 101_000_000);
+    }
+
+    #[test]
+    fn shutdown_from_inside_a_task_lets_that_task_finish() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(std::future::pending::<()>());
+        let out = sim.block_on(async move {
+            s.sleep(SimDuration::from_secs(1)).await;
+            s.shutdown();
+            s.live_tasks()
+        });
+        assert_eq!(out, 1, "only the caller survived its own shutdown");
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]

@@ -123,6 +123,20 @@ impl TimerQueue {
         true
     }
 
+    /// Removes every live entry and hands back the wakers, so the caller
+    /// can drop them outside its borrow. Not counted as cancels: the
+    /// timers did not lose a race, the simulation ended.
+    pub(crate) fn drain(&mut self) -> Vec<Waker> {
+        let mut wakers = Vec::with_capacity(self.heap.len());
+        for idx in std::mem::take(&mut self.heap) {
+            let slot = &mut self.slots[idx as usize];
+            wakers.extend(slot.waker.take());
+            slot.gen = slot.gen.wrapping_add(1);
+            self.free.push(idx);
+        }
+        wakers
+    }
+
     /// Earliest pending deadline.
     pub(crate) fn peek_deadline(&self) -> Option<SimTime> {
         self.heap.first().map(|&i| self.slots[i as usize].deadline)
@@ -285,6 +299,22 @@ mod tests {
             prev = d;
             assert!(q.pop_due(d).is_some());
         }
+    }
+
+    #[test]
+    fn drain_empties_the_queue_and_stales_every_id() {
+        let mut q = TimerQueue::default();
+        let ids: Vec<TimerId> = (0..5).map(|i| q.register(t(i), waker().0)).collect();
+        assert_eq!(q.drain().len(), 5);
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.peek_deadline(), None);
+        for id in ids {
+            assert!(!q.cancel(id), "drained entry cancels as a no-op");
+        }
+        assert_eq!(q.cancels(), 0);
+        // Slots are reusable afterwards.
+        let id = q.register(t(9), waker().0);
+        assert!(q.cancel(id));
     }
 
     #[test]

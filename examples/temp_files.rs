@@ -2,15 +2,14 @@
 //! live before its data escapes to the server?
 //!
 //! Under SNFS a temp file deleted before the update daemon's tick costs
-//! zero write RPCs; NFS writes every block through regardless. This sweep
-//! also shows the §6.2 delayed-close variant saving the open/close RPCs
-//! of short-lived reopen patterns.
+//! zero write RPCs; NFS writes every block through regardless. (The §5.3
+//! write-close-reopen-read probe is the `micro_reopen` experiment:
+//! `spritely run micro_reopen`.)
 //!
 //! Run with: `cargo run --example temp_files`
 
-use spritely::harness::{run_reopen, run_temp_lifetime, Protocol};
+use spritely::harness::{run_temp_lifetime, Protocol};
 use spritely::metrics::TextTable;
-use spritely::proto::NfsProc;
 use spritely::sim::SimDuration;
 
 fn main() {
@@ -27,26 +26,4 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-
-    println!("§5.3 write-close-reopen-read probe (256 KB):\n");
-    let mut t = TextTable::new(vec!["protocol", "reread", "read time", "read RPCs"]);
-    for (p, same) in [
-        (Protocol::Nfs, true),
-        (Protocol::Nfs, false),
-        (Protocol::NfsFixed, true),
-        (Protocol::Snfs, true),
-    ] {
-        let run = run_reopen(p, same, 256 * 1024);
-        t.row(vec![
-            p.label().to_string(),
-            if same { "same file" } else { "other file" }.to_string(),
-            format!("{:.2} s", run.result.read_time.as_secs_f64()),
-            run.ops.get(NfsProc::Read).to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "The vintage NFS client purges its cache at close, so re-reading the same\n\
-         file costs the same as reading a different one — the §5.3 observation."
-    );
 }

@@ -16,34 +16,13 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> traced Andrew run (invariant checker gate)"
-cargo run --release --quiet --example traced_andrew
-
-echo "==> server I/O pipeline smoke run (pipelined must beat paper)"
-cargo run --release --quiet --example server_io_smoke
-
-echo "==> transport pipeline smoke run (pipelined must beat paper)"
-cargo run --release --quiet --example transport_smoke
-
-echo "==> chaos smoke run (faulted runs must converge to fault-free contents)"
-cargo run --release --quiet --example chaos_smoke
-
-echo "==> delegation smoke run (open churn must shed messages, trace must stay clean)"
-cargo run --release --quiet --example delegation_smoke
-
-echo "==> sim-core smoke run (>= 1.5x pre-PR events/sec, cancelled sleeps leave no timers)"
-cargo run --release --quiet --example sim_speed_smoke
-
-echo "==> latency profiler smoke run (phase accounting must be exact, >= 99% attributed)"
-cargo run --release --quiet --example profile_smoke
-
-echo "==> shard smoke run (paper mode inert, deterministic, >= 1.5x at 8 shards, chaos converges)"
-cargo run --release --quiet --example shard_smoke
-
-echo "==> snapshot regression gate (fresh Andrew profile vs baselines/)"
-cargo run --release --quiet --bin spritely -- profile andrew > /dev/null
-cargo run --release --quiet --bin spritely -- compare \
-    baselines/profile_andrew_snfs.json artifacts/profile_andrew_snfs.json
+# Every experiment in the catalogue, once, at seed 42: its own gate
+# conditions (trace checker clean, each layer's speedup floor, chaos
+# convergence, the sim-core wall-clock floor), its artifacts against
+# baselines/ byte for byte, its ledger against BENCH_<name>.json key for
+# key. Prints per-experiment wall time.
+echo "==> spritely gate (22 experiments vs baselines/ and BENCH_*.json)"
+cargo run --release --quiet --bin spritely -- gate
 
 # The benchmark is its own workspace, so nothing above compiles it: an API
 # break it depends on (Proc, Testbed, BlockCache, ...) would otherwise

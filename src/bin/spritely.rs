@@ -1,213 +1,148 @@
-//! Command-line front end: regenerate any of the paper's tables and
-//! figures (plus the extension experiments) without writing code.
-//!
-//! ```text
-//! spritely table 5-1 [--seed N]     # Andrew elapsed times
-//! spritely table 5-2                # Andrew RPC counts
-//! spritely table 5-3|5-4|5-5|5-6    # sort benchmark family
-//! spritely figure 5-1|5-2           # utilization/call-rate CSV
-//! spritely micro                    # §5.3 write-close-reopen-read
-//! spritely lifetime                 # temp-file lifetime sweep
-//! spritely scaling                  # §2.3 multi-client capacity
-//! spritely matrix [--threads N]     # experiment matrix, fanned across threads
-//! spritely profile <workload>       # traced run + phase-attributed latency profile
-//! spritely compare <a.json> <b.json>  # diff two snapshot/ledger JSONs
-//! spritely all                      # everything above
-//! ```
+//! Command-line front end: run, list and gate the experiment catalogue
+//! (`spritely::harness::catalog` — every table, figure, ablation and
+//! layer study, defined once), plus the trace tools. [`USAGE`] is the
+//! reference.
 
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
+use spritely::harness::catalog::{self, slug_of, Entry, CATALOG};
 use spritely::harness::{
-    compare_json, render_matrix, report, run_andrew, run_andrew_with, run_flush_with, run_matrix,
-    run_reopen, run_scaling, run_scaling_with, run_sort_experiment, run_temp_lifetime,
-    CompareOptions, Experiment, Protocol, ServerIoParams, TestbedParams, WriteBehindParams,
+    compare_json, render_matrix, report, run_andrew_with, run_flush_with, run_matrix,
+    run_scaling_with, CompareOptions, Experiment, Protocol, ServerIoParams, TestbedParams,
+    WriteBehindParams,
 };
-use spritely::metrics::TextTable;
-use spritely::proto::NfsProc;
-use spritely::sim::SimDuration;
 use spritely::trace::profile_trace;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: spritely <command> [--seed N]\n\
-         commands:\n\
-           table 5-1 | 5-2 | 5-3 | 5-4 | 5-5 | 5-6\n\
-           figure 5-1 | 5-2\n\
-           micro        (§5.3 write-close-reopen-read)\n\
-           lifetime     (temp-file lifetime sweep)\n\
-           scaling      (§2.3 multi-client capacity)\n\
-           matrix       (experiment matrix fanned across --threads N workers;\n\
-                         per-cell snapshots land in artifacts/matrix/)\n\
-           profile andrew | andrew-pipelined | scaling | flush\n\
-                        (traced run; prints the phase-attribution tables and\n\
-                         writes artifacts/profile_<slug>.json)\n\
-           compare <a.json> <b.json> [--threshold PCT]\n\
-                        (diff two snapshot/ledger JSONs; exit 1 on regression)\n\
-           all"
-    );
+const USAGE: &str = "usage: spritely <command> [--seed N]\n\
+    commands:\n\
+    \x20 list         every experiment in the catalogue: name and title\n\
+    \x20 run <name>... | --all\n\
+    \x20              run experiments: print the artifact, write artifacts/ and the\n\
+    \x20              ledger BENCH_<name>.json; exit 1 if a gate condition failed\n\
+    \x20              (the committed record is seed 42, the default)\n\
+    \x20 table 5-1 | figure 5-2 | scaling | ...\n\
+    \x20              any words that slug to an experiment's name run it\n\
+    \x20 gate [<name>...]\n\
+    \x20              run every (or the named) experiment at seed 42 and compare with\n\
+    \x20              what is committed: gate conditions, baselines/ byte for byte,\n\
+    \x20              BENCH_<name>.json key for key; exit 1 on any difference\n\
+    \x20 matrix       experiment matrix fanned across --threads N workers;\n\
+    \x20              per-cell snapshots land in artifacts/matrix/\n\
+    \x20 profile andrew | andrew-pipelined | scaling | flush\n\
+    \x20              traced run; prints the phase-attribution tables and\n\
+    \x20              writes artifacts/profile_<slug>.json\n\
+    \x20 compare <a.json> <b.json> [--threshold PCT]\n\
+    \x20              diff two snapshot/ledger JSONs; exit 1 on regression";
+
+/// A parsed command line: positional words in order, flags by name.
+#[derive(Debug, PartialEq)]
+struct Cli {
+    words: Vec<String>,
+    seed: u64,
+    threads: Option<usize>,
+    threshold_pct: Option<f64>,
+    all: bool,
+}
+
+/// Flags may come anywhere; everything else is positional, in order. A
+/// flag with a missing or malformed value is an error, as is an unknown
+/// flag — nothing falls back silently.
+fn parse(args: &[String]) -> Result<Cli, String> {
+    fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+        let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse()
+            .map_err(|_| format!("{flag}: {v:?} is not a valid value"))
+    }
+    let mut cli = Cli {
+        words: Vec::new(),
+        seed: 42,
+        threads: None,
+        threshold_pct: None,
+        all: false,
+    };
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--seed" => cli.seed = value(a, args.next())?,
+            "--threads" => cli.threads = Some(value(a, args.next())?),
+            "--threshold" => cli.threshold_pct = Some(value(a, args.next())?),
+            "--all" => cli.all = true,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            word => cli.words.push(word.to_string()),
+        }
+    }
+    Ok(cli)
+}
+
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("error: {message}\n{USAGE}");
     ExitCode::from(2)
 }
 
-/// Ledger/filename slug for a free-form run label.
-fn slug(label: &str) -> String {
-    let mut out = String::new();
-    for c in label.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('_') {
-            out.push('_');
+/// Runs `f` over the named entries, or over the whole catalogue when
+/// no name is given; an unknown name is a usage error.
+fn with_entries(names: &[&str], f: impl FnOnce(&[&Entry]) -> ExitCode) -> ExitCode {
+    if names.is_empty() {
+        return f(&CATALOG.iter().collect::<Vec<_>>());
+    }
+    let named: Result<Vec<&Entry>, &str> =
+        names.iter().map(|&n| catalog::find(n).ok_or(n)).collect();
+    match named {
+        Ok(entries) => f(&entries),
+        Err(n) => usage_error(&format!("no experiment named {n:?} (see `spritely list`)")),
+    }
+}
+
+fn list() {
+    for e in CATALOG {
+        println!("{:<24} {}", e.name, e.title);
+    }
+}
+
+fn run(entries: &[&Entry], seed: u64) -> ExitCode {
+    let mut failed = false;
+    for entry in entries {
+        let outcome = catalog::regenerate(Path::new("."), entry, seed);
+        failed |= !outcome.failures.is_empty();
+    }
+    ExitCode::from(failed as u8)
+}
+
+fn gate(entries: &[&Entry]) -> ExitCode {
+    let root = Path::new(".");
+    let started = Instant::now();
+    let mut failures = 0;
+    for entry in entries {
+        let t0 = Instant::now();
+        let outcome = (entry.run)(42);
+        // Left behind so a failure can be diffed against baselines/.
+        let written = catalog::write_files(&root.join("artifacts"), &entry.artifacts(&outcome));
+        if let Err(e) = written {
+            eprintln!(
+                "warning: could not write artifacts/ for {}: {e}",
+                entry.name
+            );
         }
-    }
-    out.trim_matches('_').to_string()
-}
-
-/// Best-effort write under `artifacts/` (created on demand), relative
-/// to the current directory.
-fn write_artifact(rel: &str, contents: &str) {
-    let path = std::path::Path::new("artifacts").join(rel);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&path, contents) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-fn parse_seed(args: &[String]) -> u64 {
-    args.windows(2)
-        .find(|w| w[0] == "--seed")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(42)
-}
-
-fn andrew_runs(seed: u64) -> Vec<spritely::harness::AndrewRun> {
-    vec![
-        run_andrew(Protocol::Local, false, seed),
-        run_andrew(Protocol::Nfs, false, seed),
-        run_andrew(Protocol::Nfs, true, seed),
-        run_andrew(Protocol::Snfs, false, seed),
-        run_andrew(Protocol::Snfs, true, seed),
-    ]
-}
-
-fn table_5_1(seed: u64) {
-    println!("Table 5-1: Andrew benchmark elapsed time (seconds)\n");
-    println!("{}", report::table_5_1(&andrew_runs(seed)));
-}
-
-fn table_5_2(seed: u64) {
-    println!("Table 5-2: RPC calls for the Andrew benchmark (steady state)\n");
-    println!("{}", report::table_5_2(&andrew_runs(seed)));
-}
-
-fn table_5_3() {
-    let mut runs = Vec::new();
-    for &kb in &[281u64, 1408, 2816] {
-        for p in [Protocol::Local, Protocol::Nfs, Protocol::Snfs] {
-            runs.push(run_sort_experiment(p, kb * 1024, true));
+        let bad = catalog::check(root, entry, &outcome);
+        println!(
+            "{} {:<24} {:>5.2} s",
+            if bad.is_empty() { "ok  " } else { "FAIL" },
+            entry.name,
+            t0.elapsed().as_secs_f64()
+        );
+        for line in &bad {
+            println!("     {line}");
         }
+        failures += bad.len();
     }
-    println!("Table 5-3: results of sort benchmark\n");
-    println!("{}", report::sort_table(&runs));
-}
-
-fn table_5_4() {
-    let runs = vec![
-        run_sort_experiment(Protocol::Nfs, 2816 * 1024, true),
-        run_sort_experiment(Protocol::Snfs, 2816 * 1024, true),
-    ];
-    println!("Table 5-4: RPC calls for sort benchmark (2816 KB)\n");
-    println!("{}", report::sort_rpc_table(&runs));
-}
-
-fn table_5_5() {
-    let mut runs = Vec::new();
-    for &kb in &[281u64, 1408, 2816] {
-        for p in [Protocol::Local, Protocol::Nfs, Protocol::Snfs] {
-            runs.push(run_sort_experiment(p, kb * 1024, false));
-        }
-    }
-    println!("Table 5-5: sort benchmark, infinite write-delay\n");
-    println!("{}", report::sort_table(&runs));
-}
-
-fn table_5_6() {
-    let runs = vec![
-        run_sort_experiment(Protocol::Nfs, 2816 * 1024, true),
-        run_sort_experiment(Protocol::Nfs, 2816 * 1024, false),
-        run_sort_experiment(Protocol::Snfs, 2816 * 1024, true),
-        run_sort_experiment(Protocol::Snfs, 2816 * 1024, false),
-    ];
-    println!("Table 5-6: RPC calls for sort, update on/off (2816 KB)\n");
-    println!("{}", report::sort_rpc_table(&runs));
-}
-
-fn figure(which: &str, seed: u64) {
-    let (proto, title) = match which {
-        "5-1" => (Protocol::Nfs, "Figure 5-1 (NFS)"),
-        "5-2" => (Protocol::Snfs, "Figure 5-2 (SNFS)"),
-        _ => unreachable!("validated by caller"),
-    };
-    let run = run_andrew(proto, true, seed);
-    println!("# {title}: server utilization and call rates, /tmp remote");
-    print!("{}", report::figure_series(&run));
-}
-
-fn micro() {
-    let runs = vec![
-        run_reopen(Protocol::Nfs, true, 1024 * 1024),
-        run_reopen(Protocol::Nfs, false, 1024 * 1024),
-        run_reopen(Protocol::NfsFixed, true, 1024 * 1024),
-        run_reopen(Protocol::Snfs, true, 1024 * 1024),
-    ];
-    println!("Section 5.3 microbenchmark: write-close-reopen-read (1 MB)\n");
-    println!("{}", report::reopen_table(&runs));
-}
-
-fn lifetime() {
-    println!("Temp-file lifetime sweep (64 KB, deleted after <lifetime>):\n");
-    let mut t = TextTable::new(vec!["lifetime", "NFS writes", "SNFS writes"]);
-    for secs in [1u64, 5, 15, 45, 90] {
-        let d = SimDuration::from_secs(secs);
-        let nfs = run_temp_lifetime(Protocol::Nfs, 64 * 1024, d);
-        let snfs = run_temp_lifetime(Protocol::Snfs, 64 * 1024, d);
-        t.row(vec![
-            format!("{secs} s"),
-            nfs.write_rpcs.to_string(),
-            snfs.write_rpcs.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn scaling(seed: u64) {
-    println!("Server scaling (§2.3): concurrent diskless-workstation clients\n");
-    let mut t = TextTable::new(vec![
-        "clients",
-        "NFS makespan",
-        "SNFS makespan",
-        "speedup",
-        "NFS ops",
-        "SNFS ops",
-    ]);
-    for &n in &[1usize, 2, 4, 8] {
-        let nfs = run_scaling(Protocol::Nfs, n, seed);
-        let snfs = run_scaling(Protocol::Snfs, n, seed);
-        t.row(vec![
-            n.to_string(),
-            format!("{:.0} s", nfs.makespan.as_secs_f64()),
-            format!("{:.0} s", snfs.makespan.as_secs_f64()),
-            format!(
-                "{:.2}x",
-                nfs.makespan.as_secs_f64() / snfs.makespan.as_secs_f64()
-            ),
-            nfs.ops.total().to_string(),
-            snfs.ops.total().to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    let _ = NfsProc::Null; // keep the import obviously used
+    println!(
+        "gate: {} experiment(s), {failures} failure(s), {:.1} s",
+        entries.len(),
+        started.elapsed().as_secs_f64()
+    );
+    ExitCode::from((failures > 0) as u8)
 }
 
 fn matrix(seed: u64, threads: usize) {
@@ -238,57 +173,62 @@ fn matrix(seed: u64, threads: usize) {
         threads.max(1)
     );
     println!("{}", render_matrix(&results));
-    for r in &results {
-        write_artifact(&format!("matrix/{}.json", slug(&r.label)), &r.stats_json);
+    let files: Vec<(String, String)> = results
+        .into_iter()
+        .map(|r| (format!("matrix/{}.json", slug_of(&r.label)), r.stats_json))
+        .collect();
+    write_artifacts(&files);
+}
+
+/// Writes under `artifacts/` relative to the current directory and says
+/// so; a read-only checkout gets a warning, not a failure.
+fn write_artifacts(files: &[(String, String)]) {
+    match catalog::write_files(Path::new("artifacts"), files) {
+        Ok(()) => files
+            .iter()
+            .for_each(|(name, _)| println!("wrote artifacts/{name}")),
+        Err(e) => eprintln!("warning: could not write under artifacts/: {e}"),
     }
 }
 
 fn profile(which: &str, seed: u64) -> ExitCode {
+    let snfs_tmp_remote = TestbedParams {
+        protocol: Protocol::Snfs,
+        tmp_remote: true,
+        trace: true,
+        ..TestbedParams::default()
+    };
     let (name, trace) = match which {
-        "andrew" => {
-            // The paper's headline configuration: SNFS with /tmp remote.
-            let run = run_andrew_with(
+        // The paper's headline configuration: SNFS with /tmp remote.
+        "andrew" => ("andrew_snfs", run_andrew_with(snfs_tmp_remote, seed).trace),
+        // Same workload with every perf-mode pipeline enabled.
+        "andrew-pipelined" => (
+            "andrew_snfs_pipelined",
+            run_andrew_with(
                 TestbedParams {
-                    protocol: Protocol::Snfs,
-                    tmp_remote: true,
-                    trace: true,
-                    ..TestbedParams::default()
-                },
-                seed,
-            );
-            ("andrew_snfs", run.trace)
-        }
-        "andrew-pipelined" => {
-            // Same workload with every perf-mode pipeline enabled.
-            let run = run_andrew_with(
-                TestbedParams {
-                    protocol: Protocol::Snfs,
-                    tmp_remote: true,
                     server_io: ServerIoParams::pipelined(),
                     write_behind: WriteBehindParams::pipelined(),
-                    trace: true,
-                    ..TestbedParams::default()
+                    ..snfs_tmp_remote
                 },
                 seed,
-            );
-            ("andrew_snfs_pipelined", run.trace)
-        }
-        "scaling" => {
-            let run = run_scaling_with(
+            )
+            .trace,
+        ),
+        "scaling" => (
+            "scaling_pipelined_4",
+            run_scaling_with(
                 TestbedParams {
-                    protocol: Protocol::Snfs,
-                    tmp_remote: true,
                     server_io: ServerIoParams::pipelined(),
-                    trace: true,
-                    ..TestbedParams::default()
+                    ..snfs_tmp_remote
                 },
                 4,
                 seed,
-            );
-            ("scaling_pipelined_4", run.trace)
-        }
-        "flush" => {
-            let run = run_flush_with(
+            )
+            .trace,
+        ),
+        "flush" => (
+            "flush_pipelined",
+            run_flush_with(
                 "pipelined",
                 TestbedParams {
                     protocol: Protocol::Snfs,
@@ -298,44 +238,30 @@ fn profile(which: &str, seed: u64) -> ExitCode {
                     ..TestbedParams::default()
                 },
                 64,
-            );
-            ("flush_pipelined", run.trace)
-        }
-        _ => return usage(),
+            )
+            .trace,
+        ),
+        _ => return usage_error(&format!("no profile workload named {which:?}")),
     };
     let trace = trace.expect("tracing was requested");
     let p = profile_trace(&trace.events);
     println!("Latency profile: {which} (seed {seed})\n");
     println!("{}", report::profile_table(&p));
-    write_artifact(&format!("profile_{name}.json"), &p.to_json());
+    write_artifacts(&[(format!("profile_{name}.json"), p.to_json())]);
     ExitCode::SUCCESS
 }
 
-fn compare(a: &str, b: &str, args: &[String]) -> ExitCode {
+fn compare(a: &str, b: &str, threshold_pct: Option<f64>) -> ExitCode {
     let mut opts = CompareOptions::default();
-    if let Some(pct) = args
-        .windows(2)
-        .find(|w| w[0] == "--threshold")
-        .and_then(|w| w[1].parse::<f64>().ok())
-    {
+    if let Some(pct) = threshold_pct {
         opts.rel_threshold = pct / 100.0;
     }
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("read {p}: {e}"));
-    let (ta, tb) = match (read(a), read(b)) {
-        (Ok(x), Ok(y)) => (x, y),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match compare_json(&ta, &tb, &opts) {
+    let report = read(a).and_then(|ta| compare_json(&ta, &read(b)?, &opts));
+    match report {
         Ok(r) => {
             print!("{}", r.render());
-            if r.ok() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+            ExitCode::from(!r.ok() as u8)
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -344,57 +270,94 @@ fn compare(a: &str, b: &str, args: &[String]) -> ExitCode {
     }
 }
 
-fn parse_threads(args: &[String]) -> usize {
-    args.windows(2)
-        .find(|w| w[0] == "--threads")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = parse_seed(&args);
-    let mut words = args
-        .iter()
-        .filter(|a| !a.starts_with("--") && a.parse::<u64>().is_err());
-    let cmd = match words.next() {
-        Some(c) => c.as_str(),
-        None => return usage(),
+    let cli = match parse(&args) {
+        Ok(cli) => cli,
+        Err(e) => return usage_error(&e),
     };
-    let arg = words.next().map(String::as_str);
-    match (cmd, arg) {
-        ("table", Some("5-1")) => table_5_1(seed),
-        ("table", Some("5-2")) => table_5_2(seed),
-        ("table", Some("5-3")) => table_5_3(),
-        ("table", Some("5-4")) => table_5_4(),
-        ("table", Some("5-5")) => table_5_5(),
-        ("table", Some("5-6")) => table_5_6(),
-        ("figure", Some(f @ ("5-1" | "5-2"))) => figure(f, seed),
-        ("micro", None) => micro(),
-        ("lifetime", None) => lifetime(),
-        ("scaling", None) => scaling(seed),
-        ("matrix", None) => matrix(seed, parse_threads(&args)),
-        ("profile", Some(w)) => return profile(w, seed),
-        ("compare", Some(a)) => {
-            let Some(b) = words.next().map(String::as_str) else {
-                return usage();
-            };
-            return compare(a, b, &args);
+    let words: Vec<&str> = cli.words.iter().map(String::as_str).collect();
+    match words.as_slice() {
+        ["list"] => {
+            list();
+            ExitCode::SUCCESS
         }
-        ("all", None) => {
-            table_5_1(seed);
-            table_5_2(seed);
-            table_5_3();
-            table_5_4();
-            table_5_5();
-            table_5_6();
-            figure("5-1", seed);
-            figure("5-2", seed);
-            micro();
-            lifetime();
-            scaling(seed);
+        ["run"] if !cli.all => usage_error("run needs experiment names or --all"),
+        ["run", names @ ..] => with_entries(names, |entries| run(entries, cli.seed)),
+        ["gate", names @ ..] => with_entries(names, gate),
+        ["matrix"] => {
+            let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+            matrix(cli.seed, cli.threads.unwrap_or_else(cores));
+            ExitCode::SUCCESS
         }
-        _ => return usage(),
+        ["profile", which] => profile(which, cli.seed),
+        ["compare", a, b] => compare(a, b, cli.threshold_pct),
+        [] => usage_error("no command"),
+        // `table 5-1`, `figure 5-2`, `micro reopen`, `scaling`, ...
+        sugar => match catalog::find(&slug_of(&sugar.join(" "))) {
+            Some(entry) => run(&[entry], cli.seed),
+            None => usage_error(&format!("unknown command {:?}", sugar.join(" "))),
+        },
     }
-    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(args: &[&str]) -> Result<Cli, String> {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_parse_anywhere_and_positionals_keep_their_order() {
+        let c = cli(&["--seed", "7", "table", "5-1"]).unwrap();
+        assert_eq!(
+            (c.seed, c.words),
+            (7, vec!["table".to_string(), "5-1".to_string()])
+        );
+        let c = cli(&["table", "--seed", "7", "5-1"]).unwrap();
+        assert_eq!((c.seed, c.words.len()), (7, 2));
+        // A bare number is a positional like any other word.
+        let c = cli(&["compare", "1", "2", "--threshold", "2.5"]).unwrap();
+        assert_eq!(c.words, ["compare", "1", "2"]);
+        assert_eq!(c.threshold_pct, Some(2.5));
+        assert_eq!(c.seed, 42);
+        let c = cli(&["run", "--all", "--threads", "3"]).unwrap();
+        assert!(c.all);
+        assert_eq!(c.threads, Some(3));
+    }
+
+    #[test]
+    fn malformed_missing_and_unknown_flags_are_errors() {
+        assert_eq!(
+            cli(&["table", "5-1", "--seed", "x"]).unwrap_err(),
+            "--seed: \"x\" is not a valid value"
+        );
+        assert_eq!(
+            cli(&["matrix", "--threads"]).unwrap_err(),
+            "--threads needs a value"
+        );
+        assert_eq!(
+            cli(&["matrix", "--threads", "-1"]).unwrap_err(),
+            "--threads: \"-1\" is not a valid value"
+        );
+        assert_eq!(
+            cli(&["compare", "a", "b", "--threshold", "ten"]).unwrap_err(),
+            "--threshold: \"ten\" is not a valid value"
+        );
+        assert_eq!(cli(&["run", "--al"]).unwrap_err(), "unknown flag --al");
+    }
+
+    #[test]
+    fn name_sugar_resolves_through_the_one_slug() {
+        for (words, name) in [
+            ("table 5-1", "table_5_1"),
+            ("figure 5-2", "figure_5_2"),
+            ("micro reopen", "micro_reopen"),
+            ("scaling", "scaling"),
+        ] {
+            assert_eq!(catalog::find(&slug_of(words)).map(|e| e.name), Some(name));
+        }
+    }
 }

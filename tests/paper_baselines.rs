@@ -9,42 +9,37 @@
 //! opt-ins: the measured 1989 system is reproduced bit-for-bit unless
 //! the pipelines are asked for.
 //!
-//! Each test re-runs the exact run set of the corresponding bench target
-//! (same protocols, sizes, and seed) and compares the rendered artifact —
-//! `"{title}\n{body}\n"`, as `spritely_bench::artifact` writes it —
-//! against the baseline file.
+//! The run sets, titles and renderers are the catalogue's
+//! (`spritely::harness::catalog`); this file looks them up by name.
 
 use std::fs;
 
-use spritely::harness::{
-    report, run_andrew, run_sort_experiment, Protocol, SortRun, Testbed, TestbedParams,
-};
+use spritely::harness::catalog::{self, rendered};
+use spritely::harness::{Protocol, Testbed, TestbedParams};
 use spritely::trace::EventKind;
 use spritely::vfs::OpenFlags;
 
-fn baseline(name: &str) -> String {
-    let path = format!("{}/baselines/{name}", env!("CARGO_MANIFEST_DIR"));
-    fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
-}
-
-fn rendered(title: &str, body: &str) -> String {
-    format!("{title}\n{body}\n")
-}
-
 #[test]
-fn paper_mode_andrew_tables_match_baselines() {
-    // The run set of benches/table_5_1.rs; table_5_2.rs uses the same
-    // four remote runs (determinism makes re-renders byte-equal).
-    let mut runs = vec![
-        run_andrew(Protocol::Local, false, 42),
-        run_andrew(Protocol::Nfs, false, 42),
-        run_andrew(Protocol::Nfs, true, 42),
-        run_andrew(Protocol::Snfs, false, 42),
-        run_andrew(Protocol::Snfs, true, 42),
-    ];
-    // The default transport is the paper's: the batcher, the piggyback
-    // consumer, and the compound machinery must all be inert.
-    for r in &runs {
+fn paper_mode_tables_match_baselines() {
+    for n in 1..=6 {
+        let name = format!("table_5_{n}");
+        let entry = catalog::find(&name).expect("the six tables are catalogue entries");
+        let path = format!("{}/baselines/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        let baseline = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        assert_eq!(
+            rendered(entry.title, &(entry.run)(42).body),
+            baseline,
+            "{name} drifted from its baseline in paper mode"
+        );
+    }
+}
+
+/// The default transport is the paper's: in the Andrew runs behind
+/// Tables 5-1/5-2 the batcher, the piggyback consumer and the compound
+/// machinery must all be inert, and no delegation section may appear.
+#[test]
+fn paper_mode_andrew_runs_keep_the_pipelines_inert() {
+    for r in &catalog::andrew_runs(42) {
         let t = &r.stats.transport;
         assert_eq!(t.batches, 0, "paper transport must never batch");
         assert_eq!(t.saved_round_trips, 0);
@@ -54,23 +49,6 @@ fn paper_mode_andrew_tables_match_baselines() {
             "paper runs must not report a delegation section"
         );
     }
-    assert_eq!(
-        rendered(
-            "Table 5-1: Andrew benchmark elapsed time (seconds)",
-            &report::table_5_1(&runs)
-        ),
-        baseline("table_5_1.txt"),
-        "table 5-1 drifted from its baseline in paper mode"
-    );
-    runs.remove(0); // table 5-2 has no local column
-    assert_eq!(
-        rendered(
-            "Table 5-2: RPC calls for the Andrew benchmark (steady state)",
-            &report::table_5_2(&runs)
-        ),
-        baseline("table_5_2.txt"),
-        "table 5-2 drifted from its baseline in paper mode"
-    );
 }
 
 /// Delegations compiled in but disabled (the default
@@ -143,60 +121,4 @@ fn paper_mode_keeps_delegations_inert() {
         })
         .count();
     assert_eq!(deleg_events, 0, "paper mode must emit zero Deleg* events");
-}
-
-#[test]
-fn paper_mode_sort_tables_match_baselines() {
-    let sweep = |update: bool| -> Vec<SortRun> {
-        let mut runs = Vec::new();
-        for &kb in &[281u64, 1408, 2816] {
-            for p in [Protocol::Local, Protocol::Nfs, Protocol::Snfs] {
-                runs.push(run_sort_experiment(p, kb * 1024, update));
-            }
-        }
-        runs
-    };
-    let mut upd = sweep(true);
-    let mut noupd = sweep(false);
-    assert_eq!(
-        rendered(
-            "Table 5-3: results of sort benchmark",
-            &report::sort_table(&upd)
-        ),
-        baseline("table_5_3.txt"),
-        "table 5-3 drifted from its baseline in paper mode"
-    );
-    assert_eq!(
-        rendered(
-            "Table 5-5: sort benchmark, infinite write-delay",
-            &report::sort_table(&noupd)
-        ),
-        baseline("table_5_5.txt"),
-        "table 5-5 drifted from its baseline in paper mode"
-    );
-    // Tables 5-4/5-6 are row subsets of the sweeps (NFS/SNFS at 2816 KB);
-    // the sweep order is [.., Local, Nfs, Snfs] per size, largest last.
-    let snfs_u = upd.remove(8);
-    let nfs_u = upd.remove(7);
-    let v54 = [nfs_u, snfs_u];
-    assert_eq!(
-        rendered(
-            "Table 5-4: RPC calls for sort benchmark",
-            &report::sort_rpc_table(&v54)
-        ),
-        baseline("table_5_4.txt"),
-        "table 5-4 drifted from its baseline in paper mode"
-    );
-    let snfs_n = noupd.remove(8);
-    let nfs_n = noupd.remove(7);
-    let [nfs_u, snfs_u] = v54;
-    let v56 = vec![nfs_u, nfs_n, snfs_u, snfs_n];
-    assert_eq!(
-        rendered(
-            "Table 5-6: RPC calls for sort, update on/off (2816 KB)",
-            &report::sort_rpc_table(&v56)
-        ),
-        baseline("table_5_6.txt"),
-        "table 5-6 drifted from its baseline in paper mode"
-    );
 }

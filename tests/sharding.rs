@@ -293,6 +293,17 @@ fn chaos_shard_partition_mid_rename_converges() {
     assert!(v.converged(), "{}", v.report());
 }
 
+/// Determinism extends to the sharded build: the same seed gives a
+/// byte-identical statistics snapshot and the same makespan.
+#[test]
+fn sharded_scaling_runs_are_bit_identical() {
+    let a = spritely::harness::run_scaling_shards(4, 32, 42);
+    let b = spritely::harness::run_scaling_shards(4, 32, 42);
+    assert_eq!(a.stats.to_json(), b.stats.to_json());
+    assert_eq!(a.makespan, b.makespan);
+    assert!(a.total_rpcs > 0);
+}
+
 /// What `Testbed::build_with_clients` panics with for `params`, if it
 /// panics.
 fn build_panic(params: TestbedParams, n_clients: usize) -> Option<String> {
