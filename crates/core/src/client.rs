@@ -1,8 +1,10 @@
 //! The SNFS client: version-checked caching with delayed write-back,
 //! callback service, and write cancellation for deleted files.
 //!
-//! Differences from the NFS client (paper §4.2), all load-bearing for the
-//! results:
+//! What it shares with the NFS client — RPC plumbing, name cache,
+//! namespace procedures, the block read path — is
+//! [`ClientBase`](spritely_nfs::base::ClientBase). This module is the
+//! differences (paper §4.2), all load-bearing for the results:
 //!
 //! * `open`/`close` RPCs replace attribute probes; while a file is
 //!   cachable there are **no consistency checks at all**;
@@ -20,15 +22,18 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::future::Future;
+use std::ops::Deref;
 use std::rc::Rc;
 
-use spritely_localfs::{BlockCache, DirtyRun, DirtyVictim, DropCounts};
+use spritely_localfs::{DirtyRun, DirtyVictim, DropCounts};
 use spritely_metrics::{Histogram, InflightGauge, OpCounter};
+use spritely_nfs::base::{block_spans, status_of, BlockClient, ClientBase, Key, NameCache};
 use spritely_proto::{
-    block_of, blocks_for, Buf, CallbackArg, CallbackReply, ClientId, DirEntry, Fattr, FileHandle,
+    block_of, blocks_for, Buf, CallbackArg, CallbackReply, ClientId, Fattr, FileHandle,
     FileVersion, NfsReply, NfsRequest, NfsStatus, Payload, ReadReply, Result, BLOCK_SIZE,
 };
-use spritely_rpcnet::{Endpoint, EndpointParams, RpcError, ShardCaller};
+use spritely_rpcnet::{Endpoint, EndpointParams, ShardCaller};
 use spritely_sim::{Event, Resource, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
@@ -159,8 +164,6 @@ pub struct ClientStats {
     pub attr_piggybacks: u64,
 }
 
-type Key = (FileHandle, u64);
-
 struct FileInfo {
     cacheable: bool,
     /// Version of the data in our cache, if any.
@@ -172,6 +175,21 @@ struct FileInfo {
     /// §6.2: a close we have not reported yet: (readers, writers) counts
     /// awaiting a close RPC.
     pending_close: Option<(u32, u32)>,
+}
+
+impl FileInfo {
+    /// A file first heard of with attributes `attr`: cachable, nothing
+    /// cached, not open.
+    fn new(attr: Fattr) -> Self {
+        FileInfo {
+            cacheable: true,
+            cached_version: None,
+            attr,
+            readers: 0,
+            writers: 0,
+            pending_close: None,
+        }
+    }
 }
 
 /// A delegation this client holds on one file (DESIGN.md §17). While it
@@ -189,22 +207,17 @@ struct DelegRecord {
 }
 
 struct Inner {
-    sim: Sim,
-    caller: ShardCaller,
+    /// Everything Spritely NFS shares with NFS: RPC plumbing, the name
+    /// cache (here the §7 extension, kept consistent by directory
+    /// invalidate callbacks), the namespace procedures and the block read
+    /// path. The rest of this struct is the delta.
+    base: ClientBase,
     id: ClientId,
     params: SnfsClientParams,
-    cache: RefCell<BlockCache<Key>>,
     files: RefCell<HashMap<FileHandle, FileInfo>>,
-    in_flight: RefCell<HashMap<Key, Event>>,
-    /// Per-file invalidation epoch: bumped whenever a file's blocks are
-    /// dropped wholesale, compared by a read reply before it caches.
-    inval_epochs: RefCell<HashMap<FileHandle, u64>>,
     stats: Cell<ClientStats>,
     /// Last server epoch observed via `keepalive`/`recover` (0 = never).
     known_epoch: Cell<u64>,
-    /// Name-translation cache: `(dir, name) → (fh, attr)` (§7 extension;
-    /// consistent via directory invalidate callbacks).
-    names: RefCell<HashMap<(FileHandle, String), (FileHandle, Fattr)>>,
     /// Write-behind pool slots: bounds how many planned flush runs are
     /// staged concurrently.
     flush_slots: Semaphore,
@@ -271,9 +284,24 @@ pub struct SnfsClient {
     inner: Rc<Inner>,
 }
 
-fn status_of(e: RpcError) -> NfsStatus {
-    match e {
-        RpcError::Timeout => NfsStatus::Io,
+/// The namespace procedures SNFS keeps no state for (`mkdir`, `rmdir`,
+/// `rename`, `readdir`, `symlink`, `readlink`) are the base's own.
+impl Deref for SnfsClient {
+    type Target = ClientBase;
+
+    fn deref(&self) -> &ClientBase {
+        &self.inner.base
+    }
+}
+
+impl BlockClient for SnfsClient {
+    /// Local attributes are authoritative while a file is cachable.
+    fn read_attr(&self, _fh: FileHandle, _attr: Fattr) {}
+
+    /// A fetch (or prefetch) can evict a dirty block of an all-dirty
+    /// cache; its data must be written out, not dropped.
+    fn evicted(&self, victim: DirtyVictim<Key>) -> impl Future<Output = ()> {
+        self.write_back_victim(victim)
     }
 }
 
@@ -290,19 +318,22 @@ impl SnfsClient {
             "write-behind pool must have at least one daemon"
         );
         assert!(wb.max_inflight > 0, "need at least one in-flight write");
+        // A window of 1 is the paper's single speculative block; wider
+        // windows keep several sequential fetches in flight at once.
+        let window = if params.read_ahead {
+            params.read_ahead_window.max(1)
+        } else {
+            0
+        };
+        let names = NameCache::new(params.name_cache, None);
         SnfsClient {
             inner: Rc::new(Inner {
-                sim: sim.clone(),
-                caller,
+                base: ClientBase::new(sim, caller, params.cache_blocks, names, window, None),
                 id,
                 params,
-                cache: RefCell::new(BlockCache::new(params.cache_blocks)),
                 files: RefCell::new(HashMap::new()),
-                in_flight: RefCell::new(HashMap::new()),
-                inval_epochs: RefCell::new(HashMap::new()),
                 stats: Cell::new(ClientStats::default()),
                 known_epoch: Cell::new(0),
-                names: RefCell::new(HashMap::new()),
                 flush_slots: Semaphore::new(wb.pool),
                 flush_inflight: Semaphore::new(wb.max_inflight),
                 gather_hist: Histogram::new(),
@@ -339,6 +370,23 @@ impl SnfsClient {
         self.inner.tracer.borrow().is_some()
     }
 
+    /// Runs one client operation between its `OpBegin` and `OpEnd` trace
+    /// events; `body` gets the operation's trace id, to parent what it
+    /// does under.
+    async fn traced_op<T, F: Future<Output = Result<T>>>(
+        &self,
+        op: &'static str,
+        fh: FileHandle,
+        body: impl FnOnce(u64) -> F,
+    ) -> Result<T> {
+        let client = self.inner.id;
+        let id = self.emit(0, EventKind::OpBegin { client, op, fh });
+        let res = body(id).await;
+        let ok = res.is_ok();
+        self.emit(id, EventKind::OpEnd { client, op, ok });
+        res
+    }
+
     /// This client's id.
     pub fn client_id(&self) -> ClientId {
         self.inner.id
@@ -346,7 +394,10 @@ impl SnfsClient {
 
     /// Statistics so far.
     pub fn stats(&self) -> ClientStats {
-        self.inner.stats.get()
+        ClientStats {
+            name_cache_hits: self.names().hits(),
+            ..self.inner.stats.get()
+        }
     }
 
     /// Duplicate callback deliveries absorbed by the sequence guard
@@ -376,8 +427,7 @@ impl SnfsClient {
     /// we hold, the recall could have reached us too (DESIGN.md §17.3).
     fn lease_fresh(&self) -> bool {
         let age = self
-            .inner
-            .sim
+            .sim()
             .now()
             .saturating_duration_since(self.inner.last_contact.get());
         age < self.inner.params.delegation.lease
@@ -408,14 +458,9 @@ impl SnfsClient {
         }
     }
 
-    /// Data cache `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.inner.cache.borrow().hit_stats()
-    }
-
     /// Number of dirty blocks awaiting write-back.
     pub fn dirty_blocks(&self) -> usize {
-        self.inner.cache.borrow().dirty_count()
+        self.cache().dirty_count()
     }
 
     /// Peak number of data blocks this client ever held resident. The
@@ -423,7 +468,7 @@ impl SnfsClient {
     /// regardless of its configured capacity — the number the 512-client
     /// scaling runs use to price a client's real memory footprint.
     pub fn peak_cache_blocks(&self) -> usize {
-        self.inner.cache.borrow().peak_resident()
+        self.cache().peak_resident()
     }
 
     /// Number of evicted dirty blocks whose background write-back has
@@ -448,90 +493,13 @@ impl SnfsClient {
         self.inner.stats.set(s);
     }
 
-    async fn call(&self, req: NfsRequest) -> Result<NfsReply> {
-        self.call_ctx(0, req).await
-    }
-
-    async fn call_ctx(&self, parent: u64, req: NfsRequest) -> Result<NfsReply> {
-        self.call_inner(parent, req, false).await
-    }
-
-    /// Background variant for write-back and read-ahead traffic: the
-    /// transport batcher may hold such a call briefly to coalesce it
-    /// with its peers.
-    async fn call_bg(&self, parent: u64, req: NfsRequest) -> Result<NfsReply> {
-        self.call_inner(parent, req, true).await
-    }
-
-    async fn call_inner(&self, parent: u64, req: NfsRequest, bg: bool) -> Result<NfsReply> {
-        // A rebooted server answers `Grace` until its state table is
-        // rebuilt; back off and retry — the grace period is short and
-        // bounded (§2.4). Each retry is a fresh logical call (new xid).
-        for _ in 0..30 {
-            let res = if bg {
-                self.inner.caller.call_bg(parent, req.clone()).await
-            } else {
-                self.inner.caller.call_ctx(parent, req.clone()).await
-            };
-            match res {
-                Ok(NfsReply::Err(NfsStatus::Grace)) => {
-                    self.inner.sim.sleep(SimDuration::from_secs(2)).await;
-                }
-                Ok(rep) => return rep.into_result(),
-                Err(e) => return Err(status_of(e)),
-            }
-        }
-        Err(NfsStatus::Grace)
-    }
-
-    /// Like `call_ctx`, but also reports whether the reply arrived on a
-    /// retransmission (attempt > 0). Non-idempotent procedures need this:
-    /// if the server's duplicate cache has forgotten our first execution,
-    /// the retransmit re-executes and fails spuriously — the classic NFS
-    /// create-returns-EEXIST / remove-returns-ENOENT race. The error
-    /// reply itself is returned (not lifted to `Err`) so callers can map
-    /// those retransmit-only outcomes back to success.
-    async fn call_ctx_retx(&self, parent: u64, req: NfsRequest) -> Result<(NfsReply, bool)> {
-        for _ in 0..30 {
-            match self
-                .inner
-                .caller
-                .call_ctx_flagged(parent, req.clone())
-                .await
-            {
-                Ok((NfsReply::Err(NfsStatus::Grace), _)) => {
-                    self.inner.sim.sleep(SimDuration::from_secs(2)).await;
-                }
-                Ok((rep, retx)) => return Ok((rep, retx)),
-                Err(e) => return Err(status_of(e)),
-            }
-        }
-        Err(NfsStatus::Grace)
-    }
-
     // ---- open / close ------------------------------------------------------
 
     /// Opens a file: an `open` RPC (or a local reopen under §6.2),
     /// version-checked cache retention, and cachability bookkeeping.
     pub async fn open(&self, fh: FileHandle, write: bool) -> Result<Fattr> {
-        let op = self.emit(
-            0,
-            EventKind::OpBegin {
-                client: self.inner.id,
-                op: "open",
-                fh,
-            },
-        );
-        let res = self.open_inner(fh, write, op).await;
-        self.emit(
-            op,
-            EventKind::OpEnd {
-                client: self.inner.id,
-                op: "open",
-                ok: res.is_ok(),
-            },
-        );
-        res
+        self.traced_op("open", fh, |op| self.open_inner(fh, write, op))
+            .await
     }
 
     async fn open_inner(&self, fh: FileHandle, write: bool, op: u64) -> Result<Fattr> {
@@ -576,17 +544,9 @@ impl SnfsClient {
                 }
             }
         }
-        let rep = self
-            .call_ctx(
-                op,
-                NfsRequest::Open {
-                    fh,
-                    write,
-                    client: self.inner.id,
-                },
-            )
-            .await?;
-        let open = match rep {
+        let client = self.inner.id;
+        let make = || NfsRequest::Open { fh, write, client };
+        let open = match self.call(op, make).await? {
             NfsReply::Open(o) => o,
             _ => return Err(NfsStatus::Io),
         };
@@ -607,14 +567,7 @@ impl SnfsClient {
         self.inner.removed.borrow_mut().remove(&fh);
         let (attr, flush_first, drop_blocks) = {
             let mut files = self.inner.files.borrow_mut();
-            let info = files.entry(fh).or_insert(FileInfo {
-                cacheable: true,
-                cached_version: None,
-                attr: open.attr,
-                readers: 0,
-                writers: 0,
-                pending_close: None,
-            });
+            let info = files.entry(fh).or_insert(FileInfo::new(open.attr));
             // Cache validity (paper §3.1): valid if the cached version matches
             // the latest, or — for a write open — the previous version, since
             // that bump came from this very open.
@@ -676,11 +629,11 @@ impl SnfsClient {
             },
         );
         if flush_first {
-            self.writeback_file_ctx(fh, op).await?;
+            self.writeback_file_via(fh, true, op).await?;
         }
         if drop_blocks {
             self.bump_stats(|s| s.invalidations += 1);
-            self.drop_file_blocks(fh);
+            self.drop_file(fh);
         }
         Ok(attr)
     }
@@ -728,24 +681,8 @@ impl SnfsClient {
     /// close — the whole point, §2.3). Sends the `close` RPC, or defers it
     /// under §6.2.
     pub async fn close(&self, fh: FileHandle, write: bool) -> Result<()> {
-        let op = self.emit(
-            0,
-            EventKind::OpBegin {
-                client: self.inner.id,
-                op: "close",
-                fh,
-            },
-        );
-        let res = self.close_inner(fh, write, op).await;
-        self.emit(
-            op,
-            EventKind::OpEnd {
-                client: self.inner.id,
-                op: "close",
-                ok: res.is_ok(),
-            },
-        );
-        res
+        self.traced_op("close", fh, |op| self.close_inner(fh, write, op))
+            .await
     }
 
     async fn close_inner(&self, fh: FileHandle, write: bool, op: u64) -> Result<()> {
@@ -796,17 +733,9 @@ impl SnfsClient {
                 }
             }
         }
-        let rep = self
-            .call_ctx(
-                op,
-                NfsRequest::Close {
-                    fh,
-                    write,
-                    client: self.inner.id,
-                },
-            )
-            .await?;
-        if let NfsReply::Attr(attr) = rep {
+        let client = self.inner.id;
+        let make = || NfsRequest::Close { fh, write, client };
+        if let NfsReply::Attr(attr) = self.call(op, make).await? {
             self.note_piggyback_attr(fh, attr);
         }
         Ok(())
@@ -816,8 +745,8 @@ impl SnfsClient {
     fn schedule_spontaneous_close(&self, fh: FileHandle) {
         let this = self.clone();
         let delay = self.inner.params.delayed_close_timeout;
-        self.inner.sim.spawn(async move {
-            this.inner.sim.sleep(delay).await;
+        self.sim().spawn(async move {
+            this.sim().sleep(delay).await;
             let _ = this.flush_pending_close(fh).await;
         });
     }
@@ -847,12 +776,9 @@ impl SnfsClient {
                 }
             };
             let Some(write) = mode else { break };
-            self.call(NfsRequest::Close {
-                fh,
-                write,
-                client: self.inner.id,
-            })
-            .await?;
+            let client = self.inner.id;
+            self.call(0, || NfsRequest::Close { fh, write, client })
+                .await?;
         }
         let mut files = self.inner.files.borrow_mut();
         if let Some(info) = files.get_mut(&fh) {
@@ -861,6 +787,15 @@ impl SnfsClient {
             }
         }
         Ok(())
+    }
+
+    /// Forgets `fh`'s cached blocks on the server's word (callback, lapsed
+    /// lease, fenced return), traced under `parent`.
+    fn invalidate(&self, parent: u64, fh: FileHandle) -> DropCounts {
+        self.bump_stats(|s| s.invalidations += 1);
+        let client = self.inner.id;
+        self.emit(parent, EventKind::Invalidate { client, fh });
+        self.drop_file(fh)
     }
 
     fn is_cacheable(&self, fh: FileHandle) -> bool {
@@ -875,7 +810,7 @@ impl SnfsClient {
 
     /// True when the transport pipeline piggybacks post-op attributes.
     fn piggyback(&self) -> bool {
-        self.inner.caller.transport().piggyback
+        self.caller().transport().piggyback
     }
 
     /// Records a post-op attribute that rode back on a reply. No-op
@@ -886,7 +821,7 @@ impl SnfsClient {
             self.inner
                 .piggy_attrs
                 .borrow_mut()
-                .insert(fh, (attr, self.inner.sim.now()));
+                .insert(fh, (attr, self.sim().now()));
         }
     }
 
@@ -896,7 +831,7 @@ impl SnfsClient {
     fn fresh_piggyback_attr(&self, fh: FileHandle) -> Option<Fattr> {
         let map = self.inner.piggy_attrs.borrow();
         let (attr, at) = map.get(&fh)?;
-        let age = self.inner.sim.now().saturating_duration_since(*at);
+        let age = self.sim().now().saturating_duration_since(*at);
         (age < SimDuration::from_secs(1)).then_some(*attr)
     }
 
@@ -906,114 +841,6 @@ impl SnfsClient {
 
     // ---- data path ----------------------------------------------------------
 
-    /// Fetches one block from the server and caches it — unless an
-    /// invalidate or purge of `fh` landed while the read was in flight
-    /// (the file's invalidation epoch moved), or the read was issued
-    /// after one switched caching off (a read-ahead spawned by a `read`
-    /// that began before the callback): the reply then describes a
-    /// version this client was told to forget, so it still answers the
-    /// waiting reader but must not repopulate the cache, where the next
-    /// `open` would adopt it under the new version.
-    async fn fetch_block(&self, fh: FileHandle, lblk: u64, bg: bool) -> Result<Buf> {
-        let key = (fh, lblk);
-        // Coalesce with an identical fetch already in flight. If that
-        // fetch is a read-ahead parked in the batcher, kick it onto
-        // the wire: someone is waiting for the data now.
-        let waiting = self.inner.in_flight.borrow().get(&key).cloned();
-        if let Some(ev) = waiting {
-            if !bg {
-                self.inner.caller.kick();
-            }
-            ev.wait().await;
-            if let Some(b) = self.inner.cache.borrow_mut().get(&key) {
-                return Ok(b);
-            }
-        }
-        let ev = Event::new();
-        self.inner.in_flight.borrow_mut().insert(key, ev.clone());
-        // Caching can only be switched off together with an invalidation
-        // (callback, or an open that finds the file write-shared), so
-        // "cachable when issued and epoch unmoved at the reply" means no
-        // invalidate and no write-sharing came in between.
-        let cachable = self.is_cacheable(fh);
-        let epoch = self.inval_epoch(fh);
-        let req = NfsRequest::Read {
-            fh,
-            offset: lblk * BLOCK_SIZE as u64,
-            count: BLOCK_SIZE as u32,
-        };
-        let res = if bg {
-            self.call_bg(0, req).await
-        } else {
-            self.call(req).await
-        };
-        self.inner.in_flight.borrow_mut().remove(&key);
-        ev.set();
-        match res? {
-            NfsReply::Read(ReadReply { data, .. }) => {
-                let block = data.to_buf();
-                if cachable && self.inval_epoch(fh) == epoch {
-                    let victim = self
-                        .inner
-                        .cache
-                        .borrow_mut()
-                        .insert_clean(key, block.clone());
-                    // A fetch (or prefetch) can evict a dirty block of an
-                    // all-dirty cache; its data must be written out, not
-                    // dropped.
-                    if let Some(v) = victim {
-                        self.write_back_victim(v).await;
-                    }
-                }
-                Ok(block)
-            }
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// How many times `fh`'s cached blocks have been invalidated or
-    /// purged wholesale; see [`fetch_block`](Self::fetch_block).
-    fn inval_epoch(&self, fh: FileHandle) -> u64 {
-        self.inner
-            .inval_epochs
-            .borrow()
-            .get(&fh)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Drops every cached block of `fh` (invalidate callback, version
-    /// mismatch at open, lease lapse, fenced return, unlink) and bumps
-    /// the file's invalidation epoch so reads in flight do not put the
-    /// old version back.
-    fn drop_file_blocks(&self, fh: FileHandle) -> DropCounts {
-        *self.inner.inval_epochs.borrow_mut().entry(fh).or_insert(0) += 1;
-        self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh)
-    }
-
-    fn spawn_read_ahead(&self, fh: FileHandle, lblk: u64, size: u64) {
-        if !self.inner.params.read_ahead {
-            return;
-        }
-        // A window of 1 is the paper's single speculative block; wider
-        // windows keep several sequential fetches in flight at once.
-        let window = self.inner.params.read_ahead_window.max(1) as u64;
-        for next in lblk + 1..=lblk + window {
-            if next * (BLOCK_SIZE as u64) >= size {
-                break;
-            }
-            if self.inner.cache.borrow().contains(&(fh, next))
-                || self.inner.in_flight.borrow().contains_key(&(fh, next))
-            {
-                continue;
-            }
-            let this = self.clone();
-            self.inner.sim.spawn(async move {
-                let _ = this.fetch_block(fh, next, true).await;
-            });
-        }
-    }
-
     /// Reads up to `len` bytes at `offset`. Returns `(data, eof)`: the
     /// `read(2)` copy-out, the one copy on the way from the cache (or,
     /// write-shared, from the reply).
@@ -1021,20 +848,11 @@ impl SnfsClient {
         if !self.is_cacheable(fh) {
             // Write-shared: every read goes to the server; no cache, no
             // read-ahead (paper §4.2.1).
-            let rep = self
-                .call(NfsRequest::Read {
-                    fh,
-                    offset,
-                    count: len,
-                })
-                .await?;
-            return match rep {
-                NfsReply::Read(ReadReply { data, eof, attr }) => {
-                    self.note_piggyback_attr(fh, attr);
-                    Ok((data.to_vec(), eof))
-                }
-                _ => Err(NfsStatus::Io),
-            };
+            let count = len;
+            let make = || NfsRequest::Read { fh, offset, count };
+            let ReadReply { data, eof, attr } = self.call(0, make).await?.into_read()?;
+            self.note_piggyback_attr(fh, attr);
+            return Ok((data.to_vec(), eof));
         }
         let attr = match self.local_attr(fh) {
             Some(a) => a,
@@ -1046,12 +864,10 @@ impl SnfsClient {
         }
         let end = size.min(offset + u64::from(len));
         let mut out = Vec::with_capacity((end - offset) as usize);
-        let first = block_of(offset);
-        let last = block_of(end - 1);
         // Trace one cache-served read per call, stamped with the granted
         // version, at the moment of the hit (synchronously — so the
         // checker sees it ordered against grants and invalidations).
-        let cached_version = if self.traced() {
+        let mut trace_hit = if self.traced() {
             self.inner
                 .files
                 .borrow()
@@ -1060,35 +876,24 @@ impl SnfsClient {
         } else {
             None
         };
-        let mut hit_traced = false;
-        for lblk in first..=last {
-            let blk_start = lblk * BLOCK_SIZE as u64;
-            let from = (offset.max(blk_start) - blk_start) as usize;
-            let to = ((end - blk_start).min(BLOCK_SIZE as u64)) as usize;
-            let cached = self.inner.cache.borrow_mut().get(&(fh, lblk));
-            let block = match cached {
-                Some(b) => {
-                    if !hit_traced {
-                        if let Some(v) = cached_version {
-                            self.emit(
-                                0,
-                                EventKind::CacheRead {
-                                    client: self.inner.id,
-                                    fh,
-                                    version: v.0,
-                                },
-                            );
-                            hit_traced = true;
-                        }
-                    }
-                    b
-                }
-                None => {
-                    let b = self.fetch_block(fh, lblk, false).await?;
-                    self.spawn_read_ahead(fh, lblk, size);
-                    b
-                }
-            };
+        for (lblk, from, to) in block_spans(offset, end) {
+            // Caching is only ever switched off together with a drop of
+            // the file's blocks, so a reply the base caches — cachable
+            // when asked for, epoch unmoved when it lands — saw neither an
+            // invalidate nor write-sharing come in between: it is not of
+            // a version this client was told to forget, which the next
+            // `open` would otherwise adopt under the new version.
+            let cachable = self.is_cacheable(fh);
+            let (block, hit) = ClientBase::read_block(self, fh, lblk, size, cachable, 0).await?;
+            if let Some(v) = trace_hit.take_if(|_| hit) {
+                let (client, version) = (self.inner.id, v.0);
+                let event = EventKind::CacheRead {
+                    client,
+                    fh,
+                    version,
+                };
+                self.emit(0, event);
+            }
             // A short cached block inside the file is a hole: zero-fill.
             let have = block.len().min(to);
             if from < have {
@@ -1107,22 +912,17 @@ impl SnfsClient {
             return Ok(());
         }
         if !self.is_cacheable(fh) {
-            let rep = self
-                .call(NfsRequest::Write {
-                    fh,
-                    offset,
-                    data: Payload::copy_in(offset, data),
-                })
-                .await?;
-            return match rep {
-                NfsReply::Attr(attr) => {
-                    self.note_piggyback_attr(fh, attr);
-                    Ok(())
-                }
-                _ => Err(NfsStatus::Io),
+            let payload = Payload::copy_in(offset, data);
+            let make = || NfsRequest::Write {
+                fh,
+                offset,
+                data: payload.clone(),
             };
+            let attr = self.call(0, make).await?.into_attr()?;
+            self.note_piggyback_attr(fh, attr);
+            return Ok(());
         }
-        let now = self.inner.sim.now();
+        let now = self.sim().now();
         let old_size = self.local_attr(fh).map_or(0, |a| a.size);
         let end = offset + data.len() as u64;
         let first = block_of(offset);
@@ -1141,12 +941,13 @@ impl SnfsClient {
                 // NOTE: take the cache lookup out of the `match` scrutinee —
                 // a borrow held there would live across the `fetch_block`
                 // await below and collide with its own cache borrow.
-                let cached = self.inner.cache.borrow_mut().get(&key);
+                let cached = self.cache_mut().get(&key);
                 let base = match cached {
                     Some(b) => b,
                     None if blk_start < old_size => {
                         // Partial write into an existing block: fetch it.
-                        self.fetch_block(fh, lblk, false).await?
+                        let cachable = self.is_cacheable(fh);
+                        ClientBase::fetch_block(self, fh, lblk, false, cachable).await?
                     }
                     None => Buf::empty(),
                 };
@@ -1154,7 +955,8 @@ impl SnfsClient {
                 // the old buffer keeps the bytes of its own generation.
                 base.patched(off_in_block, chunk)
             };
-            let victim = self.inner.cache.borrow_mut().write(key, merged, now);
+            self.wrote_block(fh, lblk);
+            let victim = self.cache_mut().write(key, merged, now);
             self.emit(
                 0,
                 EventKind::BlockDirty {
@@ -1216,7 +1018,7 @@ impl SnfsClient {
                 Some(d) => {
                     // About to block on background write-backs: push any
                     // parked batch out instead of riding the Nagle window.
-                    self.inner.caller.kick();
+                    self.caller().kick();
                     d.wait().await;
                 }
                 None => return,
@@ -1236,7 +1038,7 @@ impl SnfsClient {
         self.register_eviction(fh);
         let slot = self.inner.flush_slots.acquire().await;
         let this = self.clone();
-        self.inner.sim.spawn(async move {
+        self.sim().spawn(async move {
             let _slot = slot;
             let _permit = this.inner.flush_inflight.acquire().await;
             // The file may have been removed while this write-back sat in
@@ -1278,29 +1080,21 @@ impl SnfsClient {
     ) -> Result<()> {
         self.inner.gather_hist.record(blocks);
         self.inner.inflight_gauge.inc();
-        let res = self
-            .call_bg(
-                parent,
-                NfsRequest::Write {
-                    fh,
-                    offset: start * BLOCK_SIZE as u64,
-                    data,
-                },
-            )
-            .await;
+        let make = || NfsRequest::Write {
+            fh,
+            offset: start * BLOCK_SIZE as u64,
+            data: data.clone(),
+        };
+        let res = self.call_bg(parent, make).await;
         self.inner.inflight_gauge.dec();
-        match res {
-            Ok(NfsReply::Attr(_)) => {
+        match res.and_then(NfsReply::into_attr) {
+            Ok(_) => {
                 self.bump_stats(|s| s.written_back_blocks += blocks);
                 Ok(())
             }
-            Ok(_) => {
+            Err(e) => {
                 // The blocks stay dirty and will be retried: they are not
                 // written back, only failed.
-                self.bump_stats(|s| s.writeback_failures += 1);
-                Err(NfsStatus::Io)
-            }
-            Err(e) => {
                 self.bump_stats(|s| s.writeback_failures += 1);
                 Err(e)
             }
@@ -1314,12 +1108,12 @@ impl SnfsClient {
     /// first failed segment; its blocks (and the rest of the run) stay
     /// dirty for a later retry.
     async fn flush_one_run(&self, fh: FileHandle, run: DirtyRun, parent: u64) -> Result<()> {
-        let gathered = self.inner.cache.borrow().gather_run(fh, run, BLOCK_SIZE);
+        let gathered = self.cache().gather_run(fh, run, BLOCK_SIZE);
         for gw in gathered {
             let blocks = gw.seqs.len() as u64;
             self.write_back_rpc(fh, gw.start, gw.data, blocks, parent)
                 .await?;
-            let mut cache = self.inner.cache.borrow_mut();
+            let mut cache = self.cache_mut();
             for (blk, seq) in gw.seqs {
                 cache.mark_clean(&(fh, blk), seq);
             }
@@ -1351,7 +1145,7 @@ impl SnfsClient {
             let slot = self.inner.flush_slots.acquire().await;
             let this = self.clone();
             let failed = failed.clone();
-            daemons.push(self.inner.sim.spawn(async move {
+            daemons.push(self.sim().spawn(async move {
                 let _slot = slot;
                 let _permit = this.inner.flush_inflight.acquire().await;
                 if stop_on_err && failed.get().is_some() {
@@ -1410,7 +1204,7 @@ impl SnfsClient {
         self.wait_evictions(fh).await;
         let evict_err = self.inner.eviction_errors.borrow_mut().remove(&fh);
         let gather = self.inner.params.write_behind.gather_blocks;
-        let runs = self.inner.cache.borrow().dirty_runs(fh, gather, BLOCK_SIZE);
+        let runs = self.cache().dirty_runs(fh, gather, BLOCK_SIZE);
         let res = if use_pool {
             self.flush_runs(fh, runs, true, flush_seq).await
         } else {
@@ -1437,21 +1231,17 @@ impl SnfsClient {
         self.writeback_file_via(fh, true, 0).await
     }
 
-    async fn writeback_file_ctx(&self, fh: FileHandle, parent: u64) -> Result<()> {
-        self.writeback_file_via(fh, true, parent).await
-    }
-
     /// Flushes dirty blocks older than the write-delay (the update
     /// daemon's unit of work).
     pub async fn flush_aged(&self) {
-        let now = self.inner.sim.now();
+        let now = self.sim().now();
         let min_age = self.inner.params.write_delay;
         let gather = self.inner.params.write_behind.gather_blocks;
         // Plan every file's runs up front from a single snapshot: blocks
         // that age past the delay *during* the flush wait for the next
         // daemon pass, exactly as with the serial flush.
         let plans: Vec<(FileHandle, Vec<DirtyRun>)> = {
-            let cache = self.inner.cache.borrow();
+            let cache = self.cache();
             let mut files: Vec<FileHandle> = cache
                 .dirty_blocks()
                 .into_iter()
@@ -1484,8 +1274,8 @@ impl SnfsClient {
             return;
         };
         let this = self.clone();
-        let sim = self.inner.sim.clone();
-        self.inner.sim.spawn(async move {
+        let sim = self.sim().clone();
+        self.sim().spawn(async move {
             loop {
                 sim.sleep(interval).await;
                 this.flush_aged().await;
@@ -1496,33 +1286,13 @@ impl SnfsClient {
     /// Synchronously pushes a file's dirty blocks to the server (explicit
     /// flush for applications that want crash-resistance, §2.2).
     pub async fn fsync(&self, fh: FileHandle) -> Result<()> {
-        let op = self.emit(
-            0,
-            EventKind::OpBegin {
-                client: self.inner.id,
-                op: "fsync",
-                fh,
-            },
-        );
-        let res = self.writeback_file_ctx(fh, op).await;
-        if res.is_ok() {
-            self.emit(
-                op,
-                EventKind::FsyncOk {
-                    client: self.inner.id,
-                    fh,
-                },
-            );
-        }
-        self.emit(
-            op,
-            EventKind::OpEnd {
-                client: self.inner.id,
-                op: "fsync",
-                ok: res.is_ok(),
-            },
-        );
-        res
+        self.traced_op("fsync", fh, |op| async move {
+            self.writeback_file_via(fh, true, op).await?;
+            let client = self.inner.id;
+            self.emit(op, EventKind::FsyncOk { client, fh });
+            Ok(())
+        })
+        .await
     }
 
     /// Simulates an orderly client reboot (experiment setup): every dirty
@@ -1541,9 +1311,7 @@ impl SnfsClient {
         }
         let files: Vec<FileHandle> = {
             let mut v: Vec<FileHandle> = self
-                .inner
-                .cache
-                .borrow()
+                .cache()
                 .keys_matching(|_| true)
                 .into_iter()
                 .map(|k| k.0)
@@ -1560,9 +1328,8 @@ impl SnfsClient {
             self.writeback_file(fh).await?;
             self.flush_pending_close(fh).await?;
         }
-        self.inner.cache.borrow_mut().clear();
+        self.inner.base.cold_boot();
         self.inner.files.borrow_mut().clear();
-        self.inner.names.borrow_mut().clear();
         self.inner.eviction_errors.borrow_mut().clear();
         self.inner.piggy_attrs.borrow_mut().clear();
         Ok(())
@@ -1575,7 +1342,7 @@ impl SnfsClient {
     /// for.
     fn recovery_report(&self) -> Vec<spritely_proto::RecoveredFile> {
         let files = self.inner.files.borrow();
-        let cache = self.inner.cache.borrow();
+        let cache = self.cache();
         let mut report: Vec<spritely_proto::RecoveredFile> = files
             .iter()
             .filter_map(|(&fh, info)| {
@@ -1624,18 +1391,10 @@ impl SnfsClient {
         fhs.sort_unstable();
         for fh in fhs {
             if purge {
-                self.drop_file_blocks(fh);
+                self.invalidate(0, fh);
                 if let Some(info) = self.inner.files.borrow_mut().get_mut(&fh) {
                     info.cached_version = None;
                 }
-                self.bump_stats(|s| s.invalidations += 1);
-                self.emit(
-                    0,
-                    EventKind::Invalidate {
-                        client: self.inner.id,
-                        fh,
-                    },
-                );
             }
             self.emit(
                 0,
@@ -1653,16 +1412,15 @@ impl SnfsClient {
     pub async fn recover(&self) -> Result<u64> {
         self.discard_delegations(false);
         let files = self.recovery_report();
-        let rep = self
-            .call(NfsRequest::Recover {
-                client: self.inner.id,
-                files,
-            })
-            .await?;
-        match rep {
+        let client = self.inner.id;
+        let make = || NfsRequest::Recover {
+            client,
+            files: files.clone(),
+        };
+        match self.call(0, make).await? {
             NfsReply::Epoch(e) => {
                 self.inner.known_epoch.set(e);
-                self.inner.last_contact.set(self.inner.sim.now());
+                self.inner.last_contact.set(self.sim().now());
                 self.bump_stats(|s| s.recoveries += 1);
                 Ok(e)
             }
@@ -1674,15 +1432,12 @@ impl SnfsClient {
     /// [`recover`](Self::recover) when it changes (i.e. the server
     /// rebooted since we last spoke to it).
     pub async fn keepalive(&self) -> Result<u64> {
-        let rep = self
-            .inner
-            .caller
-            .call(NfsRequest::Keepalive {
-                client: self.inner.id,
-            })
-            .await
-            .map_err(status_of)?
-            .into_result()?;
+        // Not through the base's `call`: the server answers `Grace` to
+        // withhold a lease renewal (§17.3), and the daemon's next probe is
+        // the retry.
+        let client = self.inner.id;
+        let rep = self.caller().call(NfsRequest::Keepalive { client }).await;
+        let rep = rep.map_err(status_of)?.into_result()?;
         let epoch = match rep {
             NfsReply::Epoch(e) => e,
             _ => return Err(NfsStatus::Io),
@@ -1701,7 +1456,7 @@ impl SnfsClient {
         // Lease anchor (DESIGN.md §17.3): this reply crossed the same
         // server→client path a recall callback would, so as of now no
         // recall can have been lost to a partition we haven't noticed.
-        self.inner.last_contact.set(self.inner.sim.now());
+        self.inner.last_contact.set(self.sim().now());
         let known = self.inner.known_epoch.get();
         if known == 0 {
             // First contact: just remember it.
@@ -1719,8 +1474,8 @@ impl SnfsClient {
     /// server may simply be down — the next probe will find it again).
     pub fn spawn_keepalive_daemon(&self, interval: SimDuration) {
         let this = self.clone();
-        let sim = self.inner.sim.clone();
-        self.inner.sim.spawn(async move {
+        let sim = self.sim().clone();
+        self.sim().spawn(async move {
             loop {
                 sim.sleep(interval).await;
                 let _ = this.keepalive().await;
@@ -1742,19 +1497,15 @@ impl SnfsClient {
         let this = self.clone();
         let handler = Rc::new(move |_from: ClientId, ctx: u64, arg: CallbackArg| {
             let this = this.clone();
-            Box::pin(async move { this.serve_callback_ctx(ctx, arg).await })
+            Box::pin(async move { this.serve_callback(ctx, arg).await })
                 as std::pin::Pin<Box<dyn std::future::Future<Output = CallbackReply>>>
         });
-        Endpoint::new(&self.inner.sim, name, cpu, params, counter, handler)
+        Endpoint::new(self.sim(), name, cpu, params, counter, handler)
     }
 
     /// Services one callback (paper §3.2): write back and/or invalidate,
     /// not returning until requested write-backs are complete.
-    pub async fn serve_callback(&self, arg: CallbackArg) -> CallbackReply {
-        self.serve_callback_ctx(0, arg).await
-    }
-
-    async fn serve_callback_ctx(&self, ctx: u64, arg: CallbackArg) -> CallbackReply {
+    async fn serve_callback(&self, ctx: u64, arg: CallbackArg) -> CallbackReply {
         // Duplicate-delivery guard: a duplicated network delivery (or a
         // server retransmission racing its own first attempt) of the same
         // logical callback must not invalidate or write back twice. The
@@ -1821,19 +1572,11 @@ impl SnfsClient {
             return CallbackReply { ok: false };
         }
         if arg.invalidate {
-            self.bump_stats(|s| s.invalidations += 1);
-            self.emit(
-                ctx,
-                EventKind::Invalidate {
-                    client: self.inner.id,
-                    fh,
-                },
-            );
-            let dropped = self.drop_file_blocks(fh);
+            let dropped = self.invalidate(ctx, fh);
             debug_assert_eq!(dropped.dirty, 0, "writeback should have preceded");
             // If `fh` is a directory this drops our name translations
             // under it (§7 extension); for files it is a no-op.
-            self.drop_dir_names(fh);
+            self.names().drop_dir(fh);
             self.inner.piggy_attrs.borrow_mut().remove(&fh);
             let mut files = self.inner.files.borrow_mut();
             if let Some(info) = files.get_mut(&fh) {
@@ -1847,7 +1590,7 @@ impl SnfsClient {
             // §6.2: give up a delayed-close file so the server can reclaim
             // its table entry. Report the closes after replying.
             let this = self.clone();
-            self.inner.sim.spawn(async move {
+            self.sim().spawn(async move {
                 let _ = this.flush_pending_close(fh).await;
             });
         }
@@ -1918,19 +1661,14 @@ impl SnfsClient {
             let wrote = self.inner.delegs.borrow().get(&fh).is_some_and(|d| d.wrote);
             (r, w, wrote)
         };
-        let rep = self
-            .call_ctx(
-                ctx,
-                NfsRequest::DelegReturn {
-                    fh,
-                    client: self.inner.id,
-                    readers,
-                    writers,
-                    wrote,
-                },
-            )
-            .await?;
-        match rep {
+        let make = || NfsRequest::DelegReturn {
+            fh,
+            client: self.inner.id,
+            readers,
+            writers,
+            wrote,
+        };
+        match self.call(ctx, make).await? {
             NfsReply::DelegReturned { version, fenced } => {
                 let mut files = self.inner.files.borrow_mut();
                 if let Some(info) = files.get_mut(&fh) {
@@ -1948,15 +1686,7 @@ impl SnfsClient {
                 }
                 drop(files);
                 if fenced {
-                    self.bump_stats(|s| s.invalidations += 1);
-                    self.emit(
-                        ctx,
-                        EventKind::Invalidate {
-                            client: self.inner.id,
-                            fh,
-                        },
-                    );
-                    self.drop_file_blocks(fh);
+                    self.invalidate(ctx, fh);
                 }
                 Ok(())
             }
@@ -1989,140 +1719,50 @@ impl SnfsClient {
                 return Ok(a);
             }
         }
-        let rep = self.call(NfsRequest::GetAttr { fh }).await?;
-        match rep {
-            NfsReply::Attr(attr) => {
-                let mut files = self.inner.files.borrow_mut();
-                match files.get_mut(&fh) {
-                    Some(info) => {
-                        if info.attr.mtime <= attr.mtime {
-                            info.attr = attr;
-                        }
-                    }
-                    None => {
-                        // First contact (e.g. a directory): remember the
-                        // attributes; cachable files need no refresh
-                        // (§4.2.1).
-                        files.insert(
-                            fh,
-                            FileInfo {
-                                cacheable: true,
-                                cached_version: None,
-                                attr,
-                                readers: 0,
-                                writers: 0,
-                                pending_close: None,
-                            },
-                        );
-                    }
+        let attr = self.inner.base.getattr(fh).await?;
+        let mut files = self.inner.files.borrow_mut();
+        match files.get_mut(&fh) {
+            Some(info) => {
+                if info.attr.mtime <= attr.mtime {
+                    info.attr = attr;
                 }
-                Ok(attr)
             }
-            _ => Err(NfsStatus::Io),
+            None => {
+                // First contact (e.g. a directory): remember the
+                // attributes; cachable files need no refresh (§4.2.1).
+                files.insert(fh, FileInfo::new(attr));
+            }
         }
+        Ok(attr)
     }
 
     /// Translates one name component (same protocol and cost as NFS
     /// unless the §7 name cache is enabled).
     pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        if self.inner.params.name_cache {
-            let hit = self
-                .inner
-                .names
-                .borrow()
-                .get(&(dir, name.to_string()))
-                .copied();
-            if let Some((fh, attr)) = hit {
-                self.bump_stats(|s| s.name_cache_hits += 1);
-                // Attributes of a cached file are locally authoritative;
-                // serve the freshest view we have.
-                let attr = self.local_attr(fh).unwrap_or(attr);
-                return Ok((fh, attr));
-            }
-        }
-        let rep = self
-            .call(NfsRequest::Lookup {
-                dir,
-                name: name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Handle { fh, attr } => {
-                if self.inner.params.name_cache {
-                    self.inner
-                        .names
-                        .borrow_mut()
-                        .insert((dir, name.to_string()), (fh, attr));
-                }
-                // Attribute authority: if we cache this file, the server
-                // may only know a write-back prefix of it — our local
-                // attributes are the truth (same rule as open/getattr).
-                let attr = if self.is_cacheable(fh) {
-                    self.local_attr(fh).unwrap_or(attr)
-                } else {
-                    attr
-                };
-                Ok((fh, attr))
-            }
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Drops cached name translations under `dir` (server directory
-    /// callback, or a local namespace change).
-    fn drop_dir_names(&self, dir: FileHandle) {
-        self.inner.names.borrow_mut().retain(|k, _| k.0 != dir);
+        let (fh, attr, cached) = self.inner.base.lookup(dir, name).await?;
+        // Attribute authority: if we cache this file, the server may only
+        // know a write-back prefix of it — our local attributes are the
+        // truth (same rule as open/getattr), and the freshest view we
+        // have of a name-cache hit either way.
+        let attr = if cached || self.is_cacheable(fh) {
+            self.local_attr(fh).unwrap_or(attr)
+        } else {
+            attr
+        };
+        Ok((fh, attr))
     }
 
     /// Creates a regular file.
     pub async fn create(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        let (rep, retx) = self
-            .call_ctx_retx(
-                0,
-                NfsRequest::Create {
-                    dir,
-                    name: name.to_string(),
-                },
-            )
-            .await?;
-        let rep = match rep {
-            // Retransmit-outcome mapping: EEXIST on a retransmission
-            // usually means *our own* first transmission created the file
-            // and the server's duplicate cache forgot it. Treat it as
-            // success by looking the file up (Juszczak 1989).
-            NfsReply::Err(NfsStatus::Exist) if retx => {
-                let (fh, attr) = self.lookup(dir, name).await?;
-                NfsReply::Handle { fh, attr }
-            }
-            NfsReply::Err(s) => return Err(s),
-            other => other,
-        };
-        match rep {
-            NfsReply::Handle { fh, attr } => {
-                // A fresh handle can never be "removed" — guard against
-                // the file system reusing handle values.
-                self.inner.removed.borrow_mut().remove(&fh);
-                self.inner.files.borrow_mut().insert(
-                    fh,
-                    FileInfo {
-                        cacheable: true,
-                        cached_version: None,
-                        attr,
-                        readers: 0,
-                        writers: 0,
-                        pending_close: None,
-                    },
-                );
-                if self.inner.params.name_cache {
-                    self.inner
-                        .names
-                        .borrow_mut()
-                        .insert((dir, name.to_string()), (fh, attr));
-                }
-                Ok((fh, attr))
-            }
-            _ => Err(NfsStatus::Io),
-        }
+        let (fh, attr) = self.inner.base.create(dir, name).await?;
+        // A fresh handle can never be "removed" — guard against the file
+        // system reusing handle values.
+        self.inner.removed.borrow_mut().remove(&fh);
+        self.inner
+            .files
+            .borrow_mut()
+            .insert(fh, FileInfo::new(attr));
+        Ok((fh, attr))
     }
 
     /// Removes a file, **cancelling** its delayed writes (§4.2.3) — the
@@ -2134,24 +1774,10 @@ impl SnfsClient {
         name: &str,
         victim: Option<FileHandle>,
     ) -> Result<()> {
-        let op = self.emit(
-            0,
-            EventKind::OpBegin {
-                client: self.inner.id,
-                op: "remove",
-                fh: victim.unwrap_or(dir),
-            },
-        );
-        let res = self.remove_inner(dir, name, victim, op).await;
-        self.emit(
-            op,
-            EventKind::OpEnd {
-                client: self.inner.id,
-                op: "remove",
-                ok: res.is_ok(),
-            },
-        );
-        res
+        self.traced_op("remove", victim.unwrap_or(dir), |op| {
+            self.remove_inner(dir, name, victim, op)
+        })
+        .await
     }
 
     async fn remove_inner(
@@ -2173,7 +1799,7 @@ impl SnfsClient {
                 .get(&fh)
                 .map_or(1, |i| i.attr.nlink);
             if nlink <= 1 {
-                let dropped = self.drop_file_blocks(fh);
+                let dropped = self.drop_file(fh);
                 self.bump_stats(|s| s.cancelled_blocks += dropped.dirty);
                 self.emit(
                     op,
@@ -2198,164 +1824,18 @@ impl SnfsClient {
                 info.attr.nlink = nlink - 1;
             }
         }
-        self.inner
-            .names
-            .borrow_mut()
-            .remove(&(dir, name.to_string()));
-        let (rep, retx) = self
-            .call_ctx_retx(
-                op,
-                NfsRequest::Remove {
-                    dir,
-                    name: name.to_string(),
-                },
-            )
-            .await?;
-        match rep {
-            NfsReply::Ok => Ok(()),
-            // Retransmit-outcome mapping: ENOENT on a retransmission means
-            // our first transmission already removed the name.
-            NfsReply::Err(NfsStatus::NoEnt) if retx => Ok(()),
-            NfsReply::Err(s) => Err(s),
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Creates a directory.
-    pub async fn mkdir(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        let rep = self
-            .call(NfsRequest::Mkdir {
-                dir,
-                name: name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Handle { fh, attr } => Ok((fh, attr)),
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Removes an empty directory.
-    pub async fn rmdir(&self, dir: FileHandle, name: &str) -> Result<()> {
-        let rep = self
-            .call(NfsRequest::Rmdir {
-                dir,
-                name: name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Ok => Ok(()),
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Renames a file or directory.
-    pub async fn rename(
-        &self,
-        from_dir: FileHandle,
-        from_name: &str,
-        to_dir: FileHandle,
-        to_name: &str,
-    ) -> Result<()> {
-        {
-            let mut names = self.inner.names.borrow_mut();
-            names.remove(&(from_dir, from_name.to_string()));
-            names.remove(&(to_dir, to_name.to_string()));
-        }
-        let (rep, retx) = self
-            .call_ctx_retx(
-                0,
-                NfsRequest::Rename {
-                    from_dir,
-                    from_name: from_name.to_string(),
-                    to_dir,
-                    to_name: to_name.to_string(),
-                },
-            )
-            .await?;
-        match rep {
-            NfsReply::Ok => Ok(()),
-            // Retransmit-outcome mapping: the source vanished because our
-            // first transmission already performed the rename.
-            NfsReply::Err(NfsStatus::NoEnt) if retx => Ok(()),
-            NfsReply::Err(s) => Err(s),
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Lists a directory.
-    pub async fn readdir(&self, dir: FileHandle) -> Result<Vec<DirEntry>> {
-        let rep = self.call(NfsRequest::Readdir { dir }).await?;
-        match rep {
-            NfsReply::Readdir { entries } => Ok(entries),
-            _ => Err(NfsStatus::Io),
-        }
+        self.inner.base.remove(op, dir, name).await
     }
 
     /// Creates a hard link `to_dir/to_name` to `from`.
     pub async fn link(&self, from: FileHandle, to_dir: FileHandle, to_name: &str) -> Result<Fattr> {
-        let rep = self
-            .call(NfsRequest::Link {
-                from,
-                to_dir,
-                to_name: to_name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Attr(attr) => {
-                if self.inner.params.name_cache {
-                    self.inner
-                        .names
-                        .borrow_mut()
-                        .insert((to_dir, to_name.to_string()), (from, attr));
-                }
-                // nlink changed; refresh our local view if we track it.
-                let mut files = self.inner.files.borrow_mut();
-                if let Some(info) = files.get_mut(&from) {
-                    info.attr.nlink = attr.nlink;
-                    info.attr.ctime = attr.ctime;
-                }
-                Ok(attr)
-            }
-            _ => Err(NfsStatus::Io),
+        let attr = self.inner.base.link(from, to_dir, to_name).await?;
+        // nlink changed; refresh our local view if we track it.
+        if let Some(info) = self.inner.files.borrow_mut().get_mut(&from) {
+            info.attr.nlink = attr.nlink;
+            info.attr.ctime = attr.ctime;
         }
-    }
-
-    /// Creates a symbolic link `dir/name` → `target`.
-    pub async fn symlink(
-        &self,
-        dir: FileHandle,
-        name: &str,
-        target: &str,
-    ) -> Result<(FileHandle, Fattr)> {
-        let rep = self
-            .call(NfsRequest::Symlink {
-                dir,
-                name: name.to_string(),
-                target: target.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Handle { fh, attr } => {
-                if self.inner.params.name_cache {
-                    self.inner
-                        .names
-                        .borrow_mut()
-                        .insert((dir, name.to_string()), (fh, attr));
-                }
-                Ok((fh, attr))
-            }
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Reads a symbolic link's target.
-    pub async fn readlink(&self, fh: FileHandle) -> Result<String> {
-        let rep = self.call(NfsRequest::Readlink { fh }).await?;
-        match rep {
-            NfsReply::Path(p) => Ok(p),
-            _ => Err(NfsStatus::Io),
-        }
+        Ok(attr)
     }
 
     /// Sets attributes (truncate).
@@ -2364,11 +1844,7 @@ impl SnfsClient {
         // blocks beyond the new EOF.
         if let Some(sz) = size {
             let cut = blocks_for(sz);
-            let dropped = self
-                .inner
-                .cache
-                .borrow_mut()
-                .drop_matching(|k| k.0 == fh && k.1 >= cut);
+            let dropped = self.truncate_blocks(fh, cut);
             self.bump_stats(|s| s.cancelled_blocks += dropped.dirty);
             if dropped.dirty > 0 {
                 self.emit(
@@ -2382,17 +1858,11 @@ impl SnfsClient {
                 );
             }
         }
-        let rep = self.call(NfsRequest::SetAttr { fh, size }).await?;
-        match rep {
-            NfsReply::Attr(attr) => {
-                let mut files = self.inner.files.borrow_mut();
-                if let Some(info) = files.get_mut(&fh) {
-                    info.attr.size = attr.size;
-                    info.attr.mtime = attr.mtime;
-                }
-                Ok(attr)
-            }
-            _ => Err(NfsStatus::Io),
+        let attr = self.inner.base.setattr(fh, size).await?;
+        if let Some(info) = self.inner.files.borrow_mut().get_mut(&fh) {
+            info.attr.size = attr.size;
+            info.attr.mtime = attr.mtime;
         }
+        Ok(attr)
     }
 }

@@ -1,0 +1,704 @@
+//! The client core the NFS and Spritely NFS clients share.
+//!
+//! The paper's pitch is that SNFS is a small delta on NFS (§3): `open`,
+//! `close` and `callback` grafted onto an otherwise unchanged client.
+//! [`ClientBase`] is the unchanged part, and the only place it lives:
+//!
+//! * **RPC plumbing**: [`call`](ClientBase::call) /
+//!   [`call_bg`](ClientBase::call_bg) over the [`ShardCaller`], with the
+//!   trace parent id, the `Grace` back-off loop and `RpcError → NfsStatus`;
+//! * **one name cache** ([`NameCache`]), its lifetime rule passed as data;
+//! * **every namespace procedure**: build the request, call, map the
+//!   outcomes only a retransmission produces, unpack, maintain the name
+//!   cache;
+//! * **the block read path**: the data cache, in-flight coalescing, the
+//!   per-file invalidation epoch, read-ahead.
+//!
+//! Nothing here knows which protocol it serves. Where the two clients
+//! differ, the difference is data the caller passes (name-cache lifetime,
+//! read-ahead window and gate, trace parent, "cachable") or a decision
+//! handed back to it through [`BlockClient`]; DESIGN.md §20 lists each.
+
+use std::cell::{Ref, RefCell, RefMut};
+use std::collections::HashMap;
+use std::future::Future;
+use std::ops::Deref;
+
+use spritely_localfs::{BlockCache, DirtyVictim, DropCounts};
+use spritely_proto::{
+    block_of, Buf, DirEntry, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, ReadReply, Result,
+    BLOCK_SIZE,
+};
+use spritely_rpcnet::{RpcError, ShardCaller};
+use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
+
+/// A data-cache key: file and logical block.
+pub type Key = (FileHandle, u64);
+
+/// The status a failed RPC exchange surfaces as.
+pub fn status_of(e: RpcError) -> NfsStatus {
+    match e {
+        RpcError::Timeout => NfsStatus::Io,
+    }
+}
+
+struct NameEntry {
+    fh: FileHandle,
+    attr: Fattr,
+    fetched: SimTime,
+}
+
+/// Name translations, `dir → name → (handle, attributes)`.
+///
+/// The lifetime rule is data: with `Some(ttl)` an entry answers for that
+/// long (the post-1989 NFS dnlc, only probabilistically consistent); with
+/// `None` it answers until dropped, and the owner drops a directory's
+/// names when the server says it changed (the SNFS §7 extension). A
+/// disabled cache holds nothing and touches nothing.
+pub struct NameCache {
+    enabled: bool,
+    ttl: Option<SimDuration>,
+    dirs: HashMap<FileHandle, HashMap<String, NameEntry>>,
+    hits: u64,
+}
+
+impl NameCache {
+    /// An empty cache; see the type for `ttl`.
+    pub fn new(enabled: bool, ttl: Option<SimDuration>) -> Self {
+        NameCache {
+            enabled,
+            ttl,
+            dirs: HashMap::new(),
+            hits: 0,
+        }
+    }
+
+    /// The translation of `dir/name`, if cached and still live at `now`.
+    pub fn get(
+        &mut self,
+        dir: FileHandle,
+        name: &str,
+        now: SimTime,
+    ) -> Option<(FileHandle, Fattr)> {
+        let e = self.dirs.get(&dir)?.get(name)?;
+        if self
+            .ttl
+            .is_some_and(|ttl| now.saturating_duration_since(e.fetched) >= ttl)
+        {
+            return None;
+        }
+        self.hits += 1;
+        Some((e.fh, e.attr))
+    }
+
+    /// Records `dir/name → (fh, attr)`, learned at `now`.
+    pub fn insert(
+        &mut self,
+        dir: FileHandle,
+        name: &str,
+        fh: FileHandle,
+        attr: Fattr,
+        now: SimTime,
+    ) {
+        if self.enabled {
+            let fetched = now;
+            let e = NameEntry { fh, attr, fetched };
+            self.dirs
+                .entry(dir)
+                .or_default()
+                .insert(name.to_string(), e);
+        }
+    }
+
+    /// Forgets `dir/name`.
+    pub fn remove(&mut self, dir: FileHandle, name: &str) {
+        if let Some(names) = self.dirs.get_mut(&dir) {
+            names.remove(name);
+        }
+    }
+
+    /// Forgets every name under `dir`.
+    pub fn drop_dir(&mut self, dir: FileHandle) {
+        self.dirs.remove(&dir);
+    }
+
+    /// Forgets every name that translates to `fh`.
+    pub fn forget(&mut self, fh: FileHandle) {
+        for names in self.dirs.values_mut() {
+            names.retain(|_, e| e.fh != fh);
+        }
+    }
+
+    /// Forgets everything.
+    pub fn clear(&mut self) {
+        self.dirs.clear();
+    }
+
+    /// Lookups answered from the cache so far.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+}
+
+/// What the shared block path hands back to the protocol client it runs
+/// for: the two things a block read produces besides the block.
+pub trait BlockClient: Clone + Deref<Target = ClientBase> + 'static {
+    /// The post-op attributes a block read reply carried.
+    fn read_attr(&self, fh: FileHandle, attr: Fattr);
+
+    /// A dirty block the cache pushed out to make room for a fetched one;
+    /// its data exists nowhere else.
+    fn evicted(&self, victim: DirtyVictim<Key>) -> impl Future<Output = ()>;
+}
+
+/// The protocol-independent client state; see the module documentation.
+pub struct ClientBase {
+    sim: Sim,
+    caller: ShardCaller,
+    names: RefCell<NameCache>,
+    cache: RefCell<BlockCache<Key>>,
+    /// Reads in flight, so a demand read and a read-ahead of the same
+    /// block coalesce into one RPC.
+    in_flight: RefCell<HashMap<Key, Event>>,
+    /// Per-file invalidation epoch: bumped whenever what a read reply in
+    /// flight would bring back has been superseded — the file's blocks
+    /// were dropped wholesale or truncated, the client cold-booted, or
+    /// the application wrote the very block being fetched. A reply is
+    /// cached only if the epoch has not moved since it was asked for.
+    epochs: RefCell<HashMap<FileHandle, u64>>,
+    /// Blocks to prefetch past a cache-missing read (0 = none).
+    read_ahead: u64,
+    /// When set, a read-ahead holds one of these permits for its RPC.
+    read_ahead_gate: Option<Semaphore>,
+}
+
+impl ClientBase {
+    /// Builds the core. `read_ahead` is the prefetch window in blocks
+    /// (0 disables it); `read_ahead_gate`, when given, bounds read-aheads
+    /// in flight together with whatever else the caller runs under it.
+    pub fn new(
+        sim: &Sim,
+        caller: ShardCaller,
+        cache_blocks: usize,
+        names: NameCache,
+        read_ahead: usize,
+        read_ahead_gate: Option<Semaphore>,
+    ) -> Self {
+        ClientBase {
+            sim: sim.clone(),
+            caller,
+            names: RefCell::new(names),
+            cache: RefCell::new(BlockCache::new(cache_blocks)),
+            in_flight: RefCell::new(HashMap::new()),
+            epochs: RefCell::new(HashMap::new()),
+            read_ahead: read_ahead as u64,
+            read_ahead_gate,
+        }
+    }
+
+    /// The simulation this client runs in.
+    pub fn sim(&self) -> &Sim {
+        &self.sim
+    }
+
+    /// The transport to the server(s).
+    pub fn caller(&self) -> &ShardCaller {
+        &self.caller
+    }
+
+    /// The data cache.
+    pub fn cache(&self) -> Ref<'_, BlockCache<Key>> {
+        self.cache.borrow()
+    }
+
+    /// The data cache, mutably.
+    pub fn cache_mut(&self) -> RefMut<'_, BlockCache<Key>> {
+        self.cache.borrow_mut()
+    }
+
+    /// The name cache.
+    pub fn names(&self) -> RefMut<'_, NameCache> {
+        self.names.borrow_mut()
+    }
+
+    /// Data cache `(hits, misses)`.
+    pub fn cache_stats(&self) -> (u64, u64) {
+        self.cache.borrow().hit_stats()
+    }
+
+    // ---- RPC plumbing -----------------------------------------------------
+
+    /// One logical call. `make` builds the request, once per attempt: a
+    /// rebooted server answers `Grace` until its state table is rebuilt,
+    /// so back off and retry — the grace period is short and bounded
+    /// (§2.4), and each retry is a fresh call with a new xid. (A stateless
+    /// NFS server never answers `Grace`.)
+    ///
+    /// The reply comes back unlifted, with whether it arrived only on a
+    /// retransmission — what the non-idempotent procedures need: if the
+    /// server's duplicate cache has forgotten our first execution, the
+    /// retransmission re-executes and fails spuriously (the classic
+    /// create-returns-EEXIST / remove-returns-ENOENT race, Juszczak
+    /// 1989), and they map those retransmit-only outcomes back to success.
+    async fn call_retx(
+        &self,
+        parent: u64,
+        bg: bool,
+        make: &dyn Fn() -> NfsRequest,
+    ) -> Result<(NfsReply, bool)> {
+        for _ in 0..30 {
+            let res = if bg {
+                let rep = self.caller.call_bg(parent, make()).await;
+                rep.map(|rep| (rep, false))
+            } else {
+                self.caller.call_ctx_flagged(parent, make()).await
+            };
+            match res {
+                Ok((NfsReply::Err(NfsStatus::Grace), _)) => {
+                    self.sim.sleep(SimDuration::from_secs(2)).await;
+                }
+                Ok(out) => return Ok(out),
+                Err(e) => return Err(status_of(e)),
+            }
+        }
+        Err(NfsStatus::Grace)
+    }
+
+    /// Calls the server, parenting the RPC's trace events under `parent`
+    /// (0 = none). An error reply becomes `Err`.
+    pub async fn call(&self, parent: u64, make: impl Fn() -> NfsRequest) -> Result<NfsReply> {
+        self.call_retx(parent, false, &make).await?.0.into_result()
+    }
+
+    /// Background variant for write-behind and read-ahead traffic: the
+    /// transport batcher may hold such a call briefly to coalesce it
+    /// with its peers.
+    pub async fn call_bg(&self, parent: u64, make: impl Fn() -> NfsRequest) -> Result<NfsReply> {
+        self.call_retx(parent, true, &make).await?.0.into_result()
+    }
+
+    /// ENOENT on a retransmission means our first transmission already
+    /// took the name away.
+    fn gone_is_done((rep, retx): (NfsReply, bool)) -> Result<()> {
+        match rep {
+            NfsReply::Err(NfsStatus::NoEnt) if retx => Ok(()),
+            rep => rep.into_unit(),
+        }
+    }
+
+    // ---- namespace procedures ---------------------------------------------
+
+    fn note_name(&self, dir: FileHandle, name: &str, fh: FileHandle, attr: Fattr) {
+        let now = self.sim.now();
+        self.names.borrow_mut().insert(dir, name, fh, attr, now);
+    }
+
+    /// Translates one name component. The third value says the name
+    /// cache answered (no RPC, attributes as old as the entry).
+    pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr, bool)> {
+        let hit = self.names.borrow_mut().get(dir, name, self.sim.now());
+        if let Some((fh, attr)) = hit {
+            return Ok((fh, attr, true));
+        }
+        let make = || NfsRequest::Lookup {
+            dir,
+            name: name.to_string(),
+        };
+        let (fh, attr) = self.call(0, make).await?.into_handle()?;
+        self.note_name(dir, name, fh, attr);
+        Ok((fh, attr, false))
+    }
+
+    /// Attributes, from the server.
+    pub async fn getattr(&self, fh: FileHandle) -> Result<Fattr> {
+        self.call(0, || NfsRequest::GetAttr { fh })
+            .await?
+            .into_attr()
+    }
+
+    /// Sets attributes (truncate). Dropping the cached blocks past the
+    /// new end is the caller's ([`truncate_blocks`](Self::truncate_blocks)).
+    pub async fn setattr(&self, fh: FileHandle, size: Option<u64>) -> Result<Fattr> {
+        self.call(0, || NfsRequest::SetAttr { fh, size })
+            .await?
+            .into_attr()
+    }
+
+    /// Creates a regular file.
+    pub async fn create(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
+        let make = || NfsRequest::Create {
+            dir,
+            name: name.to_string(),
+        };
+        let (fh, attr) = match self.call_retx(0, false, &make).await? {
+            // EEXIST on a retransmission usually means *our own* first
+            // transmission created the file: look it up instead.
+            (NfsReply::Err(NfsStatus::Exist), true) => {
+                let (fh, attr, _) = self.lookup(dir, name).await?;
+                (fh, attr)
+            }
+            (rep, _) => rep.into_handle()?,
+        };
+        self.note_name(dir, name, fh, attr);
+        Ok((fh, attr))
+    }
+
+    /// Removes a file's name.
+    pub async fn remove(&self, parent: u64, dir: FileHandle, name: &str) -> Result<()> {
+        self.names.borrow_mut().remove(dir, name);
+        let make = || NfsRequest::Remove {
+            dir,
+            name: name.to_string(),
+        };
+        Self::gone_is_done(self.call_retx(parent, false, &make).await?)
+    }
+
+    /// Creates a directory.
+    pub async fn mkdir(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
+        let make = || NfsRequest::Mkdir {
+            dir,
+            name: name.to_string(),
+        };
+        self.call(0, make).await?.into_handle()
+    }
+
+    /// Removes an empty directory.
+    pub async fn rmdir(&self, dir: FileHandle, name: &str) -> Result<()> {
+        let make = || NfsRequest::Rmdir {
+            dir,
+            name: name.to_string(),
+        };
+        self.call(0, make).await?.into_unit()
+    }
+
+    /// Renames a file or directory.
+    pub async fn rename(
+        &self,
+        from_dir: FileHandle,
+        from_name: &str,
+        to_dir: FileHandle,
+        to_name: &str,
+    ) -> Result<()> {
+        {
+            let mut names = self.names.borrow_mut();
+            names.remove(from_dir, from_name);
+            names.remove(to_dir, to_name);
+        }
+        let make = || NfsRequest::Rename {
+            from_dir,
+            from_name: from_name.to_string(),
+            to_dir,
+            to_name: to_name.to_string(),
+        };
+        Self::gone_is_done(self.call_retx(0, false, &make).await?)
+    }
+
+    /// Lists a directory.
+    pub async fn readdir(&self, dir: FileHandle) -> Result<Vec<DirEntry>> {
+        self.call(0, || NfsRequest::Readdir { dir })
+            .await?
+            .into_entries()
+    }
+
+    /// Creates a hard link `to_dir/to_name` to `from`; returns `from`'s
+    /// new attributes.
+    pub async fn link(&self, from: FileHandle, to_dir: FileHandle, to_name: &str) -> Result<Fattr> {
+        let make = || NfsRequest::Link {
+            from,
+            to_dir,
+            to_name: to_name.to_string(),
+        };
+        let attr = self.call(0, make).await?.into_attr()?;
+        self.note_name(to_dir, to_name, from, attr);
+        Ok(attr)
+    }
+
+    /// Creates a symbolic link `dir/name` → `target`.
+    pub async fn symlink(
+        &self,
+        dir: FileHandle,
+        name: &str,
+        target: &str,
+    ) -> Result<(FileHandle, Fattr)> {
+        let make = || NfsRequest::Symlink {
+            dir,
+            name: name.to_string(),
+            target: target.to_string(),
+        };
+        let (fh, attr) = self.call(0, make).await?.into_handle()?;
+        self.note_name(dir, name, fh, attr);
+        Ok((fh, attr))
+    }
+
+    /// Reads a symbolic link's target.
+    pub async fn readlink(&self, fh: FileHandle) -> Result<String> {
+        self.call(0, || NfsRequest::Readlink { fh })
+            .await?
+            .into_path()
+    }
+
+    // ---- the block read path ----------------------------------------------
+
+    fn epoch(&self, fh: FileHandle) -> u64 {
+        self.epochs.borrow().get(&fh).copied().unwrap_or(0)
+    }
+
+    fn bump_epoch(&self, fh: FileHandle) {
+        *self.epochs.borrow_mut().entry(fh).or_insert(0) += 1;
+    }
+
+    /// Drops every cached block of `fh`; reads of it in flight will not
+    /// put what they fetched back.
+    pub fn drop_file(&self, fh: FileHandle) -> DropCounts {
+        self.bump_epoch(fh);
+        self.cache.borrow_mut().drop_matching(|k| k.0 == fh)
+    }
+
+    /// Drops `fh`'s cached blocks from logical block `cut` on
+    /// (truncation), with the same guarantee as
+    /// [`drop_file`](Self::drop_file).
+    pub fn truncate_blocks(&self, fh: FileHandle, cut: u64) -> DropCounts {
+        self.bump_epoch(fh);
+        self.cache
+            .borrow_mut()
+            .drop_matching(|k| k.0 == fh && k.1 >= cut)
+    }
+
+    /// The application is writing block `lblk` of `fh` (call before the
+    /// cache changes): a fetch of that block already in flight carries
+    /// bytes older than the write, and must not land over or after it.
+    pub fn wrote_block(&self, fh: FileHandle, lblk: u64) {
+        if self.in_flight.borrow().contains_key(&(fh, lblk)) {
+            self.bump_epoch(fh);
+        }
+    }
+
+    /// Drops both caches, as a reboot would.
+    pub fn cold_boot(&self) {
+        let reading: Vec<FileHandle> = self.in_flight.borrow().keys().map(|k| k.0).collect();
+        for fh in reading {
+            self.bump_epoch(fh);
+        }
+        self.cache.borrow_mut().clear();
+        self.names.borrow_mut().clear();
+    }
+
+    /// Fetches one block from the server and — if the caller says the
+    /// file is `cachable` now, and nothing supersedes the reply while it
+    /// is in flight (the file's epoch) — caches it. A superseded reply
+    /// still answers this reader, who asked before the change. `bg` marks
+    /// a read-ahead.
+    pub async fn fetch_block<C: BlockClient>(
+        c: &C,
+        fh: FileHandle,
+        lblk: u64,
+        bg: bool,
+        cachable: bool,
+    ) -> Result<Buf> {
+        let this: &ClientBase = c;
+        let key = (fh, lblk);
+        let epoch = this.epoch(fh);
+        // Coalesce with an identical fetch already in flight. If that
+        // fetch is a read-ahead parked in the batcher, kick it onto the
+        // wire: someone is waiting for the data now.
+        let waiting = this.in_flight.borrow().get(&key).cloned();
+        if let Some(ev) = waiting {
+            if !bg {
+                this.caller.kick();
+            }
+            ev.wait().await;
+            if let Some(b) = this.cache.borrow_mut().get(&key) {
+                return Ok(b);
+            }
+            // Fall through and fetch ourselves (the other fetch failed,
+            // or was not cached).
+        }
+        let ev = Event::new();
+        this.in_flight.borrow_mut().insert(key, ev.clone());
+        let make = || NfsRequest::Read {
+            fh,
+            offset: lblk * BLOCK_SIZE as u64,
+            count: BLOCK_SIZE as u32,
+        };
+        let res = if bg {
+            this.call_bg(0, make).await
+        } else {
+            this.call(0, make).await
+        };
+        this.in_flight.borrow_mut().remove(&key);
+        ev.set();
+        let ReadReply { data, attr, .. } = res?.into_read()?;
+        c.read_attr(fh, attr);
+        let block = data.to_buf();
+        if cachable && this.epoch(fh) == epoch {
+            let victim = this.cache.borrow_mut().insert_clean(key, block.clone());
+            if let Some(v) = victim {
+                c.evicted(v).await;
+            }
+        }
+        Ok(block)
+    }
+
+    fn spawn_read_ahead<C: BlockClient>(
+        c: &C,
+        fh: FileHandle,
+        lblk: u64,
+        size: u64,
+        cachable: bool,
+        epoch: u64,
+    ) {
+        let this: &ClientBase = c;
+        for next in lblk + 1..=lblk + this.read_ahead {
+            if next * (BLOCK_SIZE as u64) >= size {
+                break;
+            }
+            if this.cache.borrow().contains(&(fh, next))
+                || this.in_flight.borrow().contains_key(&(fh, next))
+            {
+                continue;
+            }
+            let c = c.clone();
+            this.sim.spawn(async move {
+                let this: &ClientBase = &c;
+                let _permit = match &this.read_ahead_gate {
+                    Some(gate) => {
+                        let permit = gate.acquire().await;
+                        if this.cache.borrow().contains(&(fh, next)) {
+                            return;
+                        }
+                        Some(permit)
+                    }
+                    None => None,
+                };
+                // "Cachable" was said at `epoch`; whatever has invalidated
+                // the file since voids it.
+                let cachable = cachable && this.epoch(fh) == epoch;
+                let _ = Self::fetch_block(&c, fh, next, true, cachable).await;
+            });
+        }
+    }
+
+    /// One block of a demand read: the cached copy if it holds at least
+    /// `min_len` bytes (`true`: a hit), else a fetch, with read-ahead
+    /// behind it in a file of `size` bytes.
+    pub async fn read_block<C: BlockClient>(
+        c: &C,
+        fh: FileHandle,
+        lblk: u64,
+        size: u64,
+        cachable: bool,
+        min_len: usize,
+    ) -> Result<(Buf, bool)> {
+        let this: &ClientBase = c;
+        let cached = this.cache.borrow_mut().get(&(fh, lblk));
+        match cached {
+            Some(b) if b.len() >= min_len => Ok((b, true)),
+            _ => {
+                let epoch = this.epoch(fh);
+                let b = Self::fetch_block(c, fh, lblk, false, cachable).await?;
+                Self::spawn_read_ahead(c, fh, lblk, size, cachable, epoch);
+                Ok((b, false))
+            }
+        }
+    }
+}
+
+/// The blocks a read of `[offset, end)` touches, `end > offset`: each
+/// logical block with the byte range wanted from it.
+pub fn block_spans(offset: u64, end: u64) -> impl Iterator<Item = (u64, usize, usize)> {
+    (block_of(offset)..=block_of(end - 1)).map(move |lblk| {
+        let start = lblk * BLOCK_SIZE as u64;
+        let from = (offset.max(start) - start) as usize;
+        let to = (end - start).min(BLOCK_SIZE as u64) as usize;
+        (lblk, from, to)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spritely_proto::FileType;
+
+    const DIR: FileHandle = FileHandle::new(1, 2, 0);
+    const OTHER_DIR: FileHandle = FileHandle::new(1, 3, 0);
+    const F: FileHandle = FileHandle::new(1, 10, 0);
+    const G: FileHandle = FileHandle::new(1, 11, 0);
+
+    fn attr() -> Fattr {
+        Fattr {
+            fileid: 10,
+            ftype: FileType::Regular,
+            size: 0,
+            nlink: 1,
+            mtime: 0,
+            ctime: 0,
+            atime: 0,
+        }
+    }
+
+    fn at(secs: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(secs)
+    }
+
+    #[test]
+    fn ttl_entries_expire_and_callback_entries_do_not() {
+        let mut dnlc = NameCache::new(true, Some(SimDuration::from_secs(30)));
+        let mut snfs = NameCache::new(true, None);
+        for c in [&mut dnlc, &mut snfs] {
+            c.insert(DIR, "f", F, attr(), at(0));
+            assert_eq!(c.get(DIR, "f", at(29)).map(|e| e.0), Some(F));
+        }
+        assert!(dnlc.get(DIR, "f", at(30)).is_none(), "TTL reached");
+        assert!(snfs.get(DIR, "f", at(3000)).is_some(), "no TTL");
+        assert_eq!((dnlc.hits(), snfs.hits()), (1, 2));
+    }
+
+    #[test]
+    fn drop_dir_forget_and_remove_take_out_what_they_name() {
+        let mut c = NameCache::new(true, None);
+        c.insert(DIR, "f", F, attr(), at(0));
+        c.insert(DIR, "g", G, attr(), at(0));
+        c.insert(OTHER_DIR, "link-to-f", F, attr(), at(0));
+        c.insert(OTHER_DIR, "g2", G, attr(), at(0));
+
+        c.forget(F);
+        assert!(c.get(DIR, "f", at(1)).is_none());
+        assert!(c.get(OTHER_DIR, "link-to-f", at(1)).is_none());
+        assert!(c.get(DIR, "g", at(1)).is_some());
+
+        c.drop_dir(DIR);
+        assert!(c.get(DIR, "g", at(1)).is_none());
+        assert!(c.get(OTHER_DIR, "g2", at(1)).is_some(), "other directory");
+
+        c.remove(OTHER_DIR, "g2");
+        assert!(c.get(OTHER_DIR, "g2", at(1)).is_none());
+        c.remove(DIR, "never-cached");
+    }
+
+    #[test]
+    fn a_disabled_cache_is_inert() {
+        let mut c = NameCache::new(false, None);
+        c.insert(DIR, "f", F, attr(), at(0));
+        assert!(c.get(DIR, "f", at(0)).is_none());
+        c.remove(DIR, "f");
+        c.drop_dir(DIR);
+        c.forget(F);
+        assert!(c.dirs.is_empty(), "nothing was ever stored");
+        assert_eq!(c.hits(), 0);
+    }
+
+    #[test]
+    fn block_spans_cover_a_read_exactly() {
+        let b = BLOCK_SIZE as u64;
+        let spans: Vec<_> = block_spans(b - 10, 2 * b + 5).collect();
+        assert_eq!(
+            spans,
+            vec![
+                (0, BLOCK_SIZE - 10, BLOCK_SIZE),
+                (1, 0, BLOCK_SIZE),
+                (2, 0, 5)
+            ]
+        );
+        assert_eq!(block_spans(3, 4).collect::<Vec<_>>(), vec![(0, 3, 4)]);
+    }
+}

@@ -1,7 +1,10 @@
 //! The NFS client: attribute cache with adaptive probes, data cache,
 //! asynchronous write-behind with flush-on-close.
 //!
-//! Implements the reference-port behaviour the paper measured (§2.1, §4):
+//! What NFS shares with Spritely NFS — RPC plumbing, name cache,
+//! namespace procedures, the block read path — is [`ClientBase`]; this
+//! file is what only NFS does, the reference-port behaviour the paper
+//! measured (§2.1, §4):
 //!
 //! * **consistency by probing**: cached data is trusted while the
 //!   attribute cache is fresh; the probe interval adapts between 3 s and
@@ -21,15 +24,18 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::rc::Rc;
 
-use spritely_localfs::BlockCache;
+use spritely_localfs::DirtyVictim;
 use spritely_proto::{
-    block_of, Buf, DirEntry, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, ReadReply, Result,
+    block_of, blocks_for, Buf, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, Result,
     BLOCK_SIZE,
 };
-use spritely_rpcnet::{RpcError, ShardCaller};
+use spritely_rpcnet::ShardCaller;
 use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
+
+use crate::base::{block_spans, BlockClient, ClientBase, Key, NameCache};
 
 /// Configuration of an [`NfsClient`].
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +81,6 @@ impl Default for NfsClientParams {
     }
 }
 
-type Key = (FileHandle, u64);
-
 struct AttrEntry {
     attr: Fattr,
     fetched: SimTime,
@@ -106,30 +110,21 @@ impl Tail {
 }
 
 struct Inner {
-    sim: Sim,
-    caller: ShardCaller,
+    /// Everything NFS shares with Spritely NFS: RPC plumbing, the name
+    /// cache (here the TTL-based dnlc), the namespace procedures and the
+    /// block read path.
+    base: ClientBase,
     params: NfsClientParams,
-    cache: RefCell<BlockCache<Key>>,
     attrs: RefCell<HashMap<FileHandle, AttrEntry>>,
     pending: RefCell<HashMap<FileHandle, PendingWrites>>,
     tails: RefCell<HashMap<FileHandle, Tail>>,
     opens: RefCell<HashMap<FileHandle, u32>>,
-    /// Reads in flight, so a demand read and a read-ahead of the same
-    /// block coalesce into one RPC.
-    in_flight: RefCell<HashMap<Key, Event>>,
-    /// TTL-based name-translation cache (dnlc-style), when enabled.
-    names: RefCell<HashMap<(FileHandle, String), NameEntry>>,
     /// Open-time `getattr` probes elided because a piggybacked post-op
     /// attribute was still inside the probe floor (piggybacking
     /// transports only).
     elided_probes: Cell<u64>,
+    /// The biod pool: write-behind RPCs and read-aheads share its permits.
     biods: Semaphore,
-}
-
-struct NameEntry {
-    fh: FileHandle,
-    attr: Fattr,
-    fetched: SimTime,
 }
 
 /// An NFS client bound to one server.
@@ -138,9 +133,23 @@ pub struct NfsClient {
     inner: Rc<Inner>,
 }
 
-fn status_of(e: RpcError) -> NfsStatus {
-    match e {
-        RpcError::Timeout => NfsStatus::Io,
+/// The namespace procedures NFS keeps no state for (`mkdir`, `rmdir`,
+/// `rename`, `readdir`, `symlink`, `readlink`) are the base's own.
+impl Deref for NfsClient {
+    type Target = ClientBase;
+
+    fn deref(&self) -> &ClientBase {
+        &self.inner.base
+    }
+}
+
+impl BlockClient for NfsClient {
+    fn read_attr(&self, fh: FileHandle, attr: Fattr) {
+        self.note_attrs_own(fh, attr);
+    }
+
+    async fn evicted(&self, _victim: DirtyVictim<Key>) {
+        unreachable!("an NFS data cache holds no dirty blocks");
     }
 }
 
@@ -149,50 +158,33 @@ impl NfsClient {
     /// [`Caller`](spritely_rpcnet::Caller) for the single-server
     /// configuration, or a [`ShardCaller`] routing over several shards.
     pub fn new(sim: &Sim, caller: impl Into<ShardCaller>, params: NfsClientParams) -> Self {
+        let biods = Semaphore::new(params.biods.max(1));
+        let names = NameCache::new(params.name_cache, Some(params.name_cache_ttl));
         NfsClient {
             inner: Rc::new(Inner {
-                sim: sim.clone(),
-                caller: caller.into(),
-                biods: Semaphore::new(params.biods.max(1)),
+                base: ClientBase::new(
+                    sim,
+                    caller.into(),
+                    params.cache_blocks,
+                    names,
+                    usize::from(params.read_ahead),
+                    Some(biods.clone()),
+                ),
                 params,
-                cache: RefCell::new(BlockCache::new(params.cache_blocks)),
                 attrs: RefCell::new(HashMap::new()),
                 pending: RefCell::new(HashMap::new()),
                 tails: RefCell::new(HashMap::new()),
                 opens: RefCell::new(HashMap::new()),
-                in_flight: RefCell::new(HashMap::new()),
-                names: RefCell::new(HashMap::new()),
                 elided_probes: Cell::new(0),
+                biods,
             }),
         }
-    }
-
-    /// Data cache `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.inner.cache.borrow().hit_stats()
     }
 
     /// Open-time `getattr` probes elided thanks to piggybacked post-op
     /// attributes (always 0 on the paper transport).
     pub fn elided_probes(&self) -> u64 {
         self.inner.elided_probes.get()
-    }
-
-    async fn call(&self, req: NfsRequest) -> Result<NfsReply> {
-        match self.inner.caller.call(req).await {
-            Ok(rep) => rep.into_result(),
-            Err(e) => Err(status_of(e)),
-        }
-    }
-
-    /// Background variant for biod traffic (write-behind, read-ahead):
-    /// the transport batcher may hold such a call briefly to coalesce it
-    /// with its peers.
-    async fn call_bg(&self, req: NfsRequest) -> Result<NfsReply> {
-        match self.inner.caller.call_bg(0, req).await {
-            Ok(rep) => rep.into_result(),
-            Err(e) => Err(status_of(e)),
-        }
     }
 
     // ---- attribute cache --------------------------------------------------
@@ -217,13 +209,13 @@ impl NfsClient {
             .get(&fh)
             .is_some_and(|old| new.data_changed_from(&old.attr));
         if changed {
-            self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh);
+            self.drop_file(fh);
         }
         self.inner.attrs.borrow_mut().insert(
             fh,
             AttrEntry {
                 attr: new,
-                fetched: self.inner.sim.now(),
+                fetched: self.sim().now(),
             },
         );
     }
@@ -234,12 +226,12 @@ impl NfsClient {
         let mut attrs = self.inner.attrs.borrow_mut();
         let e = attrs.entry(fh).or_insert(AttrEntry {
             attr: new,
-            fetched: self.inner.sim.now(),
+            fetched: self.sim().now(),
         });
         if new.mtime >= e.attr.mtime {
             e.attr = new;
         }
-        e.fetched = self.inner.sim.now();
+        e.fetched = self.sim().now();
     }
 
     /// Returns attributes, probing the server if the cache has expired
@@ -249,7 +241,7 @@ impl NfsClient {
             let fresh = {
                 let attrs = self.inner.attrs.borrow();
                 attrs.get(&fh).and_then(|e| {
-                    let age = self.inner.sim.now().saturating_duration_since(e.fetched);
+                    let age = self.sim().now().saturating_duration_since(e.fetched);
                     (age < self.attr_timeout(e)).then_some(e.attr)
                 })
             };
@@ -257,14 +249,9 @@ impl NfsClient {
                 return Ok(a);
             }
         }
-        let rep = self.call(NfsRequest::GetAttr { fh }).await?;
-        match rep {
-            NfsReply::Attr(attr) => {
-                self.note_attrs_checking(fh, attr);
-                Ok(attr)
-            }
-            _ => Err(NfsStatus::Io),
-        }
+        let attr = self.getattr(fh).await?;
+        self.note_attrs_checking(fh, attr);
+        Ok(attr)
     }
 
     // ---- open / close -------------------------------------------------------
@@ -277,11 +264,11 @@ impl NfsClient {
         // transport piggybacks post-op attributes and a reply refreshed
         // them within the probe floor, in which case that reply already
         // was the consistency check.
-        if self.inner.caller.transport().piggyback {
+        if self.caller().transport().piggyback {
             let fresh = {
                 let attrs = self.inner.attrs.borrow();
                 attrs.get(&fh).and_then(|e| {
-                    let age = self.inner.sim.now().saturating_duration_since(e.fetched);
+                    let age = self.sim().now().saturating_duration_since(e.fetched);
                     (age < self.inner.params.attr_min).then_some(e.attr)
                 })
             };
@@ -322,7 +309,7 @@ impl NfsClient {
             }
         };
         if last && self.inner.params.invalidate_on_close {
-            self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh);
+            self.drop_file(fh);
         }
         match err {
             Some(e) => Err(e),
@@ -331,71 +318,6 @@ impl NfsClient {
     }
 
     // ---- data path ----------------------------------------------------------
-
-    async fn fetch_block(&self, fh: FileHandle, lblk: u64, bg: bool) -> Result<Buf> {
-        let key = (fh, lblk);
-        // Coalesce with an identical fetch already in flight. If that
-        // fetch is a read-ahead parked in the batcher, kick it onto the
-        // wire: someone is waiting for the data now.
-        let waiting = self.inner.in_flight.borrow().get(&key).cloned();
-        if let Some(ev) = waiting {
-            if !bg {
-                self.inner.caller.kick();
-            }
-            ev.wait().await;
-            if let Some(b) = self.inner.cache.borrow_mut().get(&key) {
-                return Ok(b);
-            }
-            // Fall through and fetch ourselves (the other fetch failed).
-        }
-        let ev = Event::new();
-        self.inner.in_flight.borrow_mut().insert(key, ev.clone());
-        let req = NfsRequest::Read {
-            fh,
-            offset: lblk * BLOCK_SIZE as u64,
-            count: BLOCK_SIZE as u32,
-        };
-        let res = if bg {
-            self.call_bg(req).await
-        } else {
-            self.call(req).await
-        };
-        self.inner.in_flight.borrow_mut().remove(&key);
-        ev.set();
-        match res? {
-            NfsReply::Read(ReadReply { data, attr, .. }) => {
-                self.note_attrs_own(fh, attr);
-                let block = data.to_buf();
-                self.inner
-                    .cache
-                    .borrow_mut()
-                    .insert_clean(key, block.clone());
-                Ok(block)
-            }
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    fn spawn_read_ahead(&self, fh: FileHandle, lblk: u64, size: u64) {
-        if !self.inner.params.read_ahead {
-            return;
-        }
-        let next = lblk + 1;
-        if next * (BLOCK_SIZE as u64) >= size
-            || self.inner.cache.borrow().contains(&(fh, next))
-            || self.inner.in_flight.borrow().contains_key(&(fh, next))
-        {
-            return;
-        }
-        let this = self.clone();
-        self.inner.sim.spawn(async move {
-            let _permit = this.inner.biods.acquire().await;
-            if this.inner.cache.borrow().contains(&(fh, next)) {
-                return;
-            }
-            let _ = this.fetch_block(fh, next, true).await;
-        });
-    }
 
     /// Reads up to `len` bytes at `offset`. Returns `(data, eof)`: the
     /// `read(2)` copy-out, the one copy on the way from the cache.
@@ -420,21 +342,10 @@ impl NfsClient {
         }
         let end = size.min(offset + u64::from(len));
         let mut out = Vec::with_capacity((end - offset) as usize);
-        let first = block_of(offset);
-        let last = block_of(end - 1);
-        for lblk in first..=last {
-            let blk_start = lblk * BLOCK_SIZE as u64;
-            let from = (offset.max(blk_start) - blk_start) as usize;
-            let to = ((end - blk_start).min(BLOCK_SIZE as u64)) as usize;
-            let cached = self.inner.cache.borrow_mut().get(&(fh, lblk));
-            let block = match cached {
-                Some(b) if b.len() >= to => b,
-                _ => {
-                    let b = self.fetch_block(fh, lblk, false).await?;
-                    self.spawn_read_ahead(fh, lblk, size);
-                    b
-                }
-            };
+        for (lblk, from, to) in block_spans(offset, end) {
+            // A cached block too short for this read predates the bytes
+            // wanted from it: fetch it again.
+            let (block, _) = ClientBase::read_block(self, fh, lblk, size, true, to).await?;
             let to = to.min(block.len());
             if from < to {
                 out.extend_from_slice(&block[from..to]);
@@ -455,33 +366,23 @@ impl NfsClient {
     fn spawn_write_rpc(&self, fh: FileHandle, offset: u64, data: Buf) {
         self.bump_pending(fh);
         let this = self.clone();
-        self.inner.sim.spawn(async move {
+        self.sim().spawn(async move {
             let permit = this.inner.biods.acquire().await;
-            let req = NfsRequest::Write {
+            let make = || NfsRequest::Write {
                 fh,
                 offset,
-                data: data.into(),
+                data: data.clone().into(),
             };
-            let res = this.call_bg(req).await;
+            let res = this.call_bg(0, make).await.and_then(NfsReply::into_attr);
             drop(permit);
-            let mut pending = this.inner.pending.borrow_mut();
-            let p = pending.entry(fh).or_default();
-            match res {
-                Ok(NfsReply::Attr(attr)) => {
-                    drop(pending);
-                    this.note_attrs_own(fh, attr);
-                }
-                Ok(_) => {
-                    p.error.get_or_insert(NfsStatus::Io);
-                    drop(pending);
-                }
-                Err(e) => {
-                    p.error.get_or_insert(e);
-                    drop(pending);
-                }
+            if let Ok(attr) = res {
+                this.note_attrs_own(fh, attr);
             }
             let mut pending = this.inner.pending.borrow_mut();
             let p = pending.entry(fh).or_default();
+            if let Err(e) = res {
+                p.error.get_or_insert(e);
+            }
             p.count -= 1;
             if p.count == 0 {
                 p.done.set();
@@ -500,7 +401,7 @@ impl NfsClient {
         if let Some(ev) = ev {
             // About to block on write-behind: push any parked batch out
             // now rather than letting it ride the Nagle window.
-            self.inner.caller.kick();
+            self.caller().kick();
             ev.wait().await;
         }
     }
@@ -517,16 +418,15 @@ impl NfsClient {
     /// and every clone rpcnet makes of it share the one buffer.
     fn emit_piece(&self, fh: FileHandle, offset: u64, piece: Buf) {
         let key = (fh, block_of(offset));
+        // A read-ahead of this block still on the wire predates the bytes.
+        self.wrote_block(fh, key.1);
         if piece.len() == BLOCK_SIZE {
-            self.inner
-                .cache
-                .borrow_mut()
-                .insert_clean(key, piece.clone());
+            self.cache_mut().insert_clean(key, piece.clone());
         } else {
             // A cached copy of the block predates these bytes; our own
             // write does not invalidate it (`note_attrs_own`), so it
             // would be served until the file closes.
-            self.inner.cache.borrow_mut().remove(&key);
+            self.cache_mut().remove(&key);
         }
         self.spawn_write_rpc(fh, offset, piece);
     }
@@ -609,9 +509,8 @@ impl NfsClient {
         for fh in pending {
             self.wait_pending(fh).await;
         }
-        self.inner.cache.borrow_mut().clear();
+        self.inner.base.cold_boot();
         self.inner.attrs.borrow_mut().clear();
-        self.inner.names.borrow_mut().clear();
         Ok(())
     }
 
@@ -621,234 +520,48 @@ impl NfsClient {
     /// RPC (which is why lookups dominate Table 5-2); with
     /// [`NfsClientParams::name_cache`] a TTL-based dnlc answers repeats.
     pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        if self.inner.params.name_cache {
-            let hit = {
-                let names = self.inner.names.borrow();
-                names.get(&(dir, name.to_string())).and_then(|e| {
-                    let age = self.inner.sim.now().saturating_duration_since(e.fetched);
-                    (age < self.inner.params.name_cache_ttl).then_some((e.fh, e.attr))
-                })
-            };
-            if let Some(hit) = hit {
-                return Ok(hit);
-            }
+        let (fh, attr, cached) = self.inner.base.lookup(dir, name).await?;
+        if !cached {
+            self.note_attrs_checking(fh, attr);
         }
-        let rep = self
-            .call(NfsRequest::Lookup {
-                dir,
-                name: name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Handle { fh, attr } => {
-                self.note_attrs_checking(fh, attr);
-                if self.inner.params.name_cache {
-                    self.inner.names.borrow_mut().insert(
-                        (dir, name.to_string()),
-                        NameEntry {
-                            fh,
-                            attr,
-                            fetched: self.inner.sim.now(),
-                        },
-                    );
-                }
-                Ok((fh, attr))
-            }
-            _ => Err(NfsStatus::Io),
-        }
+        Ok((fh, attr))
     }
 
     /// Creates a regular file.
     pub async fn create(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        let rep = self
-            .call(NfsRequest::Create {
-                dir,
-                name: name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Handle { fh, attr } => {
-                self.note_attrs_own(fh, attr);
-                if self.inner.params.name_cache {
-                    self.inner.names.borrow_mut().insert(
-                        (dir, name.to_string()),
-                        NameEntry {
-                            fh,
-                            attr,
-                            fetched: self.inner.sim.now(),
-                        },
-                    );
-                }
-                Ok((fh, attr))
-            }
-            _ => Err(NfsStatus::Io),
-        }
+        let (fh, attr) = self.inner.base.create(dir, name).await?;
+        self.note_attrs_own(fh, attr);
+        Ok((fh, attr))
     }
 
     /// Removes a file. The caller should pass the file's handle via
     /// [`forget`](Self::forget) to drop local caching.
     pub async fn remove(&self, dir: FileHandle, name: &str) -> Result<()> {
-        self.inner
-            .names
-            .borrow_mut()
-            .remove(&(dir, name.to_string()));
-        let rep = self
-            .call(NfsRequest::Remove {
-                dir,
-                name: name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Ok => Ok(()),
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Creates a directory.
-    pub async fn mkdir(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        let rep = self
-            .call(NfsRequest::Mkdir {
-                dir,
-                name: name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Handle { fh, attr } => Ok((fh, attr)),
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Removes an empty directory.
-    pub async fn rmdir(&self, dir: FileHandle, name: &str) -> Result<()> {
-        let rep = self
-            .call(NfsRequest::Rmdir {
-                dir,
-                name: name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Ok => Ok(()),
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Renames a file or directory.
-    pub async fn rename(
-        &self,
-        from_dir: FileHandle,
-        from_name: &str,
-        to_dir: FileHandle,
-        to_name: &str,
-    ) -> Result<()> {
-        {
-            let mut names = self.inner.names.borrow_mut();
-            names.remove(&(from_dir, from_name.to_string()));
-            names.remove(&(to_dir, to_name.to_string()));
-        }
-        let rep = self
-            .call(NfsRequest::Rename {
-                from_dir,
-                from_name: from_name.to_string(),
-                to_dir,
-                to_name: to_name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Ok => Ok(()),
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Lists a directory.
-    pub async fn readdir(&self, dir: FileHandle) -> Result<Vec<DirEntry>> {
-        let rep = self.call(NfsRequest::Readdir { dir }).await?;
-        match rep {
-            NfsReply::Readdir { entries } => Ok(entries),
-            _ => Err(NfsStatus::Io),
-        }
+        self.inner.base.remove(0, dir, name).await
     }
 
     /// Creates a hard link `to_dir/to_name` to `from`.
     pub async fn link(&self, from: FileHandle, to_dir: FileHandle, to_name: &str) -> Result<Fattr> {
-        let rep = self
-            .call(NfsRequest::Link {
-                from,
-                to_dir,
-                to_name: to_name.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Attr(attr) => {
-                self.note_attrs_own(from, attr);
-                if self.inner.params.name_cache {
-                    self.inner.names.borrow_mut().insert(
-                        (to_dir, to_name.to_string()),
-                        NameEntry {
-                            fh: from,
-                            attr,
-                            fetched: self.inner.sim.now(),
-                        },
-                    );
-                }
-                Ok(attr)
-            }
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Creates a symbolic link `dir/name` → `target`.
-    pub async fn symlink(
-        &self,
-        dir: FileHandle,
-        name: &str,
-        target: &str,
-    ) -> Result<(FileHandle, Fattr)> {
-        let rep = self
-            .call(NfsRequest::Symlink {
-                dir,
-                name: name.to_string(),
-                target: target.to_string(),
-            })
-            .await?;
-        match rep {
-            NfsReply::Handle { fh, attr } => Ok((fh, attr)),
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// Reads a symbolic link's target.
-    pub async fn readlink(&self, fh: FileHandle) -> Result<String> {
-        let rep = self.call(NfsRequest::Readlink { fh }).await?;
-        match rep {
-            NfsReply::Path(p) => Ok(p),
-            _ => Err(NfsStatus::Io),
-        }
+        let attr = self.inner.base.link(from, to_dir, to_name).await?;
+        self.note_attrs_own(from, attr);
+        Ok(attr)
     }
 
     /// Sets attributes (truncate).
     pub async fn setattr(&self, fh: FileHandle, size: Option<u64>) -> Result<Fattr> {
-        let rep = self.call(NfsRequest::SetAttr { fh, size }).await?;
-        match rep {
-            NfsReply::Attr(attr) => {
-                if let Some(sz) = size {
-                    let cut = spritely_proto::blocks_for(sz);
-                    self.inner
-                        .cache
-                        .borrow_mut()
-                        .drop_matching(|k| k.0 == fh && k.1 >= cut);
-                }
-                self.note_attrs_own(fh, attr);
-                Ok(attr)
-            }
-            _ => Err(NfsStatus::Io),
+        let attr = self.inner.base.setattr(fh, size).await?;
+        if let Some(sz) = size {
+            self.truncate_blocks(fh, blocks_for(sz));
         }
+        self.note_attrs_own(fh, attr);
+        Ok(attr)
     }
 
     /// Drops all local state for a handle (after unlink).
     pub fn forget(&self, fh: FileHandle) {
-        self.inner.cache.borrow_mut().drop_matching(|k| k.0 == fh);
+        self.drop_file(fh);
         self.inner.attrs.borrow_mut().remove(&fh);
         self.inner.tails.borrow_mut().remove(&fh);
-        self.inner.names.borrow_mut().retain(|_, e| e.fh != fh);
+        self.names().forget(fh);
     }
 }

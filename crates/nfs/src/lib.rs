@@ -14,6 +14,7 @@
 //! `stale_read_window_exists` test below, and compare with the guarantees
 //! tested in `spritely-core`.
 
+pub mod base;
 mod client;
 mod server;
 

@@ -394,6 +394,55 @@ impl NfsReply {
         }
     }
 
+    /// `Ok` as `()`: an error reply is its status, any other shape
+    /// [`NfsStatus::Io`] — as for every typed accessor below.
+    pub fn into_unit(self) -> Result<(), NfsStatus> {
+        match self.into_result()? {
+            NfsReply::Ok => Ok(()),
+            _ => Err(NfsStatus::Io),
+        }
+    }
+
+    /// The attributes of an `Attr` reply.
+    pub fn into_attr(self) -> Result<Fattr, NfsStatus> {
+        match self.into_result()? {
+            NfsReply::Attr(attr) => Ok(attr),
+            _ => Err(NfsStatus::Io),
+        }
+    }
+
+    /// The handle and attributes of a `Handle` reply.
+    pub fn into_handle(self) -> Result<(FileHandle, Fattr), NfsStatus> {
+        match self.into_result()? {
+            NfsReply::Handle { fh, attr } => Ok((fh, attr)),
+            _ => Err(NfsStatus::Io),
+        }
+    }
+
+    /// The body of a `Read` reply.
+    pub fn into_read(self) -> Result<ReadReply, NfsStatus> {
+        match self.into_result()? {
+            NfsReply::Read(r) => Ok(r),
+            _ => Err(NfsStatus::Io),
+        }
+    }
+
+    /// The entries of a `Readdir` reply.
+    pub fn into_entries(self) -> Result<Vec<DirEntry>, NfsStatus> {
+        match self.into_result()? {
+            NfsReply::Readdir { entries } => Ok(entries),
+            _ => Err(NfsStatus::Io),
+        }
+    }
+
+    /// The target of a `Path` reply.
+    pub fn into_path(self) -> Result<String, NfsStatus> {
+        match self.into_result()? {
+            NfsReply::Path(p) => Ok(p),
+            _ => Err(NfsStatus::Io),
+        }
+    }
+
     /// Extracts attributes if this reply carries them.
     pub fn attr(&self) -> Option<&Fattr> {
         match self {
@@ -554,6 +603,29 @@ mod tests {
             Err(NfsStatus::NoEnt)
         );
         assert!(NfsReply::Ok.into_result().is_ok());
+    }
+
+    #[test]
+    fn typed_accessors_unpack_their_shape_only() {
+        assert_eq!(NfsReply::Ok.into_unit(), Ok(()));
+        assert_eq!(NfsReply::Attr(attr()).into_attr(), Ok(attr()));
+        let handle = NfsReply::Handle {
+            fh: fh(),
+            attr: attr(),
+        };
+        assert_eq!(handle.clone().into_handle(), Ok((fh(), attr())));
+        assert_eq!(NfsReply::Path("t".into()).into_path(), Ok("t".into()));
+        assert_eq!(
+            NfsReply::Readdir { entries: vec![] }.into_entries(),
+            Ok(vec![])
+        );
+        // An error reply is its status; any other shape is an I/O error.
+        assert_eq!(
+            NfsReply::Err(NfsStatus::Stale).into_attr(),
+            Err(NfsStatus::Stale)
+        );
+        assert_eq!(handle.into_unit(), Err(NfsStatus::Io));
+        assert_eq!(NfsReply::Ok.into_read().err(), Some(NfsStatus::Io));
     }
 
     #[test]

@@ -38,4 +38,8 @@ bash benchmark/run.sh --workload sort_nfs --seed 42 --seconds 2 --trace 1 > /dev
 echo "==> benchmark: fleet, 2 s, traced (same exit-2 rule, sharded end of the builder)"
 bash benchmark/run.sh --workload fleet --seed 42 --seconds 2 --trace 1 > /dev/null
 
+# Report only: ROADMAP item 2's line target, so a change can quote it.
+echo "==> scripts/loc.sh (non-test Rust lines per crate)"
+scripts/loc.sh
+
 echo "==> OK"

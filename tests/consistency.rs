@@ -220,6 +220,73 @@ fn snfs_late_read_reply_does_not_repopulate_an_invalidated_cache() {
 }
 
 #[test]
+fn nfs_late_read_ahead_reply_does_not_overwrite_a_newer_write() {
+    // The NFS twin of the test above, as a fixed schedule: a sequential
+    // read puts a read-ahead of block 1 on the wire, the application
+    // overwrites block 1 while the server's disk is still fetching it, and
+    // the reply — the block as it was before the write — lands afterwards.
+    // It must not replace the written block in the cache, neither for the
+    // next read nor (with the close purge off) for a later reopen.
+    for protocol in [Protocol::Nfs, Protocol::NfsFixed] {
+        let tb = Testbed::build(TestbedParams {
+            protocol,
+            ..TestbedParams::default()
+        });
+        let c = match &tb.clients[0].remote {
+            RemoteClient::Nfs(c) => c.clone(),
+            _ => panic!("expected NFS"),
+        };
+        let root = tb.server_fs.root();
+        let server_fs = tb.server_fs.clone();
+        let counter = tb.counter.clone();
+        let sim = tb.sim.clone();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let block = BLOCK_SIZE as u32;
+            let (fh, _) = c.create(root, "f").await.unwrap();
+            c.open(fh, true).await.unwrap();
+            c.write(fh, 0, &vec![1u8; 3 * BLOCK_SIZE]).await.unwrap();
+            c.close(fh, true).await.unwrap();
+            c.cold_boot().await.unwrap();
+            // Empty the server's buffer cache too, so the read-ahead
+            // below waits for the disk while the write overtakes it.
+            assert_eq!(server_fs.crash(), 0, "the ones are on the disk");
+
+            c.open(fh, true).await.unwrap();
+            let reads = counter.get(spritely::proto::NfsProc::Read);
+            c.read(fh, 0, block).await.unwrap();
+            // Long enough for the read-ahead to get onto the wire, far too
+            // short for the disk to answer it.
+            s.sleep(SimDuration::from_micros(100)).await;
+            c.write(fh, u64::from(block), &vec![2u8; BLOCK_SIZE])
+                .await
+                .unwrap();
+            s.sleep(SimDuration::from_secs(1)).await;
+            assert_eq!(
+                counter.get(spritely::proto::NfsProc::Read) - reads,
+                2,
+                "block 0 on demand, block 1 ahead of the reader"
+            );
+            let (got, _) = c.read(fh, u64::from(block), block).await.unwrap();
+            assert!(
+                got.iter().all(|&x| x == 2),
+                "{protocol:?}: the read-ahead reply must not undo the write"
+            );
+            c.close(fh, true).await.unwrap();
+
+            c.open(fh, false).await.unwrap();
+            let (got, _) = c.read(fh, u64::from(block), block).await.unwrap();
+            assert!(
+                got.iter().all(|&x| x == 2),
+                "{protocol:?}: nor survive a close and reopen"
+            );
+            c.close(fh, false).await.unwrap();
+        });
+        sim.run_until(h);
+    }
+}
+
+#[test]
 fn snfs_three_clients_reader_population() {
     // read-only sharing caches everywhere; a late writer invalidates all.
     let tb = Testbed::build_with_clients(

@@ -10,6 +10,7 @@ use spritely::harness::{
 };
 use spritely::proto::BLOCK_SIZE;
 use spritely::sim::SimDuration;
+use spritely::vfs::FsBackend;
 
 fn two_client_snfs(server: SnfsServerParams) -> Testbed {
     Testbed::build_with_clients(
@@ -145,48 +146,55 @@ fn zero_horizon_reproduces_the_lost_data_bug() {
     assert!(server.stats().callbacks_failed >= 1, "B declared crashed");
 }
 
-/// The create-returns-EEXIST retransmission race: reply lost after the
-/// server executed, dup cache lost before the retransmit arrived. The
-/// client must recognize the spurious EEXIST on a retransmitted create
-/// and map it to success via lookup.
-#[test]
-fn retransmitted_create_after_dup_cache_loss_succeeds() {
+/// A one-client testbed of `protocol`, its client as the vfs drives it
+/// (each protocol client's own methods), and the fault the three tests
+/// below share: the server executes the client's next request, the reply
+/// is lost, and the server loses its duplicate cache (e.g. rebooted its
+/// RPC layer) before the retransmission — one second later — arrives.
+fn dup_cache_loss_rig(protocol: Protocol) -> (Testbed, FsBackend, impl Fn()) {
     let tb = Testbed::build(TestbedParams {
-        protocol: Protocol::Snfs,
+        protocol,
         ..TestbedParams::default()
     });
-    let c = match &tb.clients[0].remote {
-        RemoteClient::Snfs(c) => c.clone(),
-        _ => panic!("expected SNFS"),
+    let fs = match &tb.clients[0].remote {
+        RemoteClient::Nfs(c) => FsBackend::Nfs(c.clone()),
+        RemoteClient::Snfs(c) => FsBackend::Snfs(c.clone()),
+        RemoteClient::None => panic!("expected a remote protocol"),
     };
-    let root = tb.server_fs.root();
-    let net = tb.net.clone();
+    let (sim, net) = (tb.sim.clone(), tb.net.clone());
     let ep = tb.endpoint.clone().expect("server endpoint");
-    let sim = tb.sim.clone();
-    // Model a server that executed the create, lost the reply, and then
-    // lost its duplicate cache (e.g. rebooted its RPC layer) before the
-    // retransmit arrived.
-    {
-        let sim2 = sim.clone();
-        let ep = ep.clone();
+    let arm = move || {
+        net.lose_next_reply(1, false);
+        let (sim2, ep) = (sim.clone(), ep.clone());
         sim.spawn(async move {
-            // The first attempt executes within milliseconds; the caller
-            // retransmits after its 1 s timeout. Wipe the cache between.
             sim2.sleep(SimDuration::from_millis(500)).await;
             ep.clear_dup_cache();
         });
+    };
+    (tb, fs, arm)
+}
+
+/// The create-returns-EEXIST retransmission race. The client must
+/// recognize the spurious EEXIST on a retransmitted create and map it to
+/// success via lookup — either protocol's client, the mapping lives in
+/// the core they share.
+#[test]
+fn retransmitted_create_after_dup_cache_loss_succeeds() {
+    for protocol in [Protocol::Nfs, Protocol::Snfs] {
+        let (tb, fs, arm) = dup_cache_loss_rig(protocol);
+        let root = tb.server_fs.root();
+        let h = tb.sim.spawn(async move {
+            arm();
+            let (fh, _) = fs
+                .create(root, "victim")
+                .await
+                .expect("retransmitted create maps EEXIST to success");
+            // The handle is the one the first execution created.
+            let (looked, _) = fs.lookup(root, "victim").await.unwrap();
+            assert_eq!(fh, looked, "{protocol:?}");
+        });
+        tb.sim.run_until(h);
     }
-    let h = sim.spawn(async move {
-        net.lose_next_reply(1, false);
-        let (fh, _) = c
-            .create(root, "victim")
-            .await
-            .expect("retransmitted create maps EEXIST to success");
-        // The handle is the one the first execution created.
-        let (looked, _) = c.lookup(root, "victim").await.unwrap();
-        assert_eq!(fh, looked);
-    });
-    sim.run_until(h);
 }
 
 /// The remove-returns-ENOENT twin: the retransmitted remove finds the
@@ -194,38 +202,41 @@ fn retransmitted_create_after_dup_cache_loss_succeeds() {
 /// report success, not ENOENT.
 #[test]
 fn retransmitted_remove_after_dup_cache_loss_succeeds() {
-    let tb = Testbed::build(TestbedParams {
-        protocol: Protocol::Snfs,
-        ..TestbedParams::default()
-    });
-    let c = match &tb.clients[0].remote {
-        RemoteClient::Snfs(c) => c.clone(),
-        _ => panic!("expected SNFS"),
-    };
-    let root = tb.server_fs.root();
-    let net = tb.net.clone();
-    let ep = tb.endpoint.clone().expect("server endpoint");
-    let sim = tb.sim.clone();
-    let h = sim.spawn({
-        let sim = sim.clone();
-        async move {
-            let (fh, _) = c.create(root, "doomed").await.unwrap();
-            {
-                let sim2 = sim.clone();
-                let ep = ep.clone();
-                sim.spawn(async move {
-                    sim2.sleep(SimDuration::from_millis(500)).await;
-                    ep.clear_dup_cache();
-                });
-            }
-            net.lose_next_reply(1, false);
-            c.remove(root, "doomed", Some(fh))
+    for protocol in [Protocol::Nfs, Protocol::Snfs] {
+        let (tb, fs, arm) = dup_cache_loss_rig(protocol);
+        let root = tb.server_fs.root();
+        let h = tb.sim.spawn(async move {
+            let (fh, _) = fs.create(root, "doomed").await.unwrap();
+            arm();
+            fs.remove(root, "doomed", fh)
                 .await
                 .expect("retransmitted remove maps ENOENT to success");
-            assert!(c.lookup(root, "doomed").await.is_err(), "name is gone");
-        }
-    });
-    sim.run_until(h);
+            let gone = fs.lookup(root, "doomed").await.is_err();
+            assert!(gone, "{protocol:?}: name is gone");
+        });
+        tb.sim.run_until(h);
+    }
+}
+
+/// And for rename: the retransmission finds the source gone because the
+/// first transmission already moved it.
+#[test]
+fn retransmitted_rename_after_dup_cache_loss_succeeds() {
+    for protocol in [Protocol::Nfs, Protocol::Snfs] {
+        let (tb, fs, arm) = dup_cache_loss_rig(protocol);
+        let root = tb.server_fs.root();
+        let h = tb.sim.spawn(async move {
+            let (fh, _) = fs.create(root, "old").await.unwrap();
+            arm();
+            fs.rename(root, "old", root, "new")
+                .await
+                .expect("retransmitted rename maps ENOENT to success");
+            assert!(fs.lookup(root, "old").await.is_err(), "{protocol:?}");
+            let (moved, _) = fs.lookup(root, "new").await.unwrap();
+            assert_eq!(fh, moved, "{protocol:?}: the file is under its new name");
+        });
+        tb.sim.run_until(h);
+    }
 }
 
 /// A duplicated delivery of a server→client callback must be idempotent

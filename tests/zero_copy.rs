@@ -174,12 +174,6 @@ fn run_against_model(protocol: Protocol, ops: Vec<Op>) {
     let tb = Testbed::build_with_clients(
         TestbedParams {
             protocol,
-            // The vintage NFS client lets a read-ahead reply overwrite a
-            // block the application wrote while it was in flight (the
-            // NFS-side cousin of defect 1 in benchmark/README.md, found
-            // by this test and left to its own issue); SNFS keeps its
-            // read-ahead, that race is what its invalidation epoch is for.
-            read_ahead: protocol != Protocol::Nfs,
             ..TestbedParams::default()
         },
         1,
