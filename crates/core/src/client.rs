@@ -1033,7 +1033,7 @@ impl SnfsClient {
     /// RPC itself proceeds in the background. A failure is counted and
     /// recorded against the file, to surface from its next
     /// `writeback_file`/`fsync`.
-    async fn write_back_victim(&self, v: DirtyVictim<Key>) {
+    pub(super) async fn write_back_victim(&self, v: DirtyVictim<Key>) {
         let (fh, lblk) = v.key;
         self.register_eviction(fh);
         let slot = self.inner.flush_slots.acquire().await;
@@ -1192,7 +1192,12 @@ impl SnfsClient {
     /// data), then flushes the resident dirty runs. An error recorded by
     /// a background eviction is surfaced here, like a classic delayed
     /// write error reported at the next fsync/close.
-    async fn writeback_file_via(&self, fh: FileHandle, use_pool: bool, parent: u64) -> Result<()> {
+    pub(super) async fn writeback_file_via(
+        &self,
+        fh: FileHandle,
+        use_pool: bool,
+        parent: u64,
+    ) -> Result<()> {
         let flush_seq = self.emit(
             parent,
             EventKind::FlushBegin {
@@ -1653,7 +1658,7 @@ impl SnfsClient {
     /// same reason write-back callbacks do: the conflicting opener is
     /// blocked on us, and our flush must not queue behind unrelated
     /// background traffic.
-    async fn do_deleg_return(&self, ctx: u64, fh: FileHandle) -> Result<()> {
+    pub(super) async fn do_deleg_return(&self, ctx: u64, fh: FileHandle) -> Result<()> {
         self.writeback_file_via(fh, false, ctx).await?;
         let (readers, writers, wrote) = {
             let files = self.inner.files.borrow();
