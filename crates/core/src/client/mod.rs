@@ -26,18 +26,22 @@ use std::future::Future;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use spritely_localfs::{DirtyRun, DirtyVictim, DropCounts};
-use spritely_metrics::{Histogram, InflightGauge, OpCounter};
-use spritely_nfs::base::{block_spans, status_of, BlockClient, ClientBase, Key, NameCache};
+use spritely_localfs::{DirtyVictim, DropCounts};
+use spritely_metrics::{Histogram, InflightGauge};
+use spritely_nfs::base::{block_spans, BlockClient, ClientBase, Key, NameCache};
 use spritely_proto::{
-    block_of, blocks_for, Buf, CallbackArg, CallbackReply, ClientId, Fattr, FileHandle,
-    FileVersion, NfsReply, NfsRequest, NfsStatus, Payload, ReadReply, Result, BLOCK_SIZE,
+    block_of, blocks_for, Buf, CallbackReply, ClientId, Fattr, FileHandle, FileVersion, NfsReply,
+    NfsRequest, NfsStatus, Payload, ReadReply, Result, BLOCK_SIZE,
 };
-use spritely_rpcnet::{Endpoint, EndpointParams, ShardCaller};
-use spritely_sim::{Event, Resource, Semaphore, Sim, SimDuration, SimTime};
+use spritely_rpcnet::ShardCaller;
+use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
 use crate::delegation::{DelegationParams, DelegationStats};
+
+mod callback;
+mod recovery;
+mod writeback;
 
 /// Configuration of the client's write-behind pool (the Ultrix biod
 /// analogue): how dirty blocks travel back to the server.
@@ -978,316 +982,6 @@ impl SnfsClient {
         Ok(())
     }
 
-    /// Records the start of a background eviction write-back for `fh`.
-    /// Must run synchronously with the eviction itself (no await in
-    /// between): once the block has left the cache this registration is
-    /// the only thing that makes `writeback_file` wait for its data.
-    fn register_eviction(&self, fh: FileHandle) {
-        self.inner
-            .evictions
-            .borrow_mut()
-            .entry(fh)
-            .or_insert_with(|| (0, Event::new()))
-            .0 += 1;
-    }
-
-    /// Marks one eviction write-back for `fh` finished, waking waiters
-    /// when it was the last.
-    fn finish_eviction(&self, fh: FileHandle) {
-        let mut ev = self.inner.evictions.borrow_mut();
-        let entry = ev.get_mut(&fh).expect("finish without register");
-        entry.0 -= 1;
-        if entry.0 == 0 {
-            let (_, done) = ev.remove(&fh).expect("entry present");
-            done.set();
-        }
-    }
-
-    /// Waits until no eviction write-back for `fh` is in flight. Loops
-    /// because new evictions may start while we wait (each batch gets a
-    /// fresh event).
-    async fn wait_evictions(&self, fh: FileHandle) {
-        loop {
-            let done = self
-                .inner
-                .evictions
-                .borrow()
-                .get(&fh)
-                .map(|(_, d)| d.clone());
-            match done {
-                Some(d) => {
-                    // About to block on background write-backs: push any
-                    // parked batch out instead of riding the Nagle window.
-                    self.caller().kick();
-                    d.wait().await;
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Routes a dirty block evicted under cache pressure through the
-    /// write-behind pool. The eviction is registered before any await,
-    /// so a concurrent `writeback_file` always sees (and waits for) it;
-    /// the slot acquisition is the evicting task's backpressure, and the
-    /// RPC itself proceeds in the background. A failure is counted and
-    /// recorded against the file, to surface from its next
-    /// `writeback_file`/`fsync`.
-    pub(super) async fn write_back_victim(&self, v: DirtyVictim<Key>) {
-        let (fh, lblk) = v.key;
-        self.register_eviction(fh);
-        let slot = self.inner.flush_slots.acquire().await;
-        let this = self.clone();
-        self.sim().spawn(async move {
-            let _slot = slot;
-            let _permit = this.inner.flush_inflight.acquire().await;
-            // The file may have been removed while this write-back sat in
-            // the queue; its data is unreachable, so the write is
-            // cancelled like any other delayed write of a deleted file
-            // (§4.2.3) rather than resurrecting it on the server.
-            if this.inner.removed.borrow().contains(&fh) {
-                this.bump_stats(|s| s.cancelled_blocks += 1);
-                this.emit(
-                    0,
-                    EventKind::WriteCancel {
-                        client: this.inner.id,
-                        fh,
-                        from_blk: 0,
-                        blocks: 1,
-                    },
-                );
-            } else if let Err(e) = this.write_back_rpc(fh, lblk, v.data.into(), 1, 0).await {
-                this.inner
-                    .eviction_errors
-                    .borrow_mut()
-                    .entry(fh)
-                    .or_insert(e);
-            }
-            this.finish_eviction(fh);
-        });
-    }
-
-    /// Sends one write-back RPC covering `blocks` blocks starting at
-    /// logical block `start`. Bumps the gather histogram, the in-flight
-    /// gauge, and the written-back / failure counters.
-    async fn write_back_rpc(
-        &self,
-        fh: FileHandle,
-        start: u64,
-        data: Payload,
-        blocks: u64,
-        parent: u64,
-    ) -> Result<()> {
-        self.inner.gather_hist.record(blocks);
-        self.inner.inflight_gauge.inc();
-        let make = || NfsRequest::Write {
-            fh,
-            offset: start * BLOCK_SIZE as u64,
-            data: data.clone(),
-        };
-        let res = self.call_bg(parent, make).await;
-        self.inner.inflight_gauge.dec();
-        match res.and_then(NfsReply::into_attr) {
-            Ok(_) => {
-                self.bump_stats(|s| s.written_back_blocks += blocks);
-                Ok(())
-            }
-            Err(e) => {
-                // The blocks stay dirty and will be retried: they are not
-                // written back, only failed.
-                self.bump_stats(|s| s.writeback_failures += 1);
-                Err(e)
-            }
-        }
-    }
-
-    /// Issues one planned run: re-extracts the blocks at issue time
-    /// (they may have gone clean, been rewritten, or vanished since
-    /// planning) and sends one gathered `write` RPC per contiguous
-    /// segment, marking blocks clean as each RPC lands. Stops at the
-    /// first failed segment; its blocks (and the rest of the run) stay
-    /// dirty for a later retry.
-    async fn flush_one_run(&self, fh: FileHandle, run: DirtyRun, parent: u64) -> Result<()> {
-        let gathered = self.cache().gather_run(fh, run, BLOCK_SIZE);
-        for gw in gathered {
-            let blocks = gw.seqs.len() as u64;
-            self.write_back_rpc(fh, gw.start, gw.data, blocks, parent)
-                .await?;
-            let mut cache = self.cache_mut();
-            for (blk, seq) in gw.seqs {
-                cache.mark_clean(&(fh, blk), seq);
-            }
-        }
-        Ok(())
-    }
-
-    /// Pushes planned runs through the write-behind pool: each run takes
-    /// a pool slot *in plan order* (the semaphore is FIFO-fair), then a
-    /// daemon task gathers and sends it with at most
-    /// [`WriteBehindParams::max_inflight`] RPCs in flight. With
-    /// `stop_on_err`, runs not yet issued when an error lands are
-    /// abandoned — their blocks stay dirty — which with the paper-mode
-    /// defaults (one block per RPC, one RPC in flight) reproduces the
-    /// serial flush exactly.
-    async fn flush_runs(
-        &self,
-        fh: FileHandle,
-        runs: Vec<DirtyRun>,
-        stop_on_err: bool,
-        parent: u64,
-    ) -> Result<()> {
-        let failed: Rc<Cell<Option<NfsStatus>>> = Rc::new(Cell::new(None));
-        let mut daemons = Vec::with_capacity(runs.len());
-        for run in runs {
-            if stop_on_err && failed.get().is_some() {
-                break;
-            }
-            let slot = self.inner.flush_slots.acquire().await;
-            let this = self.clone();
-            let failed = failed.clone();
-            daemons.push(self.sim().spawn(async move {
-                let _slot = slot;
-                let _permit = this.inner.flush_inflight.acquire().await;
-                if stop_on_err && failed.get().is_some() {
-                    return;
-                }
-                if let Err(e) = this.flush_one_run(fh, run, parent).await {
-                    if failed.get().is_none() {
-                        failed.set(Some(e));
-                    }
-                }
-            }));
-        }
-        for d in daemons {
-            d.await;
-        }
-        match failed.get() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Flushes runs without touching the pool's slots or permits: one
-    /// gathered RPC at a time, awaited inline. The callback service uses
-    /// this path so a server-induced write-back can never queue behind
-    /// unrelated background flushes — the client-side mirror of the
-    /// server's N−1 reserved-thread rule (§3.2). A shared permit would
-    /// let the callback handler block on an in-flight RPC that is itself
-    /// stuck at the server behind the very open awaiting this callback,
-    /// closing a cross-machine deadlock cycle.
-    async fn flush_runs_direct(
-        &self,
-        fh: FileHandle,
-        runs: Vec<DirtyRun>,
-        parent: u64,
-    ) -> Result<()> {
-        for run in runs {
-            self.flush_one_run(fh, run, parent).await?;
-        }
-        Ok(())
-    }
-
-    /// Writes back all of `fh`'s dirty blocks: waits out any in-flight
-    /// eviction write-backs (so "done" really means the server has the
-    /// data), then flushes the resident dirty runs. An error recorded by
-    /// a background eviction is surfaced here, like a classic delayed
-    /// write error reported at the next fsync/close.
-    pub(super) async fn writeback_file_via(
-        &self,
-        fh: FileHandle,
-        use_pool: bool,
-        parent: u64,
-    ) -> Result<()> {
-        let flush_seq = self.emit(
-            parent,
-            EventKind::FlushBegin {
-                client: self.inner.id,
-                fh,
-                direct: !use_pool,
-            },
-        );
-        self.wait_evictions(fh).await;
-        let evict_err = self.inner.eviction_errors.borrow_mut().remove(&fh);
-        let gather = self.inner.params.write_behind.gather_blocks;
-        let runs = self.cache().dirty_runs(fh, gather, BLOCK_SIZE);
-        let res = if use_pool {
-            self.flush_runs(fh, runs, true, flush_seq).await
-        } else {
-            self.flush_runs_direct(fh, runs, flush_seq).await
-        };
-        let res = match evict_err {
-            Some(e) => Err(e),
-            None => res,
-        };
-        self.emit(
-            flush_seq,
-            EventKind::FlushEnd {
-                client: self.inner.id,
-                fh,
-                ok: res.is_ok(),
-            },
-        );
-        res
-    }
-
-    /// Writes back all of `fh`'s dirty blocks (used by fsync, open
-    /// transitions, and the update daemon).
-    pub async fn writeback_file(&self, fh: FileHandle) -> Result<()> {
-        self.writeback_file_via(fh, true, 0).await
-    }
-
-    /// Flushes dirty blocks older than the write-delay (the update
-    /// daemon's unit of work).
-    pub async fn flush_aged(&self) {
-        let now = self.sim().now();
-        let min_age = self.inner.params.write_delay;
-        let gather = self.inner.params.write_behind.gather_blocks;
-        // Plan every file's runs up front from a single snapshot: blocks
-        // that age past the delay *during* the flush wait for the next
-        // daemon pass, exactly as with the serial flush.
-        let plans: Vec<(FileHandle, Vec<DirtyRun>)> = {
-            let cache = self.cache();
-            let mut files: Vec<FileHandle> = cache
-                .dirty_blocks()
-                .into_iter()
-                .filter(|&(_, t)| now.saturating_duration_since(t) >= min_age)
-                .map(|((fh, _), _)| fh)
-                .collect();
-            files.sort_unstable();
-            files.dedup();
-            files
-                .into_iter()
-                .map(|fh| {
-                    let runs = cache.dirty_runs_where(fh, gather, BLOCK_SIZE, |_, t| {
-                        now.saturating_duration_since(t) >= min_age
-                    });
-                    (fh, runs)
-                })
-                .collect()
-        };
-        for (fh, runs) in plans {
-            // Failures are counted in `writeback_failures`; the blocks
-            // stay dirty and the next pass retries them.
-            let _ = self.flush_runs(fh, runs, false, 0).await;
-        }
-    }
-
-    /// Spawns the client's update daemon (periodic aged write-back),
-    /// unless disabled by [`SnfsClientParams::update_interval`].
-    pub fn spawn_update_daemon(&self) {
-        let Some(interval) = self.inner.params.update_interval else {
-            return;
-        };
-        let this = self.clone();
-        let sim = self.sim().clone();
-        self.sim().spawn(async move {
-            loop {
-                sim.sleep(interval).await;
-                this.flush_aged().await;
-            }
-        });
-    }
-
     /// Synchronously pushes a file's dirty blocks to the server (explicit
     /// flush for applications that want crash-resistance, §2.2).
     pub async fn fsync(&self, fh: FileHandle) -> Result<()> {
@@ -1338,365 +1032,6 @@ impl SnfsClient {
         self.inner.eviction_errors.borrow_mut().clear();
         self.inner.piggy_attrs.borrow_mut().clear();
         Ok(())
-    }
-
-    // ---- crash recovery (§2.4) -------------------------------------------------
-
-    /// Builds this client's recovery report: every file it has open (or
-    /// pending-closed) plus every file it holds cached or dirty blocks
-    /// for.
-    fn recovery_report(&self) -> Vec<spritely_proto::RecoveredFile> {
-        let files = self.inner.files.borrow();
-        let cache = self.cache();
-        let mut report: Vec<spritely_proto::RecoveredFile> = files
-            .iter()
-            .filter_map(|(&fh, info)| {
-                let (pr, pw) = info.pending_close.unwrap_or((0, 0));
-                let readers = info.readers + pr;
-                let writers = info.writers + pw;
-                let dirty = cache
-                    .keys_matching(|k| k.0 == fh)
-                    .iter()
-                    .any(|k| cache.is_dirty(k));
-                if readers == 0 && writers == 0 && info.cached_version.is_none() && !dirty {
-                    return None;
-                }
-                Some(spritely_proto::RecoveredFile {
-                    fh,
-                    readers,
-                    writers,
-                    cached_version: info.cached_version,
-                    dirty,
-                })
-            })
-            .collect();
-        report.sort_unstable_by_key(|f| f.fh);
-        report
-    }
-
-    /// Discards every held delegation: either the server rebooted (its
-    /// delegation state is gone and ours is void, DESIGN.md §17.4) or
-    /// our lease lapsed (the server may have fenced us, §17.3). Each
-    /// discard is announced as a revoked return, which is what tells the
-    /// trace checker this client's authority ended here.
-    ///
-    /// `purge` additionally drops each file's cached blocks and version:
-    /// a lease-lapse discard must assume other clients have written
-    /// since we were fenced, so nothing cached under the delegation can
-    /// be trusted. Reboot recovery passes `false` — the recovery report
-    /// re-registers the cache (dirty claims included) and the server
-    /// restores it (§2.4).
-    fn discard_delegations(&self, purge: bool) {
-        let mut fhs: Vec<FileHandle> = {
-            let mut delegs = self.inner.delegs.borrow_mut();
-            let fhs = delegs.keys().copied().collect();
-            delegs.clear();
-            fhs
-        };
-        fhs.sort_unstable();
-        for fh in fhs {
-            if purge {
-                self.invalidate(0, fh);
-                if let Some(info) = self.inner.files.borrow_mut().get_mut(&fh) {
-                    info.cached_version = None;
-                }
-            }
-            self.emit(
-                0,
-                EventKind::DelegReturn {
-                    client: self.inner.id,
-                    fh,
-                    revoked: true,
-                },
-            );
-        }
-    }
-
-    /// Re-registers this client's state with a rebooted server. Returns
-    /// the server epoch acknowledged.
-    pub async fn recover(&self) -> Result<u64> {
-        self.discard_delegations(false);
-        let files = self.recovery_report();
-        let client = self.inner.id;
-        let make = || NfsRequest::Recover {
-            client,
-            files: files.clone(),
-        };
-        match self.call(0, make).await? {
-            NfsReply::Epoch(e) => {
-                self.inner.known_epoch.set(e);
-                self.inner.last_contact.set(self.sim().now());
-                self.bump_stats(|s| s.recoveries += 1);
-                Ok(e)
-            }
-            _ => Err(NfsStatus::Io),
-        }
-    }
-
-    /// One keepalive probe: learns the server epoch and triggers
-    /// [`recover`](Self::recover) when it changes (i.e. the server
-    /// rebooted since we last spoke to it).
-    pub async fn keepalive(&self) -> Result<u64> {
-        // Not through the base's `call`: the server answers `Grace` to
-        // withhold a lease renewal (§17.3), and the daemon's next probe is
-        // the retry.
-        let client = self.inner.id;
-        let rep = self.caller().call(NfsRequest::Keepalive { client }).await;
-        let rep = rep.map_err(status_of)?.into_result()?;
-        let epoch = match rep {
-            NfsReply::Epoch(e) => e,
-            _ => return Err(NfsStatus::Io),
-        };
-        // A lapsed lease cannot be resurrected (DESIGN.md §17.3): while
-        // we were out of contact the server may have recalled, timed out
-        // and fenced anything we hold, so the records — and the cache
-        // under them — are untrustworthy. Purge before renewing the
-        // anchor; later opens re-earn delegations over RPC.
-        if self.inner.params.delegation.enabled
-            && !self.lease_fresh()
-            && !self.inner.delegs.borrow().is_empty()
-        {
-            self.discard_delegations(true);
-        }
-        // Lease anchor (DESIGN.md §17.3): this reply crossed the same
-        // server→client path a recall callback would, so as of now no
-        // recall can have been lost to a partition we haven't noticed.
-        self.inner.last_contact.set(self.sim().now());
-        let known = self.inner.known_epoch.get();
-        if known == 0 {
-            // First contact: just remember it.
-            self.inner.known_epoch.set(epoch);
-        } else if epoch != known {
-            // The server rebooted: re-register everything we know.
-            self.recover().await?;
-        }
-        Ok(epoch)
-    }
-
-    /// Spawns the keepalive daemon (paper §2.4: "periodic 'keepalive'
-    /// packets ... detect when a client or server has crashed or
-    /// rebooted"). Probes every `interval`; failures are tolerated (the
-    /// server may simply be down — the next probe will find it again).
-    pub fn spawn_keepalive_daemon(&self, interval: SimDuration) {
-        let this = self.clone();
-        let sim = self.sim().clone();
-        self.sim().spawn(async move {
-            loop {
-                sim.sleep(interval).await;
-                let _ = this.keepalive().await;
-            }
-        });
-    }
-
-    // ---- callback service ----------------------------------------------------
-
-    /// Builds the client's callback-service endpoint (the server calls
-    /// this; paper §4.2.2 reuses the NFS server machinery for it).
-    pub fn callback_endpoint(
-        &self,
-        name: impl Into<String>,
-        cpu: Resource,
-        params: EndpointParams,
-        counter: OpCounter,
-    ) -> Endpoint<CallbackArg, CallbackReply> {
-        let this = self.clone();
-        let handler = Rc::new(move |_from: ClientId, ctx: u64, arg: CallbackArg| {
-            let this = this.clone();
-            Box::pin(async move { this.serve_callback(ctx, arg).await })
-                as std::pin::Pin<Box<dyn std::future::Future<Output = CallbackReply>>>
-        });
-        Endpoint::new(self.sim(), name, cpu, params, counter, handler)
-    }
-
-    /// Services one callback (paper §3.2): write back and/or invalidate,
-    /// not returning until requested write-backs are complete.
-    async fn serve_callback(&self, ctx: u64, arg: CallbackArg) -> CallbackReply {
-        // Duplicate-delivery guard: a duplicated network delivery (or a
-        // server retransmission racing its own first attempt) of the same
-        // logical callback must not invalidate or write back twice. The
-        // server assigns one `seq` per logical callback, stable across
-        // its retransmissions; the first delivery runs the work (no
-        // added awaits), duplicates wait for it and echo its reply.
-        if arg.seq != 0 {
-            loop {
-                let wait = {
-                    let mut seen = self.inner.cb_seen.borrow_mut();
-                    match seen.get(&arg.seq) {
-                        Some(CbGuard::Done(rep)) => {
-                            let rep = *rep;
-                            drop(seen);
-                            self.inner.cb_dupes.set(self.inner.cb_dupes.get() + 1);
-                            return rep;
-                        }
-                        Some(CbGuard::InProgress(ev)) => {
-                            self.inner.cb_dupes.set(self.inner.cb_dupes.get() + 1);
-                            ev.clone()
-                        }
-                        None => {
-                            seen.insert(arg.seq, CbGuard::InProgress(Event::new()));
-                            break;
-                        }
-                    }
-                };
-                wait.wait().await;
-            }
-            let rep = self.serve_callback_work(ctx, arg).await;
-            let mut seen = self.inner.cb_seen.borrow_mut();
-            if let Some(CbGuard::InProgress(ev)) = seen.insert(arg.seq, CbGuard::Done(rep)) {
-                ev.set();
-            }
-            // Bound the memory: completed entries older than the last 128
-            // sequence numbers can no longer be retransmitted (the server
-            // moved on long ago).
-            while seen.len() > 128 {
-                let oldest_done = seen
-                    .iter()
-                    .filter(|(_, g)| matches!(g, CbGuard::Done(_)))
-                    .map(|(&s, _)| s)
-                    .min();
-                match oldest_done {
-                    Some(s) => seen.remove(&s),
-                    None => break,
-                };
-            }
-            return rep;
-        }
-        self.serve_callback_work(ctx, arg).await
-    }
-
-    async fn serve_callback_work(&self, ctx: u64, arg: CallbackArg) -> CallbackReply {
-        self.bump_stats(|s| s.callbacks_served += 1);
-        if arg.recall {
-            return self.serve_recall(ctx, arg.fh).await;
-        }
-        let fh = arg.fh;
-        // Bypass the pool: a callback-induced write-back must not share
-        // slots or in-flight permits with unrelated background flushes
-        // (see flush_runs_direct).
-        if arg.writeback && self.writeback_file_via(fh, false, ctx).await.is_err() {
-            return CallbackReply { ok: false };
-        }
-        if arg.invalidate {
-            let dropped = self.invalidate(ctx, fh);
-            debug_assert_eq!(dropped.dirty, 0, "writeback should have preceded");
-            // If `fh` is a directory this drops our name translations
-            // under it (§7 extension); for files it is a no-op.
-            self.names().drop_dir(fh);
-            self.inner.piggy_attrs.borrow_mut().remove(&fh);
-            let mut files = self.inner.files.borrow_mut();
-            if let Some(info) = files.get_mut(&fh) {
-                info.cached_version = None;
-                if info.readers > 0 || info.writers > 0 {
-                    info.cacheable = false;
-                }
-            }
-        }
-        if arg.relinquish {
-            // §6.2: give up a delayed-close file so the server can reclaim
-            // its table entry. Report the closes after replying.
-            let this = self.clone();
-            self.sim().spawn(async move {
-                let _ = this.flush_pending_close(fh).await;
-            });
-        }
-        CallbackReply { ok: true }
-    }
-
-    /// Services a delegation recall (DESIGN.md §17.2): stop serving
-    /// locally, flush dirty data, send the batch `DelegReturn` RPC, and
-    /// only then acknowledge the callback — so an `ok` reply proves the
-    /// server has the returned state. Idempotent: a delivery for a
-    /// delegation already returned (or never held) just acks.
-    async fn serve_recall(&self, ctx: u64, fh: FileHandle) -> CallbackReply {
-        let first = {
-            let mut delegs = self.inner.delegs.borrow_mut();
-            match delegs.get_mut(&fh) {
-                None => None,
-                Some(d) if d.recalled => Some(false),
-                Some(d) => {
-                    d.recalled = true;
-                    Some(true)
-                }
-            }
-        };
-        match first {
-            // Nothing held: a late or duplicated delivery. Ack.
-            None => CallbackReply { ok: true },
-            // A return is already under way (a second conflicting open
-            // recalled concurrently): wait for it, then ack.
-            Some(false) => {
-                self.wait_deleg_return(fh).await;
-                CallbackReply { ok: true }
-            }
-            Some(true) => {
-                // Gate opens/closes *before* the first await, so the
-                // counts the return reports stay the file's truth until
-                // the server applies them.
-                let done = Event::new();
-                self.inner
-                    .deleg_returning
-                    .borrow_mut()
-                    .insert(fh, done.clone());
-                self.emit(
-                    ctx,
-                    EventKind::DelegRecall {
-                        client: self.inner.id,
-                        fh,
-                    },
-                );
-                let res = self.do_deleg_return(ctx, fh).await;
-                self.inner.delegs.borrow_mut().remove(&fh);
-                self.inner.deleg_returning.borrow_mut().remove(&fh);
-                done.set();
-                CallbackReply { ok: res.is_ok() }
-            }
-        }
-    }
-
-    /// Flushes dirty data and returns the delegation's batched state to
-    /// the server. Uses the direct (pool-bypassing) flush path for the
-    /// same reason write-back callbacks do: the conflicting opener is
-    /// blocked on us, and our flush must not queue behind unrelated
-    /// background traffic.
-    pub(super) async fn do_deleg_return(&self, ctx: u64, fh: FileHandle) -> Result<()> {
-        self.writeback_file_via(fh, false, ctx).await?;
-        let (readers, writers, wrote) = {
-            let files = self.inner.files.borrow();
-            let (r, w) = files.get(&fh).map_or((0, 0), |i| (i.readers, i.writers));
-            let wrote = self.inner.delegs.borrow().get(&fh).is_some_and(|d| d.wrote);
-            (r, w, wrote)
-        };
-        let make = || NfsRequest::DelegReturn {
-            fh,
-            client: self.inner.id,
-            readers,
-            writers,
-            wrote,
-        };
-        match self.call(ctx, make).await? {
-            NfsReply::DelegReturned { version, fenced } => {
-                let mut files = self.inner.files.borrow_mut();
-                if let Some(info) = files.get_mut(&fh) {
-                    if fenced {
-                        // We were revoked: the server discarded our
-                        // batched state and may have marked the file
-                        // inconsistent. Purge and revalidate on the next
-                        // open.
-                        info.cached_version = None;
-                    } else if info.cached_version.is_some() {
-                        // Our own return bumped the version (if we
-                        // wrote); the cache is that version's content.
-                        info.cached_version = Some(version);
-                    }
-                }
-                drop(files);
-                if fenced {
-                    self.invalidate(ctx, fh);
-                }
-                Ok(())
-            }
-            _ => Err(NfsStatus::Io),
-        }
     }
 
     // ---- attributes and namespace ---------------------------------------------
