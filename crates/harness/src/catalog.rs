@@ -83,8 +83,15 @@ impl Outcome {
         }
     }
 
-    /// Gate: the invariant checker accepted this traced run.
-    fn clean_trace(&mut self, what: &str, trace: &TraceReport) {
+    /// Gate: the invariant checker accepted this traced run. Also files
+    /// the run's event count and digest under `<key>_trace_*`, so the
+    /// ledger pins the order of events and not only the counters.
+    fn clean_trace(&mut self, key: &str, what: &str, trace: &TraceReport) {
+        self.field(format!("{key}_trace_events"), trace.events.len());
+        self.field(
+            format!("{key}_trace_fnv"),
+            format!("\"{:016x}\"", trace.fnv()),
+        );
         self.gate(trace.ok(), || {
             format!(
                 "trace checker found violations in {what}:\n{}",

@@ -66,7 +66,7 @@ pub(super) const FLUSH_LATENCY: Entry = Entry {
         o.file("trace_flush_pipelined.jsonl", trace.to_jsonl());
         o.file("trace_flush_pipelined.chrome.json", trace.to_chrome_json());
         o.file("stats_flush_pipelined.json", traced.stats.to_json());
-        o.clean_trace("the traced pipelined flush", trace);
+        o.clean_trace("pipelined", "the traced pipelined flush", trace);
         o.gate(gain >= 2.0, || {
             format!(
                 "write gathering + pipelining must at least halve flush latency, got {gain:.2}x"
@@ -264,6 +264,7 @@ pub(super) const SERVER_SCALING: Entry = Entry {
         // limit or an unqueued completion is a violation.
         let traced = run_scaling_with(server_io_params(ServerIoParams::pipelined(), true), 4, seed);
         o.clean_trace(
+            "pipelined_4",
             "the traced 4-client pipelined run",
             traced.trace.as_ref().expect("tracing was on"),
         );
@@ -452,6 +453,7 @@ pub(super) const RPC_TRANSPORT: Entry = Entry {
         // at-most-once checker rules with a real batched schedule.
         let (traced_tb, _, _) = run_shared_read(TransportParams::pipelined(), 2, true);
         o.clean_trace(
+            "shared_read_2",
             "the traced 2-client pipelined read",
             &traced_tb.finish_trace().expect("tracing was on"),
         );
@@ -674,6 +676,7 @@ pub(super) const OPEN_CHURN: Entry = Entry {
         // grant/recall/return schedule.
         let (traced_tb, _, _) = run_open_churn(DelegationParams::pipelined(), 2, true);
         o.clean_trace(
+            "churn_2",
             "the traced 2-client delegated churn",
             &traced_tb.finish_trace().expect("tracing was on"),
         );

@@ -69,7 +69,7 @@ pub(super) const TABLE_5_2: Entry = Entry {
             "Trace summary: Andrew on SNFS (/tmp remote, seed 42)",
             &report::trace_summary(trace),
         );
-        o.clean_trace("the traced Andrew run", trace);
+        o.clean_trace("andrew_snfs", "the traced Andrew run", trace);
         // Phase attribution of the same trace: where each op's
         // microseconds went (see DESIGN.md §16).
         let profile = profile_trace(&trace.events);

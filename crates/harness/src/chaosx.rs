@@ -15,7 +15,7 @@
 //!   (`killed_attempts == retransmit_absorbed + outstanding_kills`).
 
 use spritely_localfs::LocalFs;
-use spritely_proto::{default_shard, FileHandle, FileType};
+use spritely_proto::{default_shard, FileHandle, FileType, Fnv};
 use spritely_rpcnet::{FaultParams, PartitionDir};
 use spritely_sim::SimDuration;
 
@@ -79,11 +79,11 @@ impl ChaosVerdict {
 /// Digest of a whole testbed's stable server contents: every server's
 /// store folded together in shard order (DESIGN.md §18).
 pub fn testbed_digest(tb: &Testbed) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     for host in &tb.servers {
         h.write(&server_digest(&host.fs).to_le_bytes());
     }
-    h.0
+    h.finish()
 }
 
 /// Path-ordered FNV-1a digest of a file system's *stable* contents
@@ -91,24 +91,9 @@ pub fn testbed_digest(tb: &Testbed) -> u64 {
 /// file body, in sorted traversal order. Timestamps are excluded — a
 /// faulted run takes longer but must converge to the same bytes.
 pub fn server_digest(fs: &LocalFs) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     walk(fs, fs.root(), "", &mut h);
-    h.0
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    h.finish()
 }
 
 fn walk(fs: &LocalFs, dir: FileHandle, path: &str, h: &mut Fnv) {

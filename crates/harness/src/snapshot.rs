@@ -543,6 +543,14 @@ impl TraceReport {
         to_jsonl(&self.events)
     }
 
+    /// FNV-1a digest of [`to_jsonl`](Self::to_jsonl): pins every event,
+    /// field and the order they were emitted in.
+    pub fn fnv(&self) -> u64 {
+        let mut h = spritely_proto::Fnv::default();
+        h.write(self.to_jsonl().as_bytes());
+        h.finish()
+    }
+
     /// The trace as a Chrome `trace_event` JSON document
     /// (load in Perfetto / `chrome://tracing`).
     pub fn to_chrome_json(&self) -> String {

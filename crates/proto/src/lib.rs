@@ -27,7 +27,7 @@ mod status;
 pub use attr::{Fattr, FileType};
 pub use buf::{Buf, Payload};
 pub use handle::{ClientId, FileHandle, FileVersion};
-pub use layout::{default_shard, Layout};
+pub use layout::{default_shard, Fnv, Layout};
 pub use message::{
     CallbackArg, CallbackReply, Delegation, DirEntry, NfsReply, NfsRequest, OpenReply, ReadReply,
     RecoveredFile, COMPOUND_OP_BYTES,

@@ -430,3 +430,115 @@ fn sharded_snapshot_aggregates_every_server() {
     let d = snap.delegation.expect("delegations were on").stats;
     assert_eq!(d.grants_read + d.grants_write, grants.iter().sum::<u64>());
 }
+
+/// Event-for-event pin of the cross-shard coordinator (DESIGN.md §18.3):
+/// one traced 2-shard script through every outcome it has — rename to a
+/// free name, rename over an entry the participant must delete at
+/// commit, a rename whose local half fails, link to a free name, link
+/// onto an existing name (`Exist`, abort path), and operations refused
+/// `Busy` by a held name lock at the gate and at prepare. The digest is
+/// of the whole trace, so any emit, spawn or await that changes place in
+/// the server changes it.
+#[test]
+fn cross_shard_coordinator_trace_is_pinned() {
+    use spritely::proto::{ClientId, NfsReply, NfsRequest};
+    const DIGEST: u64 = 0x1585_1539_3d93_f76b;
+    let tb = sharded(2, 2, true, FaultParams::default());
+    let (a, b) = (snfs(&tb, 0), snfs(&tb, 1));
+    let root = tb.server_fs.root();
+    let sim = tb.sim.clone();
+    let on = |shard: u32, prefix: &str| name_on(2, shard, prefix);
+    // Sources on shard 0; destinations default to shard 1.
+    let (s1, s2, gone) = (on(0, "s1_"), on(0, "s2_"), on(0, "gone_"));
+    let (d1, d2, d3) = (on(1, "d1_"), on(1, "d2_"), on(1, "d3_"));
+    // A file living on shard 1 gains links under shard 0's names.
+    let (g, b1) = (on(1, "g_"), on(1, "b1_"));
+    let (l1, l2) = (on(0, "l1_"), on(0, "l2_"));
+    let names = [&s1, &s2, &gone, &d1, &d2, &d3, &g, &b1, &l1, &l2].map(|s| s.clone());
+    let h = sim.spawn({
+        let sim = sim.clone();
+        async move {
+            let mut fh_of = std::collections::HashMap::new();
+            for (i, name) in [&s1, &s2, &d2, &g, &b1, &l2].into_iter().enumerate() {
+                let (fh, _) = a.create(root, name).await.unwrap();
+                a.open(fh, true).await.unwrap();
+                a.write(fh, 0, &[i as u8 + 1; BLOCK_SIZE]).await.unwrap();
+                a.fsync(fh).await.unwrap();
+                a.close(fh, true).await.unwrap();
+                fh_of.insert(name.clone(), fh);
+            }
+            // B watches both roots, so every commit invalidates it.
+            b.lookup(root, &s1).await.unwrap();
+            b.lookup(root, &d2).await.unwrap();
+            // While A's rename holds s1 and d1 locked on both shards, B
+            // looks d1 up (gate: Busy) and renames b1 onto s1 (shard 1
+            // coordinates; shard 0 refuses the prepare: Busy). Both are
+            // retried by B's router until the locks are gone.
+            let at_gate = sim.spawn({
+                let (sim, b, d1) = (sim.clone(), b.clone(), d1.clone());
+                async move {
+                    sim.sleep(SimDuration::from_millis(10)).await;
+                    b.lookup(root, &d1).await.unwrap().0
+                }
+            });
+            let at_prepare = sim.spawn({
+                let (sim, b, b1, s1) = (sim.clone(), b.clone(), b1.clone(), s1.clone());
+                async move {
+                    sim.sleep(SimDuration::from_millis(10)).await;
+                    b.rename(root, &b1, root, &s1).await.unwrap();
+                }
+            });
+            a.rename(root, &s1, root, &d1).await.unwrap();
+            assert_eq!(at_gate.await, fh_of[&s1], "B found the moved file");
+            at_prepare.await;
+            // Over an existing entry: shard 1 deletes its d2 at commit.
+            a.rename(root, &s2, root, &d2).await.unwrap();
+            let (fh, _) = b.lookup(root, &d2).await.unwrap();
+            assert_eq!(fh, fh_of[&s2]);
+            // The local half fails after a successful prepare: abort.
+            assert_eq!(
+                a.rename(root, &gone, root, &d3).await.unwrap_err(),
+                NfsStatus::NoEnt
+            );
+            // Links: to a free name, then onto an existing one.
+            assert_eq!(a.link(fh_of[&g], root, &l1).await.unwrap().nlink, 2);
+            assert_eq!(
+                a.link(fh_of[&g], root, &l2).await.unwrap_err(),
+                NfsStatus::Exist
+            );
+            // Let the out-of-line commits and aborts land.
+            sim.sleep(SimDuration::from_secs(5)).await;
+        }
+    });
+    sim.run_until(h);
+    let sh = tb.stats_snapshot().shards.expect("shards section");
+    let sum =
+        |f: fn(&spritely::harness::ShardSnapshot) -> u64| sh.shards.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|s| s.cross_renames), 3, "{sh:?}");
+    assert_eq!(sum(|s| s.cross_links), 1, "{sh:?}");
+    assert!(sum(|s| s.busy_rejections) >= 2, "{sh:?}");
+    // Nothing left locked: a held name lock (and with it an unresolved
+    // prepared entry, which keeps its lock until resolved) answers Busy.
+    let h = sim.spawn({
+        let hosts = tb.shard_hosts.clone();
+        async move {
+            for host in &hosts {
+                for name in &names {
+                    let (dir, name) = (host.fs.root(), name.clone());
+                    let rep = host
+                        .server
+                        .handle(ClientId(1), 0, NfsRequest::Lookup { dir, name });
+                    assert!(
+                        !matches!(rep.await, NfsReply::Err(NfsStatus::Busy)),
+                        "a name lock outlived its transaction on shard {}",
+                        host.shard
+                    );
+                }
+            }
+        }
+    });
+    sim.run_until(h);
+    let report = tb.finish_trace().expect("trace was on");
+    assert!(report.ok(), "violations: {:?}", report.violations);
+    assert_eq!(report.fnv(), DIGEST, "{:#018x}", report.fnv());
+}
