@@ -14,21 +14,22 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::future::Future;
 use std::rc::Rc;
 
 use spritely_blockdev::DiskSched;
 use spritely_localfs::LocalFs;
 use spritely_metrics::{InflightGauge, OpCounter};
 use spritely_proto::{
-    CallbackArg, CallbackReply, ClientId, FileHandle, FileVersion, Layout, NfsReply, NfsRequest,
-    NfsStatus, OpenReply,
+    CallbackArg, CallbackReply, ClientId, Fattr, FileHandle, FileVersion, Layout, NfsReply,
+    NfsRequest, NfsStatus, OpenReply,
 };
 use spritely_rpcnet::{Caller, Endpoint, EndpointParams};
-use spritely_sim::{Resource, Semaphore, Sim, SimDuration};
+use spritely_sim::{Permit, Resource, Semaphore, Sim, SimDuration};
 use spritely_trace::{Cause, EventKind, Tracer};
 
 use crate::delegation::{DelegationParams, DelegationStats};
-use crate::state_table::{CallbackNeeded, Deleg, FileState, StateTable};
+use crate::state_table::{CallbackNeeded, Deleg, FileState, OpenOutcome, StateTable};
 
 /// SNFS server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -42,21 +43,6 @@ pub struct SnfsServerParams {
     /// open under SNFS as an implicit SNFS open, so NFS clients get
     /// consistent data and SNFS clients get their callbacks.
     pub hybrid_nfs: bool,
-    /// §2.4 recovery: how long a rebooted server stays in its grace
-    /// period, accepting only `recover`/`keepalive` calls while clients
-    /// re-register their state.
-    pub grace_period: SimDuration,
-    /// §7 extension: Sprite-style consistency for name translations. A
-    /// `lookup` registers the caller as a watcher of the directory; any
-    /// namespace change to that directory sends invalidate callbacks to
-    /// the other watchers *before* the change is acknowledged, so client
-    /// name caches can never serve a stale translation.
-    pub dir_callbacks: bool,
-    /// First retry delay after a timed-out callback. Doubles per retry
-    /// (capped at 8 s). A timed-out callback used to declare the client
-    /// crashed immediately, so one lossy exchange — or a transient
-    /// partition — destroyed a live client's write-back claim.
-    pub callback_retry_backoff: SimDuration,
     /// How long callback retries continue before the client is declared
     /// dead (its state discarded, §3.2's "dead client" case). Roughly
     /// three keepalive intervals: a client silent that long has missed
@@ -76,14 +62,16 @@ impl Default for SnfsServerParams {
             table_limit: 1000,
             reclaim_target: 900,
             hybrid_nfs: true,
-            grace_period: SimDuration::from_secs(20),
-            dir_callbacks: true,
-            callback_retry_backoff: SimDuration::from_secs(2),
             callback_dead_after: SimDuration::from_secs(30),
             delegation: DelegationParams::paper(),
         }
     }
 }
+
+/// §2.4 recovery: how long a rebooted server stays in its grace period,
+/// accepting only `recover`/`keepalive` calls while clients re-register
+/// their state.
+const GRACE_PERIOD: SimDuration = SimDuration::from_secs(20);
 
 /// Server I/O pipeline configuration: how the server's disk arm is
 /// scheduled, how large its block cache is, whether concurrent miss
@@ -198,6 +186,17 @@ struct TxEntry {
     done: bool,
 }
 
+/// How one logical callback ended.
+struct Sent {
+    /// Where its consequences hang in the trace: its `CallbackBegin`, or
+    /// the sender's `parent` when nothing could be sent.
+    seq: u64,
+    /// The client answered, and did not refuse.
+    ok: bool,
+    /// From taking the callback slot to the answer, or to giving up.
+    took: SimDuration,
+}
+
 struct Inner {
     sim: Sim,
     fs: LocalFs,
@@ -222,8 +221,6 @@ struct Inner {
     /// Clients that may be caching name translations under a directory
     /// (§7 extension). Cleared per client when an invalidate is sent.
     dir_watchers: RefCell<HashMap<FileHandle, Vec<ClientId>>>,
-    /// Service-thread count (for the N−1 trace metadata).
-    service_threads: usize,
     /// Logical-callback sequence numbers (stable across retries of the
     /// same callback, so clients can deduplicate duplicate deliveries).
     cb_next_seq: Cell<u64>,
@@ -250,6 +247,13 @@ struct Inner {
     /// Coordinator-side transaction id counter (namespaced by shard).
     next_txid: Cell<u64>,
     shard_stats: Cell<ShardOpStats>,
+}
+
+/// Updates a counter block held in a `Cell`.
+fn bump<T: Copy>(stats: &Cell<T>, f: impl FnOnce(&mut T)) {
+    let mut s = stats.get();
+    f(&mut s);
+    stats.set(s);
 }
 
 /// The Spritely NFS server.
@@ -286,7 +290,6 @@ impl SnfsServer {
                 epoch: Cell::new(1),
                 grace_until: Cell::new(None),
                 dir_watchers: RefCell::new(HashMap::new()),
-                service_threads,
                 cb_next_seq: Cell::new(0),
                 callback_retries: Cell::new(0),
                 recalls_pending: RefCell::new(HashMap::new()),
@@ -326,7 +329,8 @@ impl SnfsServer {
     /// checker uses for the N−1 callback bound, then records every
     /// state-table transition, callback, and crash.
     pub fn set_tracer(&self, tracer: Tracer) {
-        tracer.meta("server_threads", self.inner.service_threads.to_string());
+        let threads = self.inner.callback_slots.capacity() + 1;
+        tracer.meta("server_threads", threads.to_string());
         tracer.meta("table_limit", self.inner.params.table_limit.to_string());
         *self.inner.tracer.borrow_mut() = Some(tracer);
     }
@@ -344,6 +348,39 @@ impl SnfsServer {
         }
     }
 
+    /// Applies `mutate` to the state table and returns its result with
+    /// `fh`'s state on either side of it. One synchronous region (no
+    /// await), so whatever the caller emits next sits in the trace where
+    /// the mutation happened.
+    fn observed<R>(
+        &self,
+        fh: FileHandle,
+        mutate: impl FnOnce(&mut StateTable) -> R,
+    ) -> (R, FileState, FileState) {
+        let mut table = self.inner.table.borrow_mut();
+        let st0 = table.state_of(fh);
+        let out = mutate(&mut table);
+        (out, st0, table.state_of(fh))
+    }
+
+    /// The transition recorder: applies `mutate` and records what it did
+    /// to `fh` as one transition. Returns `mutate`'s result and the trace
+    /// sequence number of the record.
+    fn transition<R>(
+        &self,
+        parent: u64,
+        fh: FileHandle,
+        cause: Cause,
+        client: ClientId,
+        mutate: impl FnOnce(&mut StateTable) -> R,
+    ) -> (R, u64) {
+        let (out, from, to) = self.observed(fh, mutate);
+        (
+            out,
+            self.emit_transition(parent, fh, cause, client, from, to),
+        )
+    }
+
     /// Records one state-table transition. Must be called in the same
     /// synchronous region as the table mutation (no await between them),
     /// so the trace order matches the mutation order.
@@ -356,36 +393,21 @@ impl SnfsServer {
         from: FileState,
         to: FileState,
     ) -> u64 {
-        if self.inner.tracer.borrow().is_none() {
-            return 0;
-        }
-        let version = self.inner.table.borrow().version_of(fh).map_or(0, |v| v.0);
-        self.emit(
-            parent,
-            EventKind::Transition {
-                fh,
-                cause,
-                client,
-                from: from.into(),
-                to: to.into(),
-                version,
-            },
-        )
+        self.emit_with(parent, || EventKind::Transition {
+            fh,
+            cause,
+            client,
+            from: from.into(),
+            to: to.into(),
+            version: self.inner.table.borrow().version_of(fh).map_or(0, |v| v.0),
+        })
     }
 
-    /// Records the per-file transitions of a client-crash cleanup.
-    fn emit_client_crashed(
-        &self,
-        parent: u64,
-        client: ClientId,
-        affected: &[(FileHandle, FileState, FileState)],
-    ) {
-        for &(fh, before, after) in affected {
-            self.emit_transition(parent, fh, Cause::ClientCrash, client, before, after);
-        }
-    }
-
-    /// Registers `client` as possibly caching names under `dir`.
+    /// Registers `client` as possibly caching names under `dir` (§7
+    /// extension: Sprite-style consistency for name translations). A
+    /// successful `lookup` makes the caller a watcher of the directory,
+    /// as does creating a name in it — the creator learns the new
+    /// translation from the reply and will cache it.
     fn watch_dir(&self, dir: FileHandle, client: ClientId) {
         let mut w = self.inner.dir_watchers.borrow_mut();
         let v = w.entry(dir).or_default();
@@ -394,34 +416,27 @@ impl SnfsServer {
         }
     }
 
-    /// Invalidates every other watcher's name cache for `dir` before a
-    /// namespace change is acknowledged (§7 extension). Watchers are
-    /// deregistered by the invalidate; they re-register on their next
-    /// lookup.
-    async fn invalidate_dir_watchers(&self, parent: u64, dir: FileHandle, originator: ClientId) {
-        if !self.inner.params.dir_callbacks {
-            return;
-        }
-        let targets: Vec<ClientId> = {
-            let mut w = self.inner.dir_watchers.borrow_mut();
-            match w.get_mut(&dir) {
-                None => Vec::new(),
-                Some(v) => {
-                    let targets = v.iter().copied().filter(|&c| c != originator).collect();
-                    v.retain(|&c| c == originator);
-                    targets
-                }
-            }
-        };
-        let callbacks: Vec<CallbackNeeded> = targets
-            .into_iter()
-            .map(|t| CallbackNeeded {
-                target: t,
+    /// A name in `dir` changed on `originator`'s behalf: invalidates
+    /// every other watcher's name cache *before* the change is
+    /// acknowledged, so client name caches can never serve a stale
+    /// translation. Watchers are deregistered by the invalidate; they
+    /// re-register on their next lookup. `watch` (the change made a name
+    /// rather than removed one) then registers the originator.
+    async fn names_changed(&self, parent: u64, dir: FileHandle, originator: ClientId, watch: bool) {
+        let mut others = Vec::new();
+        if let Some(v) = self.inner.dir_watchers.borrow_mut().get_mut(&dir) {
+            let invalidate = |&target| CallbackNeeded {
+                target,
                 writeback: false,
                 invalidate: true,
-            })
-            .collect();
-        self.fan_out_callbacks(parent, dir, &callbacks, false).await;
+            };
+            others.extend(v.iter().filter(|&&c| c != originator).map(invalidate));
+            v.retain(|&c| c == originator);
+        }
+        self.fan_out_callbacks(parent, dir, &others, false).await;
+        if watch {
+            self.watch_dir(dir, originator);
+        }
     }
 
     /// The current reboot epoch (starts at 1).
@@ -431,10 +446,8 @@ impl SnfsServer {
 
     /// True while the post-reboot grace period is running.
     pub fn in_grace(&self) -> bool {
-        match self.inner.grace_until.get() {
-            Some(t) => self.inner.sim.now() < t,
-            None => false,
-        }
+        let until = self.inner.grace_until.get();
+        until.is_some_and(|t| self.inner.sim.now() < t)
     }
 
     /// Simulates a server crash: all volatile state vanishes — the state
@@ -460,7 +473,7 @@ impl SnfsServer {
         self.inner.epoch.set(self.inner.epoch.get() + 1);
         self.inner
             .grace_until
-            .set(Some(self.inner.sim.now() + self.inner.params.grace_period));
+            .set(Some(self.inner.sim.now() + GRACE_PERIOD));
     }
 
     /// Registers the callback channel for a client host. Without one, the
@@ -571,21 +584,21 @@ impl SnfsServer {
     }
 
     fn bump_stats(&self, f: impl FnOnce(&mut ServerStats)) {
-        let mut s = self.inner.stats.get();
-        f(&mut s);
-        self.inner.stats.set(s);
+        bump(&self.inner.stats, f)
     }
 
     fn bump_deleg(&self, f: impl FnOnce(&mut DelegationStats)) {
-        let mut s = self.inner.deleg_stats.get();
-        f(&mut s);
-        self.inner.deleg_stats.set(s);
+        bump(&self.inner.deleg_stats, f)
     }
 
     fn bump_shard(&self, f: impl FnOnce(&mut ShardOpStats)) {
-        let mut s = self.inner.shard_stats.get();
-        f(&mut s);
-        self.inner.shard_stats.set(s);
+        bump(&self.inner.shard_stats, f)
+    }
+
+    /// The refusal sent while a cross-shard transaction holds a name.
+    fn busy(&self) -> NfsReply {
+        self.bump_shard(|s| s.busy_rejections += 1);
+        NfsReply::Err(NfsStatus::Busy)
     }
 
     fn name_locked(&self, name: &str) -> bool {
@@ -618,13 +631,9 @@ impl SnfsServer {
     /// fall through. Always `None` in the unsharded configuration.
     fn shard_gate(&self, ctx: u64, req: &NfsRequest) -> Option<NfsReply> {
         let view = self.inner.shard.borrow().clone()?;
-        let busy = |this: &Self| {
-            this.bump_shard(|s| s.busy_rejections += 1);
-            Some(NfsReply::Err(NfsStatus::Busy))
-        };
         let gate = |name: &str| -> Option<NfsReply> {
             if self.name_locked(name) {
-                return busy(self);
+                return Some(self.busy());
             }
             let layout = view.layout.borrow();
             if layout.owner(name) != view.shard {
@@ -653,28 +662,18 @@ impl SnfsServer {
             {
                 gate(name)
             }
+            // A locked target refuses before the source is even vetted.
+            NfsRequest::Rename {
+                to_dir, to_name, ..
+            }
+            | NfsRequest::Link {
+                to_dir, to_name, ..
+            } if *to_dir == view.root && self.name_locked(to_name) => Some(self.busy()),
             NfsRequest::Rename {
                 from_dir,
                 from_name,
-                to_dir,
-                to_name,
-            } => {
-                if *to_dir == view.root && self.name_locked(to_name) {
-                    return busy(self);
-                }
-                if *from_dir == view.root {
-                    return gate(from_name);
-                }
-                None
-            }
-            NfsRequest::Link {
-                to_dir, to_name, ..
-            } if *to_dir == view.root => {
-                if self.name_locked(to_name) {
-                    return busy(self);
-                }
-                None
-            }
+                ..
+            } if *from_dir == view.root => gate(from_name),
             _ => None,
         }
     }
@@ -696,6 +695,12 @@ impl SnfsServer {
         (owner != view.shard).then_some((view, owner))
     }
 
+    /// The inter-shard channel to peer `shard`.
+    fn peer(&self, shard: u32) -> Caller<NfsRequest, NfsReply> {
+        let peer = self.inner.peers.borrow().get(&shard).cloned();
+        peer.expect("sharded servers register every peer")
+    }
+
     /// Phase-1 call to the peer: retried through transport errors and
     /// the peer's grace period (the lock request must eventually land);
     /// a `Busy` refusal aborts the whole operation instead — the client
@@ -707,13 +712,7 @@ impl SnfsServer {
         txid: u64,
         name: &str,
     ) -> Result<bool, NfsReply> {
-        let caller = self
-            .inner
-            .peers
-            .borrow()
-            .get(&peer_shard)
-            .cloned()
-            .expect("sharded servers register every peer");
+        let caller = self.peer(peer_shard);
         loop {
             let req = NfsRequest::TxPrepare {
                 txid,
@@ -732,22 +731,25 @@ impl SnfsServer {
         }
     }
 
-    /// Retries `TxCommit` out of line until the peer acknowledges, then
-    /// closes the transaction in the trace. Commit is irrevocable once
-    /// the layout move is published, so the client's reply never waits
-    /// for the peer's cleanup.
-    fn spawn_tx_commit(&self, parent: u64, peer_shard: u32, txid: u64) {
+    /// Delivers the outcome of `txid` to the peer out of line, retrying
+    /// until it acknowledges. A commit is irrevocable once the layout
+    /// move is published, so the client's reply never waits for the
+    /// peer's cleanup (deleting the overwritten entry, releasing the name
+    /// lock); the acknowledgement closes the transaction in the trace.
+    /// An abort (`commit == false`) makes the peer drop its prepared
+    /// entry and release the lock; the coordinator has already closed the
+    /// trace window, if it ever opened one, so the RPC has no parent.
+    fn spawn_tx_resolve(&self, parent: u64, peer_shard: u32, txid: u64, commit: bool) {
         let this = self.clone();
         self.inner.sim.spawn(async move {
-            let caller = this
-                .inner
-                .peers
-                .borrow()
-                .get(&peer_shard)
-                .cloned()
-                .expect("sharded servers register every peer");
+            let caller = this.peer(peer_shard);
             loop {
-                match caller.call_ctx(parent, NfsRequest::TxCommit { txid }).await {
+                let req = if commit {
+                    NfsRequest::TxCommit { txid }
+                } else {
+                    NfsRequest::TxAbort { txid }
+                };
+                match caller.call_ctx(parent, req).await {
                     Ok(NfsReply::Ok) => break,
                     // A reply that is not a plain Ok (e.g. `Grace` from a
                     // rebooting peer) has not performed the cleanup.
@@ -757,184 +759,81 @@ impl SnfsServer {
                     }
                 }
             }
-            this.emit(
-                parent,
-                EventKind::ShardTxEnd {
-                    txid,
-                    committed: true,
-                },
-            );
-        });
-    }
-
-    /// Retries `TxAbort` out of line until the peer drops its prepared
-    /// entry and releases the name lock.
-    fn spawn_tx_abort(&self, peer_shard: u32, txid: u64) {
-        let this = self.clone();
-        self.inner.sim.spawn(async move {
-            let caller = this
-                .inner
-                .peers
-                .borrow()
-                .get(&peer_shard)
-                .cloned()
-                .expect("sharded servers register every peer");
-            loop {
-                match caller.call(NfsRequest::TxAbort { txid }).await {
-                    Ok(NfsReply::Ok) => break,
-                    Ok(_) | Err(_) => {
-                        this.bump_shard(|s| s.commit_retries += 1);
-                        this.inner.sim.sleep(SimDuration::from_secs(1)).await;
-                    }
-                }
+            if commit {
+                this.emit(
+                    parent,
+                    EventKind::ShardTxEnd {
+                        txid,
+                        committed: true,
+                    },
+                );
             }
         });
     }
 
-    /// Coordinator half of a cross-shard rename (DESIGN.md §18.3). The
-    /// file body never moves: the entry is renamed inside this shard's
-    /// store and the authority layout gains an override routing
-    /// `to_name` here — ownership follows the data. The peer that owned
-    /// `to_name` participates in a two-phase exchange so the name is
-    /// locked on both shards for the whole window and the peer's
-    /// overwritten entry is deleted exactly once.
+    /// Coordinator half of a cross-shard rename or link (DESIGN.md
+    /// §18.3); `req` is the operation and `from_name` the rename's source
+    /// (`None` for a link, which has none). The file body never moves:
+    /// the entry is renamed (or linked) inside this shard's store and the
+    /// authority layout gains an override routing `to_name` here —
+    /// ownership follows the data. The peer that owned `to_name`
+    /// participates in a two-phase exchange so the name is locked on
+    /// both shards for the whole window and the entry a rename
+    /// overwrites there is deleted exactly once; link(2) does not
+    /// overwrite, so a peer reporting an existing target aborts it.
     #[allow(clippy::too_many_arguments)]
-    async fn cross_shard_rename(
+    async fn cross_shard(
         &self,
         ctx: u64,
         from: ClientId,
         view: ShardView,
         peer_shard: u32,
-        from_dir: FileHandle,
-        from_name: String,
-        to_dir: FileHandle,
+        from_name: Option<String>,
         to_name: String,
+        req: NfsRequest,
     ) -> NfsReply {
-        // Lock both names locally. The gate vetted `from_name` in this
-        // same synchronous region, so this cannot fail on it; `to_name`
-        // may race another transaction.
-        if self.name_locked(&from_name) || self.name_locked(&to_name) {
-            self.bump_shard(|s| s.busy_rejections += 1);
-            return NfsReply::Err(NfsStatus::Busy);
+        let (link, src) = (from_name.is_none(), from_name.as_deref());
+        // Lock the names locally. The gate vetted a rename's `from_name`
+        // in this same synchronous region, so this cannot fail on it;
+        // `to_name` may race another transaction.
+        if src.is_some_and(|n| self.name_locked(n)) || self.name_locked(&to_name) {
+            return self.busy();
         }
-        self.lock_name(&from_name);
-        self.lock_name(&to_name);
+        // The names this transaction holds until it replies.
+        let names = [src, Some(to_name.as_str())];
+        names.iter().flatten().for_each(|n| self.lock_name(n));
+        let unlock = || names.iter().flatten().for_each(|n| self.unlock_name(n));
         let txid = self.next_txid();
         // Phase 1: the peer locks `to_name` and reports what it holds.
-        // Only after it succeeds are both names locked on both shards —
+        // Only after it succeeds are the names locked on both shards —
         // which is why the begin event (opening the checker's atomicity
         // window) must not be emitted any earlier.
-        if let Err(rep) = self.tx_call_prepare(peer_shard, txid, &to_name).await {
-            self.unlock_name(&from_name);
-            self.unlock_name(&to_name);
-            return rep;
-        }
-        let begin = self.emit_with(ctx, || EventKind::ShardTxBegin {
-            txid,
-            from_shard: view.shard,
-            to_shard: peer_shard,
-            from_name: from_name.clone(),
-            to_name: to_name.clone(),
-            link: false,
-        });
-        // Phase 2, local half: the rename inside this shard's store. The
-        // name locks guarantee no other operation observes the window,
-        // even across the handler's awaits.
-        let rep = spritely_nfs::handle(
-            &self.inner.fs,
-            NfsRequest::Rename {
-                from_dir,
-                from_name: from_name.clone(),
-                to_dir,
-                to_name: to_name.clone(),
-            },
-        )
-        .await;
-        if matches!(rep, NfsReply::Err(_)) {
-            self.spawn_tx_abort(peer_shard, txid);
-            self.emit(
-                begin,
-                EventKind::ShardTxEnd {
-                    txid,
-                    committed: false,
-                },
-            );
-            self.unlock_name(&from_name);
-            self.unlock_name(&to_name);
-            return rep;
-        }
-        self.bump_shard(|s| s.cross_renames += 1);
-        // Commit point: publish the ownership move. From here every
-        // shard's gate and every refreshed client routes `to_name` to
-        // this shard, and the transaction can only complete.
-        let epoch = view
-            .layout
-            .borrow_mut()
-            .record_move(Some(&from_name), &to_name, view.shard);
-        self.emit_with(begin, || EventKind::ShardMove {
-            from_name: from_name.clone(),
-            to_name: to_name.clone(),
-            shard: view.shard,
-            epoch,
-        });
-        self.spawn_tx_commit(begin, peer_shard, txid);
-        self.invalidate_dir_watchers(ctx, from_dir, from).await;
-        self.unlock_name(&from_name);
-        self.unlock_name(&to_name);
-        rep
-    }
-
-    /// Coordinator half of a cross-shard link: same two-phase exchange
-    /// as a rename, except link(2) does not overwrite — a prepared peer
-    /// reporting an existing target aborts with `Exist`.
-    #[allow(clippy::too_many_arguments)]
-    async fn cross_shard_link(
-        &self,
-        ctx: u64,
-        from: ClientId,
-        view: ShardView,
-        peer_shard: u32,
-        src: FileHandle,
-        to_dir: FileHandle,
-        to_name: String,
-    ) -> NfsReply {
-        if self.name_locked(&to_name) {
-            self.bump_shard(|s| s.busy_rejections += 1);
-            return NfsReply::Err(NfsStatus::Busy);
-        }
-        self.lock_name(&to_name);
-        let txid = self.next_txid();
         let existed = match self.tx_call_prepare(peer_shard, txid, &to_name).await {
             Ok(existed) => existed,
             Err(rep) => {
-                self.unlock_name(&to_name);
+                unlock();
                 return rep;
             }
         };
-        if existed {
-            self.spawn_tx_abort(peer_shard, txid);
-            self.unlock_name(&to_name);
+        if link && existed {
+            self.spawn_tx_resolve(0, peer_shard, txid, false);
+            unlock();
             return NfsReply::Err(NfsStatus::Exist);
         }
         let begin = self.emit_with(ctx, || EventKind::ShardTxBegin {
             txid,
             from_shard: view.shard,
             to_shard: peer_shard,
-            from_name: String::new(),
+            from_name: src.unwrap_or_default().to_string(),
             to_name: to_name.clone(),
-            link: true,
+            link,
         });
-        let rep = spritely_nfs::handle(
-            &self.inner.fs,
-            NfsRequest::Link {
-                from: src,
-                to_dir,
-                to_name: to_name.clone(),
-            },
-        )
-        .await;
+        // Phase 2, local half: the operation inside this shard's store.
+        // The name locks guarantee no other operation observes the
+        // window, even across the handler's awaits.
+        let rep = spritely_nfs::handle(&self.inner.fs, req).await;
         if matches!(rep, NfsReply::Err(_)) {
-            self.spawn_tx_abort(peer_shard, txid);
+            self.spawn_tx_resolve(0, peer_shard, txid, false);
             self.emit(
                 begin,
                 EventKind::ShardTxEnd {
@@ -942,26 +841,34 @@ impl SnfsServer {
                     committed: false,
                 },
             );
-            self.unlock_name(&to_name);
+            unlock();
             return rep;
         }
-        self.bump_shard(|s| s.cross_links += 1);
+        self.bump_shard(|s| {
+            if link {
+                s.cross_links += 1
+            } else {
+                s.cross_renames += 1
+            }
+        });
+        // Commit point: publish the ownership move. From here every
+        // shard's gate and every refreshed client routes `to_name` to
+        // this shard, and the transaction can only complete.
         let epoch = view
             .layout
             .borrow_mut()
-            .record_move(None, &to_name, view.shard);
+            .record_move(src, &to_name, view.shard);
         self.emit_with(begin, || EventKind::ShardMove {
-            from_name: String::new(),
+            from_name: src.unwrap_or_default().to_string(),
             to_name: to_name.clone(),
             shard: view.shard,
             epoch,
         });
-        self.spawn_tx_commit(begin, peer_shard, txid);
-        self.invalidate_dir_watchers(ctx, to_dir, from).await;
-        if self.inner.params.dir_callbacks {
-            self.watch_dir(to_dir, from);
-        }
-        self.unlock_name(&to_name);
+        self.spawn_tx_resolve(begin, peer_shard, txid, true);
+        // Both directory handles are this shard's root (that is what
+        // made the operation cross-shard).
+        self.names_changed(ctx, view.root, from, link).await;
+        unlock();
         rep
     }
 
@@ -970,9 +877,8 @@ impl SnfsServer {
     /// will overwrite it; a link must refuse). Idempotent per txid —
     /// coordinator retries re-reply from the transaction table.
     fn tx_prepare(&self, ctx: u64, txid: u64, name: &str) -> NfsReply {
-        let view = match self.inner.shard.borrow().clone() {
-            Some(v) => v,
-            None => return NfsReply::Err(NfsStatus::Inval),
+        let Some(view) = self.inner.shard.borrow().clone() else {
+            return NfsReply::Err(NfsStatus::Inval);
         };
         if let Some(entry) = self.inner.tx_table.borrow().get(&txid) {
             return NfsReply::TxPrepared {
@@ -980,8 +886,7 @@ impl SnfsServer {
             };
         }
         if self.name_locked(name) {
-            self.bump_shard(|s| s.busy_rejections += 1);
-            return NfsReply::Err(NfsStatus::Busy);
+            return self.busy();
         }
         self.lock_name(name);
         let existed_fh = self.inner.fs.lookup(view.root, name).ok().map(|(fh, _)| fh);
@@ -1004,86 +909,64 @@ impl SnfsServer {
     /// those a crash wiped — acknowledge trivially, since a crash also
     /// released the lock and discarded the prepared state.
     async fn tx_commit(&self, ctx: u64, txid: u64) -> NfsReply {
-        let (name, existed_fh) = {
-            let mut table = self.inner.tx_table.borrow_mut();
-            match table.get_mut(&txid) {
-                Some(e) if !e.done => {
-                    e.done = true;
-                    (e.name.clone(), e.existed_fh)
-                }
-                _ => return NfsReply::Ok,
-            }
+        let Some((name, existed_fh)) = self.tx_resolve(txid) else {
+            return NfsReply::Ok;
         };
-        let view = self.inner.shard.borrow().clone();
-        if let Some(view) = &view {
-            // Delete only while the entry is still the handle that was
-            // prepared: ownership may have ping-ponged since, and a
-            // newer file under the same name must survive.
-            let current = self.inner.fs.lookup(view.root, &name).ok();
-            if let (Some(prepared), Some((cfh, attr))) = (existed_fh, current) {
-                if cfh == prepared {
-                    let rep = spritely_nfs::handle(
-                        &self.inner.fs,
-                        NfsRequest::Remove {
-                            dir: view.root,
-                            name: name.clone(),
-                        },
-                    )
-                    .await;
-                    if matches!(rep, NfsReply::Ok) && attr.nlink <= 1 {
-                        let st0 = self.inner.table.borrow().state_of(prepared);
-                        let had_entry = self.inner.table.borrow().version_of(prepared).is_some();
-                        self.inner.table.borrow_mut().file_removed(prepared);
-                        if had_entry {
-                            self.emit_transition(
-                                ctx,
-                                prepared,
-                                Cause::Removed,
-                                ClientId(0),
-                                st0,
-                                FileState::Closed,
-                            );
-                        }
-                        self.gc_file_lock(prepared);
-                    }
-                }
-            }
+        // Only a shard prepares, so the entry implies the view.
+        let root = self.inner.shard.borrow().as_ref().map(|v| v.root);
+        let root = root.expect("a prepared transaction implies a shard view");
+        // Delete only while the entry is still the handle that was
+        // prepared: ownership may have ping-ponged since, and a newer
+        // file under the same name must survive.
+        let current = self.inner.fs.lookup(root, &name).ok();
+        if current.is_some_and(|(cfh, _)| Some(cfh) == existed_fh) {
+            let name = name.clone();
+            let req = NfsRequest::Remove { dir: root, name };
+            self.remove_entry(ctx, ClientId(0), req, current).await;
         }
         self.unlock_name(&name);
-        if let Some(view) = &view {
-            self.invalidate_dir_watchers(ctx, view.root, ClientId(0))
-                .await;
-        }
+        self.names_changed(ctx, root, ClientId(0), false).await;
         NfsReply::Ok
     }
 
     /// Participant abort: drop the prepared entry and release the lock.
     fn tx_abort(&self, txid: u64) -> NfsReply {
-        let name = {
-            let mut table = self.inner.tx_table.borrow_mut();
-            match table.get_mut(&txid) {
-                Some(e) if !e.done => {
-                    e.done = true;
-                    Some(e.name.clone())
-                }
-                _ => None,
-            }
-        };
-        if let Some(name) = name {
+        if let Some((name, _)) = self.tx_resolve(txid) {
             self.unlock_name(&name);
         }
         NfsReply::Ok
     }
 
-    /// Performs one callback; on failure, treats the client as crashed.
-    /// Returns true on success.
-    async fn do_callback(
+    /// Marks the prepared entry of `txid` resolved and returns the name
+    /// it locked and the handle it found there. `None` for a duplicate
+    /// delivery or an unknown txid.
+    fn tx_resolve(&self, txid: u64) -> Option<(String, Option<FileHandle>)> {
+        let mut table = self.inner.tx_table.borrow_mut();
+        let entry = table.get_mut(&txid).filter(|e| !e.done)?;
+        entry.done = true;
+        Some((entry.name.clone(), entry.existed_fh))
+    }
+
+    /// The callback sender: the one place that takes a callback slot,
+    /// counts and traces a callback, numbers it and retries it. `cb`
+    /// names the target and what the trace records; `arg` is what the
+    /// client is asked to do (its `seq` is assigned here). Retries go on
+    /// until the client has been unreachable for `give_up`, or `settled`
+    /// says the answer no longer matters (which counts as a yes). A
+    /// target without a registered callback channel is unreachable by
+    /// construction: nothing is sent, and the failure hangs off `parent`.
+    async fn send_callback(
         &self,
         parent: u64,
-        fh: FileHandle,
         cb: CallbackNeeded,
-        relinquish: bool,
-    ) -> bool {
+        mut arg: CallbackArg,
+        give_up: SimDuration,
+        settled: impl Fn() -> bool,
+    ) -> Sent {
+        /// First retry delay after a timed-out callback; doubles per
+        /// retry up to the cap.
+        const RETRY_BACKOFF: SimDuration = SimDuration::from_secs(2);
+        const BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
         let caller = self
             .inner
             .callback_clients
@@ -1091,13 +974,11 @@ impl SnfsServer {
             .get(&cb.target)
             .cloned();
         let Some(caller) = caller else {
-            self.bump_stats(|s| s.callbacks_failed += 1);
-            let affected = self.inner.table.borrow_mut().client_crashed(cb.target);
-            self.emit_client_crashed(parent, cb.target, &affected);
-            for (afh, ..) in &affected {
-                self.gc_file_lock(*afh);
-            }
-            return false;
+            return Sent {
+                seq: parent,
+                ok: false,
+                took: SimDuration::ZERO,
+            };
         };
         // N−1 rule: hold a callback slot while waiting on the client.
         let slot = self.inner.callback_slots.acquire().await;
@@ -1105,11 +986,11 @@ impl SnfsServer {
         self.inner.callback_inflight.inc();
         // The begin event sits inside the slot so the checker's
         // concurrent-callback count mirrors the real N−1 budget.
-        let cb_seq = self.emit(
+        let seq = self.emit(
             parent,
             EventKind::CallbackBegin {
                 target: cb.target,
-                fh,
+                fh: arg.fh,
                 writeback: cb.writeback,
                 invalidate: cb.invalidate,
             },
@@ -1118,82 +999,92 @@ impl SnfsServer {
         // RPCs with fresh xids (the RPC dup cache cannot pair them), so
         // this is what lets the client recognize — and answer
         // idempotently — a delivery it has already acted on.
-        let arg_seq = self.inner.cb_next_seq.get() + 1;
-        self.inner.cb_next_seq.set(arg_seq);
-        let arg = CallbackArg {
-            fh,
-            writeback: cb.writeback,
-            invalidate: cb.invalidate,
-            relinquish,
-            seq: arg_seq,
-            recall: false,
-        };
+        arg.seq = self.inner.cb_next_seq.get() + 1;
+        self.inner.cb_next_seq.set(arg.seq);
         // A timeout is not a crash: a lossy network or a transient
         // partition can eat a whole retransmission ladder while the
         // client is alive and holding dirty data. Retry with doubling
         // backoff (slot held — the N−1 rule bounds waiting callbacks,
-        // not just active ones) and only declare the client dead once
-        // it has been unreachable past the keepalive horizon. A reply
-        // with `ok == false` is different: the client answered and
-        // refused, and is treated as crashed immediately as before.
+        // not just active ones) and only give up once the client has
+        // been unreachable past the caller's horizon. A reply with
+        // `ok == false` is different: the client answered and refused.
         let started = self.inner.sim.now();
-        let mut backoff = self.inner.params.callback_retry_backoff;
-        const BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
-        let res = loop {
-            match caller.call_ctx(cb_seq, arg).await {
-                Ok(rep) => break Some(rep),
+        let mut backoff = RETRY_BACKOFF;
+        let ok = loop {
+            if settled() {
+                break true;
+            }
+            match caller.call_ctx(seq, arg).await {
+                Ok(rep) => break rep.ok,
                 Err(_) => {
                     let elapsed = self.inner.sim.now().saturating_duration_since(started);
-                    if elapsed >= self.inner.params.callback_dead_after {
-                        break None;
+                    if elapsed >= give_up {
+                        break false;
                     }
                     self.inner
                         .callback_retries
                         .set(self.inner.callback_retries.get() + 1);
                     self.inner.sim.sleep(backoff).await;
-                    backoff = backoff.mul_f64(2.0);
-                    if backoff > BACKOFF_CAP {
-                        backoff = BACKOFF_CAP;
-                    }
+                    backoff = backoff.mul_f64(2.0).min(BACKOFF_CAP);
                 }
             }
         };
         self.inner.callback_inflight.dec();
-        let ok = matches!(&res, Some(rep) if rep.ok);
-        self.emit(
-            cb_seq,
-            EventKind::CallbackEnd {
-                target: cb.target,
-                fh,
-                ok,
-            },
-        );
+        let (target, fh) = (cb.target, arg.fh);
+        self.emit(seq, EventKind::CallbackEnd { target, fh, ok });
         drop(slot);
-        if ok {
-            if cb.writeback {
-                let st0 = self.inner.table.borrow().state_of(fh);
-                self.inner.table.borrow_mut().writeback_done(fh, cb.target);
-                let st1 = self.inner.table.borrow().state_of(fh);
-                self.emit_transition(cb_seq, fh, Cause::WritebackDone, cb.target, st0, st1);
-            }
-            true
-        } else {
-            // The "dead client" case of §3.2: honor the open, but the
-            // file may be inconsistent; drop the client's state.
-            self.bump_stats(|s| s.callbacks_failed += 1);
-            let affected = self.inner.table.borrow_mut().client_crashed(cb.target);
-            self.emit_client_crashed(cb_seq, cb.target, &affected);
-            for (afh, ..) in &affected {
-                self.gc_file_lock(*afh);
-            }
-            false
+        let took = self.inner.sim.now().saturating_duration_since(started);
+        Sent { seq, ok, took }
+    }
+
+    /// The "dead client" case of §3.2: `client` cannot be called back.
+    /// The open that needed it is honored, but its files may be
+    /// inconsistent; all of its state is dropped.
+    fn client_unreachable(&self, parent: u64, client: ClientId) {
+        self.bump_stats(|s| s.callbacks_failed += 1);
+        let affected = self.inner.table.borrow_mut().client_crashed(client);
+        for (fh, before, after) in affected {
+            self.emit_transition(parent, fh, Cause::ClientCrash, client, before, after);
+            self.gc_file_lock(fh);
+        }
+    }
+
+    /// Performs one callback. A client without a callback channel, one
+    /// that stays silent past `callback_dead_after` (roughly three
+    /// keepalive intervals: it has missed its liveness horizon too) and
+    /// one that answers with a refusal are all treated as crashed.
+    async fn do_callback(&self, parent: u64, fh: FileHandle, cb: CallbackNeeded, relinquish: bool) {
+        let arg = CallbackArg {
+            fh,
+            writeback: cb.writeback,
+            invalidate: cb.invalidate,
+            relinquish,
+            seq: 0,
+            recall: false,
+        };
+        let give_up = self.inner.params.callback_dead_after;
+        let sent = self.send_callback(parent, cb, arg, give_up, || false).await;
+        if !sent.ok {
+            self.client_unreachable(sent.seq, cb.target);
+        } else if cb.writeback {
+            self.transition(sent.seq, fh, Cause::WritebackDone, cb.target, |t| {
+                t.writeback_done(fh, cb.target)
+            });
+        }
+    }
+
+    /// Spawns every job as its own task, then waits for them all.
+    async fn spawn_all<F: Future<Output = ()> + 'static>(&self, jobs: impl Iterator<Item = F>) {
+        let tasks: Vec<_> = jobs.map(|job| self.inner.sim.spawn(job)).collect();
+        for t in tasks {
+            t.await;
         }
     }
 
     /// Performs a set of callbacks. A single one runs inline; several
     /// fan out as concurrent tasks across their target clients, each
     /// still taking one of the N−1 callback slots inside
-    /// [`do_callback`](Self::do_callback) — so the fan-out never
+    /// [`send_callback`](Self::send_callback) — so the fan-out never
     /// exceeds the §3.2 thread-pool budget.
     async fn fan_out_callbacks(
         &self,
@@ -1204,20 +1095,13 @@ impl SnfsServer {
     ) {
         match callbacks {
             [] => {}
-            [cb] => {
-                self.do_callback(parent, fh, *cb, relinquish).await;
-            }
+            [cb] => self.do_callback(parent, fh, *cb, relinquish).await,
             many => {
-                let mut tasks = Vec::with_capacity(many.len());
-                for &cb in many {
+                let jobs = many.iter().map(|&cb| {
                     let this = self.clone();
-                    tasks.push(self.inner.sim.spawn(async move {
-                        this.do_callback(parent, fh, cb, relinquish).await;
-                    }));
-                }
-                for t in tasks {
-                    t.await;
-                }
+                    async move { this.do_callback(parent, fh, cb, relinquish).await }
+                });
+                self.spawn_all(jobs).await;
             }
         }
     }
@@ -1229,11 +1113,8 @@ impl SnfsServer {
     /// host-to-host direction as recall callbacks) has already expired
     /// on any holder the recall could not reach.
     fn revoke(&self, parent: u64, fh: FileHandle, holder: ClientId) {
-        let mut table = self.inner.table.borrow_mut();
-        let st0 = table.state_of(fh);
-        if table.revoke_delegation(fh, holder) {
-            let st1 = table.state_of(fh);
-            drop(table);
+        let (revoked, from, to) = self.observed(fh, |t| t.revoke_delegation(fh, holder));
+        if revoked {
             self.emit(
                 parent,
                 EventKind::DelegReturn {
@@ -1242,7 +1123,7 @@ impl SnfsServer {
                     revoked: true,
                 },
             );
-            self.emit_transition(parent, fh, Cause::DelegReturn, holder, st0, st1);
+            self.emit_transition(parent, fh, Cause::DelegReturn, holder, from, to);
             self.bump_deleg(|s| s.revokes += 1);
         }
     }
@@ -1256,13 +1137,6 @@ impl SnfsServer {
     /// callback).
     async fn recall_one(&self, parent: u64, fh: FileHandle, d: Deleg) {
         self.bump_deleg(|s| s.recalls += 1);
-        let caller = self.inner.callback_clients.borrow().get(&d.holder).cloned();
-        let Some(caller) = caller else {
-            // No callback channel: the holder is unreachable by
-            // construction. Revoke immediately.
-            self.revoke(parent, fh, d.holder);
-            return;
-        };
         // From here until the recall resolves, the holder's keepalives
         // are refused so its lease cannot outlive a revoke (§17.3).
         *self
@@ -1273,91 +1147,37 @@ impl SnfsServer {
             .or_insert(0) += 1;
         // Recalls ride the callback channel, so they obey the N−1 slot
         // budget and appear in the trace's callback concurrency count.
-        let slot = self.inner.callback_slots.acquire().await;
-        self.bump_stats(|s| s.callbacks_sent += 1);
-        self.inner.callback_inflight.inc();
-        let cb_seq = self.emit(
-            parent,
-            EventKind::CallbackBegin {
-                target: d.holder,
-                fh,
-                writeback: d.write,
-                invalidate: false,
-            },
-        );
-        let arg_seq = self.inner.cb_next_seq.get() + 1;
-        self.inner.cb_next_seq.set(arg_seq);
+        // The trace shows a write delegation's recall as a write-back
+        // (the holder flushes before it returns); the argument asks for
+        // the recall alone.
+        let cb = CallbackNeeded {
+            target: d.holder,
+            writeback: d.write,
+            invalidate: false,
+        };
         let arg = CallbackArg {
             fh,
             writeback: false,
             invalidate: false,
             relinquish: false,
-            seq: arg_seq,
+            seq: 0,
             recall: true,
         };
-        let started = self.inner.sim.now();
-        let mut backoff = self.inner.params.callback_retry_backoff;
-        const BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
-        let res = loop {
-            // The return may land through a duplicate delivery while a
-            // retry is still in flight; stop as soon as it does.
-            if self
-                .inner
-                .table
-                .borrow()
-                .delegation_of(fh, d.holder)
-                .is_none()
-            {
-                break Some(true);
-            }
-            match caller.call_ctx(cb_seq, arg).await {
-                Ok(rep) => break Some(rep.ok),
-                Err(_) => {
-                    let elapsed = self.inner.sim.now().saturating_duration_since(started);
-                    if elapsed >= self.inner.params.delegation.recall_timeout {
-                        break None;
-                    }
-                    self.inner
-                        .callback_retries
-                        .set(self.inner.callback_retries.get() + 1);
-                    self.inner.sim.sleep(backoff).await;
-                    backoff = backoff.mul_f64(2.0);
-                    if backoff > BACKOFF_CAP {
-                        backoff = BACKOFF_CAP;
-                    }
-                }
-            }
+        // The return may land through a duplicate delivery while a
+        // retry is still in flight; stop as soon as it does.
+        let returned = || {
+            let table = self.inner.table.borrow();
+            table.delegation_of(fh, d.holder).is_none()
         };
-        self.inner.callback_inflight.dec();
-        let answered = matches!(res, Some(true));
-        self.emit(
-            cb_seq,
-            EventKind::CallbackEnd {
-                target: d.holder,
-                fh,
-                ok: answered,
-            },
-        );
-        drop(slot);
-        if answered
-            && self
-                .inner
-                .table
-                .borrow()
-                .delegation_of(fh, d.holder)
-                .is_none()
-        {
+        let give_up = self.inner.params.delegation.recall_timeout;
+        let sent = self.send_callback(parent, cb, arg, give_up, returned).await;
+        if sent.ok && returned() {
             // The holder acked after its DelegReturn RPC was applied.
-            let us = self
-                .inner
-                .sim
-                .now()
-                .saturating_duration_since(started)
-                .as_micros();
-            self.bump_deleg(|s| s.recall_latency.record(us));
+            self.bump_deleg(|s| s.recall_latency.record(sent.took.as_micros()));
         } else {
-            // Timed out, refused, or acked without returning: fence.
-            self.revoke(cb_seq, fh, d.holder);
+            // Unreachable, timed out, refused, or acked without
+            // returning: fence.
+            self.revoke(sent.seq, fh, d.holder);
         }
         let mut pending = self.inner.recalls_pending.borrow_mut();
         if let Some(n) = pending.get_mut(&d.holder) {
@@ -1384,16 +1204,11 @@ impl SnfsServer {
             [] => {}
             [d] => self.recall_one(parent, fh, *d).await,
             many => {
-                let mut tasks = Vec::with_capacity(many.len());
-                for &d in many {
+                let jobs = many.iter().map(|&d| {
                     let this = self.clone();
-                    tasks.push(self.inner.sim.spawn(async move {
-                        this.recall_one(parent, fh, d).await;
-                    }));
-                }
-                for t in tasks {
-                    t.await;
-                }
+                    async move { this.recall_one(parent, fh, d).await }
+                });
+                self.spawn_all(jobs).await;
             }
         }
     }
@@ -1438,6 +1253,46 @@ impl SnfsServer {
         Some(grant)
     }
 
+    /// Serves a `DelegReturn`: the holder's batched open/close state is
+    /// folded into the table. Deliberately lock-free: the conflicting
+    /// opener holds the file lock while it awaits this very return (same
+    /// discipline that lets Write RPCs land during a write-back
+    /// callback).
+    fn deleg_return(
+        &self,
+        ctx: u64,
+        fh: FileHandle,
+        client: ClientId,
+        readers: u32,
+        writers: u32,
+        wrote: bool,
+    ) -> NfsReply {
+        let (applied, from, to) = self.observed(fh, |t| {
+            t.return_delegation(fh, client, readers, writers, wrote)
+        });
+        // `None`: the holder was fenced (or the entry is gone) and its
+        // batched state was discarded at revoke time. The revoked return
+        // is emitted again so a late arrival still closes the holder's
+        // outstanding recall, and the client is told to purge.
+        let fenced = applied.is_none();
+        self.emit(
+            ctx,
+            EventKind::DelegReturn {
+                client,
+                fh,
+                revoked: fenced,
+            },
+        );
+        if !fenced {
+            self.emit_transition(ctx, fh, Cause::DelegReturn, client, from, to);
+            self.bump_deleg(|s| s.returns += 1);
+        }
+        let version = applied
+            .or_else(|| self.inner.table.borrow().version_of(fh))
+            .unwrap_or(FileVersion(0));
+        NfsReply::DelegReturned { version, fenced }
+    }
+
     /// Reclaims state-table entries when over the limit (paper §4.3.1).
     async fn maybe_reclaim(&self) {
         if !self.inner.table.borrow().over_limit() {
@@ -1461,10 +1316,9 @@ impl SnfsServer {
         }
         // The victims are distinct files: fan their write-back
         // callbacks out concurrently (bounded by the callback slots).
-        let mut tasks = Vec::with_capacity(outcome.writebacks.len());
-        for (fh, client) in outcome.writebacks {
+        let jobs = outcome.writebacks.into_iter().map(|(fh, client)| {
             let this = self.clone();
-            tasks.push(self.inner.sim.spawn(async move {
+            async move {
                 let lock = this.file_lock(fh).acquire().await;
                 // Re-check under the lock: a concurrent open may have
                 // revived the entry (or moved its dirty claim), and a
@@ -1472,35 +1326,28 @@ impl SnfsServer {
                 // cache.
                 let stale = {
                     let table = this.inner.table.borrow();
-                    table.state_of(fh) != crate::state_table::FileState::ClosedDirty
+                    table.state_of(fh) != FileState::ClosedDirty
                         || table.dirty_holder(fh) != Some(client)
                 };
                 if !stale {
-                    this.do_callback(
-                        0,
-                        fh,
-                        CallbackNeeded {
-                            target: client,
-                            writeback: true,
-                            invalidate: true,
-                        },
-                        false,
-                    )
-                    .await;
+                    let cb = CallbackNeeded {
+                        target: client,
+                        writeback: true,
+                        invalidate: true,
+                    };
+                    this.do_callback(0, fh, cb, false).await;
                     // On failure, client_crashed already cleaned the entry
                     // up; either way drop it if it is now cleanly closed.
-                    let st0 = this.inner.table.borrow().state_of(fh);
-                    if this.inner.table.borrow_mut().drop_if_closed(fh) {
-                        this.emit_transition(0, fh, Cause::Reclaim, client, st0, FileState::Closed);
+                    let (dropped, from, to) = this.observed(fh, |t| t.drop_if_closed(fh));
+                    if dropped {
+                        this.emit_transition(0, fh, Cause::Reclaim, client, from, to);
                     }
                 }
                 drop(lock);
                 this.gc_file_lock(fh);
-            }));
-        }
-        for t in tasks {
-            t.await;
-        }
+            }
+        });
+        self.spawn_all(jobs).await;
     }
 
     /// Dispatches one request. `ctx` is the trace context of the RPC
@@ -1528,14 +1375,7 @@ impl SnfsServer {
                 // answer is `Grace` — "try again later" — instead
                 // (DESIGN.md §17.3). The client's keepalive daemon
                 // tolerates the failure and re-probes.
-                if self.inner.params.delegation.enabled
-                    && self
-                        .inner
-                        .recalls_pending
-                        .borrow()
-                        .get(&client)
-                        .is_some_and(|&n| n > 0)
-                {
+                if self.inner.recalls_pending.borrow().contains_key(&client) {
                     NfsReply::Err(NfsStatus::Grace)
                 } else {
                     NfsReply::Epoch(self.inner.epoch.get())
@@ -1543,20 +1383,12 @@ impl SnfsServer {
             }
             NfsRequest::Recover { client, ref files } => {
                 debug_assert_eq!(from, client);
-                if self.inner.tracer.borrow().is_some() {
-                    // Restore file-by-file so each table change gets its
-                    // own transition event (same net effect as one call).
-                    for f in files {
-                        let st0 = self.inner.table.borrow().state_of(f.fh);
-                        self.inner
-                            .table
-                            .borrow_mut()
-                            .restore(client, std::slice::from_ref(f));
-                        let st1 = self.inner.table.borrow().state_of(f.fh);
-                        self.emit_transition(ctx, f.fh, Cause::Restore, client, st0, st1);
-                    }
-                } else {
-                    self.inner.table.borrow_mut().restore(client, files);
+                // Restore file-by-file so each table change gets its own
+                // transition event (same net effect as one call).
+                for f in files {
+                    self.transition(ctx, f.fh, Cause::Restore, client, |t| {
+                        t.restore(client, std::slice::from_ref(f))
+                    });
                 }
                 NfsReply::Epoch(self.inner.epoch.get())
             }
@@ -1569,22 +1401,7 @@ impl SnfsServer {
                     Err(e) => return NfsReply::Err(e),
                 };
                 let _lock = self.file_lock(fh).acquire().await;
-                // Conflicting delegations come back (or are revoked)
-                // *before* the open transition runs, so the holder's
-                // batched open/close state is folded into the table the
-                // transition computation sees.
-                self.recall_conflicting(ctx, fh, client, write).await;
-                let st0 = self.inner.table.borrow().state_of(fh);
-                let outcome = self.inner.table.borrow_mut().open(fh, client, write);
-                let st1 = self.inner.table.borrow().state_of(fh);
-                let cause = if write {
-                    Cause::OpenWrite
-                } else {
-                    Cause::OpenRead
-                };
-                let t_seq = self.emit_transition(ctx, fh, cause, client, st0, st1);
-                self.fan_out_callbacks(t_seq, fh, &outcome.callbacks, false)
-                    .await;
+                let (outcome, t_seq) = self.open_transition(ctx, fh, client, write).await;
                 let delegation = self.maybe_grant(t_seq, fh, client, write);
                 // Attributes may have changed if a write-back just landed.
                 let attr = self.inner.fs.getattr(fh).unwrap_or(attr0);
@@ -1609,16 +1426,7 @@ impl SnfsServer {
             NfsRequest::Close { fh, write, client } => {
                 debug_assert_eq!(from, client, "close must carry the caller's id");
                 let lock = self.file_lock(fh).acquire().await;
-                let st0 = self.inner.table.borrow().state_of(fh);
-                let st1 = self.inner.table.borrow_mut().close(fh, client, write);
-                let cause = if write {
-                    Cause::CloseWrite
-                } else {
-                    Cause::CloseRead
-                };
-                self.emit_transition(ctx, fh, cause, client, st0, st1);
-                drop(lock);
-                self.gc_file_lock(fh);
+                self.close_transition(ctx, fh, client, write, true, lock);
                 // Piggyback post-op attributes: same wire size as a bare
                 // Ok, and clients that don't consume them ignore the body,
                 // so the paper transport is unaffected.
@@ -1635,59 +1443,7 @@ impl SnfsServer {
                 wrote,
             } => {
                 debug_assert_eq!(from, client, "deleg_return must carry the caller's id");
-                // Deliberately lock-free: the conflicting opener holds
-                // the file lock while it awaits this very return (same
-                // discipline that lets Write RPCs land during a
-                // write-back callback).
-                let (applied, st0, st1) = {
-                    let mut table = self.inner.table.borrow_mut();
-                    let st0 = table.state_of(fh);
-                    let applied = table.return_delegation(fh, client, readers, writers, wrote);
-                    (applied, st0, table.state_of(fh))
-                };
-                match applied {
-                    Some(version) => {
-                        self.emit(
-                            ctx,
-                            EventKind::DelegReturn {
-                                client,
-                                fh,
-                                revoked: false,
-                            },
-                        );
-                        self.emit_transition(ctx, fh, Cause::DelegReturn, client, st0, st1);
-                        self.bump_deleg(|s| s.returns += 1);
-                        NfsReply::DelegReturned {
-                            version,
-                            fenced: false,
-                        }
-                    }
-                    None => {
-                        // The holder was fenced (or the entry is gone):
-                        // its batched state was discarded at revoke
-                        // time. Re-emit the revoked return so a late
-                        // arrival still closes the holder's outstanding
-                        // recall, and tell the client to purge.
-                        self.emit(
-                            ctx,
-                            EventKind::DelegReturn {
-                                client,
-                                fh,
-                                revoked: true,
-                            },
-                        );
-                        let version = self
-                            .inner
-                            .table
-                            .borrow()
-                            .version_of(fh)
-                            .unwrap_or(FileVersion(0));
-                        NfsReply::DelegReturned {
-                            version,
-                            fenced: true,
-                        }
-                    }
-                }
+                self.deleg_return(ctx, fh, client, readers, writers, wrote)
             }
             NfsRequest::Read { fh, .. } | NfsRequest::Write { fh, .. }
                 if self.inner.params.hybrid_nfs
@@ -1695,124 +1451,51 @@ impl SnfsServer {
             {
                 // §6.1 coexistence: a plain-NFS client is touching a file
                 // that SNFS clients have open. Bracket the access in an
-                // implicit open/close so the consistency callbacks fire;
-                // the implicit close leaves no dirty claim (the data went
-                // through synchronously).
+                // implicit open/close so the consistency callbacks fire
+                // (a plain-NFS access conflicts with delegations the same
+                // way an SNFS open does); the implicit close leaves no
+                // dirty claim (the data went through synchronously).
                 let write = matches!(req, NfsRequest::Write { .. });
                 let lock = self.file_lock(fh).acquire().await;
-                // A plain-NFS access conflicts with delegations the same
-                // way an SNFS open does.
-                self.recall_conflicting(ctx, fh, from, write).await;
-                let st0 = self.inner.table.borrow().state_of(fh);
-                let outcome = self.inner.table.borrow_mut().open(fh, from, write);
-                let st1 = self.inner.table.borrow().state_of(fh);
-                let cause = if write {
-                    Cause::OpenWrite
-                } else {
-                    Cause::OpenRead
-                };
-                let t_seq = self.emit_transition(ctx, fh, cause, from, st0, st1);
-                self.fan_out_callbacks(t_seq, fh, &outcome.callbacks, false)
-                    .await;
+                self.open_transition(ctx, fh, from, write).await;
                 let rep = spritely_nfs::handle(&self.inner.fs, req).await;
-                let st2 = self.inner.table.borrow().state_of(fh);
-                let st3 = self
-                    .inner
-                    .table
-                    .borrow_mut()
-                    .close_with(fh, from, write, false);
-                let cause = if write {
-                    Cause::CloseWrite
-                } else {
-                    Cause::CloseRead
-                };
-                self.emit_transition(ctx, fh, cause, from, st2, st3);
-                drop(lock);
-                self.gc_file_lock(fh);
+                self.close_transition(ctx, fh, from, write, false, lock);
                 rep
             }
             NfsRequest::Remove { dir, ref name } => {
-                // Identify the victim so its table entry can be dropped
-                // (and with it any expectation of a write-back) — but only
-                // when its *last* hard link goes away; otherwise version
-                // continuity must be preserved for the surviving names.
                 let victim = self.inner.fs.lookup(dir, name).ok();
-                let rep = spritely_nfs::handle(&self.inner.fs, req.clone()).await;
-                if let (Some((fh, attr)), NfsReply::Ok) = (victim, &rep) {
-                    if attr.nlink <= 1 {
-                        let st0 = self.inner.table.borrow().state_of(fh);
-                        let had_entry = self.inner.table.borrow().version_of(fh).is_some();
-                        self.inner.table.borrow_mut().file_removed(fh);
-                        if had_entry {
-                            self.emit_transition(
-                                ctx,
-                                fh,
-                                Cause::Removed,
-                                from,
-                                st0,
-                                FileState::Closed,
-                            );
-                        }
-                        self.gc_file_lock(fh);
-                    }
-                }
-                self.invalidate_dir_watchers(ctx, dir, from).await;
+                let rep = self.remove_entry(ctx, from, req, victim).await;
+                self.names_changed(ctx, dir, from, false).await;
                 rep
             }
             NfsRequest::Lookup { dir, .. } => {
                 let rep = spritely_nfs::handle(&self.inner.fs, req).await;
-                // §7 extension: a successful lookup makes the caller a
-                // watcher of the directory, entitled to an invalidate
-                // callback before any namespace change is acknowledged.
-                if self.inner.params.dir_callbacks && !matches!(rep, NfsReply::Err(_)) {
+                if !matches!(rep, NfsReply::Err(_)) {
                     self.watch_dir(dir, from);
                 }
                 rep
             }
             NfsRequest::Create { dir, .. }
             | NfsRequest::Mkdir { dir, .. }
-            | NfsRequest::Rmdir { dir, .. } => {
-                let created = matches!(req, NfsRequest::Create { .. } | NfsRequest::Mkdir { .. });
-                let rep = spritely_nfs::handle(&self.inner.fs, req).await;
-                if !matches!(rep, NfsReply::Err(_)) {
-                    self.invalidate_dir_watchers(ctx, dir, from).await;
-                    // The creator learns the new translation from the
-                    // reply and will cache it — it is a watcher too.
-                    if created && self.inner.params.dir_callbacks {
-                        self.watch_dir(dir, from);
-                    }
-                }
-                rep
+            | NfsRequest::Symlink { dir, .. } => {
+                self.namespace_change(ctx, from, req, dir, dir, true).await
+            }
+            NfsRequest::Rmdir { dir, .. } => {
+                self.namespace_change(ctx, from, req, dir, dir, false).await
             }
             NfsRequest::Link {
-                from: src,
                 to_dir,
                 ref to_name,
+                ..
             } => {
                 if let Some((view, peer)) = self.cross_shard_target(to_dir, to_dir, to_name) {
                     let to_name = to_name.clone();
                     return self
-                        .cross_shard_link(ctx, from, view, peer, src, to_dir, to_name)
+                        .cross_shard(ctx, from, view, peer, None, to_name, req)
                         .await;
                 }
-                let rep = spritely_nfs::handle(&self.inner.fs, req).await;
-                if !matches!(rep, NfsReply::Err(_)) {
-                    self.invalidate_dir_watchers(ctx, to_dir, from).await;
-                    if self.inner.params.dir_callbacks {
-                        self.watch_dir(to_dir, from);
-                    }
-                }
-                rep
-            }
-            NfsRequest::Symlink { dir, .. } => {
-                let rep = spritely_nfs::handle(&self.inner.fs, req).await;
-                if !matches!(rep, NfsReply::Err(_)) {
-                    self.invalidate_dir_watchers(ctx, dir, from).await;
-                    if self.inner.params.dir_callbacks {
-                        self.watch_dir(dir, from);
-                    }
-                }
-                rep
+                self.namespace_change(ctx, from, req, to_dir, to_dir, true)
+                    .await
             }
             NfsRequest::Rename {
                 from_dir,
@@ -1821,21 +1504,13 @@ impl SnfsServer {
                 ref to_name,
             } => {
                 if let Some((view, peer)) = self.cross_shard_target(from_dir, to_dir, to_name) {
-                    let (from_name, to_name) = (from_name.clone(), to_name.clone());
+                    let (from_name, to_name) = (Some(from_name.clone()), to_name.clone());
                     return self
-                        .cross_shard_rename(
-                            ctx, from, view, peer, from_dir, from_name, to_dir, to_name,
-                        )
+                        .cross_shard(ctx, from, view, peer, from_name, to_name, req)
                         .await;
                 }
-                let rep = spritely_nfs::handle(&self.inner.fs, req).await;
-                if !matches!(rep, NfsReply::Err(_)) {
-                    self.invalidate_dir_watchers(ctx, from_dir, from).await;
-                    if to_dir != from_dir {
-                        self.invalidate_dir_watchers(ctx, to_dir, from).await;
-                    }
-                }
-                rep
+                self.namespace_change(ctx, from, req, from_dir, to_dir, false)
+                    .await
             }
             NfsRequest::TxPrepare { txid, ref name } => self.tx_prepare(ctx, txid, name),
             NfsRequest::TxCommit { txid } => self.tx_commit(ctx, txid).await,
@@ -1843,5 +1518,100 @@ impl SnfsServer {
             // Everything else is the unmodified NFS service code.
             other => spritely_nfs::handle(&self.inner.fs, other).await,
         }
+    }
+
+    /// The open half of an SNFS `open` and of the §6.1 implicit open,
+    /// run under the file lock: conflicting delegations come back (or are
+    /// revoked) *before* the open transition, so the holder's batched
+    /// open/close state is folded into the table the transition
+    /// computation sees; then the callbacks the transition calls for.
+    /// Returns the outcome and the transition's trace sequence number.
+    async fn open_transition(
+        &self,
+        ctx: u64,
+        fh: FileHandle,
+        client: ClientId,
+        write: bool,
+    ) -> (OpenOutcome, u64) {
+        self.recall_conflicting(ctx, fh, client, write).await;
+        let cause = if write {
+            Cause::OpenWrite
+        } else {
+            Cause::OpenRead
+        };
+        let (outcome, t_seq) =
+            self.transition(ctx, fh, cause, client, |t| t.open(fh, client, write));
+        self.fan_out_callbacks(t_seq, fh, &outcome.callbacks, false)
+            .await;
+        (outcome, t_seq)
+    }
+
+    /// The close half: records the close, releases the file lock and
+    /// drops the lock entry if the file is back to CLOSED. A writer that
+    /// wrote through (`may_cache_dirty == false`) leaves no dirty claim.
+    fn close_transition(
+        &self,
+        ctx: u64,
+        fh: FileHandle,
+        client: ClientId,
+        write: bool,
+        may_cache_dirty: bool,
+        lock: Permit,
+    ) {
+        let cause = if write {
+            Cause::CloseWrite
+        } else {
+            Cause::CloseRead
+        };
+        self.transition(ctx, fh, cause, client, |t| {
+            t.close_with(fh, client, write, may_cache_dirty)
+        });
+        drop(lock);
+        self.gc_file_lock(fh);
+    }
+
+    /// Removes a directory entry (`req` is the `Remove`; `victim` what
+    /// its name resolved to). When that was the victim's *last* hard
+    /// link its table entry goes too, and with it any expectation of a
+    /// write-back; otherwise version continuity must be preserved for
+    /// the surviving names.
+    async fn remove_entry(
+        &self,
+        ctx: u64,
+        client: ClientId,
+        req: NfsRequest,
+        victim: Option<(FileHandle, Fattr)>,
+    ) -> NfsReply {
+        let rep = spritely_nfs::handle(&self.inner.fs, req).await;
+        if let (Some((fh, attr)), NfsReply::Ok) = (victim, &rep) {
+            if attr.nlink <= 1 {
+                if self.inner.table.borrow().version_of(fh).is_some() {
+                    self.transition(ctx, fh, Cause::Removed, client, |t| t.file_removed(fh));
+                }
+                self.gc_file_lock(fh);
+            }
+        }
+        rep
+    }
+
+    /// Runs a namespace-changing procedure on `dir` (a rename also
+    /// touches `to_dir`) and, once it has succeeded, tells the watchers.
+    async fn namespace_change(
+        &self,
+        ctx: u64,
+        from: ClientId,
+        req: NfsRequest,
+        dir: FileHandle,
+        to_dir: FileHandle,
+        watch: bool,
+    ) -> NfsReply {
+        let rep = spritely_nfs::handle(&self.inner.fs, req).await;
+        if !matches!(rep, NfsReply::Err(_)) {
+            self.names_changed(ctx, dir, from, watch).await;
+            if to_dir != dir {
+                self.names_changed(ctx, to_dir, from, false).await;
+            }
+        }
+        rep
     }
 }
