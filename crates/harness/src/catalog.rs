@@ -41,7 +41,8 @@ pub struct Entry {
     /// Stable identifier: the CLI argument, the Criterion group and the
     /// `<name>` of `BENCH_<name>.json`.
     pub name: &'static str,
-    /// First line of the artifact; [`slug_of`] it names the artifact file.
+    /// First line of the artifact; [`slug_of`] it names the artifact file
+    /// (see [`Entry::artifacts`] for the one exception).
     pub title: &'static str,
     /// Performs the experiment. Deterministic in `seed`, except for the
     /// wall-clock fields of `sim_speed` (on the compare ignore-list).
@@ -171,8 +172,14 @@ impl Entry {
     /// The files `o` leaves under `artifacts/`, ledger aside: the titled
     /// artifact first, then the auxiliary files.
     pub fn artifacts<'a>(&self, o: &'a Outcome) -> Vec<(String, Cow<'a, str>)> {
+        // The title's slug names the artifact — unless entries share it
+        // (the six `Ablation: ...` titles), where the last to run would
+        // overwrite the others: there the entry's name does.
+        let slug = slug_of(self.title);
+        let shared = CATALOG.iter().filter(|e| slug_of(e.title) == slug).count() > 1;
+        let stem = if shared { self.name } else { &slug };
         let main = (
-            format!("{}.txt", slug_of(self.title)),
+            format!("{stem}.txt"),
             Cow::Owned(rendered(self.title, &o.body)),
         );
         let aux = o

@@ -1,6 +1,6 @@
 //! Ablations: one mechanism varied at a time on the paper's workloads.
-//! (All six titles start `Ablation:`, so they share `ablation.txt` under
-//! `artifacts/`; their ledgers and stdout keep them apart.)
+//! (All six titles start `Ablation:`, so each artifact is named after its
+//! entry — `ablation_close_bug.txt`, ... — not after the shared slug.)
 
 use spritely_metrics::TextTable;
 use spritely_proto::NfsProc;

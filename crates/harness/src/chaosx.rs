@@ -23,6 +23,21 @@ use crate::snapshot::FaultSnapshot;
 use crate::testbed::{Protocol, ShardParams, Testbed, TestbedParams};
 use crate::{report, run_andrew_with};
 
+/// Every workload op retries until it succeeds, as a hard-mounted 1989
+/// client would: under chaos an RPC ladder can exhaust, and during a
+/// partition (or a recall that ends in a revoke) calls must fail for a
+/// while before succeeding.
+macro_rules! insist {
+    ($sim:ident, $e:expr) => {{
+        loop {
+            match $e.await {
+                Ok(v) => break v,
+                Err(_) => $sim.sleep(SimDuration::from_millis(500)).await,
+            }
+        }
+    }};
+}
+
 /// Outcome of one chaos run, with everything a gate needs to decide
 /// pass/fail and everything a human needs to see why.
 #[derive(Debug, Clone)]
@@ -278,23 +293,16 @@ fn run_shard_chaos(seed: u64, faulted: bool) -> SharingRun {
         let net = net.clone();
         handles.push(tb.sim.spawn(async move {
             use spritely_proto::BLOCK_SIZE;
-            macro_rules! insist {
-                ($e:expr) => {{
-                    loop {
-                        match $e.await {
-                            Ok(v) => break v,
-                            Err(_) => sim.sleep(SimDuration::from_millis(500)).await,
-                        }
-                    }
-                }};
-            }
             let mut fhs = Vec::new();
             for (i, (src, _)) in pairs.iter().enumerate() {
-                let (fh, _) = insist!(client.create(root, src));
-                insist!(client.open(fh, true));
-                insist!(client.write(fh, 0, &[(c as u8) * 16 + i as u8 + 1; BLOCK_SIZE]));
-                insist!(client.fsync(fh));
-                insist!(client.close(fh, true));
+                let (fh, _) = insist!(sim, client.create(root, src));
+                insist!(sim, client.open(fh, true));
+                insist!(
+                    sim,
+                    client.write(fh, 0, &[(c as u8) * 16 + i as u8 + 1; BLOCK_SIZE])
+                );
+                insist!(sim, client.fsync(fh));
+                insist!(sim, client.close(fh, true));
                 fhs.push(fh);
             }
             // Sever the coordinator's inter-shard link just before the
@@ -337,14 +345,14 @@ fn run_shard_chaos(seed: u64, faulted: bool) -> SharingRun {
             }
             // Read everything back through the new names.
             for (i, (_, dst)) in pairs.iter().enumerate() {
-                let (fh, _) = insist!(client.lookup(root, dst));
-                insist!(client.open(fh, false));
-                let (data, _) = insist!(client.read(fh, 0, BLOCK_SIZE as u32));
+                let (fh, _) = insist!(sim, client.lookup(root, dst));
+                insist!(sim, client.open(fh, false));
+                let (data, _) = insist!(sim, client.read(fh, 0, BLOCK_SIZE as u32));
                 assert!(
                     data.iter().all(|&x| x == (c as u8) * 16 + i as u8 + 1),
                     "client {c} reads its own bytes via {dst}"
                 );
-                insist!(client.close(fh, false));
+                insist!(sim, client.close(fh, false));
             }
             // Let delayed writes, commits and keepalives drain.
             sim.sleep(SimDuration::from_secs(70)).await;
@@ -395,20 +403,6 @@ fn run_delegation(seed: u64, faulted: bool) -> SharingRun {
         let sim = sim.clone();
         async move {
             use spritely_proto::BLOCK_SIZE;
-            // Hard-mount retry, as in the write-sharing workload: under
-            // chaos an RPC ladder can exhaust, and during the partition
-            // (or a recall that ends in a revoke) calls must fail for a
-            // while before succeeding.
-            macro_rules! insist {
-                ($e:expr) => {{
-                    loop {
-                        match $e.await {
-                            Ok(v) => break v,
-                            Err(_) => sim.sleep(SimDuration::from_millis(500)).await,
-                        }
-                    }
-                }};
-            }
             // A builds its delegated working set. Everything is fsynced:
             // the interesting chaos target is the recall protocol, not
             // dirty-data recovery, and a revoked holder's unflushed
@@ -416,19 +410,19 @@ fn run_delegation(seed: u64, faulted: bool) -> SharingRun {
             // make the digests diverge by design.
             let mut fhs = Vec::new();
             for i in 0..FILES {
-                let (fh, _) = insist!(a.create(root, &format!("deleg{i}")));
-                insist!(a.open(fh, true));
-                insist!(a.write(fh, 0, &[i as u8 + 1; BLOCK_SIZE]));
-                insist!(a.fsync(fh));
-                insist!(a.close(fh, true));
+                let (fh, _) = insist!(sim, a.create(root, &format!("deleg{i}")));
+                insist!(sim, a.open(fh, true));
+                insist!(sim, a.write(fh, 0, &[i as u8 + 1; BLOCK_SIZE]));
+                insist!(sim, a.fsync(fh));
+                insist!(sim, a.close(fh, true));
                 fhs.push(fh);
             }
             // Local churn: re-open/read/close under the delegations.
             for _ in 0..3 {
                 for &fh in &fhs {
-                    insist!(a.open(fh, false));
-                    let _ = insist!(a.read(fh, 0, BLOCK_SIZE as u32));
-                    insist!(a.close(fh, false));
+                    insist!(sim, a.open(fh, false));
+                    let _ = insist!(sim, a.read(fh, 0, BLOCK_SIZE as u32));
+                    insist!(sim, a.close(fh, false));
                 }
             }
             // A goes mute for 7 s just as B's sweep starts: recall
@@ -443,24 +437,24 @@ fn run_delegation(seed: u64, faulted: bool) -> SharingRun {
             }
             // B sweeps the working set: one recall per file.
             for &fh in &fhs {
-                insist!(b.open(fh, false));
-                let _ = insist!(b.read(fh, 0, BLOCK_SIZE as u32));
-                insist!(b.close(fh, false));
+                insist!(sim, b.open(fh, false));
+                let _ = insist!(sim, b.read(fh, 0, BLOCK_SIZE as u32));
+                insist!(sim, b.close(fh, false));
             }
             // After the heal: A rewrites one file (re-earning authority
             // or falling back to RPC if it was fenced), B re-reads it.
             let fh = fhs[0];
-            insist!(a.open(fh, true));
-            insist!(a.write(fh, 0, &[0xAA; BLOCK_SIZE]));
-            insist!(a.fsync(fh));
-            insist!(a.close(fh, true));
-            insist!(b.open(fh, false));
-            let (data, _) = insist!(b.read(fh, 0, BLOCK_SIZE as u32));
+            insist!(sim, a.open(fh, true));
+            insist!(sim, a.write(fh, 0, &[0xAA; BLOCK_SIZE]));
+            insist!(sim, a.fsync(fh));
+            insist!(sim, a.close(fh, true));
+            insist!(sim, b.open(fh, false));
+            let (data, _) = insist!(sim, b.read(fh, 0, BLOCK_SIZE as u32));
             assert!(
                 data.iter().all(|&x| x == 0xAA),
                 "B sees A's post-heal version"
             );
-            insist!(b.close(fh, false));
+            insist!(sim, b.close(fh, false));
             // Let delayed writes, lazy returns and keepalives drain.
             sim.sleep(SimDuration::from_secs(70)).await;
         }
@@ -515,29 +509,16 @@ fn run_write_sharing(seed: u64, faulted: bool) -> SharingRun {
         let sim = sim.clone();
         async move {
             use spritely_proto::BLOCK_SIZE;
-            // Every op retries until it succeeds, as a hard-mounted 1989
-            // client would: under chaos an RPC ladder can exhaust, and
-            // during the partition B's (and some of A's) calls must fail.
-            macro_rules! insist {
-                ($e:expr) => {{
-                    loop {
-                        match $e.await {
-                            Ok(v) => break v,
-                            Err(_) => sim.sleep(SimDuration::from_millis(500)).await,
-                        }
-                    }
-                }};
-            }
             // A publishes version 1 of the shared file.
-            let (fh, _) = insist!(a.create(root, "shared"));
-            insist!(a.open(fh, true));
-            insist!(a.write(fh, 0, &[1u8; 2 * BLOCK_SIZE]));
-            insist!(a.fsync(fh));
-            insist!(a.close(fh, true));
+            let (fh, _) = insist!(sim, a.create(root, "shared"));
+            insist!(sim, a.open(fh, true));
+            insist!(sim, a.write(fh, 0, &[1u8; 2 * BLOCK_SIZE]));
+            insist!(sim, a.fsync(fh));
+            insist!(sim, a.close(fh, true));
             // B overwrites it and holds the data dirty (30 s delay).
-            insist!(b.open(fh, true));
-            insist!(b.write(fh, 0, &[2u8; 2 * BLOCK_SIZE]));
-            insist!(b.close(fh, true));
+            insist!(sim, b.open(fh, true));
+            insist!(sim, b.write(fh, 0, &[2u8; 2 * BLOCK_SIZE]));
+            insist!(sim, b.close(fh, true));
             // Partition B's host for 12 s (faulted run only; scripted
             // partitions consume no randomness).
             if net.faults_active() {
@@ -551,18 +532,18 @@ fn run_write_sharing(seed: u64, faulted: bool) -> SharingRun {
             // open and retry B's write-back callback until the partition
             // heals; A's own RPC ladder (≈5 s) is shorter than that, so
             // A re-issues the open until it goes through.
-            let attr = insist!(a.open(fh, false));
+            let attr = insist!(sim, a.open(fh, false));
             assert_eq!(
                 attr.size,
                 (2 * BLOCK_SIZE) as u64,
                 "A sees B's version after the heal"
             );
-            let (data, _) = insist!(a.read(fh, 0, (2 * BLOCK_SIZE) as u32));
+            let (data, _) = insist!(sim, a.read(fh, 0, (2 * BLOCK_SIZE) as u32));
             assert!(
                 data.iter().all(|&x| x == 2),
                 "B's dirty data survived the partition"
             );
-            insist!(a.close(fh, false));
+            insist!(sim, a.close(fh, false));
             // Let delayed writes and the server update daemon drain.
             sim.sleep(SimDuration::from_secs(70)).await;
         }

@@ -49,8 +49,9 @@ fn runs_are_deterministic() {
 
 /// Every entry but `sim_speed` — whose gate is a host wall-clock floor an
 /// unoptimized build cannot meet; `scripts/check.sh` runs it through
-/// `spritely gate` — holds against what is committed, and every file
-/// under `baselines/` is written by exactly one entry.
+/// `spritely gate` — holds against what is committed, no artifact path
+/// is written by two entries, and every file under `baselines/` is
+/// written by exactly one.
 #[test]
 fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
     let mut writers: BTreeMap<String, Vec<&str>> = BTreeMap::new();
@@ -65,6 +66,11 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
         for (file, _) in entry.artifacts(&outcome) {
             writers.entry(file).or_default().push(entry.name);
         }
+    }
+    // No two entries may write the same path: the second would silently
+    // overwrite the first on every `spritely run --all`.
+    for (file, by) in &writers {
+        assert_eq!(by.len(), 1, "artifacts/{file} is written by {by:?}");
     }
     for file in file_names(&root().join("baselines")) {
         // The two that are not artifacts: the directory's own README and
