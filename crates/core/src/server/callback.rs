@@ -137,8 +137,14 @@ impl SnfsServer {
             }
         };
         self.inner.callback_inflight.dec();
-        let (target, fh) = (cb.target, arg.fh);
-        self.emit(seq, EventKind::CallbackEnd { target, fh, ok });
+        self.emit(
+            seq,
+            EventKind::CallbackEnd {
+                target: cb.target,
+                fh: arg.fh,
+                ok,
+            },
+        );
         drop(slot);
         let took = self.inner.sim.now().saturating_duration_since(started);
         Sent { seq, ok, took }
@@ -159,12 +165,14 @@ impl SnfsServer {
     /// Performs one callback. A client without a callback channel, one
     /// that stays silent past `callback_dead_after` and one that answers
     /// with a refusal are all treated as crashed.
-    async fn do_callback(&self, parent: u64, fh: FileHandle, cb: CallbackNeeded, relinquish: bool) {
+    async fn do_callback(&self, parent: u64, fh: FileHandle, cb: CallbackNeeded) {
         let arg = CallbackArg {
             fh,
             writeback: cb.writeback,
             invalidate: cb.invalidate,
-            relinquish,
+            // No server path asks a client to give up a delayed-close
+            // file (§6.2) yet; the client side of it is in place.
+            relinquish: false,
             seq: 0,
             recall: false,
         };
@@ -200,15 +208,14 @@ impl SnfsServer {
         parent: u64,
         fh: FileHandle,
         callbacks: &[CallbackNeeded],
-        relinquish: bool,
     ) {
         match callbacks {
             [] => {}
-            [cb] => self.do_callback(parent, fh, *cb, relinquish).await,
+            [cb] => self.do_callback(parent, fh, *cb).await,
             many => {
                 let jobs = many.iter().map(|&cb| {
                     let this = self.clone();
-                    async move { this.do_callback(parent, fh, cb, relinquish).await }
+                    async move { this.do_callback(parent, fh, cb).await }
                 });
                 self.spawn_all(jobs).await;
             }
@@ -257,7 +264,7 @@ impl SnfsServer {
                         writeback: true,
                         invalidate: true,
                     };
-                    this.do_callback(0, fh, cb, false).await;
+                    this.do_callback(0, fh, cb).await;
                     // On failure, client_crashed already cleaned the entry
                     // up; either way drop it if it is now cleanly closed.
                     let (dropped, from, to) = this.observed(fh, |t| t.drop_if_closed(fh));
@@ -308,7 +315,7 @@ impl SnfsServer {
             others.extend(v.iter().filter(|&&c| c != originator).map(invalidate));
             v.retain(|&c| c == originator);
         }
-        self.fan_out_callbacks(parent, dir, &others, false).await;
+        self.fan_out_callbacks(parent, dir, &others).await;
         if watch {
             self.watch_dir(dir, originator);
         }

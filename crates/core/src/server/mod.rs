@@ -634,8 +634,7 @@ impl SnfsServer {
         };
         let (outcome, t_seq) =
             self.transition(ctx, fh, cause, client, |t| t.open(fh, client, write));
-        self.fan_out_callbacks(t_seq, fh, &outcome.callbacks, false)
-            .await;
+        self.fan_out_callbacks(t_seq, fh, &outcome.callbacks).await;
         (outcome, t_seq)
     }
 

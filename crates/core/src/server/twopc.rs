@@ -402,8 +402,10 @@ impl SnfsServer {
         // file under the same name must survive.
         let current = self.inner.fs.lookup(root, &name).ok();
         if current.is_some_and(|(cfh, _)| Some(cfh) == existed_fh) {
-            let name = name.clone();
-            let req = NfsRequest::Remove { dir: root, name };
+            let req = NfsRequest::Remove {
+                dir: root,
+                name: name.clone(),
+            };
             self.remove_entry(ctx, ClientId(0), req, current).await;
         }
         self.unlock_name(&name);

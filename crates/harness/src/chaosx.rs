@@ -94,11 +94,11 @@ impl ChaosVerdict {
 /// Digest of a whole testbed's stable server contents: every server's
 /// store folded together in shard order (DESIGN.md §18).
 pub fn testbed_digest(tb: &Testbed) -> u64 {
-    let mut h = Fnv::default();
+    let mut h = Fnv::EMPTY;
     for host in &tb.servers {
         h.write(&server_digest(&host.fs).to_le_bytes());
     }
-    h.finish()
+    h.0
 }
 
 /// Path-ordered FNV-1a digest of a file system's *stable* contents
@@ -106,9 +106,9 @@ pub fn testbed_digest(tb: &Testbed) -> u64 {
 /// file body, in sorted traversal order. Timestamps are excluded — a
 /// faulted run takes longer but must converge to the same bytes.
 pub fn server_digest(fs: &LocalFs) -> u64 {
-    let mut h = Fnv::default();
+    let mut h = Fnv::EMPTY;
     walk(fs, fs.root(), "", &mut h);
-    h.finish()
+    h.0
 }
 
 fn walk(fs: &LocalFs, dir: FileHandle, path: &str, h: &mut Fnv) {

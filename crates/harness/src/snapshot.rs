@@ -546,9 +546,9 @@ impl TraceReport {
     /// FNV-1a digest of [`to_jsonl`](Self::to_jsonl): pins every event,
     /// field and the order they were emitted in.
     pub fn fnv(&self) -> u64 {
-        let mut h = spritely_proto::Fnv::default();
+        let mut h = spritely_proto::Fnv::EMPTY;
         h.write(self.to_jsonl().as_bytes());
-        h.finish()
+        h.0
     }
 
     /// The trace as a Chrome `trace_event` JSON document

@@ -21,27 +21,18 @@ use std::collections::BTreeMap;
 /// 64-bit FNV-1a: the workspace's one stable, dependency-free hash. It
 /// places names on shards here and digests server contents and traces
 /// in the harness, so its values are committed in baselines and tests.
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    /// The empty hash (the FNV offset basis).
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
+pub struct Fnv(pub u64);
 
 impl Fnv {
+    /// The hash of nothing (the FNV offset basis).
+    pub const EMPTY: Fnv = Fnv(0xcbf2_9ce4_8422_2325);
+
     /// Folds `bytes` in.
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    }
-
-    /// The hash of everything written so far.
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -53,9 +44,9 @@ pub fn default_shard(name: &str, n: u32) -> u32 {
     if n <= 1 {
         return 0;
     }
-    let mut h = Fnv::default();
+    let mut h = Fnv::EMPTY;
     h.write(name.as_bytes());
-    (h.finish() % n as u64) as u32
+    (h.0 % n as u64) as u32
 }
 
 /// The namespace layout map: shard count, epoch, and ownership overrides.
