@@ -1,0 +1,294 @@
+//! Pins the client-side wire exchange event for event, on the paper
+//! transport and on a batching one, under faults: the fault-free exchange
+//! is pinned by the `*_trace_fnv` ledger keys and `tests/sharding.rs`, the
+//! faulted foreground one by `fault_props.rs`, and the faulted *batched*
+//! one here.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+
+use spritely_metrics::OpCounter;
+use spritely_proto::{ClientId, FileHandle, Fnv, NfsReply, NfsRequest};
+use spritely_rpcnet::{
+    Caller, CallerParams, Endpoint, EndpointParams, FaultParams, NetParams, Network, PartitionDir,
+    RpcError, TransportParams,
+};
+use spritely_sim::{Resource, Sim, SimDuration};
+use spritely_trace::{to_jsonl, EventKind, TraceEvent, Tracer};
+
+type NfsCaller = Caller<NfsRequest, NfsReply>;
+
+/// A traced caller → endpoint pair whose handler takes 3 ms, echoes each
+/// lookup's name back and counts executions per name.
+struct Rig {
+    sim: Sim,
+    net: Network,
+    ep: Endpoint<NfsRequest, NfsReply>,
+    caller: Rc<NfsCaller>,
+    tracer: Tracer,
+    executed: Rc<RefCell<HashMap<String, u64>>>,
+}
+
+fn rig(transport: TransportParams) -> Rig {
+    let sim = Sim::new();
+    let tracer = Tracer::new(&sim);
+    let net = Network::new(
+        &sim,
+        "net",
+        NetParams {
+            latency: SimDuration::from_micros(500),
+            bandwidth: 1_250_000,
+            switched: false,
+        },
+    );
+    net.set_tracer(tracer.clone());
+    let executed = Rc::new(RefCell::new(HashMap::new()));
+    let handler = {
+        let sim = sim.clone();
+        let executed = Rc::clone(&executed);
+        Rc::new(move |_from: ClientId, _ctx: u64, req: NfsRequest| {
+            let sim = sim.clone();
+            let executed = Rc::clone(&executed);
+            Box::pin(async move {
+                let name = match req {
+                    NfsRequest::Lookup { name, .. } => name,
+                    other => panic!("rig only sends Lookup, got {other:?}"),
+                };
+                sim.sleep(SimDuration::from_millis(3)).await;
+                *executed.borrow_mut().entry(name.clone()).or_insert(0) += 1;
+                NfsReply::Path(name)
+            }) as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
+        })
+    };
+    let ep = Endpoint::new(
+        &sim,
+        "svc",
+        Resource::new(&sim, "scpu", 1),
+        EndpointParams {
+            threads: 2,
+            cpu_per_call: SimDuration::from_micros(200),
+            cpu_per_kb: SimDuration::ZERO,
+            dup_retention: SimDuration::from_secs(600),
+        },
+        OpCounter::new(),
+        handler,
+    );
+    ep.set_tracer(tracer.clone());
+    let caller = Caller::new(
+        &sim,
+        net.clone(),
+        ep.clone(),
+        ClientId(1),
+        Resource::new(&sim, "ccpu", 1),
+        CallerParams {
+            timeout: SimDuration::from_millis(60),
+            max_retries: 6,
+            cpu_per_call: SimDuration::from_micros(100),
+        },
+    );
+    caller.set_tracer(tracer.clone());
+    caller.set_transport(transport);
+    Rig {
+        sim,
+        net,
+        ep,
+        caller: Rc::new(caller),
+        tracer,
+        executed,
+    }
+}
+
+fn lookup(name: &str) -> NfsRequest {
+    NfsRequest::Lookup {
+        dir: FileHandle::new(1, 1, 0),
+        name: name.to_string(),
+    }
+}
+
+async fn foreground(c: &NfsCaller, req: NfsRequest) -> Result<NfsReply, RpcError> {
+    c.call_ctx(0, req).await
+}
+
+async fn background(c: &NfsCaller, req: NfsRequest) -> Result<NfsReply, RpcError> {
+    c.call_bg(0, req).await
+}
+
+fn fnv(events: &[TraceEvent]) -> u64 {
+    let mut h = Fnv::EMPTY;
+    h.write(to_jsonl(events).as_bytes());
+    h.0
+}
+
+/// What one run of the faulted script leaves behind.
+#[derive(Debug, PartialEq, Eq)]
+struct Outcome {
+    digest: u64,
+    events: usize,
+    executions: u64,
+    messages: u64,
+    completed: usize,
+    killed: u64,
+    absorbed: u64,
+    outstanding: u64,
+}
+
+/// The script: `FaultParams::chaos(255)`, the first reply scripted lost, a
+/// 450 ms partition of the calling host from t = 150 ms (longer than the
+/// paper transport's 7 × 60 ms ladder, so calls caught in it give up), and
+/// six concurrent callers — four background (batchable), two foreground —
+/// issuing twelve lookups each. On the batching transport that seed drops,
+/// duplicates, delays and loses the reply of multi-member compounds.
+fn faulted_script(transport: TransportParams) -> Outcome {
+    let r = rig(transport);
+    r.net.set_faults(FaultParams::chaos(255));
+    r.net.lose_next_reply(1, false);
+    {
+        let (sim, net) = (r.sim.clone(), r.net.clone());
+        r.sim.spawn(async move {
+            sim.sleep(SimDuration::from_millis(150)).await;
+            let until = sim.now() + SimDuration::from_millis(450);
+            net.partition(1, PartitionDir::Both, until);
+        });
+    }
+    let completed = Rc::new(RefCell::new(Vec::new()));
+    for task in 0..6 {
+        let caller = Rc::clone(&r.caller);
+        let completed = Rc::clone(&completed);
+        r.sim.spawn(async move {
+            for i in 0..12 {
+                let name = format!("t{task}-{i}");
+                let rep = if task < 4 {
+                    background(&caller, lookup(&name)).await
+                } else {
+                    foreground(&caller, lookup(&name)).await
+                };
+                match rep {
+                    Ok(NfsReply::Path(p)) => {
+                        assert_eq!(p, name, "the reply belongs to this call");
+                        completed.borrow_mut().push(name);
+                    }
+                    Ok(other) => panic!("unexpected reply {other:?}"),
+                    // The whole ladder was eaten; the script moves on.
+                    Err(RpcError::Timeout) => {}
+                }
+            }
+        });
+    }
+    r.sim.run_to_quiescence();
+    let executed = r.executed.borrow();
+    assert!(
+        executed.values().all(|&n| n == 1),
+        "at most once: {executed:?}"
+    );
+    let completed = completed.borrow();
+    assert!(completed.iter().all(|name| executed.contains_key(name)));
+    let fs = r.net.fault_stats();
+    assert!(
+        fs.drops() > 0
+            && fs.dups() > 0
+            && fs.delays() > 0
+            && fs.reply_losses() > 1
+            && fs.partition_drops() > 0,
+        "the script must exercise every fault arm"
+    );
+    // Kill conservation: what no retransmission absorbed belongs to calls
+    // that gave up.
+    assert_eq!(
+        fs.killed_attempts(),
+        fs.retransmit_absorbed() + fs.outstanding_kills()
+    );
+    let events = r.tracer.finish();
+    Outcome {
+        digest: fnv(&events),
+        events: events.len(),
+        executions: r.ep.executions(),
+        messages: r.net.messages(),
+        completed: completed.len(),
+        killed: fs.killed_attempts(),
+        absorbed: fs.retransmit_absorbed(),
+        outstanding: fs.outstanding_kills(),
+    }
+}
+
+#[test]
+fn faulted_exchange_on_the_paper_transport_is_pinned() {
+    assert_eq!(
+        faulted_script(TransportParams::paper()),
+        Outcome {
+            digest: 0x14c6_908b_60a1_9258,
+            events: 692,
+            executions: 71,
+            messages: 180,
+            completed: 68,
+            killed: 38,
+            absorbed: 10,
+            outstanding: 28,
+        }
+    );
+}
+
+#[test]
+fn faulted_exchange_on_a_batching_transport_is_pinned() {
+    let mut t = TransportParams::pipelined();
+    t.max_batch = 4;
+    assert_eq!(
+        faulted_script(t),
+        Outcome {
+            digest: 0xd275_66f2_5f69_267f,
+            events: 703,
+            executions: 72,
+            messages: 137,
+            completed: 72,
+            killed: 18,
+            absorbed: 18,
+            outstanding: 0,
+        }
+    );
+}
+
+/// `Compoundable`'s contract, end to end: a batch of one is the plain
+/// message. An idle batching caller's lone background call puts the same
+/// bytes in the same number of messages on the wire at the same instants
+/// as a foreground call, and gets the same reply; the `batch` event pair
+/// is the only difference in the trace.
+#[test]
+fn lone_background_call_is_the_plain_message() {
+    let run = |bg: bool| {
+        let r = rig(TransportParams::pipelined());
+        let caller = Rc::clone(&r.caller);
+        let rep = r.sim.block_on(async move {
+            if bg {
+                background(&caller, lookup("lone")).await
+            } else {
+                foreground(&caller, lookup("lone")).await
+            }
+        });
+        // Sequence numbers shift by the two batch events; what happened,
+        // and when, must not.
+        let trace: Vec<(u64, EventKind)> = r
+            .tracer
+            .finish()
+            .into_iter()
+            .filter(|e| !matches!(e.kind, EventKind::Batch { .. }))
+            .map(|e| (e.t_us, e.kind))
+            .collect();
+        let batch_events = r.tracer.len() - trace.len();
+        (
+            rep,
+            r.net.messages(),
+            r.net.bytes(),
+            r.sim.now(),
+            trace,
+            batch_events,
+        )
+    };
+    let (fg, bg) = (run(false), run(true));
+    assert_eq!(fg.0, Ok(NfsReply::Path("lone".to_string())));
+    assert_eq!(fg.1, 2, "one request, one reply");
+    assert_eq!((fg.5, bg.5), (0, 2), "only the batcher emits batch events");
+    assert_eq!(
+        (&fg.0, fg.1, fg.2, fg.3, &fg.4),
+        (&bg.0, bg.1, bg.2, bg.3, &bg.4)
+    );
+}
