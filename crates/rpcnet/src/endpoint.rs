@@ -451,6 +451,7 @@ struct Batcher<Req, Rep> {
     net: Network,
     endpoint: Endpoint<Req, Rep>,
     from: ClientId,
+    fault_link: Rc<Cell<(u32, bool)>>,
     max_batch: usize,
     window: SimDuration,
     queue: RefCell<Vec<BatchEntry<Req, Rep>>>,
@@ -569,7 +570,8 @@ where
             // duplicates, or delays it as a unit, and a lost compound
             // must retransmit as a unit (each member re-enqueues on its
             // own timeout with its original xid).
-            let plan = b.net.plan_attempt(b.from.0, false);
+            let (lh, lc) = b.fault_link.get();
+            let plan = b.net.plan_attempt(lh, lc);
             if !plan.delay.is_zero() {
                 b.sim.sleep(plan.delay).await;
             }
@@ -593,7 +595,7 @@ where
                 // The whole compound is eaten: every member attempt is
                 // killed and will retransmit individually.
                 for e in &batch {
-                    b.net.note_kill(b.from.0, false, e.xid);
+                    b.net.note_kill(lh, lc, e.xid);
                 }
                 b.finish_flush();
                 return;
@@ -670,19 +672,20 @@ where
                     },
                 );
             }
-            b.net.transmit_from(b.from.0, false, crep.wire_size()).await;
             let first_xid = batch.first().map(|e| e.xid).unwrap_or(0);
-            if plan.reply_loss || b.net.reply_lost(b.from.0, false, first_xid) {
+            if plan.reply_loss || b.net.reply_lost(lh, lc, first_xid) {
                 // The combined reply vanishes after every member
                 // executed: no slot is filled, so each member's timeout
                 // fires and its retransmission is absorbed by the dup
-                // cache.
+                // cache. As for a lone call, a lost reply takes no wire
+                // time.
                 for e in &batch {
-                    b.net.note_kill(b.from.0, false, e.xid);
+                    b.net.note_kill(lh, lc, e.xid);
                 }
                 b.finish_flush();
                 return;
             }
+            b.net.transmit_from(b.from.0, false, crep.wire_size()).await;
             for (e, rep) in batch.into_iter().zip(reps) {
                 *e.slot.borrow_mut() = Some(rep);
                 e.done.set();
@@ -720,7 +723,7 @@ pub struct Caller<Req, Rep> {
     /// fault layer. Defaults to `(from.0, false)`; callback callers
     /// (which all carry `ClientId(0)`) override it with their target
     /// client's host so partitions cut the right legs.
-    fault_link: Cell<(u32, bool)>,
+    fault_link: Rc<Cell<(u32, bool)>>,
 }
 
 impl<Req, Rep> Clone for Caller<Req, Rep> {
@@ -740,7 +743,7 @@ impl<Req, Rep> Clone for Caller<Req, Rep> {
             tstats: RefCell::new(self.tstats.borrow().clone()),
             batcher: RefCell::new(self.batcher.borrow().clone()),
             rng: self.rng.clone(),
-            fault_link: Cell::new(self.fault_link.get()),
+            fault_link: Rc::clone(&self.fault_link),
         }
     }
 }
@@ -775,7 +778,7 @@ where
             tstats: RefCell::new(None),
             batcher: RefCell::new(None),
             rng: SimRng::new(0x7ab5_0000 ^ u64::from(from.0)),
-            fault_link: Cell::new((from.0, false)),
+            fault_link: Rc::new(Cell::new((from.0, false))),
         };
         caller.assert_retention_covers_ladder();
         caller
@@ -834,6 +837,7 @@ where
                 net: self.net.clone(),
                 endpoint: self.endpoint.clone(),
                 from: self.from,
+                fault_link: Rc::clone(&self.fault_link),
                 max_batch: t.max_batch,
                 window: t.batch_window,
                 queue: RefCell::new(Vec::new()),
@@ -952,7 +956,12 @@ where
         self.call_inner(parent, req, true).await.map(|(rep, _)| rep)
     }
 
-    async fn call_inner(&self, parent: u64, req: Req, bg: bool) -> Result<(Rep, bool), RpcError> {
+    pub(crate) async fn call_inner(
+        &self,
+        parent: u64,
+        req: Req,
+        bg: bool,
+    ) -> Result<(Rep, bool), RpcError> {
         if !self.params.cpu_per_call.is_zero() {
             self.cpu.use_for(self.params.cpu_per_call).await;
         }
@@ -1591,6 +1600,59 @@ mod tests {
         assert_eq!(ep.executions(), 4, "each member executed exactly once");
         assert!(stats.drops() >= 1, "the first flush was dropped");
         assert_eq!(stats.outstanding_kills(), 0);
+    }
+
+    fn batching(caller: &Caller<NfsRequest, NfsReply>) {
+        let mut t = TransportParams::paper();
+        t.max_batch = 4;
+        t.batch_window = SimDuration::from_millis(2);
+        caller.set_transport(t);
+    }
+
+    #[test]
+    fn rekeyed_batching_caller_faults_on_its_own_link() {
+        // A caller re-keyed to host 9's link (as callback and
+        // coordination callers are) must be cut by host 9's partition
+        // and must book its kills where its completions absorb them,
+        // batched or not.
+        let (sim, caller) = setup(SimDuration::ZERO);
+        batching(&caller);
+        caller.set_fault_link(9, false);
+        caller.net.partition(
+            9,
+            crate::PartitionDir::Both,
+            SimTime::ZERO + SimDuration::from_millis(150),
+        );
+        let stats = caller.net.fault_stats();
+        let out = sim.block_on(async move { caller.call_bg(0, NfsRequest::Null).await });
+        assert_eq!(out, Ok(NfsReply::Ok));
+        assert_eq!(stats.partition_drops(), 2, "attempts at 0 and 100 ms");
+        assert_eq!(stats.killed_attempts(), 2);
+        assert_eq!(stats.retransmit_absorbed(), 2);
+        assert_eq!(stats.outstanding_kills(), 0);
+    }
+
+    #[test]
+    fn lost_compound_reply_takes_no_wire_time() {
+        // The reply is lost before it is transmitted, batched or not: a
+        // lost reply is no message on the wire.
+        let messages = |bg: bool| {
+            let (sim, caller) = setup(SimDuration::ZERO);
+            batching(&caller);
+            caller.net.lose_next_reply(1, false);
+            let net = caller.net.clone();
+            let out = sim.block_on(async move {
+                if bg {
+                    caller.call_bg(0, NfsRequest::Null).await
+                } else {
+                    caller.call_ctx(0, NfsRequest::Null).await
+                }
+            });
+            assert_eq!(out, Ok(NfsReply::Ok));
+            net.messages()
+        };
+        assert_eq!(messages(false), 3, "request, retransmission, reply");
+        assert_eq!(messages(true), messages(false));
     }
 
     #[test]

@@ -162,12 +162,7 @@ impl ShardCaller {
         req: NfsRequest,
         bg: bool,
     ) -> Result<(NfsReply, bool), RpcError> {
-        let c = &self.inner.callers[shard];
-        if bg {
-            c.call_bg(parent, req).await.map(|rep| (rep, false))
-        } else {
-            c.call_ctx_flagged(parent, req).await
-        }
+        self.inner.callers[shard].call_inner(parent, req, bg).await
     }
 
     async fn dispatch(
@@ -240,7 +235,10 @@ impl ShardCaller {
         let root = inner.roots[0];
         let layout = inner.layout.borrow();
         let owner = |name: &str| layout.owner(name) as usize;
-        let of_fh = |fh: FileHandle| (fh.fsid.saturating_sub(1)) as usize;
+        // Bounded: a handle this caller never issued still names a shard
+        // that exists, and that shard answers `Stale`.
+        let of_fh =
+            |fh: FileHandle| (fh.fsid.saturating_sub(1) as usize).min(inner.callers.len() - 1);
         Ok(match req {
             NfsRequest::Lookup { dir, name } if dir == root => {
                 let s = owner(&name);
@@ -390,7 +388,7 @@ impl ShardCaller {
                     | NfsRequest::Readdir { dir } => of_fh(dir),
                     _ => 0,
                 };
-                (s.min(inner.callers.len() - 1), other)
+                (s, other)
             }
         })
     }
@@ -445,5 +443,85 @@ impl ShardCaller {
         }
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         Ok((NfsReply::Readdir { entries }, false))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::endpoint::{CallerParams, Endpoint, EndpointParams, HandlerFn};
+    use crate::network::{NetParams, Network};
+    use spritely_metrics::OpCounter;
+    use spritely_sim::Resource;
+
+    /// Two shards whose handlers answer `Path("shard<s>")`.
+    fn rig() -> (Sim, Network, ShardCaller) {
+        let sim = Sim::new();
+        let cpu = Resource::new(&sim, "cpu", 1);
+        let net = Network::new(&sim, "net", NetParams::ethernet_10mbit());
+        let callers = (0..2)
+            .map(|s| {
+                let handler: HandlerFn<NfsRequest, NfsReply> = Rc::new(move |_, _, _| {
+                    Box::pin(async move { NfsReply::Path(format!("shard{s}")) })
+                });
+                let ep = Endpoint::new(
+                    &sim,
+                    format!("nfsd{s}"),
+                    cpu.clone(),
+                    EndpointParams::default(),
+                    OpCounter::new(),
+                    handler,
+                );
+                Caller::new(
+                    &sim,
+                    net.clone(),
+                    ep,
+                    ClientId(1),
+                    cpu.clone(),
+                    CallerParams::default(),
+                )
+            })
+            .collect();
+        let roots = vec![FileHandle::new(1, 1, 0), FileHandle::new(2, 1, 0)];
+        let caller = ShardCaller::sharded(&sim, callers, roots, true);
+        (sim, net, caller)
+    }
+
+    #[test]
+    fn background_calls_report_their_retransmission() {
+        let (sim, net, caller) = rig();
+        net.lose_next_reply(1, false);
+        let fh = FileHandle::new(1, 7, 0);
+        let out = sim.block_on(async move {
+            let lost = caller.dispatch(0, NfsRequest::GetAttr { fh }, true).await;
+            let clean = caller.dispatch(0, NfsRequest::GetAttr { fh }, true).await;
+            (lost, clean)
+        });
+        assert_eq!(out.0, Ok((NfsReply::Path("shard0".into()), true)));
+        assert_eq!(out.1, Ok((NfsReply::Path("shard0".into()), false)));
+    }
+
+    #[test]
+    fn handles_of_no_shard_route_to_one_that_exists() {
+        // Rename and link used to index `roots` with the raw `fsid - 1`.
+        let (sim, _net, caller) = rig();
+        let root = FileHandle::new(1, 1, 0);
+        let alien = FileHandle::new(9, 7, 0);
+        let out = sim.block_on(async move {
+            let rename = NfsRequest::Rename {
+                from_dir: alien,
+                from_name: "a".into(),
+                to_dir: root,
+                to_name: "b".into(),
+            };
+            let link = NfsRequest::Link {
+                from: alien,
+                to_dir: root,
+                to_name: "b".into(),
+            };
+            (caller.call(rename).await, caller.call(link).await)
+        });
+        assert_eq!(out.0, Ok(NfsReply::Path("shard1".into())));
+        assert_eq!(out.1, Ok(NfsReply::Path("shard1".into())));
     }
 }

@@ -235,13 +235,13 @@ fn faulted_exchange_on_a_batching_transport_is_pinned() {
     assert_eq!(
         faulted_script(t),
         Outcome {
-            digest: 0xd275_66f2_5f69_267f,
-            events: 703,
+            digest: 0x8333_1b68_9311_ea5e,
+            events: 739,
             executions: 72,
-            messages: 137,
+            messages: 155,
             completed: 72,
-            killed: 18,
-            absorbed: 18,
+            killed: 17,
+            absorbed: 17,
             outstanding: 0,
         }
     );
