@@ -134,16 +134,6 @@ impl SnfsServer {
             None
         };
         match req {
-            NfsRequest::Lookup { dir, name }
-            | NfsRequest::Create { dir, name }
-            | NfsRequest::Remove { dir, name }
-            | NfsRequest::Mkdir { dir, name }
-            | NfsRequest::Rmdir { dir, name }
-            | NfsRequest::Symlink { dir, name, .. }
-                if *dir == view.root =>
-            {
-                gate(name)
-            }
             // A locked target refuses before the source is even vetted.
             NfsRequest::Rename {
                 to_dir, to_name, ..
@@ -156,7 +146,10 @@ impl SnfsServer {
                 from_name,
                 ..
             } if *from_dir == view.root => gate(from_name),
-            _ => None,
+            _ => match req.dir_name() {
+                Some((dir, name)) if dir == view.root => gate(name),
+                _ => None,
+            },
         }
     }
 

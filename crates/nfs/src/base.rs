@@ -247,13 +247,7 @@ impl ClientBase {
         make: &dyn Fn() -> NfsRequest,
     ) -> Result<(NfsReply, bool)> {
         for _ in 0..30 {
-            let res = if bg {
-                let rep = self.caller.call_bg(parent, make()).await;
-                rep.map(|rep| (rep, false))
-            } else {
-                self.caller.call_ctx_flagged(parent, make()).await
-            };
-            match res {
+            match self.caller.call_flagged(parent, make(), bg).await {
                 Ok((NfsReply::Err(NfsStatus::Grace), _)) => {
                     self.sim.sleep(SimDuration::from_secs(2)).await;
                 }

@@ -215,6 +215,66 @@ impl NfsRequest {
         HEADER_BYTES + payload
     }
 
+    /// The handle this request addresses: the file it acts on, or the
+    /// directory it names an entry of (the source, for `rename` and
+    /// `link`). `None` for the procedures that address the server as a
+    /// whole. The one request → handle table: tracing labels an RPC with
+    /// it and the sharded namespace routes by it (DESIGN.md §18).
+    pub fn handle(&self) -> Option<FileHandle> {
+        match self {
+            NfsRequest::GetAttr { fh }
+            | NfsRequest::SetAttr { fh, .. }
+            | NfsRequest::Read { fh, .. }
+            | NfsRequest::Write { fh, .. }
+            | NfsRequest::StatFs { fh }
+            | NfsRequest::Open { fh, .. }
+            | NfsRequest::Close { fh, .. }
+            | NfsRequest::Readlink { fh }
+            | NfsRequest::DelegReturn { fh, .. } => Some(*fh),
+            NfsRequest::Readdir { dir } => Some(*dir),
+            NfsRequest::Rename { from_dir, .. } => Some(*from_dir),
+            NfsRequest::Link { from, .. } => Some(*from),
+            NfsRequest::Null
+            | NfsRequest::Keepalive { .. }
+            | NfsRequest::Recover { .. }
+            | NfsRequest::Compound { .. }
+            | NfsRequest::TxPrepare { .. }
+            | NfsRequest::TxCommit { .. }
+            | NfsRequest::TxAbort { .. } => None,
+            named => named.dir_name().map(|(dir, _)| dir),
+        }
+    }
+
+    /// The `(directory, name)` this request names, for the procedures
+    /// that name exactly one entry. (`rename` and `link` name a second
+    /// place and are matched where that matters.)
+    pub fn dir_name(&self) -> Option<(FileHandle, &str)> {
+        match self {
+            NfsRequest::Lookup { dir, name }
+            | NfsRequest::Create { dir, name }
+            | NfsRequest::Remove { dir, name }
+            | NfsRequest::Mkdir { dir, name }
+            | NfsRequest::Rmdir { dir, name }
+            | NfsRequest::Symlink { dir, name, .. } => Some((*dir, name)),
+            _ => None,
+        }
+    }
+
+    /// [`dir_name`](Self::dir_name) with the directory open to rewriting:
+    /// a sharded caller re-addresses a root-level name to the export root
+    /// of the shard that owns it, in place.
+    pub fn dir_name_mut(&mut self) -> Option<(&mut FileHandle, &str)> {
+        match self {
+            NfsRequest::Lookup { dir, name }
+            | NfsRequest::Create { dir, name }
+            | NfsRequest::Remove { dir, name }
+            | NfsRequest::Mkdir { dir, name }
+            | NfsRequest::Rmdir { dir, name }
+            | NfsRequest::Symlink { dir, name, .. } => Some((dir, name)),
+            _ => None,
+        }
+    }
+
     /// Wraps a batch of requests in a single compound message. A batch of
     /// one stays a plain request: it needs no framing and must look
     /// identical to the unbatched wire format.
@@ -383,6 +443,15 @@ impl NfsReply {
             replies.pop().expect("length checked")
         } else {
             NfsReply::Compound { replies }
+        }
+    }
+
+    /// The inverse of [`compound`](Self::compound): the replies this
+    /// message carries, in call order — itself, unless it is a compound.
+    pub fn into_parts(self) -> Vec<NfsReply> {
+        match self {
+            NfsReply::Compound { replies } => replies,
+            one => vec![one],
         }
     }
 
@@ -659,6 +728,31 @@ mod tests {
         assert_eq!(NfsRequest::compound(vec![req.clone()]), req);
         let rep = NfsReply::Attr(attr());
         assert_eq!(NfsReply::compound(vec![rep.clone()]), rep);
+        assert_eq!(rep.clone().into_parts(), vec![rep.clone()]);
+        let two = vec![rep, NfsReply::Ok];
+        assert_eq!(NfsReply::compound(two.clone()).into_parts(), two);
+    }
+
+    #[test]
+    fn a_request_addresses_its_file_or_the_directory_it_names_into() {
+        let other = FileHandle::new(1, 9, 0);
+        let mut create = NfsRequest::Create {
+            dir: fh(),
+            name: "x".into(),
+        };
+        assert_eq!(create.dir_name(), Some((fh(), "x")));
+        assert_eq!(create.handle(), Some(fh()));
+        *create.dir_name_mut().expect("create names an entry").0 = other;
+        assert_eq!(create.handle(), Some(other));
+        let rename = NfsRequest::Rename {
+            from_dir: fh(),
+            from_name: "x".into(),
+            to_dir: other,
+            to_name: "y".into(),
+        };
+        assert_eq!((rename.handle(), rename.dir_name()), (Some(fh()), None));
+        assert_eq!(NfsRequest::GetAttr { fh: other }.handle(), Some(other));
+        assert_eq!(NfsRequest::TxCommit { txid: 1 }.handle(), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use spritely_sim::{Event, Resource, Semaphore, Sim, SimDuration, SimRng, SimTime
 use spritely_trace::{EventKind, Tracer};
 
 use crate::network::Network;
-use crate::transport::{Compoundable, TransportParams, TransportStats};
+use crate::transport::{Compoundable, TransportParams, TransportStats, BACKOFF_MAX};
 use crate::{Proc, ReplyStatus, Wire};
 
 /// A boxed async request handler. The `u64` is the causal trace context
@@ -426,40 +426,202 @@ impl Default for CallerParams {
     }
 }
 
+/// One request on its way through a wire exchange, under the identity it
+/// keeps across retransmissions.
+#[derive(Clone)]
+struct Member<Req> {
+    xid: u64,
+    /// Trace context: the request's `rpc_call` event (0 when untraced).
+    parent: u64,
+    req: Req,
+}
+
+/// What every wire exchange of one logical caller shares, whoever runs
+/// it — the caller's own attempt or its batcher's detached flush: where
+/// the traffic goes, whom it speaks as, how the fault layer sees it, and
+/// where it is observed. One `Rc`, so the tracer and the transport stats
+/// each live in one slot.
+struct Link<Req, Rep> {
+    sim: Sim,
+    net: Network,
+    endpoint: Endpoint<Req, Rep>,
+    from: ClientId,
+    /// `(host, to_client)` key this caller's traffic presents to the
+    /// fault layer. Defaults to `(from.0, false)`; callback callers
+    /// (which all carry `ClientId(0)`) override it with their target
+    /// client's host so partitions cut the right legs.
+    fault_link: Cell<(u32, bool)>,
+    /// The xid sequence behind `from`; see [`Caller::share_xids_with`].
+    next_xid: Cell<u64>,
+    tracer: RefCell<Option<Tracer>>,
+    tstats: RefCell<Option<TransportStats>>,
+}
+
+impl<Req, Rep> Link<Req, Rep>
+where
+    Req: Proc + Wire + Clone + Compoundable + 'static,
+    Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
+{
+    fn emit(&self, parent: u64, kind: impl FnOnce() -> EventKind) -> u64 {
+        match self.tracer.borrow().as_ref() {
+            Some(t) => t.emit(parent, kind()),
+            None => 0,
+        }
+    }
+
+    /// The one wire exchange (DESIGN.md §22). `members` travel as one
+    /// datagram — a compound when there are several, the plain message
+    /// when there is one — so the fault layer drops, duplicates, delays
+    /// or loses the reply of all of them as a unit, and a fault that
+    /// kills the exchange is booked against every member's xid on the
+    /// caller's fault link. Returns the reply datagram, or `None` when
+    /// the exchange was lost: each member's timeout then fires and it
+    /// retransmits on its own, under its original xid.
+    ///
+    /// `batch` is the flush id when the batcher runs the exchange in a
+    /// detached task, `None` when a caller runs it inline for its own
+    /// single request.
+    async fn exchange(self: &Rc<Self>, members: &[Member<Req>], batch: Option<u64>) -> Option<Rep> {
+        let (from, count) = (self.from, members.len() as u64);
+        let batch_event = |reply| {
+            if let Some(id) = batch {
+                self.emit(0, || EventKind::Batch {
+                    from,
+                    id,
+                    count,
+                    reply,
+                });
+            }
+        };
+        batch_event(false);
+        let (lh, lc) = self.fault_link.get();
+        let kill_all = || {
+            members
+                .iter()
+                .for_each(|m| self.net.note_kill(lh, lc, m.xid))
+        };
+        let plan = self.net.plan_attempt(lh, lc);
+        if !plan.delay.is_zero() {
+            self.sim.sleep(plan.delay).await;
+        }
+        // A batch of one is the plain message (`Compoundable`'s
+        // contract): it is sized where it stands, and only a real
+        // compound is built.
+        let req_bytes = match members {
+            [m] => m.req.wire_size(),
+            _ => Req::compound(members.iter().map(|m| m.req.clone()).collect()).wire_size(),
+        };
+        // Every member leaves the wire at this instant; each gets its own
+        // xmit boundary so the profiler can split batcher hold from
+        // transit.
+        for m in members {
+            self.emit(m.parent, || EventKind::RpcXmit { from, xid: m.xid });
+        }
+        self.net.transmit_from(from.0, true, req_bytes).await;
+        if plan.drop {
+            // Eaten by the network (or a partition) before delivery.
+            kill_all();
+            return None;
+        }
+        if !self.endpoint.is_alive() {
+            return None;
+        }
+        if plan.duplicate {
+            // A second copy of the same datagram arrives: every member
+            // xid joins its in-flight execution or is answered from a
+            // completed dup-cache entry. The copy's reply is discarded —
+            // the members wait on the primary copy only.
+            let this = Rc::clone(self);
+            let copies = members.to_vec();
+            self.sim.spawn(async move {
+                this.net.transmit_from(from.0, true, req_bytes).await;
+                if !this.endpoint.is_alive() {
+                    return;
+                }
+                let mut reps = Vec::with_capacity(copies.len());
+                for m in copies {
+                    reps.push(this.endpoint.deliver(from, m.xid, m.parent, m.req).await);
+                }
+                let bytes = Rep::compound(reps).wire_size();
+                this.net.transmit_from(from.0, false, bytes).await;
+            });
+        }
+        let rep = match (members, batch) {
+            // A caller's own request is delivered in the caller's task.
+            ([m], None) => {
+                self.endpoint
+                    .deliver(from, m.xid, m.parent, m.req.clone())
+                    .await
+            }
+            // A flush delivers every member concurrently, each in its own
+            // task — each keeps its own xid, so dup-cache entries and
+            // per-procedure counters are exactly what the unbatched
+            // transport would produce.
+            _ => {
+                let remaining = Rc::new(Cell::new(members.len()));
+                let results: Rc<RefCell<Vec<Option<Rep>>>> =
+                    Rc::new(RefCell::new(members.iter().map(|_| None).collect()));
+                let all_done = Event::new();
+                for (i, m) in members.iter().enumerate() {
+                    let ep = self.endpoint.clone();
+                    let (xid, parent, req) = (m.xid, m.parent, m.req.clone());
+                    let remaining = Rc::clone(&remaining);
+                    let results = Rc::clone(&results);
+                    let all_done = all_done.clone();
+                    self.sim.spawn(async move {
+                        let rep = ep.deliver(from, xid, parent, req).await;
+                        results.borrow_mut()[i] = Some(rep);
+                        remaining.set(remaining.get() - 1);
+                        if remaining.get() == 0 {
+                            all_done.set();
+                        }
+                    });
+                }
+                all_done.wait().await;
+                let reps = results.take().into_iter();
+                Rep::compound(reps.map(|r| r.expect("every deliver completed")).collect())
+            }
+        };
+        batch_event(true);
+        if plan.reply_loss || self.net.reply_lost(lh, lc, members[0].xid) {
+            // The server executed every member but the reply never makes
+            // it back, and takes no wire time: the retransmissions must
+            // be absorbed by the dup cache (or, if an entry is gone,
+            // re-executed — the hazard the clients' outcome mapping
+            // covers).
+            kill_all();
+            return None;
+        }
+        self.net.transmit_from(from.0, false, rep.wire_size()).await;
+        Some(rep)
+    }
+}
+
 /// One request parked in a caller's batch queue, with the slot its
 /// reply will be delivered through.
 struct BatchEntry<Req, Rep> {
-    xid: u64,
-    parent: u64,
-    req: Req,
+    member: Member<Req>,
     slot: Rc<RefCell<Option<Rep>>>,
     done: Event,
 }
 
 /// The Nagle-style batching queue behind a caller (present only when
-/// `TransportParams::max_batch > 1`), used by background traffic only
-/// (`Caller::call_bg`): foreground calls keep the unbatched wire path,
-/// so they are never delayed and never wait behind a compound's
-/// slowest member. A background request with no batch in flight is
-/// sent at once (a lone call pays no extra latency); while a batch is
-/// outstanding, followers park here and flush as one compound when the
-/// outstanding batch completes, `max_batch` accumulate, or the
-/// `batch_window` safety deadline fires. Each flush pays one wire
-/// exchange for the whole batch.
+/// `TransportParams::max_batch > 1`), used by background traffic only:
+/// foreground calls keep the unbatched wire path, so they are never
+/// delayed and never wait behind a compound's slowest member. A
+/// background request with no batch in flight is sent at once (a lone
+/// call pays no extra latency); while a batch is outstanding, followers
+/// park here and flush as one compound when the outstanding batch
+/// completes, `max_batch` accumulate, or the `batch_window` safety
+/// deadline fires. Each flush pays one wire exchange for the whole batch.
 struct Batcher<Req, Rep> {
-    sim: Sim,
-    net: Network,
-    endpoint: Endpoint<Req, Rep>,
-    from: ClientId,
-    fault_link: Rc<Cell<(u32, bool)>>,
+    link: Rc<Link<Req, Rep>>,
     max_batch: usize,
     window: SimDuration,
     queue: RefCell<Vec<BatchEntry<Req, Rep>>>,
     window_armed: Cell<bool>,
     inflight: Cell<usize>,
     next_id: Cell<u64>,
-    stats: RefCell<Option<TransportStats>>,
-    tracer: RefCell<Option<Tracer>>,
 }
 
 impl<Req, Rep> Batcher<Req, Rep>
@@ -467,25 +629,16 @@ where
     Req: Proc + Wire + Clone + Compoundable + 'static,
     Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
 {
-    /// Parks one background request. Returns the reply slot and the
-    /// event that fires once the flush has filled it. Only background
-    /// traffic (write-behind, read-ahead) enters the batcher, so no
-    /// latency-sensitive call ever waits behind a compound's slowest
-    /// member.
-    fn enqueue(
-        self: &Rc<Self>,
-        xid: u64,
-        parent: u64,
-        req: Req,
-    ) -> (Rc<RefCell<Option<Rep>>>, Event) {
+    /// Parks one background request until a flush has carried it to the
+    /// endpoint and back. Hangs when that flush is lost; the caller's
+    /// timeout drops the wait and parks the retransmission afresh.
+    async fn call(self: &Rc<Self>, member: Member<Req>) -> Rep {
         let slot = Rc::new(RefCell::new(None));
         let done = Event::new();
         let len = {
             let mut q = self.queue.borrow_mut();
             q.push(BatchEntry {
-                xid,
-                parent,
-                req,
+                member,
                 slot: Rc::clone(&slot),
                 done: done.clone(),
             });
@@ -499,13 +652,15 @@ where
         } else if !self.window_armed.get() {
             self.window_armed.set(true);
             let b = Rc::clone(self);
-            self.sim.clone().spawn(async move {
-                b.sim.sleep(b.window).await;
+            self.link.sim.spawn(async move {
+                b.link.sim.sleep(b.window).await;
                 b.window_armed.set(false);
                 b.flush_now();
             });
         }
-        (slot, done)
+        done.wait().await;
+        let rep = slot.borrow_mut().take();
+        rep.expect("flush fills the slot before signalling")
     }
 
     /// Flushes whatever has accumulated (no-op on an empty queue). The
@@ -520,7 +675,7 @@ where
         }
         let mut groups: Vec<(NfsProc, Vec<BatchEntry<Req, Rep>>)> = Vec::new();
         for e in batch {
-            let pid = e.req.proc_id();
+            let pid = e.member.req.proc_id();
             match groups.iter_mut().find(|(p, _)| *p == pid) {
                 Some((_, g)) => g.push(e),
                 None => groups.push((pid, vec![e])),
@@ -531,219 +686,78 @@ where
         }
     }
 
-    /// Marks one outstanding flush complete; once the last one drains,
-    /// ack-clocks the next batch out.
-    fn finish_flush(self: &Rc<Self>) {
-        self.inflight.set(self.inflight.get() - 1);
-        if self.inflight.get() == 0 {
-            self.flush_now();
-        }
-    }
-
+    /// One flush: a detached task that pays one wire exchange for the
+    /// whole batch, hands each member its reply, and, once the last
+    /// outstanding flush drains, ack-clocks the next batch out.
     fn spawn_flush(self: &Rc<Self>, batch: Vec<BatchEntry<Req, Rep>>) {
         self.inflight.set(self.inflight.get() + 1);
         let b = Rc::clone(self);
-        self.sim.clone().spawn(async move {
-            let n = batch.len();
+        self.link.sim.spawn(async move {
             let id = b.next_id.get();
             b.next_id.set(id + 1);
-            if let Some(s) = b.stats.borrow().as_ref() {
-                s.batch_sizes.record(n as u64);
+            let (members, waiters): (Vec<_>, Vec<_>) = batch
+                .into_iter()
+                .map(|e| (e.member, (e.slot, e.done)))
+                .unzip();
+            if let Some(s) = b.link.tstats.borrow().as_ref() {
+                s.batch_sizes.record(members.len() as u64);
                 // Every request after the first rides along: one saved
                 // round trip each, attributed to its procedure.
-                for e in batch.iter().skip(1) {
-                    s.saved.record(e.req.proc_id());
+                for m in members.iter().skip(1) {
+                    s.saved.record(m.req.proc_id());
                 }
             }
-            if let Some(t) = b.tracer.borrow().as_ref() {
-                t.emit(
-                    0,
-                    EventKind::Batch {
-                        from: b.from,
-                        id,
-                        count: n as u64,
-                        reply: false,
-                    },
-                );
-            }
-            // A compound is one datagram: the fault layer drops,
-            // duplicates, or delays it as a unit, and a lost compound
-            // must retransmit as a unit (each member re-enqueues on its
-            // own timeout with its original xid).
-            let (lh, lc) = b.fault_link.get();
-            let plan = b.net.plan_attempt(lh, lc);
-            if !plan.delay.is_zero() {
-                b.sim.sleep(plan.delay).await;
-            }
-            let creq = Req::compound(batch.iter().map(|e| e.req.clone()).collect());
-            if let Some(t) = b.tracer.borrow().as_ref() {
-                // Every member leaves the wire at the compound's flush
-                // instant; each gets its own xmit boundary so the
-                // profiler can split batcher hold from transit.
-                for e in &batch {
-                    t.emit(
-                        e.parent,
-                        EventKind::RpcXmit {
-                            from: b.from,
-                            xid: e.xid,
-                        },
-                    );
+            // A lost exchange fills no slot: every member's timeout fires
+            // and its retransmission parks afresh.
+            if let Some(rep) = b.link.exchange(&members, Some(id)).await {
+                for ((slot, done), rep) in waiters.into_iter().zip(rep.into_parts()) {
+                    *slot.borrow_mut() = Some(rep);
+                    done.set();
                 }
             }
-            b.net.transmit_from(b.from.0, true, creq.wire_size()).await;
-            if plan.drop {
-                // The whole compound is eaten: every member attempt is
-                // killed and will retransmit individually.
-                for e in &batch {
-                    b.net.note_kill(lh, lc, e.xid);
-                }
-                b.finish_flush();
-                return;
+            b.inflight.set(b.inflight.get() - 1);
+            if b.inflight.get() == 0 {
+                b.flush_now();
             }
-            if !b.endpoint.is_alive() {
-                // The whole batch is lost; each caller's timeout fires
-                // and the retransmissions re-enqueue.
-                b.finish_flush();
-                return;
-            }
-            if plan.duplicate {
-                // A second copy of the compound arrives: every member
-                // xid hits the dup cache, the combined reply is
-                // discarded.
-                let b2 = Rc::clone(&b);
-                let reqs: Vec<(u64, u64, Req)> = batch
-                    .iter()
-                    .map(|e| (e.xid, e.parent, e.req.clone()))
-                    .collect();
-                let csize = creq.wire_size();
-                b.sim.spawn(async move {
-                    b2.net.transmit_from(b2.from.0, true, csize).await;
-                    if !b2.endpoint.is_alive() {
-                        return;
-                    }
-                    let mut reps = Vec::with_capacity(reqs.len());
-                    for (xid, parent, req) in reqs {
-                        reps.push(b2.endpoint.deliver(b2.from, xid, parent, req).await);
-                    }
-                    let crep = Rep::compound(reps);
-                    b2.net
-                        .transmit_from(b2.from.0, false, crep.wire_size())
-                        .await;
-                });
-            }
-            // Deliver every inner request concurrently — each keeps its
-            // own xid, so dup-cache entries and per-procedure counters
-            // are exactly what the unbatched transport would produce.
-            let remaining = Rc::new(Cell::new(n));
-            let results: Rc<RefCell<Vec<Option<Rep>>>> =
-                Rc::new(RefCell::new((0..n).map(|_| None).collect()));
-            let all_done = Event::new();
-            for (i, e) in batch.iter().enumerate() {
-                let ep = b.endpoint.clone();
-                let from = b.from;
-                let (xid, parent, req) = (e.xid, e.parent, e.req.clone());
-                let remaining = Rc::clone(&remaining);
-                let results = Rc::clone(&results);
-                let all_done = all_done.clone();
-                b.sim.spawn(async move {
-                    let rep = ep.deliver(from, xid, parent, req).await;
-                    results.borrow_mut()[i] = Some(rep);
-                    remaining.set(remaining.get() - 1);
-                    if remaining.get() == 0 {
-                        all_done.set();
-                    }
-                });
-            }
-            all_done.wait().await;
-            let reps: Vec<Rep> = results
-                .borrow_mut()
-                .drain(..)
-                .map(|r| r.expect("every inner deliver completed"))
-                .collect();
-            let crep = Rep::compound(reps.clone());
-            if let Some(t) = b.tracer.borrow().as_ref() {
-                t.emit(
-                    0,
-                    EventKind::Batch {
-                        from: b.from,
-                        id,
-                        count: n as u64,
-                        reply: true,
-                    },
-                );
-            }
-            let first_xid = batch.first().map(|e| e.xid).unwrap_or(0);
-            if plan.reply_loss || b.net.reply_lost(lh, lc, first_xid) {
-                // The combined reply vanishes after every member
-                // executed: no slot is filled, so each member's timeout
-                // fires and its retransmission is absorbed by the dup
-                // cache. As for a lone call, a lost reply takes no wire
-                // time.
-                for e in &batch {
-                    b.net.note_kill(lh, lc, e.xid);
-                }
-                b.finish_flush();
-                return;
-            }
-            b.net.transmit_from(b.from.0, false, crep.wire_size()).await;
-            for (e, rep) in batch.into_iter().zip(reps) {
-                *e.slot.borrow_mut() = Some(rep);
-                e.done.set();
-            }
-            b.finish_flush();
         });
     }
 }
 
 /// A client-side RPC caller bound to one endpoint over one network.
 pub struct Caller<Req, Rep> {
-    sim: Sim,
-    net: Network,
-    endpoint: Endpoint<Req, Rep>,
-    from: ClientId,
+    /// Shared with the batcher, and across clones: a clone is another
+    /// handle on the same logical caller.
+    link: Rc<Link<Req, Rep>>,
+    /// The link whose xid sequence this caller draws from: its own
+    /// (so clones share one sequence — the endpoint's duplicate-request
+    /// cache keys on `(from, xid)`, and a clone that restarted the
+    /// sequence would be answered from the cache without ever reaching
+    /// the handler) unless [`Caller::share_xids_with`] named another's.
+    xids: Rc<Link<Req, Rep>>,
     cpu: Resource,
     params: CallerParams,
     transport: Cell<TransportParams>,
-    /// Shared across clones: a clone is another handle on the same
-    /// logical caller, and the endpoint's duplicate-request cache keys
-    /// on `(from, xid)` — if a clone restarted the sequence, its calls
-    /// would collide with the original's and be answered from the cache
-    /// without ever reaching the handler.
-    next_xid: Rc<Cell<u64>>,
     retransmits: Cell<u64>,
     latency: RefCell<Option<LatencyStats>>,
-    tracer: RefCell<Option<Tracer>>,
-    tstats: RefCell<Option<TransportStats>>,
     batcher: RefCell<Option<Rc<Batcher<Req, Rep>>>>,
     /// Deterministic per-caller stream for retransmission jitter; only
     /// consumed when `backoff_jitter > 0`, so paper-mode runs draw
     /// nothing from it.
     rng: SimRng,
-    /// `(host, to_client)` key this caller's traffic presents to the
-    /// fault layer. Defaults to `(from.0, false)`; callback callers
-    /// (which all carry `ClientId(0)`) override it with their target
-    /// client's host so partitions cut the right legs.
-    fault_link: Rc<Cell<(u32, bool)>>,
 }
 
 impl<Req, Rep> Clone for Caller<Req, Rep> {
     fn clone(&self) -> Self {
         Caller {
-            sim: self.sim.clone(),
-            net: self.net.clone(),
-            endpoint: self.endpoint.clone(),
-            from: self.from,
+            link: Rc::clone(&self.link),
+            xids: Rc::clone(&self.xids),
             cpu: self.cpu.clone(),
             params: self.params,
             transport: Cell::new(self.transport.get()),
-            next_xid: Rc::clone(&self.next_xid),
             retransmits: Cell::new(0),
             latency: RefCell::new(self.latency.borrow().clone()),
-            tracer: RefCell::new(self.tracer.borrow().clone()),
-            tstats: RefCell::new(self.tstats.borrow().clone()),
             batcher: RefCell::new(self.batcher.borrow().clone()),
             rng: self.rng.clone(),
-            fault_link: Rc::clone(&self.fault_link),
         }
     }
 }
@@ -763,61 +777,70 @@ where
         cpu: Resource,
         params: CallerParams,
     ) -> Self {
-        let caller = Caller {
+        let link = Rc::new(Link {
             sim: sim.clone(),
             net,
             endpoint,
             from,
+            fault_link: Cell::new((from.0, false)),
+            next_xid: Cell::new(0),
+            tracer: RefCell::new(None),
+            tstats: RefCell::new(None),
+        });
+        let caller = Caller {
+            xids: Rc::clone(&link),
+            link,
             cpu,
             params,
             transport: Cell::new(TransportParams::paper()),
-            next_xid: Rc::new(Cell::new(0)),
             retransmits: Cell::new(0),
             latency: RefCell::new(None),
-            tracer: RefCell::new(None),
-            tstats: RefCell::new(None),
             batcher: RefCell::new(None),
             rng: SimRng::new(0x7ab5_0000 ^ u64::from(from.0)),
-            fault_link: Rc::new(Cell::new((from.0, false))),
         };
         caller.assert_retention_covers_ladder();
         caller
     }
 
-    /// Upper bound of the retransmission ladder: the sum of every
-    /// attempt's timeout at the current transport's backoff settings,
-    /// with jitter at its worst.
-    fn worst_case_ladder(&self) -> SimDuration {
+    /// The retransmission ladder: attempt `attempt`'s reply timeout. The
+    /// paper's fixed value, or — when backoff is configured — one that
+    /// grows by `backoff_factor` per retransmission up to
+    /// [`BACKOFF_MAX`], then moves by up to half of `backoff_jitter`
+    /// either way so simultaneous retransmitters desynchronize instead
+    /// of storming the server in lockstep. `draw` places the attempt in
+    /// the jitter band, in `[0, 1]`: the caller's deterministic stream
+    /// for a live attempt, 1 for the worst case. It is not consulted
+    /// when jitter is off, so the paper transport consumes no randomness.
+    fn attempt_timeout(&self, attempt: u32, draw: impl FnOnce() -> f64) -> SimDuration {
         let t = self.transport.get();
-        let mut total = SimDuration::ZERO;
-        for attempt in 0..=self.params.max_retries {
-            let mut a = self.params.timeout;
-            if t.backoff_factor > 1.0 {
-                for _ in 0..attempt {
-                    a = a.mul_f64(t.backoff_factor);
-                    if a >= t.backoff_max {
-                        a = t.backoff_max;
-                        break;
-                    }
+        let mut d = self.params.timeout;
+        if t.backoff_factor > 1.0 {
+            for _ in 0..attempt {
+                d = d.mul_f64(t.backoff_factor);
+                if d >= BACKOFF_MAX {
+                    d = BACKOFF_MAX;
+                    break;
                 }
             }
-            if t.backoff_jitter > 0.0 {
-                a = a.mul_f64(1.0 + t.backoff_jitter * 0.5);
-            }
-            total += a;
         }
-        total
+        if t.backoff_jitter > 0.0 {
+            d = d.mul_f64(1.0 + t.backoff_jitter * (draw() - 0.5));
+        }
+        d
     }
 
     /// The dup cache is the only thing standing between a retransmitted
     /// non-idempotent procedure and double execution, so completed
-    /// entries must outlive the longest possible retransmission ladder:
-    /// if an entry could expire while its call was still retrying, the
-    /// retransmission would re-execute (create → `EEXIST`, remove →
-    /// `ENOENT` to the application).
+    /// entries must outlive the longest possible retransmission ladder
+    /// (every attempt's timeout, jitter at its worst): if an entry could
+    /// expire while its call was still retrying, the retransmission
+    /// would re-execute (create → `EEXIST`, remove → `ENOENT` to the
+    /// application).
     fn assert_retention_covers_ladder(&self) {
-        let ladder = self.worst_case_ladder();
-        let retention = self.endpoint.dup_retention();
+        let ladder: SimDuration = (0..=self.params.max_retries)
+            .map(|attempt| self.attempt_timeout(attempt, || 1.0))
+            .sum();
+        let retention = self.link.endpoint.dup_retention();
         assert!(
             retention > ladder,
             "dup_retention ({retention}) must exceed the worst-case \
@@ -833,19 +856,13 @@ where
         self.assert_retention_covers_ladder();
         *self.batcher.borrow_mut() = (t.max_batch > 1).then(|| {
             Rc::new(Batcher {
-                sim: self.sim.clone(),
-                net: self.net.clone(),
-                endpoint: self.endpoint.clone(),
-                from: self.from,
-                fault_link: Rc::clone(&self.fault_link),
+                link: Rc::clone(&self.link),
                 max_batch: t.max_batch,
                 window: t.batch_window,
                 queue: RefCell::new(Vec::new()),
                 window_armed: Cell::new(false),
                 inflight: Cell::new(0),
                 next_id: Cell::new(0),
-                stats: RefCell::new(self.tstats.borrow().clone()),
-                tracer: RefCell::new(self.tracer.borrow().clone()),
             })
         });
     }
@@ -858,10 +875,7 @@ where
     /// Attaches shared transport observability (batch-size histogram +
     /// saved-round-trip counter).
     pub fn set_transport_stats(&self, stats: TransportStats) {
-        if let Some(b) = self.batcher.borrow().as_ref() {
-            *b.stats.borrow_mut() = Some(stats.clone());
-        }
-        *self.tstats.borrow_mut() = Some(stats);
+        *self.link.tstats.borrow_mut() = Some(stats);
     }
 
     /// Attaches a latency recorder; every subsequent call's end-to-end
@@ -875,15 +889,12 @@ where
     /// `rpc_reply` pair keyed by xid (and every batch flush as a
     /// `batch` pair when batching is on).
     pub fn set_tracer(&self, tracer: Tracer) {
-        if let Some(b) = self.batcher.borrow().as_ref() {
-            *b.tracer.borrow_mut() = Some(tracer.clone());
-        }
-        *self.tracer.borrow_mut() = Some(tracer);
+        *self.link.tracer.borrow_mut() = Some(tracer);
     }
 
     /// The caller's client id.
     pub fn client_id(&self) -> ClientId {
-        self.from
+        self.link.from
     }
 
     /// Makes this caller draw xids from `other`'s sequence. A sharded
@@ -893,7 +904,7 @@ where
     /// would present colliding pairs to the dup caches and the trace
     /// checker's at-most-once rule.
     pub fn share_xids_with(&mut self, other: &Self) {
-        self.next_xid = Rc::clone(&other.next_xid);
+        self.xids = Rc::clone(&other.xids);
     }
 
     /// Re-keys this caller's traffic for the fault layer. Callback
@@ -902,7 +913,7 @@ where
     /// true`; a partition of that host then cuts callbacks to it, not
     /// to everyone.
     pub fn set_fault_link(&self, host: u32, to_client: bool) {
-        self.fault_link.set((host, to_client));
+        self.link.fault_link.set((host, to_client));
     }
 
     /// Total retransmissions so far.
@@ -926,198 +937,101 @@ where
     /// retransmission. At-most-once execution is guaranteed by the
     /// endpoint's duplicate cache.
     pub async fn call(&self, req: Req) -> Result<Rep, RpcError> {
-        self.call_inner(0, req, false).await.map(|(rep, _)| rep)
+        self.call_ctx(0, req).await
     }
 
     /// Like [`Caller::call`], but parents the `rpc_call` trace event
     /// under `parent` (a client-operation span, usually).
     pub async fn call_ctx(&self, parent: u64, req: Req) -> Result<Rep, RpcError> {
-        self.call_inner(parent, req, false)
-            .await
-            .map(|(rep, _)| rep)
+        let out = self.call_flagged(parent, req, false).await;
+        out.map(|(rep, _)| rep)
     }
 
-    /// Like [`Caller::call_ctx`], but also reports whether the reply
-    /// arrived only after at least one retransmission. A retransmitted
-    /// non-idempotent procedure can have executed on an earlier attempt
-    /// whose reply was lost; if the dup-cache entry has meanwhile been
-    /// discarded, the re-execution reports a bogus error (`EEXIST` for
-    /// create, `ENOENT` for remove). Clients use the flag to map those
-    /// specific outcomes back to success.
-    pub async fn call_ctx_flagged(&self, parent: u64, req: Req) -> Result<(Rep, bool), RpcError> {
-        self.call_inner(parent, req, false).await
-    }
-
-    /// Background variant of [`Caller::call_ctx`] for write-behind and
-    /// read-ahead traffic: the batcher may hold such a call briefly to
-    /// coalesce it with its peers, which it never does to a foreground
-    /// call. Identical to `call_ctx` on the paper transport.
-    pub async fn call_bg(&self, parent: u64, req: Req) -> Result<Rep, RpcError> {
-        self.call_inner(parent, req, true).await.map(|(rep, _)| rep)
-    }
-
-    pub(crate) async fn call_inner(
+    /// The full form of [`Caller::call_ctx`]. `background` marks
+    /// write-behind and read-ahead traffic: the batcher may hold such a
+    /// call briefly to coalesce it with its peers, which it never does
+    /// to a foreground call (no difference on the paper transport).
+    ///
+    /// The flag returned with the reply says it arrived only after at
+    /// least one retransmission. A retransmitted non-idempotent
+    /// procedure can have executed on an earlier attempt whose reply was
+    /// lost; if the dup-cache entry has meanwhile been discarded, the
+    /// re-execution reports a bogus error (`EEXIST` for create, `ENOENT`
+    /// for remove). Clients use the flag to map those specific outcomes
+    /// back to success.
+    pub async fn call_flagged(
         &self,
         parent: u64,
         req: Req,
-        bg: bool,
+        background: bool,
     ) -> Result<(Rep, bool), RpcError> {
+        let link = &self.link;
         if !self.params.cpu_per_call.is_zero() {
             self.cpu.use_for(self.params.cpu_per_call).await;
         }
-        let xid = self.next_xid.get();
-        self.next_xid.set(xid + 1);
-        let started = self.sim.now();
-        let proc = req.proc_id();
-        let rpc_seq = match self.tracer.borrow().as_ref() {
-            Some(t) => {
-                let (offset, len) = req.trace_range();
-                t.emit(
-                    parent,
-                    EventKind::RpcCall {
-                        from: self.from,
-                        xid,
-                        proc,
-                        fh: req.trace_fh(),
-                        offset,
-                        len,
-                    },
-                )
+        let xid = self.xids.next_xid.get();
+        self.xids.next_xid.set(xid + 1);
+        let started = link.sim.now();
+        let (from, proc) = (link.from, req.proc_id());
+        let rpc_seq = link.emit(parent, || {
+            let (offset, len) = req.trace_range();
+            EventKind::RpcCall {
+                from,
+                xid,
+                proc,
+                fh: req.trace_fh(),
+                offset,
+                len,
             }
-            None => 0,
-        };
-        let attempts = 1 + self.params.max_retries;
-        for attempt in 0..attempts {
+        });
+        let member = [Member {
+            xid,
+            parent: rpc_seq,
+            req,
+        }];
+        for attempt in 0..=self.params.max_retries {
             if attempt > 0 {
                 self.retransmits.set(self.retransmits.get() + 1);
             }
-            let fut = self.attempt(xid, rpc_seq, req.clone(), bg);
-            match self.sim.timeout(self.attempt_timeout(attempt), fut).await {
-                Ok(rep) => {
-                    if let Some(l) = self.latency.borrow().as_ref() {
-                        l.record(proc, self.sim.now().duration_since(started));
-                    }
-                    if let Some(t) = self.tracer.borrow().as_ref() {
-                        t.emit(
-                            rpc_seq,
-                            EventKind::RpcReply {
-                                from: self.from,
-                                xid,
-                                proc,
-                                ok: rep.trace_ok(),
-                            },
-                        );
-                    }
-                    // Any attempts the fault layer killed for this xid
-                    // were absorbed by retransmission.
-                    let (lh, lc) = self.fault_link.get();
-                    self.net.absorb_kills(lh, lc, xid);
-                    return Ok((rep, attempt > 0));
+            let timeout = self.attempt_timeout(attempt, || self.rng.f64());
+            let fut = self.attempt(&member, background);
+            if let Ok(rep) = link.sim.timeout(timeout, fut).await {
+                if let Some(l) = self.latency.borrow().as_ref() {
+                    l.record(proc, link.sim.now().duration_since(started));
                 }
-                Err(_) => continue,
+                let ok = rep.trace_ok();
+                link.emit(rpc_seq, || EventKind::RpcReply {
+                    from,
+                    xid,
+                    proc,
+                    ok,
+                });
+                // Any attempts the fault layer killed for this xid
+                // were absorbed by retransmission.
+                let (lh, lc) = link.fault_link.get();
+                link.net.absorb_kills(lh, lc, xid);
+                return Ok((rep, attempt > 0));
             }
         }
         Err(RpcError::Timeout)
     }
 
-    /// Per-attempt timeout: the paper's fixed value, or — when backoff
-    /// is configured — an exponentially growing one with deterministic
-    /// jitter so simultaneous retransmitters desynchronize instead of
-    /// storming the server in lockstep.
-    fn attempt_timeout(&self, attempt: u32) -> SimDuration {
-        let t = self.transport.get();
-        let mut d = self.params.timeout;
-        if t.backoff_factor > 1.0 {
-            for _ in 0..attempt {
-                d = d.mul_f64(t.backoff_factor);
-                if d >= t.backoff_max {
-                    d = t.backoff_max;
-                    break;
-                }
-            }
-        }
-        if t.backoff_jitter > 0.0 {
-            d = d.mul_f64(1.0 + t.backoff_jitter * (self.rng.f64() - 0.5));
-        }
-        d
-    }
-
-    async fn attempt(&self, xid: u64, parent: u64, req: Req, bg: bool) -> Rep {
-        if bg {
+    /// One attempt at one request. Hangs when the attempt is lost, until
+    /// the caller's timeout drops it and retransmits.
+    async fn attempt(&self, member: &[Member<Req>; 1], background: bool) -> Rep {
+        if background {
+            // Only background traffic parks in the batcher: a compound's
+            // reply waits for its slowest member, and a latency-sensitive
+            // call must not wait behind a batched disk write.
             let batcher = self.batcher.borrow().clone();
             if let Some(b) = batcher {
-                // Batched path: park the request; the flush task pays
-                // one wire exchange for the whole batch and fills the
-                // slot. Foreground calls never take this path — a
-                // compound's reply waits for its slowest member, and a
-                // latency-sensitive call must not wait behind a
-                // batched disk write.
-                let (slot, done) = b.enqueue(xid, parent, req);
-                done.wait().await;
-                let rep = slot
-                    .borrow_mut()
-                    .take()
-                    .expect("flush fills the slot before signalling");
-                return rep;
+                return b.call(member[0].clone()).await;
             }
         }
-        let (lh, lc) = self.fault_link.get();
-        let plan = self.net.plan_attempt(lh, lc);
-        if !plan.delay.is_zero() {
-            self.sim.sleep(plan.delay).await;
+        match self.link.exchange(member, None).await {
+            Some(rep) => rep,
+            None => std::future::pending().await,
         }
-        if let Some(t) = self.tracer.borrow().as_ref() {
-            t.emit(
-                parent,
-                EventKind::RpcXmit {
-                    from: self.from,
-                    xid,
-                },
-            );
-        }
-        self.net
-            .transmit_from(self.from.0, true, req.wire_size())
-            .await;
-        if plan.drop {
-            // The request is eaten by the network (or a partition);
-            // hang until the caller's timeout fires and retransmits.
-            self.net.note_kill(lh, lc, xid);
-            std::future::pending::<()>().await;
-        }
-        if !self.endpoint.is_alive() {
-            // The request is lost; hang until the caller's timeout fires.
-            std::future::pending::<()>().await;
-        }
-        if plan.duplicate {
-            // A second copy of the same datagram arrives: same xid, so
-            // the dup cache either joins the in-flight execution or
-            // answers from a completed entry. Its reply is discarded —
-            // the caller only waits on the primary copy.
-            let ep = self.endpoint.clone();
-            let net = self.net.clone();
-            let from = self.from;
-            let req2 = req.clone();
-            self.sim.spawn(async move {
-                net.transmit_from(from.0, true, req2.wire_size()).await;
-                if ep.is_alive() {
-                    let rep = ep.deliver(from, xid, parent, req2).await;
-                    net.transmit_from(from.0, false, rep.wire_size()).await;
-                }
-            });
-        }
-        let rep = self.endpoint.deliver(self.from, xid, parent, req).await;
-        if plan.reply_loss || self.net.reply_lost(lh, lc, xid) {
-            // The server executed the call but its reply never makes it
-            // back: the retransmission must be absorbed by the dup
-            // cache (or, if that entry is gone, re-executed — the
-            // hazard the clients' outcome mapping covers).
-            self.net.note_kill(lh, lc, xid);
-            std::future::pending::<()>().await;
-        }
-        self.net
-            .transmit_from(self.from.0, false, rep.wire_size())
-            .await;
-        rep
     }
 }
 
@@ -1178,10 +1092,16 @@ mod tests {
         (sim, caller)
     }
 
+    /// One background `Null` call.
+    async fn bg(c: &Caller<NfsRequest, NfsReply>) -> Result<NfsReply, RpcError> {
+        let out = c.call_flagged(0, NfsRequest::Null, true).await;
+        out.map(|(rep, _)| rep)
+    }
+
     #[test]
     fn call_round_trip_succeeds_and_counts() {
         let (sim, caller) = setup(SimDuration::ZERO);
-        let ep_counter = caller.endpoint.counter().clone();
+        let ep_counter = caller.link.endpoint.counter().clone();
         let out = sim.block_on(async move { caller.call(NfsRequest::Null).await });
         assert_eq!(out, Ok(NfsReply::Ok));
         assert_eq!(ep_counter.get(NfsProc::Null), 1);
@@ -1190,7 +1110,7 @@ mod tests {
     #[test]
     fn slow_handler_triggers_retransmit_but_executes_once() {
         let (sim, caller) = setup(SimDuration::from_millis(250));
-        let ep = caller.endpoint.clone();
+        let ep = caller.link.endpoint.clone();
         let out = sim.block_on(async move {
             let r = caller.call(NfsRequest::Null).await;
             (r, caller.retransmits())
@@ -1204,7 +1124,7 @@ mod tests {
     #[test]
     fn dead_endpoint_times_out() {
         let (sim, caller) = setup(SimDuration::ZERO);
-        caller.endpoint.set_alive(false);
+        caller.link.endpoint.set_alive(false);
         let out = sim.block_on(async move { caller.call(NfsRequest::Null).await });
         assert_eq!(out, Err(RpcError::Timeout));
         // 4 attempts x 100 ms, plus transmit times.
@@ -1226,14 +1146,14 @@ mod tests {
         }
         // 2 threads, 4 requests of 10 ms each → handler phase spans ≥20 ms.
         assert!(sim.now().as_micros() >= 20_000);
-        assert_eq!(caller.endpoint.executions(), 4);
+        assert_eq!(caller.link.endpoint.executions(), 4);
     }
 
     #[test]
     fn per_call_cpu_is_charged_on_server() {
         let (sim, caller) = setup(SimDuration::ZERO);
-        let cpu_busy_before = caller.endpoint.inner.cpu.busy_permit_micros();
-        let ep = caller.endpoint.clone();
+        let cpu_busy_before = caller.link.endpoint.inner.cpu.busy_permit_micros();
+        let ep = caller.link.endpoint.clone();
         sim.block_on(async move {
             caller.call(NfsRequest::Null).await.unwrap();
         });
@@ -1244,7 +1164,7 @@ mod tests {
     #[test]
     fn xids_distinguish_calls() {
         let (sim, caller) = setup(SimDuration::ZERO);
-        let ep = caller.endpoint.clone();
+        let ep = caller.link.endpoint.clone();
         sim.block_on(async move {
             caller.call(NfsRequest::Null).await.unwrap();
             caller.call(NfsRequest::Null).await.unwrap();
@@ -1262,13 +1182,13 @@ mod tests {
         caller.set_transport(t);
         let stats = TransportStats::new();
         caller.set_transport_stats(stats.clone());
-        let net = caller.net.clone();
-        let ep = caller.endpoint.clone();
+        let net = caller.link.net.clone();
+        let ep = caller.link.endpoint.clone();
         let caller = Rc::new(caller);
         for _ in 0..4 {
             let c = Rc::clone(&caller);
             sim.spawn(async move {
-                c.call_bg(0, NfsRequest::Null).await.unwrap();
+                bg(&c).await.unwrap();
             });
         }
         sim.run_to_quiescence();
@@ -1297,13 +1217,13 @@ mod tests {
         t.batch_window = SimDuration::from_millis(2);
         t.switched = false;
         caller.set_transport(t);
-        let net = caller.net.clone();
-        let ep = caller.endpoint.clone();
+        let net = caller.link.net.clone();
+        let ep = caller.link.endpoint.clone();
         let caller = Rc::new(caller);
         for _ in 0..3 {
             let c = Rc::clone(&caller);
             sim.spawn(async move {
-                c.call_bg(0, NfsRequest::Null).await.unwrap();
+                bg(&c).await.unwrap();
             });
         }
         // By 5 ms the window (armed ~0.6 ms, 2 ms wide) has pushed the
@@ -1334,14 +1254,14 @@ mod tests {
         t.max_batch = 4;
         t.batch_window = SimDuration::from_millis(2);
         caller.set_transport(t);
-        let ep = caller.endpoint.clone();
+        let ep = caller.link.endpoint.clone();
         let caller = Rc::new(caller);
         let ok = Rc::new(Cell::new(0u32));
         for _ in 0..4 {
             let c = Rc::clone(&caller);
             let ok = Rc::clone(&ok);
             sim.spawn(async move {
-                assert_eq!(c.call_bg(0, NfsRequest::Null).await, Ok(NfsReply::Ok));
+                assert_eq!(bg(&c).await, Ok(NfsReply::Ok));
                 ok.set(ok.get() + 1);
             });
         }
@@ -1384,15 +1304,15 @@ mod tests {
         // exact multiple of 1024, which a workload could hop over
         // forever. The purge now runs on a sim-time cadence.
         let (sim, caller) = setup(SimDuration::ZERO);
-        let ep = caller.endpoint.clone();
+        let ep = caller.link.endpoint.clone();
         sim.block_on(async move {
             caller.call(NfsRequest::Null).await.unwrap();
-            assert_eq!(caller.endpoint.dup_entries(), 1);
+            assert_eq!(caller.link.endpoint.dup_entries(), 1);
             // Well past the 60 s retention: the next completed call
             // sweeps the stale entry and leaves only itself.
-            caller.sim.sleep(SimDuration::from_secs(61)).await;
+            caller.link.sim.sleep(SimDuration::from_secs(61)).await;
             caller.call(NfsRequest::Null).await.unwrap();
-            assert_eq!(caller.endpoint.dup_entries(), 1, "stale entry swept");
+            assert_eq!(caller.link.endpoint.dup_entries(), 1, "stale entry swept");
         });
         assert_eq!(ep.executions(), 2);
     }
@@ -1400,7 +1320,7 @@ mod tests {
     #[test]
     fn clear_dup_cache_forgets_completed_entries() {
         let (sim, caller) = setup(SimDuration::ZERO);
-        let ep = caller.endpoint.clone();
+        let ep = caller.link.endpoint.clone();
         sim.block_on(async move {
             caller.call(NfsRequest::Null).await.unwrap();
         });
@@ -1445,9 +1365,9 @@ mod tests {
     #[test]
     fn scripted_reply_loss_is_absorbed_by_the_dup_cache() {
         let (sim, caller) = setup(SimDuration::ZERO);
-        caller.net.lose_next_reply(1, false);
-        let ep = caller.endpoint.clone();
-        let stats = caller.net.fault_stats();
+        caller.link.net.lose_next_reply(1, false);
+        let ep = caller.link.endpoint.clone();
+        let stats = caller.link.net.fault_stats();
         let out = sim.block_on(async move {
             let r = caller.call(NfsRequest::Null).await;
             (r, caller.retransmits())
@@ -1464,13 +1384,13 @@ mod tests {
     #[test]
     fn random_drops_are_absorbed_by_retransmission() {
         let (sim, caller) = setup(SimDuration::ZERO);
-        caller.net.set_faults(crate::FaultParams {
+        caller.link.net.set_faults(crate::FaultParams {
             drop: 0.3,
             seed: 7,
             ..crate::FaultParams::default()
         });
-        let ep = caller.endpoint.clone();
-        let stats = caller.net.fault_stats();
+        let ep = caller.link.endpoint.clone();
+        let stats = caller.link.net.fault_stats();
         let caller = Rc::new(caller);
         let c2 = Rc::clone(&caller);
         sim.block_on(async move {
@@ -1498,13 +1418,13 @@ mod tests {
     #[test]
     fn duplicated_requests_hit_the_dup_cache_not_the_handler() {
         let (sim, caller) = setup(SimDuration::ZERO);
-        caller.net.set_faults(crate::FaultParams {
+        caller.link.net.set_faults(crate::FaultParams {
             duplicate: 1.0,
             seed: 3,
             ..crate::FaultParams::default()
         });
-        let ep = caller.endpoint.clone();
-        let stats = caller.net.fault_stats();
+        let ep = caller.link.endpoint.clone();
+        let stats = caller.link.net.fault_stats();
         sim.block_on(async move {
             for _ in 0..10 {
                 assert_eq!(caller.call(NfsRequest::Null).await, Ok(NfsReply::Ok));
@@ -1527,9 +1447,9 @@ mod tests {
         let run = |configure: bool| {
             let (sim, caller) = setup(SimDuration::ZERO);
             if configure {
-                caller.net.set_faults(crate::FaultParams::default());
+                caller.link.net.set_faults(crate::FaultParams::default());
             }
-            let net = caller.net.clone();
+            let net = caller.link.net.clone();
             sim.block_on(async move {
                 for _ in 0..5 {
                     caller.call(NfsRequest::Null).await.unwrap();
@@ -1543,12 +1463,12 @@ mod tests {
     #[test]
     fn partitioned_host_times_out_until_heal() {
         let (sim, caller) = setup(SimDuration::ZERO);
-        caller.net.partition(
+        caller.link.net.partition(
             1,
             crate::PartitionDir::Both,
             SimTime::ZERO + SimDuration::from_secs(3600),
         );
-        let net = caller.net.clone();
+        let net = caller.link.net.clone();
         let out = sim.block_on(async move {
             let r1 = caller.call(NfsRequest::Null).await;
             net.heal(1);
@@ -1570,21 +1490,21 @@ mod tests {
         t.batch_window = SimDuration::from_millis(2);
         caller.set_transport(t);
         // Drop everything briefly, then let retransmissions through.
-        caller.net.set_faults(crate::FaultParams {
+        caller.link.net.set_faults(crate::FaultParams {
             drop: 1.0,
             seed: 11,
             ..crate::FaultParams::default()
         });
-        let net = caller.net.clone();
+        let net = caller.link.net.clone();
         let stats = net.fault_stats();
-        let ep = caller.endpoint.clone();
+        let ep = caller.link.endpoint.clone();
         let caller = Rc::new(caller);
         let ok = Rc::new(Cell::new(0u32));
         for _ in 0..4 {
             let c = Rc::clone(&caller);
             let ok = Rc::clone(&ok);
             sim.spawn(async move {
-                assert_eq!(c.call_bg(0, NfsRequest::Null).await, Ok(NfsReply::Ok));
+                assert_eq!(bg(&c).await, Ok(NfsReply::Ok));
                 ok.set(ok.get() + 1);
             });
         }
@@ -1618,13 +1538,13 @@ mod tests {
         let (sim, caller) = setup(SimDuration::ZERO);
         batching(&caller);
         caller.set_fault_link(9, false);
-        caller.net.partition(
+        caller.link.net.partition(
             9,
             crate::PartitionDir::Both,
             SimTime::ZERO + SimDuration::from_millis(150),
         );
-        let stats = caller.net.fault_stats();
-        let out = sim.block_on(async move { caller.call_bg(0, NfsRequest::Null).await });
+        let stats = caller.link.net.fault_stats();
+        let out = sim.block_on(async move { bg(&caller).await });
         assert_eq!(out, Ok(NfsReply::Ok));
         assert_eq!(stats.partition_drops(), 2, "attempts at 0 and 100 ms");
         assert_eq!(stats.killed_attempts(), 2);
@@ -1636,14 +1556,14 @@ mod tests {
     fn lost_compound_reply_takes_no_wire_time() {
         // The reply is lost before it is transmitted, batched or not: a
         // lost reply is no message on the wire.
-        let messages = |bg: bool| {
+        let messages = |background: bool| {
             let (sim, caller) = setup(SimDuration::ZERO);
             batching(&caller);
-            caller.net.lose_next_reply(1, false);
-            let net = caller.net.clone();
+            caller.link.net.lose_next_reply(1, false);
+            let net = caller.link.net.clone();
             let out = sim.block_on(async move {
-                if bg {
-                    caller.call_bg(0, NfsRequest::Null).await
+                if background {
+                    bg(&caller).await
                 } else {
                     caller.call_ctx(0, NfsRequest::Null).await
                 }
@@ -1736,7 +1656,7 @@ mod tests {
             if configure {
                 caller.set_transport(TransportParams::paper());
             }
-            let net = caller.net.clone();
+            let net = caller.link.net.clone();
             sim.block_on(async move {
                 for _ in 0..5 {
                     caller.call(NfsRequest::Null).await.unwrap();

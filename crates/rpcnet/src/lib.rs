@@ -27,7 +27,7 @@ pub use endpoint::{Caller, CallerParams, Endpoint, EndpointParams, RpcError};
 pub use fault::{FaultParams, FaultPlan, FaultStats, PartitionDir};
 pub use network::{NetParams, Network};
 pub use shard::ShardCaller;
-pub use transport::{Compoundable, TransportParams, TransportStats};
+pub use transport::{Compoundable, TransportParams, TransportStats, BACKOFF_MAX};
 
 use spritely_proto::{CallbackArg, CallbackReply, FileHandle, NfsProc, NfsReply, NfsRequest};
 
@@ -82,31 +82,7 @@ impl Proc for NfsRequest {
     }
 
     fn trace_fh(&self) -> Option<FileHandle> {
-        match self {
-            NfsRequest::Null | NfsRequest::Keepalive { .. } | NfsRequest::Recover { .. } => None,
-            NfsRequest::GetAttr { fh }
-            | NfsRequest::SetAttr { fh, .. }
-            | NfsRequest::Read { fh, .. }
-            | NfsRequest::Write { fh, .. }
-            | NfsRequest::StatFs { fh }
-            | NfsRequest::Open { fh, .. }
-            | NfsRequest::Close { fh, .. }
-            | NfsRequest::Readlink { fh }
-            | NfsRequest::DelegReturn { fh, .. } => Some(*fh),
-            NfsRequest::Lookup { dir, .. }
-            | NfsRequest::Create { dir, .. }
-            | NfsRequest::Remove { dir, .. }
-            | NfsRequest::Mkdir { dir, .. }
-            | NfsRequest::Rmdir { dir, .. }
-            | NfsRequest::Readdir { dir }
-            | NfsRequest::Symlink { dir, .. } => Some(*dir),
-            NfsRequest::Rename { from_dir, .. } => Some(*from_dir),
-            NfsRequest::Link { from, .. } => Some(*from),
-            NfsRequest::Compound { .. }
-            | NfsRequest::TxPrepare { .. }
-            | NfsRequest::TxCommit { .. }
-            | NfsRequest::TxAbort { .. } => None,
-        }
+        self.handle()
     }
 
     fn trace_range(&self) -> (u64, u64) {
@@ -177,6 +153,10 @@ impl Compoundable for NfsRequest {
 impl Compoundable for NfsReply {
     fn compound(parts: Vec<Self>) -> Self {
         NfsReply::compound(parts)
+    }
+
+    fn into_parts(self) -> Vec<Self> {
+        NfsReply::into_parts(self)
     }
 }
 

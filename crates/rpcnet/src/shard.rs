@@ -132,48 +132,28 @@ impl ShardCaller {
 
     /// Issues one RPC (foreground, unparented trace span).
     pub async fn call(&self, req: NfsRequest) -> Result<NfsReply, RpcError> {
-        self.dispatch(0, req, false).await.map(|(rep, _)| rep)
+        self.call_ctx(0, req).await
     }
 
     /// Issues one RPC, parenting its trace events under `parent`.
     pub async fn call_ctx(&self, parent: u64, req: NfsRequest) -> Result<NfsReply, RpcError> {
-        self.dispatch(parent, req, false).await.map(|(rep, _)| rep)
+        let out = self.call_flagged(parent, req, false).await;
+        out.map(|(rep, _)| rep)
     }
 
-    /// Like [`ShardCaller::call_ctx`], but also reports whether the
-    /// reply arrived only after a retransmission.
-    pub async fn call_ctx_flagged(
-        &self,
-        parent: u64,
-        req: NfsRequest,
-    ) -> Result<(NfsReply, bool), RpcError> {
-        self.dispatch(parent, req, false).await
-    }
-
-    /// Background variant (batchable write-behind / read-ahead traffic).
-    pub async fn call_bg(&self, parent: u64, req: NfsRequest) -> Result<NfsReply, RpcError> {
-        self.dispatch(parent, req, true).await.map(|(rep, _)| rep)
-    }
-
-    async fn issue(
-        &self,
-        shard: usize,
-        parent: u64,
-        req: NfsRequest,
-        bg: bool,
-    ) -> Result<(NfsReply, bool), RpcError> {
-        self.inner.callers[shard].call_inner(parent, req, bg).await
-    }
-
-    async fn dispatch(
+    /// The full form, as [`Caller::call_flagged`]: `bg` marks batchable
+    /// write-behind / read-ahead traffic, and the flag returned with the
+    /// reply says it arrived only after a retransmission.
+    pub async fn call_flagged(
         &self,
         parent: u64,
         req: NfsRequest,
         bg: bool,
     ) -> Result<(NfsReply, bool), RpcError> {
-        if self.inner.callers.len() == 1 {
+        let callers = &self.inner.callers;
+        if callers.len() == 1 {
             // Paper configuration: pure pass-through.
-            return self.issue(0, parent, req, bg).await;
+            return callers[0].call_flagged(parent, req, bg).await;
         }
         match &req {
             NfsRequest::Keepalive { .. } | NfsRequest::Recover { .. } => {
@@ -201,7 +181,10 @@ impl ShardCaller {
                 Ok(r) => r,
                 Err(status) => return Ok((NfsReply::Err(status), false)),
             };
-            match self.issue(shard, parent, routed, bg).await? {
+            match self.inner.callers[shard]
+                .call_flagged(parent, routed, bg)
+                .await?
+            {
                 (NfsReply::WrongShard { epoch, moves }, _) => {
                     self.inner.layout.borrow_mut().apply(epoch, &moves);
                     redirects += 1;
@@ -226,171 +209,74 @@ impl ShardCaller {
         }
     }
 
-    /// Picks the owning shard and rewrites root-directory handles to
-    /// that shard's export root. Returns a status for operations the
-    /// sharded namespace cannot express (deep cross-shard moves, or any
-    /// cross-shard move when the servers do not coordinate).
-    fn route(&self, req: NfsRequest) -> Result<(usize, NfsRequest), NfsStatus> {
+    /// The shard whose store holds `fh`: shard `s` exports `fsid = s + 1`.
+    /// Bounded, so a handle this caller never issued still names a shard
+    /// that exists — and that shard answers `Stale`.
+    fn shard_of(&self, fh: FileHandle) -> usize {
+        (fh.fsid.saturating_sub(1) as usize).min(self.inner.callers.len() - 1)
+    }
+
+    /// Picks the owning shard and re-addresses root-directory handles to
+    /// that shard's export root, in place. Returns a status for
+    /// operations the sharded namespace cannot express (deep cross-shard
+    /// moves, or any cross-shard move when the servers do not
+    /// coordinate).
+    fn route(&self, mut req: NfsRequest) -> Result<(usize, NfsRequest), NfsStatus> {
         let inner = &self.inner;
         let root = inner.roots[0];
         let layout = inner.layout.borrow();
         let owner = |name: &str| layout.owner(name) as usize;
-        // Bounded: a handle this caller never issued still names a shard
-        // that exists, and that shard answers `Stale`.
-        let of_fh =
-            |fh: FileHandle| (fh.fsid.saturating_sub(1) as usize).min(inner.callers.len() - 1);
-        Ok(match req {
-            NfsRequest::Lookup { dir, name } if dir == root => {
-                let s = owner(&name);
-                (
-                    s,
-                    NfsRequest::Lookup {
-                        dir: inner.roots[s],
-                        name,
-                    },
-                )
+        // Where a rename or link lands, given the shard `s` its source
+        // lives on.
+        let land = |s: usize, to_dir: &mut FileHandle, to_name: &str| {
+            if *to_dir == root {
+                if owner(to_name) != s && !inner.coordinates {
+                    return Err(NfsStatus::XDev);
+                }
+                // Same owner, or the coordinating (SNFS) servers run the
+                // cross-shard path: address the coordinator's root.
+                *to_dir = inner.roots[s];
+            } else if self.shard_of(*to_dir) != s {
+                // A cross-shard move below the root would have to carry
+                // file bodies between independent stores.
+                return Err(NfsStatus::XDev);
             }
-            NfsRequest::Create { dir, name } if dir == root => {
-                let s = owner(&name);
-                (
-                    s,
-                    NfsRequest::Create {
-                        dir: inner.roots[s],
-                        name,
-                    },
-                )
-            }
-            NfsRequest::Remove { dir, name } if dir == root => {
-                let s = owner(&name);
-                (
-                    s,
-                    NfsRequest::Remove {
-                        dir: inner.roots[s],
-                        name,
-                    },
-                )
-            }
-            NfsRequest::Mkdir { dir, name } if dir == root => {
-                let s = owner(&name);
-                (
-                    s,
-                    NfsRequest::Mkdir {
-                        dir: inner.roots[s],
-                        name,
-                    },
-                )
-            }
-            NfsRequest::Rmdir { dir, name } if dir == root => {
-                let s = owner(&name);
-                (
-                    s,
-                    NfsRequest::Rmdir {
-                        dir: inner.roots[s],
-                        name,
-                    },
-                )
-            }
-            NfsRequest::Symlink { dir, name, target } if dir == root => {
-                let s = owner(&name);
-                (
-                    s,
-                    NfsRequest::Symlink {
-                        dir: inner.roots[s],
-                        name,
-                        target,
-                    },
-                )
-            }
+            Ok(s)
+        };
+        let shard = match &mut req {
             NfsRequest::Rename {
                 from_dir,
                 from_name,
                 to_dir,
                 to_name,
             } => {
-                let s = if from_dir == root {
-                    owner(&from_name)
+                let s = if *from_dir == root {
+                    let s = owner(from_name);
+                    *from_dir = inner.roots[s];
+                    s
                 } else {
-                    of_fh(from_dir)
+                    self.shard_of(*from_dir)
                 };
-                let from_dir = if from_dir == root {
-                    inner.roots[s]
-                } else {
-                    from_dir
-                };
-                let to_dir = if to_dir == root {
-                    if owner(&to_name) != s && !inner.coordinates {
-                        return Err(NfsStatus::XDev);
-                    }
-                    // Same owner, or the coordinating (SNFS) servers run
-                    // the cross-shard path: address the coordinator's root.
-                    inner.roots[s]
-                } else if of_fh(to_dir) != s {
-                    // A cross-shard move below the root would have to
-                    // carry file bodies between independent stores.
-                    return Err(NfsStatus::XDev);
-                } else {
-                    to_dir
-                };
-                (
-                    s,
-                    NfsRequest::Rename {
-                        from_dir,
-                        from_name,
-                        to_dir,
-                        to_name,
-                    },
-                )
+                land(s, to_dir, to_name)?
             }
             NfsRequest::Link {
                 from,
                 to_dir,
                 to_name,
-            } => {
-                let s = of_fh(from);
-                let to_dir = if to_dir == root {
-                    if owner(&to_name) != s && !inner.coordinates {
-                        return Err(NfsStatus::XDev);
-                    }
-                    inner.roots[s]
-                } else if of_fh(to_dir) != s {
-                    return Err(NfsStatus::XDev);
-                } else {
-                    to_dir
-                };
-                (
-                    s,
-                    NfsRequest::Link {
-                        from,
-                        to_dir,
-                        to_name,
-                    },
-                )
-            }
-            NfsRequest::Null => (0, NfsRequest::Null),
-            // Everything else is handle-addressed: the fsid is the shard.
-            other => {
-                let s = match other {
-                    NfsRequest::GetAttr { fh }
-                    | NfsRequest::SetAttr { fh, .. }
-                    | NfsRequest::Read { fh, .. }
-                    | NfsRequest::Write { fh, .. }
-                    | NfsRequest::StatFs { fh }
-                    | NfsRequest::Open { fh, .. }
-                    | NfsRequest::Close { fh, .. }
-                    | NfsRequest::Readlink { fh }
-                    | NfsRequest::DelegReturn { fh, .. } => of_fh(fh),
-                    NfsRequest::Lookup { dir, .. }
-                    | NfsRequest::Create { dir, .. }
-                    | NfsRequest::Remove { dir, .. }
-                    | NfsRequest::Mkdir { dir, .. }
-                    | NfsRequest::Rmdir { dir, .. }
-                    | NfsRequest::Symlink { dir, .. }
-                    | NfsRequest::Readdir { dir } => of_fh(dir),
-                    _ => 0,
-                };
-                (s, other)
-            }
-        })
+            } => land(self.shard_of(*from), to_dir, to_name)?,
+            other => match other.dir_name_mut() {
+                // A root-level name lives on the shard the layout says.
+                Some((dir, name)) if *dir == root => {
+                    let s = owner(name);
+                    *dir = inner.roots[s];
+                    s
+                }
+                // Everything else is handle-addressed: the fsid is the
+                // shard.
+                _ => other.handle().map_or(0, |fh| self.shard_of(fh)),
+            },
+        };
+        Ok((shard, req))
     }
 
     /// `keepalive`/`recover` address every shard; the aggregate epoch a
@@ -411,13 +297,16 @@ impl ShardCaller {
                     client: *client,
                     files: files
                         .iter()
-                        .filter(|f| (f.fh.fsid.saturating_sub(1)) as usize == s)
+                        .filter(|f| self.shard_of(f.fh) == s)
                         .copied()
                         .collect::<Vec<RecoveredFile>>(),
                 },
                 _ => req.clone(),
             };
-            match self.issue(s, parent, per_shard, bg).await? {
+            match self.inner.callers[s]
+                .call_flagged(parent, per_shard, bg)
+                .await?
+            {
                 (NfsReply::Epoch(e), _) => total += e,
                 (NfsReply::Err(status), flag) => return Ok((NfsReply::Err(status), flag)),
                 (other, flag) => return Ok((other, flag)),
@@ -435,7 +324,7 @@ impl ShardCaller {
             let req = NfsRequest::Readdir {
                 dir: self.inner.roots[s],
             };
-            match self.issue(s, parent, req, bg).await? {
+            match self.inner.callers[s].call_flagged(parent, req, bg).await? {
                 (NfsReply::Readdir { entries: e }, _) => entries.extend(e),
                 (NfsReply::Err(status), flag) => return Ok((NfsReply::Err(status), flag)),
                 (other, flag) => return Ok((other, flag)),
@@ -493,8 +382,12 @@ mod tests {
         net.lose_next_reply(1, false);
         let fh = FileHandle::new(1, 7, 0);
         let out = sim.block_on(async move {
-            let lost = caller.dispatch(0, NfsRequest::GetAttr { fh }, true).await;
-            let clean = caller.dispatch(0, NfsRequest::GetAttr { fh }, true).await;
+            let lost = caller
+                .call_flagged(0, NfsRequest::GetAttr { fh }, true)
+                .await;
+            let clean = caller
+                .call_flagged(0, NfsRequest::GetAttr { fh }, true)
+                .await;
             (lost, clean)
         });
         assert_eq!(out.0, Ok((NfsReply::Path("shard0".into()), true)));

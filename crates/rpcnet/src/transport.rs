@@ -10,6 +10,9 @@
 use spritely_metrics::{Histogram, OpCounter};
 use spritely_sim::SimDuration;
 
+/// Ceiling for a backed-off per-attempt reply timeout.
+pub const BACKOFF_MAX: SimDuration = SimDuration::from_secs(8);
+
 /// Client/transport-level pipeline knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct TransportParams {
@@ -27,8 +30,6 @@ pub struct TransportParams {
     /// Per-attempt timeout multiplier applied on each retransmission;
     /// 1.0 keeps the paper's fixed timeout.
     pub backoff_factor: f64,
-    /// Ceiling for the backed-off per-attempt timeout.
-    pub backoff_max: SimDuration,
     /// Fractional jitter applied to each attempt's timeout (0.25 means
     /// ±12.5 %), drawn from the caller's own deterministic stream; 0
     /// disables jitter (and consumes no randomness).
@@ -45,7 +46,6 @@ impl TransportParams {
             piggyback: false,
             switched: false,
             backoff_factor: 1.0,
-            backoff_max: SimDuration::from_secs(8),
             backoff_jitter: 0.0,
         }
     }
@@ -60,7 +60,6 @@ impl TransportParams {
             piggyback: true,
             switched: true,
             backoff_factor: 2.0,
-            backoff_max: SimDuration::from_secs(8),
             backoff_jitter: 0.25,
         }
     }
@@ -95,6 +94,12 @@ impl TransportStats {
 /// stay the plain message, so unbatched traffic is unchanged).
 pub trait Compoundable: Sized {
     fn compound(parts: Vec<Self>) -> Self;
+
+    /// The inverse: the messages `self` carries, in order. A message
+    /// that is not a compound carries itself.
+    fn into_parts(self) -> Vec<Self> {
+        vec![self]
+    }
 }
 
 #[cfg(test)]

@@ -111,7 +111,8 @@ async fn foreground(c: &NfsCaller, req: NfsRequest) -> Result<NfsReply, RpcError
 }
 
 async fn background(c: &NfsCaller, req: NfsRequest) -> Result<NfsReply, RpcError> {
-    c.call_bg(0, req).await
+    let out = c.call_flagged(0, req, true).await;
+    out.map(|(rep, _)| rep)
 }
 
 fn fnv(events: &[TraceEvent]) -> u64 {
