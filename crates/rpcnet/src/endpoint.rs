@@ -1,19 +1,17 @@
-//! RPC endpoints (server side) and callers (client side).
+//! RPC endpoints: the server side of an exchange — thread pool, per-call
+//! CPU, duplicate-request cache (DESIGN.md §22).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
-use spritely_metrics::{LatencyStats, OpCounter, RateSeries};
-use spritely_proto::{ClientId, NfsProc};
-use spritely_sim::{Event, Resource, Semaphore, Sim, SimDuration, SimRng, SimTime};
+use spritely_metrics::{OpCounter, RateSeries};
+use spritely_proto::ClientId;
+use spritely_sim::{Event, Resource, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
-use crate::network::Network;
-use crate::transport::{Compoundable, TransportParams, TransportStats, BACKOFF_MAX};
 use crate::{Proc, ReplyStatus, Wire};
 
 /// A boxed async request handler. The `u64` is the causal trace context
@@ -388,686 +386,20 @@ where
     }
 }
 
-/// Errors a [`Caller`] can return.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RpcError {
-    /// No reply after all retransmissions.
-    Timeout,
-}
-
-impl fmt::Display for RpcError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RpcError::Timeout => write!(f, "RPC timed out after retries"),
-        }
-    }
-}
-
-impl std::error::Error for RpcError {}
-
-/// Client-side caller parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CallerParams {
-    /// Per-attempt reply timeout.
-    pub timeout: SimDuration,
-    /// Retransmissions after the first attempt.
-    pub max_retries: u32,
-    /// Caller-host CPU charged per call (argument marshalling etc.).
-    pub cpu_per_call: SimDuration,
-}
-
-impl Default for CallerParams {
-    fn default() -> Self {
-        CallerParams {
-            timeout: SimDuration::from_secs(1),
-            max_retries: 4,
-            cpu_per_call: SimDuration::from_micros(300),
-        }
-    }
-}
-
-/// One request on its way through a wire exchange, under the identity it
-/// keeps across retransmissions.
-#[derive(Clone)]
-struct Member<Req> {
-    xid: u64,
-    /// Trace context: the request's `rpc_call` event (0 when untraced).
-    parent: u64,
-    req: Req,
-}
-
-/// What every wire exchange of one logical caller shares, whoever runs
-/// it — the caller's own attempt or its batcher's detached flush: where
-/// the traffic goes, whom it speaks as, how the fault layer sees it, and
-/// where it is observed. One `Rc`, so the tracer and the transport stats
-/// each live in one slot.
-struct Link<Req, Rep> {
-    sim: Sim,
-    net: Network,
-    endpoint: Endpoint<Req, Rep>,
-    from: ClientId,
-    /// `(host, to_client)` key this caller's traffic presents to the
-    /// fault layer. Defaults to `(from.0, false)`; callback callers
-    /// (which all carry `ClientId(0)`) override it with their target
-    /// client's host so partitions cut the right legs.
-    fault_link: Cell<(u32, bool)>,
-    /// The xid sequence behind `from`; see [`Caller::share_xids_with`].
-    next_xid: Cell<u64>,
-    tracer: RefCell<Option<Tracer>>,
-    tstats: RefCell<Option<TransportStats>>,
-}
-
-impl<Req, Rep> Link<Req, Rep>
-where
-    Req: Proc + Wire + Clone + Compoundable + 'static,
-    Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
-{
-    fn emit(&self, parent: u64, kind: impl FnOnce() -> EventKind) -> u64 {
-        match self.tracer.borrow().as_ref() {
-            Some(t) => t.emit(parent, kind()),
-            None => 0,
-        }
-    }
-
-    /// The one wire exchange (DESIGN.md §22). `members` travel as one
-    /// datagram — a compound when there are several, the plain message
-    /// when there is one — so the fault layer drops, duplicates, delays
-    /// or loses the reply of all of them as a unit, and a fault that
-    /// kills the exchange is booked against every member's xid on the
-    /// caller's fault link. Returns the reply datagram, or `None` when
-    /// the exchange was lost: each member's timeout then fires and it
-    /// retransmits on its own, under its original xid.
-    ///
-    /// `batch` is the flush id when the batcher runs the exchange in a
-    /// detached task, `None` when a caller runs it inline for its own
-    /// single request.
-    async fn exchange(self: &Rc<Self>, members: &[Member<Req>], batch: Option<u64>) -> Option<Rep> {
-        let (from, count) = (self.from, members.len() as u64);
-        let batch_event = |reply| {
-            if let Some(id) = batch {
-                self.emit(0, || EventKind::Batch {
-                    from,
-                    id,
-                    count,
-                    reply,
-                });
-            }
-        };
-        batch_event(false);
-        let (lh, lc) = self.fault_link.get();
-        let kill_all = || {
-            members
-                .iter()
-                .for_each(|m| self.net.note_kill(lh, lc, m.xid))
-        };
-        let plan = self.net.plan_attempt(lh, lc);
-        if !plan.delay.is_zero() {
-            self.sim.sleep(plan.delay).await;
-        }
-        // A batch of one is the plain message (`Compoundable`'s
-        // contract): it is sized where it stands, and only a real
-        // compound is built.
-        let req_bytes = match members {
-            [m] => m.req.wire_size(),
-            _ => Req::compound(members.iter().map(|m| m.req.clone()).collect()).wire_size(),
-        };
-        // Every member leaves the wire at this instant; each gets its own
-        // xmit boundary so the profiler can split batcher hold from
-        // transit.
-        for m in members {
-            self.emit(m.parent, || EventKind::RpcXmit { from, xid: m.xid });
-        }
-        self.net.transmit_from(from.0, true, req_bytes).await;
-        if plan.drop {
-            // Eaten by the network (or a partition) before delivery.
-            kill_all();
-            return None;
-        }
-        if !self.endpoint.is_alive() {
-            return None;
-        }
-        if plan.duplicate {
-            // A second copy of the same datagram arrives: every member
-            // xid joins its in-flight execution or is answered from a
-            // completed dup-cache entry. The copy's reply is discarded —
-            // the members wait on the primary copy only.
-            let this = Rc::clone(self);
-            let copies = members.to_vec();
-            self.sim.spawn(async move {
-                this.net.transmit_from(from.0, true, req_bytes).await;
-                if !this.endpoint.is_alive() {
-                    return;
-                }
-                let mut reps = Vec::with_capacity(copies.len());
-                for m in copies {
-                    reps.push(this.endpoint.deliver(from, m.xid, m.parent, m.req).await);
-                }
-                let bytes = Rep::compound(reps).wire_size();
-                this.net.transmit_from(from.0, false, bytes).await;
-            });
-        }
-        let rep = match (members, batch) {
-            // A caller's own request is delivered in the caller's task.
-            ([m], None) => {
-                self.endpoint
-                    .deliver(from, m.xid, m.parent, m.req.clone())
-                    .await
-            }
-            // A flush delivers every member concurrently, each in its own
-            // task — each keeps its own xid, so dup-cache entries and
-            // per-procedure counters are exactly what the unbatched
-            // transport would produce.
-            _ => {
-                let remaining = Rc::new(Cell::new(members.len()));
-                let results: Rc<RefCell<Vec<Option<Rep>>>> =
-                    Rc::new(RefCell::new(members.iter().map(|_| None).collect()));
-                let all_done = Event::new();
-                for (i, m) in members.iter().enumerate() {
-                    let ep = self.endpoint.clone();
-                    let (xid, parent, req) = (m.xid, m.parent, m.req.clone());
-                    let remaining = Rc::clone(&remaining);
-                    let results = Rc::clone(&results);
-                    let all_done = all_done.clone();
-                    self.sim.spawn(async move {
-                        let rep = ep.deliver(from, xid, parent, req).await;
-                        results.borrow_mut()[i] = Some(rep);
-                        remaining.set(remaining.get() - 1);
-                        if remaining.get() == 0 {
-                            all_done.set();
-                        }
-                    });
-                }
-                all_done.wait().await;
-                let reps = results.take().into_iter();
-                Rep::compound(reps.map(|r| r.expect("every deliver completed")).collect())
-            }
-        };
-        batch_event(true);
-        if plan.reply_loss || self.net.reply_lost(lh, lc, members[0].xid) {
-            // The server executed every member but the reply never makes
-            // it back, and takes no wire time: the retransmissions must
-            // be absorbed by the dup cache (or, if an entry is gone,
-            // re-executed — the hazard the clients' outcome mapping
-            // covers).
-            kill_all();
-            return None;
-        }
-        self.net.transmit_from(from.0, false, rep.wire_size()).await;
-        Some(rep)
-    }
-}
-
-/// One request parked in a caller's batch queue, with the slot its
-/// reply will be delivered through.
-struct BatchEntry<Req, Rep> {
-    member: Member<Req>,
-    slot: Rc<RefCell<Option<Rep>>>,
-    done: Event,
-}
-
-/// The Nagle-style batching queue behind a caller (present only when
-/// `TransportParams::max_batch > 1`), used by background traffic only:
-/// foreground calls keep the unbatched wire path, so they are never
-/// delayed and never wait behind a compound's slowest member. A
-/// background request with no batch in flight is sent at once (a lone
-/// call pays no extra latency); while a batch is outstanding, followers
-/// park here and flush as one compound when the outstanding batch
-/// completes, `max_batch` accumulate, or the `batch_window` safety
-/// deadline fires. Each flush pays one wire exchange for the whole batch.
-struct Batcher<Req, Rep> {
-    link: Rc<Link<Req, Rep>>,
-    max_batch: usize,
-    window: SimDuration,
-    queue: RefCell<Vec<BatchEntry<Req, Rep>>>,
-    window_armed: Cell<bool>,
-    inflight: Cell<usize>,
-    next_id: Cell<u64>,
-}
-
-impl<Req, Rep> Batcher<Req, Rep>
-where
-    Req: Proc + Wire + Clone + Compoundable + 'static,
-    Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
-{
-    /// Parks one background request until a flush has carried it to the
-    /// endpoint and back. Hangs when that flush is lost; the caller's
-    /// timeout drops the wait and parks the retransmission afresh.
-    async fn call(self: &Rc<Self>, member: Member<Req>) -> Rep {
-        let slot = Rc::new(RefCell::new(None));
-        let done = Event::new();
-        let len = {
-            let mut q = self.queue.borrow_mut();
-            q.push(BatchEntry {
-                member,
-                slot: Rc::clone(&slot),
-                done: done.clone(),
-            });
-            q.len()
-        };
-        if len >= self.max_batch || self.inflight.get() == 0 {
-            // Full batch, or nothing outstanding (Nagle: an idle caller
-            // sends immediately instead of holding a lone request for
-            // the window).
-            self.flush_now();
-        } else if !self.window_armed.get() {
-            self.window_armed.set(true);
-            let b = Rc::clone(self);
-            self.link.sim.spawn(async move {
-                b.link.sim.sleep(b.window).await;
-                b.window_armed.set(false);
-                b.flush_now();
-            });
-        }
-        done.wait().await;
-        let rep = slot.borrow_mut().take();
-        rep.expect("flush fills the slot before signalling")
-    }
-
-    /// Flushes whatever has accumulated (no-op on an empty queue). The
-    /// queue is partitioned by procedure — reads compound with reads,
-    /// writes with writes — because a compound's reply waits for its
-    /// slowest member: mixing a cached read into a disk write's batch
-    /// would hand the read the write's latency.
-    fn flush_now(self: &Rc<Self>) {
-        let batch = std::mem::take(&mut *self.queue.borrow_mut());
-        if batch.is_empty() {
-            return;
-        }
-        let mut groups: Vec<(NfsProc, Vec<BatchEntry<Req, Rep>>)> = Vec::new();
-        for e in batch {
-            let pid = e.member.req.proc_id();
-            match groups.iter_mut().find(|(p, _)| *p == pid) {
-                Some((_, g)) => g.push(e),
-                None => groups.push((pid, vec![e])),
-            }
-        }
-        for (_, g) in groups {
-            self.spawn_flush(g);
-        }
-    }
-
-    /// One flush: a detached task that pays one wire exchange for the
-    /// whole batch, hands each member its reply, and, once the last
-    /// outstanding flush drains, ack-clocks the next batch out.
-    fn spawn_flush(self: &Rc<Self>, batch: Vec<BatchEntry<Req, Rep>>) {
-        self.inflight.set(self.inflight.get() + 1);
-        let b = Rc::clone(self);
-        self.link.sim.spawn(async move {
-            let id = b.next_id.get();
-            b.next_id.set(id + 1);
-            let (members, waiters): (Vec<_>, Vec<_>) = batch
-                .into_iter()
-                .map(|e| (e.member, (e.slot, e.done)))
-                .unzip();
-            if let Some(s) = b.link.tstats.borrow().as_ref() {
-                s.batch_sizes.record(members.len() as u64);
-                // Every request after the first rides along: one saved
-                // round trip each, attributed to its procedure.
-                for m in members.iter().skip(1) {
-                    s.saved.record(m.req.proc_id());
-                }
-            }
-            // A lost exchange fills no slot: every member's timeout fires
-            // and its retransmission parks afresh.
-            if let Some(rep) = b.link.exchange(&members, Some(id)).await {
-                for ((slot, done), rep) in waiters.into_iter().zip(rep.into_parts()) {
-                    *slot.borrow_mut() = Some(rep);
-                    done.set();
-                }
-            }
-            b.inflight.set(b.inflight.get() - 1);
-            if b.inflight.get() == 0 {
-                b.flush_now();
-            }
-        });
-    }
-}
-
-/// A client-side RPC caller bound to one endpoint over one network.
-pub struct Caller<Req, Rep> {
-    /// Shared with the batcher, and across clones: a clone is another
-    /// handle on the same logical caller.
-    link: Rc<Link<Req, Rep>>,
-    /// The link whose xid sequence this caller draws from: its own
-    /// (so clones share one sequence — the endpoint's duplicate-request
-    /// cache keys on `(from, xid)`, and a clone that restarted the
-    /// sequence would be answered from the cache without ever reaching
-    /// the handler) unless [`Caller::share_xids_with`] named another's.
-    xids: Rc<Link<Req, Rep>>,
-    cpu: Resource,
-    params: CallerParams,
-    transport: Cell<TransportParams>,
-    retransmits: Cell<u64>,
-    latency: RefCell<Option<LatencyStats>>,
-    batcher: RefCell<Option<Rc<Batcher<Req, Rep>>>>,
-    /// Deterministic per-caller stream for retransmission jitter; only
-    /// consumed when `backoff_jitter > 0`, so paper-mode runs draw
-    /// nothing from it.
-    rng: SimRng,
-}
-
-impl<Req, Rep> Clone for Caller<Req, Rep> {
-    fn clone(&self) -> Self {
-        Caller {
-            link: Rc::clone(&self.link),
-            xids: Rc::clone(&self.xids),
-            cpu: self.cpu.clone(),
-            params: self.params,
-            transport: Cell::new(self.transport.get()),
-            retransmits: Cell::new(0),
-            latency: RefCell::new(self.latency.borrow().clone()),
-            batcher: RefCell::new(self.batcher.borrow().clone()),
-            rng: self.rng.clone(),
-        }
-    }
-}
-
-impl<Req, Rep> Caller<Req, Rep>
-where
-    Req: Proc + Wire + Clone + Compoundable + 'static,
-    Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
-{
-    /// Creates a caller. `cpu` is the calling host's CPU; `from` identifies
-    /// the calling host to the endpoint's dup cache and handler.
-    pub fn new(
-        sim: &Sim,
-        net: Network,
-        endpoint: Endpoint<Req, Rep>,
-        from: ClientId,
-        cpu: Resource,
-        params: CallerParams,
-    ) -> Self {
-        let link = Rc::new(Link {
-            sim: sim.clone(),
-            net,
-            endpoint,
-            from,
-            fault_link: Cell::new((from.0, false)),
-            next_xid: Cell::new(0),
-            tracer: RefCell::new(None),
-            tstats: RefCell::new(None),
-        });
-        let caller = Caller {
-            xids: Rc::clone(&link),
-            link,
-            cpu,
-            params,
-            transport: Cell::new(TransportParams::paper()),
-            retransmits: Cell::new(0),
-            latency: RefCell::new(None),
-            batcher: RefCell::new(None),
-            rng: SimRng::new(0x7ab5_0000 ^ u64::from(from.0)),
-        };
-        caller.assert_retention_covers_ladder();
-        caller
-    }
-
-    /// The retransmission ladder: attempt `attempt`'s reply timeout. The
-    /// paper's fixed value, or — when backoff is configured — one that
-    /// grows by `backoff_factor` per retransmission up to
-    /// [`BACKOFF_MAX`], then moves by up to half of `backoff_jitter`
-    /// either way so simultaneous retransmitters desynchronize instead
-    /// of storming the server in lockstep. `draw` places the attempt in
-    /// the jitter band, in `[0, 1]`: the caller's deterministic stream
-    /// for a live attempt, 1 for the worst case. It is not consulted
-    /// when jitter is off, so the paper transport consumes no randomness.
-    fn attempt_timeout(&self, attempt: u32, draw: impl FnOnce() -> f64) -> SimDuration {
-        let t = self.transport.get();
-        let mut d = self.params.timeout;
-        if t.backoff_factor > 1.0 {
-            for _ in 0..attempt {
-                d = d.mul_f64(t.backoff_factor);
-                if d >= BACKOFF_MAX {
-                    d = BACKOFF_MAX;
-                    break;
-                }
-            }
-        }
-        if t.backoff_jitter > 0.0 {
-            d = d.mul_f64(1.0 + t.backoff_jitter * (draw() - 0.5));
-        }
-        d
-    }
-
-    /// The dup cache is the only thing standing between a retransmitted
-    /// non-idempotent procedure and double execution, so completed
-    /// entries must outlive the longest possible retransmission ladder
-    /// (every attempt's timeout, jitter at its worst): if an entry could
-    /// expire while its call was still retrying, the retransmission
-    /// would re-execute (create → `EEXIST`, remove → `ENOENT` to the
-    /// application).
-    fn assert_retention_covers_ladder(&self) {
-        let ladder: SimDuration = (0..=self.params.max_retries)
-            .map(|attempt| self.attempt_timeout(attempt, || 1.0))
-            .sum();
-        let retention = self.link.endpoint.dup_retention();
-        assert!(
-            retention > ladder,
-            "dup_retention ({retention}) must exceed the worst-case \
-             retransmission ladder ({ladder})"
-        );
-    }
-
-    /// Configures the transport pipeline. With `max_batch > 1` a
-    /// batching queue is installed; the default is the paper transport
-    /// (no batching, fixed retransmit timeout).
-    pub fn set_transport(&self, t: TransportParams) {
-        self.transport.set(t);
-        self.assert_retention_covers_ladder();
-        *self.batcher.borrow_mut() = (t.max_batch > 1).then(|| {
-            Rc::new(Batcher {
-                link: Rc::clone(&self.link),
-                max_batch: t.max_batch,
-                window: t.batch_window,
-                queue: RefCell::new(Vec::new()),
-                window_armed: Cell::new(false),
-                inflight: Cell::new(0),
-                next_id: Cell::new(0),
-            })
-        });
-    }
-
-    /// The active transport configuration.
-    pub fn transport(&self) -> TransportParams {
-        self.transport.get()
-    }
-
-    /// Attaches shared transport observability (batch-size histogram +
-    /// saved-round-trip counter).
-    pub fn set_transport_stats(&self, stats: TransportStats) {
-        *self.link.tstats.borrow_mut() = Some(stats);
-    }
-
-    /// Attaches a latency recorder; every subsequent call's end-to-end
-    /// time (including queueing, retransmissions and the reply) is
-    /// recorded under its procedure.
-    pub fn set_latency_stats(&self, stats: LatencyStats) {
-        *self.latency.borrow_mut() = Some(stats);
-    }
-
-    /// Attaches a tracer: every call is recorded as an `rpc_call` /
-    /// `rpc_reply` pair keyed by xid (and every batch flush as a
-    /// `batch` pair when batching is on).
-    pub fn set_tracer(&self, tracer: Tracer) {
-        *self.link.tracer.borrow_mut() = Some(tracer);
-    }
-
-    /// The caller's client id.
-    pub fn client_id(&self) -> ClientId {
-        self.link.from
-    }
-
-    /// Makes this caller draw xids from `other`'s sequence. A sharded
-    /// client (or a shard's coordination fan-out) holds one caller per
-    /// peer endpoint but is a single logical RPC source: `(from, xid)`
-    /// must stay globally unique or independently-numbered callers
-    /// would present colliding pairs to the dup caches and the trace
-    /// checker's at-most-once rule.
-    pub fn share_xids_with(&mut self, other: &Self) {
-        self.xids = Rc::clone(&other.xids);
-    }
-
-    /// Re-keys this caller's traffic for the fault layer. Callback
-    /// callers all carry `ClientId(0)` (the server), so the testbed
-    /// points them at the *target client's* host with `to_client =
-    /// true`; a partition of that host then cuts callbacks to it, not
-    /// to everyone.
-    pub fn set_fault_link(&self, host: u32, to_client: bool) {
-        self.link.fault_link.set((host, to_client));
-    }
-
-    /// Total retransmissions so far.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits.get()
-    }
-
-    /// Flushes any background requests parked in the batcher right now.
-    /// Clients call this when a foreground path is about to *wait* on
-    /// background work — a close draining write-behind, a read
-    /// coalescing with an in-flight read-ahead — so the waiter never
-    /// pays the Nagle window on top of the RPC itself. A no-op on the
-    /// paper transport.
-    pub fn kick(&self) {
-        if let Some(b) = self.batcher.borrow().as_ref() {
-            b.flush_now();
-        }
-    }
-
-    /// Issues one RPC: marshal, transmit, await the reply, with timeout and
-    /// retransmission. At-most-once execution is guaranteed by the
-    /// endpoint's duplicate cache.
-    pub async fn call(&self, req: Req) -> Result<Rep, RpcError> {
-        self.call_ctx(0, req).await
-    }
-
-    /// Like [`Caller::call`], but parents the `rpc_call` trace event
-    /// under `parent` (a client-operation span, usually).
-    pub async fn call_ctx(&self, parent: u64, req: Req) -> Result<Rep, RpcError> {
-        let out = self.call_flagged(parent, req, false).await;
-        out.map(|(rep, _)| rep)
-    }
-
-    /// The full form of [`Caller::call_ctx`]. `background` marks
-    /// write-behind and read-ahead traffic: the batcher may hold such a
-    /// call briefly to coalesce it with its peers, which it never does
-    /// to a foreground call (no difference on the paper transport).
-    ///
-    /// The flag returned with the reply says it arrived only after at
-    /// least one retransmission. A retransmitted non-idempotent
-    /// procedure can have executed on an earlier attempt whose reply was
-    /// lost; if the dup-cache entry has meanwhile been discarded, the
-    /// re-execution reports a bogus error (`EEXIST` for create, `ENOENT`
-    /// for remove). Clients use the flag to map those specific outcomes
-    /// back to success.
-    pub async fn call_flagged(
-        &self,
-        parent: u64,
-        req: Req,
-        background: bool,
-    ) -> Result<(Rep, bool), RpcError> {
-        let link = &self.link;
-        if !self.params.cpu_per_call.is_zero() {
-            self.cpu.use_for(self.params.cpu_per_call).await;
-        }
-        let xid = self.xids.next_xid.get();
-        self.xids.next_xid.set(xid + 1);
-        let started = link.sim.now();
-        let (from, proc) = (link.from, req.proc_id());
-        let rpc_seq = link.emit(parent, || {
-            let (offset, len) = req.trace_range();
-            EventKind::RpcCall {
-                from,
-                xid,
-                proc,
-                fh: req.trace_fh(),
-                offset,
-                len,
-            }
-        });
-        let member = [Member {
-            xid,
-            parent: rpc_seq,
-            req,
-        }];
-        for attempt in 0..=self.params.max_retries {
-            if attempt > 0 {
-                self.retransmits.set(self.retransmits.get() + 1);
-            }
-            let timeout = self.attempt_timeout(attempt, || self.rng.f64());
-            let fut = self.attempt(&member, background);
-            if let Ok(rep) = link.sim.timeout(timeout, fut).await {
-                if let Some(l) = self.latency.borrow().as_ref() {
-                    l.record(proc, link.sim.now().duration_since(started));
-                }
-                let ok = rep.trace_ok();
-                link.emit(rpc_seq, || EventKind::RpcReply {
-                    from,
-                    xid,
-                    proc,
-                    ok,
-                });
-                // Any attempts the fault layer killed for this xid
-                // were absorbed by retransmission.
-                let (lh, lc) = link.fault_link.get();
-                link.net.absorb_kills(lh, lc, xid);
-                return Ok((rep, attempt > 0));
-            }
-        }
-        Err(RpcError::Timeout)
-    }
-
-    /// One attempt at one request. Hangs when the attempt is lost, until
-    /// the caller's timeout drops it and retransmits.
-    async fn attempt(&self, member: &[Member<Req>; 1], background: bool) -> Rep {
-        if background {
-            // Only background traffic parks in the batcher: a compound's
-            // reply waits for its slowest member, and a latency-sensitive
-            // call must not wait behind a batched disk write.
-            let batcher = self.batcher.borrow().clone();
-            if let Some(b) = batcher {
-                return b.call(member[0].clone()).await;
-            }
-        }
-        match self.link.exchange(member, None).await {
-            Some(rep) => rep,
-            None => std::future::pending().await,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::NetParams;
-    use spritely_proto::{NfsProc, NfsReply, NfsRequest};
+    use spritely_proto::{NfsReply, NfsRequest};
 
-    fn setup(handler_delay: SimDuration) -> (Sim, Caller<NfsRequest, NfsReply>) {
+    #[test]
+    fn per_call_cpu_is_charged_on_server() {
         let sim = Sim::new();
-        let server_cpu = Resource::new(&sim, "scpu", 1);
-        let client_cpu = Resource::new(&sim, "ccpu", 1);
-        let net = Network::new(
-            &sim,
-            "net",
-            NetParams {
-                latency: SimDuration::from_micros(500),
-                bandwidth: 1_250_000,
-                switched: false,
-            },
-        );
-        let s2 = sim.clone();
-        let handler: HandlerFn<NfsRequest, NfsReply> = Rc::new(move |_from, _ctx, _req| {
-            let s = s2.clone();
-            Box::pin(async move {
-                if !handler_delay.is_zero() {
-                    s.sleep(handler_delay).await;
-                }
-                NfsReply::Ok
-            })
-        });
+        let handler: HandlerFn<NfsRequest, NfsReply> =
+            Rc::new(|_, _, _| Box::pin(async { NfsReply::Ok }));
         let ep = Endpoint::new(
             &sim,
             "nfsd",
-            server_cpu,
+            Resource::new(&sim, "scpu", 1),
             EndpointParams {
                 threads: 2,
                 cpu_per_call: SimDuration::from_micros(400),
@@ -1077,502 +409,9 @@ mod tests {
             OpCounter::new(),
             handler,
         );
-        let caller = Caller::new(
-            &sim,
-            net,
-            ep,
-            ClientId(1),
-            client_cpu,
-            CallerParams {
-                timeout: SimDuration::from_millis(100),
-                max_retries: 3,
-                cpu_per_call: SimDuration::from_micros(300),
-            },
-        );
-        (sim, caller)
-    }
-
-    /// One background `Null` call.
-    async fn bg(c: &Caller<NfsRequest, NfsReply>) -> Result<NfsReply, RpcError> {
-        let out = c.call_flagged(0, NfsRequest::Null, true).await;
-        out.map(|(rep, _)| rep)
-    }
-
-    #[test]
-    fn call_round_trip_succeeds_and_counts() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        let ep_counter = caller.link.endpoint.counter().clone();
-        let out = sim.block_on(async move { caller.call(NfsRequest::Null).await });
-        assert_eq!(out, Ok(NfsReply::Ok));
-        assert_eq!(ep_counter.get(NfsProc::Null), 1);
-    }
-
-    #[test]
-    fn slow_handler_triggers_retransmit_but_executes_once() {
-        let (sim, caller) = setup(SimDuration::from_millis(250));
-        let ep = caller.link.endpoint.clone();
-        let out = sim.block_on(async move {
-            let r = caller.call(NfsRequest::Null).await;
-            (r, caller.retransmits())
-        });
-        assert_eq!(out.0, Ok(NfsReply::Ok));
-        assert!(out.1 >= 1, "expected at least one retransmit");
-        assert_eq!(ep.executions(), 1, "dup cache must suppress re-execution");
-        assert_eq!(ep.counter().total(), 1);
-    }
-
-    #[test]
-    fn dead_endpoint_times_out() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        caller.link.endpoint.set_alive(false);
-        let out = sim.block_on(async move { caller.call(NfsRequest::Null).await });
-        assert_eq!(out, Err(RpcError::Timeout));
-        // 4 attempts x 100 ms, plus transmit times.
-        assert!(sim.now().as_micros() >= 400_000);
-    }
-
-    #[test]
-    fn concurrent_calls_use_thread_pool() {
-        let (sim, caller) = setup(SimDuration::from_millis(10));
-        let caller = Rc::new(caller);
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let c = Rc::clone(&caller);
-            handles.push(sim.spawn(async move { c.call(NfsRequest::Null).await }));
-        }
-        sim.run_to_quiescence();
-        for h in handles {
-            assert_eq!(h.try_take().expect("finished"), Ok(NfsReply::Ok));
-        }
-        // 2 threads, 4 requests of 10 ms each → handler phase spans ≥20 ms.
-        assert!(sim.now().as_micros() >= 20_000);
-        assert_eq!(caller.link.endpoint.executions(), 4);
-    }
-
-    #[test]
-    fn per_call_cpu_is_charged_on_server() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        let cpu_busy_before = caller.link.endpoint.inner.cpu.busy_permit_micros();
-        let ep = caller.link.endpoint.clone();
-        sim.block_on(async move {
-            caller.call(NfsRequest::Null).await.unwrap();
-        });
-        let busy = ep.inner.cpu.busy_permit_micros() - cpu_busy_before;
-        assert_eq!(busy, 400);
-    }
-
-    #[test]
-    fn xids_distinguish_calls() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        let ep = caller.link.endpoint.clone();
-        sim.block_on(async move {
-            caller.call(NfsRequest::Null).await.unwrap();
-            caller.call(NfsRequest::Null).await.unwrap();
-        });
-        assert_eq!(ep.executions(), 2);
-    }
-
-    #[test]
-    fn batching_shares_the_wire_and_preserves_accounting() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        let mut t = TransportParams::pipelined();
-        t.max_batch = 4;
-        t.batch_window = SimDuration::from_millis(5);
-        t.switched = false;
-        caller.set_transport(t);
-        let stats = TransportStats::new();
-        caller.set_transport_stats(stats.clone());
-        let net = caller.link.net.clone();
-        let ep = caller.link.endpoint.clone();
-        let caller = Rc::new(caller);
-        for _ in 0..4 {
-            let c = Rc::clone(&caller);
-            sim.spawn(async move {
-                bg(&c).await.unwrap();
-            });
-        }
-        sim.run_to_quiescence();
-        // Nagle: the first call goes out alone; the three that arrive
-        // while it is in flight coalesce into one ack-clocked compound.
-        assert_eq!(net.messages(), 4, "two compound exchanges, not eight");
-        assert_eq!(ep.executions(), 4);
-        assert_eq!(ep.counter().get(NfsProc::Null), 4);
-        assert_eq!(
-            ep.counter().get(NfsProc::Compound),
-            0,
-            "the compound wrapper is never counted as an executed procedure"
-        );
-        assert_eq!(stats.batch_sizes.count(), 2);
-        assert_eq!(stats.batch_sizes.max(), 3);
-        assert_eq!(stats.saved.get(NfsProc::Null), 2);
-    }
-
-    #[test]
-    fn underfull_batch_flushes_on_the_window_deadline() {
-        // A 10 ms handler holds the first batch's ack well past the 2 ms
-        // window: the two followers must not wait for the ack clock.
-        let (sim, caller) = setup(SimDuration::from_millis(10));
-        let mut t = TransportParams::pipelined();
-        t.max_batch = 8;
-        t.batch_window = SimDuration::from_millis(2);
-        t.switched = false;
-        caller.set_transport(t);
-        let net = caller.link.net.clone();
-        let ep = caller.link.endpoint.clone();
-        let caller = Rc::new(caller);
-        for _ in 0..3 {
-            let c = Rc::clone(&caller);
-            sim.spawn(async move {
-                bg(&c).await.unwrap();
-            });
-        }
-        // By 5 ms the window (armed ~0.6 ms, 2 ms wide) has pushed the
-        // follower compound onto the wire even though the first ack is
-        // still 5 ms away — two requests sent, no replies yet.
-        let sim2 = sim.clone();
-        let h = sim.spawn(async move {
-            sim2.sleep(SimDuration::from_millis(5)).await;
-        });
-        sim.run_until(h);
-        assert_eq!(
-            net.messages(),
-            2,
-            "window deadline flushed the followers before the first ack"
-        );
-        sim.run_to_quiescence();
-        assert_eq!(net.messages(), 4, "immediate single + window-flushed pair");
-        assert_eq!(ep.executions(), 3);
-    }
-
-    #[test]
-    fn retransmitted_batch_executes_each_call_once() {
-        // Handler takes 150 ms against a 100 ms timeout: every call in the
-        // batch times out and re-enqueues with its original xid. The dup
-        // cache must absorb the retransmissions.
-        let (sim, caller) = setup(SimDuration::from_millis(150));
-        let mut t = TransportParams::paper();
-        t.max_batch = 4;
-        t.batch_window = SimDuration::from_millis(2);
-        caller.set_transport(t);
-        let ep = caller.link.endpoint.clone();
-        let caller = Rc::new(caller);
-        let ok = Rc::new(Cell::new(0u32));
-        for _ in 0..4 {
-            let c = Rc::clone(&caller);
-            let ok = Rc::clone(&ok);
-            sim.spawn(async move {
-                assert_eq!(bg(&c).await, Ok(NfsReply::Ok));
-                ok.set(ok.get() + 1);
-            });
-        }
-        sim.run_to_quiescence();
-        assert_eq!(ok.get(), 4);
-        assert!(caller.retransmits() >= 1, "the slow batch must retransmit");
-        assert_eq!(
-            ep.executions(),
-            4,
-            "dup cache suppresses batch re-execution"
-        );
-        assert_eq!(ep.counter().get(NfsProc::Null), 4);
-    }
-
-    #[test]
-    fn exponential_backoff_shrinks_retransmit_storms() {
-        let run = |t: TransportParams| {
-            let (sim, caller) = setup(SimDuration::from_millis(350));
-            caller.set_transport(t);
-            sim.block_on(async move {
-                assert_eq!(caller.call(NfsRequest::Null).await, Ok(NfsReply::Ok));
-                caller.retransmits()
-            })
-        };
-        let fixed = run(TransportParams::paper());
-        let mut backed_off = TransportParams::paper();
-        backed_off.backoff_factor = 2.0;
-        backed_off.backoff_jitter = 0.25;
-        let backoff = run(backed_off);
-        assert!(fixed >= 3, "the fixed timeout retransmits in lockstep");
-        assert!(
-            backoff < fixed,
-            "backoff must shrink the storm ({backoff} vs {fixed})"
-        );
-    }
-
-    #[test]
-    fn dup_cache_purges_on_time_cadence() {
-        // Regression: the old purge fired only when `dup.len()` was an
-        // exact multiple of 1024, which a workload could hop over
-        // forever. The purge now runs on a sim-time cadence.
-        let (sim, caller) = setup(SimDuration::ZERO);
-        let ep = caller.link.endpoint.clone();
-        sim.block_on(async move {
-            caller.call(NfsRequest::Null).await.unwrap();
-            assert_eq!(caller.link.endpoint.dup_entries(), 1);
-            // Well past the 60 s retention: the next completed call
-            // sweeps the stale entry and leaves only itself.
-            caller.link.sim.sleep(SimDuration::from_secs(61)).await;
-            caller.call(NfsRequest::Null).await.unwrap();
-            assert_eq!(caller.link.endpoint.dup_entries(), 1, "stale entry swept");
-        });
-        assert_eq!(ep.executions(), 2);
-    }
-
-    #[test]
-    fn clear_dup_cache_forgets_completed_entries() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        let ep = caller.link.endpoint.clone();
-        sim.block_on(async move {
-            caller.call(NfsRequest::Null).await.unwrap();
-        });
-        assert_eq!(ep.dup_entries(), 1);
-        ep.clear_dup_cache();
-        assert_eq!(ep.dup_entries(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dup_retention")]
-    fn retention_shorter_than_ladder_is_rejected() {
-        let sim = Sim::new();
-        let cpu = Resource::new(&sim, "cpu", 1);
-        let net = Network::new(
-            &sim,
-            "net",
-            NetParams {
-                latency: SimDuration::from_micros(500),
-                bandwidth: 1_250_000,
-                switched: false,
-            },
-        );
-        let handler: HandlerFn<NfsRequest, NfsReply> =
-            Rc::new(|_, _, _| Box::pin(async { NfsReply::Ok }));
-        let ep = Endpoint::new(
-            &sim,
-            "nfsd",
-            cpu.clone(),
-            EndpointParams {
-                // 4 s retention < the 5 s ladder (1 s × 5 attempts):
-                // a retransmission could outlive the dup-cache entry
-                // that protects it from double execution.
-                dup_retention: SimDuration::from_secs(4),
-                ..EndpointParams::default()
-            },
-            OpCounter::new(),
-            handler,
-        );
-        let _ = Caller::new(&sim, net, ep, ClientId(1), cpu, CallerParams::default());
-    }
-
-    #[test]
-    fn scripted_reply_loss_is_absorbed_by_the_dup_cache() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        caller.link.net.lose_next_reply(1, false);
-        let ep = caller.link.endpoint.clone();
-        let stats = caller.link.net.fault_stats();
-        let out = sim.block_on(async move {
-            let r = caller.call(NfsRequest::Null).await;
-            (r, caller.retransmits())
-        });
-        assert_eq!(out.0, Ok(NfsReply::Ok));
-        assert!(out.1 >= 1, "the lost reply forces a retransmission");
-        assert_eq!(ep.executions(), 1, "server executed exactly once");
-        assert_eq!(ep.dup_hits(), 1, "retransmit answered from the dup cache");
-        assert_eq!(stats.killed_attempts(), 1);
-        assert_eq!(stats.retransmit_absorbed(), 1);
-        assert_eq!(stats.outstanding_kills(), 0);
-    }
-
-    #[test]
-    fn random_drops_are_absorbed_by_retransmission() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        caller.link.net.set_faults(crate::FaultParams {
-            drop: 0.3,
-            seed: 7,
-            ..crate::FaultParams::default()
-        });
-        let ep = caller.link.endpoint.clone();
-        let stats = caller.link.net.fault_stats();
-        let caller = Rc::new(caller);
-        let c2 = Rc::clone(&caller);
-        sim.block_on(async move {
-            for _ in 0..50 {
-                // A call can exhaust its whole ladder against a 30%
-                // drop rate; the application retries with a fresh xid,
-                // exactly as a real NFS client's hard-mount loop would.
-                while c2.call(NfsRequest::Null).await.is_err() {}
-            }
-        });
-        assert_eq!(
-            ep.executions(),
-            50,
-            "each completed call executed exactly once (drops kill the \
-             request before delivery, so abandoned xids never executed)"
-        );
-        assert!(stats.drops() > 0, "a 30% drop rate must fire in 50 calls");
-        assert_eq!(
-            stats.killed_attempts(),
-            stats.retransmit_absorbed() + stats.outstanding_kills(),
-            "kill conservation"
-        );
-    }
-
-    #[test]
-    fn duplicated_requests_hit_the_dup_cache_not_the_handler() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        caller.link.net.set_faults(crate::FaultParams {
-            duplicate: 1.0,
-            seed: 3,
-            ..crate::FaultParams::default()
-        });
-        let ep = caller.link.endpoint.clone();
-        let stats = caller.link.net.fault_stats();
-        sim.block_on(async move {
-            for _ in 0..10 {
-                assert_eq!(caller.call(NfsRequest::Null).await, Ok(NfsReply::Ok));
-            }
-        });
-        sim.run_to_quiescence();
-        assert_eq!(ep.executions(), 10, "duplicates never re-execute");
-        assert_eq!(stats.dups(), 10);
-        assert_eq!(
-            ep.dup_hits() + ep.dup_joins(),
-            10,
-            "every duplicate was answered by the dup cache"
-        );
-    }
-
-    #[test]
-    fn default_fault_params_are_wire_inert() {
-        // Installing the all-zero fault layer must leave traffic and
-        // timing bit-identical to never installing it.
-        let run = |configure: bool| {
-            let (sim, caller) = setup(SimDuration::ZERO);
-            if configure {
-                caller.link.net.set_faults(crate::FaultParams::default());
-            }
-            let net = caller.link.net.clone();
-            sim.block_on(async move {
-                for _ in 0..5 {
-                    caller.call(NfsRequest::Null).await.unwrap();
-                }
-            });
-            (sim.now().as_micros(), net.messages(), net.bytes())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn partitioned_host_times_out_until_heal() {
-        let (sim, caller) = setup(SimDuration::ZERO);
-        caller.link.net.partition(
-            1,
-            crate::PartitionDir::Both,
-            SimTime::ZERO + SimDuration::from_secs(3600),
-        );
-        let net = caller.link.net.clone();
-        let out = sim.block_on(async move {
-            let r1 = caller.call(NfsRequest::Null).await;
-            net.heal(1);
-            let r2 = caller.call(NfsRequest::Null).await;
-            (r1, r2)
-        });
-        assert_eq!(out.0, Err(RpcError::Timeout));
-        assert_eq!(out.1, Ok(NfsReply::Ok));
-    }
-
-    #[test]
-    fn dropped_compound_retransmits_as_a_unit() {
-        // The batcher sends one datagram per flush; a drop kills every
-        // member, and each re-enqueues on its own timeout with its
-        // original xid, so nothing double-executes.
-        let (sim, caller) = setup(SimDuration::ZERO);
-        let mut t = TransportParams::paper();
-        t.max_batch = 4;
-        t.batch_window = SimDuration::from_millis(2);
-        caller.set_transport(t);
-        // Drop everything briefly, then let retransmissions through.
-        caller.link.net.set_faults(crate::FaultParams {
-            drop: 1.0,
-            seed: 11,
-            ..crate::FaultParams::default()
-        });
-        let net = caller.link.net.clone();
-        let stats = net.fault_stats();
-        let ep = caller.link.endpoint.clone();
-        let caller = Rc::new(caller);
-        let ok = Rc::new(Cell::new(0u32));
-        for _ in 0..4 {
-            let c = Rc::clone(&caller);
-            let ok = Rc::clone(&ok);
-            sim.spawn(async move {
-                assert_eq!(bg(&c).await, Ok(NfsReply::Ok));
-                ok.set(ok.get() + 1);
-            });
-        }
-        let sim2 = sim.clone();
-        let net2 = net.clone();
-        let h = sim.spawn(async move {
-            sim2.sleep(SimDuration::from_millis(50)).await;
-            net2.set_faults(crate::FaultParams::default());
-        });
-        sim.run_until(h);
-        sim.run_to_quiescence();
-        assert_eq!(ok.get(), 4, "every batched call eventually completed");
-        assert_eq!(ep.executions(), 4, "each member executed exactly once");
-        assert!(stats.drops() >= 1, "the first flush was dropped");
-        assert_eq!(stats.outstanding_kills(), 0);
-    }
-
-    fn batching(caller: &Caller<NfsRequest, NfsReply>) {
-        let mut t = TransportParams::paper();
-        t.max_batch = 4;
-        t.batch_window = SimDuration::from_millis(2);
-        caller.set_transport(t);
-    }
-
-    #[test]
-    fn rekeyed_batching_caller_faults_on_its_own_link() {
-        // A caller re-keyed to host 9's link (as callback and
-        // coordination callers are) must be cut by host 9's partition
-        // and must book its kills where its completions absorb them,
-        // batched or not.
-        let (sim, caller) = setup(SimDuration::ZERO);
-        batching(&caller);
-        caller.set_fault_link(9, false);
-        caller.link.net.partition(
-            9,
-            crate::PartitionDir::Both,
-            SimTime::ZERO + SimDuration::from_millis(150),
-        );
-        let stats = caller.link.net.fault_stats();
-        let out = sim.block_on(async move { bg(&caller).await });
-        assert_eq!(out, Ok(NfsReply::Ok));
-        assert_eq!(stats.partition_drops(), 2, "attempts at 0 and 100 ms");
-        assert_eq!(stats.killed_attempts(), 2);
-        assert_eq!(stats.retransmit_absorbed(), 2);
-        assert_eq!(stats.outstanding_kills(), 0);
-    }
-
-    #[test]
-    fn lost_compound_reply_takes_no_wire_time() {
-        // The reply is lost before it is transmitted, batched or not: a
-        // lost reply is no message on the wire.
-        let messages = |background: bool| {
-            let (sim, caller) = setup(SimDuration::ZERO);
-            batching(&caller);
-            caller.link.net.lose_next_reply(1, false);
-            let net = caller.link.net.clone();
-            let out = sim.block_on(async move {
-                if background {
-                    bg(&caller).await
-                } else {
-                    caller.call_ctx(0, NfsRequest::Null).await
-                }
-            });
-            assert_eq!(out, Ok(NfsReply::Ok));
-            net.messages()
-        };
-        assert_eq!(messages(false), 3, "request, retransmission, reply");
-        assert_eq!(messages(true), messages(false));
+        let ep2 = ep.clone();
+        sim.block_on(async move { ep2.deliver(ClientId(1), 0, 0, NfsRequest::Null).await });
+        assert_eq!(ep.inner.cpu.busy_permit_micros(), 400);
     }
 
     #[test]
@@ -1645,25 +484,5 @@ mod tests {
         for h in opens {
             assert_eq!(h.try_take().expect("open completed"), NfsReply::Ok);
         }
-    }
-
-    #[test]
-    fn paper_transport_is_rpc_for_rpc_identical() {
-        // Explicitly configuring the paper transport must leave the wire
-        // traffic and timing bit-identical to never touching it.
-        let run = |configure: bool| {
-            let (sim, caller) = setup(SimDuration::ZERO);
-            if configure {
-                caller.set_transport(TransportParams::paper());
-            }
-            let net = caller.link.net.clone();
-            sim.block_on(async move {
-                for _ in 0..5 {
-                    caller.call(NfsRequest::Null).await.unwrap();
-                }
-            });
-            (sim.now().as_micros(), net.messages(), net.bytes())
-        };
-        assert_eq!(run(false), run(true));
     }
 }

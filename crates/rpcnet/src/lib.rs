@@ -17,13 +17,16 @@
 //! second endpoint registered at the client (paper §4.2.2: "we simply use
 //! the existing NFS server code").
 
+mod batch;
+mod caller;
 mod endpoint;
 mod fault;
 mod network;
 mod shard;
 mod transport;
 
-pub use endpoint::{Caller, CallerParams, Endpoint, EndpointParams, RpcError};
+pub use caller::{Caller, CallerParams, RpcError};
+pub use endpoint::{Endpoint, EndpointParams};
 pub use fault::{FaultParams, FaultPlan, FaultStats, PartitionDir};
 pub use network::{NetParams, Network};
 pub use shard::ShardCaller;

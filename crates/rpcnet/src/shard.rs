@@ -32,7 +32,7 @@ use spritely_proto::{
 };
 use spritely_sim::{Sim, SimDuration};
 
-use crate::endpoint::{Caller, RpcError};
+use crate::caller::{Caller, RpcError};
 use crate::transport::TransportParams;
 
 /// Bound on consecutive `WrongShard` redirects for one logical call;
@@ -338,7 +338,8 @@ impl ShardCaller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::{CallerParams, Endpoint, EndpointParams, HandlerFn};
+    use crate::caller::CallerParams;
+    use crate::endpoint::{Endpoint, EndpointParams, HandlerFn};
     use crate::network::{NetParams, Network};
     use spritely_metrics::OpCounter;
     use spritely_sim::Resource;
