@@ -37,7 +37,7 @@ use spritely_rpcnet::ShardCaller;
 use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
-use crate::delegation::{DelegationParams, DelegationStats};
+use crate::delegation::{DelegationParams, DelegationStats, LEASE};
 
 mod callback;
 mod recovery;
@@ -434,7 +434,7 @@ impl SnfsClient {
             .sim()
             .now()
             .saturating_duration_since(self.inner.last_contact.get());
-        age < self.inner.params.delegation.lease
+        age < LEASE
     }
 
     /// True when a live delegation on `fh` may serve local state: it has

@@ -14,6 +14,20 @@
 
 use spritely_sim::SimDuration;
 
+/// How long the server waits for a recalled delegation to come back
+/// before revoking it and fencing the holder (DESIGN.md §17.3).
+pub const RECALL_TIMEOUT: SimDuration = SimDuration::from_secs(20);
+
+/// Client-side lease: a delegation serves local opens only while the
+/// client has heard from the server (any successful RPC, including the
+/// keepalive probe) within this window — one that tolerates one lost
+/// keepalive (10 s interval).
+pub const LEASE: SimDuration = SimDuration::from_secs(15);
+
+// The fencing argument (DESIGN.md §17.3) needs an unreachable holder to
+// stop serving local opens *before* the server revokes.
+const _: () = assert!(LEASE.as_micros() < RECALL_TIMEOUT.as_micros());
+
 /// Configuration for the delegation subsystem. Shared by the server (which
 /// grants, recalls and revokes) and the client (which serves opens locally
 /// while its lease is fresh).
@@ -24,34 +38,17 @@ use spritely_sim::SimDuration;
 pub struct DelegationParams {
     /// Master switch. Off reproduces the paper exactly.
     pub enabled: bool,
-    /// How long the server waits for a recalled delegation to come back
-    /// before revoking it and fencing the holder (DESIGN.md §17.3).
-    pub recall_timeout: SimDuration,
-    /// Client-side lease: a delegation serves local opens only while the
-    /// client has heard from the server (any successful RPC, including the
-    /// keepalive probe) within this window. Must be shorter than
-    /// `recall_timeout` so an unreachable holder stops using its
-    /// delegation *before* the server revokes it.
-    pub lease: SimDuration,
 }
 
 impl DelegationParams {
     /// Delegations off: the configuration the paper measured.
     pub fn paper() -> Self {
-        DelegationParams {
-            enabled: false,
-            recall_timeout: SimDuration::from_secs(20),
-            lease: SimDuration::from_secs(15),
-        }
+        DelegationParams { enabled: false }
     }
 
-    /// Delegations on, with a lease that tolerates one lost keepalive
-    /// (10 s interval) and a recall timeout safely above the lease.
+    /// Delegations on.
     pub fn pipelined() -> Self {
-        DelegationParams {
-            enabled: true,
-            ..DelegationParams::paper()
-        }
+        DelegationParams { enabled: true }
     }
 }
 
@@ -120,14 +117,6 @@ mod tests {
         assert!(!DelegationParams::paper().enabled);
         assert!(DelegationParams::pipelined().enabled);
         assert_eq!(DelegationParams::default(), DelegationParams::paper());
-    }
-
-    #[test]
-    fn lease_is_shorter_than_recall_timeout() {
-        // The fencing argument (DESIGN.md §17.3) needs an unreachable
-        // holder to stop serving local opens before the server revokes.
-        let p = DelegationParams::pipelined();
-        assert!(p.lease < p.recall_timeout);
     }
 
     #[test]

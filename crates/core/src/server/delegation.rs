@@ -5,7 +5,7 @@ use spritely_proto::{CallbackArg, ClientId, FileHandle, FileVersion, NfsReply};
 use spritely_trace::{Cause, EventKind};
 
 use super::{bump, SnfsServer};
-use crate::delegation::DelegationStats;
+use crate::delegation::{DelegationStats, RECALL_TIMEOUT};
 use crate::state_table::{CallbackNeeded, Deleg};
 
 impl SnfsServer {
@@ -44,7 +44,7 @@ impl SnfsServer {
     }
 
     /// Recalls one delegation over the callback channel and waits —
-    /// bounded by `delegation.recall_timeout` — for the holder to flush
+    /// bounded by [`RECALL_TIMEOUT`] — for the holder to flush
     /// and return it. On timeout the delegation is revoked and the
     /// holder fenced. Called with the file lock held; the holder's
     /// return travels as a `DelegReturn` RPC, whose handler takes no
@@ -84,8 +84,9 @@ impl SnfsServer {
             let table = self.inner.table.borrow();
             table.delegation_of(fh, d.holder).is_none()
         };
-        let give_up = self.inner.params.delegation.recall_timeout;
-        let sent = self.send_callback(parent, cb, arg, give_up, returned).await;
+        let sent = self
+            .send_callback(parent, cb, arg, RECALL_TIMEOUT, returned)
+            .await;
         if sent.ok && returned() {
             // The holder acked after its DelegReturn RPC was applied.
             bump(&self.inner.deleg_stats, |s| {

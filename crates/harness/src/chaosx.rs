@@ -58,14 +58,14 @@ impl ChaosVerdict {
     /// Total faults the schedule injected (the run is only interesting
     /// if this is non-zero).
     pub fn injected(&self) -> u64 {
-        let f = &self.faults;
+        let f = &self.faults.net;
         f.drops + f.dups + f.delays + f.reply_losses + f.partition_drops
     }
 
     /// True when the faulted run converged to the fault-free outcome
     /// and the fault accounting balances.
     pub fn converged(&self) -> bool {
-        let f = &self.faults;
+        let f = &self.faults.net;
         self.digest_clean == self.digest_faulted
             && self.trace_violations == 0
             && f.killed_attempts == f.retransmit_absorbed + f.outstanding_kills

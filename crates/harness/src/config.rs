@@ -38,9 +38,6 @@ pub fn server_fs_params(update_enabled: bool) -> FsParams {
     FsParams {
         cache_blocks: SERVER_CACHE_BLOCKS,
         update_interval: update_enabled.then(|| SimDuration::from_secs(30)),
-        update_min_age: SimDuration::ZERO,
-        charge_structural: true,
-        sync_inode_writes: true,
         single_flight_reads: false,
     }
 }
@@ -50,9 +47,6 @@ pub fn client_fs_params(update_enabled: bool) -> FsParams {
     FsParams {
         cache_blocks: CLIENT_CACHE_BLOCKS,
         update_interval: update_enabled.then(|| SimDuration::from_secs(30)),
-        update_min_age: SimDuration::ZERO,
-        charge_structural: true,
-        sync_inode_writes: true,
         single_flight_reads: false,
     }
 }

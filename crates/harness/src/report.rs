@@ -422,14 +422,14 @@ pub fn fault_table(rows: &[(&str, &crate::FaultSnapshot)]) -> String {
     for (label, f) in rows {
         t.row(vec![
             label.to_string(),
-            f.drops.to_string(),
-            f.dups.to_string(),
-            f.delays.to_string(),
-            f.reply_losses.to_string(),
-            f.partition_drops.to_string(),
-            f.killed_attempts.to_string(),
-            f.retransmit_absorbed.to_string(),
-            f.outstanding_kills.to_string(),
+            f.net.drops.to_string(),
+            f.net.dups.to_string(),
+            f.net.delays.to_string(),
+            f.net.reply_losses.to_string(),
+            f.net.partition_drops.to_string(),
+            f.net.killed_attempts.to_string(),
+            f.net.retransmit_absorbed.to_string(),
+            f.net.outstanding_kills.to_string(),
             f.dup_cache_hits.to_string(),
             f.dup_cache_joins.to_string(),
             f.callback_retries.to_string(),

@@ -86,23 +86,9 @@ pub struct TransportSnapshot {
 /// means every injected fault was ridden out by a retransmission.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSnapshot {
-    /// Request messages lost by the random drop stream.
-    pub drops: u64,
-    /// Request messages delivered twice.
-    pub dups: u64,
-    /// Messages given extra random delay.
-    pub delays: u64,
-    /// Replies lost after the server executed (random + scripted).
-    pub reply_losses: u64,
-    /// Messages lost to scripted partitions.
-    pub partition_drops: u64,
-    /// RPC attempts killed by any fault.
-    pub killed_attempts: u64,
-    /// Killed attempts absorbed because a later attempt of the same call
-    /// completed.
-    pub retransmit_absorbed: u64,
-    /// Killed attempts whose call never completed (caller gave up).
-    pub outstanding_kills: u64,
+    /// What the network's fault layer injected, and where each killed
+    /// attempt went.
+    pub net: spritely_rpcnet::FaultCounts,
     /// Retransmits answered from the server's duplicate-request cache
     /// (completed executions replayed, not re-run).
     pub dup_cache_hits: u64,
@@ -425,14 +411,14 @@ impl StatsSnapshot {
                  \"retransmit_absorbed\":{},\"outstanding_kills\":{},\
                  \"dup_cache_hits\":{},\"dup_cache_joins\":{},\
                  \"callback_retries\":{},\"callback_dupes\":{}}}",
-                f.drops,
-                f.dups,
-                f.delays,
-                f.reply_losses,
-                f.partition_drops,
-                f.killed_attempts,
-                f.retransmit_absorbed,
-                f.outstanding_kills,
+                f.net.drops,
+                f.net.dups,
+                f.net.delays,
+                f.net.reply_losses,
+                f.net.partition_drops,
+                f.net.killed_attempts,
+                f.net.retransmit_absorbed,
+                f.net.outstanding_kills,
                 f.dup_cache_hits,
                 f.dup_cache_joins,
                 f.callback_retries,

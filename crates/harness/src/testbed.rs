@@ -541,7 +541,6 @@ impl Testbed {
                         read_ahead: params.read_ahead,
                         cache_blocks: params.client_cache_blocks,
                         name_cache: params.name_cache,
-                        ..NfsClientParams::default()
                     },
                 )),
                 Protocol::Snfs | Protocol::SnfsDelayedClose => {
@@ -768,22 +767,12 @@ impl Testbed {
                 saved_per_proc: ts.saved.snapshot(),
             },
             sim: self.sim.stats().into(),
-            faults: self.net.faults_active().then(|| {
-                let fs = self.net.fault_stats();
-                FaultSnapshot {
-                    drops: fs.drops(),
-                    dups: fs.dups(),
-                    delays: fs.delays(),
-                    reply_losses: fs.reply_losses(),
-                    partition_drops: fs.partition_drops(),
-                    killed_attempts: fs.killed_attempts(),
-                    retransmit_absorbed: fs.retransmit_absorbed(),
-                    outstanding_kills: fs.outstanding_kills(),
-                    dup_cache_hits,
-                    dup_cache_joins,
-                    callback_retries,
-                    callback_dupes,
-                }
+            faults: self.net.faults_active().then(|| FaultSnapshot {
+                net: self.net.fault_stats().get(),
+                dup_cache_hits,
+                dup_cache_joins,
+                callback_retries,
+                callback_dupes,
             }),
             profile: self
                 .tracer

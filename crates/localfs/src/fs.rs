@@ -28,20 +28,6 @@ pub struct FsParams {
     /// Interval of the `/etc/update` daemon; `None` disables it entirely
     /// ("infinite write-delay", paper §5.4).
     pub update_interval: Option<SimDuration>,
-    /// Minimum dirty age for the daemon to flush a block. Traditional Unix
-    /// `sync` flushes everything (zero); Sprite used 30 s.
-    pub update_min_age: SimDuration,
-    /// Charge one synchronous disk write for namespace operations
-    /// (create/remove/mkdir/rmdir/rename), modelling synchronous directory
-    /// and inode updates.
-    pub charge_structural: bool,
-    /// Charge an inode update (a small write in the metadata region) for
-    /// every *synchronous* data write. RFC 1094 requires the server to
-    /// have size/mtime on stable storage before replying to a `write`, so
-    /// an NFS server pays this on every write RPC — it both adds a
-    /// positioning delay and breaks the sequentiality of bulk writes,
-    /// which is a large part of why write-through was so expensive.
-    pub sync_inode_writes: bool,
     /// Collapse concurrent cache misses on the same block into one disk
     /// read: followers wait for the leader's fetch instead of queueing a
     /// duplicate request. Off by default — the paper-era server re-read
@@ -54,9 +40,6 @@ impl Default for FsParams {
         FsParams {
             cache_blocks: 4096, // 16 MB at 4 KB blocks
             update_interval: Some(SimDuration::from_secs(30)),
-            update_min_age: SimDuration::ZERO,
-            charge_structural: true,
-            sync_inode_writes: true,
             single_flight_reads: false,
         }
     }
@@ -181,10 +164,10 @@ impl LocalFs {
         self.inner.store.borrow().readdir(dir)
     }
 
+    /// One synchronous write in the metadata region: a namespace operation
+    /// (create/remove/mkdir/rmdir/rename) updates its directory and inode
+    /// synchronously, and so does every *synchronous* data write.
     async fn structural_write(&self, ino: u64) {
-        if !self.inner.params.charge_structural {
-            return;
-        }
         self.inner.stats.borrow_mut().structural_writes += 1;
         self.inner.disk.write(META_BASE + (ino % 997), 512).await;
     }
@@ -495,14 +478,13 @@ impl LocalFs {
         )?;
         if sync {
             self.flush_range(fh, first, last).await?;
-            if self.inner.params.sync_inode_writes {
-                // Stable size/mtime before the reply (RFC 1094).
-                self.inner.stats.borrow_mut().structural_writes += 1;
-                self.inner
-                    .disk
-                    .write(META_BASE + (fh.inode % 997), 512)
-                    .await;
-            }
+            // RFC 1094 requires the server to have size/mtime on stable
+            // storage before replying to a `write`, so an NFS server pays
+            // an inode update on every write RPC — it both adds a
+            // positioning delay and breaks the sequentiality of bulk
+            // writes, which is a large part of why write-through was so
+            // expensive.
+            self.structural_write(fh.inode).await;
         }
         Ok(attr)
     }
@@ -541,19 +523,12 @@ impl LocalFs {
         Ok(())
     }
 
-    /// Flushes every dirty block at least `min_age` old (the `update`
-    /// daemon's unit of work). `min_age = 0` is a full `sync`.
-    pub async fn flush_aged(&self, min_age: SimDuration) {
-        let now = self.inner.sim.now();
-        let mut due: Vec<Key> = self
-            .inner
-            .cache
-            .borrow()
-            .dirty_blocks()
-            .into_iter()
-            .filter(|&(_, t)| now.saturating_duration_since(t) >= min_age)
-            .map(|(k, _)| k)
-            .collect();
+    /// Flushes everything dirty: a full `sync`, the `update` daemon's
+    /// unit of work (traditional Unix flushes blocks of any age; Sprite
+    /// waited for them to be 30 s old).
+    pub async fn sync_all(&self) {
+        let dirty = self.inner.cache.borrow().dirty_blocks();
+        let mut due: Vec<Key> = dirty.into_iter().map(|(k, _)| k).collect();
         due.sort_unstable();
         for key in due {
             let fd = self.inner.cache.borrow().flush_data(&key);
@@ -563,11 +538,6 @@ impl LocalFs {
                 self.inner.cache.borrow_mut().mark_clean(&key, seq);
             }
         }
-    }
-
-    /// Flushes everything dirty.
-    pub async fn sync_all(&self) {
-        self.flush_aged(SimDuration::ZERO).await;
     }
 
     /// Spawns the `/etc/update` daemon if enabled by
@@ -581,7 +551,7 @@ impl LocalFs {
         self.inner.sim.spawn(async move {
             loop {
                 sim.sleep(interval).await;
-                fs.flush_aged(fs.inner.params.update_min_age).await;
+                fs.sync_all().await;
             }
         });
     }

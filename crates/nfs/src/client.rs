@@ -42,17 +42,11 @@ use crate::base::{block_spans, BlockClient, ClientBase, Key, NameCache};
 pub struct NfsClientParams {
     /// Minimum attribute-cache lifetime (probe interval floor).
     pub attr_min: SimDuration,
-    /// Maximum attribute-cache lifetime (probe interval ceiling).
-    pub attr_max: SimDuration,
-    /// Number of write-behind daemons.
-    pub biods: usize,
     /// Data cache capacity in blocks.
     pub cache_blocks: usize,
     /// Purge the file's cached data on final close (the vintage
     /// reference-port bug the paper measured around, §5.2).
     pub invalidate_on_close: bool,
-    /// Delay writes that do not extend to a block boundary (footnote 4).
-    pub delay_partial_writes: bool,
     /// Prefetch the next block on cache-missing sequential reads.
     pub read_ahead: bool,
     /// Cache name translations with a TTL, like post-1989 NFS clients
@@ -61,22 +55,26 @@ pub struct NfsClientParams {
     /// probabilistically consistent: within the TTL a renamed or removed
     /// file can still resolve here.
     pub name_cache: bool,
-    /// Lifetime of a name-cache entry.
-    pub name_cache_ttl: SimDuration,
 }
+
+/// Maximum attribute-cache lifetime (probe interval ceiling; Ultrix
+/// clamped the interval to [3 s, 150 s], footnote 3).
+const ATTR_MAX: SimDuration = SimDuration::from_secs(150);
+
+/// Number of write-behind daemons (Ultrix ran 4 biods per client).
+const BIODS: usize = 4;
+
+/// Lifetime of a name-cache entry.
+const NAME_CACHE_TTL: SimDuration = SimDuration::from_secs(30);
 
 impl Default for NfsClientParams {
     fn default() -> Self {
         NfsClientParams {
             attr_min: SimDuration::from_secs(3),
-            attr_max: SimDuration::from_secs(150),
-            biods: 4,
             cache_blocks: 4096,
             invalidate_on_close: true,
-            delay_partial_writes: true,
             read_ahead: true,
             name_cache: false,
-            name_cache_ttl: SimDuration::from_secs(30),
         }
     }
 }
@@ -158,8 +156,8 @@ impl NfsClient {
     /// [`Caller`](spritely_rpcnet::Caller) for the single-server
     /// configuration, or a [`ShardCaller`] routing over several shards.
     pub fn new(sim: &Sim, caller: impl Into<ShardCaller>, params: NfsClientParams) -> Self {
-        let biods = Semaphore::new(params.biods.max(1));
-        let names = NameCache::new(params.name_cache, Some(params.name_cache_ttl));
+        let biods = Semaphore::new(BIODS);
+        let names = NameCache::new(params.name_cache, Some(NAME_CACHE_TTL));
         NfsClient {
             inner: Rc::new(Inner {
                 base: ClientBase::new(
@@ -195,8 +193,7 @@ impl NfsClient {
         // rarely. Ultrix clamped the interval to [3 s, 150 s] (footnote 3).
         let age_us = e.fetched.as_micros().saturating_sub(e.attr.mtime);
         let t = SimDuration::from_micros(age_us / 4);
-        t.max(self.inner.params.attr_min)
-            .min(self.inner.params.attr_max)
+        t.max(self.inner.params.attr_min).min(ATTR_MAX)
     }
 
     /// Records fresh server attributes, invalidating cached data if the
@@ -466,12 +463,9 @@ impl NfsClient {
             }
         };
         // Everything below `cut` goes out now, one piece per block; the
-        // rest (short of a block boundary) waits in the tail.
-        let cut = if self.inner.params.delay_partial_writes {
-            ((end / BLOCK_SIZE as u64) * BLOCK_SIZE as u64).max(start)
-        } else {
-            end
-        };
+        // rest (short of a block boundary) waits in the tail: writes that
+        // do not extend to a block boundary are delayed (footnote 4).
+        let cut = ((end / BLOCK_SIZE as u64) * BLOCK_SIZE as u64).max(start);
         let mut cur = start;
         while cur < cut {
             let piece_end = cut.min((block_of(cur) + 1) * BLOCK_SIZE as u64);

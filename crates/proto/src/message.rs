@@ -218,8 +218,9 @@ impl NfsRequest {
     /// The handle this request addresses: the file it acts on, or the
     /// directory it names an entry of (the source, for `rename` and
     /// `link`). `None` for the procedures that address the server as a
-    /// whole. The one request → handle table: tracing labels an RPC with
-    /// it and the sharded namespace routes by it (DESIGN.md §18).
+    /// whole (`null`, `keepalive`, `recover`, a compound, the `tx_*`
+    /// family). The one request → handle table: tracing labels an RPC
+    /// with it and the sharded namespace routes by it (DESIGN.md §18).
     pub fn handle(&self) -> Option<FileHandle> {
         match self {
             NfsRequest::GetAttr { fh }
@@ -234,14 +235,7 @@ impl NfsRequest {
             NfsRequest::Readdir { dir } => Some(*dir),
             NfsRequest::Rename { from_dir, .. } => Some(*from_dir),
             NfsRequest::Link { from, .. } => Some(*from),
-            NfsRequest::Null
-            | NfsRequest::Keepalive { .. }
-            | NfsRequest::Recover { .. }
-            | NfsRequest::Compound { .. }
-            | NfsRequest::TxPrepare { .. }
-            | NfsRequest::TxCommit { .. }
-            | NfsRequest::TxAbort { .. } => None,
-            named => named.dir_name().map(|(dir, _)| dir),
+            other => other.dir_name().map(|(dir, _)| dir),
         }
     }
 

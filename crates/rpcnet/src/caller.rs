@@ -865,9 +865,9 @@ mod tests {
         assert!(out.1 >= 1, "the lost reply forces a retransmission");
         assert_eq!(ep.executions(), 1, "server executed exactly once");
         assert_eq!(ep.dup_hits(), 1, "retransmit answered from the dup cache");
-        assert_eq!(stats.killed_attempts(), 1);
-        assert_eq!(stats.retransmit_absorbed(), 1);
-        assert_eq!(stats.outstanding_kills(), 0);
+        assert_eq!(stats.get().killed_attempts, 1);
+        assert_eq!(stats.get().retransmit_absorbed, 1);
+        assert_eq!(stats.get().outstanding_kills, 0);
     }
 
     #[test]
@@ -896,10 +896,13 @@ mod tests {
             "each completed call executed exactly once (drops kill the \
              request before delivery, so abandoned xids never executed)"
         );
-        assert!(stats.drops() > 0, "a 30% drop rate must fire in 50 calls");
+        assert!(
+            stats.get().drops > 0,
+            "a 30% drop rate must fire in 50 calls"
+        );
         assert_eq!(
-            stats.killed_attempts(),
-            stats.retransmit_absorbed() + stats.outstanding_kills(),
+            stats.get().killed_attempts,
+            stats.get().retransmit_absorbed + stats.get().outstanding_kills,
             "kill conservation"
         );
     }
@@ -921,7 +924,7 @@ mod tests {
         });
         sim.run_to_quiescence();
         assert_eq!(ep.executions(), 10, "duplicates never re-execute");
-        assert_eq!(stats.dups(), 10);
+        assert_eq!(stats.get().dups, 10);
         assert_eq!(
             ep.dup_hits() + ep.dup_joins(),
             10,
@@ -1007,8 +1010,8 @@ mod tests {
         sim.run_to_quiescence();
         assert_eq!(ok.get(), 4, "every batched call eventually completed");
         assert_eq!(ep.executions(), 4, "each member executed exactly once");
-        assert!(stats.drops() >= 1, "the first flush was dropped");
-        assert_eq!(stats.outstanding_kills(), 0);
+        assert!(stats.get().drops >= 1, "the first flush was dropped");
+        assert_eq!(stats.get().outstanding_kills, 0);
     }
 
     fn batching(caller: &Caller<NfsRequest, NfsReply>) {
@@ -1035,10 +1038,10 @@ mod tests {
         let stats = caller.link.net.fault_stats();
         let out = sim.block_on(async move { bg(&caller).await });
         assert_eq!(out, Ok(NfsReply::Ok));
-        assert_eq!(stats.partition_drops(), 2, "attempts at 0 and 100 ms");
-        assert_eq!(stats.killed_attempts(), 2);
-        assert_eq!(stats.retransmit_absorbed(), 2);
-        assert_eq!(stats.outstanding_kills(), 0);
+        assert_eq!(stats.get().partition_drops, 2, "attempts at 0 and 100 ms");
+        assert_eq!(stats.get().killed_attempts, 2);
+        assert_eq!(stats.get().retransmit_absorbed, 2);
+        assert_eq!(stats.get().outstanding_kills, 0);
     }
 
     #[test]

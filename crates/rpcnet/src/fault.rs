@@ -91,15 +91,39 @@ pub enum PartitionDir {
     Both,
 }
 
-/// Shared fault-injection counters (cheap to clone; clones share state).
+/// Fault-injection counters, as a value.
 ///
 /// The conservation story: every fault that kills an RPC attempt
 /// (`drops`, `reply_losses`, `partition_drops`) records a *kill* against
 /// that call's `(link, xid)`. When the call eventually completes — a
 /// retransmission got through — its kills move to `retransmit_absorbed`.
-/// Kills still in the map belong to calls that never completed (the
+/// Kills still on the books belong to calls that never completed (the
 /// caller gave up, e.g. during a partition). So at quiescence:
 /// `killed_attempts == retransmit_absorbed + outstanding_kills`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultCounts {
+    /// Requests dropped by the random fault stream.
+    pub drops: u64,
+    /// Requests delivered twice.
+    pub dups: u64,
+    /// Messages held up by injected delay.
+    pub delays: u64,
+    /// Replies lost after the server executed (random + scripted).
+    pub reply_losses: u64,
+    /// Messages lost to a scripted partition.
+    pub partition_drops: u64,
+    /// RPC attempts killed by any fault.
+    pub killed_attempts: u64,
+    /// Kills belonging to calls that later completed via retransmission.
+    pub retransmit_absorbed: u64,
+    /// Kills belonging to calls that never completed (callers that gave
+    /// up, typically during a partition).
+    pub outstanding_kills: u64,
+}
+
+/// The shared home of a network's [`FaultCounts`] (cheap to clone; clones
+/// share state), with the per-`(link, xid)` kills that are still
+/// outstanding.
 #[derive(Clone, Default)]
 pub struct FaultStats {
     inner: Rc<FaultStatsInner>,
@@ -107,86 +131,27 @@ pub struct FaultStats {
 
 #[derive(Default)]
 struct FaultStatsInner {
-    drops: Cell<u64>,
-    dups: Cell<u64>,
-    delays: Cell<u64>,
-    reply_losses: Cell<u64>,
-    partition_drops: Cell<u64>,
-    killed_attempts: Cell<u64>,
-    retransmit_absorbed: Cell<u64>,
+    counts: Cell<FaultCounts>,
     kills: std::cell::RefCell<HashMap<(u32, bool, u64), u64>>,
 }
 
 impl FaultStats {
-    /// Requests dropped by the random fault stream.
-    pub fn drops(&self) -> u64 {
-        self.inner.drops.get()
+    /// The counters now.
+    pub fn get(&self) -> FaultCounts {
+        FaultCounts {
+            outstanding_kills: self.inner.kills.borrow().values().sum(),
+            ..self.inner.counts.get()
+        }
     }
 
-    /// Requests delivered twice.
-    pub fn dups(&self) -> u64 {
-        self.inner.dups.get()
-    }
-
-    /// Messages held up by injected delay.
-    pub fn delays(&self) -> u64 {
-        self.inner.delays.get()
-    }
-
-    /// Replies lost after the server executed.
-    pub fn reply_losses(&self) -> u64 {
-        self.inner.reply_losses.get()
-    }
-
-    /// Messages lost to a scripted partition.
-    pub fn partition_drops(&self) -> u64 {
-        self.inner.partition_drops.get()
-    }
-
-    /// RPC attempts killed by any fault.
-    pub fn killed_attempts(&self) -> u64 {
-        self.inner.killed_attempts.get()
-    }
-
-    /// Kills belonging to calls that later completed via retransmission.
-    pub fn retransmit_absorbed(&self) -> u64 {
-        self.inner.retransmit_absorbed.get()
-    }
-
-    /// Kills belonging to calls that never completed (callers that gave
-    /// up, typically during a partition).
-    pub fn outstanding_kills(&self) -> u64 {
-        self.inner.kills.borrow().values().sum()
-    }
-
-    pub(crate) fn note_drop(&self) {
-        self.inner.drops.set(self.inner.drops.get() + 1);
-    }
-
-    pub(crate) fn note_dup(&self) {
-        self.inner.dups.set(self.inner.dups.get() + 1);
-    }
-
-    pub(crate) fn note_delay(&self) {
-        self.inner.delays.set(self.inner.delays.get() + 1);
-    }
-
-    pub(crate) fn note_reply_loss(&self) {
-        self.inner
-            .reply_losses
-            .set(self.inner.reply_losses.get() + 1);
-    }
-
-    pub(crate) fn note_partition_drop(&self) {
-        self.inner
-            .partition_drops
-            .set(self.inner.partition_drops.get() + 1);
+    pub(crate) fn bump(&self, f: impl FnOnce(&mut FaultCounts)) {
+        let mut counts = self.inner.counts.get();
+        f(&mut counts);
+        self.inner.counts.set(counts);
     }
 
     pub(crate) fn kill(&self, host: u32, to_client: bool, xid: u64) {
-        self.inner
-            .killed_attempts
-            .set(self.inner.killed_attempts.get() + 1);
+        self.bump(|c| c.killed_attempts += 1);
         *self
             .inner
             .kills
@@ -196,15 +161,13 @@ impl FaultStats {
     }
 
     pub(crate) fn absorb(&self, host: u32, to_client: bool, xid: u64) {
-        if let Some(n) = self
+        let absorbed = self
             .inner
             .kills
             .borrow_mut()
-            .remove(&(host, to_client, xid))
-        {
-            self.inner
-                .retransmit_absorbed
-                .set(self.inner.retransmit_absorbed.get() + n);
+            .remove(&(host, to_client, xid));
+        if let Some(n) = absorbed {
+            self.bump(|c| c.retransmit_absorbed += n);
         }
     }
 }
@@ -297,7 +260,7 @@ impl FaultState {
     /// callbacks.
     pub(crate) fn plan_attempt(&mut self, host: u32, to_client: bool, now: SimTime) -> FaultPlan {
         if self.leg_blocked(host, !to_client, now) {
-            self.stats.note_partition_drop();
+            self.stats.bump(|c| c.partition_drops += 1);
             return FaultPlan {
                 drop: true,
                 partition: true,
@@ -309,7 +272,7 @@ impl FaultState {
         }
         let p = self.params;
         if p.drop > 0.0 && self.rng.f64() < p.drop {
-            self.stats.note_drop();
+            self.stats.bump(|c| c.drops += 1);
             return FaultPlan {
                 drop: true,
                 ..FaultPlan::default()
@@ -318,15 +281,15 @@ impl FaultState {
         let mut plan = FaultPlan::default();
         if p.duplicate > 0.0 && self.rng.f64() < p.duplicate {
             plan.duplicate = true;
-            self.stats.note_dup();
+            self.stats.bump(|c| c.dups += 1);
         }
         if p.delay > 0.0 && self.rng.f64() < p.delay {
             plan.delay = self.rng.duration_uniform(SimDuration::ZERO, p.max_delay);
-            self.stats.note_delay();
+            self.stats.bump(|c| c.delays += 1);
         }
         if p.reply_loss > 0.0 && self.rng.f64() < p.reply_loss {
             plan.reply_loss = true;
-            self.stats.note_reply_loss();
+            self.stats.bump(|c| c.reply_losses += 1);
         }
         plan
     }
@@ -337,7 +300,7 @@ impl FaultState {
     /// lost after execution.
     pub(crate) fn reply_lost(&mut self, host: u32, to_client: bool, now: SimTime) -> bool {
         if self.leg_blocked(host, to_client, now) {
-            self.stats.note_partition_drop();
+            self.stats.bump(|c| c.partition_drops += 1);
             return true;
         }
         if let Some(pos) = self
@@ -346,7 +309,7 @@ impl FaultState {
             .position(|&l| l == (host, to_client))
         {
             self.scripted_reply_losses.remove(pos);
-            self.stats.note_reply_loss();
+            self.stats.bump(|c| c.reply_losses += 1);
             return true;
         }
         false
@@ -444,18 +407,18 @@ mod tests {
         s.kill(1, false, 10);
         s.kill(1, false, 10);
         s.kill(1, false, 11);
-        assert_eq!(s.killed_attempts(), 3);
-        assert_eq!(s.outstanding_kills(), 3);
+        let c = s.get();
+        assert_eq!((c.killed_attempts, c.outstanding_kills), (3, 3));
         s.absorb(1, false, 10);
-        assert_eq!(s.retransmit_absorbed(), 2);
-        assert_eq!(s.outstanding_kills(), 1);
+        let c = s.get();
+        assert_eq!((c.retransmit_absorbed, c.outstanding_kills), (2, 1));
         assert_eq!(
-            s.killed_attempts(),
-            s.retransmit_absorbed() + s.outstanding_kills()
+            c.killed_attempts,
+            c.retransmit_absorbed + c.outstanding_kills
         );
         // Absorbing an unkilled call is a no-op.
         s.absorb(2, false, 99);
-        assert_eq!(s.retransmit_absorbed(), 2);
+        assert_eq!(s.get().retransmit_absorbed, 2);
     }
 
     #[test]
@@ -468,6 +431,6 @@ mod tests {
         );
         assert!(st.reply_lost(1, false, SimTime::ZERO));
         assert!(!st.reply_lost(1, false, SimTime::ZERO), "one-shot");
-        assert_eq!(st.stats.reply_losses(), 1);
+        assert_eq!(st.stats.get().reply_losses, 1);
     }
 }

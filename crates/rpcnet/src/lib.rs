@@ -27,7 +27,7 @@ mod transport;
 
 pub use caller::{Caller, CallerParams, RpcError};
 pub use endpoint::{Endpoint, EndpointParams};
-pub use fault::{FaultParams, FaultPlan, FaultStats, PartitionDir};
+pub use fault::{FaultCounts, FaultParams, FaultPlan, FaultStats, PartitionDir};
 pub use network::{NetParams, Network};
 pub use shard::ShardCaller;
 pub use transport::{Compoundable, TransportParams, TransportStats, BACKOFF_MAX};

@@ -1,7 +1,7 @@
 //! The network model: a half-duplex shared wire (classic Ethernet) or,
 //! optionally, a switched fabric with a full-duplex link per host.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -143,11 +143,7 @@ impl Network {
     /// default is inert; callers consult the layer per RPC attempt via
     /// [`plan_attempt`](Self::plan_attempt).
     pub fn set_faults(&self, params: FaultParams) {
-        let mut f = self.inner.faults.borrow_mut();
-        match f.as_mut() {
-            Some(st) => st.set_params(params),
-            None => *f = Some(FaultState::new(params)),
-        }
+        self.fault_state().set_params(params);
     }
 
     /// True once faults or partitions have been configured.
@@ -155,15 +151,16 @@ impl Network {
         self.inner.faults.borrow().is_some()
     }
 
-    /// The shared fault counters (installing inert fault state on first
-    /// use if none exists yet).
+    /// The fault state, installed inert on first use if none exists yet.
+    fn fault_state(&self) -> RefMut<'_, FaultState> {
+        RefMut::map(self.inner.faults.borrow_mut(), |f| {
+            f.get_or_insert_with(|| FaultState::new(FaultParams::default()))
+        })
+    }
+
+    /// The shared fault counters.
     pub fn fault_stats(&self) -> FaultStats {
-        self.inner
-            .faults
-            .borrow_mut()
-            .get_or_insert_with(|| FaultState::new(FaultParams::default()))
-            .stats
-            .clone()
+        self.fault_state().stats.clone()
     }
 
     /// Scripts a partition of `host` in direction `dir` lasting until
@@ -171,11 +168,7 @@ impl Network {
     /// partitions consume no randomness, so they never perturb the
     /// random fault stream.
     pub fn partition(&self, host: u32, dir: PartitionDir, until: SimTime) {
-        self.inner
-            .faults
-            .borrow_mut()
-            .get_or_insert_with(|| FaultState::new(FaultParams::default()))
-            .add_partition(host, dir, until);
+        self.fault_state().add_partition(host, dir, until);
         self.emit_fault(host, false, 0, "partition_begin");
     }
 
@@ -190,11 +183,7 @@ impl Network {
     /// fault link: the server executes, the response vanishes. One-shot;
     /// used by regression tests that need exactly one lost reply.
     pub fn lose_next_reply(&self, host: u32, to_client: bool) {
-        self.inner
-            .faults
-            .borrow_mut()
-            .get_or_insert_with(|| FaultState::new(FaultParams::default()))
-            .script_reply_loss(host, to_client);
+        self.fault_state().script_reply_loss(host, to_client);
     }
 
     /// Draws the fault verdict for one RPC attempt on the `(host,

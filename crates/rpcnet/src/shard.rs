@@ -308,8 +308,7 @@ impl ShardCaller {
                 .await?
             {
                 (NfsReply::Epoch(e), _) => total += e,
-                (NfsReply::Err(status), flag) => return Ok((NfsReply::Err(status), flag)),
-                (other, flag) => return Ok((other, flag)),
+                other => return Ok(other),
             }
         }
         Ok((NfsReply::Epoch(total), false))
@@ -326,8 +325,7 @@ impl ShardCaller {
             };
             match self.inner.callers[s].call_flagged(parent, req, bg).await? {
                 (NfsReply::Readdir { entries: e }, _) => entries.extend(e),
-                (NfsReply::Err(status), flag) => return Ok((NfsReply::Err(status), flag)),
-                (other, flag) => return Ok((other, flag)),
+                other => return Ok(other),
             }
         }
         entries.sort_by(|a, b| a.name.cmp(&b.name));

@@ -186,18 +186,18 @@ fn faulted_script(transport: TransportParams) -> Outcome {
     assert!(completed.iter().all(|name| executed.contains_key(name)));
     let fs = r.net.fault_stats();
     assert!(
-        fs.drops() > 0
-            && fs.dups() > 0
-            && fs.delays() > 0
-            && fs.reply_losses() > 1
-            && fs.partition_drops() > 0,
+        fs.get().drops > 0
+            && fs.get().dups > 0
+            && fs.get().delays > 0
+            && fs.get().reply_losses > 1
+            && fs.get().partition_drops > 0,
         "the script must exercise every fault arm"
     );
     // Kill conservation: what no retransmission absorbed belongs to calls
     // that gave up.
     assert_eq!(
-        fs.killed_attempts(),
-        fs.retransmit_absorbed() + fs.outstanding_kills()
+        fs.get().killed_attempts,
+        fs.get().retransmit_absorbed + fs.get().outstanding_kills
     );
     let events = r.tracer.finish();
     Outcome {
@@ -206,9 +206,9 @@ fn faulted_script(transport: TransportParams) -> Outcome {
         executions: r.ep.executions(),
         messages: r.net.messages(),
         completed: completed.len(),
-        killed: fs.killed_attempts(),
-        absorbed: fs.retransmit_absorbed(),
-        outstanding: fs.outstanding_kills(),
+        killed: fs.get().killed_attempts,
+        absorbed: fs.get().retransmit_absorbed,
+        outstanding: fs.get().outstanding_kills,
     }
 }
 

@@ -158,8 +158,8 @@ proptest! {
         // gave up.
         let fs = r.net.fault_stats();
         prop_assert_eq!(
-            fs.killed_attempts(),
-            fs.retransmit_absorbed() + fs.outstanding_kills()
+            fs.get().killed_attempts,
+            fs.get().retransmit_absorbed + fs.get().outstanding_kills
         );
     }
 
@@ -196,10 +196,10 @@ proptest! {
             (
                 r.sim.now().as_micros(),
                 executed,
-                fs.drops(),
-                fs.dups(),
-                fs.killed_attempts(),
-                fs.retransmit_absorbed(),
+                fs.get().drops,
+                fs.get().dups,
+                fs.get().killed_attempts,
+                fs.get().retransmit_absorbed,
             )
         };
         prop_assert_eq!(run(), run());

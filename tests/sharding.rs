@@ -275,7 +275,8 @@ fn cross_shard_ops_converge_under_seeded_faults() {
         "every rename crossed shards exactly once: {sh:?}"
     );
     let f = snap.faults.expect("faulted run has fault accounting");
-    assert!(f.drops + f.dups + f.delays + f.reply_losses > 0, "{f:?}");
+    let n = f.net;
+    assert!(n.drops + n.dups + n.delays + n.reply_losses > 0, "{f:?}");
     let report = tb.finish_trace().expect("trace was on");
     assert!(report.ok(), "violations: {:?}", report.violations);
 }
