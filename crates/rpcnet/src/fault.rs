@@ -15,7 +15,7 @@
 //! RNG draws and zero extra awaits, and every `table_5_*` artifact stays
 //! byte-identical (pinned by `tests/paper_baselines.rs`).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -132,7 +132,7 @@ pub struct FaultStats {
 #[derive(Default)]
 struct FaultStatsInner {
     counts: Cell<FaultCounts>,
-    kills: std::cell::RefCell<HashMap<(u32, bool, u64), u64>>,
+    kills: RefCell<HashMap<(u32, bool, u64), u64>>,
 }
 
 impl FaultStats {

@@ -30,7 +30,7 @@ pub use endpoint::{Endpoint, EndpointParams};
 pub use fault::{FaultCounts, FaultParams, FaultPlan, FaultStats, PartitionDir};
 pub use network::{NetParams, Network};
 pub use shard::ShardCaller;
-pub use transport::{Compoundable, TransportParams, TransportStats, BACKOFF_MAX};
+pub use transport::{Compoundable, TransportParams, TransportStats};
 
 use spritely_proto::{CallbackArg, CallbackReply, FileHandle, NfsProc, NfsReply, NfsRequest};
 

@@ -181,10 +181,8 @@ impl ShardCaller {
                 Ok(r) => r,
                 Err(status) => return Ok((NfsReply::Err(status), false)),
             };
-            match self.inner.callers[shard]
-                .call_flagged(parent, routed, bg)
-                .await?
-            {
+            let caller = &self.inner.callers[shard];
+            match caller.call_flagged(parent, routed, bg).await? {
                 (NfsReply::WrongShard { epoch, moves }, _) => {
                     self.inner.layout.borrow_mut().apply(epoch, &moves);
                     redirects += 1;
