@@ -25,6 +25,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use spritely_metrics::json::Writer;
+
 use crate::compare::{compare_json, CompareOptions};
 use crate::report;
 use crate::snapshot::TraceReport;
@@ -155,12 +157,15 @@ pub fn rendered(title: &str, body: &str) -> String {
 
 /// The ledger document for `fields`.
 pub fn ledger_json(fields: &[(String, String)]) -> String {
-    let mut json = String::from("{\"schema\":1");
-    for (k, v) in fields {
-        json.push_str(&format!(",\"{k}\":{v}"));
-    }
-    json.push_str("}\n");
-    json
+    let mut w = Writer::default();
+    w.obj(|w| {
+        w.key("schema").num(1);
+        for (k, v) in fields {
+            w.key(k).raw(v);
+        }
+    });
+    w.out.push('\n');
+    w.out
 }
 
 impl Entry {
@@ -349,11 +354,7 @@ mod tests {
         );
 
         // A drifted baseline, a hand-edited ledger, a missing ledger.
-        let root = scratch(
-            "drift",
-            "{\"schema\":1,\"n\":43}\n",
-            "Fake: a stand-in\nold\n",
-        );
+        let root = scratch("drift", r#"{"schema":1,"n":43}"#, "Fake: a stand-in\nold\n");
         assert_eq!(
             check(&root, &FAKE, &good),
             [
@@ -382,7 +383,10 @@ mod tests {
             read("artifacts/extra_section.txt"),
             "Extra section: more\nx\n"
         );
-        assert_eq!(read("BENCH_fake.json"), "{\"schema\":1,\"n\":42}\n");
+        assert_eq!(
+            read("BENCH_fake.json"),
+            r#"{"schema":1,"n":42}"#.to_string() + "\n"
+        );
         assert_eq!(read("artifacts/BENCH_fake.json"), read("BENCH_fake.json"));
         let _ = fs::remove_dir_all(&root);
     }

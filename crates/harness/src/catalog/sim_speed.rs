@@ -10,13 +10,14 @@
 use std::rc::Rc;
 use std::time::Instant;
 
+use spritely_metrics::json::Writer;
 use spritely_metrics::{OpCounter, TextTable};
 use spritely_proto::{ClientId, NfsReply, NfsRequest};
 use spritely_rpcnet::{Caller, CallerParams, Endpoint, EndpointParams, NetParams, Network};
 use spritely_sim::{Resource, Sim, SimDuration, SimStats};
 
 use super::{Entry, Outcome};
-use crate::{render_matrix, run_andrew, run_matrix, Experiment, Protocol, SimSnapshot};
+use crate::{render_matrix, run_andrew, run_matrix, MatrixResult, Protocol};
 
 /// `tasks` staggered tasks each run `iters` timeouts whose inner sleep
 /// always wins — every iteration abandons a 10 s guard timer, which the
@@ -117,31 +118,31 @@ fn reference_units_per_sec() -> f64 {
 struct Point {
     name: &'static str,
     wall_s: f64,
-    stats: SimSnapshot,
+    stats: SimStats,
 }
 
 impl Point {
     fn events_per_sec(&self) -> f64 {
-        self.stats.events_retired as f64 / self.wall_s
+        self.stats.events_retired() as f64 / self.wall_s
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"wall_ms\":{:.1},\"events_per_sec\":{:.0},\
-             \"events_retired\":{},\"polls\":{},\"stale_wakes\":{},\
-             \"timer_cancels\":{},\"peak_ready_depth\":{},\
-             \"peak_live_tasks\":{},\"peak_live_timers\":{}}}",
-            self.name,
-            self.wall_s * 1e3,
-            self.events_per_sec(),
-            self.stats.events_retired,
-            self.stats.polls,
-            self.stats.stale_wakes,
-            self.stats.timer_cancels,
-            self.stats.peak_ready_depth,
-            self.stats.peak_live_tasks,
-            self.stats.peak_live_timers
-        )
+    fn json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.key("name").str(self.name);
+            w.key("wall_ms")
+                .num(format_args!("{:.1}", self.wall_s * 1e3));
+            w.key("events_per_sec")
+                .num(format_args!("{:.0}", self.events_per_sec()));
+            w.nums(&[
+                ("events_retired", self.stats.events_retired()),
+                ("polls", self.stats.polls),
+                ("stale_wakes", self.stats.stale_wakes),
+                ("timer_cancels", self.stats.timer_cancels),
+                ("peak_ready_depth", self.stats.peak_ready_depth),
+                ("peak_live_tasks", self.stats.peak_live_tasks),
+                ("peak_live_timers", self.stats.peak_live_timers),
+            ]);
+        });
     }
 }
 
@@ -154,7 +155,7 @@ fn best_of(n: u32, name: &'static str, mut f: impl FnMut() -> (f64, SimStats)) -
     Point {
         name,
         wall_s,
-        stats: stats.into(),
+        stats,
     }
 }
 
@@ -189,19 +190,17 @@ pub(super) const SIM_SPEED: Entry = Entry {
             (Protocol::Nfs, false),
             (Protocol::Nfs, true),
         ];
-        let jobs: Vec<Experiment> = (1..)
-            .zip(jobs)
-            .map(|(seed, (protocol, tmp_remote))| Experiment::Andrew {
-                protocol,
-                tmp_remote,
-                seed,
-            })
-            .collect();
+        let job = |i: usize| {
+            let (seed, (protocol, tmp_remote)) = (i as u64 + 1, jobs[i]);
+            let r = run_andrew(protocol, tmp_remote, seed);
+            let label = format!("andrew {} seed={seed}", r.label());
+            MatrixResult::new(label, r.times.total(), &r.stats)
+        };
         let t0 = Instant::now();
-        let serial = run_matrix(&jobs, 1);
+        let serial = run_matrix(jobs.len(), 1, job);
         let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t0 = Instant::now();
-        let parallel = run_matrix(&jobs, 4);
+        let parallel = run_matrix(jobs.len(), 4, job);
         let parallel_ms = t0.elapsed().as_secs_f64() * 1e3;
         let byte_identical = serial == parallel;
         let matrix_speedup = serial_ms / parallel_ms;
@@ -224,7 +223,7 @@ pub(super) const SIM_SPEED: Entry = Entry {
                 p.name.to_string(),
                 format!("{:.1}", p.wall_s * 1e3),
                 format!("{:.0}", p.events_per_sec()),
-                p.stats.events_retired.to_string(),
+                p.stats.events_retired().to_string(),
                 p.stats.stale_wakes.to_string(),
                 p.stats.timer_cancels.to_string(),
                 p.stats.peak_live_timers.to_string(),
@@ -246,19 +245,19 @@ pub(super) const SIM_SPEED: Entry = Entry {
             ),
             ..Outcome::default()
         };
-        o.field(
-            "benches",
-            format!("[{},{},{}]", storm.json(), echo.json(), mix.json()),
-        );
-        o.field(
-            "matrix",
-            format!(
-                "{{\"jobs\":{},\"threads\":4,\"serial_ms\":{serial_ms:.1},\
-                 \"parallel_ms\":{parallel_ms:.1},\"speedup\":{matrix_speedup:.2},\
-                 \"cores\":{cores},\"byte_identical\":{byte_identical}}}",
-                jobs.len(),
-            ),
-        );
+        let mut benches = Writer::default();
+        benches.arr(|w| [&storm, &echo, &mix].iter().for_each(|p| p.json(w)));
+        o.field("benches", benches.out);
+        let mut matrix = Writer::default();
+        matrix.obj(|w| {
+            w.nums(&[("jobs", jobs.len() as u64), ("threads", 4)]);
+            w.key("serial_ms").num(format_args!("{serial_ms:.1}"));
+            w.key("parallel_ms").num(format_args!("{parallel_ms:.1}"));
+            w.key("speedup").num(format_args!("{matrix_speedup:.2}"));
+            w.key("cores").num(cores);
+            w.key("byte_identical").bool(byte_identical);
+        });
+        o.field("matrix", matrix.out);
         o.field("timer_storm_units_per_sec", format!("{units_per_sec:.0}"));
         o.field("pre_pr_units_per_sec", format!("{reference:.0}"));
         o.field("speedup_vs_pre_pr", format!("{vs_pre_pr:.2}"));

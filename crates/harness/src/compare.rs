@@ -2,8 +2,8 @@
 //!
 //! `spritely compare a.json b.json` turns the committed `baselines/`
 //! snapshots and the repo-root `BENCH_*.json` perf ledgers into an
-//! enforced gate: parse both documents (a tiny hand-rolled parser — no
-//! serde in this workspace), flatten every leaf to a dotted path
+//! enforced gate: parse both documents ([`spritely_metrics::json`]),
+//! flatten every leaf to a dotted path
 //! (`server_io.disk_writes`, `procs.3.p95_us`, …), and flag any numeric
 //! leaf whose relative change exceeds its threshold, plus any key that
 //! appeared or disappeared.
@@ -15,225 +15,7 @@
 
 use std::fmt::Write as _;
 
-/// Minimal JSON value (only what the artifacts need).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// Parses a JSON document. Object key order is preserved.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {s:?} at byte {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("short \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 is copied through verbatim.
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-}
+use spritely_metrics::json::{self, Value};
 
 /// One flattened leaf: dotted path plus its scalar value.
 #[derive(Debug, Clone, PartialEq)]
@@ -246,13 +28,13 @@ pub enum Leaf {
 /// document order. Array elements use their index as a path segment;
 /// arrays of objects with a recognizable name key (`proc`, `op`) use
 /// that name instead, so reordering-insensitive rows still line up.
-pub fn flatten(v: &Json) -> Vec<(String, Leaf)> {
+pub fn flatten(v: &Value) -> Vec<(String, Leaf)> {
     let mut out = Vec::new();
     walk("", v, &mut out);
     out
 }
 
-fn walk(prefix: &str, v: &Json, out: &mut Vec<(String, Leaf)>) {
+fn walk(prefix: &str, v: &Value, out: &mut Vec<(String, Leaf)>) {
     let join = |key: &str| {
         if prefix.is_empty() {
             key.to_string()
@@ -261,16 +43,16 @@ fn walk(prefix: &str, v: &Json, out: &mut Vec<(String, Leaf)>) {
         }
     };
     match v {
-        Json::Null => {}
-        Json::Bool(b) => out.push((prefix.to_string(), Leaf::Num(*b as u8 as f64))),
-        Json::Num(n) => out.push((prefix.to_string(), Leaf::Num(*n))),
-        Json::Str(s) => out.push((prefix.to_string(), Leaf::Str(s.clone()))),
-        Json::Obj(fields) => {
+        Value::Null => {}
+        Value::Bool(b) => out.push((prefix.to_string(), Leaf::Num(*b as u8 as f64))),
+        Value::Num(n) => out.push((prefix.to_string(), Leaf::Num(*n))),
+        Value::Str(s) => out.push((prefix.to_string(), Leaf::Str(s.clone()))),
+        Value::Obj(fields) => {
             for (k, v) in fields {
                 walk(&join(k), v, out);
             }
         }
-        Json::Arr(items) => {
+        Value::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
                 let seg = row_name(item).unwrap_or_else(|| i.to_string());
                 walk(&join(&seg), item, out);
@@ -280,18 +62,14 @@ fn walk(prefix: &str, v: &Json, out: &mut Vec<(String, Leaf)>) {
 }
 
 /// A stable row label for arrays of named records.
-fn row_name(v: &Json) -> Option<String> {
-    if let Json::Obj(fields) = v {
-        for name_key in ["proc", "op", "name", "id"] {
-            if let Some((_, Json::Str(s))) = fields.iter().find(|(k, _)| k == name_key) {
-                return Some(s.clone());
-            }
-            if let Some((_, Json::Num(n))) = fields.iter().find(|(k, _)| k == name_key) {
-                return Some(format!("{n}"));
-            }
-        }
-    }
-    None
+fn row_name(v: &Value) -> Option<String> {
+    ["proc", "op", "name", "id"]
+        .iter()
+        .find_map(|name_key| match v.get(name_key)? {
+            Value::Str(s) => Some(s.clone()),
+            Value::Num(n) => Some(format!("{n}")),
+            _ => None,
+        })
 }
 
 /// One flagged difference between the two documents.
@@ -412,8 +190,8 @@ pub fn compare_json(
     b_text: &str,
     opts: &CompareOptions,
 ) -> Result<CompareReport, String> {
-    let a = flatten(&parse_json(a_text).map_err(|e| format!("first document: {e}"))?);
-    let b = flatten(&parse_json(b_text).map_err(|e| format!("second document: {e}"))?);
+    let a = flatten(&json::parse(a_text).map_err(|e| format!("first document: {e}"))?);
+    let b = flatten(&json::parse(b_text).map_err(|e| format!("second document: {e}"))?);
     let b_map: std::collections::HashMap<&str, &Leaf> =
         b.iter().map(|(k, v)| (k.as_str(), v)).collect();
     let a_keys: std::collections::HashSet<&str> = a.iter().map(|(k, _)| k.as_str()).collect();
@@ -549,23 +327,10 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let doc = r#"{"s": "a\"b\\c\nd", "neg": -1.5e3, "deep": [[{"k": null}]]}"#;
-        let v = parse_json(doc).unwrap();
-        let flat = flatten(&v);
-        assert!(flat
-            .iter()
-            .any(|(k, v)| k == "s" && *v == Leaf::Str("a\"b\\c\nd".to_string())));
-        assert!(flat
-            .iter()
-            .any(|(k, v)| k == "neg" && *v == Leaf::Num(-1500.0)));
-    }
-
-    #[test]
     fn real_snapshot_roundtrips() {
         // A StatsSnapshot-shaped document parses and flattens.
         let doc = r#"{"protocol":"SNFS","rpc_total":123,"clients":[{"id":1,"cache_hits":10,"cache_misses":2,"dirty_blocks":0}],"server":null,"server_io":{"cache_hits":5,"cache_misses":1}}"#;
-        let flat = flatten(&parse_json(doc).unwrap());
+        let flat = flatten(&json::parse(doc).unwrap());
         assert!(flat.iter().any(|(k, _)| k == "clients.1.cache_hits"));
         assert!(flat.iter().any(|(k, _)| k == "server_io.cache_misses"));
     }

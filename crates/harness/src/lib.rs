@@ -35,15 +35,14 @@ pub use chaosx::{
 };
 pub use compare::{compare_json, CompareOptions, CompareReport};
 pub use flushx::{run_flush, run_flush_with, FlushRun};
-pub use matrix::{render_matrix, run_matrix, Experiment, MatrixResult};
+pub use matrix::{render_matrix, run_matrix, MatrixResult};
 pub use microx::{run_reopen, run_temp_lifetime, ReopenRun, TempLifetimeRun};
 pub use scaling::{
     run_scaling, run_scaling_shards, run_scaling_with, ScalingRun, ScalingShardsRun,
 };
 pub use snapshot::{
     ClientSnapshot, DelegationSnapshot, FaultSnapshot, ProfileSnapshot, ServerIoSnapshot,
-    ServerSnapshot, ShardSnapshot, ShardsSnapshot, SimSnapshot, StatsSnapshot, TraceReport,
-    TransportSnapshot,
+    ServerSnapshot, ShardSnapshot, ShardsSnapshot, StatsSnapshot, TraceReport, TransportSnapshot,
 };
 pub use sortx::{run_sort_experiment, run_sort_with, SortRun};
 pub use spritely_core::{

@@ -11,160 +11,38 @@
 //! including the serial `threads = 1` case; `tests/matrix.rs` pins that
 //! equality over random matrices.
 //!
+//! What a job *is* stays with the caller: a closure from the job's index
+//! to its result, over the same `run_*` functions everything else calls.
+//!
 //! [`Sim`]: spritely_sim::Sim
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use spritely_metrics::TextTable;
+use spritely_sim::SimDuration;
 
-use crate::{run_andrew, run_scaling, run_sort_experiment, Protocol};
+use crate::StatsSnapshot;
 
-/// One cell of an experiment matrix. Plain data (`Copy + Send`), so a
-/// worker thread can pick a job off the shared list and run it locally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Experiment {
-    /// Full Andrew benchmark (see [`run_andrew`]).
-    Andrew {
-        /// File service under test.
-        protocol: Protocol,
-        /// Put `/tmp` on the remote mount.
-        tmp_remote: bool,
-        /// Workload RNG seed.
-        seed: u64,
-    },
-    /// Sort benchmark (see [`run_sort_experiment`]).
-    Sort {
-        /// File service under test.
-        protocol: Protocol,
-        /// Input size in bytes.
-        input_bytes: u64,
-        /// Run the periodic update daemon.
-        update: bool,
-    },
-    /// Multi-client scaling run (see [`run_scaling`]).
-    Scaling {
-        /// File service under test.
-        protocol: Protocol,
-        /// Number of client hosts.
-        clients: usize,
-        /// Workload RNG seed.
-        seed: u64,
-    },
-}
-
-impl Experiment {
-    /// Deterministic row label: experiment kind plus every parameter.
-    pub fn label(&self) -> String {
-        match self {
-            Experiment::Andrew {
-                protocol,
-                tmp_remote,
-                seed,
-            } => format!(
-                "andrew {} tmp-{} seed={seed}",
-                protocol.label(),
-                if *tmp_remote { "rem" } else { "loc" },
-            ),
-            Experiment::Sort {
-                protocol,
-                input_bytes,
-                update,
-            } => format!(
-                "sort {} {}KB upd={}",
-                protocol.label(),
-                input_bytes / 1024,
-                if *update { "on" } else { "off" },
-            ),
-            Experiment::Scaling {
-                protocol,
-                clients,
-                seed,
-            } => format!("scaling {} n={clients} seed={seed}", protocol.label()),
-        }
-    }
-
-    /// Runs the experiment to completion on the calling thread.
-    fn run(&self) -> MatrixResult {
-        match *self {
-            Experiment::Andrew {
-                protocol,
-                tmp_remote,
-                seed,
-            } => {
-                let r = run_andrew(protocol, tmp_remote, seed);
-                MatrixResult {
-                    label: self.label(),
-                    elapsed_s: r.times.total().as_secs_f64(),
-                    rpc_total: r.stats.rpc_total,
-                    events_retired: r.stats.sim.events_retired,
-                    stats_json: r.stats.to_json(),
-                }
-            }
-            Experiment::Sort {
-                protocol,
-                input_bytes,
-                update,
-            } => {
-                let r = run_sort_experiment(protocol, input_bytes, update);
-                MatrixResult {
-                    label: self.label(),
-                    elapsed_s: r.elapsed.as_secs_f64(),
-                    rpc_total: r.stats.rpc_total,
-                    events_retired: r.stats.sim.events_retired,
-                    stats_json: r.stats.to_json(),
-                }
-            }
-            Experiment::Scaling {
-                protocol,
-                clients,
-                seed,
-            } => {
-                let r = run_scaling(protocol, clients, seed);
-                MatrixResult {
-                    label: self.label(),
-                    elapsed_s: r.makespan.as_secs_f64(),
-                    rpc_total: r.stats.rpc_total,
-                    events_retired: r.stats.sim.events_retired,
-                    stats_json: r.stats.to_json(),
-                }
-            }
-        }
-    }
-}
-
-/// The outcome of one matrix cell: a deterministic label, the headline
-/// numbers, and the full [`StatsSnapshot`](crate::StatsSnapshot) JSON.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixResult {
-    /// [`Experiment::label`] of the job that produced this result.
-    pub label: String,
-    /// Simulated elapsed seconds (benchmark total / makespan).
-    pub elapsed_s: f64,
-    /// Total RPCs the server endpoint served.
-    pub rpc_total: u64,
-    /// Scheduler events the run's executor retired.
-    pub events_retired: u64,
-    /// Full end-of-run statistics snapshot, serialized.
-    pub stats_json: String,
-}
-
-/// Runs every job in `jobs`, fanning across `threads` worker threads
+/// Runs `job(0) .. job(n - 1)`, fanning across `threads` worker threads
 /// (`0` or `1` means serial on the calling thread). Results come back
-/// in job order and are byte-identical for any thread count: each run
-/// is an isolated simulation, and results are placed by job index.
-pub fn run_matrix(jobs: &[Experiment], threads: usize) -> Vec<MatrixResult> {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(Experiment::run).collect();
+/// in job order whatever order they finished in, so when every job is
+/// an isolated simulation the output is byte-identical for any thread
+/// count.
+pub fn run_matrix<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(job).collect();
     }
-    let slots: Vec<Mutex<Option<MatrixResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len()) {
+        for _ in 0..threads.min(n) {
             scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let result = job.run();
+                if i >= n {
+                    break;
+                }
+                let result = job(i);
                 *slots[i].lock().expect("matrix slot poisoned") = Some(result);
             });
         }
@@ -177,6 +55,36 @@ pub fn run_matrix(jobs: &[Experiment], threads: usize) -> Vec<MatrixResult> {
                 .expect("worker completed every claimed job")
         })
         .collect()
+}
+
+/// The outcome of one matrix cell: a deterministic label, the headline
+/// numbers, and the full [`StatsSnapshot`] JSON.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MatrixResult {
+    /// Row label: the experiment and every parameter it ran with.
+    pub label: String,
+    /// Simulated elapsed seconds (benchmark total / makespan).
+    pub elapsed_s: f64,
+    /// Total RPCs the server endpoint served.
+    pub rpc_total: u64,
+    /// Scheduler events the run's executor retired.
+    pub events_retired: u64,
+    /// Full end-of-run statistics snapshot, serialized.
+    pub stats_json: String,
+}
+
+impl MatrixResult {
+    /// The cell for a finished run: its label, its simulated elapsed time
+    /// and its end-of-run snapshot.
+    pub fn new(label: String, elapsed: SimDuration, stats: &StatsSnapshot) -> Self {
+        MatrixResult {
+            label,
+            elapsed_s: elapsed.as_secs_f64(),
+            rpc_total: stats.rpc_total,
+            events_retired: stats.sim.events_retired(),
+            stats_json: stats.to_json(),
+        }
+    }
 }
 
 /// Renders matrix results as a table: one row per job, in job order.
@@ -198,34 +106,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_matrix_matches_serial_byte_for_byte() {
-        let jobs = [
-            Experiment::Sort {
-                protocol: Protocol::Nfs,
-                input_bytes: 281 * 1024,
-                update: true,
-            },
-            Experiment::Sort {
-                protocol: Protocol::Snfs,
-                input_bytes: 281 * 1024,
-                update: true,
-            },
-            Experiment::Andrew {
-                protocol: Protocol::Snfs,
-                tmp_remote: false,
-                seed: 42,
-            },
-            Experiment::Scaling {
-                protocol: Protocol::Snfs,
-                clients: 2,
-                seed: 7,
-            },
-        ];
-        let serial = run_matrix(&jobs, 1);
-        let parallel = run_matrix(&jobs, 4);
-        assert_eq!(serial, parallel, "thread count changed a result");
-        let table = render_matrix(&serial);
-        assert!(table.contains("andrew SNFS tmp-loc seed=42"));
-        assert!(table.contains("scaling SNFS n=2 seed=7"));
+    fn results_come_back_in_job_order_for_any_thread_count() {
+        for n in [0, 1, 2, 7] {
+            let serial: Vec<usize> = (0..n).map(|i| i * i).collect();
+            for threads in [0, 1, 2, 3, 16] {
+                assert_eq!(run_matrix(n, threads, |i| i * i), serial, "{n} x {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_job_runs_exactly_once() {
+        let runs: Vec<AtomicUsize> = (0..9).map(|_| AtomicUsize::new(0)).collect();
+        run_matrix(runs.len(), 4, |i| runs[i].fetch_add(1, Ordering::Relaxed));
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
     }
 }

@@ -361,44 +361,6 @@ pub fn delegation_table(rows: &[(&str, &crate::DelegationSnapshot)]) -> String {
     t.render()
 }
 
-/// Executor-counter comparison: what the discrete-event scheduler did
-/// during each run — events retired, polls, timer traffic, and the
-/// slab/heap/queue high-water marks that proxy memory footprint.
-///
-/// Each row is `(label, end-of-run sim snapshot)` — see
-/// [`crate::SimSnapshot`].
-pub fn sim_table(rows: &[(&str, &crate::SimSnapshot)]) -> String {
-    let mut t = TextTable::new(vec![
-        "Config",
-        "events",
-        "polls",
-        "tasks",
-        "stale wakes",
-        "timers",
-        "fires",
-        "cancels",
-        "peak ready",
-        "peak tasks",
-        "peak timers",
-    ]);
-    for (label, s) in rows {
-        t.row(vec![
-            label.to_string(),
-            s.events_retired.to_string(),
-            s.polls.to_string(),
-            s.tasks_spawned.to_string(),
-            s.stale_wakes.to_string(),
-            s.timers_registered.to_string(),
-            s.timer_fires.to_string(),
-            s.timer_cancels.to_string(),
-            s.peak_ready_depth.to_string(),
-            s.peak_live_tasks.to_string(),
-            s.peak_live_timers.to_string(),
-        ]);
-    }
-    t.render()
-}
-
 /// Renders the chaos harness's fault accounting: every injected fault
 /// and where it was absorbed (retransmission or duplicate cache). The
 /// final column is the conservation residue `killed − absorbed −

@@ -7,6 +7,8 @@
 //! can consume.
 
 use spritely_core::{ClientStats, DelegationStats, ServerStats};
+use spritely_metrics::json::Writer;
+use spritely_sim::SimStats;
 use spritely_trace::{check_trace, to_chrome_json, to_jsonl, TraceEvent, Violation};
 
 /// One client host's counters at the end of a run.
@@ -100,54 +102,6 @@ pub struct FaultSnapshot {
     /// Duplicated callback deliveries absorbed by the clients' sequence
     /// guards (summed across clients).
     pub callback_dupes: u64,
-}
-
-/// Executor counters for the run: what the discrete-event scheduler
-/// itself did. `events_retired = polls + timer_fires` is the numerator
-/// of the `sim_speed` events/sec figure, and the `peak_*` fields are a
-/// memory-footprint proxy (slab / heap / queue high-water marks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimSnapshot {
-    /// Scheduler events retired: task polls + timer firings.
-    pub events_retired: u64,
-    /// Task polls performed.
-    pub polls: u64,
-    /// Tasks spawned.
-    pub tasks_spawned: u64,
-    /// Ready-queue pops for already-finished tasks.
-    pub stale_wakes: u64,
-    /// Timers registered.
-    pub timers_registered: u64,
-    /// Timers that fired.
-    pub timer_fires: u64,
-    /// Timers cancelled before firing (dropped `Sleep`s).
-    pub timer_cancels: u64,
-    /// Distinct instants the virtual clock visited.
-    pub clock_advances: u64,
-    /// High-water mark of the ready queue.
-    pub peak_ready_depth: u64,
-    /// High-water mark of live tasks.
-    pub peak_live_tasks: u64,
-    /// High-water mark of live timers.
-    pub peak_live_timers: u64,
-}
-
-impl From<spritely_sim::SimStats> for SimSnapshot {
-    fn from(s: spritely_sim::SimStats) -> Self {
-        SimSnapshot {
-            events_retired: s.events_retired(),
-            polls: s.polls,
-            tasks_spawned: s.tasks_spawned,
-            stale_wakes: s.stale_wakes,
-            timers_registered: s.timers_registered,
-            timer_fires: s.timer_fires,
-            timer_cancels: s.timer_cancels,
-            clock_advances: s.clock_advances,
-            peak_ready_depth: s.peak_ready_depth,
-            peak_live_tasks: s.peak_live_tasks,
-            peak_live_timers: s.peak_live_timers,
-        }
-    }
 }
 
 /// Compact summary of a trace-replay latency profile (DESIGN.md §16):
@@ -268,7 +222,7 @@ pub struct ServerSnapshot {
 }
 
 /// Unified, serializable view of every statistics structure a run
-/// produces. `to_json` is hand-rolled (stable field order, no deps).
+/// produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
     /// Protocol label ("SNFS", "NFS", ...).
@@ -283,8 +237,11 @@ pub struct StatsSnapshot {
     pub server_io: ServerIoSnapshot,
     /// Transport-pipeline counters (all protocols).
     pub transport: TransportSnapshot,
-    /// Executor counters (all protocols).
-    pub sim: SimSnapshot,
+    /// Executor counters (all protocols): what the discrete-event
+    /// scheduler itself did. [`SimStats::events_retired`] is the
+    /// numerator of the `sim_speed` events/sec figure, and the `peak_*`
+    /// fields are a memory-footprint proxy.
+    pub sim: SimStats,
     /// Fault-injection accounting (None unless faults were configured;
     /// a fault-free snapshot serializes without this field).
     pub faults: Option<FaultSnapshot>,
@@ -303,203 +260,186 @@ impl StatsSnapshot {
     /// Serializes the snapshot as a single JSON object with stable field
     /// order (byte-identical across identical runs).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"protocol\":\"{}\",\"rpc_total\":{},\"clients\":[",
-            self.protocol, self.rpc_total
-        ));
-        for (i, c) in self.clients.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"id\":{},\"cache_hits\":{},\"cache_misses\":{},\"dirty_blocks\":{}",
-                c.id, c.cache_hits, c.cache_misses, c.dirty_blocks
-            ));
-            if let Some(s) = &c.snfs {
-                out.push_str(&format!(
-                    ",\"cancelled_blocks\":{},\"written_back_blocks\":{},\
-                     \"callbacks_served\":{},\"invalidations\":{},\"local_reopens\":{},\
-                     \"recoveries\":{},\"name_cache_hits\":{},\"writeback_failures\":{},\
-                     \"attr_piggybacks\":{}",
-                    s.cancelled_blocks,
-                    s.written_back_blocks,
-                    s.callbacks_served,
-                    s.invalidations,
-                    s.local_reopens,
-                    s.recoveries,
-                    s.name_cache_hits,
-                    s.writeback_failures,
-                    s.attr_piggybacks
-                ));
-            }
-            out.push('}');
-        }
-        out.push_str("],\"server\":");
-        match &self.server {
-            None => out.push_str("null"),
-            Some(s) => out.push_str(&format!(
-                "{{\"callbacks_sent\":{},\"callbacks_failed\":{},\"reclaim_passes\":{},\
-                 \"callback_peak\":{},\"table_entries\":{}}}",
-                s.stats.callbacks_sent,
-                s.stats.callbacks_failed,
-                s.stats.reclaim_passes,
-                s.callback_peak,
-                s.table_entries
-            )),
-        }
-        let io = &self.server_io;
-        out.push_str(&format!(
-            ",\"server_io\":{{\"cache_hits\":{},\"cache_misses\":{},\
-             \"disk_reads\":{},\"disk_writes\":{},\"disk_queue_peak\":{},\
-             \"disk_requests\":{},\"disk_wait_ms_sum\":{},\"disk_wait_ms_max\":{},\
-             \"disk_pos_ms_sum\":{}}}",
-            io.cache_hits,
-            io.cache_misses,
-            io.disk_reads,
-            io.disk_writes,
-            io.disk_queue_peak,
-            io.disk_requests,
-            io.disk_wait_ms_sum,
-            io.disk_wait_ms_max,
-            io.disk_pos_ms_sum
-        ));
-        let t = &self.transport;
-        out.push_str(&format!(
-            ",\"transport\":{{\"net_messages\":{},\"net_bytes\":{},\
-             \"wire_busy_ms\":{},\"batches\":{},\"batched_calls\":{},\
-             \"max_batch\":{},\"saved_round_trips\":{},\"attr_elisions\":{},\
-             \"saved_per_proc\":{{",
-            t.net_messages,
-            t.net_bytes,
-            t.wire_busy_ms,
-            t.batches,
-            t.batched_calls,
-            t.max_batch,
-            t.saved_round_trips,
-            t.attr_elisions
-        ));
-        for (i, (p, n)) in t.saved_per_proc.nonzero().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", p.name(), n));
-        }
-        out.push_str("}}");
-        let s = &self.sim;
-        out.push_str(&format!(
-            ",\"sim\":{{\"events_retired\":{},\"polls\":{},\"tasks_spawned\":{},\
-             \"stale_wakes\":{},\"timers_registered\":{},\"timer_fires\":{},\
-             \"timer_cancels\":{},\"clock_advances\":{},\"peak_ready_depth\":{},\
-             \"peak_live_tasks\":{},\"peak_live_timers\":{}}}",
-            s.events_retired,
-            s.polls,
-            s.tasks_spawned,
-            s.stale_wakes,
-            s.timers_registered,
-            s.timer_fires,
-            s.timer_cancels,
-            s.clock_advances,
-            s.peak_ready_depth,
-            s.peak_live_tasks,
-            s.peak_live_timers
-        ));
-        if let Some(f) = &self.faults {
-            out.push_str(&format!(
-                ",\"faults\":{{\"drops\":{},\"dups\":{},\"delays\":{},\
-                 \"reply_losses\":{},\"partition_drops\":{},\"killed_attempts\":{},\
-                 \"retransmit_absorbed\":{},\"outstanding_kills\":{},\
-                 \"dup_cache_hits\":{},\"dup_cache_joins\":{},\
-                 \"callback_retries\":{},\"callback_dupes\":{}}}",
-                f.net.drops,
-                f.net.dups,
-                f.net.delays,
-                f.net.reply_losses,
-                f.net.partition_drops,
-                f.net.killed_attempts,
-                f.net.retransmit_absorbed,
-                f.net.outstanding_kills,
-                f.dup_cache_hits,
-                f.dup_cache_joins,
-                f.callback_retries,
-                f.callback_dupes
-            ));
-        }
-        if let Some(p) = &self.profile {
-            out.push_str(&format!(
-                ",\"profile\":{{\"spans\":{},\"rpcs\":{},\
-                 \"claimed\":{{\"op\":{},\"callback\":{},\"background\":{},\
-                 \"incomplete\":{}}},\"total_op_us\":{},\"attributed_us\":{},\
-                 \"phase_us\":{{",
-                p.spans,
-                p.rpcs,
-                p.claimed_op,
-                p.claimed_callback,
-                p.claimed_background,
-                p.claimed_incomplete,
-                p.total_op_us,
-                p.attributed_us
-            ));
-            for (i, (name, us)) in p.phase_us.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        let mut w = Writer::default();
+        w.obj(|w| {
+            w.key("protocol").str(&self.protocol);
+            w.nums(&[("rpc_total", self.rpc_total)]);
+            w.key("clients").arr(|w| {
+                for c in &self.clients {
+                    w.obj(|w| client_json(w, c));
                 }
-                out.push_str(&format!("\"{name}\":{us}"));
+            });
+            w.key("server");
+            match &self.server {
+                None => w.null(),
+                Some(s) => w.obj(|w| {
+                    w.nums(&[
+                        ("callbacks_sent", s.stats.callbacks_sent),
+                        ("callbacks_failed", s.stats.callbacks_failed),
+                        ("reclaim_passes", s.stats.reclaim_passes),
+                        ("callback_peak", s.callback_peak),
+                        ("table_entries", s.table_entries),
+                    ]);
+                }),
+            };
+            let io = &self.server_io;
+            w.key("server_io").obj(|w| {
+                w.nums(&[
+                    ("cache_hits", io.cache_hits),
+                    ("cache_misses", io.cache_misses),
+                    ("disk_reads", io.disk_reads),
+                    ("disk_writes", io.disk_writes),
+                    ("disk_queue_peak", io.disk_queue_peak),
+                    ("disk_requests", io.disk_requests),
+                    ("disk_wait_ms_sum", io.disk_wait_ms_sum),
+                    ("disk_wait_ms_max", io.disk_wait_ms_max),
+                    ("disk_pos_ms_sum", io.disk_pos_ms_sum),
+                ]);
+            });
+            let t = &self.transport;
+            w.key("transport").obj(|w| {
+                w.nums(&[
+                    ("net_messages", t.net_messages),
+                    ("net_bytes", t.net_bytes),
+                    ("wire_busy_ms", t.wire_busy_ms),
+                    ("batches", t.batches),
+                    ("batched_calls", t.batched_calls),
+                    ("max_batch", t.max_batch),
+                    ("saved_round_trips", t.saved_round_trips),
+                    ("attr_elisions", t.attr_elisions),
+                ]);
+                w.key("saved_per_proc").obj(|w| {
+                    for (p, n) in t.saved_per_proc.nonzero() {
+                        w.key(p.name()).num(n);
+                    }
+                });
+            });
+            // `tasks_completed` is the one executor counter left out: it
+            // was never part of the committed format.
+            let s = &self.sim;
+            w.key("sim").obj(|w| {
+                w.nums(&[
+                    ("events_retired", s.events_retired()),
+                    ("polls", s.polls),
+                    ("tasks_spawned", s.tasks_spawned),
+                    ("stale_wakes", s.stale_wakes),
+                    ("timers_registered", s.timers_registered),
+                    ("timer_fires", s.timer_fires),
+                    ("timer_cancels", s.timer_cancels),
+                    ("clock_advances", s.clock_advances),
+                    ("peak_ready_depth", s.peak_ready_depth),
+                    ("peak_live_tasks", s.peak_live_tasks),
+                    ("peak_live_timers", s.peak_live_timers),
+                ]);
+            });
+            if let Some(f) = &self.faults {
+                w.key("faults").obj(|w| {
+                    w.nums(&[
+                        ("drops", f.net.drops),
+                        ("dups", f.net.dups),
+                        ("delays", f.net.delays),
+                        ("reply_losses", f.net.reply_losses),
+                        ("partition_drops", f.net.partition_drops),
+                        ("killed_attempts", f.net.killed_attempts),
+                        ("retransmit_absorbed", f.net.retransmit_absorbed),
+                        ("outstanding_kills", f.net.outstanding_kills),
+                        ("dup_cache_hits", f.dup_cache_hits),
+                        ("dup_cache_joins", f.dup_cache_joins),
+                        ("callback_retries", f.callback_retries),
+                        ("callback_dupes", f.callback_dupes),
+                    ]);
+                });
             }
-            out.push_str("}}");
-        }
-        if let Some(d) = &self.delegation {
-            let s = &d.stats;
-            out.push_str(&format!(
-                ",\"delegation\":{{\"grants_read\":{},\"grants_write\":{},\
-                 \"local_opens\":{},\"local_closes\":{},\"recalls\":{},\
-                 \"returns\":{},\"revokes\":{},\"held\":{},\
-                 \"recall_latency_buckets\":[{},{},{},{},{}]}}",
-                s.grants_read,
-                s.grants_write,
-                s.local_opens,
-                s.local_closes,
-                s.recalls,
-                s.returns,
-                s.revokes,
-                d.held,
-                s.recall_latency.buckets[0],
-                s.recall_latency.buckets[1],
-                s.recall_latency.buckets[2],
-                s.recall_latency.buckets[3],
-                s.recall_latency.buckets[4]
-            ));
-        }
-        if let Some(sh) = &self.shards {
-            out.push_str(&format!(
-                ",\"shards\":{{\"n\":{},\"peak_client_kb\":{},\"per_shard\":[",
-                sh.n, sh.peak_client_kb
-            ));
-            for (i, s) in sh.shards.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"shard\":{},\"rpcs\":{},\"dup_hits\":{},\"table_entries\":{},\
-                     \"cross_renames\":{},\"cross_links\":{},\"wrong_shard_replies\":{},\
-                     \"busy_rejections\":{},\"lock_contention\":{},\"dup_contention\":{}}}",
-                    s.shard,
-                    s.rpcs,
-                    s.dup_hits,
-                    s.table_entries,
-                    s.cross_renames,
-                    s.cross_links,
-                    s.wrong_shard_replies,
-                    s.busy_rejections,
-                    s.lock_contention,
-                    s.dup_contention
-                ));
+            if let Some(p) = &self.profile {
+                w.key("profile").obj(|w| {
+                    w.nums(&[("spans", p.spans), ("rpcs", p.rpcs)]);
+                    w.key("claimed").obj(|w| {
+                        w.nums(&[
+                            ("op", p.claimed_op),
+                            ("callback", p.claimed_callback),
+                            ("background", p.claimed_background),
+                            ("incomplete", p.claimed_incomplete),
+                        ]);
+                    });
+                    w.nums(&[
+                        ("total_op_us", p.total_op_us),
+                        ("attributed_us", p.attributed_us),
+                    ]);
+                    w.key("phase_us").obj(|w| {
+                        w.nums(&p.phase_us);
+                    });
+                });
             }
-            out.push_str("]}");
-        }
-        out.push('}');
-        out
+            if let Some(d) = &self.delegation {
+                let s = &d.stats;
+                w.key("delegation").obj(|w| {
+                    w.nums(&[
+                        ("grants_read", s.grants_read),
+                        ("grants_write", s.grants_write),
+                        ("local_opens", s.local_opens),
+                        ("local_closes", s.local_closes),
+                        ("recalls", s.recalls),
+                        ("returns", s.returns),
+                        ("revokes", s.revokes),
+                        ("held", d.held),
+                    ]);
+                    w.key("recall_latency_buckets").arr(|w| {
+                        for n in s.recall_latency.buckets {
+                            w.num(n);
+                        }
+                    });
+                });
+            }
+            if let Some(sh) = &self.shards {
+                w.key("shards").obj(|w| {
+                    w.nums(&[("n", sh.n), ("peak_client_kb", sh.peak_client_kb)]);
+                    w.key("per_shard").arr(|w| {
+                        for s in &sh.shards {
+                            w.obj(|w| shard_json(w, s));
+                        }
+                    });
+                });
+            }
+        });
+        w.out
     }
+}
+
+fn client_json(w: &mut Writer, c: &ClientSnapshot) {
+    w.nums(&[
+        ("id", c.id.into()),
+        ("cache_hits", c.cache_hits),
+        ("cache_misses", c.cache_misses),
+        ("dirty_blocks", c.dirty_blocks),
+    ]);
+    if let Some(s) = &c.snfs {
+        w.nums(&[
+            ("cancelled_blocks", s.cancelled_blocks),
+            ("written_back_blocks", s.written_back_blocks),
+            ("callbacks_served", s.callbacks_served),
+            ("invalidations", s.invalidations),
+            ("local_reopens", s.local_reopens),
+            ("recoveries", s.recoveries),
+            ("name_cache_hits", s.name_cache_hits),
+            ("writeback_failures", s.writeback_failures),
+            ("attr_piggybacks", s.attr_piggybacks),
+        ]);
+    }
+}
+
+fn shard_json(w: &mut Writer, s: &ShardSnapshot) {
+    w.nums(&[
+        ("shard", s.shard.into()),
+        ("rpcs", s.rpcs),
+        ("dup_hits", s.dup_hits),
+        ("table_entries", s.table_entries),
+        ("cross_renames", s.cross_renames),
+        ("cross_links", s.cross_links),
+        ("wrong_shard_replies", s.wrong_shard_replies),
+        ("busy_rejections", s.busy_rejections),
+        ("lock_contention", s.lock_contention),
+        ("dup_contention", s.dup_contention),
+    ]);
 }
 
 /// A finished, checked trace: the event log plus every invariant

@@ -766,7 +766,7 @@ impl Testbed {
                 attr_elisions,
                 saved_per_proc: ts.saved.snapshot(),
             },
-            sim: self.sim.stats().into(),
+            sim: self.sim.stats(),
             faults: self.net.faults_active().then(|| FaultSnapshot {
                 net: self.net.fault_stats().get(),
                 dup_cache_hits,

@@ -11,10 +11,12 @@
 //! [`OpCounter`] and [`RateSeries`] provide the raw data for the last two;
 //! [`LatencyStats`] adds per-procedure latency distributions (count, mean,
 //! percentiles) a modern release would ship; [`TextTable`] renders
-//! paper-style tables from any of them.
+//! paper-style tables from any of them. [`json`] owns the one serialization
+//! format the artifacts use.
 
 mod counter;
 mod hist;
+pub mod json;
 mod latency;
 mod series;
 mod table;

@@ -731,54 +731,13 @@ pub fn kind_counts(events: &[TraceEvent]) -> Vec<(&'static str, usize)> {
     let mut order: Vec<&'static str> = Vec::new();
     let mut counts: HashMap<&'static str, usize> = HashMap::new();
     for e in events {
-        let name = kind_name(&e.kind);
+        let name = e.kind.name();
         if !counts.contains_key(name) {
             order.push(name);
         }
         *counts.entry(name).or_insert(0) += 1;
     }
     order.into_iter().map(|n| (n, counts[n])).collect()
-}
-
-pub fn kind_name(kind: &EventKind) -> &'static str {
-    match kind {
-        EventKind::Meta { .. } => "meta",
-        EventKind::OpBegin { .. } => "op_begin",
-        EventKind::OpEnd { .. } => "op_end",
-        EventKind::RpcCall { .. } => "rpc_call",
-        EventKind::RpcReply { .. } => "rpc_reply",
-        EventKind::RpcXmit { .. } => "rpc_xmit",
-        EventKind::RpcArrive { .. } => "rpc_arrive",
-        EventKind::HandlerBegin { .. } => "handler_begin",
-        EventKind::HandlerEnd { .. } => "handler_end",
-        EventKind::Transition { .. } => "transition",
-        EventKind::CallbackBegin { .. } => "cb_begin",
-        EventKind::CallbackEnd { .. } => "cb_end",
-        EventKind::FlushBegin { .. } => "flush_begin",
-        EventKind::FlushEnd { .. } => "flush_end",
-        EventKind::BlockDirty { .. } => "block_dirty",
-        EventKind::CacheRead { .. } => "cache_read",
-        EventKind::OpenGrant { .. } => "open_grant",
-        EventKind::Invalidate { .. } => "invalidate",
-        EventKind::WriteCancel { .. } => "write_cancel",
-        EventKind::FsyncOk { .. } => "fsync_ok",
-        EventKind::ServerCrash => "server_crash",
-        EventKind::DiskQueue { .. } => "disk_queue",
-        EventKind::DiskDone { .. } => "disk_done",
-        EventKind::SrvCacheRead { .. } => "srv_cache_read",
-        EventKind::NetXmit { .. } => "net_xmit",
-        EventKind::Batch { .. } => "batch",
-        EventKind::Fault { .. } => "fault",
-        EventKind::DelegGrant { .. } => "deleg_grant",
-        EventKind::DelegRecall { .. } => "deleg_recall",
-        EventKind::DelegReturn { .. } => "deleg_return",
-        EventKind::DelegLocalOpen { .. } => "deleg_local_open",
-        EventKind::ShardRoute { .. } => "shard_route",
-        EventKind::ShardMove { .. } => "shard_move",
-        EventKind::ShardTxBegin { .. } => "shard_tx_begin",
-        EventKind::ShardTxPrepared { .. } => "shard_tx_prepared",
-        EventKind::ShardTxEnd { .. } => "shard_tx_end",
-    }
 }
 
 #[cfg(test)]

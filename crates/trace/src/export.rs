@@ -1,743 +1,195 @@
 //! Trace serialization: JSONL (the byte-stable regression format) and
 //! Chrome `trace_event` JSON (loadable in Perfetto / chrome://tracing).
+//! Both are generic over the event table ([`EventKind::name`],
+//! [`EventKind::fields`]); the only per-event knowledge here is
+//! [`lane`], where the Chrome export draws each kind.
 
-use std::fmt::Write as _;
+use spritely_metrics::json::Writer;
 
-use crate::{json_escape, EventKind, TraceEvent};
+use crate::{EventKind, TraceEvent, Val};
+
+fn field(w: &mut Writer, key: &str, v: Val<'_>) {
+    w.key(key);
+    match v {
+        Val::Num(n) => w.num(n),
+        Val::Bool(b) => w.bool(b),
+        Val::Str(s) => w.str(s),
+        Val::Fh(fh) => w.str(fh),
+    };
+}
 
 /// Serialize a trace as JSON Lines: one event per line, fixed field
 /// order, no floats. Identical seeds yield byte-identical output.
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
+    let mut w = Writer::with_capacity(events.len() * 96);
     for e in events {
-        write_event_json(&mut out, e);
-        out.push('\n');
+        w.obj(|w| {
+            w.nums(&[("seq", e.seq), ("t", e.t_us), ("par", e.parent)]);
+            w.key("ev").str(e.kind.name());
+            e.kind.fields(&mut |k, v| field(w, k, v));
+        });
+        w.out.push('\n');
     }
-    out
-}
-
-fn write_event_json(out: &mut String, e: &TraceEvent) {
-    let _ = write!(
-        out,
-        "{{\"seq\":{},\"t\":{},\"par\":{}",
-        e.seq, e.t_us, e.parent
-    );
-    match &e.kind {
-        EventKind::Meta { key, value } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"meta\",\"key\":\"{}\",\"value\":\"{}\"",
-                json_escape(key),
-                json_escape(value)
-            );
-        }
-        EventKind::OpBegin { client, op, fh } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"op_begin\",\"client\":{},\"op\":\"{}\",\"fh\":\"{}\"",
-                client.0, op, fh
-            );
-        }
-        EventKind::OpEnd { client, op, ok } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"op_end\",\"client\":{},\"op\":\"{}\",\"ok\":{}",
-                client.0, op, ok
-            );
-        }
-        EventKind::RpcCall {
-            from,
-            xid,
-            proc,
-            fh,
-            offset,
-            len,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"rpc_call\",\"from\":{},\"xid\":{},\"proc\":\"{}\"",
-                from.0,
-                xid,
-                proc.name()
-            );
-            if let Some(fh) = fh {
-                let _ = write!(out, ",\"fh\":\"{fh}\"");
-            }
-            let _ = write!(out, ",\"off\":{offset},\"len\":{len}");
-        }
-        EventKind::RpcReply {
-            from,
-            xid,
-            proc,
-            ok,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"rpc_reply\",\"from\":{},\"xid\":{},\"proc\":\"{}\",\"ok\":{}",
-                from.0,
-                xid,
-                proc.name(),
-                ok
-            );
-        }
-        EventKind::RpcXmit { from, xid } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"rpc_xmit\",\"from\":{},\"xid\":{}",
-                from.0, xid
-            );
-        }
-        EventKind::RpcArrive { from, xid, dup } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"rpc_arrive\",\"from\":{},\"xid\":{},\"dup\":{}",
-                from.0, xid, dup
-            );
-        }
-        EventKind::HandlerBegin { from, xid, proc } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"handler_begin\",\"from\":{},\"xid\":{},\"proc\":\"{}\"",
-                from.0,
-                xid,
-                proc.name()
-            );
-        }
-        EventKind::HandlerEnd {
-            from,
-            xid,
-            proc,
-            ok,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"handler_end\",\"from\":{},\"xid\":{},\"proc\":\"{}\",\"ok\":{}",
-                from.0,
-                xid,
-                proc.name(),
-                ok
-            );
-        }
-        EventKind::Transition {
-            fh,
-            cause,
-            client,
-            from,
-            to,
-            version,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"transition\",\"fh\":\"{}\",\"cause\":\"{}\",\"client\":{},\"from\":\"{}\",\"to\":\"{}\",\"ver\":{}",
-                fh,
-                cause.name(),
-                client.0,
-                from.name(),
-                to.name(),
-                version
-            );
-        }
-        EventKind::CallbackBegin {
-            target,
-            fh,
-            writeback,
-            invalidate,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"cb_begin\",\"target\":{},\"fh\":\"{}\",\"writeback\":{},\"invalidate\":{}",
-                target.0, fh, writeback, invalidate
-            );
-        }
-        EventKind::CallbackEnd { target, fh, ok } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"cb_end\",\"target\":{},\"fh\":\"{}\",\"ok\":{}",
-                target.0, fh, ok
-            );
-        }
-        EventKind::FlushBegin { client, fh, direct } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"flush_begin\",\"client\":{},\"fh\":\"{}\",\"direct\":{}",
-                client.0, fh, direct
-            );
-        }
-        EventKind::FlushEnd { client, fh, ok } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"flush_end\",\"client\":{},\"fh\":\"{}\",\"ok\":{}",
-                client.0, fh, ok
-            );
-        }
-        EventKind::BlockDirty { client, fh, blk } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"block_dirty\",\"client\":{},\"fh\":\"{}\",\"blk\":{}",
-                client.0, fh, blk
-            );
-        }
-        EventKind::CacheRead {
-            client,
-            fh,
-            version,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"cache_read\",\"client\":{},\"fh\":\"{}\",\"ver\":{}",
-                client.0, fh, version
-            );
-        }
-        EventKind::OpenGrant {
-            client,
-            fh,
-            version,
-            prev_version,
-            cache_enabled,
-            write,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"open_grant\",\"client\":{},\"fh\":\"{}\",\"ver\":{},\"prev\":{},\"cache\":{},\"write\":{}",
-                client.0, fh, version, prev_version, cache_enabled, write
-            );
-        }
-        EventKind::Invalidate { client, fh } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"invalidate\",\"client\":{},\"fh\":\"{}\"",
-                client.0, fh
-            );
-        }
-        EventKind::WriteCancel {
-            client,
-            fh,
-            from_blk,
-            blocks,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"write_cancel\",\"client\":{},\"fh\":\"{}\",\"from_blk\":{},\"blocks\":{}",
-                client.0, fh, from_blk, blocks
-            );
-        }
-        EventKind::FsyncOk { client, fh } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"fsync_ok\",\"client\":{},\"fh\":\"{}\"",
-                client.0, fh
-            );
-        }
-        EventKind::ServerCrash => {
-            let _ = write!(out, ",\"ev\":\"server_crash\"");
-        }
-        EventKind::DiskQueue {
-            disk,
-            req,
-            block,
-            write,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"disk_queue\",\"disk\":\"{}\",\"req\":{},\"blk\":{},\"write\":{}",
-                json_escape(disk),
-                req,
-                block,
-                write
-            );
-        }
-        EventKind::DiskDone {
-            disk,
-            req,
-            block,
-            write,
-            wait_us,
-            pos_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"disk_done\",\"disk\":\"{}\",\"req\":{},\"blk\":{},\"write\":{},\"wait\":{},\"pos\":{}",
-                json_escape(disk),
-                req,
-                block,
-                write,
-                wait_us,
-                pos_us
-            );
-        }
-        EventKind::SrvCacheRead { ino, blk, hit } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"srv_cache_read\",\"ino\":{ino},\"blk\":{blk},\"hit\":{hit}"
-            );
-        }
-        EventKind::NetXmit {
-            host,
-            to_server,
-            bytes,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"net_xmit\",\"host\":{host},\"up\":{to_server},\"bytes\":{bytes}"
-            );
-        }
-        EventKind::Batch {
-            from,
-            id,
-            count,
-            reply,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"batch\",\"from\":{},\"id\":{id},\"count\":{count},\"reply\":{reply}",
-                from.0
-            );
-        }
-        EventKind::Fault {
-            host,
-            to_client,
-            xid,
-            kind,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"fault\",\"host\":{host},\"to_client\":{to_client},\"xid\":{xid},\"kind\":\"{kind}\""
-            );
-        }
-        EventKind::DelegGrant { client, fh, write } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"deleg_grant\",\"client\":{},\"fh\":\"{}\",\"write\":{}",
-                client.0, fh, write
-            );
-        }
-        EventKind::DelegRecall { client, fh } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"deleg_recall\",\"client\":{},\"fh\":\"{}\"",
-                client.0, fh
-            );
-        }
-        EventKind::DelegReturn {
-            client,
-            fh,
-            revoked,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"deleg_return\",\"client\":{},\"fh\":\"{}\",\"revoked\":{}",
-                client.0, fh, revoked
-            );
-        }
-        EventKind::DelegLocalOpen { client, fh, write } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"deleg_local_open\",\"client\":{},\"fh\":\"{}\",\"write\":{}",
-                client.0, fh, write
-            );
-        }
-        EventKind::ShardRoute { shard, name, epoch } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"shard_route\",\"shard\":{shard},\"name\":\"{}\",\"epoch\":{epoch}",
-                json_escape(name)
-            );
-        }
-        EventKind::ShardMove {
-            from_name,
-            to_name,
-            shard,
-            epoch,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"shard_move\",\"from\":\"{}\",\"to\":\"{}\",\"shard\":{shard},\"epoch\":{epoch}",
-                json_escape(from_name),
-                json_escape(to_name)
-            );
-        }
-        EventKind::ShardTxBegin {
-            txid,
-            from_shard,
-            to_shard,
-            from_name,
-            to_name,
-            link,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"shard_tx_begin\",\"txid\":{txid},\"from_shard\":{from_shard},\"to_shard\":{to_shard},\"from\":\"{}\",\"to\":\"{}\",\"link\":{link}",
-                json_escape(from_name),
-                json_escape(to_name)
-            );
-        }
-        EventKind::ShardTxPrepared { txid, existed } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"shard_tx_prepared\",\"txid\":{txid},\"existed\":{existed}"
-            );
-        }
-        EventKind::ShardTxEnd { txid, committed } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"shard_tx_end\",\"txid\":{txid},\"committed\":{committed}"
-            );
-        }
-    }
-    out.push('}');
+    w.out
 }
 
 /// Pid used for server-side rows in the Chrome export.
 const SERVER_PID: u32 = 0;
 
-/// Serialize a trace in the Chrome `trace_event` format. Open
-/// `ui.perfetto.dev` and drop the file in. Server-side work appears
-/// under pid 0; each client under its own pid.
-pub fn to_chrome_json(events: &[TraceEvent]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&line);
-    };
-    // Process-name metadata rows.
-    let mut pids: Vec<u32> = events.iter().filter_map(|e| chrome_pid(&e.kind)).collect();
-    pids.push(SERVER_PID);
-    pids.sort_unstable();
-    pids.dedup();
-    for pid in pids {
-        let name = if pid == SERVER_PID {
-            "server".to_string()
-        } else {
-            format!("client {pid}")
-        };
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-            &mut out,
-        );
-    }
-    for e in events {
-        if let Some(line) = chrome_event(e) {
-            push(line, &mut out);
-        }
-    }
-    out.push_str("\n]}\n");
-    out
+/// Where the Chrome export draws one event: the process (machine), the
+/// thread within it, and — for the two ends of a span — how.
+struct Lane<'a> {
+    pid: u32,
+    tid: u32,
+    span: Option<Span<'a>>,
 }
 
-fn chrome_pid(kind: &EventKind) -> Option<u32> {
-    match kind {
-        EventKind::OpBegin { client, .. }
-        | EventKind::OpEnd { client, .. }
-        | EventKind::FlushBegin { client, .. }
-        | EventKind::FlushEnd { client, .. }
-        | EventKind::BlockDirty { client, .. }
+/// One end of a span. Every span is drawn as an async `b`/`e` pair, not
+/// a `B`/`E` duration slice: slices must nest LIFO on their thread, and
+/// no lane here can promise that — one client's handlers run
+/// concurrently on the server, callbacks to one target and pooled
+/// flushes overlap, and a host may run several application processes.
+struct Span<'a> {
+    /// The span family; `cat` of both rows, which also scopes their `id`.
+    cat: &'static str,
+    /// What a human reads on the slice: the op, the procedure, the disk.
+    /// The same text at both ends (viewers match on it).
+    name: &'a str,
+    open: bool,
+    /// With `name`, the `id` that pairs the two ends, unique within
+    /// `cat`: the `seq` of the opening event, which the closing event
+    /// carries as its `parent` — or, disk requests being emitted
+    /// unparented, the disk's own request number.
+    key: u64,
+}
+
+fn lane(e: &TraceEvent) -> Lane<'_> {
+    let at = |pid, tid| Lane {
+        pid,
+        tid,
+        span: None,
+    };
+    let span = |pid, tid, cat, name, (open, key)| Lane {
+        pid,
+        tid,
+        span: Some(Span {
+            cat,
+            name,
+            open,
+            key,
+        }),
+    };
+    let (open, close) = ((true, e.seq), (false, e.parent));
+    match &e.kind {
+        EventKind::Meta { .. } => at(SERVER_PID, 0),
+        // Thread 1 of a client: its operations and what they do to the cache.
+        EventKind::OpBegin { client, op, .. } => span(client.0, 1, "op", op, open),
+        EventKind::OpEnd { client, op, .. } => span(client.0, 1, "op", op, close),
+        EventKind::BlockDirty { client, .. }
         | EventKind::CacheRead { client, .. }
+        | EventKind::OpenGrant { client, .. }
         | EventKind::Invalidate { client, .. }
         | EventKind::WriteCancel { client, .. }
         | EventKind::FsyncOk { client, .. }
-        | EventKind::OpenGrant { client, .. }
-        | EventKind::DelegLocalOpen { client, .. } => Some(client.0),
-        EventKind::RpcCall { from, .. }
-        | EventKind::RpcReply { from, .. }
-        | EventKind::RpcXmit { from, .. }
-        | EventKind::RpcArrive { from, .. } => Some(from.0),
-        _ => None,
+        | EventKind::DelegLocalOpen { client, .. } => at(client.0, 1),
+        // Thread 2: the RPC layer, caller side on the client (pid 0 for
+        // server-originated callbacks), arrivals on the server.
+        EventKind::RpcCall { from, proc, .. } => span(from.0, 2, "rpc", proc.name(), open),
+        EventKind::RpcReply { from, proc, .. } => span(from.0, 2, "rpc", proc.name(), close),
+        EventKind::RpcXmit { from, .. } => at(from.0, 2),
+        EventKind::RpcArrive { .. } => at(SERVER_PID, 2),
+        // Server threads 100 + c and 200 + c: work for, and callbacks to, client c.
+        EventKind::HandlerBegin { from, proc, .. } => {
+            span(SERVER_PID, 100 + from.0, "handler", proc.name(), open)
+        }
+        EventKind::HandlerEnd { from, proc, .. } => {
+            span(SERVER_PID, 100 + from.0, "handler", proc.name(), close)
+        }
+        EventKind::CallbackBegin { target, .. } => {
+            span(SERVER_PID, 200 + target.0, "callback", "callback", open)
+        }
+        EventKind::CallbackEnd { target, .. } => {
+            span(SERVER_PID, 200 + target.0, "callback", "callback", close)
+        }
+        EventKind::FlushBegin { client, .. } => span(client.0, 3, "flush", "flush", open),
+        EventKind::FlushEnd { client, .. } => span(client.0, 3, "flush", "flush", close),
+        EventKind::DiskQueue { disk, req, .. } => span(SERVER_PID, 4, "disk", disk, (true, *req)),
+        EventKind::DiskDone { disk, req, .. } => span(SERVER_PID, 4, "disk", disk, (false, *req)),
+        EventKind::SrvCacheRead { .. } => at(SERVER_PID, 5),
+        // Thread 6 of the sending host: what went onto its wire.
+        EventKind::NetXmit { host, .. } | EventKind::Fault { host, .. } => at(*host, 6),
+        EventKind::Batch { from, .. } => at(from.0, 6),
+        EventKind::ShardRoute { .. }
+        | EventKind::ShardMove { .. }
+        | EventKind::ShardTxBegin { .. }
+        | EventKind::ShardTxPrepared { .. }
+        | EventKind::ShardTxEnd { .. } => at(SERVER_PID, 7),
+        // Any other kind is an instant on the server's state-table thread
+        // (transitions, delegation grants and recalls, the crash marker).
+        _ => at(SERVER_PID, 1),
     }
 }
 
-fn span(ph: char, pid: u32, tid: u32, name: &str, t: u64) -> String {
-    format!(
-        "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{t},\"name\":\"{}\",\"cat\":\"snfs\"}}",
-        json_escape(name)
-    )
+/// Serialize a trace in the Chrome `trace_event` format. Open
+/// `ui.perfetto.dev` and drop the file in. Server-side work appears
+/// under pid 0, each client host under its own pid. One row per event,
+/// in event order, after one `process_name` row per pid: an instant is
+/// named by [`EventKind::name`], a span end by its [`Span::name`], and
+/// every row carries the event's [`EventKind::fields`] as `args`.
+pub fn to_chrome_json(events: &[TraceEvent]) -> String {
+    let mut pids: Vec<u32> = events.iter().map(|e| lane(e).pid).collect();
+    pids.push(SERVER_PID);
+    pids.sort_unstable();
+    pids.dedup();
+    let mut w = Writer::with_capacity(events.len() * 160);
+    w.obj(|w| {
+        w.key("traceEvents").arr(|w| {
+            for pid in pids {
+                w.line().obj(|w| {
+                    w.key("ph").str("M");
+                    w.nums(&[("pid", pid.into()), ("tid", 0)]);
+                    w.key("name").str("process_name");
+                    w.key("args").obj(|w| {
+                        w.key("name");
+                        match pid {
+                            SERVER_PID => w.str("server"),
+                            _ => w.str(format_args!("client {pid}")),
+                        };
+                    });
+                });
+            }
+            for e in events {
+                w.line();
+                row(w, e);
+            }
+        });
+    });
+    w.out.push('\n');
+    w.out
 }
 
-fn instant(pid: u32, tid: u32, name: &str, t: u64, args: &str) -> String {
-    format!(
-        "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{t},\"s\":\"t\",\"name\":\"{}\",\"cat\":\"snfs\",\"args\":{{{args}}}}}",
-        json_escape(name)
-    )
-}
-
-fn chrome_event(e: &TraceEvent) -> Option<String> {
-    let t = e.t_us;
-    Some(match &e.kind {
-        EventKind::Meta { key, value } => instant(
-            SERVER_PID,
-            0,
-            &format!("meta {key}"),
-            t,
-            &format!("\"value\":\"{}\"", json_escape(value)),
-        ),
-        EventKind::OpBegin { client, op, fh } => {
-            span('B', client.0, 1, &format!("{op} {fh}"), t)
+fn row(w: &mut Writer, e: &TraceEvent) {
+    let Lane { pid, tid, span } = lane(e);
+    w.obj(|w| {
+        w.key("ph").str(match &span {
+            None => "i",
+            Some(s) if s.open => "b",
+            Some(_) => "e",
+        });
+        w.nums(&[("pid", pid.into()), ("tid", tid.into()), ("ts", e.t_us)]);
+        match span {
+            None => {
+                w.key("s").str("t");
+                w.key("name").str(e.kind.name()).key("cat").str("event");
+            }
+            Some(s) => {
+                w.key("id").str(format_args!("{}:{}", s.name, s.key));
+                w.key("name").str(s.name).key("cat").str(s.cat);
+            }
         }
-        EventKind::OpEnd { client, op, .. } => span('E', client.0, 1, op, t),
-        EventKind::RpcCall { from, xid, proc, .. } => format!(
-            "{{\"ph\":\"b\",\"pid\":{},\"tid\":2,\"ts\":{t},\"id\":{xid},\"name\":\"{}\",\"cat\":\"rpc\"}}",
-            from.0,
-            proc.name()
-        ),
-        EventKind::RpcReply { from, xid, proc, .. } => format!(
-            "{{\"ph\":\"e\",\"pid\":{},\"tid\":2,\"ts\":{t},\"id\":{xid},\"name\":\"{}\",\"cat\":\"rpc\"}}",
-            from.0,
-            proc.name()
-        ),
-        EventKind::RpcXmit { from, xid } => {
-            instant(from.0, 2, &format!("xmit xid {xid}"), t, "")
-        }
-        EventKind::RpcArrive { from, xid, dup } => instant(
-            SERVER_PID,
-            2,
-            &format!(
-                "arrive c{} xid {xid}{}",
-                from.0,
-                if *dup { " (dup)" } else { "" }
-            ),
-            t,
-            "",
-        ),
-        EventKind::HandlerBegin { from, proc, .. } => span(
-            'B',
-            SERVER_PID,
-            100 + from.0,
-            &format!("{} (c{})", proc.name(), from.0),
-            t,
-        ),
-        EventKind::HandlerEnd { from, proc, .. } => {
-            span('E', SERVER_PID, 100 + from.0, proc.name(), t)
-        }
-        EventKind::Transition {
-            fh,
-            cause,
-            from,
-            to,
-            ..
-        } => instant(
-            SERVER_PID,
-            1,
-            &format!("{fh}: {} -> {} ({})", from.name(), to.name(), cause.name()),
-            t,
-            "",
-        ),
-        EventKind::CallbackBegin { target, fh, .. } => span(
-            'B',
-            SERVER_PID,
-            200 + target.0,
-            &format!("callback c{} {fh}", target.0),
-            t,
-        ),
-        EventKind::CallbackEnd { target, .. } => {
-            span('E', SERVER_PID, 200 + target.0, "callback", t)
-        }
-        EventKind::FlushBegin { client, fh, direct } => span(
-            'B',
-            client.0,
-            3,
-            &format!("flush {fh}{}", if *direct { " (direct)" } else { "" }),
-            t,
-        ),
-        EventKind::FlushEnd { client, .. } => span('E', client.0, 3, "flush", t),
-        EventKind::BlockDirty { client, fh, blk } => {
-            instant(client.0, 1, &format!("dirty {fh}#{blk}"), t, "")
-        }
-        EventKind::CacheRead { client, fh, version } => instant(
-            client.0,
-            1,
-            &format!("cache read {fh} v{version}"),
-            t,
-            "",
-        ),
-        EventKind::OpenGrant {
-            client,
-            fh,
-            version,
-            cache_enabled,
-            ..
-        } => instant(
-            client.0,
-            1,
-            &format!(
-                "grant {fh} v{version}{}",
-                if *cache_enabled { "" } else { " (no cache)" }
-            ),
-            t,
-            "",
-        ),
-        EventKind::Invalidate { client, fh } => {
-            instant(client.0, 1, &format!("invalidate {fh}"), t, "")
-        }
-        EventKind::WriteCancel {
-            client, fh, blocks, ..
-        } => instant(client.0, 1, &format!("cancel {fh} ({blocks} blks)"), t, ""),
-        EventKind::FsyncOk { client, fh } => {
-            instant(client.0, 1, &format!("fsync ok {fh}"), t, "")
-        }
-        EventKind::ServerCrash => instant(SERVER_PID, 1, "SERVER CRASH", t, ""),
-        EventKind::DiskQueue {
-            disk, req, block, write,
-        } => format!(
-            "{{\"ph\":\"b\",\"pid\":{SERVER_PID},\"tid\":4,\"ts\":{t},\"id\":{req},\"name\":\"{} {} blk {block}\",\"cat\":\"disk\"}}",
-            json_escape(disk),
-            if *write { "w" } else { "r" },
-        ),
-        EventKind::DiskDone { disk, req, .. } => format!(
-            "{{\"ph\":\"e\",\"pid\":{SERVER_PID},\"tid\":4,\"ts\":{t},\"id\":{req},\"name\":\"{}\",\"cat\":\"disk\"}}",
-            json_escape(disk),
-        ),
-        EventKind::SrvCacheRead { ino, blk, hit } => instant(
-            SERVER_PID,
-            5,
-            &format!(
-                "srv cache {} {ino}#{blk}",
-                if *hit { "hit" } else { "miss" }
-            ),
-            t,
-            "",
-        ),
-        EventKind::NetXmit {
-            host,
-            to_server,
-            bytes,
-        } => instant(
-            *host,
-            6,
-            &format!("xmit {} {bytes}B", if *to_server { "up" } else { "down" }),
-            t,
-            "",
-        ),
-        EventKind::Batch {
-            from, id, count, reply,
-        } => instant(
-            from.0,
-            6,
-            &format!(
-                "batch {}#{id} x{count}",
-                if *reply { "reply" } else { "req" }
-            ),
-            t,
-            "",
-        ),
-        EventKind::Fault {
-            host,
-            to_client,
-            kind,
-            ..
-        } => instant(
-            *host,
-            6,
-            &format!(
-                "fault {kind} {}",
-                if *to_client { "to-client" } else { "to-server" }
-            ),
-            t,
-            "",
-        ),
-        EventKind::DelegGrant { client, fh, write } => instant(
-            SERVER_PID,
-            1,
-            &format!(
-                "deleg grant c{} {fh} ({})",
-                client.0,
-                if *write { "write" } else { "read" }
-            ),
-            t,
-            "",
-        ),
-        EventKind::DelegRecall { client, fh } => instant(
-            SERVER_PID,
-            1,
-            &format!("deleg recall c{} {fh}", client.0),
-            t,
-            "",
-        ),
-        EventKind::DelegReturn {
-            client,
-            fh,
-            revoked,
-        } => instant(
-            SERVER_PID,
-            1,
-            &format!(
-                "deleg {} c{} {fh}",
-                if *revoked { "revoke" } else { "return" },
-                client.0
-            ),
-            t,
-            "",
-        ),
-        EventKind::DelegLocalOpen { client, fh, write } => instant(
-            client.0,
-            1,
-            &format!(
-                "local open {fh} ({})",
-                if *write { "write" } else { "read" }
-            ),
-            t,
-            "",
-        ),
-        EventKind::ShardRoute { shard, name, epoch } => instant(
-            SERVER_PID,
-            7,
-            &format!("shard {shard} serves \"{name}\" (e{epoch})"),
-            t,
-            "",
-        ),
-        EventKind::ShardMove {
-            from_name,
-            to_name,
-            shard,
-            epoch,
-        } => instant(
-            SERVER_PID,
-            7,
-            &format!("move \"{from_name}\" -> \"{to_name}\" @ shard {shard} (e{epoch})"),
-            t,
-            "",
-        ),
-        EventKind::ShardTxBegin {
-            txid,
-            from_shard,
-            to_shard,
-            link,
-            ..
-        } => instant(
-            SERVER_PID,
-            7,
-            &format!(
-                "tx {txid} begin {} s{from_shard}->s{to_shard}",
-                if *link { "link" } else { "rename" }
-            ),
-            t,
-            "",
-        ),
-        EventKind::ShardTxPrepared { txid, existed } => instant(
-            SERVER_PID,
-            7,
-            &format!(
-                "tx {txid} prepared{}",
-                if *existed { " (target existed)" } else { "" }
-            ),
-            t,
-            "",
-        ),
-        EventKind::ShardTxEnd { txid, committed } => instant(
-            SERVER_PID,
-            7,
-            &format!(
-                "tx {txid} {}",
-                if *committed { "committed" } else { "aborted" }
-            ),
-            t,
-            "",
-        ),
-    })
+        w.key("args")
+            .obj(|w| e.kind.fields(&mut |k, v| field(w, k, v)));
+    });
 }
 
 #[cfg(test)]

@@ -116,7 +116,8 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// What happened. Field order here fixes the JSONL field order.
+/// What happened. [`EventKind::name`] and [`EventKind::fields`] below are
+/// the serialized form of each kind.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// Run-level metadata (protocol, thread counts, seed, …).
@@ -416,21 +417,357 @@ impl Tracer {
     }
 }
 
-/// Escape a string for inclusion in a JSON double-quoted literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// One field's value, as [`EventKind::fields`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Val<'a> {
+    Num(u64),
+    Bool(bool),
+    Str(&'a str),
+    /// A file handle; serialized as the string its `Display` prints.
+    Fh(FileHandle),
+}
+
+fn id(c: &ClientId) -> Val<'static> {
+    Val::Num(c.0.into())
+}
+
+/// The event table: what each kind is called and which fields it
+/// carries. Everything that serializes, counts or draws events
+/// ([`to_jsonl`], [`to_chrome_json`], [`check::kind_counts`]) is generic
+/// over these two methods; both matches are exhaustive, so a new variant
+/// does not compile until it has a name and its fields.
+impl EventKind {
+    /// The `ev` value of the JSONL line.
+    pub fn name(&self) -> &'static str {
+        match self {
+            EventKind::Meta { .. } => "meta",
+            EventKind::OpBegin { .. } => "op_begin",
+            EventKind::OpEnd { .. } => "op_end",
+            EventKind::RpcCall { .. } => "rpc_call",
+            EventKind::RpcReply { .. } => "rpc_reply",
+            EventKind::RpcXmit { .. } => "rpc_xmit",
+            EventKind::RpcArrive { .. } => "rpc_arrive",
+            EventKind::HandlerBegin { .. } => "handler_begin",
+            EventKind::HandlerEnd { .. } => "handler_end",
+            EventKind::Transition { .. } => "transition",
+            EventKind::CallbackBegin { .. } => "cb_begin",
+            EventKind::CallbackEnd { .. } => "cb_end",
+            EventKind::FlushBegin { .. } => "flush_begin",
+            EventKind::FlushEnd { .. } => "flush_end",
+            EventKind::BlockDirty { .. } => "block_dirty",
+            EventKind::CacheRead { .. } => "cache_read",
+            EventKind::OpenGrant { .. } => "open_grant",
+            EventKind::Invalidate { .. } => "invalidate",
+            EventKind::WriteCancel { .. } => "write_cancel",
+            EventKind::FsyncOk { .. } => "fsync_ok",
+            EventKind::ServerCrash => "server_crash",
+            EventKind::DiskQueue { .. } => "disk_queue",
+            EventKind::DiskDone { .. } => "disk_done",
+            EventKind::SrvCacheRead { .. } => "srv_cache_read",
+            EventKind::NetXmit { .. } => "net_xmit",
+            EventKind::Batch { .. } => "batch",
+            EventKind::Fault { .. } => "fault",
+            EventKind::DelegGrant { .. } => "deleg_grant",
+            EventKind::DelegRecall { .. } => "deleg_recall",
+            EventKind::DelegReturn { .. } => "deleg_return",
+            EventKind::DelegLocalOpen { .. } => "deleg_local_open",
+            EventKind::ShardRoute { .. } => "shard_route",
+            EventKind::ShardMove { .. } => "shard_move",
+            EventKind::ShardTxBegin { .. } => "shard_tx_begin",
+            EventKind::ShardTxPrepared { .. } => "shard_tx_prepared",
+            EventKind::ShardTxEnd { .. } => "shard_tx_end",
         }
     }
-    out
+
+    /// Hands `f` every field as `(key, value)`, in the order the JSONL
+    /// line lists them after `ev`. The keys are the format; the struct
+    /// field names are free to differ (`version` is written `ver`).
+    pub fn fields<'a>(&'a self, f: &mut dyn FnMut(&'static str, Val<'a>)) {
+        use Val::{Bool, Fh, Num, Str};
+        match self {
+            EventKind::Meta { key, value } => {
+                f("key", Str(key));
+                f("value", Str(value));
+            }
+            EventKind::OpBegin { client, op, fh } => {
+                f("client", id(client));
+                f("op", Str(op));
+                f("fh", Fh(*fh));
+            }
+            EventKind::OpEnd { client, op, ok } => {
+                f("client", id(client));
+                f("op", Str(op));
+                f("ok", Bool(*ok));
+            }
+            EventKind::RpcCall {
+                from,
+                xid,
+                proc,
+                fh,
+                offset,
+                len,
+            } => {
+                f("from", id(from));
+                f("xid", Num(*xid));
+                f("proc", Str(proc.name()));
+                if let Some(fh) = fh {
+                    f("fh", Fh(*fh));
+                }
+                f("off", Num(*offset));
+                f("len", Num(*len));
+            }
+            EventKind::RpcReply {
+                from,
+                xid,
+                proc,
+                ok,
+            } => {
+                f("from", id(from));
+                f("xid", Num(*xid));
+                f("proc", Str(proc.name()));
+                f("ok", Bool(*ok));
+            }
+            EventKind::RpcXmit { from, xid } => {
+                f("from", id(from));
+                f("xid", Num(*xid));
+            }
+            EventKind::RpcArrive { from, xid, dup } => {
+                f("from", id(from));
+                f("xid", Num(*xid));
+                f("dup", Bool(*dup));
+            }
+            EventKind::HandlerBegin { from, xid, proc } => {
+                f("from", id(from));
+                f("xid", Num(*xid));
+                f("proc", Str(proc.name()));
+            }
+            EventKind::HandlerEnd {
+                from,
+                xid,
+                proc,
+                ok,
+            } => {
+                f("from", id(from));
+                f("xid", Num(*xid));
+                f("proc", Str(proc.name()));
+                f("ok", Bool(*ok));
+            }
+            EventKind::Transition {
+                fh,
+                cause,
+                client,
+                from,
+                to,
+                version,
+            } => {
+                f("fh", Fh(*fh));
+                f("cause", Str(cause.name()));
+                f("client", id(client));
+                f("from", Str(from.name()));
+                f("to", Str(to.name()));
+                f("ver", Num(*version));
+            }
+            EventKind::CallbackBegin {
+                target,
+                fh,
+                writeback,
+                invalidate,
+            } => {
+                f("target", id(target));
+                f("fh", Fh(*fh));
+                f("writeback", Bool(*writeback));
+                f("invalidate", Bool(*invalidate));
+            }
+            EventKind::CallbackEnd { target, fh, ok } => {
+                f("target", id(target));
+                f("fh", Fh(*fh));
+                f("ok", Bool(*ok));
+            }
+            EventKind::FlushBegin { client, fh, direct } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+                f("direct", Bool(*direct));
+            }
+            EventKind::FlushEnd { client, fh, ok } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+                f("ok", Bool(*ok));
+            }
+            EventKind::BlockDirty { client, fh, blk } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+                f("blk", Num(*blk));
+            }
+            EventKind::CacheRead {
+                client,
+                fh,
+                version,
+            } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+                f("ver", Num(*version));
+            }
+            EventKind::OpenGrant {
+                client,
+                fh,
+                version,
+                prev_version,
+                cache_enabled,
+                write,
+            } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+                f("ver", Num(*version));
+                f("prev", Num(*prev_version));
+                f("cache", Bool(*cache_enabled));
+                f("write", Bool(*write));
+            }
+            EventKind::Invalidate { client, fh } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+            }
+            EventKind::WriteCancel {
+                client,
+                fh,
+                from_blk,
+                blocks,
+            } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+                f("from_blk", Num(*from_blk));
+                f("blocks", Num(*blocks));
+            }
+            EventKind::FsyncOk { client, fh } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+            }
+            EventKind::ServerCrash => {}
+            EventKind::DiskQueue {
+                disk,
+                req,
+                block,
+                write,
+            } => {
+                f("disk", Str(disk));
+                f("req", Num(*req));
+                f("blk", Num(*block));
+                f("write", Bool(*write));
+            }
+            EventKind::DiskDone {
+                disk,
+                req,
+                block,
+                write,
+                wait_us,
+                pos_us,
+            } => {
+                f("disk", Str(disk));
+                f("req", Num(*req));
+                f("blk", Num(*block));
+                f("write", Bool(*write));
+                f("wait", Num(*wait_us));
+                f("pos", Num(*pos_us));
+            }
+            EventKind::SrvCacheRead { ino, blk, hit } => {
+                f("ino", Num(*ino));
+                f("blk", Num(*blk));
+                f("hit", Bool(*hit));
+            }
+            EventKind::NetXmit {
+                host,
+                to_server,
+                bytes,
+            } => {
+                f("host", Num((*host).into()));
+                f("up", Bool(*to_server));
+                f("bytes", Num(*bytes));
+            }
+            EventKind::Batch {
+                from,
+                id: batch,
+                count,
+                reply,
+            } => {
+                f("from", id(from));
+                f("id", Num(*batch));
+                f("count", Num(*count));
+                f("reply", Bool(*reply));
+            }
+            EventKind::Fault {
+                host,
+                to_client,
+                xid,
+                kind,
+            } => {
+                f("host", Num((*host).into()));
+                f("to_client", Bool(*to_client));
+                f("xid", Num(*xid));
+                f("kind", Str(kind));
+            }
+            EventKind::DelegGrant { client, fh, write } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+                f("write", Bool(*write));
+            }
+            EventKind::DelegRecall { client, fh } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+            }
+            EventKind::DelegReturn {
+                client,
+                fh,
+                revoked,
+            } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+                f("revoked", Bool(*revoked));
+            }
+            EventKind::DelegLocalOpen { client, fh, write } => {
+                f("client", id(client));
+                f("fh", Fh(*fh));
+                f("write", Bool(*write));
+            }
+            EventKind::ShardRoute { shard, name, epoch } => {
+                f("shard", Num((*shard).into()));
+                f("name", Str(name));
+                f("epoch", Num(*epoch));
+            }
+            EventKind::ShardMove {
+                from_name,
+                to_name,
+                shard,
+                epoch,
+            } => {
+                f("from", Str(from_name));
+                f("to", Str(to_name));
+                f("shard", Num((*shard).into()));
+                f("epoch", Num(*epoch));
+            }
+            EventKind::ShardTxBegin {
+                txid,
+                from_shard,
+                to_shard,
+                from_name,
+                to_name,
+                link,
+            } => {
+                f("txid", Num(*txid));
+                f("from_shard", Num((*from_shard).into()));
+                f("to_shard", Num((*to_shard).into()));
+                f("from", Str(from_name));
+                f("to", Str(to_name));
+                f("link", Bool(*link));
+            }
+            EventKind::ShardTxPrepared { txid, existed } => {
+                f("txid", Num(*txid));
+                f("existed", Bool(*existed));
+            }
+            EventKind::ShardTxEnd { txid, committed } => {
+                f("txid", Num(*txid));
+                f("committed", Bool(*committed));
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -302,7 +302,7 @@ impl Profile {
             let _ = write!(
                 s,
                 "    {{\"op\": \"{}\", \"count\": {}, \"total_us\": {}, \"max_us\": {}, \"phase_us\": {{",
-                crate::json_escape(k.op),
+                spritely_metrics::json::escape(k.op),
                 k.count,
                 k.total_us,
                 k.max_us

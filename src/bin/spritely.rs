@@ -9,9 +9,9 @@ use std::time::Instant;
 
 use spritely::harness::catalog::{self, slug_of, Entry, CATALOG};
 use spritely::harness::{
-    compare_json, render_matrix, report, run_andrew_with, run_flush_with, run_matrix,
-    run_scaling_with, CompareOptions, Experiment, Protocol, ServerIoParams, TestbedParams,
-    WriteBehindParams,
+    compare_json, render_matrix, report, run_andrew, run_andrew_with, run_flush_with, run_matrix,
+    run_scaling, run_scaling_with, run_sort_experiment, CompareOptions, MatrixResult, Protocol,
+    ServerIoParams, TestbedParams, WriteBehindParams,
 };
 use spritely::trace::profile_trace;
 
@@ -145,31 +145,34 @@ fn gate(entries: &[&Entry]) -> ExitCode {
     ExitCode::from((failures > 0) as u8)
 }
 
+/// Per protocol: Andrew with /tmp local and remote, the 1408 KB sort and
+/// a 4-client scaling run.
 fn matrix(seed: u64, threads: usize) {
-    let mut jobs = Vec::new();
-    for p in [Protocol::Nfs, Protocol::Snfs] {
-        for tmp_remote in [false, true] {
-            jobs.push(Experiment::Andrew {
-                protocol: p,
-                tmp_remote,
-                seed,
-            });
+    const PER_PROTOCOL: usize = 4;
+    let job = |i: usize| {
+        let p = [Protocol::Nfs, Protocol::Snfs][i / PER_PROTOCOL];
+        match i % PER_PROTOCOL {
+            0 | 1 => {
+                let r = run_andrew(p, i % PER_PROTOCOL == 1, seed);
+                let label = format!("andrew {} seed={seed}", r.label());
+                MatrixResult::new(label, r.times.total(), &r.stats)
+            }
+            2 => {
+                let r = run_sort_experiment(p, 1408 * 1024, true);
+                let label = format!("sort {} 1408KB upd=on", p.label());
+                MatrixResult::new(label, r.elapsed, &r.stats)
+            }
+            _ => {
+                let r = run_scaling(p, 4, seed);
+                let label = format!("scaling {} n=4 seed={seed}", p.label());
+                MatrixResult::new(label, r.makespan, &r.stats)
+            }
         }
-        jobs.push(Experiment::Sort {
-            protocol: p,
-            input_bytes: 1408 * 1024,
-            update: true,
-        });
-        jobs.push(Experiment::Scaling {
-            protocol: p,
-            clients: 4,
-            seed,
-        });
-    }
-    let results = run_matrix(&jobs, threads);
+    };
+    let results = run_matrix(2 * PER_PROTOCOL, threads, job);
     println!(
         "Experiment matrix: {} runs on {} worker thread(s)\n",
-        jobs.len(),
+        results.len(),
         threads.max(1)
     );
     println!("{}", render_matrix(&results));

@@ -2,11 +2,14 @@
 //! Andrew run `table_5_2` files and the traced 4-client pipelined run of
 //! `server_scaling` (concurrent handlers, callbacks and pooled flushes).
 
-use spritely::harness::compare::{parse_json, Json};
+use std::collections::{BTreeSet, HashMap};
+
 use spritely::harness::{
     run_andrew_with, run_scaling_with, Protocol, ServerIoParams, TestbedParams, TraceReport,
 };
+use spritely::metrics::json::{parse, Value};
 use spritely::proto::Fnv;
+use spritely::trace::EventKind;
 
 fn andrew() -> TraceReport {
     let params = TestbedParams {
@@ -29,31 +32,25 @@ fn pipelined_4() -> TraceReport {
     run_scaling_with(params, 4, 42).trace.expect("traced")
 }
 
-fn get<'a>(row: &'a Json, key: &str) -> Option<&'a Json> {
-    match row {
-        Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn num(row: &Json, key: &str) -> u64 {
-    match get(row, key) {
-        Some(Json::Num(n)) => *n as u64,
+fn num(row: &Value, key: &str) -> u64 {
+    match row.get(key) {
+        Some(Value::Num(n)) => *n as u64,
         other => panic!("row has no numeric {key}: {other:?} in {row:?}"),
     }
 }
 
-fn text<'a>(row: &'a Json, key: &str) -> &'a str {
-    match get(row, key) {
-        Some(Json::Str(s)) => s,
+fn text<'a>(row: &'a Value, key: &str) -> &'a str {
+    match row.get(key) {
+        Some(Value::Str(s)) => s,
         other => panic!("row has no string {key}: {other:?} in {row:?}"),
     }
 }
 
-/// The rows of a Chrome document, metadata (`ph: "M"`) rows apart.
-fn rows(chrome: &str) -> (Vec<Json>, Vec<Json>) {
-    let doc = parse_json(chrome).expect("the export parses");
-    let Some(Json::Arr(all)) = get(&doc, "traceEvents") else {
+/// The rows of a Chrome document: metadata (`ph: "M"`) rows, then one
+/// row per event.
+fn rows(chrome: &str) -> (Vec<Value>, Vec<Value>) {
+    let doc = parse(chrome).expect("the export parses");
+    let Some(Value::Arr(all)) = doc.get("traceEvents") else {
         panic!("no traceEvents array");
     };
     all.iter().cloned().partition(|r| text(r, "ph") == "M")
@@ -61,7 +58,7 @@ fn rows(chrome: &str) -> (Vec<Json>, Vec<Json>) {
 
 /// Digest of the sorted `(ts, pid)` of every event row: when and on whose
 /// process each event is drawn.
-fn placement_digest(events: &[Json]) -> u64 {
+fn placement_digest(events: &[Value]) -> u64 {
     let mut at: Vec<(u64, u64)> = events
         .iter()
         .map(|r| (num(r, "ts"), num(r, "pid")))
@@ -86,5 +83,71 @@ fn every_event_is_drawn_when_and_where_it_always_was() {
         let (_, events) = rows(&trace.to_chrome_json());
         assert_eq!(events.len(), trace.events.len());
         assert_eq!(placement_digest(&events), placed);
+    }
+}
+
+/// What a viewer needs to pair spans. Row `i` draws event `i`, and the
+/// trace itself says which event opened the span an event closes: its
+/// `parent` (for disk requests, which are unparented, the `(disk, req)`
+/// both ends carry). A `B`/`E` pair must nest LIFO on its `(pid, tid)`
+/// and close the slice its own opener began; an async pair must share an
+/// id no other open span is using, and one name; every span opened is
+/// closed exactly once; every pid is introduced by a `process_name` row.
+#[test]
+fn spans_pair_up_and_every_process_is_named() {
+    for trace in [andrew(), pipelined_4()] {
+        let (meta, events) = rows(&trace.to_chrome_json());
+        let named: BTreeSet<u64> = meta
+            .iter()
+            .filter(|m| text(m, "name") == "process_name")
+            .map(|m| num(m, "pid"))
+            .collect();
+        // Row index of every open span, by what its closing event will
+        // name; of the top of every thread; of every async id in use.
+        let mut opened: HashMap<String, usize> = HashMap::new();
+        let mut stacks: HashMap<(u64, u64), Vec<usize>> = HashMap::new();
+        let mut ids: HashMap<(&str, String), usize> = HashMap::new();
+        let (mut spans, mut overlap) = (0, 0);
+        for (i, (row, e)) in events.iter().zip(&trace.events).enumerate() {
+            assert!(named.contains(&num(row, "pid")), "unnamed pid: {row:?}");
+            let (own, opener) = match &e.kind {
+                EventKind::DiskQueue { disk, req, .. } | EventKind::DiskDone { disk, req, .. } => {
+                    (format!("{disk}#{req}"), format!("{disk}#{req}"))
+                }
+                _ => (e.seq.to_string(), e.parent.to_string()),
+            };
+            let lane = (num(row, "pid"), num(row, "tid"));
+            match text(row, "ph") {
+                "i" => {}
+                "B" => {
+                    opened.insert(own, i);
+                    stacks.entry(lane).or_default().push(i);
+                }
+                "E" => {
+                    let top = stacks.get_mut(&lane).and_then(Vec::pop);
+                    assert!(top.is_some(), "{row:?} closes nothing");
+                    assert_eq!(top, opened.remove(&opener), "{row:?} mis-nests");
+                    spans += 1;
+                }
+                "b" => {
+                    opened.insert(own, i);
+                    let id = (text(row, "cat"), format!("{:?}", row.get("id")));
+                    assert_eq!(ids.insert(id, i), None, "id in use: {row:?}");
+                    overlap = overlap.max(ids.len());
+                }
+                "e" => {
+                    let begun = opened.remove(&opener);
+                    assert!(begun.is_some(), "{row:?} closes nothing");
+                    let id = (text(row, "cat"), format!("{:?}", row.get("id")));
+                    assert_eq!(ids.remove(&id), begun, "{row:?} closes another span");
+                    let b = &events[begun.unwrap()];
+                    assert_eq!(text(row, "name"), text(b, "name"));
+                    spans += 1;
+                }
+                other => panic!("unexpected phase {other:?}"),
+            }
+        }
+        assert!(opened.is_empty(), "spans never closed: {opened:?}");
+        assert!(spans > 1000 && overlap > 1, "the run exercised overlap");
     }
 }

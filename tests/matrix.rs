@@ -5,37 +5,40 @@
 //! change wall-clock time, never a result — this test pins that.
 
 use proptest::prelude::*;
-use spritely::harness::{run_matrix, Experiment, Protocol};
+use spritely::harness::{
+    run_andrew, run_matrix, run_scaling, run_sort_experiment, MatrixResult, Protocol,
+};
 
 /// A small pool of cheap experiments the random matrices draw from.
-fn job_pool() -> Vec<Experiment> {
-    vec![
-        Experiment::Sort {
-            protocol: Protocol::Nfs,
-            input_bytes: 281 * 1024,
-            update: true,
-        },
-        Experiment::Sort {
-            protocol: Protocol::Snfs,
-            input_bytes: 281 * 1024,
-            update: false,
-        },
-        Experiment::Scaling {
-            protocol: Protocol::Snfs,
-            clients: 2,
-            seed: 11,
-        },
-        Experiment::Scaling {
-            protocol: Protocol::Nfs,
-            clients: 2,
-            seed: 12,
-        },
-        Experiment::Andrew {
-            protocol: Protocol::Snfs,
-            tmp_remote: true,
-            seed: 13,
-        },
-    ]
+const POOL: usize = 5;
+
+fn run_pooled(pick: usize) -> MatrixResult {
+    let sort = |p: Protocol, update| {
+        let r = run_sort_experiment(p, 281 * 1024, update);
+        MatrixResult::new(
+            format!("sort {} upd={update}", p.label()),
+            r.elapsed,
+            &r.stats,
+        )
+    };
+    let scaling = |p: Protocol, seed| {
+        let r = run_scaling(p, 2, seed);
+        MatrixResult::new(
+            format!("scaling {} seed={seed}", p.label()),
+            r.makespan,
+            &r.stats,
+        )
+    };
+    match pick {
+        0 => sort(Protocol::Nfs, true),
+        1 => sort(Protocol::Snfs, false),
+        2 => scaling(Protocol::Snfs, 11),
+        3 => scaling(Protocol::Nfs, 12),
+        _ => {
+            let r = run_andrew(Protocol::Snfs, true, 13);
+            MatrixResult::new("andrew".to_string(), r.times.total(), &r.stats)
+        }
+    }
 }
 
 proptest! {
@@ -45,21 +48,18 @@ proptest! {
     /// the same bytes twice) run on random thread counts match serial.
     #[test]
     fn parallel_matrix_is_byte_identical_to_serial(
-        picks in proptest::collection::vec(0usize..5, 1..5),
+        picks in proptest::collection::vec(0usize..POOL, 1..5),
         threads in 2usize..6,
     ) {
-        let pool = job_pool();
-        let jobs: Vec<Experiment> = picks.iter().map(|&i| pool[i]).collect();
-        let serial = run_matrix(&jobs, 1);
-        let parallel = run_matrix(&jobs, threads);
+        let job = |i: usize| run_pooled(picks[i]);
+        let serial = run_matrix(picks.len(), 1, job);
+        let parallel = run_matrix(picks.len(), threads, job);
         prop_assert_eq!(&serial, &parallel);
-        // Results come back in job order under both schedules.
-        for (job, res) in jobs.iter().zip(&serial) {
-            prop_assert_eq!(&job.label(), &res.label);
-        }
-        // Repeated jobs reproduce their bytes exactly.
+        // Results come back in job order under both schedules, and
+        // repeated jobs reproduce their bytes exactly.
         for (i, a) in picks.iter().enumerate() {
-            for (j, b) in picks.iter().enumerate().skip(i + 1) {
+            for (j, b) in picks.iter().enumerate() {
+                prop_assert_eq!(a == b, serial[i].label == serial[j].label);
                 if a == b {
                     prop_assert_eq!(&serial[i].stats_json, &serial[j].stats_json);
                 }
