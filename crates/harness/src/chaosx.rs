@@ -135,32 +135,71 @@ fn walk(fs: &LocalFs, dir: FileHandle, path: &str, h: &mut Fnv) {
     }
 }
 
+/// `base` as the clean or the faulted pass of a chaos pair runs it: the
+/// faulted pass is traced and runs under [`FaultParams::chaos`].
+fn chaos_params(base: TestbedParams, seed: u64, faulted: bool) -> TestbedParams {
+    TestbedParams {
+        trace: faulted,
+        faults: if faulted {
+            FaultParams::chaos(seed)
+        } else {
+            FaultParams::default()
+        },
+        ..base
+    }
+}
+
+/// What one pass of a chaos pair leaves for the verdict.
+struct Pass {
+    digest: u64,
+    violations: usize,
+    faults: Option<FaultSnapshot>,
+    /// Workload-specific interestingness counter the caller gates on:
+    /// delegation recalls for the delegation workload, coordinated
+    /// cross-shard ops for the shard workload, 0 elsewhere.
+    gate_ops: u64,
+}
+
+impl Pass {
+    fn of(tb: &Testbed, digest: u64, gate_ops: u64) -> Pass {
+        let snap = tb.stats_snapshot();
+        Pass {
+            digest,
+            violations: tb.finish_trace().map_or(0, |t| t.violations.len()),
+            faults: snap.faults,
+            gate_ops,
+        }
+    }
+}
+
+/// The verdict on one workload from its fault-free and its faulted pass.
+fn verdict(workload: &'static str, clean: Pass, faulted: Pass) -> ChaosVerdict {
+    ChaosVerdict {
+        workload,
+        digest_clean: clean.digest,
+        digest_faulted: faulted.digest,
+        trace_violations: faulted.violations,
+        faults: faulted.faults.expect("faulted run has fault stats"),
+    }
+}
+
 /// Runs the Andrew benchmark twice with the same seed — once fault-free,
 /// once under [`FaultParams::chaos`] — and compares outcomes.
 pub fn chaos_andrew(seed: u64) -> ChaosVerdict {
-    let clean = run_andrew_with(
-        TestbedParams {
+    let pass = |faulted| {
+        let snfs = TestbedParams {
             protocol: Protocol::Snfs,
             ..TestbedParams::default()
-        },
-        seed,
-    );
-    let faulted = run_andrew_with(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            trace: true,
-            faults: FaultParams::chaos(seed),
-            ..TestbedParams::default()
-        },
-        seed,
-    );
-    ChaosVerdict {
-        workload: "andrew",
-        digest_clean: clean.server_digest,
-        digest_faulted: faulted.server_digest,
-        trace_violations: faulted.trace.as_ref().map_or(0, |t| t.violations.len()),
-        faults: faulted.stats.faults.expect("faulted run has fault stats"),
-    }
+        };
+        let run = run_andrew_with(chaos_params(snfs, seed, faulted), seed);
+        Pass {
+            digest: run.server_digest,
+            violations: run.trace.map_or(0, |t| t.violations.len()),
+            faults: run.stats.faults,
+            gate_ops: 0,
+        }
+    };
+    verdict("andrew", pass(false), pass(true))
 }
 
 /// Two-client write-sharing under chaos plus one partition/heal cycle.
@@ -172,15 +211,11 @@ pub fn chaos_andrew(seed: u64) -> ChaosVerdict {
 /// heals, B's dirty data reaches the server and A reads it. This is the
 /// end-to-end version of the callback-retry bugfix regression.
 pub fn chaos_write_sharing(seed: u64) -> ChaosVerdict {
-    let clean = run_write_sharing(seed, false);
-    let faulted = run_write_sharing(seed, true);
-    ChaosVerdict {
-        workload: "write-sharing",
-        digest_clean: clean.digest,
-        digest_faulted: faulted.digest,
-        trace_violations: faulted.violations,
-        faults: faulted.faults.expect("faulted run has fault stats"),
-    }
+    verdict(
+        "write-sharing",
+        run_write_sharing(seed, false),
+        run_write_sharing(seed, true),
+    )
 }
 
 /// Recall-heavy two-client workload under chaos (DESIGN.md §17.2).
@@ -197,19 +232,12 @@ pub fn chaos_write_sharing(seed: u64) -> ChaosVerdict {
 /// the faulted run still reaches the fault-free server bytes with zero
 /// delegation-invariant violations.
 pub fn chaos_delegation(seed: u64) -> ChaosVerdict {
-    let clean = run_delegation(seed, false);
     let faulted = run_delegation(seed, true);
     assert!(
         faulted.gate_ops >= 1,
         "the sweep must force at least one recall"
     );
-    ChaosVerdict {
-        workload: "delegation",
-        digest_clean: clean.digest,
-        digest_faulted: faulted.digest,
-        trace_violations: faulted.violations,
-        faults: faulted.faults.expect("faulted run has fault stats"),
-    }
+    verdict("delegation", run_delegation(seed, false), faulted)
 }
 
 /// Cross-shard renames under chaos with a shard partitioned mid-rename
@@ -227,38 +255,23 @@ pub fn chaos_delegation(seed: u64) -> ChaosVerdict {
 /// reach byte-identical stable state across every shard, with zero
 /// trace violations including rule 10's atomicity window.
 pub fn chaos_shard(seed: u64) -> ChaosVerdict {
-    let clean = run_shard_chaos(seed, false);
     let faulted = run_shard_chaos(seed, true);
     assert!(
         faulted.gate_ops >= 1,
         "the workload must coordinate at least one cross-shard rename"
     );
-    ChaosVerdict {
-        workload: "shard",
-        digest_clean: clean.digest,
-        digest_faulted: faulted.digest,
-        trace_violations: faulted.violations,
-        faults: faulted.faults.expect("faulted run has fault stats"),
-    }
+    verdict("shard", run_shard_chaos(seed, false), faulted)
 }
 
-fn run_shard_chaos(seed: u64, faulted: bool) -> SharingRun {
+fn run_shard_chaos(seed: u64, faulted: bool) -> Pass {
     const N_SHARDS: u32 = 4;
     const FILES: u32 = 3;
-    let tb = Testbed::build_with_clients(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            shards: ShardParams::sharded(N_SHARDS as usize),
-            trace: faulted,
-            faults: if faulted {
-                FaultParams::chaos(seed)
-            } else {
-                FaultParams::default()
-            },
-            ..TestbedParams::default()
-        },
-        2,
-    );
+    let sharded = TestbedParams {
+        protocol: Protocol::Snfs,
+        shards: ShardParams::sharded(N_SHARDS as usize),
+        ..TestbedParams::default()
+    };
+    let tb = Testbed::build_with_clients(chaos_params(sharded, seed, faulted), 2);
     let sim = tb.sim.clone();
     let net = tb.net.clone();
     let root = tb.server_fs.root();
@@ -361,39 +374,24 @@ fn run_shard_chaos(seed: u64, faulted: bool) -> SharingRun {
     for h in handles {
         tb.sim.run_until(h);
     }
-    let snap = tb.stats_snapshot();
-    let cross_ops = snap.shards.as_ref().map_or(0, |sh| {
+    let cross_ops = tb.stats_snapshot().shards.map_or(0, |sh| {
         sh.shards
             .iter()
             .map(|s| s.cross_renames + s.cross_links)
             .sum()
     });
-    let violations = tb.finish_trace().map_or(0, |t| t.violations.len());
-    SharingRun {
-        digest: testbed_digest(&tb),
-        violations,
-        faults: snap.faults,
-        gate_ops: cross_ops,
-    }
+    Pass::of(&tb, testbed_digest(&tb), cross_ops)
 }
 
-fn run_delegation(seed: u64, faulted: bool) -> SharingRun {
+fn run_delegation(seed: u64, faulted: bool) -> Pass {
     use spritely_core::DelegationParams;
     const FILES: u64 = 4;
-    let tb = Testbed::build_with_clients(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            delegation: DelegationParams::pipelined(),
-            trace: faulted,
-            faults: if faulted {
-                FaultParams::chaos(seed)
-            } else {
-                FaultParams::default()
-            },
-            ..TestbedParams::default()
-        },
-        2,
-    );
+    let delegated = TestbedParams {
+        protocol: Protocol::Snfs,
+        delegation: DelegationParams::pipelined(),
+        ..TestbedParams::default()
+    };
+    let tb = Testbed::build_with_clients(chaos_params(delegated, seed, faulted), 2);
     let a = tb.clients[0].remote.snfs().expect("SNFS testbed").clone();
     let b = tb.clients[1].remote.snfs().expect("SNFS testbed").clone();
     let root = tb.server_fs.root();
@@ -464,42 +462,17 @@ fn run_delegation(seed: u64, faulted: bool) -> SharingRun {
         .snfs_server
         .as_ref()
         .map_or(0, |s| s.delegation_stats().recalls);
-    let snap = tb.stats_snapshot();
-    let violations = tb.finish_trace().map_or(0, |t| t.violations.len());
-    SharingRun {
-        digest: server_digest(&tb.server_fs),
-        violations,
-        faults: snap.faults,
-        gate_ops: recalls,
-    }
+    Pass::of(&tb, server_digest(&tb.server_fs), recalls)
 }
 
-struct SharingRun {
-    digest: u64,
-    violations: usize,
-    faults: Option<FaultSnapshot>,
-    /// Workload-specific interestingness counter the caller gates on:
-    /// delegation recalls for the delegation workload, coordinated
-    /// cross-shard ops for the shard workload, 0 elsewhere.
-    gate_ops: u64,
-}
-
-fn run_write_sharing(seed: u64, faulted: bool) -> SharingRun {
-    let tb = Testbed::build_with_clients(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            // Keep B's data dirty long enough for the partition to matter.
-            snfs_write_delay: SimDuration::from_secs(30),
-            trace: faulted,
-            faults: if faulted {
-                FaultParams::chaos(seed)
-            } else {
-                FaultParams::default()
-            },
-            ..TestbedParams::default()
-        },
-        2,
-    );
+fn run_write_sharing(seed: u64, faulted: bool) -> Pass {
+    let slow_writeback = TestbedParams {
+        protocol: Protocol::Snfs,
+        // Keep B's data dirty long enough for the partition to matter.
+        snfs_write_delay: SimDuration::from_secs(30),
+        ..TestbedParams::default()
+    };
+    let tb = Testbed::build_with_clients(chaos_params(slow_writeback, seed, faulted), 2);
     let a = tb.clients[0].remote.snfs().expect("SNFS testbed").clone();
     let b = tb.clients[1].remote.snfs().expect("SNFS testbed").clone();
     let root = tb.server_fs.root();
@@ -549,12 +522,5 @@ fn run_write_sharing(seed: u64, faulted: bool) -> SharingRun {
         }
     });
     sim.run_until(h);
-    let snap = tb.stats_snapshot();
-    let violations = tb.finish_trace().map_or(0, |t| t.violations.len());
-    SharingRun {
-        digest: server_digest(&tb.server_fs),
-        violations,
-        faults: snap.faults,
-        gate_ops: 0,
-    }
+    Pass::of(&tb, server_digest(&tb.server_fs), 0)
 }

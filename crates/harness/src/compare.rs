@@ -195,6 +195,17 @@ pub fn compare_json(
     let b_map: std::collections::HashMap<&str, &Leaf> =
         b.iter().map(|(k, v)| (k.as_str(), v)).collect();
     let a_keys: std::collections::HashSet<&str> = a.iter().map(|(k, _)| k.as_str()).collect();
+    let render = |l: Option<&Leaf>| match l {
+        None => "-".to_string(),
+        Some(Leaf::Num(n)) => format!("{n}"),
+        Some(Leaf::Str(s)) => format!("{s:?}"),
+    };
+    let diff = |path: &str, a: Option<&Leaf>, b: Option<&Leaf>, rel: Option<f64>| Diff {
+        path: path.to_string(),
+        a: render(a),
+        b: render(b),
+        rel,
+    };
     let mut diffs = Vec::new();
     let mut compared = 0usize;
     for (path, va) in &a {
@@ -202,62 +213,31 @@ pub fn compare_json(
             continue;
         }
         compared += 1;
-        match b_map.get(path.as_str()) {
-            None => diffs.push(Diff {
-                path: path.clone(),
-                a: render_leaf(va),
-                b: "-".to_string(),
-                rel: None,
-            }),
-            Some(vb) => match (va, vb) {
-                (Leaf::Num(x), Leaf::Num(y)) => {
-                    let denom = x.abs().max(y.abs());
-                    let rel = if denom == 0.0 {
-                        0.0
-                    } else {
-                        (y - x).abs() / denom
-                    };
-                    if rel > opts.threshold_for(path) {
-                        diffs.push(Diff {
-                            path: path.clone(),
-                            a: render_leaf(va),
-                            b: render_leaf(vb),
-                            rel: Some(if y >= x { rel } else { -rel }),
-                        });
-                    }
+        let vb = b_map.get(path.as_str()).copied();
+        match (va, vb) {
+            (Leaf::Num(x), Some(Leaf::Num(y))) => {
+                let denom = x.abs().max(y.abs());
+                let rel = if denom == 0.0 {
+                    0.0
+                } else {
+                    (y - x).abs() / denom
+                };
+                if rel > opts.threshold_for(path) {
+                    let signed = if y >= x { rel } else { -rel };
+                    diffs.push(diff(path, Some(va), vb, Some(signed)));
                 }
-                (va, vb) => {
-                    if va != *vb {
-                        diffs.push(Diff {
-                            path: path.clone(),
-                            a: render_leaf(va),
-                            b: render_leaf(vb),
-                            rel: None,
-                        });
-                    }
-                }
-            },
+            }
+            // A missing key, a changed string or a changed type.
+            _ if vb != Some(va) => diffs.push(diff(path, Some(va), vb, None)),
+            _ => {}
         }
     }
     for (path, vb) in &b {
-        if opts.ignored(path) || a_keys.contains(path.as_str()) {
-            continue;
+        if !opts.ignored(path) && !a_keys.contains(path.as_str()) {
+            diffs.push(diff(path, None, Some(vb), None));
         }
-        diffs.push(Diff {
-            path: path.clone(),
-            a: "-".to_string(),
-            b: render_leaf(vb),
-            rel: None,
-        });
     }
     Ok(CompareReport { diffs, compared })
-}
-
-fn render_leaf(l: &Leaf) -> String {
-    match l {
-        Leaf::Num(n) => format!("{n}"),
-        Leaf::Str(s) => format!("{s:?}"),
-    }
 }
 
 #[cfg(test)]

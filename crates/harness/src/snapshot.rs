@@ -271,7 +271,7 @@ impl StatsSnapshot {
             });
             w.key("server");
             match &self.server {
-                None => w.null(),
+                None => w.raw("null"),
                 Some(s) => w.obj(|w| {
                     w.nums(&[
                         ("callbacks_sent", s.stats.callbacks_sent),

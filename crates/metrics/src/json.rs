@@ -48,13 +48,6 @@ pub struct Writer {
 }
 
 impl Writer {
-    /// An empty writer with room for `bytes`.
-    pub fn with_capacity(bytes: usize) -> Self {
-        Writer {
-            out: String::with_capacity(bytes),
-        }
-    }
-
     /// The comma this position needs: none at the start of a document,
     /// a line, an object or an array, and none between a key and its
     /// value.
@@ -104,12 +97,9 @@ impl Writer {
         self
     }
 
-    /// `null`.
-    pub fn null(&mut self) -> &mut Self {
-        self.raw("null")
-    }
-
-    /// `json` spliced in verbatim: a value that is already JSON text.
+    /// `json` spliced in verbatim: a value that is already JSON text
+    /// (`null`, a ledger field rendered elsewhere), or the line break
+    /// that puts the next element of a large array on a line of its own.
     pub fn raw(&mut self, json: &str) -> &mut Self {
         self.comma().out.push_str(json);
         self
@@ -128,14 +118,6 @@ impl Writer {
         self.comma().out.push('[');
         body(self);
         self.out.push(']');
-        self
-    }
-
-    /// Starts a new line before the next element of an array (one row
-    /// per line keeps a large document greppable); the comma that
-    /// element needs goes before the break.
-    pub fn line(&mut self) -> &mut Self {
-        self.comma().out.push('\n');
         self
     }
 }
@@ -380,7 +362,7 @@ mod tests {
     /// Writes any [`Value`] through the [`Writer`].
     fn write(w: &mut Writer, v: &Value) {
         match v {
-            Value::Null => w.null(),
+            Value::Null => w.raw("null"),
             Value::Bool(b) => w.bool(*b),
             Value::Num(n) => w.num(n),
             Value::Str(s) => w.str(s),
@@ -445,12 +427,12 @@ mod tests {
         w.obj(|w| {
             w.key("a").num(1).nums(&[("b", 2), ("c", 3)]);
             w.key("rows").arr(|w| {
-                w.line().obj(|w| {
+                w.raw("\n").obj(|w| {
                     w.key("x").str("q\"").key("y").raw("[1.50]");
                 });
-                w.line().obj(|_| {});
+                w.raw("\n").obj(|_| {});
             });
-            w.key("n").null().key("t").bool(true);
+            w.key("n").raw("null").key("t").bool(true);
         });
         assert_eq!(
             w.out,

@@ -21,7 +21,7 @@ fn field(w: &mut Writer, key: &str, v: Val<'_>) {
 /// Serialize a trace as JSON Lines: one event per line, fixed field
 /// order, no floats. Identical seeds yield byte-identical output.
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
-    let mut w = Writer::with_capacity(events.len() * 96);
+    let mut w = Writer::default();
     for e in events {
         w.obj(|w| {
             w.nums(&[("seq", e.seq), ("t", e.t_us), ("par", e.parent)]);
@@ -141,11 +141,11 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
     pids.push(SERVER_PID);
     pids.sort_unstable();
     pids.dedup();
-    let mut w = Writer::with_capacity(events.len() * 160);
+    let mut w = Writer::default();
     w.obj(|w| {
         w.key("traceEvents").arr(|w| {
             for pid in pids {
-                w.line().obj(|w| {
+                w.raw("\n").obj(|w| {
                     w.key("ph").str("M");
                     w.nums(&[("pid", pid.into()), ("tid", 0)]);
                     w.key("name").str("process_name");
@@ -158,9 +158,10 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
                     });
                 });
             }
+            // One row per line: a break is legal between array elements
+            // and keeps a multi-megabyte file greppable.
             for e in events {
-                w.line();
-                row(w, e);
+                row(w.raw("\n"), e);
             }
         });
     });

@@ -20,31 +20,27 @@ use spritely_vfs::{Fd, OpenFlags, Proc};
 /// Read/write chunk (one block).
 const CHUNK: usize = 4096;
 
-/// Parameters of the sort.
+/// In-memory run buffer (Unix sort's workspace).
+const RUN_SIZE: u64 = 128 * 1024;
+/// Merge fan-in.
+const MERGE_WAYS: usize = 4;
+/// CPU to sort one KB during run generation.
+const SORT_CPU_PER_KB: SimDuration = SimDuration::from_micros(6_000);
+/// CPU to merge one KB during a merge pass.
+const MERGE_CPU_PER_KB: SimDuration = SimDuration::from_micros(2_000);
+
+/// Parameters of the sort. The paper's configuration is the only one any
+/// caller runs, so everything but the input size is a constant above.
 #[derive(Debug, Clone, Copy)]
 pub struct SortParams {
     /// Input file size in bytes.
     pub input_bytes: u64,
-    /// In-memory run buffer (Unix sort's workspace).
-    pub run_size: u64,
-    /// Merge fan-in.
-    pub merge_ways: usize,
-    /// CPU to sort one KB during run generation.
-    pub sort_cpu_per_kb: SimDuration,
-    /// CPU to merge one KB during a merge pass.
-    pub merge_cpu_per_kb: SimDuration,
 }
 
 impl SortParams {
     /// The paper's configuration for a given input size.
     pub fn paper(input_bytes: u64) -> Self {
-        SortParams {
-            input_bytes,
-            run_size: 128 * 1024,
-            merge_ways: 4,
-            sort_cpu_per_kb: SimDuration::from_micros(6_000),
-            merge_cpu_per_kb: SimDuration::from_micros(2_000),
-        }
+        SortParams { input_bytes }
     }
 }
 
@@ -101,12 +97,9 @@ pub async fn run_sort(p: &Proc, params: SortParams, cfg: &SortConfig) -> Result<
         // Fill the run buffer.
         let mut buf_len = 0u64;
         let mut chunks: Vec<Vec<u8>> = Vec::new();
-        while buf_len < params.run_size {
+        while buf_len < RUN_SIZE {
             let data = p
-                .read(
-                    input,
-                    CHUNK.min((params.run_size - buf_len) as usize) as u32,
-                )
+                .read(input, CHUNK.min((RUN_SIZE - buf_len) as usize) as u32)
                 .await?;
             if data.is_empty() {
                 break;
@@ -118,7 +111,7 @@ pub async fn run_sort(p: &Proc, params: SortParams, cfg: &SortConfig) -> Result<
             break;
         }
         // Sort it.
-        p.compute(params.sort_cpu_per_kb.mul_f64(buf_len as f64 / 1024.0))
+        p.compute(SORT_CPU_PER_KB.mul_f64(buf_len as f64 / 1024.0))
             .await;
         // Write the run to a temp file.
         let path = format!("{}/srt{:04}", cfg.tmp_dir, temp_seq);
@@ -131,11 +124,16 @@ pub async fn run_sort(p: &Proc, params: SortParams, cfg: &SortConfig) -> Result<
         runs.push((path, buf_len));
     }
     p.close(input).await?;
+    debug_assert_eq!(
+        runs.iter().map(|&(_, size)| size).sum::<u64>(),
+        params.input_bytes,
+        "the input file is the size the caller declared"
+    );
     // ---- Merge passes ----------------------------------------------------
     while runs.len() > 1 {
-        let last_pass = runs.len() <= params.merge_ways;
+        let last_pass = runs.len() <= MERGE_WAYS;
         let mut next: Vec<(String, u64)> = Vec::new();
-        for group in runs.chunks(params.merge_ways) {
+        for group in runs.chunks(MERGE_WAYS) {
             let total: u64 = group.iter().map(|&(_, s)| s).sum();
             let out_path = if last_pass {
                 cfg.output_path.clone()
@@ -160,7 +158,7 @@ pub async fn run_sort(p: &Proc, params: SortParams, cfg: &SortConfig) -> Result<
                         continue;
                     }
                     moved += data.len() as u64;
-                    p.compute(params.merge_cpu_per_kb.mul_f64(data.len() as f64 / 1024.0))
+                    p.compute(MERGE_CPU_PER_KB.mul_f64(data.len() as f64 / 1024.0))
                         .await;
                     p.write(out, &data).await?;
                     still.push(fd);
@@ -204,13 +202,12 @@ mod tests {
     fn paper_params_pass_counts() {
         // Validate the temp-traffic model against the paper's column.
         let passes = |n: u64| {
-            let p = SortParams::paper(n);
-            let runs = n.div_ceil(p.run_size);
+            let runs = n.div_ceil(RUN_SIZE);
             let mut levels = 0u64;
             let mut r = runs;
             while r > 1 {
                 levels += 1;
-                r = r.div_ceil(p.merge_ways as u64);
+                r = r.div_ceil(MERGE_WAYS as u64);
             }
             // Temp bytes = runs (1×N) + all but the final merge level.
             1 + levels.saturating_sub(1)
