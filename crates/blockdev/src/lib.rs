@@ -68,7 +68,7 @@ pub enum DiskSched {
     /// C-LOOK elevator: serve the pending request with the smallest block
     /// address at or above the arm's current position, wrapping to the
     /// lowest pending address when the sweep runs dry. Positioning is
-    /// charged by seek distance (see [`Disk::clook_position`]).
+    /// charged by seek distance (`Disk::clook_position`).
     CLook {
         /// Aging limit: once a request has been bypassed this many times
         /// it is served before any sweep-order pick, so no request is

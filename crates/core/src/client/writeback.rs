@@ -308,7 +308,7 @@ impl SnfsClient {
     }
 
     /// Spawns the client's update daemon (periodic aged write-back),
-    /// unless disabled by [`SnfsClientParams::update_interval`].
+    /// unless disabled by [`SnfsClientParams::update_interval`](super::SnfsClientParams::update_interval).
     pub fn spawn_update_daemon(&self) {
         let Some(interval) = self.inner.params.update_interval else {
             return;

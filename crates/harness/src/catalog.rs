@@ -7,7 +7,7 @@
 //! titled sections) and the gate conditions it failed. Everything else
 //! is a consumer of [`CATALOG`]:
 //!
-//! * `spritely run <name>|--all` prints an outcome and [`write`]s it —
+//! * `spritely run <name>|--all` prints an outcome and [`write()`]s it —
 //!   `artifacts/` plus the committed perf ledger `BENCH_<name>.json`;
 //! * `spritely gate` runs every entry at seed 42 and [`check`]s it
 //!   against what is committed (`baselines/`, the ledgers);
@@ -233,7 +233,7 @@ pub fn write(root: &Path, entry: &Entry, o: &Outcome) -> io::Result<()> {
 }
 
 /// What `spritely run` and the bench target do with one entry: run it,
-/// [`print`] it, [`write`] its record under `root` (a read-only checkout
+/// [`print()`] it, [`write()`] its record under `root` (a read-only checkout
 /// gets a warning, not a failure) and report the gate conditions it
 /// failed on stderr. The caller decides what a non-empty
 /// `Outcome::failures` means for its exit code.

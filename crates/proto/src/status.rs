@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Error statuses carried in NFS/SNFS replies.
 ///
-/// A subset of the RFC 1094 `stat` values, plus [`Inconsistent`], which an
+/// A subset of the RFC 1094 `stat` values, plus [`Inconsistent`](NfsStatus::Inconsistent), which an
 /// SNFS server reports when a file's last writer crashed before writing its
 /// dirty blocks back (paper §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -2,7 +2,7 @@
 //! Chrome `trace_event` JSON (loadable in Perfetto / chrome://tracing).
 //! Both are generic over the event table ([`EventKind::name`],
 //! [`EventKind::fields`]); the only per-event knowledge here is
-//! [`lane`], where the Chrome export draws each kind.
+//! `lane()`, where the Chrome export draws each kind.
 
 use spritely_metrics::json::Writer;
 
@@ -134,7 +134,7 @@ fn lane(e: &TraceEvent) -> Lane<'_> {
 /// `ui.perfetto.dev` and drop the file in. Server-side work appears
 /// under pid 0, each client host under its own pid. One row per event,
 /// in event order, after one `process_name` row per pid: an instant is
-/// named by [`EventKind::name`], a span end by its [`Span::name`], and
+/// named by [`EventKind::name`], a span end by its `Span::name`, and
 /// every row carries the event's [`EventKind::fields`] as `args`.
 pub fn to_chrome_json(events: &[TraceEvent]) -> String {
     let mut pids: Vec<u32> = events.iter().map(|e| lane(e).pid).collect();
@@ -223,7 +223,7 @@ mod tests {
         let s = to_jsonl(&ev);
         assert_eq!(s.lines().count(), 2);
         assert_eq!(s, to_jsonl(&ev), "serialization is a pure function");
-        assert!(s.starts_with("{\"seq\":1,\"t\":5,\"par\":0,\"ev\":\"meta\""));
+        assert!(s.starts_with(r#"{"seq":1,"t":5,"par":0,"ev":"meta""#));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 
 use std::rc::Rc;
 
+use spritely_metrics::json::{self, Value};
 use spritely_proto::{ClientId, FileHandle, Fnv, NfsProc};
-use spritely_trace::{to_jsonl, Cause, EventKind, FState, TraceEvent};
+use spritely_trace::{to_chrome_json, to_jsonl, Cause, EventKind, FState, TraceEvent};
 
 /// A string that exercises every escape class: a quote, a backslash, a
 /// named control character and one that needs `\u`.
@@ -390,4 +391,72 @@ fn jsonl_of_every_variant_is_pinned() {
     let mut h = Fnv::EMPTY;
     h.write(text.as_bytes());
     assert_eq!(h.0, 0x2609_31dd_6da2_203a, "{text}");
+}
+
+/// DESIGN.md §11 carries a readers' copy of the event table. It went
+/// stale once (twenty kinds of thirty-six, one misnamed); now a kind or a
+/// JSONL key missing from its row fails here.
+#[test]
+fn design_md_lists_every_kind_and_key() {
+    let design = include_str!("../../../DESIGN.md");
+    let section = design
+        .split("\n## 11. ")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## 12. ").next())
+        .expect("DESIGN.md has a section 11");
+    for e in sample() {
+        let name = e.kind.name();
+        let row = section
+            .lines()
+            .find(|l| l.starts_with(&format!("| `{name}` |")))
+            .unwrap_or_else(|| panic!("DESIGN.md §11 has no row for `{name}`"));
+        e.kind.fields(&mut |key, _| {
+            assert!(
+                row.contains(&format!("`{key}`")),
+                "`{name}` row lacks `{key}`"
+            );
+        });
+    }
+}
+
+/// The Chrome export of the sample, which holds the two cases the real
+/// traces of `tests/chrome.rs` do not: two RPCs in flight with one xid
+/// (client 3's and the server's callback) and a host that appears only
+/// in a `fault` row (203, an inter-shard link).
+#[test]
+fn chrome_rows_of_the_sample_parse_name_every_pid_and_share_no_id() {
+    let doc = json::parse(&to_chrome_json(&sample())).expect("the export parses");
+    let Some(Value::Arr(rows)) = doc.get("traceEvents") else {
+        panic!("no traceEvents array");
+    };
+    let text = |row: &Value, key| match row.get(key) {
+        Some(Value::Str(s)) => s.clone(),
+        other => panic!("no string {key} in {row:?}: {other:?}"),
+    };
+    let pids = |ph: &str| -> Vec<String> {
+        let mut pids: Vec<String> = rows
+            .iter()
+            .filter(|r| (text(r, "ph") == "M") == (ph == "M"))
+            .map(|r| format!("{:?}", r.get("pid")))
+            .collect();
+        pids.sort();
+        pids.dedup();
+        pids
+    };
+    assert_eq!(pids("M"), pids("events"), "a pid without a process_name");
+    assert!(pids("M").contains(&"Some(Num(203.0))".to_string()));
+    let mut opened: Vec<(String, String)> = rows
+        .iter()
+        .filter(|r| text(r, "ph") == "b")
+        .map(|r| (text(r, "cat"), text(r, "id")))
+        .collect();
+    assert_eq!(opened.len(), 7, "six span families, rpc twice");
+    opened.sort();
+    opened.dedup();
+    assert_eq!(opened.len(), 7, "two spans share an id");
+    assert_eq!(
+        rows.iter().filter(|r| text(r, "ph") == "e").count(),
+        7,
+        "every span closes"
+    );
 }

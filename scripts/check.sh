@@ -16,6 +16,12 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Docs link to public names by path; a deleted or renamed type otherwise
+# leaves a dead link nothing notices.
+echo "==> cargo doc (intra-doc links must resolve)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --no-deps --offline --workspace --quiet
+
 # Every experiment in the catalogue, once, at seed 42: its own gate
 # conditions (trace checker clean, each layer's speedup floor, chaos
 # convergence, the sim-core wall-clock floor), its artifacts against

@@ -7,6 +7,7 @@ use std::path::Path;
 use std::process::Command;
 
 use spritely::harness::catalog::{self, slug_of, CATALOG};
+use spritely::metrics::json;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -51,22 +52,48 @@ fn runs_are_deterministic() {
 /// unoptimized build cannot meet; `scripts/check.sh` runs it through
 /// `spritely gate` — holds against what is committed, no artifact path
 /// is written by two entries, and every file under `baselines/` is
-/// written by exactly one.
+/// written by exactly one. Every JSON file an entry leaves — its ledger,
+/// stats snapshots, profiles, Chrome traces, and JSONL traces line by
+/// line — parses with the workspace's one parser.
 #[test]
 fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
     let mut writers: BTreeMap<String, Vec<&str>> = BTreeMap::new();
-    for entry in CATALOG.iter().filter(|e| e.name != "sim_speed") {
+    let mut parsed = BTreeSet::new();
+    for entry in CATALOG {
         let outcome = (entry.run)(42);
-        assert_eq!(
-            catalog::check(root(), entry, &outcome),
-            Vec::<String>::new(),
-            "spritely gate {}",
-            entry.name
-        );
-        for (file, _) in entry.artifacts(&outcome) {
-            writers.entry(file).or_default().push(entry.name);
+        if entry.name != "sim_speed" {
+            assert_eq!(
+                catalog::check(root(), entry, &outcome),
+                Vec::<String>::new(),
+                "spritely gate {}",
+                entry.name
+            );
+        }
+        let mut files = entry.artifacts(&outcome);
+        for (file, _) in &files {
+            writers.entry(file.clone()).or_default().push(entry.name);
+        }
+        let ledger = catalog::ledger_json(&outcome.ledger);
+        files.push((entry.ledger_file(), ledger.into()));
+        for (file, contents) in &files {
+            let documents: Vec<&str> = match file.rsplit('.').next() {
+                Some("json") => vec![contents],
+                Some("jsonl") => contents.lines().collect(),
+                _ => continue,
+            };
+            for (i, text) in documents.iter().enumerate() {
+                if let Err(e) = json::parse(text) {
+                    panic!("{}: {file}, document {i}: {e}\n{text}", entry.name);
+                }
+            }
+            parsed.insert(file.split_once('.').expect("an extension").1.to_string());
         }
     }
+    assert_eq!(
+        parsed.iter().map(String::as_str).collect::<Vec<_>>(),
+        ["chrome.json", "json", "jsonl"],
+        "every kind of JSON artifact was exercised"
+    );
     // No two entries may write the same path: the second would silently
     // overwrite the first on every `spritely run --all`.
     for (file, by) in &writers {
