@@ -354,7 +354,8 @@ mod tests {
         );
 
         // A drifted baseline, a hand-edited ledger, a missing ledger.
-        let root = scratch("drift", r#"{"schema":1,"n":43}"#, "Fake: a stand-in\nold\n");
+        let edited = concat!(r#"{"schema":1,"n":43}"#, "\n");
+        let root = scratch("drift", edited, "Fake: a stand-in\nold\n");
         assert_eq!(
             check(&root, &FAKE, &good),
             [
@@ -385,7 +386,7 @@ mod tests {
         );
         assert_eq!(
             read("BENCH_fake.json"),
-            r#"{"schema":1,"n":42}"#.to_string() + "\n"
+            concat!(r#"{"schema":1,"n":42}"#, "\n")
         );
         assert_eq!(read("artifacts/BENCH_fake.json"), read("BENCH_fake.json"));
         let _ = fs::remove_dir_all(&root);

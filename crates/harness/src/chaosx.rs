@@ -374,13 +374,11 @@ fn run_shard_chaos(seed: u64, faulted: bool) -> Pass {
     for h in handles {
         tb.sim.run_until(h);
     }
-    let cross_ops = tb.stats_snapshot().shards.map_or(0, |sh| {
-        sh.shards
-            .iter()
-            .map(|s| s.cross_renames + s.cross_links)
-            .sum()
+    let cross_ops = tb.shard_hosts.iter().map(|sh| {
+        let ops = sh.server.shard_stats();
+        ops.cross_renames + ops.cross_links
     });
-    Pass::of(&tb, testbed_digest(&tb), cross_ops)
+    Pass::of(&tb, testbed_digest(&tb), cross_ops.sum())
 }
 
 fn run_delegation(seed: u64, faulted: bool) -> Pass {

@@ -263,7 +263,7 @@ impl StatsSnapshot {
         let mut w = Writer::default();
         w.obj(|w| {
             w.key("protocol").str(&self.protocol);
-            w.nums(&[("rpc_total", self.rpc_total)]);
+            w.key("rpc_total").num(self.rpc_total);
             w.key("clients").arr(|w| {
                 for c in &self.clients {
                     w.obj(|w| client_json(w, c));

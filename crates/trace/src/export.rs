@@ -172,18 +172,14 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
 fn row(w: &mut Writer, e: &TraceEvent) {
     let Lane { pid, tid, span } = lane(e);
     w.obj(|w| {
-        w.key("ph").str(match &span {
-            None => "i",
-            Some(s) if s.open => "b",
-            Some(_) => "e",
-        });
         w.nums(&[("pid", pid.into()), ("tid", tid.into()), ("ts", e.t_us)]);
         match span {
             None => {
-                w.key("s").str("t");
+                w.key("ph").str("i").key("s").str("t");
                 w.key("name").str(e.kind.name()).key("cat").str("event");
             }
             Some(s) => {
+                w.key("ph").str(if s.open { "b" } else { "e" });
                 w.key("id").str(format_args!("{}:{}", s.name, s.key));
                 w.key("name").str(s.name).key("cat").str(s.cat);
             }

@@ -112,7 +112,8 @@ fn spans_pair_up_and_every_process_is_named() {
             assert!(named.contains(&num(row, "pid")), "unnamed pid: {row:?}");
             let (own, opener) = match &e.kind {
                 EventKind::DiskQueue { disk, req, .. } | EventKind::DiskDone { disk, req, .. } => {
-                    (format!("{disk}#{req}"), format!("{disk}#{req}"))
+                    let request = format!("{disk}#{req}");
+                    (request.clone(), request)
                 }
                 _ => (e.seq.to_string(), e.parent.to_string()),
             };
