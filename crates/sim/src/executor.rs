@@ -16,12 +16,17 @@
 //! The executor retires hundreds of millions of events per experiment
 //! matrix, so the inner loop is flat:
 //!
-//! * **Tasks live in a slab** (`Vec<Option<TaskSlot>>` + free-index stack)
+//! * **Tasks live in a slab** (`Vec<TaskSlot>` + free-index stack)
 //!   addressed by generational [`TaskId`]s. Spawn, wake and poll are index
-//!   operations; no hashing. Each slot caches its `Waker`, created once at
-//!   spawn — polling does not allocate. A wake that races task completion
-//!   (the id's generation no longer matches) is counted as a *stale wake*
-//!   and skipped.
+//!   operations; no hashing. A wake that races task completion (the id's
+//!   generation no longer matches) is counted as a *stale wake* and
+//!   skipped.
+//! * **A task is one allocation**: the future and what its
+//!   [`JoinHandle`]s wait on share an `Rc` (`TaskCell`), which the slab
+//!   and the handles see through two traits. The slot's waker outlives
+//!   its occupant and is re-targeted for the next one unless somebody
+//!   still holds a clone, so a steady-state spawn allocates once and a
+//!   poll never.
 //! * **Timers live in a cancel-aware indexed heap** ([`crate::timer`]):
 //!   dropping a [`Sleep`] before its deadline removes its entry in
 //!   O(log n). The previous `BinaryHeap` accumulated the abandoned guard
@@ -39,6 +44,7 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
+use crate::sync::Waiters;
 use crate::time::{SimDuration, SimTime};
 use crate::timer::{TimerId, TimerQueue};
 
@@ -110,15 +116,74 @@ impl Wake for TaskWaker {
     }
 }
 
-/// One occupied task slot: the future plus its cached waker.
+/// One task slot, occupied or free.
 struct TaskSlot {
+    /// Generation of the occupant (of the next one while the slot is
+    /// free): bumped when an occupant leaves, so its late wakes mismatch.
     gen: u32,
-    /// Taken out while the task is being polled (user code re-enters the
-    /// core), put back on `Pending`.
-    fut: Option<Pin<Box<dyn Future<Output = ()>>>>,
-    /// Created once at spawn; polling clones the `Waker` (an `Arc` bump),
-    /// never allocates.
-    waker: Waker,
+    /// `None` while the slot is free, and while the task is being polled
+    /// (user code re-enters the core); put back on `Pending`.
+    task: Option<Rc<dyn Task>>,
+    /// Polling clones it (an `Arc` bump), never allocates. Kept when the
+    /// occupant leaves: the next one re-targets it if `Arc::get_mut`
+    /// proves no clone is left in some wait list, else gets a fresh one.
+    waker: Arc<TaskWaker>,
+}
+
+/// A spawned task as its slot sees it.
+trait Task {
+    /// Polls the future. On completion drops it in place, stores the
+    /// output, wakes the joiners and returns true.
+    fn poll(&self, cx: &mut Context<'_>) -> bool;
+
+    /// Drops the future in place, however many handles share the cell.
+    fn cancel(&self);
+}
+
+/// The same allocation as a [`JoinHandle`] sees it.
+trait Joinable<T> {
+    fn join(&self) -> &RefCell<JoinState<T>>;
+}
+
+struct JoinState<T> {
+    result: Option<T>,
+    waiters: Waiters,
+}
+
+/// The one allocation of a task.
+struct TaskCell<F: Future> {
+    join: RefCell<JoinState<F::Output>>,
+    /// `None` once the task has finished or was cancelled.
+    fut: RefCell<Option<F>>,
+}
+
+impl<F: Future> Task for TaskCell<F> {
+    fn poll(&self, cx: &mut Context<'_>) -> bool {
+        let mut fut = self.fut.borrow_mut();
+        let pinned = fut.as_mut().expect("a finished task is not in the slab");
+        // SAFETY: the future was moved into its `Rc` at spawn and never
+        // leaves it: the cell hands out no other `&mut` to it, and both
+        // ways it ends (`= None` below and in `cancel`) drop it in place.
+        let pinned = unsafe { Pin::new_unchecked(pinned) };
+        let Poll::Ready(out) = pinned.poll(cx) else {
+            return false;
+        };
+        *fut = None;
+        let mut join = self.join.borrow_mut();
+        join.result = Some(out);
+        join.waiters.wake_all();
+        true
+    }
+
+    fn cancel(&self) {
+        *self.fut.borrow_mut() = None;
+    }
+}
+
+impl<F: Future> Joinable<F::Output> for TaskCell<F> {
+    fn join(&self) -> &RefCell<JoinState<F::Output>> {
+        &self.join
+    }
 }
 
 /// Executor counters: everything the scheduling loop did during a run.
@@ -163,11 +228,9 @@ impl SimStats {
 struct Core {
     now: SimTime,
     timers: TimerQueue,
-    tasks: Vec<Option<TaskSlot>>,
+    tasks: Vec<TaskSlot>,
     /// Free slab indices, reused LIFO.
     free: Vec<u32>,
-    /// Generation counters per slot, persisting across reuse.
-    gens: Vec<u32>,
     live_tasks: usize,
     peak_live_tasks: usize,
     /// Scratch buffer for due-timer wakers (reused across advances).
@@ -176,12 +239,12 @@ struct Core {
 }
 
 impl Core {
+    /// Retires the occupant of `index`, whose task is already out of it.
     fn free_slot(&mut self, index: u32) {
-        self.tasks[index as usize] = None;
-        self.gens[index as usize] = self.gens[index as usize].wrapping_add(1);
+        let slot = &mut self.tasks[index as usize];
+        slot.gen = slot.gen.wrapping_add(1);
         self.free.push(index);
         self.live_tasks -= 1;
-        self.stats.tasks_completed += 1;
     }
 }
 
@@ -208,7 +271,6 @@ impl Sim {
                 timers: TimerQueue::default(),
                 tasks: Vec::new(),
                 free: Vec::new(),
-                gens: Vec::new(),
                 live_tasks: 0,
                 peak_live_tasks: 0,
                 due: Vec::new(),
@@ -232,50 +294,59 @@ impl Sim {
         F: Future + 'static,
         F::Output: 'static,
     {
-        let state = Rc::new(RefCell::new(JoinState {
-            result: None,
-            wakers: Vec::new(),
-        }));
-        let state2 = Rc::clone(&state);
-        let wrapped = async move {
-            let out = fut.await;
-            let mut s = state2.borrow_mut();
-            s.result = Some(out);
-            for w in s.wakers.drain(..) {
-                w.wake();
-            }
+        let task = Rc::new(TaskCell {
+            join: RefCell::new(JoinState {
+                result: None,
+                waiters: Waiters::default(),
+            }),
+            fut: RefCell::new(Some(fut)),
+        });
+        let handle = JoinHandle {
+            task: Rc::clone(&task) as Rc<dyn Joinable<F::Output>>,
         };
         let id = {
             let mut core = self.core.borrow_mut();
-            let index = match core.free.pop() {
-                Some(i) => i,
+            let id = match core.free.pop() {
+                Some(index) => {
+                    let slot = &mut core.tasks[index as usize];
+                    let id = TaskId {
+                        index,
+                        gen: slot.gen,
+                    };
+                    match Arc::get_mut(&mut slot.waker) {
+                        Some(waker) => waker.id = id,
+                        None => slot.waker = self.waker_for(id),
+                    }
+                    slot.task = Some(task);
+                    id
+                }
                 None => {
-                    let i = core.tasks.len() as u32;
-                    core.tasks.push(None);
-                    core.gens.push(0);
-                    i
+                    let id = TaskId {
+                        index: core.tasks.len() as u32,
+                        gen: 0,
+                    };
+                    core.tasks.push(TaskSlot {
+                        gen: 0,
+                        task: Some(task),
+                        waker: self.waker_for(id),
+                    });
+                    id
                 }
             };
-            let id = TaskId {
-                index,
-                gen: core.gens[index as usize],
-            };
-            let waker = Waker::from(Arc::new(TaskWaker {
-                id,
-                ready: Arc::clone(&self.ready),
-            }));
-            core.tasks[index as usize] = Some(TaskSlot {
-                gen: id.gen,
-                fut: Some(Box::pin(wrapped)),
-                waker,
-            });
             core.live_tasks += 1;
             core.peak_live_tasks = core.peak_live_tasks.max(core.live_tasks);
             core.stats.tasks_spawned += 1;
             id
         };
         self.ready.push(id);
-        JoinHandle { state }
+        handle
+    }
+
+    fn waker_for(&self, id: TaskId) -> Arc<TaskWaker> {
+        Arc::new(TaskWaker {
+            id,
+            ready: Arc::clone(&self.ready),
+        })
     }
 
     /// Returns a future that completes `d` after the current virtual time.
@@ -321,51 +392,41 @@ impl Sim {
         self.core.borrow_mut().timers.cancel(id);
     }
 
-    /// Polls every runnable task once; returns how many polls were made.
-    fn drain_ready(&self) -> usize {
-        let mut polled = 0;
+    /// Polls every runnable task once.
+    fn drain_ready(&self) {
         while let Some(id) = self.ready.pop() {
-            // Take the future out of its slot so the core is not borrowed
+            // Take the task out of its slot so the core is not borrowed
             // while user code runs (user code re-enters the Sim).
-            let (mut fut, waker) = {
+            let (task, waker) = {
                 let mut core = self.core.borrow_mut();
-                let fut = match core.tasks.get_mut(id.index as usize) {
-                    Some(Some(slot)) if slot.gen == id.gen => slot.fut.take(),
+                let taken = match core.tasks.get_mut(id.index as usize) {
+                    Some(slot) if slot.gen == id.gen => slot
+                        .task
+                        .take()
+                        .map(|t| (t, Waker::from(Arc::clone(&slot.waker)))),
                     _ => None,
                 };
-                let Some(fut) = fut else {
+                let Some(taken) = taken else {
                     // Wake for a finished task (or one mid-poll via a
                     // nested executor entry); ignore.
                     core.stats.stale_wakes += 1;
                     continue;
                 };
                 core.stats.polls += 1;
-                let waker = core.tasks[id.index as usize]
-                    .as_ref()
-                    .expect("slot occupied")
-                    .waker
-                    .clone();
-                (fut, waker)
+                taken
             };
-            polled += 1;
-            let mut cx = Context::from_waker(&waker);
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => {
-                    // Drop the future *before* re-borrowing the core: its
-                    // destructor may cancel timers (Sleep::drop).
-                    drop(fut);
-                    self.core.borrow_mut().free_slot(id.index);
-                }
-                Poll::Pending => {
-                    let mut core = self.core.borrow_mut();
-                    core.tasks[id.index as usize]
-                        .as_mut()
-                        .expect("slot occupied")
-                        .fut = Some(fut);
-                }
+            if task.poll(&mut Context::from_waker(&waker)) {
+                // Drop the cell (with no handle left, the output too)
+                // *before* re-borrowing the core: a destructor may cancel
+                // timers (Sleep::drop).
+                drop(task);
+                let mut core = self.core.borrow_mut();
+                core.free_slot(id.index);
+                core.stats.tasks_completed += 1;
+            } else {
+                self.core.borrow_mut().tasks[id.index as usize].task = Some(task);
             }
         }
-        polled
     }
 
     /// Advances the clock to the earliest pending timer and fires every
@@ -453,6 +514,10 @@ impl Sim {
     /// The futures are dropped with the core not borrowed, because their
     /// destructors re-enter it (a `Sleep` cancels its timer), and the
     /// sweep repeats in case a destructor spawned or registered more.
+    /// They are dropped *in place*, not by letting go of the slab's
+    /// reference: a `JoinHandle` kept outside the simulation shares the
+    /// task's allocation and would otherwise keep the daemon, and the
+    /// `Sim` it captured, alive.
     /// A task being polled right now — one that owned the last handle and
     /// is ending the simulation from inside it — is left to finish.
     /// Awaiting the `JoinHandle` of a task dropped here never resolves.
@@ -460,19 +525,20 @@ impl Sim {
         loop {
             let (tasks, timers) = {
                 let mut core = self.core.borrow_mut();
-                let core = &mut *core;
                 let mut tasks = Vec::new();
-                for (i, slot) in core.tasks.iter_mut().enumerate() {
-                    // `fut` is out of its slot exactly while it is polled.
-                    if slot.as_ref().is_some_and(|t| t.fut.is_some()) {
-                        tasks.extend(slot.take());
-                        core.gens[i] = core.gens[i].wrapping_add(1);
-                        core.free.push(i as u32);
-                        core.live_tasks -= 1;
+                for index in 0..core.tasks.len() {
+                    // A task is out of an occupied slot exactly while it
+                    // is polled.
+                    if let Some(task) = core.tasks[index].task.take() {
+                        tasks.push(task);
+                        core.free_slot(index as u32);
                     }
                 }
                 (tasks, core.timers.drain())
             };
+            for task in &tasks {
+                task.cancel();
+            }
             let queued = self.ready.clear();
             if tasks.is_empty() && timers.is_empty() && queued == 0 {
                 return;
@@ -502,23 +568,19 @@ impl Sim {
     }
 }
 
-struct JoinState<T> {
-    result: Option<T>,
-    wakers: Vec<Waker>,
-}
-
 /// Handle to a spawned task's eventual output.
 ///
 /// Await it inside the simulation, or pass it to [`Sim::run_until`] from
-/// outside.
+/// outside. It shares the task's allocation, which is therefore freed
+/// when the task has finished *and* its last handle is gone.
 pub struct JoinHandle<T> {
-    state: Rc<RefCell<JoinState<T>>>,
+    task: Rc<dyn Joinable<T>>,
 }
 
 impl<T> Clone for JoinHandle<T> {
     fn clone(&self) -> Self {
         JoinHandle {
-            state: Rc::clone(&self.state),
+            task: Rc::clone(&self.task),
         }
     }
 }
@@ -526,13 +588,13 @@ impl<T> Clone for JoinHandle<T> {
 impl<T> JoinHandle<T> {
     /// Takes the task's output if it has completed.
     pub fn try_take(&self) -> Option<T> {
-        self.state.borrow_mut().result.take()
+        self.task.join().borrow_mut().result.take()
     }
 
     /// Returns true if the task has completed and its output has not been
     /// taken yet.
     pub fn is_finished(&self) -> bool {
-        self.state.borrow().result.is_some()
+        self.task.join().borrow().result.is_some()
     }
 }
 
@@ -540,11 +602,11 @@ impl<T> Future for JoinHandle<T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut s = self.state.borrow_mut();
+        let mut s = self.task.join().borrow_mut();
         if let Some(v) = s.result.take() {
             Poll::Ready(v)
         } else {
-            s.wakers.push(cx.waker().clone());
+            s.waiters.push(cx.waker());
             Poll::Pending
         }
     }
@@ -922,9 +984,20 @@ mod tests {
 
     #[test]
     fn shutdown_frees_what_a_forever_sleeping_daemon_captured() {
+        shutdown_frees_the_daemon(false);
+    }
+
+    /// The handle shares the daemon's allocation (a testbed field, a
+    /// workload's `Vec` of handles): it must not keep the daemon alive.
+    #[test]
+    fn shutdown_frees_a_daemon_whose_join_handle_is_still_held() {
+        shutdown_frees_the_daemon(true);
+    }
+
+    fn shutdown_frees_the_daemon(keep_handle: bool) {
         let sim = Sim::new();
         let held = Rc::new(());
-        {
+        let daemon = {
             let s = sim.clone();
             let held = Rc::clone(&held);
             sim.spawn(async move {
@@ -932,8 +1005,9 @@ mod tests {
                     s.sleep(SimDuration::from_secs(30)).await;
                     let _ = &held;
                 }
-            });
-        }
+            })
+        };
+        let daemon = keep_handle.then_some(daemon);
         let s = sim.clone();
         sim.block_on(async move { s.sleep(SimDuration::from_secs(100)).await });
         assert_eq!(Rc::strong_count(&held), 2, "the daemon holds its capture");
@@ -949,6 +1023,82 @@ mod tests {
         let s = sim.clone();
         sim.block_on(async move { s.sleep(SimDuration::from_secs(1)).await });
         assert_eq!(sim.now().as_micros(), 101_000_000);
+        assert!(daemon.is_none_or(|d| !d.is_finished()));
+    }
+
+    #[test]
+    fn joiners_wake_in_arrival_order() {
+        // Spawn order 0, 1, 2; arrival at the join in order 2, 0, 1.
+        let sim = Sim::new();
+        let target = {
+            let s = sim.clone();
+            sim.spawn(async move { s.sleep(SimDuration::from_millis(10)).await })
+        };
+        let order: Rc<RefCell<Vec<u32>>> = Rc::default();
+        for (i, arrives_us) in [(0u32, 2u64), (1, 3), (2, 1)] {
+            let (s, target, order) = (sim.clone(), target.clone(), Rc::clone(&order));
+            sim.spawn(async move {
+                s.sleep(SimDuration::from_micros(arrives_us)).await;
+                // One waiter takes the output, the others stay pending:
+                // the order they were *polled* in is the wake order.
+                std::future::poll_fn(|cx| {
+                    if s.now().as_micros() >= 10_000 {
+                        order.borrow_mut().push(i);
+                        return Poll::Ready(());
+                    }
+                    assert!(Pin::new(&mut target.clone()).poll(cx).is_pending());
+                    Poll::Pending
+                })
+                .await;
+            });
+        }
+        sim.run_to_quiescence();
+        assert_eq!(*order.borrow(), vec![2, 0, 1]);
+    }
+
+    /// A finished task's slot keeps its waker for the next occupant —
+    /// unless a clone of it is still out there, which must then go stale
+    /// rather than poll the newcomer.
+    #[test]
+    fn a_slot_reuses_its_waker_unless_a_clone_outlived_the_task() {
+        let sim = Sim::new();
+        let slot_waker = |sim: &Sim| Arc::as_ptr(&sim.core.borrow().tasks[0].waker);
+        let polls = Rc::new(Cell::new(0u32));
+        // Counts its polls; finishes on the first iff `finish`, stashing
+        // a clone of its waker iff `kept` is given.
+        let task = |finish: bool, kept: Option<Rc<RefCell<Option<Waker>>>>| {
+            let polls = Rc::clone(&polls);
+            std::future::poll_fn(move |cx| {
+                polls.set(polls.get() + 1);
+                if let Some(kept) = &kept {
+                    *kept.borrow_mut() = Some(cx.waker().clone());
+                }
+                if finish {
+                    Poll::Ready(())
+                } else {
+                    Poll::Pending
+                }
+            })
+        };
+        sim.spawn(task(true, None));
+        sim.run_to_quiescence();
+        let first = slot_waker(&sim);
+        // Nobody kept the first occupant's waker: the second gets it.
+        let kept: Rc<RefCell<Option<Waker>>> = Rc::default();
+        sim.spawn(task(true, Some(Rc::clone(&kept))));
+        sim.run_to_quiescence();
+        assert_eq!(slot_waker(&sim), first, "re-targeted, not re-allocated");
+        // A clone of the second's is still held: the third gets a fresh one.
+        sim.spawn(task(false, None));
+        sim.run_to_quiescence();
+        assert_ne!(slot_waker(&sim), first, "a fresh waker for the third");
+        assert_eq!((polls.get(), sim.live_tasks()), (3, 1));
+        // The leftover clone wakes nobody: the third is not polled again.
+        kept.borrow_mut().take().expect("stashed").wake();
+        sim.run_to_quiescence();
+        assert_eq!(polls.get(), 3, "the late wake polled the slot's new task");
+        assert_eq!(sim.stats().stale_wakes, 1);
+        assert_eq!(sim.core.borrow().tasks.len(), 1, "one slot throughout");
     }
 
     #[test]

@@ -12,6 +12,35 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+/// The wakers of the tasks blocked on one condition, in arrival order.
+///
+/// Almost every wait in the system has exactly one waiter (a caller on
+/// its reply, a joiner on its task), so the first waker sits inline and
+/// only a second waiter allocates.
+#[derive(Default)]
+pub(crate) struct Waiters {
+    first: Option<Waker>,
+    /// Later arrivals; empty whenever `first` is `None`.
+    rest: Vec<Waker>,
+}
+
+impl Waiters {
+    /// Adds a waiter behind those already here.
+    pub(crate) fn push(&mut self, waker: &Waker) {
+        match self.first {
+            None => self.first = Some(waker.clone()),
+            Some(_) => self.rest.push(waker.clone()),
+        }
+    }
+
+    /// Wakes every waiter, first come first woken, and forgets them.
+    pub(crate) fn wake_all(&mut self) {
+        for w in self.first.take().into_iter().chain(self.rest.drain(..)) {
+            w.wake();
+        }
+    }
+}
+
 /// A FIFO-fair counting semaphore.
 ///
 /// Unlike a bare counter, releases *hand off* permits to the head of the
@@ -221,7 +250,7 @@ pub struct Event {
 #[derive(Default)]
 struct EventInner {
     set: bool,
-    wakers: Vec<Waker>,
+    waiters: Waiters,
 }
 
 impl Event {
@@ -234,9 +263,7 @@ impl Event {
     pub fn set(&self) {
         let mut s = self.inner.borrow_mut();
         s.set = true;
-        for w in s.wakers.drain(..) {
-            w.wake();
-        }
+        s.waiters.wake_all();
     }
 
     /// Returns true once [`set`](Self::set) has been called.
@@ -265,7 +292,7 @@ impl Future for EventWait {
         if s.set {
             Poll::Ready(())
         } else {
-            s.wakers.push(cx.waker().clone());
+            s.waiters.push(cx.waker());
             Poll::Pending
         }
     }
@@ -278,7 +305,7 @@ impl Future for EventWait {
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let inner = Rc::new(RefCell::new(ChanInner {
         queue: VecDeque::new(),
-        wakers: Vec::new(),
+        waiters: Waiters::default(),
         senders: 1,
     }));
     (
@@ -291,7 +318,7 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
 
 struct ChanInner<T> {
     queue: VecDeque<T>,
-    wakers: Vec<Waker>,
+    waiters: Waiters,
     senders: usize,
 }
 
@@ -314,9 +341,7 @@ impl<T> Drop for Sender<T> {
         let mut s = self.inner.borrow_mut();
         s.senders -= 1;
         if s.senders == 0 {
-            for w in s.wakers.drain(..) {
-                w.wake();
-            }
+            s.waiters.wake_all();
         }
     }
 }
@@ -326,9 +351,7 @@ impl<T> Sender<T> {
     pub fn send(&self, v: T) {
         let mut s = self.inner.borrow_mut();
         s.queue.push_back(v);
-        for w in s.wakers.drain(..) {
-            w.wake();
-        }
+        s.waiters.wake_all();
     }
 }
 
@@ -375,7 +398,7 @@ impl<T> Future for Recv<'_, T> {
         } else if s.senders == 0 {
             Poll::Ready(None)
         } else {
-            s.wakers.push(cx.waker().clone());
+            s.waiters.push(cx.waker());
             Poll::Pending
         }
     }
@@ -554,6 +577,29 @@ mod tests {
         sim.run_to_quiescence();
         assert_eq!(count.get(), 3);
         assert!(ev.is_set());
+    }
+
+    #[test]
+    fn event_waiters_wake_in_arrival_order() {
+        // Spawn order 0, 1, 2; arrival at the event in order 2, 0, 1.
+        let sim = Sim::new();
+        let ev = Event::new();
+        let order: Rc<RefCell<Vec<u32>>> = Rc::default();
+        for (i, arrives_us) in [(0u32, 2u64), (1, 3), (2, 1)] {
+            let (s, ev, order) = (sim.clone(), ev.clone(), Rc::clone(&order));
+            sim.spawn(async move {
+                s.sleep(SimDuration::from_micros(arrives_us)).await;
+                ev.wait().await;
+                order.borrow_mut().push(i);
+            });
+        }
+        let s = sim.clone();
+        sim.block_on(async move {
+            s.sleep(SimDuration::from_millis(1)).await;
+            ev.set();
+        });
+        sim.run_to_quiescence();
+        assert_eq!(*order.borrow(), vec![2, 0, 1]);
     }
 
     #[test]
