@@ -241,6 +241,7 @@ mod tests {
 #[cfg(test)]
 mod symlink_tests {
     use super::*;
+    use crate::process::MAX_SYMLINKS;
     use spritely_blockdev::{Disk, DiskParams};
     use spritely_localfs::{FsParams, LocalFs};
     use spritely_proto::{FileType, NfsStatus};
@@ -326,6 +327,121 @@ mod symlink_tests {
             // "../../top" from /d: the extra .. saturates at the root.
             p.symlink("../../top", "/d/esc").await.unwrap();
             assert!(p.stat("/d/esc").await.is_ok());
+        });
+    }
+
+    /// The path walk as a table: how slashes, mount prefixes and symlink
+    /// targets are read, pinned across the move from owned component
+    /// vectors to borrowed ones.
+    #[test]
+    fn path_walk_table() {
+        let sim = Sim::new();
+        let [fs1, fs2] = [1, 2].map(|id| {
+            let disk = Disk::new(&sim, "d", DiskParams::ra81());
+            LocalFs::new(&sim, id, disk, FsParams::default())
+        });
+        let vfs = Vfs::new(vec![
+            Mount::new("/", FsBackend::Local(fs1.clone()), fs1.root()),
+            Mount::new("/usr/tmp", FsBackend::Local(fs2.clone()), fs2.root()),
+        ]);
+        let p = Proc::new(
+            &sim,
+            vfs,
+            Resource::new(&sim, "cpu", 1),
+            SyscallCosts::default(),
+        );
+        sim.block_on(async move {
+            // Files are told apart by size.
+            let file = |path: &'static str, size: usize| {
+                let p = p.clone();
+                async move {
+                    let fd = p.open(path, OpenFlags::create_write()).await.unwrap();
+                    p.write(fd, &vec![0u8; size]).await.unwrap();
+                    p.close(fd).await.unwrap();
+                }
+            };
+            // Repeated and trailing slashes separate nothing.
+            p.mkdir("/a").await.unwrap();
+            p.mkdir("//a///b/").await.unwrap();
+            file("/a/b/f", 1).await;
+            p.mkdir("/usr").await.unwrap();
+            // Lands in fs1 and is hidden by the mount from then on.
+            p.mkdir("/usr/tmp").await.unwrap();
+            file("/usr/x", 2).await;
+            file("/usr/tmp/x", 3).await;
+            file("/usr/tmpx", 4).await;
+            p.mkdir("/usr/tmp/sub").await.unwrap();
+            file("/top", 5).await;
+            for (target, link) in [
+                ("./../a/./b/f", "/a/rel"),         // relative: `.` and `..` are applied
+                ("../../../../top", "/a/b/up"),     // `..` saturates at the root
+                ("/a/b/f", "/abs"),                 // absolute: restarts at the root
+                ("/a/../top", "/absdots"),          // absolute: dots are plain names
+                ("../x", "/usr/tmp/out"),           // climbs out of its mount
+                ("../../tmp/x", "/usr/tmp/sub/in"), // and back into it
+                ("b", "/a/dir"),                    // a link in the middle of a path
+                ("/loop", "/loop"),
+            ] {
+                p.symlink(target, link).await.unwrap();
+            }
+            // A chain of MAX_SYMLINKS links resolves; one more does not.
+            p.symlink("/top", "/c0").await.unwrap();
+            for i in 1..=MAX_SYMLINKS {
+                let (target, link) = (format!("/c{}", i - 1), format!("/c{i}"));
+                p.symlink(&target, &link).await.unwrap();
+            }
+
+            let dir = 0; // a directory, whatever its size
+            for (path, want) in [
+                ("/", Ok(dir)),
+                ("", Ok(dir)),
+                ("///", Ok(dir)),
+                ("//a///b/", Ok(dir)),
+                ("a/b/f", Ok(1)),
+                ("/a/b/f/", Ok(1)),
+                ("/a/b/f/g", Err(NfsStatus::NotDir)),
+                ("/a/none/f", Err(NfsStatus::NoEnt)),
+                ("/usr/x", Ok(2)),
+                ("/usr/tmp/x", Ok(3)),
+                ("/usr/tmp", Ok(dir)),
+                ("/usr/tmpx", Ok(4)),
+                ("/usr/tmp/tmpx", Err(NfsStatus::NoEnt)),
+                ("/a/rel", Ok(1)),
+                ("/a/b/up", Ok(5)),
+                ("/abs", Ok(1)),
+                ("/absdots", Err(NfsStatus::NoEnt)),
+                ("/usr/tmp/out", Ok(2)),
+                ("/usr/tmp/sub/in", Ok(3)),
+                ("/a/dir/f", Ok(1)),
+                ("/a/dir//f/", Ok(1)),
+                ("/loop", Err(NfsStatus::Inval)),
+                ("/c7", Ok(5)),
+                ("/c8", Err(NfsStatus::Inval)),
+            ] {
+                let got = p.stat(path).await.map(|a| match a.ftype {
+                    FileType::Directory => dir,
+                    _ => a.size,
+                });
+                assert_eq!(got, want, "stat({path:?})");
+            }
+            assert_eq!(p.stat("/usr/tmp").await.unwrap().fileid, fs2.root().inode);
+
+            // The parent walk: the last component is a name, never followed.
+            for path in ["/", "", "//"] {
+                assert_eq!(
+                    p.mkdir(path).await,
+                    Err(NfsStatus::Inval),
+                    "mkdir({path:?})"
+                );
+            }
+            assert_eq!(p.lstat("/a/rel").await.unwrap().ftype, FileType::Symlink);
+            assert_eq!(p.readlink("/a/dir").await.unwrap(), "b");
+            p.rename("/a/dir/f", "//a/b//g/").await.unwrap();
+            assert_eq!(p.stat("/a/b/g").await.unwrap().size, 1);
+            p.unlink("/a/rel").await.unwrap();
+            assert_eq!(p.lstat("/a/rel").await, Err(NfsStatus::NoEnt));
+            assert_eq!(p.mkdir("/top/d").await, Err(NfsStatus::NotDir));
+            assert_eq!(p.rmdir("/a/dir/").await, Err(NfsStatus::NotDir));
         });
     }
 

@@ -5,7 +5,7 @@ use std::rc::Rc;
 use spritely_core::SnfsClient;
 use spritely_localfs::LocalFs;
 use spritely_nfs::NfsClient;
-use spritely_proto::{DirEntry, Fattr, FileHandle, NfsStatus, Result};
+use spritely_proto::{DirEntry, Fattr, FileHandle, Result};
 
 /// One of the three file system implementations a path can resolve to.
 #[derive(Clone)]
@@ -18,59 +18,52 @@ pub enum FsBackend {
     Snfs(SnfsClient),
 }
 
+/// One call on whichever file system `$self` is. The two remote clients
+/// take the same calls (most land in the `ClientBase` they share), so
+/// they share an arm; the procedures they differ in are spelled out.
+macro_rules! on {
+    ($self:ident, $fs:pat => $local:expr, $c:ident => $remote:expr) => {
+        match $self {
+            FsBackend::Local($fs) => $local,
+            FsBackend::Nfs($c) => $remote,
+            FsBackend::Snfs($c) => $remote,
+        }
+    };
+}
+
 impl FsBackend {
     /// Translates one name component under `dir`.
     pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        match self {
-            FsBackend::Local(fs) => fs.lookup(dir, name),
-            FsBackend::Nfs(c) => c.lookup(dir, name).await,
-            FsBackend::Snfs(c) => c.lookup(dir, name).await,
-        }
+        on!(self, fs => fs.lookup(dir, name), c => c.lookup(dir, name).await)
     }
 
     /// Creates a regular file.
     pub async fn create(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        match self {
-            FsBackend::Local(fs) => fs.create(dir, name).await,
-            FsBackend::Nfs(c) => c.create(dir, name).await,
-            FsBackend::Snfs(c) => c.create(dir, name).await,
-        }
+        on!(self, fs => fs.create(dir, name).await, c => c.create(dir, name).await)
     }
 
     /// Protocol-specific open work (consistency checks / open RPC).
     pub async fn open(&self, fh: FileHandle, write: bool) -> Result<Fattr> {
-        match self {
-            FsBackend::Local(fs) => fs.getattr(fh),
-            FsBackend::Nfs(c) => c.open(fh, write).await,
-            FsBackend::Snfs(c) => c.open(fh, write).await,
-        }
+        on!(self, fs => fs.getattr(fh), c => c.open(fh, write).await)
     }
 
     /// Protocol-specific close work (drain / close RPC).
     pub async fn close(&self, fh: FileHandle, write: bool) -> Result<()> {
-        match self {
-            FsBackend::Local(_) => Ok(()),
-            FsBackend::Nfs(c) => c.close(fh, write).await,
-            FsBackend::Snfs(c) => c.close(fh, write).await,
-        }
+        on!(self, _ => Ok(()), c => c.close(fh, write).await)
     }
 
     /// Reads up to `len` bytes at `offset`.
     pub async fn read(&self, fh: FileHandle, offset: u64, len: u32) -> Result<Vec<u8>> {
-        match self {
-            FsBackend::Local(fs) => fs.read(fh, offset, len).await.map(|(d, _, _)| d.to_vec()),
-            FsBackend::Nfs(c) => c.read(fh, offset, len).await.map(|(d, _)| d),
-            FsBackend::Snfs(c) => c.read(fh, offset, len).await.map(|(d, _)| d),
-        }
+        on!(self,
+            fs => fs.read(fh, offset, len).await.map(|(d, _, _)| d.to_vec()),
+            c => c.read(fh, offset, len).await.map(|(d, _)| d))
     }
 
     /// Writes at `offset` with the backend's native write policy.
     pub async fn write(&self, fh: FileHandle, offset: u64, data: &[u8]) -> Result<()> {
-        match self {
-            FsBackend::Local(fs) => fs.write(fh, offset, data, false).await.map(|_| ()),
-            FsBackend::Nfs(c) => c.write(fh, offset, data).await,
-            FsBackend::Snfs(c) => c.write(fh, offset, data).await,
-        }
+        on!(self,
+            fs => fs.write(fh, offset, data, false).await.map(|_| ()),
+            c => c.write(fh, offset, data).await)
     }
 
     /// Attributes.
@@ -84,11 +77,7 @@ impl FsBackend {
 
     /// Truncate.
     pub async fn truncate(&self, fh: FileHandle, size: u64) -> Result<Fattr> {
-        match self {
-            FsBackend::Local(fs) => fs.setattr(fh, Some(size)).await,
-            FsBackend::Nfs(c) => c.setattr(fh, Some(size)).await,
-            FsBackend::Snfs(c) => c.setattr(fh, Some(size)).await,
-        }
+        on!(self, fs => fs.setattr(fh, Some(size)).await, c => c.setattr(fh, Some(size)).await)
     }
 
     /// Removes a regular file; `victim` lets remote clients drop caches
@@ -107,20 +96,12 @@ impl FsBackend {
 
     /// Creates a directory.
     pub async fn mkdir(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        match self {
-            FsBackend::Local(fs) => fs.mkdir(dir, name).await,
-            FsBackend::Nfs(c) => c.mkdir(dir, name).await,
-            FsBackend::Snfs(c) => c.mkdir(dir, name).await,
-        }
+        on!(self, fs => fs.mkdir(dir, name).await, c => c.mkdir(dir, name).await)
     }
 
     /// Removes an empty directory.
     pub async fn rmdir(&self, dir: FileHandle, name: &str) -> Result<()> {
-        match self {
-            FsBackend::Local(fs) => fs.rmdir(dir, name).await,
-            FsBackend::Nfs(c) => c.rmdir(dir, name).await,
-            FsBackend::Snfs(c) => c.rmdir(dir, name).await,
-        }
+        on!(self, fs => fs.rmdir(dir, name).await, c => c.rmdir(dir, name).await)
     }
 
     /// Renames within one backend.
@@ -131,38 +112,26 @@ impl FsBackend {
         to_dir: FileHandle,
         to_name: &str,
     ) -> Result<()> {
-        match self {
-            FsBackend::Local(fs) => fs.rename(from_dir, from_name, to_dir, to_name).await,
-            FsBackend::Nfs(c) => c.rename(from_dir, from_name, to_dir, to_name).await,
-            FsBackend::Snfs(c) => c.rename(from_dir, from_name, to_dir, to_name).await,
-        }
+        on!(self,
+            fs => fs.rename(from_dir, from_name, to_dir, to_name).await,
+            c => c.rename(from_dir, from_name, to_dir, to_name).await)
     }
 
     /// Lists a directory.
     pub async fn readdir(&self, dir: FileHandle) -> Result<Vec<DirEntry>> {
-        match self {
-            FsBackend::Local(fs) => fs.readdir(dir),
-            FsBackend::Nfs(c) => c.readdir(dir).await,
-            FsBackend::Snfs(c) => c.readdir(dir).await,
-        }
+        on!(self, fs => fs.readdir(dir), c => c.readdir(dir).await)
     }
 
     /// Pushes pending data for `fh` toward the server/disk.
     pub async fn fsync(&self, fh: FileHandle) -> Result<()> {
-        match self {
-            FsBackend::Local(fs) => fs.fsync(fh).await,
-            FsBackend::Nfs(c) => c.fsync(fh).await,
-            FsBackend::Snfs(c) => c.fsync(fh).await,
-        }
+        on!(self, fs => fs.fsync(fh).await, c => c.fsync(fh).await)
     }
 
     /// Creates a hard link `to_dir/to_name` to `from`.
     pub async fn link(&self, from: FileHandle, to_dir: FileHandle, to_name: &str) -> Result<Fattr> {
-        match self {
-            FsBackend::Local(fs) => fs.link(from, to_dir, to_name).await,
-            FsBackend::Nfs(c) => c.link(from, to_dir, to_name).await,
-            FsBackend::Snfs(c) => c.link(from, to_dir, to_name).await,
-        }
+        on!(self,
+            fs => fs.link(from, to_dir, to_name).await,
+            c => c.link(from, to_dir, to_name).await)
     }
 
     /// Creates a symbolic link `dir/name` → `target`.
@@ -172,28 +141,22 @@ impl FsBackend {
         name: &str,
         target: &str,
     ) -> Result<(FileHandle, Fattr)> {
-        match self {
-            FsBackend::Local(fs) => fs.symlink(dir, name, target).await,
-            FsBackend::Nfs(c) => c.symlink(dir, name, target).await,
-            FsBackend::Snfs(c) => c.symlink(dir, name, target).await,
-        }
+        on!(self,
+            fs => fs.symlink(dir, name, target).await,
+            c => c.symlink(dir, name, target).await)
     }
 
     /// Reads a symbolic link's target.
     pub async fn readlink(&self, fh: FileHandle) -> Result<String> {
-        match self {
-            FsBackend::Local(fs) => fs.readlink(fh),
-            FsBackend::Nfs(c) => c.readlink(fh).await,
-            FsBackend::Snfs(c) => c.readlink(fh).await,
-        }
+        on!(self, fs => fs.readlink(fh), c => c.readlink(fh).await)
     }
 }
 
 /// One mount-table entry: a path prefix served by a backend.
 pub struct Mount {
     prefix: Vec<String>,
-    backend: FsBackend,
-    root: FileHandle,
+    pub(crate) backend: FsBackend,
+    pub(crate) root: FileHandle,
 }
 
 impl Mount {
@@ -201,24 +164,38 @@ impl Mount {
     /// `prefix` (e.g. `"/"` or `"/usr/tmp"`).
     pub fn new(prefix: &str, backend: FsBackend, root: FileHandle) -> Self {
         Mount {
-            prefix: split_path(prefix),
+            prefix: split_path(prefix).map(str::to_string).collect(),
             backend,
             root,
         }
     }
+
+    /// `path` below this mount, if it lies there: the prefix taken off,
+    /// whole components at a time.
+    fn strip<'a>(&self, path: &'a str) -> Option<&'a str> {
+        self.prefix.iter().try_fold(path, |rest, want| {
+            let (c, rest) = next_component(rest)?;
+            (c == want).then_some(rest)
+        })
+    }
 }
 
-/// Splits an absolute path into components.
-pub(crate) fn split_path(path: &str) -> Vec<String> {
-    path.split('/')
-        .filter(|c| !c.is_empty())
-        .map(str::to_string)
-        .collect()
+/// The components of a path: what lies between its slashes.
+pub(crate) fn split_path(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|c| !c.is_empty())
+}
+
+/// Splits the first component off `path`: the component and what follows
+/// it. `None` when nothing but slashes is left.
+pub(crate) fn next_component(path: &str) -> Option<(&str, &str)> {
+    let path = path.trim_start_matches('/');
+    (!path.is_empty()).then(|| path.split_once('/').unwrap_or((path, "")))
 }
 
 /// The mount table.
 #[derive(Clone)]
 pub struct Vfs {
+    /// Longest prefix first, so the first match is the longest.
     mounts: Rc<Vec<Mount>>,
 }
 
@@ -228,30 +205,24 @@ impl Vfs {
     /// # Panics
     ///
     /// Panics if no root mount is supplied.
-    pub fn new(mounts: Vec<Mount>) -> Self {
+    pub fn new(mut mounts: Vec<Mount>) -> Self {
         assert!(
             mounts.iter().any(|m| m.prefix.is_empty()),
             "a root (\"/\") mount is required"
         );
+        mounts.sort_by_key(|m| std::cmp::Reverse(m.prefix.len()));
         Vfs {
             mounts: Rc::new(mounts),
         }
     }
 
-    /// Resolves a path to `(backend, backend-root, remaining components)`
-    /// using longest-prefix match on whole components.
-    pub fn resolve(&self, path: &str) -> Result<(FsBackend, FileHandle, Vec<String>)> {
-        let comps = split_path(path);
-        let mut best: Option<&Mount> = None;
-        for m in self.mounts.iter() {
-            if m.prefix.len() <= comps.len()
-                && m.prefix.iter().zip(&comps).all(|(a, b)| a == b)
-                && best.is_none_or(|b| m.prefix.len() > b.prefix.len())
-            {
-                best = Some(m);
-            }
-        }
-        let m = best.ok_or(NfsStatus::NoEnt)?;
-        Ok((m.backend.clone(), m.root, comps[m.prefix.len()..].to_vec()))
+    /// Resolves a path to its mount (longest-prefix match on whole
+    /// components) and the part of the path below it. Nothing is copied:
+    /// the walk borrows its components from the caller's path.
+    pub(crate) fn resolve<'a>(&self, path: &'a str) -> (&Mount, &'a str) {
+        self.mounts
+            .iter()
+            .find_map(|m| Some((m, m.strip(path)?)))
+            .expect("the root mount matches every path")
     }
 }

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use spritely_proto::{Fattr, FileHandle, FileType, NfsStatus, Result};
 use spritely_sim::{Resource, Sim, SimDuration};
 
-use crate::mount::{FsBackend, Vfs};
+use crate::mount::{next_component, split_path, FsBackend, Vfs};
 
 /// Maximum symlink expansions in one path resolution (ELOOP guard).
 pub const MAX_SYMLINKS: usize = 8;
@@ -161,72 +161,76 @@ impl Proc {
         path: &str,
         follow_last: bool,
     ) -> Result<(FsBackend, FileHandle, Fattr)> {
-        let mut full: Vec<String> = crate::mount::split_path(path);
+        // The caller's path is walked as it is, by borrowed components;
+        // only a symlink expansion builds a path of its own.
+        let mut expanded: Option<String> = None;
         let mut expansions = 0usize;
         'restart: loop {
-            let joined = format!("/{}", full.join("/"));
-            let (backend, root, comps) = self.inner.vfs.resolve(&joined)?;
-            let head_len = full.len() - comps.len();
-            let mut fh = root;
+            let path = expanded.as_deref().unwrap_or(path);
+            let (mount, mut rest) = self.inner.vfs.resolve(path);
+            let backend = &mount.backend;
+            let mut fh = mount.root;
             let mut attr: Option<Fattr> = None;
-            for (idx, c) in comps.iter().enumerate() {
+            while let Some((c, after)) = next_component(rest) {
                 if attr.is_some_and(|a| a.ftype != FileType::Directory) {
                     return Err(NfsStatus::NotDir);
                 }
                 let (next, a) = backend.lookup(fh, c).await?;
-                let is_last = idx + 1 == comps.len();
+                let is_last = next_component(after).is_none();
                 if a.ftype == FileType::Symlink && (!is_last || follow_last) {
                     expansions += 1;
                     if expansions > MAX_SYMLINKS {
                         return Err(NfsStatus::Inval);
                     }
                     let target = backend.readlink(next).await?;
-                    let rest = &comps[idx + 1..];
-                    let mut new_full: Vec<String> = if target.starts_with('/') {
-                        crate::mount::split_path(&target)
-                    } else {
-                        // Relative to the directory containing the link.
-                        let mut v = full[..head_len + idx].to_vec();
-                        for seg in crate::mount::split_path(&target) {
-                            if seg == ".." {
-                                v.pop();
-                            } else if seg != "." {
-                                v.push(seg);
+                    // A relative target starts from the directory holding
+                    // the link (what was walked before `c`) and has its
+                    // `.` and `..` applied; an absolute one starts over.
+                    let relative = !target.starts_with('/');
+                    let dir = &path[..path.len() - rest.len()];
+                    let mut new = String::from(if relative { dir } else { "" });
+                    for seg in split_path(&target) {
+                        match seg {
+                            "." if relative => {}
+                            ".." if relative => {
+                                let end = new.trim_end_matches('/').rfind('/');
+                                new.truncate(end.unwrap_or(0));
+                            }
+                            _ => {
+                                new.push('/');
+                                new.push_str(seg);
                             }
                         }
-                        v
-                    };
-                    new_full.extend(rest.iter().cloned());
-                    full = new_full;
+                    }
+                    new.push('/');
+                    new.push_str(after);
+                    expanded = Some(new);
                     continue 'restart;
                 }
-                fh = next;
-                attr = Some(a);
+                (fh, attr, rest) = (next, Some(a), after);
             }
-            return match attr {
-                Some(a) => Ok((backend, fh, a)),
-                None => {
-                    let a = backend.getattr(root).await?;
-                    Ok((backend, fh, a))
-                }
+            let attr = match attr {
+                Some(a) => a,
+                None => backend.getattr(fh).await?,
             };
+            return Ok((backend.clone(), fh, attr));
         }
     }
 
     /// Resolves `path` to its parent directory handle and final name
     /// (symlinks followed in the parent portion, never in the final
     /// component).
-    async fn walk_parent(&self, path: &str) -> Result<(FsBackend, FileHandle, String)> {
-        let comps = crate::mount::split_path(path);
-        let Some((last, parents)) = comps.split_last() else {
+    async fn walk_parent<'a>(&self, path: &'a str) -> Result<(FsBackend, FileHandle, &'a str)> {
+        let path = path.trim_end_matches('/');
+        let (parent, name) = path.rsplit_once('/').unwrap_or(("", path));
+        if name.is_empty() {
             return Err(NfsStatus::Inval);
-        };
-        let parent_path = format!("/{}", parents.join("/"));
-        let (backend, dir, attr) = self.resolve_follow(&parent_path, true).await?;
+        }
+        let (backend, dir, attr) = self.resolve_follow(parent, true).await?;
         if attr.ftype != FileType::Directory {
             return Err(NfsStatus::NotDir);
         }
-        Ok((backend, dir, last.clone()))
+        Ok((backend, dir, name))
     }
 
     /// Opens a file by path, following symbolic links (including one in
@@ -234,19 +238,13 @@ impl Proc {
     pub async fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
         self.charge(0).await;
         let (backend, dir, name) = self.walk_parent(path).await?;
-        let (backend, fh) = match backend.lookup(dir, &name).await {
-            Ok((_fh, attr)) if attr.ftype == FileType::Symlink => {
-                // Re-resolve through the link; open(2) follows symlinks.
-                let (b2, fh2, attr2) = self.resolve_follow(path, true).await?;
-                if attr2.ftype == FileType::Directory && flags.write {
-                    return Err(NfsStatus::IsDir);
-                }
-                if flags.truncate && flags.write && attr2.size > 0 {
-                    b2.truncate(fh2, 0).await?;
-                }
-                (b2, fh2)
-            }
+        let (backend, fh) = match backend.lookup(dir, name).await {
             Ok((fh, attr)) => {
+                // open(2) follows a symlink in the final component too.
+                let (backend, fh, attr) = match attr.ftype {
+                    FileType::Symlink => self.resolve_follow(path, true).await?,
+                    _ => (backend, fh, attr),
+                };
                 if attr.ftype == FileType::Directory && flags.write {
                     return Err(NfsStatus::IsDir);
                 }
@@ -256,7 +254,7 @@ impl Proc {
                 (backend, fh)
             }
             Err(NfsStatus::NoEnt) if flags.create => {
-                let (fh, _) = backend.create(dir, &name).await?;
+                let (fh, _) = backend.create(dir, name).await?;
                 (backend, fh)
             }
             Err(e) => return Err(e),
@@ -382,7 +380,7 @@ impl Proc {
             return Err(NfsStatus::IsDir);
         }
         let (backend, dir, name) = self.walk_parent(linkpath).await?;
-        backend.link(from, dir, &name).await.map(|_| ())
+        backend.link(from, dir, name).await.map(|_| ())
     }
 
     /// Creates a symbolic link at `linkpath` pointing to `target` (the
@@ -390,7 +388,7 @@ impl Proc {
     pub async fn symlink(&self, target: &str, linkpath: &str) -> Result<()> {
         self.charge(0).await;
         let (backend, dir, name) = self.walk_parent(linkpath).await?;
-        backend.symlink(dir, &name, target).await.map(|_| ())
+        backend.symlink(dir, name, target).await.map(|_| ())
     }
 
     /// Reads the target of the symbolic link at `path`.
@@ -407,22 +405,22 @@ impl Proc {
     pub async fn unlink(&self, path: &str) -> Result<()> {
         self.charge(0).await;
         let (backend, dir, name) = self.walk_parent(path).await?;
-        let (victim, _) = backend.lookup(dir, &name).await?;
-        backend.remove(dir, &name, victim).await
+        let (victim, _) = backend.lookup(dir, name).await?;
+        backend.remove(dir, name, victim).await
     }
 
     /// Creates a directory by path.
     pub async fn mkdir(&self, path: &str) -> Result<()> {
         self.charge(0).await;
         let (backend, dir, name) = self.walk_parent(path).await?;
-        backend.mkdir(dir, &name).await.map(|_| ())
+        backend.mkdir(dir, name).await.map(|_| ())
     }
 
     /// Removes an empty directory by path.
     pub async fn rmdir(&self, path: &str) -> Result<()> {
         self.charge(0).await;
         let (backend, dir, name) = self.walk_parent(path).await?;
-        backend.rmdir(dir, &name).await
+        backend.rmdir(dir, name).await
     }
 
     /// Renames within one mount.
@@ -431,7 +429,7 @@ impl Proc {
         let (b1, d1, n1) = self.walk_parent(from).await?;
         let (_b2, d2, n2) = self.walk_parent(to).await?;
         // Cross-mount renames are not supported (as in Unix: EXDEV).
-        b1.rename(d1, &n1, d2, &n2).await
+        b1.rename(d1, n1, d2, n2).await
     }
 
     /// Lists a directory's entry names, sorted.
