@@ -25,11 +25,15 @@ pub(crate) struct Waiters {
 }
 
 impl Waiters {
-    /// Adds a waiter behind those already here.
+    /// Adds a waiter behind those already here. A task that polls its
+    /// wait again (a `Timeout` polls the inner future once more before it
+    /// gives up, a retransmission joins the wait it abandoned) is still
+    /// the one waiter it was: one wake, not one per poll.
     pub(crate) fn push(&mut self, waker: &Waker) {
-        match self.first {
-            None => self.first = Some(waker.clone()),
+        match self.rest.last().or(self.first.as_ref()) {
+            Some(last) if last.will_wake(waker) => {}
             Some(_) => self.rest.push(waker.clone()),
+            None => self.first = Some(waker.clone()),
         }
     }
 
@@ -600,6 +604,29 @@ mod tests {
         });
         sim.run_to_quiescence();
         assert_eq!(*order.borrow(), vec![2, 0, 1]);
+    }
+
+    #[test]
+    fn a_waiter_that_timed_out_and_came_back_is_woken_once() {
+        // What a retransmitting caller does to its execution's event:
+        // wait under a timeout (which polls the wait once more as it
+        // expires), then wait again.
+        let sim = Sim::new();
+        let ev = Event::new();
+        let (s, ev2) = (sim.clone(), ev.clone());
+        let waiter = sim.spawn(async move {
+            let timed = s.timeout(SimDuration::from_millis(1), ev2.wait()).await;
+            assert!(timed.is_err());
+            ev2.wait().await;
+        });
+        let s = sim.clone();
+        sim.block_on(async move {
+            s.sleep(SimDuration::from_millis(5)).await;
+            ev.set();
+        });
+        sim.run_until(waiter);
+        sim.run_to_quiescence();
+        assert_eq!(sim.stats().stale_wakes, 0, "woken once per poll of the wait");
     }
 
     #[test]
