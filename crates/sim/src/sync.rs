@@ -626,7 +626,7 @@ mod tests {
         });
         sim.run_until(waiter);
         sim.run_to_quiescence();
-        assert_eq!(sim.stats().stale_wakes, 0, "woken once per poll of the wait");
+        assert_eq!(sim.stats().stale_wakes, 0, "woken more than once");
     }
 
     #[test]

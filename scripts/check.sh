@@ -36,13 +36,29 @@ cargo run --release --quiet --bin spritely -- gate
 echo "==> benchmark: cargo test --release --offline"
 (cd benchmark && cargo test --release --offline --quiet)
 
-echo "==> benchmark: sort_nfs, 2 s, traced (exit 2 = traced and untraced passes disagree on a simulated-clock number)"
-bash benchmark/run.sh --workload sort_nfs --seed 42 --seconds 2 --trace 1 > /dev/null
-
-# The other end of the one testbed construction: sort_nfs is NFS over one
-# server, fleet is 8 shards x 512 SNFS clients.
-echo "==> benchmark: fleet, 2 s, traced (same exit-2 rule, sharded end of the builder)"
-bash benchmark/run.sh --workload fleet --seed 42 --seconds 2 --trace 1 > /dev/null
+# Both ends of the one testbed construction: sort_nfs is NFS over one
+# server, fleet is 8 shards x 512 SNFS clients. Each runs twice. `--trace 1`
+# exercises the per-layer pass (kernels, span files). `--trace 0` prints
+# the end-to-end JSON line, whose host_allocs_per_run is held to
+# baselines/allocs.txt within the benchmark's own 2 % bound, like the line
+# count below: more is a regression, fewer is a stale file, so a layer
+# cannot silently give back what the hot path's allocation diet won.
+for w in sort_nfs fleet; do
+    echo "==> benchmark: $w, 2 s, traced (exit 2 = traced and untraced passes disagree on a simulated-clock number)"
+    bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 1 > /dev/null
+    echo "==> benchmark: $w, 2 s, host_allocs_per_run vs baselines/allocs.txt"
+    live=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 0 | tail -1 |
+        sed -n 's/.*"host_allocs_per_run": {"value": \([0-9]*\).*/\1/p')
+    allowed=$(awk -v w="$w" '$1 == w { print $2 }' baselines/allocs.txt)
+    echo "    $live allocations per run; baselines/allocs.txt has $allowed"
+    if [ "$((live * 100))" -gt "$((allowed * 102))" ]; then
+        echo "FAIL: $w allocates $live times per run, more than 2 % above $allowed"
+        exit 1
+    elif [ "$((live * 100))" -lt "$((allowed * 98))" ]; then
+        echo "FAIL: $w allocates $live times per run; lower baselines/allocs.txt from $allowed"
+        exit 1
+    fi
+done
 
 # ROADMAP item 3's line target as a ratchet: the total may not rise above
 # the committed one, and a change that lowers it lowers the file with it —

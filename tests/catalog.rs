@@ -100,10 +100,10 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
         assert_eq!(by.len(), 1, "artifacts/{file} is written by {by:?}");
     }
     for file in file_names(&root().join("baselines")) {
-        // The three that are not artifacts: the directory's own README,
+        // The four that are not artifacts: the directory's own README,
         // the pre-PR-6 reference `sim_speed` is compiled against, and the
-        // line-count ratchet of `scripts/check.sh`.
-        if ["README.md", "sim_speed.txt", "loc.txt"].contains(&file.as_str()) {
+        // line-count and allocation-count ratchets of `scripts/check.sh`.
+        if ["README.md", "sim_speed.txt", "loc.txt", "allocs.txt"].contains(&file.as_str()) {
             continue;
         }
         let by = writers.get(&file).map_or(&[][..], Vec::as_slice);

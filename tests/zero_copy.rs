@@ -12,17 +12,27 @@
 //! * **the copies stay gone** — a 1 MiB write + fsync + cold read-back
 //!   allocates no more than a pinned number of bytes, counted by this
 //!   test binary's own allocator, so a per-layer copy that creeps back in
-//!   fails here and not three PRs later in the benchmark.
+//!   fails here and not three PRs later in the benchmark;
+//! * **the hot path stays on its allocation diet** (DESIGN.md §15) — a
+//!   task is one allocation, a single-waiter wait none, a path component
+//!   none, and an echo RPC a pinned count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
+use std::future::Future;
+use std::pin::{pin, Pin};
+use std::task::{Context, Poll};
+
 use proptest::prelude::*;
 use spritely::harness::{Protocol, RemoteClient, Testbed, TestbedParams};
-use spritely::proto::{Payload, BLOCK_SIZE};
-use spritely::rpcnet::PartitionDir;
-use spritely::sim::SimDuration;
+use spritely::metrics::OpCounter;
+use spritely::proto::{ClientId, NfsReply, NfsRequest, Payload, BLOCK_SIZE};
+use spritely::rpcnet::{
+    Caller, CallerParams, Endpoint, EndpointParams, NetParams, Network, PartitionDir,
+};
+use spritely::sim::{Event, Resource, Sim, SimDuration};
 use spritely::vfs::{Fd, OpenFlags, Proc};
 
 // ---- a counting allocator -------------------------------------------------
@@ -33,6 +43,8 @@ thread_local! {
     /// without a destructor, so touching it from inside the allocator
     /// neither allocates nor outlives the thread's storage.
     static REQUESTED: Cell<u64> = const { Cell::new(0) };
+    /// Trips this thread has made to the allocator (a `realloc` is one).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -41,6 +53,7 @@ fn requested(bytes: usize) {
     // `try_with`: a thread being torn down may allocate after its
     // thread-locals are gone.
     let _ = REQUESTED.try_with(|r| r.set(r.get() + bytes as u64));
+    let _ = ALLOCATIONS.try_with(|a| a.set(a.get() + 1));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -513,4 +526,118 @@ fn one_mib_round_trip_stays_inside_its_copy_budget() {
             "{name}: a 1 MiB round trip requested {spent} bytes, budget {budget}"
         );
     }
+}
+
+// ---- (d) the hot path stays on its allocation diet ----------------------------
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn a_task_is_one_allocation_and_a_single_waiter_wait_is_none() {
+    let sim = Sim::new();
+    let s = sim.clone();
+    sim.block_on(async move {
+        // Warm the slab slot, the free list and the ready queue.
+        assert_eq!(s.spawn(async { 7 }).await, 7);
+
+        let before = allocations();
+        assert_eq!(s.spawn(async { 7 }).await, 7);
+        assert_eq!(allocations() - before, 1, "spawn + join of a ready task");
+
+        let before = allocations();
+        let ev = Event::new();
+        let mut wait = pin!(ev.wait());
+        // Poll the wait once so that `set` finds this task waiting.
+        let waiting = |cx: &mut Context<'_>| Poll::Ready(wait.as_mut().poll(cx).is_pending());
+        assert!(std::future::poll_fn(waiting).await);
+        ev.set();
+        wait.await;
+        assert_eq!(allocations() - before, 1, "Event::new + one wait + set");
+    });
+}
+
+#[test]
+fn a_path_component_costs_no_allocation() {
+    let tb = Testbed::build_with_clients(
+        TestbedParams {
+            protocol: Protocol::Snfs,
+            name_cache: true,
+            ..TestbedParams::default()
+        },
+        1,
+    );
+    let p = tb.proc();
+    let h = tb.sim.spawn(async move {
+        let (shallow, deep) = ("/remote/d1", "/remote/d1/d2/d3/d4/d5");
+        let ends = deep.match_indices('/').map(|(i, _)| i).skip(2);
+        for end in ends.chain([deep.len()]) {
+            p.mkdir(&deep[..end]).await.expect("mkdir");
+        }
+        let stat = |path| {
+            let p = p.clone();
+            async move {
+                p.stat(path).await.expect("warm-up"); // fills the name cache
+                let before = allocations();
+                p.stat(path).await.expect("stat");
+                allocations() - before
+            }
+        };
+        let (two, six) = (stat(shallow).await, stat(deep).await);
+        println!("allocations per stat: {two} at 2 components, {six} at 6");
+        assert_eq!(
+            six, two,
+            "6 components allocated {six} times, 2 components {two}"
+        );
+    });
+    tb.sim.run_until(h);
+}
+
+/// Allocations of one Null call through `Caller`, `Network` and
+/// `Endpoint` against an instant boxed handler, paper transport, at
+/// steady state: the execution's task, its completion event and the
+/// handler's boxed future. (The parent commit made 6.)
+const ECHO_RPC_BUDGET: u64 = 3;
+
+#[test]
+fn an_echo_rpc_stays_inside_its_allocation_budget() {
+    let sim = Sim::new();
+    let handler = Rc::new(|_from: ClientId, _ctx: u64, _req: NfsRequest| {
+        Box::pin(async { NfsReply::Ok }) as Pin<Box<dyn Future<Output = NfsReply>>>
+    });
+    let endpoint = Endpoint::new(
+        &sim,
+        "svc",
+        Resource::new(&sim, "server-cpu", 1),
+        EndpointParams::default(),
+        OpCounter::new(),
+        handler,
+    );
+    let caller = Caller::new(
+        &sim,
+        Network::new(&sim, "net", NetParams::ethernet_10mbit()),
+        endpoint,
+        ClientId(1),
+        Resource::new(&sim, "client-cpu", 1),
+        CallerParams::default(),
+    );
+    sim.block_on(async move {
+        // Steady state: slab slots, timer slots and queues are warm. The
+        // cheapest of several calls, because the dup cache's map doubles
+        // now and then.
+        let mut cheapest = u64::MAX;
+        for call in 0..24 {
+            let before = allocations();
+            caller.call(NfsRequest::Null).await.expect("echo");
+            if call >= 8 {
+                cheapest = cheapest.min(allocations() - before);
+            }
+        }
+        println!("allocations per echo RPC: {cheapest}");
+        assert!(
+            cheapest <= ECHO_RPC_BUDGET,
+            "an echo RPC made {cheapest} allocations, budget {ECHO_RPC_BUDGET}"
+        );
+    });
 }
