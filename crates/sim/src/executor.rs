@@ -2,7 +2,7 @@
 //!
 //! A [`Sim`] owns a virtual clock and a set of tasks (plain Rust futures).
 //! Tasks run until they block on a simulation primitive (a timer, a
-//! semaphore, a channel, ...). When no task is runnable the executor advances
+//! semaphore, an event, ...). When no task is runnable the executor advances
 //! the clock to the earliest pending timer and resumes whoever was waiting on
 //! it. Runs are fully deterministic: identical inputs produce identical event
 //! orders and identical final clocks.
@@ -225,6 +225,7 @@ impl SimStats {
     }
 }
 
+#[derive(Default)]
 struct Core {
     now: SimTime,
     timers: TimerQueue,
@@ -250,34 +251,16 @@ impl Core {
 
 /// Handle to a simulation. Cheap to clone; all clones refer to the same
 /// clock and task set.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Sim {
     core: Rc<RefCell<Core>>,
     ready: Arc<ReadyQueue>,
 }
 
-impl Default for Sim {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Sim {
     /// Creates an empty simulation with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Sim {
-            core: Rc::new(RefCell::new(Core {
-                now: SimTime::ZERO,
-                timers: TimerQueue::default(),
-                tasks: Vec::new(),
-                free: Vec::new(),
-                live_tasks: 0,
-                peak_live_tasks: 0,
-                due: Vec::new(),
-                stats: SimStats::default(),
-            })),
-            ready: Arc::new(ReadyQueue::default()),
-        }
+        Self::default()
     }
 
     /// Returns the current virtual time.
