@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use spritely_metrics::{OpCounter, RateSeries};
 use spritely_proto::ClientId;
-use spritely_sim::{Event, Resource, Semaphore, Sim, SimDuration, SimTime};
+use spritely_sim::{JoinHandle, Resource, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
 use crate::{Proc, ReplyStatus, Wire};
@@ -46,7 +46,9 @@ impl Default for EndpointParams {
 }
 
 enum DupState<Rep> {
-    InProgress(Event),
+    /// The execution's own task: whoever delivers the request again
+    /// meanwhile waits for it to finish.
+    InProgress(JoinHandle<()>),
     Done(Rep, SimTime),
 }
 
@@ -262,7 +264,7 @@ where
     pub async fn deliver(&self, from: ClientId, xid: u64, parent: u64, req: Req) -> Rep {
         let key = (from, xid);
         let bucket = &self.inner.dup[dup_bucket_of(from)];
-        let ev = {
+        let execution = {
             let mut dup = bucket.map.borrow_mut();
             // Arrival boundary for the latency profiler: the gap from a
             // fresh arrival to its handler_begin is admission wait. Pure
@@ -282,9 +284,9 @@ where
                     self.inner.dup_hits.set(self.inner.dup_hits.get() + 1);
                     return rep.clone();
                 }
-                Some(DupState::InProgress(ev)) => {
+                Some(DupState::InProgress(execution)) => {
                     self.inner.dup_joins.set(self.inner.dup_joins.get() + 1);
-                    ev.clone()
+                    execution.clone()
                 }
                 None => {
                     // Pure accounting: how often would a per-bucket lock
@@ -293,22 +295,26 @@ where
                         bucket.contention.set(bucket.contention.get() + 1);
                     }
                     bucket.in_flight.set(bucket.in_flight.get() + 1);
-                    let ev = Event::new();
-                    dup.insert(key, DupState::InProgress(ev.clone()));
-                    drop(dup);
-                    self.spawn_execution(key, from, parent, req);
-                    ev
+                    let execution = self.spawn_execution(key, from, parent, req);
+                    dup.insert(key, DupState::InProgress(execution.clone()));
+                    execution
                 }
             }
         };
-        ev.wait().await;
+        execution.finished().await;
         match bucket.map.borrow().get(&key) {
             Some(DupState::Done(rep, _)) => rep.clone(),
             _ => unreachable!("execution completed without a Done entry"),
         }
     }
 
-    fn spawn_execution(&self, key: (ClientId, u64), from: ClientId, parent: u64, req: Req) {
+    fn spawn_execution(
+        &self,
+        key: (ClientId, u64),
+        from: ClientId,
+        parent: u64,
+        req: Req,
+    ) -> JoinHandle<()> {
         let inner = Rc::clone(&self.inner);
         let proc = req.proc_id();
         let kb = req.wire_size() as f64 / 1024.0;
@@ -377,12 +383,11 @@ where
                     DupState::Done(_, t) => now.saturating_duration_since(*t) < retention,
                 });
             }
-            drop(dup);
-            match prev {
-                Some(DupState::InProgress(ev)) => ev.set(),
-                _ => unreachable!("execution finished without an InProgress entry"),
-            }
-        });
+            assert!(
+                matches!(prev, Some(DupState::InProgress(_))),
+                "execution finished without an InProgress entry"
+            );
+        })
     }
 }
 
@@ -390,6 +395,7 @@ where
 mod tests {
     use super::*;
     use spritely_proto::{NfsReply, NfsRequest};
+    use spritely_sim::Event;
 
     #[test]
     fn per_call_cpu_is_charged_on_server() {

@@ -146,6 +146,7 @@ trait Joinable<T> {
 }
 
 struct JoinState<T> {
+    finished: bool,
     result: Option<T>,
     waiters: Waiters,
 }
@@ -170,6 +171,7 @@ impl<F: Future> Task for TaskCell<F> {
         };
         *fut = None;
         let mut join = self.join.borrow_mut();
+        join.finished = true;
         join.result = Some(out);
         join.waiters.wake_all();
         true
@@ -279,6 +281,7 @@ impl Sim {
     {
         let task = Rc::new(TaskCell {
             join: RefCell::new(JoinState {
+                finished: false,
                 result: None,
                 waiters: Waiters::default(),
             }),
@@ -578,6 +581,21 @@ impl<T> JoinHandle<T> {
     /// taken yet.
     pub fn is_finished(&self) -> bool {
         self.task.join().borrow().result.is_some()
+    }
+
+    /// Waits for the task to finish and leaves its output where it is, so
+    /// unlike awaiting the handle itself any number of clones may do it:
+    /// the task doubles as the event that says it is done.
+    pub async fn finished(&self) {
+        std::future::poll_fn(|cx| {
+            let mut s = self.task.join().borrow_mut();
+            if s.finished {
+                return Poll::Ready(());
+            }
+            s.waiters.push(cx.waker());
+            Poll::Pending
+        })
+        .await
     }
 }
 
