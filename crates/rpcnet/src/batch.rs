@@ -5,7 +5,6 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use spritely_proto::NfsProc;
 use spritely_sim::{Event, SimDuration};
 
 use crate::caller::{Link, Member};
@@ -100,20 +99,14 @@ where
     /// slowest member: mixing a cached read into a disk write's batch
     /// would hand the read the write's latency.
     pub(crate) fn flush_now(self: &Rc<Self>) {
-        let batch = std::mem::take(&mut *self.queue.borrow_mut());
-        if batch.is_empty() {
-            return;
-        }
-        let mut groups: Vec<(NfsProc, Vec<BatchEntry<Req, Rep>>)> = Vec::new();
-        for e in batch {
-            let pid = e.member.req.proc_id();
-            match groups.iter_mut().find(|(p, _)| *p == pid) {
-                Some((_, g)) => g.push(e),
-                None => groups.push((pid, vec![e])),
-            }
-        }
-        for (_, g) in groups {
-            self.spawn_flush(g);
+        let mut batch = std::mem::take(&mut *self.queue.borrow_mut());
+        while let Some(first) = batch.first() {
+            let pid = first.member.req.proc_id();
+            let (group, rest) = batch
+                .into_iter()
+                .partition(|e| e.member.req.proc_id() == pid);
+            self.spawn_flush(group);
+            batch = rest;
         }
     }
 
@@ -126,10 +119,7 @@ where
         self.link.sim.spawn(async move {
             let id = b.next_id.get();
             b.next_id.set(id + 1);
-            let (members, waiters): (Vec<_>, Vec<_>) = batch
-                .into_iter()
-                .map(|e| (e.member, (e.slot, e.done)))
-                .unzip();
+            let members: Vec<_> = batch.iter().map(|e| e.member.on_the_wire()).collect();
             if let Some(s) = b.link.tstats.borrow().as_ref() {
                 s.batch_sizes.record(members.len() as u64);
                 // Every request after the first rides along: one saved
@@ -141,9 +131,9 @@ where
             // A lost exchange fills no slot: every member's timeout fires
             // and its retransmission parks afresh.
             if let Some(rep) = b.link.exchange(&members, Some(id)).await {
-                for ((slot, done), rep) in waiters.into_iter().zip(rep.into_parts()) {
-                    *slot.borrow_mut() = Some(rep);
-                    done.set();
+                for (e, rep) in batch.iter().zip(rep.into_parts()) {
+                    *e.slot.borrow_mut() = Some(rep);
+                    e.done.set();
                 }
             }
             b.inflight.set(b.inflight.get() - 1);

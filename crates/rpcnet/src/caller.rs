@@ -56,13 +56,25 @@ impl Default for CallerParams {
 }
 
 /// One request on its way through a wire exchange, under the identity it
-/// keeps across retransmissions.
-#[derive(Clone)]
-pub(crate) struct Member<Req> {
+/// keeps across retransmissions. `R` is the request itself while it is
+/// parked in a batch queue and a borrow of it on the wire: an exchange
+/// copies a request only to hand it to the endpoint.
+pub(crate) struct Member<R> {
     pub(crate) xid: u64,
     /// Trace context: the request's `rpc_call` event (0 when untraced).
     pub(crate) parent: u64,
-    pub(crate) req: Req,
+    pub(crate) req: R,
+}
+
+impl<Req> Member<Req> {
+    pub(crate) fn on_the_wire(&self) -> Member<&Req> {
+        let Member {
+            xid,
+            parent,
+            ref req,
+        } = *self;
+        Member { xid, parent, req }
+    }
 }
 
 /// What every wire exchange of one logical caller shares, whoever runs
@@ -112,7 +124,7 @@ where
     /// single request.
     pub(crate) async fn exchange(
         self: &Rc<Self>,
-        members: &[Member<Req>],
+        members: &[Member<&Req>],
         batch: Option<u64>,
     ) -> Option<Rep> {
         let (from, count) = (self.from, members.len() as u64);
@@ -165,15 +177,18 @@ where
             // completed dup-cache entry. The copy's reply is discarded —
             // the members wait on the primary copy only.
             let this = Rc::clone(self);
-            let copies = members.to_vec();
+            let copies: Vec<_> = members
+                .iter()
+                .map(|m| (m.xid, m.parent, m.req.clone()))
+                .collect();
             self.sim.spawn(async move {
                 this.net.transmit_from(from.0, true, req_bytes).await;
                 if !this.endpoint.is_alive() {
                     return;
                 }
                 let mut reps = Vec::with_capacity(copies.len());
-                for m in copies {
-                    reps.push(this.endpoint.deliver(from, m.xid, m.parent, m.req).await);
+                for (xid, parent, req) in copies {
+                    reps.push(this.endpoint.deliver(from, xid, parent, req).await);
                 }
                 let bytes = Rep::compound(reps).wire_size();
                 this.net.transmit_from(from.0, false, bytes).await;
@@ -191,27 +206,23 @@ where
             // per-procedure counters are exactly what the unbatched
             // transport would produce.
             _ => {
-                let remaining = Rc::new(Cell::new(members.len()));
-                let results: Rc<RefCell<Vec<Option<Rep>>>> =
-                    Rc::new(RefCell::new(members.iter().map(|_| None).collect()));
-                let all_done = Event::new();
+                // One allocation gathers the replies; whoever fills the
+                // last slot wakes the flush.
+                let gather = Rc::new((RefCell::new(vec![None; members.len()]), Event::new()));
                 for (i, m) in members.iter().enumerate() {
-                    let ep = self.endpoint.clone();
+                    let (ep, gather) = (self.endpoint.clone(), Rc::clone(&gather));
                     let (xid, parent, req) = (m.xid, m.parent, m.req.clone());
-                    let remaining = Rc::clone(&remaining);
-                    let results = Rc::clone(&results);
-                    let all_done = all_done.clone();
                     self.sim.spawn(async move {
                         let rep = ep.deliver(from, xid, parent, req).await;
-                        results.borrow_mut()[i] = Some(rep);
-                        remaining.set(remaining.get() - 1);
-                        if remaining.get() == 0 {
-                            all_done.set();
+                        let mut reps = gather.0.borrow_mut();
+                        reps[i] = Some(rep);
+                        if reps.iter().all(Option::is_some) {
+                            gather.1.set();
                         }
                     });
                 }
-                all_done.wait().await;
-                let reps = results.take().into_iter();
+                gather.1.wait().await;
+                let reps = gather.0.take().into_iter();
                 Rep::compound(reps.map(|r| r.expect("every deliver completed")).collect())
             }
         };
@@ -441,7 +452,7 @@ where
     /// Like [`Caller::call`], but parents the `rpc_call` trace event
     /// under `parent` (a client-operation span, usually).
     pub async fn call_ctx(&self, parent: u64, req: Req) -> Result<Rep, RpcError> {
-        let out = self.call_flagged(parent, req, false).await;
+        let out = self.call_flagged(parent, &req, false).await;
         out.map(|(rep, _)| rep)
     }
 
@@ -460,7 +471,7 @@ where
     pub async fn call_flagged(
         &self,
         parent: u64,
-        req: Req,
+        req: &Req,
         background: bool,
     ) -> Result<(Rep, bool), RpcError> {
         let link = &self.link;
@@ -516,14 +527,16 @@ where
 
     /// One attempt at one request. Hangs when the attempt is lost, until
     /// the caller's timeout drops it and retransmits.
-    async fn attempt(&self, member: &[Member<Req>; 1], background: bool) -> Rep {
+    async fn attempt(&self, member: &[Member<&Req>; 1], background: bool) -> Rep {
         if background {
             // Only background traffic parks in the batcher: a compound's
             // reply waits for its slowest member, and a latency-sensitive
             // call must not wait behind a batched disk write.
             let batcher = self.batcher.borrow().clone();
             if let Some(b) = batcher {
-                return b.call(member[0].clone()).await;
+                let [Member { xid, parent, req }] = *member;
+                let req = req.clone();
+                return b.call(Member { xid, parent, req }).await;
             }
         }
         match self.link.exchange(member, None).await {
@@ -595,7 +608,7 @@ mod tests {
 
     /// One background `Null` call.
     async fn bg(c: &Caller<NfsRequest, NfsReply>) -> Result<NfsReply, RpcError> {
-        let out = c.call_flagged(0, NfsRequest::Null, true).await;
+        let out = c.call_flagged(0, &NfsRequest::Null, true).await;
         out.map(|(rep, _)| rep)
     }
 

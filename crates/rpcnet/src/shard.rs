@@ -153,7 +153,7 @@ impl ShardCaller {
         let callers = &self.inner.callers;
         if callers.len() == 1 {
             // Paper configuration: pure pass-through.
-            return callers[0].call_flagged(parent, req, bg).await;
+            return callers[0].call_flagged(parent, &req, bg).await;
         }
         match &req {
             NfsRequest::Keepalive { .. } | NfsRequest::Recover { .. } => {
@@ -171,18 +171,18 @@ impl ShardCaller {
     async fn routed(
         &self,
         parent: u64,
-        req: NfsRequest,
+        mut req: NfsRequest,
         bg: bool,
     ) -> Result<(NfsReply, bool), RpcError> {
         let mut redirects = 0;
         let mut busy = 0;
         loop {
-            let (shard, routed) = match self.route(req.clone()) {
-                Ok(r) => r,
+            let shard = match self.route(&mut req) {
+                Ok(shard) => shard,
                 Err(status) => return Ok((NfsReply::Err(status), false)),
             };
             let caller = &self.inner.callers[shard];
-            match caller.call_flagged(parent, routed, bg).await? {
+            match caller.call_flagged(parent, &req, bg).await? {
                 (NfsReply::WrongShard { epoch, moves }, _) => {
                     self.inner.layout.borrow_mut().apply(epoch, &moves);
                     redirects += 1;
@@ -215,19 +215,21 @@ impl ShardCaller {
     }
 
     /// Picks the owning shard and re-addresses root-directory handles to
-    /// that shard's export root, in place. Returns a status for
-    /// operations the sharded namespace cannot express (deep cross-shard
-    /// moves, or any cross-shard move when the servers do not
-    /// coordinate).
-    fn route(&self, mut req: NfsRequest) -> Result<(usize, NfsRequest), NfsStatus> {
+    /// that shard's export root, in place. Any shard's export root counts
+    /// as the root directory, so a request routed once routes again (after
+    /// a redirect, under the newer layout) without a pristine copy of it
+    /// being kept. Returns a status for operations the sharded namespace
+    /// cannot express (deep cross-shard moves, or any cross-shard move
+    /// when the servers do not coordinate).
+    fn route(&self, req: &mut NfsRequest) -> Result<usize, NfsStatus> {
         let inner = &self.inner;
-        let root = inner.roots[0];
+        let is_root = |fh: FileHandle| inner.roots.contains(&fh);
         let layout = inner.layout.borrow();
         let owner = |name: &str| layout.owner(name) as usize;
         // Where a rename or link lands, given the shard `s` its source
         // lives on.
         let land = |s: usize, to_dir: &mut FileHandle, to_name: &str| {
-            if *to_dir == root {
+            if is_root(*to_dir) {
                 if owner(to_name) != s && !inner.coordinates {
                     return Err(NfsStatus::XDev);
                 }
@@ -241,14 +243,14 @@ impl ShardCaller {
             }
             Ok(s)
         };
-        let shard = match &mut req {
+        let shard = match req {
             NfsRequest::Rename {
                 from_dir,
                 from_name,
                 to_dir,
                 to_name,
             } => {
-                let s = if *from_dir == root {
+                let s = if is_root(*from_dir) {
                     let s = owner(from_name);
                     *from_dir = inner.roots[s];
                     s
@@ -264,7 +266,7 @@ impl ShardCaller {
             } => land(self.shard_of(*from), to_dir, to_name)?,
             other => match other.dir_name_mut() {
                 // A root-level name lives on the shard the layout says.
-                Some((dir, name)) if *dir == root => {
+                Some((dir, name)) if is_root(*dir) => {
                     let s = owner(name);
                     *dir = inner.roots[s];
                     s
@@ -274,7 +276,7 @@ impl ShardCaller {
                 _ => other.handle().map_or(0, |fh| self.shard_of(fh)),
             },
         };
-        Ok((shard, req))
+        Ok(shard)
     }
 
     /// `keepalive`/`recover` address every shard; the aggregate epoch a
@@ -302,7 +304,7 @@ impl ShardCaller {
                 _ => req.clone(),
             };
             match self.inner.callers[s]
-                .call_flagged(parent, per_shard, bg)
+                .call_flagged(parent, &per_shard, bg)
                 .await?
             {
                 (NfsReply::Epoch(e), _) => total += e,
@@ -321,7 +323,7 @@ impl ShardCaller {
             let req = NfsRequest::Readdir {
                 dir: self.inner.roots[s],
             };
-            match self.inner.callers[s].call_flagged(parent, req, bg).await? {
+            match self.inner.callers[s].call_flagged(parent, &req, bg).await? {
                 (NfsReply::Readdir { entries: e }, _) => entries.extend(e),
                 other => return Ok(other),
             }

@@ -111,7 +111,7 @@ async fn foreground(c: &NfsCaller, req: NfsRequest) -> Result<NfsReply, RpcError
 }
 
 async fn background(c: &NfsCaller, req: NfsRequest) -> Result<NfsReply, RpcError> {
-    let out = c.call_flagged(0, req, true).await;
+    let out = c.call_flagged(0, &req, true).await;
     out.map(|(rep, _)| rep)
 }
 
