@@ -68,11 +68,7 @@ pub(crate) struct Member<R> {
 
 impl<Req> Member<Req> {
     pub(crate) fn on_the_wire(&self) -> Member<&Req> {
-        let Member {
-            xid,
-            parent,
-            ref req,
-        } = *self;
+        let (xid, parent, req) = (self.xid, self.parent, &self.req);
         Member { xid, parent, req }
     }
 }

@@ -292,33 +292,22 @@ impl Sim {
         };
         let id = {
             let mut core = self.core.borrow_mut();
-            let id = match core.free.pop() {
-                Some(index) => {
-                    let slot = &mut core.tasks[index as usize];
-                    let id = TaskId {
-                        index,
-                        gen: slot.gen,
-                    };
+            let index = core.free.pop().unwrap_or(core.tasks.len() as u32);
+            let gen = core.tasks.get(index as usize).map_or(0, |slot| slot.gen);
+            let id = TaskId { index, gen };
+            match core.tasks.get_mut(index as usize) {
+                Some(slot) => {
                     match Arc::get_mut(&mut slot.waker) {
                         Some(waker) => waker.id = id,
                         None => slot.waker = self.waker_for(id),
                     }
                     slot.task = Some(task);
-                    id
                 }
                 None => {
-                    let id = TaskId {
-                        index: core.tasks.len() as u32,
-                        gen: 0,
-                    };
-                    core.tasks.push(TaskSlot {
-                        gen: 0,
-                        task: Some(task),
-                        waker: self.waker_for(id),
-                    });
-                    id
+                    let (task, waker) = (Some(task as Rc<dyn Task>), self.waker_for(id));
+                    core.tasks.push(TaskSlot { gen, task, waker });
                 }
-            };
+            }
             core.live_tasks += 1;
             core.peak_live_tasks = core.peak_live_tasks.max(core.live_tasks);
             core.stats.tasks_spawned += 1;
