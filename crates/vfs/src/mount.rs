@@ -18,52 +18,59 @@ pub enum FsBackend {
     Snfs(SnfsClient),
 }
 
-/// One call on whichever file system `$self` is. The two remote clients
-/// take the same calls (most land in the `ClientBase` they share), so
-/// they share an arm; the procedures they differ in are spelled out.
-macro_rules! on {
-    ($self:ident, $fs:pat => $local:expr, $c:ident => $remote:expr) => {
-        match $self {
-            FsBackend::Local($fs) => $local,
-            FsBackend::Nfs($c) => $remote,
-            FsBackend::Snfs($c) => $remote,
-        }
-    };
-}
-
 impl FsBackend {
     /// Translates one name component under `dir`.
     pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        on!(self, fs => fs.lookup(dir, name), c => c.lookup(dir, name).await)
+        match self {
+            FsBackend::Local(fs) => fs.lookup(dir, name),
+            FsBackend::Nfs(c) => c.lookup(dir, name).await,
+            FsBackend::Snfs(c) => c.lookup(dir, name).await,
+        }
     }
 
     /// Creates a regular file.
     pub async fn create(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        on!(self, fs => fs.create(dir, name).await, c => c.create(dir, name).await)
+        match self {
+            FsBackend::Local(fs) => fs.create(dir, name).await,
+            FsBackend::Nfs(c) => c.create(dir, name).await,
+            FsBackend::Snfs(c) => c.create(dir, name).await,
+        }
     }
 
     /// Protocol-specific open work (consistency checks / open RPC).
     pub async fn open(&self, fh: FileHandle, write: bool) -> Result<Fattr> {
-        on!(self, fs => fs.getattr(fh), c => c.open(fh, write).await)
+        match self {
+            FsBackend::Local(fs) => fs.getattr(fh),
+            FsBackend::Nfs(c) => c.open(fh, write).await,
+            FsBackend::Snfs(c) => c.open(fh, write).await,
+        }
     }
 
     /// Protocol-specific close work (drain / close RPC).
     pub async fn close(&self, fh: FileHandle, write: bool) -> Result<()> {
-        on!(self, _ => Ok(()), c => c.close(fh, write).await)
+        match self {
+            FsBackend::Local(_) => Ok(()),
+            FsBackend::Nfs(c) => c.close(fh, write).await,
+            FsBackend::Snfs(c) => c.close(fh, write).await,
+        }
     }
 
     /// Reads up to `len` bytes at `offset`.
     pub async fn read(&self, fh: FileHandle, offset: u64, len: u32) -> Result<Vec<u8>> {
-        on!(self,
-            fs => fs.read(fh, offset, len).await.map(|(d, _, _)| d.to_vec()),
-            c => c.read(fh, offset, len).await.map(|(d, _)| d))
+        match self {
+            FsBackend::Local(fs) => fs.read(fh, offset, len).await.map(|(d, _, _)| d.to_vec()),
+            FsBackend::Nfs(c) => c.read(fh, offset, len).await.map(|(d, _)| d),
+            FsBackend::Snfs(c) => c.read(fh, offset, len).await.map(|(d, _)| d),
+        }
     }
 
     /// Writes at `offset` with the backend's native write policy.
     pub async fn write(&self, fh: FileHandle, offset: u64, data: &[u8]) -> Result<()> {
-        on!(self,
-            fs => fs.write(fh, offset, data, false).await.map(|_| ()),
-            c => c.write(fh, offset, data).await)
+        match self {
+            FsBackend::Local(fs) => fs.write(fh, offset, data, false).await.map(|_| ()),
+            FsBackend::Nfs(c) => c.write(fh, offset, data).await,
+            FsBackend::Snfs(c) => c.write(fh, offset, data).await,
+        }
     }
 
     /// Attributes.
@@ -77,7 +84,11 @@ impl FsBackend {
 
     /// Truncate.
     pub async fn truncate(&self, fh: FileHandle, size: u64) -> Result<Fattr> {
-        on!(self, fs => fs.setattr(fh, Some(size)).await, c => c.setattr(fh, Some(size)).await)
+        match self {
+            FsBackend::Local(fs) => fs.setattr(fh, Some(size)).await,
+            FsBackend::Nfs(c) => c.setattr(fh, Some(size)).await,
+            FsBackend::Snfs(c) => c.setattr(fh, Some(size)).await,
+        }
     }
 
     /// Removes a regular file; `victim` lets remote clients drop caches
@@ -96,12 +107,20 @@ impl FsBackend {
 
     /// Creates a directory.
     pub async fn mkdir(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        on!(self, fs => fs.mkdir(dir, name).await, c => c.mkdir(dir, name).await)
+        match self {
+            FsBackend::Local(fs) => fs.mkdir(dir, name).await,
+            FsBackend::Nfs(c) => c.mkdir(dir, name).await,
+            FsBackend::Snfs(c) => c.mkdir(dir, name).await,
+        }
     }
 
     /// Removes an empty directory.
     pub async fn rmdir(&self, dir: FileHandle, name: &str) -> Result<()> {
-        on!(self, fs => fs.rmdir(dir, name).await, c => c.rmdir(dir, name).await)
+        match self {
+            FsBackend::Local(fs) => fs.rmdir(dir, name).await,
+            FsBackend::Nfs(c) => c.rmdir(dir, name).await,
+            FsBackend::Snfs(c) => c.rmdir(dir, name).await,
+        }
     }
 
     /// Renames within one backend.
@@ -112,26 +131,38 @@ impl FsBackend {
         to_dir: FileHandle,
         to_name: &str,
     ) -> Result<()> {
-        on!(self,
-            fs => fs.rename(from_dir, from_name, to_dir, to_name).await,
-            c => c.rename(from_dir, from_name, to_dir, to_name).await)
+        match self {
+            FsBackend::Local(fs) => fs.rename(from_dir, from_name, to_dir, to_name).await,
+            FsBackend::Nfs(c) => c.rename(from_dir, from_name, to_dir, to_name).await,
+            FsBackend::Snfs(c) => c.rename(from_dir, from_name, to_dir, to_name).await,
+        }
     }
 
     /// Lists a directory.
     pub async fn readdir(&self, dir: FileHandle) -> Result<Vec<DirEntry>> {
-        on!(self, fs => fs.readdir(dir), c => c.readdir(dir).await)
+        match self {
+            FsBackend::Local(fs) => fs.readdir(dir),
+            FsBackend::Nfs(c) => c.readdir(dir).await,
+            FsBackend::Snfs(c) => c.readdir(dir).await,
+        }
     }
 
     /// Pushes pending data for `fh` toward the server/disk.
     pub async fn fsync(&self, fh: FileHandle) -> Result<()> {
-        on!(self, fs => fs.fsync(fh).await, c => c.fsync(fh).await)
+        match self {
+            FsBackend::Local(fs) => fs.fsync(fh).await,
+            FsBackend::Nfs(c) => c.fsync(fh).await,
+            FsBackend::Snfs(c) => c.fsync(fh).await,
+        }
     }
 
     /// Creates a hard link `to_dir/to_name` to `from`.
     pub async fn link(&self, from: FileHandle, to_dir: FileHandle, to_name: &str) -> Result<Fattr> {
-        on!(self,
-            fs => fs.link(from, to_dir, to_name).await,
-            c => c.link(from, to_dir, to_name).await)
+        match self {
+            FsBackend::Local(fs) => fs.link(from, to_dir, to_name).await,
+            FsBackend::Nfs(c) => c.link(from, to_dir, to_name).await,
+            FsBackend::Snfs(c) => c.link(from, to_dir, to_name).await,
+        }
     }
 
     /// Creates a symbolic link `dir/name` → `target`.
@@ -141,14 +172,20 @@ impl FsBackend {
         name: &str,
         target: &str,
     ) -> Result<(FileHandle, Fattr)> {
-        on!(self,
-            fs => fs.symlink(dir, name, target).await,
-            c => c.symlink(dir, name, target).await)
+        match self {
+            FsBackend::Local(fs) => fs.symlink(dir, name, target).await,
+            FsBackend::Nfs(c) => c.symlink(dir, name, target).await,
+            FsBackend::Snfs(c) => c.symlink(dir, name, target).await,
+        }
     }
 
     /// Reads a symbolic link's target.
     pub async fn readlink(&self, fh: FileHandle) -> Result<String> {
-        on!(self, fs => fs.readlink(fh), c => c.readlink(fh).await)
+        match self {
+            FsBackend::Local(fs) => fs.readlink(fh),
+            FsBackend::Nfs(c) => c.readlink(fh).await,
+            FsBackend::Snfs(c) => c.readlink(fh).await,
+        }
     }
 }
 
