@@ -2,7 +2,7 @@
 //!
 //! A [`Sim`] owns a virtual clock and a set of tasks (plain Rust futures).
 //! Tasks run until they block on a simulation primitive (a timer, a
-//! semaphore, an event, ...). When no task is runnable the executor advances
+//! semaphore, a channel, ...). When no task is runnable the executor advances
 //! the clock to the earliest pending timer and resumes whoever was waiting on
 //! it. Runs are fully deterministic: identical inputs produce identical event
 //! orders and identical final clocks.
@@ -227,7 +227,6 @@ impl SimStats {
     }
 }
 
-#[derive(Default)]
 struct Core {
     now: SimTime,
     timers: TimerQueue,
@@ -253,16 +252,34 @@ impl Core {
 
 /// Handle to a simulation. Cheap to clone; all clones refer to the same
 /// clock and task set.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Sim {
     core: Rc<RefCell<Core>>,
     ready: Arc<ReadyQueue>,
 }
 
+impl Default for Sim {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Sim {
     /// Creates an empty simulation with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::default()
+        Sim {
+            core: Rc::new(RefCell::new(Core {
+                now: SimTime::ZERO,
+                timers: TimerQueue::default(),
+                tasks: Vec::new(),
+                free: Vec::new(),
+                live_tasks: 0,
+                peak_live_tasks: 0,
+                due: Vec::new(),
+                stats: SimStats::default(),
+            })),
+            ready: Arc::new(ReadyQueue::default()),
+        }
     }
 
     /// Returns the current virtual time.
@@ -303,10 +320,11 @@ impl Sim {
                     }
                     slot.task = Some(task);
                 }
-                None => {
-                    let (task, waker) = (Some(task as Rc<dyn Task>), self.waker_for(id));
-                    core.tasks.push(TaskSlot { gen, task, waker });
-                }
+                None => core.tasks.push(TaskSlot {
+                    gen,
+                    task: Some(task),
+                    waker: self.waker_for(id),
+                }),
             }
             core.live_tasks += 1;
             core.peak_live_tasks = core.peak_live_tasks.max(core.live_tasks);
