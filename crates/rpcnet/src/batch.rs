@@ -100,6 +100,8 @@ where
     /// would hand the read the write's latency.
     pub(crate) fn flush_now(self: &Rc<Self>) {
         let mut batch = std::mem::take(&mut *self.queue.borrow_mut());
+        // One pass and one `Vec` for a queue of one procedure, which is
+        // the usual queue (the empty remainder allocates nothing).
         while let Some(first) = batch.first() {
             let pid = first.member.req.proc_id();
             let (group, rest) = batch
