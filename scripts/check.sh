@@ -50,6 +50,14 @@ for w in sort_nfs fleet; do
     live=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 0 | tail -1 |
         sed -n 's/.*"host_allocs_per_run": {"value": \([0-9]*\).*/\1/p')
     allowed=$(awk -v w="$w" '$1 == w { print $2 }' baselines/allocs.txt)
+    # An empty number would read as 0 below and blame the ratchet.
+    if [ -z "$live" ]; then
+        echo "FAIL: could not read host_allocs_per_run from the last line $w printed"
+        exit 1
+    elif [ -z "$allowed" ]; then
+        echo "FAIL: baselines/allocs.txt has no line for $w"
+        exit 1
+    fi
     echo "    $live allocations per run; baselines/allocs.txt has $allowed"
     if [ "$((live * 100))" -gt "$((allowed * 102))" ]; then
         echo "FAIL: $w allocates $live times per run, more than 2 % above $allowed"
