@@ -4,8 +4,12 @@
 
 use spritely::harness::{
     compare_json, run_andrew_with, run_flush_with, run_scaling_with, AndrewRun, CompareOptions,
-    DelegationParams, Protocol, ServerIoParams, Testbed, TestbedParams, WriteBehindParams,
+    DelegationParams, FaultParams, Protocol, ServerIoParams, ShardParams, Testbed, TestbedParams,
+    WriteBehindParams,
 };
+use spritely::proto::{Fnv, BLOCK_SIZE};
+use spritely::rpcnet::PartitionDir;
+use spritely::sim::SimDuration;
 use spritely::trace::{profile_trace, EventKind};
 use spritely::vfs::OpenFlags;
 
@@ -148,6 +152,102 @@ fn profile_json_is_byte_identical_for_the_same_seed() {
     let pa = profile_trace(&a.trace.expect("traced").events);
     let pb = profile_trace(&b.trace.expect("traced").events);
     assert_eq!(pa.to_json(), pb.to_json());
+}
+
+/// The byte-pinned `baselines/profile_andrew_snfs.json` is a clean
+/// one-server run; this is the profile of the shapes it has none of — two
+/// shards, delegations recalled by a second client, and a lossy wire that
+/// retransmits, duplicates and loses replies — pinned to the digest the
+/// `HashMap` profiler (PR 19 and before) produced for the same run.
+#[test]
+fn sharded_delegated_faulted_profile_is_pinned() {
+    const FILES: u64 = 8;
+    let tb = Testbed::build_with_clients(
+        TestbedParams {
+            protocol: Protocol::Snfs,
+            shards: ShardParams::sharded(2),
+            delegation: DelegationParams::pipelined(),
+            faults: FaultParams::chaos(42),
+            trace: true,
+            ..TestbedParams::default()
+        },
+        2,
+    );
+    let a = tb.clients[0].remote.snfs().expect("SNFS testbed").clone();
+    let b = tb.clients[1].remote.snfs().expect("SNFS testbed").clone();
+    let root = tb.server_fs.root();
+    let (sim, net) = (tb.sim.clone(), tb.net.clone());
+    let h = tb.sim.spawn(async move {
+        // Under chaos an RPC ladder can exhaust: reissue, as a client would.
+        macro_rules! insist {
+            ($e:expr) => {
+                loop {
+                    match $e.await {
+                        Ok(v) => break v,
+                        Err(_) => sim.sleep(SimDuration::from_millis(500)).await,
+                    }
+                }
+            };
+        }
+        // A earns a write delegation per file, on both shards.
+        let mut fhs = Vec::new();
+        for i in 0..FILES {
+            let (fh, _) = insist!(a.create(root, &format!("deleg{i}")));
+            insist!(a.open(fh, true));
+            insist!(a.write(fh, 0, &[i as u8 + 1; BLOCK_SIZE]));
+            insist!(a.fsync(fh));
+            insist!(a.close(fh, true));
+            fhs.push(fh);
+        }
+        // A goes mute for 7 s: its keepalives and returns exhaust their
+        // ladders (RPCs with no reply), recalls are re-delivered.
+        net.partition(
+            1,
+            PartitionDir::Outbound,
+            sim.now() + SimDuration::from_secs(7),
+        );
+        // B's sweep recalls each one; A then takes the first back.
+        for round in 0..2 {
+            for &fh in &fhs {
+                insist!(b.open(fh, false));
+                let _ = insist!(b.read(fh, 0, BLOCK_SIZE as u32));
+                insist!(b.close(fh, false));
+            }
+            insist!(a.open(fhs[0], true));
+            insist!(a.write(fhs[0], 0, &[0xA0 + round; BLOCK_SIZE]));
+            insist!(a.close(fhs[0], true));
+        }
+        sim.sleep(SimDuration::from_secs(70)).await;
+    });
+    tb.sim.run_until(h);
+    let trace = tb.finish_trace().expect("tracing on");
+    let count = |f: &dyn Fn(&EventKind) -> bool| trace.events.iter().filter(|e| f(&e.kind)).count();
+    let calls = count(&|k| matches!(k, EventKind::RpcCall { .. }));
+    assert!(
+        count(&|k| matches!(k, EventKind::RpcXmit { .. })) > calls,
+        "the wire retransmitted"
+    );
+    assert!(
+        count(&|k| matches!(k, EventKind::RpcArrive { dup: true, .. })) > 0,
+        "the dup cache answered"
+    );
+    assert!(
+        count(&|k| matches!(k, EventKind::DelegRecall { .. })) > 0,
+        "B's sweep recalled A's delegations"
+    );
+    let p = profile_trace(&trace.events);
+    assert_eq!(p.claims.total(), calls as u64);
+    assert!(p.claims.incomplete > 0 && p.claims.callback > 0 && p.claims.background > 0);
+    let mut digest = Fnv::EMPTY;
+    digest.write(p.to_json().as_bytes());
+    assert_eq!(
+        digest.0,
+        0xb969_e3e8_30b1_7c08,
+        "{} events, {} spans, claims {:?}",
+        trace.events.len(),
+        p.ops.len(),
+        p.claims
+    );
 }
 
 #[test]
