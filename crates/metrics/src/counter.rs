@@ -6,14 +6,6 @@ use std::rc::Rc;
 
 use spritely_proto::{NfsProc, ProcClass};
 
-/// Index of a procedure in the fixed-size count arrays.
-fn idx(p: NfsProc) -> usize {
-    NfsProc::ALL
-        .iter()
-        .position(|&q| q == p)
-        .expect("NfsProc::ALL covers every procedure")
-}
-
 /// An immutable snapshot of per-procedure counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpCounts {
@@ -23,7 +15,7 @@ pub struct OpCounts {
 impl OpCounts {
     /// Count for one procedure.
     pub fn get(&self, p: NfsProc) -> u64 {
-        self.counts[idx(p)]
+        self.counts[p.index()]
     }
 
     /// Total calls across all procedures.
@@ -96,7 +88,7 @@ impl OpCounter {
 
     /// Records one call of `p`.
     pub fn record(&self, p: NfsProc) {
-        self.inner.borrow_mut().counts[idx(p)] += 1;
+        self.inner.borrow_mut().counts[p.index()] += 1;
     }
 
     /// Current count for one procedure.

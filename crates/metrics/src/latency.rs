@@ -69,18 +69,11 @@ impl LatencyStats {
         }
     }
 
-    fn idx(p: NfsProc) -> usize {
-        NfsProc::ALL
-            .iter()
-            .position(|&q| q == p)
-            .expect("NfsProc::ALL covers every procedure")
-    }
-
     /// Records one call's end-to-end latency.
     pub fn record(&self, p: NfsProc, d: SimDuration) {
         let us = d.as_micros();
         let mut v = self.inner.borrow_mut();
-        let e = &mut v[Self::idx(p)];
+        let e = &mut v[p.index()];
         e.count += 1;
         e.sum_us += u128::from(us);
         e.max_us = e.max_us.max(us);
@@ -89,13 +82,13 @@ impl LatencyStats {
 
     /// Number of samples for a procedure.
     pub fn count(&self, p: NfsProc) -> u64 {
-        self.inner.borrow()[Self::idx(p)].count
+        self.inner.borrow()[p.index()].count
     }
 
     /// Mean latency, or zero with no samples.
     pub fn mean(&self, p: NfsProc) -> SimDuration {
         let v = self.inner.borrow();
-        let e = &v[Self::idx(p)];
+        let e = &v[p.index()];
         if e.count == 0 {
             SimDuration::ZERO
         } else {
@@ -105,7 +98,7 @@ impl LatencyStats {
 
     /// Maximum observed latency.
     pub fn max(&self, p: NfsProc) -> SimDuration {
-        SimDuration::from_micros(self.inner.borrow()[Self::idx(p)].max_us)
+        SimDuration::from_micros(self.inner.borrow()[p.index()].max_us)
     }
 
     /// Estimated percentile (`q` in 0..=1) from the histogram: the upper
@@ -118,7 +111,7 @@ impl LatencyStats {
     pub fn percentile(&self, p: NfsProc, q: f64) -> SimDuration {
         assert!((0.0..=1.0).contains(&q), "percentile out of range: {q}");
         let v = self.inner.borrow();
-        let e = &v[Self::idx(p)];
+        let e = &v[p.index()];
         if e.count == 0 {
             return SimDuration::ZERO;
         }
@@ -181,7 +174,7 @@ impl LatencyStats {
         NfsProc::ALL
             .iter()
             .copied()
-            .filter(|&p| v[Self::idx(p)].count > 0)
+            .filter(|&p| v[p.index()].count > 0)
             .collect()
     }
 }

@@ -114,6 +114,11 @@ impl NfsProc {
         NfsProc::TxAbort,
     ];
 
+    /// Position in [`NfsProc::ALL`], which lists the variants as declared.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Classifies the procedure for the paper's aggregate rows.
     pub fn class(self) -> ProcClass {
         match self {
@@ -210,6 +215,13 @@ mod tests {
                 ),
                 "{p}"
             );
+        }
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, p) in NfsProc::ALL.iter().enumerate() {
+            assert_eq!(p.index(), i, "{p}");
         }
     }
 
