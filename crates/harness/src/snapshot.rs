@@ -6,6 +6,8 @@
 //! dumping those counters at the end of a run, in a form other tools
 //! can consume.
 
+use std::rc::Rc;
+
 use spritely_core::{ClientStats, DelegationStats, ServerStats};
 use spritely_metrics::json::Writer;
 use spritely_sim::SimStats;
@@ -446,15 +448,18 @@ fn shard_json(w: &mut Writer, s: &ShardSnapshot) {
 /// violation the offline checker found (empty on a correct run).
 #[derive(Debug, Clone)]
 pub struct TraceReport {
-    /// The recorded events, in emission (= causal) order.
-    pub events: Vec<TraceEvent>,
+    /// The recorded events, in emission (= causal) order: the tracer's
+    /// snapshot, shared and never copied (`to_vec()` it to forge one).
+    pub events: Rc<Vec<TraceEvent>>,
     /// Invariant violations found by [`spritely_trace::check_trace`].
     pub violations: Vec<Violation>,
 }
 
 impl TraceReport {
-    /// Finishes `tracer` and runs the invariant checker over the log.
-    pub fn from_events(events: Vec<TraceEvent>) -> Self {
+    /// Runs the invariant checker over a `Tracer::finish` snapshot (or a
+    /// hand-built `Vec`) and keeps both.
+    pub fn from_events(events: impl Into<Rc<Vec<TraceEvent>>>) -> Self {
+        let events = events.into();
         let violations = check_trace(&events);
         TraceReport { events, violations }
     }

@@ -355,7 +355,8 @@ pub enum EventKind {
 
 struct Inner {
     sim: Sim,
-    events: RefCell<Vec<TraceEvent>>,
+    /// Shared with every snapshot [`Tracer::finish`] has handed out.
+    events: RefCell<Rc<Vec<TraceEvent>>>,
     next: Cell<u64>,
 }
 
@@ -373,7 +374,7 @@ impl Tracer {
         Tracer {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
-                events: RefCell::new(Vec::new()),
+                events: RefCell::default(),
                 next: Cell::new(0),
             }),
         }
@@ -384,7 +385,8 @@ impl Tracer {
     pub fn emit(&self, parent: u64, kind: EventKind) -> u64 {
         let seq = self.inner.next.get() + 1;
         self.inner.next.set(seq);
-        self.inner.events.borrow_mut().push(TraceEvent {
+        // Copies the log only if a snapshot of it is still held.
+        Rc::make_mut(&mut self.inner.events.borrow_mut()).push(TraceEvent {
             seq,
             t_us: self.inner.sim.now().as_micros(),
             parent,
@@ -411,8 +413,10 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Snapshot the event log (the tracer remains usable).
-    pub fn finish(&self) -> Vec<TraceEvent> {
+    /// Snapshot the event log in O(1): the snapshot shares the log's
+    /// storage and never changes. The tracer remains usable; its next
+    /// `emit` copies the log once if the snapshot is still alive by then.
+    pub fn finish(&self) -> Rc<Vec<TraceEvent>> {
         self.inner.events.borrow().clone()
     }
 }
@@ -819,5 +823,26 @@ mod tests {
         let ev = tr2.finish();
         assert_eq!(ev[0].seq, 1);
         assert_eq!(ev[1].seq, 2);
+    }
+
+    #[test]
+    fn a_snapshot_never_changes_and_is_shared_until_the_next_emit() {
+        let sim = Sim::new();
+        let tr = Tracer::new(&sim);
+        tr.meta("protocol", "snfs");
+        tr.meta("seed", "42");
+        let first = tr.finish();
+        assert!(
+            Rc::ptr_eq(&first, &tr.finish()),
+            "no emit in between: both snapshots are the log itself"
+        );
+        // The tracer stays usable, and what it records next is not in
+        // the snapshot taken before.
+        tr.meta("clients", "2");
+        assert_eq!((first.len(), first.last().map(|e| e.seq)), (2, Some(2)));
+        let second = tr.finish();
+        assert!(!Rc::ptr_eq(&first, &second));
+        assert_eq!((second.len(), second[2].seq, tr.len()), (3, 3, 3));
+        assert_eq!(second[..2], first[..]);
     }
 }

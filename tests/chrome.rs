@@ -108,7 +108,7 @@ fn spans_pair_up_and_every_process_is_named() {
         let mut stacks: HashMap<(u64, u64), Vec<usize>> = HashMap::new();
         let mut ids: HashMap<(&str, String), usize> = HashMap::new();
         let (mut spans, mut overlap) = (0, 0);
-        for (i, (row, e)) in events.iter().zip(&trace.events).enumerate() {
+        for (i, (row, e)) in events.iter().zip(trace.events.iter()).enumerate() {
             assert!(named.contains(&num(row, "pid")), "unnamed pid: {row:?}");
             let (own, opener) = match &e.kind {
                 EventKind::DiskQueue { disk, req, .. } | EventKind::DiskDone { disk, req, .. } => {
