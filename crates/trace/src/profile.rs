@@ -122,11 +122,9 @@ impl Phase {
         }
     }
 
+    /// Position in [`Phase::ALL`], which lists the variants as declared.
     fn index(self) -> usize {
-        Phase::ALL
-            .iter()
-            .position(|&p| p == self)
-            .expect("Phase::ALL covers every phase")
+        self as usize
     }
 }
 
@@ -362,6 +360,43 @@ impl Profile {
     }
 }
 
+/// "No such record": the sentinel of the `u32` tables below.
+const NONE: u32 = u32::MAX;
+
+/// What the sweep knows about one event, for the events under it.
+#[derive(Clone, Copy)]
+struct Fact {
+    /// The `op_begin` the parent chain reaches (index into `ops`).
+    owner: u32,
+    /// The nearest ancestor `handler_begin` (handler number).
+    handler: u32,
+    /// The record this event opened.
+    slot: Slot,
+}
+
+/// The facts of an event with no parent, or none the sweep has seen.
+const ROOT: Fact = Fact {
+    owner: NONE,
+    handler: NONE,
+    slot: Slot::None,
+};
+
+#[derive(Clone, Copy)]
+enum Slot {
+    None,
+    Op(u32),
+    Rpc(u32),
+    Handler(u32),
+    Callback(u32),
+}
+
+struct Op {
+    t0: u64,
+    t1: Option<u64>,
+    client: u32,
+    name: &'static str,
+}
+
 /// One RPC's reconstructed timeline.
 struct Rpc {
     seq: u64,
@@ -369,38 +404,185 @@ struct Rpc {
     proc: NfsProc,
     t_call: u64,
     t_reply: Option<u64>,
-    /// Owning `op_begin` seq, if the parent chain reaches one.
-    owner: Option<u64>,
-    /// Phase boundaries in emission (= time) order.
-    bounds: Vec<(u64, Bound)>,
+    /// Owning op (index into `ops`), if the parent chain reaches one.
+    owner: u32,
 }
 
+#[derive(Clone, Copy)]
 enum Bound {
     Xmit,
     Arrive { dup: bool },
-    HandlerBegin { h: u64 },
+    HandlerBegin { h: u32 },
     HandlerEnd,
 }
 
-/// One server handler execution's sub-interval overlay: painted
-/// `(start, end, phase)` intervals. Priority when probing is encoded in
-/// [`subdivide_handler`].
-struct Handler {
-    subs: Vec<(u64, u64, Phase)>,
-}
-
-/// A contiguous slice of one RPC's timeline, already resolved to a
-/// phase (handler intervals are resolved via the handler overlay).
+/// An interval resolved to a phase: a slice of one RPC's timeline, or
+/// one painted sub-interval of a handler execution's overlay (priority
+/// when probing is encoded in [`subdivide_handler`]).
+#[derive(Clone, Copy)]
 struct Segment {
     start: u64,
     end: u64,
     phase: Phase,
 }
 
+/// Items filed under dense `u32` keys, each group in the order its items
+/// came: group `k` is `flat[off[k]..off[k + 1]]`.
+struct Grouped<T> {
+    off: Vec<u32>,
+    flat: Vec<T>,
+}
+
+impl<T: Copy> Grouped<T> {
+    /// A counting pass sizes the groups, a second pass places the items.
+    fn new(groups: usize, items: &[(u32, T)]) -> Self {
+        let mut off = vec![0u32; groups + 1];
+        for &(k, _) in items {
+            off[k as usize + 1] += 1;
+        }
+        for k in 0..groups {
+            off[k + 1] += off[k];
+        }
+        let mut next = off.clone();
+        let mut flat: Vec<T> = items.iter().map(|&(_, item)| item).collect();
+        for &(k, item) in items {
+            flat[next[k as usize] as usize] = item;
+            next[k as usize] += 1;
+        }
+        Grouped { off, flat }
+    }
+
+    fn of(&self, k: u32) -> &[T] {
+        &self.flat[self.off[k as usize] as usize..self.off[k as usize + 1] as usize]
+    }
+}
+
 /// Replay `events` and build the full phase-attribution profile, with
 /// occupancy bucketed at `bucket` width.
 pub fn profile_trace_bucketed(events: &[TraceEvent], bucket: SimDuration) -> Profile {
-    Profiler::new(events).run(bucket.as_micros().max(1))
+    // ---- Pass 1: collect ops, RPCs, handlers, callbacks, disk. ----
+    let swept = sweep(events);
+    let rpcs = &swept.rpcs;
+
+    // ---- Pass 2: resolve each RPC to plain phase segments. ----
+    // A segment per boundary, two more per painted interval: or nearly.
+    let segments = swept.bounds.flat.len() + rpcs.len() + 2 * swept.paints.flat.len();
+    let mut resolved = Grouped {
+        off: Vec::with_capacity(rpcs.len() + 1),
+        flat: Vec::with_capacity(segments),
+    };
+    resolved.off.push(0);
+    let mut cuts = Vec::new();
+    for (ri, r) in rpcs.iter().enumerate() {
+        let bounds = swept.bounds.of(ri as u32);
+        resolve_rpc(r, bounds, &swept.paints, &mut cuts, &mut resolved.flat);
+        resolved.off.push(resolved.flat.len() as u32);
+    }
+
+    // ---- Pass 3: overlay RPC segments onto op intervals. ----
+    let mut claims = RpcClaims::default();
+    // (op, RPC) for every client-side child RPC, by index.
+    let mut children: Vec<(u32, u32)> = Vec::with_capacity(rpcs.len());
+    for (ri, r) in rpcs.iter().enumerate() {
+        match (r.owner, r.from, r.t_reply) {
+            (_, _, None) => claims.incomplete += 1,
+            (NONE, _, Some(_)) => claims.background += 1,
+            (_, 0, Some(_)) => claims.callback += 1,
+            (op, _, Some(_)) => {
+                claims.op += 1;
+                children.push((op, ri as u32));
+            }
+        }
+    }
+    let children = Grouped::new(swept.ops.len(), &children);
+
+    let mut overlay = Overlay {
+        rpcs,
+        resolved,
+        cuts,
+        bucket_us: bucket.as_micros().max(1),
+        occupancy: Vec::new(),
+    };
+    let mut ops = Vec::with_capacity(swept.ops.len() + claims.background as usize);
+    for (oi, op) in swept.ops.iter().enumerate() {
+        let Some(t1) = op.t1 else {
+            continue;
+        };
+        let children = children.of(oi as u32);
+        ops.push(OpProfile {
+            op: op.name,
+            client: op.client,
+            synthetic: false,
+            begin_us: op.t0,
+            end_us: t1,
+            rpcs: children.len() as u64,
+            phase_us: overlay.op(op.t0, t1, children),
+        });
+    }
+
+    // Synthetic spans: background / bare-client RPCs, one span each.
+    for (ri, r) in rpcs.iter().enumerate() {
+        if r.owner != NONE || r.from == 0 {
+            continue;
+        }
+        let Some(t_reply) = r.t_reply else { continue };
+        ops.push(OpProfile {
+            op: r.proc.name(),
+            client: r.from,
+            synthetic: true,
+            begin_us: r.t_call,
+            end_us: t_reply,
+            rpcs: 1,
+            phase_us: overlay.op(r.t_call, t_reply, &[ri as u32]),
+        });
+    }
+
+    // ---- Aggregates. ----
+    let mut phase_us = [0u64; NUM_PHASES];
+    let mut total_us = 0u64;
+    let mut op_kinds: Vec<OpKindProfile> = Vec::new();
+    for o in &ops {
+        total_us += o.total_us();
+        for (acc, v) in phase_us.iter_mut().zip(o.phase_us.iter()) {
+            *acc += v;
+        }
+        match op_kinds.iter_mut().find(|k| k.op == o.op) {
+            Some(k) => {
+                k.count += 1;
+                k.total_us += o.total_us();
+                k.max_us = k.max_us.max(o.total_us());
+                for i in 0..NUM_PHASES {
+                    k.phase_us[i] += o.phase_us[i];
+                }
+            }
+            None => op_kinds.push(OpKindProfile {
+                op: o.op,
+                count: 1,
+                total_us: o.total_us(),
+                max_us: o.total_us(),
+                phase_us: o.phase_us,
+            }),
+        }
+    }
+
+    let rpc_latency = LatencyStats::new();
+    for r in rpcs {
+        if let Some(t_reply) = r.t_reply {
+            rpc_latency.record(r.proc, SimDuration::from_micros(t_reply - r.t_call));
+        }
+    }
+
+    Profile {
+        ops,
+        op_kinds,
+        phase_us,
+        total_us,
+        total_rpcs: rpcs.len() as u64,
+        claims,
+        rpc_latency,
+        bucket_us: overlay.bucket_us,
+        occupancy: overlay.occupancy,
+    }
 }
 
 /// Replay `events` with the default one-second occupancy bucket.
@@ -408,372 +590,258 @@ pub fn profile_trace(events: &[TraceEvent]) -> Profile {
     profile_trace_bucketed(events, SimDuration::from_micros(DEFAULT_BUCKET_US))
 }
 
-struct Profiler<'a> {
-    events: &'a [TraceEvent],
-    /// Owning `op_begin` seq per event (by index), via the parent chain.
-    owner: Vec<Option<u64>>,
-    /// Nearest ancestor `handler_begin` seq per event (by index).
-    handler_of: Vec<Option<u64>>,
+/// What one forward pass over the events collects.
+struct Sweep {
+    ops: Vec<Op>,
+    rpcs: Vec<Rpc>,
+    /// Per RPC: its phase boundaries in emission (= time) order.
+    bounds: Grouped<(u64, Bound)>,
+    /// Per handler number: the painted intervals of its overlay.
+    paints: Grouped<Segment>,
 }
 
-impl<'a> Profiler<'a> {
-    fn new(events: &'a [TraceEvent]) -> Self {
-        let mut idx_of = HashMap::with_capacity(events.len());
-        for (i, e) in events.iter().enumerate() {
-            idx_of.insert(e.seq, i);
-        }
-        // Parents are always emitted before children (sequence numbers
-        // are assigned in emission order), so one forward pass resolves
-        // both ancestor maps.
-        let mut owner: Vec<Option<u64>> = vec![None; events.len()];
-        let mut handler_of: Vec<Option<u64>> = vec![None; events.len()];
-        for i in 0..events.len() {
-            let e = &events[i];
-            let parent_idx = if e.parent == 0 {
-                None
-            } else {
-                idx_of.get(&e.parent).copied()
-            };
-            owner[i] = match e.kind {
-                EventKind::OpBegin { .. } => Some(e.seq),
-                _ => parent_idx.and_then(|pi| owner[pi]),
-            };
-            handler_of[i] = match e.kind {
-                EventKind::HandlerBegin { .. } => Some(e.seq),
-                _ => parent_idx.and_then(|pi| handler_of[pi]),
-            };
-        }
-        Profiler {
-            events,
-            owner,
-            handler_of,
+/// The facts are filed by sequence number — which the tracer hands out in
+/// emission order, so a parent's are there before any event under it
+/// asks, in a tracer's own log and in a filtered or hand-built one alike.
+/// A parent that comes later in the array, or never, finds the facts of a
+/// root: it is no parent. The table is as long as the largest sequence
+/// number.
+fn sweep(events: &[TraceEvent]) -> Sweep {
+    assert!(events.len() < NONE as usize, "record numbers are u32");
+    // Size the tables first, from one look at each event's kind: nothing
+    // below grows, however long the trace.
+    let (mut n_ops, mut n_rpcs, mut n_handlers, mut n_callbacks) = (0, 0, 0, 0);
+    let (mut n_bounds, mut n_paints) = (0, 0);
+    for e in events {
+        match e.kind {
+            EventKind::OpBegin { .. } => n_ops += 1,
+            EventKind::RpcCall { .. } => n_rpcs += 1,
+            EventKind::HandlerBegin { .. } => n_handlers += 1,
+            EventKind::CallbackBegin { .. } => n_callbacks += 1,
+            EventKind::DiskDone { .. } => n_paints += 2,
+            EventKind::RpcXmit { .. } | EventKind::RpcArrive { .. } => n_bounds += 1,
+            EventKind::HandlerEnd { .. } => n_bounds += 1,
+            _ => {}
         }
     }
+    let mut facts: Vec<Fact> = Vec::with_capacity(events.len() + 1);
+    let (mut ops, mut rpcs) = (Vec::with_capacity(n_ops), Vec::<Rpc>::with_capacity(n_rpcs));
+    let mut bounds: Vec<(u32, (u64, Bound))> = Vec::with_capacity(n_bounds + n_handlers);
+    let mut paints: Vec<(u32, Segment)> = Vec::with_capacity(n_paints + n_callbacks);
+    // Per handler number: the RPC it executes (index into `rpcs`).
+    let mut handler_rpc: Vec<u32> = Vec::with_capacity(n_handlers);
+    // Server handlers open at the current scan point, in begin order
+    // (for the disk seq-containment heuristic).
+    let mut open_server_handlers: Vec<u32> = Vec::new();
+    // (disk name, req id) -> (enqueue t, assigned handler)
+    let mut disk_pending: HashMap<(&str, u64), (u64, Option<u32>)> = HashMap::new();
+    // Per callback: (begin t, owning handler, end t).
+    let mut callbacks: Vec<(u64, u32, Option<u64>)> = Vec::with_capacity(n_callbacks);
 
-    fn run(&self, bucket_us: u64) -> Profile {
-        // ---- Pass 1: collect ops, RPCs, handlers, callbacks, disk. ----
-        let mut op_meta: Vec<(u64, u64, u32, &'static str)> = Vec::new(); // (seq, t0, client, op)
-        let mut op_end: HashMap<u64, u64> = HashMap::new(); // op seq -> t1
-        let mut rpcs: Vec<Rpc> = Vec::new();
-        let mut rpc_idx: HashMap<u64, usize> = HashMap::new(); // rpc seq -> rpcs index
-        let mut handlers: HashMap<u64, Handler> = HashMap::new();
-        let mut handler_rpc: HashMap<u64, usize> = HashMap::new(); // handler seq -> rpcs index
-                                                                   // Server handlers open at the current scan point, in begin order
-                                                                   // (for the disk seq-containment heuristic).
-        let mut open_server_handlers: Vec<u64> = Vec::new();
-        // (disk name, req id) -> (enqueue t, assigned handler)
-        let mut disk_pending: HashMap<(&str, u64), (u64, Option<u64>)> = HashMap::new();
-        let mut cb_begin: Vec<(u64, u64, usize)> = Vec::new(); // (cb seq, t, event idx)
-        let mut cb_end: HashMap<u64, u64> = HashMap::new(); // cb seq -> t
-
-        for (i, e) in self.events.iter().enumerate() {
-            match &e.kind {
-                EventKind::OpBegin { client, op, .. } => {
-                    op_meta.push((e.seq, e.t_us, client.0, op));
+    for e in events {
+        let parent = match e.parent {
+            0 => ROOT,
+            seq => facts.get(seq as usize).copied().unwrap_or(ROOT),
+        };
+        let mut fact = Fact {
+            slot: Slot::None,
+            ..parent
+        };
+        let rpc = match parent.slot {
+            Slot::Rpc(r) => r,
+            _ => NONE,
+        };
+        let t = e.t_us;
+        match &e.kind {
+            EventKind::OpBegin { client, op, .. } => {
+                fact.owner = ops.len() as u32;
+                fact.slot = Slot::Op(fact.owner);
+                ops.push(Op {
+                    t0: t,
+                    t1: None,
+                    client: client.0,
+                    name: op,
+                });
+            }
+            EventKind::OpEnd { .. } => {
+                if let Slot::Op(o) = parent.slot {
+                    ops[o as usize].t1 = Some(t);
                 }
-                EventKind::OpEnd { .. } => {
-                    op_end.insert(e.parent, e.t_us);
+            }
+            EventKind::RpcCall { from, proc, .. } => {
+                fact.slot = Slot::Rpc(rpcs.len() as u32);
+                rpcs.push(Rpc {
+                    seq: e.seq,
+                    from: from.0,
+                    proc: *proc,
+                    t_call: t,
+                    t_reply: None,
+                    owner: fact.owner,
+                });
+            }
+            EventKind::RpcReply { .. } if rpc != NONE => rpcs[rpc as usize].t_reply = Some(t),
+            EventKind::RpcXmit { .. } if rpc != NONE => bounds.push((rpc, (t, Bound::Xmit))),
+            EventKind::RpcArrive { dup, .. } if rpc != NONE => {
+                bounds.push((rpc, (t, Bound::Arrive { dup: *dup })));
+            }
+            EventKind::HandlerBegin { from, .. } => {
+                let h = handler_rpc.len() as u32;
+                fact.handler = h;
+                fact.slot = Slot::Handler(h);
+                handler_rpc.push(rpc);
+                if rpc != NONE {
+                    bounds.push((rpc, (t, Bound::HandlerBegin { h })));
                 }
-                EventKind::RpcCall { from, proc, .. } => {
-                    rpc_idx.insert(e.seq, rpcs.len());
-                    rpcs.push(Rpc {
-                        seq: e.seq,
-                        from: from.0,
-                        proc: *proc,
-                        t_call: e.t_us,
-                        t_reply: None,
-                        owner: self.owner[i],
-                        bounds: Vec::new(),
-                    });
+                if from.0 != 0 {
+                    open_server_handlers.push(h);
                 }
-                EventKind::RpcReply { .. } => {
-                    if let Some(&ri) = rpc_idx.get(&e.parent) {
-                        rpcs[ri].t_reply = Some(e.t_us);
+            }
+            // `handler_end` is parented under its `handler_begin`,
+            // not the RPC — route it back via the handler table.
+            EventKind::HandlerEnd { .. } => {
+                if let Slot::Handler(h) = parent.slot {
+                    if handler_rpc[h as usize] != NONE {
+                        bounds.push((handler_rpc[h as usize], (t, Bound::HandlerEnd)));
                     }
+                    open_server_handlers.retain(|&o| o != h);
                 }
-                EventKind::RpcXmit { .. } => {
-                    if let Some(&ri) = rpc_idx.get(&e.parent) {
-                        rpcs[ri].bounds.push((e.t_us, Bound::Xmit));
-                    }
-                }
-                EventKind::RpcArrive { dup, .. } => {
-                    if let Some(&ri) = rpc_idx.get(&e.parent) {
-                        rpcs[ri].bounds.push((e.t_us, Bound::Arrive { dup: *dup }));
-                    }
-                }
-                EventKind::HandlerBegin { from, .. } => {
-                    handlers.insert(e.seq, Handler { subs: Vec::new() });
-                    if let Some(&ri) = rpc_idx.get(&e.parent) {
-                        handler_rpc.insert(e.seq, ri);
-                        rpcs[ri]
-                            .bounds
-                            .push((e.t_us, Bound::HandlerBegin { h: e.seq }));
-                    }
-                    if from.0 != 0 {
-                        open_server_handlers.push(e.seq);
-                    }
-                }
-                // `handler_end` is parented under its `handler_begin`,
-                // not the RPC — route it back via the handler map.
-                EventKind::HandlerEnd { .. } => {
-                    if let Some(&ri) = handler_rpc.get(&e.parent) {
-                        rpcs[ri].bounds.push((e.t_us, Bound::HandlerEnd));
-                    }
-                    open_server_handlers.retain(|&h| h != e.parent);
-                }
-                EventKind::DiskQueue { disk, req, .. } => {
-                    // Seq-containment heuristic: charge the disk request
-                    // to the most recently begun server handler still
-                    // open at enqueue time. Only server-originated
-                    // executions count; callback handlers running on
-                    // client hosts never issue server-disk I/O.
-                    let h = open_server_handlers.last().copied();
-                    disk_pending.insert((&**disk, *req), (e.t_us, h));
-                }
-                EventKind::DiskDone {
-                    disk, req, wait_us, ..
-                } => {
-                    if let Some((t_q, Some(h))) = disk_pending.remove(&(&**disk, *req)) {
-                        if let Some(handler) = handlers.get_mut(&h) {
-                            let dispatch = (t_q + wait_us).min(e.t_us);
-                            if dispatch > t_q {
-                                handler.subs.push((t_q, dispatch, Phase::DiskQueue));
-                            }
-                            if e.t_us > dispatch {
-                                handler.subs.push((dispatch, e.t_us, Phase::DiskService));
-                            }
+            }
+            EventKind::DiskQueue { disk, req, .. } => {
+                // Seq-containment heuristic: charge the disk request
+                // to the most recently begun server handler still
+                // open at enqueue time. Only server-originated
+                // executions count; callback handlers running on
+                // client hosts never issue server-disk I/O.
+                let h = open_server_handlers.last().copied();
+                disk_pending.insert((&**disk, *req), (t, h));
+            }
+            EventKind::DiskDone {
+                disk, req, wait_us, ..
+            } => {
+                if let Some((t_q, Some(h))) = disk_pending.remove(&(&**disk, *req)) {
+                    let dispatch = (t_q + wait_us).min(t);
+                    for (start, end, phase) in [
+                        (t_q, dispatch, Phase::DiskQueue),
+                        (dispatch, t, Phase::DiskService),
+                    ] {
+                        if end > start {
+                            paints.push((h, Segment { start, end, phase }));
                         }
                     }
                 }
-                EventKind::CallbackBegin { .. } => {
-                    cb_begin.push((e.seq, e.t_us, i));
-                }
-                EventKind::CallbackEnd { .. } => {
-                    cb_end.insert(e.parent, e.t_us);
-                }
-                _ => {}
             }
-        }
-
-        // Paint callback intervals onto their owning handlers.
-        for &(cb_seq, t_b, idx) in &cb_begin {
-            let Some(h) = self.handler_of[idx] else {
-                continue;
-            };
-            let Some(&t_e) = cb_end.get(&cb_seq) else {
-                continue;
-            };
-            if let Some(handler) = handlers.get_mut(&h) {
-                if t_e > t_b {
-                    handler.subs.push((t_b, t_e, Phase::Callback));
+            EventKind::CallbackBegin { .. } => {
+                fact.slot = Slot::Callback(callbacks.len() as u32);
+                callbacks.push((t, fact.handler, None));
+            }
+            EventKind::CallbackEnd { .. } => {
+                if let Slot::Callback(c) = parent.slot {
+                    callbacks[c as usize].2 = Some(t);
                 }
             }
+            _ => {}
         }
-
-        // ---- Pass 2: resolve each RPC to plain phase segments. ----
-        let rpc_segments: Vec<Vec<Segment>> =
-            rpcs.iter().map(|r| resolve_rpc(r, &handlers)).collect();
-
-        // ---- Pass 3: overlay RPC segments onto op intervals. ----
-        let mut claims = RpcClaims::default();
-        let mut ops: Vec<OpProfile> = Vec::new();
-        // op seq -> indices into `rpcs` of its client-side children.
-        let mut op_children: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (ri, r) in rpcs.iter().enumerate() {
-            match (r.owner, r.from, r.t_reply) {
-                (_, _, None) => claims.incomplete += 1,
-                (Some(op), from, Some(_)) if from != 0 => {
-                    claims.op += 1;
-                    op_children.entry(op).or_default().push(ri);
-                }
-                (Some(_), _, Some(_)) => claims.callback += 1,
-                (None, _, Some(_)) => claims.background += 1,
-            }
+        let seq = e.seq as usize;
+        if seq >= facts.len() {
+            facts.resize(seq + 1, ROOT);
         }
+        facts[seq] = fact;
+    }
 
-        let mut occupancy: Vec<[u64; NUM_PHASES]> = Vec::new();
-        for &(op_seq, t0, client, name) in &op_meta {
-            let Some(&t1) = op_end.get(&op_seq) else {
-                continue;
-            };
-            let children = op_children.remove(&op_seq).unwrap_or_default();
-            let rpc_count = children.len() as u64;
-            let phase_us = overlay_op(
-                t0,
-                t1,
-                &children,
-                &rpcs,
-                &rpc_segments,
-                bucket_us,
-                &mut occupancy,
-            );
-            ops.push(OpProfile {
-                op: name,
-                client,
-                synthetic: false,
-                begin_us: t0,
-                end_us: t1,
-                rpcs: rpc_count,
-                phase_us,
-            });
+    // Paint callback intervals onto their owning handlers.
+    for (start, h, end) in callbacks {
+        if let Some(end) = end.filter(|&end| h != NONE && end > start) {
+            let phase = Phase::Callback;
+            paints.push((h, Segment { start, end, phase }));
         }
-
-        // Synthetic spans: background / bare-client RPCs, one span each.
-        for (ri, r) in rpcs.iter().enumerate() {
-            if r.owner.is_some() || r.from == 0 {
-                continue;
-            }
-            let Some(t_reply) = r.t_reply else { continue };
-            let phase_us = overlay_op(
-                r.t_call,
-                t_reply,
-                &[ri],
-                &rpcs,
-                &rpc_segments,
-                bucket_us,
-                &mut occupancy,
-            );
-            ops.push(OpProfile {
-                op: r.proc.name(),
-                client: r.from,
-                synthetic: true,
-                begin_us: r.t_call,
-                end_us: t_reply,
-                rpcs: 1,
-                phase_us,
-            });
-        }
-
-        // ---- Aggregates. ----
-        let mut phase_us = [0u64; NUM_PHASES];
-        let mut total_us = 0u64;
-        let mut op_kinds: Vec<OpKindProfile> = Vec::new();
-        for o in &ops {
-            total_us += o.total_us();
-            for (acc, v) in phase_us.iter_mut().zip(o.phase_us.iter()) {
-                *acc += v;
-            }
-            match op_kinds.iter_mut().find(|k| k.op == o.op) {
-                Some(k) => {
-                    k.count += 1;
-                    k.total_us += o.total_us();
-                    k.max_us = k.max_us.max(o.total_us());
-                    for i in 0..NUM_PHASES {
-                        k.phase_us[i] += o.phase_us[i];
-                    }
-                }
-                None => op_kinds.push(OpKindProfile {
-                    op: o.op,
-                    count: 1,
-                    total_us: o.total_us(),
-                    max_us: o.total_us(),
-                    phase_us: o.phase_us,
-                }),
-            }
-        }
-
-        let rpc_latency = LatencyStats::new();
-        for r in &rpcs {
-            if let Some(t_reply) = r.t_reply {
-                rpc_latency.record(r.proc, SimDuration::from_micros(t_reply - r.t_call));
-            }
-        }
-
-        Profile {
-            ops,
-            op_kinds,
-            phase_us,
-            total_us,
-            total_rpcs: rpcs.len() as u64,
-            claims,
-            rpc_latency,
-            bucket_us,
-            occupancy,
-        }
+    }
+    Sweep {
+        bounds: Grouped::new(rpcs.len(), &bounds),
+        paints: Grouped::new(handler_rpc.len(), &paints),
+        ops,
+        rpcs,
     }
 }
 
-/// Turn one RPC's boundary list into contiguous phase segments covering
-/// `[t_call, t_reply]` exactly. Handler intervals are subdivided by the
-/// handler's painted overlay (disk service > disk queue > callback >
-/// server CPU).
-fn resolve_rpc(r: &Rpc, handlers: &HashMap<u64, Handler>) -> Vec<Segment> {
+/// Append one RPC's timeline to `segs` as contiguous phase segments
+/// covering `[t_call, t_reply]` exactly. Handler intervals are
+/// subdivided by the handler's painted overlay (disk service > disk
+/// queue > callback > server CPU).
+fn resolve_rpc(
+    r: &Rpc,
+    bounds: &[(u64, Bound)],
+    paints: &Grouped<Segment>,
+    cuts: &mut Vec<u64>,
+    segs: &mut Vec<Segment>,
+) {
     let Some(t_reply) = r.t_reply else {
-        return Vec::new();
+        return;
     };
-    let has_xmit = r.bounds.iter().any(|(_, b)| matches!(b, Bound::Xmit));
-    let mut segs: Vec<Segment> = Vec::new();
+    let first = segs.len();
+    let has_xmit = bounds.iter().any(|(_, b)| matches!(b, Bound::Xmit));
     let mut cur_t = r.t_call;
     // State carried between boundaries: either a plain phase or an open
     // handler whose overlay subdivides the interval.
     enum State {
         Plain(Phase),
-        InHandler(u64),
+        InHandler(u32),
     }
     let mut state = State::Plain(if has_xmit {
         Phase::ClientQueue
     } else {
         Phase::Unattributed
     });
-    let close = |segs: &mut Vec<Segment>, state: &State, a: u64, b: u64| {
-        if b <= a {
+    let mut close = |state: &State, start: u64, end: u64| {
+        if end <= start {
             return;
         }
-        match state {
-            State::Plain(p) => segs.push(Segment {
-                start: a,
-                end: b,
-                phase: *p,
-            }),
-            State::InHandler(h) => subdivide_handler(segs, handlers.get(h), a, b),
+        match *state {
+            State::Plain(phase) => segs.push(Segment { start, end, phase }),
+            // Coalescing stops at `first`: the segments before it are
+            // another RPC's.
+            State::InHandler(h) => subdivide_handler(segs, first, paints.of(h), cuts, start, end),
         }
     };
-    for (t, b) in &r.bounds {
-        let t = (*t).min(t_reply);
-        close(&mut segs, &state, cur_t, t);
+    for &(t, b) in bounds {
+        let t = t.min(t_reply);
+        close(&state, cur_t, t);
         cur_t = cur_t.max(t);
         state = match b {
             Bound::Xmit => State::Plain(Phase::Net),
             Bound::Arrive { dup: false } => State::Plain(Phase::Admission),
             Bound::Arrive { dup: true } => State::Plain(Phase::DupCache),
-            Bound::HandlerBegin { h } => State::InHandler(*h),
+            Bound::HandlerBegin { h } => State::InHandler(h),
             Bound::HandlerEnd => State::Plain(Phase::Net),
         };
     }
-    close(&mut segs, &state, cur_t, t_reply);
-    segs
+    close(&state, cur_t, t_reply);
 }
 
 /// Split `[a, b]` of a handler execution into phase segments using the
 /// handler's painted sub-intervals. Priority when intervals overlap:
 /// disk service, then disk queue, then callback, then server CPU.
-fn subdivide_handler(segs: &mut Vec<Segment>, handler: Option<&Handler>, a: u64, b: u64) {
-    let Some(h) = handler else {
-        segs.push(Segment {
-            start: a,
-            end: b,
-            phase: Phase::ServerCpu,
-        });
-        return;
-    };
+fn subdivide_handler(
+    segs: &mut Vec<Segment>,
+    first: usize,
+    subs: &[Segment],
+    cuts: &mut Vec<u64>,
+    a: u64,
+    b: u64,
+) {
     // Breakpoints: interval ends plus every painted edge inside it.
-    let mut cuts: Vec<u64> = vec![a, b];
-    for &(s, e, _) in &h.subs {
-        for t in [s, e] {
-            if t > a && t < b {
-                cuts.push(t);
-            }
-        }
+    cuts.clear();
+    cuts.extend([a, b]);
+    for s in subs {
+        cuts.extend([s.start, s.end].into_iter().filter(|&t| t > a && t < b));
     }
     cuts.sort_unstable();
     cuts.dedup();
     for w in cuts.windows(2) {
         let (lo, hi) = (w[0], w[1]);
-        let mid = lo; // phases are constant on [lo, hi); probe the start
+        // Phases are constant on [lo, hi); probe the start.
         let covered = |p: Phase| {
-            h.subs
-                .iter()
-                .any(|&(s, e, q)| q == p && s <= mid && e > mid)
+            subs.iter()
+                .any(|s| s.phase == p && s.start <= lo && s.end > lo)
         };
         let phase = if covered(Phase::DiskService) {
             Phase::DiskService
@@ -784,8 +852,8 @@ fn subdivide_handler(segs: &mut Vec<Segment>, handler: Option<&Handler>, a: u64,
         } else {
             Phase::ServerCpu
         };
-        // Coalesce with the previous segment when the phase repeats.
-        match segs.last_mut() {
+        // Coalesce with this RPC's previous segment when the phase repeats.
+        match segs[first..].last_mut() {
             Some(last) if last.end == lo && last.phase == phase => last.end = hi,
             _ => segs.push(Segment {
                 start: lo,
@@ -796,59 +864,58 @@ fn subdivide_handler(segs: &mut Vec<Segment>, handler: Option<&Handler>, a: u64,
     }
 }
 
-/// Partition the span `[t0, t1]` across phases given its child RPCs'
-/// resolved segments, accumulating into `occupancy` buckets as well.
-/// Returns the exact per-phase breakdown (sums to `t1 - t0`).
-fn overlay_op(
-    t0: u64,
-    t1: u64,
-    children: &[usize],
-    rpcs: &[Rpc],
-    rpc_segments: &[Vec<Segment>],
+/// Pass 3's state: the resolved RPC timelines going in, the occupancy
+/// buckets coming out.
+struct Overlay<'a> {
+    rpcs: &'a [Rpc],
+    /// Per RPC (same index as `rpcs`): its resolved segments.
+    resolved: Grouped<Segment>,
+    cuts: Vec<u64>,
     bucket_us: u64,
-    occupancy: &mut Vec<[u64; NUM_PHASES]>,
-) -> [u64; NUM_PHASES] {
-    let mut phase_us = [0u64; NUM_PHASES];
-    if t1 <= t0 {
-        return phase_us;
-    }
-    // Instants where the attribution can change: span ends plus every
-    // child segment edge (clipped to the span).
-    let mut cuts: Vec<u64> = vec![t0, t1];
-    for &ri in children {
-        for s in &rpc_segments[ri] {
-            for t in [s.start, s.end] {
-                if t > t0 && t < t1 {
-                    cuts.push(t);
+    occupancy: Vec<[u64; NUM_PHASES]>,
+}
+
+impl Overlay<'_> {
+    /// Partition the span `[t0, t1]` across phases given its child RPCs'
+    /// resolved segments, accumulating into `occupancy` buckets as well.
+    /// Returns the exact per-phase breakdown (sums to `t1 - t0`).
+    fn op(&mut self, t0: u64, t1: u64, children: &[u32]) -> [u64; NUM_PHASES] {
+        let mut phase_us = [0u64; NUM_PHASES];
+        if t1 <= t0 {
+            return phase_us;
+        }
+        // Instants where the attribution can change: span ends plus every
+        // child segment edge (clipped to the span).
+        self.cuts.clear();
+        self.cuts.extend([t0, t1]);
+        for s in children.iter().flat_map(|&ri| self.resolved.of(ri)) {
+            let inside = [s.start, s.end].into_iter().filter(|&t| t > t0 && t < t1);
+            self.cuts.extend(inside);
+        }
+        self.cuts.sort_unstable();
+        self.cuts.dedup();
+        for w in self.cuts.windows(2) {
+            let (lo, hi) = (w[0], w[1]);
+            // Charge [lo, hi) to the earliest-issued RPC active at `lo`
+            // (ties by sequence number), or cache-local when none is.
+            let mut chosen: Option<(u64, u64, Phase)> = None; // (t_call, seq, phase)
+            for &ri in children {
+                let r = &self.rpcs[ri as usize];
+                let segs = self.resolved.of(ri);
+                let Some(seg) = segs.iter().find(|s| s.start <= lo && s.end > lo) else {
+                    continue;
+                };
+                let key = (r.t_call, r.seq);
+                if chosen.is_none_or(|(tc, sq, _)| key < (tc, sq)) {
+                    chosen = Some((r.t_call, r.seq, seg.phase));
                 }
             }
+            let phase = chosen.map_or(Phase::CacheLocal, |(_, _, p)| p);
+            phase_us[phase.index()] += hi - lo;
+            add_occupancy(&mut self.occupancy, self.bucket_us, lo, hi, phase);
         }
+        phase_us
     }
-    cuts.sort_unstable();
-    cuts.dedup();
-    for w in cuts.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        // Charge [lo, hi) to the earliest-issued RPC active at `lo`
-        // (ties by sequence number), or cache-local when none is.
-        let mut chosen: Option<(u64, u64, Phase)> = None; // (t_call, seq, phase)
-        for &ri in children {
-            let r = &rpcs[ri];
-            let Some(seg) = rpc_segments[ri]
-                .iter()
-                .find(|s| s.start <= lo && s.end > lo)
-            else {
-                continue;
-            };
-            let key = (r.t_call, r.seq);
-            if chosen.is_none_or(|(tc, sq, _)| key < (tc, sq)) {
-                chosen = Some((r.t_call, r.seq, seg.phase));
-            }
-        }
-        let phase = chosen.map_or(Phase::CacheLocal, |(_, _, p)| p);
-        phase_us[phase.index()] += hi - lo;
-        add_occupancy(occupancy, bucket_us, lo, hi, phase);
-    }
-    phase_us
 }
 
 /// Spread `[lo, hi)` attributed to `phase` across fixed-width buckets.
@@ -872,10 +939,506 @@ fn add_occupancy(
     }
 }
 
+/// The profiler as it stood before the dense tables (PR 19 and before):
+/// the same function over `HashMap`s keyed by sequence number, kept as
+/// the reference the property test below holds the sweep against.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
+
+    use super::{
+        add_occupancy, EventKind, LatencyStats, NfsProc, OpKindProfile, OpProfile, Phase, Profile,
+        RpcClaims, SimDuration, TraceEvent, NUM_PHASES,
+    };
+
+    pub(super) fn profile_trace_bucketed(events: &[TraceEvent], bucket: SimDuration) -> Profile {
+        Profiler::new(events).run(bucket.as_micros().max(1))
+    }
+
+    /// One RPC's reconstructed timeline.
+    struct Rpc {
+        seq: u64,
+        from: u32,
+        proc: NfsProc,
+        t_call: u64,
+        t_reply: Option<u64>,
+        /// Owning `op_begin` seq, if the parent chain reaches one.
+        owner: Option<u64>,
+        /// Phase boundaries in emission (= time) order.
+        bounds: Vec<(u64, Bound)>,
+    }
+
+    enum Bound {
+        Xmit,
+        Arrive { dup: bool },
+        HandlerBegin { h: u64 },
+        HandlerEnd,
+    }
+
+    /// One server handler execution's sub-interval overlay: painted
+    /// `(start, end, phase)` intervals. Priority when probing is encoded in
+    /// [`subdivide_handler`].
+    struct Handler {
+        subs: Vec<(u64, u64, Phase)>,
+    }
+
+    /// A contiguous slice of one RPC's timeline, already resolved to a
+    /// phase (handler intervals are resolved via the handler overlay).
+    struct Segment {
+        start: u64,
+        end: u64,
+        phase: Phase,
+    }
+
+    struct Profiler<'a> {
+        events: &'a [TraceEvent],
+        /// Owning `op_begin` seq per event (by index), via the parent chain.
+        owner: Vec<Option<u64>>,
+        /// Nearest ancestor `handler_begin` seq per event (by index).
+        handler_of: Vec<Option<u64>>,
+    }
+
+    impl<'a> Profiler<'a> {
+        fn new(events: &'a [TraceEvent]) -> Self {
+            let mut idx_of = HashMap::with_capacity(events.len());
+            for (i, e) in events.iter().enumerate() {
+                idx_of.insert(e.seq, i);
+            }
+            // Parents are always emitted before children (sequence numbers
+            // are assigned in emission order), so one forward pass resolves
+            // both ancestor maps.
+            let mut owner: Vec<Option<u64>> = vec![None; events.len()];
+            let mut handler_of: Vec<Option<u64>> = vec![None; events.len()];
+            for i in 0..events.len() {
+                let e = &events[i];
+                let parent_idx = if e.parent == 0 {
+                    None
+                } else {
+                    idx_of.get(&e.parent).copied()
+                };
+                owner[i] = match e.kind {
+                    EventKind::OpBegin { .. } => Some(e.seq),
+                    _ => parent_idx.and_then(|pi| owner[pi]),
+                };
+                handler_of[i] = match e.kind {
+                    EventKind::HandlerBegin { .. } => Some(e.seq),
+                    _ => parent_idx.and_then(|pi| handler_of[pi]),
+                };
+            }
+            Profiler {
+                events,
+                owner,
+                handler_of,
+            }
+        }
+
+        fn run(&self, bucket_us: u64) -> Profile {
+            // ---- Pass 1: collect ops, RPCs, handlers, callbacks, disk. ----
+            let mut op_meta: Vec<(u64, u64, u32, &'static str)> = Vec::new(); // (seq, t0, client, op)
+            let mut op_end: HashMap<u64, u64> = HashMap::new(); // op seq -> t1
+            let mut rpcs: Vec<Rpc> = Vec::new();
+            let mut rpc_idx: HashMap<u64, usize> = HashMap::new(); // rpc seq -> rpcs index
+            let mut handlers: HashMap<u64, Handler> = HashMap::new();
+            let mut handler_rpc: HashMap<u64, usize> = HashMap::new(); // handler seq -> rpcs index
+                                                                       // Server handlers open at the current scan point, in begin order
+                                                                       // (for the disk seq-containment heuristic).
+            let mut open_server_handlers: Vec<u64> = Vec::new();
+            // (disk name, req id) -> (enqueue t, assigned handler)
+            let mut disk_pending: HashMap<(&str, u64), (u64, Option<u64>)> = HashMap::new();
+            let mut cb_begin: Vec<(u64, u64, usize)> = Vec::new(); // (cb seq, t, event idx)
+            let mut cb_end: HashMap<u64, u64> = HashMap::new(); // cb seq -> t
+
+            for (i, e) in self.events.iter().enumerate() {
+                match &e.kind {
+                    EventKind::OpBegin { client, op, .. } => {
+                        op_meta.push((e.seq, e.t_us, client.0, op));
+                    }
+                    EventKind::OpEnd { .. } => {
+                        op_end.insert(e.parent, e.t_us);
+                    }
+                    EventKind::RpcCall { from, proc, .. } => {
+                        rpc_idx.insert(e.seq, rpcs.len());
+                        rpcs.push(Rpc {
+                            seq: e.seq,
+                            from: from.0,
+                            proc: *proc,
+                            t_call: e.t_us,
+                            t_reply: None,
+                            owner: self.owner[i],
+                            bounds: Vec::new(),
+                        });
+                    }
+                    EventKind::RpcReply { .. } => {
+                        if let Some(&ri) = rpc_idx.get(&e.parent) {
+                            rpcs[ri].t_reply = Some(e.t_us);
+                        }
+                    }
+                    EventKind::RpcXmit { .. } => {
+                        if let Some(&ri) = rpc_idx.get(&e.parent) {
+                            rpcs[ri].bounds.push((e.t_us, Bound::Xmit));
+                        }
+                    }
+                    EventKind::RpcArrive { dup, .. } => {
+                        if let Some(&ri) = rpc_idx.get(&e.parent) {
+                            rpcs[ri].bounds.push((e.t_us, Bound::Arrive { dup: *dup }));
+                        }
+                    }
+                    EventKind::HandlerBegin { from, .. } => {
+                        handlers.insert(e.seq, Handler { subs: Vec::new() });
+                        if let Some(&ri) = rpc_idx.get(&e.parent) {
+                            handler_rpc.insert(e.seq, ri);
+                            rpcs[ri]
+                                .bounds
+                                .push((e.t_us, Bound::HandlerBegin { h: e.seq }));
+                        }
+                        if from.0 != 0 {
+                            open_server_handlers.push(e.seq);
+                        }
+                    }
+                    // `handler_end` is parented under its `handler_begin`,
+                    // not the RPC — route it back via the handler map.
+                    EventKind::HandlerEnd { .. } => {
+                        if let Some(&ri) = handler_rpc.get(&e.parent) {
+                            rpcs[ri].bounds.push((e.t_us, Bound::HandlerEnd));
+                        }
+                        open_server_handlers.retain(|&h| h != e.parent);
+                    }
+                    EventKind::DiskQueue { disk, req, .. } => {
+                        // Seq-containment heuristic: charge the disk request
+                        // to the most recently begun server handler still
+                        // open at enqueue time. Only server-originated
+                        // executions count; callback handlers running on
+                        // client hosts never issue server-disk I/O.
+                        let h = open_server_handlers.last().copied();
+                        disk_pending.insert((&**disk, *req), (e.t_us, h));
+                    }
+                    EventKind::DiskDone {
+                        disk, req, wait_us, ..
+                    } => {
+                        if let Some((t_q, Some(h))) = disk_pending.remove(&(&**disk, *req)) {
+                            if let Some(handler) = handlers.get_mut(&h) {
+                                let dispatch = (t_q + wait_us).min(e.t_us);
+                                if dispatch > t_q {
+                                    handler.subs.push((t_q, dispatch, Phase::DiskQueue));
+                                }
+                                if e.t_us > dispatch {
+                                    handler.subs.push((dispatch, e.t_us, Phase::DiskService));
+                                }
+                            }
+                        }
+                    }
+                    EventKind::CallbackBegin { .. } => {
+                        cb_begin.push((e.seq, e.t_us, i));
+                    }
+                    EventKind::CallbackEnd { .. } => {
+                        cb_end.insert(e.parent, e.t_us);
+                    }
+                    _ => {}
+                }
+            }
+
+            // Paint callback intervals onto their owning handlers.
+            for &(cb_seq, t_b, idx) in &cb_begin {
+                let Some(h) = self.handler_of[idx] else {
+                    continue;
+                };
+                let Some(&t_e) = cb_end.get(&cb_seq) else {
+                    continue;
+                };
+                if let Some(handler) = handlers.get_mut(&h) {
+                    if t_e > t_b {
+                        handler.subs.push((t_b, t_e, Phase::Callback));
+                    }
+                }
+            }
+
+            // ---- Pass 2: resolve each RPC to plain phase segments. ----
+            let rpc_segments: Vec<Vec<Segment>> =
+                rpcs.iter().map(|r| resolve_rpc(r, &handlers)).collect();
+
+            // ---- Pass 3: overlay RPC segments onto op intervals. ----
+            let mut claims = RpcClaims::default();
+            let mut ops: Vec<OpProfile> = Vec::new();
+            // op seq -> indices into `rpcs` of its client-side children.
+            let mut op_children: HashMap<u64, Vec<usize>> = HashMap::new();
+            for (ri, r) in rpcs.iter().enumerate() {
+                match (r.owner, r.from, r.t_reply) {
+                    (_, _, None) => claims.incomplete += 1,
+                    (Some(op), from, Some(_)) if from != 0 => {
+                        claims.op += 1;
+                        op_children.entry(op).or_default().push(ri);
+                    }
+                    (Some(_), _, Some(_)) => claims.callback += 1,
+                    (None, _, Some(_)) => claims.background += 1,
+                }
+            }
+
+            let mut occupancy: Vec<[u64; NUM_PHASES]> = Vec::new();
+            for &(op_seq, t0, client, name) in &op_meta {
+                let Some(&t1) = op_end.get(&op_seq) else {
+                    continue;
+                };
+                let children = op_children.remove(&op_seq).unwrap_or_default();
+                let rpc_count = children.len() as u64;
+                let phase_us = overlay_op(
+                    t0,
+                    t1,
+                    &children,
+                    &rpcs,
+                    &rpc_segments,
+                    bucket_us,
+                    &mut occupancy,
+                );
+                ops.push(OpProfile {
+                    op: name,
+                    client,
+                    synthetic: false,
+                    begin_us: t0,
+                    end_us: t1,
+                    rpcs: rpc_count,
+                    phase_us,
+                });
+            }
+
+            // Synthetic spans: background / bare-client RPCs, one span each.
+            for (ri, r) in rpcs.iter().enumerate() {
+                if r.owner.is_some() || r.from == 0 {
+                    continue;
+                }
+                let Some(t_reply) = r.t_reply else { continue };
+                let phase_us = overlay_op(
+                    r.t_call,
+                    t_reply,
+                    &[ri],
+                    &rpcs,
+                    &rpc_segments,
+                    bucket_us,
+                    &mut occupancy,
+                );
+                ops.push(OpProfile {
+                    op: r.proc.name(),
+                    client: r.from,
+                    synthetic: true,
+                    begin_us: r.t_call,
+                    end_us: t_reply,
+                    rpcs: 1,
+                    phase_us,
+                });
+            }
+
+            // ---- Aggregates. ----
+            let mut phase_us = [0u64; NUM_PHASES];
+            let mut total_us = 0u64;
+            let mut op_kinds: Vec<OpKindProfile> = Vec::new();
+            for o in &ops {
+                total_us += o.total_us();
+                for (acc, v) in phase_us.iter_mut().zip(o.phase_us.iter()) {
+                    *acc += v;
+                }
+                match op_kinds.iter_mut().find(|k| k.op == o.op) {
+                    Some(k) => {
+                        k.count += 1;
+                        k.total_us += o.total_us();
+                        k.max_us = k.max_us.max(o.total_us());
+                        for i in 0..NUM_PHASES {
+                            k.phase_us[i] += o.phase_us[i];
+                        }
+                    }
+                    None => op_kinds.push(OpKindProfile {
+                        op: o.op,
+                        count: 1,
+                        total_us: o.total_us(),
+                        max_us: o.total_us(),
+                        phase_us: o.phase_us,
+                    }),
+                }
+            }
+
+            let rpc_latency = LatencyStats::new();
+            for r in &rpcs {
+                if let Some(t_reply) = r.t_reply {
+                    rpc_latency.record(r.proc, SimDuration::from_micros(t_reply - r.t_call));
+                }
+            }
+
+            Profile {
+                ops,
+                op_kinds,
+                phase_us,
+                total_us,
+                total_rpcs: rpcs.len() as u64,
+                claims,
+                rpc_latency,
+                bucket_us,
+                occupancy,
+            }
+        }
+    }
+
+    /// Turn one RPC's boundary list into contiguous phase segments covering
+    /// `[t_call, t_reply]` exactly. Handler intervals are subdivided by the
+    /// handler's painted overlay (disk service > disk queue > callback >
+    /// server CPU).
+    fn resolve_rpc(r: &Rpc, handlers: &HashMap<u64, Handler>) -> Vec<Segment> {
+        let Some(t_reply) = r.t_reply else {
+            return Vec::new();
+        };
+        let has_xmit = r.bounds.iter().any(|(_, b)| matches!(b, Bound::Xmit));
+        let mut segs: Vec<Segment> = Vec::new();
+        let mut cur_t = r.t_call;
+        // State carried between boundaries: either a plain phase or an open
+        // handler whose overlay subdivides the interval.
+        enum State {
+            Plain(Phase),
+            InHandler(u64),
+        }
+        let mut state = State::Plain(if has_xmit {
+            Phase::ClientQueue
+        } else {
+            Phase::Unattributed
+        });
+        let close = |segs: &mut Vec<Segment>, state: &State, a: u64, b: u64| {
+            if b <= a {
+                return;
+            }
+            match state {
+                State::Plain(p) => segs.push(Segment {
+                    start: a,
+                    end: b,
+                    phase: *p,
+                }),
+                State::InHandler(h) => subdivide_handler(segs, handlers.get(h), a, b),
+            }
+        };
+        for (t, b) in &r.bounds {
+            let t = (*t).min(t_reply);
+            close(&mut segs, &state, cur_t, t);
+            cur_t = cur_t.max(t);
+            state = match b {
+                Bound::Xmit => State::Plain(Phase::Net),
+                Bound::Arrive { dup: false } => State::Plain(Phase::Admission),
+                Bound::Arrive { dup: true } => State::Plain(Phase::DupCache),
+                Bound::HandlerBegin { h } => State::InHandler(*h),
+                Bound::HandlerEnd => State::Plain(Phase::Net),
+            };
+        }
+        close(&mut segs, &state, cur_t, t_reply);
+        segs
+    }
+
+    /// Split `[a, b]` of a handler execution into phase segments using the
+    /// handler's painted sub-intervals. Priority when intervals overlap:
+    /// disk service, then disk queue, then callback, then server CPU.
+    fn subdivide_handler(segs: &mut Vec<Segment>, handler: Option<&Handler>, a: u64, b: u64) {
+        let Some(h) = handler else {
+            segs.push(Segment {
+                start: a,
+                end: b,
+                phase: Phase::ServerCpu,
+            });
+            return;
+        };
+        // Breakpoints: interval ends plus every painted edge inside it.
+        let mut cuts: Vec<u64> = vec![a, b];
+        for &(s, e, _) in &h.subs {
+            for t in [s, e] {
+                if t > a && t < b {
+                    cuts.push(t);
+                }
+            }
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        for w in cuts.windows(2) {
+            let (lo, hi) = (w[0], w[1]);
+            let mid = lo; // phases are constant on [lo, hi); probe the start
+            let covered = |p: Phase| {
+                h.subs
+                    .iter()
+                    .any(|&(s, e, q)| q == p && s <= mid && e > mid)
+            };
+            let phase = if covered(Phase::DiskService) {
+                Phase::DiskService
+            } else if covered(Phase::DiskQueue) {
+                Phase::DiskQueue
+            } else if covered(Phase::Callback) {
+                Phase::Callback
+            } else {
+                Phase::ServerCpu
+            };
+            // Coalesce with the previous segment when the phase repeats.
+            match segs.last_mut() {
+                Some(last) if last.end == lo && last.phase == phase => last.end = hi,
+                _ => segs.push(Segment {
+                    start: lo,
+                    end: hi,
+                    phase,
+                }),
+            }
+        }
+    }
+
+    /// Partition the span `[t0, t1]` across phases given its child RPCs'
+    /// resolved segments, accumulating into `occupancy` buckets as well.
+    /// Returns the exact per-phase breakdown (sums to `t1 - t0`).
+    fn overlay_op(
+        t0: u64,
+        t1: u64,
+        children: &[usize],
+        rpcs: &[Rpc],
+        rpc_segments: &[Vec<Segment>],
+        bucket_us: u64,
+        occupancy: &mut Vec<[u64; NUM_PHASES]>,
+    ) -> [u64; NUM_PHASES] {
+        let mut phase_us = [0u64; NUM_PHASES];
+        if t1 <= t0 {
+            return phase_us;
+        }
+        // Instants where the attribution can change: span ends plus every
+        // child segment edge (clipped to the span).
+        let mut cuts: Vec<u64> = vec![t0, t1];
+        for &ri in children {
+            for s in &rpc_segments[ri] {
+                for t in [s.start, s.end] {
+                    if t > t0 && t < t1 {
+                        cuts.push(t);
+                    }
+                }
+            }
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        for w in cuts.windows(2) {
+            let (lo, hi) = (w[0], w[1]);
+            // Charge [lo, hi) to the earliest-issued RPC active at `lo`
+            // (ties by sequence number), or cache-local when none is.
+            let mut chosen: Option<(u64, u64, Phase)> = None; // (t_call, seq, phase)
+            for &ri in children {
+                let r = &rpcs[ri];
+                let Some(seg) = rpc_segments[ri]
+                    .iter()
+                    .find(|s| s.start <= lo && s.end > lo)
+                else {
+                    continue;
+                };
+                let key = (r.t_call, r.seq);
+                if chosen.is_none_or(|(tc, sq, _)| key < (tc, sq)) {
+                    chosen = Some((r.t_call, r.seq, seg.phase));
+                }
+            }
+            let phase = chosen.map_or(Phase::CacheLocal, |(_, _, p)| p);
+            phase_us[phase.index()] += hi - lo;
+            add_occupancy(occupancy, bucket_us, lo, hi, phase);
+        }
+        phase_us
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use spritely_proto::{ClientId, FileHandle};
+    use std::rc::Rc;
 
     fn ev(seq: u64, t_us: u64, parent: u64, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -1318,5 +1881,328 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"cache_local\": 100"));
         assert!(a.contains("\"ops\": 1"));
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(p.index(), i, "{}", p.name());
+        }
+    }
+
+    /// Resolved segments sit in one array, RPC after RPC, and a handler
+    /// interval coalesces with the segment before it: that must not reach
+    /// back into the previous RPC when it ended, mid-handler, at the very
+    /// instant this one's handler begins.
+    #[test]
+    fn back_to_back_rpcs_keep_their_own_segments() {
+        let c = ClientId(1);
+        let (xid, proc, ok) = (1, NfsProc::Read, true);
+        let mut events = Vec::new();
+        for (seq, t) in [(1, 0), (4, 100)] {
+            let call = EventKind::RpcCall {
+                from: c,
+                xid,
+                proc,
+                fh: None,
+                offset: 0,
+                len: 0,
+            };
+            events.push(ev(seq, t, 0, call));
+            let begin = EventKind::HandlerBegin { from: c, xid, proc };
+            events.push(ev(seq + 1, t, seq, begin));
+            #[rustfmt::skip]
+            events.push(ev(seq + 2, t + 100, seq, EventKind::RpcReply { from: c, xid, proc, ok }));
+        }
+        let p = profile_trace(&events);
+        assert_eq!(p.ops.len(), 2);
+        for o in &p.ops {
+            assert_eq!(o.phase_us[Phase::ServerCpu.index()], 100, "{o:?}");
+        }
+        let want = reference::profile_trace_bucketed(&events, SimDuration::from_secs(1));
+        assert_eq!(p.ops, want.ops);
+    }
+
+    // ---- the sweep against the reference, on generated traces ----
+
+    /// A generated event's kind, before it is given fields.
+    #[derive(Clone, Copy, PartialEq)]
+    enum K {
+        OpBegin,
+        OpEnd,
+        Call,
+        Xmit,
+        Arrive,
+        Reply,
+        HBegin,
+        HEnd,
+        CbBegin,
+        CbEnd,
+        DiskQ,
+        DiskD,
+        /// Any event the profiler only follows parent links through.
+        Link,
+    }
+
+    /// What one step of the generator does (repeats are weights).
+    #[derive(Clone, Copy)]
+    enum Act {
+        Emit(K),
+        /// The next event in the life of a recent RPC: transmit, arrive,
+        /// handler begin, handler end, reply, then late duplicates.
+        Advance,
+        /// One more transmission or arrival of a recent RPC, at any stage.
+        Retransmit,
+    }
+
+    const ACTS: [Act; 32] = [
+        Act::Emit(K::OpBegin),
+        Act::Emit(K::OpBegin),
+        Act::Emit(K::OpEnd),
+        Act::Emit(K::OpEnd),
+        Act::Emit(K::Call),
+        Act::Emit(K::Call),
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Advance,
+        Act::Retransmit,
+        Act::Emit(K::DiskQ),
+        Act::Emit(K::DiskQ),
+        Act::Emit(K::DiskD),
+        Act::Emit(K::DiskD),
+        Act::Emit(K::DiskD),
+        Act::Emit(K::CbBegin),
+        Act::Emit(K::CbEnd),
+        Act::Emit(K::Link),
+        Act::Emit(K::HBegin),
+    ];
+
+    /// One step is `(act, time step, pick, parent mode)`. First every
+    /// step becomes an event under the parent it belongs under — one of
+    /// the last three candidates, which nests ops, overlaps an op's RPCs,
+    /// retransmits, replies twice or never, leaves handlers and callbacks
+    /// open, hangs callback RPCs under handlers and background RPCs under
+    /// nothing. Then some parents are made wrong on purpose: dangling,
+    /// the event itself, a later event, an earlier event of any kind, or
+    /// none. Time never runs backwards; sequence numbers are unique and
+    /// nonzero, but may have gaps and need not follow array order.
+    ///
+    /// Left out, because the reference answers it with an op that ends
+    /// before it begins: an `op_end` ahead of its `op_begin` in the
+    /// array. The sweep ignores such an `op_end`.
+    fn generated(steps: &[(usize, usize, u64, u8)]) -> Vec<TraceEvent> {
+        let n = steps.len();
+        // (kind, index of the parent it belongs under, `from`)
+        let mut plan: Vec<(K, Option<usize>, u32)> = Vec::new();
+        // Per RPC: (index of its call, events emitted so far, its handler).
+        let mut rpcs: Vec<(usize, u32, Option<usize>)> = Vec::new();
+        for (i, &(act, _, pick, _)) in steps.iter().enumerate() {
+            let recent = |k: &[K]| {
+                let found = plan.iter().enumerate().filter(|(_, p)| k.contains(&p.0));
+                let found: Vec<usize> = found.map(|(j, _)| j).collect();
+                let back = (pick >> 4) as usize % 3;
+                found
+                    .iter()
+                    .rev()
+                    .nth(back.min(found.len().max(1) - 1))
+                    .copied()
+            };
+            let step = match ACTS[act] {
+                Act::Emit(k) => {
+                    let parent = match k {
+                        K::OpBegin | K::DiskQ | K::DiskD => None,
+                        K::OpEnd => recent(&[K::OpBegin]),
+                        K::Call => match pick >> 6 & 7 {
+                            0 => None,
+                            1 | 2 => recent(&[K::HBegin]),
+                            3 => recent(&[K::Link]),
+                            _ => recent(&[K::OpBegin]),
+                        },
+                        K::HBegin => recent(&[K::Call]).filter(|_| pick >> 6 & 1 == 0),
+                        K::CbBegin => recent(&[K::HBegin, K::Link]),
+                        K::CbEnd => recent(&[K::CbBegin]),
+                        _ => recent(&[K::OpBegin, K::HBegin, K::Link, K::Call]),
+                    };
+                    let under_handler = parent.is_some_and(|j| plan[j].0 == K::HBegin);
+                    let from = if under_handler {
+                        0
+                    } else {
+                        1 + (pick >> 9 & 1) as u32
+                    };
+                    if k == K::Call {
+                        rpcs.push((i, 0, None));
+                    }
+                    (k, parent, from)
+                }
+                Act::Advance | Act::Retransmit if rpcs.is_empty() => (K::Link, None, 0),
+                Act::Advance => {
+                    // Mostly the least advanced of the last three, so that
+                    // RPCs overlap and still finish.
+                    let tail = rpcs.len().saturating_sub(3);
+                    let behind = (tail..rpcs.len()).min_by_key(|&r| rpcs[r].1);
+                    let which = if pick >> 4 & 3 == 0 {
+                        tail
+                    } else {
+                        behind.unwrap_or(tail)
+                    };
+                    let (call, stage, handler) = &mut rpcs[which];
+                    *stage += 1;
+                    match *stage {
+                        1 => (K::Xmit, Some(*call), plan[*call].2),
+                        2 => (K::Arrive, Some(*call), plan[*call].2),
+                        3 => {
+                            *handler = Some(i);
+                            (K::HBegin, Some(*call), plan[*call].2)
+                        }
+                        4 => (K::HEnd, *handler, plan[*call].2),
+                        5 | 7 => (K::Reply, Some(*call), plan[*call].2),
+                        _ => (K::Arrive, Some(*call), plan[*call].2),
+                    }
+                }
+                Act::Retransmit => {
+                    let (call, ..) = rpcs[rpcs.len() - 1 - (pick >> 4) as usize % 3 % rpcs.len()];
+                    let k = if pick >> 9 & 1 == 0 {
+                        K::Xmit
+                    } else {
+                        K::Arrive
+                    };
+                    (k, Some(call), plan[call].2)
+                }
+            };
+            plan.push(step);
+        }
+
+        let shape = steps[0].2;
+        let mut seq: Vec<u64> = (0..n as u64).map(|i| 1 + i * (1 + shape % 3)).collect();
+        if shape & 4 != 0 {
+            for j in (0..n - 1).step_by(2).filter(|&j| steps[j].2 & 8 != 0) {
+                seq.swap(j, j + 1);
+            }
+        }
+        let (c, fh) = (ClientId(1), fh());
+        let mut t = 0;
+        let mut last_queued = ("d0", 0);
+        let mut events = Vec::new();
+        for (i, &(_, dt, pick, mode)) in steps.iter().enumerate() {
+            t += [0, 0, 1, 7, 40, 400][dt];
+            let (k, parent, from) = plan[i];
+            let any = |from: usize, to: usize, ok: &dyn Fn(K) -> bool| {
+                let found: Vec<usize> = (from..to).filter(|&j| ok(plan[j].0)).collect();
+                found
+                    .get((pick >> 16) as usize % found.len().max(1))
+                    .copied()
+            };
+            let parent = match mode {
+                0 => Some(1_000_000 + pick % 5),
+                1 => Some(seq[i]),
+                2 => any(i + 1, n, &|p| !(k == K::OpEnd && p == K::OpBegin)).map(|j| seq[j]),
+                3 => any(0, i, &|_| true).map(|j| seq[j]),
+                4 => None,
+                _ => parent.map(|j| seq[j]),
+            };
+            let from = ClientId(if pick >> 24 & 15 == 0 { 0 } else { from });
+            let proc = [NfsProc::Read, NfsProc::Write, NfsProc::Open][(pick >> 10) as usize % 3];
+            let op = ["open", "close", "read"][(pick >> 10) as usize % 3];
+            let (xid, block, ok) = (1, 0, true);
+            let (disk, req) = match k {
+                K::DiskD if pick >> 12 & 3 != 0 => last_queued,
+                _ => (["d0", "d1"][(pick >> 12) as usize % 2], pick >> 13 & 3),
+            };
+            if k == K::DiskQ {
+                last_queued = (disk, req);
+            }
+            let disk: Rc<str> = disk.into();
+            let kind = match k {
+                K::OpBegin => EventKind::OpBegin { client: c, op, fh },
+                K::OpEnd => EventKind::OpEnd { client: c, op, ok },
+                K::Call => EventKind::RpcCall {
+                    from,
+                    xid,
+                    proc,
+                    fh: None,
+                    offset: 0,
+                    len: 0,
+                },
+                K::Xmit => EventKind::RpcXmit { from, xid },
+                K::Arrive => EventKind::RpcArrive {
+                    from,
+                    xid,
+                    dup: pick >> 9 & 3 == 0,
+                },
+                #[rustfmt::skip]
+                K::Reply => EventKind::RpcReply { from, xid, proc, ok },
+                K::HBegin => EventKind::HandlerBegin { from, xid, proc },
+                #[rustfmt::skip]
+                K::HEnd => EventKind::HandlerEnd { from, xid, proc, ok },
+                K::CbBegin => EventKind::CallbackBegin {
+                    target: c,
+                    fh,
+                    writeback: true,
+                    invalidate: false,
+                },
+                K::CbEnd => EventKind::CallbackEnd { target: c, fh, ok },
+                #[rustfmt::skip]
+                K::DiskQ => EventKind::DiskQueue { disk, req, block, write: true },
+                K::DiskD => EventKind::DiskDone {
+                    disk,
+                    req,
+                    block,
+                    write: true,
+                    wait_us: pick >> 20 & 15,
+                    pos_us: 0,
+                },
+                K::Link => EventKind::Invalidate { client: c, fh },
+            };
+            events.push(ev(seq[i], t, parent.unwrap_or(0), kind));
+        }
+        events
+    }
+
+    #[test]
+    fn the_sweep_computes_what_the_map_profiler_computed() {
+        use proptest::prelude::*;
+        let step = (0..ACTS.len(), 0..6usize, any::<u64>(), 0..60u8);
+        let steps = proptest::collection::vec(step, 1..200);
+        // What the generated traces exercised, summed over the cases.
+        let (mut spans, mut synthetic, mut painted, mut multi) = (0, 0, 0, 0);
+        let mut claims = RpcClaims::default();
+        TestRunner::new(ProptestConfig::with_cases(768)).run_cases(|rng| {
+            let events = generated(&steps.generate_value(rng));
+            let bucket = SimDuration::from_micros(64);
+            let want = reference::profile_trace_bucketed(&events, bucket);
+            let got = profile_trace_bucketed(&events, bucket);
+            assert_eq!(got.ops, want.ops);
+            assert_eq!(got.op_kinds, want.op_kinds);
+            assert_eq!(got.phase_us, want.phase_us);
+            assert_eq!(got.claims, want.claims);
+            assert_eq!(got.occupancy, want.occupancy);
+            assert_eq!(got.to_json(), want.to_json());
+            spans += got.ops.len();
+            synthetic += got.ops.iter().filter(|o| o.synthetic).count();
+            multi += got.ops.iter().filter(|o| o.rpcs > 1).count();
+            let disk = [Phase::DiskQueue, Phase::DiskService, Phase::Callback];
+            painted += disk.iter().filter(|p| got.phase_total(**p) > 0).count();
+            claims.op += got.claims.op;
+            claims.callback += got.claims.callback;
+            claims.background += got.claims.background;
+            claims.incomplete += got.claims.incomplete;
+        });
+        println!("{spans} spans ({synthetic} synthetic, {multi} with several RPCs), {painted} painted phases, {claims:?}");
+        // The generator is not vacuous: every shape turned up often.
+        assert!(spans > 2_000 && synthetic > 500 && multi > 80 && painted > 150);
+        assert!(claims.op > 700 && claims.callback > 120 && claims.incomplete > 500);
     }
 }
