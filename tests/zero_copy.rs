@@ -15,7 +15,11 @@
 //!   fails here and not three PRs later in the benchmark;
 //! * **the hot path stays on its allocation diet** (DESIGN.md §15) — a
 //!   task is one allocation, a single-waiter wait none, a path component
-//!   none, and an echo RPC a pinned count.
+//!   none, and an echo RPC a pinned count;
+//! * **reading a trace copies nothing** (DESIGN.md §11, §16) — a snapshot
+//!   of the log is free, an emit copies the log only under a live
+//!   snapshot and then once, and the profiler allocates a fixed number of
+//!   tables however long the trace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,11 +32,12 @@ use std::task::{Context, Poll};
 use proptest::prelude::*;
 use spritely::harness::{Protocol, RemoteClient, Testbed, TestbedParams};
 use spritely::metrics::OpCounter;
-use spritely::proto::{ClientId, NfsReply, NfsRequest, Payload, BLOCK_SIZE};
+use spritely::proto::{ClientId, FileHandle, NfsProc, NfsReply, NfsRequest, Payload, BLOCK_SIZE};
 use spritely::rpcnet::{
     Caller, CallerParams, Endpoint, EndpointParams, NetParams, Network, PartitionDir,
 };
 use spritely::sim::{Event, Resource, Sim, SimDuration};
+use spritely::trace::{profile_trace, EventKind, TraceEvent, Tracer};
 use spritely::vfs::{Fd, OpenFlags, Proc};
 
 // ---- a counting allocator -------------------------------------------------
@@ -641,4 +646,121 @@ fn an_echo_rpc_stays_inside_its_allocation_budget() {
             "an echo RPC made {cheapest} allocations, budget {ECHO_RPC_BUDGET}"
         );
     });
+}
+
+// ---- (e) reading a trace copies nothing -----------------------------------------
+
+/// `Tracer::finish` hands out the log itself, shared: it allocates
+/// nothing (the parent commit cloned every event, one allocation and
+/// 96 bytes apiece), and the price is paid by the emit that follows, only
+/// if the snapshot is still held by then, and once: a new `Rc`, the copied
+/// `Vec`, and the growth that makes room for the push.
+#[test]
+fn a_trace_snapshot_is_free_and_an_emit_copies_only_under_a_live_one() {
+    let sim = Sim::new();
+    let tracer = Tracer::new(&sim);
+    let emit = |n: usize| {
+        for xid in 0..n as u64 {
+            let from = ClientId(1);
+            tracer.emit(0, EventKind::RpcXmit { from, xid });
+        }
+    };
+    // 5,000 events leave the log with room for 8,192: what follows never
+    // has to grow it.
+    emit(5_000);
+
+    let before = allocations();
+    let (dropped, too) = (tracer.finish(), tracer.finish());
+    assert_eq!(allocations() - before, 0, "two snapshots");
+    drop((dropped, too));
+    emit(1_000);
+    assert_eq!(allocations() - before, 0, "1,000 emits, snapshots dropped");
+
+    let live = tracer.finish();
+    emit(1);
+    let copy = allocations() - before;
+    emit(999);
+    println!("allocations of the emit under a live snapshot: {copy}");
+    assert!((1..=3).contains(&copy), "the first emit made {copy}");
+    assert_eq!(allocations() - before, copy, "the 999 after it");
+    assert_eq!(
+        (live.len(), live.last().map(|e| e.seq)),
+        (6_000, Some(6_000))
+    );
+    assert_eq!(tracer.len(), 7_000);
+}
+
+/// `n` reads, each an op holding one RPC whose handler waits for the disk.
+fn read_trace(n: u64) -> Vec<TraceEvent> {
+    let (from, proc, ok) = (ClientId(1), NfsProc::Read, true);
+    let disk: Rc<str> = "srv".into();
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let mut push = |t_us, parent, kind| {
+        let seq = events.len() as u64 + 1;
+        #[rustfmt::skip]
+        events.push(TraceEvent { seq, t_us, parent, kind });
+        seq
+    };
+    for xid in 0..n {
+        let (t, op, fh, req) = (xid * 100, "read", FileHandle::new(1, 7, 1), xid);
+        let (disk, block, write) = (disk.clone(), 0, false);
+        #[rustfmt::skip]
+        let kinds = [
+            EventKind::OpBegin { client: from, op, fh },
+            EventKind::RpcCall { from, xid, proc, fh: Some(fh), offset: 0, len: 0 },
+            EventKind::RpcXmit { from, xid },
+            EventKind::RpcArrive { from, xid, dup: false },
+            EventKind::HandlerBegin { from, xid, proc },
+            EventKind::DiskQueue { disk: disk.clone(), req, block, write },
+            EventKind::DiskDone { disk, req, block, write, wait_us: 20, pos_us: 10 },
+            EventKind::HandlerEnd { from, xid, proc, ok },
+            EventKind::RpcReply { from, xid, proc, ok },
+            EventKind::OpEnd { client: from, op, ok },
+        ];
+        let (mut op_seq, mut call, mut handler) = (0, 0, 0);
+        for (i, kind) in kinds.into_iter().enumerate() {
+            let parent = match kind {
+                EventKind::OpBegin { .. } | EventKind::DiskQueue { .. } => 0,
+                EventKind::DiskDone { .. } => 0,
+                EventKind::RpcCall { .. } | EventKind::OpEnd { .. } => op_seq,
+                EventKind::HandlerEnd { .. } => handler,
+                _ => call,
+            };
+            let seq = push(t + 10 * i as u64, parent, kind);
+            match i {
+                0 => op_seq = seq,
+                1 => call = seq,
+                4 => handler = seq,
+                _ => {}
+            }
+        }
+    }
+    events
+}
+
+/// Allocations of one `profile_trace`: its tables, each sized once from
+/// a count of the events' kinds, and the few small vectors that stay
+/// small. 28 at 1,000 RPCs and 28 at 8,000; the parent commit — a map
+/// entry per event, a `Vec` per RPC, every table grown by doubling —
+/// made 11,087 and 88,111.
+const PROFILE_BUDGET: u64 = 32;
+
+#[test]
+fn the_profiler_allocates_its_tables_and_nothing_per_rpc() {
+    let count = |n| {
+        let events = read_trace(n);
+        let before = allocations();
+        let p = profile_trace(&events);
+        let made = allocations() - before;
+        assert_eq!((p.ops.len() as u64, p.claims.op), (n, n));
+        assert_eq!(p.attributed_fraction(), 1.0);
+        made
+    };
+    let (small, large) = (count(1_000), count(8_000));
+    println!("allocations per profile_trace: {small} at 1,000 RPCs, {large} at 8,000");
+    assert_eq!(
+        small, large,
+        "the count must not depend on the trace's length"
+    );
+    assert!(large <= PROFILE_BUDGET, "{large}, budget {PROFILE_BUDGET}");
 }
