@@ -270,9 +270,9 @@ fn lone_background_call_is_the_plain_message() {
         let trace: Vec<(u64, EventKind)> = r
             .tracer
             .finish()
-            .into_iter()
+            .iter()
             .filter(|e| !matches!(e.kind, EventKind::Batch { .. }))
-            .map(|e| (e.t_us, e.kind))
+            .map(|e| (e.t_us, e.kind.clone()))
             .collect();
         let batch_events = r.tracer.len() - trace.len();
         (

@@ -1944,7 +1944,7 @@ mod tests {
         Link,
     }
 
-    /// What one step of the generator does (repeats are weights).
+    /// What one step of the generator does.
     #[derive(Clone, Copy)]
     enum Act {
         Emit(K),
@@ -1954,41 +1954,6 @@ mod tests {
         /// One more transmission or arrival of a recent RPC, at any stage.
         Retransmit,
     }
-
-    const ACTS: [Act; 32] = [
-        Act::Emit(K::OpBegin),
-        Act::Emit(K::OpBegin),
-        Act::Emit(K::OpEnd),
-        Act::Emit(K::OpEnd),
-        Act::Emit(K::Call),
-        Act::Emit(K::Call),
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Advance,
-        Act::Retransmit,
-        Act::Emit(K::DiskQ),
-        Act::Emit(K::DiskQ),
-        Act::Emit(K::DiskD),
-        Act::Emit(K::DiskD),
-        Act::Emit(K::DiskD),
-        Act::Emit(K::CbBegin),
-        Act::Emit(K::CbEnd),
-        Act::Emit(K::Link),
-        Act::Emit(K::HBegin),
-    ];
 
     /// One step is `(act, time step, pick, parent mode)`. First every
     /// step becomes an event under the parent it belongs under — one of
@@ -2003,7 +1968,7 @@ mod tests {
     /// Left out, because the reference answers it with an op that ends
     /// before it begins: an `op_end` ahead of its `op_begin` in the
     /// array. The sweep ignores such an `op_end`.
-    fn generated(steps: &[(usize, usize, u64, u8)]) -> Vec<TraceEvent> {
+    fn generated(steps: &[(Act, usize, u64, u8)]) -> Vec<TraceEvent> {
         let n = steps.len();
         // (kind, index of the parent it belongs under, `from`)
         let mut plan: Vec<(K, Option<usize>, u32)> = Vec::new();
@@ -2020,7 +1985,7 @@ mod tests {
                     .nth(back.min(found.len().max(1) - 1))
                     .copied()
             };
-            let step = match ACTS[act] {
+            let step = match act {
                 Act::Emit(k) => {
                     let parent = match k {
                         K::OpBegin | K::DiskQ | K::DiskD => None,
@@ -2174,7 +2139,20 @@ mod tests {
     #[test]
     fn the_sweep_computes_what_the_map_profiler_computed() {
         use proptest::prelude::*;
-        let step = (0..ACTS.len(), 0..6usize, any::<u64>(), 0..60u8);
+        let act = prop_oneof![
+            2 => Just(Act::Emit(K::OpBegin)),
+            2 => Just(Act::Emit(K::OpEnd)),
+            2 => Just(Act::Emit(K::Call)),
+            16 => Just(Act::Advance),
+            1 => Just(Act::Retransmit),
+            2 => Just(Act::Emit(K::DiskQ)),
+            3 => Just(Act::Emit(K::DiskD)),
+            1 => Just(Act::Emit(K::CbBegin)),
+            1 => Just(Act::Emit(K::CbEnd)),
+            1 => Just(Act::Emit(K::Link)),
+            1 => Just(Act::Emit(K::HBegin)),
+        ];
+        let step = (act, 0..6usize, any::<u64>(), 0..60u8);
         let steps = proptest::collection::vec(step, 1..200);
         // What the generated traces exercised, summed over the cases.
         let (mut spans, mut synthetic, mut painted, mut multi) = (0, 0, 0, 0);

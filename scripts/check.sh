@@ -36,19 +36,41 @@ cargo run --release --quiet --bin spritely -- gate
 echo "==> benchmark: cargo test --release --offline"
 (cd benchmark && cargo test --release --offline --quiet)
 
+# The number a benchmark run's JSON line ($2) gives for metric $1; empty if
+# the line has no such metric.
+metric() {
+    sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$2"
+}
+
 # Both ends of the one testbed construction: sort_nfs is NFS over one
 # server, fleet is 8 shards x 512 SNFS clients. Each runs twice. `--trace 1`
-# exercises the per-layer pass (kernels, span files). `--trace 0` prints
+# exercises the per-layer pass (kernels, span files) and prints the
+# per-layer JSON line: the checker must have found nothing and the profiler
+# must have attributed every microsecond, so a checker that starts firing
+# or a profiler that drops a claim fails here. `--trace 0` prints
 # the end-to-end JSON line, whose host_allocs_per_run is held to
 # baselines/allocs.txt within the benchmark's own 2 % bound, like the line
 # count below: more is a regression, fewer is a stale file, so a layer
 # cannot silently give back what the hot path's allocation diet won.
 for w in sort_nfs fleet; do
     echo "==> benchmark: $w, 2 s, traced (exit 2 = traced and untraced passes disagree on a simulated-clock number)"
-    bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 1 > /dev/null
+    traced=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 1 | tail -1)
+    for want in trace.violations=0 trace.attributed_share=1; do
+        live=$(metric "${want%=*}" "$traced")
+        if [ -z "$live" ]; then
+            echo "FAIL: could not read ${want%=*} from the last line $w printed"
+            exit 1
+        elif [ "$live" != "${want#*=}" ]; then
+            echo "FAIL: $w, traced: ${want%=*} is $live, must be ${want#*=}"
+            exit 1
+        fi
+    done
+    echo "    trace.violations 0, trace.attributed_share 1"
     echo "==> benchmark: $w, 2 s, host_allocs_per_run vs baselines/allocs.txt"
-    live=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 0 | tail -1 |
-        sed -n 's/.*"host_allocs_per_run": {"value": \([0-9]*\).*/\1/p')
+    untraced=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 0 | tail -1)
+    # A median of an even number of runs can end in .5; the shell counts whole.
+    live=$(metric host_allocs_per_run "$untraced")
+    live=${live%.*}
     allowed=$(awk -v w="$w" '$1 == w { print $2 }' baselines/allocs.txt)
     # An empty number would read as 0 below and blame the ratchet.
     if [ -z "$live" ]; then
