@@ -116,6 +116,27 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
+impl TraceEvent {
+    pub fn new(seq: u64, t_us: u64, parent: u64, kind: EventKind) -> Self {
+        TraceEvent {
+            seq,
+            t_us,
+            parent,
+            kind,
+        }
+    }
+
+    /// The `ev` value of the JSONL line.
+    pub fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    /// Every field as `(key, value)`, in JSONL order.
+    pub fn fields<'a>(&'a self, f: &mut dyn FnMut(&'static str, Val<'a>)) {
+        self.kind.fields(f)
+    }
+}
+
 /// What happened. [`EventKind::name`] and [`EventKind::fields`] below are
 /// the serialized form of each kind.
 #[derive(Debug, Clone, PartialEq)]
