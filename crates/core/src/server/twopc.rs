@@ -128,7 +128,7 @@ impl SnfsServer {
             drop(layout);
             self.emit_with(ctx, || EventKind::ShardRoute {
                 shard: view.shard,
-                name: name.to_string(),
+                name: name.into(),
                 epoch,
             });
             None
@@ -299,8 +299,8 @@ impl SnfsServer {
             txid,
             from_shard: view.shard,
             to_shard: peer_shard,
-            from_name: src.unwrap_or_default().to_string(),
-            to_name: to_name.clone(),
+            from_name: src.unwrap_or_default().into(),
+            to_name: to_name.as_str().into(),
             link,
         });
         // Phase 2, local half: the operation inside this shard's store.
@@ -334,8 +334,8 @@ impl SnfsServer {
             .borrow_mut()
             .record_move(src, &to_name, view.shard);
         self.emit_with(begin, || EventKind::ShardMove {
-            from_name: src.unwrap_or_default().to_string(),
-            to_name: to_name.clone(),
+            from_name: src.unwrap_or_default().into(),
+            to_name: to_name.as_str().into(),
             shard: view.shard,
             epoch,
         });

@@ -15,7 +15,7 @@ use spritely_rpcnet::{
     RpcError, TransportParams,
 };
 use spritely_sim::{Resource, Sim, SimDuration};
-use spritely_trace::{to_jsonl, EventKind, TraceEvent, Tracer};
+use spritely_trace::{to_jsonl, Event, TraceEvent, Tracer};
 
 type NfsCaller = Caller<NfsRequest, NfsReply>;
 
@@ -267,12 +267,12 @@ fn lone_background_call_is_the_plain_message() {
         });
         // Sequence numbers shift by the two batch events; what happened,
         // and when, must not.
-        let trace: Vec<(u64, EventKind)> = r
+        let trace: Vec<(u64, Event)> = r
             .tracer
             .finish()
             .iter()
-            .filter(|e| !matches!(e.kind, EventKind::Batch { .. }))
-            .map(|e| (e.t_us, e.kind.clone()))
+            .filter(|e| !matches!(e.view(), Event::Batch { .. }))
+            .map(|e| (e.t_us, e.view()))
             .collect();
         let batch_events = r.tracer.len() - trace.len();
         (

@@ -42,13 +42,13 @@
 //!     (and an aborted end implies it did not), and every begun
 //!     transaction resolves by the end of the run.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
 
-use spritely_proto::{default_shard, ClientId, FileHandle, NfsProc, BLOCK_SIZE};
+use spritely_proto::{default_shard, ClientId, NfsProc, BLOCK_SIZE};
 
-use crate::{Cause, EventKind, FState, TraceEvent};
+use crate::record::Map;
+use crate::{Cause, Event, FState, FhId, Name, Tag, TraceEvent};
 
 /// One invariant violation, anchored to the offending event.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,46 +139,56 @@ fn legal(cause: Cause, from: FState, to: FState) -> bool {
     }
 }
 
+/// `table[fh]`, the table grown to hold it. Handles are interned densely
+/// ([`FhId`]), so what is tracked per file sits in a `Vec`, and a file
+/// past its end reads as the default.
+fn at<T: Clone + Default>(table: &mut Vec<T>, fh: FhId) -> &mut T {
+    if table.len() <= fh.index() {
+        table.resize(fh.index() + 1, T::default());
+    }
+    &mut table[fh.index()]
+}
+
 #[derive(Default)]
 struct CheckState {
-    /// Tracked server state per file (absent = CLOSED).
-    states: HashMap<FileHandle, FState>,
+    /// Tracked server state per file.
+    states: Vec<FState>,
     /// N from the `server_threads` meta event.
     threads: Option<u64>,
     cb_depth: u64,
     cb_peak: u64,
     /// Latest cache grant per (client, file): Some(v) = may cache at
     /// version v, None = open granted with caching disabled.
-    granted: HashMap<(ClientId, FileHandle), Option<u64>>,
+    granted: Map<(ClientId, FhId), Option<u64>>,
     /// Highest version ever granted to a write open, per file.
-    latest_write_v: HashMap<FileHandle, u64>,
+    latest_write_v: Vec<u64>,
     /// (client, file) pairs whose delayed writes were cancelled whole
     /// (file removed): no Write RPC may follow.
-    removed: HashMap<(ClientId, FileHandle), u64>,
+    removed: Map<(ClientId, FhId), u64>,
     /// Blocks dirtied but not yet acknowledged by an OK Write reply.
-    dirty: HashMap<(ClientId, FileHandle), BTreeSet<u64>>,
+    dirty: Map<(ClientId, FhId), BTreeSet<u64>>,
     /// In-flight Write RPCs: (caller, xid) -> (file, first_blk, last_blk).
-    pending_writes: HashMap<(ClientId, u64), (FileHandle, u64, u64)>,
+    pending_writes: Map<(ClientId, u64), (FhId, u64, u64)>,
     /// Reordering bound K from the `disk_sched` meta event ("fifo" = 0,
     /// "clook:K" = K). Absent = traces without the meta are unchecked.
     disk_bound: Option<u64>,
     /// Queued-but-uncompleted disk requests per disk, in arrival order:
     /// (req id, times bypassed).
-    disk_pending: HashMap<Rc<str>, Vec<(u64, u64)>>,
+    disk_pending: Map<Name, Vec<(u64, u64)>>,
     /// Open compound batches: (from, batch id) -> inner request count.
-    batches: HashMap<(ClientId, u64), u64>,
+    batches: Map<(ClientId, u64), u64>,
     /// `(from, xid)` pairs that already had a handler execution.
-    executed: HashSet<(ClientId, u64)>,
+    executed: Map<(ClientId, u64), ()>,
     /// Live delegations per file: (holder, is-write).
-    deleg_live: HashMap<FileHandle, Vec<(ClientId, bool)>>,
+    deleg_live: Vec<Vec<(ClientId, bool)>>,
     /// Recalls a client has received but not yet resolved, keyed by
     /// (holder, file) -> (seq, t_us) of the recall event.
-    deleg_recalls: HashMap<(ClientId, FileHandle), (u64, u64)>,
+    deleg_recalls: Map<(ClientId, FhId), (u64, u64)>,
     /// Shard count from the `shards` meta event (absent = 1, unsharded).
     shards: u64,
     /// Mirrored layout overrides (name -> owner), replayed from
     /// `shard_move` events exactly as the authority applies them.
-    shard_overrides: HashMap<String, u32>,
+    shard_overrides: Map<Name, u32>,
     /// Highest `shard_move` epoch seen (epochs must strictly increase).
     shard_epoch: u64,
     /// Open cross-shard transactions (BTreeMap: deterministic iteration).
@@ -187,8 +197,8 @@ struct CheckState {
 
 /// One open cross-shard transaction, from its begin event.
 struct ShardTx {
-    from_name: String,
-    to_name: String,
+    from_name: Name,
+    to_name: Name,
     seq: u64,
     t_us: u64,
     /// The ownership move for this tx has been published.
@@ -201,37 +211,31 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
     let mut st = CheckState::default();
     let mut out = Vec::new();
     for e in events {
+        let (seq, t_us) = (u64::from(e.seq), e.t_us);
         let flag = |invariant: &'static str, detail: String, out: &mut Vec<Violation>| {
             out.push(Violation {
-                seq: e.seq,
-                t_us: e.t_us,
+                seq,
+                t_us,
                 invariant,
                 detail,
             });
         };
-        match &e.kind {
-            EventKind::Meta { key, value } if *key == "server_threads" => {
-                st.threads = value.parse().ok();
+        match e.view() {
+            Event::Meta { key, value } => match (key.as_str(), value.as_str()) {
+                ("server_threads", n) => st.threads = n.parse().ok(),
+                ("shards", n) => st.shards = n.parse().unwrap_or(1),
+                ("disk_sched", "fifo") => st.disk_bound = Some(0),
+                ("disk_sched", sched) => {
+                    st.disk_bound = sched.strip_prefix("clook:").and_then(|k| k.parse().ok());
+                }
+                _ => {}
+            },
+            Event::DiskQueue { disk, req, .. } => {
+                st.disk_pending.entry(disk).or_default().push((req, 0));
             }
-            EventKind::Meta { key, value } if *key == "shards" => {
-                st.shards = value.parse().unwrap_or(1);
-            }
-            EventKind::Meta { key, value } if *key == "disk_sched" => {
-                st.disk_bound = if value == "fifo" {
-                    Some(0)
-                } else {
-                    value.strip_prefix("clook:").and_then(|k| k.parse().ok())
-                };
-            }
-            EventKind::DiskQueue { disk, req, .. } => {
-                st.disk_pending
-                    .entry(disk.clone())
-                    .or_default()
-                    .push((*req, 0));
-            }
-            EventKind::DiskDone { disk, req, .. } => {
-                let pending = st.disk_pending.entry(disk.clone()).or_default();
-                match pending.iter().position(|(r, _)| r == req) {
+            Event::DiskDone { disk, req, .. } => {
+                let pending = st.disk_pending.entry(disk).or_default();
+                match pending.iter().position(|&(r, _)| r == req) {
                     None => flag(
                         "disk-complete",
                         format!("{disk}: completion of req {req} that was never queued"),
@@ -260,15 +264,15 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     }
                 }
             }
-            EventKind::Transition {
+            Event::Transition {
                 fh,
                 cause,
                 from,
                 to,
                 ..
             } => {
-                let tracked = st.states.get(fh).copied().unwrap_or(FState::Closed);
-                if tracked != *from {
+                let tracked = st.states.get(fh.index()).copied().unwrap_or_default();
+                if tracked != from {
                     flag(
                         "legal-transition",
                         format!(
@@ -279,7 +283,7 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                         &mut out,
                     );
                 }
-                if !legal(*cause, *from, *to) {
+                if !legal(cause, from, to) {
                     flag(
                         "legal-transition",
                         format!(
@@ -291,13 +295,9 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                         &mut out,
                     );
                 }
-                if *to == FState::Closed {
-                    st.states.remove(fh);
-                } else {
-                    st.states.insert(*fh, *to);
-                }
+                *at(&mut st.states, fh) = to;
             }
-            EventKind::CallbackBegin { target, fh, .. } => {
+            Event::CallbackBegin { target, fh, .. } => {
                 st.cb_depth += 1;
                 st.cb_peak = st.cb_peak.max(st.cb_depth);
                 if let Some(n) = st.threads {
@@ -319,10 +319,10 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     }
                 }
             }
-            EventKind::CallbackEnd { .. } => {
+            Event::CallbackEnd { .. } => {
                 st.cb_depth = st.cb_depth.saturating_sub(1);
             }
-            EventKind::OpenGrant {
+            Event::OpenGrant {
                 client,
                 fh,
                 version,
@@ -330,22 +330,22 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                 write,
                 ..
             } => {
-                if *write {
-                    let v = st.latest_write_v.entry(*fh).or_insert(0);
-                    *v = (*v).max(*version);
+                if write {
+                    let v = at(&mut st.latest_write_v, fh);
+                    *v = (*v).max(version);
                 }
                 st.granted
-                    .insert((*client, *fh), cache_enabled.then_some(*version));
+                    .insert((client, fh), cache_enabled.then_some(version));
             }
-            EventKind::Invalidate { client, fh } => {
-                st.granted.remove(&(*client, *fh));
-                st.dirty.remove(&(*client, *fh));
+            Event::Invalidate { client, fh } => {
+                st.granted.remove(&(client, fh));
+                st.dirty.remove(&(client, fh));
             }
-            EventKind::CacheRead {
+            Event::CacheRead {
                 client,
                 fh,
                 version,
-            } => match st.granted.get(&(*client, *fh)) {
+            } => match st.granted.get(&(client, fh)) {
                 None => flag(
                     "stale-read",
                     format!("c{} read {fh} from cache without a live grant", client.0),
@@ -359,7 +359,7 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     ),
                     &mut out,
                 ),
-                Some(Some(g)) => {
+                Some(&Some(g)) => {
                     if version != g {
                         flag(
                             "stale-read",
@@ -367,8 +367,8 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                             &mut out,
                         );
                     }
-                    let latest = st.latest_write_v.get(fh).copied().unwrap_or(0);
-                    if *version < latest {
+                    let latest = st.latest_write_v.get(fh.index()).copied().unwrap_or(0);
+                    if version < latest {
                         flag(
                             "stale-read",
                             format!(
@@ -380,31 +380,31 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     }
                 }
             },
-            EventKind::WriteCancel {
+            Event::WriteCancel {
                 client,
                 fh,
                 from_blk,
                 blocks,
             } => {
-                if *from_blk == 0 {
-                    st.removed.insert((*client, *fh), *blocks);
+                if from_blk == 0 {
+                    st.removed.insert((client, fh), blocks);
                 }
-                if let Some(d) = st.dirty.get_mut(&(*client, *fh)) {
-                    d.retain(|b| b < from_blk);
+                if let Some(d) = st.dirty.get_mut(&(client, fh)) {
+                    d.retain(|&b| b < from_blk);
                 }
             }
-            EventKind::BlockDirty { client, fh, blk } => {
-                st.dirty.entry((*client, *fh)).or_default().insert(*blk);
+            Event::BlockDirty { client, fh, blk } => {
+                st.dirty.entry((client, fh)).or_default().insert(blk);
             }
-            EventKind::RpcCall {
+            Event::RpcCall {
                 from,
                 xid,
-                proc,
+                proc: NfsProc::Write,
                 fh: Some(fh),
                 offset,
                 len,
-            } if *proc == NfsProc::Write => {
-                if st.removed.contains_key(&(*from, *fh)) {
+            } => {
+                if st.removed.contains_key(&(from, fh)) {
                     flag(
                         "cancelled-write",
                         format!(
@@ -415,28 +415,28 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                         &mut out,
                     );
                 }
-                if *len > 0 {
+                if len > 0 {
                     let first = offset / BLOCK_SIZE as u64;
                     let last = (offset + len - 1) / BLOCK_SIZE as u64;
-                    st.pending_writes.insert((*from, *xid), (*fh, first, last));
+                    st.pending_writes.insert((from, xid), (fh, first, last));
                 }
             }
-            EventKind::RpcReply {
+            Event::RpcReply {
                 from,
                 xid,
-                proc,
+                proc: NfsProc::Write,
                 ok,
-            } if *proc == NfsProc::Write => {
-                if let Some((fh, first, last)) = st.pending_writes.remove(&(*from, *xid)) {
-                    if *ok {
-                        if let Some(d) = st.dirty.get_mut(&(*from, fh)) {
-                            d.retain(|b| *b < first || *b > last);
+            } => {
+                if let Some((fh, first, last)) = st.pending_writes.remove(&(from, xid)) {
+                    if ok {
+                        if let Some(d) = st.dirty.get_mut(&(from, fh)) {
+                            d.retain(|&b| b < first || b > last);
                         }
                     }
                 }
             }
-            EventKind::FsyncOk { client, fh } => {
-                if let Some(d) = st.dirty.get(&(*client, *fh)) {
+            Event::FsyncOk { client, fh } => {
+                if let Some(d) = st.dirty.get(&(client, fh)) {
                     if !d.is_empty() {
                         let blks: Vec<String> = d.iter().take(8).map(|b| b.to_string()).collect();
                         flag(
@@ -453,8 +453,8 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     }
                 }
             }
-            EventKind::HandlerBegin { from, xid, .. }
-                if from.0 != 0 && !st.executed.insert((*from, *xid)) =>
+            Event::HandlerBegin { from, xid, .. }
+                if from.0 != 0 && st.executed.insert((from, xid), ()).is_some() =>
             {
                 flag(
                     "dup-execution",
@@ -466,14 +466,14 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     &mut out,
                 );
             }
-            EventKind::Batch {
+            Event::Batch {
                 from,
                 id,
                 count,
                 reply,
             } => {
-                if *reply {
-                    match st.batches.remove(&(*from, *id)) {
+                if reply {
+                    match st.batches.remove(&(from, id)) {
                         None => flag(
                             "batch-conservation",
                             format!(
@@ -482,7 +482,7 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                             ),
                             &mut out,
                         ),
-                        Some(sent) if sent != *count => flag(
+                        Some(sent) if sent != count => flag(
                             "batch-conservation",
                             format!(
                                 "c{} batch {id} sent {sent} inner call(s) but the reply \
@@ -494,50 +494,45 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                         Some(_) => {}
                     }
                 } else {
-                    st.batches.insert((*from, *id), *count);
+                    st.batches.insert((from, id), count);
                 }
             }
-            EventKind::DelegGrant { client, fh, write } => {
-                let live = st.deleg_live.entry(*fh).or_default();
-                for (h, w) in live.iter() {
-                    if *h != *client && (*write || *w) {
+            Event::DelegGrant { client, fh, write } => {
+                let live = at(&mut st.deleg_live, fh);
+                for &(h, w) in live.iter() {
+                    if h != client && (write || w) {
                         flag(
                             "deleg-conflict",
                             format!(
                                 "{fh}: {} delegation granted to c{} while c{} holds a {} one",
-                                if *write { "write" } else { "read" },
+                                if write { "write" } else { "read" },
                                 client.0,
                                 h.0,
-                                if *w { "write" } else { "read" }
+                                if w { "write" } else { "read" }
                             ),
                             &mut out,
                         );
                     }
                 }
-                live.retain(|(h, _)| h != client);
-                live.push((*client, *write));
+                live.retain(|&(h, _)| h != client);
+                live.push((client, write));
             }
-            EventKind::DelegRecall { client, fh } => {
+            Event::DelegRecall { client, fh } => {
                 // A recall may legitimately reach a holder the server
                 // already revoked (delayed delivery), so holding no live
                 // delegation here is not itself a violation — but the
                 // recall must still resolve via a return or revoke.
-                st.deleg_recalls.insert((*client, *fh), (e.seq, e.t_us));
+                st.deleg_recalls.insert((client, fh), (seq, t_us));
             }
-            EventKind::DelegReturn { client, fh, .. } => {
-                if let Some(live) = st.deleg_live.get_mut(fh) {
-                    live.retain(|(h, _)| h != client);
-                    if live.is_empty() {
-                        st.deleg_live.remove(fh);
-                    }
-                }
-                st.deleg_recalls.remove(&(*client, *fh));
+            Event::DelegReturn { client, fh, .. } => {
+                at(&mut st.deleg_live, fh).retain(|&(h, _)| h != client);
+                st.deleg_recalls.remove(&(client, fh));
             }
-            EventKind::DelegLocalOpen { client, fh, write } => {
+            Event::DelegLocalOpen { client, fh, write } => {
                 let covering = st
                     .deleg_live
-                    .get(fh)
-                    .is_some_and(|l| l.iter().any(|(h, w)| h == client && (*w || !*write)));
+                    .get(fh.index())
+                    .is_some_and(|l| l.iter().any(|&(h, w)| h == client && (w || !write)));
                 if !covering {
                     flag(
                         "deleg-local-open",
@@ -545,12 +540,12 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                             "c{} served a local {} open of {fh} without a covering live \
                              delegation (returned or revoked?)",
                             client.0,
-                            if *write { "write" } else { "read" }
+                            if write { "write" } else { "read" }
                         ),
                         &mut out,
                     );
                 }
-                if st.deleg_recalls.contains_key(&(*client, *fh)) {
+                if st.deleg_recalls.contains_key(&(client, fh)) {
                     flag(
                         "deleg-local-open",
                         format!(
@@ -561,14 +556,14 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     );
                 }
             }
-            EventKind::ShardRoute { shard, name, .. } => {
+            Event::ShardRoute { shard, name, .. } => {
                 let n = st.shards.max(1) as u32;
                 let owner = st
                     .shard_overrides
-                    .get(name)
+                    .get(&name)
                     .copied()
-                    .unwrap_or_else(|| default_shard(name, n));
-                if owner != *shard {
+                    .unwrap_or_else(|| default_shard(name.as_str(), n));
+                if owner != shard {
                     flag(
                         "shard-owner",
                         format!(
@@ -579,7 +574,7 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     );
                 }
                 for (txid, tx) in &st.shard_txs {
-                    if !tx.moved && (tx.from_name == *name || tx.to_name == *name) {
+                    if !tx.moved && (tx.from_name == name || tx.to_name == name) {
                         flag(
                             "shard-atomicity",
                             format!(
@@ -591,13 +586,13 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     }
                 }
             }
-            EventKind::ShardMove {
+            Event::ShardMove {
                 from_name,
                 to_name,
                 shard,
                 epoch,
             } => {
-                if *epoch <= st.shard_epoch {
+                if epoch <= st.shard_epoch {
                     flag(
                         "shard-epoch",
                         format!(
@@ -608,34 +603,34 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                         &mut out,
                     );
                 }
-                st.shard_epoch = *epoch;
+                st.shard_epoch = epoch;
                 // Replay exactly what Layout::record_move does: the source
                 // name ceases to exist; the target's override collapses
                 // when the new owner is its default placement.
-                if !from_name.is_empty() {
-                    st.shard_overrides.remove(from_name);
+                if !from_name.as_str().is_empty() {
+                    st.shard_overrides.remove(&from_name);
                 }
                 let n = st.shards.max(1) as u32;
-                if default_shard(to_name, n) == *shard {
-                    st.shard_overrides.remove(to_name);
+                if default_shard(to_name.as_str(), n) == shard {
+                    st.shard_overrides.remove(&to_name);
                 } else {
-                    st.shard_overrides.insert(to_name.clone(), *shard);
+                    st.shard_overrides.insert(to_name, shard);
                 }
                 if let Some(tx) = st
                     .shard_txs
                     .values_mut()
-                    .find(|tx| !tx.moved && tx.to_name == *to_name)
+                    .find(|tx| !tx.moved && tx.to_name == to_name)
                 {
                     tx.moved = true;
                 }
             }
-            EventKind::ShardTxBegin {
+            Event::ShardTxBegin {
                 txid,
                 from_name,
                 to_name,
                 ..
             } => {
-                if st.shard_txs.contains_key(txid) {
+                if st.shard_txs.contains_key(&txid) {
                     flag(
                         "shard-tx",
                         format!("cross-shard tx {txid} begun twice"),
@@ -643,24 +638,24 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     );
                 }
                 st.shard_txs.insert(
-                    *txid,
+                    txid,
                     ShardTx {
-                        from_name: from_name.clone(),
-                        to_name: to_name.clone(),
-                        seq: e.seq,
-                        t_us: e.t_us,
+                        from_name,
+                        to_name,
+                        seq,
+                        t_us,
                         moved: false,
                     },
                 );
             }
-            EventKind::ShardTxEnd { txid, committed } => match st.shard_txs.remove(txid) {
+            Event::ShardTxEnd { txid, committed } => match st.shard_txs.remove(&txid) {
                 None => flag(
                     "shard-tx",
                     format!("cross-shard tx {txid} ended without a begin"),
                     &mut out,
                 ),
                 Some(tx) => {
-                    if *committed && !tx.moved {
+                    if committed && !tx.moved {
                         flag(
                             "shard-tx",
                             format!(
@@ -670,7 +665,7 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                             &mut out,
                         );
                     }
-                    if !*committed && tx.moved {
+                    if !committed && tx.moved {
                         flag(
                             "shard-tx",
                             format!(
@@ -682,7 +677,7 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
                     }
                 }
             },
-            EventKind::ServerCrash => {
+            Event::ServerCrash => {
                 st.states.clear();
                 // Delegation state is NOT cleared here: the reboot discards
                 // it server-side, but each holder must still explicitly
@@ -696,7 +691,7 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
     }
     // A recall a client received must be resolved (returned or revoked)
     // by the end of the run.
-    let mut unresolved: Vec<((ClientId, FileHandle), (u64, u64))> =
+    let mut unresolved: Vec<((ClientId, FhId), (u64, u64))> =
         st.deleg_recalls.into_iter().collect();
     unresolved.sort_unstable_by_key(|&(_, (seq, _))| seq);
     for ((client, fh), (seq, t_us)) in unresolved {
@@ -726,35 +721,35 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
     out
 }
 
-/// Count events of each kind — handy for summaries.
+/// Count events of each kind, in order of first appearance — handy for
+/// summaries.
 pub fn kind_counts(events: &[TraceEvent]) -> Vec<(&'static str, usize)> {
-    let mut order: Vec<&'static str> = Vec::new();
-    let mut counts: HashMap<&'static str, usize> = HashMap::new();
+    let mut order: Vec<Tag> = Vec::new();
+    let mut counts = vec![0; Tag::NAMES.len()];
     for e in events {
-        let name = e.kind.name();
-        if !counts.contains_key(name) {
-            order.push(name);
+        if counts[e.tag as usize] == 0 {
+            order.push(e.tag);
         }
-        *counts.entry(name).or_insert(0) += 1;
+        counts[e.tag as usize] += 1;
     }
-    order.into_iter().map(|n| (n, counts[n])).collect()
+    let counted = order
+        .into_iter()
+        .map(|tag| (tag.name(), counts[tag as usize]));
+    counted.collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EventKind;
+    use spritely_proto::FileHandle;
 
     fn fh(i: u64) -> FileHandle {
         FileHandle::new(1, i, 1)
     }
 
     fn ev(seq: u64, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            seq,
-            t_us: seq,
-            parent: 0,
-            kind,
-        }
+        TraceEvent::new(seq, seq, 0, kind)
     }
 
     #[test]
@@ -1329,7 +1324,7 @@ mod tests {
                 fh: fh(1),
             },
         );
-        let v = check_trace(&[grant.clone(), recall.clone()]);
+        let v = check_trace(&[grant, recall]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "deleg-recall-unresolved");
         // A revoke resolves it just as a return does.
@@ -1353,7 +1348,7 @@ mod tests {
             1,
             EventKind::Meta {
                 key: "shards",
-                value: n.to_string(),
+                value: n.to_string().as_str().into(),
             },
         )
     }
@@ -1391,7 +1386,7 @@ mod tests {
             ev(
                 seq,
                 EventKind::ShardMove {
-                    from_name: String::new(),
+                    from_name: "".into(),
                     to_name: name.into(),
                     shard: new_owner,
                     epoch,
@@ -1439,9 +1434,9 @@ mod tests {
         // Serving either name inside the begin..move window is flagged.
         let v = check_trace(&[
             shards_meta(n),
-            begin.clone(),
+            begin,
             route(3, owner, name),
-            mv.clone(),
+            mv,
             end(5, true),
         ]);
         assert_eq!(v.len(), 1);
@@ -1449,14 +1444,14 @@ mod tests {
         // After the move the name is served freely again.
         let ok = check_trace(&[
             shards_meta(n),
-            begin.clone(),
-            mv.clone(),
+            begin,
+            mv,
             route(5, owner, name),
             end(6, true),
         ]);
         assert!(ok.is_empty());
         // A committed end without a move, and an unresolved begin, are flagged.
-        let v = check_trace(&[shards_meta(n), begin.clone(), end(3, true)]);
+        let v = check_trace(&[shards_meta(n), begin, end(3, true)]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "shard-tx");
         let v = check_trace(&[shards_meta(n), begin]);

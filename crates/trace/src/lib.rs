@@ -22,6 +22,7 @@ use spritely_sim::Sim;
 pub mod check;
 pub mod export;
 pub mod profile;
+mod record;
 
 pub use check::{check_trace, Violation};
 pub use export::{to_chrome_json, to_jsonl};
@@ -29,31 +30,46 @@ pub use profile::{
     profile_trace, profile_trace_bucketed, OpKindProfile, OpProfile, Phase, Profile, RpcClaims,
     NUM_PHASES,
 };
+pub use record::{FhId, Name, TraceEvent};
+use record::{Field, Show};
 
-/// The seven server cache-state values (paper §4.3.4, Figure 4-2),
-/// mirrored here so the trace crate does not depend on `core`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FState {
-    Closed,
-    ClosedDirty,
-    OneReader,
-    OneRdrDirty,
-    MultReaders,
-    OneWriter,
-    WriteShared,
+/// An enum stated once: its variants in order (`ALL`, which is also how
+/// a record's byte reads back) and the name each serializes under.
+macro_rules! named {
+    ($(#[$doc:meta])* pub enum $Enum:ident {
+        $( $(#[$vdoc:meta])* $Variant:ident = $name:literal ),* $(,)?
+    }) => {
+        $(#[$doc])*
+        pub enum $Enum {
+            $( $(#[$vdoc])* $Variant ),*
+        }
+
+        impl $Enum {
+            /// Every variant, as declared.
+            pub const ALL: &[$Enum] = &[$( $Enum::$Variant ),*];
+
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $Enum::$Variant => $name ),*
+                }
+            }
+        }
+    };
 }
 
-impl FState {
-    pub fn name(self) -> &'static str {
-        match self {
-            FState::Closed => "CLOSED",
-            FState::ClosedDirty => "CLOSED_DIRTY",
-            FState::OneReader => "ONE_RDR",
-            FState::OneRdrDirty => "ONE_RDR_DIRTY",
-            FState::MultReaders => "MULT_RDRS",
-            FState::OneWriter => "ONE_WRTR",
-            FState::WriteShared => "WRITE_SHARED",
-        }
+named! {
+    /// The seven server cache-state values (paper §4.3.4, Figure 4-2),
+    /// mirrored here so the trace crate does not depend on `core`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum FState {
+        #[default]
+        Closed = "CLOSED",
+        ClosedDirty = "CLOSED_DIRTY",
+        OneReader = "ONE_RDR",
+        OneRdrDirty = "ONE_RDR_DIRTY",
+        MultReaders = "MULT_RDRS",
+        OneWriter = "ONE_WRTR",
+        WriteShared = "WRITE_SHARED",
     }
 }
 
@@ -63,315 +79,295 @@ impl fmt::Display for FState {
     }
 }
 
-/// Why a state-table transition happened — the "input" column of the
-/// state machine in paper Figure 4-2, plus the failure/recovery edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cause {
-    OpenRead,
-    OpenWrite,
-    CloseRead,
-    CloseWrite,
-    /// A dirty client finished writing back (callback completed OK).
-    WritebackDone,
-    /// The client holding state crashed (or was declared dead).
-    ClientCrash,
-    /// The file was removed; its table entry is gone.
-    Removed,
-    /// The entry was reclaimed (dropped) to bound table size.
-    Reclaim,
-    /// Post-reboot recovery re-created the entry from a client report.
-    Restore,
-    /// A delegation came back (returned or revoked): the holder's queued
-    /// open/close history is applied to the entry in one step.
-    DelegReturn,
+named! {
+    /// Why a state-table transition happened — the "input" column of the
+    /// state machine in paper Figure 4-2, plus the failure/recovery edges.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Cause {
+        OpenRead = "open_read",
+        OpenWrite = "open_write",
+        CloseRead = "close_read",
+        CloseWrite = "close_write",
+        /// A dirty client finished writing back (callback completed OK).
+        WritebackDone = "writeback_done",
+        /// The client holding state crashed (or was declared dead).
+        ClientCrash = "client_crash",
+        /// The file was removed; its table entry is gone.
+        Removed = "removed",
+        /// The entry was reclaimed (dropped) to bound table size.
+        Reclaim = "reclaim",
+        /// Post-reboot recovery re-created the entry from a client report.
+        Restore = "restore",
+        /// A delegation came back (returned or revoked): the holder's queued
+        /// open/close history is applied to the entry in one step.
+        DelegReturn = "deleg_return",
+    }
 }
 
-impl Cause {
-    pub fn name(self) -> &'static str {
-        match self {
-            Cause::OpenRead => "open_read",
-            Cause::OpenWrite => "open_write",
-            Cause::CloseRead => "close_read",
-            Cause::CloseWrite => "close_write",
-            Cause::WritebackDone => "writeback_done",
-            Cause::ClientCrash => "client_crash",
-            Cause::Removed => "removed",
-            Cause::Reclaim => "reclaim",
-            Cause::Restore => "restore",
-            Cause::DelegReturn => "deleg_return",
+/// One field's value, as `fields` hands it out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Val<'a> {
+    Num(u64),
+    Bool(bool),
+    Str(&'a str),
+    /// A file handle; serialized as the string its `Display` prints.
+    Fh(FileHandle),
+}
+
+/// The event table, stated once: a row per kind — its variant, the `ev`
+/// value of its JSONL line, and its fields in the order the line lists
+/// them: `name: type`, then `as` the type a record hands it back under
+/// where that is an interned id, then `=>` its JSONL key where that is
+/// not its name. From the table come [`EventKind`], which the emit sites
+/// build; [`Event`], the same variants as read back; the two `name`s and
+/// `fields`; the packer and [`TraceEvent::view`]. A field's type decides
+/// where the record keeps it (`record.rs`); everything that serializes,
+/// counts or draws events ([`to_jsonl`], [`to_chrome_json`],
+/// [`check::kind_counts`]) is generic over `name` and `fields`.
+macro_rules! events {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@read $ty:ty) => { $ty };
+    (@read $ty:ty, $read:ty) => { $read };
+    ($(
+        $(#[$doc:meta])*
+        $Kind:ident = $name:literal
+        $({ $(
+            $(#[$fdoc:meta])* $field:ident: $ty:ty $(as $read:ty)? $(=> $key:literal)?
+        ),* $(,)? })?
+    )*) => {
+        /// What happened, as an emit site says it.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventKind {
+            $( $(#[$doc])* $Kind $({ $( $(#[$fdoc])* $field: $ty ),* })? ),*
         }
-    }
-}
 
-/// One recorded event. `parent` is the sequence number of the causally
-/// preceding event (0 = root). Sequence numbers start at 1 and are
-/// assigned in emission order, which — in a single-threaded
-/// deterministic simulator — is a total order consistent with
-/// causality.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    pub seq: u64,
-    pub t_us: u64,
-    pub parent: u64,
-    pub kind: EventKind,
-}
-
-impl TraceEvent {
-    pub fn new(seq: u64, t_us: u64, parent: u64, kind: EventKind) -> Self {
-        TraceEvent {
-            seq,
-            t_us,
-            parent,
-            kind,
+        /// What happened, as a record hands it back: [`EventKind`] with
+        /// every string a [`Name`] and every handle an [`FhId`].
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum Event {
+            $( $(#[$doc])* $Kind $({
+                $( $(#[$fdoc])* $field: events!(@read $ty $(, $read)?) ),*
+            })? ),*
         }
-    }
 
-    /// The `ev` value of the JSONL line.
-    pub fn name(&self) -> &'static str {
-        self.kind.name()
-    }
+        /// A record's kind: the position of its row.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub(crate) enum Tag {
+            $( $Kind ),*
+        }
 
-    /// Every field as `(key, value)`, in JSONL order.
-    pub fn fields<'a>(&'a self, f: &mut dyn FnMut(&'static str, Val<'a>)) {
-        self.kind.fields(f)
-    }
+        impl Tag {
+            pub(crate) const NAMES: &[&str] = &[$( $name ),*];
+
+            pub(crate) fn name(self) -> &'static str {
+                Tag::NAMES[self as usize]
+            }
+        }
+
+        impl EventKind {
+            pub(crate) fn tag(&self) -> Tag {
+                match self {
+                    $( EventKind::$Kind { .. } => Tag::$Kind ),*
+                }
+            }
+
+            pub(crate) fn pack(&self, e: &mut TraceEvent) {
+                let mut at = record::Cursor::default();
+                match self {
+                    $( EventKind::$Kind { $($( $field ),*)? } => {
+                        e.tag = Tag::$Kind;
+                        $($( $field.put(e, &mut at); )*)?
+                    } )*
+                }
+            }
+
+            /// The `ev` value of the JSONL line.
+            pub fn name(&self) -> &'static str {
+                self.tag().name()
+            }
+
+            /// Hands `f` every field as `(key, value)`, in the order the
+            /// JSONL line lists them after `ev`.
+            pub fn fields(&self, f: &mut dyn FnMut(&'static str, Val<'_>)) {
+                match self {
+                    $( EventKind::$Kind { $($( $field ),*)? } => {
+                        $($( if let Some(val) = $field.val() {
+                            f(events!(@key $field $($key)?), val);
+                        } )*)?
+                    } )*
+                }
+            }
+        }
+
+        impl TraceEvent {
+            /// The fields, by name. Inlined into a `match`, only the arms'
+            /// own fields are read.
+            #[inline(always)]
+            pub fn view(&self) -> Event {
+                let mut at = record::Cursor::default();
+                match self.tag {
+                    $( Tag::$Kind => Event::$Kind {
+                        $($( $field: <$ty as Field>::get(self, &mut at) ),*)?
+                    } ),*
+                }
+            }
+
+            /// [`EventKind::fields`], read from the record.
+            pub fn fields(&self, f: &mut dyn FnMut(&'static str, Val<'_>)) {
+                match self.view() {
+                    $( Event::$Kind { $($( $field ),*)? } => {
+                        $($( if let Some(val) = $field.val() {
+                            f(events!(@key $field $($key)?), val);
+                        } )*)?
+                    } )*
+                }
+            }
+        }
+    };
 }
 
-/// What happened. [`EventKind::name`] and [`EventKind::fields`] below are
-/// the serialized form of each kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
+events! {
     /// Run-level metadata (protocol, thread counts, seed, …).
-    Meta { key: &'static str, value: String },
+    Meta = "meta" { key: &'static str as Name, value: Name }
     /// A client-visible operation began (open/close/fsync/remove).
-    OpBegin {
-        client: ClientId,
-        op: &'static str,
-        fh: FileHandle,
-    },
-    OpEnd {
-        client: ClientId,
-        op: &'static str,
-        ok: bool,
-    },
+    OpBegin = "op_begin" { client: ClientId, op: &'static str as Name, fh: FileHandle as FhId }
+    OpEnd = "op_end" { client: ClientId, op: &'static str as Name, ok: bool }
     /// An RPC left a caller. `from` is ClientId(0) for server-originated
     /// callbacks.
-    RpcCall {
+    RpcCall = "rpc_call" {
         from: ClientId,
         xid: u64,
         proc: NfsProc,
-        fh: Option<FileHandle>,
-        offset: u64,
+        fh: Option<FileHandle> as Option<FhId>,
+        offset: u64 => "off",
         len: u64,
-    },
-    RpcReply {
-        from: ClientId,
-        xid: u64,
-        proc: NfsProc,
-        ok: bool,
-    },
+    }
+    RpcReply = "rpc_reply" { from: ClientId, xid: u64, proc: NfsProc, ok: bool }
     /// One attempt's request datagram left the caller for the wire
     /// (members of a compound batch share their flush instant). Parented
     /// under the `rpc_call` event; the gap from `rpc_call` to the first
     /// `rpc_xmit` is client-side hold time (marshalling, batcher queue,
     /// injected fault delay).
-    RpcXmit { from: ClientId, xid: u64 },
+    RpcXmit = "rpc_xmit" { from: ClientId, xid: u64 }
     /// The request datagram reached the server endpoint. `dup` is true
     /// when the duplicate cache answered (or joined an execution already
     /// in flight) instead of spawning a new handler. Parented under the
     /// `rpc_call` event; the gap from a non-dup `rpc_arrive` to its
     /// `handler_begin` is admission wait (blocking gate + service
     /// thread).
-    RpcArrive { from: ClientId, xid: u64, dup: bool },
+    RpcArrive = "rpc_arrive" { from: ClientId, xid: u64, dup: bool }
     /// Server-side execution of one RPC (after dup-cache / thread gate).
-    HandlerBegin {
-        from: ClientId,
-        xid: u64,
-        proc: NfsProc,
-    },
-    HandlerEnd {
-        from: ClientId,
-        xid: u64,
-        proc: NfsProc,
-        ok: bool,
-    },
+    HandlerBegin = "handler_begin" { from: ClientId, xid: u64, proc: NfsProc }
+    HandlerEnd = "handler_end" { from: ClientId, xid: u64, proc: NfsProc, ok: bool }
     /// A server state-table transition for one file.
-    Transition {
-        fh: FileHandle,
+    Transition = "transition" {
+        fh: FileHandle as FhId,
         cause: Cause,
         client: ClientId,
         from: FState,
         to: FState,
-        version: u64,
-    },
+        version: u64 => "ver",
+    }
     /// The server started a consistency callback to `target`.
-    CallbackBegin {
-        target: ClientId,
-        fh: FileHandle,
-        writeback: bool,
-        invalidate: bool,
-    },
-    CallbackEnd {
-        target: ClientId,
-        fh: FileHandle,
-        ok: bool,
-    },
+    CallbackBegin = "cb_begin" { target: ClientId, fh: FileHandle as FhId, writeback: bool, invalidate: bool }
+    CallbackEnd = "cb_end" { target: ClientId, fh: FileHandle as FhId, ok: bool }
     /// A client began flushing a file's dirty blocks (write-behind pool
     /// or the direct callback path).
-    FlushBegin {
-        client: ClientId,
-        fh: FileHandle,
-        direct: bool,
-    },
-    FlushEnd {
-        client: ClientId,
-        fh: FileHandle,
-        ok: bool,
-    },
+    FlushBegin = "flush_begin" { client: ClientId, fh: FileHandle as FhId, direct: bool }
+    FlushEnd = "flush_end" { client: ClientId, fh: FileHandle as FhId, ok: bool }
     /// A block became dirty in a client cache (delayed write).
-    BlockDirty {
-        client: ClientId,
-        fh: FileHandle,
-        blk: u64,
-    },
+    BlockDirty = "block_dirty" { client: ClientId, fh: FileHandle as FhId, blk: u64 }
     /// A read was served from the client cache at `version`.
-    CacheRead {
-        client: ClientId,
-        fh: FileHandle,
-        version: u64,
-    },
+    CacheRead = "cache_read" { client: ClientId, fh: FileHandle as FhId, version: u64 => "ver" }
     /// The server granted an open; records the consistency decision.
-    OpenGrant {
+    OpenGrant = "open_grant" {
         client: ClientId,
-        fh: FileHandle,
-        version: u64,
-        prev_version: u64,
-        cache_enabled: bool,
+        fh: FileHandle as FhId,
+        version: u64 => "ver",
+        prev_version: u64 => "prev",
+        cache_enabled: bool => "cache",
         write: bool,
-    },
+    }
     /// The client discarded its cached copy (callback or reopen miss).
-    Invalidate { client: ClientId, fh: FileHandle },
+    Invalidate = "invalidate" { client: ClientId, fh: FileHandle as FhId }
     /// Delayed writes were cancelled, not flushed (file removed or
     /// truncated): blocks at indices >= `from_blk` are gone.
-    WriteCancel {
-        client: ClientId,
-        fh: FileHandle,
-        from_blk: u64,
-        blocks: u64,
-    },
+    WriteCancel = "write_cancel" { client: ClientId, fh: FileHandle as FhId, from_blk: u64, blocks: u64 }
     /// fsync returned OK to the application.
-    FsyncOk { client: ClientId, fh: FileHandle },
+    FsyncOk = "fsync_ok" { client: ClientId, fh: FileHandle as FhId }
     /// The server crashed, losing its state table.
-    ServerCrash,
+    ServerCrash = "server_crash"
     /// A request entered a disk's scheduler queue. `req` is a per-disk
     /// monotone id; `disk` names the device (traces may carry several) —
     /// the disk's own label, shared, so two events per request cost no
     /// allocation.
-    DiskQueue {
-        disk: Rc<str>,
-        req: u64,
-        block: u64,
-        write: bool,
-    },
+    DiskQueue = "disk_queue" { disk: Rc<str> as Name, req: u64, block: u64 => "blk", write: bool }
     /// A disk request finished service: `wait_us` is queue wait (enqueue
     /// to dispatch), `pos_us` the positioning time charged.
-    DiskDone {
-        disk: Rc<str>,
+    DiskDone = "disk_done" {
+        disk: Rc<str> as Name,
         req: u64,
-        block: u64,
+        block: u64 => "blk",
         write: bool,
-        wait_us: u64,
-        pos_us: u64,
-    },
+        wait_us: u64 => "wait",
+        pos_us: u64 => "pos",
+    }
     /// A server-side block-cache lookup on the read path.
-    SrvCacheRead { ino: u64, blk: u64, hit: bool },
+    SrvCacheRead = "srv_cache_read" { ino: u64, blk: u64, hit: bool }
     /// One message hit the network: a request, a reply, or a compound
     /// batch. `host` is the sending host id (0 = server-originated).
-    NetXmit {
-        host: u32,
-        to_server: bool,
-        bytes: u64,
-    },
+    NetXmit = "net_xmit" { host: u32, to_server: bool => "up", bytes: u64 }
     /// A batching caller flushed a compound: `count` inner requests
     /// shared one wire exchange. Emitted once for the request flush
     /// (`reply: false`) and once when the combined reply comes back
     /// (`reply: true`); the checker asserts the counts match per
     /// `(from, id)`.
-    Batch {
-        from: ClientId,
-        id: u64,
-        count: u64,
-        reply: bool,
-    },
+    Batch = "batch" { from: ClientId, id: u64, count: u64, reply: bool }
     /// The fault-injection layer acted on the `(host, to_client)` RPC
     /// link: `kind` is one of `drop`, `dup`, `delay`, `reply_loss`,
     /// `partition`, or `partition_begin`. `xid` is the affected call's
     /// xid when known (0 otherwise). Never emitted when faults are off.
-    Fault {
-        host: u32,
-        to_client: bool,
-        xid: u64,
-        kind: &'static str,
-    },
+    Fault = "fault" { host: u32, to_client: bool, xid: u64, kind: &'static str as Name }
     /// The server granted `client` a delegation on `fh` piggybacked on an
     /// open reply (DESIGN.md §17).
-    DelegGrant {
-        client: ClientId,
-        fh: FileHandle,
-        write: bool,
-    },
+    DelegGrant = "deleg_grant" { client: ClientId, fh: FileHandle as FhId, write: bool }
     /// The server began recalling `client`'s delegation on `fh` because a
     /// conflicting open arrived.
-    DelegRecall { client: ClientId, fh: FileHandle },
+    DelegRecall = "deleg_recall" { client: ClientId, fh: FileHandle as FhId }
     /// `client`'s delegation on `fh` ended: returned (and its queued
     /// open-state applied), or revoked after the recall timed out.
-    DelegReturn {
-        client: ClientId,
-        fh: FileHandle,
-        revoked: bool,
-    },
+    DelegReturn = "deleg_return" { client: ClientId, fh: FileHandle as FhId, revoked: bool }
     /// The client served an open locally from a delegation it holds —
     /// zero RPCs (the whole point of DESIGN.md §17).
-    DelegLocalOpen {
-        client: ClientId,
-        fh: FileHandle,
-        write: bool,
-    },
+    DelegLocalOpen = "deleg_local_open" { client: ClientId, fh: FileHandle as FhId, write: bool }
     /// Sharded namespace (DESIGN.md §18): shard `shard` served a
     /// root-level name operation it owns under layout epoch `epoch`.
     /// Rule 10 recomputes the owner and flags any mismatch.
-    ShardRoute {
-        shard: u32,
-        name: String,
-        epoch: u64,
-    },
+    ShardRoute = "shard_route" { shard: u32, name: Name, epoch: u64 }
     /// Sharded namespace: the authority layout recorded an ownership
     /// move at the commit point of a cross-shard rename/link —
     /// `to_name` is now owned by `shard` (and `from_name`, when
     /// non-empty, ceased to exist). Epoch bumps are strictly increasing.
-    ShardMove {
-        from_name: String,
-        to_name: String,
-        shard: u32,
-        epoch: u64,
-    },
+    ShardMove = "shard_move" { from_name: Name => "from", to_name: Name => "to", shard: u32, epoch: u64 }
     /// Sharded namespace: a cross-shard transaction opened — emitted by
     /// the coordinator only after the participant prepared, so both
     /// names are locked on both shards for the whole Begin→Move window.
-    ShardTxBegin {
+    ShardTxBegin = "shard_tx_begin" {
         txid: u64,
         from_shard: u32,
         to_shard: u32,
-        from_name: String,
-        to_name: String,
+        from_name: Name => "from",
+        to_name: Name => "to",
         link: bool,
-    },
+    }
     /// Sharded namespace: the participant locked the target name and
     /// reported whether an entry by that name existed.
-    ShardTxPrepared { txid: u64, existed: bool },
+    ShardTxPrepared = "shard_tx_prepared" { txid: u64, existed: bool }
     /// Sharded namespace: the transaction resolved — committed (the
     /// participant acknowledged the cleanup) or aborted.
-    ShardTxEnd { txid: u64, committed: bool },
+    ShardTxEnd = "shard_tx_end" { txid: u64, committed: bool }
 }
 
 struct Inner {
@@ -402,28 +398,20 @@ impl Tracer {
     }
 
     /// Record an event; returns its sequence number for use as the
-    /// `parent` of causally dependent events.
+    /// `parent` of causally dependent events. Panics rather than record a
+    /// sequence number or a parent past `u32::MAX` ([`TraceEvent::new`]).
     pub fn emit(&self, parent: u64, kind: EventKind) -> u64 {
         let seq = self.inner.next.get() + 1;
+        let event = TraceEvent::new(seq, self.inner.sim.now().as_micros(), parent, kind);
         self.inner.next.set(seq);
         // Copies the log only if a snapshot of it is still held.
-        Rc::make_mut(&mut self.inner.events.borrow_mut()).push(TraceEvent {
-            seq,
-            t_us: self.inner.sim.now().as_micros(),
-            parent,
-            kind,
-        });
+        Rc::make_mut(&mut self.inner.events.borrow_mut()).push(event);
         seq
     }
 
-    pub fn meta(&self, key: &'static str, value: impl Into<String>) {
-        self.emit(
-            0,
-            EventKind::Meta {
-                key,
-                value: value.into(),
-            },
-        );
+    pub fn meta(&self, key: &'static str, value: impl AsRef<str>) {
+        let value = value.as_ref().into();
+        self.emit(0, EventKind::Meta { key, value });
     }
 
     pub fn len(&self) -> usize {
@@ -439,359 +427,6 @@ impl Tracer {
     /// `emit` copies the log once if the snapshot is still alive by then.
     pub fn finish(&self) -> Rc<Vec<TraceEvent>> {
         self.inner.events.borrow().clone()
-    }
-}
-
-/// One field's value, as [`EventKind::fields`] hands it out.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Val<'a> {
-    Num(u64),
-    Bool(bool),
-    Str(&'a str),
-    /// A file handle; serialized as the string its `Display` prints.
-    Fh(FileHandle),
-}
-
-fn id(c: &ClientId) -> Val<'static> {
-    Val::Num(c.0.into())
-}
-
-/// The event table: what each kind is called and which fields it
-/// carries. Everything that serializes, counts or draws events
-/// ([`to_jsonl`], [`to_chrome_json`], [`check::kind_counts`]) is generic
-/// over these two methods; both matches are exhaustive, so a new variant
-/// does not compile until it has a name and its fields.
-impl EventKind {
-    /// The `ev` value of the JSONL line.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Meta { .. } => "meta",
-            EventKind::OpBegin { .. } => "op_begin",
-            EventKind::OpEnd { .. } => "op_end",
-            EventKind::RpcCall { .. } => "rpc_call",
-            EventKind::RpcReply { .. } => "rpc_reply",
-            EventKind::RpcXmit { .. } => "rpc_xmit",
-            EventKind::RpcArrive { .. } => "rpc_arrive",
-            EventKind::HandlerBegin { .. } => "handler_begin",
-            EventKind::HandlerEnd { .. } => "handler_end",
-            EventKind::Transition { .. } => "transition",
-            EventKind::CallbackBegin { .. } => "cb_begin",
-            EventKind::CallbackEnd { .. } => "cb_end",
-            EventKind::FlushBegin { .. } => "flush_begin",
-            EventKind::FlushEnd { .. } => "flush_end",
-            EventKind::BlockDirty { .. } => "block_dirty",
-            EventKind::CacheRead { .. } => "cache_read",
-            EventKind::OpenGrant { .. } => "open_grant",
-            EventKind::Invalidate { .. } => "invalidate",
-            EventKind::WriteCancel { .. } => "write_cancel",
-            EventKind::FsyncOk { .. } => "fsync_ok",
-            EventKind::ServerCrash => "server_crash",
-            EventKind::DiskQueue { .. } => "disk_queue",
-            EventKind::DiskDone { .. } => "disk_done",
-            EventKind::SrvCacheRead { .. } => "srv_cache_read",
-            EventKind::NetXmit { .. } => "net_xmit",
-            EventKind::Batch { .. } => "batch",
-            EventKind::Fault { .. } => "fault",
-            EventKind::DelegGrant { .. } => "deleg_grant",
-            EventKind::DelegRecall { .. } => "deleg_recall",
-            EventKind::DelegReturn { .. } => "deleg_return",
-            EventKind::DelegLocalOpen { .. } => "deleg_local_open",
-            EventKind::ShardRoute { .. } => "shard_route",
-            EventKind::ShardMove { .. } => "shard_move",
-            EventKind::ShardTxBegin { .. } => "shard_tx_begin",
-            EventKind::ShardTxPrepared { .. } => "shard_tx_prepared",
-            EventKind::ShardTxEnd { .. } => "shard_tx_end",
-        }
-    }
-
-    /// Hands `f` every field as `(key, value)`, in the order the JSONL
-    /// line lists them after `ev`. The keys are the format; the struct
-    /// field names are free to differ (`version` is written `ver`).
-    pub fn fields<'a>(&'a self, f: &mut dyn FnMut(&'static str, Val<'a>)) {
-        use Val::{Bool, Fh, Num, Str};
-        match self {
-            EventKind::Meta { key, value } => {
-                f("key", Str(key));
-                f("value", Str(value));
-            }
-            EventKind::OpBegin { client, op, fh } => {
-                f("client", id(client));
-                f("op", Str(op));
-                f("fh", Fh(*fh));
-            }
-            EventKind::OpEnd { client, op, ok } => {
-                f("client", id(client));
-                f("op", Str(op));
-                f("ok", Bool(*ok));
-            }
-            EventKind::RpcCall {
-                from,
-                xid,
-                proc,
-                fh,
-                offset,
-                len,
-            } => {
-                f("from", id(from));
-                f("xid", Num(*xid));
-                f("proc", Str(proc.name()));
-                if let Some(fh) = fh {
-                    f("fh", Fh(*fh));
-                }
-                f("off", Num(*offset));
-                f("len", Num(*len));
-            }
-            EventKind::RpcReply {
-                from,
-                xid,
-                proc,
-                ok,
-            } => {
-                f("from", id(from));
-                f("xid", Num(*xid));
-                f("proc", Str(proc.name()));
-                f("ok", Bool(*ok));
-            }
-            EventKind::RpcXmit { from, xid } => {
-                f("from", id(from));
-                f("xid", Num(*xid));
-            }
-            EventKind::RpcArrive { from, xid, dup } => {
-                f("from", id(from));
-                f("xid", Num(*xid));
-                f("dup", Bool(*dup));
-            }
-            EventKind::HandlerBegin { from, xid, proc } => {
-                f("from", id(from));
-                f("xid", Num(*xid));
-                f("proc", Str(proc.name()));
-            }
-            EventKind::HandlerEnd {
-                from,
-                xid,
-                proc,
-                ok,
-            } => {
-                f("from", id(from));
-                f("xid", Num(*xid));
-                f("proc", Str(proc.name()));
-                f("ok", Bool(*ok));
-            }
-            EventKind::Transition {
-                fh,
-                cause,
-                client,
-                from,
-                to,
-                version,
-            } => {
-                f("fh", Fh(*fh));
-                f("cause", Str(cause.name()));
-                f("client", id(client));
-                f("from", Str(from.name()));
-                f("to", Str(to.name()));
-                f("ver", Num(*version));
-            }
-            EventKind::CallbackBegin {
-                target,
-                fh,
-                writeback,
-                invalidate,
-            } => {
-                f("target", id(target));
-                f("fh", Fh(*fh));
-                f("writeback", Bool(*writeback));
-                f("invalidate", Bool(*invalidate));
-            }
-            EventKind::CallbackEnd { target, fh, ok } => {
-                f("target", id(target));
-                f("fh", Fh(*fh));
-                f("ok", Bool(*ok));
-            }
-            EventKind::FlushBegin { client, fh, direct } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-                f("direct", Bool(*direct));
-            }
-            EventKind::FlushEnd { client, fh, ok } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-                f("ok", Bool(*ok));
-            }
-            EventKind::BlockDirty { client, fh, blk } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-                f("blk", Num(*blk));
-            }
-            EventKind::CacheRead {
-                client,
-                fh,
-                version,
-            } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-                f("ver", Num(*version));
-            }
-            EventKind::OpenGrant {
-                client,
-                fh,
-                version,
-                prev_version,
-                cache_enabled,
-                write,
-            } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-                f("ver", Num(*version));
-                f("prev", Num(*prev_version));
-                f("cache", Bool(*cache_enabled));
-                f("write", Bool(*write));
-            }
-            EventKind::Invalidate { client, fh } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-            }
-            EventKind::WriteCancel {
-                client,
-                fh,
-                from_blk,
-                blocks,
-            } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-                f("from_blk", Num(*from_blk));
-                f("blocks", Num(*blocks));
-            }
-            EventKind::FsyncOk { client, fh } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-            }
-            EventKind::ServerCrash => {}
-            EventKind::DiskQueue {
-                disk,
-                req,
-                block,
-                write,
-            } => {
-                f("disk", Str(disk));
-                f("req", Num(*req));
-                f("blk", Num(*block));
-                f("write", Bool(*write));
-            }
-            EventKind::DiskDone {
-                disk,
-                req,
-                block,
-                write,
-                wait_us,
-                pos_us,
-            } => {
-                f("disk", Str(disk));
-                f("req", Num(*req));
-                f("blk", Num(*block));
-                f("write", Bool(*write));
-                f("wait", Num(*wait_us));
-                f("pos", Num(*pos_us));
-            }
-            EventKind::SrvCacheRead { ino, blk, hit } => {
-                f("ino", Num(*ino));
-                f("blk", Num(*blk));
-                f("hit", Bool(*hit));
-            }
-            EventKind::NetXmit {
-                host,
-                to_server,
-                bytes,
-            } => {
-                f("host", Num((*host).into()));
-                f("up", Bool(*to_server));
-                f("bytes", Num(*bytes));
-            }
-            EventKind::Batch {
-                from,
-                id: batch,
-                count,
-                reply,
-            } => {
-                f("from", id(from));
-                f("id", Num(*batch));
-                f("count", Num(*count));
-                f("reply", Bool(*reply));
-            }
-            EventKind::Fault {
-                host,
-                to_client,
-                xid,
-                kind,
-            } => {
-                f("host", Num((*host).into()));
-                f("to_client", Bool(*to_client));
-                f("xid", Num(*xid));
-                f("kind", Str(kind));
-            }
-            EventKind::DelegGrant { client, fh, write } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-                f("write", Bool(*write));
-            }
-            EventKind::DelegRecall { client, fh } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-            }
-            EventKind::DelegReturn {
-                client,
-                fh,
-                revoked,
-            } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-                f("revoked", Bool(*revoked));
-            }
-            EventKind::DelegLocalOpen { client, fh, write } => {
-                f("client", id(client));
-                f("fh", Fh(*fh));
-                f("write", Bool(*write));
-            }
-            EventKind::ShardRoute { shard, name, epoch } => {
-                f("shard", Num((*shard).into()));
-                f("name", Str(name));
-                f("epoch", Num(*epoch));
-            }
-            EventKind::ShardMove {
-                from_name,
-                to_name,
-                shard,
-                epoch,
-            } => {
-                f("from", Str(from_name));
-                f("to", Str(to_name));
-                f("shard", Num((*shard).into()));
-                f("epoch", Num(*epoch));
-            }
-            EventKind::ShardTxBegin {
-                txid,
-                from_shard,
-                to_shard,
-                from_name,
-                to_name,
-                link,
-            } => {
-                f("txid", Num(*txid));
-                f("from_shard", Num((*from_shard).into()));
-                f("to_shard", Num((*to_shard).into()));
-                f("from", Str(from_name));
-                f("to", Str(to_name));
-                f("link", Bool(*link));
-            }
-            EventKind::ShardTxPrepared { txid, existed } => {
-                f("txid", Num(*txid));
-                f("existed", Bool(*existed));
-            }
-            EventKind::ShardTxEnd { txid, committed } => {
-                f("txid", Num(*txid));
-                f("committed", Bool(*committed));
-            }
-        }
     }
 }
 
@@ -828,9 +463,9 @@ mod tests {
         );
         let ev = tr.finish();
         assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].seq, a);
-        assert_eq!(ev[1].seq, b);
-        assert_eq!(ev[1].parent, a);
+        assert_eq!(u64::from(ev[0].seq), a);
+        assert_eq!(u64::from(ev[1].seq), b);
+        assert_eq!(u64::from(ev[1].parent), a);
     }
 
     #[test]
@@ -865,5 +500,73 @@ mod tests {
         assert!(!Rc::ptr_eq(&first, &second));
         assert_eq!((second.len(), second[2].seq, tr.len()), (3, 3, 3));
         assert_eq!(second[..2], first[..]);
+    }
+
+    #[test]
+    fn a_record_is_forty_bytes() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 40);
+    }
+
+    fn read(client: u32, file: u64) -> TraceEvent {
+        let (client, fh, version) = (ClientId(client), fh(file), 1);
+        #[rustfmt::skip]
+        let kind = EventKind::CacheRead { client, fh, version };
+        TraceEvent::new(1, 0, 0, kind)
+    }
+
+    /// Equal text and equal handles get equal ids, however far the tables
+    /// have grown since (2,000 keys is five doublings), and an id reads
+    /// back as what it was given for.
+    #[test]
+    fn interning_the_same_thing_twice_gives_the_same_id() {
+        let id_of = |file| match read(1, file).view() {
+            Event::CacheRead { fh, .. } => fh,
+            other => panic!("{other:?}"),
+        };
+        let names: Vec<String> = (0..2_000).map(|i| format!("name-{i}")).collect();
+        let first: Vec<(Name, FhId)> = (0..2_000)
+            .map(|i| (names[i].as_str().into(), id_of(i as u64)))
+            .collect();
+        for (i, &(name, handle)) in first.iter().enumerate() {
+            assert_eq!((name, handle), (names[i].as_str().into(), id_of(i as u64)));
+            assert_eq!((name.as_str(), handle.get()), (&*names[i], fh(i as u64)));
+        }
+        let mut distinct: Vec<usize> = first.iter().map(|(_, handle)| handle.index()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 2_000);
+        assert_eq!(read(7, 3), read(7, 3));
+        assert_ne!(read(7, 3), read(7, 4));
+    }
+
+    /// The tables belong to the thread, not to a tracer: a second tracer's
+    /// events export their own text, whatever the first interned.
+    #[test]
+    fn a_second_tracer_on_the_thread_exports_its_own_strings() {
+        let sim = Sim::new();
+        let (one, two) = (Tracer::new(&sim), Tracer::new(&sim));
+        one.meta("protocol", "snfs");
+        two.meta("protocol", "nfs");
+        two.meta("seed", "snfs");
+        drop(one);
+        assert_eq!(
+            to_jsonl(&two.finish()),
+            "{\"seq\":1,\"t\":0,\"par\":0,\"ev\":\"meta\",\"key\":\"protocol\",\"value\":\"nfs\"}\n\
+             {\"seq\":2,\"t\":0,\"par\":0,\"ev\":\"meta\",\"key\":\"seed\",\"value\":\"snfs\"}\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trace parent 4294967296 does not fit")]
+    fn emit_refuses_a_parent_past_32_bits() {
+        Tracer::new(&Sim::new()).emit(1 << 32, EventKind::ServerCrash);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace seq 4294967296 does not fit")]
+    fn a_sequence_number_past_32_bits_is_refused() {
+        let tr = Tracer::new(&Sim::new());
+        tr.inner.next.set(u64::from(u32::MAX));
+        tr.emit(0, EventKind::ServerCrash);
     }
 }

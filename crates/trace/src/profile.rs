@@ -47,13 +47,12 @@
 //! Misassignment can shift time between server-side phases of
 //! concurrent handlers but never breaks the exact-sum property.
 
-use std::collections::HashMap;
-
 use spritely_metrics::{GaugeSeries, LatencyStats};
 use spritely_proto::NfsProc;
 use spritely_sim::{SimDuration, SimTime};
 
-use crate::{EventKind, TraceEvent};
+use crate::record::Map;
+use crate::{Event, Name, Tag, TraceEvent};
 
 /// Default occupancy bucket width: one sim-second.
 pub const DEFAULT_BUCKET_US: u64 = 1_000_000;
@@ -394,7 +393,7 @@ struct Op {
     t0: u64,
     t1: Option<u64>,
     client: u32,
-    name: &'static str,
+    name: Name,
 }
 
 /// One RPC's reconstructed timeline.
@@ -510,7 +509,7 @@ pub fn profile_trace_bucketed(events: &[TraceEvent], bucket: SimDuration) -> Pro
         };
         let children = children.of(oi as u32);
         ops.push(OpProfile {
-            op: op.name,
+            op: op.name.as_str(),
             client: op.client,
             synthetic: false,
             begin_us: op.t0,
@@ -613,14 +612,13 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
     let (mut n_ops, mut n_rpcs, mut n_handlers, mut n_callbacks) = (0, 0, 0, 0);
     let (mut n_bounds, mut n_paints) = (0, 0);
     for e in events {
-        match e.kind {
-            EventKind::OpBegin { .. } => n_ops += 1,
-            EventKind::RpcCall { .. } => n_rpcs += 1,
-            EventKind::HandlerBegin { .. } => n_handlers += 1,
-            EventKind::CallbackBegin { .. } => n_callbacks += 1,
-            EventKind::DiskDone { .. } => n_paints += 2,
-            EventKind::RpcXmit { .. } | EventKind::RpcArrive { .. } => n_bounds += 1,
-            EventKind::HandlerEnd { .. } => n_bounds += 1,
+        match e.tag {
+            Tag::OpBegin => n_ops += 1,
+            Tag::RpcCall => n_rpcs += 1,
+            Tag::HandlerBegin => n_handlers += 1,
+            Tag::CallbackBegin => n_callbacks += 1,
+            Tag::DiskDone => n_paints += 2,
+            Tag::RpcXmit | Tag::RpcArrive | Tag::HandlerEnd => n_bounds += 1,
             _ => {}
         }
     }
@@ -634,7 +632,7 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
     // (for the disk seq-containment heuristic).
     let mut open_server_handlers: Vec<u32> = Vec::new();
     // (disk name, req id) -> (enqueue t, assigned handler)
-    let mut disk_pending: HashMap<(&str, u64), (u64, Option<u32>)> = HashMap::new();
+    let mut disk_pending: Map<(Name, u64), (u64, Option<u32>)> = Map::default();
     // Per callback: (begin t, owning handler, end t).
     let mut callbacks: Vec<(u64, u32, Option<u64>)> = Vec::with_capacity(n_callbacks);
 
@@ -652,8 +650,8 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
             _ => NONE,
         };
         let t = e.t_us;
-        match &e.kind {
-            EventKind::OpBegin { client, op, .. } => {
+        match e.view() {
+            Event::OpBegin { client, op, .. } => {
                 fact.owner = ops.len() as u32;
                 fact.slot = Slot::Op(fact.owner);
                 ops.push(Op {
@@ -663,28 +661,28 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
                     name: op,
                 });
             }
-            EventKind::OpEnd { .. } => {
+            Event::OpEnd { .. } => {
                 if let Slot::Op(o) = parent.slot {
                     ops[o as usize].t1 = Some(t);
                 }
             }
-            EventKind::RpcCall { from, proc, .. } => {
+            Event::RpcCall { from, proc, .. } => {
                 fact.slot = Slot::Rpc(rpcs.len() as u32);
                 rpcs.push(Rpc {
-                    seq: e.seq,
+                    seq: e.seq.into(),
                     from: from.0,
-                    proc: *proc,
+                    proc,
                     t_call: t,
                     t_reply: None,
                     owner: fact.owner,
                 });
             }
-            EventKind::RpcReply { .. } if rpc != NONE => rpcs[rpc as usize].t_reply = Some(t),
-            EventKind::RpcXmit { .. } if rpc != NONE => bounds.push((rpc, (t, Bound::Xmit))),
-            EventKind::RpcArrive { dup, .. } if rpc != NONE => {
-                bounds.push((rpc, (t, Bound::Arrive { dup: *dup })));
+            Event::RpcReply { .. } if rpc != NONE => rpcs[rpc as usize].t_reply = Some(t),
+            Event::RpcXmit { .. } if rpc != NONE => bounds.push((rpc, (t, Bound::Xmit))),
+            Event::RpcArrive { dup, .. } if rpc != NONE => {
+                bounds.push((rpc, (t, Bound::Arrive { dup })));
             }
-            EventKind::HandlerBegin { from, .. } => {
+            Event::HandlerBegin { from, .. } => {
                 let h = handler_rpc.len() as u32;
                 fact.handler = h;
                 fact.slot = Slot::Handler(h);
@@ -698,7 +696,7 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
             }
             // `handler_end` is parented under its `handler_begin`,
             // not the RPC — route it back via the handler table.
-            EventKind::HandlerEnd { .. } => {
+            Event::HandlerEnd { .. } => {
                 if let Slot::Handler(h) = parent.slot {
                     if handler_rpc[h as usize] != NONE {
                         bounds.push((handler_rpc[h as usize], (t, Bound::HandlerEnd)));
@@ -706,19 +704,19 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
                     open_server_handlers.retain(|&o| o != h);
                 }
             }
-            EventKind::DiskQueue { disk, req, .. } => {
+            Event::DiskQueue { disk, req, .. } => {
                 // Seq-containment heuristic: charge the disk request
                 // to the most recently begun server handler still
                 // open at enqueue time. Only server-originated
                 // executions count; callback handlers running on
                 // client hosts never issue server-disk I/O.
                 let h = open_server_handlers.last().copied();
-                disk_pending.insert((&**disk, *req), (t, h));
+                disk_pending.insert((disk, req), (t, h));
             }
-            EventKind::DiskDone {
+            Event::DiskDone {
                 disk, req, wait_us, ..
             } => {
-                if let Some((t_q, Some(h))) = disk_pending.remove(&(&**disk, *req)) {
+                if let Some((t_q, Some(h))) = disk_pending.remove(&(disk, req)) {
                     let dispatch = (t_q + wait_us).min(t);
                     for (start, end, phase) in [
                         (t_q, dispatch, Phase::DiskQueue),
@@ -730,11 +728,11 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
                     }
                 }
             }
-            EventKind::CallbackBegin { .. } => {
+            Event::CallbackBegin { .. } => {
                 fact.slot = Slot::Callback(callbacks.len() as u32);
                 callbacks.push((t, fact.handler, None));
             }
-            EventKind::CallbackEnd { .. } => {
+            Event::CallbackEnd { .. } => {
                 if let Slot::Callback(c) = parent.slot {
                     callbacks[c as usize].2 = Some(t);
                 }
@@ -947,8 +945,8 @@ mod reference {
     use std::collections::HashMap;
 
     use super::{
-        add_occupancy, EventKind, LatencyStats, NfsProc, OpKindProfile, OpProfile, Phase, Profile,
-        RpcClaims, SimDuration, TraceEvent, NUM_PHASES,
+        add_occupancy, Event, LatencyStats, Name, NfsProc, OpKindProfile, OpProfile, Phase,
+        Profile, RpcClaims, SimDuration, TraceEvent, NUM_PHASES,
     };
 
     pub(super) fn profile_trace_bucketed(events: &[TraceEvent], bucket: SimDuration) -> Profile {
@@ -1002,7 +1000,7 @@ mod reference {
         fn new(events: &'a [TraceEvent]) -> Self {
             let mut idx_of = HashMap::with_capacity(events.len());
             for (i, e) in events.iter().enumerate() {
-                idx_of.insert(e.seq, i);
+                idx_of.insert(u64::from(e.seq), i);
             }
             // Parents are always emitted before children (sequence numbers
             // are assigned in emission order), so one forward pass resolves
@@ -1014,14 +1012,14 @@ mod reference {
                 let parent_idx = if e.parent == 0 {
                     None
                 } else {
-                    idx_of.get(&e.parent).copied()
+                    idx_of.get(&u64::from(e.parent)).copied()
                 };
-                owner[i] = match e.kind {
-                    EventKind::OpBegin { .. } => Some(e.seq),
+                owner[i] = match e.view() {
+                    Event::OpBegin { .. } => Some(e.seq.into()),
                     _ => parent_idx.and_then(|pi| owner[pi]),
                 };
-                handler_of[i] = match e.kind {
-                    EventKind::HandlerBegin { .. } => Some(e.seq),
+                handler_of[i] = match e.view() {
+                    Event::HandlerBegin { .. } => Some(e.seq.into()),
                     _ => parent_idx.and_then(|pi| handler_of[pi]),
                 };
             }
@@ -1044,78 +1042,79 @@ mod reference {
                                                                        // (for the disk seq-containment heuristic).
             let mut open_server_handlers: Vec<u64> = Vec::new();
             // (disk name, req id) -> (enqueue t, assigned handler)
-            let mut disk_pending: HashMap<(&str, u64), (u64, Option<u64>)> = HashMap::new();
+            let mut disk_pending: HashMap<(Name, u64), (u64, Option<u64>)> = HashMap::new();
             let mut cb_begin: Vec<(u64, u64, usize)> = Vec::new(); // (cb seq, t, event idx)
             let mut cb_end: HashMap<u64, u64> = HashMap::new(); // cb seq -> t
 
             for (i, e) in self.events.iter().enumerate() {
-                match &e.kind {
-                    EventKind::OpBegin { client, op, .. } => {
-                        op_meta.push((e.seq, e.t_us, client.0, op));
+                let (seq, parent) = (u64::from(e.seq), u64::from(e.parent));
+                match e.view() {
+                    Event::OpBegin { client, op, .. } => {
+                        op_meta.push((seq, e.t_us, client.0, op.as_str()));
                     }
-                    EventKind::OpEnd { .. } => {
-                        op_end.insert(e.parent, e.t_us);
+                    Event::OpEnd { .. } => {
+                        op_end.insert(parent, e.t_us);
                     }
-                    EventKind::RpcCall { from, proc, .. } => {
-                        rpc_idx.insert(e.seq, rpcs.len());
+                    Event::RpcCall { from, proc, .. } => {
+                        rpc_idx.insert(seq, rpcs.len());
                         rpcs.push(Rpc {
-                            seq: e.seq,
+                            seq,
                             from: from.0,
-                            proc: *proc,
+                            proc,
                             t_call: e.t_us,
                             t_reply: None,
                             owner: self.owner[i],
                             bounds: Vec::new(),
                         });
                     }
-                    EventKind::RpcReply { .. } => {
-                        if let Some(&ri) = rpc_idx.get(&e.parent) {
+                    Event::RpcReply { .. } => {
+                        if let Some(&ri) = rpc_idx.get(&parent) {
                             rpcs[ri].t_reply = Some(e.t_us);
                         }
                     }
-                    EventKind::RpcXmit { .. } => {
-                        if let Some(&ri) = rpc_idx.get(&e.parent) {
+                    Event::RpcXmit { .. } => {
+                        if let Some(&ri) = rpc_idx.get(&parent) {
                             rpcs[ri].bounds.push((e.t_us, Bound::Xmit));
                         }
                     }
-                    EventKind::RpcArrive { dup, .. } => {
-                        if let Some(&ri) = rpc_idx.get(&e.parent) {
-                            rpcs[ri].bounds.push((e.t_us, Bound::Arrive { dup: *dup }));
+                    Event::RpcArrive { dup, .. } => {
+                        if let Some(&ri) = rpc_idx.get(&parent) {
+                            rpcs[ri].bounds.push((e.t_us, Bound::Arrive { dup }));
                         }
                     }
-                    EventKind::HandlerBegin { from, .. } => {
-                        handlers.insert(e.seq, Handler { subs: Vec::new() });
-                        if let Some(&ri) = rpc_idx.get(&e.parent) {
-                            handler_rpc.insert(e.seq, ri);
+                    Event::HandlerBegin { from, .. } => {
+                        handlers.insert(seq, Handler { subs: Vec::new() });
+                        if let Some(&ri) = rpc_idx.get(&parent) {
+                            handler_rpc.insert(seq, ri);
                             rpcs[ri]
                                 .bounds
-                                .push((e.t_us, Bound::HandlerBegin { h: e.seq }));
+                                .push((e.t_us, Bound::HandlerBegin { h: seq }));
                         }
                         if from.0 != 0 {
-                            open_server_handlers.push(e.seq);
+                            open_server_handlers.push(seq);
                         }
                     }
                     // `handler_end` is parented under its `handler_begin`,
                     // not the RPC — route it back via the handler map.
-                    EventKind::HandlerEnd { .. } => {
-                        if let Some(&ri) = handler_rpc.get(&e.parent) {
+                    Event::HandlerEnd { .. } => {
+                        if let Some(&ri) = handler_rpc.get(&parent) {
                             rpcs[ri].bounds.push((e.t_us, Bound::HandlerEnd));
                         }
-                        open_server_handlers.retain(|&h| h != e.parent);
+                        open_server_handlers.retain(|&h| h != parent);
                     }
-                    EventKind::DiskQueue { disk, req, .. } => {
+                    Event::DiskQueue { disk, req, .. } => {
                         // Seq-containment heuristic: charge the disk request
                         // to the most recently begun server handler still
                         // open at enqueue time. Only server-originated
                         // executions count; callback handlers running on
                         // client hosts never issue server-disk I/O.
                         let h = open_server_handlers.last().copied();
-                        disk_pending.insert((&**disk, *req), (e.t_us, h));
+                        disk_pending.insert((disk, req), (e.t_us, h));
                     }
-                    EventKind::DiskDone {
+                    Event::DiskDone {
                         disk, req, wait_us, ..
                     } => {
-                        if let Some((t_q, Some(h))) = disk_pending.remove(&(&**disk, *req)) {
+                        if let Some((t_q, Some(h))) = disk_pending.remove(&(disk, req)) {
                             if let Some(handler) = handlers.get_mut(&h) {
                                 let dispatch = (t_q + wait_us).min(e.t_us);
                                 if dispatch > t_q {
@@ -1127,11 +1126,11 @@ mod reference {
                             }
                         }
                     }
-                    EventKind::CallbackBegin { .. } => {
-                        cb_begin.push((e.seq, e.t_us, i));
+                    Event::CallbackBegin { .. } => {
+                        cb_begin.push((seq, e.t_us, i));
                     }
-                    EventKind::CallbackEnd { .. } => {
-                        cb_end.insert(e.parent, e.t_us);
+                    Event::CallbackEnd { .. } => {
+                        cb_end.insert(parent, e.t_us);
                     }
                     _ => {}
                 }
@@ -1440,13 +1439,10 @@ mod tests {
     use spritely_proto::{ClientId, FileHandle};
     use std::rc::Rc;
 
+    use crate::EventKind;
+
     fn ev(seq: u64, t_us: u64, parent: u64, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            seq,
-            t_us,
-            parent,
-            kind,
-        }
+        TraceEvent::new(seq, t_us, parent, kind)
     }
 
     fn fh() -> FileHandle {

@@ -1,0 +1,490 @@
+//! The trace record: what [`TraceEvent`] stores, how each field type of
+//! [`EventKind`] is packed into it, and the per-thread tables that hold
+//! what does not fit — every string, every file handle, every number past
+//! 31 bits — once, under a `u32`.
+//!
+//! A record is 40 bytes and `Copy`: time, sequence number, parent, a tag,
+//! three bytes and five `u32` slots. A kind's bools and small enums take
+//! the bytes and everything else the slots, each in the order the event
+//! table in `lib.rs` declares the fields ([`Cursor`]); a sixth slot or a
+//! fourth byte is an index out of bounds the first time the kind is built.
+//!
+//! The tables are per thread because the passes that read a trace
+//! ([`crate::check_trace`], [`crate::profile_trace`], the exporters) are
+//! handed a bare `&[TraceEvent]`: there is no log or tracer to ask, only
+//! the thread the events were built on. `TraceEvent`, [`Name`] and
+//! [`FhId`] are `!Send` for that reason. Entries are never dropped: a
+//! thread holds one copy of each distinct string, handle and wide number
+//! it has traced, however many tracers came and went.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::marker::PhantomData;
+use std::rc::Rc;
+
+use spritely_proto::{ClientId, FileHandle, NfsProc};
+
+use crate::{Cause, EventKind, FState, Tag, Val};
+
+/// Ids are only good on the thread that interned them.
+type ThisThread = PhantomData<*const ()>;
+
+/// One recorded event. `parent` is the sequence number of the causally
+/// preceding event (0 = root). Sequence numbers start at 1 and are
+/// assigned in emission order, which — in a single-threaded
+/// deterministic simulator — is a total order consistent with
+/// causality. [`TraceEvent::view`] hands the fields back.
+#[derive(Clone, Copy, PartialEq)]
+pub struct TraceEvent {
+    pub t_us: u64,
+    pub seq: u32,
+    pub parent: u32,
+    pub(crate) tag: Tag,
+    bytes: [u8; 3],
+    slots: [u32; 5],
+    thread: ThisThread,
+}
+
+impl TraceEvent {
+    /// Packs `kind`, interning its strings and handles on this thread.
+    ///
+    /// # Panics
+    ///
+    /// If `seq` or `parent` does not fit the record's 32 bits.
+    #[inline]
+    pub fn new(seq: u64, t_us: u64, parent: u64, kind: EventKind) -> Self {
+        let fit = |n: u64, what: &str| {
+            u32::try_from(n)
+                .unwrap_or_else(|_| panic!("trace {what} {n} does not fit a record's 32 bits"))
+        };
+        let mut event = TraceEvent {
+            t_us,
+            seq: fit(seq, "seq"),
+            parent: fit(parent, "parent"),
+            tag: Tag::ServerCrash, // until `pack` says
+            bytes: [0; 3],
+            slots: [0; 5],
+            thread: PhantomData,
+        };
+        kind.pack(&mut event);
+        event
+    }
+
+    /// The `ev` value of the JSONL line.
+    pub fn name(&self) -> &'static str {
+        self.tag.name()
+    }
+}
+
+/// An event prints as its JSONL line.
+impl fmt::Debug for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(crate::to_jsonl(std::slice::from_ref(self)).trim_end())
+    }
+}
+
+/// Where the next field of a kind goes: bytes and slots are handed out
+/// in declaration order, to the packer and the reader alike.
+#[derive(Default)]
+pub struct Cursor {
+    byte: usize,
+    slot: usize,
+}
+
+impl Cursor {
+    fn byte(&mut self) -> usize {
+        self.byte += 1;
+        self.byte - 1
+    }
+
+    fn slot(&mut self) -> usize {
+        self.slot += 1;
+        self.slot - 1
+    }
+}
+
+/// How one field type of [`EventKind`] is stored in a record.
+pub trait Field {
+    /// What the record hands back: the value, or the id it was interned
+    /// under.
+    type Read: Copy;
+    fn put(&self, e: &mut TraceEvent, at: &mut Cursor);
+    fn get(e: &TraceEvent, at: &mut Cursor) -> Self::Read;
+}
+
+/// How a field, as built or as read back, is serialized; `None` is a
+/// field left out of the line (an `rpc_call` without a handle).
+pub trait Show {
+    fn val(&self) -> Option<Val<'_>>;
+}
+
+impl Field for u32 {
+    type Read = u32;
+    fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
+        e.slots[at.slot()] = *self;
+    }
+    fn get(e: &TraceEvent, at: &mut Cursor) -> u32 {
+        e.slots[at.slot()]
+    }
+}
+
+impl Show for u32 {
+    fn val(&self) -> Option<Val<'_>> {
+        Some(Val::Num((*self).into()))
+    }
+}
+
+impl Field for ClientId {
+    type Read = ClientId;
+    fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
+        self.0.put(e, at);
+    }
+    fn get(e: &TraceEvent, at: &mut Cursor) -> ClientId {
+        ClientId(u32::get(e, at))
+    }
+}
+
+impl Show for ClientId {
+    fn val(&self) -> Option<Val<'_>> {
+        self.0.val()
+    }
+}
+
+/// Set in a `u64`'s slot when the slot holds not the number but where
+/// the wide table keeps it: any number of 31 bits or fewer is stored as
+/// itself.
+const WIDE: u32 = 1 << 31;
+
+impl Field for u64 {
+    type Read = u64;
+    fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
+        e.slots[at.slot()] = match u32::try_from(*self) {
+            Ok(n) if n < WIDE => n,
+            _ => WIDE | intern(|tables| tables.wide.id(self.scatter(), |n| n == self, || *self)),
+        };
+    }
+    fn get(e: &TraceEvent, at: &mut Cursor) -> u64 {
+        match e.slots[at.slot()] {
+            n if n < WIDE => n.into(),
+            id => TABLES.with_borrow(|tables| tables.wide.keys[(id & !WIDE) as usize]),
+        }
+    }
+}
+
+impl Show for u64 {
+    fn val(&self) -> Option<Val<'_>> {
+        Some(Val::Num(*self))
+    }
+}
+
+impl Field for bool {
+    type Read = bool;
+    fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
+        e.bytes[at.byte()] = (*self).into();
+    }
+    fn get(e: &TraceEvent, at: &mut Cursor) -> bool {
+        e.bytes[at.byte()] != 0
+    }
+}
+
+impl Show for bool {
+    fn val(&self) -> Option<Val<'_>> {
+        Some(Val::Bool(*self))
+    }
+}
+
+macro_rules! byte_enums {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            type Read = $ty;
+            fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
+                e.bytes[at.byte()] = *self as u8;
+            }
+            fn get(e: &TraceEvent, at: &mut Cursor) -> $ty {
+                <$ty>::ALL[usize::from(e.bytes[at.byte()])]
+            }
+        }
+        impl Show for $ty {
+            fn val(&self) -> Option<Val<'_>> {
+                Some(Val::Str(self.name()))
+            }
+        }
+    )*};
+}
+byte_enums!(NfsProc, Cause, FState);
+
+/// An interned string: a `u32` that is equal exactly when the text is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Name(u32, ThisThread);
+
+impl Name {
+    pub fn as_str(self) -> &'static str {
+        TABLES.with_borrow(|tables| tables.names.keys[self.0 as usize])
+    }
+}
+
+impl From<&str> for Name {
+    fn from(text: &str) -> Self {
+        Name(intern_text(text), PhantomData)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl Field for Name {
+    type Read = Name;
+    fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
+        e.slots[at.slot()] = self.0;
+    }
+    fn get(e: &TraceEvent, at: &mut Cursor) -> Name {
+        Name(e.slots[at.slot()], PhantomData)
+    }
+}
+
+impl Show for Name {
+    fn val(&self) -> Option<Val<'_>> {
+        Some(Val::Str(self.as_str()))
+    }
+}
+
+macro_rules! texts {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            type Read = Name;
+            fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
+                e.slots[at.slot()] = intern_text(self);
+            }
+            fn get(e: &TraceEvent, at: &mut Cursor) -> Name {
+                Name::get(e, at)
+            }
+        }
+        impl Show for $ty {
+            fn val(&self) -> Option<Val<'_>> {
+                Some(Val::Str(self))
+            }
+        }
+    )*};
+}
+texts!(&'static str, Rc<str>);
+
+/// An interned file handle: dense from 0 in the order this thread first
+/// traced each handle, so a pass may index a table by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FhId(u32, ThisThread);
+
+impl FhId {
+    pub fn get(self) -> FileHandle {
+        TABLES.with_borrow(|tables| tables.handles.keys[self.index()])
+    }
+
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Prints as the handle does.
+impl fmt::Display for FhId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+impl Show for FhId {
+    fn val(&self) -> Option<Val<'_>> {
+        Some(Val::Fh(self.get()))
+    }
+}
+
+impl Show for FileHandle {
+    fn val(&self) -> Option<Val<'_>> {
+        Some(Val::Fh(*self))
+    }
+}
+
+impl<T: Show> Show for Option<T> {
+    fn val(&self) -> Option<Val<'_>> {
+        self.as_ref().and_then(T::val)
+    }
+}
+
+/// The slot of an `Option<FileHandle>` that is `None`; no table reaches
+/// this id (see [`Table::id`]).
+const NO_HANDLE: u32 = u32::MAX;
+
+impl Field for Option<FileHandle> {
+    type Read = Option<FhId>;
+    fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
+        e.slots[at.slot()] = self.map_or(NO_HANDLE, |fh| intern_handle(&fh));
+    }
+    fn get(e: &TraceEvent, at: &mut Cursor) -> Option<FhId> {
+        let id = e.slots[at.slot()];
+        (id != NO_HANDLE).then_some(FhId(id, PhantomData))
+    }
+}
+
+impl Field for FileHandle {
+    type Read = FhId;
+    fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
+        e.slots[at.slot()] = intern_handle(self);
+    }
+    fn get(e: &TraceEvent, at: &mut Cursor) -> FhId {
+        FhId(e.slots[at.slot()], PhantomData)
+    }
+}
+
+/// A multiply-and-rotate hash (the one rustc uses): the tables are probed
+/// once or twice per event, with keys the simulation made, so SipHash's
+/// flood resistance buys nothing and costs most of an `emit`. Unseeded,
+/// so a map built with it iterates in the same order every run.
+#[derive(Default)]
+pub struct Mix(u64);
+
+impl Hasher for Mix {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` over [`Mix`], for the passes' own maps too.
+pub type Map<K, V> = HashMap<K, V, BuildHasherDefault<Mix>>;
+
+/// What an intern table holds: `scatter` need not be a strong hash, only spread —
+/// a table is probed once or twice per event, by keys the simulation
+/// made.
+pub trait Key: Copy + PartialEq {
+    fn scatter(&self) -> u64;
+}
+
+/// The bits of `n` spread over the word (rustc's multiplier); a table
+/// indexes by the high ones.
+fn spread(n: u64) -> u64 {
+    n.wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+impl Key for u64 {
+    fn scatter(&self) -> u64 {
+        spread(*self)
+    }
+}
+
+impl Key for FileHandle {
+    fn scatter(&self) -> u64 {
+        let rest = u64::from(self.fsid) << 32 | u64::from(self.generation);
+        spread(self.inode ^ rest.rotate_left(24))
+    }
+}
+
+impl Key for &str {
+    fn scatter(&self) -> u64 {
+        let folded = self
+            .bytes()
+            .fold(0u64, |h, b| h.rotate_left(7) ^ u64::from(b));
+        spread(folded)
+    }
+}
+
+/// One intern table: `keys[id]` is the key interned under `id`.
+pub struct Table<K> {
+    /// The ids, open-addressed by hash with linear probing; `FREE` where
+    /// there is none. A power of two long and at most half full.
+    index: Vec<u32>,
+    keys: Vec<K>,
+}
+
+const FREE: u32 = u32::MAX;
+
+impl<K> Default for Table<K> {
+    fn default() -> Self {
+        Table {
+            index: vec![FREE; 64],
+            keys: Vec::new(),
+        }
+    }
+}
+
+impl<K: Key> Table<K> {
+    /// The id of the key `is` accepts, or else where in `index` its id
+    /// would go.
+    fn find(&self, hash: u64, is: impl Fn(&K) -> bool) -> Result<u32, usize> {
+        let mask = self.index.len() - 1;
+        let mut at = (hash >> 32) as usize & mask;
+        loop {
+            match self.index[at] {
+                FREE => return Err(at),
+                id if is(&self.keys[id as usize]) => return Ok(id),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The id of the key `is` accepts, which is `key()` if it has none yet.
+    /// Ids stay below 2³¹: clear of [`WIDE`], [`NO_HANDLE`] and [`FREE`].
+    fn id(&mut self, hash: u64, is: impl Fn(&K) -> bool, key: impl FnOnce() -> K) -> u32 {
+        let at = match self.find(hash, is) {
+            Ok(id) => return id,
+            Err(at) => at,
+        };
+        let id = u32::try_from(self.keys.len()).ok().filter(|&id| id < WIDE);
+        let id = id.expect("fewer than 2^31 distinct keys in a trace table");
+        self.index[at] = id;
+        self.keys.push(key());
+        if self.keys.len() * 2 > self.index.len() {
+            self.index = vec![FREE; self.index.len() * 2];
+            for (id, key) in self.keys.iter().enumerate() {
+                let at = self.find(key.scatter(), |_| false).unwrap_err();
+                self.index[at] = id as u32;
+            }
+        }
+        id
+    }
+}
+
+/// This thread's tables.
+#[derive(Default)]
+pub struct Tables {
+    names: Table<&'static str>,
+    handles: Table<FileHandle>,
+    wide: Table<u64>,
+}
+
+thread_local! {
+    static TABLES: RefCell<Tables> = RefCell::default();
+}
+
+fn intern(id: impl FnOnce(&mut Tables) -> u32) -> u32 {
+    TABLES.with_borrow_mut(id)
+}
+
+fn intern_handle(fh: &FileHandle) -> u32 {
+    intern(|tables| tables.handles.id(fh.scatter(), |known| known == fh, || *fh))
+}
+
+/// The text is copied, and the copy leaked, the first time it is seen.
+fn intern_text(text: &str) -> u32 {
+    intern(|tables| {
+        let leak = || &*Box::leak(Box::<str>::from(text));
+        tables
+            .names
+            .id(text.scatter(), |known| *known == text, leak)
+    })
+}

@@ -58,19 +58,19 @@ fn variant(kind: &EventKind) -> usize {
 const VARIANTS: usize = 36;
 
 /// One event of every kind (`rpc_call` twice: with and without a file
-/// handle), every free-text field carrying [`NASTY`]. Spans are opened
-/// and closed in pairs, each end naming its opener as `parent`, the way
-/// the emit sites do.
-fn sample() -> Vec<TraceEvent> {
+/// handle), every free-text field carrying [`NASTY`], each with its
+/// parent. Spans are opened and closed in pairs, each end naming its
+/// opener as `parent`, the way the emit sites do.
+fn kinds() -> Vec<(u64, EventKind)> {
     let c = ClientId(3);
     let fh = FileHandle::new(1, 7, 2);
     let disk: Rc<str> = Rc::from(NASTY);
-    let kinds: Vec<(u64, EventKind)> = vec![
+    vec![
         (
             0,
             EventKind::Meta {
                 key: "pro\"to\\col",
-                value: NASTY.to_string(),
+                value: NASTY.into(),
             },
         ),
         (
@@ -321,7 +321,7 @@ fn sample() -> Vec<TraceEvent> {
             0,
             EventKind::ShardRoute {
                 shard: 2,
-                name: NASTY.to_string(),
+                name: NASTY.into(),
                 epoch: 1,
             },
         ),
@@ -338,16 +338,16 @@ fn sample() -> Vec<TraceEvent> {
                 txid: 8,
                 from_shard: 0,
                 to_shard: 2,
-                from_name: NASTY.to_string(),
-                to_name: "plain".to_string(),
+                from_name: NASTY.into(),
+                to_name: "plain".into(),
                 link: false,
             },
         ),
         (
             0,
             EventKind::ShardMove {
-                from_name: String::new(),
-                to_name: NASTY.to_string(),
+                from_name: "".into(),
+                to_name: NASTY.into(),
                 shard: 2,
                 epoch: 2,
             },
@@ -359,23 +359,22 @@ fn sample() -> Vec<TraceEvent> {
                 committed: true,
             },
         ),
-    ];
+    ]
+}
+
+/// [`kinds`] as events, numbered from 1, ten microseconds apart.
+fn sample() -> Vec<TraceEvent> {
     (1..)
-        .zip(kinds)
-        .map(|(seq, (parent, kind))| TraceEvent {
-            seq,
-            t_us: seq * 10,
-            parent,
-            kind,
-        })
+        .zip(kinds())
+        .map(|(seq, (parent, kind))| TraceEvent::new(seq, seq * 10, parent, kind))
         .collect()
 }
 
 #[test]
 fn the_sample_covers_every_variant() {
     let mut seen = [false; VARIANTS];
-    for e in sample() {
-        seen[variant(&e.kind)] = true;
+    for (_, kind) in kinds() {
+        seen[variant(&kind)] = true;
     }
     assert_eq!(seen, [true; VARIANTS], "a variant has no sample event");
 }
@@ -405,12 +404,12 @@ fn design_md_lists_every_kind_and_key() {
         .and_then(|rest| rest.split("\n## 12. ").next())
         .expect("DESIGN.md has a section 11");
     for e in sample() {
-        let name = e.kind.name();
+        let name = e.name();
         let row = section
             .lines()
             .find(|l| l.starts_with(&format!("| `{name}` |")))
             .unwrap_or_else(|| panic!("DESIGN.md §11 has no row for `{name}`"));
-        e.kind.fields(&mut |key, _| {
+        e.fields(&mut |key, _| {
             assert!(
                 row.contains(&format!("`{key}`")),
                 "`{name}` row lacks `{key}`"

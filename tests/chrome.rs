@@ -9,7 +9,7 @@ use spritely::harness::{
 };
 use spritely::metrics::json::{parse, Value};
 use spritely::proto::Fnv;
-use spritely::trace::EventKind;
+use spritely::trace::Event;
 
 fn andrew() -> TraceReport {
     let params = TestbedParams {
@@ -110,8 +110,8 @@ fn spans_pair_up_and_every_process_is_named() {
         let (mut spans, mut overlap) = (0, 0);
         for (i, (row, e)) in events.iter().zip(trace.events.iter()).enumerate() {
             assert!(named.contains(&num(row, "pid")), "unnamed pid: {row:?}");
-            let (own, opener) = match &e.kind {
-                EventKind::DiskQueue { disk, req, .. } | EventKind::DiskDone { disk, req, .. } => {
+            let (own, opener) = match e.view() {
+                Event::DiskQueue { disk, req, .. } | Event::DiskDone { disk, req, .. } => {
                     let request = format!("{disk}#{req}");
                     (request.clone(), request)
                 }

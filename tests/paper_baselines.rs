@@ -16,7 +16,7 @@ use std::fs;
 
 use spritely::harness::catalog::{self, rendered};
 use spritely::harness::{Protocol, Testbed, TestbedParams};
-use spritely::trace::EventKind;
+use spritely::trace::Event;
 use spritely::vfs::OpenFlags;
 
 #[test]
@@ -112,11 +112,11 @@ fn paper_mode_keeps_delegations_inert() {
         .iter()
         .filter(|e| {
             matches!(
-                e.kind,
-                EventKind::DelegGrant { .. }
-                    | EventKind::DelegRecall { .. }
-                    | EventKind::DelegReturn { .. }
-                    | EventKind::DelegLocalOpen { .. }
+                e.view(),
+                Event::DelegGrant { .. }
+                    | Event::DelegRecall { .. }
+                    | Event::DelegReturn { .. }
+                    | Event::DelegLocalOpen { .. }
             )
         })
         .count();

@@ -10,7 +10,7 @@ use spritely::harness::{
 use spritely::proto::{Fnv, BLOCK_SIZE};
 use spritely::rpcnet::PartitionDir;
 use spritely::sim::SimDuration;
-use spritely::trace::{profile_trace, EventKind};
+use spritely::trace::{profile_trace, Event};
 use spritely::vfs::OpenFlags;
 
 fn andrew(trace: bool) -> AndrewRun {
@@ -32,7 +32,7 @@ fn every_rpc_claimed_once_and_phases_partition_each_span() {
     let rpc_calls = trace
         .events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::RpcCall { .. }))
+        .filter(|e| matches!(e.view(), Event::RpcCall { .. }))
         .count() as u64;
     let p = profile_trace(&trace.events);
     assert_eq!(p.total_rpcs, rpc_calls, "profiler saw every RpcCall");
@@ -104,7 +104,7 @@ fn recall_rpcs_are_claimed_by_the_profiler() {
     let rpc_calls = trace
         .events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::RpcCall { .. }))
+        .filter(|e| matches!(e.view(), Event::RpcCall { .. }))
         .count() as u64;
     let p = profile_trace(&trace.events);
     assert_eq!(p.total_rpcs, rpc_calls, "profiler saw every RpcCall");
@@ -221,18 +221,18 @@ fn sharded_delegated_faulted_profile_is_pinned() {
     });
     tb.sim.run_until(h);
     let trace = tb.finish_trace().expect("tracing on");
-    let count = |f: &dyn Fn(&EventKind) -> bool| trace.events.iter().filter(|e| f(&e.kind)).count();
-    let calls = count(&|k| matches!(k, EventKind::RpcCall { .. }));
+    let count = |f: &dyn Fn(Event) -> bool| trace.events.iter().filter(|e| f(e.view())).count();
+    let calls = count(&|k| matches!(k, Event::RpcCall { .. }));
     assert!(
-        count(&|k| matches!(k, EventKind::RpcXmit { .. })) > calls,
+        count(&|k| matches!(k, Event::RpcXmit { .. })) > calls,
         "the wire retransmitted"
     );
     assert!(
-        count(&|k| matches!(k, EventKind::RpcArrive { dup: true, .. })) > 0,
+        count(&|k| matches!(k, Event::RpcArrive { dup: true, .. })) > 0,
         "the dup cache answered"
     );
     assert!(
-        count(&|k| matches!(k, EventKind::DelegRecall { .. })) > 0,
+        count(&|k| matches!(k, Event::DelegRecall { .. })) > 0,
         "B's sweep recalled A's delegations"
     );
     let p = profile_trace(&trace.events);

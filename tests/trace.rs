@@ -9,7 +9,7 @@ use spritely::harness::{
 };
 use spritely::proto::{ClientId, FileHandle, NfsProc, BLOCK_SIZE};
 use spritely::snfs::SnfsClient;
-use spritely::trace::{Cause, EventKind, FState, TraceEvent};
+use spritely::trace::{Cause, Event, EventKind, FState, TraceEvent};
 use spritely::vfs::OpenFlags;
 
 fn traced_params(protocol: Protocol, tmp_remote: bool) -> TestbedParams {
@@ -110,12 +110,7 @@ fn tracing_does_not_change_any_table() {
 }
 
 fn ev(seq: u64, kind: EventKind) -> TraceEvent {
-    TraceEvent {
-        seq,
-        t_us: seq * 10,
-        parent: 0,
-        kind,
-    }
+    TraceEvent::new(seq, seq * 10, 0, kind)
 }
 
 #[test]
@@ -322,7 +317,7 @@ fn traced_flush_run_upholds_all_invariants() {
     assert!(trace
         .events
         .iter()
-        .any(|e| matches!(e.kind, EventKind::FsyncOk { .. })));
+        .any(|e| matches!(e.view(), Event::FsyncOk { .. })));
 }
 
 /// Write-behind eviction under a tiny cache, traced and checked: blocks
@@ -414,7 +409,7 @@ fn traced_remove_during_eviction_cancels_writebacks() {
         trace
             .events
             .iter()
-            .any(|e| matches!(e.kind, EventKind::WriteCancel { .. })),
+            .any(|e| matches!(e.view(), Event::WriteCancel { .. })),
         "removal must cancel the delayed writes"
     );
     assert!(client.stats().cancelled_blocks > 0);

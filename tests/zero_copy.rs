@@ -691,6 +691,33 @@ fn a_trace_snapshot_is_free_and_an_emit_copies_only_under_a_live_one() {
     assert_eq!(tracer.len(), 7_000);
 }
 
+/// An emit packs its event into a 40-byte record, interning the strings
+/// and handles it names in the thread's tables: on ones the thread has
+/// seen that is a lookup. 1,000 each of three shapes — a handle and a
+/// number; an optional handle and three numbers; a disk label and four —
+/// allocate nothing, in a log with room.
+#[test]
+fn an_emit_on_warm_names_and_handles_allocates_nothing() {
+    let tracer = Tracer::new(&Sim::new());
+    let disk: Rc<str> = "srv".into();
+    #[rustfmt::skip]
+    let emit = |n: u64| {
+        for i in 0..n {
+            let (from, fh, proc) = (ClientId(1), FileHandle::new(1, 7 + i % 50, 1), NfsProc::Read);
+            tracer.emit(0, EventKind::CacheRead { client: from, fh, version: i });
+            tracer.emit(0, EventKind::RpcCall { from, xid: i, proc, fh: Some(fh), offset: i * 4096, len: 4096 });
+            tracer.emit(0, EventKind::DiskDone { disk: disk.clone(), req: i, block: i, write: false, wait_us: 5, pos_us: 9 });
+        }
+    };
+    // 4,200 events leave the log with room for 8,192, and every name and
+    // handle interned.
+    emit(1_400);
+    let before = allocations();
+    emit(1_000);
+    assert_eq!(allocations() - before, 0, "3,000 emits");
+    assert_eq!(tracer.len(), 7_200);
+}
+
 /// `n` reads, each an op holding one RPC whose handler waits for the disk.
 #[rustfmt::skip]
 fn read_trace(n: u64) -> Vec<TraceEvent> {
@@ -700,7 +727,7 @@ fn read_trace(n: u64) -> Vec<TraceEvent> {
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut push = |t_us, parent, kind| {
         let seq = events.len() as u64 + 1;
-        events.push(TraceEvent { seq, t_us, parent, kind });
+        events.push(TraceEvent::new(seq, t_us, parent, kind));
         seq
     };
     for xid in 0..n {
