@@ -486,55 +486,3 @@ pub fn trace_summary(report: &crate::snapshot::TraceReport) -> String {
     }
     out
 }
-
-/// Per-shard serving breakdown for a sharded run (DESIGN.md §18): RPCs
-/// served, duplicate-cache hits, state-table residency, cross-shard
-/// coordination traffic and the contention counters, one row per shard
-/// plus an aggregate footer.
-pub fn shard_table(s: &crate::ShardsSnapshot) -> String {
-    let mut t = TextTable::new(vec![
-        "Shard",
-        "RPCs",
-        "dup hits",
-        "table",
-        "x-renames",
-        "x-links",
-        "redirects",
-        "busy",
-        "lock cont.",
-        "dup cont.",
-    ]);
-    for sh in &s.shards {
-        t.row(vec![
-            sh.shard.to_string(),
-            sh.rpcs.to_string(),
-            sh.dup_hits.to_string(),
-            sh.table_entries.to_string(),
-            sh.cross_renames.to_string(),
-            sh.cross_links.to_string(),
-            sh.wrong_shard_replies.to_string(),
-            sh.busy_rejections.to_string(),
-            sh.lock_contention.to_string(),
-            sh.dup_contention.to_string(),
-        ]);
-    }
-    let sum = |f: fn(&crate::ShardSnapshot) -> u64| s.shards.iter().map(f).sum::<u64>();
-    t.row(vec![
-        "total".to_string(),
-        sum(|x| x.rpcs).to_string(),
-        sum(|x| x.dup_hits).to_string(),
-        sum(|x| x.table_entries).to_string(),
-        sum(|x| x.cross_renames).to_string(),
-        sum(|x| x.cross_links).to_string(),
-        sum(|x| x.wrong_shard_replies).to_string(),
-        sum(|x| x.busy_rejections).to_string(),
-        sum(|x| x.lock_contention).to_string(),
-        sum(|x| x.dup_contention).to_string(),
-    ]);
-    let mut out = t.render();
-    out.push_str(&format!(
-        "peak client cache: {} KiB (lazily allocated; idle clients hold none)\n",
-        s.peak_client_kb
-    ));
-    out
-}

@@ -2,7 +2,7 @@
 //!
 //! A [`Sim`] owns a virtual clock and a set of tasks (plain Rust futures).
 //! Tasks run until they block on a simulation primitive (a timer, a
-//! semaphore, a channel, ...). When no task is runnable the executor advances
+//! semaphore, an event, ...). When no task is runnable the executor advances
 //! the clock to the earliest pending timer and resumes whoever was waiting on
 //! it. Runs are fully deterministic: identical inputs produce identical event
 //! orders and identical final clocks.

@@ -4,7 +4,7 @@
 //! This crate is the substrate every other crate in the workspace runs on:
 //! a single-threaded async executor driven by a *virtual* clock. Simulated
 //! hosts, disks, networks and daemons are ordinary Rust futures that block
-//! on [`Sim::sleep`], [`Semaphore`]s, [`Resource`]s and channels; when
+//! on [`Sim::sleep`], [`Semaphore`]s, [`Resource`]s and [`Event`]s; when
 //! nothing is runnable, the executor jumps the clock to the next timer.
 //!
 //! Design goals, in order:
@@ -45,5 +45,5 @@ pub use executor::{
 };
 pub use resource::{Resource, ResourceGuard};
 pub use rng::SimRng;
-pub use sync::{channel, Acquire, Event, EventWait, Permit, Receiver, Recv, Semaphore, Sender};
+pub use sync::{Acquire, Event, EventWait, Permit, Semaphore};
 pub use time::{SimDuration, SimTime};

@@ -302,112 +302,6 @@ impl Future for EventWait {
     }
 }
 
-/// Creates an unbounded FIFO channel.
-///
-/// Sends never block; receives wait for a message. Receiving returns `None`
-/// once every sender has been dropped and the queue is drained.
-pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    let inner = Rc::new(RefCell::new(ChanInner {
-        queue: VecDeque::new(),
-        waiters: Waiters::default(),
-        senders: 1,
-    }));
-    (
-        Sender {
-            inner: Rc::clone(&inner),
-        },
-        Receiver { inner },
-    )
-}
-
-struct ChanInner<T> {
-    queue: VecDeque<T>,
-    waiters: Waiters,
-    senders: usize,
-}
-
-/// Sending half of a [`channel`]. Cloneable.
-pub struct Sender<T> {
-    inner: Rc<RefCell<ChanInner<T>>>,
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.inner.borrow_mut().senders += 1;
-        Sender {
-            inner: Rc::clone(&self.inner),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut s = self.inner.borrow_mut();
-        s.senders -= 1;
-        if s.senders == 0 {
-            s.waiters.wake_all();
-        }
-    }
-}
-
-impl<T> Sender<T> {
-    /// Enqueues a message; never blocks.
-    pub fn send(&self, v: T) {
-        let mut s = self.inner.borrow_mut();
-        s.queue.push_back(v);
-        s.waiters.wake_all();
-    }
-}
-
-/// Receiving half of a [`channel`].
-pub struct Receiver<T> {
-    inner: Rc<RefCell<ChanInner<T>>>,
-}
-
-impl<T> Receiver<T> {
-    /// Waits for the next message; `None` when all senders are gone and the
-    /// queue is empty.
-    pub fn recv(&self) -> Recv<'_, T> {
-        Recv { rx: self }
-    }
-
-    /// Takes a message if one is queued.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.borrow_mut().queue.pop_front()
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().queue.len()
-    }
-
-    /// Returns true if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Future returned by [`Receiver::recv`].
-pub struct Recv<'a, T> {
-    rx: &'a Receiver<T>,
-}
-
-impl<T> Future for Recv<'_, T> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut s = self.rx.inner.borrow_mut();
-        if let Some(v) = s.queue.pop_front() {
-            Poll::Ready(Some(v))
-        } else if s.senders == 0 {
-            Poll::Ready(None)
-        } else {
-            s.waiters.push(cx.waker());
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,52 +535,5 @@ mod tests {
             ev2.wait().await;
             assert_eq!(s.now(), t0);
         });
-    }
-
-    #[test]
-    fn channel_delivers_in_order() {
-        let sim = Sim::new();
-        let (tx, rx) = channel::<u32>();
-        let s = sim.clone();
-        sim.spawn(async move {
-            for i in 0..5 {
-                s.sleep(SimDuration::from_millis(1)).await;
-                tx.send(i);
-            }
-        });
-        let out = sim.block_on(async move {
-            let mut v = Vec::new();
-            while let Some(x) = rx.recv().await {
-                v.push(x);
-            }
-            v
-        });
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn channel_recv_none_when_senders_dropped() {
-        let sim = Sim::new();
-        let (tx, rx) = channel::<u8>();
-        tx.send(1);
-        drop(tx);
-        let out = sim.block_on(async move {
-            let a = rx.recv().await;
-            let b = rx.recv().await;
-            (a, b)
-        });
-        assert_eq!(out, (Some(1), None));
-    }
-
-    #[test]
-    fn channel_clone_sender_counts() {
-        let sim = Sim::new();
-        let (tx, rx) = channel::<u8>();
-        let tx2 = tx.clone();
-        drop(tx);
-        tx2.send(9);
-        drop(tx2);
-        let out = sim.block_on(async move { (rx.recv().await, rx.recv().await) });
-        assert_eq!(out, (Some(9), None));
     }
 }
