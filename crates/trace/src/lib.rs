@@ -167,12 +167,6 @@ macro_rules! events {
         }
 
         impl EventKind {
-            pub(crate) fn tag(&self) -> Tag {
-                match self {
-                    $( EventKind::$Kind { .. } => Tag::$Kind ),*
-                }
-            }
-
             pub(crate) fn pack(&self, e: &mut TraceEvent) {
                 let mut at = record::Cursor::default();
                 match self {
@@ -185,7 +179,9 @@ macro_rules! events {
 
             /// The `ev` value of the JSONL line.
             pub fn name(&self) -> &'static str {
-                self.tag().name()
+                match self {
+                    $( EventKind::$Kind { .. } => $name ),*
+                }
             }
 
             /// Hands `f` every field as `(key, value)`, in the order the

@@ -24,7 +24,7 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 
 # Every experiment in the catalogue, once, at seed 42: its own gate
 # conditions (trace checker clean, each layer's speedup floor, chaos
-# convergence, the sim-core wall-clock floor), its artifacts against
+# convergence, the sim core's exact counts), its artifacts against
 # baselines/ byte for byte, its ledger against BENCH_<name>.json key for
 # key. Prints per-experiment wall time.
 echo "==> spritely gate (22 experiments vs baselines/ and BENCH_*.json)"
@@ -45,9 +45,11 @@ metric() {
 # Both ends of the one testbed construction: sort_nfs is NFS over one
 # server, fleet is 8 shards x 512 SNFS clients. Each runs twice. `--trace 1`
 # exercises the per-layer pass (kernels, span files) and prints the
-# per-layer JSON line: the checker must have found nothing and the profiler
-# must have attributed every microsecond, so a checker that starts firing
-# or a profiler that drops a claim fails here. `--trace 0` prints
+# per-layer JSON line: the checker must have found nothing, the profiler
+# must have attributed every microsecond and the trace must hold as many
+# events as baselines/trace_events.txt says, so a checker that starts
+# firing, a profiler that drops a claim or an emit site that changes what
+# it records fails here. `--trace 0` prints
 # the end-to-end JSON line, whose host_allocs_per_run is held to
 # baselines/allocs.txt within the benchmark's own 2 % bound, like the line
 # count below: more is a regression, fewer is a stale file, so a layer
@@ -65,7 +67,16 @@ for w in sort_nfs fleet; do
             exit 1
         fi
     done
-    echo "    trace.violations 0, trace.attributed_share 1"
+    # What a run records is part of the format: an event added, dropped or
+    # emitted twice moves this count (a mean over the run's fixed cycles,
+    # exact at one seed) before it moves any digest.
+    events=$(metric trace.events "$traced")
+    recorded=$(awk -v w="$w" '$1 == w { print $2 }' baselines/trace_events.txt)
+    if [ -z "$events" ] || [ "$events" != "$recorded" ]; then
+        echo "FAIL: $w, traced: trace.events is '$events'; baselines/trace_events.txt has '$recorded'"
+        exit 1
+    fi
+    echo "    trace.violations 0, trace.attributed_share 1, trace.events $events"
     echo "==> benchmark: $w, 2 s, host_allocs_per_run vs baselines/allocs.txt"
     untraced=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 0 | tail -1)
     # A median of an even number of runs can end in .5; the shell counts whole.

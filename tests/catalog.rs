@@ -100,10 +100,19 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
         assert_eq!(by.len(), 1, "artifacts/{file} is written by {by:?}");
     }
     for file in file_names(&root().join("baselines")) {
-        // The four that are not artifacts: the directory's own README,
-        // the pre-PR-6 reference `sim_speed` is compiled against, and the
-        // line-count and allocation-count ratchets of `scripts/check.sh`.
-        if ["README.md", "sim_speed.txt", "loc.txt", "allocs.txt"].contains(&file.as_str()) {
+        // The six that are not artifacts: the directory's own README,
+        // the pre-PR-6 reference `sim_speed` is compiled against, the
+        // line-count, allocation-count and event-count ratchets of
+        // `scripts/check.sh`, and the ledger of host-clock claims.
+        const NOT_ARTIFACTS: [&str; 6] = [
+            "README.md",
+            "sim_speed.txt",
+            "loc.txt",
+            "allocs.txt",
+            "trace_events.txt",
+            "host_ledger.jsonl",
+        ];
+        if NOT_ARTIFACTS.contains(&file.as_str()) {
             continue;
         }
         let by = writers.get(&file).map_or(&[][..], Vec::as_slice);
