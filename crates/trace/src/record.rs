@@ -162,7 +162,7 @@ impl Field for u64 {
     fn put(&self, e: &mut TraceEvent, at: &mut Cursor) {
         e.slots[at.slot()] = match u32::try_from(*self) {
             Ok(n) if n < WIDE => n,
-            _ => WIDE | intern(|tables| tables.wide.id(self.scatter(), |n| n == self, || *self)),
+            _ => WIDE | intern_wide(*self),
         };
     }
     fn get(e: &TraceEvent, at: &mut Cursor) -> u64 {
@@ -338,10 +338,11 @@ impl Field for FileHandle {
     }
 }
 
-/// A multiply-and-rotate hash (the one rustc uses): the tables are probed
-/// once or twice per event, with keys the simulation made, so SipHash's
-/// flood resistance buys nothing and costs most of an `emit`. Unseeded,
-/// so a map built with it iterates in the same order every run.
+/// The hasher of the passes' maps, a multiply and a rotate per word (the
+/// one rustc uses): their keys are ids the simulation made, looked up
+/// once or twice per event, so SipHash's flood resistance buys nothing
+/// and costs half a pass. Unseeded, so a map iterates in the same order
+/// every run.
 #[derive(Default)]
 pub struct Mix(u64);
 
@@ -357,7 +358,7 @@ impl Hasher for Mix {
     }
 
     fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+        self.0 = spread(self.0.rotate_left(5) ^ n);
     }
 
     fn finish(&self) -> u64 {
@@ -365,12 +366,12 @@ impl Hasher for Mix {
     }
 }
 
-/// A `HashMap` over [`Mix`], for the passes' own maps too.
+/// A `HashMap` over [`Mix`].
 pub type Map<K, V> = HashMap<K, V, BuildHasherDefault<Mix>>;
 
-/// What an intern table holds: `scatter` need not be a strong hash, only spread —
-/// a table is probed once or twice per event, by keys the simulation
-/// made.
+/// What an intern table holds. `scatter` need not be a strong hash, only
+/// spread: a table is probed once or twice per event, by keys the
+/// simulation made.
 pub trait Key: Copy + PartialEq {
     fn scatter(&self) -> u64;
 }
@@ -471,17 +472,17 @@ thread_local! {
     static TABLES: RefCell<Tables> = RefCell::default();
 }
 
-fn intern(id: impl FnOnce(&mut Tables) -> u32) -> u32 {
-    TABLES.with_borrow_mut(id)
+fn intern_wide(n: u64) -> u32 {
+    TABLES.with_borrow_mut(|tables| tables.wide.id(n.scatter(), |&known| known == n, || n))
 }
 
 fn intern_handle(fh: &FileHandle) -> u32 {
-    intern(|tables| tables.handles.id(fh.scatter(), |known| known == fh, || *fh))
+    TABLES.with_borrow_mut(|tables| tables.handles.id(fh.scatter(), |known| known == fh, || *fh))
 }
 
 /// The text is copied, and the copy leaked, the first time it is seen.
 fn intern_text(text: &str) -> u32 {
-    intern(|tables| {
+    TABLES.with_borrow_mut(|tables| {
         let leak = || &*Box::leak(Box::<str>::from(text));
         tables
             .names
