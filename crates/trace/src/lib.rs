@@ -511,7 +511,7 @@ mod tests {
     }
 
     /// Equal text and equal handles get equal ids, however far the tables
-    /// have grown since (2,000 keys is five doublings), and an id reads
+    /// have grown since (2,000 keys is six doublings), and an id reads
     /// back as what it was given for.
     #[test]
     fn interning_the_same_thing_twice_gives_the_same_id() {
