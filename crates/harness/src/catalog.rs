@@ -36,6 +36,7 @@ mod layers;
 mod paper;
 mod sim_speed;
 
+pub use layers::{run_open_churn, run_shared_read};
 pub use paper::andrew_runs;
 
 /// One experiment of the evaluation.

@@ -327,7 +327,7 @@ fn transport_andrew_params(t: TransportParams) -> TestbedParams {
 /// (untimed), every client cold-boots, then all `n` clients read the
 /// whole file concurrently with an 8-block read-ahead window. Returns
 /// the testbed plus the measured phase's makespan and message count.
-fn run_shared_read(t: TransportParams, n: usize, trace: bool) -> (Testbed, f64, u64) {
+pub fn run_shared_read(t: TransportParams, n: usize, trace: bool) -> (Testbed, f64, u64) {
     let tb = Testbed::build_with_clients(
         TestbedParams {
             protocol: Protocol::Snfs,
@@ -522,7 +522,7 @@ fn delegation_stack(d: DelegationParams) -> TestbedParams {
 /// `CHURN_ROUNDS` open/read/close cycles on the private file, then
 /// `DOC_ROUNDS` passes over the `DOC_FILES`-file docroot. Returns the
 /// testbed plus the measured makespan and wire message count.
-fn run_open_churn(d: DelegationParams, n: usize, trace: bool) -> (Testbed, f64, u64) {
+pub fn run_open_churn(d: DelegationParams, n: usize, trace: bool) -> (Testbed, f64, u64) {
     let tb = Testbed::build_with_clients(
         TestbedParams {
             name_cache: true,
