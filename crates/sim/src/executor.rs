@@ -344,12 +344,7 @@ impl Sim {
 
     /// Returns a future that completes `d` after the current virtual time.
     pub fn sleep(&self, d: SimDuration) -> Sleep {
-        Sleep {
-            sim: self.clone(),
-            deadline: self.now() + d,
-            timer: None,
-            registered: false,
-        }
+        self.sleep_until(self.now() + d)
     }
 
     /// Returns a future that completes at the given absolute virtual time

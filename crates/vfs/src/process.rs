@@ -297,13 +297,8 @@ impl Proc {
 
     /// Sequential read from the fd's position.
     pub async fn read(&self, fd: Fd, len: u32) -> Result<Vec<u8>> {
-        let (backend, fh, pos) = self.with_fd(fd, |of| (of.backend.clone(), of.fh, of.pos))?;
-        let readable = self.with_fd(fd, |of| of.read)?;
-        if !readable {
-            return Err(NfsStatus::Access);
-        }
-        let data = backend.read(fh, pos, len).await?;
-        self.charge(data.len()).await;
+        let pos = self.with_fd(fd, |of| of.pos)?;
+        let data = self.read_at(fd, pos, len).await?;
         self.with_fd(fd, |of| of.pos += data.len() as u64)?;
         Ok(data)
     }
@@ -322,15 +317,9 @@ impl Proc {
 
     /// Sequential write at the fd's position.
     pub async fn write(&self, fd: Fd, data: &[u8]) -> Result<()> {
-        let (backend, fh, pos, writable) =
-            self.with_fd(fd, |of| (of.backend.clone(), of.fh, of.pos, of.write))?;
-        if !writable {
-            return Err(NfsStatus::Access);
-        }
-        self.charge(data.len()).await;
-        backend.write(fh, pos, data).await?;
-        self.with_fd(fd, |of| of.pos += data.len() as u64)?;
-        Ok(())
+        let pos = self.with_fd(fd, |of| of.pos)?;
+        self.write_at(fd, pos, data).await?;
+        self.with_fd(fd, |of| of.pos += data.len() as u64)
     }
 
     /// Positional write (does not move the fd position).
