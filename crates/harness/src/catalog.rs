@@ -28,15 +28,14 @@ use std::path::Path;
 use spritely_metrics::json::Writer;
 
 use crate::compare::{compare_json, CompareOptions};
-use crate::report;
 use crate::snapshot::TraceReport;
+use crate::{report, scripts, Protocol, Run, ServerIoParams, TestbedParams, WriteBehindParams};
 
 mod ablations;
 mod layers;
 mod paper;
 mod sim_speed;
 
-pub use layers::{run_open_churn, run_shared_read};
 pub use paper::andrew_runs;
 
 /// One experiment of the evaluation.
@@ -126,10 +125,41 @@ pub const CATALOG: &[Entry] = &[
     layers::SCALING,
     layers::SERVER_SCALING,
     layers::RPC_TRANSPORT,
-    layers::CHAOS,
+    layers::CHAOS_ENTRY,
     layers::OPEN_CHURN,
     sim_speed::SIM_SPEED,
 ];
+
+/// A canned traced run of `spritely profile`: CLI name, artifact stem, run.
+pub type Profile = (&'static str, &'static str, fn(u64) -> TraceReport);
+
+/// The traced runs `spritely profile` attributes: the catalogue's own
+/// three, and Andrew once more with the server I/O and write-behind
+/// pipelines on.
+pub const PROFILES: [Profile; 4] = [
+    ("andrew", "andrew_snfs", |seed| {
+        traced(paper::traced_andrew(seed))
+    }),
+    ("andrew-pipelined", "andrew_snfs_pipelined", |seed| {
+        let params = TestbedParams {
+            server_io: ServerIoParams::pipelined(),
+            write_behind: WriteBehindParams::pipelined(),
+            trace: true,
+            ..TestbedParams::paper(Protocol::Snfs, true)
+        };
+        traced(scripts::andrew(params, seed))
+    }),
+    ("scaling", "scaling_pipelined_4", |seed| {
+        traced(layers::traced_scaling(seed))
+    }),
+    ("flush", "flush_pipelined", |_| {
+        traced(layers::traced_flush())
+    }),
+];
+
+fn traced<T>(run: Run<T>) -> TraceReport {
+    run.tb.finish_trace().expect("tracing was on")
+}
 
 /// Looks an entry up by name.
 pub fn find(name: &str) -> Option<&'static Entry> {

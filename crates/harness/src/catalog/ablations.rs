@@ -7,10 +7,8 @@ use spritely_proto::NfsProc;
 use spritely_sim::SimDuration;
 
 use super::{slug_of, Entry, Outcome};
-use crate::{
-    run_andrew, run_andrew_with, run_sort_experiment, run_sort_with, Protocol, SnfsServerParams,
-    Testbed, TestbedParams,
-};
+use crate::scripts::{andrew, sort, state_churn};
+use crate::{Protocol, SnfsServerParams, TestbedParams};
 
 /// The NFS client's invalidate-on-close bug. The paper attributes less
 /// than a quarter of the sort-benchmark difference to it (§5.3); the
@@ -22,8 +20,8 @@ pub(super) const CLOSE_BUG: Entry = Entry {
         let mut t = TextTable::new(vec!["client", "elapsed s", "reads", "writes"]);
         let mut o = Outcome::default();
         for p in [Protocol::Nfs, Protocol::NfsFixed, Protocol::Snfs] {
-            let r = run_sort_experiment(p, 1408 * 1024, true);
-            let elapsed = format!("{:.1}", r.elapsed.as_secs_f64());
+            let r = sort(TestbedParams::paper(p, true), 1408 * 1024);
+            let elapsed = format!("{:.1}", r.first().as_secs_f64());
             t.row(vec![
                 p.label().to_string(),
                 elapsed.clone(),
@@ -51,22 +49,20 @@ pub(super) const DELAYED_CLOSE: Entry = Entry {
         let mut t = TextTable::new(vec!["variant", "total s", "open", "close", "total ops"]);
         let mut o = Outcome::default();
         for p in [Protocol::Snfs, Protocol::SnfsDelayedClose] {
-            let r = run_andrew(p, false, seed);
+            let r = andrew(TestbedParams::paper(p, false), seed);
+            let (total, ops) = (r.first().total().as_secs_f64(), r.ops_to_now());
             t.row(vec![
                 p.label().to_string(),
-                format!("{:.0}", r.times.total().as_secs_f64()),
-                r.ops_with_tail.get(NfsProc::Open).to_string(),
-                r.ops_with_tail.get(NfsProc::Close).to_string(),
-                r.ops_with_tail.total().to_string(),
+                format!("{total:.0}"),
+                ops.get(NfsProc::Open).to_string(),
+                ops.get(NfsProc::Close).to_string(),
+                ops.total().to_string(),
             ]);
             o.field(
                 format!("{}_total_s", slug_of(p.label())),
-                format!("{:.1}", r.times.total().as_secs_f64()),
+                format!("{total:.1}"),
             );
-            o.field(
-                format!("{}_rpcs", slug_of(p.label())),
-                r.ops_with_tail.total(),
-            );
+            o.field(format!("{}_rpcs", slug_of(p.label())), ops.total());
         }
         o.body = t.render();
         o
@@ -81,11 +77,7 @@ pub(super) const WRITE_DELAY: Entry = Entry {
     name: "ablation_write_delay",
     title: "Ablation: SNFS write-delay policy (sort 2816 KB)",
     run: |_| {
-        let snfs = TestbedParams {
-            protocol: Protocol::Snfs,
-            tmp_remote: true,
-            ..TestbedParams::default()
-        };
+        let snfs = TestbedParams::paper(Protocol::Snfs, true);
         let variants = [
             (
                 "flush-all@30s (Unix)",
@@ -112,10 +104,10 @@ pub(super) const WRITE_DELAY: Entry = Entry {
         let mut t = TextTable::new(vec!["policy", "elapsed s", "write RPCs"]);
         let mut o = Outcome::default();
         for (name, params) in variants {
-            let r = run_sort_with(params, 2816 * 1024);
+            let r = sort(params, 2816 * 1024);
             t.row(vec![
                 name.to_string(),
-                format!("{:.1}", r.elapsed.as_secs_f64()),
+                format!("{:.1}", r.first().as_secs_f64()),
                 r.ops.get(NfsProc::Write).to_string(),
             ]);
             o.field(
@@ -138,64 +130,23 @@ pub(super) const PROBE_INTERVAL: Entry = Entry {
         let mut t = TextTable::new(vec!["probe floor", "total s", "getattr RPCs"]);
         let mut o = Outcome::default();
         for secs in [1, 3, 10, 60] {
-            let r = run_andrew_with(
-                TestbedParams {
-                    protocol: Protocol::Nfs,
-                    tmp_remote: true,
-                    nfs_attr_min: SimDuration::from_secs(secs),
-                    ..TestbedParams::default()
-                },
-                seed,
-            );
+            let params = TestbedParams {
+                nfs_attr_min: SimDuration::from_secs(secs),
+                ..TestbedParams::paper(Protocol::Nfs, true)
+            };
+            let r = andrew(params, seed);
+            let getattrs = r.ops_to_now().get(NfsProc::GetAttr);
             t.row(vec![
                 format!("{secs} s"),
-                format!("{:.0}", r.times.total().as_secs_f64()),
-                r.ops_with_tail.get(NfsProc::GetAttr).to_string(),
+                format!("{:.0}", r.first().total().as_secs_f64()),
+                getattrs.to_string(),
             ]);
-            o.field(
-                format!("probe_{secs}s_getattrs"),
-                r.ops_with_tail.get(NfsProc::GetAttr),
-            );
+            o.field(format!("probe_{secs}s_getattrs"), getattrs);
         }
         o.body = t.render();
         o
     },
 };
-
-/// Creates and closes 256 one-block files against a server whose state
-/// table holds `table_limit` entries, then reports `(table entries,
-/// reclaim passes, callbacks sent, write RPCs)`.
-fn churn(table_limit: usize) -> (usize, u64, u64, u64) {
-    let tb = Testbed::build(TestbedParams {
-        protocol: Protocol::Snfs,
-        snfs_server: SnfsServerParams {
-            table_limit,
-            reclaim_target: table_limit * 3 / 4,
-            ..SnfsServerParams::default()
-        },
-        ..TestbedParams::default()
-    });
-    let server = tb.snfs_server.clone().expect("snfs server");
-    let c = tb.clients[0].remote.snfs().expect("snfs client").clone();
-    let root = tb.server_fs.root();
-    let sim = tb.sim.clone();
-    tb.sim.block_on(async move {
-        for i in 0..256 {
-            let (fh, _) = c.create(root, &format!("f{i}")).await.unwrap();
-            c.open(fh, true).await.unwrap();
-            c.write(fh, 0, &[1u8; 4096]).await.unwrap();
-            c.close(fh, true).await.unwrap();
-        }
-        sim.sleep(SimDuration::from_secs(5)).await;
-    });
-    let stats = server.stats();
-    (
-        server.table_len(),
-        stats.reclaim_passes,
-        stats.callbacks_sent,
-        tb.counter.get(NfsProc::Write),
-    )
-}
 
 /// The SNFS server state-table limit (§4.3.1). A tight limit forces
 /// reclaim passes — callbacks that pull dirty data back early and drop
@@ -214,16 +165,25 @@ pub(super) const STATE_LIMIT: Entry = Entry {
         ]);
         let mut o = Outcome::default();
         for limit in [16, 64, 1000] {
-            let (len, passes, callbacks, writes) = churn(limit);
+            let run = state_churn(TestbedParams {
+                snfs_server: SnfsServerParams {
+                    table_limit: limit,
+                    reclaim_target: limit * 3 / 4,
+                    ..SnfsServerParams::default()
+                },
+                ..TestbedParams::default()
+            });
+            let server = run.tb.snfs_server.as_ref().expect("snfs server");
+            let stats = server.stats();
             t.row(vec![
                 limit.to_string(),
-                len.to_string(),
-                passes.to_string(),
-                callbacks.to_string(),
-                writes.to_string(),
+                server.table_len().to_string(),
+                stats.reclaim_passes.to_string(),
+                stats.callbacks_sent.to_string(),
+                run.ops.get(NfsProc::Write).to_string(),
             ]);
-            o.field(format!("limit_{limit}_reclaims"), passes);
-            o.field(format!("limit_{limit}_callbacks"), callbacks);
+            o.field(format!("limit_{limit}_reclaims"), stats.reclaim_passes);
+            o.field(format!("limit_{limit}_callbacks"), stats.callbacks_sent);
         }
         o.body = t.render();
         o
@@ -249,24 +209,21 @@ pub(super) const NAME_CACHE: Entry = Entry {
             ("SNFS", Protocol::Snfs, false),
             ("SNFS + name cache", Protocol::Snfs, true),
         ] {
-            let r = run_andrew_with(
-                TestbedParams {
-                    protocol,
-                    tmp_remote: true,
-                    name_cache,
-                    ..TestbedParams::default()
-                },
-                seed,
-            );
+            let params = TestbedParams {
+                name_cache,
+                ..TestbedParams::paper(protocol, true)
+            };
+            let r = andrew(params, seed);
+            let ops = r.ops_to_now();
             t.row(vec![
                 label.to_string(),
-                format!("{:.0}", r.times.total().as_secs_f64()),
-                r.ops_with_tail.get(NfsProc::Lookup).to_string(),
-                r.ops_with_tail.total().to_string(),
+                format!("{:.0}", r.first().total().as_secs_f64()),
+                ops.get(NfsProc::Lookup).to_string(),
+                ops.total().to_string(),
             ]);
             o.field(
                 format!("{}_lookups", slug_of(label)),
-                r.ops_with_tail.get(NfsProc::Lookup),
+                ops.get(NfsProc::Lookup),
             );
         }
         o.body = t.render();

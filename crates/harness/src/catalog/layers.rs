@@ -4,13 +4,12 @@
 
 use spritely_metrics::TextTable;
 use spritely_sim::SimDuration;
-use spritely_vfs::OpenFlags;
 
 use super::{slug_of, Entry, Outcome};
+use crate::scripts::{andrew, flush, open_churn, scaling, scaling_shards, shared_read};
 use crate::{
-    chaos_andrew, chaos_delegation, chaos_write_sharing, report, run_andrew_with, run_flush,
-    run_flush_with, run_scaling, run_scaling_shards, run_scaling_with, DelegationParams, Protocol,
-    ScalingRun, ServerIoParams, Testbed, TestbedParams, TransportParams, WriteBehindParams,
+    report, ChaosVerdict, DelegationParams, Protocol, Run, ServerIoParams, ShardParams,
+    TestbedParams, TransportParams, WriteBehindParams, CHAOS,
 };
 
 fn reduction_pct(paper: u64, pipelined: u64) -> f64 {
@@ -33,39 +32,52 @@ fn versus_row(t: &mut TextTable, label: &str, msgs: (u64, u64), secs: (f64, f64)
 
 const FLUSH_BLOCKS: usize = 64;
 
+/// One flush point: an SNFS client with no update daemons, so the
+/// `fsync` is the only flush.
+fn flush_run(write_behind: WriteBehindParams, trace: bool) -> Run<SimDuration> {
+    let params = TestbedParams {
+        update_enabled: false,
+        write_behind,
+        trace,
+        ..TestbedParams::default()
+    };
+    flush(params, FLUSH_BLOCKS)
+}
+
+/// The traced pipelined flush: `flush_latency`'s checked trace and
+/// `spritely profile flush`.
+pub(super) fn traced_flush() -> Run<SimDuration> {
+    flush_run(WriteBehindParams::pipelined(), true)
+}
+
 /// Simulated time to write a 64-block dirty file back to the server,
 /// paper-mode serial flush vs the gathered + pipelined write-behind pool.
 pub(super) const FLUSH_LATENCY: Entry = Entry {
     name: "flush_latency",
     title: "Flush latency: 64-block write-back, serial vs gathered+pipelined",
     run: |_| {
-        let runs = vec![
-            run_flush("paper (serial)", WriteBehindParams::default(), FLUSH_BLOCKS),
-            run_flush("pipelined", WriteBehindParams::pipelined(), FLUSH_BLOCKS),
-        ];
-        let serial = runs[0].flush_time.as_secs_f64();
-        let piped = runs[1].flush_time.as_secs_f64();
+        let paper = flush_run(WriteBehindParams::default(), false);
+        let pipe = flush_run(WriteBehindParams::pipelined(), false);
+        let serial = paper.first().as_secs_f64();
+        let piped = pipe.first().as_secs_f64();
         let gain = serial / piped;
+        let rows = [("paper (serial)", &paper), ("pipelined", &pipe)];
         let mut o = Outcome {
-            body: format!("{}\nspeedup: {gain:.2}x", report::flush_table(&runs)),
+            body: format!(
+                "{}\nspeedup: {gain:.2}x",
+                report::flush_table(FLUSH_BLOCKS, &rows)
+            ),
             ..Outcome::default()
         };
         // Traced pipelined flush: checker-validated, artifacts for Perfetto.
-        let traced = run_flush_with(
-            "pipelined+trace",
-            TestbedParams {
-                protocol: Protocol::Snfs,
-                update_enabled: false,
-                write_behind: WriteBehindParams::pipelined(),
-                trace: true,
-                ..TestbedParams::default()
-            },
-            FLUSH_BLOCKS,
-        );
-        let trace = traced.trace.as_ref().expect("tracing was on");
+        let traced = traced_flush().tb;
+        let trace = &traced.finish_trace().expect("tracing was on");
         o.file("trace_flush_pipelined.jsonl", trace.to_jsonl());
         o.file("trace_flush_pipelined.chrome.json", trace.to_chrome_json());
-        o.file("stats_flush_pipelined.json", traced.stats.to_json());
+        o.file(
+            "stats_flush_pipelined.json",
+            traced.stats_snapshot().to_json(),
+        );
         o.clean_trace("pipelined", "the traced pipelined flush", trace);
         o.gate(gain >= 2.0, || {
             format!(
@@ -77,10 +89,13 @@ pub(super) const FLUSH_LATENCY: Entry = Entry {
         o.field("flush_paper_ms", format!("{:.2}", serial * 1e3));
         o.field("flush_pipelined_ms", format!("{:.2}", piped * 1e3));
         o.field("flush_gain_x", format!("{gain:.2}"));
-        o.field("paper_write_rpcs", runs[0].write_rpcs);
-        o.field("pipelined_write_rpcs", runs[1].write_rpcs);
-        o.field("pipelined_mean_batch", format!("{:.2}", runs[1].mean_batch));
-        o.field("pipelined_peak_inflight", runs[1].peak_inflight);
+        let write_rpcs = |r: &Run<_>| r.ops.get(spritely_proto::NfsProc::Write);
+        let client = pipe.tb.clients[0].remote.snfs().expect("SNFS client");
+        o.field("paper_write_rpcs", write_rpcs(&paper));
+        o.field("pipelined_write_rpcs", write_rpcs(&pipe));
+        let mean_batch = client.gather_histogram().mean();
+        o.field("pipelined_mean_batch", format!("{mean_batch:.2}"));
+        o.field("pipelined_peak_inflight", client.inflight_gauge().peak());
         o
     },
 };
@@ -102,22 +117,22 @@ pub(super) const SCALING: Entry = Entry {
         ]);
         let mut o = Outcome::default();
         for n in [1, 2, 4, 8] {
-            let nfs = run_scaling(Protocol::Nfs, n, seed);
-            let snfs = run_scaling(Protocol::Snfs, n, seed);
+            let [nfs, snfs] = [Protocol::Nfs, Protocol::Snfs]
+                .map(|p| scaling(TestbedParams::paper(p, true), n, seed));
             t.row(vec![
                 n.to_string(),
                 format!("{:.0}", nfs.makespan.as_secs_f64()),
                 format!("{:.0}", snfs.makespan.as_secs_f64()),
-                nfs.disk_writes.to_string(),
-                snfs.disk_writes.to_string(),
+                nfs.server_disk.writes.to_string(),
+                snfs.server_disk.writes.to_string(),
             ]);
             for r in [&nfs, &snfs] {
-                let p = slug_of(r.protocol.label());
+                let p = slug_of(r.tb.params.protocol.label());
                 o.field(
                     format!("{p}_{n}_makespan_s"),
                     format!("{:.1}", r.makespan.as_secs_f64()),
                 );
-                o.field(format!("{p}_{n}_disk_wr"), r.disk_writes);
+                o.field(format!("{p}_{n}_disk_wr"), r.server_disk.writes);
             }
         }
         o.body = t.render();
@@ -145,24 +160,34 @@ pub(super) const SCALING: Entry = Entry {
             (4, 512),
             (8, 512),
         ] {
-            let r = run_scaling_shards(shards, clients, seed);
+            let params = TestbedParams {
+                shards: ShardParams::sharded(shards),
+                ..TestbedParams::default()
+            };
+            let r = scaling_shards(params, clients, seed);
+            // Aggregate served throughput, RPCs per simulated second.
+            let total_rpcs: u64 = r.served.iter().sum();
+            let throughput = total_rpcs as f64 / r.makespan.as_secs_f64();
             match (shards, clients) {
-                (1, 128) => one_server = r.throughput,
-                (8, 128) => eight_shards = r.throughput,
+                (1, 128) => one_server = throughput,
+                (8, 128) => eight_shards = throughput,
                 _ => {}
             }
-            let per_shard: Vec<String> = r.per_shard_rpcs.iter().map(u64::to_string).collect();
+            let per_shard: Vec<String> = r.served.iter().map(u64::to_string).collect();
+            // The client-cache gauge ships with the shards section of the
+            // snapshot: 0 when unsharded.
+            let peak_client_kb = r.tb.stats_snapshot().shards.map_or(0, |s| s.peak_client_kb);
             t.row(vec![
                 shards.to_string(),
                 clients.to_string(),
                 format!("{:.1}", r.makespan.as_secs_f64()),
-                r.total_rpcs.to_string(),
-                format!("{:.0}", r.throughput),
+                total_rpcs.to_string(),
+                format!("{throughput:.0}"),
                 per_shard.join("/"),
-                r.peak_client_kb.to_string(),
+                peak_client_kb.to_string(),
             ]);
             let row = format!("shards_{shards}x{clients}");
-            o.field(format!("{row}_ops_per_s"), format!("{:.0}", r.throughput));
+            o.field(format!("{row}_ops_per_s"), format!("{throughput:.0}"));
             o.field(
                 format!("{row}_makespan_s"),
                 format!("{:.1}", r.makespan.as_secs_f64()),
@@ -180,14 +205,21 @@ pub(super) const SCALING: Entry = Entry {
     },
 };
 
-fn server_io_params(io: ServerIoParams, trace: bool) -> TestbedParams {
-    TestbedParams {
-        protocol: Protocol::Snfs,
-        tmp_remote: true,
+/// `n` diskless SNFS clients against a server with the given I/O
+/// pipeline.
+fn server_io_run(io: ServerIoParams, trace: bool, n: usize, seed: u64) -> Run<SimDuration> {
+    let params = TestbedParams {
         server_io: io,
         trace,
-        ..TestbedParams::default()
-    }
+        ..TestbedParams::paper(Protocol::Snfs, true)
+    };
+    scaling(params, n, seed)
+}
+
+/// The traced 4-client run on the pipelined server: `server_scaling`'s
+/// checked trace and `spritely profile scaling`.
+pub(super) fn traced_scaling(seed: u64) -> Run<SimDuration> {
+    server_io_run(ServerIoParams::pipelined(), true, 4, seed)
 }
 
 /// Server scaling with the server I/O pipeline on (paper §2.3 extended):
@@ -209,15 +241,11 @@ pub(super) const SERVER_SCALING: Entry = Entry {
             "pipe util",
         ]);
         let mut o = Outcome::default();
-        let mut runs: Vec<(String, ScalingRun)> = Vec::new();
+        let mut runs: Vec<(String, Run<SimDuration>)> = Vec::new();
         let mut gains = Vec::new();
         for n in [4, 8] {
-            let paper = run_scaling_with(server_io_params(ServerIoParams::paper(), false), n, seed);
-            let pipe = run_scaling_with(
-                server_io_params(ServerIoParams::pipelined(), false),
-                n,
-                seed,
-            );
+            let paper = server_io_run(ServerIoParams::paper(), false, n, seed);
+            let pipe = server_io_run(ServerIoParams::pipelined(), false, n, seed);
             let gain = paper.makespan.as_secs_f64() / pipe.makespan.as_secs_f64();
             t.row(vec![
                 n.to_string(),
@@ -231,7 +259,7 @@ pub(super) const SERVER_SCALING: Entry = Entry {
             runs.push((format!("paper/{n}"), paper));
             runs.push((format!("pipelined/{n}"), pipe));
         }
-        let labeled: Vec<(&str, &ScalingRun)> =
+        let labeled: Vec<(&str, &Run<SimDuration>)> =
             runs.iter().map(|(label, r)| (label.as_str(), r)).collect();
         o.body = format!(
             "{}\nserver I/O pipeline observability:\n{}",
@@ -240,7 +268,10 @@ pub(super) const SERVER_SCALING: Entry = Entry {
         );
         // Snapshot of the 8-client pipelined run for offline diffing.
         let pipe8 = &runs.last().expect("runs recorded").1;
-        o.file("stats_server_scaling.json", pipe8.stats.to_json());
+        o.file(
+            "stats_server_scaling.json",
+            pipe8.tb.stats_snapshot().to_json(),
+        );
         for (label, r) in &runs {
             o.field(
                 format!("{}_makespan_s", slug_of(label)),
@@ -262,56 +293,17 @@ pub(super) const SERVER_SCALING: Entry = Entry {
         // A traced pipelined run feeds the disk-queue/reorder checker
         // rule with a real C-LOOK schedule; any bypass past the aging
         // limit or an unqueued completion is a violation.
-        let traced = run_scaling_with(server_io_params(ServerIoParams::pipelined(), true), 4, seed);
         o.clean_trace(
             "pipelined_4",
             "the traced 4-client pipelined run",
-            traced.trace.as_ref().expect("tracing was on"),
+            &traced_scaling(seed)
+                .tb
+                .finish_trace()
+                .expect("tracing was on"),
         );
         o
     },
 };
-
-/// Runs `work(client index, process)` on every client concurrently and
-/// returns the phase's makespan in seconds and its wire message count.
-fn measured_phase<F, Fut>(tb: &Testbed, work: F) -> (f64, u64)
-where
-    F: Fn(usize, spritely_vfs::Proc) -> Fut,
-    Fut: std::future::Future<Output = ()> + 'static,
-{
-    let t0 = tb.sim.now();
-    let m0 = tb.net.messages();
-    let handles: Vec<_> = tb
-        .clients
-        .iter()
-        .enumerate()
-        .map(|(i, host)| tb.sim.spawn(work(i, host.proc(&tb.sim))))
-        .collect();
-    for h in handles {
-        tb.sim.run_until(h);
-    }
-    (
-        tb.sim.now().duration_since(t0).as_secs_f64(),
-        tb.net.messages() - m0,
-    )
-}
-
-/// Writes `blocks` blocks of `fill` to a new file at `path`.
-async fn seed_file(p: &spritely_vfs::Proc, path: &str, fill: u8, blocks: usize) {
-    let fd = p.open(path, OpenFlags::create_write()).await.unwrap();
-    p.write(fd, &vec![fill; blocks * 4096]).await.unwrap();
-    p.close(fd).await.unwrap();
-}
-
-/// Opens `path`, reads it to the end a block at a time, closes it.
-async fn read_whole(p: &spritely_vfs::Proc, path: &str) {
-    let fd = p.open(path, OpenFlags::read()).await.unwrap();
-    while !p.read(fd, 4096).await.unwrap().is_empty() {}
-    p.close(fd).await.unwrap();
-}
-
-/// Long enough for every delayed write-back to reach the server.
-const DRAIN: SimDuration = SimDuration::from_secs(65);
 
 fn transport_andrew_params(t: TransportParams) -> TestbedParams {
     TestbedParams {
@@ -323,38 +315,18 @@ fn transport_andrew_params(t: TransportParams) -> TestbedParams {
     }
 }
 
-/// One data-scaling run: client 0 seeds a shared 256-block file
-/// (untimed), every client cold-boots, then all `n` clients read the
-/// whole file concurrently with an 8-block read-ahead window. Returns
-/// the testbed plus the measured phase's makespan and message count.
-pub fn run_shared_read(t: TransportParams, n: usize, trace: bool) -> (Testbed, f64, u64) {
-    let tb = Testbed::build_with_clients(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            server_io: ServerIoParams::pipelined(),
-            write_behind: WriteBehindParams::pipelined(),
-            read_ahead_window: 8,
-            transport: t,
-            trace,
-            ..TestbedParams::default()
-        },
-        n,
-    );
-    let p = tb.proc();
-    let sim = tb.sim.clone();
-    tb.sim.block_on(async move {
-        seed_file(&p, "/remote/shared", 3, 256).await;
-        sim.sleep(DRAIN).await;
-    });
-    for host in &tb.clients {
-        let remote = host.remote.clone();
-        tb.sim
-            .block_on(async move { remote.cold_boot().await.expect("cold boot") });
-    }
-    let (makespan, messages) = measured_phase(&tb, |_, p| async move {
-        read_whole(&p, "/remote/shared").await;
-    });
-    (tb, makespan, messages)
+/// The data-scaling run: `n` SNFS clients read one shared file with an
+/// 8-block read-ahead window over transport `t`.
+fn shared_read_run(t: TransportParams, n: usize, trace: bool) -> Run<()> {
+    let params = TestbedParams {
+        server_io: ServerIoParams::pipelined(),
+        write_behind: WriteBehindParams::pipelined(),
+        read_ahead_window: 8,
+        transport: t,
+        trace,
+        ..TestbedParams::default()
+    };
+    shared_read(params, n)
 }
 
 /// Transport pipeline (compound batching, piggybacked post-op
@@ -371,17 +343,18 @@ pub(super) const RPC_TRANSPORT: Entry = Entry {
     name: "rpc_transport",
     title: "RPC transport: paper vs pipelined transport (Andrew + 8-client scaling, seed 42)",
     run: |seed| {
-        let a_paper = run_andrew_with(transport_andrew_params(TransportParams::paper()), seed);
-        let a_pipe = run_andrew_with(transport_andrew_params(TransportParams::pipelined()), seed);
-        let (s_paper_tb, s_paper_mk, s_paper_msgs) =
-            run_shared_read(TransportParams::paper(), 8, false);
-        let (s_pipe_tb, s_pipe_mk, s_pipe_msgs) =
-            run_shared_read(TransportParams::pipelined(), 8, false);
+        let a_paper = andrew(transport_andrew_params(TransportParams::paper()), seed);
+        let a_pipe = andrew(transport_andrew_params(TransportParams::pipelined()), seed);
+        let s_paper = shared_read_run(TransportParams::paper(), 8, false);
+        let s_pipe = shared_read_run(TransportParams::pipelined(), 8, false);
+        let (s_paper_msgs, s_pipe_msgs) = (s_paper.messages, s_pipe.messages);
+        let s_paper_mk = s_paper.makespan.as_secs_f64();
+        let s_pipe_mk = s_pipe.makespan.as_secs_f64();
 
-        let at_paper = a_paper.stats.transport;
-        let at_pipe = a_pipe.stats.transport;
-        let a_paper_s = a_paper.times.total().as_secs_f64();
-        let a_pipe_s = a_pipe.times.total().as_secs_f64();
+        let at_paper = a_paper.tb.stats_snapshot().transport;
+        let at_pipe = a_pipe.tb.stats_snapshot().transport;
+        let a_paper_s = a_paper.first().total().as_secs_f64();
+        let a_pipe_s = a_pipe.first().total().as_secs_f64();
         let andrew_gain = a_paper_s / a_pipe_s;
         let scaling_gain = s_paper_mk / s_pipe_mk;
 
@@ -411,7 +384,7 @@ pub(super) const RPC_TRANSPORT: Entry = Entry {
         let total_paper = at_paper.net_messages + s_paper_msgs;
         let total_pipe = at_pipe.net_messages + s_pipe_msgs;
         let total_reduction = reduction_pct(total_paper, total_pipe);
-        let pipe_snapshot = s_pipe_tb.stats_snapshot();
+        let pipe_snapshot = s_pipe.tb.stats_snapshot();
         let mut o = Outcome {
             body: format!(
                 "{}\ntotal messages: {total_paper} -> {total_pipe} ({total_reduction:.0}% reduction)\n\
@@ -420,7 +393,7 @@ pub(super) const RPC_TRANSPORT: Entry = Entry {
                 report::transport_table(&[
                     ("andrew/paper", &at_paper),
                     ("andrew/pipe", &at_pipe),
-                    ("scale8/paper", &s_paper_tb.stats_snapshot().transport),
+                    ("scale8/paper", &s_paper.tb.stats_snapshot().transport),
                     ("scale8/pipe", &pipe_snapshot.transport),
                 ])
             ),
@@ -451,56 +424,59 @@ pub(super) const RPC_TRANSPORT: Entry = Entry {
         });
         // A traced pipelined run feeds the batch-conservation and
         // at-most-once checker rules with a real batched schedule.
-        let (traced_tb, _, _) = run_shared_read(TransportParams::pipelined(), 2, true);
+        let traced = shared_read_run(TransportParams::pipelined(), 2, true).tb;
         o.clean_trace(
             "shared_read_2",
             "the traced 2-client pipelined read",
-            &traced_tb.finish_trace().expect("tracing was on"),
+            &traced.finish_trace().expect("tracing was on"),
         );
         o
     },
 };
 
-/// The Andrew benchmark, a two-client write-sharing workload and a
-/// recall-heavy delegation workload under their seeded fault schedules
-/// (drops, duplicates, delays, reply losses, a partition/heal cycle).
-/// Converging means the duplicate-request cache, retransmission ladder
-/// and callback retries absorbed every injected fault without corrupting
-/// the server's stable contents. The three schedules are pinned to the
-/// seeds the convergence argument was checked on, whatever `seed` is.
-pub(super) const CHAOS: Entry = Entry {
+/// Files one chaos verdict under `name`: its report, its ledger keys and
+/// its three gates — the schedule injected something, the run went
+/// through what the workload exists to force, and it converged.
+fn chaos_outcome(o: &mut Outcome, name: &str, v: &ChaosVerdict) {
+    o.body.push_str(&v.report());
+    o.body.push_str(&format!(
+        "converged: {}\n\n",
+        if v.converged() { "yes" } else { "NO" }
+    ));
+    o.field(format!("{name}_injected"), v.injected());
+    o.field(format!("{name}_converged"), v.converged());
+    o.gate(v.injected() > 0, || {
+        format!("the {name} fault schedule injected nothing")
+    });
+    o.gate(v.forced > 0, || {
+        format!("the {name} chaos run never forced what it exists to prove")
+    });
+    o.gate(v.converged(), || {
+        format!("the {name} chaos run failed to converge")
+    });
+}
+
+/// The four chaos workloads ([`CHAOS`]: the Andrew benchmark, two-client
+/// write-sharing, a recall-heavy delegation sweep and cross-shard
+/// renames) under their seeded fault schedules (drops, duplicates,
+/// delays, reply losses, a partition/heal cycle). Converging means the
+/// duplicate-request cache, retransmission ladder, callback retries and
+/// the 2PC coordinator absorbed every injected fault without corrupting
+/// the servers' stable contents. The schedules are pinned to the seeds
+/// the convergence argument was checked on, whatever `seed` is.
+pub(super) const CHAOS_ENTRY: Entry = Entry {
     name: "chaos",
     title: "Chaos: fault injection convergence",
     run: |_| {
         let mut o = Outcome::default();
-        for (name, v) in [
-            ("andrew", chaos_andrew(7)),
-            ("sharing", chaos_write_sharing(11)),
-            ("delegation", chaos_delegation(13)),
-        ] {
-            o.body.push_str(&v.report());
-            o.body.push_str(&format!(
-                "converged: {}\n\n",
-                if v.converged() { "yes" } else { "NO" }
-            ));
-            o.field(format!("{name}_injected"), v.injected());
-            o.field(format!("{name}_converged"), v.converged());
-            o.gate(v.injected() > 0, || {
-                format!("the {name} fault schedule injected nothing")
-            });
-            o.gate(v.converged(), || {
-                format!("the {name} chaos run failed to converge")
-            });
+        for (name, workload) in CHAOS {
+            chaos_outcome(&mut o, name, &workload());
         }
         o
     },
 };
 
 const CHURN_CLIENTS: usize = 6;
-const CHURN_ROUNDS: usize = 30;
-const DOC_FILES: usize = 8;
-const DOC_ROUNDS: usize = 3;
-const CHURN_FILE_BLOCKS: usize = 4;
 
 /// Both sides of the delegation comparison run the full pipelined stack
 /// (server I/O pipeline, write-behind pool, compound transport) so the
@@ -517,43 +493,14 @@ fn delegation_stack(d: DelegationParams) -> TestbedParams {
     }
 }
 
-/// Seeds each client's private file and the shared docroot (untimed),
-/// then runs the measured open-heavy mix concurrently on every client:
-/// `CHURN_ROUNDS` open/read/close cycles on the private file, then
-/// `DOC_ROUNDS` passes over the `DOC_FILES`-file docroot. Returns the
-/// testbed plus the measured makespan and wire message count.
-pub fn run_open_churn(d: DelegationParams, n: usize, trace: bool) -> (Testbed, f64, u64) {
-    let tb = Testbed::build_with_clients(
-        TestbedParams {
-            name_cache: true,
-            trace,
-            ..delegation_stack(d)
-        },
-        n,
-    );
-    measured_phase(&tb, |i, p| async move {
-        seed_file(&p, &format!("/remote/src/own{i}"), 5, CHURN_FILE_BLOCKS).await;
-        if i == 0 {
-            for f in 0..DOC_FILES {
-                seed_file(&p, &format!("/remote/src/doc{f}"), 6, CHURN_FILE_BLOCKS).await;
-            }
-        }
-    });
-    // Drain the delayed write-backs so the measured phase is clean.
-    let sim = tb.sim.clone();
-    tb.sim.block_on(async move { sim.sleep(DRAIN).await });
-    let (makespan, messages) = measured_phase(&tb, |i, p| async move {
-        let own = format!("/remote/src/own{i}");
-        for _ in 0..CHURN_ROUNDS {
-            read_whole(&p, &own).await;
-        }
-        for _ in 0..DOC_ROUNDS {
-            for f in 0..DOC_FILES {
-                read_whole(&p, &format!("/remote/src/doc{f}")).await;
-            }
-        }
-    });
-    (tb, makespan, messages)
+/// The open-churn mix on `n` name-caching clients of that stack.
+fn churn_run(d: DelegationParams, n: usize, trace: bool) -> Run<()> {
+    let params = TestbedParams {
+        name_cache: true,
+        trace,
+        ..delegation_stack(d)
+    };
+    open_churn(params, n)
 }
 
 /// Open delegations (DESIGN.md §17) vs the callback-only protocol, on
@@ -570,30 +517,29 @@ pub(super) const OPEN_CHURN: Entry = Entry {
             (6-client churn + Andrew, seed 42)",
     run: |seed| {
         let andrew = |d| {
-            run_andrew_with(
-                TestbedParams {
-                    tmp_remote: true,
-                    ..delegation_stack(d)
-                },
-                seed,
-            )
+            let params = TestbedParams {
+                tmp_remote: true,
+                ..delegation_stack(d)
+            };
+            andrew(params, seed)
         };
-        let (_, off_mk, off_msgs) = run_open_churn(DelegationParams::paper(), CHURN_CLIENTS, false);
-        let (on_tb, on_mk, on_msgs) =
-            run_open_churn(DelegationParams::pipelined(), CHURN_CLIENTS, false);
+        let off = churn_run(DelegationParams::paper(), CHURN_CLIENTS, false);
+        let on = churn_run(DelegationParams::pipelined(), CHURN_CLIENTS, false);
+        let (off_msgs, on_msgs) = (off.messages, on.messages);
+        let (off_mk, on_mk) = (off.makespan.as_secs_f64(), on.makespan.as_secs_f64());
         let a_off = andrew(DelegationParams::paper());
         let a_on = andrew(DelegationParams::pipelined());
 
         let churn_reduction = reduction_pct(off_msgs, on_msgs);
         let churn_gain = off_mk / on_mk;
-        let a_off_s = a_off.times.total().as_secs_f64();
-        let a_on_s = a_on.times.total().as_secs_f64();
+        let a_off_s = a_off.first().total().as_secs_f64();
+        let a_on_s = a_on.first().total().as_secs_f64();
         let andrew_gain = a_off_s / a_on_s;
-        let a_off_msgs = a_off.stats.transport.net_messages;
-        let a_on_msgs = a_on.stats.transport.net_messages;
+        let a_off_msgs = a_off.tb.stats_snapshot().transport.net_messages;
+        let a_on_msgs = a_on.tb.stats_snapshot().transport.net_messages;
         let total_reduction = reduction_pct(off_msgs + a_off_msgs, on_msgs + a_on_msgs);
 
-        let snap = on_tb.stats_snapshot();
+        let snap = on.tb.stats_snapshot();
         let deleg = snap.delegation.expect("delegations were enabled");
         let d = deleg.stats;
         let grants = d.grants_read + d.grants_write;
@@ -674,12 +620,42 @@ pub(super) const OPEN_CHURN: Entry = Entry {
         });
         // A traced run feeds the delegation-safety checker a real
         // grant/recall/return schedule.
-        let (traced_tb, _, _) = run_open_churn(DelegationParams::pipelined(), 2, true);
+        let traced = churn_run(DelegationParams::pipelined(), 2, true).tb;
         o.clean_trace(
             "churn_2",
             "the traced 2-client delegated churn",
-            &traced_tb.finish_trace().expect("tracing was on"),
+            &traced.finish_trace().expect("tracing was on"),
         );
         o
     },
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_chaos_run_that_forced_nothing_fails_its_gate_instead_of_panicking() {
+        let mut v = ChaosVerdict {
+            workload: "delegation",
+            digest_clean: 1,
+            digest_faulted: 1,
+            trace_violations: 0,
+            faults: crate::FaultSnapshot::default(),
+            forced: 0,
+        };
+        v.faults.net.drops = 3;
+        let mut o = Outcome::default();
+        chaos_outcome(&mut o, "delegation", &v);
+        assert_eq!(
+            o.failures,
+            ["the delegation chaos run never forced what it exists to prove"]
+        );
+        v.forced = 1;
+        let mut o = Outcome::default();
+        chaos_outcome(&mut o, "delegation", &v);
+        assert_eq!(o.failures, Vec::<String>::new());
+        let keys: Vec<&str> = o.ledger.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["delegation_injected", "delegation_converged"]);
+    }
+}

@@ -1,24 +1,36 @@
 //! The paper's own evaluation (§5): Tables 5-1 to 5-6, Figures 5-1 and
 //! 5-2, and the §5.3 reopen microbenchmark.
 
+use spritely_sim::SimDuration;
 use spritely_trace::{profile_trace, Phase};
+use spritely_workloads::AndrewTimes;
 
 use super::{slug_of, Entry, Outcome};
-use crate::{
-    report, run_andrew, run_andrew_with, run_reopen, run_sort_experiment, AndrewRun, Protocol,
-    SortRun, TestbedParams,
-};
+use crate::scripts::{andrew, reopen, sort};
+use crate::{report, Protocol, Run, TestbedParams};
 
 /// The five Andrew configurations of Table 5-1: {local, NFS, SNFS} ×
 /// {/tmp local, /tmp remote}. Table 5-2 drops the local column.
-pub fn andrew_runs(seed: u64) -> Vec<AndrewRun> {
-    vec![
-        run_andrew(Protocol::Local, false, seed),
-        run_andrew(Protocol::Nfs, false, seed),
-        run_andrew(Protocol::Nfs, true, seed),
-        run_andrew(Protocol::Snfs, false, seed),
-        run_andrew(Protocol::Snfs, true, seed),
+pub fn andrew_runs(seed: u64) -> Vec<Run<AndrewTimes>> {
+    [
+        (Protocol::Local, false),
+        (Protocol::Nfs, false),
+        (Protocol::Nfs, true),
+        (Protocol::Snfs, false),
+        (Protocol::Snfs, true),
     ]
+    .map(|(p, tmp_remote)| andrew(TestbedParams::paper(p, tmp_remote), seed))
+    .into()
+}
+
+/// The traced Andrew run on SNFS with /tmp remote, the paper's headline
+/// configuration: Table 5-2's checked trace and `spritely profile andrew`.
+pub(super) fn traced_andrew(seed: u64) -> Run<AndrewTimes> {
+    let params = TestbedParams {
+        trace: true,
+        ..TestbedParams::paper(Protocol::Snfs, true)
+    };
+    andrew(params, seed)
 }
 
 pub(super) const TABLE_5_1: Entry = Entry {
@@ -32,8 +44,8 @@ pub(super) const TABLE_5_1: Entry = Entry {
         };
         for r in &runs {
             o.field(
-                format!("{}_total_s", slug_of(&r.label())),
-                format!("{:.1}", r.times.total().as_secs_f64()),
+                format!("{}_total_s", slug_of(&r.tb.params.label())),
+                format!("{:.1}", r.first().total().as_secs_f64()),
             );
         }
         o
@@ -52,19 +64,11 @@ pub(super) const TABLE_5_2: Entry = Entry {
         // One traced SNFS run: the checker validates every state-table
         // transition and callback, and the trace + stats snapshot land in
         // artifacts/ for Perfetto / offline diffing.
-        let traced = run_andrew_with(
-            TestbedParams {
-                protocol: Protocol::Snfs,
-                tmp_remote: true,
-                trace: true,
-                ..TestbedParams::default()
-            },
-            seed,
-        );
-        let trace = traced.trace.as_ref().expect("tracing was on");
+        let traced = traced_andrew(seed).tb;
+        let trace = &traced.finish_trace().expect("tracing was on");
         o.file("trace_andrew_snfs.jsonl", trace.to_jsonl());
         o.file("trace_andrew_snfs.chrome.json", trace.to_chrome_json());
-        o.file("stats_andrew_snfs.json", traced.stats.to_json());
+        o.file("stats_andrew_snfs.json", traced.stats_snapshot().to_json());
         o.section(
             "Trace summary: Andrew on SNFS (/tmp remote, seed 42)",
             &report::trace_summary(trace),
@@ -80,8 +84,8 @@ pub(super) const TABLE_5_2: Entry = Entry {
         );
         for r in runs {
             o.field(
-                format!("{}_rpcs", slug_of(&r.label())),
-                r.ops_with_tail.total(),
+                format!("{}_rpcs", slug_of(&r.tb.params.label())),
+                r.ops_to_now().total(),
             );
         }
         o.field("profile_spans", profile.ops.len());
@@ -117,15 +121,17 @@ pub(super) const TABLE_5_2: Entry = Entry {
 /// Figures 5-1/5-2: server CPU utilization and RPC call rates over time
 /// during the Andrew benchmark (/tmp remote), as CSV.
 fn figure(protocol: Protocol, seed: u64) -> Outcome {
-    let run = run_andrew(protocol, true, seed);
+    let run = andrew(TestbedParams::paper(protocol, true), seed);
     let mut o = Outcome {
         body: report::figure_series(&run),
         ..Outcome::default()
     };
-    let calls = || run.rate_buckets.iter().map(|b| b.total);
+    let buckets = run.rate_buckets();
+    let calls = || buckets.iter().map(|b| b.total);
     o.field("total_calls", calls().sum::<u64>());
     o.field("peak_bucket_calls", calls().max().unwrap_or(0));
-    let peak_util = run.util_samples.iter().map(|(_, u)| *u).fold(0.0, f64::max);
+    let util = run.tb.util.samples();
+    let peak_util = util.iter().map(|(_, u)| *u).fold(0.0, f64::max);
     o.field("peak_util", format!("{peak_util:.4}"));
     o
 }
@@ -144,6 +150,16 @@ pub(super) const FIGURE_5_2: Entry = Entry {
 
 const KB: u64 = 1024;
 
+/// The sort with `/usr/tmp` on `protocol`'s server (the local disk for
+/// [`Protocol::Local`]), update daemons on or off.
+fn sort_run(protocol: Protocol, input_bytes: u64, update_enabled: bool) -> Run<SimDuration> {
+    let params = TestbedParams {
+        update_enabled,
+        ..TestbedParams::paper(protocol, true)
+    };
+    sort(params, input_bytes)
+}
+
 /// Tables 5-3/5-5: three input sizes × {local, NFS, SNFS}, with the
 /// update daemons on (5-3) or off — "infinite write-delay" (5-5). The
 /// sort workload draws no randomness, so the seed is unused.
@@ -151,34 +167,35 @@ fn sort_times(update: bool) -> Outcome {
     let mut runs = Vec::new();
     for kb in [281, 1408, 2816] {
         for p in [Protocol::Local, Protocol::Nfs, Protocol::Snfs] {
-            runs.push(run_sort_experiment(p, kb * KB, update));
+            runs.push((kb * KB, sort_run(p, kb * KB, update)));
         }
     }
     let mut o = Outcome {
         body: report::sort_table(&runs),
         ..Outcome::default()
     };
-    for r in &runs {
+    for (bytes, r) in &runs {
         o.field(
             format!(
                 "sort_{}k_{}_s",
-                r.input_bytes / KB,
-                slug_of(r.protocol.label())
+                bytes / KB,
+                slug_of(r.tb.params.protocol.label())
             ),
-            format!("{:.1}", r.elapsed.as_secs_f64()),
+            format!("{:.1}", r.first().as_secs_f64()),
         );
     }
     o
 }
 
-/// Tables 5-4/5-6: RPC counts of the 2816 KB sort, one column per run.
-fn sort_rpcs(runs: &[SortRun], key: impl Fn(&SortRun) -> String) -> Outcome {
+/// Tables 5-4/5-6: RPC counts of the 2816 KB sort, one column per run;
+/// `key` names a run's ledger field after its testbed.
+fn sort_rpcs(runs: &[Run<SimDuration>], key: impl Fn(&TestbedParams) -> String) -> Outcome {
     let mut o = Outcome {
         body: report::sort_rpc_table(runs),
         ..Outcome::default()
     };
     for r in runs {
-        o.field(key(r), r.ops.total());
+        o.field(key(&r.tb.params), r.ops.total());
     }
     o
 }
@@ -193,9 +210,9 @@ pub(super) const TABLE_5_4: Entry = Entry {
     name: "table_5_4",
     title: "Table 5-4: RPC calls for sort benchmark",
     run: |_| {
-        let runs = [Protocol::Nfs, Protocol::Snfs].map(|p| run_sort_experiment(p, 2816 * KB, true));
-        sort_rpcs(&runs, |r| {
-            format!("sort_2816k_{}_rpcs", slug_of(r.protocol.label()))
+        let runs = [Protocol::Nfs, Protocol::Snfs].map(|p| sort_run(p, 2816 * KB, true));
+        sort_rpcs(&runs, |p| {
+            format!("sort_2816k_{}_rpcs", slug_of(p.protocol.label()))
         })
     },
 };
@@ -216,12 +233,12 @@ pub(super) const TABLE_5_6: Entry = Entry {
             (Protocol::Snfs, true),
             (Protocol::Snfs, false),
         ]
-        .map(|(p, update)| run_sort_experiment(p, 2816 * KB, update));
-        sort_rpcs(&runs, |r| {
+        .map(|(p, update)| sort_run(p, 2816 * KB, update));
+        sort_rpcs(&runs, |p| {
             format!(
                 "sort_2816k_{}_{}_rpcs",
-                slug_of(r.protocol.label()),
-                if r.update_enabled { "upd" } else { "noupd" }
+                slug_of(p.protocol.label()),
+                if p.update_enabled { "upd" } else { "noupd" }
             )
         })
     },
@@ -241,19 +258,22 @@ pub(super) const MICRO_REOPEN: Entry = Entry {
             (Protocol::NfsFixed, true),
             (Protocol::Snfs, true),
         ]
-        .map(|(p, same_file)| run_reopen(p, same_file, 1024 * KB));
+        .map(|(p, same_file)| {
+            let params = TestbedParams::paper(p, false);
+            (same_file, reopen(params, same_file, 1024 * KB))
+        });
         let mut o = Outcome {
             body: report::reopen_table(&runs),
             ..Outcome::default()
         };
-        for r in &runs {
+        for (same_file, r) in &runs {
             o.field(
                 format!(
                     "{}_{}_read_ms",
-                    slug_of(r.protocol.label()),
-                    if r.same_file { "same" } else { "other" }
+                    slug_of(r.tb.params.protocol.label()),
+                    if *same_file { "same" } else { "other" }
                 ),
-                format!("{:.1}", r.result.read_time.as_secs_f64() * 1e3),
+                format!("{:.1}", r.first().read_time.as_secs_f64() * 1e3),
             );
         }
         o

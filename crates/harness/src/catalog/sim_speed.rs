@@ -17,7 +17,8 @@ use spritely_rpcnet::{Caller, CallerParams, Endpoint, EndpointParams, NetParams,
 use spritely_sim::{Resource, Sim, SimDuration, SimStats};
 
 use super::{Entry, Outcome};
-use crate::{render_matrix, run_andrew, run_matrix, MatrixResult, Protocol};
+use crate::scripts::andrew;
+use crate::{render_matrix, run_matrix, MatrixResult, Protocol, TestbedParams};
 
 /// `tasks` staggered tasks each run `iters` timeouts whose inner sleep
 /// always wins — every iteration abandons a 10 s guard timer, which the
@@ -174,11 +175,11 @@ pub(super) const SIM_SPEED: Entry = Entry {
         let echo = best_of(3, "rpc_echo", || rpc_echo(8, 2000));
 
         let t0 = Instant::now();
-        let andrew = run_andrew(Protocol::Snfs, false, 42);
+        let mixed = andrew(TestbedParams::paper(Protocol::Snfs, false), 42);
         let mix = Point {
             name: "andrew_mix",
+            stats: mixed.tb.sim.stats(),
             wall_s: t0.elapsed().as_secs_f64(),
-            stats: andrew.stats.sim,
         };
 
         // 4-way experiment matrix, serial vs 4 worker threads. Byte-identity
@@ -192,9 +193,9 @@ pub(super) const SIM_SPEED: Entry = Entry {
         ];
         let job = |i: usize| {
             let (seed, (protocol, tmp_remote)) = (i as u64 + 1, jobs[i]);
-            let r = run_andrew(protocol, tmp_remote, seed);
-            let label = format!("andrew {} seed={seed}", r.label());
-            MatrixResult::new(label, r.times.total(), &r.stats)
+            let r = andrew(TestbedParams::paper(protocol, tmp_remote), seed);
+            let label = format!("andrew {} seed={seed}", r.tb.params.label());
+            MatrixResult::new(label, r.first().total(), &r.tb.stats_snapshot())
         };
         let t0 = Instant::now();
         let serial = run_matrix(jobs.len(), 1, job);

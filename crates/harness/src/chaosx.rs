@@ -2,40 +2,32 @@
 //!
 //! The protocols in the paper were built for a mostly-reliable Ethernet;
 //! the interesting bugs only show up when the transport misbehaves. This
-//! module runs the Andrew benchmark and a two-client write-sharing
-//! workload with the [`FaultParams::chaos`] schedule (random drops,
-//! duplicates, delays, reply losses) plus a scripted partition/heal
-//! cycle, then checks that the system *converged*:
+//! module runs four scripts ([`CHAOS`]: the Andrew benchmark, two-client
+//! write-sharing, a recall-heavy delegation sweep, cross-shard renames)
+//! with the [`FaultParams::chaos`] schedule (random drops, duplicates,
+//! delays, reply losses) plus a scripted partition/heal cycle, then
+//! checks that the system *converged*:
 //!
 //! * the run terminated (every workload op eventually succeeded),
 //! * the causal trace checker found no invariant violations,
-//! * the server's stable file contents are byte-identical to a
+//! * the servers' stable file contents are byte-identical to a
 //!   fault-free run of the same seed, and
 //! * every injected fault is accounted for in [`FaultSnapshot`]
 //!   (`killed_attempts == retransmit_absorbed + outstanding_kills`).
 
-use spritely_localfs::LocalFs;
-use spritely_proto::{default_shard, FileHandle, FileType, Fnv};
+use spritely_proto::{default_shard, NfsStatus, BLOCK_SIZE};
 use spritely_rpcnet::{FaultParams, PartitionDir};
 use spritely_sim::SimDuration;
 
-use crate::snapshot::FaultSnapshot;
-use crate::testbed::{Protocol, ShardParams, Testbed, TestbedParams};
-use crate::{report, run_andrew_with};
+use crate::report;
+use crate::run::{insist, Run};
+use crate::scripts::andrew;
+use crate::snapshot::{FaultSnapshot, StatsSnapshot};
+use crate::testbed::{ShardParams, Testbed, TestbedParams};
 
-/// Every workload op retries until it succeeds, as a hard-mounted 1989
-/// client would: under chaos an RPC ladder can exhaust, and during a
-/// partition (or a recall that ends in a revoke) calls must fail for a
-/// while before succeeding.
-macro_rules! insist {
-    ($sim:ident, $e:expr) => {{
-        loop {
-            match $e.await {
-                Ok(v) => break v,
-                Err(_) => $sim.sleep(SimDuration::from_millis(500)).await,
-            }
-        }
-    }};
+/// Every chaos op is [`insist`]ed on at a fixed half second.
+fn retry(_attempt: u64) -> SimDuration {
+    SimDuration::from_millis(500)
 }
 
 /// Outcome of one chaos run, with everything a gate needs to decide
@@ -52,6 +44,12 @@ pub struct ChaosVerdict {
     pub trace_violations: usize,
     /// Fault accounting of the faulted run.
     pub faults: FaultSnapshot,
+    /// How often the faulted run went through what its workload exists
+    /// to force — retransmissions absorbed (Andrew), callbacks retried
+    /// (write-sharing), delegations recalled, cross-shard operations
+    /// coordinated. A schedule that leaves it at 0 proves nothing, and
+    /// its gate fails.
+    pub forced: u64,
 }
 
 impl ChaosVerdict {
@@ -74,10 +72,11 @@ impl ChaosVerdict {
     /// Human-readable summary (includes the fault table).
     pub fn report(&self) -> String {
         format!(
-            "chaos[{}]: injected={} digest {}: clean={:016x} faulted={:016x} \
+            "chaos[{}]: injected={} forced={} digest {}: clean={:016x} faulted={:016x} \
              trace_violations={}\n{}",
             self.workload,
             self.injected(),
+            self.forced,
             if self.digest_clean == self.digest_faulted {
                 "MATCH"
             } else {
@@ -91,115 +90,59 @@ impl ChaosVerdict {
     }
 }
 
-/// Digest of a whole testbed's stable server contents: every server's
-/// store folded together in shard order (DESIGN.md §18).
-pub fn testbed_digest(tb: &Testbed) -> u64 {
-    let mut h = Fnv::EMPTY;
-    for host in &tb.servers {
-        h.write(&server_digest(&host.fs).to_le_bytes());
-    }
-    h.0
-}
-
-/// Path-ordered FNV-1a digest of a file system's *stable* contents
-/// (what survives a crash): every path, object type, link target and
-/// file body, in sorted traversal order. Timestamps are excluded — a
-/// faulted run takes longer but must converge to the same bytes.
-pub fn server_digest(fs: &LocalFs) -> u64 {
-    let mut h = Fnv::EMPTY;
-    walk(fs, fs.root(), "", &mut h);
-    h.0
-}
-
-fn walk(fs: &LocalFs, dir: FileHandle, path: &str, h: &mut Fnv) {
-    let mut entries = fs.readdir(dir).expect("readdir in digest walk");
-    entries.sort_by(|a, b| a.name.cmp(&b.name));
-    for e in entries {
-        let (fh, attr) = fs.lookup(dir, &e.name).expect("lookup in digest walk");
-        let p = format!("{path}/{}", e.name);
-        h.write(p.as_bytes());
-        match attr.ftype {
-            FileType::Directory => {
-                h.write(b"\0d");
-                walk(fs, fh, &p, h);
-            }
-            FileType::Regular => {
-                h.write(b"\0f");
-                h.write(&fs.stable_contents(fh).expect("contents in digest walk"));
-            }
-            FileType::Symlink => {
-                h.write(b"\0l");
-                h.write(fs.readlink(fh).expect("readlink in digest walk").as_bytes());
-            }
-        }
-    }
-}
-
-/// `base` as the clean or the faulted pass of a chaos pair runs it: the
-/// faulted pass is traced and runs under [`FaultParams::chaos`].
-fn chaos_params(base: TestbedParams, seed: u64, faulted: bool) -> TestbedParams {
-    TestbedParams {
-        trace: faulted,
-        faults: if faulted {
-            FaultParams::chaos(seed)
-        } else {
-            FaultParams::default()
-        },
+/// Runs `script` twice over `base` with the same seed — once fault-free,
+/// once traced under [`FaultParams::chaos`] — and holds the second
+/// [`Run`] to the first. `forced` reads [`ChaosVerdict::forced`] off the
+/// faulted run's snapshot.
+fn verdict<T>(
+    workload: &'static str,
+    seed: u64,
+    base: TestbedParams,
+    script: impl Fn(TestbedParams) -> Run<T>,
+    forced: impl Fn(&StatsSnapshot) -> u64,
+) -> ChaosVerdict {
+    let clean = script(base).tb;
+    let faulted = script(TestbedParams {
+        trace: true,
+        faults: FaultParams::chaos(seed),
         ..base
-    }
-}
-
-/// What one pass of a chaos pair leaves for the verdict.
-struct Pass {
-    digest: u64,
-    violations: usize,
-    faults: Option<FaultSnapshot>,
-    /// Workload-specific interestingness counter the caller gates on:
-    /// delegation recalls for the delegation workload, coordinated
-    /// cross-shard ops for the shard workload, 0 elsewhere.
-    gate_ops: u64,
-}
-
-impl Pass {
-    fn of(tb: &Testbed, digest: u64, gate_ops: u64) -> Pass {
-        let snap = tb.stats_snapshot();
-        Pass {
-            digest,
-            violations: tb.finish_trace().map_or(0, |t| t.violations.len()),
-            faults: snap.faults,
-            gate_ops,
-        }
-    }
-}
-
-/// The verdict on one workload from its fault-free and its faulted pass.
-fn verdict(workload: &'static str, clean: Pass, faulted: Pass) -> ChaosVerdict {
+    })
+    .tb;
+    let stats = faulted.stats_snapshot();
     ChaosVerdict {
         workload,
-        digest_clean: clean.digest,
-        digest_faulted: faulted.digest,
-        trace_violations: faulted.violations,
-        faults: faulted.faults.expect("faulted run has fault stats"),
+        digest_clean: clean.digest(),
+        digest_faulted: faulted.digest(),
+        trace_violations: faulted.finish_trace().map_or(0, |t| t.violations.len()),
+        forced: forced(&stats),
+        faults: stats.faults.expect("faulted run has fault stats"),
     }
 }
 
-/// Runs the Andrew benchmark twice with the same seed — once fault-free,
-/// once under [`FaultParams::chaos`] — and compares outcomes.
+/// A chaos workload by ledger key.
+pub type ChaosWorkload = (&'static str, fn() -> ChaosVerdict);
+
+/// The four chaos workloads, each pinned to the seed its convergence
+/// argument was checked on.
+pub const CHAOS: [ChaosWorkload; 4] = [
+    ("andrew", || chaos_andrew(7)),
+    ("sharing", || chaos_write_sharing(11)),
+    ("delegation", || chaos_delegation(13)),
+    ("shard", || chaos_shard(21)),
+];
+
+/// The Andrew benchmark: the retransmission ladder and the
+/// duplicate-request cache must absorb every fault of a long,
+/// single-client run.
 pub fn chaos_andrew(seed: u64) -> ChaosVerdict {
-    let pass = |faulted| {
-        let snfs = TestbedParams {
-            protocol: Protocol::Snfs,
-            ..TestbedParams::default()
-        };
-        let run = run_andrew_with(chaos_params(snfs, seed, faulted), seed);
-        Pass {
-            digest: run.server_digest,
-            violations: run.trace.map_or(0, |t| t.violations.len()),
-            faults: run.stats.faults,
-            gate_ops: 0,
-        }
-    };
-    verdict("andrew", pass(false), pass(true))
+    let snfs = TestbedParams::default();
+    verdict(
+        "andrew",
+        seed,
+        snfs,
+        |p| andrew(p, seed),
+        |s| s.faults.as_ref().map_or(0, |f| f.net.retransmit_absorbed),
+    )
 }
 
 /// Two-client write-sharing under chaos plus one partition/heal cycle.
@@ -211,11 +154,14 @@ pub fn chaos_andrew(seed: u64) -> ChaosVerdict {
 /// heals, B's dirty data reaches the server and A reads it. This is the
 /// end-to-end version of the callback-retry bugfix regression.
 pub fn chaos_write_sharing(seed: u64) -> ChaosVerdict {
-    verdict(
-        "write-sharing",
-        run_write_sharing(seed, false),
-        run_write_sharing(seed, true),
-    )
+    let slow_writeback = TestbedParams {
+        // Keep B's data dirty long enough for the partition to matter.
+        snfs_write_delay: SimDuration::from_secs(30),
+        ..TestbedParams::default()
+    };
+    verdict("write-sharing", seed, slow_writeback, write_sharing, |s| {
+        s.faults.as_ref().map_or(0, |f| f.callback_retries)
+    })
 }
 
 /// Recall-heavy two-client workload under chaos (DESIGN.md §17.2).
@@ -232,12 +178,13 @@ pub fn chaos_write_sharing(seed: u64) -> ChaosVerdict {
 /// the faulted run still reaches the fault-free server bytes with zero
 /// delegation-invariant violations.
 pub fn chaos_delegation(seed: u64) -> ChaosVerdict {
-    let faulted = run_delegation(seed, true);
-    assert!(
-        faulted.gate_ops >= 1,
-        "the sweep must force at least one recall"
-    );
-    verdict("delegation", run_delegation(seed, false), faulted)
+    let delegated = TestbedParams {
+        delegation: spritely_core::DelegationParams::pipelined(),
+        ..TestbedParams::default()
+    };
+    verdict("delegation", seed, delegated, delegation, |s| {
+        s.delegation.as_ref().map_or(0, |d| d.stats.recalls)
+    })
 }
 
 /// Cross-shard renames under chaos with a shard partitioned mid-rename
@@ -255,74 +202,70 @@ pub fn chaos_delegation(seed: u64) -> ChaosVerdict {
 /// reach byte-identical stable state across every shard, with zero
 /// trace violations including rule 10's atomicity window.
 pub fn chaos_shard(seed: u64) -> ChaosVerdict {
-    let faulted = run_shard_chaos(seed, true);
-    assert!(
-        faulted.gate_ops >= 1,
-        "the workload must coordinate at least one cross-shard rename"
-    );
-    verdict("shard", run_shard_chaos(seed, false), faulted)
-}
-
-fn run_shard_chaos(seed: u64, faulted: bool) -> Pass {
-    const N_SHARDS: u32 = 4;
-    const FILES: u32 = 3;
     let sharded = TestbedParams {
-        protocol: Protocol::Snfs,
-        shards: ShardParams::sharded(N_SHARDS as usize),
+        shards: ShardParams::sharded(SHARDS as usize),
         ..TestbedParams::default()
     };
-    let tb = Testbed::build_with_clients(chaos_params(sharded, seed, faulted), 2);
-    let sim = tb.sim.clone();
+    verdict("shard", seed, sharded, shard_renames, |s| {
+        let shards = s.shards.iter().flat_map(|s| &s.shards);
+        shards.map(|sh| sh.cross_renames + sh.cross_links).sum()
+    })
+}
+
+/// Shards [`shard_renames`] runs over.
+const SHARDS: u32 = 4;
+
+fn shard_renames(params: TestbedParams) -> Run<()> {
+    const FILES: u32 = 3;
+    let tb = Testbed::build_with_clients(params, 2);
     let net = tb.net.clone();
     let root = tb.server_fs.root();
+    let clients: Vec<_> = (tb.clients.iter())
+        .map(|host| host.remote.snfs().expect("SNFS testbed").clone())
+        .collect();
     // First name of the form `{prefix}{i}` owned by `shard`.
     let name_on = |shard: u32, prefix: &str| -> String {
         (0u32..)
             .map(|i| format!("{prefix}{i}"))
-            .find(|s| default_shard(s, N_SHARDS) == shard)
+            .find(|s| default_shard(s, SHARDS) == shard)
             .expect("some index hashes to every shard")
     };
-    let mut handles = Vec::new();
-    for c in 0..2u32 {
-        let client = tb.clients[c as usize]
-            .remote
-            .snfs()
-            .expect("SNFS testbed")
-            .clone();
+    tb.measure(|c, p| {
+        let (client, net) = (clients[c].clone(), net.clone());
         // Disjoint per-client names; every rename crosses shards so the
         // digests converge regardless of client interleaving.
         let pairs: Vec<(String, String)> = (0..FILES)
             .map(|i| {
                 let src = format!("c{c}w{i}");
-                let s = default_shard(&src, N_SHARDS);
-                let dst = name_on((s + 1) % N_SHARDS, &format!("c{c}m{i}_"));
+                let s = default_shard(&src, SHARDS);
+                let dst = name_on((s + 1) % SHARDS, &format!("c{c}m{i}_"));
                 (src, dst)
             })
             .collect();
-        // Client 0's first rename coordinates from this shard; its
-        // inter-shard link is what the partition severs.
-        let coord = default_shard(&pairs[0].0, N_SHARDS);
-        let sim = sim.clone();
-        let net = net.clone();
-        handles.push(tb.sim.spawn(async move {
-            use spritely_proto::BLOCK_SIZE;
+        // A cross-shard hard link on top of the moved set.
+        let ln = name_on(
+            (default_shard(&pairs[0].1, SHARDS) + 1) % SHARDS,
+            &format!("c{c}ln_"),
+        );
+        async move {
+            let sim = p.sim();
+            let fill = |i: usize| [(c as u8) * 16 + i as u8 + 1; BLOCK_SIZE];
             let mut fhs = Vec::new();
             for (i, (src, _)) in pairs.iter().enumerate() {
-                let (fh, _) = insist!(sim, client.create(root, src));
-                insist!(sim, client.open(fh, true));
-                insist!(
-                    sim,
-                    client.write(fh, 0, &[(c as u8) * 16 + i as u8 + 1; BLOCK_SIZE])
-                );
-                insist!(sim, client.fsync(fh));
-                insist!(sim, client.close(fh, true));
+                let (fh, _) = insist(sim, retry, || client.create(root, src)).await;
+                insist(sim, retry, || client.open(fh, true)).await;
+                let bytes = fill(i);
+                insist(sim, retry, || client.write(fh, 0, &bytes)).await;
+                insist(sim, retry, || client.fsync(fh)).await;
+                insist(sim, retry, || client.close(fh, true)).await;
                 fhs.push(fh);
             }
-            // Sever the coordinator's inter-shard link just before the
-            // cross-shard renames (scripted; consumes no randomness).
+            // Client 0's first rename coordinates from the shard that
+            // owns its source name: sever that shard's inter-shard link
+            // just before the renames (scripted; consumes no randomness).
             if c == 0 && net.faults_active() {
                 net.partition(
-                    200 + coord,
+                    200 + default_shard(&pairs[0].0, SHARDS),
                     PartitionDir::Both,
                     sim.now() + SimDuration::from_secs(8),
                 );
@@ -332,73 +275,49 @@ fn run_shard_chaos(seed: u64, faulted: bool) -> Pass {
                 // rename whose first call executed (held through the
                 // partition by the coordinator) sees NoEnt. Confirm the
                 // outcome by resolving the destination.
-                loop {
-                    match client.rename(root, src, root, dst).await {
-                        Ok(()) => break,
-                        Err(_) => {
-                            if client.lookup(root, dst).await.is_ok() {
-                                break;
-                            }
-                            sim.sleep(SimDuration::from_millis(500)).await;
-                        }
-                    }
+                while client.rename(root, src, root, dst).await.is_err()
+                    && client.lookup(root, dst).await.is_err()
+                {
+                    sim.sleep(retry(0)).await;
                 }
             }
-            // A cross-shard hard link on top of the moved set.
-            let ln = name_on(
-                (default_shard(&pairs[0].1, N_SHARDS) + 1) % N_SHARDS,
-                &format!("c{c}ln_"),
-            );
-            loop {
-                match client.link(fhs[0], root, &ln).await {
-                    Ok(_) => break,
-                    Err(spritely_proto::NfsStatus::Exist) => break,
-                    Err(_) => sim.sleep(SimDuration::from_millis(500)).await,
-                }
+            // Nor is a link: the re-issue of one that executed sees Exist.
+            while !matches!(
+                client.link(fhs[0], root, &ln).await,
+                Ok(_) | Err(NfsStatus::Exist)
+            ) {
+                sim.sleep(retry(0)).await;
             }
             // Read everything back through the new names.
             for (i, (_, dst)) in pairs.iter().enumerate() {
-                let (fh, _) = insist!(sim, client.lookup(root, dst));
-                insist!(sim, client.open(fh, false));
-                let (data, _) = insist!(sim, client.read(fh, 0, BLOCK_SIZE as u32));
+                let (fh, _) = insist(sim, retry, || client.lookup(root, dst)).await;
+                insist(sim, retry, || client.open(fh, false)).await;
+                let (data, _) = insist(sim, retry, || client.read(fh, 0, BLOCK_SIZE as u32)).await;
                 assert!(
-                    data.iter().all(|&x| x == (c as u8) * 16 + i as u8 + 1),
+                    data[..] == fill(i),
                     "client {c} reads its own bytes via {dst}"
                 );
-                insist!(sim, client.close(fh, false));
+                insist(sim, retry, || client.close(fh, false)).await;
             }
             // Let delayed writes, commits and keepalives drain.
             sim.sleep(SimDuration::from_secs(70)).await;
-        }));
-    }
-    for h in handles {
-        tb.sim.run_until(h);
-    }
-    let cross_ops = tb.shard_hosts.iter().map(|sh| {
-        let ops = sh.server.shard_stats();
-        ops.cross_renames + ops.cross_links
-    });
-    Pass::of(&tb, testbed_digest(&tb), cross_ops.sum())
+        }
+    })
 }
 
-fn run_delegation(seed: u64, faulted: bool) -> Pass {
-    use spritely_core::DelegationParams;
+fn delegation(params: TestbedParams) -> Run<()> {
     const FILES: u64 = 4;
-    let delegated = TestbedParams {
-        protocol: Protocol::Snfs,
-        delegation: DelegationParams::pipelined(),
-        ..TestbedParams::default()
-    };
-    let tb = Testbed::build_with_clients(chaos_params(delegated, seed, faulted), 2);
-    let a = tb.clients[0].remote.snfs().expect("SNFS testbed").clone();
-    let b = tb.clients[1].remote.snfs().expect("SNFS testbed").clone();
-    let root = tb.server_fs.root();
-    let sim = tb.sim.clone();
-    let net = tb.net.clone();
-    let h = sim.spawn({
-        let sim = sim.clone();
+    let tb = Testbed::build_with_clients(params, 2);
+    let [a, b] = [0, 1].map(|i| tb.clients[i].remote.snfs().expect("SNFS testbed").clone());
+    let (root, net) = (tb.server_fs.root(), tb.net.clone());
+    tb.measure(|i, p| {
+        let (a, b, net) = (a.clone(), b.clone(), net.clone());
         async move {
-            use spritely_proto::BLOCK_SIZE;
+            // One script drives both clients in turn, from client 0.
+            if i > 0 {
+                return;
+            }
+            let sim = p.sim();
             // A builds its delegated working set. Everything is fsynced:
             // the interesting chaos target is the recall protocol, not
             // dirty-data recovery, and a revoked holder's unflushed
@@ -406,19 +325,21 @@ fn run_delegation(seed: u64, faulted: bool) -> Pass {
             // make the digests diverge by design.
             let mut fhs = Vec::new();
             for i in 0..FILES {
-                let (fh, _) = insist!(sim, a.create(root, &format!("deleg{i}")));
-                insist!(sim, a.open(fh, true));
-                insist!(sim, a.write(fh, 0, &[i as u8 + 1; BLOCK_SIZE]));
-                insist!(sim, a.fsync(fh));
-                insist!(sim, a.close(fh, true));
+                let name = format!("deleg{i}");
+                let (fh, _) = insist(sim, retry, || a.create(root, &name)).await;
+                insist(sim, retry, || a.open(fh, true)).await;
+                let bytes = [i as u8 + 1; BLOCK_SIZE];
+                insist(sim, retry, || a.write(fh, 0, &bytes)).await;
+                insist(sim, retry, || a.fsync(fh)).await;
+                insist(sim, retry, || a.close(fh, true)).await;
                 fhs.push(fh);
             }
             // Local churn: re-open/read/close under the delegations.
             for _ in 0..3 {
                 for &fh in &fhs {
-                    insist!(sim, a.open(fh, false));
-                    let _ = insist!(sim, a.read(fh, 0, BLOCK_SIZE as u32));
-                    insist!(sim, a.close(fh, false));
+                    insist(sim, retry, || a.open(fh, false)).await;
+                    insist(sim, retry, || a.read(fh, 0, BLOCK_SIZE as u32)).await;
+                    insist(sim, retry, || a.close(fh, false)).await;
                 }
             }
             // A goes mute for 7 s just as B's sweep starts: recall
@@ -433,63 +354,52 @@ fn run_delegation(seed: u64, faulted: bool) -> Pass {
             }
             // B sweeps the working set: one recall per file.
             for &fh in &fhs {
-                insist!(sim, b.open(fh, false));
-                let _ = insist!(sim, b.read(fh, 0, BLOCK_SIZE as u32));
-                insist!(sim, b.close(fh, false));
+                insist(sim, retry, || b.open(fh, false)).await;
+                insist(sim, retry, || b.read(fh, 0, BLOCK_SIZE as u32)).await;
+                insist(sim, retry, || b.close(fh, false)).await;
             }
             // After the heal: A rewrites one file (re-earning authority
             // or falling back to RPC if it was fenced), B re-reads it.
             let fh = fhs[0];
-            insist!(sim, a.open(fh, true));
-            insist!(sim, a.write(fh, 0, &[0xAA; BLOCK_SIZE]));
-            insist!(sim, a.fsync(fh));
-            insist!(sim, a.close(fh, true));
-            insist!(sim, b.open(fh, false));
-            let (data, _) = insist!(sim, b.read(fh, 0, BLOCK_SIZE as u32));
+            insist(sim, retry, || a.open(fh, true)).await;
+            insist(sim, retry, || a.write(fh, 0, &[0xAA; BLOCK_SIZE])).await;
+            insist(sim, retry, || a.fsync(fh)).await;
+            insist(sim, retry, || a.close(fh, true)).await;
+            insist(sim, retry, || b.open(fh, false)).await;
+            let (data, _) = insist(sim, retry, || b.read(fh, 0, BLOCK_SIZE as u32)).await;
             assert!(
                 data.iter().all(|&x| x == 0xAA),
                 "B sees A's post-heal version"
             );
-            insist!(sim, b.close(fh, false));
+            insist(sim, retry, || b.close(fh, false)).await;
             // Let delayed writes, lazy returns and keepalives drain.
             sim.sleep(SimDuration::from_secs(70)).await;
         }
-    });
-    sim.run_until(h);
-    let recalls = tb
-        .snfs_server
-        .as_ref()
-        .map_or(0, |s| s.delegation_stats().recalls);
-    Pass::of(&tb, server_digest(&tb.server_fs), recalls)
+    })
 }
 
-fn run_write_sharing(seed: u64, faulted: bool) -> Pass {
-    let slow_writeback = TestbedParams {
-        protocol: Protocol::Snfs,
-        // Keep B's data dirty long enough for the partition to matter.
-        snfs_write_delay: SimDuration::from_secs(30),
-        ..TestbedParams::default()
-    };
-    let tb = Testbed::build_with_clients(chaos_params(slow_writeback, seed, faulted), 2);
-    let a = tb.clients[0].remote.snfs().expect("SNFS testbed").clone();
-    let b = tb.clients[1].remote.snfs().expect("SNFS testbed").clone();
-    let root = tb.server_fs.root();
-    let sim = tb.sim.clone();
-    let net = tb.net.clone();
-    let h = sim.spawn({
-        let sim = sim.clone();
+fn write_sharing(params: TestbedParams) -> Run<()> {
+    let tb = Testbed::build_with_clients(params, 2);
+    let [a, b] = [0, 1].map(|i| tb.clients[i].remote.snfs().expect("SNFS testbed").clone());
+    let (root, net) = (tb.server_fs.root(), tb.net.clone());
+    tb.measure(|i, p| {
+        let (a, b, net) = (a.clone(), b.clone(), net.clone());
         async move {
-            use spritely_proto::BLOCK_SIZE;
+            // One script drives both clients in turn, from client 0.
+            if i > 0 {
+                return;
+            }
+            let sim = p.sim();
             // A publishes version 1 of the shared file.
-            let (fh, _) = insist!(sim, a.create(root, "shared"));
-            insist!(sim, a.open(fh, true));
-            insist!(sim, a.write(fh, 0, &[1u8; 2 * BLOCK_SIZE]));
-            insist!(sim, a.fsync(fh));
-            insist!(sim, a.close(fh, true));
+            let (fh, _) = insist(sim, retry, || a.create(root, "shared")).await;
+            insist(sim, retry, || a.open(fh, true)).await;
+            insist(sim, retry, || a.write(fh, 0, &[1u8; 2 * BLOCK_SIZE])).await;
+            insist(sim, retry, || a.fsync(fh)).await;
+            insist(sim, retry, || a.close(fh, true)).await;
             // B overwrites it and holds the data dirty (30 s delay).
-            insist!(sim, b.open(fh, true));
-            insist!(sim, b.write(fh, 0, &[2u8; 2 * BLOCK_SIZE]));
-            insist!(sim, b.close(fh, true));
+            insist(sim, retry, || b.open(fh, true)).await;
+            insist(sim, retry, || b.write(fh, 0, &[2u8; 2 * BLOCK_SIZE])).await;
+            insist(sim, retry, || b.close(fh, true)).await;
             // Partition B's host for 12 s (faulted run only; scripted
             // partitions consume no randomness).
             if net.faults_active() {
@@ -503,22 +413,20 @@ fn run_write_sharing(seed: u64, faulted: bool) -> Pass {
             // open and retry B's write-back callback until the partition
             // heals; A's own RPC ladder (≈5 s) is shorter than that, so
             // A re-issues the open until it goes through.
-            let attr = insist!(sim, a.open(fh, false));
+            let attr = insist(sim, retry, || a.open(fh, false)).await;
             assert_eq!(
                 attr.size,
                 (2 * BLOCK_SIZE) as u64,
                 "A sees B's version after the heal"
             );
-            let (data, _) = insist!(sim, a.read(fh, 0, (2 * BLOCK_SIZE) as u32));
+            let (data, _) = insist(sim, retry, || a.read(fh, 0, (2 * BLOCK_SIZE) as u32)).await;
             assert!(
                 data.iter().all(|&x| x == 2),
                 "B's dirty data survived the partition"
             );
-            insist!(sim, a.close(fh, false));
+            insist(sim, retry, || a.close(fh, false)).await;
             // Let delayed writes and the server update daemon drain.
             sim.sleep(SimDuration::from_secs(70)).await;
         }
-    });
-    sim.run_until(h);
-    Pass::of(&tb, server_digest(&tb.server_fs), 0)
+    })
 }

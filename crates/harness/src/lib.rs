@@ -1,50 +1,45 @@
-//! Experiment harness: topologies, benchmark runners and paper-style
-//! reports for every table and figure in the paper's evaluation.
+//! Experiment harness: topologies, the run driver, the workload scripts
+//! and paper-style reports for every table and figure in the paper's
+//! evaluation.
 //!
-//! | Paper artifact | Runner | Report |
+//! An experiment is a [`Testbed`] built from [`TestbedParams`], a script
+//! from [`scripts`] run on it through the driver's verbs ([`run`]:
+//! `together`, `drain`, `cold_boot`, `measure`), and a [`report`] over the
+//! [`Run`] that comes back; [`catalog`] defines every experiment once.
+//!
+//! | Paper artifact | Script | Report |
 //! |---|---|---|
-//! | Table 5-1 (Andrew times) | [`run_andrew`] | [`report::table_5_1`] |
-//! | Table 5-2 (Andrew RPCs) | [`run_andrew`] | [`report::table_5_2`] |
-//! | Figure 5-1/5-2 (rates & utilization) | [`run_andrew`] | [`report::figure_series`] |
-//! | Table 5-3 (sort times) | [`run_sort_experiment`] | [`report::sort_table`] |
-//! | Table 5-4 (sort RPCs) | [`run_sort_experiment`] | [`report::sort_rpc_table`] |
-//! | Table 5-5 (infinite write-delay) | [`run_sort_experiment`] with `update_enabled = false` | [`report::sort_table`] |
-//! | Table 5-6 (RPCs, update on/off) | [`run_sort_experiment`] | [`report::sort_rpc_table`] |
-//! | §5.3 micro | [`run_reopen`] | [`report::reopen_table`] |
-//! | temp-lifetime ablation | [`run_temp_lifetime`] | — |
+//! | Tables 5-1/5-2 (Andrew times, RPCs) | [`scripts::andrew`] | [`report::table_5_1`], [`report::table_5_2`] |
+//! | Figures 5-1/5-2 (rates & utilization) | [`scripts::andrew`] | [`report::figure_series`] |
+//! | Tables 5-3/5-5 (sort times; 5-5 with `update_enabled = false`) | [`scripts::sort`] | [`report::sort_table`] |
+//! | Tables 5-4/5-6 (sort RPCs) | [`scripts::sort`] | [`report::sort_rpc_table`] |
+//! | §5.3 micro | [`scripts::reopen`] | [`report::reopen_table`] |
+//! | §5.4 temp-file lifetime | [`scripts::temp_lifetime`] | — |
+//! | §2.3 server capacity | [`scripts::scaling`], [`scripts::scaling_shards`] | [`report::server_io_table`] |
 
 pub mod catalog;
 pub mod compare;
 pub mod config;
 pub mod report;
+pub mod run;
+pub mod scripts;
 pub mod snapshot;
 
-mod andrew;
 mod chaosx;
-mod flushx;
 mod matrix;
-mod microx;
-mod scaling;
-mod sortx;
 mod testbed;
 
-pub use andrew::{run_andrew, run_andrew_with, AndrewRun};
 pub use chaosx::{
-    chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, server_digest,
-    testbed_digest, ChaosVerdict,
+    chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, ChaosVerdict, ChaosWorkload,
+    CHAOS,
 };
 pub use compare::{compare_json, CompareOptions, CompareReport};
-pub use flushx::{run_flush, run_flush_with, FlushRun};
 pub use matrix::{render_matrix, run_matrix, MatrixResult};
-pub use microx::{run_reopen, run_temp_lifetime, ReopenRun, TempLifetimeRun};
-pub use scaling::{
-    run_scaling, run_scaling_shards, run_scaling_with, ScalingRun, ScalingShardsRun,
-};
+pub use run::{insist, Run, DRAIN};
 pub use snapshot::{
     ClientSnapshot, DelegationSnapshot, FaultSnapshot, ProfileSnapshot, ServerIoSnapshot,
     ServerSnapshot, ShardSnapshot, ShardsSnapshot, StatsSnapshot, TraceReport, TransportSnapshot,
 };
-pub use sortx::{run_sort_experiment, run_sort_with, SortRun};
 pub use spritely_core::{
     DelegationParams, DelegationStats, ServerIoParams, SnfsServerParams, WriteBehindParams,
 };
@@ -56,7 +51,6 @@ pub use testbed::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spritely_proto::NfsProc;
 
     #[test]
     fn testbed_builds_for_every_protocol() {
@@ -114,68 +108,6 @@ mod tests {
                 "{p:?}/{shards}: server LocalFs leaked"
             );
         }
-    }
-
-    #[test]
-    fn sort_local_beats_nothing_but_runs() {
-        let run = run_sort_experiment(Protocol::Local, 281 * 1024, true);
-        assert!(run.elapsed.as_secs_f64() > 0.5);
-        assert_eq!(run.ops.total(), 0, "local config makes no RPCs");
-    }
-
-    #[test]
-    fn sort_snfs_beats_nfs() {
-        let nfs = run_sort_experiment(Protocol::Nfs, 281 * 1024, true);
-        let snfs = run_sort_experiment(Protocol::Snfs, 281 * 1024, true);
-        assert!(
-            snfs.elapsed < nfs.elapsed,
-            "SNFS {} vs NFS {}",
-            snfs.elapsed,
-            nfs.elapsed
-        );
-        assert!(
-            snfs.ops.get(NfsProc::Write) < nfs.ops.get(NfsProc::Write),
-            "SNFS writes fewer blocks through"
-        );
-    }
-
-    #[test]
-    fn sort_snfs_without_update_writes_almost_nothing() {
-        let run = run_sort_experiment(Protocol::Snfs, 281 * 1024, false);
-        assert!(
-            run.ops.get(NfsProc::Write) <= 2,
-            "expected ~0 write RPCs, got {}",
-            run.ops.get(NfsProc::Write)
-        );
-    }
-
-    #[test]
-    fn temp_lifetime_below_delay_is_free_on_snfs() {
-        let short = run_temp_lifetime(
-            Protocol::Snfs,
-            64 * 1024,
-            spritely_sim::SimDuration::from_secs(5),
-        );
-        assert_eq!(short.write_rpcs, 0, "short-lived temp never written");
-        let long = run_temp_lifetime(
-            Protocol::Snfs,
-            64 * 1024,
-            spritely_sim::SimDuration::from_secs(120),
-        );
-        assert!(long.write_rpcs > 0, "long-lived temp written back");
-        let nfs = run_temp_lifetime(
-            Protocol::Nfs,
-            64 * 1024,
-            spritely_sim::SimDuration::from_secs(5),
-        );
-        assert!(nfs.write_rpcs >= 16, "NFS always writes through");
-    }
-
-    #[test]
-    fn reopen_probe_shows_close_bug() {
-        let buggy = run_reopen(Protocol::Nfs, true, 256 * 1024);
-        let fixed = run_reopen(Protocol::NfsFixed, true, 256 * 1024);
-        assert!(buggy.ops.get(NfsProc::Read) > fixed.ops.get(NfsProc::Read));
     }
 }
 

@@ -12,7 +12,7 @@
 //! equality over random matrices.
 //!
 //! What a job *is* stays with the caller: a closure from the job's index
-//! to its result, over the same `run_*` functions everything else calls.
+//! to its result, over the same [`crate::scripts`] everything else calls.
 //!
 //! [`Sim`]: spritely_sim::Sim
 

@@ -2,39 +2,36 @@
 
 use spritely_metrics::TextTable;
 use spritely_proto::NfsProc;
+use spritely_sim::SimDuration;
+use spritely_workloads::{AndrewTimes, ReopenResult};
 
-use crate::andrew::AndrewRun;
-use crate::flushx::FlushRun;
-use crate::microx::ReopenRun;
-use crate::sortx::SortRun;
+use crate::run::Run;
 
-fn secs(d: spritely_sim::SimDuration) -> String {
+fn secs(d: SimDuration) -> String {
     format!("{:.0}", d.as_secs_f64())
 }
 
-/// Selector from a run to one phase's elapsed time.
-type PhaseSelector = fn(&AndrewRun) -> spritely_sim::SimDuration;
+/// Selector from a run's times to one phase's elapsed time.
+type PhaseSelector = fn(&AndrewTimes) -> SimDuration;
 
 /// Table 5-1: Andrew benchmark elapsed times, one column per run.
-pub fn table_5_1(runs: &[AndrewRun]) -> String {
+pub fn table_5_1(runs: &[Run<AndrewTimes>]) -> String {
     let mut headers = vec!["Phase".to_string()];
-    headers.extend(runs.iter().map(|r| r.label()));
+    headers.extend(runs.iter().map(|r| r.tb.params.label()));
     let mut t = TextTable::new(headers);
-    let phases: [(&str, PhaseSelector); 5] = [
-        ("MakeDir", |r| r.times.makedir),
-        ("Copy", |r| r.times.copy),
-        ("ScanDir", |r| r.times.scandir),
-        ("ReadAll", |r| r.times.readall),
-        ("Make", |r| r.times.make),
+    let phases: [(&str, PhaseSelector); 6] = [
+        ("MakeDir", |t| t.makedir),
+        ("Copy", |t| t.copy),
+        ("ScanDir", |t| t.scandir),
+        ("ReadAll", |t| t.readall),
+        ("Make", |t| t.make),
+        ("Total", AndrewTimes::total),
     ];
     for (name, f) in phases {
         let mut row = vec![name.to_string()];
-        row.extend(runs.iter().map(|r| secs(f(r))));
+        row.extend(runs.iter().map(|r| secs(f(r.first()))));
         t.row(row);
     }
-    let mut row = vec!["Total".to_string()];
-    row.extend(runs.iter().map(|r| secs(r.times.total())));
-    t.row(row);
     t.render()
 }
 
@@ -43,26 +40,24 @@ pub fn table_5_1(runs: &[AndrewRun]) -> String {
 /// Uses the steady-state counts (benchmark plus its delayed write-back
 /// tail): the paper ran SNFS trials back to back, so each measurement
 /// window absorbed the previous trial's postponed writes (§5.2).
-pub fn table_5_2(runs: &[AndrewRun]) -> String {
+pub fn table_5_2(runs: &[Run<AndrewTimes>]) -> String {
     let mut headers = vec!["RPC".to_string()];
-    headers.extend(runs.iter().map(|r| r.label()));
+    headers.extend(runs.iter().map(|r| r.tb.params.label()));
     let mut t = TextTable::new(headers);
+    let ops: Vec<_> = runs.iter().map(Run::ops_to_now).collect();
     for p in NfsProc::ALL {
-        if runs.iter().all(|r| r.ops_with_tail.get(p) == 0) {
+        if ops.iter().all(|o| o.get(p) == 0) {
             continue;
         }
         let mut row = vec![p.name().to_string()];
-        row.extend(runs.iter().map(|r| r.ops_with_tail.get(p).to_string()));
+        row.extend(ops.iter().map(|o| o.get(p).to_string()));
         t.row(row);
     }
     let mut row = vec!["total".to_string()];
-    row.extend(runs.iter().map(|r| r.ops_with_tail.total().to_string()));
+    row.extend(ops.iter().map(|o| o.total().to_string()));
     t.row(row);
     let mut row = vec!["data xfer".to_string()];
-    row.extend(
-        runs.iter()
-            .map(|r| r.ops_with_tail.data_transfers().to_string()),
-    );
+    row.extend(ops.iter().map(|o| o.data_transfers().to_string()));
     t.row(row);
     let mut row = vec!["disk writes".to_string()];
     row.extend(runs.iter().map(|r| r.server_disk.writes.to_string()));
@@ -72,15 +67,16 @@ pub fn table_5_2(runs: &[AndrewRun]) -> String {
 
 /// Figures 5-1 / 5-2: server utilization and call rates over time, as a
 /// CSV-ish text block (`t_sec, util, calls/s, reads/s, writes/s`).
-pub fn figure_series(run: &AndrewRun) -> String {
+pub fn figure_series(run: &Run<AndrewTimes>) -> String {
     let width = crate::config::figure_bucket().as_secs_f64();
+    let (rate_buckets, util_samples) = (run.rate_buckets(), run.tb.util.samples());
     let mut out = String::from("t_sec,cpu_util,calls_per_s,reads_per_s,writes_per_s\n");
-    let mut n = run.rate_buckets.len().max(run.util_samples.len());
+    let mut n = rate_buckets.len().max(util_samples.len());
     // Trim the quiet tail (post-benchmark drain with no activity).
     while n > 1 {
         let i = n - 1;
-        let quiet_rate = run.rate_buckets.get(i).is_none_or(|b| b.total == 0);
-        let quiet_util = run.util_samples.get(i).is_none_or(|&(_, u)| u < 0.005);
+        let quiet_rate = rate_buckets.get(i).is_none_or(|b| b.total == 0);
+        let quiet_util = util_samples.get(i).is_none_or(|&(_, u)| u < 0.005);
         if quiet_rate && quiet_util {
             n -= 1;
         } else {
@@ -89,8 +85,7 @@ pub fn figure_series(run: &AndrewRun) -> String {
     }
     for i in 0..n {
         let t = (i as f64 + 1.0) * width;
-        let (total, reads, writes) = run
-            .rate_buckets
+        let (total, reads, writes) = rate_buckets
             .get(i)
             .map(|b| {
                 (
@@ -100,7 +95,7 @@ pub fn figure_series(run: &AndrewRun) -> String {
                 )
             })
             .unwrap_or((0.0, 0.0, 0.0));
-        let util = run.util_samples.get(i).map(|&(_, u)| u).unwrap_or(0.0);
+        let util = util_samples.get(i).map(|&(_, u)| u).unwrap_or(0.0);
         out.push_str(&format!(
             "{t:.0},{util:.3},{total:.1},{reads:.1},{writes:.1}\n"
         ));
@@ -108,16 +103,16 @@ pub fn figure_series(run: &AndrewRun) -> String {
     out
 }
 
-/// Table 5-3 / 5-5: sort elapsed times; rows are input sizes, columns are
-/// `/usr/tmp` placements.
-pub fn sort_table(runs: &[SortRun]) -> String {
-    let mut sizes: Vec<u64> = runs.iter().map(|r| r.input_bytes).collect();
+/// Table 5-3 / 5-5: sort elapsed times, from `(input bytes, run)` pairs;
+/// rows are input sizes, columns are `/usr/tmp` placements.
+pub fn sort_table(runs: &[(u64, Run<SimDuration>)]) -> String {
+    let mut sizes: Vec<u64> = runs.iter().map(|(bytes, _)| *bytes).collect();
     sizes.sort_unstable();
     sizes.dedup();
     let mut protos: Vec<crate::Protocol> = Vec::new();
-    for r in runs {
-        if !protos.contains(&r.protocol) {
-            protos.push(r.protocol);
+    for (_, r) in runs {
+        if !protos.contains(&r.tb.params.protocol) {
+            protos.push(r.tb.params.protocol);
         }
     }
     let mut headers = vec!["Input".to_string()];
@@ -128,8 +123,8 @@ pub fn sort_table(runs: &[SortRun]) -> String {
         for proto in &protos {
             let cell = runs
                 .iter()
-                .find(|r| r.input_bytes == size && r.protocol == *proto)
-                .map(|r| format!("{} sec", secs(r.elapsed)))
+                .find(|(bytes, r)| *bytes == size && r.tb.params.protocol == *proto)
+                .map(|(_, r)| format!("{} sec", secs(*r.first())))
                 .unwrap_or_else(|| "-".to_string());
             row.push(cell);
         }
@@ -139,14 +134,19 @@ pub fn sort_table(runs: &[SortRun]) -> String {
 }
 
 /// Table 5-4 / 5-6: RPC calls for the sort benchmark.
-pub fn sort_rpc_table(runs: &[SortRun]) -> String {
+pub fn sort_rpc_table(runs: &[Run<SimDuration>]) -> String {
     let mut headers = vec!["Version".to_string()];
     headers.extend(["update?", "reads", "writes", "others", "total"].map(String::from));
     let mut t = TextTable::new(headers);
     for r in runs {
         t.row(vec![
-            r.protocol.label().to_string(),
-            if r.update_enabled { "yes" } else { "no" }.to_string(),
+            r.tb.params.protocol.label().to_string(),
+            if r.tb.params.update_enabled {
+                "yes"
+            } else {
+                "no"
+            }
+            .to_string(),
             r.ops.get(NfsProc::Read).to_string(),
             r.ops.get(NfsProc::Write).to_string(),
             (r.ops.total() - r.ops.get(NfsProc::Read) - r.ops.get(NfsProc::Write)).to_string(),
@@ -173,10 +173,12 @@ pub fn latency_table(l: &spritely_metrics::LatencyStats) -> String {
     t.render()
 }
 
-/// Write-behind flush microbenchmark report: one row per pool
-/// configuration, including the write-back failure count (normally 0)
-/// and the `write` RPC latency distribution.
-pub fn flush_table(runs: &[FlushRun]) -> String {
+/// Write-behind flush microbenchmark report: one row per labelled pool
+/// configuration flushing `blocks` dirty blocks, including the gathering
+/// factor (mean blocks per write-back RPC), the pipelining depth (peak
+/// concurrent write-back RPCs), the write-back failure count (normally
+/// 0) and the `write` RPC latency distribution.
+pub fn flush_table(blocks: usize, runs: &[(&str, &Run<SimDuration>)]) -> String {
     let mut t = TextTable::new(vec![
         "Mode",
         "blocks",
@@ -189,21 +191,20 @@ pub fn flush_table(runs: &[FlushRun]) -> String {
         "w p95 ms",
         "w p99 ms",
     ]);
-    for r in runs {
+    for (label, r) in runs {
+        let client = r.tb.clients[0].remote.snfs().expect("flush runs over SNFS");
         let pct = |q| {
-            format!(
-                "{:.1}",
-                r.latency.percentile(NfsProc::Write, q).as_secs_f64() * 1e3
-            )
+            let write = r.tb.latency.percentile(NfsProc::Write, q);
+            format!("{:.1}", write.as_secs_f64() * 1e3)
         };
         t.row(vec![
-            r.label.to_string(),
-            r.dirty_blocks.to_string(),
-            format!("{:.1}", r.flush_time.as_secs_f64() * 1e3),
-            r.write_rpcs.to_string(),
-            format!("{:.1}", r.mean_batch),
-            r.peak_inflight.to_string(),
-            r.writeback_failures.to_string(),
+            label.to_string(),
+            blocks.to_string(),
+            format!("{:.1}", r.first().as_secs_f64() * 1e3),
+            r.ops.get(NfsProc::Write).to_string(),
+            format!("{:.1}", client.gather_histogram().mean()),
+            client.inflight_gauge().peak().to_string(),
+            client.stats().writeback_failures.to_string(),
             pct(0.50),
             pct(0.95),
             pct(0.99),
@@ -212,15 +213,15 @@ pub fn flush_table(runs: &[FlushRun]) -> String {
     t.render()
 }
 
-/// §5.3 microbenchmark report.
-pub fn reopen_table(runs: &[ReopenRun]) -> String {
+/// §5.3 microbenchmark report, from `(reread the same file?, run)` pairs.
+pub fn reopen_table(runs: &[(bool, Run<ReopenResult>)]) -> String {
     let mut t = TextTable::new(vec!["Protocol", "reread", "write s", "read s", "read RPCs"]);
-    for r in runs {
+    for (same_file, r) in runs {
         t.row(vec![
-            r.protocol.label().to_string(),
-            if r.same_file { "same" } else { "other" }.to_string(),
-            format!("{:.2}", r.result.write_time.as_secs_f64()),
-            format!("{:.2}", r.result.read_time.as_secs_f64()),
+            r.tb.params.protocol.label().to_string(),
+            if *same_file { "same" } else { "other" }.to_string(),
+            format!("{:.2}", r.first().write_time.as_secs_f64()),
+            format!("{:.2}", r.first().read_time.as_secs_f64()),
             r.ops.get(NfsProc::Read).to_string(),
         ]);
     }
@@ -230,7 +231,9 @@ pub fn reopen_table(runs: &[ReopenRun]) -> String {
 /// Server I/O pipeline observability (DESIGN.md §12): per scaling run,
 /// the server block-cache hit rate and the disk-queue shape — peak
 /// depth, mean queue wait and mean arm positioning time per request.
-pub fn server_io_table(runs: &[(&str, &crate::ScalingRun)]) -> String {
+/// The queue peak and the RPC latencies are the whole run's, set-up
+/// included: the gauge and the recorder have no reset.
+pub fn server_io_table(runs: &[(&str, &Run<SimDuration>)]) -> String {
     let mut t = TextTable::new(vec![
         "Config",
         "clients",
@@ -250,13 +253,18 @@ pub fn server_io_table(runs: &[(&str, &crate::ScalingRun)]) -> String {
         } else {
             0.0
         };
-        let pct = |q| format!("{:.1}", r.latency.total_percentile(q).as_secs_f64() * 1e3);
+        let pct = |q| {
+            format!(
+                "{:.1}",
+                r.tb.latency.total_percentile(q).as_secs_f64() * 1e3
+            )
+        };
         t.row(vec![
             label.to_string(),
-            r.clients.to_string(),
+            r.tb.clients.len().to_string(),
             secs(r.makespan),
             format!("{hit:.1}"),
-            r.disk_queue_peak.to_string(),
+            r.tb.server_fs.disk().queue_depth().peak().to_string(),
             format!("{:.1}", r.disk_wait_ms_mean),
             format!("{:.1}", r.disk_pos_ms_mean),
             pct(0.50),

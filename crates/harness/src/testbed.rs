@@ -181,6 +181,29 @@ impl Default for TestbedParams {
     }
 }
 
+impl TestbedParams {
+    /// The paper's stack over `protocol`, with `/tmp` and `/usr/tmp` on
+    /// the client's disk or on the server.
+    pub fn paper(protocol: Protocol, tmp_remote: bool) -> Self {
+        TestbedParams {
+            protocol,
+            tmp_remote,
+            ..TestbedParams::default()
+        }
+    }
+
+    /// Column label for tables, like `"SNFS tmp-rem"`.
+    pub fn label(&self) -> String {
+        if self.protocol == Protocol::Local {
+            "local".to_string()
+        } else if self.tmp_remote {
+            format!("{} tmp-rem", self.protocol.label())
+        } else {
+            format!("{} tmp-loc", self.protocol.label())
+        }
+    }
+}
+
 /// The protocol client attached to one client host.
 #[derive(Clone)]
 pub enum RemoteClient {

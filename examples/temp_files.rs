@@ -8,21 +8,25 @@
 //!
 //! Run with: `cargo run --example temp_files`
 
-use spritely::harness::{run_temp_lifetime, Protocol};
+use spritely::harness::scripts::temp_lifetime;
+use spritely::harness::{Protocol, TestbedParams};
 use spritely::metrics::TextTable;
+use spritely::proto::NfsProc;
 use spritely::sim::SimDuration;
 
 fn main() {
     println!("Temp-file lifetime sweep (64 KB file, deleted after <lifetime>):\n");
     let mut t = TextTable::new(vec!["lifetime", "NFS write RPCs", "SNFS write RPCs"]);
     for secs in [1u64, 5, 15, 45, 90] {
-        let lifetime = SimDuration::from_secs(secs);
-        let nfs = run_temp_lifetime(Protocol::Nfs, 64 * 1024, lifetime);
-        let snfs = run_temp_lifetime(Protocol::Snfs, 64 * 1024, lifetime);
+        let write_rpcs = |protocol| {
+            let tmp_on_server = TestbedParams::paper(protocol, true);
+            let run = temp_lifetime(tmp_on_server, 64 * 1024, SimDuration::from_secs(secs));
+            run.ops.get(NfsProc::Write).to_string()
+        };
         t.row(vec![
             format!("{secs} s"),
-            nfs.write_rpcs.to_string(),
-            snfs.write_rpcs.to_string(),
+            write_rpcs(Protocol::Nfs),
+            write_rpcs(Protocol::Snfs),
         ]);
     }
     println!("{}", t.render());

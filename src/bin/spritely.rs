@@ -7,11 +7,11 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use spritely::harness::catalog::{self, slug_of, Entry, CATALOG};
+use spritely::harness::catalog::{self, slug_of, Entry, CATALOG, PROFILES};
+use spritely::harness::scripts::{andrew, scaling, sort};
 use spritely::harness::{
-    compare_json, render_matrix, report, run_andrew, run_andrew_with, run_flush_with, run_matrix,
-    run_scaling, run_scaling_with, run_sort_experiment, CompareOptions, MatrixResult, Protocol,
-    ServerIoParams, TestbedParams, WriteBehindParams,
+    compare_json, render_matrix, report, run_matrix, CompareOptions, MatrixResult, Protocol,
+    TestbedParams,
 };
 use spritely::trace::profile_trace;
 
@@ -151,21 +151,22 @@ fn matrix(seed: u64, threads: usize) {
     const PER_PROTOCOL: usize = 4;
     let job = |i: usize| {
         let p = [Protocol::Nfs, Protocol::Snfs][i / PER_PROTOCOL];
+        let tmp_remote = TestbedParams::paper(p, true);
         match i % PER_PROTOCOL {
             0 | 1 => {
-                let r = run_andrew(p, i % PER_PROTOCOL == 1, seed);
-                let label = format!("andrew {} seed={seed}", r.label());
-                MatrixResult::new(label, r.times.total(), &r.stats)
+                let r = andrew(TestbedParams::paper(p, i % PER_PROTOCOL == 1), seed);
+                let label = format!("andrew {} seed={seed}", r.tb.params.label());
+                MatrixResult::new(label, r.first().total(), &r.tb.stats_snapshot())
             }
             2 => {
-                let r = run_sort_experiment(p, 1408 * 1024, true);
+                let r = sort(tmp_remote, 1408 * 1024);
                 let label = format!("sort {} 1408KB upd=on", p.label());
-                MatrixResult::new(label, r.elapsed, &r.stats)
+                MatrixResult::new(label, *r.first(), &r.tb.stats_snapshot())
             }
             _ => {
-                let r = run_scaling(p, 4, seed);
+                let r = scaling(tmp_remote, 4, seed);
                 let label = format!("scaling {} n=4 seed={seed}", p.label());
-                MatrixResult::new(label, r.makespan, &r.stats)
+                MatrixResult::new(label, r.makespan, &r.tb.stats_snapshot())
             }
         }
     };
@@ -195,59 +196,10 @@ fn write_artifacts(files: &[(String, String)]) {
 }
 
 fn profile(which: &str, seed: u64) -> ExitCode {
-    let snfs_tmp_remote = TestbedParams {
-        protocol: Protocol::Snfs,
-        tmp_remote: true,
-        trace: true,
-        ..TestbedParams::default()
+    let Some((_, name, run)) = PROFILES.iter().find(|(w, ..)| *w == which) else {
+        return usage_error(&format!("no profile workload named {which:?}"));
     };
-    let (name, trace) = match which {
-        // The paper's headline configuration: SNFS with /tmp remote.
-        "andrew" => ("andrew_snfs", run_andrew_with(snfs_tmp_remote, seed).trace),
-        // Same workload with every perf-mode pipeline enabled.
-        "andrew-pipelined" => (
-            "andrew_snfs_pipelined",
-            run_andrew_with(
-                TestbedParams {
-                    server_io: ServerIoParams::pipelined(),
-                    write_behind: WriteBehindParams::pipelined(),
-                    ..snfs_tmp_remote
-                },
-                seed,
-            )
-            .trace,
-        ),
-        "scaling" => (
-            "scaling_pipelined_4",
-            run_scaling_with(
-                TestbedParams {
-                    server_io: ServerIoParams::pipelined(),
-                    ..snfs_tmp_remote
-                },
-                4,
-                seed,
-            )
-            .trace,
-        ),
-        "flush" => (
-            "flush_pipelined",
-            run_flush_with(
-                "pipelined",
-                TestbedParams {
-                    protocol: Protocol::Snfs,
-                    update_enabled: false,
-                    write_behind: WriteBehindParams::pipelined(),
-                    trace: true,
-                    ..TestbedParams::default()
-                },
-                64,
-            )
-            .trace,
-        ),
-        _ => return usage_error(&format!("no profile workload named {which:?}")),
-    };
-    let trace = trace.expect("tracing was requested");
-    let p = profile_trace(&trace.events);
+    let p = profile_trace(&run(seed).events);
     println!("Latency profile: {which} (seed {seed})\n");
     println!("{}", report::profile_table(&p));
     write_artifacts(&[(format!("profile_{name}.json"), p.to_json())]);

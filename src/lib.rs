@@ -27,8 +27,8 @@
 //!   the §6.1/§6.2 extensions (hybrid NFS coexistence, delayed close);
 //! * [`vfs`] — GFS-style mount table + process/fd/syscall layer;
 //! * [`workloads`] — Andrew benchmark, external sort, microbenchmarks;
-//! * [`harness`] — experiment runners and paper-style reports for every
-//!   table and figure in the evaluation;
+//! * [`harness`] — testbeds, the run driver, the workload scripts and
+//!   paper-style reports for every table and figure in the evaluation;
 //! * [`metrics`] — RPC counters, rate/utilization series, text tables;
 //! * [`trace`] — deterministic causal event tracing with a protocol
 //!   invariant checker (state machine legality, N−1 callback bound,
@@ -37,12 +37,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use spritely::harness::{run_sort_experiment, Protocol};
+//! use spritely::harness::{scripts, Protocol, TestbedParams};
 //!
-//! // Sort 281 KB with temp files over Spritely NFS vs. baseline NFS.
-//! let nfs = run_sort_experiment(Protocol::Nfs, 281 * 1024, true);
-//! let snfs = run_sort_experiment(Protocol::Snfs, 281 * 1024, true);
-//! assert!(snfs.elapsed < nfs.elapsed);
+//! // Sort 281 KB with temp files over Spritely NFS vs. baseline NFS;
+//! // a sort run's per-client result is its elapsed time.
+//! let sort = |protocol| scripts::sort(TestbedParams::paper(protocol, true), 281 * 1024);
+//! let (nfs, snfs) = (sort(Protocol::Nfs), sort(Protocol::Snfs));
+//! assert!(snfs.first() < nfs.first());
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `crates/bench` for the

@@ -102,8 +102,9 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
     for file in file_names(&root().join("baselines")) {
         // The six that are not artifacts: the directory's own README,
         // the pre-PR-6 reference `sim_speed` is compiled against, the
-        // line-count, allocation-count and event-count ratchets of
-        // `scripts/check.sh`, and the ledger of host-clock claims.
+        // per-crate line-count report, allocation-count and event-count
+        // ratchets of `scripts/check.sh`, and the ledger of host-clock
+        // claims.
         const NOT_ARTIFACTS: [&str; 6] = [
             "README.md",
             "sim_speed.txt",

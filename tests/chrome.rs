@@ -4,32 +4,29 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use spritely::harness::{
-    run_andrew_with, run_scaling_with, Protocol, ServerIoParams, TestbedParams, TraceReport,
-};
+use spritely::harness::scripts;
+use spritely::harness::{Protocol, ServerIoParams, TestbedParams, TraceReport};
 use spritely::metrics::json::{parse, Value};
 use spritely::proto::Fnv;
 use spritely::trace::Event;
 
 fn andrew() -> TraceReport {
     let params = TestbedParams {
-        protocol: Protocol::Snfs,
-        tmp_remote: true,
         trace: true,
-        ..TestbedParams::default()
+        ..TestbedParams::paper(Protocol::Snfs, true)
     };
-    run_andrew_with(params, 42).trace.expect("traced")
+    let run = scripts::andrew(params, 42);
+    run.tb.finish_trace().expect("traced")
 }
 
 fn pipelined_4() -> TraceReport {
     let params = TestbedParams {
-        protocol: Protocol::Snfs,
-        tmp_remote: true,
         server_io: ServerIoParams::pipelined(),
         trace: true,
-        ..TestbedParams::default()
+        ..TestbedParams::paper(Protocol::Snfs, true)
     };
-    run_scaling_with(params, 4, 42).trace.expect("traced")
+    let run = scripts::scaling(params, 4, 42);
+    run.tb.finish_trace().expect("traced")
 }
 
 fn num(row: &Value, key: &str) -> u64 {

@@ -3,45 +3,39 @@
 //! reproduction auditable — any observed difference between two configs
 //! is caused by the config, not by scheduling noise.
 
-use spritely::harness::catalog::{run_open_churn, run_shared_read};
+use spritely::harness::scripts::{
+    andrew, flush, open_churn, reopen, scaling, scaling_shards, shared_read, sort, temp_lifetime,
+};
 use spritely::harness::{
-    run_andrew_with, run_flush_with, run_reopen, run_scaling_shards, run_scaling_with,
-    run_sort_experiment, run_sort_with, run_temp_lifetime, server_digest, DelegationParams,
-    Protocol, StatsSnapshot, Testbed, TestbedParams, TraceReport, TransportParams,
+    DelegationParams, Protocol, Run, ServerIoParams, ShardParams, TestbedParams, TransportParams,
     WriteBehindParams,
 };
+use spritely::proto::NfsProc;
 use spritely::sim::SimDuration;
 
-/// What one run of a script leaves behind, as far as its runner lets a
-/// caller reach it: the end-of-run snapshot as JSON, the digest of the
-/// server's stable contents, the digest of the checked trace, and
-/// whatever else the runner measured.
+/// What one traced run of a script leaves behind: the end-of-run
+/// snapshot as JSON, the digest of the servers' stable contents, the
+/// digest of the checked trace, and what the window measured.
 #[derive(Debug, PartialEq)]
 struct Pinned {
-    stats_json: Option<String>,
-    digest: Option<u64>,
-    trace_fnv: Option<u64>,
+    stats_json: String,
+    digest: u64,
+    trace_fnv: u64,
     measured: String,
 }
 
-fn pinned(stats: &StatsSnapshot, trace: Option<TraceReport>, measured: String) -> Pinned {
+fn pinned<T>(run: &Run<T>, measured: String) -> Pinned {
     Pinned {
-        stats_json: Some(stats.to_json()),
-        digest: None,
-        trace_fnv: Some(trace.expect("tracing was on").fnv()),
+        stats_json: run.tb.stats_snapshot().to_json(),
+        digest: run.tb.digest(),
+        trace_fnv: run.tb.finish_trace().expect("tracing was on").fnv(),
         measured,
     }
 }
 
-fn pinned_testbed((tb, makespan, messages): (Testbed, f64, u64)) -> Pinned {
-    Pinned {
-        digest: Some(server_digest(&tb.server_fs)),
-        ..pinned(
-            &tb.stats_snapshot(),
-            tb.finish_trace(),
-            format!("{makespan} s, {messages} messages"),
-        )
-    }
+fn pinned_window(run: &Run<()>) -> Pinned {
+    let secs = run.makespan.as_secs_f64();
+    pinned(run, format!("{secs} s, {} messages", run.messages))
 }
 
 /// A script by name.
@@ -51,25 +45,29 @@ type Script = (&'static str, fn() -> Pinned);
 fn scripts() -> Vec<Script> {
     fn traced() -> TestbedParams {
         TestbedParams {
-            protocol: Protocol::Snfs,
-            tmp_remote: true,
             trace: true,
-            ..TestbedParams::default()
+            ..TestbedParams::paper(Protocol::Snfs, true)
+        }
+    }
+    /// The pipelined stack shared-read and open-churn are measured on.
+    fn pipelined() -> TestbedParams {
+        TestbedParams {
+            tmp_remote: false,
+            server_io: ServerIoParams::pipelined(),
+            write_behind: WriteBehindParams::pipelined(),
+            ..traced()
         }
     }
     vec![
         ("andrew", || {
-            let r = run_andrew_with(traced(), 42);
-            let measured = format!("{:?} {:?} {:?}", r.times, r.ops, r.ops_with_tail);
-            Pinned {
-                digest: Some(r.server_digest),
-                ..pinned(&r.stats, r.trace, measured)
-            }
+            let r = andrew(traced(), 42);
+            let measured = format!("{:?} {:?} {:?}", r.first(), r.ops, r.ops_to_now());
+            pinned(&r, measured)
         }),
         ("sort", || {
-            let r = run_sort_with(traced(), 281 * 1024);
-            let measured = format!("{:?} {:?} {}", r.elapsed, r.ops, r.client_disk_writes);
-            pinned(&r.stats, r.trace, measured)
+            let r = sort(traced(), 281 * 1024);
+            let measured = format!("{:?} {:?} {}", r.first(), r.ops, r.client_disk_writes);
+            pinned(&r, measured)
         }),
         ("flush", || {
             let params = TestbedParams {
@@ -78,50 +76,53 @@ fn scripts() -> Vec<Script> {
                 write_behind: WriteBehindParams::pipelined(),
                 ..traced()
             };
-            let r = run_flush_with("pipelined", params, 16);
-            let measured = format!("{:?} {} write RPCs", r.flush_time, r.write_rpcs);
-            pinned(&r.stats, r.trace, measured)
+            let r = flush(params, 16);
+            let write_rpcs = r.ops.get(NfsProc::Write);
+            pinned(&r, format!("{:?} {write_rpcs} write RPCs", r.first()))
         }),
-        // The next three runners return neither a snapshot nor a trace
-        // (and take no `TestbedParams` to ask for one): what they do
-        // return is all that can be pinned before the fold.
         ("reopen", || {
-            let r = run_reopen(Protocol::Snfs, false, 64 * 1024);
-            Pinned {
-                stats_json: None,
-                digest: None,
-                trace_fnv: None,
-                measured: format!("{:?} {:?}", r.result, r.ops),
-            }
+            let params = TestbedParams {
+                tmp_remote: false,
+                ..traced()
+            };
+            let r = reopen(params, false, 64 * 1024);
+            pinned(&r, format!("{:?} {:?}", r.first(), r.ops))
         }),
         ("temp-lifetime", || {
-            let r = run_temp_lifetime(Protocol::Snfs, 64 * 1024, SimDuration::from_secs(45));
-            Pinned {
-                stats_json: None,
-                digest: None,
-                trace_fnv: None,
-                measured: format!("{} write RPCs", r.write_rpcs),
-            }
+            let r = temp_lifetime(traced(), 64 * 1024, SimDuration::from_secs(45));
+            let write_rpcs = r.ops.get(NfsProc::Write);
+            pinned(&r, format!("{write_rpcs} write RPCs"))
         }),
         ("shard-scaling 2x8", || {
-            let r = run_scaling_shards(2, 8, 42);
-            Pinned {
-                stats_json: Some(r.stats.to_json()),
-                digest: None,
-                trace_fnv: None,
-                measured: format!("{:?} {:?}", r.makespan, r.per_shard_rpcs),
-            }
+            let params = TestbedParams {
+                tmp_remote: false,
+                shards: ShardParams::sharded(2),
+                ..traced()
+            };
+            let r = scaling_shards(params, 8, 42);
+            pinned(&r, format!("{:?} {:?}", r.makespan, r.served))
         }),
         ("scaling 4", || {
-            let r = run_scaling_with(traced(), 4, 42);
-            let measured = format!("{:?} {:?} {}", r.makespan, r.ops, r.disk_writes);
-            pinned(&r.stats, r.trace, measured)
+            let r = scaling(traced(), 4, 42);
+            let measured = format!("{:?} {:?} {}", r.makespan, r.ops, r.server_disk.writes);
+            pinned(&r, measured)
         }),
         ("shared-read", || {
-            pinned_testbed(run_shared_read(TransportParams::pipelined(), 2, true))
+            let params = TestbedParams {
+                read_ahead_window: 8,
+                transport: TransportParams::pipelined(),
+                ..pipelined()
+            };
+            pinned_window(&shared_read(params, 2))
         }),
         ("open-churn", || {
-            pinned_testbed(run_open_churn(DelegationParams::pipelined(), 2, true))
+            let params = TestbedParams {
+                name_cache: true,
+                transport: TransportParams::pipelined(),
+                delegation: DelegationParams::pipelined(),
+                ..pipelined()
+            };
+            pinned_window(&open_churn(params, 2))
         }),
     ]
 }
@@ -142,8 +143,8 @@ fn every_script_is_bit_identical_run_to_run() {
             h.0
         };
         println!(
-            "{name}: stats {:016x?} digest {:016x?} trace {:016x?} measured {:016x}",
-            a.stats_json.as_ref().map(fnv),
+            "{name}: stats {:016x} digest {:016x} trace {:016x} measured {:016x}",
+            fnv(&a.stats_json),
             a.digest,
             a.trace_fnv,
             fnv(&a.measured)
@@ -151,12 +152,16 @@ fn every_script_is_bit_identical_run_to_run() {
     }
 }
 
+/// The 281 KB sort with `/usr/tmp` on `protocol`.
+fn sort_281k(protocol: Protocol) -> Run<SimDuration> {
+    sort(TestbedParams::paper(protocol, true), 281 * 1024)
+}
+
 #[test]
 fn sort_runs_are_bit_identical() {
     for p in [Protocol::Local, Protocol::Nfs, Protocol::Snfs] {
-        let a = run_sort_experiment(p, 281 * 1024, true);
-        let b = run_sort_experiment(p, 281 * 1024, true);
-        assert_eq!(a.elapsed, b.elapsed, "{p:?} elapsed");
+        let (a, b) = (sort_281k(p), sort_281k(p));
+        assert_eq!(a.first(), b.first(), "{p:?} elapsed");
         assert_eq!(a.ops, b.ops, "{p:?} op counts");
         assert_eq!(a.client_disk_writes, b.client_disk_writes, "{p:?} disk");
     }
@@ -165,8 +170,9 @@ fn sort_runs_are_bit_identical() {
 #[test]
 fn temp_lifetime_runs_are_bit_identical() {
     let run = || {
-        let r = run_temp_lifetime(Protocol::Snfs, 64 * 1024, SimDuration::from_secs(45));
-        r.write_rpcs
+        let tmp_on_server = TestbedParams::paper(Protocol::Snfs, true);
+        let r = temp_lifetime(tmp_on_server, 64 * 1024, SimDuration::from_secs(45));
+        r.ops.get(NfsProc::Write)
     };
     assert_eq!(run(), run());
 }

@@ -3,19 +3,42 @@
 //! are our simulator's, not the authors' testbed's; these tests pin the
 //! *relationships* the paper reports.
 
-use spritely::harness::{run_andrew, run_sort_experiment, run_temp_lifetime, Protocol};
+use spritely::harness::scripts::{andrew, scaling, sort, temp_lifetime};
+use spritely::harness::{Protocol, Run, TestbedParams};
 use spritely::proto::NfsProc;
 use spritely::sim::SimDuration;
+use spritely::workloads::AndrewTimes;
+
+/// The 1408 KB sort with `/usr/tmp` on `protocol`; the run's `first()`
+/// is the elapsed time.
+fn sort_1408k(protocol: Protocol, update_enabled: bool) -> Run<SimDuration> {
+    let params = TestbedParams {
+        update_enabled,
+        ..TestbedParams::paper(protocol, true)
+    };
+    sort(params, 1408 * 1024)
+}
+
+/// `write` RPCs a 128 KB temp file living `secs` costs.
+fn temp_write_rpcs(protocol: Protocol, secs: u64) -> u64 {
+    let params = TestbedParams::paper(protocol, true);
+    let run = temp_lifetime(params, 128 * 1024, SimDuration::from_secs(secs));
+    run.ops.get(NfsProc::Write)
+}
+
+fn andrew_42(protocol: Protocol, tmp_remote: bool) -> Run<AndrewTimes> {
+    andrew(TestbedParams::paper(protocol, tmp_remote), 42)
+}
 
 #[test]
 fn sort_ordering_and_factors_match_the_paper() {
     // Table 5-3: local < SNFS << NFS, with NFS roughly 2-4x slower.
-    let local = run_sort_experiment(Protocol::Local, 1408 * 1024, true);
-    let nfs = run_sort_experiment(Protocol::Nfs, 1408 * 1024, true);
-    let snfs = run_sort_experiment(Protocol::Snfs, 1408 * 1024, true);
-    assert!(local.elapsed <= snfs.elapsed);
-    assert!(snfs.elapsed < nfs.elapsed);
-    let ratio = nfs.elapsed.as_secs_f64() / snfs.elapsed.as_secs_f64();
+    let local = sort_1408k(Protocol::Local, true);
+    let nfs = sort_1408k(Protocol::Nfs, true);
+    let snfs = sort_1408k(Protocol::Snfs, true);
+    assert!(local.first() <= snfs.first());
+    assert!(snfs.first() < nfs.first());
+    let ratio = nfs.first().as_secs_f64() / snfs.first().as_secs_f64();
     assert!(
         ratio > 1.5,
         "paper: SNFS completes ~2x faster; got ratio {ratio:.2}"
@@ -26,8 +49,8 @@ fn sort_ordering_and_factors_match_the_paper() {
 fn sort_rpc_profile_matches_table_5_4() {
     // NFS re-reads what it wrote (close bug) and writes everything
     // through; SNFS barely reads and writes far less during the run.
-    let nfs = run_sort_experiment(Protocol::Nfs, 1408 * 1024, true);
-    let snfs = run_sort_experiment(Protocol::Snfs, 1408 * 1024, true);
+    let nfs = sort_1408k(Protocol::Nfs, true);
+    let snfs = sort_1408k(Protocol::Snfs, true);
     assert!(nfs.ops.get(NfsProc::Read) > 500);
     assert!(nfs.ops.get(NfsProc::Write) > 500);
     assert!(snfs.ops.get(NfsProc::Read) < nfs.ops.get(NfsProc::Read) / 5);
@@ -39,10 +62,10 @@ fn sort_rpc_profile_matches_table_5_4() {
 fn infinite_write_delay_matches_tables_5_5_and_5_6() {
     // With /etc/update disabled, SNFS writes (almost) nothing to the
     // server and approaches local-disk time; NFS is unchanged.
-    let nfs_on = run_sort_experiment(Protocol::Nfs, 1408 * 1024, true);
-    let nfs_off = run_sort_experiment(Protocol::Nfs, 1408 * 1024, false);
-    let snfs_off = run_sort_experiment(Protocol::Snfs, 1408 * 1024, false);
-    let local_off = run_sort_experiment(Protocol::Local, 1408 * 1024, false);
+    let nfs_on = sort_1408k(Protocol::Nfs, true);
+    let nfs_off = sort_1408k(Protocol::Nfs, false);
+    let snfs_off = sort_1408k(Protocol::Snfs, false);
+    let local_off = sort_1408k(Protocol::Local, false);
     assert_eq!(
         nfs_on.ops.get(NfsProc::Write),
         nfs_off.ops.get(NfsProc::Write),
@@ -52,7 +75,7 @@ fn infinite_write_delay_matches_tables_5_5_and_5_6() {
         snfs_off.ops.get(NfsProc::Write) <= 2,
         "SNFS writes ~0 blocks with infinite write-delay"
     );
-    let ratio = snfs_off.elapsed.as_secs_f64() / local_off.elapsed.as_secs_f64();
+    let ratio = snfs_off.first().as_secs_f64() / local_off.first().as_secs_f64();
     assert!(
         ratio < 1.25,
         "SNFS matches or beats local for short-lived temps; ratio {ratio:.2}"
@@ -63,23 +86,27 @@ fn infinite_write_delay_matches_tables_5_5_and_5_6() {
 fn temp_file_lifetime_crossover_is_the_update_interval() {
     // The crossover the paper's §5.4 implies: below the 30 s tick a temp
     // file is free under SNFS, above it the data escapes.
-    let below = run_temp_lifetime(Protocol::Snfs, 128 * 1024, SimDuration::from_secs(10));
-    let above = run_temp_lifetime(Protocol::Snfs, 128 * 1024, SimDuration::from_secs(70));
-    assert_eq!(below.write_rpcs, 0);
-    assert!(above.write_rpcs >= 30, "post-tick the blocks were flushed");
-    let nfs = run_temp_lifetime(Protocol::Nfs, 128 * 1024, SimDuration::from_secs(10));
-    assert!(nfs.write_rpcs >= 32, "NFS pays regardless of lifetime");
+    assert_eq!(temp_write_rpcs(Protocol::Snfs, 10), 0);
+    assert!(
+        temp_write_rpcs(Protocol::Snfs, 70) >= 30,
+        "post-tick the blocks were flushed"
+    );
+    assert!(
+        temp_write_rpcs(Protocol::Nfs, 10) >= 32,
+        "NFS pays regardless of lifetime"
+    );
 }
 
 #[test]
 fn andrew_shape_matches_table_5_1() {
     // /tmp remote: the configuration the paper highlights (diskless
     // workstation). SNFS wins Copy and Make and the total by 10-40%.
-    let nfs = run_andrew(Protocol::Nfs, true, 42);
-    let snfs = run_andrew(Protocol::Snfs, true, 42);
-    assert!(snfs.times.copy < nfs.times.copy, "Copy favors SNFS");
-    assert!(snfs.times.make < nfs.times.make, "Make favors SNFS");
-    let total_gain = 1.0 - snfs.times.total().as_secs_f64() / nfs.times.total().as_secs_f64();
+    let nfs = andrew_42(Protocol::Nfs, true);
+    let snfs = andrew_42(Protocol::Snfs, true);
+    let (nfs_times, snfs_times) = (nfs.first(), snfs.first());
+    assert!(snfs_times.copy < nfs_times.copy, "Copy favors SNFS");
+    assert!(snfs_times.make < nfs_times.make, "Make favors SNFS");
+    let total_gain = 1.0 - snfs_times.total().as_secs_f64() / nfs_times.total().as_secs_f64();
     assert!(
         (0.08..0.45).contains(&total_gain),
         "payload total 15-20%-ish faster; got {:.0}%",
@@ -87,14 +114,15 @@ fn andrew_shape_matches_table_5_1() {
     );
     // Table 5-2 aggregates: lookups dominate both protocols equally;
     // SNFS moves far less data.
-    assert!(nfs.ops_with_tail.get(NfsProc::Lookup) * 2 >= nfs.ops_with_tail.total() / 2);
+    let (nfs_ops, snfs_ops) = (nfs.ops_to_now(), snfs.ops_to_now());
+    assert!(nfs_ops.get(NfsProc::Lookup) * 2 >= nfs_ops.total() / 2);
     assert_eq!(
-        nfs.ops_with_tail.get(NfsProc::Lookup) + 51,
-        snfs.ops_with_tail.get(NfsProc::Lookup) + 51,
+        nfs_ops.get(NfsProc::Lookup) + 51,
+        snfs_ops.get(NfsProc::Lookup) + 51,
         "same lookup protocol on both sides"
     );
     assert!(
-        snfs.ops_with_tail.data_transfers() < nfs.ops_with_tail.data_transfers() / 2,
+        snfs_ops.data_transfers() < nfs_ops.data_transfers() / 2,
         "paper: 42% fewer data-transfer operations (ours is stronger)"
     );
     // Server disk writes 30%+ lower under SNFS (paper: 30-35%).
@@ -103,23 +131,25 @@ fn andrew_shape_matches_table_5_1() {
 
 #[test]
 fn figures_5_1_5_2_series_are_plausible() {
-    let nfs = run_andrew(Protocol::Nfs, true, 42);
-    let snfs = run_andrew(Protocol::Snfs, true, 42);
+    let nfs = andrew_42(Protocol::Nfs, true);
+    let snfs = andrew_42(Protocol::Snfs, true);
+    let (nfs_buckets, snfs_buckets) = (nfs.rate_buckets(), snfs.rate_buckets());
+    let (nfs_util, snfs_util) = (nfs.tb.util.samples(), snfs.tb.util.samples());
     // Both series have enough points to plot and nonzero activity.
-    assert!(nfs.rate_buckets.len() >= 8);
-    assert!(snfs.rate_buckets.len() >= 8);
-    let nfs_peak = nfs.rate_buckets.iter().map(|b| b.total).max().unwrap();
-    let snfs_peak = snfs.rate_buckets.iter().map(|b| b.total).max().unwrap();
+    assert!(nfs_buckets.len() >= 8);
+    assert!(snfs_buckets.len() >= 8);
+    let nfs_peak = nfs_buckets.iter().map(|b| b.total).max().unwrap();
+    let snfs_peak = snfs_buckets.iter().map(|b| b.total).max().unwrap();
     assert!(nfs_peak > 0 && snfs_peak > 0);
     // Utilization stays a fraction (sampler sanity).
-    for &(_, u) in nfs.util_samples.iter().chain(&snfs.util_samples) {
+    for &(_, u) in nfs_util.iter().chain(&snfs_util) {
         assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
     }
     // Paper: load correlates with aggregate call rate. Check the
     // correlation coefficient is clearly positive for NFS.
     let r = correlation(
-        &nfs.util_samples.iter().map(|&(_, u)| u).collect::<Vec<_>>(),
-        &nfs.rate_buckets
+        &nfs_util.iter().map(|&(_, u)| u).collect::<Vec<_>>(),
+        &nfs_buckets
             .iter()
             .map(|b| b.total as f64)
             .collect::<Vec<_>>(),
@@ -150,16 +180,16 @@ fn ablation_close_bug_accounts_for_part_of_the_gap() {
     // §5.3: the authors estimate the invalidate-on-close bug explains
     // less than a quarter of the sort difference. Fixing it must help
     // NFS but not erase SNFS's lead.
-    let nfs = run_sort_experiment(Protocol::Nfs, 1408 * 1024, true);
-    let fixed = run_sort_experiment(Protocol::NfsFixed, 1408 * 1024, true);
-    let snfs = run_sort_experiment(Protocol::Snfs, 1408 * 1024, true);
-    assert!(fixed.elapsed <= nfs.elapsed);
+    let nfs = sort_1408k(Protocol::Nfs, true);
+    let fixed = sort_1408k(Protocol::NfsFixed, true);
+    let snfs = sort_1408k(Protocol::Snfs, true);
+    assert!(fixed.first() <= nfs.first());
     assert!(
         fixed.ops.get(NfsProc::Read) < nfs.ops.get(NfsProc::Read) / 2,
         "fixed client re-reads far less"
     );
     assert!(
-        snfs.elapsed < fixed.elapsed,
+        snfs.first() < fixed.first(),
         "write-through still loses to delayed write-back"
     );
 }
@@ -168,10 +198,11 @@ fn ablation_close_bug_accounts_for_part_of_the_gap() {
 fn ablation_delayed_close_reduces_rpc_count() {
     // §6.2: delayed close should cut open/close traffic on the Andrew
     // benchmark (header files are reopened constantly).
-    let snfs = run_andrew(Protocol::Snfs, false, 42);
-    let dc = run_andrew(Protocol::SnfsDelayedClose, false, 42);
-    let oc = |r: &spritely::harness::AndrewRun| {
-        r.ops_with_tail.get(NfsProc::Open) + r.ops_with_tail.get(NfsProc::Close)
+    let snfs = andrew_42(Protocol::Snfs, false);
+    let dc = andrew_42(Protocol::SnfsDelayedClose, false);
+    let oc = |r: &Run<AndrewTimes>| {
+        let ops = r.ops_to_now();
+        ops.get(NfsProc::Open) + ops.get(NfsProc::Close)
     };
     assert!(
         oc(&dc) * 2 < oc(&snfs),
@@ -179,17 +210,16 @@ fn ablation_delayed_close_reduces_rpc_count() {
         oc(&dc),
         oc(&snfs)
     );
-    assert!(dc.times.total() <= snfs.times.total());
+    assert!(dc.first().total() <= snfs.first().total());
 }
 
 #[test]
 fn server_capacity_gap_grows_with_clients() {
     // §2.3: the more active clients, the bigger SNFS's advantage — the
     // server disk is NFS's bottleneck, and SNFS keeps traffic off it.
-    use spritely::harness::run_scaling;
     let speedup = |n: usize| {
-        let nfs = run_scaling(Protocol::Nfs, n, 42);
-        let snfs = run_scaling(Protocol::Snfs, n, 42);
+        let nfs = scaling(TestbedParams::paper(Protocol::Nfs, true), n, 42);
+        let snfs = scaling(TestbedParams::paper(Protocol::Snfs, true), n, 42);
         nfs.makespan.as_secs_f64() / snfs.makespan.as_secs_f64()
     };
     let one = speedup(1);

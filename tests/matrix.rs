@@ -5,28 +5,31 @@
 //! change wall-clock time, never a result — this test pins that.
 
 use proptest::prelude::*;
-use spritely::harness::{
-    run_andrew, run_matrix, run_scaling, run_sort_experiment, MatrixResult, Protocol,
-};
+use spritely::harness::scripts::{andrew, scaling, sort};
+use spritely::harness::{run_matrix, MatrixResult, Protocol, TestbedParams};
 
 /// A small pool of cheap experiments the random matrices draw from.
 const POOL: usize = 5;
 
 fn run_pooled(pick: usize) -> MatrixResult {
     let sort = |p: Protocol, update| {
-        let r = run_sort_experiment(p, 281 * 1024, update);
+        let params = TestbedParams {
+            update_enabled: update,
+            ..TestbedParams::paper(p, true)
+        };
+        let r = sort(params, 281 * 1024);
         MatrixResult::new(
             format!("sort {} upd={update}", p.label()),
-            r.elapsed,
-            &r.stats,
+            *r.first(),
+            &r.tb.stats_snapshot(),
         )
     };
     let scaling = |p: Protocol, seed| {
-        let r = run_scaling(p, 2, seed);
+        let r = scaling(TestbedParams::paper(p, true), 2, seed);
         MatrixResult::new(
             format!("scaling {} seed={seed}", p.label()),
             r.makespan,
-            &r.stats,
+            &r.tb.stats_snapshot(),
         )
     };
     match pick {
@@ -35,8 +38,12 @@ fn run_pooled(pick: usize) -> MatrixResult {
         2 => scaling(Protocol::Snfs, 11),
         3 => scaling(Protocol::Nfs, 12),
         _ => {
-            let r = run_andrew(Protocol::Snfs, true, 13);
-            MatrixResult::new("andrew".to_string(), r.times.total(), &r.stats)
+            let r = andrew(TestbedParams::paper(Protocol::Snfs, true), 13);
+            MatrixResult::new(
+                "andrew".to_string(),
+                r.first().total(),
+                &r.tb.stats_snapshot(),
+            )
         }
     }
 }

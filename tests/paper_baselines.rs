@@ -40,12 +40,13 @@ fn paper_mode_tables_match_baselines() {
 #[test]
 fn paper_mode_andrew_runs_keep_the_pipelines_inert() {
     for r in &catalog::andrew_runs(42) {
-        let t = &r.stats.transport;
+        let stats = r.tb.stats_snapshot();
+        let t = &stats.transport;
         assert_eq!(t.batches, 0, "paper transport must never batch");
         assert_eq!(t.saved_round_trips, 0);
         assert_eq!(t.attr_elisions, 0, "paper clients must probe, not elide");
         assert!(
-            r.stats.delegation.is_none(),
+            stats.delegation.is_none(),
             "paper runs must not report a delegation section"
         );
     }

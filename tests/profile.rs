@@ -3,32 +3,27 @@
 //! gate (`spritely compare`).
 
 use spritely::harness::{
-    compare_json, run_andrew_with, run_flush_with, run_scaling_with, AndrewRun, CompareOptions,
-    DelegationParams, FaultParams, Protocol, ServerIoParams, ShardParams, Testbed, TestbedParams,
-    WriteBehindParams,
+    compare_json, scripts, CompareOptions, DelegationParams, FaultParams, Protocol, Run,
+    ServerIoParams, ShardParams, Testbed, TestbedParams, WriteBehindParams,
 };
 use spritely::proto::{Fnv, BLOCK_SIZE};
 use spritely::rpcnet::PartitionDir;
 use spritely::sim::SimDuration;
 use spritely::trace::{profile_trace, Event};
 use spritely::vfs::OpenFlags;
+use spritely::workloads::AndrewTimes;
 
-fn andrew(trace: bool) -> AndrewRun {
-    run_andrew_with(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            tmp_remote: true,
-            trace,
-            ..TestbedParams::default()
-        },
-        42,
-    )
+fn andrew(trace: bool) -> Run<AndrewTimes> {
+    let params = TestbedParams {
+        trace,
+        ..TestbedParams::paper(Protocol::Snfs, true)
+    };
+    scripts::andrew(params, 42)
 }
 
 #[test]
 fn every_rpc_claimed_once_and_phases_partition_each_span() {
-    let run = andrew(true);
-    let trace = run.trace.as_ref().expect("tracing was on");
+    let trace = andrew(true).tb.finish_trace().expect("tracing was on");
     let rpc_calls = trace
         .events
         .iter()
@@ -124,18 +119,13 @@ fn recall_rpcs_are_claimed_by_the_profiler() {
 
 #[test]
 fn scaling_run_attribution_is_above_99_percent() {
-    let run = run_scaling_with(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            tmp_remote: true,
-            server_io: ServerIoParams::pipelined(),
-            trace: true,
-            ..TestbedParams::default()
-        },
-        4,
-        42,
-    );
-    let trace = run.trace.as_ref().expect("tracing was on");
+    let params = TestbedParams {
+        server_io: ServerIoParams::pipelined(),
+        trace: true,
+        ..TestbedParams::paper(Protocol::Snfs, true)
+    };
+    let run = scripts::scaling(params, 4, 42);
+    let trace = run.tb.finish_trace().expect("tracing was on");
     let p = profile_trace(&trace.events);
     assert_eq!(p.claims.total(), p.total_rpcs);
     assert!(
@@ -147,10 +137,11 @@ fn scaling_run_attribution_is_above_99_percent() {
 
 #[test]
 fn profile_json_is_byte_identical_for_the_same_seed() {
-    let a = andrew(true);
-    let b = andrew(true);
-    let pa = profile_trace(&a.trace.expect("traced").events);
-    let pb = profile_trace(&b.trace.expect("traced").events);
+    let profile = || {
+        let trace = andrew(true).tb.finish_trace().expect("traced");
+        profile_trace(&trace.events)
+    };
+    let (pa, pb) = (profile(), profile());
     assert_eq!(pa.to_json(), pb.to_json());
 }
 
@@ -257,33 +248,28 @@ fn profiling_is_pure_post_processing() {
     // profiling never await, never consume randomness.
     let traced = andrew(true);
     let untraced = andrew(false);
-    assert_eq!(traced.times.total(), untraced.times.total());
-    assert_eq!(traced.ops_with_tail.total(), untraced.ops_with_tail.total());
-    assert!(traced.stats.profile.is_some());
-    assert!(untraced.stats.profile.is_none());
-    let mut stripped = traced.stats.clone();
+    assert_eq!(traced.first().total(), untraced.first().total());
+    assert_eq!(traced.ops_to_now().total(), untraced.ops_to_now().total());
+    let (mut stripped, plain) = (traced.tb.stats_snapshot(), untraced.tb.stats_snapshot());
+    assert!(stripped.profile.is_some());
+    assert!(plain.profile.is_none());
     stripped.profile = None;
     assert_eq!(
         stripped.to_json(),
-        untraced.stats.to_json(),
+        plain.to_json(),
         "snapshots identical once the profile section is removed"
     );
 }
 
 #[test]
 fn compare_gate_flags_an_injected_regression() {
-    let run = run_flush_with(
-        "pipelined",
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            update_enabled: false,
-            write_behind: WriteBehindParams::pipelined(),
-            trace: true,
-            ..TestbedParams::default()
-        },
-        64,
-    );
-    let json = run.stats.to_json();
+    let params = TestbedParams {
+        update_enabled: false,
+        write_behind: WriteBehindParams::pipelined(),
+        trace: true,
+        ..TestbedParams::default()
+    };
+    let json = scripts::flush(params, 64).tb.stats_snapshot().to_json();
 
     // Same document: clean bill of health.
     let same = compare_json(&json, &json, &CompareOptions::default()).expect("parse");

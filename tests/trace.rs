@@ -3,9 +3,9 @@
 //! invariant checker's teeth (hand-forged bad traces are caught), and a
 //! checker pass over the write-behind eviction scenarios.
 
+use spritely::harness::scripts::{andrew, flush, sort};
 use spritely::harness::{
-    report, run_andrew_with, run_flush_with, run_sort_with, Protocol, RemoteClient, Testbed,
-    TestbedParams, TraceReport, WriteBehindParams,
+    report, Protocol, RemoteClient, Testbed, TestbedParams, TraceReport, WriteBehindParams,
 };
 use spritely::proto::{ClientId, FileHandle, NfsProc, BLOCK_SIZE};
 use spritely::snfs::SnfsClient;
@@ -14,11 +14,14 @@ use spritely::vfs::OpenFlags;
 
 fn traced_params(protocol: Protocol, tmp_remote: bool) -> TestbedParams {
     TestbedParams {
-        protocol,
-        tmp_remote,
         trace: true,
-        ..TestbedParams::default()
+        ..TestbedParams::paper(protocol, tmp_remote)
     }
+}
+
+fn traced_andrew(protocol: Protocol) -> TraceReport {
+    let run = andrew(traced_params(protocol, true), 42);
+    run.tb.finish_trace().expect("traced")
 }
 
 fn snfs_client(tb: &Testbed, i: usize) -> SnfsClient {
@@ -30,9 +33,7 @@ fn snfs_client(tb: &Testbed, i: usize) -> SnfsClient {
 
 #[test]
 fn same_seed_andrew_traces_are_byte_identical() {
-    let a = run_andrew_with(traced_params(Protocol::Snfs, true), 42);
-    let b = run_andrew_with(traced_params(Protocol::Snfs, true), 42);
-    let (ta, tb) = (a.trace.expect("traced"), b.trace.expect("traced"));
+    let (ta, tb) = (traced_andrew(Protocol::Snfs), traced_andrew(Protocol::Snfs));
     assert!(!ta.events.is_empty(), "trace captured events");
     assert_eq!(
         ta.to_jsonl(),
@@ -44,8 +45,7 @@ fn same_seed_andrew_traces_are_byte_identical() {
 
 #[test]
 fn full_andrew_trace_has_zero_violations() {
-    let run = run_andrew_with(traced_params(Protocol::Snfs, true), 42);
-    let trace = run.trace.expect("traced");
+    let trace = traced_andrew(Protocol::Snfs);
     assert!(
         trace.ok(),
         "checker flagged a real run:\n{}",
@@ -69,15 +69,11 @@ fn tracing_does_not_change_any_table() {
             (Protocol::Snfs, true),
         ]
         .map(|(p, tmp)| {
-            run_andrew_with(
-                TestbedParams {
-                    protocol: p,
-                    tmp_remote: tmp,
-                    trace,
-                    ..TestbedParams::default()
-                },
-                42,
-            )
+            let params = TestbedParams {
+                trace,
+                ..TestbedParams::paper(p, tmp)
+            };
+            andrew(params, 42)
         })
     };
     let (plain, traced) = (andrew(false), andrew(true));
@@ -86,25 +82,25 @@ fn tracing_does_not_change_any_table() {
 
     let sort = |trace, update| {
         [Protocol::Nfs, Protocol::Snfs].map(|p| {
-            run_sort_with(
-                TestbedParams {
-                    protocol: p,
-                    tmp_remote: true,
-                    update_enabled: update,
-                    trace,
-                    ..TestbedParams::default()
-                },
-                281 * 1024,
-            )
+            let params = TestbedParams {
+                update_enabled: update,
+                trace,
+                ..TestbedParams::paper(p, true)
+            };
+            sort(params, 281 * 1024)
         })
     };
+    let sized = |runs: [_; 2]| runs.map(|r| (281 * 1024, r));
     // Tables 5-3/5-4 (update daemons on) and 5-5/5-6 (infinite delay).
     for update in [true, false] {
         let (plain, traced) = (sort(false, update), sort(true, update));
-        assert_eq!(report::sort_table(&plain), report::sort_table(&traced));
         assert_eq!(
             report::sort_rpc_table(&plain),
             report::sort_rpc_table(&traced)
+        );
+        assert_eq!(
+            report::sort_table(&sized(plain)),
+            report::sort_table(&sized(traced))
         );
     }
 }
@@ -296,18 +292,12 @@ fn checker_catches_fsync_ok_with_unacknowledged_blocks() {
 
 #[test]
 fn traced_flush_run_upholds_all_invariants() {
-    let run = run_flush_with(
-        "pipelined",
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            update_enabled: false,
-            write_behind: WriteBehindParams::pipelined(),
-            trace: true,
-            ..TestbedParams::default()
-        },
-        64,
-    );
-    let trace = run.trace.expect("traced");
+    let params = TestbedParams {
+        update_enabled: false,
+        write_behind: WriteBehindParams::pipelined(),
+        ..traced_params(Protocol::Snfs, false)
+    };
+    let trace = flush(params, 64).tb.finish_trace().expect("traced");
     assert!(
         trace.ok(),
         "checker flagged flush run:\n{}",
@@ -418,8 +408,8 @@ fn traced_remove_during_eviction_cancels_writebacks() {
 #[test]
 fn stats_snapshot_serializes_for_both_protocols() {
     for protocol in [Protocol::Nfs, Protocol::Snfs] {
-        let run = run_andrew_with(traced_params(protocol, true), 42);
-        let json = run.stats.to_json();
+        let run = andrew(traced_params(protocol, true), 42);
+        let json = run.tb.stats_snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"rpc_total\""));
         assert!(json.contains("\"clients\""));

@@ -3,10 +3,10 @@
 //! and the N−1 concurrent-callback bound (paper §3.2).
 
 use spritely::harness::{
-    run_flush, Protocol, RemoteClient, Testbed, TestbedParams, WriteBehindParams,
+    scripts, Protocol, RemoteClient, Testbed, TestbedParams, WriteBehindParams,
 };
 use spritely::metrics::OpCounts;
-use spritely::proto::BLOCK_SIZE;
+use spritely::proto::{NfsProc, BLOCK_SIZE};
 use spritely::sim::SimDuration;
 use spritely::snfs::SnfsClient;
 
@@ -266,12 +266,19 @@ fn paper_mode_pool_matches_serial_flush_rpc_for_rpc() {
     // The fidelity contract: with the default (paper-mode) pool the
     // flush is byte-identical to the old serial one — one single-block
     // RPC per dirty block, one in flight, same simulated duration
-    // profile as run_flush asserts elsewhere. Checked here end-to-end
-    // through the public runner.
-    let run = run_flush("paper", WriteBehindParams::default(), 32);
-    assert_eq!(run.write_rpcs, 32);
-    assert_eq!(run.peak_inflight, 1);
-    assert!((run.mean_batch - 1.0).abs() < 1e-9);
-    let again = run_flush("paper", WriteBehindParams::default(), 32);
-    assert_eq!(run.flush_time, again.flush_time, "deterministic too");
+    // profile as the flush script's own tests assert. Checked here
+    // end-to-end through the public script.
+    let flush = || {
+        let fsync_only = TestbedParams {
+            update_enabled: false,
+            ..TestbedParams::default()
+        };
+        scripts::flush(fsync_only, 32)
+    };
+    let run = flush();
+    let client = run.tb.clients[0].remote.snfs().expect("SNFS client");
+    assert_eq!(run.ops.get(NfsProc::Write), 32);
+    assert_eq!(client.inflight_gauge().peak(), 1);
+    assert!((client.gather_histogram().mean() - 1.0).abs() < 1e-9);
+    assert_eq!(run.first(), flush().first(), "deterministic too");
 }
