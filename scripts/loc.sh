@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Non-test Rust lines per crate, with a total: ROADMAP item 3's line target
-# made measurable (scripts/check.sh holds the total to baselines/loc.txt). Counts every .rs file under crates/<crate>/src/, each cut
+# Non-test Rust lines per crate, with a total: ROADMAP item 7's line target
+# made measurable (scripts/check.sh holds this report to baselines/loc.txt,
+# line for line). Counts every .rs file under crates/<crate>/src/, each cut
 # at its first column-0 `#[cfg(test)]`; tests/, benches/, examples/, vendor/
 # and benchmark/ are not product code and are left out (as is the root
 # package, which is a re-export and the CLI).
