@@ -29,7 +29,7 @@ use spritely_metrics::json::Writer;
 
 use crate::compare::{compare_json, CompareOptions};
 use crate::snapshot::TraceReport;
-use crate::{report, scripts, Protocol, Run, ServerIoParams, TestbedParams, WriteBehindParams};
+use crate::{report, scripts, Protocol, ServerIoParams, TestbedParams, WriteBehindParams};
 
 mod ablations;
 mod layers;
@@ -130,35 +130,26 @@ pub const CATALOG: &[Entry] = &[
     sim_speed::SIM_SPEED,
 ];
 
-/// A canned traced run of `spritely profile`: CLI name, artifact stem, run.
-pub type Profile = (&'static str, &'static str, fn(u64) -> TraceReport);
-
-/// The traced runs `spritely profile` attributes: the catalogue's own
-/// three, and Andrew once more with the server I/O and write-behind
-/// pipelines on.
-pub const PROFILES: [Profile; 4] = [
-    ("andrew", "andrew_snfs", |seed| {
-        traced(paper::traced_andrew(seed))
-    }),
-    ("andrew-pipelined", "andrew_snfs_pipelined", |seed| {
-        let params = TestbedParams {
-            server_io: ServerIoParams::pipelined(),
-            write_behind: WriteBehindParams::pipelined(),
-            trace: true,
-            ..TestbedParams::paper(Protocol::Snfs, true)
-        };
-        traced(scripts::andrew(params, seed))
-    }),
-    ("scaling", "scaling_pipelined_4", |seed| {
-        traced(layers::traced_scaling(seed))
-    }),
-    ("flush", "flush_pipelined", |_| {
-        traced(layers::traced_flush())
-    }),
-];
-
-fn traced<T>(run: Run<T>) -> TraceReport {
-    run.tb.finish_trace().expect("tracing was on")
+/// The checked trace `spritely profile <which>` attributes, with its
+/// artifact stem: the catalogue's own three traced runs, and Andrew once
+/// more with the server I/O and write-behind pipelines on.
+pub fn profiled(which: &str, seed: u64) -> Option<(&'static str, TraceReport)> {
+    let (stem, tb) = match which {
+        "andrew" => ("andrew_snfs", paper::traced_andrew(seed).tb),
+        "andrew-pipelined" => {
+            let params = TestbedParams {
+                server_io: ServerIoParams::pipelined(),
+                write_behind: WriteBehindParams::pipelined(),
+                trace: true,
+                ..TestbedParams::paper(Protocol::Snfs, true)
+            };
+            ("andrew_snfs_pipelined", scripts::andrew(params, seed).tb)
+        }
+        "scaling" => ("scaling_pipelined_4", layers::traced_scaling(seed).tb),
+        "flush" => ("flush_pipelined", layers::traced_flush().tb),
+        _ => return None,
+    };
+    Some((stem, tb.finish_trace().expect("tracing was on")))
 }
 
 /// Looks an entry up by name.

@@ -6,10 +6,11 @@ use spritely_metrics::TextTable;
 use spritely_sim::SimDuration;
 
 use super::{slug_of, Entry, Outcome};
+use crate::chaosx::CHAOS;
 use crate::scripts::{andrew, flush, open_churn, scaling, scaling_shards, shared_read};
 use crate::{
     report, ChaosVerdict, DelegationParams, Protocol, Run, ServerIoParams, ShardParams,
-    TestbedParams, TransportParams, WriteBehindParams, CHAOS,
+    TestbedParams, TransportParams, WriteBehindParams,
 };
 
 fn reduction_pct(paper: u64, pipelined: u64) -> f64 {
@@ -535,8 +536,7 @@ pub(super) const OPEN_CHURN: Entry = Entry {
         let a_off_s = a_off.first().total().as_secs_f64();
         let a_on_s = a_on.first().total().as_secs_f64();
         let andrew_gain = a_off_s / a_on_s;
-        let a_off_msgs = a_off.tb.stats_snapshot().transport.net_messages;
-        let a_on_msgs = a_on.tb.stats_snapshot().transport.net_messages;
+        let (a_off_msgs, a_on_msgs) = (a_off.tb.net.messages(), a_on.tb.net.messages());
         let total_reduction = reduction_pct(off_msgs + a_off_msgs, on_msgs + a_on_msgs);
 
         let snap = on.tb.stats_snapshot();

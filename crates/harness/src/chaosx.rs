@@ -120,11 +120,11 @@ fn verdict<T>(
 }
 
 /// A chaos workload by ledger key.
-pub type ChaosWorkload = (&'static str, fn() -> ChaosVerdict);
+pub(crate) type ChaosWorkload = (&'static str, fn() -> ChaosVerdict);
 
 /// The four chaos workloads, each pinned to the seed its convergence
 /// argument was checked on.
-pub const CHAOS: [ChaosWorkload; 4] = [
+pub(crate) const CHAOS: [ChaosWorkload; 4] = [
     ("andrew", || chaos_andrew(7)),
     ("sharing", || chaos_write_sharing(11)),
     ("delegation", || chaos_delegation(13)),

@@ -29,13 +29,10 @@ mod chaosx;
 mod matrix;
 mod testbed;
 
-pub use chaosx::{
-    chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, ChaosVerdict, ChaosWorkload,
-    CHAOS,
-};
+pub use chaosx::{chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, ChaosVerdict};
 pub use compare::{compare_json, CompareOptions, CompareReport};
 pub use matrix::{render_matrix, run_matrix, MatrixResult};
-pub use run::{insist, Run, DRAIN};
+pub use run::{Run, DRAIN};
 pub use snapshot::{
     ClientSnapshot, DelegationSnapshot, FaultSnapshot, ProfileSnapshot, ServerIoSnapshot,
     ServerSnapshot, ShardSnapshot, ShardsSnapshot, StatsSnapshot, TraceReport, TransportSnapshot,

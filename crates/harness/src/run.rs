@@ -220,7 +220,7 @@ fn walk(fs: &LocalFs, dir: FileHandle, path: &str, h: &mut Fnv) {
 /// an RPC ladder can exhaust, and during a partition calls must fail for
 /// a while before succeeding. (The workload's crutch, not the system's
 /// answer: ROADMAP item 4 moves it into the stack and deletes this.)
-pub async fn insist<T, Fut>(
+pub(crate) async fn insist<T, Fut>(
     sim: &Sim,
     backoff: impl Fn(u64) -> SimDuration,
     mut op: impl FnMut() -> Fut,

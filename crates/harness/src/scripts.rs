@@ -4,7 +4,7 @@
 //! workload. What a script's [`Run`] carries per client is what only
 //! that script knows.
 
-use spritely_proto::{NfsStatus, BLOCK_SIZE};
+use spritely_proto::{NfsStatus, Result, BLOCK_SIZE};
 use spritely_sim::SimDuration;
 use spritely_vfs::{OpenFlags, Proc};
 use spritely_workloads::{
@@ -278,17 +278,17 @@ pub fn scaling_shards(params: TestbedParams, n_clients: usize, seed: u64) -> Run
 }
 
 /// Writes `blocks` blocks of `fill` to a new file at `path`.
-async fn seed_file(p: &Proc, path: &str, fill: u8, blocks: usize) {
-    let fd = p.open(path, OpenFlags::create_write()).await.unwrap();
-    p.write(fd, &vec![fill; blocks * BLOCK_SIZE]).await.unwrap();
-    p.close(fd).await.unwrap();
+async fn seed_file(p: &Proc, path: &str, fill: u8, blocks: usize) -> Result<()> {
+    let fd = p.open(path, OpenFlags::create_write()).await?;
+    p.write(fd, &vec![fill; blocks * BLOCK_SIZE]).await?;
+    p.close(fd).await
 }
 
 /// Opens `path`, reads it to the end a block at a time, closes it.
-async fn read_whole(p: &Proc, path: &str) {
-    let fd = p.open(path, OpenFlags::read()).await.unwrap();
-    while !p.read(fd, BLOCK_SIZE as u32).await.unwrap().is_empty() {}
-    p.close(fd).await.unwrap();
+async fn read_whole(p: &Proc, path: &str) -> Result<()> {
+    let fd = p.open(path, OpenFlags::read()).await?;
+    while !p.read(fd, BLOCK_SIZE as u32).await?.is_empty() {}
+    p.close(fd).await
 }
 
 /// Data scaling: client 0 seeds a shared 256-block file and lets it
@@ -298,11 +298,15 @@ pub fn shared_read(params: TestbedParams, n: usize) -> Run<()> {
     let tb = Testbed::build_with_clients(params, n);
     let p = tb.proc();
     tb.sim.block_on(async move {
-        seed_file(&p, "/remote/shared", 3, 256).await;
+        let seeded = seed_file(&p, "/remote/shared", 3, 256).await;
+        seeded.expect("seed the shared file");
         p.sim().sleep(DRAIN).await;
     });
     tb.cold_boot();
-    tb.measure(|_, p| async move { read_whole(&p, "/remote/shared").await })
+    tb.measure(|_, p| async move {
+        let read = read_whole(&p, "/remote/shared").await;
+        read.expect("read the shared file")
+    })
 }
 
 const CHURN_ROUNDS: usize = 30;
@@ -318,10 +322,16 @@ const CHURN_FILE_BLOCKS: usize = 4;
 pub fn open_churn(params: TestbedParams, n: usize) -> Run<()> {
     let tb = Testbed::build_with_clients(params, n);
     tb.together(|i, p| async move {
-        seed_file(&p, &format!("/remote/src/own{i}"), 5, CHURN_FILE_BLOCKS).await;
+        let own = format!("/remote/src/own{i}");
+        seed_file(&p, &own, 5, CHURN_FILE_BLOCKS)
+            .await
+            .expect("seed");
         if i == 0 {
             for f in 0..DOC_FILES {
-                seed_file(&p, &format!("/remote/src/doc{f}"), 6, CHURN_FILE_BLOCKS).await;
+                let doc = format!("/remote/src/doc{f}");
+                seed_file(&p, &doc, 6, CHURN_FILE_BLOCKS)
+                    .await
+                    .expect("seed");
             }
         }
     });
@@ -329,11 +339,12 @@ pub fn open_churn(params: TestbedParams, n: usize) -> Run<()> {
     tb.measure(|i, p| async move {
         let own = format!("/remote/src/own{i}");
         for _ in 0..CHURN_ROUNDS {
-            read_whole(&p, &own).await;
+            read_whole(&p, &own).await.expect("read own");
         }
         for _ in 0..DOC_ROUNDS {
             for f in 0..DOC_FILES {
-                read_whole(&p, &format!("/remote/src/doc{f}")).await;
+                let doc = format!("/remote/src/doc{f}");
+                read_whole(&p, &doc).await.expect("read doc");
             }
         }
     })
@@ -350,10 +361,10 @@ pub fn state_churn(params: TestbedParams) -> Run<()> {
         let c = c.clone();
         async move {
             for i in 0..256 {
-                let (fh, _) = c.create(root, &format!("f{i}")).await.unwrap();
-                c.open(fh, true).await.unwrap();
-                c.write(fh, 0, &[1u8; BLOCK_SIZE]).await.unwrap();
-                c.close(fh, true).await.unwrap();
+                let (fh, _) = c.create(root, &format!("f{i}")).await.expect("create");
+                c.open(fh, true).await.expect("open");
+                c.write(fh, 0, &[1u8; BLOCK_SIZE]).await.expect("write");
+                c.close(fh, true).await.expect("close");
             }
             p.sim().sleep(SimDuration::from_secs(5)).await;
         }

@@ -7,7 +7,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use spritely::harness::catalog::{self, slug_of, Entry, CATALOG, PROFILES};
+use spritely::harness::catalog::{self, slug_of, Entry, CATALOG};
 use spritely::harness::scripts::{andrew, scaling, sort};
 use spritely::harness::{
     compare_json, render_matrix, report, run_matrix, CompareOptions, MatrixResult, Protocol,
@@ -196,10 +196,10 @@ fn write_artifacts(files: &[(String, String)]) {
 }
 
 fn profile(which: &str, seed: u64) -> ExitCode {
-    let Some((_, name, run)) = PROFILES.iter().find(|(w, ..)| *w == which) else {
+    let Some((name, trace)) = catalog::profiled(which, seed) else {
         return usage_error(&format!("no profile workload named {which:?}"));
     };
-    let p = profile_trace(&run(seed).events);
+    let p = profile_trace(&trace.events);
     println!("Latency profile: {which} (seed {seed})\n");
     println!("{}", report::profile_table(&p));
     write_artifacts(&[(format!("profile_{name}.json"), p.to_json())]);
