@@ -2,7 +2,8 @@
 //! transport and on a batching one, under faults: the fault-free exchange
 //! is pinned by the `*_trace_fnv` ledger keys and `tests/sharding.rs`, the
 //! faulted foreground one by `fault_props.rs`, and the faulted *batched*
-//! one here.
+//! one here. Last, the executor's cost of the fault-free exchange: what
+//! 16,000 echoed Null RPCs retire, count for count.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -14,7 +15,7 @@ use spritely_rpcnet::{
     Caller, CallerParams, Endpoint, EndpointParams, FaultParams, NetParams, Network, PartitionDir,
     RpcError, TransportParams,
 };
-use spritely_sim::{Resource, Sim, SimDuration};
+use spritely_sim::{Resource, Sim, SimDuration, SimStats};
 use spritely_trace::{to_jsonl, Event, TraceEvent, Tracer};
 
 type NfsCaller = Caller<NfsRequest, NfsReply>;
@@ -291,5 +292,75 @@ fn lone_background_call_is_the_plain_message() {
     assert_eq!(
         (&fg.0, fg.1, fg.2, fg.3, &fg.4),
         (&bg.0, bg.1, bg.2, bg.3, &bg.4)
+    );
+}
+
+/// Eight callers each push 2000 Null RPCs through the whole
+/// caller/wire/endpoint stack against an instant-reply handler. The
+/// executor's counters for that stream are pinned: a change to how a call
+/// is scheduled (a poll more per hop, a timeout guard left to fire, a
+/// task more per call) moves them, whatever it does to the host clock.
+#[test]
+fn null_rpc_echo_retires_a_pinned_event_count() {
+    let sim = Sim::new();
+    let net = Network::new(
+        &sim,
+        "net",
+        NetParams {
+            latency: SimDuration::from_micros(500),
+            bandwidth: 1_250_000,
+            switched: false,
+        },
+    );
+    let handler = Rc::new(|_from: ClientId, _ctx: u64, _req: NfsRequest| {
+        Box::pin(async { NfsReply::Ok })
+            as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
+    });
+    let ep = Endpoint::new(
+        &sim,
+        "svc",
+        Resource::new(&sim, "scpu", 2),
+        EndpointParams {
+            threads: 4,
+            cpu_per_call: SimDuration::from_micros(200),
+            cpu_per_kb: SimDuration::ZERO,
+            dup_retention: SimDuration::from_secs(600),
+        },
+        OpCounter::new(),
+        handler,
+    );
+    for c in 0..8 {
+        let caller = Caller::new(
+            &sim,
+            net.clone(),
+            ep.clone(),
+            ClientId(c + 1),
+            Resource::new(&sim, "ccpu", 1),
+            CallerParams {
+                timeout: SimDuration::from_secs(2),
+                max_retries: 3,
+                cpu_per_call: SimDuration::from_micros(100),
+            },
+        );
+        sim.spawn(async move {
+            for _ in 0..2000 {
+                caller.call(NfsRequest::Null).await.expect("echo call");
+            }
+        });
+    }
+    sim.run_to_quiescence();
+    let stats = sim.stats();
+    assert_eq!(stats.events_retired(), 256_007);
+    assert_eq!(
+        SimStats {
+            polls: 160_007,
+            stale_wakes: 0,
+            timer_cancels: 16_000,
+            peak_ready_depth: 8,
+            peak_live_tasks: 10,
+            peak_live_timers: 16,
+            ..stats
+        },
+        stats
     );
 }

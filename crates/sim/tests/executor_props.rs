@@ -158,6 +158,37 @@ proptest! {
             pairs.iter().map(|&(d, g)| d.min(g)).max().unwrap_or(0).max(last));
     }
 
+    /// A timer storm: staggered tasks each run timeouts whose inner sleep
+    /// always wins, so every iteration abandons a 10 s guard. The
+    /// cancel-aware timer queue must remove each guard when it is dropped
+    /// — none is left to fire as a stale wake, none outlives quiescence.
+    #[test]
+    fn abandoned_guard_timers_are_cancelled_not_left_to_fire(
+        tasks in 1u64..48,
+        iters in 1u64..32,
+    ) {
+        let sim = Sim::new();
+        for i in 0..tasks {
+            let s = sim.clone();
+            sim.spawn(async move {
+                s.sleep(SimDuration::from_micros(i)).await;
+                for _ in 0..iters {
+                    let r = s
+                        .timeout(SimDuration::from_secs(10), s.sleep(SimDuration::from_millis(1)))
+                        .await;
+                    assert!(r.is_ok());
+                }
+            });
+        }
+        sim.run_to_quiescence();
+        let stats = sim.stats();
+        prop_assert_eq!(stats.stale_wakes, 0);
+        prop_assert_eq!(stats.timer_cancels, tasks * iters);
+        prop_assert_eq!(sim.live_timers(), 0);
+        // Quiescence at the last inner deadline, not at a guard's.
+        prop_assert_eq!(sim.now().as_micros(), tasks - 1 + iters * 1_000);
+    }
+
     /// Task slots are recycled across waves; a recycled slot must never
     /// deliver a wake to the task now occupying it on behalf of the task
     /// that used to (generational ids make such wakes stale no-ops).
