@@ -11,8 +11,6 @@
 //!   `artifacts/` plus the committed perf ledger `BENCH_<name>.json`;
 //! * `spritely gate` runs every entry at seed 42 and [`check`]s it
 //!   against what is committed (`baselines/`, the ledgers);
-//! * the one Criterion target in `crates/bench` does what `run --all`
-//!   does and then times each entry's `run`;
 //! * `tests/paper_baselines.rs` and `tests/catalog.rs` look entries up
 //!   by name.
 //!
@@ -27,27 +25,25 @@ use std::path::Path;
 
 use spritely_metrics::json::Writer;
 
-use crate::compare::{compare_json, CompareOptions};
+use crate::compare::compare_json;
 use crate::snapshot::TraceReport;
 use crate::{report, scripts, Protocol, ServerIoParams, TestbedParams, WriteBehindParams};
 
 mod ablations;
 mod layers;
 mod paper;
-mod sim_speed;
 
 pub use paper::andrew_runs;
 
 /// One experiment of the evaluation.
 pub struct Entry {
-    /// Stable identifier: the CLI argument, the Criterion group and the
-    /// `<name>` of `BENCH_<name>.json`.
+    /// Stable identifier: the CLI argument and the `<name>` of
+    /// `BENCH_<name>.json`.
     pub name: &'static str,
     /// First line of the artifact; [`slug_of`] it names the artifact file
     /// (see [`Entry::artifacts`] for the one exception).
     pub title: &'static str,
-    /// Performs the experiment. Deterministic in `seed`, except for the
-    /// wall-clock fields of `sim_speed` (on the compare ignore-list).
+    /// Performs the experiment: a pure function of `seed`.
     pub run: fn(seed: u64) -> Outcome,
 }
 
@@ -57,8 +53,6 @@ pub struct Outcome {
     /// The artifact under the entry's title.
     pub body: String,
     /// Ledger fields as `(key, raw JSON value)`, spliced in verbatim.
-    /// Wall-clock-derived values go under the names the compare
-    /// ignore-list skips (`wall_ms`, `events_per_sec`, `speedup`, ...).
     pub ledger: Vec<(String, String)>,
     /// Auxiliary files as `(file name, contents)`.
     pub files: Vec<(String, String)>,
@@ -127,7 +121,6 @@ pub const CATALOG: &[Entry] = &[
     layers::RPC_TRANSPORT,
     layers::CHAOS_ENTRY,
     layers::OPEN_CHURN,
-    sim_speed::SIM_SPEED,
 ];
 
 /// The checked trace `spritely profile <which>` attributes, with its
@@ -254,28 +247,10 @@ pub fn write(root: &Path, entry: &Entry, o: &Outcome) -> io::Result<()> {
     write_files(&root.join("artifacts"), &entry.artifacts(o))
 }
 
-/// What `spritely run` and the bench target do with one entry: run it,
-/// [`print()`] it, [`write()`] its record under `root` (a read-only checkout
-/// gets a warning, not a failure) and report the gate conditions it
-/// failed on stderr. The caller decides what a non-empty
-/// `Outcome::failures` means for its exit code.
-pub fn regenerate(root: &Path, entry: &Entry, seed: u64) -> Outcome {
-    let o = (entry.run)(seed);
-    print(entry, &o);
-    if let Err(e) = write(root, entry, &o) {
-        eprintln!("warning: could not write the record of {}: {e}", entry.name);
-    }
-    for failure in &o.failures {
-        eprintln!("GATE {}: {failure}", entry.name);
-    }
-    o
-}
-
 /// Holds one outcome to what is committed under `root` and returns one
 /// line per failure, each naming the entry: the run's own gate
 /// conditions; every artifact that has a `baselines/` twin, byte for
-/// byte; and the ledger against `BENCH_<name>.json`, every key exact
-/// except the wall-clock ones on the compare ignore-list.
+/// byte; and the ledger against `BENCH_<name>.json`, every key exact.
 pub fn check(root: &Path, entry: &Entry, o: &Outcome) -> Vec<String> {
     let name = entry.name;
     let mut bad: Vec<String> = o.failures.iter().map(|f| format!("{name}: {f}")).collect();
@@ -285,13 +260,9 @@ pub fn check(root: &Path, entry: &Entry, o: &Outcome) -> Vec<String> {
         }
     }
     let file = entry.ledger_file();
-    let exact = CompareOptions {
-        rel_threshold: 0.0,
-        ..CompareOptions::default()
-    };
     let diffs = fs::read_to_string(root.join(&file))
         .map_err(|e| format!("cannot read the committed ledger: {e}"))
-        .and_then(|committed| compare_json(&committed, &ledger_json(&o.ledger), &exact));
+        .and_then(|committed| compare_json(&committed, &ledger_json(&o.ledger), 0.0));
     match diffs {
         Err(e) => bad.push(format!("{name}: {file}: {e}")),
         Ok(r) => bad.extend(

@@ -5,13 +5,12 @@
 //! enforced gate: parse both documents ([`spritely_metrics::json`]),
 //! flatten every leaf to a dotted path
 //! (`server_io.disk_writes`, `procs.3.p95_us`, …), and flag any numeric
-//! leaf whose relative change exceeds its threshold, plus any key that
+//! leaf whose relative change exceeds the threshold, plus any key that
 //! appeared or disappeared.
 //!
-//! The simulation is deterministic, so two runs of the same code are
-//! byte-identical and the gate cannot flake; wall-clock fields
-//! (`wall_ms`, `events_per_sec`, …) are the one nondeterministic class
-//! and sit on the default ignore list.
+//! The simulation is deterministic and no artifact carries a host-clock
+//! reading, so two runs of the same code are byte-identical and the gate
+//! (threshold 0) cannot flake.
 
 use std::fmt::Write as _;
 
@@ -85,58 +84,11 @@ pub struct Diff {
     pub rel: Option<f64>,
 }
 
-/// Comparison configuration: the default relative threshold, per-path
-/// overrides, and paths to ignore entirely.
-pub struct CompareOptions {
-    /// Numeric leaves whose relative change exceeds this are flagged.
-    pub rel_threshold: f64,
-    /// `(path substring, threshold)` overrides; the first match wins.
-    pub thresholds: Vec<(String, f64)>,
-    /// Path substrings to skip entirely (wall-clock metrics).
-    pub ignore: Vec<String>,
-}
-
-impl Default for CompareOptions {
-    fn default() -> Self {
-        CompareOptions {
-            rel_threshold: 0.10,
-            thresholds: Vec::new(),
-            // Host wall-clock measurements: the only nondeterministic
-            // fields any artifact carries.
-            ignore: [
-                "wall_ms",
-                "events_per_sec",
-                "units_per_sec",
-                "serial_ms",
-                "parallel_ms",
-                "speedup",
-                "cores",
-                "elapsed_s",
-            ]
-            .map(String::from)
-            .to_vec(),
-        }
-    }
-}
-
-impl CompareOptions {
-    fn ignored(&self, path: &str) -> bool {
-        self.ignore.iter().any(|pat| path.contains(pat.as_str()))
-    }
-
-    fn threshold_for(&self, path: &str) -> f64 {
-        self.thresholds
-            .iter()
-            .find(|(pat, _)| path.contains(pat.as_str()))
-            .map_or(self.rel_threshold, |&(_, t)| t)
-    }
-}
-
 /// Result of diffing two artifacts.
 pub struct CompareReport {
     /// Flagged regressions/changes, in document order of `a`.
     pub diffs: Vec<Diff>,
-    /// Leaves compared (after the ignore list).
+    /// Leaves of the first document compared.
     pub compared: usize,
 }
 
@@ -184,11 +136,12 @@ impl CompareReport {
     }
 }
 
-/// Diffs two JSON artifact texts under `opts`.
+/// Diffs two JSON artifact texts: a numeric leaf is flagged when its
+/// relative change exceeds `rel_threshold` (0 demands equality).
 pub fn compare_json(
     a_text: &str,
     b_text: &str,
-    opts: &CompareOptions,
+    rel_threshold: f64,
 ) -> Result<CompareReport, String> {
     let a = flatten(&json::parse(a_text).map_err(|e| format!("first document: {e}"))?);
     let b = flatten(&json::parse(b_text).map_err(|e| format!("second document: {e}"))?);
@@ -207,12 +160,7 @@ pub fn compare_json(
         rel,
     };
     let mut diffs = Vec::new();
-    let mut compared = 0usize;
     for (path, va) in &a {
-        if opts.ignored(path) {
-            continue;
-        }
-        compared += 1;
         let vb = b_map.get(path.as_str()).copied();
         match (va, vb) {
             (Leaf::Num(x), Some(Leaf::Num(y))) => {
@@ -222,7 +170,7 @@ pub fn compare_json(
                 } else {
                     (y - x).abs() / denom
                 };
-                if rel > opts.threshold_for(path) {
+                if rel > rel_threshold {
                     let signed = if y >= x { rel } else { -rel };
                     diffs.push(diff(path, Some(va), vb, Some(signed)));
                 }
@@ -233,11 +181,14 @@ pub fn compare_json(
         }
     }
     for (path, vb) in &b {
-        if !opts.ignored(path) && !a_keys.contains(path.as_str()) {
+        if !a_keys.contains(path.as_str()) {
             diffs.push(diff(path, None, Some(vb), None));
         }
     }
-    Ok(CompareReport { diffs, compared })
+    Ok(CompareReport {
+        diffs,
+        compared: a.len(),
+    })
 }
 
 #[cfg(test)]
@@ -247,7 +198,7 @@ mod tests {
     #[test]
     fn identical_documents_compare_clean() {
         let doc = r#"{"a": 1, "b": {"c": [1, 2, 3]}, "s": "x"}"#;
-        let r = compare_json(doc, doc, &CompareOptions::default()).unwrap();
+        let r = compare_json(doc, doc, 0.10).unwrap();
         assert!(r.ok(), "{}", r.render());
         assert_eq!(r.compared, 5);
     }
@@ -257,42 +208,24 @@ mod tests {
         let a = r#"{"latency_us": 1000, "count": 50}"#;
         let ok = r#"{"latency_us": 1050, "count": 50}"#;
         let bad = r#"{"latency_us": 1200, "count": 50}"#;
-        let opts = CompareOptions::default();
-        assert!(compare_json(a, ok, &opts).unwrap().ok());
-        let r = compare_json(a, bad, &opts).unwrap();
+        assert!(compare_json(a, ok, 0.10).unwrap().ok());
+        let r = compare_json(a, bad, 0.10).unwrap();
         assert!(!r.ok());
         assert_eq!(r.diffs[0].path, "latency_us");
         assert!(r.diffs[0].rel.unwrap() > 0.10);
-    }
-
-    #[test]
-    fn per_path_threshold_overrides_default() {
-        let a = r#"{"hot": 100, "cold": 100}"#;
-        let b = r#"{"hot": 104, "cold": 104}"#;
-        let opts = CompareOptions {
-            rel_threshold: 0.10,
-            thresholds: vec![("hot".to_string(), 0.01)],
-            ignore: Vec::new(),
-        };
-        let r = compare_json(a, b, &opts).unwrap();
-        assert_eq!(r.diffs.len(), 1);
-        assert_eq!(r.diffs[0].path, "hot");
-    }
-
-    #[test]
-    fn ignore_list_skips_wall_clock_fields() {
-        let a = r#"{"wall_ms": 100, "rpc_total": 7}"#;
-        let b = r#"{"wall_ms": 900, "rpc_total": 7}"#;
-        let r = compare_json(a, b, &CompareOptions::default()).unwrap();
-        assert!(r.ok(), "{}", r.render());
-        assert_eq!(r.compared, 1);
+        // The one threshold holds every path — no key is exempt by name
+        // — and the gate's 0 flags the jitter 10 % let through.
+        let r = compare_json(a, ok, 0.0).unwrap();
+        assert_eq!((r.diffs.len(), r.compared), (1, 2));
+        let (a, b) = (r#"{"wall_ms": 100}"#, r#"{"wall_ms": 900}"#);
+        assert!(!compare_json(a, b, 0.10).unwrap().ok());
     }
 
     #[test]
     fn added_and_missing_keys_are_flagged() {
         let a = r#"{"x": 1, "gone": 2}"#;
         let b = r#"{"x": 1, "new": 3}"#;
-        let r = compare_json(a, b, &CompareOptions::default()).unwrap();
+        let r = compare_json(a, b, 0.10).unwrap();
         assert_eq!(r.diffs.len(), 2);
         assert!(r.diffs.iter().any(|d| d.path == "gone" && d.b == "-"));
         assert!(r.diffs.iter().any(|d| d.path == "new" && d.a == "-"));
@@ -302,7 +235,7 @@ mod tests {
     fn named_array_rows_line_up_by_name() {
         let a = r#"{"procs": [{"proc": "read", "n": 10}, {"proc": "write", "n": 5}]}"#;
         let b = r#"{"procs": [{"proc": "write", "n": 5}, {"proc": "read", "n": 10}]}"#;
-        let r = compare_json(a, b, &CompareOptions::default()).unwrap();
+        let r = compare_json(a, b, 0.10).unwrap();
         assert!(r.ok(), "{}", r.render());
     }
 

@@ -30,7 +30,7 @@ mod matrix;
 mod testbed;
 
 pub use chaosx::{chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, ChaosVerdict};
-pub use compare::{compare_json, CompareOptions, CompareReport};
+pub use compare::{compare_json, CompareReport};
 pub use matrix::{render_matrix, run_matrix, MatrixResult};
 pub use run::{Run, DRAIN};
 pub use snapshot::{

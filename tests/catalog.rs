@@ -48,11 +48,10 @@ fn runs_are_deterministic() {
     }
 }
 
-/// Every entry but `sim_speed` — whose gate is a host wall-clock floor an
-/// unoptimized build cannot meet; `scripts/check.sh` runs it through
-/// `spritely gate` — holds against what is committed, no artifact path
-/// is written by two entries, and every file under `baselines/` is
-/// written by exactly one. Every JSON file an entry leaves — its ledger,
+/// Every entry holds against what is committed — what `spritely gate`
+/// checks, in whatever build `cargo test` made — no artifact path is
+/// written by two entries, and every file under `baselines/` is written
+/// by exactly one. Every JSON file an entry leaves — its ledger,
 /// stats snapshots, profiles, Chrome traces, and JSONL traces line by
 /// line — parses with the workspace's one parser.
 #[test]
@@ -61,14 +60,12 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
     let mut parsed = BTreeSet::new();
     for entry in CATALOG {
         let outcome = (entry.run)(42);
-        if entry.name != "sim_speed" {
-            assert_eq!(
-                catalog::check(root(), entry, &outcome),
-                Vec::<String>::new(),
-                "spritely gate {}",
-                entry.name
-            );
-        }
+        assert_eq!(
+            catalog::check(root(), entry, &outcome),
+            Vec::<String>::new(),
+            "spritely gate {}",
+            entry.name
+        );
         let mut files = entry.artifacts(&outcome);
         for (file, _) in &files {
             writers.entry(file.clone()).or_default().push(entry.name);
@@ -100,14 +97,12 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
         assert_eq!(by.len(), 1, "artifacts/{file} is written by {by:?}");
     }
     for file in file_names(&root().join("baselines")) {
-        // The six that are not artifacts: the directory's own README,
-        // the pre-PR-6 reference `sim_speed` is compiled against, the
-        // per-crate line-count report, allocation-count and event-count
-        // ratchets of `scripts/check.sh`, and the ledger of host-clock
-        // claims.
-        const NOT_ARTIFACTS: [&str; 6] = [
+        // The five that are not artifacts: the directory's own README,
+        // the per-crate line-count report, allocation-count and
+        // event-count ratchets of `scripts/check.sh`, and the ledger of
+        // host-clock claims.
+        const NOT_ARTIFACTS: [&str; 5] = [
             "README.md",
-            "sim_speed.txt",
             "loc.txt",
             "allocs.txt",
             "trace_events.txt",

@@ -3,8 +3,8 @@
 //! gate (`spritely compare`).
 
 use spritely::harness::{
-    compare_json, scripts, CompareOptions, DelegationParams, FaultParams, Protocol, Run,
-    ServerIoParams, ShardParams, Testbed, TestbedParams, WriteBehindParams,
+    compare_json, scripts, DelegationParams, FaultParams, Protocol, Run, ServerIoParams,
+    ShardParams, Testbed, TestbedParams, WriteBehindParams,
 };
 use spritely::proto::{Fnv, BLOCK_SIZE};
 use spritely::rpcnet::PartitionDir;
@@ -272,7 +272,7 @@ fn compare_gate_flags_an_injected_regression() {
     let json = scripts::flush(params, 64).tb.stats_snapshot().to_json();
 
     // Same document: clean bill of health.
-    let same = compare_json(&json, &json, &CompareOptions::default()).expect("parse");
+    let same = compare_json(&json, &json, 0.10).expect("parse");
     assert!(same.ok(), "identical snapshots must compare clean");
 
     // Inject a >= 10% regression into one numeric leaf.
@@ -283,7 +283,7 @@ fn compare_gate_flags_an_injected_regression() {
         .expect("number terminated");
     let v: u64 = json[i..end].parse().expect("numeric rpc_total");
     let bumped = format!("{}{}{}", &json[..i], v * 2, &json[end..]);
-    let diff = compare_json(&json, &bumped, &CompareOptions::default()).expect("parse");
+    let diff = compare_json(&json, &bumped, 0.10).expect("parse");
     assert!(!diff.ok(), "doubled rpc_total must be flagged");
     assert!(diff.diffs.iter().any(|d| d.path.contains("rpc_total")));
 }
