@@ -97,11 +97,9 @@ pub struct SnfsClientParams {
     /// Interval of the client's update daemon; `None` = infinite
     /// write-delay (Table 5-5 configuration).
     pub update_interval: Option<SimDuration>,
-    /// Prefetch the next block on cache-missing sequential reads of
-    /// cachable files.
-    pub read_ahead: bool,
-    /// How many blocks ahead to prefetch (1 = the paper's single
-    /// speculative block; larger windows pipeline sequential reads).
+    /// How many blocks ahead to prefetch on cache-missing sequential
+    /// reads of cachable files (1 = the paper's single speculative
+    /// block; larger windows pipeline sequential reads).
     pub read_ahead_window: usize,
     /// Write-behind pool: gathering and pipelining of dirty-block flushes.
     pub write_behind: WriteBehindParams,
@@ -130,7 +128,6 @@ impl Default for SnfsClientParams {
             // Sprite-style ablation.
             write_delay: SimDuration::ZERO,
             update_interval: Some(SimDuration::from_secs(30)),
-            read_ahead: true,
             read_ahead_window: 1,
             write_behind: WriteBehindParams::default(),
             delayed_close: false,
@@ -324,11 +321,7 @@ impl SnfsClient {
         assert!(wb.max_inflight > 0, "need at least one in-flight write");
         // A window of 1 is the paper's single speculative block; wider
         // windows keep several sequential fetches in flight at once.
-        let window = if params.read_ahead {
-            params.read_ahead_window.max(1)
-        } else {
-            0
-        };
+        let window = params.read_ahead_window.max(1);
         let names = NameCache::new(params.name_cache, None);
         SnfsClient {
             inner: Rc::new(Inner {

@@ -107,8 +107,6 @@ pub struct TestbedParams {
     pub snfs_write_delay: SimDuration,
     /// Override of the NFS attribute-probe floor (default 3 s).
     pub nfs_attr_min: SimDuration,
-    /// NFS client read-ahead.
-    pub read_ahead: bool,
     /// SNFS client read-ahead window (1 = the paper's single
     /// speculative block).
     pub read_ahead_window: usize,
@@ -165,7 +163,6 @@ impl Default for TestbedParams {
             update_enabled: true,
             snfs_write_delay: SimDuration::ZERO,
             nfs_attr_min: SimDuration::from_secs(3),
-            read_ahead: true,
             read_ahead_window: 1,
             write_behind: WriteBehindParams::default(),
             name_cache: false,
@@ -561,7 +558,6 @@ impl Testbed {
                     NfsClientParams {
                         attr_min: params.nfs_attr_min,
                         invalidate_on_close: params.protocol == Protocol::Nfs,
-                        read_ahead: params.read_ahead,
                         cache_blocks: params.client_cache_blocks,
                         name_cache: params.name_cache,
                     },
@@ -576,7 +572,6 @@ impl Testbed {
                             update_interval: params
                                 .update_enabled
                                 .then(|| SimDuration::from_secs(30)),
-                            read_ahead: params.read_ahead,
                             read_ahead_window: params.read_ahead_window,
                             write_behind: params.write_behind,
                             delayed_close: params.protocol == Protocol::SnfsDelayedClose,

@@ -47,8 +47,6 @@ pub struct NfsClientParams {
     /// Purge the file's cached data on final close (the vintage
     /// reference-port bug the paper measured around, §5.2).
     pub invalidate_on_close: bool,
-    /// Prefetch the next block on cache-missing sequential reads.
-    pub read_ahead: bool,
     /// Cache name translations with a TTL, like post-1989 NFS clients
     /// ("recent versions of NFS also do more extensive caching of name
     /// translations", §5.2). Unlike the SNFS §7 name cache this is only
@@ -73,7 +71,6 @@ impl Default for NfsClientParams {
             attr_min: SimDuration::from_secs(3),
             cache_blocks: 4096,
             invalidate_on_close: true,
-            read_ahead: true,
             name_cache: false,
         }
     }
@@ -165,7 +162,8 @@ impl NfsClient {
                     caller.into(),
                     params.cache_blocks,
                     names,
-                    usize::from(params.read_ahead),
+                    // The next block, on a cache-missing sequential read.
+                    1,
                     Some(biods.clone()),
                 ),
                 params,
