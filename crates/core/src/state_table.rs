@@ -570,14 +570,6 @@ impl StateTable {
             .copied()
     }
 
-    /// All live delegations on `fh` (for tests and debugging).
-    pub fn delegations_of(&self, fh: FileHandle) -> Vec<Deleg> {
-        self.entries
-            .get(&fh)
-            .map(|e| e.delegs.clone())
-            .unwrap_or_default()
-    }
-
     /// Delegations held by *other* clients that conflict with `client`
     /// opening in the given mode and must be recalled first: a write open
     /// conflicts with every foreign delegation, a read open only with a

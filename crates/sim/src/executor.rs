@@ -227,6 +227,7 @@ impl SimStats {
     }
 }
 
+#[derive(Default)]
 struct Core {
     now: SimTime,
     timers: TimerQueue,
@@ -268,16 +269,7 @@ impl Sim {
     /// Creates an empty simulation with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Sim {
-            core: Rc::new(RefCell::new(Core {
-                now: SimTime::ZERO,
-                timers: TimerQueue::default(),
-                tasks: Vec::new(),
-                free: Vec::new(),
-                live_tasks: 0,
-                peak_live_tasks: 0,
-                due: Vec::new(),
-                stats: SimStats::default(),
-            })),
+            core: Rc::default(),
             ready: Arc::new(ReadyQueue::default()),
         }
     }

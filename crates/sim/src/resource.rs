@@ -70,19 +70,9 @@ impl Resource {
         self.util.borrow().completed
     }
 
-    /// Servers currently held (accounting view).
-    pub fn in_use(&self) -> usize {
-        self.util.borrow().held
-    }
-
     /// Tasks waiting in the FIFO queue.
     pub fn waiting(&self) -> usize {
         self.sem.queue_len()
-    }
-
-    /// Semaphore-level held count (capacity minus free minus reserved).
-    pub fn sem_held(&self) -> usize {
-        self.sem.held()
     }
 
     /// Occupies one server for exactly `d`, queueing FIFO if all are busy.

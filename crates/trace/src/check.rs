@@ -156,7 +156,6 @@ struct CheckState {
     /// N from the `server_threads` meta event.
     threads: Option<u64>,
     cb_depth: u64,
-    cb_peak: u64,
     /// Latest cache grant per (client, file): Some(v) = may cache at
     /// version v, None = open granted with caching disabled.
     granted: Map<(ClientId, FhId), Option<u64>>,
@@ -299,7 +298,6 @@ pub fn check_trace(events: &[TraceEvent]) -> Vec<Violation> {
             }
             Event::CallbackBegin { target, fh, .. } => {
                 st.cb_depth += 1;
-                st.cb_peak = st.cb_peak.max(st.cb_depth);
                 if let Some(n) = st.threads {
                     // With S shards each server enforces N−1 locally, so
                     // the trace-wide bound is S × (N−1).

@@ -154,11 +154,6 @@ impl OpProfile {
     pub fn total_us(&self) -> u64 {
         self.end_us - self.begin_us
     }
-
-    /// Microseconds attributed to a named (non-unattributed) phase.
-    pub fn attributed_us(&self) -> u64 {
-        self.total_us() - self.phase_us[Phase::Unattributed.index()]
-    }
 }
 
 /// Aggregate phase breakdown for one op name.
@@ -232,16 +227,6 @@ impl Profile {
         }
         let un = self.phase_us[Phase::Unattributed.index()];
         (self.total_us - un) as f64 / self.total_us as f64
-    }
-
-    /// Worst per-span attributed fraction across spans with nonzero
-    /// latency (the acceptance gate bounds this, not just the mean).
-    pub fn min_op_attributed_fraction(&self) -> f64 {
-        self.ops
-            .iter()
-            .filter(|o| o.total_us() > 0)
-            .map(|o| o.attributed_us() as f64 / o.total_us() as f64)
-            .fold(1.0, f64::min)
     }
 
     /// Sim-time series of each phase's occupancy (attributed seconds per
