@@ -15,7 +15,8 @@ use spritely::sim::SimDuration;
 
 /// What one traced run of a script leaves behind: the end-of-run
 /// snapshot as JSON, the digest of the servers' stable contents, the
-/// digest of the checked trace, and what the window measured.
+/// digest of the trace (which the checker must have passed), and what
+/// the window measured.
 #[derive(Debug, PartialEq)]
 struct Pinned {
     stats_json: String,
@@ -25,10 +26,12 @@ struct Pinned {
 }
 
 fn pinned<T>(run: &Run<T>, measured: String) -> Pinned {
+    let trace = run.tb.finish_trace().expect("tracing was on");
+    assert_eq!(trace.violations, [], "the checker's findings");
     Pinned {
         stats_json: run.tb.stats_snapshot().to_json(),
         digest: run.tb.digest(),
-        trace_fnv: run.tb.finish_trace().expect("tracing was on").fnv(),
+        trace_fnv: trace.fnv(),
         measured,
     }
 }
@@ -96,6 +99,20 @@ fn scripts() -> Vec<Script> {
         ("shard-scaling 2x8", || {
             let params = TestbedParams {
                 tmp_remote: false,
+                shards: ShardParams::sharded(2),
+                ..traced()
+            };
+            let r = scaling_shards(params, 8, 42);
+            pinned(&r, format!("{:?} {:?}", r.makespan, r.served))
+        }),
+        ("shard-scaling 2x8, composed", || {
+            // All five opt-in layers at once: the stack `benchmark/`
+            // measures on (its `composed_stack`).
+            let params = TestbedParams {
+                write_behind: WriteBehindParams::pipelined(),
+                server_io: ServerIoParams::pipelined(),
+                transport: TransportParams::pipelined(),
+                delegation: DelegationParams::pipelined(),
                 shards: ShardParams::sharded(2),
                 ..traced()
             };
