@@ -24,10 +24,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 
 # Every experiment in the catalogue, once, at seed 42: its own gate
 # conditions (trace checker clean, each layer's speedup floor, chaos
-# convergence, the sim core's exact counts), its artifacts against
-# baselines/ byte for byte, its ledger against BENCH_<name>.json key for
-# key. Prints per-experiment wall time.
-echo "==> spritely gate (22 experiments vs baselines/ and BENCH_*.json)"
+# convergence), its artifacts against baselines/ byte for byte, its
+# ledger against BENCH_<name>.json key for key. Prints per-experiment
+# wall time.
+echo "==> spritely gate (21 experiments vs baselines/ and BENCH_*.json)"
 cargo run --release --quiet --bin spritely -- gate
 
 # The benchmark is its own workspace, so nothing above compiles it: an API
@@ -100,6 +100,14 @@ for w in sort_nfs fleet; do
         exit 1
     fi
 done
+
+# Host time has one owner, benchmark/: a library crate that reads the host
+# clock or counts cores makes some artifact depend on the machine.
+echo "==> no crate reads the host clock"
+if grep -rnE 'std::time|available_parallelism' crates/*/src; then
+    echo "FAIL: the lines above read the host clock; host cost is measured in benchmark/"
+    exit 1
+fi
 
 # ROADMAP item 7's line target as a ratchet: baselines/loc.txt is the whole
 # scripts/loc.sh report, so a difference names the crate that moved. The
