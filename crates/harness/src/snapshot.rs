@@ -240,9 +240,8 @@ pub struct StatsSnapshot {
     /// Transport-pipeline counters (all protocols).
     pub transport: TransportSnapshot,
     /// Executor counters (all protocols): what the discrete-event
-    /// scheduler itself did. [`SimStats::events_retired`] is the
-    /// numerator of the `sim_speed` events/sec figure, and the `peak_*`
-    /// fields are a memory-footprint proxy.
+    /// scheduler itself did. The `peak_*` fields are a memory-footprint
+    /// proxy.
     pub sim: SimStats,
     /// Fault-injection accounting (None unless faults were configured;
     /// a fault-free snapshot serializes without this field).

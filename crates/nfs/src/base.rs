@@ -166,15 +166,15 @@ pub struct ClientBase {
     /// the application wrote the very block being fetched. A reply is
     /// cached only if the epoch has not moved since it was asked for.
     epochs: RefCell<HashMap<FileHandle, u64>>,
-    /// Blocks to prefetch past a cache-missing read (0 = none).
+    /// Blocks to prefetch past a cache-missing read.
     read_ahead: u64,
     /// When set, a read-ahead holds one of these permits for its RPC.
     read_ahead_gate: Option<Semaphore>,
 }
 
 impl ClientBase {
-    /// Builds the core. `read_ahead` is the prefetch window in blocks
-    /// (0 disables it); `read_ahead_gate`, when given, bounds read-aheads
+    /// Builds the core. `read_ahead` is the prefetch window in blocks;
+    /// `read_ahead_gate`, when given, bounds read-aheads
     /// in flight together with whatever else the caller runs under it.
     pub fn new(
         sim: &Sim,

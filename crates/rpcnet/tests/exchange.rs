@@ -31,18 +31,20 @@ struct Rig {
     executed: Rc<RefCell<HashMap<String, u64>>>,
 }
 
+/// The paper's wire: one shared 10 Mbit/s segment, 500 µs away.
+fn shared_wire(sim: &Sim) -> Network {
+    let params = NetParams {
+        latency: SimDuration::from_micros(500),
+        bandwidth: 1_250_000,
+        switched: false,
+    };
+    Network::new(sim, "net", params)
+}
+
 fn rig(transport: TransportParams) -> Rig {
     let sim = Sim::new();
     let tracer = Tracer::new(&sim);
-    let net = Network::new(
-        &sim,
-        "net",
-        NetParams {
-            latency: SimDuration::from_micros(500),
-            bandwidth: 1_250_000,
-            switched: false,
-        },
-    );
+    let net = shared_wire(&sim);
     net.set_tracer(tracer.clone());
     let executed = Rc::new(RefCell::new(HashMap::new()));
     let handler = {
@@ -303,15 +305,7 @@ fn lone_background_call_is_the_plain_message() {
 #[test]
 fn null_rpc_echo_retires_a_pinned_event_count() {
     let sim = Sim::new();
-    let net = Network::new(
-        &sim,
-        "net",
-        NetParams {
-            latency: SimDuration::from_micros(500),
-            bandwidth: 1_250_000,
-            switched: false,
-        },
-    );
+    let net = shared_wire(&sim);
     let handler = Rc::new(|_from: ClientId, _ctx: u64, _req: NfsRequest| {
         Box::pin(async { NfsReply::Ok })
             as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>

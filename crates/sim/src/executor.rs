@@ -220,8 +220,7 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Total scheduler events retired: polls plus timer firings. This is
-    /// the numerator of the `sim_speed` events/sec figure.
+    /// Total scheduler events retired: polls plus timer firings.
     pub fn events_retired(&self) -> u64 {
         self.polls + self.timer_fires
     }

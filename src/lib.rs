@@ -46,8 +46,8 @@
 //! assert!(snfs.first() < nfs.first());
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! Criterion benches that regenerate each table and figure.
+//! See `examples/` for runnable scenarios and `spritely list` (the
+//! experiment catalogue, [`harness::catalog`]) for each table and figure.
 
 pub use spritely_blockdev as blockdev;
 pub use spritely_core as snfs;
