@@ -2,11 +2,15 @@
 //! request exactly once, never bypass a request more than `max_bypass`
 //! times, and the FIFO policy must be timing-equivalent to the original
 //! unscheduled queue (serial service in arrival order with the two-level
-//! positioning rule).
+//! positioning rule). Beside them, one scripted run per policy with every
+//! request's completion order, queue wait and positioning time pinned,
+//! and the simulator's poll and timer counts: what a change to the
+//! request lifecycle must leave alone.
 
 use proptest::prelude::*;
 use spritely_blockdev::{Disk, DiskParams, DiskSched};
 use spritely_sim::{Sim, SimDuration};
+use spritely_trace::{Event, Tracer};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -52,6 +56,132 @@ fn fifo_reference_micros(blocks: &[u64]) -> u64 {
         last = Some(b);
     }
     t
+}
+
+/// One scripted request: when it arrives, where, how much.
+struct Req {
+    at_us: u64,
+    block: u64,
+    bytes: usize,
+    write: bool,
+}
+
+/// The pinned script: a burst that queues (forward-adjacent, backward-
+/// adjacent, same-block and far requests among it), late arrivals into a
+/// busy queue, one request abandoned while queued, then a same-block pair
+/// and a step back by one block on an idle disk. Returns every `disk_done` as `(req, block, wait_us, pos_us)` in
+/// completion order, then the simulator's poll and timer-fire counts.
+fn run_script(sched: DiskSched) -> (Vec<(u64, u64, u64, u64)>, u64, u64) {
+    let r = |at_us, block, bytes, write| Req {
+        at_us,
+        block,
+        bytes,
+        write,
+    };
+    let script = [
+        r(0, 100, 4096, false),
+        r(0, 101, 4096, true),
+        r(0, 100, 4096, false),
+        r(0, 900, 4096, false),
+        r(1_000, 50, 512, true),
+        r(1_000, 101, 4096, false),
+        r(5_000, 899, 4096, true),
+        r(200_000, 7, 1024, false),
+        r(200_000, 7, 1024, true),
+        r(300_000, 6, 1024, false),
+    ];
+    let sim = Sim::new();
+    let tracer = Tracer::new(&sim);
+    let d = Disk::with_sched(&sim, "d0", params(), sched);
+    d.set_tracer(tracer.clone());
+    for q in script {
+        let (d, s) = (d.clone(), sim.clone());
+        sim.spawn(async move {
+            s.sleep(SimDuration::from_micros(q.at_us)).await;
+            if q.write {
+                d.write(q.block, q.bytes).await;
+            } else {
+                d.read(q.block, q.bytes).await;
+            }
+        });
+    }
+    {
+        // Gives up after 10 us in a queue that is tens of ms deep.
+        let (d, s) = (d.clone(), sim.clone());
+        sim.spawn(async move {
+            s.sleep(SimDuration::from_micros(2_000)).await;
+            let _ = s
+                .timeout(SimDuration::from_micros(10), d.read(500, 4096))
+                .await;
+        });
+    }
+    sim.run_to_quiescence();
+    let done = tracer
+        .finish()
+        .iter()
+        .filter_map(|e| match e.view() {
+            Event::DiskDone {
+                req,
+                block,
+                wait_us,
+                pos_us,
+                ..
+            } => Some((req, block, wait_us, pos_us)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        d.stats().reads + d.stats().writes,
+        10,
+        "all but the abandoned one"
+    );
+    let st = sim.stats();
+    (done, st.polls, st.timer_fires)
+}
+
+#[test]
+fn fifo_script_is_pinned() {
+    let (done, polls, timer_fires) = run_script(DiskSched::Fifo);
+    // Arrival order; only 100 -> 101 and 7 -> 7 are sequential: FIFO calls
+    // a step back by one block (101 -> 100, 900 -> 899, 7 -> 6) random.
+    let want = vec![
+        (1, 100, 0, 20_000),
+        (2, 101, 24_096, 2_000),
+        (3, 100, 30_192, 20_000),
+        (4, 900, 54_288, 20_000),
+        (5, 50, 77_384, 20_000),
+        (6, 101, 97_896, 20_000),
+        (8, 899, 117_992, 20_000),
+        (9, 7, 0, 20_000),
+        (10, 7, 21_024, 2_000),
+        (11, 6, 0, 20_000),
+    ];
+    assert_eq!(done, want);
+    assert_eq!((polls, timer_fires), (36, 18));
+}
+
+#[test]
+fn clook_script_is_pinned() {
+    let sched = DiskSched::CLook {
+        max_bypass: 2,
+        stroke_blocks: 1 << 12,
+    };
+    let (done, polls, timer_fires) = run_script(sched);
+    // Sweep order from the head; one block either way is sequential.
+    let want = vec![
+        (1, 100, 0, 20_000),
+        (3, 100, 24_096, 2_000),
+        (2, 101, 30_192, 2_000),
+        (6, 101, 35_288, 2_000),
+        (8, 899, 37_384, 13_918),
+        (4, 900, 60_398, 2_000),
+        (5, 50, 65_494, 14_300),
+        (9, 7, 0, 4_766),
+        (10, 7, 5_790, 2_000),
+        (11, 6, 0, 2_000),
+    ];
+    assert_eq!(done, want);
+    assert_eq!((polls, timer_fires), (36, 18));
 }
 
 proptest! {

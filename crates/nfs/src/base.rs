@@ -693,6 +693,18 @@ mod tests {
                 (2, 0, 5)
             ]
         );
-        assert_eq!(block_spans(3, 4).collect::<Vec<_>>(), vec![(0, 3, 4)]);
+        // The shapes the write paths walk: a span ending exactly on a
+        // block boundary touches no block past it, a single byte (the
+        // last of a block) is one span, a span starting mid-block and
+        // ending mid-block of the same block stays inside it.
+        let spans = |a, z| block_spans(a, z).collect::<Vec<_>>();
+        assert_eq!(
+            spans(100, 2 * b),
+            vec![(0, 100, BLOCK_SIZE), (1, 0, BLOCK_SIZE)]
+        );
+        assert_eq!(spans(3, 4), vec![(0, 3, 4)]);
+        assert_eq!(spans(b - 1, b), vec![(0, BLOCK_SIZE - 1, BLOCK_SIZE)]);
+        assert_eq!(spans(b + 7, b + 9), vec![(1, 7, 9)]);
+        assert_eq!(spans(b, 2 * b), vec![(1, 0, BLOCK_SIZE)]);
     }
 }
