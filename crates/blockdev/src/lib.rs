@@ -68,7 +68,7 @@ pub enum DiskSched {
     /// C-LOOK elevator: serve the pending request with the smallest block
     /// address at or above the arm's current position, wrapping to the
     /// lowest pending address when the sweep runs dry. Positioning is
-    /// charged by seek distance (`Disk::clook_position`).
+    /// charged by seek distance (`Disk::position`).
     CLook {
         /// Aging limit: once a request has been bypassed this many times
         /// it is served before any sweep-order pick, so no request is
@@ -241,107 +241,69 @@ impl Disk {
         self.access(block, bytes, true).await;
     }
 
+    /// One request, start to finish, whatever the policy: queue, wait for
+    /// the arm, position, transfer, account. The policy shows at two
+    /// points only — how the request waits its turn, and
+    /// [`position`](Self::position). Everything around the awaits (gauge,
+    /// histograms, trace events) is synchronous accounting, so under FIFO
+    /// the timing is bit for bit what it was before scheduling existed.
     async fn access(&self, block: u64, bytes: usize, is_write: bool) {
-        match self.sched {
-            DiskSched::Fifo => self.access_fifo(block, bytes, is_write).await,
-            DiskSched::CLook {
+        let req = {
+            let mut q = self.queue.borrow_mut();
+            q.next_req += 1;
+            q.next_req
+        };
+        self.emit(|disk| EventKind::DiskQueue {
+            disk,
+            req,
+            block,
+            write: is_write,
+        });
+        self.queue_depth.inc();
+        let enq_us = self.sim.now().as_micros();
+        // FIFO rides the arm resource's own queue. C-LOOK parks the
+        // request until `dispatch_next` grants it the arm in sweep order;
+        // the ticket de-queues it (or hands the arm on) even if this
+        // future is dropped mid-wait.
+        let ticket = if let DiskSched::CLook { max_bypass, .. } = self.sched {
+            let grant = Event::new();
+            self.queue.borrow_mut().pending.push(Pending {
+                id: req,
+                block,
+                bypass: 0,
+                grant: grant.clone(),
+            });
+            let ticket = Ticket {
+                disk: self,
+                id: req,
                 max_bypass,
-                stroke_blocks,
-            } => {
-                self.access_clook(block, bytes, is_write, max_bypass, stroke_blocks)
-                    .await
-            }
-        }
-    }
-
-    /// The paper-era path: ride the arm resource's FIFO queue directly.
-    /// Everything added around the legacy body (gauge, histograms, trace
-    /// events) is synchronous accounting, so the timing is bit-for-bit
-    /// what it was before scheduling existed.
-    async fn access_fifo(&self, block: u64, bytes: usize, is_write: bool) {
-        let req = self.next_req_id();
-        self.emit(|disk| EventKind::DiskQueue {
-            disk,
-            req,
-            block,
-            write: is_write,
-        });
-        self.queue_depth.inc();
-        let enq_us = self.sim.now().as_micros();
-        let guard = self.arm.acquire().await;
-        let wait_us = self.sim.now().as_micros() - enq_us;
-        self.queue_depth.dec();
-        self.wait_ms.record(wait_us / 1_000);
-        let (service, pos) = {
-            let st = self.state.borrow();
-            let seq = st.last_block == Some(block.wrapping_sub(1)) || st.last_block == Some(block);
-            let pos = if seq {
-                self.params.seq_position
-            } else {
-                self.params.avg_position
             };
-            (pos + self.params.transfer_time(bytes), pos)
+            self.dispatch_next(max_bypass);
+            grant.wait().await;
+            Some(ticket)
+        } else {
+            None
         };
-        self.pos_ms.record(pos.as_micros() / 1_000);
-        self.sim.sleep(service).await;
-        self.finish_access(block, bytes, is_write);
-        self.emit(|disk| EventKind::DiskDone {
-            disk,
-            req,
-            block,
-            write: is_write,
-            wait_us,
-            pos_us: pos.as_micros(),
-        });
-        drop(guard);
-    }
-
-    /// The C-LOOK path: requests park in a scheduler queue and are granted
-    /// the arm in sweep order (nearest block at or above the head, wrapping
-    /// when the sweep runs dry), with `max_bypass` aging.
-    async fn access_clook(
-        &self,
-        block: u64,
-        bytes: usize,
-        is_write: bool,
-        max_bypass: u32,
-        stroke_blocks: u64,
-    ) {
-        let req = self.next_req_id();
-        self.emit(|disk| EventKind::DiskQueue {
-            disk,
-            req,
-            block,
-            write: is_write,
-        });
-        self.queue_depth.inc();
-        let enq_us = self.sim.now().as_micros();
-        let grant = Event::new();
-        self.queue.borrow_mut().pending.push(Pending {
-            id: req,
-            block,
-            bypass: 0,
-            grant: grant.clone(),
-        });
-        // Ensures the request is de-queued (or the arm handed off) even if
-        // this future is dropped mid-wait.
-        let ticket = Ticket {
-            disk: self,
-            id: req,
-        };
-        self.dispatch_next(max_bypass);
-        grant.wait().await;
+        // Under C-LOOK only the granted request reaches this line, so its
+        // acquire never waits: the resource is busy-time accounting there.
+        let guard = self.arm.acquire().await;
         let wait_us = self.sim.now().as_micros() - enq_us;
         self.queue_depth.dec();
         self.wait_ms.record(wait_us / 1_000);
-        // Only the granted request ever touches the arm, so this acquire
-        // always takes the fast path; the resource exists purely for
-        // busy-time (utilization) accounting.
-        let guard = self.arm.acquire().await;
-        let pos = self.clook_position(block, stroke_blocks);
+        let pos = self.position(block);
         self.pos_ms.record(pos.as_micros() / 1_000);
         self.sim.sleep(pos + self.params.transfer_time(bytes)).await;
-        self.finish_access(block, bytes, is_write);
+        {
+            let mut st = self.state.borrow_mut();
+            st.last_block = Some(block);
+            if is_write {
+                st.stats.writes += 1;
+                st.stats.bytes_written += bytes as u64;
+            } else {
+                st.stats.reads += 1;
+                st.stats.bytes_read += bytes as u64;
+            }
+        }
         self.emit(|disk| EventKind::DiskDone {
             disk,
             req,
@@ -351,47 +313,35 @@ impl Disk {
             pos_us: pos.as_micros(),
         });
         drop(guard);
-        drop(ticket); // releases the arm to the next pick
+        drop(ticket); // C-LOOK: releases the arm to the next pick
     }
 
-    fn next_req_id(&self) -> u64 {
-        let mut q = self.queue.borrow_mut();
-        q.next_req += 1;
-        q.next_req
-    }
-
-    fn finish_access(&self, block: u64, bytes: usize, is_write: bool) {
-        let mut st = self.state.borrow_mut();
-        st.last_block = Some(block);
-        if is_write {
-            st.stats.writes += 1;
-            st.stats.bytes_written += bytes as u64;
-        } else {
-            st.stats.reads += 1;
-            st.stats.bytes_read += bytes as u64;
-        }
-    }
-
-    /// Positioning time for a C-LOOK dispatch: seek distance `d` blocks
-    /// costs `seq + 1.5 (avg - seq) sqrt(d / stroke)`, saturating at a
-    /// full stroke. The square root approximates the accelerate/decelerate
+    /// Positioning time for an access to `block` with the arm where the
+    /// last access left it. FIFO has two levels: `seq_position` for the
+    /// same block or the next one, the full `avg_position` otherwise.
+    /// C-LOOK charges by seek distance: `d` blocks cost
+    /// `seq + 1.5 (avg - seq) sqrt(d / stroke)`, saturating at a full
+    /// stroke. The square root approximates the accelerate/decelerate
     /// profile of a real arm, and the 1.5 factor calibrates the curve so a
     /// uniformly random seek averages `avg_position` (E[sqrt(U)] = 2/3) —
     /// FIFO and C-LOOK agree on unscheduled random workloads and diverge
     /// exactly when scheduling shortens seeks.
-    fn clook_position(&self, block: u64, stroke_blocks: u64) -> SimDuration {
+    fn position(&self, block: u64) -> SimDuration {
+        let (seq, avg) = (self.params.seq_position, self.params.avg_position);
         let Some(head) = self.state.borrow().last_block else {
-            return self.params.avg_position;
+            return avg;
         };
-        let d = head.abs_diff(block);
-        if d <= 1 {
-            return self.params.seq_position;
+        match self.sched {
+            DiskSched::Fifo if head == block || head.wrapping_add(1) == block => seq,
+            DiskSched::Fifo => avg,
+            DiskSched::CLook { .. } if head.abs_diff(block) <= 1 => seq,
+            DiskSched::CLook { stroke_blocks, .. } => {
+                let stroke = stroke_blocks.max(2);
+                let frac = head.abs_diff(block).min(stroke) as f64 / stroke as f64;
+                let (seq, avg) = (seq.as_micros() as f64, avg.as_micros() as f64);
+                SimDuration::from_micros((seq + 1.5 * (avg - seq) * frac.sqrt()).round() as u64)
+            }
         }
-        let stroke = stroke_blocks.max(2);
-        let frac = d.min(stroke) as f64 / stroke as f64;
-        let seq = self.params.seq_position.as_micros() as f64;
-        let avg = self.params.avg_position.as_micros() as f64;
-        SimDuration::from_micros((seq + 1.5 * (avg - seq) * frac.sqrt()).round() as u64)
     }
 
     /// If the arm is free, pick the next request per C-LOOK and grant it.
@@ -449,19 +399,16 @@ impl Disk {
 struct Ticket<'a> {
     disk: &'a Disk,
     id: u64,
+    max_bypass: u32,
 }
 
 impl Drop for Ticket<'_> {
     fn drop(&mut self) {
-        let max_bypass = match self.disk.sched {
-            DiskSched::CLook { max_bypass, .. } => max_bypass,
-            DiskSched::Fifo => return,
-        };
         let mut q = self.disk.queue.borrow_mut();
         if q.current == Some(self.id) {
             q.current = None;
             drop(q);
-            self.disk.dispatch_next(max_bypass);
+            self.disk.dispatch_next(self.max_bypass);
         } else if let Some(i) = q.pending.iter().position(|p| p.id == self.id) {
             q.pending.remove(i);
             drop(q);
