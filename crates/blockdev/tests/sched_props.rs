@@ -58,6 +58,10 @@ fn fifo_reference_micros(blocks: &[u64]) -> u64 {
     t
 }
 
+/// One completed request as its `disk_done` event reports it:
+/// `(req, block, wait_us, pos_us)`.
+type Done = (u64, u64, u64, u64);
+
 /// One scripted request: when it arrives, where, how much.
 struct Req {
     at_us: u64,
@@ -69,9 +73,10 @@ struct Req {
 /// The pinned script: a burst that queues (forward-adjacent, backward-
 /// adjacent, same-block and far requests among it), late arrivals into a
 /// busy queue, one request abandoned while queued, then a same-block pair
-/// and a step back by one block on an idle disk. Returns every `disk_done` as `(req, block, wait_us, pos_us)` in
-/// completion order, then the simulator's poll and timer-fire counts.
-fn run_script(sched: DiskSched) -> (Vec<(u64, u64, u64, u64)>, u64, u64) {
+/// and a step back by one block on an idle disk. Returns every
+/// `disk_done` in completion order, then the simulator's poll and
+/// timer-fire counts.
+fn run_script(sched: DiskSched) -> (Vec<Done>, u64, u64) {
     let r = |at_us, block, bytes, write| Req {
         at_us,
         block,
