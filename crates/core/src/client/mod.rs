@@ -28,10 +28,10 @@ use std::rc::Rc;
 
 use spritely_localfs::{DirtyVictim, DropCounts};
 use spritely_metrics::{Histogram, InflightGauge};
-use spritely_nfs::base::{block_spans, BlockClient, ClientBase, Key, NameCache};
+use spritely_nfs::base::{BlockClient, ClientBase, Key, NameCache};
 use spritely_proto::{
-    block_of, blocks_for, Buf, CallbackReply, ClientId, Fattr, FileHandle, FileVersion, NfsReply,
-    NfsRequest, NfsStatus, Payload, ReadReply, Result, BLOCK_SIZE,
+    block_spans, blocks_for, Buf, CallbackReply, ClientId, Fattr, FileHandle, FileVersion,
+    NfsReply, NfsRequest, NfsStatus, Payload, ReadReply, Result, BLOCK_SIZE,
 };
 use spritely_rpcnet::ShardCaller;
 use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
@@ -922,17 +922,12 @@ impl SnfsClient {
         let now = self.sim().now();
         let old_size = self.local_attr(fh).map_or(0, |a| a.size);
         let end = offset + data.len() as u64;
-        let first = block_of(offset);
-        let last = block_of(end - 1);
-        for lblk in first..=last {
-            let blk_start = lblk * BLOCK_SIZE as u64;
-            let from = offset.max(blk_start);
-            let to = end.min(blk_start + BLOCK_SIZE as u64);
-            let chunk = &data[(from - offset) as usize..(to - offset) as usize];
+        let mut taken = 0;
+        for (lblk, from, to) in block_spans(offset, end) {
+            let chunk = &data[taken..taken + (to - from)];
+            taken += to - from;
             let key = (fh, lblk);
-            let off_in_block = (from - blk_start) as usize;
-            let full = off_in_block == 0 && chunk.len() == BLOCK_SIZE;
-            let merged = if full {
+            let merged = if chunk.len() == BLOCK_SIZE {
                 Buf::from(chunk)
             } else {
                 // NOTE: take the cache lookup out of the `match` scrutinee —
@@ -941,7 +936,7 @@ impl SnfsClient {
                 let cached = self.cache_mut().get(&key);
                 let base = match cached {
                     Some(b) => b,
-                    None if blk_start < old_size => {
+                    None if lblk < blocks_for(old_size) => {
                         // Partial write into an existing block: fetch it.
                         let cachable = self.is_cacheable(fh);
                         ClientBase::fetch_block(self, fh, lblk, false, cachable).await?
@@ -950,7 +945,7 @@ impl SnfsClient {
                 };
                 // Copy-on-write: a flush or retransmission still holding
                 // the old buffer keeps the bytes of its own generation.
-                base.patched(off_in_block, chunk)
+                base.patched(from, chunk)
             };
             self.wrote_block(fh, lblk);
             let victim = self.cache_mut().write(key, merged, now);

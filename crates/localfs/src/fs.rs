@@ -7,8 +7,8 @@ use std::rc::Rc;
 
 use spritely_blockdev::Disk;
 use spritely_proto::{
-    block_of, blocks_for, Buf, DirEntry, Fattr, FileHandle, FileType, NfsStatus, Payload, Result,
-    BLOCK_SIZE,
+    block_of, block_spans, blocks_for, Buf, DirEntry, Fattr, FileHandle, FileType, NfsStatus,
+    Payload, Result, BLOCK_SIZE,
 };
 use spritely_sim::{Event, Sim, SimDuration};
 use spritely_trace::{EventKind, Tracer};
@@ -292,7 +292,19 @@ impl LocalFs {
 
     // ---- data operations --------------------------------------------------
 
-    async fn flush_victim(&self, key: Key, data: Buf) {
+    /// The one way a dirty block reaches the disk. `evicted` is the data of
+    /// a block the cache has already pushed out, which exists nowhere else;
+    /// without it the block is taken from the cache, and marked clean once
+    /// written unless it was written again meanwhile. A file that vanished
+    /// while the block waited has no address left: the write is cancelled.
+    async fn flush_block(&self, key: Key, evicted: Option<Buf>) {
+        let (data, seq) = match evicted {
+            Some(data) => (data, None),
+            None => match self.inner.cache.borrow().flush_data(&key) {
+                Some(fd) => (fd.data, Some(fd.seq)),
+                None => return,
+            },
+        };
         let addr = self.inner.store.borrow().addr_by_ino(key.0, key.1);
         match addr {
             Some(addr) => {
@@ -303,11 +315,10 @@ impl LocalFs {
                     .write_stable_by_ino(key.0, key.1, data);
                 self.inner.stats.borrow_mut().flushed_blocks += 1;
             }
-            None => {
-                // The file vanished while the block waited; the write is
-                // cancelled.
-                self.inner.stats.borrow_mut().cancelled_blocks += 1;
-            }
+            None => self.inner.stats.borrow_mut().cancelled_blocks += 1,
+        }
+        if let Some(seq) = seq {
+            self.inner.cache.borrow_mut().mark_clean(&key, seq);
         }
     }
 
@@ -352,7 +363,7 @@ impl LocalFs {
                 .borrow_mut()
                 .insert_clean(key, data.clone());
             if let Some(v) = victim {
-                self.flush_victim(v.key, v.data).await;
+                self.flush_block(v.key, Some(v.data)).await;
             }
             return Ok(data);
         }
@@ -396,14 +407,9 @@ impl LocalFs {
         }
         let end = size.min(offset + u64::from(len));
         let mut out = Payload::new();
-        let first = block_of(offset);
-        let last = block_of(end - 1);
-        for lblk in first..=last {
+        for (lblk, from, to) in block_spans(offset, end) {
             let block = self.fetch_cached_block(fh, lblk).await?;
-            let blk_start = lblk * BLOCK_SIZE as u64;
-            let from = offset.max(blk_start) - blk_start;
-            let to = (end - blk_start).min(BLOCK_SIZE as u64);
-            out.push(block.slice(from as usize..to as usize));
+            out.push(block.slice(from..to));
         }
         let now = self.now_us();
         let attr = self.inner.store.borrow_mut().note_read(fh, now)?;
@@ -445,13 +451,10 @@ impl LocalFs {
         }
         let now = self.inner.sim.now();
         let end = offset + data.len() as u64;
-        let first = block_of(offset);
-        let last = block_of(end - 1);
-        for lblk in first..=last {
-            let blk_start = lblk * BLOCK_SIZE as u64;
-            let from = offset.max(blk_start);
-            let to = end.min(blk_start + BLOCK_SIZE as u64);
-            let chunk = data.range((from - offset) as usize..(to - offset) as usize);
+        let mut taken = 0;
+        for (lblk, from, to) in block_spans(offset, end) {
+            let chunk = data.range(taken..taken + (to - from));
+            taken += to - from;
             let key = (fh.inode, lblk);
             let merged = if chunk.len() == BLOCK_SIZE {
                 chunk
@@ -462,12 +465,12 @@ impl LocalFs {
                     Some(b) => b,
                     None => self.fetch_from_disk(fh, lblk).await?,
                 };
-                base.patched((from - blk_start) as usize, &chunk)
+                base.patched(from, &chunk)
             };
             self.inner.store.borrow_mut().ensure_block(fh, lblk)?;
             let victim = self.inner.cache.borrow_mut().write(key, merged, now);
             if let Some(v) = victim {
-                self.flush_victim(v.key, v.data).await;
+                self.flush_block(v.key, Some(v.data)).await;
             }
         }
         let attr = self.inner.store.borrow_mut().note_write(
@@ -477,7 +480,9 @@ impl LocalFs {
             now.as_micros(),
         )?;
         if sync {
-            self.flush_range(fh, first, last).await?;
+            for lblk in block_of(offset)..=block_of(end - 1) {
+                self.flush_block((fh.inode, lblk), None).await;
+            }
             // RFC 1094 requires the server to have size/mtime on stable
             // storage before replying to a `write`, so an NFS server pays
             // an inode update on every write RPC — it both adds a
@@ -489,36 +494,13 @@ impl LocalFs {
         Ok(attr)
     }
 
-    async fn flush_range(&self, fh: FileHandle, first: u64, last: u64) -> Result<()> {
-        for lblk in first..=last {
-            let key = (fh.inode, lblk);
-            let fd = self.inner.cache.borrow().flush_data(&key);
-            if let Some(fd) = fd {
-                let addr = self.inner.store.borrow_mut().ensure_block(fh, lblk)?;
-                self.inner.disk.write(addr, fd.data.len()).await;
-                self.inner
-                    .store
-                    .borrow_mut()
-                    .write_stable_by_ino(fh.inode, lblk, fd.data);
-                self.inner.cache.borrow_mut().mark_clean(&key, fd.seq);
-                self.inner.stats.borrow_mut().flushed_blocks += 1;
-            }
-        }
-        Ok(())
-    }
-
     /// Flushes all of one file's dirty blocks (ascending block order, so
     /// the disk sees sequential addresses).
     pub async fn fsync(&self, fh: FileHandle) -> Result<()> {
         let mut keys = self.inner.cache.borrow().keys_matching(|k| k.0 == fh.inode);
         keys.sort_unstable();
         for key in keys {
-            let fd = self.inner.cache.borrow().flush_data(&key);
-            if let Some(fd) = fd {
-                let seq = fd.seq;
-                self.flush_victim(key, fd.data).await;
-                self.inner.cache.borrow_mut().mark_clean(&key, seq);
-            }
+            self.flush_block(key, None).await;
         }
         Ok(())
     }
@@ -531,12 +513,7 @@ impl LocalFs {
         let mut due: Vec<Key> = dirty.into_iter().map(|(k, _)| k).collect();
         due.sort_unstable();
         for key in due {
-            let fd = self.inner.cache.borrow().flush_data(&key);
-            if let Some(fd) = fd {
-                let seq = fd.seq;
-                self.flush_victim(key, fd.data).await;
-                self.inner.cache.borrow_mut().mark_clean(&key, seq);
-            }
+            self.flush_block(key, None).await;
         }
     }
 

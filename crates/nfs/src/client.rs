@@ -29,13 +29,13 @@ use std::rc::Rc;
 
 use spritely_localfs::DirtyVictim;
 use spritely_proto::{
-    block_of, blocks_for, Buf, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, Result,
-    BLOCK_SIZE,
+    block_of, block_spans, blocks_for, Buf, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus,
+    Result, BLOCK_SIZE,
 };
 use spritely_rpcnet::ShardCaller;
 use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
 
-use crate::base::{block_spans, BlockClient, ClientBase, Key, NameCache};
+use crate::base::{BlockClient, ClientBase, Key, NameCache};
 
 /// Configuration of an [`NfsClient`].
 #[derive(Debug, Clone, Copy)]

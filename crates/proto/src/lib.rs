@@ -52,6 +52,18 @@ pub const fn blocks_for(size: u64) -> u64 {
     size.div_ceil(BLOCK_SIZE as u64)
 }
 
+/// The blocks a transfer of bytes `[offset, end)` touches, `end > offset`:
+/// each logical block with the byte range of it the transfer covers. The
+/// spans' lengths add up to `end - offset`, in order.
+pub fn block_spans(offset: u64, end: u64) -> impl Iterator<Item = (u64, usize, usize)> {
+    (block_of(offset)..=block_of(end - 1)).map(move |lblk| {
+        let start = lblk * BLOCK_SIZE as u64;
+        let from = (offset.max(start) - start) as usize;
+        let to = (end - start).min(BLOCK_SIZE as u64) as usize;
+        (lblk, from, to)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,5 +77,32 @@ mod tests {
         assert_eq!(blocks_for(1), 1);
         assert_eq!(blocks_for(4096), 1);
         assert_eq!(blocks_for(4097), 2);
+    }
+
+    #[test]
+    fn block_spans_cover_a_transfer_exactly() {
+        let b = BLOCK_SIZE as u64;
+        let spans: Vec<_> = block_spans(b - 10, 2 * b + 5).collect();
+        assert_eq!(
+            spans,
+            vec![
+                (0, BLOCK_SIZE - 10, BLOCK_SIZE),
+                (1, 0, BLOCK_SIZE),
+                (2, 0, 5)
+            ]
+        );
+        // The shapes the write paths walk: a span ending exactly on a
+        // block boundary touches no block past it, a single byte (the
+        // last of a block) is one span, a span starting mid-block and
+        // ending mid-block of the same block stays inside it.
+        let spans = |a, z| block_spans(a, z).collect::<Vec<_>>();
+        assert_eq!(
+            spans(100, 2 * b),
+            vec![(0, 100, BLOCK_SIZE), (1, 0, BLOCK_SIZE)]
+        );
+        assert_eq!(spans(3, 4), vec![(0, 3, 4)]);
+        assert_eq!(spans(b - 1, b), vec![(0, BLOCK_SIZE - 1, BLOCK_SIZE)]);
+        assert_eq!(spans(b + 7, b + 9), vec![(1, 7, 9)]);
+        assert_eq!(spans(b, 2 * b), vec![(1, 0, BLOCK_SIZE)]);
     }
 }
