@@ -80,7 +80,7 @@ mod tests {
     }
 
     #[test]
-    fn block_spans_cover_a_transfer_exactly() {
+    fn spans_cover_a_transfer_exactly() {
         let b = BLOCK_SIZE as u64;
         let spans: Vec<_> = block_spans(b - 10, 2 * b + 5).collect();
         assert_eq!(
