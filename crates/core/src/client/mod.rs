@@ -228,17 +228,6 @@ struct Inner {
     gather_hist: Histogram,
     /// Concurrent write-back RPCs, with high-water mark.
     inflight_gauge: InflightGauge,
-    /// In-flight background eviction write-backs per file: a task count
-    /// plus an event set when the count returns to zero. An evicted
-    /// dirty block is gone from the cache, so this map is the only
-    /// record that its data has not reached the server yet —
-    /// `writeback_file` (and through it fsync, callbacks, and
-    /// `cold_boot`) must wait on it before claiming the file is clean.
-    evictions: RefCell<HashMap<FileHandle, (usize, Event)>>,
-    /// First error from a background eviction write-back of each file,
-    /// reported by the next `writeback_file`/`fsync` of that file
-    /// (classic delayed-write error semantics).
-    eviction_errors: RefCell<HashMap<FileHandle, NfsStatus>>,
     /// Files this client removed (last link gone): an in-flight eviction
     /// write-back of such a file must be cancelled, not sent — the §4.2.3
     /// cancellation covers data already on its way out of the cache.
@@ -335,8 +324,6 @@ impl SnfsClient {
                 flush_inflight: Semaphore::new(wb.max_inflight),
                 gather_hist: Histogram::new(),
                 inflight_gauge: InflightGauge::new(),
-                evictions: RefCell::new(HashMap::new()),
-                eviction_errors: RefCell::new(HashMap::new()),
                 removed: RefCell::new(HashSet::new()),
                 piggy_attrs: RefCell::new(HashMap::new()),
                 cb_seen: RefCell::new(HashMap::new()),
@@ -469,9 +456,10 @@ impl SnfsClient {
     }
 
     /// Number of evicted dirty blocks whose background write-back has
-    /// not completed yet (must be zero after a successful `fsync`).
+    /// not completed yet, from the shared ledger (must be zero after a
+    /// successful `fsync`).
     pub fn pending_evictions(&self) -> usize {
-        self.inner.evictions.borrow().values().map(|(n, _)| n).sum()
+        self.writes().in_flight()
     }
 
     /// Histogram of blocks per gathered write-back RPC.
@@ -1003,10 +991,11 @@ impl SnfsClient {
                 .into_iter()
                 .map(|k| k.0)
                 .collect();
-            // Files whose only unwritten data is an in-flight eviction
-            // have no cache blocks left; writeback_file still waits them
-            // out.
-            v.extend(self.inner.evictions.borrow().keys().copied());
+            // A file whose only unwritten data is an in-flight eviction,
+            // or whose eviction failed and nobody has asked since, has no
+            // cache blocks left: writeback_file waits out the one and
+            // reports the other.
+            v.extend(self.writes().files());
             v.sort_unstable();
             v.dedup();
             v
@@ -1017,7 +1006,6 @@ impl SnfsClient {
         }
         self.inner.base.cold_boot();
         self.inner.files.borrow_mut().clear();
-        self.inner.eviction_errors.borrow_mut().clear();
         self.inner.piggy_attrs.borrow_mut().clear();
         Ok(())
     }
@@ -1143,7 +1131,7 @@ impl SnfsClient {
                 // A pending eviction error for a deleted file is moot,
                 // and any eviction write-back still queued must be
                 // cancelled too (see write_back_victim).
-                self.inner.eviction_errors.borrow_mut().remove(&fh);
+                self.writes().take_error(fh);
                 // A delegation on a deleted file has nothing left to
                 // protect; the server drops its side with the entry.
                 self.inner.delegs.borrow_mut().remove(&fh);

@@ -7,70 +7,22 @@ use std::rc::Rc;
 use spritely_localfs::{DirtyRun, DirtyVictim};
 use spritely_nfs::base::Key;
 use spritely_proto::{FileHandle, NfsReply, NfsRequest, NfsStatus, Payload, Result, BLOCK_SIZE};
-use spritely_sim::Event;
 use spritely_trace::EventKind;
 
 use super::SnfsClient;
 
 impl SnfsClient {
-    /// Records the start of a background eviction write-back for `fh`.
-    /// Must run synchronously with the eviction itself (no await in
-    /// between): once the block has left the cache this registration is
-    /// the only thing that makes `writeback_file` wait for its data.
-    fn register_eviction(&self, fh: FileHandle) {
-        self.inner
-            .evictions
-            .borrow_mut()
-            .entry(fh)
-            .or_insert_with(|| (0, Event::new()))
-            .0 += 1;
-    }
-
-    /// Marks one eviction write-back for `fh` finished, waking waiters
-    /// when it was the last.
-    fn finish_eviction(&self, fh: FileHandle) {
-        let mut ev = self.inner.evictions.borrow_mut();
-        let entry = ev.get_mut(&fh).expect("finish without register");
-        entry.0 -= 1;
-        if entry.0 == 0 {
-            let (_, done) = ev.remove(&fh).expect("entry present");
-            done.set();
-        }
-    }
-
-    /// Waits until no eviction write-back for `fh` is in flight. Loops
-    /// because new evictions may start while we wait (each batch gets a
-    /// fresh event).
-    async fn wait_evictions(&self, fh: FileHandle) {
-        loop {
-            let done = self
-                .inner
-                .evictions
-                .borrow()
-                .get(&fh)
-                .map(|(_, d)| d.clone());
-            match done {
-                Some(d) => {
-                    // About to block on background write-backs: push any
-                    // parked batch out instead of riding the Nagle window.
-                    self.caller().kick();
-                    d.wait().await;
-                }
-                None => return,
-            }
-        }
-    }
-
     /// Routes a dirty block evicted under cache pressure through the
-    /// write-behind pool. The eviction is registered before any await,
-    /// so a concurrent `writeback_file` always sees (and waits for) it;
+    /// write-behind pool. The write-back enters the ledger before any await
+    /// (once the block has left the cache that entry is the only thing that
+    /// makes `writeback_file` wait for its data);
     /// the slot acquisition is the evicting task's backpressure, and the
     /// RPC itself proceeds in the background. A failure is counted and
     /// recorded against the file, to surface from its next
     /// `writeback_file`/`fsync`.
     pub(super) async fn write_back_victim(&self, v: DirtyVictim<Key>) {
         let (fh, lblk) = v.key;
-        self.register_eviction(fh);
+        self.writes().begin(fh);
         let slot = self.inner.flush_slots.acquire().await;
         let this = self.clone();
         self.sim().spawn(async move {
@@ -80,7 +32,7 @@ impl SnfsClient {
             // the queue; its data is unreachable, so the write is
             // cancelled like any other delayed write of a deleted file
             // (§4.2.3) rather than resurrecting it on the server.
-            if this.inner.removed.borrow().contains(&fh) {
+            let err = if this.inner.removed.borrow().contains(&fh) {
                 this.bump_stats(|s| s.cancelled_blocks += 1);
                 this.emit(
                     0,
@@ -91,14 +43,13 @@ impl SnfsClient {
                         blocks: 1,
                     },
                 );
-            } else if let Err(e) = this.write_back_rpc(fh, lblk, v.data.into(), 1, 0).await {
-                this.inner
-                    .eviction_errors
-                    .borrow_mut()
-                    .entry(fh)
-                    .or_insert(e);
-            }
-            this.finish_eviction(fh);
+                None
+            } else {
+                this.write_back_rpc(fh, lblk, v.data.into(), 1, 0)
+                    .await
+                    .err()
+            };
+            this.writes().finish(fh, err);
         });
     }
 
@@ -241,8 +192,8 @@ impl SnfsClient {
                 direct: !use_pool,
             },
         );
-        self.wait_evictions(fh).await;
-        let evict_err = self.inner.eviction_errors.borrow_mut().remove(&fh);
+        self.wait_writes(fh).await;
+        let evict_err = self.writes().take_error(fh);
         let gather = self.inner.params.write_behind.gather_blocks;
         let runs = self.cache().dirty_runs(fh, gather, BLOCK_SIZE);
         let res = if use_pool {

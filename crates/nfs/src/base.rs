@@ -12,7 +12,9 @@
 //!   outcomes only a retransmission produces, unpack, maintain the name
 //!   cache;
 //! * **the block read path**: the data cache, in-flight coalescing, the
-//!   per-file invalidation epoch, read-ahead.
+//!   per-file invalidation epoch, read-ahead;
+//! * **the write-behind ledger** ([`WriteLedger`]): which files have
+//!   background `write`s on the wire, and the first one that failed.
 //!
 //! Nothing here knows which protocol it serves. Where the two clients
 //! differ, the difference is data the caller passes (name-cache lifetime,
@@ -20,7 +22,7 @@
 //! handed back to it through [`BlockClient`]; DESIGN.md §20 lists each.
 
 use std::cell::{Ref, RefCell, RefMut};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::future::Future;
 use std::ops::Deref;
 
@@ -140,6 +142,73 @@ impl NameCache {
     }
 }
 
+/// One file's entry in the [`WriteLedger`].
+#[derive(Default)]
+struct InFlight {
+    count: u32,
+    /// Set when `count` returns to zero; a fresh one for every busy period.
+    done: Event,
+    /// The first write that failed, until somebody takes it.
+    error: Option<NfsStatus>,
+}
+
+/// Background writes on their way to the server, per file: NFS's
+/// write-behind RPCs, SNFS's write-backs of dirty blocks the cache pushed
+/// out. Such data is in no cache, so an entry here is the only record that
+/// the server does not have it yet: whoever is about to say "this file is
+/// at the server" calls [`ClientBase::wait_writes`] first. A file has an
+/// entry while it has a write in flight or an error nobody took.
+#[derive(Default)]
+pub struct WriteLedger {
+    files: RefCell<BTreeMap<FileHandle, InFlight>>,
+}
+
+impl WriteLedger {
+    /// A background write of `fh` starts. Call it in the synchronous
+    /// region that takes the data out of the cache (no await in between),
+    /// so a concurrent waiter always sees it.
+    pub fn begin(&self, fh: FileHandle) {
+        self.files.borrow_mut().entry(fh).or_default().count += 1;
+    }
+
+    /// A background write of `fh` ended, with `error` if it failed; the
+    /// last one wakes the waiters.
+    pub fn finish(&self, fh: FileHandle, error: Option<NfsStatus>) {
+        let mut files = self.files.borrow_mut();
+        let f = files.get_mut(&fh).expect("finish without begin");
+        f.error = f.error.or(error);
+        f.count -= 1;
+        if f.count == 0 {
+            std::mem::take(&mut f.done).set();
+            if f.error.is_none() {
+                files.remove(&fh);
+            }
+        }
+    }
+
+    /// The first error a background write of `fh` has met: reported once,
+    /// at the next `fsync`/`close` (classic delayed-write semantics).
+    pub fn take_error(&self, fh: FileHandle) -> Option<NfsStatus> {
+        let mut files = self.files.borrow_mut();
+        let f = files.get_mut(&fh)?;
+        let error = f.error.take();
+        if f.count == 0 {
+            files.remove(&fh);
+        }
+        error
+    }
+
+    /// Background writes in flight, all files together.
+    pub fn in_flight(&self) -> usize {
+        self.files.borrow().values().map(|f| f.count as usize).sum()
+    }
+
+    /// The files with an entry, in handle order.
+    pub fn files(&self) -> Vec<FileHandle> {
+        self.files.borrow().keys().copied().collect()
+    }
+}
+
 /// What the shared block path hands back to the protocol client it runs
 /// for: the two things a block read produces besides the block.
 pub trait BlockClient: Clone + Deref<Target = ClientBase> + 'static {
@@ -170,6 +239,7 @@ pub struct ClientBase {
     read_ahead: u64,
     /// When set, a read-ahead holds one of these permits for its RPC.
     read_ahead_gate: Option<Semaphore>,
+    writes: WriteLedger,
 }
 
 impl ClientBase {
@@ -193,6 +263,7 @@ impl ClientBase {
             epochs: RefCell::new(HashMap::new()),
             read_ahead: read_ahead as u64,
             read_ahead_gate,
+            writes: WriteLedger::default(),
         }
     }
 
@@ -224,6 +295,25 @@ impl ClientBase {
     /// Data cache `(hits, misses)`.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.borrow().hit_stats()
+    }
+
+    /// The write-behind ledger.
+    pub fn writes(&self) -> &WriteLedger {
+        &self.writes
+    }
+
+    /// Waits until no background write of `fh` is in flight. Loops, because
+    /// another process on this client may start one while we wait, and
+    /// pushes a parked batch out rather than ride the Nagle window.
+    pub async fn wait_writes(&self, fh: FileHandle) {
+        loop {
+            let done = match self.writes.files.borrow().get(&fh) {
+                Some(f) if f.count > 0 => f.done.clone(),
+                _ => return,
+            };
+            self.caller.kick();
+            done.wait().await;
+        }
     }
 
     // ---- RPC plumbing -----------------------------------------------------

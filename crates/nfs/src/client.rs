@@ -29,11 +29,11 @@ use std::rc::Rc;
 
 use spritely_localfs::DirtyVictim;
 use spritely_proto::{
-    block_of, block_spans, blocks_for, Buf, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus,
-    Result, BLOCK_SIZE,
+    block_of, block_spans, blocks_for, Buf, Fattr, FileHandle, NfsReply, NfsRequest, Result,
+    BLOCK_SIZE,
 };
 use spritely_rpcnet::ShardCaller;
-use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
+use spritely_sim::{Semaphore, Sim, SimDuration, SimTime};
 
 use crate::base::{BlockClient, ClientBase, Key, NameCache};
 
@@ -81,15 +81,6 @@ struct AttrEntry {
     fetched: SimTime,
 }
 
-#[derive(Default)]
-struct PendingWrites {
-    count: u32,
-    done: Event,
-    /// First asynchronous write error, reported at close (Unix EIO
-    /// convention).
-    error: Option<NfsStatus>,
-}
-
 /// A delayed partial-block write (footnote 4): bytes short of the next
 /// block boundary, held back until the block fills or the file closes.
 /// Always inside one block.
@@ -111,7 +102,6 @@ struct Inner {
     base: ClientBase,
     params: NfsClientParams,
     attrs: RefCell<HashMap<FileHandle, AttrEntry>>,
-    pending: RefCell<HashMap<FileHandle, PendingWrites>>,
     tails: RefCell<HashMap<FileHandle, Tail>>,
     opens: RefCell<HashMap<FileHandle, u32>>,
     /// Open-time `getattr` probes elided because a piggybacked post-op
@@ -168,7 +158,6 @@ impl NfsClient {
                 ),
                 params,
                 attrs: RefCell::new(HashMap::new()),
-                pending: RefCell::new(HashMap::new()),
                 tails: RefCell::new(HashMap::new()),
                 opens: RefCell::new(HashMap::new()),
                 elided_probes: Cell::new(0),
@@ -282,13 +271,10 @@ impl NfsClient {
     /// file's cached data on final close.
     pub async fn close(&self, fh: FileHandle, _write: bool) -> Result<()> {
         self.flush_tail(fh);
-        self.wait_pending(fh).await;
-        let err = self
-            .inner
-            .pending
-            .borrow_mut()
-            .get_mut(&fh)
-            .and_then(|p| p.error.take());
+        self.wait_writes(fh).await;
+        // The first asynchronous write error is reported here (Unix EIO
+        // convention).
+        let err = self.writes().take_error(fh);
         let last = {
             let mut opens = self.inner.opens.borrow_mut();
             match opens.get_mut(&fh) {
@@ -329,7 +315,7 @@ impl NfsClient {
             .is_some_and(|t| t.offset < offset + u64::from(len) && offset < t.end());
         if overlaps {
             self.flush_tail(fh);
-            self.wait_pending(fh).await;
+            self.wait_writes(fh).await;
         }
         let size = attr.size;
         if offset >= size || len == 0 {
@@ -349,17 +335,8 @@ impl NfsClient {
         Ok((out, end == size))
     }
 
-    fn bump_pending(&self, fh: FileHandle) {
-        let mut pending = self.inner.pending.borrow_mut();
-        let p = pending.entry(fh).or_default();
-        if p.count == 0 {
-            p.done = Event::new();
-        }
-        p.count += 1;
-    }
-
     fn spawn_write_rpc(&self, fh: FileHandle, offset: u64, data: Buf) {
-        self.bump_pending(fh);
+        self.writes().begin(fh);
         let this = self.clone();
         self.sim().spawn(async move {
             let permit = this.inner.biods.acquire().await;
@@ -373,32 +350,8 @@ impl NfsClient {
             if let Ok(attr) = res {
                 this.note_attrs_own(fh, attr);
             }
-            let mut pending = this.inner.pending.borrow_mut();
-            let p = pending.entry(fh).or_default();
-            if let Err(e) = res {
-                p.error.get_or_insert(e);
-            }
-            p.count -= 1;
-            if p.count == 0 {
-                p.done.set();
-            }
+            this.writes().finish(fh, res.err());
         });
-    }
-
-    async fn wait_pending(&self, fh: FileHandle) {
-        let ev = {
-            let pending = self.inner.pending.borrow();
-            match pending.get(&fh) {
-                Some(p) if p.count > 0 => Some(p.done.clone()),
-                _ => None,
-            }
-        };
-        if let Some(ev) = ev {
-            // About to block on write-behind: push any parked batch out
-            // now rather than letting it ride the Nagle window.
-            self.caller().kick();
-            ev.wait().await;
-        }
     }
 
     /// Emits the pending partial-block tail as a write RPC, if any.
@@ -486,7 +439,7 @@ impl NfsClient {
     /// Synchronously pushes everything pending for `fh` to the server.
     pub async fn fsync(&self, fh: FileHandle) -> Result<()> {
         self.flush_tail(fh);
-        self.wait_pending(fh).await;
+        self.wait_writes(fh).await;
         Ok(())
     }
 
@@ -497,9 +450,8 @@ impl NfsClient {
         for fh in files {
             self.flush_tail(fh);
         }
-        let pending: Vec<FileHandle> = self.inner.pending.borrow().keys().copied().collect();
-        for fh in pending {
-            self.wait_pending(fh).await;
+        for fh in self.writes().files() {
+            self.wait_writes(fh).await;
         }
         self.inner.base.cold_boot();
         self.inner.attrs.borrow_mut().clear();

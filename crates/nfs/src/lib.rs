@@ -30,6 +30,8 @@ mod tests {
     use spritely_proto::{ClientId, NfsProc, NfsReply, NfsRequest, NfsStatus, BLOCK_SIZE};
     use spritely_rpcnet::{Caller, CallerParams, Endpoint, EndpointParams, NetParams, Network};
     use spritely_sim::{Resource, Sim};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// A one-server test rig with any number of NFS clients.
     struct Rig {
@@ -349,6 +351,47 @@ mod tests {
             queued_at.as_micros() * 4 < closed_at.as_micros(),
             "write() returned quickly ({queued_at}) vs close ({closed_at})"
         );
+    }
+
+    #[test]
+    fn fsync_covers_writes_a_second_process_starts_meanwhile() {
+        // Two processes on one client, one file. Both wait for the first
+        // block's write-behind RPC; the writer, woken first, hands the
+        // client a second block before the other's `fsync` gets to run.
+        // That `fsync` must not return on the strength of the batch that
+        // was outstanding when it was called.
+        let rig = Rig::new();
+        let c = rig.client(1, NfsClientParams::default());
+        let (root, fs, sim) = (rig.fs.root(), rig.fs.clone(), rig.sim.clone());
+        rig.sim.block_on(async move {
+            let (fh, _) = c.create(root, "f").await.unwrap();
+            c.open(fh, true).await.unwrap();
+            c.write(fh, 0, &[1u8; BLOCK_SIZE]).await.unwrap();
+            let acked = Rc::new(Cell::new(BLOCK_SIZE));
+            let writer = sim.spawn({
+                let (c, acked) = (c.clone(), acked.clone());
+                async move {
+                    c.fsync(fh).await.unwrap();
+                    c.write(fh, BLOCK_SIZE as u64, &[2u8; BLOCK_SIZE])
+                        .await
+                        .unwrap();
+                    acked.set(2 * BLOCK_SIZE);
+                }
+            });
+            let syncer = sim.spawn({
+                let c = c.clone();
+                async move {
+                    c.fsync(fh).await.unwrap();
+                    let at_server = fs.stable_contents(fh).unwrap().len();
+                    assert_eq!(at_server, acked.get(), "every acknowledged byte");
+                    assert_eq!(acked.get(), 2 * BLOCK_SIZE, "the race was run");
+                }
+            });
+            writer.await;
+            syncer.await;
+            assert!(c.writes().files().is_empty(), "an idle file has no entry");
+            c.close(fh, true).await.unwrap();
+        });
     }
 
     #[test]
