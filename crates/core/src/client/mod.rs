@@ -52,9 +52,6 @@ mod writeback;
 /// enable gathering and pipelining via [`pipelined`](Self::pipelined).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteBehindParams {
-    /// Flush daemons: how many planned runs may be staged at once
-    /// (Ultrix ran 4 biods per client).
-    pub pool: usize,
     /// Maximum contiguous dirty blocks gathered into one `write` RPC.
     pub gather_blocks: usize,
     /// Maximum write-back RPCs in flight concurrently.
@@ -64,7 +61,6 @@ pub struct WriteBehindParams {
 impl Default for WriteBehindParams {
     fn default() -> Self {
         WriteBehindParams {
-            pool: 4,
             gather_blocks: 1,
             max_inflight: 1,
         }
@@ -80,12 +76,15 @@ impl WriteBehindParams {
     /// same reason BSD gathered writes up to a track before issuing).
     pub fn pipelined() -> Self {
         WriteBehindParams {
-            pool: 4,
             gather_blocks: 16,
             max_inflight: 2,
         }
     }
 }
+
+/// Flush daemons in the write-behind pool: how many planned runs may be
+/// staged at once (Ultrix ran 4 biods per client).
+const FLUSH_DAEMONS: usize = 4;
 
 /// Configuration of an [`SnfsClient`].
 #[derive(Debug, Clone, Copy)]
@@ -303,10 +302,6 @@ impl SnfsClient {
         let caller = caller.into();
         let id = caller.client_id();
         let wb = params.write_behind;
-        assert!(
-            wb.pool > 0,
-            "write-behind pool must have at least one daemon"
-        );
         assert!(wb.max_inflight > 0, "need at least one in-flight write");
         // A window of 1 is the paper's single speculative block; wider
         // windows keep several sequential fetches in flight at once.
@@ -320,7 +315,7 @@ impl SnfsClient {
                 files: RefCell::new(HashMap::new()),
                 stats: Cell::new(ClientStats::default()),
                 known_epoch: Cell::new(0),
-                flush_slots: Semaphore::new(wb.pool),
+                flush_slots: Semaphore::new(FLUSH_DAEMONS),
                 flush_inflight: Semaphore::new(wb.max_inflight),
                 gather_hist: Histogram::new(),
                 inflight_gauge: InflightGauge::new(),

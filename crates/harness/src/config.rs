@@ -9,16 +9,11 @@
 //! ≈4–5 ms and a client-cache hit is ≈0.2 ms of CPU.
 
 use spritely_blockdev::DiskParams;
+use spritely_core::ServerIoParams;
 use spritely_localfs::FsParams;
 use spritely_rpcnet::{CallerParams, EndpointParams, NetParams};
 use spritely_sim::SimDuration;
 use spritely_vfs::SyscallCosts;
-
-/// Number of service threads on the server (≥ 2 for SNFS, §3.2).
-pub const SERVER_THREADS: usize = 4;
-
-/// Server buffer cache: ≈3.5 MB (paper §5.2) at 4 KB blocks.
-pub const SERVER_CACHE_BLOCKS: usize = 896;
 
 /// Client buffer cache: ≈16 MB (paper §5.2) at 4 KB blocks.
 pub const CLIENT_CACHE_BLOCKS: usize = 4096;
@@ -33,12 +28,13 @@ pub fn net_params() -> NetParams {
     NetParams::ethernet_10mbit()
 }
 
-/// Server file system (update daemon on by default).
-pub fn server_fs_params(update_enabled: bool) -> FsParams {
+/// Server file system (update daemon on by default); its cache is `io`'s
+/// (paper mode: 896 blocks, the ≈3.5 MB of §5.2).
+pub fn server_fs_params(update_enabled: bool, io: &ServerIoParams) -> FsParams {
     FsParams {
-        cache_blocks: SERVER_CACHE_BLOCKS,
+        cache_blocks: io.cache_blocks,
         update_interval: update_enabled.then(|| SimDuration::from_secs(30)),
-        single_flight_reads: false,
+        single_flight_reads: io.single_flight_reads,
     }
 }
 
@@ -52,10 +48,12 @@ pub fn client_fs_params(update_enabled: bool) -> FsParams {
 }
 
 /// Server endpoint: per-call CPU dominates (the paper found server load
-/// correlated with aggregate call rate, not data rates).
-pub fn endpoint_params() -> EndpointParams {
+/// correlated with aggregate call rate, not data rates). The admission
+/// width is `io`'s: that many RPCs may overlap CPU with disk waits (paper
+/// mode: 4; SNFS needs ≥ 2, §3.2).
+pub fn endpoint_params(io: &ServerIoParams) -> EndpointParams {
     EndpointParams {
-        threads: SERVER_THREADS,
+        threads: io.service_threads,
         cpu_per_call: SimDuration::from_micros(900),
         cpu_per_kb: SimDuration::from_micros(120),
         dup_retention: SimDuration::from_secs(60),

@@ -400,9 +400,7 @@ impl Testbed {
                 config::disk_params(),
                 params.server_io.sched,
             );
-            let mut fsp = config::server_fs_params(params.update_enabled);
-            fsp.cache_blocks = params.server_io.cache_blocks;
-            fsp.single_flight_reads = params.server_io.single_flight_reads;
+            let fsp = config::server_fs_params(params.update_enabled, &params.server_io);
             // Server s exports fsid s + 1; handle-addressed requests
             // route on nothing else.
             let fs = LocalFs::new(&sim, s as u32 + 1, disk, fsp);
@@ -462,10 +460,7 @@ impl Testbed {
             (dirs[0], dirs[1], dirs[2])
         });
         // ---- per-server protocol endpoint -----------------------------------
-        // The admission width (endpoint threads) comes from the server I/O
-        // params: that many RPCs may overlap CPU with disk waits.
-        let mut ep_params = config::endpoint_params();
-        ep_params.threads = params.server_io.service_threads;
+        let ep_params = config::endpoint_params(&params.server_io);
         for (s, host) in servers.iter_mut().enumerate() {
             let (fs, cpu, counter) = (host.fs.clone(), host.cpu.clone(), host.counter.clone());
             host.endpoint = match params.protocol {

@@ -125,7 +125,7 @@ fn callback_fan_out_respects_n_minus_one_bound() {
     // Six clients cache a file as readers; a seventh opens it for
     // write, so the server owes six invalidate callbacks at once. They
     // fan out concurrently but may never exceed the N−1 = 3 callback
-    // slots (config::SERVER_THREADS = 4, paper §3.2).
+    // slots (ServerIoParams::paper().service_threads = 4, paper §3.2).
     let tb = Testbed::build_with_clients(
         TestbedParams {
             protocol: Protocol::Snfs,
