@@ -85,8 +85,6 @@ pub(super) const FLUSH_LATENCY: Entry = Entry {
                 "write gathering + pipelining must at least halve flush latency, got {gain:.2}x"
             )
         });
-        // Sim-time metrics only, under names the compare ignore-list does
-        // not match ("serial_ms"/"speedup" are reserved for wall clock).
         o.field("flush_paper_ms", format!("{:.2}", serial * 1e3));
         o.field("flush_pipelined_ms", format!("{:.2}", piped * 1e3));
         o.field("flush_gain_x", format!("{gain:.2}"));

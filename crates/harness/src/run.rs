@@ -148,7 +148,7 @@ impl Testbed {
         let per_client = self.together(work);
         let makespan = self.sim.now().duration_since(start);
         let (disk_after, cache_after) = (disk.stats(), fs.cache_stats());
-        let busy = self.server_cpu.busy_permit_micros() - busy_before;
+        let server_util = self.server_cpu.utilization_since(start, busy_before);
         Run {
             per_client,
             start,
@@ -165,7 +165,7 @@ impl Testbed {
             },
             disk_wait_ms_mean: disk.wait_ms().mean_since(wait_mark),
             disk_pos_ms_mean: disk.pos_ms().mean_since(pos_mark),
-            server_util: busy as f64 / makespan.as_micros() as f64,
+            server_util,
             server_cache: (
                 cache_after.0 - cache_before.0,
                 cache_after.1 - cache_before.1,

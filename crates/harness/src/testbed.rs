@@ -833,14 +833,11 @@ impl Testbed {
         let util = self.util.clone();
         let bucket = config::figure_bucket();
         self.sim.spawn(async move {
-            let mut last_busy = cpu.busy_permit_micros();
+            let mut last = (sim.now(), cpu.busy_permit_micros());
             loop {
                 sim.sleep(bucket).await;
-                let busy = cpu.busy_permit_micros();
-                let frac =
-                    (busy - last_busy) as f64 / (bucket.as_micros() as f64 * cpu.capacity() as f64);
-                util.push(sim.now(), frac);
-                last_busy = busy;
+                util.push(sim.now(), cpu.utilization_since(last.0, last.1));
+                last = (sim.now(), cpu.busy_permit_micros());
             }
         });
     }

@@ -479,12 +479,6 @@ impl Store {
         Ok(i.addrs[lblk as usize])
     }
 
-    /// Disk address of an existing block.
-    pub fn addr_of(&self, fh: FileHandle, lblk: u64) -> Result<u64> {
-        let i = self.get(fh)?;
-        i.addrs.get(lblk as usize).copied().ok_or(NfsStatus::Inval)
-    }
-
     /// Disk address by raw inode number (ignores generation; inode numbers
     /// are never reused). `None` if the file or block no longer exists.
     pub fn addr_by_ino(&self, ino: u64, lblk: u64) -> Option<u64> {
@@ -706,7 +700,6 @@ mod tests {
         let a2 = s.ensure_block(fh, 2).unwrap();
         assert_eq!(a1, a0 + 1);
         assert_eq!(a2, a1 + 1);
-        assert_eq!(s.addr_of(fh, 1).unwrap(), a1);
     }
 
     #[test]

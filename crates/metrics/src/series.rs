@@ -74,16 +74,6 @@ impl RateSeries {
     pub fn buckets(&self) -> Vec<RateBucket> {
         self.inner.borrow().buckets.clone()
     }
-
-    /// Per-bucket call rates in calls/second: `(total, reads, writes)`.
-    pub fn rates_per_sec(&self) -> Vec<(f64, f64, f64)> {
-        let s = self.inner.borrow();
-        let w = s.width.as_secs_f64();
-        s.buckets
-            .iter()
-            .map(|b| (b.total as f64 / w, b.reads as f64 / w, b.writes as f64 / w))
-            .collect()
-    }
 }
 
 /// A sampled gauge (e.g. server CPU utilization per bucket).
@@ -167,18 +157,6 @@ mod tests {
                 writes: 0
             }
         );
-    }
-
-    #[test]
-    fn rates_divide_by_width() {
-        let rs = RateSeries::new(SimDuration::from_secs(2));
-        for _ in 0..10 {
-            rs.record_at(SimTime::from_micros(1), NfsProc::Read);
-        }
-        let r = rs.rates_per_sec();
-        assert_eq!(r.len(), 1);
-        assert!((r[0].0 - 5.0).abs() < 1e-9);
-        assert!((r[0].1 - 5.0).abs() < 1e-9);
     }
 
     #[test]

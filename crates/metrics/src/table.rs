@@ -42,11 +42,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Appends a row built from anything displayable.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: Vec<D>) {
-        self.row(cells.into_iter().map(|c| c.to_string()).collect());
-    }
-
     /// Renders the table. The first column is left-aligned, the rest are
     /// right-aligned (numeric convention).
     pub fn render(&self) -> String {
@@ -106,12 +101,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn row_display_accepts_numbers() {
-        let mut t = TextTable::new(vec!["x", "y"]);
-        t.row_display(vec![1, 2]);
-        assert!(t.render().contains('2'));
     }
 }

@@ -128,22 +128,6 @@ impl NfsProc {
         }
     }
 
-    /// True for the operations only SNFS issues.
-    pub fn is_snfs_extension(self) -> bool {
-        matches!(
-            self,
-            NfsProc::Open
-                | NfsProc::Close
-                | NfsProc::Callback
-                | NfsProc::Keepalive
-                | NfsProc::Recover
-                | NfsProc::DelegReturn
-                | NfsProc::TxPrepare
-                | NfsProc::TxCommit
-                | NfsProc::TxAbort
-        )
-    }
-
     /// Short lower-case wire-style name.
     pub fn name(self) -> &'static str {
         match self {
@@ -194,28 +178,6 @@ mod tests {
         assert_eq!(NfsProc::Lookup.class(), ProcClass::Lookup);
         assert_eq!(NfsProc::GetAttr.class(), ProcClass::Other);
         assert_eq!(NfsProc::Open.class(), ProcClass::Other);
-    }
-
-    #[test]
-    fn snfs_extensions_flagged() {
-        for p in NfsProc::ALL {
-            assert_eq!(
-                p.is_snfs_extension(),
-                matches!(
-                    p,
-                    NfsProc::Open
-                        | NfsProc::Close
-                        | NfsProc::Callback
-                        | NfsProc::Keepalive
-                        | NfsProc::Recover
-                        | NfsProc::DelegReturn
-                        | NfsProc::TxPrepare
-                        | NfsProc::TxCommit
-                        | NfsProc::TxAbort
-                ),
-                "{p}"
-            );
-        }
     }
 
     #[test]

@@ -270,11 +270,6 @@ impl Event {
         s.waiters.wake_all();
     }
 
-    /// Returns true once [`set`](Self::set) has been called.
-    pub fn is_set(&self) -> bool {
-        self.inner.borrow().set
-    }
-
     /// Waits for the event to be set.
     pub fn wait(&self) -> EventWait {
         EventWait {
@@ -474,7 +469,6 @@ mod tests {
         });
         sim.run_to_quiescence();
         assert_eq!(count.get(), 3);
-        assert!(ev.is_set());
     }
 
     #[test]

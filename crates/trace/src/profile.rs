@@ -47,9 +47,9 @@
 //! Misassignment can shift time between server-side phases of
 //! concurrent handlers but never breaks the exact-sum property.
 
-use spritely_metrics::{GaugeSeries, LatencyStats};
+use spritely_metrics::LatencyStats;
 use spritely_proto::NfsProc;
-use spritely_sim::{SimDuration, SimTime};
+use spritely_sim::SimDuration;
 
 use crate::record::Map;
 use crate::{Event, Name, Tag, TraceEvent};
@@ -227,24 +227,6 @@ impl Profile {
         }
         let un = self.phase_us[Phase::Unattributed.index()];
         (self.total_us - un) as f64 / self.total_us as f64
-    }
-
-    /// Sim-time series of each phase's occupancy (attributed seconds per
-    /// second of sim time), one [`GaugeSeries`] per phase in
-    /// [`Phase::ALL`] order. A value above 1.0 means several spans were
-    /// concurrently in that phase.
-    pub fn phase_gauges(&self) -> Vec<(Phase, GaugeSeries)> {
-        Phase::ALL
-            .iter()
-            .map(|&p| {
-                let g = GaugeSeries::new();
-                for (i, bucket) in self.occupancy.iter().enumerate() {
-                    let t = SimTime::from_micros((i as u64 + 1) * self.bucket_us);
-                    g.push(t, bucket[p.index()] as f64 / self.bucket_us as f64);
-                }
-                (p, g)
-            })
-            .collect()
     }
 
     /// Byte-stable JSON rendering (deterministic runs produce identical
@@ -1826,10 +1808,6 @@ mod tests {
         assert_eq!(total, 2_500_000);
         assert_eq!(p.occupancy[0][Phase::CacheLocal.index()], 1_000_000);
         assert_eq!(p.occupancy[2][Phase::CacheLocal.index()], 500_000);
-        let gauges = p.phase_gauges();
-        let (_, cache) = &gauges[Phase::CacheLocal.index()];
-        assert_eq!(cache.samples().len(), 3);
-        assert!((cache.samples()[0].1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

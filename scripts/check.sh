@@ -109,6 +109,17 @@ if grep -rnE 'std::time|available_parallelism' crates/*/src; then
     exit 1
 fi
 
+# Unearned code, held like the line count: a public function that only its
+# own crate's unit tests name is listed by scripts/callerless.sh, and the list
+# may only be what baselines/callerless.txt says (its '#' lines give each
+# entry's reason). A new entry gets a caller, goes, or is committed there.
+echo "==> scripts/callerless.sh (pub fns with no caller) vs baselines/callerless.txt"
+if ! moved=$(diff <(grep -v '^#' baselines/callerless.txt) <(scripts/callerless.sh)); then
+    echo "$moved"
+    echo "FAIL: callerless public functions changed ('<' committed, '>' found)"
+    exit 1
+fi
+
 # ROADMAP item 7's line target as a ratchet: baselines/loc.txt is the whole
 # scripts/loc.sh report, so a difference names the crate that moved. The
 # total may not rise above the committed one, and a change that lowers it
