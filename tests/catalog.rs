@@ -96,7 +96,15 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
     for (file, by) in &writers {
         assert_eq!(by.len(), 1, "artifacts/{file} is written by {by:?}");
     }
-    for file in file_names(&root().join("baselines")) {
+    // A stats document nothing compares gates nothing: every one an
+    // entry files has its `baselines/` twin, which `check` holds it to.
+    let baselines = file_names(&root().join("baselines"));
+    for file in writers.keys() {
+        if file.starts_with("stats_") && file.ends_with(".json") {
+            assert!(baselines.contains(file), "no baselines/{file}");
+        }
+    }
+    for file in baselines {
         // The six that are not artifacts: the directory's own README,
         // the per-crate line-count report, the callerless-function,
         // allocation-count and event-count ratchets of
