@@ -12,8 +12,9 @@
 //! * the causal trace checker found no invariant violations,
 //! * the servers' stable file contents are byte-identical to a
 //!   fault-free run of the same seed, and
-//! * every injected fault is accounted for in [`FaultSnapshot`]
-//!   (`killed_attempts == retransmit_absorbed + outstanding_kills`).
+//! * every injected fault is accounted for in the snapshot's `faults`
+//!   section (`killed_attempts == retransmit_absorbed +
+//!   outstanding_kills`).
 
 use spritely_proto::{default_shard, NfsStatus, BLOCK_SIZE};
 use spritely_rpcnet::{FaultParams, PartitionDir};
@@ -22,7 +23,7 @@ use spritely_sim::SimDuration;
 use crate::report;
 use crate::run::{insist, Run};
 use crate::scripts::andrew;
-use crate::snapshot::{FaultSnapshot, StatsSnapshot};
+use crate::snapshot::StatsSnapshot;
 use crate::testbed::{ShardParams, Testbed, TestbedParams};
 
 /// Every chaos op is [`insist`]ed on at a fixed half second.
@@ -42,8 +43,9 @@ pub struct ChaosVerdict {
     pub digest_faulted: u64,
     /// Trace-checker violations in the faulted run.
     pub trace_violations: usize,
-    /// Fault accounting of the faulted run.
-    pub faults: FaultSnapshot,
+    /// The faulted run's statistics; its `faults` section is the fault
+    /// accounting.
+    pub stats: StatsSnapshot,
     /// How often the faulted run went through what its workload exists
     /// to force — retransmissions absorbed (Andrew), callbacks retried
     /// (write-sharing), delegations recalled, cross-shard operations
@@ -56,17 +58,22 @@ impl ChaosVerdict {
     /// Total faults the schedule injected (the run is only interesting
     /// if this is non-zero).
     pub fn injected(&self) -> u64 {
-        let f = &self.faults.net;
-        f.drops + f.dups + f.delays + f.reply_losses + f.partition_drops
+        let kinds = ["drops", "dups", "delays", "reply_losses", "partition_drops"];
+        kinds.map(|k| self.fault(k)).iter().sum()
+    }
+
+    /// The faulted run's `faults.<key>` counter.
+    fn fault(&self, key: &str) -> u64 {
+        self.stats.num(&format!("faults.{key}"))
     }
 
     /// True when the faulted run converged to the fault-free outcome
     /// and the fault accounting balances.
     pub fn converged(&self) -> bool {
-        let f = &self.faults.net;
         self.digest_clean == self.digest_faulted
             && self.trace_violations == 0
-            && f.killed_attempts == f.retransmit_absorbed + f.outstanding_kills
+            && self.fault("killed_attempts")
+                == self.fault("retransmit_absorbed") + self.fault("outstanding_kills")
     }
 
     /// Human-readable summary (includes the fault table).
@@ -85,7 +92,7 @@ impl ChaosVerdict {
             self.digest_clean,
             self.digest_faulted,
             self.trace_violations,
-            report::fault_table(&[(self.workload, &self.faults)]),
+            report::fault_table(&[(self.workload, &self.stats)]),
         )
     }
 }
@@ -115,7 +122,7 @@ fn verdict<T>(
         digest_faulted: faulted.digest(),
         trace_violations: faulted.finish_trace().map_or(0, |t| t.violations.len()),
         forced: forced(&stats),
-        faults: stats.faults.expect("faulted run has fault stats"),
+        stats,
     }
 }
 
@@ -141,7 +148,7 @@ pub fn chaos_andrew(seed: u64) -> ChaosVerdict {
         seed,
         snfs,
         |p| andrew(p, seed),
-        |s| s.faults.as_ref().map_or(0, |f| f.net.retransmit_absorbed),
+        |s| s.num("faults.retransmit_absorbed"),
     )
 }
 
@@ -160,7 +167,7 @@ pub fn chaos_write_sharing(seed: u64) -> ChaosVerdict {
         ..TestbedParams::default()
     };
     verdict("write-sharing", seed, slow_writeback, write_sharing, |s| {
-        s.faults.as_ref().map_or(0, |f| f.callback_retries)
+        s.num("faults.callback_retries")
     })
 }
 
@@ -183,7 +190,7 @@ pub fn chaos_delegation(seed: u64) -> ChaosVerdict {
         ..TestbedParams::default()
     };
     verdict("delegation", seed, delegated, delegation, |s| {
-        s.delegation.as_ref().map_or(0, |d| d.stats.recalls)
+        s.num("delegation.recalls")
     })
 }
 
@@ -207,8 +214,10 @@ pub fn chaos_shard(seed: u64) -> ChaosVerdict {
         ..TestbedParams::default()
     };
     verdict("shard", seed, sharded, shard_renames, |s| {
-        let shards = s.shards.iter().flat_map(|s| &s.shards);
-        shards.map(|sh| sh.cross_renames + sh.cross_links).sum()
+        let shard = |i, key| s.num(&format!("shards.per_shard.{i}.{key}"));
+        (0..SHARDS)
+            .map(|i| shard(i, "cross_renames") + shard(i, "cross_links"))
+            .sum()
     })
 }
 

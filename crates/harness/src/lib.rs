@@ -33,10 +33,7 @@ pub use chaosx::{chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharin
 pub use compare::{compare_json, CompareReport};
 pub use matrix::{render_matrix, run_matrix, MatrixResult};
 pub use run::{Run, DRAIN};
-pub use snapshot::{
-    ClientSnapshot, DelegationSnapshot, FaultSnapshot, ProfileSnapshot, ServerIoSnapshot,
-    ServerSnapshot, ShardSnapshot, ShardsSnapshot, StatsSnapshot, TraceReport, TransportSnapshot,
-};
+pub use snapshot::{StatsSnapshot, TraceReport};
 pub use spritely_core::{
     DelegationParams, DelegationStats, ServerIoParams, SnfsServerParams, WriteBehindParams,
 };
@@ -149,20 +146,31 @@ mod transport_tests {
 
         let ps = paper.stats_snapshot();
         let xs = piped.stats_snapshot();
-        assert_eq!(ps.transport.batches, 0, "paper transport never batches");
-        assert!(xs.transport.batches > 0, "pipelined transport batches");
-        assert!(
-            xs.transport.net_messages < ps.transport.net_messages,
-            "batching must shrink wire messages: {} vs {}",
-            xs.transport.net_messages,
-            ps.transport.net_messages
+        assert_eq!(
+            ps.num("transport.batches"),
+            0,
+            "paper transport never batches"
         );
-        assert!(xs.transport.saved_round_trips > 0);
+        assert!(
+            xs.num("transport.batches") > 0,
+            "pipelined transport batches"
+        );
+        let messages = |s: &StatsSnapshot| s.num("transport.net_messages");
+        assert!(
+            messages(&xs) < messages(&ps),
+            "batching must shrink wire messages: {} vs {}",
+            messages(&xs),
+            messages(&ps)
+        );
+        assert!(xs.num("transport.saved_round_trips") > 0);
 
         // Piggybacked post-op attributes elide reopen-time probes; the
         // pipelined run therefore executes no *more* RPCs than paper.
-        assert!(xs.transport.attr_elisions > 0, "reopen probes elided");
-        assert!(xs.rpc_total <= ps.rpc_total);
+        assert!(
+            xs.num("transport.attr_elisions") > 0,
+            "reopen probes elided"
+        );
+        assert!(xs.num("rpc_total") <= ps.num("rpc_total"));
 
         // The causal checker accepts the batched trace (conservation +
         // at-most-once execution hold).
@@ -170,8 +178,7 @@ mod transport_tests {
         assert!(report.ok(), "checker violations: {:?}", report.violations);
 
         // The table renders both configurations.
-        let table =
-            report::transport_table(&[("paper", &ps.transport), ("pipelined", &xs.transport)]);
+        let table = report::transport_table(&[("paper", &ps), ("pipelined", &xs)]);
         assert!(table.contains("pipelined"));
         assert!(table.contains("Saved/proc"));
     }

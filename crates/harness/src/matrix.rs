@@ -80,8 +80,8 @@ impl MatrixResult {
         MatrixResult {
             label,
             elapsed_s: elapsed.as_secs_f64(),
-            rpc_total: stats.rpc_total,
-            events_retired: stats.sim.events_retired(),
+            rpc_total: stats.num("rpc_total"),
+            events_retired: stats.num("sim.events_retired"),
             stats_json: stats.to_json(),
         }
     }

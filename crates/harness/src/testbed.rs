@@ -7,15 +7,14 @@ use std::rc::Rc;
 
 use spritely_blockdev::Disk;
 use spritely_core::{
-    DelegationParams, DelegationStats, ServerIoParams, SnfsClient, SnfsClientParams, SnfsServer,
-    SnfsServerParams, WriteBehindParams,
+    DelegationParams, ServerIoParams, SnfsClient, SnfsClientParams, SnfsServer, SnfsServerParams,
+    WriteBehindParams,
 };
 use spritely_localfs::LocalFs;
 use spritely_metrics::{GaugeSeries, LatencyStats, OpCounter, RateSeries};
 use spritely_nfs::{nfs_server, NfsClient, NfsClientParams};
 use spritely_proto::{
     CallbackArg, CallbackReply, ClientId, FileHandle, Layout, NfsReply, NfsRequest, Result,
-    BLOCK_SIZE,
 };
 use spritely_rpcnet::{
     Caller, Compoundable, Endpoint, FaultParams, Network, ReplyStatus, ShardCaller,
@@ -26,7 +25,6 @@ use spritely_trace::Tracer;
 use spritely_vfs::{FsBackend, Mount, Proc, Vfs};
 
 use crate::config;
-use crate::snapshot::ClientSnapshot;
 
 /// Which file service the experiment runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -230,23 +228,6 @@ impl RemoteClient {
             RemoteClient::Nfs(c) => c.cold_boot().await,
             RemoteClient::Snfs(c) => c.cold_boot().await,
         }
-    }
-
-    /// This client's cache counters as snapshot row `id` (`None` for
-    /// the local protocol, which has no remote cache to report).
-    pub fn snapshot(&self, id: u32) -> Option<ClientSnapshot> {
-        let ((cache_hits, cache_misses), dirty_blocks, snfs) = match self {
-            RemoteClient::None => return None,
-            RemoteClient::Nfs(c) => (c.cache_stats(), 0, None),
-            RemoteClient::Snfs(c) => (c.cache_stats(), c.dirty_blocks() as u64, Some(c.stats())),
-        };
-        Some(ClientSnapshot {
-            id,
-            cache_hits,
-            cache_misses,
-            dirty_blocks,
-            snfs,
-        })
     }
 }
 
@@ -674,155 +655,6 @@ impl Testbed {
         self.tracer
             .as_ref()
             .map(|t| crate::snapshot::TraceReport::from_events(t.finish()))
-    }
-
-    /// Unified statistics snapshot of every host (serializable; see
-    /// [`crate::snapshot::StatsSnapshot`]).
-    pub fn stats_snapshot(&self) -> crate::snapshot::StatsSnapshot {
-        use crate::snapshot::{
-            DelegationSnapshot, FaultSnapshot, ServerIoSnapshot, ServerSnapshot, ShardSnapshot,
-            ShardsSnapshot, StatsSnapshot, TransportSnapshot,
-        };
-        // One pass over the clients: their snapshot rows plus the
-        // client-side halves of the transport, fault, delegation and
-        // shard sections.
-        let mut clients = Vec::new();
-        let mut attr_elisions = 0u64;
-        let mut callback_dupes = 0u64;
-        let mut peak_blocks = 0usize;
-        let mut held = 0u64;
-        let mut delegation = DelegationStats::default();
-        for (i, host) in self.clients.iter().enumerate() {
-            clients.extend(host.remote.snapshot(i as u32 + 1));
-            match &host.remote {
-                RemoteClient::None => {}
-                RemoteClient::Nfs(c) => attr_elisions += c.elided_probes(),
-                RemoteClient::Snfs(c) => {
-                    attr_elisions += c.stats().attr_piggybacks;
-                    callback_dupes += c.callback_dupes();
-                    peak_blocks = peak_blocks.max(c.peak_cache_blocks());
-                    let cs = c.delegation_stats();
-                    delegation.local_opens += cs.local_opens;
-                    delegation.local_closes += cs.local_closes;
-                    held += c.delegations_held() as u64;
-                }
-            }
-        }
-        // One pass over every server stack the builder produced: counters
-        // sum, peaks take the maximum. The servers carry the
-        // grants/recalls/returns/revokes half of the delegation stats and
-        // the recall-latency histogram.
-        let mut rpc_total = 0u64;
-        let mut server: Option<ServerSnapshot> = None;
-        let mut io = ServerIoSnapshot::default();
-        let (mut dup_cache_hits, mut dup_cache_joins, mut callback_retries) = (0u64, 0u64, 0u64);
-        for host in &self.servers {
-            rpc_total += host.counter.snapshot().total();
-            let disk = host.fs.disk();
-            let (hits, misses) = host.fs.cache_stats();
-            let dstats = disk.stats();
-            io.cache_hits += hits;
-            io.cache_misses += misses;
-            io.disk_reads += dstats.reads;
-            io.disk_writes += dstats.writes;
-            io.disk_queue_peak = io.disk_queue_peak.max(disk.queue_depth().peak());
-            io.disk_requests += disk.wait_ms().count();
-            io.disk_wait_ms_sum += disk.wait_ms().sum();
-            io.disk_wait_ms_max = io.disk_wait_ms_max.max(disk.wait_ms().max());
-            io.disk_pos_ms_sum += disk.pos_ms().sum();
-            if let Some(ep) = &host.endpoint {
-                dup_cache_hits += ep.dup_hits();
-                dup_cache_joins += ep.dup_joins();
-            }
-            if let Some(srv) = &host.server {
-                let s = server.get_or_insert_with(ServerSnapshot::default);
-                let stats = srv.stats();
-                s.stats.callbacks_sent += stats.callbacks_sent;
-                s.stats.callbacks_failed += stats.callbacks_failed;
-                s.stats.reclaim_passes += stats.reclaim_passes;
-                s.callback_peak = s.callback_peak.max(srv.callback_gauge().peak());
-                s.table_entries += srv.table_len() as u64;
-                callback_retries += srv.callback_retries();
-                let d = srv.delegation_stats();
-                delegation.grants_read += d.grants_read;
-                delegation.grants_write += d.grants_write;
-                delegation.recalls += d.recalls;
-                delegation.returns += d.returns;
-                delegation.revokes += d.revokes;
-                let buckets = &mut delegation.recall_latency.buckets;
-                for (sum, b) in buckets.iter_mut().zip(d.recall_latency.buckets) {
-                    *sum += b;
-                }
-            }
-        }
-        // Retransmitted callbacks (write-back, invalidate, recall) are
-        // replayed from the *clients'* endpoint caches; count them too.
-        for ep in &self.cb_endpoints {
-            dup_cache_hits += ep.dup_hits();
-            dup_cache_joins += ep.dup_joins();
-        }
-        let ts = &self.transport_stats;
-        StatsSnapshot {
-            protocol: self.params.protocol.label().to_string(),
-            rpc_total,
-            clients,
-            server,
-            server_io: io,
-            transport: TransportSnapshot {
-                net_messages: self.net.messages(),
-                net_bytes: self.net.bytes(),
-                wire_busy_ms: (self.net.busy_micros() / 1000) as u64,
-                batches: ts.batch_sizes.count(),
-                batched_calls: ts.batch_sizes.sum(),
-                max_batch: ts.batch_sizes.max(),
-                saved_round_trips: ts.saved.snapshot().total(),
-                attr_elisions,
-                saved_per_proc: ts.saved.snapshot(),
-            },
-            sim: self.sim.stats(),
-            faults: self.net.faults_active().then(|| FaultSnapshot {
-                net: self.net.fault_stats().get(),
-                dup_cache_hits,
-                dup_cache_joins,
-                callback_retries,
-                callback_dupes,
-            }),
-            profile: self
-                .tracer
-                .as_ref()
-                .map(|t| (&spritely_trace::profile_trace(&t.finish())).into()),
-            delegation: self
-                .params
-                .delegation
-                .enabled
-                .then_some(DelegationSnapshot {
-                    stats: delegation,
-                    held,
-                }),
-            shards: self.layout.as_ref().map(|_| ShardsSnapshot {
-                n: self.shard_hosts.len() as u64,
-                peak_client_kb: (peak_blocks * BLOCK_SIZE) as u64 / 1024,
-                shards: self
-                    .shard_hosts
-                    .iter()
-                    .map(|sh| {
-                        let ops = sh.server.shard_stats();
-                        ShardSnapshot {
-                            shard: sh.shard,
-                            rpcs: sh.counter.snapshot().total(),
-                            dup_hits: sh.endpoint.dup_hits(),
-                            table_entries: sh.server.table_len() as u64,
-                            cross_renames: ops.cross_renames,
-                            cross_links: ops.cross_links,
-                            wrong_shard_replies: ops.wrong_shard_replies,
-                            busy_rejections: ops.busy_rejections,
-                            lock_contention: ops.lock_contention,
-                            dup_contention: sh.endpoint.dup_contention(),
-                        }
-                    })
-                    .collect(),
-            }),
-        }
     }
 
     /// Spawns a sampler recording server CPU utilization once per figure

@@ -51,14 +51,11 @@ fn conflicting_open_recalls_and_returns() {
         tb.sim.run_until(h);
     }
     let snap = tb.stats_snapshot();
-    let d = snap.delegation.expect("delegation section present");
-    assert!(
-        d.stats.grants_write >= 1,
-        "create grants a write delegation"
-    );
-    assert_eq!(d.stats.recalls, 1, "conflicting open recalls it");
-    assert_eq!(d.stats.returns, 1, "holder returns it");
-    assert_eq!(d.stats.revokes, 0, "no revoke on a healthy network");
+    let d = |key: &str| snap.num(&format!("delegation.{key}"));
+    assert!(d("grants_write") >= 1, "create grants a write delegation");
+    assert_eq!(d("recalls"), 1, "conflicting open recalls it");
+    assert_eq!(d("returns"), 1, "holder returns it");
+    assert_eq!(d("revokes"), 0, "no revoke on a healthy network");
     let trace = tb.finish_trace().expect("tracing on");
     assert!(
         trace.ok(),
@@ -105,10 +102,10 @@ fn concurrent_recalls_against_one_holder_all_return() {
         tb.sim.run_until(h);
     }
     let snap = tb.stats_snapshot();
-    let d = snap.delegation.expect("delegation section present");
-    assert_eq!(d.stats.recalls, 8, "one recall per stormed file");
-    assert_eq!(d.stats.returns, 8, "every recall resolves by return");
-    assert_eq!(d.stats.revokes, 0, "no recall may starve into a revoke");
+    let d = |key: &str| snap.num(&format!("delegation.{key}"));
+    assert_eq!(d("recalls"), 8, "one recall per stormed file");
+    assert_eq!(d("returns"), 8, "every recall resolves by return");
+    assert_eq!(d("revokes"), 0, "no recall may starve into a revoke");
     let trace = tb.finish_trace().expect("tracing on");
     assert!(
         trace.ok(),

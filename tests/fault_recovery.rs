@@ -366,10 +366,14 @@ fn retransmitted_recall_applies_the_return_once() {
     assert_eq!(d.returns, 1, "the return applied exactly once");
     assert_eq!(d.revokes, 0, "a lost ack is not a dead holder");
     assert_eq!(b.delegations_held(), 0, "B no longer holds the delegation");
-    let faults = tb.stats_snapshot().faults.expect("scripted fault state");
-    assert_eq!(faults.net.reply_losses, 1, "the scripted ack loss fired");
+    let snap = tb.stats_snapshot();
+    assert_eq!(
+        snap.num("faults.reply_losses"),
+        1,
+        "the scripted ack loss fired"
+    );
     assert!(
-        faults.dup_cache_hits >= 1,
+        snap.num("faults.dup_cache_hits") >= 1,
         "the retransmit was replayed from the dup cache, not re-run"
     );
     let trace = tb.finish_trace().expect("tracing on");

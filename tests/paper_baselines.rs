@@ -41,12 +41,13 @@ fn paper_mode_tables_match_baselines() {
 fn paper_mode_andrew_runs_keep_the_pipelines_inert() {
     for r in &catalog::andrew_runs(42) {
         let stats = r.tb.stats_snapshot();
-        let t = &stats.transport;
-        assert_eq!(t.batches, 0, "paper transport must never batch");
-        assert_eq!(t.saved_round_trips, 0);
-        assert_eq!(t.attr_elisions, 0, "paper clients must probe, not elide");
-        assert!(
-            stats.delegation.is_none(),
+        let t = |key: &str| stats.num(&format!("transport.{key}"));
+        assert_eq!(t("batches"), 0, "paper transport must never batch");
+        assert_eq!(t("saved_round_trips"), 0);
+        assert_eq!(t("attr_elisions"), 0, "paper clients must probe, not elide");
+        assert_eq!(
+            stats.get("delegation.grants_read"),
+            None,
             "paper runs must not report a delegation section"
         );
     }
@@ -95,8 +96,9 @@ fn paper_mode_keeps_delegations_inert() {
         tb.sim.run_until(h);
     }
     let snap = tb.stats_snapshot();
-    assert!(
-        snap.delegation.is_none(),
+    assert_eq!(
+        snap.get("delegation.grants_read"),
+        None,
         "disabled delegations must not appear in the snapshot"
     );
     let server = tb.snfs_server.clone().expect("snfs server");

@@ -250,14 +250,18 @@ fn profiling_is_pure_post_processing() {
     let untraced = andrew(false);
     assert_eq!(traced.first().total(), untraced.first().total());
     assert_eq!(traced.ops_to_now().total(), untraced.ops_to_now().total());
-    let (mut stripped, plain) = (traced.tb.stats_snapshot(), untraced.tb.stats_snapshot());
-    assert!(stripped.profile.is_some());
-    assert!(plain.profile.is_none());
-    stripped.profile = None;
-    assert_eq!(
-        stripped.to_json(),
-        plain.to_json(),
-        "snapshots identical once the profile section is removed"
+    let (traced, plain) = (traced.tb.stats_snapshot(), untraced.tb.stats_snapshot());
+    // The documents differ by the profile section alone: every leaf of
+    // the untraced one holds, and every leaf the traced one adds is a
+    // profile leaf.
+    let diff = compare_json(&plain.to_json(), &traced.to_json(), 0.0).expect("parse");
+    assert!(traced.get("profile.spans").is_some());
+    assert!(
+        diff.diffs
+            .iter()
+            .all(|d| d.path.starts_with("profile.") && d.a == "-"),
+        "snapshots identical once the profile section is removed:\n{}",
+        diff.render()
     );
 }
 

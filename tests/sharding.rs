@@ -4,7 +4,7 @@
 //! atomicity under seeded network faults.
 
 use spritely::harness::{
-    DelegationParams, FaultParams, Protocol, ShardParams, Testbed, TestbedParams,
+    DelegationParams, FaultParams, Protocol, ShardParams, StatsSnapshot, Testbed, TestbedParams,
 };
 use spritely::proto::{default_shard, NfsStatus, BLOCK_SIZE};
 use spritely::sim::SimDuration;
@@ -26,6 +26,14 @@ fn sharded(n: usize, n_clients: usize, trace: bool, faults: FaultParams) -> Test
 fn snfs(tb: &Testbed, i: usize) -> SnfsClient {
     let c = tb.clients[i].remote.snfs();
     c.expect("sharded testbeds are SNFS").clone()
+}
+
+/// Every shard's `key` counter from the snapshot's `shards` section, in
+/// shard order.
+fn per_shard(snap: &StatsSnapshot, key: &str) -> Vec<u64> {
+    (0..)
+        .map_while(|s| snap.get(&format!("shards.per_shard.{s}.{key}")))
+        .collect()
 }
 
 /// First name of the form `{prefix}{i}` that the default layout places
@@ -78,9 +86,9 @@ fn sharded_basic_ops_and_readdir_merges_all_shards() {
     sim.run_until(h);
     // Both shards actually served traffic.
     let snap = tb.stats_snapshot();
-    let sh = snap.shards.expect("sharded run has a shards section");
-    assert_eq!(sh.n, 2);
-    assert!(sh.shards.iter().all(|s| s.rpcs > 0), "{sh:?}");
+    assert_eq!(snap.num("shards.n"), 2);
+    let rpcs = per_shard(&snap, "rpcs");
+    assert!(rpcs.len() == 2 && rpcs.iter().all(|&n| n > 0), "{rpcs:?}");
 }
 
 #[test]
@@ -125,15 +133,11 @@ fn cross_shard_rename_is_atomic_and_redirects_stale_clients() {
     assert_eq!(layout.borrow().owner(&dst), 0, "dst now owned by shard 0");
     assert!(layout.borrow().epoch() > 1);
     let snap = tb.stats_snapshot();
-    let sh = snap.shards.expect("shards section");
-    assert_eq!(
-        sh.shards.iter().map(|s| s.cross_renames).sum::<u64>(),
-        1,
-        "exactly one coordinated rename: {sh:?}"
-    );
+    let sum = |key| per_shard(&snap, key).iter().sum::<u64>();
+    assert_eq!(sum("cross_renames"), 1, "exactly one coordinated rename");
     assert!(
-        sh.shards.iter().map(|s| s.wrong_shard_replies).sum::<u64>() >= 1,
-        "B's stale lookup was redirected: {sh:?}"
+        sum("wrong_shard_replies") >= 1,
+        "B's stale lookup was redirected"
     );
     // Checker rule 10 holds over the whole trace.
     let report = tb.finish_trace().expect("trace was on");
@@ -181,8 +185,7 @@ fn cross_shard_link_spans_stores_and_keeps_one_inode() {
     });
     sim.run_until(h);
     let snap = tb.stats_snapshot();
-    let sh = snap.shards.expect("shards section");
-    assert_eq!(sh.shards.iter().map(|s| s.cross_links).sum::<u64>(), 1);
+    assert_eq!(per_shard(&snap, "cross_links").iter().sum::<u64>(), 1);
     let report = tb.finish_trace().expect("trace was on");
     assert!(report.ok(), "violations: {:?}", report.violations);
 }
@@ -268,15 +271,14 @@ fn cross_shard_ops_converge_under_seeded_faults() {
     });
     sim.run_until(h);
     let snap = tb.stats_snapshot();
-    let sh = snap.shards.expect("shards section");
     assert_eq!(
-        sh.shards.iter().map(|s| s.cross_renames).sum::<u64>(),
+        per_shard(&snap, "cross_renames").iter().sum::<u64>(),
         u64::from(FILES),
-        "every rename crossed shards exactly once: {sh:?}"
+        "every rename crossed shards exactly once"
     );
-    let f = snap.faults.expect("faulted run has fault accounting");
-    let n = f.net;
-    assert!(n.drops + n.dups + n.delays + n.reply_losses > 0, "{f:?}");
+    let injected =
+        ["drops", "dups", "delays", "reply_losses"].map(|k| snap.num(&format!("faults.{k}")));
+    assert!(injected.iter().sum::<u64>() > 0, "{injected:?}");
     let report = tb.finish_trace().expect("trace was on");
     assert!(report.ok(), "violations: {:?}", report.violations);
 }
@@ -435,9 +437,14 @@ fn sharded_snapshot_aggregates_every_server() {
         "both shards granted: {grants:?}"
     );
     let snap = tb.stats_snapshot();
-    assert_eq!(snap.server_io.disk_writes, writes.iter().sum::<u64>());
-    let d = snap.delegation.expect("delegations were on").stats;
-    assert_eq!(d.grants_read + d.grants_write, grants.iter().sum::<u64>());
+    assert_eq!(
+        snap.num("server_io.disk_writes"),
+        writes.iter().sum::<u64>()
+    );
+    assert_eq!(
+        snap.num("delegation.grants_read") + snap.num("delegation.grants_write"),
+        grants.iter().sum::<u64>()
+    );
 }
 
 /// Event-for-event pin of the cross-shard coordinator (DESIGN.md §18.3):
@@ -520,12 +527,11 @@ fn cross_shard_coordinator_trace_is_pinned() {
         }
     });
     sim.run_until(h);
-    let sh = tb.stats_snapshot().shards.expect("shards section");
-    let sum =
-        |f: fn(&spritely::harness::ShardSnapshot) -> u64| sh.shards.iter().map(f).sum::<u64>();
-    assert_eq!(sum(|s| s.cross_renames), 3, "{sh:?}");
-    assert_eq!(sum(|s| s.cross_links), 1, "{sh:?}");
-    assert!(sum(|s| s.busy_rejections) >= 2, "{sh:?}");
+    let snap = tb.stats_snapshot();
+    let sum = |key| per_shard(&snap, key).iter().sum::<u64>();
+    assert_eq!(sum("cross_renames"), 3);
+    assert_eq!(sum("cross_links"), 1);
+    assert!(sum("busy_rejections") >= 2);
     // Nothing left locked: a held name lock (and with it an unresolved
     // prepared entry, which keeps its lock until resolved) answers Busy.
     let h = sim.spawn({
