@@ -98,10 +98,6 @@ pub struct DiskStats {
     pub reads: u64,
     /// Completed write requests.
     pub writes: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
 }
 
 /// A single-arm disk with a scheduled request queue.
@@ -298,10 +294,8 @@ impl Disk {
             st.last_block = Some(block);
             if is_write {
                 st.stats.writes += 1;
-                st.stats.bytes_written += bytes as u64;
             } else {
                 st.stats.reads += 1;
-                st.stats.bytes_read += bytes as u64;
             }
         }
         self.emit(|disk| EventKind::DiskDone {
@@ -455,7 +449,6 @@ mod tests {
         });
         assert_eq!(sim.now().as_micros(), 20_000 + 4_096);
         assert_eq!(d.stats().reads, 1);
-        assert_eq!(d.stats().bytes_read, 4096);
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub struct ShardOpStats {
     pub wrong_shard_replies: u64,
     /// `Busy` refusals (a name momentarily locked by a transaction).
     pub busy_rejections: u64,
-    /// Commit/abort deliveries that needed a retry.
-    pub commit_retries: u64,
     /// `file_lock` acquisitions that found the lock already claimed.
     pub lock_contention: u64,
 }
@@ -229,7 +227,6 @@ impl SnfsServer {
                     // A reply that is not a plain Ok (e.g. `Grace` from a
                     // rebooting peer) has not performed the cleanup.
                     Ok(_) | Err(_) => {
-                        bump(&this.inner.shard_stats, |s| s.commit_retries += 1);
                         this.inner.sim.sleep(SimDuration::from_secs(1)).await;
                     }
                 }

@@ -169,15 +169,6 @@ impl Entry {
     }
 }
 
-/// Statistics about table behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TableStats {
-    /// Entries dropped because they were cleanly closed (reclaim).
-    pub reclaimed_closed: u64,
-    /// Version numbers handed out.
-    pub versions_issued: u64,
-}
-
 /// The SNFS server state table.
 ///
 /// # Examples
@@ -207,7 +198,6 @@ pub struct StateTable {
     /// than per-file stable storage; we follow it).
     next_version: u64,
     limit: usize,
-    stats: TableStats,
 }
 
 impl StateTable {
@@ -223,14 +213,12 @@ impl StateTable {
             entries: HashMap::new(),
             next_version: 1,
             limit,
-            stats: TableStats::default(),
         }
     }
 
     fn fresh_version(&mut self) -> FileVersion {
         let v = FileVersion(self.next_version);
         self.next_version += 1;
-        self.stats.versions_issued += 1;
         v
     }
 
@@ -257,11 +245,6 @@ impl StateTable {
     /// True if the table is at or over its configured limit.
     pub fn over_limit(&self) -> bool {
         self.entries.len() >= self.limit
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> TableStats {
-        self.stats
     }
 
     /// Current state of a file ([`FileState::Closed`] if untracked).
@@ -763,7 +746,6 @@ impl StateTable {
                 break;
             }
             self.entries.remove(&fh);
-            self.stats.reclaimed_closed += 1;
             dropped.push(fh);
         }
         if self.entries.len() <= target {
@@ -853,7 +835,6 @@ impl StateTable {
             .is_some_and(|e| e.state() == FileState::Closed && e.delegs.is_empty())
         {
             self.entries.remove(&fh);
-            self.stats.reclaimed_closed += 1;
             true
         } else {
             false

@@ -160,8 +160,6 @@ impl Testbed {
             server_disk: DiskStats {
                 reads: disk_after.reads - disk_before.reads,
                 writes: disk_after.writes - disk_before.writes,
-                bytes_read: disk_after.bytes_read - disk_before.bytes_read,
-                bytes_written: disk_after.bytes_written - disk_before.bytes_written,
             },
             disk_wait_ms_mean: disk.wait_ms().mean_since(wait_mark),
             disk_pos_ms_mean: disk.pos_ms().mean_since(pos_mark),

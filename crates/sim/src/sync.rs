@@ -148,20 +148,6 @@ impl Semaphore {
             ticket: None,
         }
     }
-
-    /// Acquires a permit only if one is free *and* no one is queued ahead.
-    pub fn try_acquire(&self) -> Option<Permit> {
-        let mut s = self.inner.borrow_mut();
-        if s.permits > 0 && s.queue.is_empty() {
-            s.permits -= 1;
-            drop(s);
-            Some(Permit {
-                sem: Rc::clone(&self.inner),
-            })
-        } else {
-            None
-        }
-    }
 }
 
 /// Future returned by [`Semaphore::acquire`].
@@ -373,17 +359,6 @@ mod tests {
         }
         sim.run_to_quiescence();
         assert_eq!(peak.get(), 3);
-    }
-
-    #[test]
-    fn try_acquire_respects_queue() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(1);
-        let p = sem.try_acquire().expect("free permit");
-        assert!(sem.try_acquire().is_none());
-        drop(p);
-        assert!(sem.try_acquire().is_some());
-        drop(sim);
     }
 
     #[test]
