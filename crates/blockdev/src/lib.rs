@@ -26,6 +26,9 @@ use spritely_metrics::{Histogram, InflightGauge};
 use spritely_sim::{Event, Resource, Sim, SimDuration};
 use spritely_trace::{EventKind, Tracer};
 
+/// Bytes per block address: the file system's 4 KB block.
+const BLOCK_BYTES: u64 = 4096;
+
 /// Timing parameters for a [`Disk`].
 #[derive(Debug, Clone, Copy)]
 pub struct DiskParams {
@@ -231,8 +234,8 @@ impl Disk {
         self.access(block, bytes, false).await;
     }
 
-    /// Writes `bytes` at `block`; same timing as a read (the model does not
-    /// distinguish write settle time).
+    /// Writes `bytes` at `block` onward; same timing as a read (the model
+    /// does not distinguish write settle time).
     pub async fn write(&self, block: u64, bytes: usize) {
         self.access(block, bytes, true).await;
     }
@@ -291,7 +294,7 @@ impl Disk {
         self.sim.sleep(pos + self.params.transfer_time(bytes)).await;
         {
             let mut st = self.state.borrow_mut();
-            st.last_block = Some(block);
+            st.last_block = Some(block + bytes.saturating_sub(1) as u64 / BLOCK_BYTES);
             if is_write {
                 st.stats.writes += 1;
             } else {
@@ -311,8 +314,9 @@ impl Disk {
     }
 
     /// Positioning time for an access to `block` with the arm where the
-    /// last access left it. FIFO has two levels: `seq_position` for the
-    /// same block or the next one, the full `avg_position` otherwise.
+    /// last access left it, on the last block it transferred. FIFO has two
+    /// levels: `seq_position` for the same block or the next one, the full
+    /// `avg_position` otherwise.
     /// C-LOOK charges by seek distance: `d` blocks cost
     /// `seq + 1.5 (avg - seq) sqrt(d / stroke)`, saturating at a full
     /// stroke. The square root approximates the accelerate/decelerate

@@ -5,7 +5,8 @@
 //! positioning rule). Beside them, one scripted run per policy with every
 //! request's completion order, queue wait and positioning time pinned,
 //! and the simulator's poll and timer counts: what a change to the
-//! request lifecycle must leave alone.
+//! request lifecycle must leave alone. Last, per policy, where a
+//! multi-block request leaves the arm.
 
 use proptest::prelude::*;
 use spritely_blockdev::{Disk, DiskParams, DiskSched};
@@ -187,6 +188,47 @@ fn clook_script_is_pinned() {
     ];
     assert_eq!(done, want);
     assert_eq!((polls, timer_fires), (36, 18));
+}
+
+/// Runs `reqs` (block, bytes) one after another as writes on an idle
+/// disk and returns the positioning each was charged, in microseconds.
+fn positions(sched: DiskSched, reqs: &[(u64, usize)]) -> Vec<u64> {
+    let sim = Sim::new();
+    let tracer = Tracer::new(&sim);
+    let d = Disk::with_sched(&sim, "d0", params(), sched);
+    d.set_tracer(tracer.clone());
+    let reqs = reqs.to_vec();
+    sim.block_on(async move {
+        for (block, bytes) in reqs {
+            d.write(block, bytes).await;
+        }
+    });
+    let done = tracer.finish();
+    done.iter()
+        .filter_map(|e| match e.view() {
+            Event::DiskDone { pos_us, .. } => Some(pos_us),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A request leaves the arm on the last block it transferred: after two
+/// blocks at 100, block 102 is the next one, and a one-block request
+/// there costs `seq_position` (the arm-end rule).
+#[test]
+fn fifo_a_two_block_request_leaves_the_arm_on_its_last_block() {
+    let pos = positions(DiskSched::Fifo, &[(100, 8192), (102, 4096)]);
+    assert_eq!(pos, vec![20_000, 2_000]);
+}
+
+#[test]
+fn clook_a_two_block_request_leaves_the_arm_on_its_last_block() {
+    let sched = DiskSched::CLook {
+        max_bypass: 2,
+        stroke_blocks: 1 << 12,
+    };
+    let pos = positions(sched, &[(100, 8192), (102, 4096)]);
+    assert_eq!(pos, vec![20_000, 2_000]);
 }
 
 proptest! {

@@ -3,6 +3,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::rc::Rc;
 
 use spritely_blockdev::Disk;
@@ -13,12 +14,16 @@ use spritely_proto::{
 use spritely_sim::{Event, Sim, SimDuration};
 use spritely_trace::{EventKind, Tracer};
 
-use crate::cache::BlockCache;
+use crate::cache::{BlockCache, FlushData};
 use crate::store::{Store, META_BASE};
 
 /// Cache key: `(inode number, logical block index)`. Inode numbers are
 /// never reused, so the generation is not needed here.
 type Key = (u64, u64);
+
+/// The most blocks one disk request carries: a gathered `write`'s 16
+/// (64 KB). A longer run goes to the disk as several requests.
+const MAX_RUN: usize = 16;
 
 /// Configuration for a [`LocalFs`].
 #[derive(Debug, Clone, Copy)]
@@ -292,33 +297,59 @@ impl LocalFs {
 
     // ---- data operations --------------------------------------------------
 
-    /// The one way a dirty block reaches the disk. `evicted` is the data of
-    /// a block the cache has already pushed out, which exists nowhere else;
-    /// without it the block is taken from the cache, and marked clean once
-    /// written unless it was written again meanwhile. A file that vanished
-    /// while the block waited has no address left: the write is cancelled.
-    async fn flush_block(&self, key: Key, evicted: Option<Buf>) {
-        let (data, seq) = match evicted {
-            Some(data) => (data, None),
-            None => match self.inner.cache.borrow().flush_data(&key) {
-                Some(fd) => (fd.data, Some(fd.seq)),
-                None => return,
-            },
-        };
-        let addr = self.inner.store.borrow().addr_by_ino(key.0, key.1);
-        match addr {
-            Some(addr) => {
-                self.inner.disk.write(addr, data.len()).await;
-                self.inner
-                    .store
-                    .borrow_mut()
-                    .write_stable_by_ino(key.0, key.1, data);
-                self.inner.stats.borrow_mut().flushed_blocks += 1;
+    /// The one way dirty blocks reach the disk: blocks `lblks` of inode
+    /// `ino`, each run of them at consecutive disk addresses written as one
+    /// request at the run's first address, so a single block is a run of
+    /// one. `evicted` is the data of a block the cache has already pushed
+    /// out (`lblks` is then that block), which exists nowhere else;
+    /// otherwise each block is taken from the cache, skipped if clean, and
+    /// marked clean once written unless it was written again meanwhile. A
+    /// file that vanished while a block waited has no address left: that
+    /// write is cancelled.
+    async fn flush_run(&self, ino: u64, lblks: RangeInclusive<u64>, mut evicted: Option<Buf>) {
+        let (mut next, last) = lblks.into_inner();
+        while next <= last {
+            // The run waits out its write in a fixed array, so it allocates
+            // nothing. An evicted block's seq 0 marks nothing clean: a
+            // dirty block's seq is at least 1.
+            let mut run: [Option<FlushData>; MAX_RUN] = Default::default();
+            let (mut len, mut at, mut bytes) = (0, 0, 0);
+            while next <= last && len < MAX_RUN {
+                let block = match evicted.take() {
+                    Some(data) => Some(FlushData { data, seq: 0 }),
+                    None => self.inner.cache.borrow().flush_data(&(ino, next)),
+                };
+                let addr = self.inner.store.borrow().addr_by_ino(ino, next);
+                match (block, addr) {
+                    (Some(fd), Some(addr)) if len == 0 || addr == at + len as u64 => {
+                        (at, bytes) = (addr - len as u64, bytes + fd.data.len());
+                        run[len] = Some(fd);
+                        len += 1;
+                    }
+                    // This block ends the run; it is looked at again once
+                    // the run has landed.
+                    _ if len > 0 => break,
+                    (Some(fd), None) => {
+                        self.inner.stats.borrow_mut().cancelled_blocks += 1;
+                        self.inner
+                            .cache
+                            .borrow_mut()
+                            .mark_clean(&(ino, next), fd.seq);
+                    }
+                    _ => {} // clean: nothing to write
+                }
+                next += 1;
             }
-            None => self.inner.stats.borrow_mut().cancelled_blocks += 1,
-        }
-        if let Some(seq) = seq {
-            self.inner.cache.borrow_mut().mark_clean(&key, seq);
+            if len > 0 {
+                self.inner.disk.write(at, bytes).await;
+                let (mut store, mut cache) =
+                    (self.inner.store.borrow_mut(), self.inner.cache.borrow_mut());
+                for (lblk, fd) in (next - len as u64..).zip(run.into_iter().flatten()) {
+                    store.write_stable_by_ino(ino, lblk, fd.data);
+                    cache.mark_clean(&(ino, lblk), fd.seq);
+                }
+                self.inner.stats.borrow_mut().flushed_blocks += len as u64;
+            }
         }
     }
 
@@ -363,7 +394,8 @@ impl LocalFs {
                 .borrow_mut()
                 .insert_clean(key, data.clone());
             if let Some(v) = victim {
-                self.flush_block(v.key, Some(v.data)).await;
+                self.flush_run(v.key.0, v.key.1..=v.key.1, Some(v.data))
+                    .await;
             }
             return Ok(data);
         }
@@ -430,7 +462,8 @@ impl LocalFs {
     }
 
     /// Writes `data` at `offset`. With `sync`, the affected blocks are
-    /// flushed to disk before returning (NFS server semantics); otherwise
+    /// flushed to disk before returning (NFS server semantics), each run at
+    /// consecutive addresses as one request; otherwise
     /// the write is delayed in the cache (Unix local semantics). A segment
     /// that covers a whole block becomes the cached block itself; a
     /// partial block is merged into a new buffer, so whoever still holds
@@ -470,7 +503,8 @@ impl LocalFs {
             self.inner.store.borrow_mut().ensure_block(fh, lblk)?;
             let victim = self.inner.cache.borrow_mut().write(key, merged, now);
             if let Some(v) = victim {
-                self.flush_block(v.key, Some(v.data)).await;
+                self.flush_run(v.key.0, v.key.1..=v.key.1, Some(v.data))
+                    .await;
             }
         }
         let attr = self.inner.store.borrow_mut().note_write(
@@ -480,9 +514,8 @@ impl LocalFs {
             now.as_micros(),
         )?;
         if sync {
-            for lblk in block_of(offset)..=block_of(end - 1) {
-                self.flush_block((fh.inode, lblk), None).await;
-            }
+            let lblks = block_of(offset)..=block_of(end - 1);
+            self.flush_run(fh.inode, lblks, None).await;
             // RFC 1094 requires the server to have size/mtime on stable
             // storage before replying to a `write`, so an NFS server pays
             // an inode update on every write RPC — it both adds a
@@ -499,8 +532,8 @@ impl LocalFs {
     pub async fn fsync(&self, fh: FileHandle) -> Result<()> {
         let mut keys = self.inner.cache.borrow().keys_matching(|k| k.0 == fh.inode);
         keys.sort_unstable();
-        for key in keys {
-            self.flush_block(key, None).await;
+        for (ino, lblk) in keys {
+            self.flush_run(ino, lblk..=lblk, None).await;
         }
         Ok(())
     }
@@ -512,8 +545,8 @@ impl LocalFs {
         let dirty = self.inner.cache.borrow().dirty_blocks();
         let mut due: Vec<Key> = dirty.into_iter().map(|(k, _)| k).collect();
         due.sort_unstable();
-        for key in due {
-            self.flush_block(key, None).await;
+        for (ino, lblk) in due {
+            self.flush_run(ino, lblk..=lblk, None).await;
         }
     }
 

@@ -1,20 +1,24 @@
 //! Every way a dirty block reaches the disk, pinned: a synchronous
 //! `write_payload`, an `fsync`, a `sync_all`, an eviction under cache
-//! pressure and a flush (an `fsync`, a synchronous write) racing a `remove`. Each script records the disk's
-//! write order (block addresses, from the disk's own trace events),
-//! [`FsStats`] and the simulator's poll count, so a change to how a block
-//! is flushed that moves an await, a disk address or a counter shows here
-//! before it shows in a table.
+//! pressure and a flush (an `fsync`, a synchronous write) racing a
+//! `remove`. Each script records the disk's write requests (first block
+//! addresses, from the disk's own trace events), [`FsStats`] and the
+//! simulator's poll count, so a change to how a block is flushed that
+//! moves an await, a disk address or a counter shows here before it shows
+//! in a table. A synchronous write sends each run of its blocks at
+//! consecutive addresses as one request; the last scripts pin where a run
+//! splits, what a rewrite during a run leaves dirty, and that
+//! `flushed_blocks` counts blocks where the disk counts requests.
 
 use spritely_blockdev::{Disk, DiskParams};
 use spritely_localfs::{FsParams, FsStats, LocalFs, META_BASE};
-use spritely_proto::{FileHandle, Payload, BLOCK_SIZE};
+use spritely_proto::{FileHandle, NfsStatus, Payload, BLOCK_SIZE};
 use spritely_sim::{Sim, SimDuration};
 use spritely_trace::{Event, Tracer};
 use std::future::Future;
 
-/// What one script did: disk writes in completion order, the counters,
-/// the poll count.
+/// What one script did: disk write requests in completion order, the
+/// counters, the poll count.
 #[derive(Debug, PartialEq)]
 struct Seen {
     writes: Vec<u64>,
@@ -103,11 +107,12 @@ fn sync_write_flushes_its_blocks_then_the_inode() {
         assert!(stable[100..].iter().all(|&b| b == 9));
     });
     let want = Seen {
-        writes: vec![ROOT_META, 0, 1, 2, META_BASE + 3],
+        // The three blocks are one run: one request at block 0.
+        writes: vec![ROOT_META, 0, META_BASE + 3],
         flushed: 3,
         cancelled: 0,
         structural: 2,
-        polls: 6,
+        polls: 4,
     };
     assert_eq!(seen, want);
 }
@@ -202,16 +207,92 @@ fn a_remove_during_a_sync_write_does_not_fail_the_write() {
         };
         sim.sleep(SimDuration::from_millis(1)).await;
         fs.remove(fs.root(), "f").await.unwrap();
-        // The remove took the unflushed blocks out of the cache, so the
-        // flush finds nothing more to do and the write is acknowledged.
+        // The remove took the blocks out of the cache while their run
+        // was on the platter; the write is acknowledged, and the file has
+        // nothing stable left.
         assert_eq!(writer.await.unwrap().size, 3 * BLOCK_SIZE as u64);
+        assert_eq!(fs.stable_contents(fh).unwrap_err(), NfsStatus::Stale);
     });
     let want = Seen {
+        // All three blocks are counted twice: dropped dirty by the
+        // remove, and written when their one request completes.
         writes: vec![ROOT_META, 0, ROOT_META, META_BASE + 3],
-        flushed: 1,
+        flushed: 3,
         cancelled: 3,
         structural: 3,
         polls: 10,
+    };
+    assert_eq!(seen, want);
+}
+
+#[test]
+fn a_run_splits_where_addresses_stop_being_consecutive() {
+    let seen = run(64, |_, fs| async move {
+        // a's block 0 takes address 0 and b's block 0 address 1, so a's
+        // blocks 1 and 2 land at 2 and 3: two runs.
+        let a = dirty_file(&fs, "a", 1).await;
+        dirty_file(&fs, "b", 1).await;
+        fs.write(a, 0, &[4u8; 3 * BLOCK_SIZE], true).await.unwrap();
+        assert_eq!(fs.dirty_blocks(), 1, "b's block stays delayed");
+        assert_eq!(fs.stable_contents(a).unwrap(), vec![4u8; 3 * BLOCK_SIZE]);
+    });
+    let want = Seen {
+        writes: vec![ROOT_META, ROOT_META, 0, 2, META_BASE + 3],
+        flushed: 3,
+        cancelled: 0,
+        structural: 3,
+        polls: 6,
+    };
+    assert_eq!(seen, want);
+}
+
+#[test]
+fn a_block_rewritten_while_its_run_is_on_the_platter_stays_dirty() {
+    let seen = run(64, |sim, fs| async move {
+        let (fh, _) = fs.create(fs.root(), "f").await.unwrap();
+        let writer = {
+            let fs = fs.clone();
+            sim.spawn(async move { fs.write(fh, 0, &[5u8; 2 * BLOCK_SIZE], true).await })
+        };
+        // Lands while blocks 0 and 1 are on their way to the platter.
+        sim.sleep(SimDuration::from_millis(1)).await;
+        let at = BLOCK_SIZE as u64;
+        fs.write(fh, at, &[6u8; BLOCK_SIZE], false).await.unwrap();
+        writer.await.unwrap();
+        // The platter has the run's bytes; the rewrite is still dirty.
+        assert_eq!(fs.dirty_blocks(), 1);
+        assert_eq!(fs.stable_contents(fh).unwrap(), vec![5u8; 2 * BLOCK_SIZE]);
+        fs.fsync(fh).await.unwrap();
+        let stable = fs.stable_contents(fh).unwrap();
+        assert_eq!(stable[..BLOCK_SIZE], [5u8; BLOCK_SIZE]);
+        assert_eq!(stable[BLOCK_SIZE..], [6u8; BLOCK_SIZE]);
+    });
+    let want = Seen {
+        writes: vec![ROOT_META, 0, META_BASE + 3, 1],
+        flushed: 3,
+        cancelled: 0,
+        structural: 2,
+        polls: 8,
+    };
+    assert_eq!(seen, want);
+}
+
+#[test]
+fn flushed_blocks_counts_blocks_and_the_disk_counts_requests() {
+    let seen = run(64, |_, fs| async move {
+        let (fh, _) = fs.create(fs.root(), "f").await.unwrap();
+        // Twenty blocks: a full run of sixteen, then the other four.
+        fs.write(fh, 0, &[7u8; 20 * BLOCK_SIZE], true)
+            .await
+            .unwrap();
+        assert_eq!(fs.disk().stats().writes, 4, "create, two runs, inode");
+    });
+    let want = Seen {
+        writes: vec![ROOT_META, 0, 16, META_BASE + 3],
+        flushed: 20,
+        cancelled: 0,
+        structural: 2,
+        polls: 5,
     };
     assert_eq!(seen, want);
 }

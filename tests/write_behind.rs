@@ -22,9 +22,9 @@ fn snfs_client(tb: &Testbed, i: usize) -> SnfsClient {
 
 /// One full pipelined-flush scenario: dirty 64 blocks, fsync, drain.
 /// Returns everything an RPC trace would distinguish: per-procedure op
-/// counts, the flush's simulated duration, and the file's final bytes
-/// on the server.
-fn pipelined_flush_scenario() -> (OpCounts, SimDuration, Vec<u8>) {
+/// counts, the flush's simulated duration, the file's final bytes on the
+/// server, and the server disk's write requests during the flush.
+fn pipelined_flush_scenario() -> (OpCounts, SimDuration, Vec<u8>, u64) {
     let tb = Testbed::build(TestbedParams {
         protocol: Protocol::Snfs,
         update_enabled: false,
@@ -34,22 +34,23 @@ fn pipelined_flush_scenario() -> (OpCounts, SimDuration, Vec<u8>) {
     let c = snfs_client(&tb, 0);
     let root = tb.server_fs.root();
     let sim = tb.sim.clone();
+    let fs = tb.server_fs.clone();
     let h = sim.spawn({
-        let sim = sim.clone();
+        let (sim, fs) = (sim.clone(), fs.clone());
         async move {
             let (fh, _) = c.create(root, "wb").await.unwrap();
             c.open(fh, true).await.unwrap();
             let data: Vec<u8> = (0..64 * BLOCK_SIZE).map(|i| (i % 239) as u8).collect();
             c.write(fh, 0, &data).await.unwrap();
-            let t0 = sim.now();
+            let (t0, writes) = (sim.now(), fs.disk().stats().writes);
             c.fsync(fh).await.unwrap();
             let dt = sim.now().saturating_duration_since(t0);
+            let writes = fs.disk().stats().writes - writes;
             c.close(fh, true).await.unwrap();
-            (fh, dt)
+            (fh, dt, writes)
         }
     });
-    let (fh, dt) = sim.run_until(h);
-    let fs = tb.server_fs.clone();
+    let (fh, dt, writes) = sim.run_until(h);
     let bytes = sim.block_on(async move {
         fs.read(fh, 0, (64 * BLOCK_SIZE) as u32)
             .await
@@ -57,18 +58,28 @@ fn pipelined_flush_scenario() -> (OpCounts, SimDuration, Vec<u8>) {
             .0
             .to_vec()
     });
-    (tb.counter.snapshot(), dt, bytes)
+    (tb.counter.snapshot(), dt, bytes, writes)
 }
 
 #[test]
 fn pipelined_flush_is_deterministic() {
-    let (ops_a, dt_a, bytes_a) = pipelined_flush_scenario();
-    let (ops_b, dt_b, bytes_b) = pipelined_flush_scenario();
+    let (ops_a, dt_a, bytes_a, _) = pipelined_flush_scenario();
+    let (ops_b, dt_b, bytes_b, _) = pipelined_flush_scenario();
     assert_eq!(ops_a, ops_b, "identical RPC counts per procedure");
     assert_eq!(dt_a, dt_b, "identical simulated flush duration");
     assert_eq!(bytes_a, bytes_b, "identical final server state");
     let expected: Vec<u8> = (0..64 * BLOCK_SIZE).map(|i| (i % 239) as u8).collect();
     assert_eq!(bytes_a, expected, "the flushed data is the data written");
+}
+
+#[test]
+fn a_gathered_write_is_one_server_disk_request() {
+    // The 64 blocks leave in four 16-block writes. The server writes each
+    // one's blocks, at consecutive addresses, as one disk request, then
+    // the inode: 4 + 4 requests, where one request per block made 64 + 4.
+    let (ops, _, _, disk_writes) = pipelined_flush_scenario();
+    assert_eq!(ops.get(NfsProc::Write), 4);
+    assert_eq!(disk_writes, 4 + 4);
 }
 
 #[test]

@@ -31,8 +31,10 @@ use std::pin::{pin, Pin};
 use std::task::{Context, Poll};
 
 use proptest::prelude::*;
+use spritely::blockdev::{Disk, DiskParams};
 use spritely::harness::oracle::ByteModel;
 use spritely::harness::{Protocol, RemoteClient, Testbed, TestbedParams};
+use spritely::localfs::{FsParams, LocalFs};
 use spritely::metrics::OpCounter;
 use spritely::nfs::base::WriteLedger;
 use spritely::proto::{ClientId, FileHandle, NfsProc, NfsReply, NfsRequest, Payload, BLOCK_SIZE};
@@ -587,6 +589,60 @@ fn background_writes_nobody_waits_for_allocate_nothing_in_the_ledger() {
     busy_periods(1_000);
     assert_eq!(allocations() - before, 0, "6,000 background writes");
     assert_eq!((ledger.in_flight(), ledger.files()), (0, vec![]));
+}
+
+/// Allocations of the third identical synchronous write of `blocks`
+/// blocks to a file on a fresh file system whose blocks were laid out
+/// consecutively or, with `interleaved`, alternating with another file's,
+/// so that no two of its blocks are adjacent on disk. The layout comes
+/// from truncates, which allocate addresses and leave the cache alone.
+fn sync_write_allocations(blocks: u64, interleaved: bool) -> u64 {
+    let sim = Sim::new();
+    let disk = Disk::new(&sim, "d0", DiskParams::ra81());
+    let fs = LocalFs::new(&sim, 1, disk, FsParams::default());
+    sim.block_on(async move {
+        let root = fs.root();
+        let (f, _) = fs.create(root, "f").await.expect("create");
+        let (g, _) = fs.create(root, "g").await.expect("create");
+        let steps = if interleaved {
+            1..=blocks
+        } else {
+            blocks..=blocks
+        };
+        for n in steps {
+            for fh in [f, g] {
+                let size = Some(n * BLOCK_SIZE as u64);
+                fs.setattr(fh, size).await.expect("truncate");
+            }
+        }
+        let data = Payload::copy_in(0, &vec![7; blocks as usize * BLOCK_SIZE]);
+        // Warm: the blocks' cache entries and stable slots.
+        for _ in 0..2 {
+            fs.write_payload(f, 0, &data, true).await.expect("write");
+        }
+        let before = allocations();
+        fs.write_payload(f, 0, &data, true).await.expect("write");
+        allocations() - before
+    })
+}
+
+/// A synchronous write sends each run of its blocks at consecutive disk
+/// addresses as one request, and the run flusher holds the run in a fixed
+/// array. So a 1-block sync write allocates nothing, and a 16-block one
+/// that is one run allocates exactly what a 16-block one split into
+/// sixteen runs does: the same cache work (whose recency trees split and
+/// merge nodes past eleven blocks) and nothing per run. A `Vec` per run
+/// would make the two differ by fifteen.
+#[test]
+fn a_sync_write_run_costs_no_allocation() {
+    let one = sync_write_allocations(1, false);
+    let (run, split) = (
+        sync_write_allocations(16, false),
+        sync_write_allocations(16, true),
+    );
+    println!("allocations per sync write: {one} at 1 block, {run} at one 16-block run, {split} at 16 runs");
+    assert_eq!(one, 0, "a 1-block sync write");
+    assert_eq!(run, split, "one 16-block run against sixteen 1-block runs");
 }
 
 #[test]
