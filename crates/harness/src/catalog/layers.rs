@@ -80,9 +80,11 @@ pub(super) const FLUSH_LATENCY: Entry = Entry {
             traced.stats_snapshot().to_json(),
         );
         o.clean_trace("pipelined", "the traced pipelined flush", trace);
-        o.gate(gain >= 2.0, || {
+        // Met only when a gathered write reaches the server disk as one
+        // request: written block by block, the flush is 2.91x.
+        o.gate(gain >= 8.0, || {
             format!(
-                "write gathering + pipelining must at least halve flush latency, got {gain:.2}x"
+                "a gathered write must reach the server disk as one request: {gain:.2}x, want 8x"
             )
         });
         o.field("flush_paper_ms", format!("{:.2}", serial * 1e3));

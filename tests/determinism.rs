@@ -52,14 +52,14 @@ const PINNED: &str = "\
 b089f7a143c9e4ad a64043e1e08ae90f 0ceaa5b4ef4811f1 a1584a7bd6ec1883  andrew
 3b1278f235e57c99 ccc3a81f60416c66 22470c0dc937fa3c 47e8399aba6d1d75  sort
 8e1a961cff09069e ccc3a81f60416c66 9cce4a39f8f8d560 75f001be045be582  sort, NFS
-f2aa750dd3af5974 a11ff04ceef2acf1 172cb85dc77aa25d c6eee95300a8241d  flush
+8a81f846c6509f04 a11ff04ceef2acf1 39d7049df6dd1ded 16f8c80c933e560d  flush
 e44bc7ee153c1c9a fed4b42ccf6a268a 46e2f0edd2459211 241460d89d2d9cd8  reopen
 9be4993fe8e33ce9 ccc3a81f60416c66 500728b952955430 4b6e4bab70f74613  temp-lifetime
 aba907bcdfde757c 74ffca42e798467c 3f4e4e813fe571c8 8a1b4500ebb64de2  shard-scaling 2x8
-4024778a251bdf6f 74ffca42e798467c f6a71108dafeb6e0 82896d1d1912c68f  shard-scaling 2x8, composed
+d83d652a9ecc8dcd 74ffca42e798467c 8bd92f35eedf9b4c be102e152f609841  shard-scaling 2x8, composed
 74d6ca39c44cbe86 7e2f7145e3025eea f618cdafed82efb8 a06db97d4d39f857  scaling 4
-8c64737dcb123eee 722d5ff83026efae 2055d7168cd803c1 f17b3ebb46835356  shared-read
-bf05e1d5e38d5666 30a4584bc9bba1cb 8505b2797efac0dd 728ec371a84a371a  open-churn
+24d34adabe3b3bdf 722d5ff83026efae 0da54a3fd5a97302 f17b3ebb46835356  shared-read
+ff484aa29bac6a21 30a4584bc9bba1cb d28289d962410793 728ec371a84a371a  open-churn
 1fa60e809481b6d5 4c5909d6a0793ef9 58b714c301c89874 9ebf29ac1a0dcc78  andrew, chaos(7)
 ";
 
