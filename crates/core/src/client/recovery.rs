@@ -50,9 +50,10 @@ impl SnfsClient {
     /// `purge` additionally drops each file's cached blocks and version:
     /// a lease-lapse discard must assume other clients have written
     /// since we were fenced, so nothing cached under the delegation can
-    /// be trusted. Reboot recovery passes `false` — the recovery report
-    /// re-registers the cache (dirty claims included) and the server
-    /// restores it (§2.4).
+    /// be trusted. A file that loses dirty blocks so is poisoned: its next
+    /// `fsync` reports `Io`, never OK. Reboot recovery passes `false` —
+    /// the recovery report re-registers the cache (dirty claims included)
+    /// and the server restores it (§2.4).
     fn discard_delegations(&self, purge: bool) {
         let mut fhs: Vec<FileHandle> = {
             let mut delegs = self.inner.delegs.borrow_mut();
@@ -63,7 +64,9 @@ impl SnfsClient {
         fhs.sort_unstable();
         for fh in fhs {
             if purge {
-                self.invalidate(0, fh);
+                if self.invalidate(0, fh).dirty > 0 {
+                    self.writes().lose(fh, NfsStatus::Io);
+                }
                 if let Some(info) = self.inner.files.borrow_mut().get_mut(&fh) {
                     info.cached_version = None;
                 }

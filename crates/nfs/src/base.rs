@@ -199,6 +199,13 @@ impl WriteLedger {
         }
     }
 
+    /// Dirty data of `fh` was dropped unwritten: `error` is kept for the
+    /// file's next `fsync`/`close`, as a failed background write's is.
+    pub fn lose(&self, fh: FileHandle, error: NfsStatus) {
+        self.begin(fh);
+        self.finish(fh, Some(error));
+    }
+
     /// The first error a background write of `fh` has met: reported once,
     /// at the next `fsync`/`close` (classic delayed-write semantics).
     pub fn take_error(&self, fh: FileHandle) -> Option<NfsStatus> {

@@ -8,7 +8,7 @@ use spritely::harness::{
     report, DelegationParams, PartitionDir, Protocol, RemoteClient, SnfsServerParams, Testbed,
     TestbedParams,
 };
-use spritely::proto::BLOCK_SIZE;
+use spritely::proto::{NfsStatus, BLOCK_SIZE};
 use spritely::sim::SimDuration;
 use spritely::vfs::FsBackend;
 
@@ -475,4 +475,48 @@ fn revoke_after_timeout_fences_the_dead_holder() {
         "checker violations:\n{}",
         report::trace_summary(&trace)
     );
+}
+
+/// A lapsed lease purges dirty data and poisons the file (ROADMAP item 2,
+/// defect 3): the holder writes under its delegation and closes, leaving
+/// the blocks dirty, then drops off the network for longer than the
+/// lease. The first keepalive after the heal finds the lease lapsed and
+/// discards the delegation with the cache under it; the `fsync` that
+/// follows must report the lost data as `Io`, not find nothing to flush
+/// and say OK.
+#[test]
+fn a_purge_that_drops_dirty_blocks_fails_the_next_fsync() {
+    let tb = Testbed::build(TestbedParams {
+        protocol: Protocol::Snfs,
+        delegation: DelegationParams::pipelined(),
+        // The update daemon must not write the blocks back first.
+        snfs_write_delay: SimDuration::from_secs(120),
+        ..TestbedParams::default()
+    });
+    let b = match &tb.clients[0].remote {
+        RemoteClient::Snfs(c) => c.clone(),
+        _ => panic!("expected SNFS"),
+    };
+    let root = tb.server_fs.root();
+    let net = tb.net.clone();
+    let sim = tb.sim.clone();
+    let h = sim.spawn({
+        let sim = sim.clone();
+        async move {
+            let (fh, _) = b.create(root, "purged").await.unwrap();
+            b.open(fh, true).await.unwrap();
+            b.write(fh, 0, &[4u8; BLOCK_SIZE]).await.unwrap();
+            b.close(fh, true).await.unwrap();
+            assert_eq!(b.delegations_held(), 1);
+            assert_eq!(b.dirty_blocks(), 1);
+            // Longer than the 15 s lease, then one keepalive interval.
+            let healed_at = sim.now() + SimDuration::from_secs(25);
+            net.partition(1, PartitionDir::Both, healed_at);
+            sim.sleep(SimDuration::from_secs(25 + 12)).await;
+            assert_eq!(b.delegations_held(), 0, "the lapsed lease was purged");
+            assert_eq!(b.dirty_blocks(), 0, "with the dirty block under it");
+            b.fsync(fh).await
+        }
+    });
+    assert_eq!(sim.run_until(h), Err(NfsStatus::Io));
 }
