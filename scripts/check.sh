@@ -122,6 +122,19 @@ if [ "$(wc -l <<<"$sends")" -ne 2 ]; then
     exit 1
 fi
 
+# Every dirty block reaches the server's disk through one run flusher,
+# LocalFs::flush_run, which writes each run of consecutive addresses as one
+# request (DESIGN.md §12, §25); the only other disk write in the file
+# system is the inode/directory update, structural_write. A third would
+# be a data path that writes block by block again.
+echo "==> one run flusher (two disk.write calls in localfs)"
+writes=$(git grep -n 'disk.write(' -- crates/localfs/src)
+echo "$writes"
+if [ "$(wc -l <<<"$writes")" -ne 2 ]; then
+    echo "FAIL: localfs writes to the disk other than in flush_run and structural_write"
+    exit 1
+fi
+
 # Unearned code, held like the line count: a public function that only its
 # own crate's unit tests name is listed by scripts/callerless.sh, and the list
 # may only be what baselines/callerless.txt says (its '#' lines give each
