@@ -2,7 +2,8 @@
 //! transport and on a batching one, under faults: the fault-free exchange
 //! is pinned by the `*_trace_fnv` ledger keys and `tests/sharding.rs`, the
 //! faulted foreground one by `fault_props.rs`, and the faulted *batched*
-//! one here. Last, the executor's cost of the fault-free exchange: what
+//! one here. Then, that the clones of one caller draw from one xid
+//! sequence. Last, the executor's cost of the fault-free exchange: what
 //! 16,000 echoed Null RPCs retire, count for count.
 
 use std::cell::RefCell;
@@ -295,6 +296,37 @@ fn lone_background_call_is_the_plain_message() {
         (&fg.0, fg.1, fg.2, fg.3, &fg.4),
         (&bg.0, bg.1, bg.2, bg.3, &bg.4)
     );
+}
+
+/// A clone of a caller is another handle on the same logical RPC source,
+/// so it draws from the same xid sequence. The SNFS server clones a
+/// client's callback caller for every callback it sends: were a clone to
+/// restart at xid 0, its calls would present `(from, xid)` pairs the
+/// endpoint's duplicate-request cache already holds, and be answered
+/// from the cache without ever reaching the handler.
+#[test]
+fn clones_of_one_caller_share_its_xids_so_every_call_executes() {
+    let r = rig(TransportParams::paper());
+    let (a, b) = ((*r.caller).clone(), (*r.caller).clone());
+    let replies = r.sim.block_on(async move {
+        let mut replies = Vec::new();
+        for i in 0..3 {
+            for (c, name) in [(&a, format!("a{i}")), (&b, format!("b{i}"))] {
+                let rep = foreground(c, lookup(&name)).await;
+                replies.push((rep, name));
+            }
+        }
+        replies
+    });
+    for (rep, name) in &replies {
+        assert_eq!(rep, &Ok(NfsReply::Path(name.clone())), "{name}'s own reply");
+    }
+    assert_eq!(
+        r.ep.executions(),
+        replies.len() as u64,
+        "every call executed"
+    );
+    assert_eq!(r.ep.dup_hits(), 0, "none was answered from the dup cache");
 }
 
 /// Eight callers each push 2000 Null RPCs through the whole
