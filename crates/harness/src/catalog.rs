@@ -10,9 +10,12 @@
 //! * `spritely run <name>|--all` prints an outcome and [`write()`]s it —
 //!   `artifacts/` plus the committed perf ledger `BENCH_<name>.json`;
 //! * `spritely gate` runs every entry at seed 42 and [`check`]s it
-//!   against what is committed (`baselines/`, the ledgers);
-//! * `tests/paper_baselines.rs` and `tests/catalog.rs` look entries up
-//!   by name.
+//!   against what is committed (`baselines/`, the ledgers); both fan the
+//!   entries out over threads with [`crate::run_matrix`];
+//! * `spritely profile <name>` prints the [`Outcome::profiles`] of the
+//!   traces an entry checked;
+//! * `tests/paper_baselines.rs`, `tests/catalog.rs` and `tests/matrix.rs`
+//!   look entries up by name.
 //!
 //! Absolute numbers are the simulator's; the *shape* (who wins, by what
 //! factor) is what reproduces the paper. EXPERIMENTS.md holds the
@@ -24,10 +27,11 @@ use std::io;
 use std::path::Path;
 
 use spritely_metrics::json::Writer;
+use spritely_trace::{profile_trace, Profile};
 
 use crate::compare::compare_json;
+use crate::report;
 use crate::snapshot::TraceReport;
-use crate::{report, scripts, Protocol, ServerIoParams, TestbedParams, WriteBehindParams};
 
 mod ablations;
 mod layers;
@@ -47,8 +51,9 @@ pub struct Entry {
     pub run: fn(seed: u64) -> Outcome,
 }
 
-/// What one run of an [`Entry`] produced.
-#[derive(Default)]
+/// What one run of an [`Entry`] produced. Plain text, so that it can
+/// cross threads.
+#[derive(Debug, Default, PartialEq)]
 pub struct Outcome {
     /// The artifact under the entry's title.
     pub body: String,
@@ -58,6 +63,23 @@ pub struct Outcome {
     pub files: Vec<(String, String)>,
     /// Gate conditions this run failed; empty on a healthy run.
     pub failures: Vec<String>,
+    /// The phase attribution of every trace the run's invariant checker
+    /// gated, in the order checked.
+    pub profiles: Vec<TraceProfile>,
+}
+
+/// The profiler's attribution of one checked trace, rendered: a
+/// [`Profile`] holds `Rc`s and may not cross threads.
+#[derive(Debug, PartialEq)]
+pub struct TraceProfile {
+    /// The ledger key the trace was checked under.
+    pub key: String,
+    /// What the trace is a trace of.
+    pub what: String,
+    /// [`report::profile_table`] of the profile.
+    pub table: String,
+    /// [`Profile::to_json`].
+    pub json: String,
 }
 
 impl Outcome {
@@ -82,8 +104,9 @@ impl Outcome {
 
     /// Gate: the invariant checker accepted this traced run. Also files
     /// the run's event count and digest under `<key>_trace_*`, so the
-    /// ledger pins the order of events and not only the counters.
-    fn clean_trace(&mut self, key: &str, what: &str, trace: &TraceReport) {
+    /// ledger pins the order of events and not only the counters, and
+    /// keeps the trace's profile, which it returns.
+    fn clean_trace(&mut self, key: &str, what: &str, trace: &TraceReport) -> Profile {
         self.field(format!("{key}_trace_events"), trace.events.len());
         self.field(
             format!("{key}_trace_fnv"),
@@ -95,6 +118,14 @@ impl Outcome {
                 report::trace_summary(trace)
             )
         });
+        let profile = profile_trace(&trace.events);
+        self.profiles.push(TraceProfile {
+            key: key.to_string(),
+            what: what.to_string(),
+            table: report::profile_table(&profile),
+            json: profile.to_json(),
+        });
+        profile
     }
 }
 
@@ -122,28 +153,6 @@ pub const CATALOG: &[Entry] = &[
     layers::CHAOS_ENTRY,
     layers::OPEN_CHURN,
 ];
-
-/// The checked trace `spritely profile <which>` attributes, with its
-/// artifact stem: the catalogue's own three traced runs, and Andrew once
-/// more with the server I/O and write-behind pipelines on.
-pub fn profiled(which: &str, seed: u64) -> Option<(&'static str, TraceReport)> {
-    let (stem, tb) = match which {
-        "andrew" => ("andrew_snfs", paper::traced_andrew(seed).tb),
-        "andrew-pipelined" => {
-            let params = TestbedParams {
-                server_io: ServerIoParams::pipelined(),
-                write_behind: WriteBehindParams::pipelined(),
-                trace: true,
-                ..TestbedParams::paper(Protocol::Snfs, true)
-            };
-            ("andrew_snfs_pipelined", scripts::andrew(params, seed).tb)
-        }
-        "scaling" => ("scaling_pipelined_4", layers::traced_scaling(seed).tb),
-        "flush" => ("flush_pipelined", layers::traced_flush().tb),
-        _ => return None,
-    };
-    Some((stem, tb.finish_trace().expect("tracing was on")))
-}
 
 /// Looks an entry up by name.
 pub fn find(name: &str) -> Option<&'static Entry> {

@@ -45,12 +45,6 @@ fn flush_run(write_behind: WriteBehindParams, trace: bool) -> Run<SimDuration> {
     flush(params, FLUSH_BLOCKS)
 }
 
-/// The traced pipelined flush: `flush_latency`'s checked trace and
-/// `spritely profile flush`.
-pub(super) fn traced_flush() -> Run<SimDuration> {
-    flush_run(WriteBehindParams::pipelined(), true)
-}
-
 /// Simulated time to write a 64-block dirty file back to the server,
 /// paper-mode serial flush vs the gathered + pipelined write-behind pool.
 pub(super) const FLUSH_LATENCY: Entry = Entry {
@@ -58,7 +52,8 @@ pub(super) const FLUSH_LATENCY: Entry = Entry {
     title: "Flush latency: 64-block write-back, serial vs gathered+pipelined",
     run: |_| {
         let paper = flush_run(WriteBehindParams::default(), false);
-        let pipe = flush_run(WriteBehindParams::pipelined(), false);
+        // Traced: tracing changes nothing the table reads.
+        let pipe = flush_run(WriteBehindParams::pipelined(), true);
         let serial = paper.first().as_secs_f64();
         let piped = pipe.first().as_secs_f64();
         let gain = serial / piped;
@@ -70,14 +65,13 @@ pub(super) const FLUSH_LATENCY: Entry = Entry {
             ),
             ..Outcome::default()
         };
-        // Traced pipelined flush: checker-validated, artifacts for Perfetto.
-        let traced = traced_flush().tb;
-        let trace = &traced.finish_trace().expect("tracing was on");
+        // Its trace: checker-validated, artifacts for Perfetto.
+        let trace = &pipe.tb.finish_trace().expect("tracing was on");
         o.file("trace_flush_pipelined.jsonl", trace.to_jsonl());
         o.file("trace_flush_pipelined.chrome.json", trace.to_chrome_json());
         o.file(
             "stats_flush_pipelined.json",
-            traced.stats_snapshot().to_json(),
+            pipe.tb.stats_snapshot().to_json(),
         );
         o.clean_trace("pipelined", "the traced pipelined flush", trace);
         // Met only when a gathered write reaches the server disk as one
@@ -218,12 +212,6 @@ fn server_io_run(io: ServerIoParams, trace: bool, n: usize, seed: u64) -> Run<Si
     scaling(params, n, seed)
 }
 
-/// The traced 4-client run on the pipelined server: `server_scaling`'s
-/// checked trace and `spritely profile scaling`.
-pub(super) fn traced_scaling(seed: u64) -> Run<SimDuration> {
-    server_io_run(ServerIoParams::pipelined(), true, 4, seed)
-}
-
 /// Server scaling with the server I/O pipeline on (paper §2.3 extended):
 /// the same SNFS clients against the paper-faithful FIFO/uncached server
 /// and the pipelined one (C-LOOK arm scheduling, larger block cache with
@@ -247,7 +235,7 @@ pub(super) const SERVER_SCALING: Entry = Entry {
         let mut gains = Vec::new();
         for n in [4, 8] {
             let paper = server_io_run(ServerIoParams::paper(), false, n, seed);
-            let pipe = server_io_run(ServerIoParams::pipelined(), false, n, seed);
+            let pipe = server_io_run(ServerIoParams::pipelined(), n == 4, n, seed);
             let gain = paper.makespan.as_secs_f64() / pipe.makespan.as_secs_f64();
             t.row(vec![
                 n.to_string(),
@@ -292,16 +280,13 @@ pub(super) const SERVER_SCALING: Entry = Entry {
                 "pipelined server I/O must cut 8-client makespan by >= 1.3x, got {gain_at_8:.2}x"
             )
         });
-        // A traced pipelined run feeds the disk-queue/reorder checker
-        // rule with a real C-LOOK schedule; any bypass past the aging
-        // limit or an unqueued completion is a violation.
+        // The traced 4-client pipelined run feeds the disk-queue/reorder
+        // checker rule with a real C-LOOK schedule; any bypass past the
+        // aging limit or an unqueued completion is a violation.
         o.clean_trace(
             "pipelined_4",
             "the traced 4-client pipelined run",
-            &traced_scaling(seed)
-                .tb
-                .finish_trace()
-                .expect("tracing was on"),
+            &runs[1].1.tb.finish_trace().expect("tracing was on"),
         );
         o
     },

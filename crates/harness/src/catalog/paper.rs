@@ -2,7 +2,7 @@
 //! 5-2, and the §5.3 reopen microbenchmark.
 
 use spritely_sim::SimDuration;
-use spritely_trace::{profile_trace, Phase};
+use spritely_trace::Phase;
 use spritely_workloads::AndrewTimes;
 
 use super::{slug_of, Entry, Outcome};
@@ -10,8 +10,10 @@ use crate::scripts::{andrew, reopen, sort};
 use crate::{report, Protocol, Run, TestbedParams};
 
 /// The five Andrew configurations of Table 5-1: {local, NFS, SNFS} ×
-/// {/tmp local, /tmp remote}. Table 5-2 drops the local column.
-pub fn andrew_runs(seed: u64) -> Vec<Run<AndrewTimes>> {
+/// {/tmp local, /tmp remote}; Table 5-2 drops the local column. With
+/// `trace`, the last, SNFS with /tmp remote (the paper's headline
+/// configuration), runs traced: tracing changes nothing a table counts.
+pub fn andrew_runs(seed: u64, trace: bool) -> Vec<Run<AndrewTimes>> {
     [
         (Protocol::Local, false),
         (Protocol::Nfs, false),
@@ -19,25 +21,21 @@ pub fn andrew_runs(seed: u64) -> Vec<Run<AndrewTimes>> {
         (Protocol::Snfs, false),
         (Protocol::Snfs, true),
     ]
-    .map(|(p, tmp_remote)| andrew(TestbedParams::paper(p, tmp_remote), seed))
+    .map(|(p, tmp_remote)| {
+        let params = TestbedParams {
+            trace: trace && (p, tmp_remote) == (Protocol::Snfs, true),
+            ..TestbedParams::paper(p, tmp_remote)
+        };
+        andrew(params, seed)
+    })
     .into()
-}
-
-/// The traced Andrew run on SNFS with /tmp remote, the paper's headline
-/// configuration: Table 5-2's checked trace and `spritely profile andrew`.
-pub(super) fn traced_andrew(seed: u64) -> Run<AndrewTimes> {
-    let params = TestbedParams {
-        trace: true,
-        ..TestbedParams::paper(Protocol::Snfs, true)
-    };
-    andrew(params, seed)
 }
 
 pub(super) const TABLE_5_1: Entry = Entry {
     name: "table_5_1",
     title: "Table 5-1: Andrew benchmark elapsed time (seconds)",
     run: |seed| {
-        let runs = andrew_runs(seed);
+        let runs = andrew_runs(seed, false);
         let mut o = Outcome {
             body: report::table_5_1(&runs),
             ..Outcome::default()
@@ -56,15 +54,15 @@ pub(super) const TABLE_5_2: Entry = Entry {
     name: "table_5_2",
     title: "Table 5-2: RPC calls for the Andrew benchmark (steady state)",
     run: |seed| {
-        let runs = &andrew_runs(seed)[1..];
+        let runs = &andrew_runs(seed, true)[1..];
         let mut o = Outcome {
             body: report::table_5_2(runs),
             ..Outcome::default()
         };
-        // One traced SNFS run: the checker validates every state-table
+        // The traced SNFS run: the checker validates every state-table
         // transition and callback, and the trace + stats snapshot land in
         // artifacts/ for Perfetto / offline diffing.
-        let traced = traced_andrew(seed).tb;
+        let traced = &runs.last().expect("four runs").tb;
         let trace = &traced.finish_trace().expect("tracing was on");
         o.file("trace_andrew_snfs.jsonl", trace.to_jsonl());
         o.file("trace_andrew_snfs.chrome.json", trace.to_chrome_json());
@@ -73,10 +71,9 @@ pub(super) const TABLE_5_2: Entry = Entry {
             "Trace summary: Andrew on SNFS (/tmp remote, seed 42)",
             &report::trace_summary(trace),
         );
-        o.clean_trace("andrew_snfs", "the traced Andrew run", trace);
-        // Phase attribution of the same trace: where each op's
-        // microseconds went (see DESIGN.md §16).
-        let profile = profile_trace(&trace.events);
+        // The checker's verdict on the same trace, and its phase
+        // attribution: where each op's microseconds went (DESIGN.md §16).
+        let profile = o.clean_trace("andrew_snfs", "the traced Andrew run", trace);
         o.file("profile_andrew_snfs.json", profile.to_json());
         o.section(
             "Latency profile: Andrew on SNFS (/tmp remote, seed 42)",

@@ -32,7 +32,7 @@ mod testbed;
 
 pub use chaosx::{chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, ChaosVerdict};
 pub use compare::{compare_json, CompareReport};
-pub use matrix::{render_matrix, run_matrix, MatrixResult};
+pub use matrix::run_matrix;
 pub use run::{Run, DRAIN};
 pub use snapshot::{StatsSnapshot, TraceReport};
 pub use spritely_core::{

@@ -1,5 +1,5 @@
-//! Parallel experiment matrix: fan a set of independent runs
-//! (seeds × parameters × protocols) across OS threads.
+//! Parallel experiment matrix: fan a set of independent runs (catalogue
+//! entries, seeds × parameters × protocols) across OS threads.
 //!
 //! Every experiment in this repo is a *self-contained* deterministic
 //! simulation: a run builds its own [`Sim`], its own hosts and its own
@@ -13,16 +13,13 @@
 //!
 //! What a job *is* stays with the caller: a closure from the job's index
 //! to its result, over the same [`crate::scripts`] everything else calls.
+//! `spritely run` and `spritely gate` fan [`crate::catalog::CATALOG`]
+//! entries out through it.
 //!
 //! [`Sim`]: spritely_sim::Sim
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use spritely_metrics::TextTable;
-use spritely_sim::SimDuration;
-
-use crate::StatsSnapshot;
 
 /// Runs `job(0) .. job(n - 1)`, fanning across `threads` worker threads
 /// (`0` or `1` means serial on the calling thread). Results come back
@@ -55,50 +52,6 @@ pub fn run_matrix<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + 
                 .expect("worker completed every claimed job")
         })
         .collect()
-}
-
-/// The outcome of one matrix cell: a deterministic label, the headline
-/// numbers, and the full [`StatsSnapshot`] JSON.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixResult {
-    /// Row label: the experiment and every parameter it ran with.
-    pub label: String,
-    /// Simulated elapsed seconds (benchmark total / makespan).
-    pub elapsed_s: f64,
-    /// Total RPCs the server endpoint served.
-    pub rpc_total: u64,
-    /// Scheduler events the run's executor retired.
-    pub events_retired: u64,
-    /// Full end-of-run statistics snapshot, serialized.
-    pub stats_json: String,
-}
-
-impl MatrixResult {
-    /// The cell for a finished run: its label, its simulated elapsed time
-    /// and its end-of-run snapshot.
-    pub fn new(label: String, elapsed: SimDuration, stats: &StatsSnapshot) -> Self {
-        MatrixResult {
-            label,
-            elapsed_s: elapsed.as_secs_f64(),
-            rpc_total: stats.num("rpc_total"),
-            events_retired: stats.num("sim.events_retired"),
-            stats_json: stats.to_json(),
-        }
-    }
-}
-
-/// Renders matrix results as a table: one row per job, in job order.
-pub fn render_matrix(results: &[MatrixResult]) -> String {
-    let mut t = TextTable::new(vec!["Experiment", "elapsed s", "RPCs", "sim events"]);
-    for r in results {
-        t.row(vec![
-            r.label.clone(),
-            format!("{:.1}", r.elapsed_s),
-            r.rpc_total.to_string(),
-            r.events_retired.to_string(),
-        ]);
-    }
-    t.render()
 }
 
 #[cfg(test)]

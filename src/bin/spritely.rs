@@ -7,14 +7,10 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use spritely::harness::catalog::{self, slug_of, Entry, CATALOG};
-use spritely::harness::scripts::{andrew, scaling, sort};
-use spritely::harness::{
-    compare_json, render_matrix, report, run_matrix, MatrixResult, Protocol, TestbedParams,
-};
-use spritely::trace::profile_trace;
+use spritely::harness::catalog::{self, slug_of, Entry, Outcome, CATALOG};
+use spritely::harness::{compare_json, run_matrix};
 
-const USAGE: &str = "usage: spritely <command> [--seed N]\n\
+const USAGE: &str = "usage: spritely <command> [--seed N] [--threads N]\n\
     commands:\n\
     \x20 list         every experiment in the catalogue: name and title\n\
     \x20 run <name>... | --all\n\
@@ -27,11 +23,11 @@ const USAGE: &str = "usage: spritely <command> [--seed N]\n\
     \x20              run every (or the named) experiment at seed 42 and compare with\n\
     \x20              what is committed: gate conditions, baselines/ byte for byte,\n\
     \x20              BENCH_<name>.json key for key; exit 1 on any difference\n\
-    \x20 matrix       experiment matrix fanned across --threads N workers;\n\
-    \x20              per-cell snapshots land in artifacts/matrix/\n\
-    \x20 profile andrew | andrew-pipelined | scaling | flush\n\
-    \x20              traced run; prints the phase-attribution tables and\n\
-    \x20              writes artifacts/profile_<slug>.json\n\
+    \x20              (run and gate spread experiments over --threads workers, by\n\
+    \x20              default one per core, and report in catalogue order)\n\
+    \x20 profile <name>\n\
+    \x20              run an experiment; print the phase-attribution table of every\n\
+    \x20              trace it checks and write artifacts/profile_<key>.json\n\
     \x20 compare <a.json> <b.json> [--threshold PCT]\n\
     \x20              diff two snapshot/ledger JSONs; exit 1 if a key came or went or\n\
     \x20              a number moved by more than PCT % (default 10)";
@@ -101,10 +97,19 @@ fn list() {
     }
 }
 
-fn run(entries: &[&Entry], seed: u64) -> ExitCode {
+/// Runs `entries` at `seed` over `threads` workers: each outcome, with
+/// the host seconds it took, in the order of `entries`.
+fn outcomes(entries: &[&Entry], seed: u64, threads: usize) -> Vec<(Outcome, f64)> {
+    run_matrix(entries.len(), threads, |i| {
+        let t0 = Instant::now();
+        let outcome = (entries[i].run)(seed);
+        (outcome, t0.elapsed().as_secs_f64())
+    })
+}
+
+fn run(entries: &[&Entry], seed: u64, threads: usize) -> ExitCode {
     let mut failed = false;
-    for entry in entries {
-        let outcome = (entry.run)(seed);
+    for (entry, (outcome, _)) in entries.iter().zip(outcomes(entries, seed, threads)) {
         catalog::print(entry, &outcome);
         // A read-only checkout gets a warning, not a failure.
         if let Err(e) = catalog::write(Path::new("."), entry, &outcome) {
@@ -118,13 +123,11 @@ fn run(entries: &[&Entry], seed: u64) -> ExitCode {
     ExitCode::from(failed as u8)
 }
 
-fn gate(entries: &[&Entry]) -> ExitCode {
+fn gate(entries: &[&Entry], threads: usize) -> ExitCode {
     let root = Path::new(".");
     let started = Instant::now();
     let mut failures = 0;
-    for entry in entries {
-        let t0 = Instant::now();
-        let outcome = (entry.run)(42);
+    for (entry, (outcome, secs)) in entries.iter().zip(outcomes(entries, 42, threads)) {
         // Left behind so a failure can be diffed against baselines/.
         let written = catalog::write_files(&root.join("artifacts"), &entry.artifacts(&outcome));
         if let Err(e) = written {
@@ -135,10 +138,9 @@ fn gate(entries: &[&Entry]) -> ExitCode {
         }
         let bad = catalog::check(root, entry, &outcome);
         println!(
-            "{} {:<24} {:>5.2} s",
+            "{} {:<24} {secs:>5.2} s",
             if bad.is_empty() { "ok  " } else { "FAIL" },
             entry.name,
-            t0.elapsed().as_secs_f64()
         );
         for line in &bad {
             println!("     {line}");
@@ -146,71 +148,40 @@ fn gate(entries: &[&Entry]) -> ExitCode {
         failures += bad.len();
     }
     println!(
-        "gate: {} experiment(s), {failures} failure(s), {:.1} s",
+        "gate: {} experiment(s) on {threads} thread(s), {failures} failure(s), {:.1} s",
         entries.len(),
         started.elapsed().as_secs_f64()
     );
     ExitCode::from((failures > 0) as u8)
 }
 
-/// Per protocol: Andrew with /tmp local and remote, the 1408 KB sort and
-/// a 4-client scaling run.
-fn matrix(seed: u64, threads: usize) {
-    const PER_PROTOCOL: usize = 4;
-    let job = |i: usize| {
-        let p = [Protocol::Nfs, Protocol::Snfs][i / PER_PROTOCOL];
-        let tmp_remote = TestbedParams::paper(p, true);
-        match i % PER_PROTOCOL {
-            0 | 1 => {
-                let r = andrew(TestbedParams::paper(p, i % PER_PROTOCOL == 1), seed);
-                let label = format!("andrew {} seed={seed}", r.tb.params.label());
-                MatrixResult::new(label, r.first().total(), &r.tb.stats_snapshot())
-            }
-            2 => {
-                let r = sort(tmp_remote, 1408 * 1024);
-                let label = format!("sort {} 1408KB upd=on", p.label());
-                MatrixResult::new(label, *r.first(), &r.tb.stats_snapshot())
-            }
-            _ => {
-                let r = scaling(tmp_remote, 4, seed);
-                let label = format!("scaling {} n=4 seed={seed}", p.label());
-                MatrixResult::new(label, r.makespan, &r.tb.stats_snapshot())
-            }
-        }
-    };
-    let results = run_matrix(2 * PER_PROTOCOL, threads, job);
-    println!(
-        "Experiment matrix: {} runs on {} worker thread(s)\n",
-        results.len(),
-        threads.max(1)
-    );
-    println!("{}", render_matrix(&results));
-    let files: Vec<(String, String)> = results
-        .into_iter()
-        .map(|r| (format!("matrix/{}.json", slug_of(&r.label)), r.stats_json))
-        .collect();
-    write_artifacts(&files);
-}
-
-/// Writes under `artifacts/` relative to the current directory and says
-/// so; a read-only checkout gets a warning, not a failure.
-fn write_artifacts(files: &[(String, String)]) {
-    match catalog::write_files(Path::new("artifacts"), files) {
+/// Prints the phase attribution of every trace `entry` checks and writes
+/// each as `artifacts/profile_<key>.json`, the key the ledger files the
+/// trace under; an entry that checks no trace is a usage error.
+fn profile(entry: &Entry, seed: u64) -> ExitCode {
+    let outcome = (entry.run)(seed);
+    if outcome.profiles.is_empty() {
+        let name = entry.name;
+        return usage_error(&format!(
+            "{name} checks no trace, so there is nothing to profile"
+        ));
+    }
+    let mut files = Vec::new();
+    for p in outcome.profiles {
+        let (name, what) = (entry.name, p.what);
+        println!(
+            "Latency profile: {name}, {what} (seed {seed})\n\n{}",
+            p.table
+        );
+        files.push((format!("profile_{}.json", p.key), p.json));
+    }
+    // A read-only checkout gets a warning, not a failure.
+    match catalog::write_files(Path::new("artifacts"), &files) {
         Ok(()) => files
             .iter()
             .for_each(|(name, _)| println!("wrote artifacts/{name}")),
         Err(e) => eprintln!("warning: could not write under artifacts/: {e}"),
     }
-}
-
-fn profile(which: &str, seed: u64) -> ExitCode {
-    let Some((name, trace)) = catalog::profiled(which, seed) else {
-        return usage_error(&format!("no profile workload named {which:?}"));
-    };
-    let p = profile_trace(&trace.events);
-    println!("Latency profile: {which} (seed {seed})\n");
-    println!("{}", report::profile_table(&p));
-    write_artifacts(&[(format!("profile_{name}.json"), p.to_json())]);
     ExitCode::SUCCESS
 }
 
@@ -237,25 +208,22 @@ fn main() -> ExitCode {
         Err(e) => return usage_error(&e),
     };
     let words: Vec<&str> = cli.words.iter().map(String::as_str).collect();
+    let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = cli.threads.unwrap_or_else(cores).max(1);
     match words.as_slice() {
         ["list"] => {
             list();
             ExitCode::SUCCESS
         }
         ["run"] if !cli.all => usage_error("run needs experiment names or --all"),
-        ["run", names @ ..] => with_entries(names, |entries| run(entries, cli.seed)),
-        ["gate", names @ ..] => with_entries(names, gate),
-        ["matrix"] => {
-            let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
-            matrix(cli.seed, cli.threads.unwrap_or_else(cores));
-            ExitCode::SUCCESS
-        }
-        ["profile", which] => profile(which, cli.seed),
+        ["run", names @ ..] => with_entries(names, |entries| run(entries, cli.seed, threads)),
+        ["gate", names @ ..] => with_entries(names, |entries| gate(entries, threads)),
+        ["profile", name] => with_entries(&[name], |entries| profile(entries[0], cli.seed)),
         ["compare", a, b] => compare(a, b, cli.threshold_pct),
         [] => usage_error("no command"),
         // `table 5-1`, `figure 5-2`, `micro reopen`, `scaling`, ...
         sugar => match catalog::find(&slug_of(&sugar.join(" "))) {
-            Some(entry) => run(&[entry], cli.seed),
+            Some(entry) => run(&[entry], cli.seed, threads),
             None => usage_error(&format!("unknown command {:?}", sugar.join(" "))),
         },
     }
@@ -295,11 +263,11 @@ mod tests {
             "--seed: \"x\" is not a valid value"
         );
         assert_eq!(
-            cli(&["matrix", "--threads"]).unwrap_err(),
+            cli(&["gate", "--threads"]).unwrap_err(),
             "--threads needs a value"
         );
         assert_eq!(
-            cli(&["matrix", "--threads", "-1"]).unwrap_err(),
+            cli(&["gate", "--threads", "-1"]).unwrap_err(),
             "--threads: \"-1\" is not a valid value"
         );
         assert_eq!(

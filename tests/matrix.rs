@@ -1,75 +1,43 @@
-//! The parallel experiment-matrix determinism contract: for any matrix
-//! of experiments and any worker-thread count, `run_matrix` returns
-//! results byte-identical to serial execution, in job order. Each run
+//! The parallel experiment-matrix determinism contract: for any list of
+//! catalogue entries and any worker-thread count, `run_matrix` returns
+//! the outcomes serial execution returns, in list order — the path
+//! `spritely run` and `spritely gate` take with `--threads N`. Each run
 //! is an isolated single-threaded simulation, so parallelism can only
-//! change wall-clock time, never a result — this test pins that.
+//! change wall-clock time, never a result; this test pins that.
 
 use proptest::prelude::*;
-use spritely::harness::scripts::{andrew, scaling, sort};
-use spritely::harness::{run_matrix, MatrixResult, Protocol, TestbedParams};
+use spritely::harness::catalog::{self, Outcome};
+use spritely::harness::run_matrix;
 
-/// A small pool of cheap experiments the random matrices draw from.
-const POOL: usize = 5;
+/// The cheap entries the random lists draw from: a traced run whose
+/// outcome carries files and a profile, an ablation sweep, and a
+/// four-run microbenchmark.
+const POOL: [&str; 3] = ["flush_latency", "ablation_state_limit", "micro_reopen"];
 
-fn run_pooled(pick: usize) -> MatrixResult {
-    let sort = |p: Protocol, update| {
-        let params = TestbedParams {
-            update_enabled: update,
-            ..TestbedParams::paper(p, true)
-        };
-        let r = sort(params, 281 * 1024);
-        MatrixResult::new(
-            format!("sort {} upd={update}", p.label()),
-            *r.first(),
-            &r.tb.stats_snapshot(),
-        )
-    };
-    let scaling = |p: Protocol, seed| {
-        let r = scaling(TestbedParams::paper(p, true), 2, seed);
-        MatrixResult::new(
-            format!("scaling {} seed={seed}", p.label()),
-            r.makespan,
-            &r.tb.stats_snapshot(),
-        )
-    };
-    match pick {
-        0 => sort(Protocol::Nfs, true),
-        1 => sort(Protocol::Snfs, false),
-        2 => scaling(Protocol::Snfs, 11),
-        3 => scaling(Protocol::Nfs, 12),
-        _ => {
-            let r = andrew(TestbedParams::paper(Protocol::Snfs, true), 13);
-            MatrixResult::new(
-                "andrew".to_string(),
-                r.first().total(),
-                &r.tb.stats_snapshot(),
-            )
-        }
-    }
+fn run(name: &str) -> Outcome {
+    (catalog::find(name).expect(name).run)(42)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random matrices (with repeats — the same job twice must produce
-    /// the same bytes twice) run on random thread counts match serial.
+    /// Random lists (with repeats — the same entry twice must produce
+    /// the same outcome twice) run on random thread counts match serial:
+    /// body, ledger, files, failures and profiles.
     #[test]
     fn parallel_matrix_is_byte_identical_to_serial(
-        picks in proptest::collection::vec(0usize..POOL, 1..5),
+        picks in proptest::collection::vec(0..POOL.len(), 1..5),
         threads in 2usize..6,
     ) {
-        let job = |i: usize| run_pooled(picks[i]);
+        let job = |i: usize| run(POOL[picks[i]]);
         let serial = run_matrix(picks.len(), 1, job);
         let parallel = run_matrix(picks.len(), threads, job);
         prop_assert_eq!(&serial, &parallel);
-        // Results come back in job order under both schedules, and
-        // repeated jobs reproduce their bytes exactly.
+        // Results come back in list order under both schedules, and a
+        // repeated entry reproduces its outcome exactly.
         for (i, a) in picks.iter().enumerate() {
             for (j, b) in picks.iter().enumerate() {
-                prop_assert_eq!(a == b, serial[i].label == serial[j].label);
-                if a == b {
-                    prop_assert_eq!(&serial[i].stats_json, &serial[j].stats_json);
-                }
+                prop_assert_eq!(a == b, serial[i] == serial[j]);
             }
         }
     }

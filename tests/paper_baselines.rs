@@ -39,7 +39,7 @@ fn paper_mode_tables_match_baselines() {
 /// machinery must all be inert, and no delegation section may appear.
 #[test]
 fn paper_mode_andrew_runs_keep_the_pipelines_inert() {
-    for r in &catalog::andrew_runs(42) {
+    for r in &catalog::andrew_runs(42, false) {
         let stats = r.tb.stats_snapshot();
         let t = |key: &str| stats.num(&format!("transport.{key}"));
         assert_eq!(t("batches"), 0, "paper transport must never batch");

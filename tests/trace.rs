@@ -19,7 +19,7 @@ fn traced_params(protocol: Protocol, tmp_remote: bool) -> TestbedParams {
     }
 }
 
-fn traced_andrew(protocol: Protocol) -> TraceReport {
+fn andrew_trace(protocol: Protocol) -> TraceReport {
     let run = andrew(traced_params(protocol, true), 42);
     run.tb.finish_trace().expect("traced")
 }
@@ -33,7 +33,7 @@ fn snfs_client(tb: &Testbed, i: usize) -> SnfsClient {
 
 #[test]
 fn same_seed_andrew_traces_are_byte_identical() {
-    let (ta, tb) = (traced_andrew(Protocol::Snfs), traced_andrew(Protocol::Snfs));
+    let (ta, tb) = (andrew_trace(Protocol::Snfs), andrew_trace(Protocol::Snfs));
     assert!(!ta.events.is_empty(), "trace captured events");
     assert_eq!(
         ta.to_jsonl(),
@@ -45,7 +45,7 @@ fn same_seed_andrew_traces_are_byte_identical() {
 
 #[test]
 fn full_andrew_trace_has_zero_violations() {
-    let trace = traced_andrew(Protocol::Snfs);
+    let trace = andrew_trace(Protocol::Snfs);
     assert!(
         trace.ok(),
         "checker flagged a real run:\n{}",
@@ -291,7 +291,7 @@ fn checker_catches_fsync_ok_with_unacknowledged_blocks() {
 }
 
 #[test]
-fn traced_flush_run_upholds_all_invariants() {
+fn pipelined_flush_trace_upholds_all_invariants() {
     let params = TestbedParams {
         update_enabled: false,
         write_behind: WriteBehindParams::pipelined(),
