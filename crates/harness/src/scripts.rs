@@ -379,13 +379,13 @@ pub fn state_churn(params: TestbedParams) -> Run<()> {
 pub enum Sharing {
     /// Sequential write sharing by careful clients, the benchmark's
     /// workload: a readers-writer lock per file keeps a writer's
-    /// open-to-close apart from every other open of the file, writers
-    /// `fsync` before they close, and nobody opens a file from 100 ms
-    /// before a keepalive tick until 500 ms after it. These are crutches
-    /// around known defects (ROADMAP item 2); each goes with its fix.
+    /// open-to-close apart from every other open of the file, and nobody
+    /// opens a file from 100 ms before a keepalive tick until 500 ms after
+    /// it. The quiet window is a crutch around a known defect (ROADMAP
+    /// item 2, defect 3) and goes with its fix.
     Sequential,
     /// Concurrent write sharing: readers overlap the writer, so files go
-    /// write-shared, and nobody `fsync`s.
+    /// write-shared.
     Concurrent,
 }
 
@@ -479,9 +479,6 @@ pub fn sharing(params: TestbedParams, mode: Sharing, seed: u64) -> Run<Tally> {
                         let version = oracle.next(file);
                         if ok(&mut t, p.write_at(fd, 0, &stamped(version)).await).is_some() {
                             oracle.wrote(file, version);
-                        }
-                        if sequential {
-                            ok(&mut t, p.fsync(fd).await);
                         }
                         if ok(&mut t, p.close(fd).await).is_some() {
                             oracle.closed(file, i);
