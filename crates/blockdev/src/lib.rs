@@ -183,11 +183,6 @@ impl Disk {
         self.params
     }
 
-    /// The active scheduling policy.
-    pub fn sched(&self) -> DiskSched {
-        self.sched
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> DiskStats {
         self.state.borrow().stats

@@ -41,51 +41,48 @@ impl SnfsClient {
         // server assigns one `seq` per logical callback, stable across
         // its retransmissions; the first delivery runs the work (no
         // added awaits), duplicates wait for it and echo its reply.
-        if arg.seq != 0 {
-            loop {
-                let wait = {
-                    let mut seen = self.inner.cb_seen.borrow_mut();
-                    match seen.get(&arg.seq) {
-                        Some(CbGuard::Done(rep)) => {
-                            let rep = *rep;
-                            drop(seen);
-                            self.inner.cb_dupes.set(self.inner.cb_dupes.get() + 1);
-                            return rep;
-                        }
-                        Some(CbGuard::InProgress(ev)) => {
-                            self.inner.cb_dupes.set(self.inner.cb_dupes.get() + 1);
-                            ev.clone()
-                        }
-                        None => {
-                            seen.insert(arg.seq, CbGuard::InProgress(Event::new()));
-                            break;
-                        }
+        loop {
+            let wait = {
+                let mut seen = self.inner.cb_seen.borrow_mut();
+                match seen.get(&arg.seq) {
+                    Some(CbGuard::Done(rep)) => {
+                        let rep = *rep;
+                        drop(seen);
+                        self.inner.cb_dupes.set(self.inner.cb_dupes.get() + 1);
+                        return rep;
                     }
-                };
-                wait.wait().await;
-            }
-            let rep = self.serve_callback_work(ctx, arg).await;
-            let mut seen = self.inner.cb_seen.borrow_mut();
-            if let Some(CbGuard::InProgress(ev)) = seen.insert(arg.seq, CbGuard::Done(rep)) {
-                ev.set();
-            }
-            // Bound the memory: completed entries older than the last 128
-            // sequence numbers can no longer be retransmitted (the server
-            // moved on long ago).
-            while seen.len() > 128 {
-                let oldest_done = seen
-                    .iter()
-                    .filter(|(_, g)| matches!(g, CbGuard::Done(_)))
-                    .map(|(&s, _)| s)
-                    .min();
-                match oldest_done {
-                    Some(s) => seen.remove(&s),
-                    None => break,
-                };
-            }
-            return rep;
+                    Some(CbGuard::InProgress(ev)) => {
+                        self.inner.cb_dupes.set(self.inner.cb_dupes.get() + 1);
+                        ev.clone()
+                    }
+                    None => {
+                        seen.insert(arg.seq, CbGuard::InProgress(Event::new()));
+                        break;
+                    }
+                }
+            };
+            wait.wait().await;
         }
-        self.serve_callback_work(ctx, arg).await
+        let rep = self.serve_callback_work(ctx, arg).await;
+        let mut seen = self.inner.cb_seen.borrow_mut();
+        if let Some(CbGuard::InProgress(ev)) = seen.insert(arg.seq, CbGuard::Done(rep)) {
+            ev.set();
+        }
+        // Bound the memory: completed entries older than the last 128
+        // sequence numbers can no longer be retransmitted (the server
+        // moved on long ago).
+        while seen.len() > 128 {
+            let oldest_done = seen
+                .iter()
+                .filter(|(_, g)| matches!(g, CbGuard::Done(_)))
+                .map(|(&s, _)| s)
+                .min();
+            match oldest_done {
+                Some(s) => seen.remove(&s),
+                None => break,
+            };
+        }
+        rep
     }
 
     async fn serve_callback_work(&self, ctx: u64, arg: CallbackArg) -> CallbackReply {

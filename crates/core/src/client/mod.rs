@@ -36,7 +36,7 @@ use spritely_rpcnet::ShardCaller;
 use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
-use crate::delegation::{DelegationParams, DelegationStats, LEASE};
+use crate::delegation::{DelegationStats, LEASE};
 
 mod callback;
 mod recovery;
@@ -103,18 +103,16 @@ pub struct SnfsClientParams {
     pub write_behind: WriteBehindParams,
     /// §6.2 extension: hold back `close` RPCs anticipating a reopen.
     pub delayed_close: bool,
-    /// How long a delayed close lingers before being reported
-    /// spontaneously.
-    pub delayed_close_timeout: SimDuration,
     /// §7 extension: cache name translations, kept consistent by
     /// directory invalidate callbacks from the server. Lookups were half
     /// of all RPCs in the paper's Table 5-2; this removes most of them
     /// without giving up the consistency guarantee.
     pub name_cache: bool,
-    /// Open-delegation knobs (DESIGN.md §17). Must match the server's;
-    /// off (the default) keeps the client byte-identical to the paper.
-    pub delegation: DelegationParams,
 }
+
+/// How long a delayed close (§6.2) lingers before being reported
+/// spontaneously.
+const DELAYED_CLOSE_TIMEOUT: SimDuration = SimDuration::from_secs(180);
 
 impl Default for SnfsClientParams {
     fn default() -> Self {
@@ -129,9 +127,7 @@ impl Default for SnfsClientParams {
             read_ahead_window: 1,
             write_behind: WriteBehindParams::default(),
             delayed_close: false,
-            delayed_close_timeout: SimDuration::from_secs(180),
             name_cache: false,
-            delegation: DelegationParams::paper(),
         }
     }
 }
@@ -232,13 +228,12 @@ struct Inner {
     piggy_attrs: RefCell<HashMap<FileHandle, (Fattr, SimTime)>>,
     /// Callback sequence numbers already seen (server-assigned, stable
     /// across the server's retransmissions): a duplicated delivery of an
-    /// invalidate/write-back callback must not run twice. `seq == 0`
-    /// (unsequenced) is never deduplicated.
+    /// invalidate/write-back callback must not run twice.
     cb_seen: RefCell<HashMap<u64, CbGuard>>,
     /// Duplicate callback deliveries short-circuited by `cb_seen`.
     cb_dupes: Cell<u64>,
-    /// Delegations held (DESIGN.md §17); empty unless
-    /// `params.delegation.enabled`.
+    /// Delegations held (DESIGN.md §17): exactly what the server granted,
+    /// so empty against a server with delegations off.
     delegs: RefCell<HashMap<FileHandle, DelegRecord>>,
     /// Per-file gate while a delegation return is in flight: opens and
     /// closes of that file wait for the return to land, so the batched
@@ -462,11 +457,9 @@ impl SnfsClient {
     }
 
     async fn open_inner(&self, fh: FileHandle, write: bool, op: u64) -> Result<Fattr> {
-        if self.inner.params.delegation.enabled {
-            self.wait_deleg_return(fh).await;
-            if let Some(attr) = self.try_local_open(fh, write, op) {
-                return Ok(attr);
-            }
+        self.wait_deleg_return(fh).await;
+        if let Some(attr) = self.try_local_open(fh, write, op) {
+            return Ok(attr);
         }
         // §6.2 delayed close: if the file is "closed but not reported",
         // and the pending modes cover the new open, reopen locally.
@@ -645,35 +638,33 @@ impl SnfsClient {
     }
 
     async fn close_inner(&self, fh: FileHandle, write: bool, op: u64) -> Result<()> {
-        if self.inner.params.delegation.enabled {
-            self.wait_deleg_return(fh).await;
-            // While we hold the delegation record — even one being
-            // recalled was handled by the gate above — the close is
-            // absorbed locally: the server never saw some of these opens,
-            // and the batch return reports the net counts.
-            let absorb = {
-                let mut delegs = self.inner.delegs.borrow_mut();
-                match delegs.get_mut(&fh) {
-                    Some(d) => {
-                        d.wrote |= write;
-                        true
-                    }
-                    None => false,
+        self.wait_deleg_return(fh).await;
+        // While we hold the delegation record — even one being recalled
+        // was handled by the gate above — the close is absorbed locally:
+        // the server never saw some of these opens, and the batch return
+        // reports the net counts.
+        let absorb = {
+            let mut delegs = self.inner.delegs.borrow_mut();
+            match delegs.get_mut(&fh) {
+                Some(d) => {
+                    d.wrote |= write;
+                    true
                 }
-            };
-            if absorb {
-                let mut files = self.inner.files.borrow_mut();
-                if let Some(info) = files.get_mut(&fh) {
-                    if write {
-                        info.writers = info.writers.saturating_sub(1);
-                    } else {
-                        info.readers = info.readers.saturating_sub(1);
-                    }
-                }
-                drop(files);
-                self.bump_deleg(|s| s.local_closes += 1);
-                return Ok(());
+                None => false,
             }
+        };
+        if absorb {
+            let mut files = self.inner.files.borrow_mut();
+            if let Some(info) = files.get_mut(&fh) {
+                if write {
+                    info.writers = info.writers.saturating_sub(1);
+                } else {
+                    info.readers = info.readers.saturating_sub(1);
+                }
+            }
+            drop(files);
+            self.bump_deleg(|s| s.local_closes += 1);
+            return Ok(());
         }
         {
             let mut files = self.inner.files.borrow_mut();
@@ -703,9 +694,8 @@ impl SnfsClient {
     /// §6.2: after a timeout, report a still-pending close spontaneously.
     fn schedule_spontaneous_close(&self, fh: FileHandle) {
         let this = self.clone();
-        let delay = self.inner.params.delayed_close_timeout;
         self.sim().spawn(async move {
-            this.sim().sleep(delay).await;
+            this.sim().sleep(DELAYED_CLOSE_TIMEOUT).await;
             let _ = this.flush_pending_close(fh).await;
         });
     }
@@ -950,13 +940,11 @@ impl SnfsClient {
     pub async fn cold_boot(&self) -> Result<()> {
         // An orderly shutdown returns its delegations (with their queued
         // open counts) instead of leaving the server to time them out.
-        if self.inner.params.delegation.enabled {
-            let mut held: Vec<FileHandle> = self.inner.delegs.borrow().keys().copied().collect();
-            held.sort_unstable();
-            for fh in held {
-                let _ = self.do_deleg_return(0, fh).await;
-                self.inner.delegs.borrow_mut().remove(&fh);
-            }
+        let mut held: Vec<FileHandle> = self.inner.delegs.borrow().keys().copied().collect();
+        held.sort_unstable();
+        for fh in held {
+            let _ = self.do_deleg_return(0, fh).await;
+            self.inner.delegs.borrow_mut().remove(&fh);
         }
         let files: Vec<FileHandle> = {
             let mut v: Vec<FileHandle> = self
@@ -993,7 +981,7 @@ impl SnfsClient {
         // nobody can change the file without a recall reaching us first,
         // so the cached attributes are the truth even for a file that
         // write-sharing once marked uncacheable.
-        if self.inner.params.delegation.enabled && self.deleg_serves(fh) {
+        if self.deleg_serves(fh) {
             if let Some(a) = self.local_attr(fh) {
                 return Ok(a);
             }

@@ -3,10 +3,10 @@
 
 use spritely_nfs::base::status_of;
 use spritely_proto::{FileHandle, NfsReply, NfsRequest, NfsStatus, Result};
-use spritely_sim::SimDuration;
 use spritely_trace::EventKind;
 
 use super::SnfsClient;
+use crate::delegation::KEEPALIVE_INTERVAL;
 
 impl SnfsClient {
     /// Builds this client's recovery report: every file it has open (or
@@ -122,10 +122,7 @@ impl SnfsClient {
         // and fenced anything we hold, so the records — and the cache
         // under them — are untrustworthy. Purge before renewing the
         // anchor; later opens re-earn delegations over RPC.
-        if self.inner.params.delegation.enabled
-            && !self.lease_fresh()
-            && !self.inner.delegs.borrow().is_empty()
-        {
+        if !self.lease_fresh() && !self.inner.delegs.borrow().is_empty() {
             self.discard_delegations(true);
         }
         // Lease anchor (DESIGN.md §17.3): this reply crossed the same
@@ -145,14 +142,15 @@ impl SnfsClient {
 
     /// Spawns the keepalive daemon (paper §2.4: "periodic 'keepalive'
     /// packets ... detect when a client or server has crashed or
-    /// rebooted"). Probes every `interval`; failures are tolerated (the
-    /// server may simply be down — the next probe will find it again).
-    pub fn spawn_keepalive_daemon(&self, interval: SimDuration) {
+    /// rebooted"). Probes every [`KEEPALIVE_INTERVAL`]; failures are
+    /// tolerated (the server may simply be down — the next probe will find
+    /// it again).
+    pub fn spawn_keepalive_daemon(&self) {
         let this = self.clone();
         let sim = self.sim().clone();
         self.sim().spawn(async move {
             loop {
-                sim.sleep(interval).await;
+                sim.sleep(KEEPALIVE_INTERVAL).await;
                 let _ = this.keepalive().await;
             }
         });

@@ -14,20 +14,30 @@
 
 use spritely_sim::SimDuration;
 
+/// How often a client's keepalive daemon probes its server (paper §2.4).
+/// Each answered probe renews the client's delegation lease.
+pub const KEEPALIVE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// Client-side lease: a delegation serves local opens only while a
+/// keepalive or recover reply arrived within this window. No other reply
+/// renews it: those travel the direction recall callbacks travel, so a
+/// fresh lease proves a recall could have reached the client (DESIGN.md
+/// §17.3). It outlives one [`KEEPALIVE_INTERVAL`] but not two, so a
+/// single withheld renewal (a keepalive answered `Grace`) lapses it: the
+/// next answer comes two intervals (20 s) after the last.
+pub const LEASE: SimDuration = SimDuration::from_secs(15);
+
 /// How long the server waits for a recalled delegation to come back
 /// before revoking it and fencing the holder (DESIGN.md §17.3).
 pub const RECALL_TIMEOUT: SimDuration = SimDuration::from_secs(20);
 
-/// Client-side lease: a delegation serves local opens only while a
-/// keepalive or recover reply arrived within this window — one that
-/// tolerates one lost keepalive (10 s interval). No other reply renews
-/// it: those travel the direction recall callbacks travel, so a fresh
-/// lease proves a recall could have reached the client (DESIGN.md §17.3).
-pub const LEASE: SimDuration = SimDuration::from_secs(15);
-
-// The fencing argument (DESIGN.md §17.3) needs an unreachable holder to
-// stop serving local opens *before* the server revokes.
-const _: () = assert!(LEASE.as_micros() < RECALL_TIMEOUT.as_micros());
+// A lease must survive the gap between two answered keepalives, and the
+// fencing argument (DESIGN.md §17.3) needs an unreachable holder to stop
+// serving local opens *before* the server revokes.
+const _: () = assert!(
+    KEEPALIVE_INTERVAL.as_micros() < LEASE.as_micros()
+        && LEASE.as_micros() < RECALL_TIMEOUT.as_micros()
+);
 
 /// Configuration for the delegation subsystem. Shared by the server (which
 /// grants, recalls and revokes) and the client (which serves opens locally

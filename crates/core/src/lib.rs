@@ -352,6 +352,28 @@ mod tests {
     }
 
     #[test]
+    fn a_default_client_serves_opens_under_the_servers_grants() {
+        // Only the server switches delegations: a client built from the
+        // defaults holds, and serves opens from, whatever it is granted.
+        let rig = Rig::with_server_params(SnfsServerParams {
+            delegation: DelegationParams::pipelined(),
+            ..SnfsServerParams::default()
+        });
+        let c = rig.client(1, SnfsClientParams::default());
+        let root = rig.root();
+        let counter = rig.counter.clone();
+        rig.sim.block_on(async move {
+            let (fh, _) = c.create(root, "f").await.unwrap();
+            for _ in 0..3 {
+                c.open(fh, false).await.unwrap();
+                c.close(fh, false).await.unwrap();
+            }
+            assert_eq!(counter.get(NfsProc::Open), 1, "later opens are local");
+            assert_eq!(c.delegation_stats().local_opens, 2);
+        });
+    }
+
+    #[test]
     fn delayed_close_avoids_reopen_rpcs() {
         let rig = Rig::new();
         let c = rig.client(
@@ -384,7 +406,6 @@ mod tests {
             1,
             SnfsClientParams {
                 delayed_close: true,
-                delayed_close_timeout: SimDuration::from_secs(60),
                 ..SnfsClientParams::default()
             },
         );
@@ -400,7 +421,10 @@ mod tests {
                 c.close(fh, false).await.unwrap();
                 assert_eq!(counter.get(NfsProc::Close), 0);
                 assert_eq!(server.state_of(fh), FileState::OneReader);
-                sim.sleep(SimDuration::from_secs(61)).await;
+                // The delayed close lingers 180 s.
+                sim.sleep(SimDuration::from_secs(179)).await;
+                assert_eq!(counter.get(NfsProc::Close), 0);
+                sim.sleep(SimDuration::from_secs(2)).await;
                 assert_eq!(counter.get(NfsProc::Close), 1, "spontaneous close");
                 assert_eq!(server.state_of(fh), FileState::Closed);
             }

@@ -108,7 +108,8 @@ impl SnfsServer {
 
     /// Recalls every delegation on `fh` that conflicts with `opener`
     /// opening it (`write` mode), then returns. Concurrent recalls fan
-    /// out like callbacks, bounded by the N−1 slots.
+    /// out like callbacks, bounded by the N−1 slots. With delegations off
+    /// nothing was granted, so there is nothing to recall.
     pub(super) async fn recall_conflicting(
         &self,
         parent: u64,
@@ -116,9 +117,6 @@ impl SnfsServer {
         opener: ClientId,
         write: bool,
     ) {
-        if !self.inner.params.delegation.enabled {
-            return;
-        }
         let conflicts = self
             .inner
             .table
@@ -139,7 +137,8 @@ impl SnfsServer {
 
     /// Decides whether the open that just completed earns a delegation;
     /// if so, records the grant and returns it for piggybacking on the
-    /// open reply.
+    /// open reply. The only protocol code that reads the delegation
+    /// switch: clients hold only what this grants.
     pub(super) fn maybe_grant(
         &self,
         parent: u64,

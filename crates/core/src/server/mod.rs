@@ -32,7 +32,7 @@ use spritely_rpcnet::{Caller, Endpoint, EndpointParams};
 use spritely_sim::{Permit, Resource, Semaphore, Sim, SimDuration};
 use spritely_trace::{Cause, EventKind, Tracer};
 
-use crate::delegation::{DelegationParams, DelegationStats};
+use crate::delegation::{DelegationParams, DelegationStats, KEEPALIVE_INTERVAL};
 use crate::state_table::{FileState, OpenOutcome, StateTable};
 
 mod callback;
@@ -56,9 +56,9 @@ pub struct SnfsServerParams {
     /// consistent data and SNFS clients get their callbacks.
     pub hybrid_nfs: bool,
     /// How long callback retries continue before the client is declared
-    /// dead (its state discarded, §3.2's "dead client" case). Roughly
-    /// three keepalive intervals: a client silent that long has missed
-    /// its liveness horizon too. Zero restores the legacy
+    /// dead (its state discarded, §3.2's "dead client" case). Three
+    /// keepalive intervals by default: a client silent that long has
+    /// missed its liveness horizon too. Zero restores the legacy
     /// give-up-on-first-timeout behavior (used by regression tests to
     /// pin the old bug).
     pub callback_dead_after: SimDuration,
@@ -74,7 +74,7 @@ impl Default for SnfsServerParams {
             table_limit: 1000,
             reclaim_target: 900,
             hybrid_nfs: true,
-            callback_dead_after: SimDuration::from_secs(30),
+            callback_dead_after: KEEPALIVE_INTERVAL * 3,
             delegation: DelegationParams::paper(),
         }
     }
@@ -86,8 +86,9 @@ impl Default for SnfsServerParams {
 const GRACE_PERIOD: SimDuration = SimDuration::from_secs(20);
 
 /// Server I/O pipeline configuration: how the server's disk arm is
-/// scheduled, how large its block cache is, whether concurrent miss
-/// reads coalesce, and how many RPCs may be admitted concurrently.
+/// scheduled, how large its block cache is, and how many RPCs may be
+/// admitted concurrently. (Concurrent misses on one block always share
+/// one disk read; no paper-mode run has two.)
 ///
 /// [`ServerIoParams::paper`] (the default) reproduces the measured 1989
 /// server byte-for-byte; [`ServerIoParams::pipelined`] turns all three
@@ -100,31 +101,27 @@ pub struct ServerIoParams {
     pub sched: DiskSched,
     /// Server buffer-cache capacity in blocks.
     pub cache_blocks: usize,
-    /// Collapse concurrent cache misses on one block into a single disk
-    /// read (followers wait for the leader's fetch).
-    pub single_flight_reads: bool,
     /// RPC service threads. This is the admission width — that many RPCs
     /// overlap CPU with disk waits — and the N of the N−1 callback bound.
     pub service_threads: usize,
 }
 
 impl ServerIoParams {
-    /// The paper-era server: FIFO arm, the baseline 896-block cache, one
-    /// disk read per miss, 4 service threads. Keeps every `table_5_*`
-    /// and `figure_5_*` artifact byte-identical.
+    /// The paper-era server: FIFO arm, the baseline 896-block cache, 4
+    /// service threads. Keeps every `table_5_*` and `figure_5_*` artifact
+    /// byte-identical.
     pub fn paper() -> Self {
         ServerIoParams {
             sched: DiskSched::Fifo,
             cache_blocks: 896,
-            single_flight_reads: false,
             service_threads: 4,
         }
     }
 
     /// The pipelined server: C-LOOK arm scheduling (aging limit 4, so no
     /// request is bypassed more than 4 times; 2M-block full stroke), a
-    /// 4096-block cache with single-flight misses, and 8 service threads
-    /// overlapping CPU with disk waits.
+    /// 4096-block cache, and 8 service threads overlapping CPU with disk
+    /// waits.
     pub fn pipelined() -> Self {
         ServerIoParams {
             sched: DiskSched::CLook {
@@ -132,7 +129,6 @@ impl ServerIoParams {
                 stroke_blocks: 1 << 21,
             },
             cache_blocks: 4096,
-            single_flight_reads: true,
             service_threads: 8,
         }
     }

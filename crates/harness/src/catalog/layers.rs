@@ -214,8 +214,8 @@ fn server_io_run(io: ServerIoParams, trace: bool, n: usize, seed: u64) -> Run<Si
 
 /// Server scaling with the server I/O pipeline on (paper §2.3 extended):
 /// the same SNFS clients against the paper-faithful FIFO/uncached server
-/// and the pipelined one (C-LOOK arm scheduling, larger block cache with
-/// single-flight misses, wider RPC admission). The pipeline only
+/// and the pipelined one (C-LOOK arm scheduling, larger block cache,
+/// wider RPC admission). The pipeline only
 /// reorders and absorbs server disk work; writes stay synchronous, so
 /// consistency results are untouched.
 pub(super) const SERVER_SCALING: Entry = Entry {

@@ -34,7 +34,6 @@ pub fn server_fs_params(update_enabled: bool, io: &ServerIoParams) -> FsParams {
     FsParams {
         cache_blocks: io.cache_blocks,
         update_interval: update_enabled.then(|| SimDuration::from_secs(30)),
-        single_flight_reads: io.single_flight_reads,
     }
 }
 
@@ -43,7 +42,6 @@ pub fn client_fs_params(update_enabled: bool) -> FsParams {
     FsParams {
         cache_blocks: CLIENT_CACHE_BLOCKS,
         update_interval: update_enabled.then(|| SimDuration::from_secs(30)),
-        single_flight_reads: false,
     }
 }
 

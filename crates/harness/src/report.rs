@@ -150,7 +150,7 @@ pub fn sort_rpc_table(runs: &[Run<SimDuration>]) -> String {
             .to_string(),
             r.ops.get(NfsProc::Read).to_string(),
             r.ops.get(NfsProc::Write).to_string(),
-            (r.ops.total() - r.ops.get(NfsProc::Read) - r.ops.get(NfsProc::Write)).to_string(),
+            r.ops.others().to_string(),
             r.ops.total().to_string(),
         ]);
     }

@@ -6,6 +6,7 @@
 
 use std::rc::Rc;
 
+use spritely_core::delegation::KEEPALIVE_INTERVAL;
 use spritely_proto::{NfsStatus, Result, BLOCK_SIZE};
 use spritely_sim::{Semaphore, Sim, SimDuration, SimRng};
 use spritely_vfs::{OpenFlags, Proc};
@@ -405,13 +406,14 @@ fn ok<T>(t: &mut Tally, res: Result<T>) -> Option<T> {
     res.map_err(|_| t.errors += 1).ok()
 }
 
-/// Waits out the quiet period around a keepalive tick (every 10 s, all
-/// clients on the same ticks). A keepalive that reaches the server while
-/// it is recalling that client's delegation is answered `Grace`, and the
-/// next one purges the client's cache, dirty blocks included (ROADMAP
-/// item 2, defect 3). Opens are what start recalls.
+/// Waits out the quiet period around a keepalive tick (all clients on the
+/// same ticks). A keepalive that reaches the server while it is recalling
+/// that client's delegation is answered `Grace`, and the next one purges
+/// the client's cache, dirty blocks included (ROADMAP item 2, defect 3).
+/// Opens are what start recalls.
 async fn clear_of_keepalive(sim: &Sim) {
-    let (period, before, after) = (10_000_000, 100_000, 500_000);
+    let period = KEEPALIVE_INTERVAL.as_micros();
+    let (before, after) = (100_000, 500_000);
     let into = sim.now().as_micros() % period;
     if into < after || into + before >= period {
         let wait = (after + period - into) % period;

@@ -116,10 +116,10 @@ pub struct TestbedParams {
     pub name_cache: bool,
     /// SNFS server state-table limit and reclaim target.
     pub snfs_server: SnfsServerParams,
-    /// Server I/O pipeline: disk-arm scheduling, server block cache,
-    /// single-flight misses, and RPC admission width. The default
-    /// ([`ServerIoParams::paper`]) reproduces the measured 1989 server
-    /// byte-for-byte; [`ServerIoParams::pipelined`] turns the pipeline on.
+    /// Server I/O pipeline: disk-arm scheduling, server block cache and
+    /// RPC admission width. The default ([`ServerIoParams::paper`])
+    /// reproduces the measured 1989 server byte-for-byte;
+    /// [`ServerIoParams::pipelined`] turns the pipeline on.
     pub server_io: ServerIoParams,
     /// Client data-cache capacity in blocks (shrink to force dirty-block
     /// evictions in tests).
@@ -143,8 +143,8 @@ pub struct TestbedParams {
     /// added at runtime via [`Network::partition`].
     pub faults: FaultParams,
     /// Open delegations (DESIGN.md §17): RPC-free open/close fast path
-    /// with recall-on-conflict. Applied to both the SNFS server and its
-    /// clients. The default ([`DelegationParams::paper`]) is provably
+    /// with recall-on-conflict. A server switch: clients serve whatever
+    /// it grants. The default ([`DelegationParams::paper`]) is provably
     /// inert — no grants, no new RPCs, byte-identical artifacts.
     pub delegation: DelegationParams,
     /// Namespace sharding (DESIGN.md §18). The default
@@ -567,15 +567,13 @@ impl Testbed {
                             write_behind: params.write_behind,
                             delayed_close: params.protocol == Protocol::SnfsDelayedClose,
                             name_cache: params.name_cache,
-                            delegation: params.delegation,
-                            ..SnfsClientParams::default()
                         },
                     );
                     if let Some(t) = &tracer {
                         client.set_tracer(t.clone());
                     }
                     client.spawn_update_daemon();
-                    client.spawn_keepalive_daemon(SimDuration::from_secs(10));
+                    client.spawn_keepalive_daemon();
                     // One callback endpoint per client, registered with
                     // every server through that server's own caller.
                     let cb_ep = client.callback_endpoint(

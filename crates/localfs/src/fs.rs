@@ -33,11 +33,6 @@ pub struct FsParams {
     /// Interval of the `/etc/update` daemon; `None` disables it entirely
     /// ("infinite write-delay", paper §5.4).
     pub update_interval: Option<SimDuration>,
-    /// Collapse concurrent cache misses on the same block into one disk
-    /// read: followers wait for the leader's fetch instead of queueing a
-    /// duplicate request. Off by default — the paper-era server re-read
-    /// the block once per RPC.
-    pub single_flight_reads: bool,
 }
 
 impl Default for FsParams {
@@ -45,7 +40,6 @@ impl Default for FsParams {
         FsParams {
             cache_blocks: 4096, // 16 MB at 4 KB blocks
             update_interval: Some(SimDuration::from_secs(30)),
-            single_flight_reads: false,
         }
     }
 }
@@ -69,9 +63,10 @@ struct Inner {
     cache: RefCell<BlockCache<Key>>,
     params: FsParams,
     stats: RefCell<FsStats>,
-    /// Blocks with a disk read in flight (single-flight mode): followers
-    /// wait on the event instead of issuing a duplicate read.
-    inflight: RefCell<HashMap<Key, Event>>,
+    /// Blocks with a disk read in flight: a second miss on one waits for
+    /// the first's read instead of issuing a duplicate. The event is made
+    /// by the first such follower, so a miss nobody joins allocates none.
+    inflight: RefCell<HashMap<Key, Option<Event>>>,
     tracer: RefCell<Option<Tracer>>,
 }
 
@@ -354,9 +349,9 @@ impl LocalFs {
     }
 
     /// One block of `fh` through the buffer cache: hit, or miss + disk
-    /// read + clean insert. In single-flight mode, concurrent misses on
-    /// the same block coalesce — followers wait for the leader's fetch
-    /// and then re-check the cache.
+    /// read + clean insert. Concurrent misses on the same block coalesce
+    /// into one disk read: followers wait for the leader's fetch and then
+    /// re-check the cache.
     async fn fetch_cached_block(&self, fh: FileHandle, lblk: u64) -> Result<Buf> {
         let key = (fh.inode, lblk);
         loop {
@@ -365,26 +360,23 @@ impl LocalFs {
                 self.emit_cache_read(fh.inode, lblk, true);
                 return Ok(b);
             }
-            if self.inner.params.single_flight_reads {
-                let leader = self.inner.inflight.borrow().get(&key).cloned();
-                if let Some(ev) = leader {
-                    ev.wait().await;
-                    // The leader populated the cache (or vanished); either
-                    // way, re-check from the top.
-                    continue;
-                }
+            let leader = self
+                .inner
+                .inflight
+                .borrow_mut()
+                .get_mut(&key)
+                .map(|waiters| waiters.get_or_insert_with(Event::new).clone());
+            if let Some(ev) = leader {
+                ev.wait().await;
+                // The leader populated the cache (or vanished); either
+                // way, re-check from the top.
+                continue;
             }
             self.emit_cache_read(fh.inode, lblk, false);
-            let gate = if self.inner.params.single_flight_reads {
-                let ev = Event::new();
-                self.inner.inflight.borrow_mut().insert(key, ev.clone());
-                Some(ev)
-            } else {
-                None
-            };
+            self.inner.inflight.borrow_mut().insert(key, None);
             let fetched = self.fetch_from_disk(fh, lblk).await;
-            if let Some(ev) = gate {
-                self.inner.inflight.borrow_mut().remove(&key);
+            let waiters = self.inner.inflight.borrow_mut().remove(&key).flatten();
+            if let Some(ev) = waiters {
                 ev.set();
             }
             let data = fetched?;

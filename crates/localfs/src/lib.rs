@@ -132,42 +132,29 @@ mod tests {
 
     #[test]
     fn single_flight_coalesces_concurrent_miss_reads() {
-        // Two tasks missing on the same block at the same time: the
-        // paper-era path reads the disk twice, single-flight reads once
-        // and both callers still get the data.
-        for (single_flight, want_reads) in [(false, 2u64), (true, 1u64)] {
-            let sim = Sim::new();
-            let f = fs_with(
-                &sim,
-                FsParams {
-                    single_flight_reads: single_flight,
-                    ..FsParams::default()
-                },
-            );
-            let f0 = f.clone();
-            let fh = sim.block_on(async move {
-                let root = f0.root();
-                let (fh, _) = f0.create(root, "a").await.unwrap();
-                f0.write(fh, 0, &[7u8; BLOCK_SIZE], true).await.unwrap();
-                fh
+        // Two tasks missing on the same block at the same time: one disk
+        // read, and both callers get the data.
+        let sim = Sim::new();
+        let f = fs(&sim);
+        let f0 = f.clone();
+        let fh = sim.block_on(async move {
+            let root = f0.root();
+            let (fh, _) = f0.create(root, "a").await.unwrap();
+            f0.write(fh, 0, &[7u8; BLOCK_SIZE], true).await.unwrap();
+            fh
+        });
+        // Forget the cached copy; stable data survives on disk.
+        f.crash();
+        let before = f.disk().stats().reads;
+        for _ in 0..2 {
+            let f2 = f.clone();
+            sim.spawn(async move {
+                let (got, _, _) = f2.read(fh, 0, BLOCK_SIZE as u32).await.unwrap();
+                assert_eq!(got.to_vec(), vec![7u8; BLOCK_SIZE]);
             });
-            // Forget the cached copy; stable data survives on disk.
-            f.crash();
-            let before = f.disk().stats().reads;
-            for _ in 0..2 {
-                let f2 = f.clone();
-                sim.spawn(async move {
-                    let (got, _, _) = f2.read(fh, 0, BLOCK_SIZE as u32).await.unwrap();
-                    assert_eq!(got.to_vec(), vec![7u8; BLOCK_SIZE]);
-                });
-            }
-            sim.run_to_quiescence();
-            assert_eq!(
-                f.disk().stats().reads - before,
-                want_reads,
-                "single_flight = {single_flight}"
-            );
         }
+        sim.run_to_quiescence();
+        assert_eq!(f.disk().stats().reads - before, 1);
     }
 
     #[test]

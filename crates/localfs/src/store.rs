@@ -94,11 +94,6 @@ impl Store {
         }
     }
 
-    /// The file system id baked into every handle.
-    pub fn fsid(&self) -> u32 {
-        self.fsid
-    }
-
     /// Handle of the root directory.
     pub fn root(&self) -> FileHandle {
         self.handle_of(self.root)

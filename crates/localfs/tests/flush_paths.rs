@@ -46,7 +46,6 @@ fn run<F: Future<Output = ()> + 'static>(
     let fs_params = FsParams {
         cache_blocks,
         update_interval: None,
-        single_flight_reads: false,
     };
     let fs = LocalFs::new(&sim, 1, disk, fs_params);
     sim.spawn(script(sim.clone(), fs.clone()));

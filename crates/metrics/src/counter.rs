@@ -105,11 +105,6 @@ impl OpCounter {
     pub fn snapshot(&self) -> OpCounts {
         *self.inner.borrow()
     }
-
-    /// Resets all counts to zero.
-    pub fn reset(&self) {
-        *self.inner.borrow_mut() = OpCounts::default();
-    }
 }
 
 #[cfg(test)]
@@ -159,8 +154,6 @@ mod tests {
         let b = a.clone();
         b.record(NfsProc::GetAttr);
         assert_eq!(a.get(NfsProc::GetAttr), 1);
-        a.reset();
-        assert_eq!(b.total(), 0);
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl RateSeries {
         }
     }
 
-    /// Bucket width.
-    pub fn width(&self) -> SimDuration {
-        self.inner.borrow().width
-    }
-
     /// Copies out the buckets recorded so far.
     pub fn buckets(&self) -> Vec<RateBucket> {
         self.inner.borrow().buckets.clone()

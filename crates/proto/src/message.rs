@@ -327,13 +327,6 @@ impl Delegation {
     pub fn is_write(self) -> bool {
         matches!(self, Delegation::Write)
     }
-
-    /// True if this delegation lets the holder serve an open in the given
-    /// mode locally: a write delegation covers both modes, a read
-    /// delegation covers read opens only.
-    pub fn covers(self, write_open: bool) -> bool {
-        self.is_write() || !write_open
-    }
 }
 
 /// Body of a successful SNFS `open` (paper §3.1).
@@ -544,10 +537,9 @@ pub struct CallbackArg {
     /// server-level retries of the same logical callback (each retry is
     /// a fresh RPC with a fresh xid, so the RPC dup cache cannot pair
     /// them). Clients use it to make duplicate deliveries idempotent —
-    /// a second arrival must not double-invalidate or re-flush. Zero
-    /// means "unsequenced" (hand-built test callbacks) and is never
-    /// deduplicated. Rides in the existing header, so wire size is
-    /// unchanged.
+    /// a second arrival must not double-invalidate or re-flush. The
+    /// server numbers every callback it sends from 1. Rides in the
+    /// existing header, so wire size is unchanged.
     pub seq: u64,
 }
 
@@ -793,14 +785,6 @@ mod tests {
             delegation: None,
         });
         assert_eq!(open.attr().unwrap().fileid, 2);
-    }
-
-    #[test]
-    fn delegation_covers_open_modes() {
-        assert!(Delegation::Write.covers(true));
-        assert!(Delegation::Write.covers(false));
-        assert!(Delegation::Read.covers(false));
-        assert!(!Delegation::Read.covers(true));
     }
 
     #[test]

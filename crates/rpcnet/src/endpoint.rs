@@ -195,11 +195,6 @@ where
         &self.inner.counter
     }
 
-    /// The service thread pool (for utilization reporting).
-    pub fn threads(&self) -> &Resource {
-        &self.inner.threads
-    }
-
     /// Number of handler executions (excludes dup-cache hits).
     pub fn executions(&self) -> u64 {
         self.inner.executions.get()

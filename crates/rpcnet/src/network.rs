@@ -100,11 +100,6 @@ impl Network {
         self.inner.params
     }
 
-    /// The shared wire resource (for utilization reporting).
-    pub fn wire(&self) -> &Resource {
-        &self.inner.wire
-    }
-
     /// Attaches a tracer: every transmitted message is recorded as a
     /// `net_xmit` event.
     pub fn set_tracer(&self, tracer: Tracer) {
@@ -274,12 +269,6 @@ impl Network {
             .clone()
     }
 
-    /// Transmits one message of `bytes` on the shared medium (host 0,
-    /// client→server direction when switched).
-    pub async fn transmit(&self, bytes: usize) {
-        self.transmit_from(0, true, bytes).await;
-    }
-
     /// Transmits one message of `bytes`: queues for the wire (the shared
     /// bus, or host `host`'s directional lane when switched), occupies it
     /// for the transfer time, then waits the fixed latency.
@@ -335,7 +324,7 @@ mod tests {
         let sim = Sim::new();
         let n = net(&sim);
         sim.block_on(async move {
-            n.transmit(1000).await; // 1 ms transfer + 0.5 ms latency
+            n.transmit_from(0, true, 1000).await; // 1 ms transfer + 0.5 ms latency
         });
         assert_eq!(sim.now().as_micros(), 1_500);
     }
@@ -347,7 +336,7 @@ mod tests {
         for _ in 0..2 {
             let n = n.clone();
             sim.spawn(async move {
-                n.transmit(1000).await;
+                n.transmit_from(0, true, 1000).await;
             });
         }
         sim.run_to_quiescence();
@@ -361,7 +350,7 @@ mod tests {
         let sim = Sim::new();
         let n = net(&sim);
         sim.block_on(async move {
-            n.transmit(0).await;
+            n.transmit_from(0, true, 0).await;
         });
         assert_eq!(sim.now().as_micros(), 500);
     }
@@ -423,8 +412,8 @@ mod tests {
         let n = net(&sim);
         let n2 = n.clone();
         sim.block_on(async move {
-            n2.transmit(1000).await;
-            n2.transmit(24).await;
+            n2.transmit_from(0, true, 1000).await;
+            n2.transmit_from(0, true, 24).await;
         });
         assert_eq!(n.messages(), 2);
         assert_eq!(n.bytes(), 1024);

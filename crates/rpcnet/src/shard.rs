@@ -107,11 +107,6 @@ impl ShardCaller {
         }
     }
 
-    /// Number of shards behind this caller.
-    pub fn shards(&self) -> usize {
-        self.inner.callers.len()
-    }
-
     /// The caller's client id.
     pub fn client_id(&self) -> ClientId {
         self.inner.callers[0].client_id()

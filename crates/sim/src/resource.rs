@@ -30,7 +30,6 @@ struct UtilState {
     /// Integral of `held` over time, in permit-microseconds.
     busy_integral: u128,
     last_change: SimTime,
-    completed: u64,
 }
 
 impl Resource {
@@ -50,7 +49,6 @@ impl Resource {
                 held: 0,
                 busy_integral: 0,
                 last_change: sim.now(),
-                completed: 0,
             })),
         }
     }
@@ -63,16 +61,6 @@ impl Resource {
     /// Number of identical servers.
     pub fn capacity(&self) -> usize {
         self.util.borrow().capacity
-    }
-
-    /// Number of completed service periods.
-    pub fn completed(&self) -> u64 {
-        self.util.borrow().completed
-    }
-
-    /// Tasks waiting in the FIFO queue.
-    pub fn waiting(&self) -> usize {
-        self.sem.queue_len()
     }
 
     /// Occupies one server for exactly `d`, queueing FIFO if all are busy.
@@ -105,7 +93,6 @@ impl Resource {
             debug_assert!(u.held <= u.capacity, "{}: over capacity", u.name);
         } else {
             u.held -= (-delta) as usize;
-            u.completed += 1;
         }
     }
 
@@ -160,7 +147,6 @@ mod tests {
         sim.run_to_quiescence();
         assert_eq!(sim.now().as_micros(), 30_000);
         assert_eq!(cpu.busy_permit_micros(), 30_000);
-        assert_eq!(cpu.completed(), 3);
     }
 
     #[test]
@@ -208,7 +194,6 @@ mod tests {
             drop(g);
         });
         assert_eq!(disk.busy_permit_micros(), 10_000);
-        assert_eq!(disk.completed(), 1);
     }
 
     #[test]

@@ -117,11 +117,6 @@ impl Proc {
         }
     }
 
-    /// The process's host CPU (for compute phases).
-    pub fn cpu(&self) -> &Resource {
-        &self.inner.cpu
-    }
-
     /// The simulation handle.
     pub fn sim(&self) -> &Sim {
         &self.inner.sim
@@ -331,11 +326,6 @@ impl Proc {
         }
         self.charge(data.len()).await;
         backend.write(fh, offset, data).await
-    }
-
-    /// Repositions the fd.
-    pub fn seek(&self, fd: Fd, pos: u64) -> Result<()> {
-        self.with_fd(fd, |of| of.pos = pos)
     }
 
     /// Flushes pending data for the fd to its server/disk.

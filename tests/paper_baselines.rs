@@ -1,9 +1,9 @@
 //! Paper-mode regression gate: with the default `ServerIoParams::paper()`
-//! server (FIFO disk arm, 896-block cache, no single-flight coalescing,
-//! 4 service threads) and the default `TransportParams::paper()` wire
-//! (one message per RPC, no piggybacked attributes, shared bus, fixed
-//! retransmit timeout), every `table_5_*` artifact must stay
-//! byte-identical to the committed `baselines/` snapshot. This is what
+//! server (FIFO disk arm, 896-block cache, 4 service threads) and the
+//! default `TransportParams::paper()` wire (one message per RPC, no
+//! piggybacked attributes, shared bus, fixed retransmit timeout), every
+//! `table_5_*` artifact must stay byte-identical to the committed
+//! `baselines/` snapshot. This is what
 //! lets the server I/O pipeline (`ServerIoParams::pipelined`) and the
 //! transport pipeline (`TransportParams::pipelined`) land as pure
 //! opt-ins: the measured 1989 system is reproduced bit-for-bit unless

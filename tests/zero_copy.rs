@@ -16,7 +16,8 @@
 //! * **the hot path stays on its allocation diet** (DESIGN.md §15) — a
 //!   task is one allocation, a single-waiter wait none, a path component
 //!   none, a background write nobody waits for none in the write-behind
-//!   ledger, and an echo RPC a pinned count;
+//!   ledger, an uncontended read miss none, and an echo RPC a pinned
+//!   count;
 //! * **reading a trace copies nothing** (DESIGN.md §11, §16) — a snapshot
 //!   of the log is free, an emit copies the log only under a live
 //!   snapshot and then once, and the profiler allocates a fixed number of
@@ -643,6 +644,34 @@ fn a_sync_write_run_costs_no_allocation() {
     println!("allocations per sync write: {one} at 1 block, {run} at one 16-block run, {split} at 16 runs");
     assert_eq!(one, 0, "a 1-block sync write");
     assert_eq!(run, split, "one 16-block run against sixteen 1-block runs");
+}
+
+/// Every read miss of a `LocalFs` registers in the in-flight map, so that
+/// a second miss on the same block waits for the first's disk read; the
+/// waiters' `Event` is made only when such a second reader arrives. So a
+/// miss nobody joins allocates what a miss did before misses coalesced:
+/// nothing, once the file system has served one miss and the in-flight
+/// map and the cache have their room. An `Event` per miss makes it one.
+#[test]
+fn an_uncontended_read_miss_makes_no_event() {
+    let sim = Sim::new();
+    let disk = Disk::new(&sim, "d0", DiskParams::ra81());
+    let fs = LocalFs::new(&sim, 1, disk, FsParams::default());
+    let spent = sim.block_on(async move {
+        let root = fs.root();
+        let (f, _) = fs.create(root, "f").await.expect("create");
+        let data = Payload::copy_in(0, &[7; 2 * BLOCK_SIZE]);
+        fs.write_payload(f, 0, &data, true).await.expect("write");
+        fs.crash(); // forgets the cached copies; the stable ones stay
+        let block = BLOCK_SIZE as u32;
+        fs.read(f, 0, block).await.expect("first miss");
+        let before = allocations();
+        let (got, _, _) = fs.read(f, u64::from(block), block).await.expect("miss");
+        let spent = allocations() - before;
+        assert_eq!(got.to_vec(), [7; BLOCK_SIZE]);
+        spent
+    });
+    assert_eq!(spent, 0, "allocations of an uncontended read miss");
 }
 
 #[test]
