@@ -314,7 +314,9 @@ fn shard_renames(params: TestbedParams) -> Run<()> {
     })
 }
 
-fn delegation(params: TestbedParams) -> Run<()> {
+/// The recall sweep [`chaos_delegation`] runs: two clients, four files
+/// delegated to the first and then read by the second.
+pub fn delegation(params: TestbedParams) -> Run<()> {
     const FILES: u64 = 4;
     let tb = Testbed::build_with_clients(params, 2);
     let [a, b] = [0, 1].map(|i| tb.clients[i].remote.snfs().expect("SNFS testbed").clone());
@@ -387,7 +389,9 @@ fn delegation(params: TestbedParams) -> Run<()> {
     })
 }
 
-fn write_sharing(params: TestbedParams) -> Run<()> {
+/// The write-sharing script [`chaos_write_sharing`] runs: one file
+/// written by two clients in turn, the second holding its data dirty.
+pub fn write_sharing(params: TestbedParams) -> Run<()> {
     let tb = Testbed::build_with_clients(params, 2);
     let [a, b] = [0, 1].map(|i| tb.clients[i].remote.snfs().expect("SNFS testbed").clone());
     let (root, net) = (tb.server_fs.root(), tb.net.clone());

@@ -4,7 +4,8 @@
 //! is caused by the config, not by scheduling noise.
 
 use spritely::harness::scripts::{
-    andrew, flush, open_churn, reopen, scaling, scaling_shards, shared_read, sort, temp_lifetime,
+    andrew, delegation, flush, open_churn, reopen, scaling, scaling_shards, shared_read, sort,
+    temp_lifetime, write_sharing,
 };
 use spritely::harness::{
     DelegationParams, FaultParams, Protocol, Run, ServerIoParams, ShardParams, TestbedParams,
@@ -61,12 +62,18 @@ d83d652a9ecc8dcd 74ffca42e798467c 8bd92f35eedf9b4c be102e152f609841  shard-scali
 24d34adabe3b3bdf 722d5ff83026efae 0da54a3fd5a97302 f17b3ebb46835356  shared-read
 ff484aa29bac6a21 30a4584bc9bba1cb d28289d962410793 728ec371a84a371a  open-churn
 1fa60e809481b6d5 4c5909d6a0793ef9 58b714c301c89874 9ebf29ac1a0dcc78  andrew, chaos(7)
+8e4892f991ed3e49 c68588b31222efae e626cbff1cdef634 08e53b384de71543  sharing, chaos(11)
+007ac66bca2c0eb3 f1249fe34971a7c2 18288f5fc3673325 3884be80befa66ed  delegation, chaos(13)
 ";
 
 /// Every script of the harness, traced, at a small size — plus a
 /// plain-NFS run (client rows without the SNFS half, no `server`
 /// section) and `chaos_andrew`'s faulted run (the `faults` section), so
-/// every section of the stats document is pinned.
+/// every section of the stats document is pinned. The faulted
+/// write-sharing and delegation runs of the chaos entry pin what the
+/// callback path does under faults: retried and duplicated callbacks,
+/// recalls, the client's sequence guard and callback replies served from
+/// the callback endpoint's duplicate-request cache.
 fn scripts() -> Vec<Script> {
     fn traced() -> TestbedParams {
         TestbedParams {
@@ -175,6 +182,24 @@ fn scripts() -> Vec<Script> {
             let r = andrew(params, 7);
             let measured = format!("{:?} {:?} {:?}", r.first(), r.ops, r.ops_to_now());
             pinned(&r, measured)
+        }),
+        ("sharing, chaos(11)", || {
+            let params = TestbedParams {
+                trace: true,
+                faults: FaultParams::chaos(11),
+                snfs_write_delay: SimDuration::from_secs(30),
+                ..TestbedParams::default()
+            };
+            pinned_window(&write_sharing(params))
+        }),
+        ("delegation, chaos(13)", || {
+            let params = TestbedParams {
+                trace: true,
+                faults: FaultParams::chaos(13),
+                delegation: DelegationParams::pipelined(),
+                ..TestbedParams::default()
+            };
+            pinned_window(&delegation(params))
         }),
     ]
 }
