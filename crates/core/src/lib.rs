@@ -8,8 +8,7 @@
 //!   and previous-version numbers;
 //! * **`close`** (client→server): announces the end of an open;
 //! * **`callback`** (server→client): asks a client to write back and/or
-//!   invalidate its cache, or (our §6.2 extension) to relinquish a
-//!   delayed-close file.
+//!   invalidate its cache (or, an extension, to return a delegation).
 //!
 //! Because the server now *knows* who has each file open and in which
 //! mode, non-write-shared files can be cached with **delayed write-back**
@@ -47,7 +46,7 @@ mod tests {
     use spritely_blockdev::{Disk, DiskParams};
     use spritely_localfs::{FsParams, LocalFs};
     use spritely_metrics::OpCounter;
-    use spritely_proto::{ClientId, NfsProc, NfsReply, NfsRequest, BLOCK_SIZE};
+    use spritely_proto::{ClientId, NfsProc, BLOCK_SIZE};
     use spritely_rpcnet::{Caller, CallerParams, Endpoint, EndpointParams, NetParams, Network};
     use spritely_sim::{Resource, Sim, SimDuration};
 
@@ -56,7 +55,7 @@ mod tests {
         server: SnfsServer,
         counter: OpCounter,
         net: Network,
-        endpoint: Endpoint<NfsRequest, NfsReply>,
+        endpoint: Endpoint,
         server_cpu: Resource,
     }
 

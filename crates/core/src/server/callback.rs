@@ -5,7 +5,7 @@
 use std::future::Future;
 
 use spritely_metrics::InflightGauge;
-use spritely_proto::{CallbackArg, CallbackReply, ClientId, FileHandle, NfsReply, NfsRequest};
+use spritely_proto::{CallbackArg, ClientId, FileHandle, NfsReply, NfsRequest};
 use spritely_rpcnet::Caller;
 use spritely_sim::SimDuration;
 use spritely_trace::{Cause, EventKind};
@@ -38,7 +38,7 @@ pub(super) struct Sent {
 impl SnfsServer {
     /// Registers the callback channel for a client host. Without one, the
     /// client is treated as unreachable when a callback is needed.
-    pub fn register_client(&self, id: ClientId, caller: Caller<CallbackArg, CallbackReply>) {
+    pub fn register_client(&self, id: ClientId, caller: Caller) {
         self.inner.callback_clients.borrow_mut().insert(id, caller);
     }
 
@@ -113,16 +113,16 @@ impl SnfsServer {
         // client is alive and holding dirty data. Retry with doubling
         // backoff (slot held — the N−1 rule bounds waiting callbacks,
         // not just active ones) and only give up once the client has
-        // been unreachable past the caller's horizon. A reply with
-        // `ok == false` is different: the client answered and refused.
+        // been unreachable past the caller's horizon. An error reply is
+        // different: the client answered and refused.
         let started = self.inner.sim.now();
         let mut backoff = RETRY_BACKOFF;
         let ok = loop {
             if settled() {
                 break true;
             }
-            match caller.call_ctx(seq, arg).await {
-                Ok(rep) => break rep.ok,
+            match caller.call_ctx(seq, NfsRequest::Callback(arg)).await {
+                Ok(rep) => break rep.is_ok(),
                 Err(_) => {
                     let elapsed = self.inner.sim.now().saturating_duration_since(started);
                     if elapsed >= give_up {
@@ -170,9 +170,6 @@ impl SnfsServer {
             fh,
             writeback: cb.writeback,
             invalidate: cb.invalidate,
-            // No server path asks a client to give up a delayed-close
-            // file (§6.2) yet; the client side of it is in place.
-            relinquish: false,
             seq: 0,
             recall: false,
         };

@@ -74,7 +74,6 @@ impl SnfsServer {
             fh,
             writeback: false,
             invalidate: false,
-            relinquish: false,
             seq: 0,
             recall: true,
         };

@@ -24,10 +24,7 @@ use std::rc::Rc;
 use spritely_blockdev::DiskSched;
 use spritely_localfs::LocalFs;
 use spritely_metrics::{InflightGauge, OpCounter};
-use spritely_proto::{
-    CallbackArg, CallbackReply, ClientId, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus,
-    OpenReply,
-};
+use spritely_proto::{ClientId, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, OpenReply};
 use spritely_rpcnet::{Caller, Endpoint, EndpointParams};
 use spritely_sim::{Permit, Resource, Semaphore, Sim, SimDuration};
 use spritely_trace::{Cause, EventKind, Tracer};
@@ -145,7 +142,7 @@ struct Inner {
     fs: LocalFs,
     table: RefCell<StateTable>,
     /// Registered callback channels, one per client host.
-    callback_clients: RefCell<HashMap<ClientId, Caller<CallbackArg, CallbackReply>>>,
+    callback_clients: RefCell<HashMap<ClientId, Caller>>,
     /// Per-file serialization of open/close transitions.
     file_locks: RefCell<HashMap<FileHandle, Semaphore>>,
     /// At most N−1 simultaneous callbacks (N = service threads).
@@ -181,7 +178,7 @@ struct Inner {
     /// where every shard code path costs one borrow + `Option` check.
     shard: RefCell<Option<ShardView>>,
     /// Inter-shard RPC channels to peer shard servers, by shard index.
-    peers: RefCell<HashMap<u32, Caller<NfsRequest, NfsReply>>>,
+    peers: RefCell<HashMap<u32, Caller>>,
     /// Root-level names locked by an in-flight cross-shard transaction
     /// (volatile; cleared on crash).
     name_locks: RefCell<HashSet<String>>,
@@ -398,7 +395,7 @@ impl SnfsServer {
         cpu: Resource,
         params: EndpointParams,
         counter: OpCounter,
-    ) -> Endpoint<NfsRequest, NfsReply> {
+    ) -> Endpoint {
         let this = self.clone();
         let handler = Rc::new(move |from: ClientId, ctx: u64, req: NfsRequest| {
             let this = this.clone();

@@ -66,7 +66,7 @@ impl SnfsServer {
     }
 
     /// Registers the inter-shard RPC channel to peer shard `shard`.
-    pub fn register_peer(&self, shard: u32, caller: Caller<NfsRequest, NfsReply>) {
+    pub fn register_peer(&self, shard: u32, caller: Caller) {
         self.inner.peers.borrow_mut().insert(shard, caller);
     }
 
@@ -169,7 +169,7 @@ impl SnfsServer {
     }
 
     /// The inter-shard channel to peer `shard`.
-    fn peer(&self, shard: u32) -> Caller<NfsRequest, NfsReply> {
+    fn peer(&self, shard: u32) -> Caller {
         let peer = self.inner.peers.borrow().get(&shard).cloned();
         peer.expect("sharded servers register every peer")
     }

@@ -13,12 +13,9 @@ use spritely_core::{
 use spritely_localfs::LocalFs;
 use spritely_metrics::{GaugeSeries, LatencyStats, OpCounter, RateSeries};
 use spritely_nfs::{nfs_server, NfsClient, NfsClientParams};
-use spritely_proto::{
-    CallbackArg, CallbackReply, ClientId, FileHandle, Layout, NfsReply, NfsRequest, Result,
-};
+use spritely_proto::{ClientId, FileHandle, Layout, Result};
 use spritely_rpcnet::{
-    Caller, Compoundable, Endpoint, FaultParams, Network, ReplyStatus, ShardCaller,
-    TransportParams, TransportStats, Wire,
+    Caller, Endpoint, FaultParams, Network, ShardCaller, TransportParams, TransportStats,
 };
 use spritely_sim::{Resource, Sim, SimDuration};
 use spritely_trace::Tracer;
@@ -284,7 +281,7 @@ pub struct ServerHost {
     /// The SNFS server object (SNFS protocols only).
     pub server: Option<SnfsServer>,
     /// The NFS/SNFS endpoint (absent for `Protocol::Local`).
-    pub endpoint: Option<Endpoint<NfsRequest, NfsReply>>,
+    pub endpoint: Option<Endpoint>,
     /// Per-procedure counter on this server's endpoint.
     pub counter: OpCounter,
 }
@@ -303,7 +300,7 @@ pub struct ShardHost {
     /// Shard's SNFS server.
     pub server: SnfsServer,
     /// Shard's RPC endpoint.
-    pub endpoint: Endpoint<NfsRequest, NfsReply>,
+    pub endpoint: Endpoint,
     /// Per-procedure counter on this shard's endpoint.
     pub counter: OpCounter,
 }
@@ -337,12 +334,12 @@ pub struct Testbed {
     /// The run's event tracer (present when [`TestbedParams::trace`]).
     pub tracer: Option<Tracer>,
     /// Server 0's NFS/SNFS endpoint (absent for `Protocol::Local`).
-    pub endpoint: Option<Endpoint<NfsRequest, NfsReply>>,
+    pub endpoint: Option<Endpoint>,
     /// The per-client callback-service endpoints (SNFS only): the
     /// server's callbacks — write-back, invalidate, delegation recall —
     /// land here, so their duplicate-request caches are where a
     /// retransmitted callback is replayed from.
-    pub cb_endpoints: Vec<Endpoint<CallbackArg, CallbackReply>>,
+    pub cb_endpoints: Vec<Endpoint>,
     /// Client hosts (at least one).
     pub clients: Vec<ClientHost>,
     /// Well-known directories on the server: (src, target, tmp).
@@ -713,18 +710,14 @@ impl Drop for Testbed {
 /// and the targets' duplicate-request caches see one coherent
 /// `(client, xid)` stream, and no two callers ever reuse an xid against
 /// the same cache.
-fn fan_out<'a, Req, Rep>(
+fn fan_out<'a>(
     sim: &Sim,
     net: &Network,
     tracer: &Option<Tracer>,
     from: ClientId,
-    targets: impl Iterator<Item = (&'a Endpoint<Req, Rep>, &'a Resource)>,
-) -> Vec<Caller<Req, Rep>>
-where
-    Req: spritely_rpcnet::Proc + Wire + Clone + Compoundable + 'static,
-    Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
-{
-    let mut callers: Vec<Caller<Req, Rep>> = Vec::with_capacity(targets.size_hint().0);
+    targets: impl Iterator<Item = (&'a Endpoint, &'a Resource)>,
+) -> Vec<Caller> {
+    let mut callers: Vec<Caller> = Vec::with_capacity(targets.size_hint().0);
     for (endpoint, cpu) in targets {
         let mut c = Caller::new(
             sim,

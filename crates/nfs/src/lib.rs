@@ -37,7 +37,7 @@ mod tests {
     struct Rig {
         sim: Sim,
         fs: LocalFs,
-        endpoint: Endpoint<NfsRequest, NfsReply>,
+        endpoint: Endpoint,
         counter: OpCounter,
         net: Network,
     }

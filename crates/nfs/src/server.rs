@@ -31,7 +31,7 @@ pub fn nfs_server(
     cpu: Resource,
     params: EndpointParams,
     counter: OpCounter,
-) -> Endpoint<NfsRequest, NfsReply> {
+) -> Endpoint {
     let handler = {
         let fs = fs.clone();
         Rc::new(move |_from, _ctx: u64, req: NfsRequest| {
@@ -128,6 +128,7 @@ pub async fn handle(fs: &LocalFs, req: NfsRequest) -> NfsReply {
         // reject, so SNFS clients fall back to plain NFS (§6.1). A
         // compound is a transport artifact — the batching caller delivers
         // its inner calls individually, so one must never reach a handler.
+        // A callback is for a client's callback service, not a server.
         NfsRequest::Open { .. }
         | NfsRequest::Close { .. }
         | NfsRequest::Keepalive { .. }
@@ -136,6 +137,7 @@ pub async fn handle(fs: &LocalFs, req: NfsRequest) -> NfsReply {
         | NfsRequest::Compound { .. }
         | NfsRequest::TxPrepare { .. }
         | NfsRequest::TxCommit { .. }
-        | NfsRequest::TxAbort { .. } => NfsReply::Err(NfsStatus::Inval),
+        | NfsRequest::TxAbort { .. }
+        | NfsRequest::Callback(_) => NfsReply::Err(NfsStatus::Inval),
     }
 }

@@ -29,8 +29,8 @@ pub use buf::{Buf, Payload};
 pub use handle::{ClientId, FileHandle, FileVersion};
 pub use layout::{default_shard, Fnv, Layout};
 pub use message::{
-    CallbackArg, CallbackReply, Delegation, DirEntry, NfsReply, NfsRequest, OpenReply, ReadReply,
-    RecoveredFile, COMPOUND_OP_BYTES,
+    CallbackArg, Delegation, DirEntry, NfsReply, NfsRequest, OpenReply, ReadReply, RecoveredFile,
+    COMPOUND_OP_BYTES,
 };
 pub use procs::{NfsProc, ProcClass};
 pub use status::{NfsStatus, Result};

@@ -25,7 +25,8 @@ fn compound_slot_bytes(standalone_wire_size: usize) -> usize {
     standalone_wire_size - HEADER_BYTES + COMPOUND_OP_BYTES
 }
 
-/// A client→server request body (NFS procedures plus SNFS `open`/`close`).
+/// A request body: the NFS procedures, SNFS `open`/`close`, and the one
+/// request a server sends a client, the SNFS `callback`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NfsRequest {
     /// Ping.
@@ -138,6 +139,11 @@ pub enum NfsRequest {
     /// Sharded namespace, shard→shard: the coordinator abandons a
     /// prepared transaction; the participant releases the lock.
     TxAbort { txid: u64 },
+    /// SNFS, server→client: write back and/or invalidate a file, or
+    /// recall its delegation (paper §3.2). The client's callback service
+    /// answers `Ok`, or `Err(Io)` when it could not do what was asked;
+    /// a server answers it `Inval`, like any procedure it does not serve.
+    Callback(CallbackArg),
 }
 
 /// One file's worth of client state in a `Recover` report.
@@ -184,6 +190,31 @@ impl NfsRequest {
             NfsRequest::TxPrepare { .. } => NfsProc::TxPrepare,
             NfsRequest::TxCommit { .. } => NfsProc::TxCommit,
             NfsRequest::TxAbort { .. } => NfsProc::TxAbort,
+            NfsRequest::Callback(_) => NfsProc::Callback,
+        }
+    }
+
+    /// True for procedures whose handler may block on a consistency
+    /// action: open and close serialize on the server's per-file lock,
+    /// and an open can additionally wait out a callback round; both can
+    /// stack behind a file whose write-back is still in flight. An
+    /// endpoint admits such requests to at most N−1 of its N threads
+    /// (paper §3.2), so a callback-induced write-back always finds a free
+    /// thread. (The hybrid-NFS read/write bracket also takes the lock,
+    /// but classifying all reads and writes as blocking would starve the
+    /// very write-backs the reserved thread exists for.)
+    pub fn may_block(&self) -> bool {
+        matches!(self, NfsRequest::Open { .. } | NfsRequest::Close { .. })
+    }
+
+    /// `(offset, len)` of the bytes a `read` or `write` moves, `(0, 0)`
+    /// for every other procedure: what the trace records beside
+    /// [`handle`](Self::handle).
+    pub fn byte_range(&self) -> (u64, u64) {
+        match self {
+            NfsRequest::Read { offset, count, .. } => (*offset, u64::from(*count)),
+            NfsRequest::Write { offset, data, .. } => (*offset, data.len() as u64),
+            _ => (0, 0),
         }
     }
 
@@ -231,7 +262,8 @@ impl NfsRequest {
             | NfsRequest::Open { fh, .. }
             | NfsRequest::Close { fh, .. }
             | NfsRequest::Readlink { fh }
-            | NfsRequest::DelegReturn { fh, .. } => Some(*fh),
+            | NfsRequest::DelegReturn { fh, .. }
+            | NfsRequest::Callback(CallbackArg { fh, .. }) => Some(*fh),
             NfsRequest::Readdir { dir } => Some(*dir),
             NfsRequest::Rename { from_dir, .. } => Some(*from_dir),
             NfsRequest::Link { from, .. } => Some(*from),
@@ -442,6 +474,12 @@ impl NfsReply {
         }
     }
 
+    /// True unless the reply signals an error: the `ok` flag the trace
+    /// records for every reply (the wire format is unaffected).
+    pub fn is_ok(&self) -> bool {
+        !matches!(self, NfsReply::Err(_))
+    }
+
     /// Converts an error reply into `Err`, anything else into `Ok(self)`.
     pub fn into_result(self) -> Result<NfsReply, NfsStatus> {
         match self {
@@ -511,13 +549,12 @@ impl NfsReply {
     }
 }
 
-/// A server→client callback request (paper §3.2).
+/// The body of a server→client [`NfsRequest::Callback`] (paper §3.2).
 ///
 /// `writeback` asks the client to write its dirty blocks back before
 /// replying; `invalidate` asks it to drop cached blocks and stop caching.
-/// `relinquish` is the §6.2 extension: asks the client to give up a
-/// delayed-close ("closed but not yet reported") file so the server can
-/// reclaim the state-table entry.
+/// Every flag rides in the header, so a callback is header-only on the
+/// wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallbackArg {
     /// The file in question.
@@ -526,44 +563,17 @@ pub struct CallbackArg {
     pub writeback: bool,
     /// Invalidate cached blocks and disable further caching.
     pub invalidate: bool,
-    /// Relinquish a delayed-close file (§6.2 extension).
-    pub relinquish: bool,
     /// Recall a delegation: the holder must flush dirty blocks, return the
     /// delegation (with its queued open-state updates) via a `deleg_return`
-    /// RPC, and only then reply to this callback. Rides in the existing
-    /// header, so wire size is unchanged.
+    /// RPC, and only then reply to this callback.
     pub recall: bool,
     /// Server-assigned callback sequence number, stable across
     /// server-level retries of the same logical callback (each retry is
     /// a fresh RPC with a fresh xid, so the RPC dup cache cannot pair
     /// them). Clients use it to make duplicate deliveries idempotent —
     /// a second arrival must not double-invalidate or re-flush. The
-    /// server numbers every callback it sends from 1. Rides in the
-    /// existing header, so wire size is unchanged.
+    /// server numbers every callback it sends from 1.
     pub seq: u64,
-}
-
-impl CallbackArg {
-    /// Approximate wire size of the callback request.
-    pub fn wire_size(&self) -> usize {
-        HEADER_BYTES
-    }
-}
-
-/// Reply to a callback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CallbackReply {
-    /// True if the client performed the requested actions. False means the
-    /// client no longer knows the file (e.g. it rebooted).
-    pub ok: bool,
-}
-
-impl CallbackReply {
-    /// Approximate wire size of the callback reply: the status bit rides
-    /// inside the headers, so there is no payload beyond them.
-    pub fn wire_size(&self) -> usize {
-        HEADER_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -758,18 +768,23 @@ mod tests {
     }
 
     #[test]
-    fn callback_wire_sizes_are_header_only() {
+    fn a_callback_and_both_its_answers_are_header_only() {
         let arg = CallbackArg {
             fh: fh(),
             writeback: true,
             invalidate: true,
-            relinquish: false,
             recall: false,
-            seq: 0,
+            seq: 1,
         };
-        let rep = CallbackReply { ok: true };
-        assert_eq!(arg.wire_size(), HEADER_BYTES);
-        assert_eq!(rep.wire_size(), HEADER_BYTES);
+        let req = NfsRequest::Callback(arg);
+        assert_eq!(req.proc_id(), NfsProc::Callback);
+        assert_eq!(req.handle(), Some(fh()));
+        assert!(!req.may_block());
+        assert_eq!(req.wire_size(), HEADER_BYTES);
+        let refused = NfsReply::Err(NfsStatus::Io);
+        assert_eq!(NfsReply::Ok.wire_size(), HEADER_BYTES);
+        assert_eq!(refused.wire_size(), HEADER_BYTES);
+        assert!(NfsReply::Ok.is_ok() && !refused.is_ok());
     }
 
     #[test]

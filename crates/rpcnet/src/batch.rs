@@ -5,17 +5,16 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use spritely_proto::{NfsReply, NfsRequest};
 use spritely_sim::{Event, SimDuration};
 
 use crate::caller::{Link, Member};
-use crate::transport::Compoundable;
-use crate::{Proc, ReplyStatus, Wire};
 
 /// One request parked in a caller's batch queue, with the slot its
 /// reply will be delivered through.
-struct BatchEntry<Req, Rep> {
-    member: Member<Req>,
-    slot: Rc<RefCell<Option<Rep>>>,
+struct BatchEntry {
+    member: Member<NfsRequest>,
+    slot: Rc<RefCell<Option<NfsReply>>>,
     done: Event,
 }
 
@@ -28,26 +27,18 @@ struct BatchEntry<Req, Rep> {
 /// park here and flush as one compound when the outstanding batch
 /// completes, `max_batch` accumulate, or the `batch_window` safety
 /// deadline fires. Each flush pays one wire exchange for the whole batch.
-pub(crate) struct Batcher<Req, Rep> {
-    link: Rc<Link<Req, Rep>>,
+pub(crate) struct Batcher {
+    link: Rc<Link>,
     max_batch: usize,
     window: SimDuration,
-    queue: RefCell<Vec<BatchEntry<Req, Rep>>>,
+    queue: RefCell<Vec<BatchEntry>>,
     window_armed: Cell<bool>,
     inflight: Cell<usize>,
     next_id: Cell<u64>,
 }
 
-impl<Req, Rep> Batcher<Req, Rep>
-where
-    Req: Proc + Wire + Clone + Compoundable + 'static,
-    Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
-{
-    pub(crate) fn new(
-        link: &Rc<Link<Req, Rep>>,
-        max_batch: usize,
-        window: SimDuration,
-    ) -> Rc<Self> {
+impl Batcher {
+    pub(crate) fn new(link: &Rc<Link>, max_batch: usize, window: SimDuration) -> Rc<Self> {
         Rc::new(Batcher {
             link: Rc::clone(link),
             max_batch,
@@ -62,7 +53,7 @@ where
     /// Parks one background request until a flush has carried it to the
     /// endpoint and back. Hangs when that flush is lost; the caller's
     /// timeout drops the wait and parks the retransmission afresh.
-    pub(crate) async fn call(self: &Rc<Self>, member: Member<Req>) -> Rep {
+    pub(crate) async fn call(self: &Rc<Self>, member: Member<NfsRequest>) -> NfsReply {
         let slot = Rc::new(RefCell::new(None));
         let done = Event::new();
         let len = {
@@ -115,7 +106,7 @@ where
     /// One flush: a detached task that pays one wire exchange for the
     /// whole batch, hands each member its reply, and, once the last
     /// outstanding flush drains, ack-clocks the next batch out.
-    fn spawn_flush(self: &Rc<Self>, batch: Vec<BatchEntry<Req, Rep>>) {
+    fn spawn_flush(self: &Rc<Self>, batch: Vec<BatchEntry>) {
         self.inflight.set(self.inflight.get() + 1);
         let b = Rc::clone(self);
         self.link.sim.spawn(async move {

@@ -7,15 +7,14 @@ use std::fmt;
 use std::rc::Rc;
 
 use spritely_metrics::LatencyStats;
-use spritely_proto::ClientId;
+use spritely_proto::{ClientId, NfsReply, NfsRequest};
 use spritely_sim::{Event, Resource, Sim, SimDuration, SimRng};
 use spritely_trace::{EventKind, Tracer};
 
 use crate::batch::Batcher;
 use crate::endpoint::Endpoint;
 use crate::network::Network;
-use crate::transport::{Compoundable, TransportParams, TransportStats, BACKOFF_MAX};
-use crate::{Proc, ReplyStatus, Wire};
+use crate::transport::{TransportParams, TransportStats, BACKOFF_MAX};
 
 /// Errors a [`Caller`] can return.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +65,8 @@ pub(crate) struct Member<R> {
     pub(crate) req: R,
 }
 
-impl<Req> Member<Req> {
-    pub(crate) fn on_the_wire(&self) -> Member<&Req> {
+impl Member<NfsRequest> {
+    pub(crate) fn on_the_wire(&self) -> Member<&NfsRequest> {
         let (xid, parent, req) = (self.xid, self.parent, &self.req);
         Member { xid, parent, req }
     }
@@ -78,10 +77,10 @@ impl<Req> Member<Req> {
 /// the traffic goes, whom it speaks as, how the fault layer sees it, and
 /// where it is observed. One `Rc`, so the tracer and the transport stats
 /// each live in one slot.
-pub(crate) struct Link<Req, Rep> {
+pub(crate) struct Link {
     pub(crate) sim: Sim,
     net: Network,
-    endpoint: Endpoint<Req, Rep>,
+    endpoint: Endpoint,
     from: ClientId,
     /// `(host, to_client)` key this caller's traffic presents to the
     /// fault layer. Defaults to `(from.0, false)`; callback callers
@@ -94,11 +93,7 @@ pub(crate) struct Link<Req, Rep> {
     pub(crate) tstats: RefCell<Option<TransportStats>>,
 }
 
-impl<Req, Rep> Link<Req, Rep>
-where
-    Req: Proc + Wire + Clone + Compoundable + 'static,
-    Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
-{
+impl Link {
     fn emit(&self, parent: u64, kind: impl FnOnce() -> EventKind) -> u64 {
         match self.tracer.borrow().as_ref() {
             Some(t) => t.emit(parent, kind()),
@@ -120,9 +115,9 @@ where
     /// single request.
     pub(crate) async fn exchange(
         self: &Rc<Self>,
-        members: &[Member<&Req>],
+        members: &[Member<&NfsRequest>],
         batch: Option<u64>,
-    ) -> Option<Rep> {
+    ) -> Option<NfsReply> {
         let (from, count) = (self.from, members.len() as u64);
         let batch_event = |reply| {
             if let Some(id) = batch {
@@ -145,12 +140,12 @@ where
         if !plan.delay.is_zero() {
             self.sim.sleep(plan.delay).await;
         }
-        // A batch of one is the plain message (`Compoundable`'s
+        // A batch of one is the plain message (`NfsRequest::compound`'s
         // contract): it is sized where it stands, and only a real
         // compound is built.
         let req_bytes = match members {
             [m] => m.req.wire_size(),
-            _ => Req::compound(members.iter().map(|m| m.req.clone()).collect()).wire_size(),
+            _ => NfsRequest::compound(members.iter().map(|m| m.req.clone()).collect()).wire_size(),
         };
         // Every member leaves the wire at this instant; each gets its own
         // xmit boundary so the profiler can split batcher hold from
@@ -186,7 +181,7 @@ where
                 for (xid, parent, req) in copies {
                     reps.push(this.endpoint.deliver(from, xid, parent, req).await);
                 }
-                let bytes = Rep::compound(reps).wire_size();
+                let bytes = NfsReply::compound(reps).wire_size();
                 this.net.transmit_from(from.0, false, bytes).await;
             });
         }
@@ -219,7 +214,7 @@ where
                 }
                 gather.1.wait().await;
                 let reps = gather.0.take().into_iter();
-                Rep::compound(reps.map(|r| r.expect("every deliver completed")).collect())
+                NfsReply::compound(reps.map(|r| r.expect("every deliver completed")).collect())
             }
         };
         batch_event(true);
@@ -238,29 +233,29 @@ where
 }
 
 /// A client-side RPC caller bound to one endpoint over one network.
-pub struct Caller<Req, Rep> {
+pub struct Caller {
     /// Shared with the batcher, and across clones: a clone is another
     /// handle on the same logical caller.
-    link: Rc<Link<Req, Rep>>,
+    link: Rc<Link>,
     /// The link whose xid sequence this caller draws from: its own
     /// (so clones share one sequence — the endpoint's duplicate-request
     /// cache keys on `(from, xid)`, and a clone that restarted the
     /// sequence would be answered from the cache without ever reaching
     /// the handler) unless [`Caller::share_xids_with`] named another's.
-    xids: Rc<Link<Req, Rep>>,
+    xids: Rc<Link>,
     cpu: Resource,
     params: CallerParams,
     transport: Cell<TransportParams>,
     retransmits: Cell<u64>,
     latency: RefCell<Option<LatencyStats>>,
-    batcher: RefCell<Option<Rc<Batcher<Req, Rep>>>>,
+    batcher: RefCell<Option<Rc<Batcher>>>,
     /// Deterministic per-caller stream for retransmission jitter; only
     /// consumed when `backoff_jitter > 0`, so paper-mode runs draw
     /// nothing from it.
     rng: SimRng,
 }
 
-impl<Req, Rep> Clone for Caller<Req, Rep> {
+impl Clone for Caller {
     fn clone(&self) -> Self {
         Caller {
             link: Rc::clone(&self.link),
@@ -276,17 +271,13 @@ impl<Req, Rep> Clone for Caller<Req, Rep> {
     }
 }
 
-impl<Req, Rep> Caller<Req, Rep>
-where
-    Req: Proc + Wire + Clone + Compoundable + 'static,
-    Rep: Wire + Clone + ReplyStatus + Compoundable + 'static,
-{
+impl Caller {
     /// Creates a caller. `cpu` is the calling host's CPU; `from` identifies
     /// the calling host to the endpoint's dup cache and handler.
     pub fn new(
         sim: &Sim,
         net: Network,
-        endpoint: Endpoint<Req, Rep>,
+        endpoint: Endpoint,
         from: ClientId,
         cpu: Resource,
         params: CallerParams,
@@ -441,13 +432,13 @@ where
     /// Issues one RPC: marshal, transmit, await the reply, with timeout and
     /// retransmission. At-most-once execution is guaranteed by the
     /// endpoint's duplicate cache.
-    pub async fn call(&self, req: Req) -> Result<Rep, RpcError> {
+    pub async fn call(&self, req: NfsRequest) -> Result<NfsReply, RpcError> {
         self.call_ctx(0, req).await
     }
 
     /// Like [`Caller::call`], but parents the `rpc_call` trace event
     /// under `parent` (a client-operation span, usually).
-    pub async fn call_ctx(&self, parent: u64, req: Req) -> Result<Rep, RpcError> {
+    pub async fn call_ctx(&self, parent: u64, req: NfsRequest) -> Result<NfsReply, RpcError> {
         let out = self.call_flagged(parent, &req, false).await;
         out.map(|(rep, _)| rep)
     }
@@ -467,9 +458,9 @@ where
     pub async fn call_flagged(
         &self,
         parent: u64,
-        req: &Req,
+        req: &NfsRequest,
         background: bool,
-    ) -> Result<(Rep, bool), RpcError> {
+    ) -> Result<(NfsReply, bool), RpcError> {
         let link = &self.link;
         if !self.params.cpu_per_call.is_zero() {
             self.cpu.use_for(self.params.cpu_per_call).await;
@@ -479,12 +470,12 @@ where
         let started = link.sim.now();
         let (from, proc) = (link.from, req.proc_id());
         let rpc_seq = link.emit(parent, || {
-            let (offset, len) = req.trace_range();
+            let (offset, len) = req.byte_range();
             EventKind::RpcCall {
                 from,
                 xid,
                 proc,
-                fh: req.trace_fh(),
+                fh: req.handle(),
                 offset,
                 len,
             }
@@ -504,7 +495,7 @@ where
                 if let Some(l) = self.latency.borrow().as_ref() {
                     l.record(proc, link.sim.now().duration_since(started));
                 }
-                let ok = rep.trace_ok();
+                let ok = rep.is_ok();
                 link.emit(rpc_seq, || EventKind::RpcReply {
                     from,
                     xid,
@@ -523,7 +514,7 @@ where
 
     /// One attempt at one request. Hangs when the attempt is lost, until
     /// the caller's timeout drops it and retransmits.
-    async fn attempt(&self, member: &[Member<&Req>; 1], background: bool) -> Rep {
+    async fn attempt(&self, member: &[Member<&NfsRequest>; 1], background: bool) -> NfsReply {
         if background {
             // Only background traffic parks in the batcher: a compound's
             // reply waits for its slowest member, and a latency-sensitive
@@ -548,10 +539,10 @@ mod tests {
     use crate::endpoint::{EndpointParams, HandlerFn};
     use crate::network::NetParams;
     use spritely_metrics::OpCounter;
-    use spritely_proto::{NfsProc, NfsReply, NfsRequest};
+    use spritely_proto::NfsProc;
     use spritely_sim::SimTime;
 
-    fn setup(handler_delay: SimDuration) -> (Sim, Caller<NfsRequest, NfsReply>) {
+    fn setup(handler_delay: SimDuration) -> (Sim, Caller) {
         let sim = Sim::new();
         let server_cpu = Resource::new(&sim, "scpu", 1);
         let client_cpu = Resource::new(&sim, "ccpu", 1);
@@ -565,7 +556,7 @@ mod tests {
             },
         );
         let s2 = sim.clone();
-        let handler: HandlerFn<NfsRequest, NfsReply> = Rc::new(move |_from, _ctx, _req| {
+        let handler: HandlerFn = Rc::new(move |_from, _ctx, _req| {
             let s = s2.clone();
             Box::pin(async move {
                 if !handler_delay.is_zero() {
@@ -603,7 +594,7 @@ mod tests {
     }
 
     /// One background `Null` call.
-    async fn bg(c: &Caller<NfsRequest, NfsReply>) -> Result<NfsReply, RpcError> {
+    async fn bg(c: &Caller) -> Result<NfsReply, RpcError> {
         let out = c.call_flagged(0, &NfsRequest::Null, true).await;
         out.map(|(rep, _)| rep)
     }
@@ -841,8 +832,7 @@ mod tests {
                 switched: false,
             },
         );
-        let handler: HandlerFn<NfsRequest, NfsReply> =
-            Rc::new(|_, _, _| Box::pin(async { NfsReply::Ok }));
+        let handler: HandlerFn = Rc::new(|_, _, _| Box::pin(async { NfsReply::Ok }));
         let ep = Endpoint::new(
             &sim,
             "nfsd",
@@ -1023,7 +1013,7 @@ mod tests {
         assert_eq!(stats.get().outstanding_kills, 0);
     }
 
-    fn batching(caller: &Caller<NfsRequest, NfsReply>) {
+    fn batching(caller: &Caller) {
         let mut t = TransportParams::paper();
         t.max_batch = 4;
         t.batch_window = SimDuration::from_millis(2);

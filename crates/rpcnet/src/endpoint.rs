@@ -8,16 +8,15 @@ use std::pin::Pin;
 use std::rc::Rc;
 
 use spritely_metrics::{OpCounter, RateSeries};
-use spritely_proto::ClientId;
+use spritely_proto::{ClientId, NfsReply, NfsRequest};
 use spritely_sim::{JoinHandle, Resource, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
-
-use crate::{Proc, ReplyStatus, Wire};
 
 /// A boxed async request handler. The `u64` is the causal trace context
 /// (the handler-begin event's sequence number, 0 when untraced) for the
 /// handler to parent its own trace events under.
-pub type HandlerFn<Req, Rep> = Rc<dyn Fn(ClientId, u64, Req) -> Pin<Box<dyn Future<Output = Rep>>>>;
+pub type HandlerFn =
+    Rc<dyn Fn(ClientId, u64, NfsRequest) -> Pin<Box<dyn Future<Output = NfsReply>>>>;
 
 /// Server-side endpoint parameters.
 #[derive(Debug, Clone, Copy)]
@@ -45,11 +44,11 @@ impl Default for EndpointParams {
     }
 }
 
-enum DupState<Rep> {
+enum DupState {
     /// The execution's own task: whoever delivers the request again
     /// meanwhile waits for it to finish.
     InProgress(JoinHandle<()>),
-    Done(Rep, SimTime),
+    Done(NfsReply, SimTime),
 }
 
 /// Number of fixed hash buckets the duplicate-request cache is split
@@ -61,8 +60,8 @@ const DUP_BUCKETS: usize = 16;
 
 /// One duplicate-cache bucket: its own map, purge clock, and contention
 /// accounting, so bucket maintenance never touches its siblings.
-struct DupBucket<Rep> {
-    map: RefCell<HashMap<(ClientId, u64), DupState<Rep>>>,
+struct DupBucket {
+    map: RefCell<HashMap<(ClientId, u64), DupState>>,
     /// When this bucket was last swept; sweeps run on a sim-time cadence
     /// of one retention period, per bucket.
     last_purge: Cell<SimTime>,
@@ -76,7 +75,7 @@ struct DupBucket<Rep> {
     contention: Cell<u64>,
 }
 
-impl<Rep> DupBucket<Rep> {
+impl DupBucket {
     fn new() -> Self {
         DupBucket {
             map: RefCell::new(HashMap::new()),
@@ -93,19 +92,19 @@ fn dup_bucket_of(from: ClientId) -> usize {
     from.0 as usize % DUP_BUCKETS
 }
 
-struct EndpointInner<Req, Rep> {
+struct EndpointInner {
     sim: Sim,
     threads: Resource,
     /// Admission gate for requests that may block on a consistency
-    /// action ([`Proc::may_block`]): at most N−1 of the N threads, so a
+    /// action ([`NfsRequest::may_block`]): at most N−1 of the N threads, so a
     /// callback-induced write-back always finds a free thread (paper
     /// §3.2). Waiters queue here *before* taking a thread, so a stalled
     /// open costs nothing but its own latency.
     blocking: Semaphore,
     cpu: Resource,
     params: EndpointParams,
-    handler: HandlerFn<Req, Rep>,
-    dup: [DupBucket<Rep>; DUP_BUCKETS],
+    handler: HandlerFn,
+    dup: [DupBucket; DUP_BUCKETS],
     counter: OpCounter,
     rates: RefCell<Option<RateSeries>>,
     tracer: RefCell<Option<Tracer>>,
@@ -123,23 +122,12 @@ struct EndpointInner<Req, Rep> {
 /// Cheap to clone. Executions are spawned as independent tasks, so a caller
 /// that times out and abandons its attempt does not abort server-side work
 /// (the retransmission will find the duplicate-cache entry instead).
-pub struct Endpoint<Req, Rep> {
-    inner: Rc<EndpointInner<Req, Rep>>,
+#[derive(Clone)]
+pub struct Endpoint {
+    inner: Rc<EndpointInner>,
 }
 
-impl<Req, Rep> Clone for Endpoint<Req, Rep> {
-    fn clone(&self) -> Self {
-        Endpoint {
-            inner: Rc::clone(&self.inner),
-        }
-    }
-}
-
-impl<Req, Rep> Endpoint<Req, Rep>
-where
-    Req: Proc + Wire + 'static,
-    Rep: Clone + ReplyStatus + 'static,
-{
+impl Endpoint {
     /// Creates an endpoint.
     ///
     /// `cpu` is the host CPU resource shared with everything else on that
@@ -155,7 +143,7 @@ where
         cpu: Resource,
         params: EndpointParams,
         counter: OpCounter,
-        handler: HandlerFn<Req, Rep>,
+        handler: HandlerFn,
     ) -> Self {
         assert!(params.threads > 0, "endpoint needs at least one thread");
         Endpoint {
@@ -256,7 +244,13 @@ where
     /// Delivers a request, executing it once per `(from, xid)` and serving
     /// retransmissions from the duplicate cache. `parent` is the trace
     /// context of the originating `rpc_call` event (0 when untraced).
-    pub async fn deliver(&self, from: ClientId, xid: u64, parent: u64, req: Req) -> Rep {
+    pub async fn deliver(
+        &self,
+        from: ClientId,
+        xid: u64,
+        parent: u64,
+        req: NfsRequest,
+    ) -> NfsReply {
         let key = (from, xid);
         let bucket = &self.inner.dup[dup_bucket_of(from)];
         let execution = {
@@ -308,7 +302,7 @@ where
         key: (ClientId, u64),
         from: ClientId,
         parent: u64,
-        req: Req,
+        req: NfsRequest,
     ) -> JoinHandle<()> {
         let inner = Rc::clone(&self.inner);
         let proc = req.proc_id();
@@ -352,7 +346,7 @@ where
                         from,
                         xid: key.1,
                         proc,
-                        ok: rep.trace_ok(),
+                        ok: rep.is_ok(),
                     },
                 );
             }
@@ -389,14 +383,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spritely_proto::{NfsReply, NfsRequest};
     use spritely_sim::Event;
 
     #[test]
     fn per_call_cpu_is_charged_on_server() {
         let sim = Sim::new();
-        let handler: HandlerFn<NfsRequest, NfsReply> =
-            Rc::new(|_, _, _| Box::pin(async { NfsReply::Ok }));
+        let handler: HandlerFn = Rc::new(|_, _, _| Box::pin(async { NfsReply::Ok }));
         let ep = Endpoint::new(
             &sim,
             "nfsd",
@@ -426,7 +418,7 @@ mod tests {
         let cpu = Resource::new(&sim, "cpu", 1);
         let gate = Event::new();
         let g2 = gate.clone();
-        let handler: HandlerFn<NfsRequest, NfsReply> = Rc::new(move |_from, _ctx, req| {
+        let handler: HandlerFn = Rc::new(move |_from, _ctx, req| {
             let gate = g2.clone();
             Box::pin(async move {
                 if matches!(req, NfsRequest::Open { .. }) {

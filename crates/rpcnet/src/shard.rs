@@ -49,7 +49,7 @@ const BUSY_BACKOFF: SimDuration = SimDuration::from_millis(50);
 const MAX_BUSY_RETRIES: u32 = 2000;
 
 struct Inner {
-    callers: Vec<Caller<NfsRequest, NfsReply>>,
+    callers: Vec<Caller>,
     /// Export root of each shard; `roots[0]` is the handle clients mount.
     roots: Vec<FileHandle>,
     layout: RefCell<Layout>,
@@ -69,8 +69,8 @@ pub struct ShardCaller {
     inner: Rc<Inner>,
 }
 
-impl From<Caller<NfsRequest, NfsReply>> for ShardCaller {
-    fn from(caller: Caller<NfsRequest, NfsReply>) -> Self {
+impl From<Caller> for ShardCaller {
+    fn from(caller: Caller) -> Self {
         ShardCaller {
             inner: Rc::new(Inner {
                 callers: vec![caller],
@@ -89,7 +89,7 @@ impl ShardCaller {
     /// (see [`Caller::share_xids_with`]).
     pub fn sharded(
         sim: &Sim,
-        callers: Vec<Caller<NfsRequest, NfsReply>>,
+        callers: Vec<Caller>,
         roots: Vec<FileHandle>,
         coordinates: bool,
     ) -> Self {
@@ -344,7 +344,7 @@ mod tests {
         let net = Network::new(&sim, "net", NetParams::ethernet_10mbit());
         let callers = (0..2)
             .map(|s| {
-                let handler: HandlerFn<NfsRequest, NfsReply> = Rc::new(move |_, _, _| {
+                let handler: HandlerFn = Rc::new(move |_, _, _| {
                     Box::pin(async move { NfsReply::Path(format!("shard{s}")) })
                 });
                 let ep = Endpoint::new(

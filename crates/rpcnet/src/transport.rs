@@ -89,19 +89,6 @@ impl TransportStats {
     }
 }
 
-/// Messages that can ride in a compound batch. `compound` wraps a batch
-/// into one wire message sharing a single header (a batch of one must
-/// stay the plain message, so unbatched traffic is unchanged).
-pub trait Compoundable: Sized {
-    fn compound(parts: Vec<Self>) -> Self;
-
-    /// The inverse: the messages `self` carries, in order. A message
-    /// that is not a compound carries itself.
-    fn into_parts(self) -> Vec<Self> {
-        vec![self]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

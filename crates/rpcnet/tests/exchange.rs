@@ -19,15 +19,13 @@ use spritely_rpcnet::{
 use spritely_sim::{Resource, Sim, SimDuration, SimStats};
 use spritely_trace::{to_jsonl, Event, TraceEvent, Tracer};
 
-type NfsCaller = Caller<NfsRequest, NfsReply>;
-
 /// A traced caller → endpoint pair whose handler takes 3 ms, echoes each
 /// lookup's name back and counts executions per name.
 struct Rig {
     sim: Sim,
     net: Network,
-    ep: Endpoint<NfsRequest, NfsReply>,
-    caller: Rc<NfsCaller>,
+    ep: Endpoint,
+    caller: Rc<Caller>,
     tracer: Tracer,
     executed: Rc<RefCell<HashMap<String, u64>>>,
 }
@@ -110,11 +108,11 @@ fn lookup(name: &str) -> NfsRequest {
     }
 }
 
-async fn foreground(c: &NfsCaller, req: NfsRequest) -> Result<NfsReply, RpcError> {
+async fn foreground(c: &Caller, req: NfsRequest) -> Result<NfsReply, RpcError> {
     c.call_ctx(0, req).await
 }
 
-async fn background(c: &NfsCaller, req: NfsRequest) -> Result<NfsReply, RpcError> {
+async fn background(c: &Caller, req: NfsRequest) -> Result<NfsReply, RpcError> {
     let out = c.call_flagged(0, &req, true).await;
     out.map(|(rep, _)| rep)
 }
@@ -252,7 +250,7 @@ fn faulted_exchange_on_a_batching_transport_is_pinned() {
     );
 }
 
-/// `Compoundable`'s contract, end to end: a batch of one is the plain
+/// `NfsRequest::compound`'s contract, end to end: a batch of one is the plain
 /// message. An idle batching caller's lone background call puts the same
 /// bytes in the same number of messages on the wire at the same instants
 /// as a foreground call, and gets the same reply; the `batch` event pair

@@ -23,7 +23,7 @@ use spritely_sim::{Resource, Sim, SimDuration};
 struct Rig {
     sim: Sim,
     net: Network,
-    caller: Rc<Caller<NfsRequest, NfsReply>>,
+    caller: Rc<Caller>,
     executed: Rc<RefCell<HashMap<String, u64>>>,
 }
 

@@ -13,7 +13,7 @@ use spritely_sim::{Resource, Sim, SimDuration};
 
 /// Builds a rig whose handler sleeps a per-call delay drawn from `delays`
 /// (cycled), and returns (sim, caller, executed-counter).
-fn rig(delays: Vec<u64>, timeout_ms: u64) -> (Sim, Caller<NfsRequest, NfsReply>, Rc<Cell<u64>>) {
+fn rig(delays: Vec<u64>, timeout_ms: u64) -> (Sim, Caller, Rc<Cell<u64>>) {
     let sim = Sim::new();
     let server_cpu = Resource::new(&sim, "scpu", 1);
     let client_cpu = Resource::new(&sim, "ccpu", 1);
