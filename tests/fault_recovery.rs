@@ -239,6 +239,92 @@ fn retransmitted_rename_after_dup_cache_loss_succeeds() {
     }
 }
 
+/// `mkdir` is create's twin: the retransmission finds the directory its
+/// first transmission made, and looks it up.
+#[test]
+fn retransmitted_mkdir_after_dup_cache_loss_succeeds() {
+    for protocol in [Protocol::Nfs, Protocol::Snfs] {
+        let (tb, fs, arm) = dup_cache_loss_rig(protocol);
+        let root = tb.server_fs.root();
+        let h = tb.sim.spawn(async move {
+            arm();
+            let (dir, _) = fs
+                .mkdir(root, "d")
+                .await
+                .expect("retransmitted mkdir maps EEXIST to success");
+            let (looked, _) = fs.lookup(root, "d").await.unwrap();
+            assert_eq!(dir, looked, "{protocol:?}");
+        });
+        tb.sim.run_until(h);
+    }
+}
+
+/// `rmdir` is remove's twin: the retransmission finds the directory gone.
+#[test]
+fn retransmitted_rmdir_after_dup_cache_loss_succeeds() {
+    for protocol in [Protocol::Nfs, Protocol::Snfs] {
+        let (tb, fs, arm) = dup_cache_loss_rig(protocol);
+        let root = tb.server_fs.root();
+        let h = tb.sim.spawn(async move {
+            fs.mkdir(root, "d").await.unwrap();
+            arm();
+            fs.rmdir(root, "d")
+                .await
+                .expect("retransmitted rmdir maps ENOENT to success");
+            assert!(fs.lookup(root, "d").await.is_err(), "{protocol:?}");
+        });
+        tb.sim.run_until(h);
+    }
+}
+
+/// A retransmitted `link` that finds its name taken succeeds only if the
+/// name is the linked file: its own first transmission. A name that was
+/// another file's all along stays `EEXIST`.
+#[test]
+fn retransmitted_link_after_dup_cache_loss_succeeds_only_onto_its_file() {
+    for protocol in [Protocol::Nfs, Protocol::Snfs] {
+        let (tb, fs, arm) = dup_cache_loss_rig(protocol);
+        let root = tb.server_fs.root();
+        let h = tb.sim.spawn(async move {
+            let (fh, _) = fs.create(root, "f").await.unwrap();
+            fs.create(root, "other").await.unwrap();
+            arm();
+            let attr = fs
+                .link(fh, root, "ln")
+                .await
+                .expect("retransmitted link maps EEXIST to success");
+            assert_eq!(attr.nlink, 2, "{protocol:?}");
+            let (looked, _) = fs.lookup(root, "ln").await.unwrap();
+            assert_eq!(fh, looked, "{protocol:?}");
+            arm();
+            let taken = fs.link(fh, root, "other").await;
+            assert_eq!(taken, Err(NfsStatus::Exist), "{protocol:?}");
+        });
+        tb.sim.run_until(h);
+    }
+}
+
+/// `symlink` makes a name too: the retransmission looks up the link its
+/// first transmission made.
+#[test]
+fn retransmitted_symlink_after_dup_cache_loss_succeeds() {
+    for protocol in [Protocol::Nfs, Protocol::Snfs] {
+        let (tb, fs, arm) = dup_cache_loss_rig(protocol);
+        let root = tb.server_fs.root();
+        let h = tb.sim.spawn(async move {
+            arm();
+            let (fh, _) = fs
+                .symlink(root, "sl", "f")
+                .await
+                .expect("retransmitted symlink maps EEXIST to success");
+            let (looked, _) = fs.lookup(root, "sl").await.unwrap();
+            assert_eq!(fh, looked, "{protocol:?}");
+            assert_eq!(fs.readlink(fh).await.unwrap(), "f", "{protocol:?}");
+        });
+        tb.sim.run_until(h);
+    }
+}
+
 /// A duplicated delivery of a server→client callback must be idempotent
 /// at the client. The duplicate here comes from the server's own retry
 /// (a fresh xid, so the client endpoint's dup cache cannot catch it):
