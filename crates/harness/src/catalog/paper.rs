@@ -1,6 +1,8 @@
 //! The paper's own evaluation (§5): Tables 5-1 to 5-6, Figures 5-1 and
 //! 5-2, and the §5.3 reopen microbenchmark.
 
+use spritely_metrics::OpCounts;
+use spritely_proto::NfsProc;
 use spritely_sim::SimDuration;
 use spritely_trace::Phase;
 use spritely_workloads::AndrewTimes;
@@ -85,6 +87,8 @@ pub(super) const TABLE_5_2: Entry = Entry {
                 r.ops_to_now().total(),
             );
         }
+        let cols = std::array::from_fn(|i| (runs[i].ops_to_now(), runs[i].server_disk.writes));
+        table_5_2_shapes(&mut o, cols);
         o.field("profile_spans", profile.ops.len());
         o.field("profile_rpcs", profile.total_rpcs);
         o.field(
@@ -114,6 +118,38 @@ pub(super) const TABLE_5_2: Entry = Entry {
         o
     },
 };
+
+/// Table 5-2's four shapes that hold (EXPERIMENTS.md), one gate each, over
+/// each run's RPC counts and server disk writes in the table's column
+/// order: NFS, then SNFS, each with `/tmp` local, then remote.
+fn table_5_2_shapes(o: &mut Outcome, cols: [(OpCounts, u64); 4]) {
+    let labels = ["NFS tmp-loc", "NFS tmp-rem", "SNFS tmp-loc", "SNFS tmp-rem"];
+    let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole as f64;
+    for (label, (ops, _)) in labels.iter().zip(&cols) {
+        let share = pct(ops.get(NfsProc::Lookup), ops.total());
+        o.gate((40.0..=60.0).contains(&share), || {
+            format!("lookups are {share:.1}% of {label}'s RPCs, outside the paper's 40-60%")
+        });
+    }
+    let [(_, nfs_loc_w), (nfs_rem, nfs_rem_w), (_, snfs_loc_w), (snfs_rem, snfs_rem_w)] = cols;
+    let (nfs, snfs) = (nfs_rem.total(), snfs_rem.total());
+    o.gate(snfs < nfs, || {
+        format!("with /tmp remote SNFS sends {snfs} RPCs, not fewer than NFS's {nfs}")
+    });
+    let fewer = 100.0 - pct(snfs_rem.data_transfers(), nfs_rem.data_transfers());
+    o.gate(fewer >= 42.0, || {
+        format!("with /tmp remote SNFS does {fewer:.1}% fewer data transfers than NFS, under the paper's 42%")
+    });
+    for (tmp, nfs, snfs) in [
+        ("local", nfs_loc_w, snfs_loc_w),
+        ("remote", nfs_rem_w, snfs_rem_w),
+    ] {
+        let fewer = 100.0 - pct(snfs, nfs);
+        o.gate(fewer >= 30.0, || {
+            format!("with /tmp {tmp} SNFS causes {fewer:.1}% fewer server disk writes than NFS, under the paper's 30%")
+        });
+    }
+}
 
 /// Figures 5-1/5-2: server CPU utilization and RPC call rates over time
 /// during the Andrew benchmark (/tmp remote), as CSV.
@@ -276,3 +312,65 @@ pub(super) const MICRO_REOPEN: Entry = Entry {
         o
     },
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spritely_metrics::OpCounter;
+
+    /// A run's RPC counts: `lookups` lookups, `data` reads and `other`
+    /// getattrs.
+    fn ops(lookups: u64, data: u64, other: u64) -> OpCounts {
+        let counter = OpCounter::new();
+        let calls = [
+            (NfsProc::Lookup, lookups),
+            (NfsProc::Read, data),
+            (NfsProc::GetAttr, other),
+        ];
+        for (p, n) in calls {
+            (0..n).for_each(|_| counter.record(p));
+        }
+        counter.snapshot()
+    }
+
+    /// Lookups, data transfers, other RPCs and server disk writes of each
+    /// column of Table 5-2.
+    type Table = [(u64, u64, u64, u64); 4];
+
+    /// The shape gates' failures on the committed Table 5-2
+    /// (`baselines/table_5_2.txt`) as `forge` edits it.
+    fn failures(forge: fn(&mut Table)) -> Vec<String> {
+        let mut table = [
+            (1538, 1051, 471, 669),
+            (1589, 1295, 542, 947),
+            (1538, 476, 851, 465),
+            (1589, 476, 954, 499),
+        ];
+        forge(&mut table);
+        let mut o = Outcome::default();
+        table_5_2_shapes(&mut o, table.map(|(l, d, x, w)| (ops(l, d, x), w)));
+        o.failures
+    }
+
+    /// `forge` flips one shape: exactly one gate fails, saying `why`.
+    fn fails_once(forge: fn(&mut Table), why: &str) {
+        let failed = failures(forge);
+        assert!(
+            matches!(&failed[..], [one] if one.contains(why)),
+            "{why}: {failed:?}"
+        );
+    }
+
+    #[test]
+    fn a_forged_run_that_flips_one_table_5_2_shape_fails_its_gate() {
+        assert_eq!(failures(|_| {}), Vec::<String>::new());
+        // NFS tmp-loc: 62 % of its RPCs are lookups.
+        fails_once(|t| t[0].0 = 2500, "lookups are 62.2% of NFS tmp-loc's");
+        // SNFS tmp-rem sends 3519 RPCs to NFS's 3426.
+        fails_once(|t| t[3].2 += 500, "SNFS sends 3519 RPCs");
+        // SNFS tmp-rem moves 62 % of NFS's data transfers.
+        fails_once(|t| t[3].1 = 800, "38.2% fewer data transfers");
+        // SNFS tmp-loc writes 75 % of NFS's disk blocks.
+        fails_once(|t| t[2].3 = 500, "/tmp local SNFS causes 25.3% fewer");
+    }
+}
