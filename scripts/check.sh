@@ -148,6 +148,18 @@ if ! moved=$(diff <(grep -v '^#' baselines/callerless.txt) <(scripts/callerless.
     exit 1
 fi
 
+# ROADMAP item 11's knob rule as a ratchet: every independently settable
+# value — a `pub` field of a `pub struct …Params` — is a line of
+# scripts/knobs.sh, held to baselines/knobs.txt. A change that adds a
+# setting commits its line for a reviewer to weigh; one that removes a
+# setting removes its line.
+echo "==> scripts/knobs.sh (settable Params fields) vs baselines/knobs.txt"
+if ! moved=$(diff baselines/knobs.txt <(scripts/knobs.sh)); then
+    echo "$moved"
+    echo "FAIL: the settable Params fields changed ('<' committed, '>' found): scripts/knobs.sh > baselines/knobs.txt"
+    exit 1
+fi
+
 # ROADMAP item 7's line target as a ratchet: baselines/loc.txt is the whole
 # scripts/loc.sh report, so a difference names the crate that moved. The
 # total may not rise above the committed one, and a change that lowers it
