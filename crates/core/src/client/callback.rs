@@ -196,7 +196,18 @@ impl SnfsClient {
             wrote,
         };
         match self.call(ctx, make).await? {
-            NfsReply::DelegReturned { version, fenced } => {
+            NfsReply::DelegReturned {
+                version,
+                fenced,
+                renews,
+            } => {
+                // Like a keepalive's epoch, this reply crossed the path a
+                // recall travels with no recall against us unresolved, so
+                // it extends a live lease (DESIGN.md §17.3). A lapsed one
+                // is left for the keepalive that purges it.
+                if renews && self.lease_fresh() {
+                    self.inner.last_contact.set(self.sim().now());
+                }
                 let mut files = self.inner.files.borrow_mut();
                 if let Some(info) = files.get_mut(&fh) {
                     if fenced {

@@ -15,16 +15,19 @@
 use spritely_sim::SimDuration;
 
 /// How often a client's keepalive daemon probes its server (paper §2.4).
-/// Each answered probe renews the client's delegation lease.
+/// Each probe answered with an epoch renews the client's delegation lease.
 pub const KEEPALIVE_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 /// Client-side lease: a delegation serves local opens only while a
-/// keepalive or recover reply arrived within this window. No other reply
-/// renews it: those travel the direction recall callbacks travel, so a
-/// fresh lease proves a recall could have reached the client (DESIGN.md
-/// §17.3). It outlives one [`KEEPALIVE_INTERVAL`] but not two, so a
-/// single withheld renewal (a keepalive answered `Grace`) lapses it: the
-/// next answer comes two intervals (20 s) after the last.
+/// keepalive or recover reply, or a `DelegReturned` the server marked
+/// `renews`, arrived within this window. No other reply renews it: those
+/// travel the direction recall callbacks travel, and the server answers
+/// each of them only with no recall against the client unresolved
+/// (`Grace` to a keepalive, no `renews` on a return), so a fresh lease
+/// proves a recall could have reached the client (DESIGN.md §17.3). It
+/// outlives one [`KEEPALIVE_INTERVAL`] but not two: a holder whose
+/// keepalive met `Grace` keeps it by answering the recall behind the
+/// `Grace`, whose return renews it.
 pub const LEASE: SimDuration = SimDuration::from_secs(15);
 
 /// How long the server waits for a recalled delegation to come back

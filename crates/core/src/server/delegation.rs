@@ -54,12 +54,8 @@ impl SnfsServer {
         bump(&self.inner.deleg_stats, |s| s.recalls += 1);
         // From here until the recall resolves, the holder's keepalives
         // are refused so its lease cannot outlive a revoke (§17.3).
-        *self
-            .inner
-            .recalls_pending
-            .borrow_mut()
-            .entry(d.holder)
-            .or_insert(0) += 1;
+        let pending = (d.holder, fh);
+        self.inner.recalls_pending.borrow_mut().push(pending);
         // Recalls ride the callback channel, so they obey the N−1 slot
         // budget and appear in the trace's callback concurrency count.
         // The trace shows a write delegation's recall as a write-back
@@ -96,13 +92,19 @@ impl SnfsServer {
             // returning: fence.
             self.revoke(sent.seq, fh, d.holder);
         }
-        let mut pending = self.inner.recalls_pending.borrow_mut();
-        if let Some(n) = pending.get_mut(&d.holder) {
-            *n -= 1;
-            if *n == 0 {
-                pending.remove(&d.holder);
-            }
-        }
+        let mut recalls = self.inner.recalls_pending.borrow_mut();
+        let i = recalls.iter().position(|&r| r == pending);
+        recalls.swap_remove(i.expect("this recall is pending"));
+    }
+
+    /// True while a recall against `holder` is unresolved, not counting
+    /// recalls of `except`: a reply to `holder` then must not renew its
+    /// lease (§17.3).
+    pub(super) fn recalled(&self, holder: ClientId, except: Option<FileHandle>) -> bool {
+        let recalls = self.inner.recalls_pending.borrow();
+        recalls
+            .iter()
+            .any(|&(c, fh)| c == holder && Some(fh) != except)
     }
 
     /// Recalls every delegation on `fh` that conflicts with `opener`
@@ -212,6 +214,14 @@ impl SnfsServer {
         let version = applied
             .or_else(|| self.inner.table.borrow().version_of(fh))
             .unwrap_or(FileVersion(0));
-        NfsReply::DelegReturned { version, fenced }
+        // This return resolves any recall of `fh` against the holder; with
+        // none of its other files recalled, the reply renews its lease as
+        // a keepalive's epoch would.
+        let renews = !fenced && !self.recalled(client, Some(fh));
+        NfsReply::DelegReturned {
+            version,
+            fenced,
+            renews,
+        }
     }
 }

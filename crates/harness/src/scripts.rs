@@ -6,9 +6,8 @@
 
 use std::rc::Rc;
 
-use spritely_core::delegation::KEEPALIVE_INTERVAL;
 use spritely_proto::{NfsStatus, Result, BLOCK_SIZE};
-use spritely_sim::{Semaphore, Sim, SimDuration, SimRng};
+use spritely_sim::{Semaphore, SimDuration, SimRng};
 use spritely_vfs::{OpenFlags, Proc};
 use spritely_workloads::{
     populate_sort_input, run_sort, temp_file_lifetime, write_close_reopen_read, AndrewBenchmark,
@@ -384,10 +383,7 @@ pub fn state_churn(params: TestbedParams) -> Run<()> {
 pub enum Sharing {
     /// Sequential write sharing by careful clients, the benchmark's
     /// workload: a readers-writer lock per file keeps a writer's
-    /// open-to-close apart from every other open of the file, and nobody
-    /// opens a file from 100 ms before a keepalive tick until 500 ms after
-    /// it. The quiet window is a crutch around a known defect (ROADMAP
-    /// item 2, defect 3) and goes with its fix.
+    /// open-to-close apart from every other open of the file.
     Sequential,
     /// Concurrent write sharing: readers overlap the writer, so files go
     /// write-shared.
@@ -408,21 +404,6 @@ fn shared_path(file: usize) -> String {
 /// `res`'s value, or `None` with the failed call counted in `t`.
 fn ok<T>(t: &mut Tally, res: Result<T>) -> Option<T> {
     res.map_err(|_| t.errors += 1).ok()
-}
-
-/// Waits out the quiet period around a keepalive tick (all clients on the
-/// same ticks). A keepalive that reaches the server while it is recalling
-/// that client's delegation is answered `Grace`, and the next one purges
-/// the client's cache, dirty blocks included (ROADMAP item 2, defect 3).
-/// Opens are what start recalls.
-async fn clear_of_keepalive(sim: &Sim) {
-    let period = KEEPALIVE_INTERVAL.as_micros();
-    let (before, after) = (100_000, 500_000);
-    let into = sim.now().as_micros() % period;
-    if into < after || into + before >= period {
-        let wait = (after + period - into) % period;
-        sim.sleep(SimDuration::from_micros(wait)).await;
-    }
 }
 
 /// Eight SNFS clients share sixteen four-block files: each makes
@@ -479,7 +460,6 @@ pub fn sharing(params: TestbedParams, mode: Sharing, seed: u64) -> Run<Tally> {
                         for _ in 0..SHARERS {
                             alone.push(readers.acquire().await);
                         }
-                        clear_of_keepalive(&sim).await;
                     }
                     if let Some(fd) = ok(&mut t, p.open(&path, OpenFlags::read_write()).await) {
                         let version = oracle.next(file);
@@ -492,9 +472,7 @@ pub fn sharing(params: TestbedParams, mode: Sharing, seed: u64) -> Run<Tally> {
                     }
                 } else {
                     let _session = if sequential {
-                        let session = readers.acquire().await;
-                        clear_of_keepalive(&sim).await;
-                        Some(session)
+                        Some(readers.acquire().await)
                     } else {
                         None
                     };

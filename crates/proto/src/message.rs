@@ -402,8 +402,15 @@ pub enum NfsReply {
     /// returned state (bumped if the holder wrote), plus `fenced` — true
     /// when the server had already revoked this delegation after a recall
     /// timeout, meaning the returned state was discarded and the client
-    /// must drop its cache and re-validate via a fresh RPC open.
-    DelegReturned { version: FileVersion, fenced: bool },
+    /// must drop its cache and re-validate via a fresh RPC open — and
+    /// `renews` — true when no recall of another of the holder's files is
+    /// unresolved, so the reply renews its delegation lease as a
+    /// keepalive's epoch does. Both flags ride in the header.
+    DelegReturned {
+        version: FileVersion,
+        fenced: bool,
+        renews: bool,
+    },
     /// Reply to `readlink`: the link's target path.
     Path(String),
     /// Sharded namespace: the receiving shard does not own the name at

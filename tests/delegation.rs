@@ -5,7 +5,10 @@ use spritely::harness::{
     report, DelegationParams, Protocol, ServerIoParams, Testbed, TestbedParams, TransportParams,
     WriteBehindParams,
 };
-use spritely::sim::SimDuration;
+use spritely::proto::{NfsProc, BLOCK_SIZE};
+use spritely::sim::{SimDuration, SimTime};
+use spritely::snfs::delegation::KEEPALIVE_INTERVAL;
+use spritely::trace::{Event, TraceEvent};
 use spritely::vfs::OpenFlags;
 
 fn params(d: DelegationParams) -> TestbedParams {
@@ -107,6 +110,83 @@ fn concurrent_recalls_against_one_holder_all_return() {
     assert_eq!(d("returns"), 8, "every recall resolves by return");
     assert_eq!(d("revokes"), 0, "no recall may starve into a revoke");
     let trace = tb.finish_trace().expect("tracing on");
+    assert!(
+        trace.ok(),
+        "checker violations:\n{}",
+        report::trace_summary(&trace)
+    );
+}
+
+/// A holder that answers its recall keeps its lease. Client 0 holds write
+/// delegations on two files with dirty blocks. Client 1 opens the first
+/// just before a keepalive tick, so client 0's keepalive reaches the
+/// server while the recall is unresolved and is answered `Grace`. Client
+/// 0's return renews the lease instead, so the next keepalive finds it
+/// fresh: the second file keeps its delegation and dirty block, and its
+/// `fsync` is OK. Without the renewal that keepalive came 20 s after the
+/// last renewal, past the 15 s lease, and purged the second file.
+#[test]
+fn a_holder_that_answers_its_recall_keeps_its_lease() {
+    let tb = Testbed::build_with_clients(
+        TestbedParams {
+            protocol: Protocol::Snfs,
+            delegation: DelegationParams::pipelined(),
+            // The update daemon must not write the blocks back first.
+            snfs_write_delay: SimDuration::from_secs(120),
+            trace: true,
+            ..TestbedParams::default()
+        },
+        2,
+    );
+    let (a, b) = match (&tb.clients[0].remote.snfs(), &tb.clients[1].remote.snfs()) {
+        (Some(a), Some(b)) => ((*a).clone(), (*b).clone()),
+        _ => panic!("expected SNFS"),
+    };
+    let root = tb.server_fs.root();
+    let sim = tb.sim.clone();
+    let h = sim.spawn({
+        let sim = sim.clone();
+        async move {
+            let mut fhs = Vec::new();
+            for (name, blocks) in [("recalled", 4), ("kept", 1)] {
+                let (fh, _) = a.create(root, name).await.unwrap();
+                a.open(fh, true).await.unwrap();
+                a.write(fh, 0, &vec![5u8; blocks * BLOCK_SIZE])
+                    .await
+                    .unwrap();
+                a.close(fh, true).await.unwrap();
+                fhs.push(fh);
+            }
+            assert_eq!(a.delegations_held(), 2);
+            assert_eq!(a.dirty_blocks(), 5);
+            // The recall flushes four blocks; start it 20 ms before a tick.
+            let period = KEEPALIVE_INTERVAL.as_micros();
+            let tick = (sim.now().as_micros() / period + 1) * period;
+            sim.sleep_until(SimTime::from_micros(tick - 20_000)).await;
+            b.open(fhs[0], false).await.unwrap();
+            b.close(fhs[0], false).await.unwrap();
+            // Past the next tick, whose keepalive purged at the parent.
+            sim.sleep(KEEPALIVE_INTERVAL + SimDuration::from_secs(2))
+                .await;
+            assert_eq!(a.delegations_held(), 1, "the lease survived");
+            assert_eq!(a.dirty_blocks(), 1, "and the dirty block under it");
+            a.fsync(fhs[1]).await
+        }
+    });
+    assert_eq!(sim.run_until(h), Ok(()));
+    let trace = tb.finish_trace().expect("tracing on");
+    let keepalive_grace = |e: &&TraceEvent| {
+        matches!(
+            e.view(),
+            Event::RpcReply {
+                proc: NfsProc::Keepalive,
+                ok: false,
+                ..
+            }
+        )
+    };
+    let withheld = trace.events.iter().filter(keepalive_grace).count();
+    assert_eq!(withheld, 1, "one keepalive met the recall's Grace");
     assert!(
         trace.ok(),
         "checker violations:\n{}",
