@@ -37,16 +37,7 @@ impl SnfsClient {
             // its data is unreachable, so the write is cancelled like any
             // other delayed write of a deleted file (§4.2.3) rather than
             // resurrecting it on the server.
-            this.bump_stats(|s| s.cancelled_blocks += 1);
-            this.emit(
-                0,
-                EventKind::WriteCancel {
-                    client: this.inner.id,
-                    fh,
-                    from_blk: 0,
-                    blocks: 1,
-                },
-            );
+            this.cancelled(0, fh, 0, 1);
             this.writes().finish(fh, None);
         });
     }

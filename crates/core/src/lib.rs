@@ -24,7 +24,8 @@
 //! * server — the SNFS service: baseline NFS handlers plus `open`/`close`,
 //!   callback issuing with the N−1 thread rule, and state-table reclaim;
 //! * client — the SNFS client: version-checked caching, delayed
-//!   write-back, callback service, write cancellation, delayed close.
+//!   write-back, callback service, write cancellation, delayed close;
+//! * [`Remote`] — a client of either protocol, as a mount holds it.
 
 mod client;
 pub mod delegation;
@@ -39,6 +40,28 @@ pub use server::{
 pub use state_table::{
     CallbackNeeded, ClientOpens, Deleg, FileState, OpenOutcome, ReclaimOutcome, StateTable,
 };
+
+/// A remote file system's client, of either protocol. Every namespace
+/// procedure is their shared base's, reached through `Deref`; they differ
+/// only in `open`, `close`, `read`, `write`, `fsync` and `getattr` (§3).
+#[derive(Clone)]
+pub enum Remote {
+    /// Baseline NFS.
+    Nfs(spritely_nfs::NfsClient),
+    /// Spritely NFS.
+    Snfs(SnfsClient),
+}
+
+impl std::ops::Deref for Remote {
+    type Target = spritely_nfs::base::ClientBase;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Remote::Nfs(c) => c,
+            Remote::Snfs(c) => c,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

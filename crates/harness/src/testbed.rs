@@ -7,8 +7,8 @@ use std::rc::Rc;
 
 use spritely_blockdev::Disk;
 use spritely_core::{
-    DelegationParams, ServerIoParams, SnfsClient, SnfsClientParams, SnfsServer, SnfsServerParams,
-    WriteBehindParams,
+    DelegationParams, Remote, ServerIoParams, SnfsClient, SnfsClientParams, SnfsServer,
+    SnfsServerParams, WriteBehindParams,
 };
 use spritely_localfs::LocalFs;
 use spritely_metrics::{GaugeSeries, LatencyStats, OpCounter, RateSeries};
@@ -603,8 +603,8 @@ impl Testbed {
             let (export, export_root) = match &remote {
                 // Local protocol: "/remote" is just the local disk too.
                 RemoteClient::None => (local.clone(), lroot),
-                RemoteClient::Nfs(c) => (FsBackend::Nfs(c.clone()), roots[0]),
-                RemoteClient::Snfs(c) => (FsBackend::Snfs(c.clone()), roots[0]),
+                RemoteClient::Nfs(c) => (FsBackend::Remote(Remote::Nfs(c.clone())), roots[0]),
+                RemoteClient::Snfs(c) => (FsBackend::Remote(Remote::Snfs(c.clone())), roots[0]),
             };
             let tmp = if params.tmp_remote && params.protocol != Protocol::Local {
                 Mount::new("/usr/tmp", export.clone(), server_dirs.2)

@@ -20,12 +20,15 @@
 //! Nothing here knows which protocol it serves. Where the two clients
 //! differ, the difference is data the caller passes (name-cache lifetime,
 //! read-ahead window and gate, trace parent, "cachable") or a decision
-//! handed back to it through [`BlockClient`]; DESIGN.md §20 lists each.
+//! handed back to the protocol: synchronously through its [`Consistency`]
+//! hooks, or, for the one that awaits, through [`BlockClient`]; DESIGN.md
+//! §20 lists each.
 
 use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::HashMap;
 use std::future::Future;
 use std::ops::Deref;
+use std::rc::{Rc, Weak};
 
 use spritely_localfs::{BlockCache, DirtyVictim, DropCounts};
 use spritely_proto::{
@@ -262,12 +265,41 @@ impl WriteStats {
     }
 }
 
-/// What the shared block path hands back to the protocol client it runs
-/// for: the two things a block read produces besides the block.
-pub trait BlockClient: Clone + Deref<Target = ClientBase> + 'static {
-    /// The post-op attributes a block read reply carried.
-    fn read_attr(&self, fh: FileHandle, attr: Fattr);
+/// What the base hands back to the protocol client it runs for, at fixed
+/// points of a procedure. The hooks are synchronous, so the base holds the
+/// client as a `Weak<dyn Consistency>` and a call allocates nothing; each
+/// gets the client's `Rc`, so its body can be the client's own code.
+pub trait Consistency {
+    /// A block read reply carried `fh`'s post-op attributes.
+    fn read_attr(self: Rc<Self>, _fh: FileHandle, _attr: Fattr) {}
 
+    /// `lookup` found `fh` (in the name cache if `cached`): what to answer.
+    fn looked_up(self: Rc<Self>, fh: FileHandle, attr: Fattr, cached: bool) -> Fattr;
+
+    /// `create` made `fh`.
+    fn created(self: Rc<Self>, fh: FileHandle, attr: Fattr);
+
+    /// `link` gave `from` another name and left it `attr`.
+    fn linked(self: Rc<Self>, from: FileHandle, attr: Fattr);
+
+    /// A `setattr` of `fh` to `size` bytes is about to be sent.
+    fn truncating(self: Rc<Self>, _fh: FileHandle, _size: u64) {}
+
+    /// A `setattr` of `fh` (to `size` bytes, if given) left it `attr`.
+    fn set_attr(self: Rc<Self>, fh: FileHandle, size: Option<u64>, attr: Fattr);
+
+    /// A `remove` in `dir` of `victim`'s name is about to be sent: its trace id.
+    fn removing(self: Rc<Self>, _dir: FileHandle, _victim: Option<FileHandle>) -> u64 {
+        0
+    }
+
+    /// The `remove` numbered `op` ended, `ok` or not.
+    fn removed(self: Rc<Self>, op: u64, victim: Option<FileHandle>, ok: bool);
+}
+
+/// What the shared block path hands back to the protocol client it runs
+/// for and has to await, so it is a type parameter, not a hook.
+pub trait BlockClient: Clone + Deref<Target = ClientBase> + 'static {
     /// A dirty block the cache pushed out to make room for a fetched one;
     /// its data exists nowhere else.
     fn evicted(&self, victim: DirtyVictim<Key>) -> impl Future<Output = ()>;
@@ -294,19 +326,23 @@ pub struct ClientBase {
     read_ahead_gate: Option<Semaphore>,
     writes: WriteLedger,
     sent: Cell<WriteStats>,
+    /// The protocol client this base runs for.
+    hook: Weak<dyn Consistency>,
 }
 
 impl ClientBase {
-    /// Builds the core. `read_ahead` is the prefetch window in blocks;
-    /// `read_ahead_gate`, when given, bounds read-aheads
-    /// in flight together with whatever else the caller runs under it.
-    pub fn new(
+    /// Builds the core of the client `hook` will point at (as
+    /// `Rc::new_cyclic` hands it over). `read_ahead` is the prefetch window
+    /// in blocks; `read_ahead_gate`, when given, bounds read-aheads in
+    /// flight together with whatever else the caller runs under it.
+    pub fn new<H: Consistency + 'static>(
         sim: &Sim,
         caller: ShardCaller,
         cache_blocks: usize,
         names: NameCache,
         read_ahead: usize,
         read_ahead_gate: Option<Semaphore>,
+        hook: &Weak<H>,
     ) -> Self {
         ClientBase {
             sim: sim.clone(),
@@ -319,7 +355,13 @@ impl ClientBase {
             read_ahead_gate,
             writes: WriteLedger::default(),
             sent: Cell::default(),
+            hook: hook.clone(),
         }
+    }
+
+    /// The protocol client's hooks. It owns this base, so it is alive.
+    fn hook(&self) -> Rc<dyn Consistency> {
+        self.hook.upgrade().expect("a client outlives its base")
     }
 
     /// The simulation this client runs in.
@@ -476,7 +518,7 @@ impl ClientBase {
         match (self.call_retx(parent, false, make).await?, makes) {
             ((NfsReply::Err(NfsStatus::NoEnt), true), None) => Ok(NfsReply::Ok),
             ((NfsReply::Err(NfsStatus::Exist), true), Some((dir, name))) => {
-                let (fh, attr, _) = self.lookup(dir, name).await?;
+                let (fh, attr, _) = self.translate(dir, name).await?;
                 Ok(NfsReply::Handle { fh, attr })
             }
             ((rep, _), _) => rep.into_result(),
@@ -492,7 +534,7 @@ impl ClientBase {
 
     /// Translates one name component. The third value says the name
     /// cache answered (no RPC, attributes as old as the entry).
-    pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr, bool)> {
+    async fn translate(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr, bool)> {
         let hit = self.names.borrow_mut().get(dir, name, self.sim.now());
         if let Some((fh, attr)) = hit {
             return Ok((fh, attr, true));
@@ -506,6 +548,12 @@ impl ClientBase {
         Ok((fh, attr, false))
     }
 
+    /// Translates one name component, from the name cache or the server.
+    pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
+        let (fh, attr, cached) = self.translate(dir, name).await?;
+        Ok((fh, self.hook().looked_up(fh, attr, cached)))
+    }
+
     /// Attributes, from the server.
     pub async fn getattr(&self, fh: FileHandle) -> Result<Fattr> {
         self.call(0, || NfsRequest::GetAttr { fh })
@@ -513,12 +561,16 @@ impl ClientBase {
             .into_attr()
     }
 
-    /// Sets attributes (truncate). Dropping the cached blocks past the
-    /// new end is the caller's ([`truncate_blocks`](Self::truncate_blocks)).
+    /// Sets attributes (truncate). The protocol drops the cached blocks
+    /// past the new end ([`truncate_blocks`](Self::truncate_blocks)).
     pub async fn setattr(&self, fh: FileHandle, size: Option<u64>) -> Result<Fattr> {
-        self.call(0, || NfsRequest::SetAttr { fh, size })
-            .await?
-            .into_attr()
+        if let Some(size) = size {
+            self.hook().truncating(fh, size);
+        }
+        let make = || NfsRequest::SetAttr { fh, size };
+        let attr = self.call(0, make).await?.into_attr()?;
+        self.hook().set_attr(fh, size, attr);
+        Ok(attr)
     }
 
     /// Creates a regular file.
@@ -530,17 +582,28 @@ impl ClientBase {
         let makes = Some((dir, name));
         let (fh, attr) = self.call_once(0, makes, &make).await?.into_handle()?;
         self.note_name(dir, name, fh, attr);
+        self.hook().created(fh, attr);
         Ok((fh, attr))
     }
 
-    /// Removes a file's name.
-    pub async fn remove(&self, parent: u64, dir: FileHandle, name: &str) -> Result<()> {
+    /// Removes a file's name. `victim`, the file it names if the caller
+    /// knows it, lets the protocol drop what it holds of the file.
+    pub async fn remove(
+        &self,
+        dir: FileHandle,
+        name: &str,
+        victim: Option<FileHandle>,
+    ) -> Result<()> {
+        let op = self.hook().removing(dir, victim);
         self.names.borrow_mut().remove(dir, name);
         let make = || NfsRequest::Remove {
             dir,
             name: name.to_string(),
         };
-        self.call_once(parent, None, &make).await?.into_unit()
+        let res = self.call_once(op, None, &make).await;
+        let res = res.and_then(NfsReply::into_unit);
+        self.hook().removed(op, victim, res.is_ok());
+        res
     }
 
     /// Creates a directory.
@@ -607,6 +670,7 @@ impl ClientBase {
             rep => rep.into_attr()?,
         };
         self.note_name(to_dir, to_name, from, attr);
+        self.hook().linked(from, attr);
         Ok(attr)
     }
 
@@ -726,7 +790,7 @@ impl ClientBase {
         this.in_flight.borrow_mut().remove(&key);
         ev.set();
         let ReadReply { data, attr, .. } = res?.into_read()?;
-        c.read_attr(fh, attr);
+        this.hook().read_attr(fh, attr);
         let block = data.to_buf();
         if cachable && this.epoch(fh) == epoch {
             let victim = this.cache.borrow_mut().insert_clean(key, block.clone());

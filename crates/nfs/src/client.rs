@@ -34,7 +34,7 @@ use spritely_proto::{
 use spritely_rpcnet::ShardCaller;
 use spritely_sim::{Semaphore, Sim, SimDuration, SimTime};
 
-use crate::base::{BlockClient, ClientBase, Key, NameCache};
+use crate::base::{BlockClient, ClientBase, Consistency, Key, NameCache};
 
 /// Configuration of an [`NfsClient`].
 #[derive(Debug, Clone, Copy)]
@@ -117,8 +117,8 @@ pub struct NfsClient {
     inner: Rc<Inner>,
 }
 
-/// The namespace procedures NFS keeps no state for (`mkdir`, `rmdir`,
-/// `rename`, `readdir`, `symlink`, `readlink`) are the base's own.
+/// Every namespace procedure is the base's own; what NFS keeps of it is
+/// [`Consistency`]'s.
 impl Deref for NfsClient {
     type Target = ClientBase;
 
@@ -128,12 +128,49 @@ impl Deref for NfsClient {
 }
 
 impl BlockClient for NfsClient {
-    fn read_attr(&self, fh: FileHandle, attr: Fattr) {
-        self.note_attrs_own(fh, attr);
-    }
-
     async fn evicted(&self, _victim: DirtyVictim<Key>) {
         unreachable!("an NFS data cache holds no dirty blocks");
+    }
+}
+
+/// NFS notes in its attribute cache what each reply says: checked
+/// against what it held after a lookup's RPC (the vintage client always
+/// issues one, which is why lookups dominate Table 5-2), as its own
+/// after anything it did. A removed file is forgotten.
+impl Consistency for Inner {
+    fn read_attr(self: Rc<Self>, fh: FileHandle, attr: Fattr) {
+        NfsClient { inner: self }.note_attrs_own(fh, attr);
+    }
+
+    fn looked_up(self: Rc<Self>, fh: FileHandle, attr: Fattr, cached: bool) -> Fattr {
+        if !cached {
+            NfsClient { inner: self }.note_attrs_checking(fh, attr);
+        }
+        attr
+    }
+
+    fn created(self: Rc<Self>, fh: FileHandle, attr: Fattr) {
+        NfsClient { inner: self }.note_attrs_own(fh, attr);
+    }
+
+    fn linked(self: Rc<Self>, from: FileHandle, attr: Fattr) {
+        NfsClient { inner: self }.note_attrs_own(from, attr);
+    }
+
+    fn set_attr(self: Rc<Self>, fh: FileHandle, size: Option<u64>, attr: Fattr) {
+        if let Some(size) = size {
+            self.base.truncate_blocks(fh, blocks_for(size));
+        }
+        NfsClient { inner: self }.note_attrs_own(fh, attr);
+    }
+
+    fn removed(self: Rc<Self>, _op: u64, victim: Option<FileHandle>, ok: bool) {
+        if let Some(fh) = victim.filter(|_| ok) {
+            self.base.drop_file(fh);
+            self.attrs.borrow_mut().remove(&fh);
+            self.tails.borrow_mut().remove(&fh);
+            self.base.names().forget(fh);
+        }
     }
 }
 
@@ -145,7 +182,7 @@ impl NfsClient {
         let biods = Semaphore::new(BIODS);
         let names = NameCache::new(params.name_cache, Some(NAME_CACHE_TTL));
         NfsClient {
-            inner: Rc::new(Inner {
+            inner: Rc::new_cyclic(|me| Inner {
                 base: ClientBase::new(
                     sim,
                     caller.into(),
@@ -154,6 +191,7 @@ impl NfsClient {
                     // The next block, on a cache-missing sequential read.
                     1,
                     Some(biods.clone()),
+                    me,
                 ),
                 params,
                 attrs: RefCell::new(HashMap::new()),
@@ -217,18 +255,19 @@ impl NfsClient {
         e.fetched = self.sim().now();
     }
 
+    /// `fh`'s cached attributes, if fetched less than `ttl` of them ago.
+    fn fresh_attr(&self, fh: FileHandle, ttl: impl Fn(&AttrEntry) -> SimDuration) -> Option<Fattr> {
+        let attrs = self.inner.attrs.borrow();
+        let e = attrs.get(&fh)?;
+        let age = self.sim().now().saturating_duration_since(e.fetched);
+        (age < ttl(e)).then_some(e.attr)
+    }
+
     /// Returns attributes, probing the server if the cache has expired
     /// (or unconditionally with `force`).
     pub async fn probe_attrs(&self, fh: FileHandle, force: bool) -> Result<Fattr> {
         if !force {
-            let fresh = {
-                let attrs = self.inner.attrs.borrow();
-                attrs.get(&fh).and_then(|e| {
-                    let age = self.sim().now().saturating_duration_since(e.fetched);
-                    (age < self.attr_timeout(e)).then_some(e.attr)
-                })
-            };
-            if let Some(a) = fresh {
+            if let Some(a) = self.fresh_attr(fh, |e| self.attr_timeout(e)) {
                 return Ok(a);
             }
         }
@@ -248,17 +287,9 @@ impl NfsClient {
         // them within the probe floor, in which case that reply already
         // was the consistency check.
         if self.caller().transport().piggyback {
-            let fresh = {
-                let attrs = self.inner.attrs.borrow();
-                attrs.get(&fh).and_then(|e| {
-                    let age = self.sim().now().saturating_duration_since(e.fetched);
-                    (age < self.inner.params.attr_min).then_some(e.attr)
-                })
-            };
-            if let Some(a) = fresh {
-                self.inner
-                    .elided_probes
-                    .set(self.inner.elided_probes.get() + 1);
+            if let Some(a) = self.fresh_attr(fh, |_| self.inner.params.attr_min) {
+                let elided = &self.inner.elided_probes;
+                elided.set(elided.get() + 1);
                 return Ok(a);
             }
         }
@@ -444,56 +475,5 @@ impl NfsClient {
         self.inner.base.cold_boot();
         self.inner.attrs.borrow_mut().clear();
         Ok(())
-    }
-
-    // ---- namespace operations ----------------------------------------------
-
-    /// Translates one name component. The vintage client always issues an
-    /// RPC (which is why lookups dominate Table 5-2); with
-    /// [`NfsClientParams::name_cache`] a TTL-based dnlc answers repeats.
-    pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        let (fh, attr, cached) = self.inner.base.lookup(dir, name).await?;
-        if !cached {
-            self.note_attrs_checking(fh, attr);
-        }
-        Ok((fh, attr))
-    }
-
-    /// Creates a regular file.
-    pub async fn create(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        let (fh, attr) = self.inner.base.create(dir, name).await?;
-        self.note_attrs_own(fh, attr);
-        Ok((fh, attr))
-    }
-
-    /// Removes a file. The caller should pass the file's handle via
-    /// [`forget`](Self::forget) to drop local caching.
-    pub async fn remove(&self, dir: FileHandle, name: &str) -> Result<()> {
-        self.inner.base.remove(0, dir, name).await
-    }
-
-    /// Creates a hard link `to_dir/to_name` to `from`.
-    pub async fn link(&self, from: FileHandle, to_dir: FileHandle, to_name: &str) -> Result<Fattr> {
-        let attr = self.inner.base.link(from, to_dir, to_name).await?;
-        self.note_attrs_own(from, attr);
-        Ok(attr)
-    }
-
-    /// Sets attributes (truncate).
-    pub async fn setattr(&self, fh: FileHandle, size: Option<u64>) -> Result<Fattr> {
-        let attr = self.inner.base.setattr(fh, size).await?;
-        if let Some(sz) = size {
-            self.truncate_blocks(fh, blocks_for(sz));
-        }
-        self.note_attrs_own(fh, attr);
-        Ok(attr)
-    }
-
-    /// Drops all local state for a handle (after unlink).
-    pub fn forget(&self, fh: FileHandle) {
-        self.drop_file(fh);
-        self.inner.attrs.borrow_mut().remove(&fh);
-        self.inner.tails.borrow_mut().remove(&fh);
-        self.names().forget(fh);
     }
 }

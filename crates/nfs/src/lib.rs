@@ -320,8 +320,7 @@ mod tests {
             c.open(fh, true).await.unwrap();
             c.write(fh, 0, &[1u8; 8 * BLOCK_SIZE]).await.unwrap();
             c.close(fh, true).await.unwrap();
-            c.remove(root, "tmp").await.unwrap();
-            c.forget(fh);
+            c.remove(root, "tmp", Some(fh)).await.unwrap();
             assert_eq!(counter.get(NfsProc::Write), 8, "all blocks written anyway");
         });
     }
@@ -444,7 +443,7 @@ mod tests {
                 .map(|e| e.name)
                 .collect();
             assert_eq!(names, vec!["b"]);
-            c.remove(d, "b").await.unwrap();
+            c.remove(d, "b", None).await.unwrap();
             c.rmdir(root, "dir").await.unwrap();
             assert_eq!(c.lookup(root, "dir").await.unwrap_err(), NfsStatus::NoEnt);
         });

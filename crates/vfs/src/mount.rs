@@ -2,20 +2,20 @@
 
 use std::rc::Rc;
 
-use spritely_core::SnfsClient;
+use spritely_core::Remote;
 use spritely_localfs::LocalFs;
-use spritely_nfs::NfsClient;
 use spritely_proto::{DirEntry, Fattr, FileHandle, Result};
 
-/// One of the three file system implementations a path can resolve to.
+/// What a path can resolve to: the local disk, or a server. A remote
+/// mount names its protocol in `open`, `close`, `read`, `write`, `fsync`
+/// and `getattr` only — the paper's §3 delta; every other procedure is
+/// the same call over either.
 #[derive(Clone)]
 pub enum FsBackend {
     /// A local disk file system.
     Local(LocalFs),
-    /// A remote file system over baseline NFS.
-    Nfs(NfsClient),
-    /// A remote file system over Spritely NFS.
-    Snfs(SnfsClient),
+    /// A remote file system over baseline or Spritely NFS.
+    Remote(Remote),
 }
 
 impl FsBackend {
@@ -23,8 +23,7 @@ impl FsBackend {
     pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
         match self {
             FsBackend::Local(fs) => fs.lookup(dir, name),
-            FsBackend::Nfs(c) => c.lookup(dir, name).await,
-            FsBackend::Snfs(c) => c.lookup(dir, name).await,
+            FsBackend::Remote(c) => c.lookup(dir, name).await,
         }
     }
 
@@ -32,8 +31,7 @@ impl FsBackend {
     pub async fn create(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
         match self {
             FsBackend::Local(fs) => fs.create(dir, name).await,
-            FsBackend::Nfs(c) => c.create(dir, name).await,
-            FsBackend::Snfs(c) => c.create(dir, name).await,
+            FsBackend::Remote(c) => c.create(dir, name).await,
         }
     }
 
@@ -41,8 +39,8 @@ impl FsBackend {
     pub async fn open(&self, fh: FileHandle, write: bool) -> Result<Fattr> {
         match self {
             FsBackend::Local(fs) => fs.getattr(fh),
-            FsBackend::Nfs(c) => c.open(fh, write).await,
-            FsBackend::Snfs(c) => c.open(fh, write).await,
+            FsBackend::Remote(Remote::Nfs(c)) => c.open(fh, write).await,
+            FsBackend::Remote(Remote::Snfs(c)) => c.open(fh, write).await,
         }
     }
 
@@ -50,8 +48,8 @@ impl FsBackend {
     pub async fn close(&self, fh: FileHandle, write: bool) -> Result<()> {
         match self {
             FsBackend::Local(_) => Ok(()),
-            FsBackend::Nfs(c) => c.close(fh, write).await,
-            FsBackend::Snfs(c) => c.close(fh, write).await,
+            FsBackend::Remote(Remote::Nfs(c)) => c.close(fh, write).await,
+            FsBackend::Remote(Remote::Snfs(c)) => c.close(fh, write).await,
         }
     }
 
@@ -59,8 +57,8 @@ impl FsBackend {
     pub async fn read(&self, fh: FileHandle, offset: u64, len: u32) -> Result<Vec<u8>> {
         match self {
             FsBackend::Local(fs) => fs.read(fh, offset, len).await.map(|(d, _, _)| d.to_vec()),
-            FsBackend::Nfs(c) => c.read(fh, offset, len).await.map(|(d, _)| d),
-            FsBackend::Snfs(c) => c.read(fh, offset, len).await.map(|(d, _)| d),
+            FsBackend::Remote(Remote::Nfs(c)) => c.read(fh, offset, len).await.map(|(d, _)| d),
+            FsBackend::Remote(Remote::Snfs(c)) => c.read(fh, offset, len).await.map(|(d, _)| d),
         }
     }
 
@@ -68,8 +66,8 @@ impl FsBackend {
     pub async fn write(&self, fh: FileHandle, offset: u64, data: &[u8]) -> Result<()> {
         match self {
             FsBackend::Local(fs) => fs.write(fh, offset, data, false).await.map(|_| ()),
-            FsBackend::Nfs(c) => c.write(fh, offset, data).await,
-            FsBackend::Snfs(c) => c.write(fh, offset, data).await,
+            FsBackend::Remote(Remote::Nfs(c)) => c.write(fh, offset, data).await,
+            FsBackend::Remote(Remote::Snfs(c)) => c.write(fh, offset, data).await,
         }
     }
 
@@ -77,8 +75,8 @@ impl FsBackend {
     pub async fn getattr(&self, fh: FileHandle) -> Result<Fattr> {
         match self {
             FsBackend::Local(fs) => fs.getattr(fh),
-            FsBackend::Nfs(c) => c.probe_attrs(fh, false).await,
-            FsBackend::Snfs(c) => c.getattr(fh).await,
+            FsBackend::Remote(Remote::Nfs(c)) => c.probe_attrs(fh, false).await,
+            FsBackend::Remote(Remote::Snfs(c)) => c.getattr(fh).await,
         }
     }
 
@@ -86,8 +84,7 @@ impl FsBackend {
     pub async fn truncate(&self, fh: FileHandle, size: u64) -> Result<Fattr> {
         match self {
             FsBackend::Local(fs) => fs.setattr(fh, Some(size)).await,
-            FsBackend::Nfs(c) => c.setattr(fh, Some(size)).await,
-            FsBackend::Snfs(c) => c.setattr(fh, Some(size)).await,
+            FsBackend::Remote(c) => c.setattr(fh, Some(size)).await,
         }
     }
 
@@ -96,12 +93,7 @@ impl FsBackend {
     pub async fn remove(&self, dir: FileHandle, name: &str, victim: FileHandle) -> Result<()> {
         match self {
             FsBackend::Local(fs) => fs.remove(dir, name).await,
-            FsBackend::Nfs(c) => {
-                c.remove(dir, name).await?;
-                c.forget(victim);
-                Ok(())
-            }
-            FsBackend::Snfs(c) => c.remove(dir, name, Some(victim)).await,
+            FsBackend::Remote(c) => c.remove(dir, name, Some(victim)).await,
         }
     }
 
@@ -109,8 +101,7 @@ impl FsBackend {
     pub async fn mkdir(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
         match self {
             FsBackend::Local(fs) => fs.mkdir(dir, name).await,
-            FsBackend::Nfs(c) => c.mkdir(dir, name).await,
-            FsBackend::Snfs(c) => c.mkdir(dir, name).await,
+            FsBackend::Remote(c) => c.mkdir(dir, name).await,
         }
     }
 
@@ -118,8 +109,7 @@ impl FsBackend {
     pub async fn rmdir(&self, dir: FileHandle, name: &str) -> Result<()> {
         match self {
             FsBackend::Local(fs) => fs.rmdir(dir, name).await,
-            FsBackend::Nfs(c) => c.rmdir(dir, name).await,
-            FsBackend::Snfs(c) => c.rmdir(dir, name).await,
+            FsBackend::Remote(c) => c.rmdir(dir, name).await,
         }
     }
 
@@ -133,8 +123,7 @@ impl FsBackend {
     ) -> Result<()> {
         match self {
             FsBackend::Local(fs) => fs.rename(from_dir, from_name, to_dir, to_name).await,
-            FsBackend::Nfs(c) => c.rename(from_dir, from_name, to_dir, to_name).await,
-            FsBackend::Snfs(c) => c.rename(from_dir, from_name, to_dir, to_name).await,
+            FsBackend::Remote(c) => c.rename(from_dir, from_name, to_dir, to_name).await,
         }
     }
 
@@ -142,8 +131,7 @@ impl FsBackend {
     pub async fn readdir(&self, dir: FileHandle) -> Result<Vec<DirEntry>> {
         match self {
             FsBackend::Local(fs) => fs.readdir(dir),
-            FsBackend::Nfs(c) => c.readdir(dir).await,
-            FsBackend::Snfs(c) => c.readdir(dir).await,
+            FsBackend::Remote(c) => c.readdir(dir).await,
         }
     }
 
@@ -151,8 +139,8 @@ impl FsBackend {
     pub async fn fsync(&self, fh: FileHandle) -> Result<()> {
         match self {
             FsBackend::Local(fs) => fs.fsync(fh).await,
-            FsBackend::Nfs(c) => c.fsync(fh).await,
-            FsBackend::Snfs(c) => c.fsync(fh).await,
+            FsBackend::Remote(Remote::Nfs(c)) => c.fsync(fh).await,
+            FsBackend::Remote(Remote::Snfs(c)) => c.fsync(fh).await,
         }
     }
 
@@ -160,8 +148,7 @@ impl FsBackend {
     pub async fn link(&self, from: FileHandle, to_dir: FileHandle, to_name: &str) -> Result<Fattr> {
         match self {
             FsBackend::Local(fs) => fs.link(from, to_dir, to_name).await,
-            FsBackend::Nfs(c) => c.link(from, to_dir, to_name).await,
-            FsBackend::Snfs(c) => c.link(from, to_dir, to_name).await,
+            FsBackend::Remote(c) => c.link(from, to_dir, to_name).await,
         }
     }
 
@@ -174,8 +161,7 @@ impl FsBackend {
     ) -> Result<(FileHandle, Fattr)> {
         match self {
             FsBackend::Local(fs) => fs.symlink(dir, name, target).await,
-            FsBackend::Nfs(c) => c.symlink(dir, name, target).await,
-            FsBackend::Snfs(c) => c.symlink(dir, name, target).await,
+            FsBackend::Remote(c) => c.symlink(dir, name, target).await,
         }
     }
 
@@ -183,8 +169,7 @@ impl FsBackend {
     pub async fn readlink(&self, fh: FileHandle) -> Result<String> {
         match self {
             FsBackend::Local(fs) => fs.readlink(fh),
-            FsBackend::Nfs(c) => c.readlink(fh).await,
-            FsBackend::Snfs(c) => c.readlink(fh).await,
+            FsBackend::Remote(c) => c.readlink(fh).await,
         }
     }
 }

@@ -10,6 +10,7 @@ use spritely::harness::{
 };
 use spritely::proto::{NfsStatus, BLOCK_SIZE};
 use spritely::sim::SimDuration;
+use spritely::snfs::Remote;
 use spritely::vfs::FsBackend;
 
 fn two_client_snfs(server: SnfsServerParams) -> Testbed {
@@ -157,8 +158,8 @@ fn dup_cache_loss_rig(protocol: Protocol) -> (Testbed, FsBackend, impl Fn()) {
         ..TestbedParams::default()
     });
     let fs = match &tb.clients[0].remote {
-        RemoteClient::Nfs(c) => FsBackend::Nfs(c.clone()),
-        RemoteClient::Snfs(c) => FsBackend::Snfs(c.clone()),
+        RemoteClient::Nfs(c) => FsBackend::Remote(Remote::Nfs(c.clone())),
+        RemoteClient::Snfs(c) => FsBackend::Remote(Remote::Snfs(c.clone())),
         RemoteClient::None => panic!("expected a remote protocol"),
     };
     let (sim, net) = (tb.sim.clone(), tb.net.clone());

@@ -3,8 +3,10 @@
 //! the interplay with delayed-write cancellation and the consistent name
 //! cache.
 
-use spritely::harness::{Protocol, RemoteClient, Testbed, TestbedParams};
+use spritely::harness::{DelegationParams, Protocol, RemoteClient, Testbed, TestbedParams};
 use spritely::proto::{FileType, NfsStatus, BLOCK_SIZE};
+use spritely::sim::SimDuration;
+use spritely::snfs::Remote;
 use spritely::vfs::OpenFlags;
 
 fn testbed(protocol: Protocol) -> Testbed {
@@ -218,4 +220,89 @@ fn snfs_name_cache_sees_remote_link_and_symlink_creation() {
         assert_eq!(via_link, fh);
     });
     sim.run_until(h);
+}
+
+/// The client of `tb`'s first host, as a mount holds it.
+fn remote(tb: &Testbed) -> Remote {
+    match &tb.clients[0].remote {
+        RemoteClient::Nfs(c) => Remote::Nfs(c.clone()),
+        RemoteClient::Snfs(c) => Remote::Snfs(c.clone()),
+        RemoteClient::None => panic!("expected a remote protocol"),
+    }
+}
+
+/// The base runs `remove` and `setattr`, and each protocol's hooks run
+/// where its own wrappers used to. An unlink through `Proc` of a file with
+/// cached and dirty state leaves its client holding nothing of it: over
+/// NFS no cached block, no partial-write tail and no attribute entry; over
+/// SNFS no cached block, no local attributes and no delegation, its dirty
+/// blocks counted cancelled. A truncate drops the blocks past the new end.
+/// (`removing_one_hard_link_does_not_cancel_delayed_writes` covers a
+/// remove that is not the last link.)
+#[test]
+fn remove_and_truncate_leave_the_client_nothing_past_them() {
+    for protocol in [Protocol::Nfs, Protocol::Snfs] {
+        let tb = Testbed::build(TestbedParams {
+            protocol,
+            delegation: DelegationParams::pipelined(),
+            ..TestbedParams::default()
+        });
+        let (p, c, fs) = (tb.proc(), remote(&tb), tb.server_fs.clone());
+        let sim = tb.sim.clone();
+        let h = sim.spawn({
+            let sim = sim.clone();
+            async move {
+                let cached = |fh| c.cache().keys_matching(|k| k.0 == fh);
+                // Two whole blocks at the server, then a partial one that
+                // is not (NFS holds it back, SNFS holds it dirty), the file
+                // left open. A write still on the wire would note the
+                // file's attributes again when it lands.
+                let fd = p.open("/remote/doomed", OpenFlags::create_write());
+                let fd = fd.await.unwrap();
+                p.write(fd, &[1u8; 2 * BLOCK_SIZE]).await.unwrap();
+                p.fsync(fd).await.unwrap();
+                p.write(fd, &[1u8; 100]).await.unwrap();
+                let (fh, _) = fs.lookup(fs.root(), "doomed").unwrap();
+                let held = if protocol == Protocol::Nfs { 2 } else { 3 };
+                assert_eq!(cached(fh).len(), held, "{protocol:?}");
+                p.unlink("/remote/doomed").await.unwrap();
+                assert!(cached(fh).is_empty(), "{protocol:?}: no cached block");
+                match &c {
+                    Remote::Nfs(c) => {
+                        let sent = c.write_stats().writes;
+                        c.fsync(fh).await.unwrap();
+                        assert_eq!(c.write_stats().writes, sent, "no partial-write tail");
+                        let attrs = c.probe_attrs(fh, false).await;
+                        assert_eq!(attrs, Err(NfsStatus::Stale), "no attribute entry");
+                    }
+                    Remote::Snfs(c) => {
+                        assert_eq!(c.stats().cancelled_blocks, 1, "the dirty block");
+                        assert_eq!(c.dirty_blocks(), 0);
+                        assert_eq!(c.delegations_held(), 0, "no delegation record");
+                        let attrs = c.getattr(fh).await;
+                        assert_eq!(attrs, Err(NfsStatus::Stale), "no local attributes");
+                    }
+                }
+                // Two whole blocks, cut to one.
+                let fd = p.open("/remote/cut", OpenFlags::create_write());
+                let fd = fd.await.unwrap();
+                p.write(fd, &[2u8; 2 * BLOCK_SIZE]).await.unwrap();
+                if protocol == Protocol::Nfs {
+                    sim.sleep(SimDuration::from_secs(1)).await;
+                }
+                let (fh, _) = fs.lookup(fs.root(), "cut").unwrap();
+                assert_eq!(cached(fh).len(), 2, "{protocol:?}");
+                c.setattr(fh, Some(BLOCK_SIZE as u64)).await.unwrap();
+                assert_eq!(
+                    cached(fh),
+                    [(fh, 0)],
+                    "{protocol:?}: the block past the end"
+                );
+                if let Remote::Snfs(c) = &c {
+                    assert_eq!(c.stats().cancelled_blocks, 1 + 1, "block 1 was dirty");
+                }
+            }
+        });
+        sim.run_until(h);
+    }
 }

@@ -137,8 +137,7 @@ fn nfs_dnlc_can_serve_stale_names() {
         async move {
             let (fh, _) = a.create(root, "shared").await.unwrap();
             let _ = a.lookup(root, "shared").await.unwrap();
-            b.remove(root, "shared").await.unwrap();
-            b.forget(fh);
+            b.remove(root, "shared", Some(fh)).await.unwrap();
             // Inside the TTL the stale name still resolves at A.
             let stale = a.lookup(root, "shared").await;
             assert!(stale.is_ok(), "dnlc serves the stale name inside its TTL");
