@@ -21,9 +21,10 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::task::{Poll, Waker};
 
 use spritely_metrics::{Histogram, InflightGauge};
-use spritely_sim::{Event, Resource, Sim, SimDuration};
+use spritely_sim::{Resource, Sim, SimDuration};
 use spritely_trace::{EventKind, Tracer};
 
 /// Bytes per block address: the file system's 4 KB block.
@@ -128,12 +129,12 @@ struct DiskState {
     stats: DiskStats,
 }
 
-/// One queued C-LOOK request awaiting dispatch.
+/// One queued C-LOOK request awaiting dispatch, and its waker once polled.
 struct Pending {
     id: u64,
     block: u64,
     bypass: u32,
-    grant: Event,
+    waker: Option<Waker>,
 }
 
 #[derive(Default)]
@@ -260,12 +261,11 @@ impl Disk {
         // the ticket de-queues it (or hands the arm on) even if this
         // future is dropped mid-wait.
         let ticket = if let DiskSched::CLook { max_bypass, .. } = self.sched {
-            let grant = Event::new();
             self.queue.borrow_mut().pending.push(Pending {
                 id: req,
                 block,
                 bypass: 0,
-                grant: grant.clone(),
+                waker: None,
             });
             let ticket = Ticket {
                 disk: self,
@@ -273,7 +273,17 @@ impl Disk {
                 max_bypass,
             };
             self.dispatch_next(max_bypass);
-            grant.wait().await;
+            // `current == Some(req)` is the grant.
+            std::future::poll_fn(|cx| {
+                let mut q = self.queue.borrow_mut();
+                if q.current == Some(req) {
+                    return Poll::Ready(());
+                }
+                let p = q.pending.iter_mut().find(|p| p.id == req);
+                p.expect("queued until granted").waker = Some(cx.waker().clone());
+                Poll::Pending
+            })
+            .await;
             Some(ticket)
         } else {
             None
@@ -353,7 +363,9 @@ impl Disk {
         }
         q.current = Some(chosen.id);
         drop(q);
-        chosen.grant.set();
+        if let Some(waker) = chosen.waker {
+            waker.wake();
+        }
     }
 
     /// Index of the next request to serve: the oldest aged-out request if

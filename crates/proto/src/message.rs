@@ -234,16 +234,19 @@ impl NfsRequest {
             NfsRequest::Link { to_name, .. } => to_name.len(),
             NfsRequest::Symlink { name, target, .. } => name.len() + target.len(),
             NfsRequest::TxPrepare { name, .. } => name.len(),
-            NfsRequest::Compound { calls } => {
-                return HEADER_BYTES
-                    + calls
-                        .iter()
-                        .map(|c| compound_slot_bytes(c.wire_size()))
-                        .sum::<usize>();
-            }
+            NfsRequest::Compound { calls } => return Self::compound_wire_size(calls),
             _ => 0,
         };
         HEADER_BYTES + payload
+    }
+
+    /// The wire size of the compound that carries `calls`, without
+    /// building it.
+    pub fn compound_wire_size<'a>(calls: impl IntoIterator<Item = &'a NfsRequest>) -> usize {
+        let slots = calls
+            .into_iter()
+            .map(|c| compound_slot_bytes(c.wire_size()));
+        HEADER_BYTES + slots.sum::<usize>()
     }
 
     /// The handle this request addresses: the file it acts on, or the
@@ -474,11 +477,12 @@ impl NfsReply {
 
     /// The inverse of [`compound`](Self::compound): the replies this
     /// message carries, in call order — itself, unless it is a compound.
-    pub fn into_parts(self) -> Vec<NfsReply> {
-        match self {
-            NfsReply::Compound { replies } => replies,
-            one => vec![one],
-        }
+    pub fn into_parts(self) -> impl Iterator<Item = NfsReply> {
+        let (one, many) = match self {
+            NfsReply::Compound { replies } => (None, replies),
+            one => (Some(one), Vec::new()),
+        };
+        one.into_iter().chain(many)
     }
 
     /// True unless the reply signals an error: the `ok` flag the trace
@@ -731,9 +735,10 @@ mod tests {
         assert_eq!(NfsRequest::compound(vec![req.clone()]), req);
         let rep = NfsReply::Attr(attr());
         assert_eq!(NfsReply::compound(vec![rep.clone()]), rep);
-        assert_eq!(rep.clone().into_parts(), vec![rep.clone()]);
+        let parts = |r: NfsReply| r.into_parts().collect::<Vec<_>>();
+        assert_eq!(parts(rep.clone()), vec![rep.clone()]);
         let two = vec![rep, NfsReply::Ok];
-        assert_eq!(NfsReply::compound(two.clone()).into_parts(), two);
+        assert_eq!(parts(NfsReply::compound(two.clone())), two);
     }
 
     #[test]

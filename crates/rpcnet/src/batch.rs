@@ -2,20 +2,36 @@
 //! (DESIGN.md §13, §22): it decides *when* parked requests leave and with
 //! whom; the exchange they then share is [`Link::exchange`].
 
+use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::task::{Poll, Waker};
 
 use spritely_proto::{NfsReply, NfsRequest};
-use spritely_sim::{Event, SimDuration};
+use spritely_sim::SimDuration;
 
 use crate::caller::{Link, Member};
 
-/// One request parked in a caller's batch queue, with the slot its
-/// reply will be delivered through.
-struct BatchEntry {
-    member: Member<NfsRequest>,
-    slot: Rc<RefCell<Option<NfsReply>>>,
-    done: Event,
+/// The one allocation of a parked call: its reply, and the waker of the
+/// call waiting for it (woken even after a timeout dropped the wait, as a
+/// set `Event` would wake it).
+#[derive(Default)]
+struct ReplyCell {
+    reply: Cell<Option<NfsReply>>,
+    waker: Cell<Option<Waker>>,
+}
+
+/// A request parked in a caller's batch queue, with the cell its reply
+/// will be delivered through.
+struct Parked {
+    req: NfsRequest,
+    cell: Rc<ReplyCell>,
+}
+
+impl Borrow<NfsRequest> for Parked {
+    fn borrow(&self) -> &NfsRequest {
+        &self.req
+    }
 }
 
 /// The Nagle-style batching queue behind a caller (present only when
@@ -31,7 +47,7 @@ pub(crate) struct Batcher {
     link: Rc<Link>,
     max_batch: usize,
     window: SimDuration,
-    queue: RefCell<Vec<BatchEntry>>,
+    queue: RefCell<Vec<Member<Parked>>>,
     window_armed: Cell<bool>,
     inflight: Cell<usize>,
     next_id: Cell<u64>,
@@ -53,16 +69,16 @@ impl Batcher {
     /// Parks one background request until a flush has carried it to the
     /// endpoint and back. Hangs when that flush is lost; the caller's
     /// timeout drops the wait and parks the retransmission afresh.
-    pub(crate) async fn call(self: &Rc<Self>, member: Member<NfsRequest>) -> NfsReply {
-        let slot = Rc::new(RefCell::new(None));
-        let done = Event::new();
+    pub(crate) async fn call(self: &Rc<Self>, member: &Member<&NfsRequest>) -> NfsReply {
+        let cell = Rc::new(ReplyCell::default());
+        let (xid, parent, req) = (member.xid, member.parent, member.req.clone());
+        let req = Parked {
+            req,
+            cell: Rc::clone(&cell),
+        };
         let len = {
             let mut q = self.queue.borrow_mut();
-            q.push(BatchEntry {
-                member,
-                slot: Rc::clone(&slot),
-                done: done.clone(),
-            });
+            q.push(Member { xid, parent, req });
             q.len()
         };
         if len >= self.max_batch || self.inflight.get() == 0 {
@@ -79,54 +95,66 @@ impl Batcher {
                 b.flush_now();
             });
         }
-        done.wait().await;
-        let rep = slot.borrow_mut().take();
-        rep.expect("flush fills the slot before signalling")
+        std::future::poll_fn(|cx| {
+            cell.waker.set(Some(cx.waker().clone()));
+            cell.reply.take().map_or(Poll::Pending, Poll::Ready)
+        })
+        .await
     }
 
     /// Flushes whatever has accumulated (no-op on an empty queue). The
     /// queue is partitioned by procedure — reads compound with reads,
     /// writes with writes — because a compound's reply waits for its
     /// slowest member: mixing a cached read into a disk write's batch
-    /// would hand the read the write's latency.
+    /// would hand the read the write's latency. A lone member leaves the
+    /// queue's `Vec` where it is, and a queue of one procedure is not
+    /// partitioned.
     pub(crate) fn flush_now(self: &Rc<Self>) {
-        let mut batch = std::mem::take(&mut *self.queue.borrow_mut());
-        // One pass and one `Vec` for a queue of one procedure, which is
-        // the usual queue (the empty remainder allocates nothing).
-        while let Some(first) = batch.first() {
-            let pid = first.member.req.proc_id();
-            let (group, rest) = batch
-                .into_iter()
-                .partition(|e| e.member.req.proc_id() == pid);
-            self.spawn_flush(group);
+        let mut q = self.queue.borrow_mut();
+        let mut batch = match q.len() {
+            0 => return,
+            1 => return self.spawn_flush([q.pop().expect("one parked")]),
+            _ => std::mem::take(&mut *q),
+        };
+        drop(q);
+        loop {
+            let pid = batch[0].req.req.proc_id();
+            if batch.iter().all(|e| e.req.req.proc_id() == pid) {
+                return self.spawn_flush(batch);
+            }
+            let (group, rest) = batch.into_iter().partition(|e| e.req.req.proc_id() == pid);
+            self.spawn_flush::<Vec<_>>(group);
             batch = rest;
         }
     }
 
     /// One flush: a detached task that pays one wire exchange for the
     /// whole batch, hands each member its reply, and, once the last
-    /// outstanding flush drains, ack-clocks the next batch out.
-    fn spawn_flush(self: &Rc<Self>, batch: Vec<BatchEntry>) {
+    /// outstanding flush drains, ack-clocks the next batch out. Its task
+    /// is all it allocates for a lone member.
+    fn spawn_flush<B: AsRef<[Member<Parked>]> + 'static>(self: &Rc<Self>, batch: B) {
         self.inflight.set(self.inflight.get() + 1);
         let b = Rc::clone(self);
         self.link.sim.spawn(async move {
             let id = b.next_id.get();
             b.next_id.set(id + 1);
-            let members: Vec<_> = batch.iter().map(|e| e.member.on_the_wire()).collect();
+            let batch = batch.as_ref();
             if let Some(s) = b.link.tstats.borrow().as_ref() {
-                s.batch_sizes.record(members.len() as u64);
+                s.batch_sizes.record(batch.len() as u64);
                 // Every request after the first rides along: one saved
                 // round trip each, attributed to its procedure.
-                for m in members.iter().skip(1) {
-                    s.saved.record(m.req.proc_id());
+                for m in batch.iter().skip(1) {
+                    s.saved.record(m.req.req.proc_id());
                 }
             }
-            // A lost exchange fills no slot: every member's timeout fires
+            // A lost exchange fills no cell: every member's timeout fires
             // and its retransmission parks afresh.
-            if let Some(rep) = b.link.exchange(&members, Some(id)).await {
-                for (e, rep) in batch.iter().zip(rep.into_parts()) {
-                    *e.slot.borrow_mut() = Some(rep);
-                    e.done.set();
+            if let Some(rep) = b.link.exchange(batch, Some(id)).await {
+                for (m, rep) in batch.iter().zip(rep.into_parts()) {
+                    m.req.cell.reply.set(Some(rep));
+                    if let Some(waker) = m.req.cell.waker.take() {
+                        waker.wake();
+                    }
                 }
             }
             b.inflight.set(b.inflight.get() - 1);

@@ -2,13 +2,15 @@
 //! retransmission ladder, and the one wire exchange every request crosses,
 //! alone or in a batch (DESIGN.md §22).
 
+use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
+use std::task::Poll;
 
 use spritely_metrics::LatencyStats;
 use spritely_proto::{ClientId, NfsReply, NfsRequest};
-use spritely_sim::{Event, Resource, Sim, SimDuration, SimRng};
+use spritely_sim::{yield_now, Resource, Sim, SimDuration, SimRng};
 use spritely_trace::{EventKind, Tracer};
 
 use crate::batch::Batcher;
@@ -55,21 +57,14 @@ impl Default for CallerParams {
 }
 
 /// One request on its way through a wire exchange, under the identity it
-/// keeps across retransmissions. `R` is the request itself while it is
-/// parked in a batch queue and a borrow of it on the wire: an exchange
-/// copies a request only to hand it to the endpoint.
+/// keeps across retransmissions. `R` borrows the request: a caller's own
+/// attempt lends it, a batch queue holds it with its reply cell. An
+/// exchange copies a request only to hand it to the endpoint.
 pub(crate) struct Member<R> {
     pub(crate) xid: u64,
     /// Trace context: the request's `rpc_call` event (0 when untraced).
     pub(crate) parent: u64,
     pub(crate) req: R,
-}
-
-impl Member<NfsRequest> {
-    pub(crate) fn on_the_wire(&self) -> Member<&NfsRequest> {
-        let (xid, parent, req) = (self.xid, self.parent, &self.req);
-        Member { xid, parent, req }
-    }
 }
 
 /// What every wire exchange of one logical caller shares, whoever runs
@@ -115,7 +110,7 @@ impl Link {
     /// single request.
     pub(crate) async fn exchange(
         self: &Rc<Self>,
-        members: &[Member<&NfsRequest>],
+        members: &[Member<impl Borrow<NfsRequest>>],
         batch: Option<u64>,
     ) -> Option<NfsReply> {
         let (from, count) = (self.from, members.len() as u64);
@@ -141,11 +136,11 @@ impl Link {
             self.sim.sleep(plan.delay).await;
         }
         // A batch of one is the plain message (`NfsRequest::compound`'s
-        // contract): it is sized where it stands, and only a real
-        // compound is built.
+        // contract): it is sized where it stands, and a compound is sized
+        // without being built.
         let req_bytes = match members {
-            [m] => m.req.wire_size(),
-            _ => NfsRequest::compound(members.iter().map(|m| m.req.clone()).collect()).wire_size(),
+            [m] => m.req.borrow().wire_size(),
+            _ => NfsRequest::compound_wire_size(members.iter().map(|m| m.req.borrow())),
         };
         // Every member leaves the wire at this instant; each gets its own
         // xmit boundary so the profiler can split batcher hold from
@@ -170,7 +165,7 @@ impl Link {
             let this = Rc::clone(self);
             let copies: Vec<_> = members
                 .iter()
-                .map(|m| (m.xid, m.parent, m.req.clone()))
+                .map(|m| (m.xid, m.parent, m.req.borrow().clone()))
                 .collect();
             self.sim.spawn(async move {
                 this.net.transmit_from(from.0, true, req_bytes).await;
@@ -185,36 +180,56 @@ impl Link {
                 this.net.transmit_from(from.0, false, bytes).await;
             });
         }
-        let rep = match (members, batch) {
-            // A caller's own request is delivered in the caller's task.
-            ([m], None) => {
-                self.endpoint
-                    .deliver(from, m.xid, m.parent, m.req.clone())
-                    .await
+        let rep = match members {
+            // One request is delivered in the task that runs the exchange:
+            // a caller's own, or a flush's. A flush yields on each side of
+            // it, where a member task's first poll and its wake of the
+            // flush would stand, so every task polls when and as often as
+            // it would (DESIGN.md §15).
+            [m] => {
+                if batch.is_some() {
+                    yield_now().await;
+                }
+                let req = m.req.borrow().clone();
+                let rep = self.endpoint.deliver(from, m.xid, m.parent, req).await;
+                if batch.is_some() {
+                    yield_now().await;
+                }
+                rep
             }
-            // A flush delivers every member concurrently, each in its own
-            // task — each keeps its own xid, so dup-cache entries and
+            // A compound delivers every member concurrently, each in its
+            // own task — each keeps its own xid, so dup-cache entries and
             // per-procedure counters are exactly what the unbatched
             // transport would produce.
             _ => {
                 // One allocation gathers the replies; whoever fills the
                 // last slot wakes the flush.
-                let gather = Rc::new((RefCell::new(vec![None; members.len()]), Event::new()));
+                let gather: Rc<[RefCell<Option<NfsReply>>]> =
+                    members.iter().map(|_| RefCell::new(None)).collect();
+                let flush = std::future::poll_fn(|cx| Poll::Ready(cx.waker().clone())).await;
+                let filled = |g: &[RefCell<Option<NfsReply>>]| {
+                    let all = g.iter().all(|r| r.borrow().is_some());
+                    if all {
+                        Poll::Ready(())
+                    } else {
+                        Poll::Pending
+                    }
+                };
                 for (i, m) in members.iter().enumerate() {
-                    let (ep, gather) = (self.endpoint.clone(), Rc::clone(&gather));
-                    let (xid, parent, req) = (m.xid, m.parent, m.req.clone());
+                    let (ep, gather, flush) =
+                        (self.endpoint.clone(), Rc::clone(&gather), flush.clone());
+                    let (xid, parent, req) = (m.xid, m.parent, m.req.borrow().clone());
                     self.sim.spawn(async move {
                         let rep = ep.deliver(from, xid, parent, req).await;
-                        let mut reps = gather.0.borrow_mut();
-                        reps[i] = Some(rep);
-                        if reps.iter().all(Option::is_some) {
-                            gather.1.set();
+                        *gather[i].borrow_mut() = Some(rep);
+                        if filled(&gather).is_ready() {
+                            flush.wake();
                         }
                     });
                 }
-                gather.1.wait().await;
-                let reps = gather.0.take().into_iter();
-                NfsReply::compound(reps.map(|r| r.expect("every deliver completed")).collect())
+                std::future::poll_fn(|_| filled(&gather)).await;
+                let reps = gather.iter().map(|r| r.take().expect("filled"));
+                NfsReply::compound(reps.collect())
             }
         };
         batch_event(true);
@@ -521,9 +536,7 @@ impl Caller {
             // call must not wait behind a batched disk write.
             let batcher = self.batcher.borrow().clone();
             if let Some(b) = batcher {
-                let [Member { xid, parent, req }] = *member;
-                let req = req.clone();
-                return b.call(Member { xid, parent, req }).await;
+                return b.call(&member[0]).await;
             }
         }
         match self.link.exchange(member, None).await {

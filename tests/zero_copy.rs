@@ -16,7 +16,8 @@
 //! * **the hot path stays on its allocation diet** (DESIGN.md §15) — a
 //!   task is one allocation, a single-waiter wait none, a path component
 //!   none, a background write nobody waits for none in the write-behind
-//!   ledger, an uncontended read miss none, and an echo RPC a pinned
+//!   ledger, an uncontended read miss none, a C-LOOK disk write none,
+//!   and an echo RPC, foreground or batched in the background, a pinned
 //!   count;
 //! * **reading a trace copies nothing** (DESIGN.md §11, §16) — a snapshot
 //!   of the log is free, an emit copies the log only under a live
@@ -32,7 +33,7 @@ use std::pin::{pin, Pin};
 use std::task::{Context, Poll};
 
 use proptest::prelude::*;
-use spritely::blockdev::{Disk, DiskParams};
+use spritely::blockdev::{Disk, DiskParams, DiskSched};
 use spritely::harness::oracle::ByteModel;
 use spritely::harness::{Protocol, RemoteClient, Testbed, TestbedParams};
 use spritely::localfs::{FsParams, LocalFs};
@@ -41,6 +42,7 @@ use spritely::nfs::base::WriteLedger;
 use spritely::proto::{ClientId, FileHandle, NfsProc, NfsReply, NfsRequest, Payload, BLOCK_SIZE};
 use spritely::rpcnet::{
     Caller, CallerParams, Endpoint, EndpointParams, NetParams, Network, PartitionDir,
+    TransportParams,
 };
 use spritely::sim::{Event, Resource, Sim, SimDuration};
 use spritely::trace::{profile_trace, EventKind, TraceEvent, Tracer};
@@ -711,14 +713,10 @@ fn a_path_component_costs_no_allocation() {
 }
 
 /// Allocations of one Null call through `Caller`, `Network` and
-/// `Endpoint` against an instant boxed handler, paper transport, at
-/// steady state: the execution's task (which is also what the caller
-/// waits on) and the handler's boxed future. The parent commit made 6;
-/// what is left is `HandlerFn`'s signature and one task per execution.
-const ECHO_RPC_BUDGET: u64 = 2;
-
-#[test]
-fn an_echo_rpc_stays_inside_its_allocation_budget() {
+/// `Endpoint` against an instant boxed handler, at steady state: the
+/// cheapest of several calls, because the dup cache's map doubles now and
+/// then. With `transport` set, the call is sent as background traffic.
+fn echo_rpc_allocations(transport: Option<TransportParams>) -> u64 {
     let sim = Sim::new();
     let handler = Rc::new(|_from: ClientId, _ctx: u64, _req: NfsRequest| {
         Box::pin(async { NfsReply::Ok }) as Pin<Box<dyn Future<Output = NfsReply>>>
@@ -739,24 +737,81 @@ fn an_echo_rpc_stays_inside_its_allocation_budget() {
         Resource::new(&sim, "client-cpu", 1),
         CallerParams::default(),
     );
+    let background = transport.is_some();
+    if let Some(t) = transport {
+        caller.set_transport(t);
+    }
     sim.block_on(async move {
-        // Steady state: slab slots, timer slots and queues are warm. The
-        // cheapest of several calls, because the dup cache's map doubles
-        // now and then.
+        // Steady state: slab slots, timer slots and queues are warm.
         let mut cheapest = u64::MAX;
         for call in 0..24 {
             let before = allocations();
-            caller.call(NfsRequest::Null).await.expect("echo");
+            let out = caller.call_flagged(0, &NfsRequest::Null, background).await;
+            out.expect("echo");
             if call >= 8 {
                 cheapest = cheapest.min(allocations() - before);
             }
         }
-        println!("allocations per echo RPC: {cheapest}");
-        assert!(
-            cheapest <= ECHO_RPC_BUDGET,
-            "an echo RPC made {cheapest} allocations, budget {ECHO_RPC_BUDGET}"
-        );
+        cheapest
+    })
+}
+
+/// A foreground echo, paper transport: the execution's task (which is
+/// also what the caller waits on) and the handler's boxed future. The
+/// parent commit made 6; what is left is `HandlerFn`'s signature and one
+/// task per execution.
+const ECHO_RPC_BUDGET: u64 = 2;
+
+#[test]
+fn an_echo_rpc_stays_inside_its_allocation_budget() {
+    let made = echo_rpc_allocations(None);
+    println!("allocations per echo RPC: {made}");
+    assert!(
+        made <= ECHO_RPC_BUDGET,
+        "an echo RPC made {made} allocations, budget {ECHO_RPC_BUDGET}"
+    );
+}
+
+/// A lone background echo on the pipelined transport, which an idle
+/// caller's batcher flushes at once: the echo's two, the flush's task and
+/// the reply cell the parked call waits on. The parent commit made 13: a
+/// reply slot and an `Event` per parked call, a queue `Vec` taken per
+/// flush and partitioned into another, a `Vec` of wire members, a member
+/// task and a three-allocation gather for the one member, a compound
+/// `Vec` for its one reply and an `into_parts` `Vec` to split it again.
+const BACKGROUND_ECHO_RPC_BUDGET: u64 = 4;
+
+#[test]
+fn a_background_echo_rpc_stays_inside_its_allocation_budget() {
+    let made = echo_rpc_allocations(Some(TransportParams::pipelined()));
+    println!("allocations per background echo RPC: {made}");
+    assert!(
+        made <= BACKGROUND_ECHO_RPC_BUDGET,
+        "a background echo RPC made {made} allocations, budget {BACKGROUND_ECHO_RPC_BUDGET}"
+    );
+}
+
+/// A C-LOOK request waits for its grant with its waker in its queue entry,
+/// so a write on a warm disk allocates nothing. The parent commit made 1:
+/// the grant's `Event`.
+#[test]
+fn a_clook_disk_write_costs_no_allocation() {
+    let sim = Sim::new();
+    let sched = DiskSched::CLook {
+        max_bypass: 8,
+        stroke_blocks: 1 << 16,
+    };
+    let disk = Disk::with_sched(&sim, "d0", DiskParams::ra81(), sched);
+    let made = sim.block_on(async move {
+        // Warm: the pending queue's room and the arm's wait queue.
+        for block in 0..4 {
+            disk.write(block * 100, BLOCK_SIZE).await;
+        }
+        let before = allocations();
+        disk.write(7, BLOCK_SIZE).await;
+        allocations() - before
     });
+    assert_eq!(made, 0, "allocations of a C-LOOK disk write");
 }
 
 // ---- (e) reading a trace copies nothing -----------------------------------------
