@@ -57,10 +57,10 @@ b089f7a143c9e4ad a64043e1e08ae90f 0ceaa5b4ef4811f1 a1584a7bd6ec1883  andrew
 e44bc7ee153c1c9a fed4b42ccf6a268a 46e2f0edd2459211 241460d89d2d9cd8  reopen
 9be4993fe8e33ce9 ccc3a81f60416c66 500728b952955430 4b6e4bab70f74613  temp-lifetime
 aba907bcdfde757c 74ffca42e798467c 3f4e4e813fe571c8 8a1b4500ebb64de2  shard-scaling 2x8
-d83d652a9ecc8dcd 74ffca42e798467c 8bd92f35eedf9b4c be102e152f609841  shard-scaling 2x8, composed
+a0e0fe06cd7086af 74ffca42e798467c 8bd92f35eedf9b4c be102e152f609841  shard-scaling 2x8, composed
 74d6ca39c44cbe86 7e2f7145e3025eea f618cdafed82efb8 a06db97d4d39f857  scaling 4
-24d34adabe3b3bdf 722d5ff83026efae 0da54a3fd5a97302 f17b3ebb46835356  shared-read
-ff484aa29bac6a21 30a4584bc9bba1cb d28289d962410793 728ec371a84a371a  open-churn
+b4c865817f8c6c86 722d5ff83026efae 0da54a3fd5a97302 f17b3ebb46835356  shared-read
+83f8456f9211a9dd 30a4584bc9bba1cb d28289d962410793 728ec371a84a371a  open-churn
 1fa60e809481b6d5 4c5909d6a0793ef9 58b714c301c89874 9ebf29ac1a0dcc78  andrew, chaos(7)
 8e4892f991ed3e49 c68588b31222efae e626cbff1cdef634 08e53b384de71543  sharing, chaos(11)
 007ac66bca2c0eb3 f1249fe34971a7c2 18288f5fc3673325 3884be80befa66ed  delegation, chaos(13)
