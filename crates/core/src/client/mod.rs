@@ -27,7 +27,7 @@ use std::ops::Deref;
 use std::rc::Rc;
 
 use spritely_localfs::{DirtyVictim, DropCounts};
-use spritely_nfs::base::{BlockClient, ClientBase, Consistency, Key, NameCache};
+use spritely_nfs::base::{BlockClient, ClientBase, ClientParams, Consistency, Key};
 use spritely_proto::{
     block_spans, blocks_for, Buf, ClientId, Fattr, FileHandle, FileVersion, NfsReply, NfsRequest,
     NfsStatus, Payload, ReadReply, Result, BLOCK_SIZE,
@@ -85,52 +85,9 @@ impl WriteBehindParams {
 /// staged at once (Ultrix ran 4 biods per client).
 const FLUSH_DAEMONS: usize = 4;
 
-/// Configuration of an [`SnfsClient`].
-#[derive(Debug, Clone, Copy)]
-pub struct SnfsClientParams {
-    /// Data cache capacity in blocks.
-    pub cache_blocks: usize,
-    /// Age at which dirty blocks are written back (paper §4.2.3: 30 s).
-    pub write_delay: SimDuration,
-    /// Interval of the client's update daemon; `None` = infinite
-    /// write-delay (Table 5-5 configuration).
-    pub update_interval: Option<SimDuration>,
-    /// How many blocks ahead to prefetch on cache-missing sequential
-    /// reads of cachable files (1 = the paper's single speculative
-    /// block; larger windows pipeline sequential reads).
-    pub read_ahead_window: usize,
-    /// Write-behind pool: gathering and pipelining of dirty-block flushes.
-    pub write_behind: WriteBehindParams,
-    /// §6.2 extension: hold back `close` RPCs anticipating a reopen.
-    pub delayed_close: bool,
-    /// §7 extension: cache name translations, kept consistent by
-    /// directory invalidate callbacks from the server. Lookups were half
-    /// of all RPCs in the paper's Table 5-2; this removes most of them
-    /// without giving up the consistency guarantee.
-    pub name_cache: bool,
-}
-
 /// How long a delayed close (§6.2) lingers before being reported
 /// spontaneously.
 const DELAYED_CLOSE_TIMEOUT: SimDuration = SimDuration::from_secs(180);
-
-impl Default for SnfsClientParams {
-    fn default() -> Self {
-        SnfsClientParams {
-            cache_blocks: 4096,
-            // Paper §4.2.3: SNFS "follows the traditional Unix policy" —
-            // the periodic update flushes *all* delayed blocks (age 0),
-            // unlike Sprite's 30 s-age rule. Raise this for the
-            // Sprite-style ablation.
-            write_delay: SimDuration::ZERO,
-            update_interval: Some(SimDuration::from_secs(30)),
-            read_ahead_window: 1,
-            write_behind: WriteBehindParams::default(),
-            delayed_close: false,
-            name_cache: false,
-        }
-    }
-}
 
 /// Client-side statistics (the "writes averted" story of §5.4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -208,7 +165,10 @@ struct Inner {
     /// path. The rest of this struct is the delta.
     base: ClientBase,
     id: ClientId,
-    params: SnfsClientParams,
+    /// Write-behind pool: gathering and pipelining of dirty-block flushes.
+    write_behind: WriteBehindParams,
+    /// §6.2 extension: hold back `close` RPCs anticipating a reopen.
+    delayed_close: bool,
     files: RefCell<HashMap<FileHandle, FileInfo>>,
     stats: Cell<ClientStats>,
     /// Last server epoch observed via `keepalive`/`recover` (0 = never).
@@ -370,25 +330,33 @@ impl SnfsClient {
     /// Creates a client that calls the server through `caller` — a plain
     /// [`Caller`](spritely_rpcnet::Caller) for the single-server
     /// configuration, or a [`ShardCaller`] routing over several shards.
-    pub fn new(sim: &Sim, caller: impl Into<ShardCaller>, params: SnfsClientParams) -> Self {
+    /// Its name cache is the §7 extension, whose entries live until a
+    /// directory invalidate callback drops them; `write_behind` is its
+    /// flush pool, and `delayed_close` the §6.2 extension.
+    pub fn new(
+        sim: &Sim,
+        caller: impl Into<ShardCaller>,
+        params: ClientParams,
+        write_behind: WriteBehindParams,
+        delayed_close: bool,
+    ) -> Self {
         let caller = caller.into();
         let id = caller.client_id();
-        let wb = params.write_behind;
-        assert!(wb.max_inflight > 0, "need at least one in-flight write");
-        // A window of 1 is the paper's single speculative block; wider
-        // windows keep several sequential fetches in flight at once.
-        let window = params.read_ahead_window.max(1);
-        let names = NameCache::new(params.name_cache, None);
+        assert!(
+            write_behind.max_inflight > 0,
+            "need at least one in-flight write"
+        );
         SnfsClient {
             inner: Rc::new_cyclic(|me| Inner {
-                base: ClientBase::new(sim, caller, params.cache_blocks, names, window, None, me),
+                base: ClientBase::new(sim, caller, params, None, None, me),
                 id,
-                params,
+                write_behind,
+                delayed_close,
                 files: RefCell::new(HashMap::new()),
                 stats: Cell::new(ClientStats::default()),
                 known_epoch: Cell::new(0),
                 flush_slots: Semaphore::new(FLUSH_DAEMONS),
-                flush_inflight: Semaphore::new(wb.max_inflight),
+                flush_inflight: Semaphore::new(write_behind.max_inflight),
                 removed: RefCell::new(HashSet::new()),
                 piggy_attrs: RefCell::new(HashMap::new()),
                 cb_seen: RefCell::new(HashMap::new()),
@@ -545,7 +513,7 @@ impl SnfsClient {
         }
         // §6.2 delayed close: if the file is "closed but not reported",
         // and the pending modes cover the new open, reopen locally.
-        if self.inner.params.delayed_close {
+        if self.inner.delayed_close {
             let mut files = self.inner.files.borrow_mut();
             if let Some(info) = files.get_mut(&fh) {
                 if let Some((pr, pw)) = info.pending_close {
@@ -737,7 +705,7 @@ impl SnfsClient {
                 } else {
                     info.readers = info.readers.saturating_sub(1);
                 }
-                if !absorb && self.inner.params.delayed_close {
+                if !absorb && self.inner.delayed_close {
                     let (pr, pw) = info.pending_close.unwrap_or((0, 0));
                     info.pending_close = Some(if write { (pr, pw + 1) } else { (pr + 1, pw) });
                     drop(files);

@@ -9,9 +9,13 @@ use std::rc::Rc;
 use spritely_localfs::{DirtyRun, DirtyVictim};
 use spritely_nfs::base::Key;
 use spritely_proto::{FileHandle, NfsStatus, Result, BLOCK_SIZE};
+use spritely_sim::SimDuration;
 use spritely_trace::EventKind;
 
 use super::SnfsClient;
+
+/// The period of the client's update daemon (paper §4.2.3: 30 s).
+const UPDATE_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 impl SnfsClient {
     /// Routes a dirty block evicted under cache pressure through the
@@ -138,7 +142,7 @@ impl SnfsClient {
         let client = self.inner.id;
         let flush_seq = self.emit(parent, EventKind::FlushBegin { client, fh, direct });
         self.wait_writes(fh).await;
-        let gather = self.inner.params.write_behind.gather_blocks;
+        let gather = self.inner.write_behind.gather_blocks;
         let runs = self.cache().dirty_runs(fh, gather, BLOCK_SIZE);
         let res = self.flush_runs(fh, runs, direct, true, flush_seq).await;
         self.wait_writes(fh).await;
@@ -153,8 +157,8 @@ impl SnfsClient {
     /// daemon's unit of work).
     pub async fn flush_aged(&self) {
         let now = self.sim().now();
-        let min_age = self.inner.params.write_delay;
-        let gather = self.inner.params.write_behind.gather_blocks;
+        let min_age = self.params().write_delay;
+        let gather = self.inner.write_behind.gather_blocks;
         // Plan every file's runs up front from a single snapshot: blocks
         // that age past the delay *during* the flush wait for the next
         // daemon pass, exactly as with the serial flush.
@@ -185,17 +189,14 @@ impl SnfsClient {
         }
     }
 
-    /// Spawns the client's update daemon (periodic aged write-back),
-    /// unless disabled by [`SnfsClientParams::update_interval`](super::SnfsClientParams::update_interval).
+    /// Spawns the client's update daemon: an aged write-back every 30 s.
+    /// Not spawning it is the paper's "infinite write-delay" (Table 5-5).
     pub fn spawn_update_daemon(&self) {
-        let Some(interval) = self.inner.params.update_interval else {
-            return;
-        };
         let this = self.clone();
         let sim = self.sim().clone();
         self.sim().spawn(async move {
             loop {
-                sim.sleep(interval).await;
+                sim.sleep(UPDATE_INTERVAL).await;
                 this.flush_aged().await;
             }
         });

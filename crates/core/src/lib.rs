@@ -32,7 +32,7 @@ pub mod delegation;
 mod server;
 pub mod state_table;
 
-pub use client::{ClientStats, SnfsClient, SnfsClientParams, WriteBehindParams};
+pub use client::{ClientStats, SnfsClient, WriteBehindParams};
 pub use delegation::{DelegationParams, DelegationStats, RecallHistogram};
 pub use server::{
     ServerIoParams, ServerStats, ShardOpStats, ShardView, SnfsServer, SnfsServerParams,
@@ -69,6 +69,7 @@ mod tests {
     use spritely_blockdev::{Disk, DiskParams};
     use spritely_localfs::{FsParams, LocalFs};
     use spritely_metrics::OpCounter;
+    use spritely_nfs::ClientParams;
     use spritely_proto::{ClientId, NfsProc, BLOCK_SIZE};
     use spritely_rpcnet::{Caller, CallerParams, Endpoint, EndpointParams, NetParams, Network};
     use spritely_sim::{Resource, Sim, SimDuration};
@@ -86,33 +87,21 @@ mod tests {
 
     impl Rig {
         fn new() -> Self {
-            Self::with_server_params(SnfsServerParams::default())
+            Self::with_server_params(SnfsServerParams::default(), DelegationParams::paper())
         }
 
-        fn with_server_params(sp: SnfsServerParams) -> Self {
+        fn with_server_params(sp: SnfsServerParams, delegation: DelegationParams) -> Self {
             let sim = Sim::new();
             let disk = Disk::new(&sim, "sdisk", DiskParams::ra81());
-            let fs = LocalFs::new(
-                &sim,
-                1,
-                disk,
-                FsParams {
-                    cache_blocks: 896,
-                    ..FsParams::default()
-                },
-            );
-            let server = SnfsServer::new(&sim, fs, SERVER_THREADS, sp);
+            let fs = LocalFs::new(&sim, 1, disk, FsParams { cache_blocks: 896 });
+            let ep = EndpointParams {
+                threads: SERVER_THREADS,
+                ..EndpointParams::default()
+            };
+            let server = SnfsServer::new(&sim, fs, ep, sp, delegation);
             let server_cpu = Resource::new(&sim, "scpu", 1);
             let counter = OpCounter::new();
-            let endpoint = server.endpoint(
-                "snfsd",
-                server_cpu.clone(),
-                EndpointParams {
-                    threads: SERVER_THREADS,
-                    ..EndpointParams::default()
-                },
-                counter.clone(),
-            );
+            let endpoint = server.endpoint("snfsd", server_cpu.clone(), counter.clone());
             let net = Network::new(&sim, "eth", NetParams::ethernet_10mbit());
             Rig {
                 sim,
@@ -124,7 +113,8 @@ mod tests {
             }
         }
 
-        fn client(&self, id: u32, params: SnfsClientParams) -> SnfsClient {
+        /// An SNFS client, with the §6.2 extension if `delayed_close`.
+        fn client(&self, id: u32, delayed_close: bool) -> SnfsClient {
             let cpu = Resource::new(&self.sim, format!("ccpu{id}"), 1);
             let caller = Caller::new(
                 &self.sim,
@@ -134,7 +124,9 @@ mod tests {
                 cpu.clone(),
                 CallerParams::default(),
             );
-            let client = SnfsClient::new(&self.sim, caller, params);
+            let params = ClientParams::default();
+            let wb = WriteBehindParams::default();
+            let client = SnfsClient::new(&self.sim, caller, params, wb, delayed_close);
             // Register the callback channel: server → this client.
             let cb_endpoint = client.callback_endpoint(
                 format!("cbsrv{id}"),
@@ -189,7 +181,7 @@ mod tests {
     #[test]
     fn close_does_not_flush_and_daemon_writes_back() {
         let rig = Rig::new();
-        let c = rig.client(1, SnfsClientParams::default());
+        let c = rig.client(1, false);
         c.spawn_update_daemon();
         let root = rig.root();
         let counter = rig.counter.clone();
@@ -218,7 +210,7 @@ mod tests {
     #[test]
     fn deleted_temp_file_never_writes() {
         let rig = Rig::new();
-        let c = rig.client(1, SnfsClientParams::default());
+        let c = rig.client(1, false);
         c.spawn_update_daemon();
         let root = rig.root();
         let counter = rig.counter.clone();
@@ -238,7 +230,7 @@ mod tests {
         // Contrast with the NFS invalidate-on-close bug: SNFS re-validates
         // by version and keeps the cache.
         let rig = Rig::new();
-        let c = rig.client(1, SnfsClientParams::default());
+        let c = rig.client(1, false);
         let root = rig.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -259,7 +251,7 @@ mod tests {
     #[test]
     fn writer_reopen_for_write_keeps_cache_via_prev_version() {
         let rig = Rig::new();
-        let c = rig.client(1, SnfsClientParams::default());
+        let c = rig.client(1, false);
         let root = rig.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -281,8 +273,8 @@ mod tests {
         // A wrote and closed (dirty). B opens: the server calls A back,
         // A's data lands at the server, B reads it correctly.
         let rig = Rig::new();
-        let a = rig.client(1, SnfsClientParams::default());
-        let b = rig.client(2, SnfsClientParams::default());
+        let a = rig.client(1, false);
+        let b = rig.client(2, false);
         let root = rig.root();
         let server = rig.server.clone();
         rig.sim.block_on(async move {
@@ -307,8 +299,8 @@ mod tests {
         // The guarantee NFS lacks: with A holding the file open for write
         // and B reading concurrently, B always sees A's latest bytes.
         let rig = Rig::new();
-        let a = rig.client(1, SnfsClientParams::default());
-        let b = rig.client(2, SnfsClientParams::default());
+        let a = rig.client(1, false);
+        let b = rig.client(2, false);
         let root = rig.root();
         let server = rig.server.clone();
         rig.sim.block_on(async move {
@@ -332,8 +324,8 @@ mod tests {
     #[test]
     fn readers_invalidated_when_writer_arrives() {
         let rig = Rig::new();
-        let a = rig.client(1, SnfsClientParams::default());
-        let b = rig.client(2, SnfsClientParams::default());
+        let a = rig.client(1, false);
+        let b = rig.client(2, false);
         let root = rig.root();
         rig.sim.block_on(async move {
             let (fh, _) = a.create(root, "f").await.unwrap();
@@ -358,7 +350,7 @@ mod tests {
     #[test]
     fn open_close_rpc_accounting() {
         let rig = Rig::new();
-        let c = rig.client(1, SnfsClientParams::default());
+        let c = rig.client(1, false);
         let root = rig.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -377,11 +369,9 @@ mod tests {
     fn a_default_client_serves_opens_under_the_servers_grants() {
         // Only the server switches delegations: a client built from the
         // defaults holds, and serves opens from, whatever it is granted.
-        let rig = Rig::with_server_params(SnfsServerParams {
-            delegation: DelegationParams::pipelined(),
-            ..SnfsServerParams::default()
-        });
-        let c = rig.client(1, SnfsClientParams::default());
+        let rig =
+            Rig::with_server_params(SnfsServerParams::default(), DelegationParams::pipelined());
+        let c = rig.client(1, false);
         let root = rig.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -398,13 +388,7 @@ mod tests {
     #[test]
     fn delayed_close_avoids_reopen_rpcs() {
         let rig = Rig::new();
-        let c = rig.client(
-            1,
-            SnfsClientParams {
-                delayed_close: true,
-                ..SnfsClientParams::default()
-            },
-        );
+        let c = rig.client(1, true);
         let root = rig.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -424,13 +408,7 @@ mod tests {
     #[test]
     fn delayed_close_reports_spontaneously() {
         let rig = Rig::new();
-        let c = rig.client(
-            1,
-            SnfsClientParams {
-                delayed_close: true,
-                ..SnfsClientParams::default()
-            },
-        );
+        let c = rig.client(1, true);
         let root = rig.root();
         let counter = rig.counter.clone();
         let server = rig.server.clone();
@@ -456,8 +434,8 @@ mod tests {
     #[test]
     fn crashed_client_does_not_block_opens() {
         let rig = Rig::new();
-        let a = rig.client(1, SnfsClientParams::default());
-        let b = rig.client(2, SnfsClientParams::default());
+        let a = rig.client(1, false);
+        let b = rig.client(2, false);
         let root = rig.root();
         let server = rig.server.clone();
         let sim = rig.sim.clone();
@@ -491,12 +469,13 @@ mod tests {
 
     #[test]
     fn state_table_limit_triggers_reclaim() {
-        let rig = Rig::with_server_params(SnfsServerParams {
+        let sp = SnfsServerParams {
             table_limit: 8,
             reclaim_target: 4,
             ..SnfsServerParams::default()
-        });
-        let c = rig.client(1, SnfsClientParams::default());
+        };
+        let rig = Rig::with_server_params(sp, DelegationParams::paper());
+        let c = rig.client(1, false);
         let root = rig.root();
         let server = rig.server.clone();
         let sim = rig.sim.clone();
@@ -522,12 +501,13 @@ mod tests {
 
     #[test]
     fn reclaim_of_closed_dirty_forces_writeback() {
-        let rig = Rig::with_server_params(SnfsServerParams {
+        let sp = SnfsServerParams {
             table_limit: 4,
             reclaim_target: 2,
             ..SnfsServerParams::default()
-        });
-        let c = rig.client(1, SnfsClientParams::default());
+        };
+        let rig = Rig::with_server_params(sp, DelegationParams::paper());
+        let c = rig.client(1, false);
         let root = rig.root();
         let counter = rig.counter.clone();
         let sim = rig.sim.clone();
@@ -556,7 +536,7 @@ mod tests {
         // bound (one semaphore per file handle ever touched). Idle
         // locks for CLOSED files are now garbage-collected.
         let rig = Rig::new();
-        let c = rig.client(1, SnfsClientParams::default());
+        let c = rig.client(1, false);
         let root = rig.root();
         let server = rig.server.clone();
         rig.sim.block_on(async move {
@@ -586,8 +566,8 @@ mod tests {
     fn deterministic_elapsed_and_counts() {
         let run = || {
             let rig = Rig::new();
-            let a = rig.client(1, SnfsClientParams::default());
-            let b = rig.client(2, SnfsClientParams::default());
+            let a = rig.client(1, false);
+            let b = rig.client(2, false);
             let root = rig.root();
             let counter = rig.counter.clone();
             let out = rig.sim.block_on(async move {

@@ -147,7 +147,7 @@ impl SnfsServer {
         client: ClientId,
         write: bool,
     ) -> Option<spritely_proto::Delegation> {
-        if !self.inner.params.delegation.enabled {
+        if !self.inner.delegation.enabled {
             return None;
         }
         let grant = self

@@ -59,10 +59,6 @@ pub struct SnfsServerParams {
     /// give-up-on-first-timeout behavior (used by regression tests to
     /// pin the old bug).
     pub callback_dead_after: SimDuration,
-    /// Open-delegation knobs (DESIGN.md §17). Off by default; when off
-    /// the server grants nothing, recalls nothing, and its replies are
-    /// byte-identical to the paper configuration.
-    pub delegation: DelegationParams,
 }
 
 impl Default for SnfsServerParams {
@@ -72,7 +68,6 @@ impl Default for SnfsServerParams {
             reclaim_target: 900,
             hybrid_nfs: true,
             callback_dead_after: KEEPALIVE_INTERVAL * 3,
-            delegation: DelegationParams::paper(),
         }
     }
 }
@@ -150,6 +145,12 @@ struct Inner {
     /// Concurrent callbacks in flight (peak must stay ≤ N−1).
     callback_inflight: InflightGauge,
     params: SnfsServerParams,
+    /// What [`SnfsServer::endpoint`] serves with: its thread count is the
+    /// N of the N−1 callback bound.
+    endpoint: EndpointParams,
+    /// Open delegations (DESIGN.md §17). Off, the server grants nothing,
+    /// recalls nothing, and its replies are the paper configuration's.
+    delegation: DelegationParams,
     stats: Cell<ServerStats>,
     /// Delegation counters (server-side half of [`DelegationStats`]).
     deleg_stats: Cell<DelegationStats>,
@@ -204,16 +205,23 @@ pub struct SnfsServer {
 }
 
 impl SnfsServer {
-    /// Creates a server over `fs`. `service_threads` must match the
-    /// endpoint's thread count so the N−1 callback rule holds.
+    /// Creates a server over `fs` that will serve through an endpoint
+    /// built with `endpoint` ([`endpoint`](Self::endpoint)), so the N−1
+    /// callback bound and the admission width are one thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `service_threads < 2` — a single-threaded SNFS server
+    /// Panics if `endpoint.threads < 2` — a single-threaded SNFS server
     /// would deadlock on the first write-back callback (§3.2).
-    pub fn new(sim: &Sim, fs: LocalFs, service_threads: usize, params: SnfsServerParams) -> Self {
+    pub fn new(
+        sim: &Sim,
+        fs: LocalFs,
+        endpoint: EndpointParams,
+        params: SnfsServerParams,
+        delegation: DelegationParams,
+    ) -> Self {
         assert!(
-            service_threads >= 2,
+            endpoint.threads >= 2,
             "SNFS needs >= 2 service threads (callback deadlock, paper §3.2)"
         );
         SnfsServer {
@@ -223,9 +231,11 @@ impl SnfsServer {
                 table: RefCell::new(StateTable::new(params.table_limit)),
                 callback_clients: RefCell::new(HashMap::new()),
                 file_locks: RefCell::new(HashMap::new()),
-                callback_slots: Semaphore::new(service_threads - 1),
+                callback_slots: Semaphore::new(endpoint.threads - 1),
                 callback_inflight: InflightGauge::new(),
                 params,
+                endpoint,
+                delegation,
                 stats: Cell::new(ServerStats::default()),
                 deleg_stats: Cell::new(DelegationStats::default()),
                 epoch: Cell::new(1),
@@ -249,7 +259,7 @@ impl SnfsServer {
     /// checker uses for the N−1 callback bound, then records every
     /// state-table transition, callback, and crash.
     pub fn set_tracer(&self, tracer: Tracer) {
-        let threads = self.inner.callback_slots.capacity() + 1;
+        let threads = self.inner.endpoint.threads;
         tracer.meta("server_threads", threads.to_string());
         tracer.meta("table_limit", self.inner.params.table_limit.to_string());
         *self.inner.tracer.borrow_mut() = Some(tracer);
@@ -389,20 +399,16 @@ impl SnfsServer {
         self.inner.table.borrow().state_of(fh)
     }
 
-    /// Builds the RPC endpoint for this server.
-    pub fn endpoint(
-        &self,
-        name: impl Into<String>,
-        cpu: Resource,
-        params: EndpointParams,
-        counter: OpCounter,
-    ) -> Endpoint {
+    /// Builds the RPC endpoint for this server, with the parameters it
+    /// was created with.
+    pub fn endpoint(&self, name: impl Into<String>, cpu: Resource, counter: OpCounter) -> Endpoint {
         let this = self.clone();
         let handler = Rc::new(move |from: ClientId, ctx: u64, req: NfsRequest| {
             let this = this.clone();
             Box::pin(async move { this.handle(from, ctx, req).await })
                 as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
         });
+        let params = self.inner.endpoint;
         Endpoint::new(&self.inner.sim, name, cpu, params, counter, handler)
     }
 

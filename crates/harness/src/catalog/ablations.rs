@@ -8,7 +8,7 @@ use spritely_sim::SimDuration;
 
 use super::{slug_of, Entry, Outcome};
 use crate::scripts::{andrew, sort, state_churn};
-use crate::{Protocol, SnfsServerParams, TestbedParams};
+use crate::{ClientParams, Protocol, SnfsServerParams, TestbedParams};
 
 /// The NFS client's invalidate-on-close bug. The paper attributes less
 /// than a quarter of the sort-benchmark difference to it (§5.3); the
@@ -79,17 +79,15 @@ pub(super) const WRITE_DELAY: Entry = Entry {
     run: |_| {
         let snfs = TestbedParams::paper(Protocol::Snfs, true);
         let variants = [
-            (
-                "flush-all@30s (Unix)",
-                TestbedParams {
-                    snfs_write_delay: SimDuration::ZERO,
-                    ..snfs
-                },
-            ),
+            // The default write delay, zero, is the Unix policy.
+            ("flush-all@30s (Unix)", snfs),
             (
                 "age>=30s (Sprite)",
                 TestbedParams {
-                    snfs_write_delay: SimDuration::from_secs(30),
+                    client: ClientParams {
+                        write_delay: SimDuration::from_secs(30),
+                        ..snfs.client
+                    },
                     ..snfs
                 },
             ),
@@ -130,10 +128,8 @@ pub(super) const PROBE_INTERVAL: Entry = Entry {
         let mut t = TextTable::new(vec!["probe floor", "total s", "getattr RPCs"]);
         let mut o = Outcome::default();
         for secs in [1, 3, 10, 60] {
-            let params = TestbedParams {
-                nfs_attr_min: SimDuration::from_secs(secs),
-                ..TestbedParams::paper(Protocol::Nfs, true)
-            };
+            let mut params = TestbedParams::paper(Protocol::Nfs, true);
+            params.client.attr_min = SimDuration::from_secs(secs);
             let r = andrew(params, seed);
             let getattrs = r.ops_to_now().get(NfsProc::GetAttr);
             t.row(vec![
@@ -209,10 +205,8 @@ pub(super) const NAME_CACHE: Entry = Entry {
             ("SNFS", Protocol::Snfs, false),
             ("SNFS + name cache", Protocol::Snfs, true),
         ] {
-            let params = TestbedParams {
-                name_cache,
-                ..TestbedParams::paper(protocol, true)
-            };
+            let mut params = TestbedParams::paper(protocol, true);
+            params.client.name_cache = name_cache;
             let r = andrew(params, seed);
             let ops = r.ops_to_now();
             t.row(vec![

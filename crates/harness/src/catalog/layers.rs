@@ -9,8 +9,8 @@ use super::{slug_of, Entry, Outcome};
 use crate::chaosx::CHAOS;
 use crate::scripts::{andrew, flush, open_churn, scaling, scaling_shards, shared_read};
 use crate::{
-    report, ChaosVerdict, DelegationParams, Protocol, Run, ServerIoParams, ShardParams,
-    TestbedParams, TransportParams, WriteBehindParams,
+    report, ChaosVerdict, ClientParams, DelegationParams, Protocol, Run, ServerIoParams,
+    ShardParams, TestbedParams, TransportParams, WriteBehindParams,
 };
 
 fn reduction_pct(paper: u64, pipelined: u64) -> f64 {
@@ -308,7 +308,10 @@ fn shared_read_run(t: TransportParams, n: usize, trace: bool) -> Run<()> {
     let params = TestbedParams {
         server_io: ServerIoParams::pipelined(),
         write_behind: WriteBehindParams::pipelined(),
-        read_ahead_window: 8,
+        client: ClientParams {
+            read_ahead_window: 8,
+            ..ClientParams::default()
+        },
         transport: t,
         trace,
         ..TestbedParams::default()
@@ -485,7 +488,10 @@ fn delegation_stack(d: DelegationParams) -> TestbedParams {
 /// The open-churn mix on `n` name-caching clients of that stack.
 fn churn_run(d: DelegationParams, n: usize, trace: bool) -> Run<()> {
     let params = TestbedParams {
-        name_cache: true,
+        client: ClientParams {
+            name_cache: true,
+            ..ClientParams::default()
+        },
         trace,
         ..delegation_stack(d)
     };

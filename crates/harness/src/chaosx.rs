@@ -25,6 +25,7 @@ use crate::run::{insist, Run};
 use crate::scripts::andrew;
 use crate::snapshot::StatsSnapshot;
 use crate::testbed::{ShardParams, Testbed, TestbedParams};
+use crate::ClientParams;
 
 /// Every chaos op is [`insist`]ed on at a fixed half second.
 fn retry(_attempt: u64) -> SimDuration {
@@ -163,7 +164,10 @@ pub fn chaos_andrew(seed: u64) -> ChaosVerdict {
 pub fn chaos_write_sharing(seed: u64) -> ChaosVerdict {
     let slow_writeback = TestbedParams {
         // Keep B's data dirty long enough for the partition to matter.
-        snfs_write_delay: SimDuration::from_secs(30),
+        client: ClientParams {
+            write_delay: SimDuration::from_secs(30),
+            ..ClientParams::default()
+        },
         ..TestbedParams::default()
     };
     verdict("write-sharing", seed, slow_writeback, write_sharing, |s| {

@@ -28,20 +28,18 @@ pub fn net_params() -> NetParams {
     NetParams::ethernet_10mbit()
 }
 
-/// Server file system (update daemon on by default); its cache is `io`'s
-/// (paper mode: 896 blocks, the ≈3.5 MB of §5.2).
-pub fn server_fs_params(update_enabled: bool, io: &ServerIoParams) -> FsParams {
+/// Server file system: its cache is `io`'s (paper mode: 896 blocks, the
+/// ≈3.5 MB of §5.2).
+pub fn server_fs_params(io: &ServerIoParams) -> FsParams {
     FsParams {
         cache_blocks: io.cache_blocks,
-        update_interval: update_enabled.then(|| SimDuration::from_secs(30)),
     }
 }
 
 /// Client local-disk file system.
-pub fn client_fs_params(update_enabled: bool) -> FsParams {
+pub fn client_fs_params() -> FsParams {
     FsParams {
         cache_blocks: CLIENT_CACHE_BLOCKS,
-        update_interval: update_enabled.then(|| SimDuration::from_secs(30)),
     }
 }
 

@@ -38,6 +38,7 @@ pub use snapshot::{StatsSnapshot, TraceReport};
 pub use spritely_core::{
     DelegationParams, DelegationStats, ServerIoParams, SnfsServerParams, WriteBehindParams,
 };
+pub use spritely_nfs::ClientParams;
 pub use spritely_rpcnet::{FaultParams, PartitionDir, TransportParams, TransportStats};
 pub use testbed::{
     ClientHost, Protocol, RemoteClient, ServerHost, ShardHost, ShardParams, Testbed, TestbedParams,

@@ -7,17 +7,17 @@ use std::rc::Rc;
 
 use spritely_blockdev::Disk;
 use spritely_core::{
-    DelegationParams, Remote, ServerIoParams, SnfsClient, SnfsClientParams, SnfsServer,
-    SnfsServerParams, WriteBehindParams,
+    DelegationParams, Remote, ServerIoParams, SnfsClient, SnfsServer, SnfsServerParams,
+    WriteBehindParams,
 };
 use spritely_localfs::LocalFs;
 use spritely_metrics::{GaugeSeries, LatencyStats, OpCounter, RateSeries};
-use spritely_nfs::{nfs_server, NfsClient, NfsClientParams};
+use spritely_nfs::{nfs_server, ClientParams, NfsClient};
 use spritely_proto::{ClientId, FileHandle, Layout, Result};
 use spritely_rpcnet::{
     Caller, Endpoint, FaultParams, Network, ShardCaller, TransportParams, TransportStats,
 };
-use spritely_sim::{Resource, Sim, SimDuration};
+use spritely_sim::{Resource, Sim};
 use spritely_trace::Tracer;
 use spritely_vfs::{FsBackend, Mount, Proc, Vfs};
 
@@ -95,22 +95,16 @@ pub struct TestbedParams {
     /// Mount `/tmp` and `/usr/tmp` on the remote server instead of the
     /// client's local disk.
     pub tmp_remote: bool,
-    /// Run the 30 s update daemons (client local FS, server FS, SNFS
+    /// Spawn the 30 s update daemons (client local FS, server FS, SNFS
     /// client). `false` = the paper's "infinite write-delay" (§5.4).
     pub update_enabled: bool,
-    /// Override of the SNFS client write-delay (default 30 s).
-    pub snfs_write_delay: SimDuration,
-    /// Override of the NFS attribute-probe floor (default 3 s).
-    pub nfs_attr_min: SimDuration,
-    /// SNFS client read-ahead window (1 = the paper's single
-    /// speculative block).
-    pub read_ahead_window: usize,
+    /// Every client host's settings, which both protocol clients read:
+    /// cache size, name cache, read-ahead, the NFS probe floor and the
+    /// SNFS write delay.
+    pub client: ClientParams,
     /// SNFS client write-behind pool (gathering + pipelining). The
     /// default is paper-faithful: one block per RPC, one in flight.
     pub write_behind: WriteBehindParams,
-    /// Name caching at the clients (§7 extension for SNFS, dnlc-style TTL
-    /// cache for NFS).
-    pub name_cache: bool,
     /// SNFS server state-table limit and reclaim target.
     pub snfs_server: SnfsServerParams,
     /// Server I/O pipeline: disk-arm scheduling, server block cache and
@@ -118,9 +112,6 @@ pub struct TestbedParams {
     /// reproduces the measured 1989 server byte-for-byte;
     /// [`ServerIoParams::pipelined`] turns the pipeline on.
     pub server_io: ServerIoParams,
-    /// Client data-cache capacity in blocks (shrink to force dirty-block
-    /// evictions in tests).
-    pub client_cache_blocks: usize,
     /// Transport pipeline: compound-RPC batching, piggybacked post-op
     /// attributes, switched network, retransmission backoff. The default
     /// ([`TransportParams::paper`]) reproduces the paper's transport
@@ -156,14 +147,10 @@ impl Default for TestbedParams {
             protocol: Protocol::Snfs,
             tmp_remote: false,
             update_enabled: true,
-            snfs_write_delay: SimDuration::ZERO,
-            nfs_attr_min: SimDuration::from_secs(3),
-            read_ahead_window: 1,
+            client: ClientParams::default(),
             write_behind: WriteBehindParams::default(),
-            name_cache: false,
             snfs_server: SnfsServerParams::default(),
             server_io: ServerIoParams::paper(),
-            client_cache_blocks: config::CLIENT_CACHE_BLOCKS,
             transport: TransportParams::paper(),
             trace: false,
             faults: FaultParams::default(),
@@ -375,7 +362,7 @@ impl Testbed {
                 params.protocol
             );
             assert!(
-                !params.name_cache,
+                !params.client.name_cache,
                 "name caching is not supported over a sharded namespace: \
                  a cached root binding would bypass the layout map"
             );
@@ -393,11 +380,13 @@ impl Testbed {
                 config::disk_params(),
                 params.server_io.sched,
             );
-            let fsp = config::server_fs_params(params.update_enabled, &params.server_io);
+            let fsp = config::server_fs_params(&params.server_io);
             // Server s exports fsid s + 1; handle-addressed requests
             // route on nothing else.
             let fs = LocalFs::new(&sim, s as u32 + 1, disk, fsp);
-            fs.spawn_update_daemon();
+            if params.update_enabled {
+                fs.spawn_update_daemon();
+            }
             servers.push(ServerHost {
                 cpu: Resource::new(&sim, format!("server{s}-cpu"), 1),
                 fs,
@@ -467,16 +456,15 @@ impl Testbed {
                     counter,
                 )),
                 Protocol::Snfs | Protocol::SnfsDelayedClose => {
-                    let mut sp = params.snfs_server;
-                    sp.delegation = params.delegation;
-                    let srv = SnfsServer::new(&sim, fs, params.server_io.service_threads, sp);
+                    let (sp, dp) = (params.snfs_server, params.delegation);
+                    let srv = SnfsServer::new(&sim, fs, ep_params, sp, dp);
                     if let Some(t) = &tracer {
                         srv.set_tracer(t.clone());
                     }
                     if let Some(l) = &layout {
                         srv.set_shard(s as u32, roots[s], Rc::clone(l));
                     }
-                    let ep = srv.endpoint(format!("snfsd{s}"), cpu, ep_params, counter);
+                    let ep = srv.endpoint(format!("snfsd{s}"), cpu, counter);
                     host.server = Some(srv);
                     Some(ep)
                 }
@@ -511,13 +499,10 @@ impl Testbed {
             let cid = ClientId(i as u32 + 1);
             let cpu = Resource::new(&sim, format!("client{}-cpu", cid.0), 1);
             let disk = Disk::new(&sim, format!("client{}-disk", cid.0), config::disk_params());
-            let local_fs = LocalFs::new(
-                &sim,
-                100 + cid.0,
-                disk,
-                config::client_fs_params(params.update_enabled),
-            );
-            local_fs.spawn_update_daemon();
+            let local_fs = LocalFs::new(&sim, 100 + cid.0, disk, config::client_fs_params());
+            if params.update_enabled {
+                local_fs.spawn_update_daemon();
+            }
             // Local tmp directory.
             let lroot = local_fs.root();
             let ltmp = {
@@ -540,36 +525,24 @@ impl Testbed {
             };
             let remote = match params.protocol {
                 Protocol::Local => RemoteClient::None,
-                Protocol::Nfs | Protocol::NfsFixed => RemoteClient::Nfs(NfsClient::new(
-                    &sim,
-                    shard_caller(),
-                    NfsClientParams {
-                        attr_min: params.nfs_attr_min,
-                        invalidate_on_close: params.protocol == Protocol::Nfs,
-                        cache_blocks: params.client_cache_blocks,
-                        name_cache: params.name_cache,
-                    },
-                )),
+                Protocol::Nfs | Protocol::NfsFixed => {
+                    let bug = params.protocol == Protocol::Nfs;
+                    RemoteClient::Nfs(NfsClient::new(&sim, shard_caller(), params.client, bug))
+                }
                 Protocol::Snfs | Protocol::SnfsDelayedClose => {
                     let client = SnfsClient::new(
                         &sim,
                         shard_caller(),
-                        SnfsClientParams {
-                            cache_blocks: params.client_cache_blocks,
-                            write_delay: params.snfs_write_delay,
-                            update_interval: params
-                                .update_enabled
-                                .then(|| SimDuration::from_secs(30)),
-                            read_ahead_window: params.read_ahead_window,
-                            write_behind: params.write_behind,
-                            delayed_close: params.protocol == Protocol::SnfsDelayedClose,
-                            name_cache: params.name_cache,
-                        },
+                        params.client,
+                        params.write_behind,
+                        params.protocol == Protocol::SnfsDelayedClose,
                     );
                     if let Some(t) = &tracer {
                         client.set_tracer(t.clone());
                     }
-                    client.spawn_update_daemon();
+                    if params.update_enabled {
+                        client.spawn_update_daemon();
+                    }
                     client.spawn_keepalive_daemon();
                     // One callback endpoint per client, registered with
                     // every server through that server's own caller.

@@ -25,21 +25,20 @@ type Key = (u64, u64);
 /// (64 KB). A longer run goes to the disk as several requests.
 const MAX_RUN: usize = 16;
 
+/// The period of the `/etc/update` daemon (paper §4.2.3: 30 s).
+const UPDATE_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
 /// Configuration for a [`LocalFs`].
 #[derive(Debug, Clone, Copy)]
 pub struct FsParams {
     /// Buffer cache capacity in blocks.
     pub cache_blocks: usize,
-    /// Interval of the `/etc/update` daemon; `None` disables it entirely
-    /// ("infinite write-delay", paper §5.4).
-    pub update_interval: Option<SimDuration>,
 }
 
 impl Default for FsParams {
     fn default() -> Self {
         FsParams {
             cache_blocks: 4096, // 16 MB at 4 KB blocks
-            update_interval: Some(SimDuration::from_secs(30)),
         }
     }
 }
@@ -61,7 +60,6 @@ struct Inner {
     disk: Disk,
     store: RefCell<Store>,
     cache: RefCell<BlockCache<Key>>,
-    params: FsParams,
     stats: RefCell<FsStats>,
     /// Blocks with a disk read in flight: a second miss on one waits for
     /// the first's read instead of issuing a duplicate. The event is made
@@ -90,7 +88,6 @@ impl LocalFs {
                 disk,
                 store: RefCell::new(Store::new(fsid)),
                 cache: RefCell::new(BlockCache::new(params.cache_blocks)),
-                params,
                 stats: RefCell::new(FsStats::default()),
                 inflight: RefCell::new(HashMap::new()),
                 tracer: RefCell::new(None),
@@ -542,17 +539,14 @@ impl LocalFs {
         }
     }
 
-    /// Spawns the `/etc/update` daemon if enabled by
-    /// [`FsParams::update_interval`].
+    /// Spawns the `/etc/update` daemon: a `sync` every 30 s. Not spawning
+    /// it is the paper's "infinite write-delay" (§5.4).
     pub fn spawn_update_daemon(&self) {
-        let Some(interval) = self.inner.params.update_interval else {
-            return;
-        };
         let fs = self.clone();
         let sim = self.inner.sim.clone();
         self.inner.sim.spawn(async move {
             loop {
-                sim.sleep(interval).await;
+                sim.sleep(UPDATE_INTERVAL).await;
                 fs.sync_all().await;
             }
         });

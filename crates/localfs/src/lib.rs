@@ -178,14 +178,7 @@ mod tests {
     #[test]
     fn disabled_update_daemon_never_flushes() {
         let sim = Sim::new();
-        let f = fs_with(
-            &sim,
-            FsParams {
-                update_interval: None,
-                ..FsParams::default()
-            },
-        );
-        f.spawn_update_daemon();
+        let f = fs(&sim);
         let f2 = f.clone();
         let s = sim.clone();
         sim.block_on(async move {
@@ -251,13 +244,7 @@ mod tests {
     #[test]
     fn eviction_flushes_dirty_victims() {
         let sim = Sim::new();
-        let f = fs_with(
-            &sim,
-            FsParams {
-                cache_blocks: 4,
-                ..FsParams::default()
-            },
-        );
+        let f = fs_with(&sim, FsParams { cache_blocks: 4 });
         let f2 = f.clone();
         sim.block_on(async move {
             let root = f2.root();

@@ -43,11 +43,7 @@ fn run<F: Future<Output = ()> + 'static>(
     };
     let disk = Disk::new(&sim, "d0", params);
     disk.set_tracer(tracer.clone());
-    let fs_params = FsParams {
-        cache_blocks,
-        update_interval: None,
-    };
-    let fs = LocalFs::new(&sim, 1, disk, fs_params);
+    let fs = LocalFs::new(&sim, 1, disk, FsParams { cache_blocks });
     sim.spawn(script(sim.clone(), fs.clone()));
     sim.run_to_quiescence();
     let writes = tracer

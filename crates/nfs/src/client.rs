@@ -19,8 +19,8 @@
 //! * the **invalidate-on-close bug** of the authors' vintage reference
 //!   port (§5.2): the data cache is purged when a file is closed, so a
 //!   write-close-reopen-read cycle re-reads everything from the server.
-//!   Toggleable via [`NfsClientParams::invalidate_on_close`] to model
-//!   newer clients.
+//!   Toggleable through [`NfsClient::new`]'s `invalidate_on_close` to
+//!   model newer clients.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -34,25 +34,7 @@ use spritely_proto::{
 use spritely_rpcnet::ShardCaller;
 use spritely_sim::{Semaphore, Sim, SimDuration, SimTime};
 
-use crate::base::{BlockClient, ClientBase, Consistency, Key, NameCache};
-
-/// Configuration of an [`NfsClient`].
-#[derive(Debug, Clone, Copy)]
-pub struct NfsClientParams {
-    /// Minimum attribute-cache lifetime (probe interval floor).
-    pub attr_min: SimDuration,
-    /// Data cache capacity in blocks.
-    pub cache_blocks: usize,
-    /// Purge the file's cached data on final close (the vintage
-    /// reference-port bug the paper measured around, §5.2).
-    pub invalidate_on_close: bool,
-    /// Cache name translations with a TTL, like post-1989 NFS clients
-    /// ("recent versions of NFS also do more extensive caching of name
-    /// translations", §5.2). Unlike the SNFS §7 name cache this is only
-    /// probabilistically consistent: within the TTL a renamed or removed
-    /// file can still resolve here.
-    pub name_cache: bool,
-}
+use crate::base::{BlockClient, ClientBase, ClientParams, Consistency, Key};
 
 /// Maximum attribute-cache lifetime (probe interval ceiling; Ultrix
 /// clamped the interval to [3 s, 150 s], footnote 3).
@@ -63,17 +45,6 @@ const BIODS: usize = 4;
 
 /// Lifetime of a name-cache entry.
 const NAME_CACHE_TTL: SimDuration = SimDuration::from_secs(30);
-
-impl Default for NfsClientParams {
-    fn default() -> Self {
-        NfsClientParams {
-            attr_min: SimDuration::from_secs(3),
-            cache_blocks: 4096,
-            invalidate_on_close: true,
-            name_cache: false,
-        }
-    }
-}
 
 struct AttrEntry {
     attr: Fattr,
@@ -99,7 +70,9 @@ struct Inner {
     /// cache (here the TTL-based dnlc), the namespace procedures and the
     /// block read path.
     base: ClientBase,
-    params: NfsClientParams,
+    /// Purge the file's cached data on final close (the vintage
+    /// reference-port bug the paper measured around, §5.2).
+    invalidate_on_close: bool,
     attrs: RefCell<HashMap<FileHandle, AttrEntry>>,
     tails: RefCell<HashMap<FileHandle, Tail>>,
     opens: RefCell<HashMap<FileHandle, u32>>,
@@ -178,22 +151,20 @@ impl NfsClient {
     /// Creates a client that calls the server through `caller` — a plain
     /// [`Caller`](spritely_rpcnet::Caller) for the single-server
     /// configuration, or a [`ShardCaller`] routing over several shards.
-    pub fn new(sim: &Sim, caller: impl Into<ShardCaller>, params: NfsClientParams) -> Self {
+    /// Its name cache is the dnlc, whose entries live 30 s;
+    /// `invalidate_on_close` is the vintage client's close bug (§5.2).
+    pub fn new(
+        sim: &Sim,
+        caller: impl Into<ShardCaller>,
+        params: ClientParams,
+        invalidate_on_close: bool,
+    ) -> Self {
         let biods = Semaphore::new(BIODS);
-        let names = NameCache::new(params.name_cache, Some(NAME_CACHE_TTL));
+        let ttl = Some(NAME_CACHE_TTL);
         NfsClient {
             inner: Rc::new_cyclic(|me| Inner {
-                base: ClientBase::new(
-                    sim,
-                    caller.into(),
-                    params.cache_blocks,
-                    names,
-                    // The next block, on a cache-missing sequential read.
-                    1,
-                    Some(biods.clone()),
-                    me,
-                ),
-                params,
+                base: ClientBase::new(sim, caller.into(), params, ttl, Some(biods.clone()), me),
+                invalidate_on_close,
                 attrs: RefCell::new(HashMap::new()),
                 tails: RefCell::new(HashMap::new()),
                 opens: RefCell::new(HashMap::new()),
@@ -217,7 +188,7 @@ impl NfsClient {
         // rarely. Ultrix clamped the interval to [3 s, 150 s] (footnote 3).
         let age_us = e.fetched.as_micros().saturating_sub(e.attr.mtime);
         let t = SimDuration::from_micros(age_us / 4);
-        t.max(self.inner.params.attr_min).min(ATTR_MAX)
+        t.max(self.params().attr_min).min(ATTR_MAX)
     }
 
     /// Records fresh server attributes, invalidating cached data if the
@@ -287,7 +258,7 @@ impl NfsClient {
         // them within the probe floor, in which case that reply already
         // was the consistency check.
         if self.caller().transport().piggyback {
-            if let Some(a) = self.fresh_attr(fh, |_| self.inner.params.attr_min) {
+            if let Some(a) = self.fresh_attr(fh, |_| self.params().attr_min) {
                 let elided = &self.inner.elided_probes;
                 elided.set(elided.get() + 1);
                 return Ok(a);
@@ -319,7 +290,7 @@ impl NfsClient {
                 None => true,
             }
         };
-        if last && self.inner.params.invalidate_on_close {
+        if last && self.inner.invalidate_on_close {
             self.drop_file(fh);
         }
         match err {

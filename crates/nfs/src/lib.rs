@@ -18,7 +18,8 @@ pub mod base;
 mod client;
 mod server;
 
-pub use client::{NfsClient, NfsClientParams};
+pub use base::ClientParams;
+pub use client::NfsClient;
 pub use server::{handle, nfs_server};
 
 #[cfg(test)]
@@ -52,7 +53,6 @@ mod tests {
                 disk,
                 FsParams {
                     cache_blocks: 896, // ~3.5 MB server cache
-                    ..FsParams::default()
                 },
             );
             let cpu = Resource::new(&sim, "scpu", 1);
@@ -75,7 +75,8 @@ mod tests {
             }
         }
 
-        fn client(&self, id: u32, params: NfsClientParams) -> NfsClient {
+        /// An NFS client, with the vintage close bug if `invalidate_on_close`.
+        fn client(&self, id: u32, invalidate_on_close: bool) -> NfsClient {
             let cpu = Resource::new(&self.sim, format!("ccpu{id}"), 1);
             let caller = Caller::new(
                 &self.sim,
@@ -85,14 +86,19 @@ mod tests {
                 cpu,
                 CallerParams::default(),
             );
-            NfsClient::new(&self.sim, caller, params)
+            NfsClient::new(
+                &self.sim,
+                caller,
+                ClientParams::default(),
+                invalidate_on_close,
+            )
         }
     }
 
     #[test]
     fn write_close_read_roundtrip() {
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         let sim = rig.sim.clone();
         sim.block_on(async move {
@@ -112,7 +118,7 @@ mod tests {
     #[test]
     fn close_drains_writes_to_server_disk() {
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         let fs = rig.fs.clone();
         let sim = rig.sim.clone();
@@ -132,7 +138,7 @@ mod tests {
     #[test]
     fn open_costs_a_getattr_rpc() {
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -153,7 +159,7 @@ mod tests {
     #[test]
     fn attribute_cache_suppresses_probes_between_opens() {
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -171,8 +177,8 @@ mod tests {
     #[test]
     fn probe_after_reopen_sees_remote_change() {
         let rig = Rig::new();
-        let a = rig.client(1, NfsClientParams::default());
-        let b = rig.client(2, NfsClientParams::default());
+        let a = rig.client(1, true);
+        let b = rig.client(2, true);
         let root = rig.fs.root();
         let sim = rig.sim.clone();
         sim.block_on(async move {
@@ -206,14 +212,8 @@ mod tests {
         // probabilistic. While B's attribute cache is fresh, it serves
         // stale data that A has already overwritten at the server.
         let rig = Rig::new();
-        let a = rig.client(1, NfsClientParams::default());
-        let b = rig.client(
-            2,
-            NfsClientParams {
-                invalidate_on_close: false,
-                ..NfsClientParams::default()
-            },
-        );
+        let a = rig.client(1, true);
+        let b = rig.client(2, false);
         let root = rig.fs.root();
         let sim = rig.sim.clone();
         sim.block_on(async move {
@@ -240,13 +240,7 @@ mod tests {
     fn invalidate_on_close_bug_forces_rereads() {
         let run = |bug: bool| {
             let rig = Rig::new();
-            let c = rig.client(
-                1,
-                NfsClientParams {
-                    invalidate_on_close: bug,
-                    ..NfsClientParams::default()
-                },
-            );
+            let c = rig.client(1, bug);
             let root = rig.fs.root();
             let counter = rig.counter.clone();
             rig.sim.block_on(async move {
@@ -270,7 +264,7 @@ mod tests {
     #[test]
     fn partial_block_writes_are_delayed_until_block_fills() {
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -295,7 +289,7 @@ mod tests {
     #[test]
     fn close_flushes_partial_tail() {
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         let fs = rig.fs.clone();
         rig.sim.block_on(async move {
@@ -312,7 +306,7 @@ mod tests {
         // NFS cannot cancel writes on delete: by the time the file is
         // removed, the data has already crossed the wire (§2.1).
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -330,7 +324,7 @@ mod tests {
         // The application hands blocks to biods and continues; a burst of
         // writes takes far less application time than the drain at close.
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         let sim = rig.sim.clone();
         let (queued_at, closed_at) = sim.block_on({
@@ -360,7 +354,7 @@ mod tests {
         // That `fsync` must not return on the strength of the batch that
         // was outstanding when it was called.
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let (root, fs, sim) = (rig.fs.root(), rig.fs.clone(), rig.sim.clone());
         rig.sim.block_on(async move {
             let (fh, _) = c.create(root, "f").await.unwrap();
@@ -396,7 +390,7 @@ mod tests {
     #[test]
     fn lookup_goes_to_server_every_time() {
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         let counter = rig.counter.clone();
         rig.sim.block_on(async move {
@@ -429,7 +423,7 @@ mod tests {
     #[test]
     fn namespace_ops_roundtrip() {
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         rig.sim.block_on(async move {
             let (d, _) = c.mkdir(root, "dir").await.unwrap();
@@ -452,7 +446,7 @@ mod tests {
     #[test]
     fn setattr_truncate_updates_cache_and_size() {
         let rig = Rig::new();
-        let c = rig.client(1, NfsClientParams::default());
+        let c = rig.client(1, true);
         let root = rig.fs.root();
         rig.sim.block_on(async move {
             let (fh, _) = c.create(root, "f").await.unwrap();
@@ -472,7 +466,7 @@ mod tests {
     fn deterministic_rpc_counts() {
         let run = || {
             let rig = Rig::new();
-            let c = rig.client(1, NfsClientParams::default());
+            let c = rig.client(1, true);
             let root = rig.fs.root();
             let counter = rig.counter.clone();
             rig.sim.block_on(async move {

@@ -34,6 +34,11 @@ impl Borrow<NfsRequest> for Parked {
     }
 }
 
+/// Nagle-style deadline: an underfull batch is flushed this long after
+/// its first follower parked. It is the batcher's own safety net, not a
+/// setting: while a batch is outstanding its ack is what usually flushes.
+pub(crate) const BATCH_WINDOW: SimDuration = SimDuration::from_micros(1200);
+
 /// The Nagle-style batching queue behind a caller (present only when
 /// `TransportParams::max_batch > 1`), used by background traffic only:
 /// foreground calls keep the unbatched wire path, so they are never
@@ -41,12 +46,11 @@ impl Borrow<NfsRequest> for Parked {
 /// background request with no batch in flight is sent at once (a lone
 /// call pays no extra latency); while a batch is outstanding, followers
 /// park here and flush as one compound when the outstanding batch
-/// completes, `max_batch` accumulate, or the `batch_window` safety
+/// completes, `max_batch` accumulate, or the [`BATCH_WINDOW`] safety
 /// deadline fires. Each flush pays one wire exchange for the whole batch.
 pub(crate) struct Batcher {
     link: Rc<Link>,
     max_batch: usize,
-    window: SimDuration,
     queue: RefCell<Vec<Member<Parked>>>,
     window_armed: Cell<bool>,
     inflight: Cell<usize>,
@@ -54,11 +58,10 @@ pub(crate) struct Batcher {
 }
 
 impl Batcher {
-    pub(crate) fn new(link: &Rc<Link>, max_batch: usize, window: SimDuration) -> Rc<Self> {
+    pub(crate) fn new(link: &Rc<Link>, max_batch: usize) -> Rc<Self> {
         Rc::new(Batcher {
             link: Rc::clone(link),
             max_batch,
-            window,
             queue: RefCell::new(Vec::new()),
             window_armed: Cell::new(false),
             inflight: Cell::new(0),
@@ -90,7 +93,7 @@ impl Batcher {
             self.window_armed.set(true);
             let b = Rc::clone(self);
             self.link.sim.spawn(async move {
-                b.link.sim.sleep(b.window).await;
+                b.link.sim.sleep(BATCH_WINDOW).await;
                 b.window_armed.set(false);
                 b.flush_now();
             });

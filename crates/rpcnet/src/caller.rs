@@ -375,7 +375,7 @@ impl Caller {
         self.transport.set(t);
         self.assert_retention_covers_ladder();
         *self.batcher.borrow_mut() =
-            (t.max_batch > 1).then(|| Batcher::new(&self.link, t.max_batch, t.batch_window));
+            (t.max_batch > 1).then(|| Batcher::new(&self.link, t.max_batch));
     }
 
     /// The active transport configuration.
@@ -679,7 +679,6 @@ mod tests {
         let (sim, caller) = setup(SimDuration::ZERO);
         let mut t = TransportParams::pipelined();
         t.max_batch = 4;
-        t.batch_window = SimDuration::from_millis(5);
         t.switched = false;
         caller.set_transport(t);
         let stats = TransportStats::new();
@@ -711,12 +710,11 @@ mod tests {
 
     #[test]
     fn underfull_batch_flushes_on_the_window_deadline() {
-        // A 10 ms handler holds the first batch's ack well past the 2 ms
-        // window: the two followers must not wait for the ack clock.
+        // A 10 ms handler holds the first batch's ack well past the
+        // 1.2 ms window: the two followers must not wait for the ack clock.
         let (sim, caller) = setup(SimDuration::from_millis(10));
         let mut t = TransportParams::pipelined();
         t.max_batch = 8;
-        t.batch_window = SimDuration::from_millis(2);
         t.switched = false;
         caller.set_transport(t);
         let net = caller.link.net.clone();
@@ -728,7 +726,7 @@ mod tests {
                 bg(&c).await.unwrap();
             });
         }
-        // By 5 ms the window (armed ~0.6 ms, 2 ms wide) has pushed the
+        // By 5 ms the window (armed ~0.6 ms, 1.2 ms wide) has pushed the
         // follower compound onto the wire even though the first ack is
         // still 5 ms away — two requests sent, no replies yet.
         let sim2 = sim.clone();
@@ -754,7 +752,6 @@ mod tests {
         let (sim, caller) = setup(SimDuration::from_millis(150));
         let mut t = TransportParams::paper();
         t.max_batch = 4;
-        t.batch_window = SimDuration::from_millis(2);
         caller.set_transport(t);
         let ep = caller.link.endpoint.clone();
         let caller = Rc::new(caller);
@@ -991,7 +988,6 @@ mod tests {
         let (sim, caller) = setup(SimDuration::ZERO);
         let mut t = TransportParams::paper();
         t.max_batch = 4;
-        t.batch_window = SimDuration::from_millis(2);
         caller.set_transport(t);
         // Drop everything briefly, then let retransmissions through.
         caller.link.net.set_faults(crate::FaultParams {
@@ -1029,7 +1025,6 @@ mod tests {
     fn batching(caller: &Caller) {
         let mut t = TransportParams::paper();
         t.max_batch = 4;
-        t.batch_window = SimDuration::from_millis(2);
         caller.set_transport(t);
     }
 

@@ -19,9 +19,6 @@ pub struct TransportParams {
     /// Most requests one compound batch may carry; 1 disables batching
     /// entirely (the paper transport).
     pub max_batch: usize,
-    /// Nagle-style deadline: an underfull batch is flushed this long
-    /// after its first request arrives.
-    pub batch_window: SimDuration,
     /// Clients consume piggybacked post-op attributes instead of probing
     /// with follow-up `getattr` RPCs.
     pub piggyback: bool,
@@ -42,7 +39,6 @@ impl TransportParams {
     pub fn paper() -> Self {
         TransportParams {
             max_batch: 1,
-            batch_window: SimDuration::ZERO,
             piggyback: false,
             switched: false,
             backoff_factor: 1.0,
@@ -56,7 +52,6 @@ impl TransportParams {
     pub fn pipelined() -> Self {
         TransportParams {
             max_batch: 8,
-            batch_window: SimDuration::from_micros(1200),
             piggyback: true,
             switched: true,
             backoff_factor: 2.0,
@@ -106,7 +101,6 @@ mod tests {
     fn pipelined_transport_enables_every_stage() {
         let p = TransportParams::pipelined();
         assert!(p.max_batch > 1);
-        assert!(!p.batch_window.is_zero());
         assert!(p.piggyback && p.switched);
         assert!(p.backoff_factor > 1.0);
     }

@@ -9,10 +9,13 @@ use std::rc::Rc;
 use spritely::blockdev::{Disk, DiskParams};
 use spritely::localfs::{FsParams, LocalFs};
 use spritely::metrics::OpCounter;
+use spritely::nfs::ClientParams;
 use spritely::proto::{ClientId, NfsProc, BLOCK_SIZE};
 use spritely::rpcnet::{Caller, CallerParams, EndpointParams, NetParams, Network};
 use spritely::sim::{Resource, Sim, SimDuration};
-use spritely::snfs::{SnfsClient, SnfsClientParams, SnfsServer, SnfsServerParams};
+use spritely::snfs::{
+    DelegationParams, SnfsClient, SnfsServer, SnfsServerParams, WriteBehindParams,
+};
 
 fn main() {
     // 1. A simulation, a server host (CPU + RA81 disk + Unix FS), and a
@@ -24,15 +27,12 @@ fn main() {
     let server_cpu = Resource::new(&sim, "server-cpu", 1);
     let net = Network::new(&sim, "ether", NetParams::ethernet_10mbit());
 
-    // 2. The Spritely NFS server and its RPC endpoint.
-    let server = SnfsServer::new(&sim, fs.clone(), 4, SnfsServerParams::default());
+    // 2. The Spritely NFS server (paper defaults, no delegations) and the
+    //    RPC endpoint it serves through.
+    let (ep, sp) = (EndpointParams::default(), SnfsServerParams::default());
+    let server = SnfsServer::new(&sim, fs.clone(), ep, sp, DelegationParams::paper());
     let counter = OpCounter::new();
-    let endpoint = server.endpoint(
-        "snfsd",
-        server_cpu.clone(),
-        EndpointParams::default(),
-        counter.clone(),
-    );
+    let endpoint = server.endpoint("snfsd", server_cpu.clone(), counter.clone());
 
     // 3. A client host with an SNFS client, plus the callback channel the
     //    server uses to reach it.
@@ -45,7 +45,8 @@ fn main() {
         client_cpu.clone(),
         CallerParams::default(),
     );
-    let client = SnfsClient::new(&sim, caller, SnfsClientParams::default());
+    let (params, wb) = (ClientParams::default(), WriteBehindParams::default());
+    let client = SnfsClient::new(&sim, caller, params, wb, false);
     client.spawn_update_daemon();
     let cb_endpoint = client.callback_endpoint(
         "cbsrv",

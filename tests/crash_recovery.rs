@@ -2,7 +2,7 @@
 //! machine dies, and how the SNFS server copes with an unreachable
 //! client.
 
-use spritely::harness::{Protocol, RemoteClient, Testbed, TestbedParams};
+use spritely::harness::{ClientParams, Protocol, RemoteClient, Testbed, TestbedParams};
 use spritely::proto::BLOCK_SIZE;
 use spritely::sim::SimDuration;
 
@@ -141,7 +141,10 @@ fn snfs_server_survives_client_crash_and_reports_inconsistency() {
             // write-back daemon would race the ~30s of callback retries
             // and "rescue" the data over its (healthy) main channel —
             // this test is about the data actually being lost.
-            snfs_write_delay: SimDuration::from_secs(300),
+            client: ClientParams {
+                write_delay: SimDuration::from_secs(300),
+                ..ClientParams::default()
+            },
             ..TestbedParams::default()
         },
         2,

@@ -2,8 +2,8 @@
 //! local fast path, recall on conflict, return, and the accounting.
 
 use spritely::harness::{
-    report, DelegationParams, Protocol, ServerIoParams, Testbed, TestbedParams, TransportParams,
-    WriteBehindParams,
+    report, ClientParams, DelegationParams, Protocol, ServerIoParams, Testbed, TestbedParams,
+    TransportParams, WriteBehindParams,
 };
 use spritely::proto::{NfsProc, BLOCK_SIZE};
 use spritely::sim::{SimDuration, SimTime};
@@ -17,7 +17,10 @@ fn params(d: DelegationParams) -> TestbedParams {
         server_io: ServerIoParams::pipelined(),
         write_behind: WriteBehindParams::pipelined(),
         transport: TransportParams::pipelined(),
-        name_cache: true,
+        client: ClientParams {
+            name_cache: true,
+            ..ClientParams::default()
+        },
         delegation: d,
         trace: true,
         ..TestbedParams::default()
@@ -132,7 +135,10 @@ fn a_holder_that_answers_its_recall_keeps_its_lease() {
             protocol: Protocol::Snfs,
             delegation: DelegationParams::pipelined(),
             // The update daemon must not write the blocks back first.
-            snfs_write_delay: SimDuration::from_secs(120),
+            client: ClientParams {
+                write_delay: SimDuration::from_secs(120),
+                ..ClientParams::default()
+            },
             trace: true,
             ..TestbedParams::default()
         },

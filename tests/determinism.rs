@@ -8,8 +8,8 @@ use spritely::harness::scripts::{
     temp_lifetime, write_sharing,
 };
 use spritely::harness::{
-    DelegationParams, FaultParams, Protocol, Run, ServerIoParams, ShardParams, TestbedParams,
-    TransportParams, WriteBehindParams,
+    ClientParams, DelegationParams, FaultParams, Protocol, Run, ServerIoParams, ShardParams,
+    TestbedParams, TransportParams, WriteBehindParams,
 };
 use spritely::proto::NfsProc;
 use spritely::sim::SimDuration;
@@ -158,7 +158,10 @@ fn scripts() -> Vec<Script> {
         }),
         ("shared-read", || {
             let params = TestbedParams {
-                read_ahead_window: 8,
+                client: ClientParams {
+                    read_ahead_window: 8,
+                    ..ClientParams::default()
+                },
                 transport: TransportParams::pipelined(),
                 ..pipelined()
             };
@@ -166,7 +169,10 @@ fn scripts() -> Vec<Script> {
         }),
         ("open-churn", || {
             let params = TestbedParams {
-                name_cache: true,
+                client: ClientParams {
+                    name_cache: true,
+                    ..ClientParams::default()
+                },
                 transport: TransportParams::pipelined(),
                 delegation: DelegationParams::pipelined(),
                 ..pipelined()
@@ -187,7 +193,10 @@ fn scripts() -> Vec<Script> {
             let params = TestbedParams {
                 trace: true,
                 faults: FaultParams::chaos(11),
-                snfs_write_delay: SimDuration::from_secs(30),
+                client: ClientParams {
+                    write_delay: SimDuration::from_secs(30),
+                    ..ClientParams::default()
+                },
                 ..TestbedParams::default()
             };
             pinned_window(&write_sharing(params))

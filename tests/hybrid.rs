@@ -9,11 +9,13 @@ use std::rc::Rc;
 use spritely::blockdev::{Disk, DiskParams};
 use spritely::localfs::{FsParams, LocalFs};
 use spritely::metrics::OpCounter;
-use spritely::nfs::{NfsClient, NfsClientParams};
+use spritely::nfs::{ClientParams, NfsClient};
 use spritely::proto::{ClientId, BLOCK_SIZE};
 use spritely::rpcnet::{Caller, CallerParams, EndpointParams, NetParams, Network};
 use spritely::sim::{Resource, Sim};
-use spritely::snfs::{SnfsClient, SnfsClientParams, SnfsServer, SnfsServerParams};
+use spritely::snfs::{
+    DelegationParams, SnfsClient, SnfsServer, SnfsServerParams, WriteBehindParams,
+};
 
 struct HybridRig {
     sim: Sim,
@@ -27,22 +29,13 @@ fn rig(hybrid: bool) -> HybridRig {
     let disk = Disk::new(&sim, "sdisk", DiskParams::ra81());
     let fs = LocalFs::new(&sim, 1, disk, FsParams::default());
     let server_cpu = Resource::new(&sim, "scpu", 1);
-    let server = SnfsServer::new(
-        &sim,
-        fs.clone(),
-        4,
-        SnfsServerParams {
-            hybrid_nfs: hybrid,
-            ..SnfsServerParams::default()
-        },
-    );
-    let counter = OpCounter::new();
-    let endpoint = server.endpoint(
-        "snfsd",
-        server_cpu.clone(),
-        EndpointParams::default(),
-        counter,
-    );
+    let sp = SnfsServerParams {
+        hybrid_nfs: hybrid,
+        ..SnfsServerParams::default()
+    };
+    let (ep, dp) = (EndpointParams::default(), DelegationParams::paper());
+    let server = SnfsServer::new(&sim, fs.clone(), ep, sp, dp);
+    let endpoint = server.endpoint("snfsd", server_cpu.clone(), OpCounter::new());
     let net = Network::new(&sim, "eth", NetParams::ethernet_10mbit());
     // SNFS client (id 1) with its callback channel.
     let cpu1 = Resource::new(&sim, "c1", 1);
@@ -54,7 +47,8 @@ fn rig(hybrid: bool) -> HybridRig {
         cpu1.clone(),
         CallerParams::default(),
     );
-    let snfs_client = SnfsClient::new(&sim, caller1, SnfsClientParams::default());
+    let (params, wb) = (ClientParams::default(), WriteBehindParams::default());
+    let snfs_client = SnfsClient::new(&sim, caller1, params, wb, false);
     let cb_ep =
         snfs_client.callback_endpoint("cb1", cpu1, EndpointParams::default(), OpCounter::new());
     let cb_caller = Caller::new(
@@ -77,7 +71,7 @@ fn rig(hybrid: bool) -> HybridRig {
         cpu2,
         CallerParams::default(),
     );
-    let nfs_client = NfsClient::new(&sim, caller2, NfsClientParams::default());
+    let nfs_client = NfsClient::new(&sim, caller2, params, true);
     HybridRig {
         sim,
         fs,

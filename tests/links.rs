@@ -3,7 +3,9 @@
 //! the interplay with delayed-write cancellation and the consistent name
 //! cache.
 
-use spritely::harness::{DelegationParams, Protocol, RemoteClient, Testbed, TestbedParams};
+use spritely::harness::{
+    ClientParams, DelegationParams, Protocol, RemoteClient, Testbed, TestbedParams,
+};
 use spritely::proto::{FileType, NfsStatus, BLOCK_SIZE};
 use spritely::sim::SimDuration;
 use spritely::snfs::Remote;
@@ -194,7 +196,10 @@ fn snfs_name_cache_sees_remote_link_and_symlink_creation() {
     let tb = Testbed::build_with_clients(
         TestbedParams {
             protocol: Protocol::Snfs,
-            name_cache: true,
+            client: ClientParams {
+                name_cache: true,
+                ..ClientParams::default()
+            },
             ..TestbedParams::default()
         },
         2,

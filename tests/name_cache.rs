@@ -3,7 +3,7 @@
 //! serve stale names — the same probabilistic-vs-guaranteed split as for
 //! data.
 
-use spritely::harness::{Protocol, RemoteClient, Testbed, TestbedParams};
+use spritely::harness::{ClientParams, Protocol, RemoteClient, Testbed, TestbedParams};
 use spritely::proto::NfsStatus;
 use spritely::sim::SimDuration;
 
@@ -18,7 +18,10 @@ fn two<C: Clone>(tb: &Testbed, pick: impl Fn(&RemoteClient) -> Option<C>) -> (C,
 fn snfs_name_cache_hits_and_stays_correct_locally() {
     let tb = Testbed::build(TestbedParams {
         protocol: Protocol::Snfs,
-        name_cache: true,
+        client: ClientParams {
+            name_cache: true,
+            ..ClientParams::default()
+        },
         ..TestbedParams::default()
     });
     let c = match &tb.clients[0].remote {
@@ -57,7 +60,10 @@ fn snfs_name_cache_is_invalidated_by_remote_namespace_changes() {
     let tb = Testbed::build_with_clients(
         TestbedParams {
             protocol: Protocol::Snfs,
-            name_cache: true,
+            client: ClientParams {
+                name_cache: true,
+                ..ClientParams::default()
+            },
             ..TestbedParams::default()
         },
         2,
@@ -91,7 +97,10 @@ fn snfs_name_cache_sees_remote_renames() {
     let tb = Testbed::build_with_clients(
         TestbedParams {
             protocol: Protocol::Snfs,
-            name_cache: true,
+            client: ClientParams {
+                name_cache: true,
+                ..ClientParams::default()
+            },
             ..TestbedParams::default()
         },
         2,
@@ -121,7 +130,10 @@ fn nfs_dnlc_can_serve_stale_names() {
     let tb = Testbed::build_with_clients(
         TestbedParams {
             protocol: Protocol::Nfs,
-            name_cache: true,
+            client: ClientParams {
+                name_cache: true,
+                ..ClientParams::default()
+            },
             ..TestbedParams::default()
         },
         2,
@@ -159,7 +171,10 @@ fn name_cache_cuts_lookup_traffic_without_changing_results() {
     let run = |name_cache: bool| {
         let tb = Testbed::build(TestbedParams {
             protocol: Protocol::Snfs,
-            name_cache,
+            client: ClientParams {
+                name_cache,
+                ..ClientParams::default()
+            },
             ..TestbedParams::default()
         });
         let p = tb.proc();

@@ -4,7 +4,8 @@
 //! atomicity under seeded network faults.
 
 use spritely::harness::{
-    DelegationParams, FaultParams, Protocol, ShardParams, StatsSnapshot, Testbed, TestbedParams,
+    ClientParams, DelegationParams, FaultParams, Protocol, ShardParams, StatsSnapshot, Testbed,
+    TestbedParams,
 };
 use spritely::proto::{default_shard, NfsStatus, BLOCK_SIZE};
 use spritely::sim::SimDuration;
@@ -348,7 +349,10 @@ fn topology_contract_over_protocols_shards_and_name_cache() {
                 let case = format!("{protocol:?} x {n} shards x name_cache={name_cache}");
                 let params = TestbedParams {
                     protocol,
-                    name_cache,
+                    client: ClientParams {
+                        name_cache,
+                        ..ClientParams::default()
+                    },
                     shards: ShardParams::sharded(n),
                     ..TestbedParams::default()
                 };

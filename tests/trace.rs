@@ -5,7 +5,8 @@
 
 use spritely::harness::scripts::{andrew, flush, sort};
 use spritely::harness::{
-    report, Protocol, RemoteClient, Testbed, TestbedParams, TraceReport, WriteBehindParams,
+    report, ClientParams, Protocol, RemoteClient, Testbed, TestbedParams, TraceReport,
+    WriteBehindParams,
 };
 use spritely::proto::{ClientId, FileHandle, NfsProc, BLOCK_SIZE};
 use spritely::snfs::SnfsClient;
@@ -317,7 +318,10 @@ fn traced_cache_eviction_writebacks_are_clean() {
     let tb = Testbed::build(TestbedParams {
         protocol: Protocol::Snfs,
         update_enabled: false,
-        client_cache_blocks: 8,
+        client: ClientParams {
+            cache_blocks: 8,
+            ..ClientParams::default()
+        },
         write_behind: WriteBehindParams::pipelined(),
         trace: true,
         ..TestbedParams::default()
@@ -366,7 +370,10 @@ fn traced_remove_during_eviction_cancels_writebacks() {
     let tb = Testbed::build(TestbedParams {
         protocol: Protocol::Snfs,
         update_enabled: false,
-        client_cache_blocks: 8,
+        client: ClientParams {
+            cache_blocks: 8,
+            ..ClientParams::default()
+        },
         trace: true,
         ..TestbedParams::default()
     });

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use spritely::harness::{
-    scripts, Protocol, RemoteClient, Testbed, TestbedParams, WriteBehindParams,
+    scripts, ClientParams, Protocol, RemoteClient, Testbed, TestbedParams, WriteBehindParams,
 };
 use spritely::metrics::OpCounts;
 use spritely::proto::{NfsProc, BLOCK_SIZE};
@@ -244,7 +244,10 @@ fn fsync_waits_for_eviction_write_backs() {
     let tb = Testbed::build(TestbedParams {
         protocol: Protocol::Snfs,
         update_enabled: false,
-        client_cache_blocks: 4,
+        client: ClientParams {
+            cache_blocks: 4,
+            ..ClientParams::default()
+        },
         ..TestbedParams::default()
     });
     let c = snfs_client(&tb, 0);
@@ -289,7 +292,10 @@ fn callback_write_back_covers_in_flight_evictions() {
         TestbedParams {
             protocol: Protocol::Snfs,
             update_enabled: false,
-            client_cache_blocks: 4,
+            client: ClientParams {
+                cache_blocks: 4,
+                ..ClientParams::default()
+            },
             ..TestbedParams::default()
         },
         2,

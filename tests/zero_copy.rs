@@ -35,7 +35,7 @@ use std::task::{Context, Poll};
 use proptest::prelude::*;
 use spritely::blockdev::{Disk, DiskParams, DiskSched};
 use spritely::harness::oracle::ByteModel;
-use spritely::harness::{Protocol, RemoteClient, Testbed, TestbedParams};
+use spritely::harness::{ClientParams, Protocol, RemoteClient, Testbed, TestbedParams};
 use spritely::localfs::{FsParams, LocalFs};
 use spritely::metrics::OpCounter;
 use spritely::nfs::base::WriteLedger;
@@ -681,7 +681,10 @@ fn a_path_component_costs_no_allocation() {
     let tb = Testbed::build_with_clients(
         TestbedParams {
             protocol: Protocol::Snfs,
-            name_cache: true,
+            client: ClientParams {
+                name_cache: true,
+                ..ClientParams::default()
+            },
             ..TestbedParams::default()
         },
         1,
