@@ -217,7 +217,7 @@ fn walk(fs: &LocalFs, dir: FileHandle, path: &str, h: &mut Fnv) {
 /// failure, as a hard-mounted 1989 client would: under overload or chaos
 /// an RPC ladder can exhaust, and during a partition calls must fail for
 /// a while before succeeding. (The workload's crutch, not the system's
-/// answer: ROADMAP item 4 moves it into the stack and deletes this.)
+/// answer: overload shedding in the stack is meant to replace it.)
 pub(crate) async fn insist<T, Fut>(
     sim: &Sim,
     backoff: impl Fn(u64) -> SimDuration,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Independently settable values: one line per `pub` field of each
 # `pub struct …Params` under crates/*/src, as `crate: Struct.field`.
-# ROADMAP item 11's knob rule made checkable: scripts/check.sh holds this
+# The knob rule (DESIGN.md §28) made checkable: scripts/check.sh holds this
 # list to baselines/knobs.txt, so a change that adds a setting commits a
 # line there for a reviewer to weigh, and one that removes a setting
 # removes its line.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Non-test Rust lines per crate, with a total: ROADMAP item 7's line target
+# Non-test Rust lines per crate, with a total: the line target
 # made measurable (scripts/check.sh holds this report to baselines/loc.txt,
 # line for line). Counts every .rs file under crates/<crate>/src/, each cut
 # at its first column-0 `#[cfg(test)]`; tests/, benches/, examples/, vendor/

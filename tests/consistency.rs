@@ -367,7 +367,7 @@ fn snfs_update_daemon_makes_data_durable_without_sharing() {
 
 #[test]
 fn snfs_callback_ok_waits_for_the_daemons_write_on_the_wire() {
-    // ROADMAP item 2, defect 2. A's update daemon sends A's dirty block at
+    // Defect 2 (DESIGN.md §25). A's update daemon sends A's dirty block at
     // 30 s into a partition, so the request is retransmitted a second
     // later. Meanwhile B opens the file, and the server calls A back for
     // the block. A may not answer `ok` while that `write` is still on the
