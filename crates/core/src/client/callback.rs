@@ -1,15 +1,29 @@
 //! The callback service (paper §3.2, §4.2.2): write-back and invalidate
 //! callbacks, delegation recalls and the `DelegReturn` they end in.
 
-use std::rc::Rc;
-
 use spritely_metrics::OpCounter;
 use spritely_proto::{CallbackArg, ClientId, FileHandle, NfsReply, NfsRequest, NfsStatus, Result};
-use spritely_rpcnet::{Endpoint, EndpointParams};
+use spritely_rpcnet::{Endpoint, EndpointParams, Handler};
 use spritely_sim::{Event, Resource};
 use spritely_trace::EventKind;
 
 use super::{CbGuard, SnfsClient};
+
+/// A client's callback service: the `Handler` behind its callback
+/// endpoint.
+pub(crate) struct CallbackService(pub(crate) SnfsClient);
+
+impl Handler for CallbackService {
+    async fn serve(&self, _from: ClientId, ctx: u64, req: NfsRequest) -> NfsReply {
+        match req {
+            NfsRequest::Callback(arg) => match self.0.serve_callback(ctx, arg).await {
+                Ok(()) => NfsReply::Ok,
+                Err(e) => NfsReply::Err(e),
+            },
+            _ => NfsReply::Err(NfsStatus::Inval),
+        }
+    }
+}
 
 impl SnfsClient {
     /// Builds the client's callback-service endpoint (the server calls
@@ -23,20 +37,8 @@ impl SnfsClient {
         params: EndpointParams,
         counter: OpCounter,
     ) -> Endpoint {
-        let this = self.clone();
-        let handler = Rc::new(move |_from: ClientId, ctx: u64, req: NfsRequest| {
-            let this = this.clone();
-            Box::pin(async move {
-                match req {
-                    NfsRequest::Callback(arg) => match this.serve_callback(ctx, arg).await {
-                        Ok(()) => NfsReply::Ok,
-                        Err(e) => NfsReply::Err(e),
-                    },
-                    _ => NfsReply::Err(NfsStatus::Inval),
-                }
-            }) as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
-        });
-        Endpoint::new(self.sim(), name, cpu, params, counter, handler)
+        let service = CallbackService(self.clone());
+        Endpoint::new(self.sim(), name, cpu, params, counter, service)
     }
 
     /// Services one callback (paper §3.2): write back and/or invalidate,

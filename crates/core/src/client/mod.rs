@@ -38,7 +38,7 @@ use spritely_trace::{EventKind, Tracer};
 
 use crate::delegation::{DelegationStats, LEASE};
 
-mod callback;
+pub(crate) mod callback;
 mod recovery;
 mod writeback;
 

@@ -562,6 +562,42 @@ mod tests {
         });
     }
 
+    /// The three services' futures, unpolled: every execution's task
+    /// holds its handler's future inline (DESIGN.md §22), queued ones
+    /// too — `fleet` queues some 550 at its synchronised start — so these
+    /// sizes are peak heap. The cold arms (a callback or recall actually
+    /// sent, a cross-shard transaction, a participant's commit) are boxed
+    /// where they are awaited and cost the others nothing. An await on a
+    /// hot path that grows a future past its bound buys that heap back:
+    /// box the cold part, or raise the bound with the measured cost.
+    #[test]
+    fn handler_futures_stay_inside_their_size_bounds() {
+        use crate::client::callback::CallbackService;
+        use spritely_proto::NfsRequest;
+        use spritely_rpcnet::Handler;
+        use std::mem::size_of_val;
+
+        let rig = Rig::new();
+        let service = CallbackService(rig.client(1, false));
+        let (from, fs) = (ClientId(1), rig.server.fs());
+        let snfs = size_of_val(&rig.server.handle(from, 0, NfsRequest::Null));
+        let nfs = size_of_val(&spritely_nfs::handle(fs, NfsRequest::Null));
+        let callback = size_of_val(&service.serve(from, 0, NfsRequest::Null));
+        // Measured: 2,168, 1,488 and 2,256 bytes, debug and release alike.
+        let sizes = [
+            ("SnfsServer::handle", snfs, 2_200),
+            ("spritely_nfs::handle", nfs, 1_500),
+            ("CallbackService::serve", callback, 2_300),
+        ];
+        for (future, size, bound) in sizes {
+            println!("{future}: {size} B, bound {bound} B");
+            assert!(
+                size <= bound,
+                "{future}'s future is {size} B, bound {bound} B"
+            );
+        }
+    }
+
     #[test]
     fn deterministic_elapsed_and_counts() {
         let run = || {

@@ -206,15 +206,16 @@ impl SnfsServer {
         fh: FileHandle,
         callbacks: &[CallbackNeeded],
     ) {
+        // Boxed: a callback is the cold path (see `handle`).
         match callbacks {
             [] => {}
-            [cb] => self.do_callback(parent, fh, *cb).await,
+            [cb] => Box::pin(self.do_callback(parent, fh, *cb)).await,
             many => {
                 let jobs = many.iter().map(|&cb| {
                     let this = self.clone();
                     async move { this.do_callback(parent, fh, cb).await }
                 });
-                self.spawn_all(jobs).await;
+                Box::pin(self.spawn_all(jobs)).await;
             }
         }
     }

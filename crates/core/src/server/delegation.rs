@@ -123,15 +123,16 @@ impl SnfsServer {
             .table
             .borrow()
             .conflicting_delegations(fh, opener, write);
+        // Boxed: a recall is the cold path (see `handle`).
         match conflicts.as_slice() {
             [] => {}
-            [d] => self.recall_one(parent, fh, *d).await,
+            [d] => Box::pin(self.recall_one(parent, fh, *d)).await,
             many => {
                 let jobs = many.iter().map(|&d| {
                     let this = self.clone();
                     async move { this.recall_one(parent, fh, d).await }
                 });
-                self.spawn_all(jobs).await;
+                Box::pin(self.spawn_all(jobs)).await;
             }
         }
     }

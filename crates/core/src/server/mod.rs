@@ -19,13 +19,14 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::future::Future;
 use std::rc::Rc;
 
 use spritely_blockdev::DiskSched;
 use spritely_localfs::LocalFs;
 use spritely_metrics::{InflightGauge, OpCounter};
 use spritely_proto::{ClientId, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, OpenReply};
-use spritely_rpcnet::{Caller, Endpoint, EndpointParams};
+use spritely_rpcnet::{Caller, Endpoint, EndpointParams, Handler};
 use spritely_sim::{Permit, Resource, Semaphore, Sim, SimDuration};
 use spritely_trace::{Cause, EventKind, Tracer};
 
@@ -402,14 +403,8 @@ impl SnfsServer {
     /// Builds the RPC endpoint for this server, with the parameters it
     /// was created with.
     pub fn endpoint(&self, name: impl Into<String>, cpu: Resource, counter: OpCounter) -> Endpoint {
-        let this = self.clone();
-        let handler = Rc::new(move |from: ClientId, ctx: u64, req: NfsRequest| {
-            let this = this.clone();
-            Box::pin(async move { this.handle(from, ctx, req).await })
-                as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
-        });
         let params = self.inner.endpoint;
-        Endpoint::new(&self.inner.sim, name, cpu, params, counter, handler)
+        Endpoint::new(&self.inner.sim, name, cpu, params, counter, self.clone())
     }
 
     fn file_lock(&self, fh: FileHandle) -> Semaphore {
@@ -445,6 +440,12 @@ impl SnfsServer {
 
     /// Dispatches one request. `ctx` is the trace context of the RPC
     /// handler span (0 when untraced).
+    ///
+    /// Its future lies in every execution task, queued ones included, so
+    /// the cold paths — a callback or recall actually sent, a cross-shard
+    /// transaction, a participant's commit — are `Box::pin`ned where they
+    /// are awaited: they allocate when they run, and cost every other
+    /// execution no room (DESIGN.md §22).
     pub async fn handle(&self, from: ClientId, ctx: u64, req: NfsRequest) -> NfsReply {
         // Recovery-mode gate (§2.4): while the grace period runs, only
         // liveness and re-registration traffic is served, so the
@@ -583,9 +584,8 @@ impl SnfsServer {
             } => {
                 if let Some((view, peer)) = self.cross_shard_target(to_dir, to_dir, to_name) {
                     let to_name = to_name.clone();
-                    return self
-                        .cross_shard(ctx, from, view, peer, None, to_name, req)
-                        .await;
+                    let tx = self.cross_shard(ctx, from, view, peer, None, to_name, req);
+                    return Box::pin(tx).await;
                 }
                 self.namespace_change(ctx, from, req, to_dir, to_dir, true)
                     .await
@@ -598,15 +598,14 @@ impl SnfsServer {
             } => {
                 if let Some((view, peer)) = self.cross_shard_target(from_dir, to_dir, to_name) {
                     let (from_name, to_name) = (Some(from_name.clone()), to_name.clone());
-                    return self
-                        .cross_shard(ctx, from, view, peer, from_name, to_name, req)
-                        .await;
+                    let tx = self.cross_shard(ctx, from, view, peer, from_name, to_name, req);
+                    return Box::pin(tx).await;
                 }
                 self.namespace_change(ctx, from, req, from_dir, to_dir, false)
                     .await
             }
             NfsRequest::TxPrepare { txid, ref name } => self.tx_prepare(ctx, txid, name),
-            NfsRequest::TxCommit { txid } => self.tx_commit(ctx, txid).await,
+            NfsRequest::TxCommit { txid } => Box::pin(self.tx_commit(ctx, txid)).await,
             NfsRequest::TxAbort { txid } => self.tx_abort(txid),
             // Everything else is the unmodified NFS service code.
             other => spritely_nfs::handle(&self.inner.fs, other).await,
@@ -684,5 +683,11 @@ impl SnfsServer {
             }
         }
         rep
+    }
+}
+
+impl Handler for SnfsServer {
+    fn serve(&self, from: ClientId, ctx: u64, req: NfsRequest) -> impl Future<Output = NfsReply> {
+        self.handle(from, ctx, req)
     }
 }

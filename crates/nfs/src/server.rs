@@ -12,12 +12,12 @@
 //! exactly how a hybrid client discovers it is talking to a plain NFS
 //! server (paper §6.1).
 
-use std::rc::Rc;
+use std::future::Future;
 
 use spritely_localfs::LocalFs;
 use spritely_metrics::OpCounter;
-use spritely_proto::{NfsReply, NfsRequest, NfsStatus, ReadReply};
-use spritely_rpcnet::{Endpoint, EndpointParams};
+use spritely_proto::{ClientId, NfsReply, NfsRequest, NfsStatus, ReadReply};
+use spritely_rpcnet::{Endpoint, EndpointParams, Handler};
 use spritely_sim::{Resource, Sim};
 
 /// Builds an NFS server endpoint serving `fs`.
@@ -32,15 +32,17 @@ pub fn nfs_server(
     params: EndpointParams,
     counter: OpCounter,
 ) -> Endpoint {
-    let handler = {
-        let fs = fs.clone();
-        Rc::new(move |_from, _ctx: u64, req: NfsRequest| {
-            let fs = fs.clone();
-            Box::pin(async move { handle(&fs, req).await })
-                as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
-        })
-    };
-    Endpoint::new(sim, name, cpu, params, counter, handler)
+    Endpoint::new(sim, name, cpu, params, counter, Served(fs))
+}
+
+/// The stateless service: every request is [`handle`]d against one file
+/// system, whoever sent it.
+struct Served(LocalFs);
+
+impl Handler for Served {
+    fn serve(&self, _from: ClientId, _ctx: u64, req: NfsRequest) -> impl Future<Output = NfsReply> {
+        handle(&self.0, req)
+    }
 }
 
 /// Executes one NFS request against the local file system.

@@ -39,63 +39,58 @@ impl Borrow<NfsRequest> for Parked {
 /// setting: while a batch is outstanding its ack is what usually flushes.
 pub(crate) const BATCH_WINDOW: SimDuration = SimDuration::from_micros(1200);
 
-/// The Nagle-style batching queue behind a caller (present only when
-/// `TransportParams::max_batch > 1`), used by background traffic only:
-/// foreground calls keep the unbatched wire path, so they are never
-/// delayed and never wait behind a compound's slowest member. A
-/// background request with no batch in flight is sent at once (a lone
-/// call pays no extra latency); while a batch is outstanding, followers
-/// park here and flush as one compound when the outstanding batch
-/// completes, `max_batch` accumulate, or the [`BATCH_WINDOW`] safety
-/// deadline fires. Each flush pays one wire exchange for the whole batch.
-pub(crate) struct Batcher {
-    link: Rc<Link>,
-    max_batch: usize,
+/// The Nagle-style batching queue behind a caller, a field of its
+/// [`Link`] (so a caller's clones park in one queue, and a caller costs no
+/// allocation for it until a call parks), used by background traffic
+/// only, and only when `TransportParams::max_batch > 1`: foreground calls
+/// keep the unbatched wire path, so they are never delayed and never wait
+/// behind a compound's slowest member. A background request with no batch
+/// in flight is sent at once (a lone call pays no extra latency); while a
+/// batch is outstanding, followers park here and flush as one compound
+/// when the outstanding batch completes, `max_batch` accumulate, or the
+/// [`BATCH_WINDOW`] safety deadline fires. Each flush pays one wire
+/// exchange for the whole batch.
+#[derive(Default)]
+pub(crate) struct BatchQueue {
     queue: RefCell<Vec<Member<Parked>>>,
     window_armed: Cell<bool>,
     inflight: Cell<usize>,
     next_id: Cell<u64>,
 }
 
-impl Batcher {
-    pub(crate) fn new(link: &Rc<Link>, max_batch: usize) -> Rc<Self> {
-        Rc::new(Batcher {
-            link: Rc::clone(link),
-            max_batch,
-            queue: RefCell::new(Vec::new()),
-            window_armed: Cell::new(false),
-            inflight: Cell::new(0),
-            next_id: Cell::new(0),
-        })
-    }
-
+impl Link {
     /// Parks one background request until a flush has carried it to the
     /// endpoint and back. Hangs when that flush is lost; the caller's
     /// timeout drops the wait and parks the retransmission afresh.
-    pub(crate) async fn call(self: &Rc<Self>, member: &Member<&NfsRequest>) -> NfsReply {
+    pub(crate) async fn park(
+        self: &Rc<Self>,
+        member: &Member<&NfsRequest>,
+        max_batch: usize,
+    ) -> NfsReply {
         let cell = Rc::new(ReplyCell::default());
         let (xid, parent, req) = (member.xid, member.parent, member.req.clone());
         let req = Parked {
             req,
             cell: Rc::clone(&cell),
         };
+        let b = &self.batch;
         let len = {
-            let mut q = self.queue.borrow_mut();
+            let mut q = b.queue.borrow_mut();
             q.push(Member { xid, parent, req });
             q.len()
         };
-        if len >= self.max_batch || self.inflight.get() == 0 {
+        if len >= max_batch || b.inflight.get() == 0 {
             // Full batch, or nothing outstanding (Nagle: an idle caller
             // sends immediately instead of holding a lone request for
             // the window).
             self.flush_now();
-        } else if !self.window_armed.get() {
-            self.window_armed.set(true);
-            let b = Rc::clone(self);
-            self.link.sim.spawn(async move {
-                b.link.sim.sleep(BATCH_WINDOW).await;
-                b.window_armed.set(false);
-                b.flush_now();
+        } else if !b.window_armed.get() {
+            b.window_armed.set(true);
+            let link = Rc::clone(self);
+            self.sim.spawn(async move {
+                link.sim.sleep(BATCH_WINDOW).await;
+                link.batch.window_armed.set(false);
+                link.flush_now();
             });
         }
         std::future::poll_fn(|cx| {
@@ -113,7 +108,7 @@ impl Batcher {
     /// queue's `Vec` where it is, and a queue of one procedure is not
     /// partitioned.
     pub(crate) fn flush_now(self: &Rc<Self>) {
-        let mut q = self.queue.borrow_mut();
+        let mut q = self.batch.queue.borrow_mut();
         let mut batch = match q.len() {
             0 => return,
             1 => return self.spawn_flush([q.pop().expect("one parked")]),
@@ -136,13 +131,15 @@ impl Batcher {
     /// outstanding flush drains, ack-clocks the next batch out. Its task
     /// is all it allocates for a lone member.
     fn spawn_flush<B: AsRef<[Member<Parked>]> + 'static>(self: &Rc<Self>, batch: B) {
-        self.inflight.set(self.inflight.get() + 1);
-        let b = Rc::clone(self);
-        self.link.sim.spawn(async move {
+        let inflight = &self.batch.inflight;
+        inflight.set(inflight.get() + 1);
+        let link = Rc::clone(self);
+        self.sim.spawn(async move {
+            let b = &link.batch;
             let id = b.next_id.get();
             b.next_id.set(id + 1);
             let batch = batch.as_ref();
-            if let Some(s) = b.link.tstats.borrow().as_ref() {
+            if let Some(s) = link.tstats.borrow().as_ref() {
                 s.batch_sizes.record(batch.len() as u64);
                 // Every request after the first rides along: one saved
                 // round trip each, attributed to its procedure.
@@ -152,7 +149,7 @@ impl Batcher {
             }
             // A lost exchange fills no cell: every member's timeout fires
             // and its retransmission parks afresh.
-            if let Some(rep) = b.link.exchange(batch, Some(id)).await {
+            if let Some(rep) = link.exchange(batch, Some(id)).await {
                 for (m, rep) in batch.iter().zip(rep.into_parts()) {
                     m.req.cell.reply.set(Some(rep));
                     if let Some(waker) = m.req.cell.waker.take() {
@@ -162,7 +159,7 @@ impl Batcher {
             }
             b.inflight.set(b.inflight.get() - 1);
             if b.inflight.get() == 0 {
-                b.flush_now();
+                link.flush_now();
             }
         });
     }

@@ -3,7 +3,7 @@
 //! alone or in a batch (DESIGN.md §22).
 
 use std::borrow::Borrow;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 use std::task::Poll;
@@ -13,7 +13,7 @@ use spritely_proto::{ClientId, NfsReply, NfsRequest};
 use spritely_sim::{yield_now, Resource, Sim, SimDuration, SimRng};
 use spritely_trace::{EventKind, Tracer};
 
-use crate::batch::Batcher;
+use crate::batch::BatchQueue;
 use crate::endpoint::Endpoint;
 use crate::network::Network;
 use crate::transport::{TransportParams, TransportStats, BACKOFF_MAX};
@@ -68,10 +68,11 @@ pub(crate) struct Member<R> {
 }
 
 /// What every wire exchange of one logical caller shares, whoever runs
-/// it — the caller's own attempt or its batcher's detached flush: where
-/// the traffic goes, whom it speaks as, how the fault layer sees it, and
-/// where it is observed. One `Rc`, so the tracer and the transport stats
-/// each live in one slot.
+/// it — the caller's own attempt or its batch queue's detached flush:
+/// where the traffic goes, whom it speaks as, how the fault layer sees
+/// it, where it is observed, the batch queue and the jitter stream. One
+/// `Rc`, so the tracer and the transport stats each live in one slot,
+/// and a caller's only allocation until it parks a call or draws jitter.
 pub(crate) struct Link {
     pub(crate) sim: Sim,
     net: Network,
@@ -86,9 +87,20 @@ pub(crate) struct Link {
     next_xid: Cell<u64>,
     tracer: RefCell<Option<Tracer>>,
     pub(crate) tstats: RefCell<Option<TransportStats>>,
+    pub(crate) batch: BatchQueue,
+    /// Deterministic per-caller stream for retransmission jitter, made on
+    /// its first draw: only `backoff_jitter > 0` draws, so paper-mode
+    /// runs never make it.
+    rng: OnceCell<SimRng>,
 }
 
 impl Link {
+    /// The next jitter draw, in `[0, 1)`.
+    fn jitter(&self) -> f64 {
+        let seed = 0x7ab5_0000 ^ u64::from(self.from.0);
+        self.rng.get_or_init(|| SimRng::new(seed)).f64()
+    }
+
     fn emit(&self, parent: u64, kind: impl FnOnce() -> EventKind) -> u64 {
         match self.tracer.borrow().as_ref() {
             Some(t) => t.emit(parent, kind()),
@@ -249,8 +261,8 @@ impl Link {
 
 /// A client-side RPC caller bound to one endpoint over one network.
 pub struct Caller {
-    /// Shared with the batcher, and across clones: a clone is another
-    /// handle on the same logical caller.
+    /// Shared with the batch queue's flushes, and across clones: a clone
+    /// is another handle on the same logical caller.
     link: Rc<Link>,
     /// The link whose xid sequence this caller draws from: its own
     /// (so clones share one sequence — the endpoint's duplicate-request
@@ -263,11 +275,6 @@ pub struct Caller {
     transport: Cell<TransportParams>,
     retransmits: Cell<u64>,
     latency: RefCell<Option<LatencyStats>>,
-    batcher: RefCell<Option<Rc<Batcher>>>,
-    /// Deterministic per-caller stream for retransmission jitter; only
-    /// consumed when `backoff_jitter > 0`, so paper-mode runs draw
-    /// nothing from it.
-    rng: SimRng,
 }
 
 impl Clone for Caller {
@@ -280,8 +287,6 @@ impl Clone for Caller {
             transport: Cell::new(self.transport.get()),
             retransmits: Cell::new(0),
             latency: RefCell::new(self.latency.borrow().clone()),
-            batcher: RefCell::new(self.batcher.borrow().clone()),
-            rng: self.rng.clone(),
         }
     }
 }
@@ -306,6 +311,8 @@ impl Caller {
             next_xid: Cell::new(0),
             tracer: RefCell::new(None),
             tstats: RefCell::new(None),
+            batch: BatchQueue::default(),
+            rng: OnceCell::new(),
         });
         let caller = Caller {
             xids: Rc::clone(&link),
@@ -315,8 +322,6 @@ impl Caller {
             transport: Cell::new(TransportParams::paper()),
             retransmits: Cell::new(0),
             latency: RefCell::new(None),
-            batcher: RefCell::new(None),
-            rng: SimRng::new(0x7ab5_0000 ^ u64::from(from.0)),
         };
         caller.assert_retention_covers_ladder();
         caller
@@ -368,14 +373,12 @@ impl Caller {
         );
     }
 
-    /// Configures the transport pipeline. With `max_batch > 1` a
-    /// batching queue is installed; the default is the paper transport
-    /// (no batching, fixed retransmit timeout).
+    /// Configures the transport pipeline. With `max_batch > 1`
+    /// background calls park in the batch queue; the default is the paper
+    /// transport (no batching, fixed retransmit timeout).
     pub fn set_transport(&self, t: TransportParams) {
         self.transport.set(t);
         self.assert_retention_covers_ladder();
-        *self.batcher.borrow_mut() =
-            (t.max_batch > 1).then(|| Batcher::new(&self.link, t.max_batch));
     }
 
     /// The active transport configuration.
@@ -432,16 +435,14 @@ impl Caller {
         self.retransmits.get()
     }
 
-    /// Flushes any background requests parked in the batcher right now.
+    /// Flushes any background requests parked in the batch queue right now.
     /// Clients call this when a foreground path is about to *wait* on
     /// background work — a close draining write-behind, a read
     /// coalescing with an in-flight read-ahead — so the waiter never
     /// pays the Nagle window on top of the RPC itself. A no-op on the
     /// paper transport.
     pub fn kick(&self) {
-        if let Some(b) = self.batcher.borrow().as_ref() {
-            b.flush_now();
-        }
+        self.link.flush_now();
     }
 
     /// Issues one RPC: marshal, transmit, await the reply, with timeout and
@@ -504,7 +505,7 @@ impl Caller {
             if attempt > 0 {
                 self.retransmits.set(self.retransmits.get() + 1);
             }
-            let timeout = self.attempt_timeout(attempt, || self.rng.f64());
+            let timeout = self.attempt_timeout(attempt, || link.jitter());
             let fut = self.attempt(&member, background);
             if let Ok(rep) = link.sim.timeout(timeout, fut).await {
                 if let Some(l) = self.latency.borrow().as_ref() {
@@ -530,14 +531,12 @@ impl Caller {
     /// One attempt at one request. Hangs when the attempt is lost, until
     /// the caller's timeout drops it and retransmits.
     async fn attempt(&self, member: &[Member<&NfsRequest>; 1], background: bool) -> NfsReply {
-        if background {
-            // Only background traffic parks in the batcher: a compound's
-            // reply waits for its slowest member, and a latency-sensitive
-            // call must not wait behind a batched disk write.
-            let batcher = self.batcher.borrow().clone();
-            if let Some(b) = batcher {
-                return b.call(&member[0]).await;
-            }
+        // Only background traffic parks in the batch queue: a compound's
+        // reply waits for its slowest member, and a latency-sensitive call
+        // must not wait behind a batched disk write.
+        let max_batch = self.transport.get().max_batch;
+        if background && max_batch > 1 {
+            return self.link.park(&member[0], max_batch).await;
         }
         match self.link.exchange(member, None).await {
             Some(rep) => rep,
@@ -549,7 +548,7 @@ impl Caller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::{EndpointParams, HandlerFn};
+    use crate::endpoint::EndpointParams;
     use crate::network::NetParams;
     use spritely_metrics::OpCounter;
     use spritely_proto::NfsProc;
@@ -569,14 +568,14 @@ mod tests {
             },
         );
         let s2 = sim.clone();
-        let handler: HandlerFn = Rc::new(move |_from, _ctx, _req| {
+        let handler = Rc::new(move |_from, _ctx, _req| {
             let s = s2.clone();
-            Box::pin(async move {
+            async move {
                 if !handler_delay.is_zero() {
                     s.sleep(handler_delay).await;
                 }
                 NfsReply::Ok
-            })
+            }
         });
         let ep = Endpoint::new(
             &sim,
@@ -842,7 +841,7 @@ mod tests {
                 switched: false,
             },
         );
-        let handler: HandlerFn = Rc::new(|_, _, _| Box::pin(async { NfsReply::Ok }));
+        let handler = Rc::new(|_, _, _| async { NfsReply::Ok });
         let ep = Endpoint::new(
             &sim,
             "nfsd",

@@ -4,7 +4,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use spritely_metrics::{OpCounter, RateSeries};
@@ -12,11 +11,30 @@ use spritely_proto::{ClientId, NfsReply, NfsRequest};
 use spritely_sim::{JoinHandle, Resource, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
-/// A boxed async request handler. The `u64` is the causal trace context
-/// (the handler-begin event's sequence number, 0 when untraced) for the
-/// handler to parent its own trace events under.
-pub type HandlerFn =
-    Rc<dyn Fn(ClientId, u64, NfsRequest) -> Pin<Box<dyn Future<Output = NfsReply>>>>;
+/// An RPC service: what an [`Endpoint`] runs for each request it
+/// executes. The `u64` is the causal trace context (the handler-begin
+/// event's sequence number, 0 when untraced) for the handler to parent its
+/// own trace events under. The future is awaited inside the execution's
+/// own task, unboxed.
+pub trait Handler: 'static {
+    /// Serves one request from `from`.
+    fn serve(&self, from: ClientId, ctx: u64, req: NfsRequest) -> impl Future<Output = NfsReply>;
+}
+
+/// A closure is a handler, whether its future is boxed or not.
+impl<F, Fut> Handler for Rc<F>
+where
+    F: Fn(ClientId, u64, NfsRequest) -> Fut + ?Sized + 'static,
+    Fut: Future<Output = NfsReply>,
+{
+    fn serve(&self, from: ClientId, ctx: u64, req: NfsRequest) -> impl Future<Output = NfsReply> {
+        (**self)(from, ctx, req)
+    }
+}
+
+/// Spawns one execution's task: `spawn_execution` for the endpoint's
+/// handler type, which is erased here and nowhere else.
+type SpawnFn = Box<dyn Fn(&Rc<EndpointInner>, (ClientId, u64), u64, NfsRequest) -> JoinHandle<()>>;
 
 /// Server-side endpoint parameters.
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +121,7 @@ struct EndpointInner {
     blocking: Semaphore,
     cpu: Resource,
     params: EndpointParams,
-    handler: HandlerFn,
+    spawn: SpawnFn,
     dup: [DupBucket; DUP_BUCKETS],
     counter: OpCounter,
     rates: RefCell<Option<RateSeries>>,
@@ -143,9 +161,10 @@ impl Endpoint {
         cpu: Resource,
         params: EndpointParams,
         counter: OpCounter,
-        handler: HandlerFn,
+        handler: impl Handler,
     ) -> Self {
         assert!(params.threads > 0, "endpoint needs at least one thread");
+        let handler = Rc::new(handler);
         Endpoint {
             inner: Rc::new(EndpointInner {
                 sim: sim.clone(),
@@ -153,7 +172,9 @@ impl Endpoint {
                 blocking: Semaphore::new(params.threads.saturating_sub(1).max(1)),
                 cpu,
                 params,
-                handler,
+                spawn: Box::new(move |inner, key, parent, req| {
+                    spawn_execution(inner, Rc::clone(&handler), key, parent, req)
+                }),
                 dup: std::array::from_fn(|_| DupBucket::new()),
                 counter,
                 rates: RefCell::new(None),
@@ -284,7 +305,7 @@ impl Endpoint {
                         bucket.contention.set(bucket.contention.get() + 1);
                     }
                     bucket.in_flight.set(bucket.in_flight.get() + 1);
-                    let execution = self.spawn_execution(key, from, parent, req);
+                    let execution = (self.inner.spawn)(&self.inner, key, parent, req);
                     dup.insert(key, DupState::InProgress(execution.clone()));
                     execution
                 }
@@ -296,88 +317,91 @@ impl Endpoint {
             _ => unreachable!("execution completed without a Done entry"),
         }
     }
+}
 
-    fn spawn_execution(
-        &self,
-        key: (ClientId, u64),
-        from: ClientId,
-        parent: u64,
-        req: NfsRequest,
-    ) -> JoinHandle<()> {
-        let inner = Rc::clone(&self.inner);
-        let proc = req.proc_id();
-        let kb = req.wire_size() as f64 / 1024.0;
-        let gated = req.may_block();
-        inner.sim.clone().spawn(async move {
-            // N−1 admission (§3.2): a request that may block on a
-            // consistency action queues for a blocking slot before it
-            // may occupy a thread. When uncontended the acquire
-            // completes synchronously, so ungated traffic is unaffected.
-            let _gate = if gated {
-                Some(inner.blocking.acquire().await)
-            } else {
-                None
-            };
-            let thread = inner.threads.acquire().await;
-            inner.counter.record(proc);
-            if let Some(r) = inner.rates.borrow().as_ref() {
-                r.record_at(inner.sim.now(), proc);
-            }
-            let ctx = match inner.tracer.borrow().as_ref() {
-                Some(t) => t.emit(
-                    parent,
-                    EventKind::HandlerBegin {
-                        from,
-                        xid: key.1,
-                        proc,
-                    },
-                ),
-                None => 0,
-            };
-            let cpu_time = inner.params.cpu_per_call + inner.params.cpu_per_kb.mul_f64(kb);
-            if !cpu_time.is_zero() {
-                inner.cpu.use_for(cpu_time).await;
-            }
-            let rep = (inner.handler)(from, ctx, req).await;
-            if let Some(t) = inner.tracer.borrow().as_ref() {
-                t.emit(
-                    ctx,
-                    EventKind::HandlerEnd {
-                        from,
-                        xid: key.1,
-                        proc,
-                        ok: rep.is_ok(),
-                    },
-                );
-            }
-            drop(thread);
-            inner.executions.set(inner.executions.get() + 1);
-            let now = inner.sim.now();
-            let bucket = &inner.dup[dup_bucket_of(from)];
-            bucket.in_flight.set(bucket.in_flight.get() - 1);
-            let mut dup = bucket.map.borrow_mut();
-            let prev = dup.insert(key, DupState::Done(rep, now));
-            // Sweep this bucket's expired entries once per retention
-            // period of sim time. (The old trigger — `len()` an exact
-            // multiple of 1024 — let a replace-heavy workload hop over
-            // the boundary and never purge.) The sweep is pure map
-            // maintenance: no awaits, no randomness, so it cannot
-            // perturb timing; bucketing bounds each sweep to its own
-            // slice of the cache.
-            let retention = inner.params.dup_retention;
-            if now.saturating_duration_since(bucket.last_purge.get()) >= retention {
-                bucket.last_purge.set(now);
-                dup.retain(|_, v| match v {
-                    DupState::InProgress(_) => true,
-                    DupState::Done(_, t) => now.saturating_duration_since(*t) < retention,
-                });
-            }
-            assert!(
-                matches!(prev, Some(DupState::InProgress(_))),
-                "execution finished without an InProgress entry"
+/// One execution of `req` by `handler`, in its own task: admission, a
+/// thread, the per-call CPU, the handler span, then the dup-cache entry.
+fn spawn_execution<H: Handler>(
+    inner: &Rc<EndpointInner>,
+    handler: Rc<H>,
+    key: (ClientId, u64),
+    parent: u64,
+    req: NfsRequest,
+) -> JoinHandle<()> {
+    let inner = Rc::clone(inner);
+    let from = key.0;
+    let proc = req.proc_id();
+    let kb = req.wire_size() as f64 / 1024.0;
+    let gated = req.may_block();
+    inner.sim.clone().spawn(async move {
+        // N−1 admission (§3.2): a request that may block on a
+        // consistency action queues for a blocking slot before it
+        // may occupy a thread. When uncontended the acquire
+        // completes synchronously, so ungated traffic is unaffected.
+        let _gate = if gated {
+            Some(inner.blocking.acquire().await)
+        } else {
+            None
+        };
+        let thread = inner.threads.acquire().await;
+        inner.counter.record(proc);
+        if let Some(r) = inner.rates.borrow().as_ref() {
+            r.record_at(inner.sim.now(), proc);
+        }
+        let ctx = match inner.tracer.borrow().as_ref() {
+            Some(t) => t.emit(
+                parent,
+                EventKind::HandlerBegin {
+                    from,
+                    xid: key.1,
+                    proc,
+                },
+            ),
+            None => 0,
+        };
+        let cpu_time = inner.params.cpu_per_call + inner.params.cpu_per_kb.mul_f64(kb);
+        if !cpu_time.is_zero() {
+            inner.cpu.use_for(cpu_time).await;
+        }
+        let rep = handler.serve(from, ctx, req).await;
+        if let Some(t) = inner.tracer.borrow().as_ref() {
+            t.emit(
+                ctx,
+                EventKind::HandlerEnd {
+                    from,
+                    xid: key.1,
+                    proc,
+                    ok: rep.is_ok(),
+                },
             );
-        })
-    }
+        }
+        drop(thread);
+        inner.executions.set(inner.executions.get() + 1);
+        let now = inner.sim.now();
+        let bucket = &inner.dup[dup_bucket_of(from)];
+        bucket.in_flight.set(bucket.in_flight.get() - 1);
+        let mut dup = bucket.map.borrow_mut();
+        let prev = dup.insert(key, DupState::Done(rep, now));
+        // Sweep this bucket's expired entries once per retention
+        // period of sim time. (The old trigger — `len()` an exact
+        // multiple of 1024 — let a replace-heavy workload hop over
+        // the boundary and never purge.) The sweep is pure map
+        // maintenance: no awaits, no randomness, so it cannot
+        // perturb timing; bucketing bounds each sweep to its own
+        // slice of the cache.
+        let retention = inner.params.dup_retention;
+        if now.saturating_duration_since(bucket.last_purge.get()) >= retention {
+            bucket.last_purge.set(now);
+            dup.retain(|_, v| match v {
+                DupState::InProgress(_) => true,
+                DupState::Done(_, t) => now.saturating_duration_since(*t) < retention,
+            });
+        }
+        assert!(
+            matches!(prev, Some(DupState::InProgress(_))),
+            "execution finished without an InProgress entry"
+        );
+    })
 }
 
 #[cfg(test)]
@@ -388,7 +412,7 @@ mod tests {
     #[test]
     fn per_call_cpu_is_charged_on_server() {
         let sim = Sim::new();
-        let handler: HandlerFn = Rc::new(|_, _, _| Box::pin(async { NfsReply::Ok }));
+        let handler = Rc::new(|_, _, _| async { NfsReply::Ok });
         let ep = Endpoint::new(
             &sim,
             "nfsd",
@@ -418,14 +442,14 @@ mod tests {
         let cpu = Resource::new(&sim, "cpu", 1);
         let gate = Event::new();
         let g2 = gate.clone();
-        let handler: HandlerFn = Rc::new(move |_from, _ctx, req| {
+        let handler = Rc::new(move |_from, _ctx, req| {
             let gate = g2.clone();
-            Box::pin(async move {
+            async move {
                 if matches!(req, NfsRequest::Open { .. }) {
                     gate.wait().await;
                 }
                 NfsReply::Ok
-            })
+            }
         });
         let ep = Endpoint::new(
             &sim,

@@ -29,7 +29,7 @@ mod shard;
 mod transport;
 
 pub use caller::{Caller, CallerParams, RpcError};
-pub use endpoint::{Endpoint, EndpointParams};
+pub use endpoint::{Endpoint, EndpointParams, Handler};
 pub use fault::{FaultCounts, FaultParams, FaultPlan, FaultStats, PartitionDir};
 pub use network::{NetParams, Network};
 pub use shard::ShardCaller;

@@ -332,7 +332,7 @@ impl ShardCaller {
 mod tests {
     use super::*;
     use crate::caller::CallerParams;
-    use crate::endpoint::{Endpoint, EndpointParams, HandlerFn};
+    use crate::endpoint::{Endpoint, EndpointParams};
     use crate::network::{NetParams, Network};
     use spritely_metrics::OpCounter;
     use spritely_sim::Resource;
@@ -344,9 +344,8 @@ mod tests {
         let net = Network::new(&sim, "net", NetParams::ethernet_10mbit());
         let callers = (0..2)
             .map(|s| {
-                let handler: HandlerFn = Rc::new(move |_, _, _| {
-                    Box::pin(async move { NfsReply::Path(format!("shard{s}")) })
-                });
+                let handler =
+                    Rc::new(move |_, _, _| async move { NfsReply::Path(format!("shard{s}")) });
                 let ep = Endpoint::new(
                     &sim,
                     format!("nfsd{s}"),

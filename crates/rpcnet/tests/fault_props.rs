@@ -48,7 +48,7 @@ fn rig(faults: FaultParams, handler_delay_us: u64) -> Rig {
         Rc::new(move |_from: ClientId, _ctx: u64, req: NfsRequest| {
             let sim = sim.clone();
             let executed = Rc::clone(&executed);
-            Box::pin(async move {
+            async move {
                 let name = match &req {
                     NfsRequest::Lookup { name, .. } => name.clone(),
                     _ => panic!("rig only sends Lookup"),
@@ -56,7 +56,7 @@ fn rig(faults: FaultParams, handler_delay_us: u64) -> Rig {
                 sim.sleep(SimDuration::from_micros(handler_delay_us)).await;
                 *executed.borrow_mut().entry(name.clone()).or_insert(0) += 1;
                 NfsReply::Path(name)
-            }) as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
+            }
         })
     };
     let ep = Endpoint::new(

@@ -36,11 +36,11 @@ fn rig(delays: Vec<u64>, timeout_ms: u64) -> (Sim, Caller, Rc<Cell<u64>>) {
             let executed = Rc::clone(&executed);
             let d = delays[idx.get() % delays.len()];
             idx.set(idx.get() + 1);
-            Box::pin(async move {
+            async move {
                 sim.sleep(SimDuration::from_micros(d)).await;
                 executed.set(executed.get() + 1);
                 NfsReply::Ok
-            }) as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
+            }
         })
     };
     let ep = Endpoint::new(

@@ -57,8 +57,9 @@ metric() {
 }
 
 # Both ends of the one testbed construction: sort_nfs is NFS over one
-# server, fleet is 8 shards x 512 SNFS clients; and sharing, where batched
-# background calls meet callbacks and delegation recalls. Each runs
+# server, fleet is 8 shards x 512 SNFS clients; sharing, where batched
+# background calls meet callbacks and delegation recalls; and scale16,
+# sixteen clients contending for one server's queues. Each runs
 # twice. `--trace 1`
 # exercises the per-layer pass (kernels, span files) and prints the
 # per-layer JSON line: the checker must have found nothing, the profiler
@@ -70,7 +71,7 @@ metric() {
 # baselines/allocs.txt within the benchmark's own 2 % bound, like the line
 # count below: more is a regression, fewer is a stale file, so a layer
 # cannot silently give back what the hot path's allocation diet won.
-for w in sort_nfs fleet sharing; do
+for w in sort_nfs fleet sharing scale16; do
     echo "==> benchmark: $w, 2 s, traced (exit 2 = traced and untraced passes disagree on a simulated-clock number)"
     traced=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 1 | tail -1)
     for want in trace.violations=0 trace.attributed_share=1; do
