@@ -114,7 +114,6 @@ impl SnfsClient {
             // If `fh` is a directory this drops our name translations
             // under it (§7 extension); for files it is a no-op.
             self.names().drop_dir(fh);
-            self.inner.piggy_attrs.borrow_mut().remove(&fh);
             let mut files = self.inner.files.borrow_mut();
             if let Some(info) = files.get_mut(&fh) {
                 info.cached_version = None;

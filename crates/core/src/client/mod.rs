@@ -111,8 +111,9 @@ pub struct ClientStats {
     /// Write-back RPCs that failed (daemon, fsync, callback and eviction
     /// paths alike).
     pub writeback_failures: u64,
-    /// `getattr` RPCs elided because a piggybacked post-op attribute was
-    /// fresh enough to answer (only with a piggybacking transport).
+    /// Always 0: an SNFS `getattr` on a write-shared file asks the server
+    /// (§4.2.1), and only the NFS client consumes piggybacked attributes.
+    /// Kept only because `benchmark/` reads it.
     pub attr_piggybacks: u64,
 }
 
@@ -182,10 +183,6 @@ struct Inner {
     /// write-back of such a file must be cancelled, not sent — the §4.2.3
     /// cancellation covers data already on its way out of the cache.
     removed: RefCell<HashSet<FileHandle>>,
-    /// Post-op attributes that rode back piggybacked on write-through,
-    /// write-shared-read, and close replies, with arrival time. Only
-    /// recorded (and consulted) when the transport piggybacks attrs.
-    piggy_attrs: RefCell<HashMap<FileHandle, (Fattr, SimTime)>>,
     /// Callback sequence numbers already seen (server-assigned, stable
     /// across the server's retransmissions): a duplicated delivery of an
     /// invalidate/write-back callback must not run twice.
@@ -308,7 +305,6 @@ impl Consistency for Inner {
             files.remove(&fh);
         }
         c.cancelled(id, fh, 0, c.drop_file(fh).dirty);
-        c.inner.piggy_attrs.borrow_mut().remove(&fh);
         // A pending eviction error for a deleted file is moot, and any
         // eviction write-back still queued must be cancelled too (see
         // write_back_victim).
@@ -358,7 +354,6 @@ impl SnfsClient {
                 flush_slots: Semaphore::new(FLUSH_DAEMONS),
                 flush_inflight: Semaphore::new(write_behind.max_inflight),
                 removed: RefCell::new(HashSet::new()),
-                piggy_attrs: RefCell::new(HashMap::new()),
                 cb_seen: RefCell::new(HashMap::new()),
                 cb_dupes: Cell::new(0),
                 delegs: RefCell::new(HashMap::new()),
@@ -720,9 +715,7 @@ impl SnfsClient {
         }
         let client = self.inner.id;
         let make = || NfsRequest::Close { fh, write, client };
-        if let NfsReply::Attr(attr) = self.call(op, make).await? {
-            self.note_piggyback_attr(fh, attr);
-        }
+        self.call(op, make).await?;
         Ok(())
     }
 
@@ -805,35 +798,6 @@ impl SnfsClient {
             .is_none_or(|i| i.cacheable)
     }
 
-    // ---- piggybacked post-op attributes --------------------------------------
-
-    /// True when the transport pipeline piggybacks post-op attributes.
-    fn piggyback(&self) -> bool {
-        self.caller().transport().piggyback
-    }
-
-    /// Records a post-op attribute that rode back on a reply. No-op
-    /// unless the transport piggybacks (so the paper transport keeps
-    /// exactly its original state).
-    fn note_piggyback_attr(&self, fh: FileHandle, attr: Fattr) {
-        if self.piggyback() {
-            self.inner
-                .piggy_attrs
-                .borrow_mut()
-                .insert(fh, (attr, self.sim().now()));
-        }
-    }
-
-    /// A piggybacked attribute fresh enough to answer a `getattr` on a
-    /// write-shared file: the same relaxation as the NFS attribute-cache
-    /// floor, but bounded to one second.
-    fn fresh_piggyback_attr(&self, fh: FileHandle) -> Option<Fattr> {
-        let map = self.inner.piggy_attrs.borrow();
-        let (attr, at) = map.get(&fh)?;
-        let age = self.sim().now().saturating_duration_since(*at);
-        (age < SimDuration::from_secs(1)).then_some(*attr)
-    }
-
     fn local_attr(&self, fh: FileHandle) -> Option<Fattr> {
         self.inner.files.borrow().get(&fh).map(|i| i.attr)
     }
@@ -849,8 +813,7 @@ impl SnfsClient {
             // read-ahead (paper §4.2.1).
             let count = len;
             let make = || NfsRequest::Read { fh, offset, count };
-            let ReadReply { data, eof, attr } = self.call(0, make).await?.into_read()?;
-            self.note_piggyback_attr(fh, attr);
+            let ReadReply { data, eof, .. } = self.call(0, make).await?.into_read()?;
             return Ok((data.to_vec(), eof));
         }
         let attr = match self.local_attr(fh) {
@@ -917,8 +880,7 @@ impl SnfsClient {
                 offset,
                 data: payload.clone(),
             };
-            let attr = self.call(0, make).await?.into_attr()?;
-            self.note_piggyback_attr(fh, attr);
+            self.call(0, make).await?.into_attr()?;
             return Ok(());
         }
         let now = self.sim().now();
@@ -1018,7 +980,6 @@ impl SnfsClient {
         }
         self.inner.base.cold_boot();
         self.inner.files.borrow_mut().clear();
-        self.inner.piggy_attrs.borrow_mut().clear();
         Ok(())
     }
 
@@ -1033,12 +994,6 @@ impl SnfsClient {
         // write-sharing once marked uncacheable.
         if self.deleg_serves(fh) || self.is_cacheable(fh) {
             if let Some(a) = self.local_attr(fh) {
-                return Ok(a);
-            }
-        }
-        if self.piggyback() {
-            if let Some(a) = self.fresh_piggyback_attr(fh) {
-                self.bump_stats(|s| s.attr_piggybacks += 1);
                 return Ok(a);
             }
         }

@@ -19,8 +19,10 @@ pub struct TransportParams {
     /// Most requests one compound batch may carry; 1 disables batching
     /// entirely (the paper transport).
     pub max_batch: usize,
-    /// Clients consume piggybacked post-op attributes instead of probing
-    /// with follow-up `getattr` RPCs.
+    /// The NFS client consumes the post-op attributes piggybacked on its
+    /// replies: one refreshed within the probe floor stands in for the
+    /// open-time `getattr`. The SNFS client probes nothing while it caches
+    /// a file, and asks the server for a write-shared one's attributes.
     pub piggyback: bool,
     /// Use the switched full-duplex network instead of the shared bus.
     pub switched: bool,

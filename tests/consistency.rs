@@ -2,7 +2,9 @@
 //! contrasts, exercised end-to-end through the full stack (VFS → client →
 //! RPC → server → disk).
 
-use spritely::harness::{PartitionDir, Protocol, RemoteClient, Testbed, TestbedParams};
+use spritely::harness::{
+    PartitionDir, Protocol, RemoteClient, Testbed, TestbedParams, TransportParams,
+};
 use spritely::proto::BLOCK_SIZE;
 use spritely::sim::{SimDuration, SimTime};
 
@@ -123,34 +125,52 @@ fn nfs_concurrent_write_sharing_serves_stale_data() {
 
 #[test]
 fn snfs_concurrent_write_sharing_never_stale() {
-    let tb = Testbed::build_with_clients(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            ..TestbedParams::default()
-        },
-        2,
-    );
-    let (a, b) = two_snfs(&tb);
-    let root = tb.server_fs.root();
-    let sim = tb.sim.clone();
-    let h = sim.spawn(async move {
-        let (fh, _) = a.create(root, "f").await.unwrap();
-        a.open(fh, true).await.unwrap();
-        a.write(fh, 0, &[1u8; BLOCK_SIZE]).await.unwrap();
-        b.open(fh, false).await.unwrap();
-        // Ten update/read rounds: every read sees the latest write.
-        for gen in 2..12u8 {
-            a.write(fh, 0, &vec![gen; BLOCK_SIZE]).await.unwrap();
-            let (got, _) = b.read(fh, 0, BLOCK_SIZE as u32).await.unwrap();
-            assert!(
-                got.iter().all(|&x| x == gen),
-                "generation {gen} must be visible immediately"
-            );
-        }
-        a.close(fh, true).await.unwrap();
-        b.close(fh, false).await.unwrap();
-    });
-    sim.run_until(h);
+    // Write-shared files are uncachable at every client (§4.2.1): their
+    // data *and* attributes come from the server, on every transport.
+    let transports = [
+        ("paper", TransportParams::paper()),
+        ("pipelined", TransportParams::pipelined()),
+    ];
+    for (name, transport) in transports {
+        let tb = Testbed::build_with_clients(
+            TestbedParams {
+                protocol: Protocol::Snfs,
+                transport,
+                ..TestbedParams::default()
+            },
+            2,
+        );
+        let (a, b) = two_snfs(&tb);
+        let root = tb.server_fs.root();
+        let sim = tb.sim.clone();
+        let h = sim.spawn(async move {
+            let (fh, _) = a.create(root, "f").await.unwrap();
+            a.open(fh, true).await.unwrap();
+            a.write(fh, 0, &[1u8; BLOCK_SIZE]).await.unwrap();
+            b.open(fh, false).await.unwrap();
+            // Ten update/read rounds: each rewrites block 0 and extends
+            // the file by one block; every read and every size B sees is
+            // the latest.
+            for gen in 2..12u8 {
+                let fresh = vec![gen; BLOCK_SIZE];
+                let end = u64::from(gen) * BLOCK_SIZE as u64;
+                a.write(fh, 0, &fresh).await.unwrap();
+                a.write(fh, end - BLOCK_SIZE as u64, &fresh).await.unwrap();
+                let size = b.getattr(fh).await.unwrap().size;
+                assert_eq!(size, end, "{name}: generation {gen}'s size");
+                for off in [0, end - BLOCK_SIZE as u64] {
+                    let (got, _) = b.read(fh, off, BLOCK_SIZE as u32).await.unwrap();
+                    assert!(
+                        got.iter().all(|&x| x == gen),
+                        "{name}: generation {gen} must be visible immediately"
+                    );
+                }
+            }
+            a.close(fh, true).await.unwrap();
+            b.close(fh, false).await.unwrap();
+        });
+        sim.run_until(h);
+    }
 }
 
 #[test]
