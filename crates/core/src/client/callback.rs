@@ -103,8 +103,8 @@ impl SnfsClient {
         }
         let fh = arg.fh;
         // Bypass the pool: a callback-induced write-back must not share
-        // slots or in-flight permits with unrelated background flushes
-        // (see flush_runs).
+        // in-flight permits with unrelated background flushes (see
+        // flush_runs).
         if arg.writeback && self.writeback_file(fh, true, ctx).await.is_err() {
             return Err(NfsStatus::Io);
         }

@@ -81,10 +81,6 @@ impl WriteBehindParams {
     }
 }
 
-/// Flush daemons in the write-behind pool: how many planned runs may be
-/// staged at once (Ultrix ran 4 biods per client).
-const FLUSH_DAEMONS: usize = 4;
-
 /// How long a delayed close (§6.2) lingers before being reported
 /// spontaneously.
 const DELAYED_CLOSE_TIMEOUT: SimDuration = SimDuration::from_secs(180);
@@ -174,11 +170,10 @@ struct Inner {
     stats: Cell<ClientStats>,
     /// Last server epoch observed via `keepalive`/`recover` (0 = never).
     known_epoch: Cell<u64>,
-    /// Write-behind pool slots: bounds how many planned flush runs are
-    /// staged concurrently.
+    /// The write-behind pool: `max_inflight` permits, one carried by each
+    /// flush daemon, so at most that many write-back RPCs are in flight
+    /// (1 = the paper's serial flush).
     flush_slots: Semaphore,
-    /// Bounds write-back RPCs in flight (1 = the paper's serial flush).
-    flush_inflight: Semaphore,
     /// Files this client removed (last link gone): an in-flight eviction
     /// write-back of such a file must be cancelled, not sent — the §4.2.3
     /// cancellation covers data already on its way out of the cache.
@@ -351,8 +346,7 @@ impl SnfsClient {
                 files: RefCell::new(HashMap::new()),
                 stats: Cell::new(ClientStats::default()),
                 known_epoch: Cell::new(0),
-                flush_slots: Semaphore::new(FLUSH_DAEMONS),
-                flush_inflight: Semaphore::new(write_behind.max_inflight),
+                flush_slots: Semaphore::new(write_behind.max_inflight),
                 removed: RefCell::new(HashSet::new()),
                 cb_seen: RefCell::new(HashMap::new()),
                 cb_dupes: Cell::new(0),

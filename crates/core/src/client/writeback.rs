@@ -21,17 +21,16 @@ impl SnfsClient {
     /// Routes a dirty block evicted under cache pressure through the
     /// write-behind pool. Its bytes are in no cache any more, so it enters
     /// the ledger before any await and a failure stays recorded there for
-    /// the file's next [`writeback_file`](Self::writeback_file). The slot
-    /// acquisition is the evicting task's backpressure; the RPC itself
-    /// proceeds in the background.
+    /// the file's next [`writeback_file`](Self::writeback_file). Taking
+    /// the pool's in-flight permit is the evicting task's backpressure;
+    /// the RPC itself proceeds in the background, carrying the permit.
     pub(super) async fn write_back_victim(&self, v: DirtyVictim<Key>) {
         let (fh, lblk) = v.key;
         self.writes().begin(fh);
-        let slot = self.inner.flush_slots.acquire().await;
+        let permit = self.inner.flush_slots.acquire().await;
         let this = self.clone();
         self.sim().spawn(async move {
-            let _slot = slot;
-            let _permit = this.inner.flush_inflight.acquire().await;
+            let _permit = permit;
             if !this.inner.removed.borrow().contains(&fh) {
                 let offset = lblk * BLOCK_SIZE as u64;
                 let _ = this.write_bg(fh, offset, v.data.into(), 0, true).await;
@@ -66,16 +65,16 @@ impl SnfsClient {
     }
 
     /// Pushes planned runs to the server. Through the pool, each run takes
-    /// a slot *in plan order* (the semaphore is FIFO-fair), then a daemon
-    /// task gathers and sends it with at most
+    /// one of its
     /// [`WriteBehindParams::max_inflight`](super::WriteBehindParams::max_inflight)
-    /// in flight; with `stop_on_err`, runs not yet issued when an error
-    /// lands are abandoned, their blocks left dirty. With the paper-mode
-    /// defaults (one block per RPC, one in flight) that is the serial
-    /// flush exactly.
+    /// permits *in plan order* (the semaphore is FIFO-fair), then a daemon
+    /// task carrying the permit gathers and sends it; with `stop_on_err`,
+    /// runs not yet issued when an error lands are abandoned, their blocks
+    /// left dirty. With the paper-mode defaults (one block per RPC, one in
+    /// flight) that is the serial flush exactly.
     ///
     /// `direct` is the callback service's policy: one run at a time,
-    /// awaited inline, with no slot or permit, stopping at the first
+    /// awaited inline, with no permit, stopping at the first
     /// error. A server-induced write-back then never queues behind
     /// unrelated background flushes — the client-side mirror of the
     /// server's N−1 reserved-thread rule (§3.2). A shared permit would let
@@ -104,12 +103,11 @@ impl SnfsClient {
             if stop_on_err && failed.get().is_some() {
                 break;
             }
-            let slot = self.inner.flush_slots.acquire().await;
+            let permit = self.inner.flush_slots.acquire().await;
             let this = self.clone();
             let failed = failed.clone();
             daemons.push(self.sim().spawn(async move {
-                let _slot = slot;
-                let _permit = this.inner.flush_inflight.acquire().await;
+                let _permit = permit;
                 if stop_on_err && failed.get().is_some() {
                     return;
                 }

@@ -50,19 +50,19 @@ type Script = (&'static str, fn() -> Pinned);
 /// JSON, the server digest, the trace FNV and FNV-1a of what the window
 /// measured. A change that moves one moves an artifact.
 const PINNED: &str = "\
-b089f7a143c9e4ad a64043e1e08ae90f 0ceaa5b4ef4811f1 a1584a7bd6ec1883  andrew
+446bfa7adf141b33 a64043e1e08ae90f 0ceaa5b4ef4811f1 a1584a7bd6ec1883  andrew
 3b1278f235e57c99 ccc3a81f60416c66 22470c0dc937fa3c 47e8399aba6d1d75  sort
 8e1a961cff09069e ccc3a81f60416c66 9cce4a39f8f8d560 75f001be045be582  sort, NFS
 8a81f846c6509f04 a11ff04ceef2acf1 39d7049df6dd1ded 16f8c80c933e560d  flush
 e44bc7ee153c1c9a fed4b42ccf6a268a 46e2f0edd2459211 241460d89d2d9cd8  reopen
-9be4993fe8e33ce9 ccc3a81f60416c66 500728b952955430 4b6e4bab70f74613  temp-lifetime
-aba907bcdfde757c 74ffca42e798467c 3f4e4e813fe571c8 8a1b4500ebb64de2  shard-scaling 2x8
+d68054983ca86311 ccc3a81f60416c66 500728b952955430 4b6e4bab70f74613  temp-lifetime
+8a81ed4a4364f7d0 74ffca42e798467c 3f4e4e813fe571c8 8a1b4500ebb64de2  shard-scaling 2x8
 a0e0fe06cd7086af 74ffca42e798467c 8bd92f35eedf9b4c be102e152f609841  shard-scaling 2x8, composed
-74d6ca39c44cbe86 7e2f7145e3025eea f618cdafed82efb8 a06db97d4d39f857  scaling 4
-b4c865817f8c6c86 722d5ff83026efae 0da54a3fd5a97302 f17b3ebb46835356  shared-read
+30bb4a42668fd73c 7e2f7145e3025eea f618cdafed82efb8 a06db97d4d39f857  scaling 4
+c50bfc9b2d41b51f 722d5ff83026efae 0da54a3fd5a97302 f17b3ebb46835356  shared-read
 83f8456f9211a9dd 30a4584bc9bba1cb d28289d962410793 728ec371a84a371a  open-churn
-1fa60e809481b6d5 4c5909d6a0793ef9 58b714c301c89874 9ebf29ac1a0dcc78  andrew, chaos(7)
-8e4892f991ed3e49 c68588b31222efae e626cbff1cdef634 08e53b384de71543  sharing, chaos(11)
+7d178cff0194ba96 4c5909d6a0793ef9 58b714c301c89874 9ebf29ac1a0dcc78  andrew, chaos(7)
+13df6e7dcef9de44 c68588b31222efae e626cbff1cdef634 08e53b384de71543  sharing, chaos(11)
 007ac66bca2c0eb3 f1249fe34971a7c2 18288f5fc3673325 3884be80befa66ed  delegation, chaos(13)
 ";
 
