@@ -398,12 +398,11 @@ impl Testbed {
         let rates = RateSeries::new(config::figure_bucket());
         let util = GaugeSeries::new();
         let latency = LatencyStats::new();
-        let netp = if params.transport.switched {
-            config::net_params().switched_full_duplex()
+        let net = if params.transport.switched {
+            Network::switched(&sim, "ether", config::net_params())
         } else {
-            config::net_params()
+            Network::new(&sim, "ether", config::net_params())
         };
-        let net = Network::new(&sim, "ether", netp);
         if params.faults.any() {
             net.set_faults(params.faults);
         }

@@ -564,7 +564,6 @@ mod tests {
             NetParams {
                 latency: SimDuration::from_micros(500),
                 bandwidth: 1_250_000,
-                switched: false,
             },
         );
         let s2 = sim.clone();
@@ -678,7 +677,6 @@ mod tests {
         let (sim, caller) = setup(SimDuration::ZERO);
         let mut t = TransportParams::pipelined();
         t.max_batch = 4;
-        t.switched = false;
         caller.set_transport(t);
         let stats = TransportStats::new();
         caller.set_transport_stats(stats.clone());
@@ -714,7 +712,6 @@ mod tests {
         let (sim, caller) = setup(SimDuration::from_millis(10));
         let mut t = TransportParams::pipelined();
         t.max_batch = 8;
-        t.switched = false;
         caller.set_transport(t);
         let net = caller.link.net.clone();
         let ep = caller.link.endpoint.clone();
@@ -838,7 +835,6 @@ mod tests {
             NetParams {
                 latency: SimDuration::from_micros(500),
                 bandwidth: 1_250_000,
-                switched: false,
             },
         );
         let handler = Rc::new(|_, _, _| async { NfsReply::Ok });

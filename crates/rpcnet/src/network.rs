@@ -1,5 +1,6 @@
-//! The network model: a half-duplex shared wire (classic Ethernet) or,
-//! optionally, a switched fabric with a full-duplex link per host.
+//! The network model: a half-duplex shared wire (classic Ethernet,
+//! [`Network::new`]) or a switched fabric with a full-duplex link per host
+//! ([`Network::switched`]).
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::HashMap;
@@ -16,13 +17,9 @@ pub struct NetParams {
     /// Fixed per-message latency (propagation + protocol stack), charged
     /// after the wire is released.
     pub latency: SimDuration,
-    /// Wire bandwidth in bytes per second (per link when `switched`).
+    /// Wire bandwidth in bytes per second (per lane on a switched
+    /// network).
     pub bandwidth: u64,
-    /// False models the paper's shared-bus Ethernet: every message in
-    /// either direction serializes on one medium. True models a switched
-    /// fabric: each host gets a full-duplex link (one lane per direction),
-    /// so only messages sharing a host *and* a direction serialize.
-    pub switched: bool,
 }
 
 impl NetParams {
@@ -31,15 +28,6 @@ impl NetParams {
         NetParams {
             latency: SimDuration::from_micros(700),
             bandwidth: 1_250_000,
-            switched: false,
-        }
-    }
-
-    /// The same link timing, but switched full-duplex per host.
-    pub fn switched_full_duplex(self) -> Self {
-        NetParams {
-            switched: true,
-            ..self
         }
     }
 
@@ -55,10 +43,11 @@ impl NetParams {
 struct NetworkInner {
     sim: Sim,
     name: String,
-    /// The shared medium (used when `params.switched` is false).
+    /// The shared medium (used unless `switched`).
     wire: Resource,
-    /// Per-`(host, to_server)` lanes, created on first use (switched mode).
+    /// Per-`(host, to_server)` lanes, created on first use (switched).
     links: RefCell<HashMap<(u32, bool), Resource>>,
+    switched: bool,
     params: NetParams,
     messages: Cell<u64>,
     bytes: Cell<u64>,
@@ -77,15 +66,27 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network segment.
+    /// Creates a shared-bus segment, the paper's Ethernet: every message
+    /// in either direction serializes on one medium.
     pub fn new(sim: &Sim, name: impl Into<String>, params: NetParams) -> Self {
-        let name = name.into();
+        Self::build(sim, name.into(), params, false)
+    }
+
+    /// Creates a switched fabric: each host gets a full-duplex link (one
+    /// lane per direction), so only messages sharing a host *and* a
+    /// direction serialize.
+    pub fn switched(sim: &Sim, name: impl Into<String>, params: NetParams) -> Self {
+        Self::build(sim, name.into(), params, true)
+    }
+
+    fn build(sim: &Sim, name: String, params: NetParams, switched: bool) -> Self {
         Network {
             inner: Rc::new(NetworkInner {
                 sim: sim.clone(),
                 wire: Resource::new(sim, name.clone(), 1),
                 name,
                 links: RefCell::new(HashMap::new()),
+                switched,
                 params,
                 messages: Cell::new(0),
                 bytes: Cell::new(0),
@@ -122,7 +123,7 @@ impl Network {
     /// fabric it is the aggregate across all lanes (and can exceed
     /// elapsed time).
     pub fn busy_micros(&self) -> u128 {
-        if self.inner.params.switched {
+        if self.inner.switched {
             self.inner
                 .links
                 .borrow()
@@ -288,7 +289,7 @@ impl Network {
         }
         let t = inner.params.transfer_time(bytes);
         if !t.is_zero() {
-            let wire = if inner.params.switched {
+            let wire = if inner.switched {
                 self.lane(host, to_server)
             } else {
                 inner.wire.clone()
@@ -311,7 +312,6 @@ mod tests {
         NetParams {
             latency: SimDuration::from_micros(500),
             bandwidth: 1_000_000,
-            switched: false,
         }
     }
 
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn switched_links_do_not_serialize_across_hosts() {
         let sim = Sim::new();
-        let n = Network::new(&sim, "sw0", params().switched_full_duplex());
+        let n = Network::switched(&sim, "sw0", params());
         for host in 0..2 {
             let n = n.clone();
             sim.spawn(async move {
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     fn switched_same_lane_still_serializes() {
         let sim = Sim::new();
-        let n = Network::new(&sim, "sw0", params().switched_full_duplex());
+        let n = Network::switched(&sim, "sw0", params());
         for _ in 0..2 {
             let n = n.clone();
             sim.spawn(async move {
@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn full_duplex_directions_overlap() {
         let sim = Sim::new();
-        let n = Network::new(&sim, "sw0", params().switched_full_duplex());
+        let n = Network::switched(&sim, "sw0", params());
         for dir in [true, false] {
             let n = n.clone();
             sim.spawn(async move {

@@ -24,7 +24,10 @@ pub struct TransportParams {
     /// open-time `getattr`. The SNFS client probes nothing while it caches
     /// a file, and asks the server for a write-shared one's attributes.
     pub piggyback: bool,
-    /// Use the switched full-duplex network instead of the shared bus.
+    /// The testbed builds its network with
+    /// [`Network::switched`](crate::Network::switched), full-duplex lanes
+    /// per host, instead of the shared bus of
+    /// [`Network::new`](crate::Network::new).
     pub switched: bool,
     /// Per-attempt timeout multiplier applied on each retransmission;
     /// 1.0 keeps the paper's fixed timeout.

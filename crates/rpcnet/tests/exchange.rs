@@ -37,7 +37,6 @@ fn shared_wire(sim: &Sim) -> Network {
     let params = NetParams {
         latency: SimDuration::from_micros(500),
         bandwidth: 1_250_000,
-        switched: false,
     };
     Network::new(sim, "net", params)
 }

@@ -37,7 +37,6 @@ fn rig(faults: FaultParams, handler_delay_us: u64) -> Rig {
         NetParams {
             latency: SimDuration::from_micros(500),
             bandwidth: 1_250_000,
-            switched: false,
         },
     );
     net.set_faults(faults);

@@ -23,7 +23,6 @@ fn rig(delays: Vec<u64>, timeout_ms: u64) -> (Sim, Caller, Rc<Cell<u64>>) {
         NetParams {
             latency: SimDuration::from_micros(500),
             bandwidth: 1_250_000,
-            switched: false,
         },
     );
     let executed = Rc::new(Cell::new(0u64));
