@@ -107,9 +107,8 @@ pub struct ClientStats {
     /// Write-back RPCs that failed (daemon, fsync, callback and eviction
     /// paths alike).
     pub writeback_failures: u64,
-    /// Always 0: an SNFS `getattr` on a write-shared file asks the server
-    /// (§4.2.1), and only the NFS client consumes piggybacked attributes.
-    /// Kept only because `benchmark/` reads it.
+    /// Always 0, since only the NFS client consumes piggybacked
+    /// attributes; kept only because `benchmark/` reads it.
     pub attr_piggybacks: u64,
 }
 

@@ -74,13 +74,13 @@ impl SnfsClient {
     /// flight) that is the serial flush exactly.
     ///
     /// `direct` is the callback service's policy: one run at a time,
-    /// awaited inline, with no permit, stopping at the first
-    /// error. A server-induced write-back then never queues behind
-    /// unrelated background flushes — the client-side mirror of the
-    /// server's N−1 reserved-thread rule (§3.2). A shared permit would let
-    /// the callback handler block on an RPC that is itself stuck at the
-    /// server behind the very open awaiting this callback, closing a
-    /// cross-machine deadlock cycle.
+    /// awaited inline, with no permit, stopping at the first error. A
+    /// server-induced write-back then never queues behind unrelated
+    /// background flushes — the client-side mirror of the server's N−1
+    /// reserved-thread rule (§3.2). A shared permit would let the callback
+    /// handler block on an RPC that is itself stuck at the server behind
+    /// the very open awaiting this callback, closing a cross-machine
+    /// deadlock cycle.
     async fn flush_runs(
         &self,
         fh: FileHandle,

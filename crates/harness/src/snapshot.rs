@@ -146,10 +146,10 @@ impl Testbed {
             });
             let (net, ts) = (&self.net, &self.transport_stats);
             let saved = ts.saved.snapshot();
+            // Only the NFS client consumes piggybacked attributes.
             let elided = sum(remotes(), |remote| match remote {
-                RemoteClient::None => 0,
                 RemoteClient::Nfs(c) => c.elided_probes(),
-                RemoteClient::Snfs(c) => c.stats().attr_piggybacks,
+                _ => 0,
             });
             w.key("transport").obj(|w| {
                 w.nums(&[

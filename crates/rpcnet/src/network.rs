@@ -1,6 +1,5 @@
-//! The network model: a half-duplex shared wire (classic Ethernet,
-//! [`Network::new`]) or a switched fabric with a full-duplex link per host
-//! ([`Network::switched`]).
+//! The network model: a half-duplex shared wire (classic Ethernet) or a
+//! switched fabric with a full-duplex link per host ([`Network::switched`]).
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::HashMap;
@@ -17,8 +16,7 @@ pub struct NetParams {
     /// Fixed per-message latency (propagation + protocol stack), charged
     /// after the wire is released.
     pub latency: SimDuration,
-    /// Wire bandwidth in bytes per second (per lane on a switched
-    /// network).
+    /// Wire bandwidth in bytes per second (per lane on a switched network).
     pub bandwidth: u64,
 }
 

@@ -21,13 +21,10 @@ pub struct TransportParams {
     pub max_batch: usize,
     /// The NFS client consumes the post-op attributes piggybacked on its
     /// replies: one refreshed within the probe floor stands in for the
-    /// open-time `getattr`. The SNFS client probes nothing while it caches
-    /// a file, and asks the server for a write-shared one's attributes.
+    /// open-time `getattr`. The SNFS client consumes none.
     pub piggyback: bool,
-    /// The testbed builds its network with
-    /// [`Network::switched`](crate::Network::switched), full-duplex lanes
-    /// per host, instead of the shared bus of
-    /// [`Network::new`](crate::Network::new).
+    /// The testbed builds [`Network::switched`](crate::Network::switched),
+    /// full-duplex lanes per host, instead of the shared bus.
     pub switched: bool,
     /// Per-attempt timeout multiplier applied on each retransmission;
     /// 1.0 keeps the paper's fixed timeout.
