@@ -189,14 +189,14 @@ impl SnfsClient {
             let wrote = self.inner.delegs.borrow().get(&fh).is_some_and(|d| d.wrote);
             (r, w, wrote)
         };
-        let make = || NfsRequest::DelegReturn {
+        let req = NfsRequest::DelegReturn {
             fh,
             client: self.inner.id,
             readers,
             writers,
             wrote,
         };
-        match self.call(ctx, make).await? {
+        match self.call(ctx, req).await? {
             NfsReply::DelegReturned {
                 version,
                 fenced,

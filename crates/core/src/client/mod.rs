@@ -535,8 +535,8 @@ impl SnfsClient {
             }
         }
         let client = self.inner.id;
-        let make = || NfsRequest::Open { fh, write, client };
-        let open = match self.call(op, make).await? {
+        let req = NfsRequest::Open { fh, write, client };
+        let open = match self.call(op, req).await? {
             NfsReply::Open(o) => o,
             _ => return Err(NfsStatus::Io),
         };
@@ -707,8 +707,8 @@ impl SnfsClient {
             return Ok(());
         }
         let client = self.inner.id;
-        let make = || NfsRequest::Close { fh, write, client };
-        self.call(op, make).await?;
+        self.call(op, NfsRequest::Close { fh, write, client })
+            .await?;
         Ok(())
     }
 
@@ -747,7 +747,7 @@ impl SnfsClient {
             };
             let Some(write) = mode else { break };
             let client = self.inner.id;
-            self.call(0, || NfsRequest::Close { fh, write, client })
+            self.call(0, NfsRequest::Close { fh, write, client })
                 .await?;
         }
         let mut files = self.inner.files.borrow_mut();
@@ -805,8 +805,8 @@ impl SnfsClient {
             // Write-shared: every read goes to the server; no cache, no
             // read-ahead (paper §4.2.1).
             let count = len;
-            let make = || NfsRequest::Read { fh, offset, count };
-            let ReadReply { data, eof, .. } = self.call(0, make).await?.into_read()?;
+            let req = NfsRequest::Read { fh, offset, count };
+            let ReadReply { data, eof, .. } = self.call(0, req).await?.into_read()?;
             return Ok((data.to_vec(), eof));
         }
         let attr = match self.local_attr(fh) {
@@ -867,13 +867,9 @@ impl SnfsClient {
             return Ok(());
         }
         if !self.is_cacheable(fh) {
-            let payload = Payload::copy_in(offset, data);
-            let make = || NfsRequest::Write {
-                fh,
-                offset,
-                data: payload.clone(),
-            };
-            self.call(0, make).await?.into_attr()?;
+            let data = Payload::copy_in(offset, data);
+            let req = NfsRequest::Write { fh, offset, data };
+            self.call(0, req).await?.into_attr()?;
             return Ok(());
         }
         let now = self.sim().now();

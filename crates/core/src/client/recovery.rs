@@ -88,11 +88,7 @@ impl SnfsClient {
         self.discard_delegations(false);
         let files = self.recovery_report();
         let client = self.inner.id;
-        let make = || NfsRequest::Recover {
-            client,
-            files: files.clone(),
-        };
-        match self.call(0, make).await? {
+        match self.call(0, NfsRequest::Recover { client, files }).await? {
             NfsReply::Epoch(e) => {
                 self.inner.known_epoch.set(e);
                 self.inner.last_contact.set(self.sim().now());

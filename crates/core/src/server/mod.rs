@@ -25,7 +25,9 @@ use std::rc::Rc;
 use spritely_blockdev::DiskSched;
 use spritely_localfs::LocalFs;
 use spritely_metrics::{InflightGauge, OpCounter};
-use spritely_proto::{ClientId, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, OpenReply};
+use spritely_proto::{
+    ClientId, Fattr, FileHandle, Name, NfsReply, NfsRequest, NfsStatus, OpenReply,
+};
 use spritely_rpcnet::{Caller, Endpoint, EndpointParams, Handler};
 use spritely_sim::{Permit, Resource, Semaphore, Sim, SimDuration};
 use spritely_trace::{Cause, EventKind, Tracer};
@@ -184,7 +186,7 @@ struct Inner {
     peers: RefCell<HashMap<u32, Caller>>,
     /// Root-level names locked by an in-flight cross-shard transaction
     /// (volatile; cleared on crash).
-    name_locks: RefCell<HashSet<String>>,
+    name_locks: RefCell<HashSet<Name>>,
     /// Participant-side transaction table (volatile; cleared on crash).
     tx_table: RefCell<HashMap<u64, TxEntry>>,
     /// Coordinator-side transaction id counter (namespaced by shard).

@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use spritely_proto::{ClientId, FileHandle, Layout, NfsReply, NfsRequest, NfsStatus};
+use spritely_proto::{ClientId, FileHandle, Layout, Name, NfsReply, NfsRequest, NfsStatus};
 use spritely_rpcnet::Caller;
 use spritely_sim::SimDuration;
 use spritely_trace::EventKind;
@@ -45,7 +45,7 @@ pub struct ShardOpStats {
 /// Participant-side record of a prepared cross-shard transaction.
 pub(super) struct TxEntry {
     /// The target name this shard locked at prepare.
-    name: String,
+    name: Name,
     /// The entry that existed under that name at prepare time (deleted
     /// at commit, when the coordinator's rename supersedes it).
     existed_fh: Option<FileHandle>,
@@ -85,8 +85,8 @@ impl SnfsServer {
         self.inner.name_locks.borrow().contains(name)
     }
 
-    fn lock_name(&self, name: &str) {
-        self.inner.name_locks.borrow_mut().insert(name.to_string());
+    fn lock_name(&self, name: &Name) {
+        self.inner.name_locks.borrow_mut().insert(name.clone());
     }
 
     fn unlock_name(&self, name: &str) {
@@ -183,14 +183,12 @@ impl SnfsServer {
         &self,
         peer_shard: u32,
         txid: u64,
-        name: &str,
+        name: &Name,
     ) -> Result<bool, NfsReply> {
         let caller = self.peer(peer_shard);
         loop {
-            let req = NfsRequest::TxPrepare {
-                txid,
-                name: name.to_string(),
-            };
+            let name = name.clone();
+            let req = NfsRequest::TxPrepare { txid, name };
             match caller.call(req).await {
                 Ok(NfsReply::TxPrepared { existed }) => return Ok(existed),
                 Ok(NfsReply::Err(NfsStatus::Busy)) => {
@@ -260,8 +258,8 @@ impl SnfsServer {
         from: ClientId,
         view: ShardView,
         peer_shard: u32,
-        from_name: Option<String>,
-        to_name: String,
+        from_name: Option<Name>,
+        to_name: Name,
         req: NfsRequest,
     ) -> NfsReply {
         let (link, src) = (from_name.is_none(), from_name.as_deref());
@@ -272,7 +270,7 @@ impl SnfsServer {
             return self.busy();
         }
         // The names this transaction holds until it replies.
-        let names = [src, Some(to_name.as_str())];
+        let names = [from_name.as_ref(), Some(&to_name)];
         names.iter().flatten().for_each(|n| self.lock_name(n));
         let unlock = || names.iter().flatten().for_each(|n| self.unlock_name(n));
         let txid = self.next_txid();
@@ -297,7 +295,7 @@ impl SnfsServer {
             from_shard: view.shard,
             to_shard: peer_shard,
             from_name: src.unwrap_or_default().into(),
-            to_name: to_name.as_str().into(),
+            to_name: (&*to_name).into(),
             link,
         });
         // Phase 2, local half: the operation inside this shard's store.
@@ -332,7 +330,7 @@ impl SnfsServer {
             .record_move(src, &to_name, view.shard);
         self.emit_with(begin, || EventKind::ShardMove {
             from_name: src.unwrap_or_default().into(),
-            to_name: to_name.as_str().into(),
+            to_name: (&*to_name).into(),
             shard: view.shard,
             epoch,
         });
@@ -348,7 +346,7 @@ impl SnfsServer {
     /// whether an entry by that name already exists (a committed rename
     /// will overwrite it; a link must refuse). Idempotent per txid —
     /// coordinator retries re-reply from the transaction table.
-    pub(super) fn tx_prepare(&self, ctx: u64, txid: u64, name: &str) -> NfsReply {
+    pub(super) fn tx_prepare(&self, ctx: u64, txid: u64, name: &Name) -> NfsReply {
         let Some(view) = self.inner.shard.borrow().clone() else {
             return NfsReply::Err(NfsStatus::Inval);
         };
@@ -366,7 +364,7 @@ impl SnfsServer {
         self.inner.tx_table.borrow_mut().insert(
             txid,
             TxEntry {
-                name: name.to_string(),
+                name: name.clone(),
                 existed_fh,
                 done: false,
             },
@@ -414,7 +412,7 @@ impl SnfsServer {
     /// Marks the prepared entry of `txid` resolved and returns the name
     /// it locked and the handle it found there. `None` for a duplicate
     /// delivery or an unknown txid.
-    fn tx_resolve(&self, txid: u64) -> Option<(String, Option<FileHandle>)> {
+    fn tx_resolve(&self, txid: u64) -> Option<(Name, Option<FileHandle>)> {
         let mut table = self.inner.tx_table.borrow_mut();
         let entry = table.get_mut(&txid).filter(|e| !e.done)?;
         entry.done = true;

@@ -32,8 +32,8 @@ use std::rc::{Rc, Weak};
 
 use spritely_localfs::{BlockCache, DirtyVictim, DropCounts};
 use spritely_proto::{
-    Buf, DirEntry, Fattr, FileHandle, NfsReply, NfsRequest, NfsStatus, Payload, ReadReply, Result,
-    BLOCK_SIZE,
+    Buf, DirEntry, Fattr, FileHandle, Name, NfsReply, NfsRequest, NfsStatus, Payload, ReadReply,
+    Result, BLOCK_SIZE,
 };
 use spritely_rpcnet::{RpcError, ShardCaller};
 use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
@@ -60,11 +60,13 @@ struct NameEntry {
 /// long (the post-1989 NFS dnlc, only probabilistically consistent); with
 /// `None` it answers until dropped, and the owner drops a directory's
 /// names when the server says it changed (the SNFS §7 extension). A
-/// disabled cache holds nothing and touches nothing.
+/// disabled cache holds nothing and touches nothing. Entries are keyed by
+/// the [`Name`] the request carried, so recording one copies no string,
+/// and looked up by `&str`.
 pub struct NameCache {
     enabled: bool,
     ttl: Option<SimDuration>,
-    dirs: HashMap<FileHandle, HashMap<String, NameEntry>>,
+    dirs: HashMap<FileHandle, HashMap<Name, NameEntry>>,
     hits: u64,
 }
 
@@ -101,7 +103,7 @@ impl NameCache {
     pub fn insert(
         &mut self,
         dir: FileHandle,
-        name: &str,
+        name: Name,
         fh: FileHandle,
         attr: Fattr,
         now: SimTime,
@@ -109,10 +111,7 @@ impl NameCache {
         if self.enabled {
             let fetched = now;
             let e = NameEntry { fh, attr, fetched };
-            self.dirs
-                .entry(dir)
-                .or_default()
-                .insert(name.to_string(), e);
+            self.dirs.entry(dir).or_default().insert(name, e);
         }
     }
 
@@ -456,7 +455,10 @@ impl ClientBase {
 
     /// The one way a background `write` leaves this client (DESIGN.md
     /// §10): `data`, one segment per block, at `offset` of `fh`, batchable,
-    /// traced under `parent`. It is in the ledger until its reply lands.
+    /// traced under `parent`. The request is built once, around `data`
+    /// itself: parking it, retransmitting it and handing it to the server
+    /// share its segment list and copy none of it (DESIGN.md §15). It is
+    /// in the ledger until its reply lands.
     /// An `evicted` write carries bytes no dirty cache block holds (an NFS
     /// biod write, an SNFS eviction), so nothing else will retry them: it
     /// entered the ledger as they left the cache, before it waited for its
@@ -480,12 +482,9 @@ impl ClientBase {
         (s.writes, s.blocks, s.on_wire) = (s.writes + 1, s.blocks + blocks, s.on_wire + 1);
         s.peak = s.peak.max(s.on_wire);
         self.sent.set(s);
-        let make = || NfsRequest::Write {
-            fh,
-            offset,
-            data: data.clone(),
-        };
-        let res = self.call_bg(parent, make).await;
+        let res = self
+            .call_bg(parent, NfsRequest::Write { fh, offset, data })
+            .await;
         let res = res.and_then(NfsReply::into_attr);
         let mut s = self.sent.get();
         s.on_wire -= 1;
@@ -500,22 +499,17 @@ impl ClientBase {
 
     // ---- RPC plumbing -----------------------------------------------------
 
-    /// One logical call. `make` builds the request, once per attempt: a
-    /// rebooted server answers `Grace` until its state table is rebuilt,
-    /// so back off and retry — the grace period is short and bounded
-    /// (§2.4), and each retry is a fresh call with a new xid. (A stateless
-    /// NFS server never answers `Grace`.)
+    /// One logical call, of a request built once: a rebooted server
+    /// answers `Grace` until its state table is rebuilt, so back off and
+    /// retry — the grace period is short and bounded (§2.4), and each
+    /// retry is a fresh call with a new xid, lent the same request. (A
+    /// stateless NFS server never answers `Grace`.)
     ///
     /// The reply comes back unlifted, with whether it arrived only on a
     /// retransmission, for [`call_once`](Self::call_once).
-    async fn call_retx(
-        &self,
-        parent: u64,
-        bg: bool,
-        make: &dyn Fn() -> NfsRequest,
-    ) -> Result<(NfsReply, bool)> {
+    async fn call_retx(&self, parent: u64, bg: bool, req: &NfsRequest) -> Result<(NfsReply, bool)> {
         for _ in 0..30 {
-            match self.caller.call_flagged(parent, make(), bg).await {
+            match self.caller.call_flagged(parent, req, bg).await {
                 Ok((NfsReply::Err(NfsStatus::Grace), _)) => {
                     self.sim.sleep(SimDuration::from_secs(2)).await;
                 }
@@ -528,37 +522,41 @@ impl ClientBase {
 
     /// Calls the server, parenting the RPC's trace events under `parent`
     /// (0 = none). An error reply becomes `Err`.
-    pub async fn call(&self, parent: u64, make: impl Fn() -> NfsRequest) -> Result<NfsReply> {
-        self.call_retx(parent, false, &make).await?.0.into_result()
+    pub async fn call(&self, parent: u64, req: NfsRequest) -> Result<NfsReply> {
+        self.call_retx(parent, false, &req).await?.0.into_result()
     }
 
     /// Background variant for write-behind and read-ahead traffic: the
     /// transport batcher may hold such a call briefly to coalesce it
     /// with its peers.
-    pub async fn call_bg(&self, parent: u64, make: impl Fn() -> NfsRequest) -> Result<NfsReply> {
-        self.call_retx(parent, true, &make).await?.0.into_result()
+    pub async fn call_bg(&self, parent: u64, req: NfsRequest) -> Result<NfsReply> {
+        self.call_retx(parent, true, &req).await?.0.into_result()
     }
 
-    /// Calls a non-idempotent procedure: one that makes the name `makes`
-    /// (`create`, `mkdir`, `symlink`, `link`) or, with `makes` `None`,
-    /// takes one away (`remove`, `rmdir`, `rename`). If the server's
-    /// duplicate cache has forgotten our first execution, a
-    /// retransmission executes again and fails spuriously (the classic
-    /// create-returns-EEXIST / remove-returns-ENOENT race, Juszczak 1989).
-    /// So a failure that arrives only on a retransmission is read as what
-    /// our first execution left: `Exist` from a maker means a lookup of
-    /// the name, answered as a `Handle` (a `link` counts it only if it
-    /// resolves to the linked file), and `NoEnt` from a taker means done.
-    async fn call_once(
-        &self,
-        parent: u64,
-        makes: Option<(FileHandle, &str)>,
-        make: &dyn Fn() -> NfsRequest,
-    ) -> Result<NfsReply> {
-        match (self.call_retx(parent, false, make).await?, makes) {
+    /// Calls a non-idempotent procedure: one that makes the name it
+    /// carries (`create`, `mkdir`, `symlink`, `link`) or takes one away
+    /// (`remove`, `rmdir`, `rename`). If the server's duplicate cache has
+    /// forgotten our first execution, a retransmission executes again and
+    /// fails spuriously (the classic create-returns-EEXIST /
+    /// remove-returns-ENOENT race, Juszczak 1989). So a failure that
+    /// arrives only on a retransmission is read as what our first
+    /// execution left: `Exist` from a maker means a lookup of the name,
+    /// answered as a `Handle` (a `link` counts it only if it resolves to
+    /// the linked file), and `NoEnt` from a taker means done.
+    async fn call_once(&self, parent: u64, req: NfsRequest) -> Result<NfsReply> {
+        let made = match &req {
+            NfsRequest::Link {
+                to_dir, to_name, ..
+            } => Some((*to_dir, to_name)),
+            NfsRequest::Create { dir, name }
+            | NfsRequest::Mkdir { dir, name }
+            | NfsRequest::Symlink { dir, name, .. } => Some((*dir, name)),
+            _ => None,
+        };
+        match (self.call_retx(parent, false, &req).await?, made) {
             ((NfsReply::Err(NfsStatus::NoEnt), true), None) => Ok(NfsReply::Ok),
             ((NfsReply::Err(NfsStatus::Exist), true), Some((dir, name))) => {
-                let (fh, attr, _) = self.translate(dir, name).await?;
+                let (fh, attr, _) = self.translate(dir, name.clone()).await?;
                 Ok(NfsReply::Handle { fh, attr })
             }
             ((rep, _), _) => rep.into_result(),
@@ -567,38 +565,36 @@ impl ClientBase {
 
     // ---- namespace procedures ---------------------------------------------
 
-    fn note_name(&self, dir: FileHandle, name: &str, fh: FileHandle, attr: Fattr) {
+    fn note_name(&self, dir: FileHandle, name: Name, fh: FileHandle, attr: Fattr) {
         let now = self.sim.now();
         self.names.borrow_mut().insert(dir, name, fh, attr, now);
     }
 
     /// Translates one name component. The third value says the name
     /// cache answered (no RPC, attributes as old as the entry).
-    async fn translate(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr, bool)> {
-        let hit = self.names.borrow_mut().get(dir, name, self.sim.now());
+    async fn translate(&self, dir: FileHandle, name: Name) -> Result<(FileHandle, Fattr, bool)> {
+        let hit = self.names.borrow_mut().get(dir, &name, self.sim.now());
         if let Some((fh, attr)) = hit {
             return Ok((fh, attr, true));
         }
-        let make = || NfsRequest::Lookup {
+        let req = NfsRequest::Lookup {
             dir,
-            name: name.to_string(),
+            name: name.clone(),
         };
-        let (fh, attr) = self.call(0, make).await?.into_handle()?;
+        let (fh, attr) = self.call(0, req).await?.into_handle()?;
         self.note_name(dir, name, fh, attr);
         Ok((fh, attr, false))
     }
 
     /// Translates one name component, from the name cache or the server.
     pub async fn lookup(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        let (fh, attr, cached) = self.translate(dir, name).await?;
+        let (fh, attr, cached) = self.translate(dir, name.into()).await?;
         Ok((fh, self.hook().looked_up(fh, attr, cached)))
     }
 
     /// Attributes, from the server.
     pub async fn getattr(&self, fh: FileHandle) -> Result<Fattr> {
-        self.call(0, || NfsRequest::GetAttr { fh })
-            .await?
-            .into_attr()
+        self.call(0, NfsRequest::GetAttr { fh }).await?.into_attr()
     }
 
     /// Sets attributes (truncate). The protocol drops the cached blocks
@@ -607,20 +603,20 @@ impl ClientBase {
         if let Some(size) = size {
             self.hook().truncating(fh, size);
         }
-        let make = || NfsRequest::SetAttr { fh, size };
-        let attr = self.call(0, make).await?.into_attr()?;
+        let req = NfsRequest::SetAttr { fh, size };
+        let attr = self.call(0, req).await?.into_attr()?;
         self.hook().set_attr(fh, size, attr);
         Ok(attr)
     }
 
     /// Creates a regular file.
     pub async fn create(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        let make = || NfsRequest::Create {
+        let name = Name::from(name);
+        let req = NfsRequest::Create {
             dir,
-            name: name.to_string(),
+            name: name.clone(),
         };
-        let makes = Some((dir, name));
-        let (fh, attr) = self.call_once(0, makes, &make).await?.into_handle()?;
+        let (fh, attr) = self.call_once(0, req).await?.into_handle()?;
         self.note_name(dir, name, fh, attr);
         self.hook().created(fh, attr);
         Ok((fh, attr))
@@ -636,11 +632,8 @@ impl ClientBase {
     ) -> Result<()> {
         let op = self.hook().removing(dir, victim);
         self.names.borrow_mut().remove(dir, name);
-        let make = || NfsRequest::Remove {
-            dir,
-            name: name.to_string(),
-        };
-        let res = self.call_once(op, None, &make).await;
+        let name = name.into();
+        let res = self.call_once(op, NfsRequest::Remove { dir, name }).await;
         let res = res.and_then(NfsReply::into_unit);
         self.hook().removed(op, victim, res.is_ok());
         res
@@ -648,22 +641,18 @@ impl ClientBase {
 
     /// Creates a directory.
     pub async fn mkdir(&self, dir: FileHandle, name: &str) -> Result<(FileHandle, Fattr)> {
-        let make = || NfsRequest::Mkdir {
-            dir,
-            name: name.to_string(),
-        };
-        self.call_once(0, Some((dir, name)), &make)
+        let name = name.into();
+        self.call_once(0, NfsRequest::Mkdir { dir, name })
             .await?
             .into_handle()
     }
 
     /// Removes an empty directory.
     pub async fn rmdir(&self, dir: FileHandle, name: &str) -> Result<()> {
-        let make = || NfsRequest::Rmdir {
-            dir,
-            name: name.to_string(),
-        };
-        self.call_once(0, None, &make).await?.into_unit()
+        let name = name.into();
+        self.call_once(0, NfsRequest::Rmdir { dir, name })
+            .await?
+            .into_unit()
     }
 
     /// Renames a file or directory.
@@ -679,18 +668,18 @@ impl ClientBase {
             names.remove(from_dir, from_name);
             names.remove(to_dir, to_name);
         }
-        let make = || NfsRequest::Rename {
+        let req = NfsRequest::Rename {
             from_dir,
-            from_name: from_name.to_string(),
+            from_name: from_name.into(),
             to_dir,
-            to_name: to_name.to_string(),
+            to_name: to_name.into(),
         };
-        self.call_once(0, None, &make).await?.into_unit()
+        self.call_once(0, req).await?.into_unit()
     }
 
     /// Lists a directory.
     pub async fn readdir(&self, dir: FileHandle) -> Result<Vec<DirEntry>> {
-        self.call(0, || NfsRequest::Readdir { dir })
+        self.call(0, NfsRequest::Readdir { dir })
             .await?
             .into_entries()
     }
@@ -698,12 +687,13 @@ impl ClientBase {
     /// Creates a hard link `to_dir/to_name` to `from`; returns `from`'s
     /// new attributes.
     pub async fn link(&self, from: FileHandle, to_dir: FileHandle, to_name: &str) -> Result<Fattr> {
-        let make = || NfsRequest::Link {
+        let to_name = Name::from(to_name);
+        let req = NfsRequest::Link {
             from,
             to_dir,
-            to_name: to_name.to_string(),
+            to_name: to_name.clone(),
         };
-        let attr = match self.call_once(0, Some((to_dir, to_name)), &make).await? {
+        let attr = match self.call_once(0, req).await? {
             // The name a retransmission found is ours only if it is `from`.
             NfsReply::Handle { fh, attr } if fh == from => attr,
             NfsReply::Handle { .. } => return Err(NfsStatus::Exist),
@@ -721,22 +711,20 @@ impl ClientBase {
         name: &str,
         target: &str,
     ) -> Result<(FileHandle, Fattr)> {
-        let make = || NfsRequest::Symlink {
+        let name = Name::from(name);
+        let req = NfsRequest::Symlink {
             dir,
-            name: name.to_string(),
-            target: target.to_string(),
+            name: name.clone(),
+            target: target.into(),
         };
-        let makes = Some((dir, name));
-        let (fh, attr) = self.call_once(0, makes, &make).await?.into_handle()?;
+        let (fh, attr) = self.call_once(0, req).await?.into_handle()?;
         self.note_name(dir, name, fh, attr);
         Ok((fh, attr))
     }
 
     /// Reads a symbolic link's target.
     pub async fn readlink(&self, fh: FileHandle) -> Result<String> {
-        self.call(0, || NfsRequest::Readlink { fh })
-            .await?
-            .into_path()
+        self.call(0, NfsRequest::Readlink { fh }).await?.into_path()
     }
 
     // ---- the block read path ----------------------------------------------
@@ -817,19 +805,15 @@ impl ClientBase {
         }
         let ev = Event::new();
         this.in_flight.borrow_mut().insert(key, ev.clone());
-        let make = || NfsRequest::Read {
+        let req = NfsRequest::Read {
             fh,
             offset: lblk * BLOCK_SIZE as u64,
             count: BLOCK_SIZE as u32,
         };
-        let res = if bg {
-            this.call_bg(0, make).await
-        } else {
-            this.call(0, make).await
-        };
+        let res = this.call_retx(0, bg, &req).await;
         this.in_flight.borrow_mut().remove(&key);
         ev.set();
-        let ReadReply { data, attr, .. } = res?.into_read()?;
+        let ReadReply { data, attr, .. } = res?.0.into_read()?;
         this.hook().read_attr(fh, attr);
         let block = data.to_buf();
         if cachable && this.epoch(fh) == epoch {
@@ -938,7 +922,7 @@ mod tests {
         let mut dnlc = NameCache::new(true, Some(SimDuration::from_secs(30)));
         let mut snfs = NameCache::new(true, None);
         for c in [&mut dnlc, &mut snfs] {
-            c.insert(DIR, "f", F, attr(), at(0));
+            c.insert(DIR, "f".into(), F, attr(), at(0));
             assert_eq!(c.get(DIR, "f", at(29)).map(|e| e.0), Some(F));
         }
         assert!(dnlc.get(DIR, "f", at(30)).is_none(), "TTL reached");
@@ -949,10 +933,10 @@ mod tests {
     #[test]
     fn drop_dir_forget_and_remove_take_out_what_they_name() {
         let mut c = NameCache::new(true, None);
-        c.insert(DIR, "f", F, attr(), at(0));
-        c.insert(DIR, "g", G, attr(), at(0));
-        c.insert(OTHER_DIR, "link-to-f", F, attr(), at(0));
-        c.insert(OTHER_DIR, "g2", G, attr(), at(0));
+        c.insert(DIR, "f".into(), F, attr(), at(0));
+        c.insert(DIR, "g".into(), G, attr(), at(0));
+        c.insert(OTHER_DIR, "link-to-f".into(), F, attr(), at(0));
+        c.insert(OTHER_DIR, "g2".into(), G, attr(), at(0));
 
         c.forget(F);
         assert!(c.get(DIR, "f", at(1)).is_none());
@@ -971,7 +955,7 @@ mod tests {
     #[test]
     fn a_disabled_cache_is_inert() {
         let mut c = NameCache::new(false, None);
-        c.insert(DIR, "f", F, attr(), at(0));
+        c.insert(DIR, "f".into(), F, attr(), at(0));
         assert!(c.get(DIR, "f", at(0)).is_none());
         c.remove(DIR, "f");
         c.drop_dir(DIR);

@@ -178,18 +178,21 @@ impl fmt::Debug for Buf {
 /// each the cache's own buffer; a read reply is slices of the server's
 /// cached blocks. [`len`](Self::len) is the sum, so wire sizes do not
 /// depend on how the bytes are segmented — and neither does equality.
+/// A clone allocates nothing, however many segments: it shares the list,
+/// and a [`push`](Self::push) onto a shared list copies it first, so a
+/// request waiting to be retransmitted keeps the bytes it was built with.
 #[derive(Clone, Default)]
 pub struct Payload(Repr);
 
 /// Most payloads are one block: that segment is held inline and costs no
-/// allocation; only a second segment moves the list to the heap. (The
-/// boxed variant hides in the niche of `Buf`'s pointer, so a `Payload`
-/// is 24 bytes, as a `Vec<u8>` was.)
+/// allocation; only a second segment moves the list to the heap, behind
+/// an `Rc`. (The `Rc` hides in the niche of `Buf`'s pointer, so a
+/// `Payload` is 24 bytes, as a `Vec<u8>` was.)
 #[derive(Clone)]
 enum Repr {
     /// The only segment; empty exactly when the payload is.
     One(Buf),
-    Many(Box<Segments>),
+    Many(Rc<Segments>),
 }
 
 #[derive(Clone)]
@@ -234,9 +237,10 @@ impl Payload {
             Repr::One(first) => {
                 let len = first.len() + seg.len();
                 let segs = vec![std::mem::take(first), seg];
-                self.0 = Repr::Many(Box::new(Segments { segs, len }));
+                self.0 = Repr::Many(Rc::new(Segments { segs, len }));
             }
             Repr::Many(m) => {
+                let m = Rc::make_mut(m);
                 m.len += seg.len();
                 m.segs.push(seg);
             }
@@ -429,6 +433,16 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert_eq!(p.segments().len(), 2);
         assert_eq!(p.to_vec(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_clone_shares_the_segment_list_until_a_push() {
+        let mut p = Payload::from(Buf::from(&[1u8][..]));
+        p.push(Buf::from(&[2u8][..]));
+        let held = p.clone();
+        assert!(std::ptr::eq(held.segments(), p.segments()));
+        p.push(Buf::from(&[3u8][..]));
+        assert_eq!((held.to_vec(), p.to_vec()), (vec![1, 2], vec![1, 2, 3]));
     }
 
     #[test]

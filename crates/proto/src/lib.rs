@@ -21,6 +21,7 @@ mod buf;
 mod handle;
 mod layout;
 mod message;
+mod name;
 mod procs;
 mod status;
 
@@ -32,6 +33,7 @@ pub use message::{
     CallbackArg, Delegation, DirEntry, NfsReply, NfsRequest, OpenReply, ReadReply, RecoveredFile,
     COMPOUND_OP_BYTES,
 };
+pub use name::Name;
 pub use procs::{NfsProc, ProcClass};
 pub use status::{NfsStatus, Result};
 

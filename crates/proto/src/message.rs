@@ -7,6 +7,7 @@
 use crate::attr::Fattr;
 use crate::buf::Payload;
 use crate::handle::{ClientId, FileHandle, FileVersion};
+use crate::name::Name;
 use crate::procs::NfsProc;
 use crate::status::NfsStatus;
 
@@ -26,7 +27,9 @@ fn compound_slot_bytes(standalone_wire_size: usize) -> usize {
 }
 
 /// A request body: the NFS procedures, SNFS `open`/`close`, and the one
-/// request a server sends a client, the SNFS `callback`.
+/// request a server sends a client, the SNFS `callback`. A clone
+/// allocates only for a `Recover`'s or a compound's list: names are
+/// [`Name`]s and file data a shared [`Payload`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NfsRequest {
     /// Ping.
@@ -36,7 +39,7 @@ pub enum NfsRequest {
     /// Truncate to `size` and/or bump times.
     SetAttr { fh: FileHandle, size: Option<u64> },
     /// Translate one name component under a directory.
-    Lookup { dir: FileHandle, name: String },
+    Lookup { dir: FileHandle, name: Name },
     /// Read `count` bytes at `offset`.
     Read {
         fh: FileHandle,
@@ -51,20 +54,20 @@ pub enum NfsRequest {
         data: Payload,
     },
     /// Create a regular file under `dir`.
-    Create { dir: FileHandle, name: String },
+    Create { dir: FileHandle, name: Name },
     /// Remove a regular file.
-    Remove { dir: FileHandle, name: String },
+    Remove { dir: FileHandle, name: Name },
     /// Rename within the file system.
     Rename {
         from_dir: FileHandle,
-        from_name: String,
+        from_name: Name,
         to_dir: FileHandle,
-        to_name: String,
+        to_name: Name,
     },
     /// Create a directory.
-    Mkdir { dir: FileHandle, name: String },
+    Mkdir { dir: FileHandle, name: Name },
     /// Remove an empty directory.
-    Rmdir { dir: FileHandle, name: String },
+    Rmdir { dir: FileHandle, name: Name },
     /// List a directory.
     Readdir { dir: FileHandle },
     /// File system statistics.
@@ -98,13 +101,13 @@ pub enum NfsRequest {
     Link {
         from: FileHandle,
         to_dir: FileHandle,
-        to_name: String,
+        to_name: Name,
     },
     /// Create a symbolic link `dir/name` pointing at `target`.
     Symlink {
         dir: FileHandle,
-        name: String,
-        target: String,
+        name: Name,
+        target: Name,
     },
     /// Read a symbolic link's target.
     Readlink { fh: FileHandle },
@@ -131,7 +134,7 @@ pub enum NfsRequest {
     /// Sharded namespace (DESIGN.md §18), shard→shard: phase one of a
     /// cross-shard rename/link. The participant locks `name` in its
     /// export root and reports whether an entry by that name exists.
-    TxPrepare { txid: u64, name: String },
+    TxPrepare { txid: u64, name: Name },
     /// Sharded namespace, shard→shard: phase two. The participant
     /// removes its superseded `name` entry (if the prepared handle still
     /// matches) and releases the lock. Idempotent; retried until acked.
@@ -284,7 +287,7 @@ impl NfsRequest {
             | NfsRequest::Remove { dir, name }
             | NfsRequest::Mkdir { dir, name }
             | NfsRequest::Rmdir { dir, name }
-            | NfsRequest::Symlink { dir, name, .. } => Some((*dir, name)),
+            | NfsRequest::Symlink { dir, name, .. } => Some((*dir, &**name)),
             _ => None,
         }
     }
@@ -299,7 +302,7 @@ impl NfsRequest {
             | NfsRequest::Remove { dir, name }
             | NfsRequest::Mkdir { dir, name }
             | NfsRequest::Rmdir { dir, name }
-            | NfsRequest::Symlink { dir, name, .. } => Some((dir, name)),
+            | NfsRequest::Symlink { dir, name, .. } => Some((dir, &**name)),
             _ => None,
         }
     }

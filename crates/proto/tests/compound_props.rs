@@ -42,7 +42,7 @@ fn arb_request() -> impl Strategy<Value = NfsRequest> {
         }),
         (1usize..14).prop_map(|n| NfsRequest::Lookup {
             dir: fh(),
-            name: "n".repeat(n),
+            name: "n".repeat(n).as_str().into(),
         }),
         (0u64..1 << 20, 1u32..65536).prop_map(|(offset, count)| NfsRequest::Read {
             fh: fh(),

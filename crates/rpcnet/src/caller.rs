@@ -59,7 +59,8 @@ impl Default for CallerParams {
 /// One request on its way through a wire exchange, under the identity it
 /// keeps across retransmissions. `R` borrows the request: a caller's own
 /// attempt lends it, a batch queue holds it with its reply cell. An
-/// exchange copies a request only to hand it to the endpoint.
+/// exchange copies a request only to hand it to the endpoint, and the
+/// copy allocates nothing (its names are inline, its payload shared).
 pub(crate) struct Member<R> {
     pub(crate) xid: u64,
     /// Trace context: the request's `rpc_call` event (0 when untraced).

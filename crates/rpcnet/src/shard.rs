@@ -132,32 +132,34 @@ impl ShardCaller {
 
     /// Issues one RPC, parenting its trace events under `parent`.
     pub async fn call_ctx(&self, parent: u64, req: NfsRequest) -> Result<NfsReply, RpcError> {
-        let out = self.call_flagged(parent, req, false).await;
+        let out = self.call_flagged(parent, &req, false).await;
         out.map(|(rep, _)| rep)
     }
 
     /// The full form, as [`Caller::call_flagged`]: `bg` marks batchable
     /// write-behind / read-ahead traffic, and the flag returned with the
-    /// reply says it arrived only after a retransmission.
+    /// reply says it arrived only after a retransmission. The request is
+    /// lent, as to a [`Caller`]: only a routed one is copied, once, to be
+    /// re-addressed.
     pub async fn call_flagged(
         &self,
         parent: u64,
-        req: NfsRequest,
+        req: &NfsRequest,
         bg: bool,
     ) -> Result<(NfsReply, bool), RpcError> {
         let callers = &self.inner.callers;
         if callers.len() == 1 {
             // Paper configuration: pure pass-through.
-            return callers[0].call_flagged(parent, &req, bg).await;
+            return callers[0].call_flagged(parent, req, bg).await;
         }
-        match &req {
+        match req {
             NfsRequest::Keepalive { .. } | NfsRequest::Recover { .. } => {
                 self.broadcast(parent, req, bg).await
             }
             NfsRequest::Readdir { dir } if *dir == self.inner.roots[0] => {
                 self.fan_readdir(parent, bg).await
             }
-            _ => self.routed(parent, req, bg).await,
+            _ => self.routed(parent, req.clone(), bg).await,
         }
     }
 
@@ -281,13 +283,13 @@ impl ShardCaller {
     async fn broadcast(
         &self,
         parent: u64,
-        req: NfsRequest,
+        req: &NfsRequest,
         bg: bool,
     ) -> Result<(NfsReply, bool), RpcError> {
         let n = self.inner.callers.len();
         let mut total = 0u64;
         for s in 0..n {
-            let per_shard = match &req {
+            let per_shard = match req {
                 NfsRequest::Recover { client, files } => NfsRequest::Recover {
                     client: *client,
                     files: files
@@ -376,10 +378,10 @@ mod tests {
         let fh = FileHandle::new(1, 7, 0);
         let out = sim.block_on(async move {
             let lost = caller
-                .call_flagged(0, NfsRequest::GetAttr { fh }, true)
+                .call_flagged(0, &NfsRequest::GetAttr { fh }, true)
                 .await;
             let clean = caller
-                .call_flagged(0, NfsRequest::GetAttr { fh }, true)
+                .call_flagged(0, &NfsRequest::GetAttr { fh }, true)
                 .await;
             (lost, clean)
         });

@@ -55,7 +55,7 @@ fn rig(transport: TransportParams) -> Rig {
             let executed = Rc::clone(&executed);
             async move {
                 let name = match req {
-                    NfsRequest::Lookup { name, .. } => name,
+                    NfsRequest::Lookup { name, .. } => name.to_string(),
                     other => panic!("rig only sends Lookup, got {other:?}"),
                 };
                 sim.sleep(SimDuration::from_millis(3)).await;
@@ -105,7 +105,7 @@ fn rig(transport: TransportParams) -> Rig {
 fn lookup(name: &str) -> NfsRequest {
     NfsRequest::Lookup {
         dir: FileHandle::new(1, 1, 0),
-        name: name.to_string(),
+        name: name.into(),
     }
 }
 

@@ -49,7 +49,7 @@ fn rig(faults: FaultParams, handler_delay_us: u64) -> Rig {
             let executed = Rc::clone(&executed);
             async move {
                 let name = match &req {
-                    NfsRequest::Lookup { name, .. } => name.clone(),
+                    NfsRequest::Lookup { name, .. } => name.to_string(),
                     _ => panic!("rig only sends Lookup"),
                 };
                 sim.sleep(SimDuration::from_micros(handler_delay_us)).await;
@@ -125,7 +125,7 @@ proptest! {
             let err = Rc::clone(&err);
             r.sim.spawn(async move {
                 let name = format!("req{i}");
-                let req = NfsRequest::Lookup { dir, name: name.clone() };
+                let req = NfsRequest::Lookup { dir, name: name.as_str().into() };
                 match caller.call(req).await {
                     // Reply consistency: a caller's reply must carry the
                     // name *it* sent, whatever was dropped or duplicated.
@@ -185,7 +185,7 @@ proptest! {
                 let caller = Rc::clone(&r.caller);
                 r.sim.spawn(async move {
                     let _ = caller
-                        .call(NfsRequest::Lookup { dir, name: format!("req{i}") })
+                        .call(NfsRequest::Lookup { dir, name: format!("req{i}").as_str().into() })
                         .await;
                 });
             }

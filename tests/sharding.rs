@@ -543,7 +543,7 @@ fn cross_shard_coordinator_trace_is_pinned() {
         async move {
             for host in &hosts {
                 for name in &names {
-                    let (dir, name) = (host.fs.root(), name.clone());
+                    let (dir, name) = (host.fs.root(), name.as_str().into());
                     let rep = host
                         .server
                         .handle(ClientId(1), 0, NfsRequest::Lookup { dir, name });

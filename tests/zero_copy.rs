@@ -18,7 +18,8 @@
 //!   none, a background write nobody waits for none in the write-behind
 //!   ledger, an uncontended read miss none, a C-LOOK disk write none,
 //!   a caller one until it is used, and an echo RPC, foreground or
-//!   batched in the background, a pinned count;
+//!   batched in the background, a pinned count, which a named RPC, a
+//!   lookup the name cache misses and a gathered write cost too;
 //! * **reading a trace copies nothing** (DESIGN.md §11, §16) — a snapshot
 //!   of the log is free, an emit copies the log only under a live
 //!   snapshot and then once, and the profiler allocates a fixed number of
@@ -38,7 +39,7 @@ use spritely::harness::oracle::ByteModel;
 use spritely::harness::{ClientParams, Protocol, RemoteClient, Testbed, TestbedParams};
 use spritely::localfs::{FsParams, LocalFs};
 use spritely::metrics::OpCounter;
-use spritely::nfs::base::WriteLedger;
+use spritely::nfs::base::{ClientBase, WriteLedger};
 use spritely::proto::{ClientId, FileHandle, NfsProc, NfsReply, NfsRequest, Payload, BLOCK_SIZE};
 use spritely::rpcnet::{
     Caller, CallerParams, Endpoint, EndpointParams, NetParams, Network, PartitionDir,
@@ -723,11 +724,11 @@ fn echo_endpoint(sim: &Sim) -> Endpoint {
     Endpoint::new(sim, "svc", cpu, params, OpCounter::new(), handler)
 }
 
-/// Allocations of one Null call through `Caller`, `Network` and
+/// Allocations of one call of `req` through `Caller`, `Network` and
 /// `Endpoint` against an instant unboxed handler, at steady state: the
 /// cheapest of several calls, because the dup cache's map doubles now and
 /// then. With `transport` set, the call is sent as background traffic.
-fn echo_rpc_allocations(transport: Option<TransportParams>) -> u64 {
+fn rpc_allocations(transport: Option<TransportParams>, req: NfsRequest) -> u64 {
     let sim = Sim::new();
     let caller = Caller::new(
         &sim,
@@ -746,7 +747,7 @@ fn echo_rpc_allocations(transport: Option<TransportParams>) -> u64 {
         let mut cheapest = u64::MAX;
         for call in 0..24 {
             let before = allocations();
-            let out = caller.call_flagged(0, &NfsRequest::Null, background).await;
+            let out = caller.call_flagged(0, &req, background).await;
             out.expect("echo");
             if call >= 8 {
                 cheapest = cheapest.min(allocations() - before);
@@ -754,6 +755,11 @@ fn echo_rpc_allocations(transport: Option<TransportParams>) -> u64 {
         }
         cheapest
     })
+}
+
+/// [`rpc_allocations`] of a Null call.
+fn echo_rpc_allocations(transport: Option<TransportParams>) -> u64 {
+    rpc_allocations(transport, NfsRequest::Null)
 }
 
 /// A foreground echo, paper transport: the execution's task, which holds
@@ -790,6 +796,83 @@ fn a_background_echo_rpc_stays_inside_its_allocation_budget() {
         made <= BACKGROUND_ECHO_RPC_BUDGET,
         "a background echo RPC made {made} allocations, budget {BACKGROUND_ECHO_RPC_BUDGET}"
     );
+}
+
+/// A request is built once per logical call, and every copy the transport
+/// makes of it (the one an exchange hands the endpoint) allocates nothing
+/// for names up to 22 bytes: a named call costs what an echo costs. The
+/// parent commit made one more per name, the `String` of that copy.
+#[test]
+fn a_named_rpc_costs_what_an_echo_costs() {
+    let (dir, to_dir) = (FileHandle::new(1, 1, 0), FileHandle::new(1, 2, 0));
+    let name = "f012.c".into();
+    let lookup = NfsRequest::Lookup { dir, name };
+    let name = "cc12.s".into();
+    let create = NfsRequest::Create { dir, name };
+    let (from_name, to_name) = ("u123".into(), "m123_4".into());
+    let from_dir = dir;
+    let rename = NfsRequest::Rename {
+        from_dir,
+        from_name,
+        to_dir,
+        to_name,
+    };
+    for req in [lookup, create, rename] {
+        let proc = req.proc_id();
+        let made = rpc_allocations(None, req);
+        println!("allocations per {proc:?}: {made}");
+        assert_eq!(made, ECHO_RPC_BUDGET, "{proc:?}");
+    }
+}
+
+/// The same through a client: `ClientBase::lookup` builds its request once
+/// and records the name without copying it, so a lookup the name cache
+/// cannot answer allocates exactly what a `getattr` does. The parent
+/// commit made two more: the `String` its request closure built, and the
+/// one the exchange's copy of the request made.
+#[test]
+fn a_lookup_miss_costs_what_a_getattr_costs() {
+    let tb = testbed(Protocol::Snfs, 1);
+    let c = snfs_client(&tb);
+    let root = tb.server_fs.root();
+    let h = tb.sim.spawn(async move {
+        let (fh, _) = c.create(root, "f012.c").await.expect("create");
+        let (mut lookup, mut getattr) = (u64::MAX, u64::MAX);
+        for round in 0..16 {
+            let before = allocations();
+            let (found, _) = c.lookup(root, "f012.c").await.expect("lookup");
+            let between = allocations();
+            // The base's: the SNFS client's own may answer from its cache.
+            ClientBase::getattr(&c, fh).await.expect("getattr");
+            if round >= 8 {
+                lookup = lookup.min(between - before);
+                getattr = getattr.min(allocations() - between);
+            }
+            assert_eq!(found, fh);
+        }
+        println!("allocations per lookup miss: {lookup}, per getattr: {getattr}");
+        assert_eq!(lookup, getattr, "a lookup miss against a getattr");
+    });
+    tb.sim.run_until(h);
+}
+
+/// A gathered write's segment list is shared, not copied, by the batch
+/// queue that parks it and the exchange that hands it to the endpoint: a
+/// two-block background write costs what a background echo does. The
+/// parent commit made four more, a `Box` and a `Vec` per copy.
+#[test]
+fn a_gathered_write_is_never_copied() {
+    let data = Payload::copy_in(0, &[7; 2 * BLOCK_SIZE]);
+    assert_eq!(data.segments().len(), 2);
+    let fh = FileHandle::new(1, 7, 0);
+    let write = NfsRequest::Write {
+        fh,
+        offset: 0,
+        data,
+    };
+    let made = rpc_allocations(Some(TransportParams::pipelined()), write);
+    println!("allocations per two-block background write: {made}");
+    assert_eq!(made, BACKGROUND_ECHO_RPC_BUDGET);
 }
 
 /// A caller is one allocation, its shared link, until it parks a call or
