@@ -34,12 +34,23 @@ pub const LEASE: SimDuration = SimDuration::from_secs(15);
 /// before revoking it and fencing the holder (DESIGN.md §17.3).
 pub const RECALL_TIMEOUT: SimDuration = SimDuration::from_secs(20);
 
+/// How long the server retries a consistency callback (write-back or
+/// invalidate) to a silent client before declaring it dead and dropping
+/// its state (§3.2's "dead client"): three keepalive intervals, so a
+/// partitioned client is not taken for a crashed one (DESIGN.md §14). The
+/// server's callers stay soft where the client's are hard (DESIGN.md
+/// §20): this horizon and [`RECALL_TIMEOUT`] are what bound them.
+pub const CALLBACK_DEAD_AFTER: SimDuration =
+    SimDuration::from_micros(KEEPALIVE_INTERVAL.as_micros() * 3);
+
 // A lease must survive the gap between two answered keepalives, and the
 // fencing argument (DESIGN.md §17.3) needs an unreachable holder to stop
-// serving local opens *before* the server revokes.
+// serving local opens *before* the server revokes, and a recall to be
+// settled before a silent holder's other callbacks declare it dead.
 const _: () = assert!(
     KEEPALIVE_INTERVAL.as_micros() < LEASE.as_micros()
         && LEASE.as_micros() < RECALL_TIMEOUT.as_micros()
+        && RECALL_TIMEOUT.as_micros() < CALLBACK_DEAD_AFTER.as_micros()
 );
 
 /// Configuration for the delegation subsystem. Shared by the server (which

@@ -11,6 +11,7 @@ use spritely_sim::SimDuration;
 use spritely_trace::{Cause, EventKind};
 
 use super::{bump, SnfsServer};
+use crate::delegation::CALLBACK_DEAD_AFTER;
 use crate::state_table::{CallbackNeeded, FileState};
 
 /// Callback-related statistics.
@@ -163,7 +164,7 @@ impl SnfsServer {
     }
 
     /// Performs one callback. A client without a callback channel, one
-    /// that stays silent past `callback_dead_after` and one that answers
+    /// that stays silent past [`CALLBACK_DEAD_AFTER`] and one that answers
     /// with a refusal are all treated as crashed.
     async fn do_callback(&self, parent: u64, fh: FileHandle, cb: CallbackNeeded) {
         let arg = CallbackArg {
@@ -173,8 +174,9 @@ impl SnfsServer {
             seq: 0,
             recall: false,
         };
-        let give_up = self.inner.params.callback_dead_after;
-        let sent = self.send_callback(parent, cb, arg, give_up, || false).await;
+        let sent = self
+            .send_callback(parent, cb, arg, CALLBACK_DEAD_AFTER, || false)
+            .await;
         if !sent.ok {
             self.client_unreachable(sent.seq, cb.target);
         } else if cb.writeback {

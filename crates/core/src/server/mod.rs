@@ -32,7 +32,7 @@ use spritely_rpcnet::{Caller, Endpoint, EndpointParams, Handler};
 use spritely_sim::{Permit, Resource, Semaphore, Sim, SimDuration};
 use spritely_trace::{Cause, EventKind, Tracer};
 
-use crate::delegation::{DelegationParams, DelegationStats, KEEPALIVE_INTERVAL};
+use crate::delegation::{DelegationParams, DelegationStats};
 use crate::state_table::{FileState, OpenOutcome, StateTable};
 
 mod callback;
@@ -55,13 +55,6 @@ pub struct SnfsServerParams {
     /// open under SNFS as an implicit SNFS open, so NFS clients get
     /// consistent data and SNFS clients get their callbacks.
     pub hybrid_nfs: bool,
-    /// How long callback retries continue before the client is declared
-    /// dead (its state discarded, §3.2's "dead client" case). Three
-    /// keepalive intervals by default: a client silent that long has
-    /// missed its liveness horizon too. Zero restores the legacy
-    /// give-up-on-first-timeout behavior (used by regression tests to
-    /// pin the old bug).
-    pub callback_dead_after: SimDuration,
 }
 
 impl Default for SnfsServerParams {
@@ -70,7 +63,6 @@ impl Default for SnfsServerParams {
             table_limit: 1000,
             reclaim_target: 900,
             hybrid_nfs: true,
-            callback_dead_after: KEEPALIVE_INTERVAL * 3,
         }
     }
 }

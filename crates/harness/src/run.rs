@@ -13,8 +13,8 @@ use std::future::Future;
 use spritely_blockdev::DiskStats;
 use spritely_localfs::LocalFs;
 use spritely_metrics::{OpCounts, RateBucket};
-use spritely_proto::{FileHandle, FileType, Fnv, Result};
-use spritely_sim::{Sim, SimDuration, SimTime};
+use spritely_proto::{FileHandle, FileType, Fnv};
+use spritely_sim::{SimDuration, SimTime};
 use spritely_vfs::Proc;
 
 use crate::config;
@@ -213,36 +213,11 @@ fn walk(fs: &LocalFs, dir: FileHandle, path: &str, h: &mut Fnv) {
     }
 }
 
-/// Retries `op` until it succeeds, sleeping `backoff(attempt)` after each
-/// failure, as a hard-mounted 1989 client would: under overload or chaos
-/// an RPC ladder can exhaust, and during a partition calls must fail for
-/// a while before succeeding. (The workload's crutch, not the system's
-/// answer: overload shedding in the stack is meant to replace it.)
-pub(crate) async fn insist<T, Fut>(
-    sim: &Sim,
-    backoff: impl Fn(u64) -> SimDuration,
-    mut op: impl FnMut() -> Fut,
-) -> T
-where
-    Fut: Future<Output = Result<T>>,
-{
-    let mut attempt = 0;
-    loop {
-        match op().await {
-            Ok(v) => return v,
-            Err(_) => {
-                attempt += 1;
-                sim.sleep(backoff(attempt)).await;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Protocol, TestbedParams};
-    use spritely_proto::{NfsProc, NfsStatus, BLOCK_SIZE};
+    use spritely_proto::{NfsProc, BLOCK_SIZE};
     use spritely_vfs::OpenFlags;
 
     /// Creates `path` and writes one block to it: a handful of RPCs on a
@@ -313,27 +288,5 @@ mod tests {
         assert_eq!(second.start, first_end);
         assert_eq!(second.tb.counter.snapshot() - first_ops, second.ops);
         assert_eq!(second.tb.net.messages(), first_messages + second.messages);
-    }
-
-    #[test]
-    fn insist_retries_with_the_attempt_numbered_backoff_until_ok() {
-        let sim = Sim::new();
-        let s = sim.clone();
-        let got = sim.block_on(async move {
-            let mut failures_left = 3;
-            let backoff = |attempt: u64| SimDuration::from_secs(attempt);
-            insist(&s, backoff, || {
-                failures_left -= 1;
-                let outcome = if failures_left >= 0 {
-                    Err(NfsStatus::Io)
-                } else {
-                    Ok(s.now())
-                };
-                async move { outcome }
-            })
-            .await
-        });
-        // Slept 1 + 2 + 3 s before the fourth attempt succeeded.
-        assert_eq!(got.as_micros(), 6_000_000);
     }
 }

@@ -2,11 +2,13 @@
 //! ([`crate::run`], DESIGN.md §24): build the testbed `params`
 //! describes, set up untimed, [`measure`](Testbed::measure) the
 //! workload. What a script's [`Run`] carries per client is what only
-//! that script knows.
+//! that script knows. No script re-issues an op: the clients are
+//! hard-mounted (DESIGN.md §20), so an op outlasts a partition or an
+//! overloaded server, and one that fails is a finding.
 
 use std::rc::Rc;
 
-use spritely_proto::{NfsStatus, Result, BLOCK_SIZE};
+use spritely_proto::{Result, BLOCK_SIZE};
 use spritely_sim::{Semaphore, SimDuration, SimRng};
 use spritely_vfs::{OpenFlags, Proc};
 use spritely_workloads::{
@@ -15,7 +17,7 @@ use spritely_workloads::{
 };
 
 use crate::oracle::{filler, stamped, Oracle, Tally};
-use crate::run::{insist, Run, DRAIN};
+use crate::run::{Run, DRAIN};
 use crate::testbed::{Testbed, TestbedParams};
 
 /// Two of the chaos entry's workloads: write-sharing across a partition,
@@ -222,65 +224,35 @@ pub fn scaling_shards(params: TestbedParams, n_clients: usize, seed: u64) -> Run
         // collapse (every walk times out, every retry re-offers the
         // full load), which no real fleet exhibits. The ramp is
         // deterministic and identical across shard counts, so the
-        // comparison stays fair.
+        // comparison stays fair. Past the ramp an overloaded server can
+        // still outlast a ladder; the client's hard mount calls again.
         sim.sleep(SimDuration::from_millis(25 * i as u64)).await;
-        // Under heavy contention the transport's retransmission
-        // ladder can give up before the server's queue drains; a
-        // real client retries the system call, so the workload does
-        // too. (Offsets are explicit so a retried write is
-        // idempotent.) The backoff is jittered by client index and
-        // grows with the attempt count: in a deterministic sim a
-        // fixed shared delay keeps the whole herd phase-locked, and
-        // the synchronized retry storm never drains.
-        let backoff =
-            |attempt: u64| SimDuration::from_millis((50 + (i as u64 * 13) % 250) * attempt.min(48));
-        // `Proc::close` tears the fd down before the wire close, so
-        // after a transport give-up a retry can only ever see
-        // `Inval` — the fd is gone, and either the close executed or
-        // the server reconciles the open count through its liveness
-        // machinery. Treat that as closed rather than spinning.
-        let close = |fd| {
-            let p = &p;
-            insist(sim, backoff, move || async move {
-                match p.close(fd).await {
-                    Err(NfsStatus::Inval) => Ok(()),
-                    closed => closed,
-                }
-            })
-        };
         let fill = (seed as u8).wrapping_add(i as u8).wrapping_add(1);
         for f in 0..SHARD_SCALE_FILES {
             let path = format!("/remote/u{i}/f{f}");
-            let fd = insist(sim, backoff, || p.open(&path, OpenFlags::create_write())).await;
+            let made = p.open(&path, OpenFlags::create_write()).await;
+            let fd = made.expect("create");
             let block = vec![fill.wrapping_add(f as u8); BLOCK_SIZE];
             for b in 0..SHARD_SCALE_BLOCKS {
-                insist(sim, backoff, || {
-                    p.write_at(fd, (b * BLOCK_SIZE) as u64, &block)
-                })
-                .await;
+                let wrote = p.write_at(fd, (b * BLOCK_SIZE) as u64, &block).await;
+                wrote.expect("write");
             }
-            insist(sim, backoff, || p.fsync(fd)).await;
-            close(fd).await;
-            let fd = insist(sim, backoff, || p.open(&path, OpenFlags::read())).await;
+            p.fsync(fd).await.expect("fsync");
+            p.close(fd).await.expect("close");
+            let fd = p.open(&path, OpenFlags::read()).await.expect("reopen");
             let mut off = 0u64;
             loop {
-                let data = insist(sim, backoff, || p.read_at(fd, off, BLOCK_SIZE as u32)).await;
+                let data = p.read_at(fd, off, BLOCK_SIZE as u32).await.expect("read");
                 if data.is_empty() {
                     break;
                 }
                 off += data.len() as u64;
             }
-            close(fd).await;
+            p.close(fd).await.expect("close");
         }
         // A rename inside the subtree: same-shard, no coordination.
-        // Not idempotent across calls, so confirm the outcome at the
-        // destination before retrying.
         let (from, to) = (format!("/remote/u{i}/f0"), format!("/remote/u{i}/g0"));
-        let mut attempt = 0u64;
-        while p.rename(&from, &to).await.is_err() && p.stat(&to).await.is_err() {
-            attempt += 1;
-            sim.sleep(backoff(attempt)).await;
-        }
+        p.rename(&from, &to).await.expect("rename");
     })
 }
 

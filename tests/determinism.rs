@@ -62,8 +62,8 @@ a0e0fe06cd7086af 74ffca42e798467c 8bd92f35eedf9b4c be102e152f609841  shard-scali
 c50bfc9b2d41b51f 722d5ff83026efae 0da54a3fd5a97302 f17b3ebb46835356  shared-read
 83f8456f9211a9dd 30a4584bc9bba1cb d28289d962410793 728ec371a84a371a  open-churn
 7d178cff0194ba96 4c5909d6a0793ef9 58b714c301c89874 9ebf29ac1a0dcc78  andrew, chaos(7)
-13df6e7dcef9de44 c68588b31222efae e626cbff1cdef634 08e53b384de71543  sharing, chaos(11)
-007ac66bca2c0eb3 f1249fe34971a7c2 18288f5fc3673325 3884be80befa66ed  delegation, chaos(13)
+1d94da1c7b25e746 c68588b31222efae bb5e89b67d6476c9 e9a768d34b2341b9  sharing, chaos(11)
+1669f2f6fbd6aadc f1249fe34971a7c2 775c225c4af990c0 f766b1f78c3a327d  delegation, chaos(13)
 ";
 
 /// Every script of the harness, traced, at a small size — plus a

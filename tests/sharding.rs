@@ -216,55 +216,33 @@ fn cross_shard_ops_converge_under_seeded_faults() {
         let pairs = pairs.clone();
         let sim = sim.clone();
         async move {
-            macro_rules! insist {
-                ($e:expr) => {{
-                    loop {
-                        match $e.await {
-                            Ok(v) => break v,
-                            Err(_) => sim.sleep(SimDuration::from_millis(500)).await,
-                        }
-                    }
-                }};
-            }
             for (i, (src, _)) in pairs.iter().enumerate() {
-                let (fh, _) = insist!(c.create(root, src));
-                insist!(c.open(fh, true));
-                insist!(c.write(fh, 0, &[i as u8 + 1; BLOCK_SIZE]));
-                insist!(c.fsync(fh));
-                insist!(c.close(fh, true));
+                let (fh, _) = c.create(root, src).await.unwrap();
+                c.open(fh, true).await.unwrap();
+                c.write(fh, 0, &[i as u8 + 1; BLOCK_SIZE]).await.unwrap();
+                c.fsync(fh).await.unwrap();
+                c.close(fh, true).await.unwrap();
             }
             for (src, dst) in &pairs {
-                // A rename is not idempotent across *calls* (a re-issued
-                // rename after a timed-out-but-executed first call sees
-                // NoEnt), so the retry loop confirms the outcome by
-                // looking the destination up.
-                loop {
-                    match c.rename(root, src, root, dst).await {
-                        Ok(()) => break,
-                        Err(_) => {
-                            if c.lookup(root, dst).await.is_ok() {
-                                break;
-                            }
-                            sim.sleep(SimDuration::from_millis(500)).await;
-                        }
-                    }
-                }
+                // A rename is not idempotent across calls: one whose
+                // first ladder executed meets `NoEnt` on the hard
+                // mount's next call, which the client reads as done.
+                c.rename(root, src, root, dst).await.unwrap();
             }
             // Every destination readable with the right bytes, every
             // source gone.
             for (i, (src, dst)) in pairs.iter().enumerate() {
-                let (fh, _) = insist!(c.lookup(root, dst));
-                insist!(c.open(fh, false));
-                let (data, _) = insist!(c.read(fh, 0, BLOCK_SIZE as u32));
+                let (fh, _) = c.lookup(root, dst).await.unwrap();
+                c.open(fh, false).await.unwrap();
+                let (data, _) = c.read(fh, 0, BLOCK_SIZE as u32).await.unwrap();
                 assert!(data.iter().all(|&x| x == i as u8 + 1), "{dst}");
-                insist!(c.close(fh, false));
-                loop {
-                    match c.lookup(root, src).await {
-                        Err(NfsStatus::NoEnt) => break,
-                        Err(_) => sim.sleep(SimDuration::from_millis(500)).await,
-                        Ok(_) => panic!("{src} must not survive its rename"),
-                    }
-                }
+                c.close(fh, false).await.unwrap();
+                let gone = c.lookup(root, src).await;
+                assert_eq!(
+                    gone.err(),
+                    Some(NfsStatus::NoEnt),
+                    "{src} survived its rename"
+                );
             }
             // Let write-backs, commits and keepalives drain.
             sim.sleep(SimDuration::from_secs(70)).await;
