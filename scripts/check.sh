@@ -141,6 +141,18 @@ if [ "$(wc -l <<<"$sends")" -ne 2 ]; then
     exit 1
 fi
 
+# The clients are hard-mounted (DESIGN.md §20): ClientBase::call_retx calls
+# the server again after a ladder runs out, so no workload or test re-issues
+# an op that failed. An `insist`, a `while … .is_err()` / `.is_ok()` loop or
+# an `Err(_) => … sleep` arm would be a second place that does. rpcnet's own
+# tests drive the soft caller beneath the hard mount and are not held.
+echo "==> one hard mount (no insist or re-issue loop in crates/*/src or tests)"
+if git grep -nE '\binsist\b|while .*\.is_(err|ok)\(\)|Err\(_\) => .*\.sleep\(' -- \
+    'crates/*/src' tests ':!crates/rpcnet'; then
+    echo "FAIL: the lines above re-issue a failed op; ClientBase::call_retx is the hard mount"
+    exit 1
+fi
+
 # The VFS names a remote protocol only where Spritely NFS differs from NFS
 # (§3): open, close, read, write, fsync and getattr, two arms each. Every
 # other procedure is the clients' shared base (DESIGN.md §20), one arm
