@@ -499,29 +499,24 @@ impl SnfsClient {
         if let Some(attr) = self.try_local_open(fh, write, op) {
             return Ok(attr);
         }
-        // §6.2 delayed close: if the file is "closed but not reported",
-        // and the pending modes cover the new open, reopen locally.
+        // §6.2 delayed close: if the file is "closed but not reported"
+        // in this open's mode, reopen locally. Only the same mode: the
+        // application's close reports the mode it opened, so a read
+        // taking back a write-open would leave that write-open at the
+        // server for good.
         if self.inner.delayed_close {
             let mut files = self.inner.files.borrow_mut();
             if let Some(info) = files.get_mut(&fh) {
                 if let Some((pr, pw)) = info.pending_close {
-                    let covered = if write { pw > 0 } else { pr > 0 || pw > 0 };
+                    let covered = if write { pw > 0 } else { pr > 0 };
                     if covered {
                         // Cancel the pending close; transfer one open back.
                         if write {
                             info.writers += 1;
                             info.pending_close = Some((pr, pw - 1));
-                        } else if pr > 0 {
+                        } else {
                             info.readers += 1;
                             info.pending_close = Some((pr - 1, pw));
-                        } else {
-                            // Reading under a pending write-open.
-                            info.readers += 1;
-                            info.pending_close = Some((pr, pw - 1));
-                            // The unreported write-open now backs a read;
-                            // report the mode we actually hold.
-                            info.writers += 1;
-                            info.readers -= 1;
                         }
                         if info.pending_close == Some((0, 0)) {
                             info.pending_close = None;
