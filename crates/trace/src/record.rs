@@ -17,10 +17,11 @@
 //! thread holds one copy of each distinct string, handle and wide number
 //! it has traced, however many tracers came and went.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
 use std::rc::Rc;
 
@@ -338,11 +339,11 @@ impl Field for FileHandle {
     }
 }
 
-/// The hasher of the passes' maps, a multiply and a rotate per word (the
-/// one rustc uses): their keys are ids the simulation made, looked up
-/// once or twice per event, so SipHash's flood resistance buys nothing
-/// and costs half a pass. Unseeded, so a map iterates in the same order
-/// every run.
+/// The hasher of the passes' maps and of the intern tables, a multiply
+/// and a rotate per word (the one rustc uses): their keys are ids, names
+/// and handles the simulation made, looked up once or twice per event, so
+/// SipHash's flood resistance buys nothing and costs half a pass.
+/// Unseeded, so a map iterates in the same order every run.
 #[derive(Default)]
 pub struct Mix(u64);
 
@@ -358,7 +359,7 @@ impl Hasher for Mix {
     }
 
     fn write_u64(&mut self, n: u64) {
-        self.0 = spread(self.0.rotate_left(5) ^ n);
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
     fn finish(&self) -> u64 {
@@ -369,93 +370,39 @@ impl Hasher for Mix {
 /// A `HashMap` over [`Mix`].
 pub type Map<K, V> = HashMap<K, V, BuildHasherDefault<Mix>>;
 
-/// What an intern table holds. `scatter` need not be a strong hash, only
-/// spread: a table is probed once or twice per event, by keys the
-/// simulation made.
-pub trait Key: Copy + PartialEq {
-    fn scatter(&self) -> u64;
-}
-
-/// The bits of `n` spread over the word (rustc's multiplier); a table
-/// indexes by the high ones.
-fn spread(n: u64) -> u64 {
-    n.wrapping_mul(0x517c_c1b7_2722_0a95)
-}
-
-impl Key for u64 {
-    fn scatter(&self) -> u64 {
-        spread(*self)
-    }
-}
-
-impl Key for FileHandle {
-    fn scatter(&self) -> u64 {
-        let rest = u64::from(self.fsid) << 32 | u64::from(self.generation);
-        spread(self.inode ^ rest.rotate_left(24))
-    }
-}
-
-impl Key for &str {
-    fn scatter(&self) -> u64 {
-        let folded = self
-            .bytes()
-            .fold(0u64, |h, b| h.rotate_left(7) ^ u64::from(b));
-        spread(folded)
-    }
-}
-
-/// One intern table: `keys[id]` is the key interned under `id`.
+/// One intern table: `keys[id]` is the key interned under `id`, and
+/// `ids` maps a key back to its id.
 pub struct Table<K> {
-    /// The ids, open-addressed by hash with linear probing; `FREE` where
-    /// there is none. A power of two long and at most half full.
-    index: Vec<u32>,
+    ids: Map<K, u32>,
     keys: Vec<K>,
 }
-
-const FREE: u32 = u32::MAX;
 
 impl<K> Default for Table<K> {
     fn default() -> Self {
         Table {
-            index: vec![FREE; 64],
+            ids: Map::default(),
             keys: Vec::new(),
         }
     }
 }
 
-impl<K: Key> Table<K> {
-    /// The id of the key `is` accepts, or else where in `index` its id
-    /// would go.
-    fn find(&self, hash: u64, is: impl Fn(&K) -> bool) -> Result<u32, usize> {
-        let mask = self.index.len() - 1;
-        let mut at = (hash >> 32) as usize & mask;
-        loop {
-            match self.index[at] {
-                FREE => return Err(at),
-                id if is(&self.keys[id as usize]) => return Ok(id),
-                _ => at = (at + 1) & mask,
-            }
+impl<K: Copy + Eq + Hash> Table<K> {
+    /// The id of `key`; the first time it is seen, `own(key)` is stored
+    /// under the next id. Ids stay below 2³¹: clear of [`WIDE`] and
+    /// [`NO_HANDLE`].
+    fn id<Q>(&mut self, key: &Q, own: impl FnOnce(&Q) -> K) -> u32
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
         }
-    }
-
-    /// The id of the key `is` accepts, which is `key()` if it has none yet.
-    /// Ids stay below 2³¹: clear of [`WIDE`], [`NO_HANDLE`] and [`FREE`].
-    fn id(&mut self, hash: u64, is: impl Fn(&K) -> bool, key: impl FnOnce() -> K) -> u32 {
-        let at = match self.find(hash, is) {
-            Ok(id) => return id,
-            Err(at) => at,
-        };
         let id = u32::try_from(self.keys.len()).ok().filter(|&id| id < WIDE);
         let id = id.expect("fewer than 2^31 distinct keys in a trace table");
-        self.index[at] = id;
-        self.keys.push(key());
-        if self.keys.len() * 2 > self.index.len() {
-            self.index = vec![FREE; self.index.len() * 2];
-            for (id, key) in self.keys.iter().enumerate() {
-                let at = self.find(key.scatter(), |_| false).unwrap_err();
-                self.index[at] = id as u32;
-            }
-        }
+        let key = own(key);
+        self.ids.insert(key, id);
+        self.keys.push(key);
         id
     }
 }
@@ -473,19 +420,18 @@ thread_local! {
 }
 
 fn intern_wide(n: u64) -> u32 {
-    TABLES.with_borrow_mut(|tables| tables.wide.id(n.scatter(), |&known| known == n, || n))
+    TABLES.with_borrow_mut(|tables| tables.wide.id(&n, |&n| n))
 }
 
 fn intern_handle(fh: &FileHandle) -> u32 {
-    TABLES.with_borrow_mut(|tables| tables.handles.id(fh.scatter(), |known| known == fh, || *fh))
+    TABLES.with_borrow_mut(|tables| tables.handles.id(fh, |&fh| fh))
 }
 
 /// The text is copied, and the copy leaked, the first time it is seen.
 fn intern_text(text: &str) -> u32 {
     TABLES.with_borrow_mut(|tables| {
-        let leak = || &*Box::leak(Box::<str>::from(text));
         tables
             .names
-            .id(text.scatter(), |known| *known == text, leak)
+            .id(text, |text| &*Box::leak(Box::<str>::from(text)))
     })
 }
