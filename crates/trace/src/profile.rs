@@ -47,6 +47,7 @@
 //! Misassignment can shift time between server-side phases of
 //! concurrent handlers but never breaks the exact-sum property.
 
+use spritely_metrics::json::Writer;
 use spritely_metrics::LatencyStats;
 use spritely_proto::NfsProc;
 use spritely_sim::SimDuration;
@@ -231,98 +232,79 @@ impl Profile {
 
     /// Byte-stable JSON rendering (deterministic runs produce identical
     /// bytes; committed under `artifacts/` and diffed by
-    /// `spritely compare`).
+    /// `spritely compare`). Each member, and each element of an array,
+    /// starts a line, so the committed file diffs line by line.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = write!(
-            s,
-            "  \"ops\": {},\n  \"rpcs\": {},\n",
-            self.ops.len(),
-            self.total_rpcs
-        );
-        let _ = write!(
-            s,
-            "  \"claims\": {{\"op\": {}, \"callback\": {}, \"background\": {}, \"incomplete\": {}}},",
-            self.claims.op, self.claims.callback, self.claims.background, self.claims.incomplete
-        );
-        s.push('\n');
-        let _ = write!(
-            s,
-            "  \"total_op_us\": {},\n  \"attributed_us\": {},\n",
-            self.total_us,
-            self.total_us - self.phase_us[Phase::Unattributed.index()]
-        );
-        s.push_str("  \"phase_us\": {");
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{}\": {}", p.name(), self.phase_us[p.index()]);
-        }
-        s.push_str("},\n  \"op_kinds\": [\n");
-        for (i, k) in self.op_kinds.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"op\": \"{}\", \"count\": {}, \"total_us\": {}, \"max_us\": {}, \"phase_us\": {{",
-                spritely_metrics::json::escape(k.op),
-                k.count,
-                k.total_us,
-                k.max_us
-            );
-            for (j, p) in Phase::ALL.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
+        let phases = |w: &mut Writer, us: &[u64; NUM_PHASES]| {
+            w.obj(|w| {
+                for p in Phase::ALL {
+                    w.key(p.name()).num(us[p.index()]);
                 }
-                let _ = write!(s, "\"{}\": {}", p.name(), k.phase_us[p.index()]);
-            }
-            s.push_str("}}");
-            if i + 1 < self.op_kinds.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n  \"procs\": [\n");
-        let observed = self.rpc_latency.observed();
-        for (i, &p) in observed.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"proc\": \"{}\", \"count\": {}, \"mean_us\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-                p.name(),
-                self.rpc_latency.count(p),
-                self.rpc_latency.mean(p).as_micros(),
-                self.rpc_latency.percentile(p, 0.50).as_micros(),
-                self.rpc_latency.percentile(p, 0.95).as_micros(),
-                self.rpc_latency.percentile(p, 0.99).as_micros(),
-                self.rpc_latency.max(p).as_micros()
-            );
-            if i + 1 < observed.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        let _ = write!(
-            s,
-            "  ],\n  \"occupancy\": {{\"bucket_us\": {}, \"buckets\": {}, \"phases\": {{",
-            self.bucket_us,
-            self.occupancy.len()
-        );
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{}\": [", p.name());
-            for (j, b) in self.occupancy.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
+            });
+        };
+        let (c, lat) = (&self.claims, &self.rpc_latency);
+        let mut w = Writer::default();
+        w.obj(|w| {
+            w.raw("\n").key("ops").num(self.ops.len());
+            w.raw("\n").key("rpcs").num(self.total_rpcs);
+            w.raw("\n").key("claims").obj(|w| {
+                w.nums(&[
+                    ("op", c.op),
+                    ("callback", c.callback),
+                    ("background", c.background),
+                    ("incomplete", c.incomplete),
+                ]);
+            });
+            w.raw("\n").key("total_op_us").num(self.total_us);
+            let attributed = self.total_us - self.phase_us[Phase::Unattributed.index()];
+            w.raw("\n").key("attributed_us").num(attributed);
+            phases(w.raw("\n").key("phase_us"), &self.phase_us);
+            w.raw("\n").key("op_kinds").arr(|w| {
+                for k in &self.op_kinds {
+                    w.raw("\n").obj(|w| {
+                        w.key("op").str(k.op);
+                        w.nums(&[
+                            ("count", k.count),
+                            ("total_us", k.total_us),
+                            ("max_us", k.max_us),
+                        ]);
+                        phases(w.key("phase_us"), &k.phase_us);
+                    });
                 }
-                let _ = write!(s, "{}", b[p.index()]);
-            }
-            s.push(']');
-        }
-        s.push_str("}}\n}\n");
-        s
+            });
+            w.raw("\n").key("procs").arr(|w| {
+                for p in lat.observed() {
+                    w.raw("\n").obj(|w| {
+                        w.key("proc").str(p.name());
+                        w.nums(&[
+                            ("count", lat.count(p)),
+                            ("mean_us", lat.mean(p).as_micros()),
+                            ("p50_us", lat.percentile(p, 0.50).as_micros()),
+                            ("p95_us", lat.percentile(p, 0.95).as_micros()),
+                            ("p99_us", lat.percentile(p, 0.99).as_micros()),
+                            ("max_us", lat.max(p).as_micros()),
+                        ]);
+                    });
+                }
+            });
+            w.raw("\n").key("occupancy").obj(|w| {
+                w.nums(&[
+                    ("bucket_us", self.bucket_us),
+                    ("buckets", self.occupancy.len() as u64),
+                ]);
+                w.key("phases").obj(|w| {
+                    for p in Phase::ALL {
+                        w.raw("\n").key(p.name()).arr(|w| {
+                            for b in &self.occupancy {
+                                w.num(b[p.index()]);
+                            }
+                        });
+                    }
+                });
+            });
+        });
+        w.out.push('\n');
+        w.out
     }
 }
 
@@ -1403,6 +1385,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spritely_metrics::json::{parse, Value};
     use spritely_proto::{ClientId, FileHandle};
     use std::rc::Rc;
 
@@ -1810,36 +1793,47 @@ mod tests {
         assert_eq!(p.occupancy[2][Phase::CacheLocal.index()], 500_000);
     }
 
+    /// The document is stable and says what the profile says: each
+    /// `phase_us` object sums to its total, the `op_kinds` counts to `ops`.
     #[test]
     fn json_is_stable_and_self_consistent() {
         let c = ClientId(1);
-        let events = vec![
-            ev(
-                1,
-                0,
-                0,
-                EventKind::OpBegin {
-                    client: c,
-                    op: "open",
-                    fh: fh(),
-                },
-            ),
-            ev(
-                2,
-                100,
-                1,
-                EventKind::OpEnd {
-                    client: c,
-                    op: "open",
-                    ok: true,
-                },
-            ),
-        ];
-        let a = profile_trace(&events).to_json();
-        let b = profile_trace(&events).to_json();
-        assert_eq!(a, b);
-        assert!(a.contains("\"cache_local\": 100"));
-        assert!(a.contains("\"ops\": 1"));
+        let mut events = Vec::new();
+        for (seq, t, op) in [(1, 0, "open"), (3, 200, "read")] {
+            let begin = EventKind::OpBegin {
+                client: c,
+                op,
+                fh: fh(),
+            };
+            let end = EventKind::OpEnd {
+                client: c,
+                op,
+                ok: true,
+            };
+            events.push(ev(seq, t, 0, begin));
+            events.push(ev(seq + 1, 2 * t + 100, seq, end));
+        }
+        let json = profile_trace(&events).to_json();
+        assert_eq!(json, profile_trace(&events).to_json());
+        let doc = parse(&json).expect("the profile is JSON");
+        let num = |v: Option<&Value>| match v {
+            Some(Value::Num(n)) => *n,
+            other => panic!("not a number: {other:?}"),
+        };
+        let sum = |v: Option<&Value>| match v {
+            Some(Value::Obj(fields)) => fields.iter().map(|(_, n)| num(Some(n))).sum::<f64>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(sum(doc.get("phase_us")), num(doc.get("total_op_us")));
+        assert_eq!(num(doc.get("total_op_us")), 400.0);
+        let Some(Value::Arr(kinds)) = doc.get("op_kinds") else {
+            panic!("no op_kinds array in {json}");
+        };
+        for k in kinds {
+            assert_eq!(sum(k.get("phase_us")), num(k.get("total_us")));
+        }
+        let counted: f64 = kinds.iter().map(|k| num(k.get("count"))).sum();
+        assert_eq!((counted, num(doc.get("ops"))), (2.0, 2.0));
     }
 
     #[test]

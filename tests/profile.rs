@@ -225,7 +225,7 @@ fn sharded_delegated_faulted_profile_is_pinned() {
     digest.write(p.to_json().as_bytes());
     assert_eq!(
         digest.0,
-        0x5f76_602f_d8e3_9578,
+        0x311f_813a_7f1f_71c2,
         "{} events, {} spans, claims {:?}",
         trace.events.len(),
         p.ops.len(),
