@@ -14,8 +14,8 @@ pub struct Histogram {
 
 #[derive(Default)]
 struct HistInner {
-    /// counts[v] = observations of value `v` (values above the last
-    /// bucket land in it).
+    /// counts[v] = observations of value `v`; there is no overflow
+    /// bucket: a value past the end grows the vector to reach it.
     counts: Vec<u64>,
     total: u64,
     sum: u64,

@@ -153,6 +153,20 @@ if git grep -nE '\binsist\b|while .*\.is_(err|ok)\(\)|Err\(_\) => .*\.sleep\(' -
     exit 1
 fi
 
+# JSON, once (DESIGN.md §23): every document the crates write goes through
+# metrics::json::Writer, which places the quotes, colons and commas. A string
+# literal holding a JSON key (\"name\":) in product code — a file of
+# crates/*/src before its first column-0 #[cfg(test)], as scripts/loc.sh
+# counts it — is a document formatted by hand. json.rs is the writer.
+echo "==> JSON, once (no hand-written JSON key in crates/*/src)"
+keys=$(find crates/*/src -name '*.rs' ! -path crates/metrics/src/json.rs -exec \
+    awk '/^#\[cfg\(test\)\]/ { nextfile } /\\"[A-Za-z0-9_.]+\\":/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$keys" ]; then
+    echo "$keys"
+    echo "FAIL: the lines above write JSON by hand; use spritely_metrics::json::Writer"
+    exit 1
+fi
+
 # The VFS names a remote protocol only where Spritely NFS differs from NFS
 # (§3): open, close, read, write, fsync and getattr, two arms each. Every
 # other procedure is the clients' shared base (DESIGN.md §20), one arm
