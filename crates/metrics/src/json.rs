@@ -1,7 +1,7 @@
 //! JSON, once: the escaping rules, a compact streaming [`Writer`] and the
 //! [`parse`]r, for every artifact the workspace writes or reads back —
-//! trace JSONL and Chrome rows, stats snapshots, the `BENCH_*.json`
-//! ledgers (there is no serde in this workspace).
+//! trace JSONL and Chrome rows, stats snapshots, latency profiles, the
+//! `BENCH_*.json` ledgers (there is no serde in this workspace).
 //!
 //! The writer emits no whitespace and keeps no state beyond the text: it
 //! places a comma by looking at what the text already ends in, so keys
@@ -9,13 +9,6 @@
 //! is byte-stable across identical runs.
 
 use std::fmt::{self, Display, Write as _};
-
-/// `s` escaped for the inside of a double-quoted literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let _ = Escaper(&mut out).write_str(s);
-    out
-}
 
 /// Escapes everything formatted into it.
 struct Escaper<'a>(&'a mut String);
