@@ -55,19 +55,19 @@ impl SnfsClient {
         loop {
             let wait = {
                 let mut seen = self.inner.cb_seen.borrow_mut();
-                match seen.get(&arg.seq) {
+                match seen.get_mut(&arg.seq) {
                     Some(CbGuard::Done(rep)) => {
                         let rep = *rep;
                         drop(seen);
                         self.inner.cb_dupes.set(self.inner.cb_dupes.get() + 1);
                         return rep;
                     }
-                    Some(CbGuard::InProgress(ev)) => {
+                    Some(CbGuard::InProgress(waiters)) => {
                         self.inner.cb_dupes.set(self.inner.cb_dupes.get() + 1);
-                        ev.clone()
+                        waiters.get_or_insert_with(Event::new).clone()
                     }
                     None => {
-                        seen.insert(arg.seq, CbGuard::InProgress(Event::new()));
+                        seen.insert(arg.seq, CbGuard::InProgress(None));
                         break;
                     }
                 }
@@ -76,7 +76,7 @@ impl SnfsClient {
         }
         let rep = self.serve_callback_work(ctx, arg).await;
         let mut seen = self.inner.cb_seen.borrow_mut();
-        if let Some(CbGuard::InProgress(ev)) = seen.insert(arg.seq, CbGuard::Done(rep)) {
+        if let Some(CbGuard::InProgress(Some(ev))) = seen.insert(arg.seq, CbGuard::Done(rep)) {
             ev.set();
         }
         // Bound the memory: completed entries older than the last 128

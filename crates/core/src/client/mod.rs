@@ -204,8 +204,8 @@ struct Inner {
 /// State of one callback sequence number in the client-side dedup guard.
 enum CbGuard {
     /// First delivery is still executing; duplicates wait on the event
-    /// and then answer with the recorded outcome.
-    InProgress(Event),
+    /// the first of them makes, and then answer with the recorded outcome.
+    InProgress(Option<Event>),
     Done(Result<()>),
 }
 

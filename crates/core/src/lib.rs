@@ -565,7 +565,9 @@ mod tests {
     /// The three services' futures, unpolled: every execution's task
     /// holds its handler's future inline (DESIGN.md §22), queued ones
     /// too — `fleet` queues some 550 at its synchronised start — so these
-    /// sizes are peak heap. The cold arms (a callback or recall actually
+    /// sizes are peak heap, and up to four emptied cells of each stay
+    /// allocated after the queue drains, for the next executions to
+    /// reuse (DESIGN.md §15). The cold arms (a callback or recall actually
     /// sent, a cross-shard transaction, a participant's commit) are boxed
     /// where they are awaited and cost the others nothing. An await on a
     /// hot path that grows a future past its bound buys that heap back:

@@ -349,8 +349,9 @@ pub struct ClientBase {
     names: RefCell<NameCache>,
     cache: RefCell<BlockCache<Key>>,
     /// Reads in flight, so a demand read and a read-ahead of the same
-    /// block coalesce into one RPC.
-    in_flight: RefCell<HashMap<Key, Event>>,
+    /// block coalesce into one RPC; the waiters' `Event` is made by the
+    /// first reader that joins one.
+    in_flight: RefCell<HashMap<Key, Option<Event>>>,
     /// Per-file invalidation epoch: bumped whenever what a read reply in
     /// flight would bring back has been superseded — the file's blocks
     /// were dropped wholesale or truncated, the client cold-booted, or
@@ -796,7 +797,11 @@ impl ClientBase {
         // Coalesce with an identical fetch already in flight. If that
         // fetch is a read-ahead parked in the batcher, kick it onto the
         // wire: someone is waiting for the data now.
-        let waiting = this.in_flight.borrow().get(&key).cloned();
+        let waiting = this
+            .in_flight
+            .borrow_mut()
+            .get_mut(&key)
+            .map(|waiters| waiters.get_or_insert_with(Event::new).clone());
         if let Some(ev) = waiting {
             if !bg {
                 this.caller.kick();
@@ -808,16 +813,20 @@ impl ClientBase {
             // Fall through and fetch ourselves (the other fetch failed,
             // or was not cached).
         }
-        let ev = Event::new();
-        this.in_flight.borrow_mut().insert(key, ev.clone());
+        // A fetch that waited in vain keeps the entry of one that began
+        // meanwhile, and with it that one's waiters: whichever ends first
+        // wakes them all.
+        this.in_flight.borrow_mut().entry(key).or_default();
         let req = NfsRequest::Read {
             fh,
             offset: lblk * BLOCK_SIZE as u64,
             count: BLOCK_SIZE as u32,
         };
         let res = this.call_retx(0, bg, &req).await;
-        this.in_flight.borrow_mut().remove(&key);
-        ev.set();
+        let waiters = this.in_flight.borrow_mut().remove(&key).flatten();
+        if let Some(ev) = waiters {
+            ev.set();
+        }
         let ReadReply { data, attr, .. } = res?.0.into_read()?;
         this.hook().read_attr(fh, attr);
         let block = data.to_buf();

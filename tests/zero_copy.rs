@@ -14,9 +14,10 @@
 //!   test binary's own allocator, so a per-layer copy that creeps back in
 //!   fails here and not three PRs later in the benchmark;
 //! * **the hot path stays on its allocation diet** (DESIGN.md §15) — a
-//!   task is one allocation, a single-waiter wait none, a path component
-//!   none, a background write nobody waits for none in the write-behind
-//!   ledger, an uncontended read miss none, a C-LOOK disk write none,
+//!   task whose type ran before none, a single-waiter wait none, a path
+//!   component none, a background write nobody waits for none in the
+//!   write-behind ledger, an uncontended read miss none, on the server or
+//!   a client, a C-LOOK disk write none,
 //!   a caller one until it is used, and an echo RPC, foreground or
 //!   batched in the background, a pinned count, which a named RPC, a
 //!   lookup the name cache misses and a gathered write cost too;
@@ -543,17 +544,25 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// A finished task's cell goes on its type's free list for the next
+/// spawn of that type (DESIGN.md §15), so a type's first spawn allocates
+/// its cell and, once, the list, and a spawn after the last task of that
+/// type finished allocates nothing. The parent commit made one per spawn.
 #[test]
-fn a_task_is_one_allocation_and_a_single_waiter_wait_is_none() {
+fn a_respawn_and_a_single_waiter_wait_allocate_nothing() {
     let sim = Sim::new();
     let s = sim.clone();
     sim.block_on(async move {
-        // Warm the slab slot, the free list and the ready queue.
-        assert_eq!(s.spawn(async { 7 }).await, 7);
+        // Warm the slab slot, the map of free lists and the ready queue.
+        assert_eq!(s.spawn(async { 6 }).await, 6);
 
+        let ready = || s.spawn(async { 7 });
         let before = allocations();
-        assert_eq!(s.spawn(async { 7 }).await, 7);
-        assert_eq!(allocations() - before, 1, "spawn + join of a ready task");
+        assert_eq!(ready().await, 7);
+        assert_eq!(allocations() - before, 2, "a type's first spawn + join");
+        let before = allocations();
+        assert_eq!(ready().await, 7);
+        assert_eq!(allocations() - before, 0, "a respawn + join");
 
         let before = allocations();
         let ev = Event::new();
@@ -677,6 +686,36 @@ fn an_uncontended_read_miss_makes_no_event() {
     assert_eq!(spent, 0, "allocations of an uncontended read miss");
 }
 
+/// The client-side twin: `ClientBase::fetch_block` registers every read
+/// it sends in the client's in-flight map, and the first reader that joins
+/// one makes the waiters' `Event`. So a read miss nobody joins allocates
+/// nothing once the client has made room for a few: the parent commit made
+/// an `Event` per read sent.
+#[test]
+fn a_client_read_miss_nobody_joins_makes_no_event() {
+    let tb = testbed(Protocol::Snfs, 1);
+    let c = snfs_client(&tb);
+    let root = tb.server_fs.root();
+    let h = tb.sim.spawn(async move {
+        let (fh, _) = c.create(root, "f").await.expect("create");
+        c.open(fh, true).await.expect("open");
+        c.write(fh, 0, &[7; 8 * BLOCK_SIZE]).await.expect("write");
+        c.fsync(fh).await.expect("fsync");
+        ClientBase::cold_boot(&c); // the server keeps the blocks
+        let mut cheapest = u64::MAX;
+        for lblk in 0..8 {
+            let before = allocations();
+            let got = ClientBase::fetch_block(&c, fh, lblk, false, true).await;
+            if lblk >= 4 {
+                cheapest = cheapest.min(allocations() - before);
+            }
+            assert_eq!(got.expect("read").to_vec(), [7; BLOCK_SIZE]);
+        }
+        cheapest
+    });
+    assert_eq!(tb.sim.run_until(h), 0, "allocations of a client read miss");
+}
+
 #[test]
 fn a_path_component_costs_no_allocation() {
     let tb = Testbed::build_with_clients(
@@ -762,31 +801,30 @@ fn echo_rpc_allocations(transport: Option<TransportParams>) -> u64 {
     rpc_allocations(transport, NfsRequest::Null)
 }
 
-/// A foreground echo, paper transport: the execution's task, which holds
-/// the handler's future inline and is also what the caller waits on. It
-/// was 6, then 2 while the handler's future was boxed on its own (DESIGN.md
-/// §15 "The allocation budget"). What is left is one task per execution.
-const ECHO_RPC_BUDGET: u64 = 1;
+/// A foreground echo, paper transport: nothing. The execution's task,
+/// which holds the handler's future inline and is also what the caller
+/// waits on, reuses the cell of an execution that finished. It was 6, then
+/// 2 while the handler's future was boxed on its own, then 1 while every
+/// execution's task was a new allocation (DESIGN.md §15 "The allocation
+/// budget").
+const ECHO_RPC_BUDGET: u64 = 0;
 
 #[test]
 fn an_echo_rpc_stays_inside_its_allocation_budget() {
     let made = echo_rpc_allocations(None);
     println!("allocations per echo RPC: {made}");
-    assert!(
-        made <= ECHO_RPC_BUDGET,
-        "an echo RPC made {made} allocations, budget {ECHO_RPC_BUDGET}"
-    );
+    assert_eq!(made, ECHO_RPC_BUDGET, "allocations of an echo RPC");
 }
 
 /// A lone background echo on the pipelined transport, which an idle
-/// caller's batch queue flushes at once: the echo's one, the flush's task
-/// and the reply cell the parked call waits on. It was 13 (a reply slot
-/// and an `Event` per parked call, a queue `Vec` taken per flush and
-/// partitioned into another, a `Vec` of wire members, a member task and a
-/// three-allocation gather for the one member, a compound `Vec` for its
-/// one reply and an `into_parts` `Vec` to split it again), then 4 until
-/// the handler's future stopped being boxed.
-const BACKGROUND_ECHO_RPC_BUDGET: u64 = 3;
+/// caller's batch queue flushes at once: the reply cell the parked call
+/// waits on. It was 13 (a reply slot and an `Event` per parked call, a
+/// queue `Vec` taken per flush and partitioned into another, a `Vec` of
+/// wire members, a member task and a three-allocation gather for the one
+/// member, a compound `Vec` for its one reply and an `into_parts` `Vec` to
+/// split it again), then 4 until the handler's future stopped being boxed,
+/// then 3 until the execution's and the flush's tasks reused their cells.
+const BACKGROUND_ECHO_RPC_BUDGET: u64 = 1;
 
 #[test]
 fn a_background_echo_rpc_stays_inside_its_allocation_budget() {
