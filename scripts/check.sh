@@ -72,7 +72,10 @@ metric() {
 # the end-to-end JSON line, whose host_allocs_per_run is held to
 # baselines/allocs.txt within the benchmark's own 2 % bound, like the line
 # count below: more is a regression, fewer is a stale file, so a layer
-# cannot silently give back what the hot path's allocation diet won.
+# cannot silently give back what the hot path's allocation diet won. Its
+# host_peak_heap_mb is held to baselines/peak_heap.txt the same way within
+# the benchmark's 5 % bound, so memory kept to save allocations (the
+# executor's free task cells) cannot grow unseen either.
 for w in sort_nfs fleet sharing scale16 andrew; do
     echo "==> benchmark: $w, 2 s, traced (exit 2 = traced and untraced passes disagree on a simulated-clock number)"
     traced=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 1 | tail -1)
@@ -96,7 +99,7 @@ for w in sort_nfs fleet sharing scale16 andrew; do
         exit 1
     fi
     echo "    trace.violations 0, trace.attributed_share 1, trace.events $events"
-    echo "==> benchmark: $w, 2 s, host_allocs_per_run vs baselines/allocs.txt"
+    echo "==> benchmark: $w, 2 s, host_allocs_per_run and host_peak_heap_mb vs baselines/"
     untraced=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 0 | tail -1)
     # A median of an even number of runs can end in .5; the shell counts whole.
     live=$(metric host_allocs_per_run "$untraced")
@@ -116,6 +119,20 @@ for w in sort_nfs fleet sharing scale16 andrew; do
         exit 1
     elif [ "$((live * 100))" -lt "$((allowed * 98))" ]; then
         echo "FAIL: $w allocates $live times per run; lower baselines/allocs.txt from $allowed"
+        exit 1
+    fi
+    heap=$(metric host_peak_heap_mb "$untraced")
+    held=$(awk -v w="$w" '$1 == w { print $2 }' baselines/peak_heap.txt)
+    if [ -z "$heap" ] || [ -z "$held" ]; then
+        echo "FAIL: no host_peak_heap_mb in the last line $w printed ('$heap'), or no line for it in baselines/peak_heap.txt ('$held')"
+        exit 1
+    fi
+    echo "    $heap MB peak heap; baselines/peak_heap.txt has $held"
+    if awk -v a="$heap" -v b="$held" 'BEGIN { exit !(a > b * 1.05) }'; then
+        echo "FAIL: $w peaks at $heap MB of heap, more than 5 % above $held"
+        exit 1
+    elif awk -v a="$heap" -v b="$held" 'BEGIN { exit !(a < b * 0.95) }'; then
+        echo "FAIL: $w peaks at $heap MB of heap; lower baselines/peak_heap.txt from $held"
         exit 1
     fi
 done

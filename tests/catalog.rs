@@ -105,16 +105,18 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
         }
     }
     for file in baselines {
-        // The seven that are not artifacts: the directory's own README,
+        // The eight that are not artifacts: the directory's own README,
         // the per-crate line-count report, the settable-field,
-        // callerless-function, allocation-count and event-count ratchets
-        // of `scripts/check.sh`, and the ledger of host-clock claims.
-        const NOT_ARTIFACTS: [&str; 7] = [
+        // callerless-function, allocation-count, peak-heap and
+        // event-count ratchets of `scripts/check.sh`, and the ledger of
+        // host-clock claims.
+        const NOT_ARTIFACTS: [&str; 8] = [
             "README.md",
             "loc.txt",
             "knobs.txt",
             "callerless.txt",
             "allocs.txt",
+            "peak_heap.txt",
             "trace_events.txt",
             "host_ledger.jsonl",
         ];
