@@ -11,20 +11,20 @@
 //!    write-back batches dirty blocks into sequential runs.
 //!
 //! [`Disk`] models a single arm. The order requests are pulled off the
-//! queue is a [`DiskSched`] policy: [`DiskSched::Fifo`] (the default)
-//! reproduces the paper-era driver exactly — strict arrival order, full
-//! `avg_position` charged for every non-adjacent access — while
-//! [`DiskSched::CLook`] services the nearest block in the sweep
-//! direction, charging a seek-distance-dependent positioning time, with
-//! an aging limit `max_bypass` so no request is bypassed more than K
-//! times. All timing is deterministic.
+//! queue is a [`DiskSched`] policy: [`DiskSched::CLook`] services the
+//! nearest block in the sweep direction, charging a seek-distance-dependent
+//! positioning time, with an aging limit `max_bypass` so no request is
+//! bypassed more than K times; [`DiskSched::Fifo`] (the default) is the
+//! same queue with an aging limit of 0 — strict arrival order, the
+//! paper-era driver — and the full `avg_position` charged for every
+//! non-adjacent access. All timing is deterministic.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::task::{Poll, Waker};
 
 use spritely_metrics::{Histogram, InflightGauge};
-use spritely_sim::{Resource, Sim, SimDuration};
+use spritely_sim::{Sim, SimDuration};
 use spritely_trace::{EventKind, Tracer};
 
 /// Bytes per block address: the file system's 4 KB block.
@@ -108,7 +108,6 @@ pub struct DiskStats {
 #[derive(Clone)]
 pub struct Disk {
     sim: Sim,
-    arm: Resource,
     /// The disk's name as its trace events carry it.
     label: Rc<str>,
     params: DiskParams,
@@ -129,7 +128,7 @@ struct DiskState {
     stats: DiskStats,
 }
 
-/// One queued C-LOOK request awaiting dispatch, and its waker once polled.
+/// One queued request awaiting dispatch, and its waker once polled.
 struct Pending {
     id: u64,
     block: u64,
@@ -139,8 +138,7 @@ struct Pending {
 
 #[derive(Default)]
 struct SchedQueue {
-    /// Arrival order; only used by the C-LOOK policy (FIFO rides the
-    /// arm resource's own queue).
+    /// Arrival order.
     pending: Vec<Pending>,
     /// Request currently granted the arm, if any.
     current: Option<u64>,
@@ -160,11 +158,9 @@ impl Disk {
         params: DiskParams,
         sched: DiskSched,
     ) -> Self {
-        let name = name.into();
         Disk {
             sim: sim.clone(),
-            label: Rc::from(name.as_str()),
-            arm: Resource::new(sim, name, 1),
+            label: Rc::from(name.into()),
             params,
             sched,
             state: Rc::new(RefCell::new(DiskState {
@@ -187,11 +183,6 @@ impl Disk {
     /// Statistics so far.
     pub fn stats(&self) -> DiskStats {
         self.state.borrow().stats
-    }
-
-    /// The arm resource (for utilization reporting).
-    pub fn arm(&self) -> &Resource {
-        &self.arm
     }
 
     /// Queue-depth gauge: requests enqueued but not yet dispatched.
@@ -238,7 +229,7 @@ impl Disk {
 
     /// One request, start to finish, whatever the policy: queue, wait for
     /// the arm, position, transfer, account. The policy shows at two
-    /// points only — how the request waits its turn, and
+    /// points only — the aging bound `dispatch_next` picks with, and
     /// [`position`](Self::position). Everything around the awaits (gauge,
     /// histograms, trace events) is synchronous accounting, so under FIFO
     /// the timing is bit for bit what it was before scheduling existed.
@@ -256,41 +247,31 @@ impl Disk {
         });
         self.queue_depth.inc();
         let enq_us = self.sim.now().as_micros();
-        // FIFO rides the arm resource's own queue. C-LOOK parks the
-        // request until `dispatch_next` grants it the arm in sweep order;
-        // the ticket de-queues it (or hands the arm on) even if this
-        // future is dropped mid-wait.
-        let ticket = if let DiskSched::CLook { max_bypass, .. } = self.sched {
-            self.queue.borrow_mut().pending.push(Pending {
-                id: req,
-                block,
-                bypass: 0,
-                waker: None,
-            });
-            let ticket = Ticket {
-                disk: self,
-                id: req,
-                max_bypass,
-            };
-            self.dispatch_next(max_bypass);
-            // `current == Some(req)` is the grant.
-            std::future::poll_fn(|cx| {
-                let mut q = self.queue.borrow_mut();
-                if q.current == Some(req) {
-                    return Poll::Ready(());
-                }
-                let p = q.pending.iter_mut().find(|p| p.id == req);
-                p.expect("queued until granted").waker = Some(cx.waker().clone());
-                Poll::Pending
-            })
-            .await;
-            Some(ticket)
-        } else {
-            None
+        // The request parks until `dispatch_next` grants it the arm; the
+        // ticket de-queues it (or hands the arm on) even if this future is
+        // dropped mid-wait.
+        self.queue.borrow_mut().pending.push(Pending {
+            id: req,
+            block,
+            bypass: 0,
+            waker: None,
+        });
+        let ticket = Ticket {
+            disk: self,
+            id: req,
         };
-        // Under C-LOOK only the granted request reaches this line, so its
-        // acquire never waits: the resource is busy-time accounting there.
-        let guard = self.arm.acquire().await;
+        self.dispatch_next();
+        // `current == Some(req)` is the grant.
+        std::future::poll_fn(|cx| {
+            let mut q = self.queue.borrow_mut();
+            if q.current == Some(req) {
+                return Poll::Ready(());
+            }
+            let p = q.pending.iter_mut().find(|p| p.id == req);
+            p.expect("queued until granted").waker = Some(cx.waker().clone());
+            Poll::Pending
+        })
+        .await;
         let wait_us = self.sim.now().as_micros() - enq_us;
         self.queue_depth.dec();
         self.wait_ms.record(wait_us / 1_000);
@@ -314,8 +295,7 @@ impl Disk {
             wait_us,
             pos_us: pos.as_micros(),
         });
-        drop(guard);
-        drop(ticket); // C-LOOK: releases the arm to the next pick
+        drop(ticket); // releases the arm to the next pick
     }
 
     /// Positioning time for an access to `block` with the arm where the
@@ -347,12 +327,18 @@ impl Disk {
         }
     }
 
-    /// If the arm is free, pick the next request per C-LOOK and grant it.
-    fn dispatch_next(&self, max_bypass: u32) {
+    /// If the arm is free, pick the next request and grant it. FIFO is
+    /// C-LOOK with an aging bound of 0: every request has aged out, so the
+    /// pick is the oldest.
+    fn dispatch_next(&self) {
         let mut q = self.queue.borrow_mut();
         if q.current.is_some() || q.pending.is_empty() {
             return;
         }
+        let max_bypass = match self.sched {
+            DiskSched::Fifo => 0,
+            DiskSched::CLook { max_bypass, .. } => max_bypass,
+        };
         let head = self.state.borrow().last_block.unwrap_or(0);
         let pick = Self::clook_pick(&q.pending, head, max_bypass);
         let chosen = q.pending.remove(pick);
@@ -398,13 +384,12 @@ impl Disk {
     }
 }
 
-/// Cancel-safety for the C-LOOK path: if the access future is dropped
-/// while queued, the request leaves the queue; if it was already granted
-/// (or mid-service), the arm is handed to the next pick.
+/// Cancel-safety: if the access future is dropped while queued, the
+/// request leaves the queue; if it was already granted (or mid-service),
+/// the arm is handed to the next pick.
 struct Ticket<'a> {
     disk: &'a Disk,
     id: u64,
-    max_bypass: u32,
 }
 
 impl Drop for Ticket<'_> {
@@ -413,7 +398,7 @@ impl Drop for Ticket<'_> {
         if q.current == Some(self.id) {
             q.current = None;
             drop(q);
-            self.disk.dispatch_next(self.max_bypass);
+            self.disk.dispatch_next();
         } else if let Some(i) = q.pending.iter().position(|p| p.id == self.id) {
             q.pending.remove(i);
             drop(q);
@@ -490,23 +475,37 @@ mod tests {
         assert_eq!(sim.now().as_micros(), expect as u64);
     }
 
+    /// Spawns a 4 KB read of each block at t = 0, runs them all and
+    /// returns the sum of their service times (positioning as each
+    /// `disk_done` reports it, plus transfer).
+    fn serve_concurrently(sim: &Sim, d: &Disk, blocks: &[u64]) -> u64 {
+        let tracer = Tracer::new(sim);
+        d.set_tracer(tracer.clone());
+        for &blk in blocks {
+            let d = d.clone();
+            sim.spawn(async move {
+                d.read(blk, 4096).await;
+            });
+        }
+        sim.run_to_quiescence();
+        let transfer = d.params().transfer_time(4096).as_micros();
+        let done = tracer.finish();
+        let pos = done.iter().filter_map(|e| match e.view() {
+            spritely_trace::Event::DiskDone { pos_us, .. } => Some(pos_us),
+            _ => None,
+        });
+        pos.map(|p| p + transfer).sum()
+    }
+
     #[test]
     fn requests_queue_fifo_on_one_arm() {
         let sim = Sim::new();
         let d = disk(&sim);
-        for i in 0..3u64 {
-            let d = d.clone();
-            sim.spawn(async move {
-                d.read(i * 1000, 4096).await;
-            });
-        }
-        sim.run_to_quiescence();
-        // Three random accesses, serialized.
-        assert_eq!(sim.now().as_micros(), 3 * (20_000 + 4_096));
-        assert_eq!(
-            d.arm().busy_permit_micros(),
-            u128::from(sim.now().as_micros())
-        );
+        let service = serve_concurrently(&sim, &d, &[0, 1000, 2000]);
+        // Three random accesses, serialized: one request at a time, so
+        // elapsed time is the sum of their services.
+        assert_eq!(service, 3 * (20_000 + 4_096));
+        assert_eq!(sim.now().as_micros(), service);
     }
 
     #[test]
@@ -647,28 +646,25 @@ mod tests {
     }
 
     #[test]
-    fn clook_arm_utilization_accounts_service_time() {
+    fn clook_serves_one_request_at_a_time() {
         let sim = Sim::new();
         let d = clook(&sim, 1000);
-        for i in 0..3u64 {
-            let d = d.clone();
-            sim.spawn(async move {
-                d.read(i * 100_000, 4096).await;
-            });
-        }
-        sim.run_to_quiescence();
-        // One request at a time: busy integral equals elapsed time.
-        assert_eq!(
-            d.arm().busy_permit_micros(),
-            u128::from(sim.now().as_micros())
-        );
+        let service = serve_concurrently(&sim, &d, &[0, 100_000, 200_000]);
+        // One request at a time: elapsed time is the sum of the services.
+        assert_eq!(d.stats().reads, 3);
+        assert_eq!(sim.now().as_micros(), service);
         assert_eq!(d.queue_depth().current(), 0);
     }
 
     #[test]
     fn dropped_queued_request_leaves_the_queue() {
+        dropped_queued_request_leaves_the_queue_under(disk);
+        dropped_queued_request_leaves_the_queue_under(|sim| clook(sim, 1000));
+    }
+
+    fn dropped_queued_request_leaves_the_queue_under(make: fn(&Sim) -> Disk) {
         let sim = Sim::new();
-        let d = clook(&sim, 1000);
+        let d = make(&sim);
         {
             let d = d.clone();
             sim.spawn(async move {

@@ -472,7 +472,6 @@ mod tests {
         let sp = SnfsServerParams {
             table_limit: 8,
             reclaim_target: 4,
-            ..SnfsServerParams::default()
         };
         let rig = Rig::with_server_params(sp, DelegationParams::paper());
         let c = rig.client(1, false);
@@ -504,7 +503,6 @@ mod tests {
         let sp = SnfsServerParams {
             table_limit: 4,
             reclaim_target: 2,
-            ..SnfsServerParams::default()
         };
         let rig = Rig::with_server_params(sp, DelegationParams::paper());
         let c = rig.client(1, false);

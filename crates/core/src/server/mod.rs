@@ -51,10 +51,6 @@ pub struct SnfsServerParams {
     pub table_limit: usize,
     /// When over the limit, reclaim down to this many entries.
     pub reclaim_target: usize,
-    /// §6.1 coexistence: treat a plain-NFS read/write of a file that is
-    /// open under SNFS as an implicit SNFS open, so NFS clients get
-    /// consistent data and SNFS clients get their callbacks.
-    pub hybrid_nfs: bool,
 }
 
 impl Default for SnfsServerParams {
@@ -62,7 +58,6 @@ impl Default for SnfsServerParams {
         SnfsServerParams {
             table_limit: 1000,
             reclaim_target: 900,
-            hybrid_nfs: true,
         }
     }
 }
@@ -322,8 +317,8 @@ impl SnfsServer {
             fh,
             cause,
             client,
-            from: from.into(),
-            to: to.into(),
+            from,
+            to,
             version: self.inner.table.borrow().version_of(fh).map_or(0, |v| v.0),
         })
     }
@@ -534,8 +529,7 @@ impl SnfsServer {
                 self.deleg_return(ctx, fh, client, readers, writers, wrote)
             }
             NfsRequest::Read { fh, .. } | NfsRequest::Write { fh, .. }
-                if self.inner.params.hybrid_nfs
-                    && self.inner.table.borrow().is_foreign_access(fh, from) =>
+                if self.inner.table.borrow().is_foreign_access(fh, from) =>
             {
                 // §6.1 coexistence: a plain-NFS client is touching a file
                 // that SNFS clients have open. Bracket the access in an

@@ -16,40 +16,9 @@ use std::collections::HashMap;
 
 use spritely_proto::{ClientId, Delegation, FileHandle, FileVersion};
 
-/// The seven file states of paper §4.3.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FileState {
-    /// Not open by any client.
-    Closed,
-    /// Not open, but the last writer may still have dirty blocks.
-    ClosedDirty,
-    /// Open read-only by one client.
-    OneReader,
-    /// Open read-only by one client which may have dirty blocks cached
-    /// from a previous open (or a pending write-back from another client).
-    OneRdrDirty,
-    /// Open read-only by two or more clients.
-    MultReaders,
-    /// Open read-write by one client.
-    OneWriter,
-    /// Open by two or more clients, at least one of them writing; no
-    /// client may cache.
-    WriteShared,
-}
-
-impl From<FileState> for spritely_trace::FState {
-    fn from(s: FileState) -> Self {
-        match s {
-            FileState::Closed => spritely_trace::FState::Closed,
-            FileState::ClosedDirty => spritely_trace::FState::ClosedDirty,
-            FileState::OneReader => spritely_trace::FState::OneReader,
-            FileState::OneRdrDirty => spritely_trace::FState::OneRdrDirty,
-            FileState::MultReaders => spritely_trace::FState::MultReaders,
-            FileState::OneWriter => spritely_trace::FState::OneWriter,
-            FileState::WriteShared => spritely_trace::FState::WriteShared,
-        }
-    }
-}
+/// The seven file states of paper §4.3.4: the trace's own enum, so a
+/// transition is recorded as the table computes it.
+pub use spritely_trace::FState as FileState;
 
 /// Per-client open counts within one entry (the "client information
 /// block" of §4.3.2).
@@ -358,8 +327,6 @@ impl StateTable {
                                 invalidate: false,
                             });
                         }
-                    } else if write {
-                        // Same client upgrades to writing: nothing to do.
                     }
                 }
                 FileState::OneWriter => {
@@ -381,20 +348,13 @@ impl StateTable {
         }
         // Version bump for write opens (paper §4.3.3: "increases every
         // time the file is opened for writing").
-        let bump = write;
-        let v = if bump {
-            Some(self.fresh_version())
-        } else {
-            None
-        };
+        let v = write.then(|| self.fresh_version());
         let e = self.entries.get_mut(&fh).expect("inserted above");
         if let Some(v) = v {
             e.prev_version = e.version;
             e.version = v;
             // A new version supersedes whatever a crashed writer lost.
-            if write {
-                e.inconsistent = false;
-            }
+            e.inconsistent = false;
         }
         // Record the opener.
         let opens = e.opens_of(client);

@@ -165,7 +165,6 @@ pub(super) const STATE_LIMIT: Entry = Entry {
                 snfs_server: SnfsServerParams {
                     table_limit: limit,
                     reclaim_target: limit * 3 / 4,
-                    ..SnfsServerParams::default()
                 },
                 ..TestbedParams::default()
             });

@@ -38,12 +38,14 @@ impl NetParams {
     }
 }
 
+/// The bus's one lane key: every message shares it.
+const BUS: (u32, bool) = (u32::MAX, false);
+
 struct NetworkInner {
     sim: Sim,
     name: String,
-    /// The shared medium (used unless `switched`).
-    wire: Resource,
-    /// Per-`(host, to_server)` lanes, created on first use (switched).
+    /// The lanes, created on first use: one per `(host, to_server)` on a
+    /// switched fabric, one under `BUS` on the shared bus.
     links: RefCell<HashMap<(u32, bool), Resource>>,
     switched: bool,
     params: NetParams,
@@ -81,7 +83,6 @@ impl Network {
         Network {
             inner: Rc::new(NetworkInner {
                 sim: sim.clone(),
-                wire: Resource::new(sim, name.clone(), 1),
                 name,
                 links: RefCell::new(HashMap::new()),
                 switched,
@@ -116,21 +117,12 @@ impl Network {
         self.inner.bytes.get()
     }
 
-    /// Total microseconds the medium has been busy transferring. On a
-    /// shared bus this is the busy time of the single wire; on a switched
-    /// fabric it is the aggregate across all lanes (and can exceed
-    /// elapsed time).
+    /// Total microseconds the medium has been busy transferring: the sum
+    /// over the lanes. On a shared bus that is the one wire's busy time; on
+    /// a switched fabric it can exceed elapsed time.
     pub fn busy_micros(&self) -> u128 {
-        if self.inner.switched {
-            self.inner
-                .links
-                .borrow()
-                .values()
-                .map(|r| r.busy_permit_micros())
-                .sum()
-        } else {
-            self.inner.wire.busy_permit_micros()
-        }
+        let links = self.inner.links.borrow();
+        links.values().map(|r| r.busy_permit_micros()).sum()
     }
 
     /// Installs (or re-seeds) the fault-injection layer. The all-zero
@@ -253,23 +245,30 @@ impl Network {
         }
     }
 
+    /// The lane a message from (or to) `host` serializes on: host `host`'s
+    /// directional lane when switched, the one shared lane on the bus.
     fn lane(&self, host: u32, to_server: bool) -> Resource {
-        let mut links = self.inner.links.borrow_mut();
+        let inner = &self.inner;
+        let key = if inner.switched {
+            (host, to_server)
+        } else {
+            BUS
+        };
+        let mut links = inner.links.borrow_mut();
         links
-            .entry((host, to_server))
+            .entry(key)
             .or_insert_with(|| {
-                let dir = if to_server { "up" } else { "down" };
-                Resource::new(
-                    &self.inner.sim,
-                    format!("{}-h{host}-{dir}", self.inner.name),
-                    1,
-                )
+                let name = match key {
+                    BUS => inner.name.clone(),
+                    (host, true) => format!("{}-h{host}-up", inner.name),
+                    (host, false) => format!("{}-h{host}-down", inner.name),
+                };
+                Resource::new(&inner.sim, name, 1)
             })
             .clone()
     }
 
-    /// Transmits one message of `bytes`: queues for the wire (the shared
-    /// bus, or host `host`'s directional lane when switched), occupies it
+    /// Transmits one message of `bytes`: queues for its lane, occupies it
     /// for the transfer time, then waits the fixed latency.
     pub async fn transmit_from(&self, host: u32, to_server: bool, bytes: usize) {
         let inner = &self.inner;
@@ -287,12 +286,7 @@ impl Network {
         }
         let t = inner.params.transfer_time(bytes);
         if !t.is_zero() {
-            let wire = if inner.switched {
-                self.lane(host, to_server)
-            } else {
-                inner.wire.clone()
-            };
-            let guard = wire.acquire().await;
+            let guard = self.lane(host, to_server).acquire().await;
             inner.sim.sleep(t).await;
             drop(guard);
         }

@@ -58,17 +58,25 @@ macro_rules! named {
 }
 
 named! {
-    /// The seven server cache-state values (paper §4.3.4, Figure 4-2),
-    /// mirrored here so the trace crate does not depend on `core`.
+    /// The seven server cache-state values (paper §4.3.4, Figure 4-2).
+    /// Defined here so the trace crate does not depend on `core`, which
+    /// re-exports it as its state table's `FileState`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
     pub enum FState {
+        /// Not open by any client.
         #[default]
         Closed = "CLOSED",
+        /// Not open, but the last writer may still have dirty blocks.
         ClosedDirty = "CLOSED_DIRTY",
+        /// Open read-only by one client.
         OneReader = "ONE_RDR",
+        /// Open read-only by one client which may have dirty blocks cached.
         OneRdrDirty = "ONE_RDR_DIRTY",
+        /// Open read-only by two or more clients.
         MultReaders = "MULT_RDRS",
+        /// Open read-write by one client.
         OneWriter = "ONE_WRTR",
+        /// Open by two or more clients, at least one writing; none caches.
         WriteShared = "WRITE_SHARED",
     }
 }

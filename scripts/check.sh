@@ -212,6 +212,19 @@ if [ "$(wc -l <<<"$writes")" -ne 2 ]; then
     exit 1
 fi
 
+# Every disk request, whatever the policy, parks in the scheduler queue and
+# waits for dispatch_next's grant in one poll_fn in Disk::access; FIFO is the
+# same pick with an aging bound of 0 (DESIGN.md §25). A Resource or an
+# acquire in blockdev would be a second way to wait for the arm, the FIFO
+# fast path that leaked queue depth when a queued request was dropped.
+echo "==> one wait for the disk arm (one poll_fn, no Resource in blockdev)"
+waits=$(git grep -n 'poll_fn' -- crates/blockdev/src)
+echo "$waits"
+if [ "$(wc -l <<<"$waits")" -ne 1 ] || git grep -q -e 'Resource' -e '\.acquire(' -- crates/blockdev/src; then
+    echo "FAIL: blockdev waits for the arm other than in Disk::access's grant"
+    exit 1
+fi
+
 # Unearned code, held like the line count: a public function that only its
 # own crate's unit tests name is listed by scripts/callerless.sh, and the list
 # may only be what baselines/callerless.txt says (its '#' lines give each

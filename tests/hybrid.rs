@@ -1,8 +1,8 @@
 //! §6.1 coexistence: plain NFS clients and SNFS clients sharing one
 //! Spritely NFS server. The SNFS server answers the whole NFS vocabulary
-//! (its handlers delegate to the baseline service code), and — with
-//! `hybrid_nfs` on — treats NFS accesses to SNFS-open files as implicit
-//! opens so both worlds stay consistent.
+//! (its handlers delegate to the baseline service code), and treats NFS
+//! accesses to SNFS-open files as implicit opens so both worlds stay
+//! consistent.
 
 use std::rc::Rc;
 
@@ -24,15 +24,12 @@ struct HybridRig {
     nfs_client: NfsClient,
 }
 
-fn rig(hybrid: bool) -> HybridRig {
+fn rig() -> HybridRig {
     let sim = Sim::new();
     let disk = Disk::new(&sim, "sdisk", DiskParams::ra81());
     let fs = LocalFs::new(&sim, 1, disk, FsParams::default());
     let server_cpu = Resource::new(&sim, "scpu", 1);
-    let sp = SnfsServerParams {
-        hybrid_nfs: hybrid,
-        ..SnfsServerParams::default()
-    };
+    let sp = SnfsServerParams::default();
     let (ep, dp) = (EndpointParams::default(), DelegationParams::paper());
     let server = SnfsServer::new(&sim, fs.clone(), ep, sp, dp);
     let endpoint = server.endpoint("snfsd", server_cpu.clone(), OpCounter::new());
@@ -83,7 +80,7 @@ fn rig(hybrid: bool) -> HybridRig {
 #[test]
 fn nfs_client_works_against_snfs_server() {
     // The basic §6.1 claim: an SNFS server serves plain NFS unmodified.
-    let r = rig(true);
+    let r = rig();
     let root = r.fs.root();
     let n = r.nfs_client.clone();
     let sim = r.sim.clone();
@@ -105,7 +102,7 @@ fn hybrid_read_pulls_snfs_writers_dirty_data() {
     // An SNFS client holds dirty delayed-write data; a plain NFS client
     // reads the file. With hybrid mode the implicit open triggers the
     // write-back callback, so the NFS client sees current data.
-    let r = rig(true);
+    let r = rig();
     let root = r.fs.root();
     let s = r.snfs_client.clone();
     let n = r.nfs_client.clone();
@@ -130,35 +127,10 @@ fn hybrid_read_pulls_snfs_writers_dirty_data() {
 }
 
 #[test]
-fn without_hybrid_mode_nfs_reader_can_see_stale_data() {
-    // Negative control: with hybrid_nfs off, the same scenario serves the
-    // server's (stale, empty) copy.
-    let r = rig(false);
-    let root = r.fs.root();
-    let s = r.snfs_client.clone();
-    let n = r.nfs_client.clone();
-    let sim = r.sim.clone();
-    let h = sim.spawn(async move {
-        let (fh, _) = s.create(root, "shared").await.unwrap();
-        s.open(fh, true).await.unwrap();
-        s.write(fh, 0, &[3u8; BLOCK_SIZE]).await.unwrap();
-        s.close(fh, true).await.unwrap();
-        n.open(fh, false).await.unwrap();
-        let (got, _) = n.read(fh, 0, BLOCK_SIZE as u32).await.unwrap();
-        assert!(
-            got.is_empty() || got.iter().all(|&x| x == 0),
-            "without hybrid mode the server returns pre-write-back bytes"
-        );
-        n.close(fh, false).await.unwrap();
-    });
-    sim.run_until(h);
-}
-
-#[test]
 fn hybrid_nfs_writer_invalidates_snfs_reader() {
     // A caching SNFS reader must not keep serving stale data after a
     // plain NFS client writes the file.
-    let r = rig(true);
+    let r = rig();
     let root = r.fs.root();
     let s = r.snfs_client.clone();
     let n = r.nfs_client.clone();
@@ -190,7 +162,7 @@ fn hybrid_nfs_writer_invalidates_snfs_reader() {
 #[test]
 fn namespace_interop_is_symmetric() {
     // Files created by either client are visible to the other.
-    let r = rig(true);
+    let r = rig();
     let root = r.fs.root();
     let s = r.snfs_client.clone();
     let n = r.nfs_client.clone();
