@@ -21,7 +21,6 @@
 //!   local timeout (or a cold boot) finally reports them.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
 use std::future::Future;
 use std::ops::Deref;
 use std::rc::Rc;
@@ -33,7 +32,7 @@ use spritely_proto::{
     NfsStatus, Payload, ReadReply, Result, BLOCK_SIZE,
 };
 use spritely_rpcnet::ShardCaller;
-use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
+use spritely_sim::{Event, Map, Semaphore, Set, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
 use crate::delegation::{DelegationStats, LEASE};
@@ -165,7 +164,7 @@ struct Inner {
     write_behind: WriteBehindParams,
     /// §6.2 extension: hold back `close` RPCs anticipating a reopen.
     delayed_close: bool,
-    files: RefCell<HashMap<FileHandle, FileInfo>>,
+    files: RefCell<Map<FileHandle, FileInfo>>,
     stats: Cell<ClientStats>,
     /// Last server epoch observed via `keepalive`/`recover` (0 = never).
     known_epoch: Cell<u64>,
@@ -176,20 +175,20 @@ struct Inner {
     /// Files this client removed (last link gone): an in-flight eviction
     /// write-back of such a file must be cancelled, not sent — the §4.2.3
     /// cancellation covers data already on its way out of the cache.
-    removed: RefCell<HashSet<FileHandle>>,
+    removed: RefCell<Set<FileHandle>>,
     /// Callback sequence numbers already seen (server-assigned, stable
     /// across the server's retransmissions): a duplicated delivery of an
     /// invalidate/write-back callback must not run twice.
-    cb_seen: RefCell<HashMap<u64, CbGuard>>,
+    cb_seen: RefCell<Map<u64, CbGuard>>,
     /// Duplicate callback deliveries short-circuited by `cb_seen`.
     cb_dupes: Cell<u64>,
     /// Delegations held (DESIGN.md §17): exactly what the server granted,
     /// so empty against a server with delegations off.
-    delegs: RefCell<HashMap<FileHandle, DelegRecord>>,
+    delegs: RefCell<Map<FileHandle, DelegRecord>>,
     /// Per-file gate while a delegation return is in flight: opens and
     /// closes of that file wait for the return to land, so the batched
     /// counts the return reports cannot be invalidated mid-flight.
-    deleg_returning: RefCell<HashMap<FileHandle, Event>>,
+    deleg_returning: RefCell<Map<FileHandle, Event>>,
     /// When the last keepalive, recover or renewing `DelegReturned` reply
     /// arrived — the delegation lease anchor. Renewed *only* by those
     /// replies: they travel the same host-to-host direction as recall
@@ -342,15 +341,15 @@ impl SnfsClient {
                 id,
                 write_behind,
                 delayed_close,
-                files: RefCell::new(HashMap::new()),
+                files: RefCell::new(Map::default()),
                 stats: Cell::new(ClientStats::default()),
                 known_epoch: Cell::new(0),
                 flush_slots: Semaphore::new(write_behind.max_inflight),
-                removed: RefCell::new(HashSet::new()),
-                cb_seen: RefCell::new(HashMap::new()),
+                removed: RefCell::new(Set::default()),
+                cb_seen: RefCell::new(Map::default()),
                 cb_dupes: Cell::new(0),
-                delegs: RefCell::new(HashMap::new()),
-                deleg_returning: RefCell::new(HashMap::new()),
+                delegs: RefCell::new(Map::default()),
+                deleg_returning: RefCell::new(Map::default()),
                 last_contact: Cell::new(sim.now()),
                 deleg_stats: Cell::new(DelegationStats::default()),
                 tracer: RefCell::new(None),

@@ -18,7 +18,6 @@
 //! is the sharded namespace (DESIGN.md §21).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
 use std::future::Future;
 use std::rc::Rc;
 
@@ -29,7 +28,7 @@ use spritely_proto::{
     ClientId, Fattr, FileHandle, Name, NfsReply, NfsRequest, NfsStatus, OpenReply,
 };
 use spritely_rpcnet::{Caller, Endpoint, EndpointParams, Handler};
-use spritely_sim::{Permit, Resource, Semaphore, Sim, SimDuration};
+use spritely_sim::{Map, Permit, Resource, Semaphore, Set, Sim, SimDuration};
 use spritely_trace::{Cause, EventKind, Tracer};
 
 use crate::delegation::{DelegationParams, DelegationStats};
@@ -127,9 +126,9 @@ struct Inner {
     fs: LocalFs,
     table: RefCell<StateTable>,
     /// Registered callback channels, one per client host.
-    callback_clients: RefCell<HashMap<ClientId, Caller>>,
+    callback_clients: RefCell<Map<ClientId, Caller>>,
     /// Per-file serialization of open/close transitions.
-    file_locks: RefCell<HashMap<FileHandle, Semaphore>>,
+    file_locks: RefCell<Map<FileHandle, Semaphore>>,
     /// At most N−1 simultaneous callbacks (N = service threads).
     callback_slots: Semaphore,
     /// Concurrent callbacks in flight (peak must stay ≤ N−1).
@@ -151,7 +150,7 @@ struct Inner {
     grace_until: Cell<Option<spritely_sim::SimTime>>,
     /// Clients that may be caching name translations under a directory
     /// (§7 extension). Cleared per client when an invalidate is sent.
-    dir_watchers: RefCell<HashMap<FileHandle, Vec<ClientId>>>,
+    dir_watchers: RefCell<Map<FileHandle, Vec<ClientId>>>,
     /// Logical-callback sequence numbers (stable across retries of the
     /// same callback, so clients can deduplicate duplicate deliveries).
     cb_next_seq: Cell<u64>,
@@ -170,12 +169,12 @@ struct Inner {
     /// where every shard code path costs one borrow + `Option` check.
     shard: RefCell<Option<ShardView>>,
     /// Inter-shard RPC channels to peer shard servers, by shard index.
-    peers: RefCell<HashMap<u32, Caller>>,
+    peers: RefCell<Map<u32, Caller>>,
     /// Root-level names locked by an in-flight cross-shard transaction
     /// (volatile; cleared on crash).
-    name_locks: RefCell<HashSet<Name>>,
+    name_locks: RefCell<Set<Name>>,
     /// Participant-side transaction table (volatile; cleared on crash).
-    tx_table: RefCell<HashMap<u64, TxEntry>>,
+    tx_table: RefCell<Map<u64, TxEntry>>,
     /// Coordinator-side transaction id counter (namespaced by shard).
     next_txid: Cell<u64>,
     shard_stats: Cell<ShardOpStats>,
@@ -219,8 +218,8 @@ impl SnfsServer {
                 sim: sim.clone(),
                 fs,
                 table: RefCell::new(StateTable::new(params.table_limit)),
-                callback_clients: RefCell::new(HashMap::new()),
-                file_locks: RefCell::new(HashMap::new()),
+                callback_clients: RefCell::new(Map::default()),
+                file_locks: RefCell::new(Map::default()),
                 callback_slots: Semaphore::new(endpoint.threads - 1),
                 callback_inflight: InflightGauge::new(),
                 params,
@@ -230,15 +229,15 @@ impl SnfsServer {
                 deleg_stats: Cell::new(DelegationStats::default()),
                 epoch: Cell::new(1),
                 grace_until: Cell::new(None),
-                dir_watchers: RefCell::new(HashMap::new()),
+                dir_watchers: RefCell::new(Map::default()),
                 cb_next_seq: Cell::new(0),
                 callback_retries: Cell::new(0),
                 recalls_pending: RefCell::new(Vec::new()),
                 tracer: RefCell::new(None),
                 shard: RefCell::new(None),
-                peers: RefCell::new(HashMap::new()),
-                name_locks: RefCell::new(HashSet::new()),
-                tx_table: RefCell::new(HashMap::new()),
+                peers: RefCell::new(Map::default()),
+                name_locks: RefCell::new(Set::default()),
+                tx_table: RefCell::new(Map::default()),
                 next_txid: Cell::new(0),
                 shard_stats: Cell::new(ShardOpStats::default()),
             }),

@@ -12,9 +12,8 @@
 //! back with [`StateTable::writeback_done`] / [`StateTable::client_crashed`].
 //! That split makes the Table 4-1 transition rules directly testable.
 
-use std::collections::HashMap;
-
 use spritely_proto::{ClientId, Delegation, FileHandle, FileVersion};
+use spritely_sim::Map;
 
 /// The seven file states of paper §4.3.4: the trace's own enum, so a
 /// transition is recorded as the table computes it.
@@ -162,7 +161,7 @@ impl Entry {
 /// assert!(open2.callbacks[0].writeback && open2.callbacks[0].invalidate);
 /// ```
 pub struct StateTable {
-    entries: HashMap<FileHandle, Entry>,
+    entries: Map<FileHandle, Entry>,
     /// Global version counter (paper §4.3.3 chose a global counter rather
     /// than per-file stable storage; we follow it).
     next_version: u64,
@@ -179,7 +178,7 @@ impl StateTable {
     pub fn new(limit: usize) -> Self {
         assert!(limit > 0, "state table needs at least one entry");
         StateTable {
-            entries: HashMap::new(),
+            entries: Map::default(),
             next_version: 1,
             limit,
         }

@@ -15,6 +15,7 @@
 use std::fmt::Write as _;
 
 use spritely_metrics::json::{self, Value};
+use spritely_sim::{Map, Set};
 
 /// One flattened leaf: dotted path plus its scalar value.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,9 +146,8 @@ pub fn compare_json(
 ) -> Result<CompareReport, String> {
     let a = flatten(&json::parse(a_text).map_err(|e| format!("first document: {e}"))?);
     let b = flatten(&json::parse(b_text).map_err(|e| format!("second document: {e}"))?);
-    let b_map: std::collections::HashMap<&str, &Leaf> =
-        b.iter().map(|(k, v)| (k.as_str(), v)).collect();
-    let a_keys: std::collections::HashSet<&str> = a.iter().map(|(k, _)| k.as_str()).collect();
+    let b_map: Map<&str, &Leaf> = b.iter().map(|(k, v)| (k.as_str(), v)).collect();
+    let a_keys: Set<&str> = a.iter().map(|(k, _)| k.as_str()).collect();
     let render = |l: Option<&Leaf>| match l {
         None => "-".to_string(),
         Some(Leaf::Num(n)) => format!("{n}"),

@@ -8,11 +8,11 @@
 //! cache, and the SNFS client's delayed-write cache — which flush to very
 //! different places.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use spritely_proto::{Buf, Payload};
-use spritely_sim::SimTime;
+use spritely_sim::{Map, SimTime};
 
 /// One cached block.
 struct Entry {
@@ -61,7 +61,7 @@ pub struct DropCounts {
 /// An LRU block cache keyed by `K` (typically `(file, block-index)`).
 pub struct BlockCache<K> {
     capacity: usize,
-    map: HashMap<K, Entry>,
+    map: Map<K, Entry>,
     /// Recency index: stamp → key, clean and dirty blocks apart, so the
     /// eviction victim (lowest-stamped clean block, else lowest-stamped
     /// dirty one) comes off the front of a tree instead of out of a scan
@@ -91,7 +91,7 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
         assert!(capacity > 0, "cache capacity must be positive");
         BlockCache {
             capacity,
-            map: HashMap::new(),
+            map: Map::default(),
             clean_lru: BTreeMap::new(),
             dirty_lru: BTreeMap::new(),
             next_lru: 0,
@@ -165,7 +165,7 @@ impl<K: Eq + Hash + Copy> BlockCache<K> {
     /// their current one first; every other block is filed at or below
     /// its own stamp, so the first block found under its *current* stamp
     /// has the lowest stamp of all.
-    fn lru_of(index: &mut BTreeMap<u64, K>, map: &mut HashMap<K, Entry>) -> Option<K> {
+    fn lru_of(index: &mut BTreeMap<u64, K>, map: &mut Map<K, Entry>) -> Option<K> {
         loop {
             let front = index.first_entry()?;
             let k = *front.get();

@@ -2,7 +2,6 @@
 //! delayed-write semantics and the `/etc/update` sync daemon.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::rc::Rc;
 
@@ -11,7 +10,7 @@ use spritely_proto::{
     block_of, block_spans, blocks_for, Buf, DirEntry, Fattr, FileHandle, FileType, NfsStatus,
     Payload, Result, BLOCK_SIZE,
 };
-use spritely_sim::{Event, Sim, SimDuration};
+use spritely_sim::{Event, Map, Sim, SimDuration};
 use spritely_trace::{EventKind, Tracer};
 
 use crate::cache::{BlockCache, FlushData};
@@ -64,7 +63,7 @@ struct Inner {
     /// Blocks with a disk read in flight: a second miss on one waits for
     /// the first's read instead of issuing a duplicate. The event is made
     /// by the first such follower, so a miss nobody joins allocates none.
-    inflight: RefCell<HashMap<Key, Option<Event>>>,
+    inflight: RefCell<Map<Key, Option<Event>>>,
     tracer: RefCell<Option<Tracer>>,
 }
 
@@ -89,7 +88,7 @@ impl LocalFs {
                 store: RefCell::new(Store::new(fsid)),
                 cache: RefCell::new(BlockCache::new(params.cache_blocks)),
                 stats: RefCell::new(FsStats::default()),
-                inflight: RefCell::new(HashMap::new()),
+                inflight: RefCell::new(Map::default()),
                 tracer: RefCell::new(None),
             }),
         }

@@ -6,11 +6,11 @@
 //! whereas buffer-cache contents do not.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 use spritely_proto::{
     blocks_for, Buf, DirEntry, Fattr, FileHandle, FileType, NfsStatus, Result, BLOCK_SIZE,
 };
+use spritely_sim::Map;
 
 /// Maximum name length, as in traditional Unix.
 pub const NAME_MAX: usize = 255;
@@ -56,7 +56,7 @@ impl Inode {
 /// The stable file system image.
 pub struct Store {
     fsid: u32,
-    inodes: HashMap<u64, Inode>,
+    inodes: Map<u64, Inode>,
     next_ino: u64,
     next_gen: u32,
     next_addr: u64,
@@ -66,7 +66,7 @@ pub struct Store {
 impl Store {
     /// Creates a store containing only a root directory.
     pub fn new(fsid: u32) -> Self {
-        let mut inodes = HashMap::new();
+        let mut inodes = Map::default();
         inodes.insert(
             2,
             Inode {

@@ -26,7 +26,6 @@
 //! §20 lists each.
 
 use std::cell::{Cell, Ref, RefCell, RefMut};
-use std::collections::HashMap;
 use std::future::Future;
 use std::ops::Deref;
 use std::rc::{Rc, Weak};
@@ -37,7 +36,7 @@ use spritely_proto::{
     Result, BLOCK_SIZE,
 };
 use spritely_rpcnet::{RpcError, ShardCaller};
-use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
+use spritely_sim::{Event, Map, Semaphore, Sim, SimDuration, SimTime};
 
 /// A data-cache key: file and logical block.
 pub type Key = (FileHandle, u64);
@@ -67,7 +66,7 @@ struct NameEntry {
 pub struct NameCache {
     enabled: bool,
     ttl: Option<SimDuration>,
-    dirs: HashMap<FileHandle, HashMap<Name, NameEntry>>,
+    dirs: Map<FileHandle, Map<Name, NameEntry>>,
     hits: u64,
 }
 
@@ -77,7 +76,7 @@ impl NameCache {
         NameCache {
             enabled,
             ttl,
-            dirs: HashMap::new(),
+            dirs: Map::default(),
             hits: 0,
         }
     }
@@ -351,13 +350,13 @@ pub struct ClientBase {
     /// Reads in flight, so a demand read and a read-ahead of the same
     /// block coalesce into one RPC; the waiters' `Event` is made by the
     /// first reader that joins one.
-    in_flight: RefCell<HashMap<Key, Option<Event>>>,
+    in_flight: RefCell<Map<Key, Option<Event>>>,
     /// Per-file invalidation epoch: bumped whenever what a read reply in
     /// flight would bring back has been superseded — the file's blocks
     /// were dropped wholesale or truncated, the client cold-booted, or
     /// the application wrote the very block being fetched. A reply is
     /// cached only if the epoch has not moved since it was asked for.
-    epochs: RefCell<HashMap<FileHandle, u64>>,
+    epochs: RefCell<Map<FileHandle, u64>>,
     /// When set, a read-ahead holds one of these permits for its RPC.
     read_ahead_gate: Option<Semaphore>,
     writes: WriteLedger,
@@ -386,8 +385,8 @@ impl ClientBase {
             params,
             names: RefCell::new(NameCache::new(params.name_cache, name_ttl)),
             cache: RefCell::new(BlockCache::new(params.cache_blocks)),
-            in_flight: RefCell::new(HashMap::new()),
-            epochs: RefCell::new(HashMap::new()),
+            in_flight: RefCell::new(Map::default()),
+            epochs: RefCell::new(Map::default()),
             read_ahead_gate,
             writes: WriteLedger::default(),
             sent: Cell::default(),

@@ -23,7 +23,6 @@
 //!   model newer clients.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -32,7 +31,7 @@ use spritely_proto::{
     block_of, block_spans, blocks_for, Buf, Fattr, FileHandle, Result, BLOCK_SIZE,
 };
 use spritely_rpcnet::ShardCaller;
-use spritely_sim::{Semaphore, Sim, SimDuration, SimTime};
+use spritely_sim::{Map, Semaphore, Sim, SimDuration, SimTime};
 
 use crate::base::{BlockClient, ClientBase, ClientParams, Consistency, Key};
 
@@ -73,9 +72,9 @@ struct Inner {
     /// Purge the file's cached data on final close (the vintage
     /// reference-port bug the paper measured around, §5.2).
     invalidate_on_close: bool,
-    attrs: RefCell<HashMap<FileHandle, AttrEntry>>,
-    tails: RefCell<HashMap<FileHandle, Tail>>,
-    opens: RefCell<HashMap<FileHandle, u32>>,
+    attrs: RefCell<Map<FileHandle, AttrEntry>>,
+    tails: RefCell<Map<FileHandle, Tail>>,
+    opens: RefCell<Map<FileHandle, u32>>,
     /// Open-time `getattr` probes elided because a piggybacked post-op
     /// attribute was still inside the probe floor (piggybacking
     /// transports only).
@@ -165,9 +164,9 @@ impl NfsClient {
             inner: Rc::new_cyclic(|me| Inner {
                 base: ClientBase::new(sim, caller.into(), params, ttl, Some(biods.clone()), me),
                 invalidate_on_close,
-                attrs: RefCell::new(HashMap::new()),
-                tails: RefCell::new(HashMap::new()),
-                opens: RefCell::new(HashMap::new()),
+                attrs: RefCell::new(Map::default()),
+                tails: RefCell::new(Map::default()),
+                opens: RefCell::new(Map::default()),
                 elided_probes: Cell::new(0),
                 biods,
             }),
@@ -436,7 +435,8 @@ impl NfsClient {
     /// Simulates an orderly client reboot (experiment setup): pending
     /// writes are drained, then every cache is dropped.
     pub async fn cold_boot(&self) -> Result<()> {
-        let files: Vec<FileHandle> = self.inner.tails.borrow().keys().copied().collect();
+        let mut files: Vec<FileHandle> = self.inner.tails.borrow().keys().copied().collect();
+        files.sort_unstable();
         for fh in files {
             self.flush_tail(fh);
         }

@@ -2,13 +2,12 @@
 //! CPU, duplicate-request cache (DESIGN.md §22).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::future::Future;
 use std::rc::Rc;
 
 use spritely_metrics::{OpCounter, RateSeries};
 use spritely_proto::{ClientId, NfsReply, NfsRequest};
-use spritely_sim::{JoinHandle, Resource, Semaphore, Sim, SimDuration, SimTime};
+use spritely_sim::{JoinHandle, Map, Resource, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
 /// An RPC service: what an [`Endpoint`] runs for each request it
@@ -79,7 +78,7 @@ const DUP_BUCKETS: usize = 16;
 /// One duplicate-cache bucket: its own map, purge clock, and contention
 /// accounting, so bucket maintenance never touches its siblings.
 struct DupBucket {
-    map: RefCell<HashMap<(ClientId, u64), DupState>>,
+    map: RefCell<Map<(ClientId, u64), DupState>>,
     /// When this bucket was last swept; sweeps run on a sim-time cadence
     /// of one retention period, per bucket.
     last_purge: Cell<SimTime>,
@@ -96,7 +95,7 @@ struct DupBucket {
 impl DupBucket {
     fn new() -> Self {
         DupBucket {
-            map: RefCell::new(HashMap::new()),
+            map: RefCell::new(Map::default()),
             last_purge: Cell::new(SimTime::ZERO),
             in_flight: Cell::new(0),
             contention: Cell::new(0),

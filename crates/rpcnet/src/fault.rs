@@ -16,10 +16,9 @@
 //! byte-identical (pinned by `tests/paper_baselines.rs`).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use spritely_sim::{SimDuration, SimRng, SimTime};
+use spritely_sim::{Map, SimDuration, SimRng, SimTime};
 
 /// Seeded fault-injection parameters. All rates are per-message
 /// probabilities in `[0, 1]`; the all-zero default injects nothing.
@@ -132,7 +131,7 @@ pub struct FaultStats {
 #[derive(Default)]
 struct FaultStatsInner {
     counts: Cell<FaultCounts>,
-    kills: RefCell<HashMap<(u32, bool, u64), u64>>,
+    kills: RefCell<Map<(u32, bool, u64), u64>>,
 }
 
 impl FaultStats {

@@ -2,10 +2,9 @@
 //! switched fabric with a full-duplex link per host ([`Network::switched`]).
 
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use spritely_sim::{Resource, Sim, SimDuration, SimTime};
+use spritely_sim::{Map, Resource, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
 use crate::fault::{FaultParams, FaultPlan, FaultState, FaultStats, PartitionDir};
@@ -46,7 +45,7 @@ struct NetworkInner {
     name: String,
     /// The lanes, created on first use: one per `(host, to_server)` on a
     /// switched fabric, one under `BUS` on the shared bus.
-    links: RefCell<HashMap<(u32, bool), Resource>>,
+    links: RefCell<Map<(u32, bool), Resource>>,
     switched: bool,
     params: NetParams,
     messages: Cell<u64>,
@@ -84,7 +83,7 @@ impl Network {
             inner: Rc::new(NetworkInner {
                 sim: sim.clone(),
                 name,
-                links: RefCell::new(HashMap::new()),
+                links: RefCell::new(Map::default()),
                 switched,
                 params,
                 messages: Cell::new(0),

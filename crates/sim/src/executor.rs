@@ -41,7 +41,7 @@
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -51,6 +51,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use crate::sync::Waiters;
 use crate::time::{SimDuration, SimTime};
 use crate::timer::{TimerId, TimerQueue};
+use crate::Map;
 
 /// Identifier of a spawned task: a slab index plus a generation that
 /// detects reuse, unique within one [`Sim`].
@@ -178,7 +179,7 @@ thread_local! {
     /// Emptied task cells, by future type. Per thread, not per [`Sim`]: a
     /// [`JoinHandle`] that lets go of the last reference has no `Sim`,
     /// and a simulation never leaves its thread.
-    static FREE_CELLS: RefCell<HashMap<TypeId, Vec<Rc<dyn Any>>>> = RefCell::default();
+    static FREE_CELLS: RefCell<Map<TypeId, Vec<Rc<dyn Any>>>> = RefCell::default();
 }
 
 /// The allocation of a task, reused by later tasks of its type.

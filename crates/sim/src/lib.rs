@@ -34,6 +34,7 @@
 //! ```
 
 mod executor;
+mod hash;
 mod resource;
 mod rng;
 mod sync;
@@ -43,6 +44,7 @@ mod timer;
 pub use executor::{
     yield_now, JoinHandle, Sim, SimStats, Sleep, TaskId, TimedOut, Timeout, YieldNow,
 };
+pub use hash::{Map, Mix, Set};
 pub use resource::{Resource, ResourceGuard};
 pub use rng::SimRng;
 pub use sync::{Acquire, Event, EventWait, Permit, Semaphore};

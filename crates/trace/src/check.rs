@@ -46,8 +46,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use spritely_proto::{default_shard, ClientId, NfsProc, BLOCK_SIZE};
+use spritely_sim::Map;
 
-use crate::record::Map;
 use crate::{Cause, Event, FState, FhId, Name, Tag, TraceEvent};
 
 /// One invariant violation, anchored to the offending event.

@@ -19,13 +19,13 @@
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 use std::marker::PhantomData;
 use std::rc::Rc;
 
 use spritely_proto::{ClientId, FileHandle, NfsProc};
+use spritely_sim::Map;
 
 use crate::{Cause, EventKind, FState, Tag, Val};
 
@@ -338,37 +338,6 @@ impl Field for FileHandle {
         FhId(e.slots[at.slot()], PhantomData)
     }
 }
-
-/// The hasher of the passes' maps and of the intern tables, a multiply
-/// and a rotate per word (the one rustc uses): their keys are ids, names
-/// and handles the simulation made, looked up once or twice per event, so
-/// SipHash's flood resistance buys nothing and costs half a pass.
-/// Unseeded, so a map iterates in the same order every run.
-#[derive(Default)]
-pub struct Mix(u64);
-
-impl Hasher for Mix {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b.into());
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n.into());
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` over [`Mix`].
-pub type Map<K, V> = HashMap<K, V, BuildHasherDefault<Mix>>;
 
 /// One intern table: `keys[id]` is the key interned under `id`, and
 /// `ids` maps a key back to its id.

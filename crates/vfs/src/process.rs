@@ -1,11 +1,10 @@
 //! Simulated processes: fd tables, path syscalls, CPU charging.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use spritely_proto::{Fattr, FileHandle, FileType, NfsStatus, Result};
-use spritely_sim::{Resource, Sim, SimDuration};
+use spritely_sim::{Map, Resource, Sim, SimDuration};
 
 use crate::mount::{next_component, split_path, FsBackend, Vfs};
 
@@ -92,7 +91,7 @@ struct Inner {
     vfs: Vfs,
     cpu: Resource,
     costs: SyscallCosts,
-    fds: RefCell<HashMap<Fd, OpenFile>>,
+    fds: RefCell<Map<Fd, OpenFile>>,
     next_fd: RefCell<u32>,
 }
 
@@ -111,7 +110,7 @@ impl Proc {
                 vfs,
                 cpu,
                 costs,
-                fds: RefCell::new(HashMap::new()),
+                fds: RefCell::new(Map::default()),
                 next_fd: RefCell::new(3),
             }),
         }

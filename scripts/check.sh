@@ -137,6 +137,22 @@ for w in sort_nfs fleet sharing scale16 andrew; do
     fi
 done
 
+# Host allocations repeat exactly: one repetition of a seed is one
+# deterministic simulation, so its allocation count is a number, not a
+# distribution. A map hashed under a per-process key grew at other moments
+# in every process and made it one (sharing once read nine values in
+# fifteen runs). Two repetitions of sharing must print one count.
+echo "==> benchmark: sharing, one repetition twice, equal host allocations"
+allocs=()
+for _ in 1 2; do
+    allocs+=("$(bash benchmark/run.sh --workload sharing --seed 42 --rep --trace 0 | grep '^host allocs ')")
+done
+echo "    ${allocs[0]} / ${allocs[1]}"
+if [ -z "${allocs[0]}" ] || [ "${allocs[0]}" != "${allocs[1]}" ]; then
+    echo "FAIL: two repetitions of one seed allocated differently"
+    exit 1
+fi
+
 # Host time has one owner, benchmark/: a library crate that reads the host
 # clock or counts cores makes some artifact depend on the machine.
 echo "==> no crate reads the host clock"
@@ -222,6 +238,21 @@ waits=$(git grep -n 'poll_fn' -- crates/blockdev/src)
 echo "$waits"
 if [ "$(wc -l <<<"$waits")" -ne 1 ] || git grep -q -e 'Resource' -e '\.acquire(' -- crates/blockdev/src; then
     echo "FAIL: blockdev waits for the arm other than in Disk::access's grant"
+    exit 1
+fi
+
+# One hasher (DESIGN.md §15): every map in the simulation is spritely_sim's
+# Map or Set, over the unseeded Mix. A std HashMap or HashSet hashes with
+# SipHash under a key drawn per process: slower on the handles, ids and
+# names the simulation makes, which need no flood resistance, and it
+# iterates in a new order in every process, so anything that walks it
+# unsorted (NFS's cold boot once did) and every allocation count that
+# depends on its growth differ from run to run. crates/sim/src/hash.rs
+# defines the alias and is the one file allowed to name them.
+echo "==> one hasher (no std HashMap, HashSet or RandomState outside spritely_sim's alias)"
+if git grep -nE 'collections::.*Hash(Map|Set)|RandomState' -- 'crates/*/src' src \
+    ':!crates/sim/src/hash.rs'; then
+    echo "FAIL: the lines above use a std hash map; use spritely_sim::{Map, Set}"
     exit 1
 fi
 

@@ -8,11 +8,12 @@ use spritely::harness::scripts::{
     temp_lifetime, write_sharing,
 };
 use spritely::harness::{
-    ClientParams, DelegationParams, FaultParams, Protocol, Run, ServerIoParams, ShardParams,
-    TestbedParams, TransportParams, WriteBehindParams,
+    ClientParams, DelegationParams, FaultParams, Protocol, RemoteClient, Run, ServerIoParams,
+    ShardParams, Testbed, TestbedParams, TransportParams, WriteBehindParams,
 };
-use spritely::proto::NfsProc;
+use spritely::proto::{FileHandle, NfsProc};
 use spritely::sim::SimDuration;
+use spritely::trace::Event;
 
 /// What one traced run of a script leaves behind: the end-of-run
 /// snapshot as JSON, the digest of the servers' stable contents, the
@@ -264,6 +265,43 @@ fn temp_lifetime_runs_are_bit_identical() {
         r.ops.get(NfsProc::Write)
     };
     assert_eq!(run(), run());
+}
+
+/// An NFS client's cold boot pushes its pending partial-block tails in
+/// handle order, so their write RPCs' order and xids come from the
+/// handles and not from a map's iteration order.
+#[test]
+fn nfs_cold_boot_writes_its_tails_in_handle_order() {
+    let tb = Testbed::build(TestbedParams {
+        trace: true,
+        ..TestbedParams::paper(Protocol::Nfs, false)
+    });
+    let RemoteClient::Nfs(c) = tb.clients[0].remote.clone() else {
+        panic!("expected an NFS client");
+    };
+    let root = tb.server_fs.root();
+    let h = tb.sim.spawn(async move {
+        for i in 0..8 {
+            let (fh, _) = c.create(root, &format!("f{i}")).await.unwrap();
+            c.open(fh, true).await.unwrap();
+            c.write(fh, 0, &[7; 100]).await.unwrap();
+        }
+        c.cold_boot().await.unwrap();
+    });
+    tb.sim.run_until(h);
+    let trace = tb.finish_trace().expect("tracing was on");
+    let written: Vec<FileHandle> = (trace.events.iter())
+        .filter_map(|e| match e.view() {
+            Event::RpcCall {
+                proc: NfsProc::Write,
+                fh: Some(fh),
+                ..
+            } => Some(fh.get()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(written.len(), 8, "one write per tail");
+    assert!(written.is_sorted(), "tails written in {written:?}");
 }
 
 #[test]
