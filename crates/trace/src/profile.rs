@@ -307,22 +307,24 @@ impl Profile {
     }
 }
 
-/// "No such record": the sentinel of the `u32` tables below.
+/// "No such record": the sentinel of the `u32` tables and links below.
 const NONE: u32 = u32::MAX;
 
-/// What the sweep knows about one event, for the events under it.
+/// The record an `op_begin`, `rpc_call`, `handler_begin` or `cb_begin`
+/// opened, and what the events under it inherit (see [`sweep`]).
 #[derive(Clone, Copy)]
-struct Fact {
+struct Context {
     /// The `op_begin` the parent chain reaches (index into `ops`).
     owner: u32,
     /// The nearest ancestor `handler_begin` (handler number).
     handler: u32,
-    /// The record this event opened.
+    /// The record the event opened.
     slot: Slot,
 }
 
-/// The facts of an event with no parent, or none the sweep has seen.
-const ROOT: Fact = Fact {
+/// Context 0: that of an event with no parent, or none the sweep has
+/// seen. A fact of 0 names it.
+const ROOT: Context = Context {
     owner: NONE,
     handler: NONE,
     slot: Slot::None,
@@ -342,6 +344,9 @@ struct Op {
     t1: Option<u64>,
     client: u32,
     name: Name,
+    /// The first of its client-side child RPCs, chained by `Rpc::sibling`
+    /// in index order.
+    child: u32,
 }
 
 /// One RPC's reconstructed timeline.
@@ -353,6 +358,12 @@ struct Rpc {
     t_reply: Option<u64>,
     /// Owning op (index into `ops`), if the parent chain reaches one.
     owner: u32,
+    /// The first and last of its boundaries, chained in emission (= time)
+    /// order.
+    first: u32,
+    last: u32,
+    /// The next child RPC of its owning op.
+    sibling: u32,
 }
 
 #[derive(Clone, Copy)]
@@ -361,6 +372,13 @@ enum Bound {
     Arrive { dup: bool },
     HandlerBegin { h: u32 },
     HandlerEnd,
+}
+
+/// One handler execution: the RPC it executes and the first of its
+/// painted intervals.
+struct Handler {
+    rpc: u32,
+    paints: u32,
 }
 
 /// An interval resolved to a phase: a slice of one RPC's timeline, or
@@ -373,101 +391,65 @@ struct Segment {
     phase: Phase,
 }
 
-/// Items filed under dense `u32` keys, each group in the order its items
-/// came: group `k` is `flat[off[k]..off[k + 1]]`.
-struct Grouped<T> {
-    off: Vec<u32>,
-    flat: Vec<T>,
-}
-
-impl<T: Copy> Grouped<T> {
-    /// A counting pass sizes the groups, a second pass places the items.
-    fn new(groups: usize, items: &[(u32, T)]) -> Self {
-        let mut off = vec![0u32; groups + 1];
-        for &(k, _) in items {
-            off[k as usize + 1] += 1;
-        }
-        for k in 0..groups {
-            off[k + 1] += off[k];
-        }
-        let mut next = off.clone();
-        let mut flat: Vec<T> = items.iter().map(|&(_, item)| item).collect();
-        for &(k, item) in items {
-            flat[next[k as usize] as usize] = item;
-            next[k as usize] += 1;
-        }
-        Grouped { off, flat }
-    }
-
-    fn of(&self, k: u32) -> &[T] {
-        &self.flat[self.off[k as usize] as usize..self.off[k as usize + 1] as usize]
-    }
+/// The indices of a chain of `u32` links, from `first` until `NONE`.
+fn chain(first: u32, next: impl Fn(u32) -> u32) -> impl Iterator<Item = u32> {
+    let link = |i: u32| Some(i).filter(|&i| i != NONE);
+    std::iter::successors(link(first), move |&i| link(next(i)))
 }
 
 /// Replay `events` and build the full phase-attribution profile, with
 /// occupancy bucketed at `bucket` width.
 pub fn profile_trace_bucketed(events: &[TraceEvent], bucket: SimDuration) -> Profile {
     // ---- Pass 1: collect ops, RPCs, handlers, callbacks, disk. ----
-    let swept = sweep(events);
-    let rpcs = &swept.rpcs;
+    let mut swept = sweep(events);
 
-    // ---- Pass 2: resolve each RPC to plain phase segments. ----
-    // A segment per boundary, two more per painted interval: or nearly.
-    let segments = swept.bounds.flat.len() + rpcs.len() + 2 * swept.paints.flat.len();
-    let mut resolved = Grouped {
-        off: Vec::with_capacity(rpcs.len() + 1),
-        flat: Vec::with_capacity(segments),
-    };
-    resolved.off.push(0);
-    let mut cuts = Vec::new();
-    for (ri, r) in rpcs.iter().enumerate() {
-        let bounds = swept.bounds.of(ri as u32);
-        resolve_rpc(r, bounds, &swept.paints, &mut cuts, &mut resolved.flat);
-        resolved.off.push(resolved.flat.len() as u32);
-    }
-
-    // ---- Pass 3: overlay RPC segments onto op intervals. ----
+    // ---- Pass 2: claim every RPC; chain each op's children. ----
+    // Backwards, so that each chain, built at its head, runs in index order.
     let mut claims = RpcClaims::default();
-    // (op, RPC) for every client-side child RPC, by index.
-    let mut children: Vec<(u32, u32)> = Vec::with_capacity(rpcs.len());
-    for (ri, r) in rpcs.iter().enumerate() {
+    for ri in (0..swept.rpcs.len()).rev() {
+        let r = &mut swept.rpcs[ri];
         match (r.owner, r.from, r.t_reply) {
             (_, _, None) => claims.incomplete += 1,
             (NONE, _, Some(_)) => claims.background += 1,
             (_, 0, Some(_)) => claims.callback += 1,
             (op, _, Some(_)) => {
                 claims.op += 1;
-                children.push((op, ri as u32));
+                let op = &mut swept.ops[op as usize];
+                r.sibling = op.child;
+                op.child = ri as u32;
             }
         }
     }
-    let children = Grouped::new(swept.ops.len(), &children);
 
+    // ---- Pass 3: resolve each span's RPCs and overlay them onto it. ----
+    let swept = &swept;
+    let rpcs = &swept.rpcs;
     let mut overlay = Overlay {
-        rpcs,
-        resolved,
-        cuts,
+        swept,
+        segs: Vec::new(),
+        kids: Vec::new(),
+        cuts: Vec::new(),
         bucket_us: bucket.as_micros().max(1),
         occupancy: Vec::new(),
     };
     let mut ops = Vec::with_capacity(swept.ops.len() + claims.background as usize);
-    for (oi, op) in swept.ops.iter().enumerate() {
+    for op in &swept.ops {
         let Some(t1) = op.t1 else {
             continue;
         };
-        let children = children.of(oi as u32);
         ops.push(OpProfile {
             op: op.name.as_str(),
             client: op.client,
             synthetic: false,
             begin_us: op.t0,
             end_us: t1,
-            rpcs: children.len() as u64,
-            phase_us: overlay.op(op.t0, t1, children),
+            rpcs: chain(op.child, |r| rpcs[r as usize].sibling).count() as u64,
+            phase_us: overlay.op(op.t0, t1, op.child),
         });
     }
 
-    // Synthetic spans: background / bare-client RPCs, one span each.
+    // Synthetic spans: background / bare-client RPCs, one span each (no
+    // op chained them, so each is a chain of one).
     for (ri, r) in rpcs.iter().enumerate() {
         if r.owner != NONE || r.from == 0 {
             continue;
@@ -480,7 +462,7 @@ pub fn profile_trace_bucketed(events: &[TraceEvent], bucket: SimDuration) -> Pro
             begin_us: r.t_call,
             end_us: t_reply,
             rpcs: 1,
-            phase_us: overlay.op(r.t_call, t_reply, &[ri as u32]),
+            phase_us: overlay.op(r.t_call, t_reply, ri as u32),
         });
     }
 
@@ -541,10 +523,48 @@ pub fn profile_trace(events: &[TraceEvent]) -> Profile {
 struct Sweep {
     ops: Vec<Op>,
     rpcs: Vec<Rpc>,
-    /// Per RPC: its phase boundaries in emission (= time) order.
-    bounds: Grouped<(u64, Bound)>,
-    /// Per handler number: the painted intervals of its overlay.
-    paints: Grouped<Segment>,
+    /// Every RPC's boundaries, `(t, boundary, next)`, chained from
+    /// `Rpc::first`.
+    bounds: Vec<(u64, Bound, u32)>,
+    /// By handler number.
+    handlers: Vec<Handler>,
+    /// Every handler's painted intervals, chained from `Handler::paints`
+    /// in no particular order: [`subdivide_handler`] needs none.
+    paints: Vec<(Segment, u32)>,
+}
+
+impl Sweep {
+    /// Append a boundary to RPC `r`'s chain.
+    fn bound(&mut self, r: u32, t: u64, bound: Bound) {
+        let (b, r) = (self.bounds.len() as u32, &mut self.rpcs[r as usize]);
+        match r.last {
+            NONE => r.first = b,
+            last => self.bounds[last as usize].2 = b,
+        }
+        r.last = b;
+        self.bounds.push((t, bound, NONE));
+    }
+
+    /// Paint `s` onto handler `h`'s overlay.
+    fn paint(&mut self, h: u32, s: Segment) {
+        let head = &mut self.handlers[h as usize].paints;
+        self.paints
+            .push((s, std::mem::replace(head, self.paints.len() as u32)));
+    }
+
+    /// RPC `r`'s boundaries, in order.
+    fn bounds_of(&self, r: &Rpc) -> impl Iterator<Item = (u64, Bound)> + '_ {
+        let bounds = &self.bounds;
+        chain(r.first, |b| bounds[b as usize].2)
+            .map(|b| (bounds[b as usize].0, bounds[b as usize].1))
+    }
+
+    /// Handler `h`'s painted intervals.
+    fn paints_of(&self, h: u32) -> impl Iterator<Item = Segment> + '_ {
+        let paints = &self.paints;
+        chain(self.handlers[h as usize].paints, |p| paints[p as usize].1)
+            .map(|p| paints[p as usize].0)
+    }
 }
 
 /// The facts are filed by sequence number — which the tracer hands out in
@@ -553,8 +573,13 @@ struct Sweep {
 /// A parent that comes later in the array, or never, finds the facts of a
 /// root: it is no parent. The table is as long as the largest sequence
 /// number.
+///
+/// An event's fact is one `u32`: the index of a context times two, plus
+/// one when the event opened that context itself. An event that opens no
+/// record files its parent's context with the bit clear, so the events
+/// under it inherit the owner and handler but find no slot.
 fn sweep(events: &[TraceEvent]) -> Sweep {
-    assert!(events.len() < NONE as usize, "record numbers are u32");
+    assert!(events.len() < (NONE >> 1) as usize, "contexts are 31-bit");
     // Size the tables first, from one look at each event's kind: nothing
     // below grows, however long the trace.
     let (mut n_ops, mut n_rpcs, mut n_handlers, mut n_callbacks) = (0, 0, 0, 0);
@@ -570,12 +595,16 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
             _ => {}
         }
     }
-    let mut facts: Vec<Fact> = Vec::with_capacity(events.len() + 1);
-    let (mut ops, mut rpcs) = (Vec::with_capacity(n_ops), Vec::<Rpc>::with_capacity(n_rpcs));
-    let mut bounds: Vec<(u32, (u64, Bound))> = Vec::with_capacity(n_bounds + n_handlers);
-    let mut paints: Vec<(u32, Segment)> = Vec::with_capacity(n_paints + n_callbacks);
-    // Per handler number: the RPC it executes (index into `rpcs`).
-    let mut handler_rpc: Vec<u32> = Vec::with_capacity(n_handlers);
+    let mut facts: Vec<u32> = Vec::with_capacity(events.len() + 1);
+    let mut contexts = Vec::with_capacity(1 + n_ops + n_rpcs + n_handlers + n_callbacks);
+    contexts.push(ROOT);
+    let mut s = Sweep {
+        ops: Vec::with_capacity(n_ops),
+        rpcs: Vec::with_capacity(n_rpcs),
+        bounds: Vec::with_capacity(n_bounds + n_handlers),
+        handlers: Vec::with_capacity(n_handlers),
+        paints: Vec::with_capacity(n_paints + n_callbacks),
+    };
     // Server handlers open at the current scan point, in begin order
     // (for the disk seq-containment heuristic).
     let mut open_server_handlers: Vec<u32> = Vec::new();
@@ -585,58 +614,62 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
     let mut callbacks: Vec<(u64, u32, Option<u64>)> = Vec::with_capacity(n_callbacks);
 
     for e in events {
-        let parent = match e.parent {
-            0 => ROOT,
-            seq => facts.get(seq as usize).copied().unwrap_or(ROOT),
+        let fact = match e.parent {
+            0 => 0,
+            seq => facts.get(seq as usize).copied().unwrap_or(0),
         };
-        let mut fact = Fact {
+        let up = contexts[(fact >> 1) as usize];
+        let parent = if fact & 1 == 1 { up.slot } else { Slot::None };
+        let mut ctx = Context {
             slot: Slot::None,
-            ..parent
+            ..up
         };
-        let rpc = match parent.slot {
+        let rpc = match parent {
             Slot::Rpc(r) => r,
             _ => NONE,
         };
         let t = e.t_us;
         match e.view() {
             Event::OpBegin { client, op, .. } => {
-                fact.owner = ops.len() as u32;
-                fact.slot = Slot::Op(fact.owner);
-                ops.push(Op {
+                ctx.owner = s.ops.len() as u32;
+                ctx.slot = Slot::Op(ctx.owner);
+                s.ops.push(Op {
                     t0: t,
                     t1: None,
                     client: client.0,
                     name: op,
+                    child: NONE,
                 });
             }
             Event::OpEnd { .. } => {
-                if let Slot::Op(o) = parent.slot {
-                    ops[o as usize].t1 = Some(t);
+                if let Slot::Op(o) = parent {
+                    s.ops[o as usize].t1 = Some(t);
                 }
             }
             Event::RpcCall { from, proc, .. } => {
-                fact.slot = Slot::Rpc(rpcs.len() as u32);
-                rpcs.push(Rpc {
+                ctx.slot = Slot::Rpc(s.rpcs.len() as u32);
+                s.rpcs.push(Rpc {
                     seq: e.seq.into(),
                     from: from.0,
                     proc,
                     t_call: t,
                     t_reply: None,
-                    owner: fact.owner,
+                    owner: ctx.owner,
+                    first: NONE,
+                    last: NONE,
+                    sibling: NONE,
                 });
             }
-            Event::RpcReply { .. } if rpc != NONE => rpcs[rpc as usize].t_reply = Some(t),
-            Event::RpcXmit { .. } if rpc != NONE => bounds.push((rpc, (t, Bound::Xmit))),
-            Event::RpcArrive { dup, .. } if rpc != NONE => {
-                bounds.push((rpc, (t, Bound::Arrive { dup })));
-            }
+            Event::RpcReply { .. } if rpc != NONE => s.rpcs[rpc as usize].t_reply = Some(t),
+            Event::RpcXmit { .. } if rpc != NONE => s.bound(rpc, t, Bound::Xmit),
+            Event::RpcArrive { dup, .. } if rpc != NONE => s.bound(rpc, t, Bound::Arrive { dup }),
             Event::HandlerBegin { from, .. } => {
-                let h = handler_rpc.len() as u32;
-                fact.handler = h;
-                fact.slot = Slot::Handler(h);
-                handler_rpc.push(rpc);
+                let h = s.handlers.len() as u32;
+                ctx.handler = h;
+                ctx.slot = Slot::Handler(h);
+                s.handlers.push(Handler { rpc, paints: NONE });
                 if rpc != NONE {
-                    bounds.push((rpc, (t, Bound::HandlerBegin { h })));
+                    s.bound(rpc, t, Bound::HandlerBegin { h });
                 }
                 if from.0 != 0 {
                     open_server_handlers.push(h);
@@ -645,9 +678,10 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
             // `handler_end` is parented under its `handler_begin`,
             // not the RPC — route it back via the handler table.
             Event::HandlerEnd { .. } => {
-                if let Slot::Handler(h) = parent.slot {
-                    if handler_rpc[h as usize] != NONE {
-                        bounds.push((handler_rpc[h as usize], (t, Bound::HandlerEnd)));
+                if let Slot::Handler(h) = parent {
+                    let rpc = s.handlers[h as usize].rpc;
+                    if rpc != NONE {
+                        s.bound(rpc, t, Bound::HandlerEnd);
                     }
                     if let Some(i) = open_server_handlers.iter().rposition(|&o| o == h) {
                         open_server_handlers.remove(i);
@@ -673,25 +707,32 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
                         (dispatch, t, Phase::DiskService),
                     ] {
                         if end > start {
-                            paints.push((h, Segment { start, end, phase }));
+                            s.paint(h, Segment { start, end, phase });
                         }
                     }
                 }
             }
             Event::CallbackBegin { .. } => {
-                fact.slot = Slot::Callback(callbacks.len() as u32);
-                callbacks.push((t, fact.handler, None));
+                ctx.slot = Slot::Callback(callbacks.len() as u32);
+                callbacks.push((t, ctx.handler, None));
             }
             Event::CallbackEnd { .. } => {
-                if let Slot::Callback(c) = parent.slot {
+                if let Slot::Callback(c) = parent {
                     callbacks[c as usize].2 = Some(t);
                 }
             }
             _ => {}
         }
+        let fact = match ctx.slot {
+            Slot::None => fact & !1,
+            _ => {
+                contexts.push(ctx);
+                (contexts.len() as u32 - 1) << 1 | 1
+            }
+        };
         let seq = e.seq as usize;
         if seq >= facts.len() {
-            facts.resize(seq + 1, ROOT);
+            facts.resize(seq + 1, 0);
         }
         facts[seq] = fact;
     }
@@ -700,33 +741,22 @@ fn sweep(events: &[TraceEvent]) -> Sweep {
     for (start, h, end) in callbacks {
         if let Some(end) = end.filter(|&end| h != NONE && end > start) {
             let phase = Phase::Callback;
-            paints.push((h, Segment { start, end, phase }));
+            s.paint(h, Segment { start, end, phase });
         }
     }
-    Sweep {
-        bounds: Grouped::new(rpcs.len(), &bounds),
-        paints: Grouped::new(handler_rpc.len(), &paints),
-        ops,
-        rpcs,
-    }
+    s
 }
 
 /// Append one RPC's timeline to `segs` as contiguous phase segments
 /// covering `[t_call, t_reply]` exactly. Handler intervals are
 /// subdivided by the handler's painted overlay (disk service > disk
 /// queue > callback > server CPU).
-fn resolve_rpc(
-    r: &Rpc,
-    bounds: &[(u64, Bound)],
-    paints: &Grouped<Segment>,
-    cuts: &mut Vec<u64>,
-    segs: &mut Vec<Segment>,
-) {
+fn resolve_rpc(swept: &Sweep, r: &Rpc, cuts: &mut Vec<u64>, segs: &mut Vec<Segment>) {
     let Some(t_reply) = r.t_reply else {
         return;
     };
     let first = segs.len();
-    let has_xmit = bounds.iter().any(|(_, b)| matches!(b, Bound::Xmit));
+    let has_xmit = swept.bounds_of(r).any(|(_, b)| matches!(b, Bound::Xmit));
     let mut cur_t = r.t_call;
     // State carried between boundaries: either a plain phase or an open
     // handler whose overlay subdivides the interval.
@@ -747,10 +777,10 @@ fn resolve_rpc(
             State::Plain(phase) => segs.push(Segment { start, end, phase }),
             // Coalescing stops at `first`: the segments before it are
             // another RPC's.
-            State::InHandler(h) => subdivide_handler(segs, first, paints.of(h), cuts, start, end),
+            State::InHandler(h) => subdivide_handler(segs, first, swept, h, cuts, start, end),
         }
     };
-    for &(t, b) in bounds {
+    for (t, b) in swept.bounds_of(r) {
         let t = t.min(t_reply);
         close(&state, cur_t, t);
         cur_t = cur_t.max(t);
@@ -766,23 +796,25 @@ fn resolve_rpc(
 }
 
 /// Split `[a, b]` of a handler execution into phase segments using the
-/// handler's painted sub-intervals. Priority when intervals overlap:
-/// disk service, then disk queue, then callback, then server CPU.
+/// painted sub-intervals of handler `h`. Priority when intervals
+/// overlap: disk service, then disk queue, then callback, then server CPU.
 fn subdivide_handler(
     segs: &mut Vec<Segment>,
     first: usize,
-    subs: &[Segment],
+    swept: &Sweep,
+    h: u32,
     cuts: &mut Vec<u64>,
     a: u64,
     b: u64,
 ) {
-    if subs.is_empty() {
+    if swept.handlers[h as usize].paints == NONE {
         return push_coalesced(segs, first, a, b, Phase::ServerCpu);
     }
+    let subs = || swept.paints_of(h);
     // Breakpoints: interval ends plus every painted edge inside it.
     cuts.clear();
     cuts.extend([a, b]);
-    for s in subs {
+    for s in subs() {
         cuts.extend([s.start, s.end].into_iter().filter(|&t| t > a && t < b));
     }
     cuts.sort_unstable();
@@ -790,10 +822,7 @@ fn subdivide_handler(
     for w in cuts.windows(2) {
         let (lo, hi) = (w[0], w[1]);
         // Phases are constant on [lo, hi); probe the start.
-        let covered = |p: Phase| {
-            subs.iter()
-                .any(|s| s.phase == p && s.start <= lo && s.end > lo)
-        };
+        let covered = |p: Phase| subs().any(|s| s.phase == p && s.start <= lo && s.end > lo);
         let phase = if covered(Phase::DiskService) {
             Phase::DiskService
         } else if covered(Phase::DiskQueue) {
@@ -820,25 +849,38 @@ fn push_coalesced(segs: &mut Vec<Segment>, first: usize, lo: u64, hi: u64, phase
     }
 }
 
-/// Pass 3's state: the resolved RPC timelines going in, the occupancy
-/// buckets coming out.
+/// Pass 3's state: the swept tables and scratch buffers going in, the
+/// occupancy buckets coming out.
 struct Overlay<'a> {
-    rpcs: &'a [Rpc],
-    /// Per RPC (same index as `rpcs`): its resolved segments.
-    resolved: Grouped<Segment>,
+    swept: &'a Sweep,
+    /// Scratch: the resolved segments of the span being charged, child
+    /// RPC after child RPC. Every RPC is charged to one span at most, so
+    /// no RPC is resolved twice.
+    segs: Vec<Segment>,
+    /// Scratch: per child of that span, `(t_call, seq, end)`, where its
+    /// segments end in `segs`.
+    kids: Vec<(u64, u64, usize)>,
     cuts: Vec<u64>,
     bucket_us: u64,
     occupancy: Vec<[u64; NUM_PHASES]>,
 }
 
 impl Overlay<'_> {
-    /// Partition the span `[t0, t1]` across phases given its child RPCs'
-    /// resolved segments, accumulating into `occupancy` buckets as well.
-    /// Returns the exact per-phase breakdown (sums to `t1 - t0`).
-    fn op(&mut self, t0: u64, t1: u64, children: &[u32]) -> [u64; NUM_PHASES] {
+    /// Partition the span `[t0, t1]` across phases given the chain of its
+    /// child RPCs from `first`, accumulating into `occupancy` buckets as
+    /// well. Returns the exact per-phase breakdown (sums to `t1 - t0`).
+    fn op(&mut self, t0: u64, t1: u64, first: u32) -> [u64; NUM_PHASES] {
         let mut phase_us = [0u64; NUM_PHASES];
         if t1 <= t0 {
             return phase_us;
+        }
+        let rpcs = &self.swept.rpcs;
+        self.segs.clear();
+        self.kids.clear();
+        for ri in chain(first, |r| rpcs[r as usize].sibling) {
+            let r = &rpcs[ri as usize];
+            resolve_rpc(self.swept, r, &mut self.cuts, &mut self.segs);
+            self.kids.push((r.t_call, r.seq, self.segs.len()));
         }
         let bucket_us = self.bucket_us;
         let mut charge = |occupancy: &mut _, lo: u64, hi: u64, phase: Phase| {
@@ -847,9 +889,9 @@ impl Overlay<'_> {
         };
         // One RPC: its segments are in time order and do not overlap, so
         // the span is theirs where they are and cache-local between.
-        if let [ri] = *children {
+        if self.kids.len() == 1 {
             let mut t = t0;
-            for s in self.resolved.of(ri) {
+            for s in &self.segs {
                 let (lo, hi) = (s.start.max(t), s.end.min(t1));
                 if lo < hi {
                     if t < lo {
@@ -868,7 +910,7 @@ impl Overlay<'_> {
         // child segment edge (clipped to the span).
         self.cuts.clear();
         self.cuts.extend([t0, t1]);
-        for s in children.iter().flat_map(|&ri| self.resolved.of(ri)) {
+        for s in &self.segs {
             let inside = [s.start, s.end].into_iter().filter(|&t| t > t0 && t < t1);
             self.cuts.extend(inside);
         }
@@ -879,15 +921,15 @@ impl Overlay<'_> {
             // Charge [lo, hi) to the earliest-issued RPC active at `lo`
             // (ties by sequence number), or cache-local when none is.
             let mut chosen: Option<(u64, u64, Phase)> = None; // (t_call, seq, phase)
-            for &ri in children {
-                let r = &self.rpcs[ri as usize];
-                let segs = self.resolved.of(ri);
+            let mut start = 0;
+            for &(t_call, seq, end) in &self.kids {
+                let segs = &self.segs[start..end];
+                start = end;
                 let Some(seg) = segs.iter().find(|s| s.start <= lo && s.end > lo) else {
                     continue;
                 };
-                let key = (r.t_call, r.seq);
-                if chosen.is_none_or(|(tc, sq, _)| key < (tc, sq)) {
-                    chosen = Some((r.t_call, r.seq, seg.phase));
+                if chosen.is_none_or(|(tc, sq, _)| (t_call, seq) < (tc, sq)) {
+                    chosen = Some((t_call, seq, seg.phase));
                 }
             }
             let phase = chosen.map_or(Phase::CacheLocal, |(_, _, p)| p);
@@ -2119,6 +2161,54 @@ mod tests {
         events
     }
 
+    /// The two shapes the chained layout must get right, counted in one
+    /// trace. First, events that close or mark a record under a parent that
+    /// opened none (an `rpc_xmit`, a link): they must find no slot there.
+    /// Second, answered client RPCs called under an op after its `op_end`:
+    /// the op still counts them in `rpcs`.
+    fn layout_shapes(events: &[TraceEvent]) -> (usize, usize) {
+        let opens = |t| {
+            matches!(
+                t,
+                Tag::OpBegin | Tag::RpcCall | Tag::HandlerBegin | Tag::CallbackBegin
+            )
+        };
+        let reads_slot = |t| {
+            matches!(
+                t,
+                Tag::OpEnd
+                    | Tag::RpcReply
+                    | Tag::RpcXmit
+                    | Tag::RpcArrive
+                    | Tag::HandlerEnd
+                    | Tag::CallbackEnd
+            )
+        };
+        // Only events earlier in the array are parents, as in the sweep.
+        let mut seen: Map<u32, Tag> = Map::default();
+        let (mut ended, mut late_calls) =
+            (spritely_sim::Set::default(), spritely_sim::Set::default());
+        let (mut slotless, mut late) = (0, 0);
+        for e in events {
+            let parent = seen.get(&e.parent).copied();
+            if parent.is_some_and(|p| !opens(p)) && reads_slot(e.tag) {
+                slotless += 1;
+            }
+            match e.view() {
+                Event::OpEnd { .. } if parent == Some(Tag::OpBegin) => {
+                    ended.insert(e.parent);
+                }
+                Event::RpcCall { from, .. } if from.0 != 0 && ended.contains(&e.parent) => {
+                    late_calls.insert(e.seq);
+                }
+                Event::RpcReply { .. } if late_calls.remove(&e.parent) => late += 1,
+                _ => {}
+            }
+            seen.insert(e.seq, e.tag);
+        }
+        (slotless, late)
+    }
+
     #[test]
     fn the_sweep_computes_what_the_map_profiler_computed() {
         use proptest::prelude::*;
@@ -2142,6 +2232,8 @@ mod tests {
         // Single-RPC ops, and traces whose handlers all ran unpainted:
         // the two shortcuts of `Overlay::op` and `subdivide_handler`.
         let (mut lone, mut bare) = (0, 0);
+        // The shapes of `layout_shapes`.
+        let (mut slotless, mut late) = (0, 0);
         let mut claims = RpcClaims::default();
         TestRunner::new(ProptestConfig::with_cases(768)).run_cases(|rng| {
             let events = generated(&steps.generate_value(rng));
@@ -2162,15 +2254,19 @@ mod tests {
             painted += paints;
             lone += got.ops.iter().filter(|o| o.rpcs == 1).count();
             bare += usize::from(paints == 0 && got.phase_total(Phase::ServerCpu) > 0);
+            let shapes = layout_shapes(&events);
+            slotless += shapes.0;
+            late += shapes.1;
             claims.op += got.claims.op;
             claims.callback += got.claims.callback;
             claims.background += got.claims.background;
             claims.incomplete += got.claims.incomplete;
         });
-        println!("{spans} spans ({synthetic} synthetic, {multi} with several RPCs, {lone} with one), {painted} painted phases, {bare} unpainted traces, {claims:?}");
+        println!("{spans} spans ({synthetic} synthetic, {multi} with several RPCs, {lone} with one), {painted} painted phases, {bare} unpainted traces, {slotless} slot readers under a non-opener, {late} RPCs called after their op ended, {claims:?}");
         // The generator is not vacuous: every shape turned up often.
         assert!(spans > 2_000 && synthetic > 500 && multi > 80 && painted > 150);
         assert!(lone > 1_000 && bare > 200);
+        assert!(slotless > 200 && late > 200);
         assert!(claims.op > 700 && claims.callback > 120 && claims.incomplete > 500);
     }
 }

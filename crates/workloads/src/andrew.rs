@@ -157,10 +157,12 @@ impl AndrewBenchmark {
         self.files.len()
     }
 
+    /// Byte `i` of file `tag` is `(131 i + 17 tag) mod 251`.
     fn content(size: u64, tag: u64) -> Vec<u8> {
-        (0..size)
-            .map(|i| ((i * 131 + tag * 17) % 251) as u8)
-            .collect()
+        let period: [u8; 251] = std::array::from_fn(|i| ((i as u64 * 131 + tag * 17) % 251) as u8);
+        let mut data = vec![0; size as usize];
+        crate::tile(&mut data, &period, 0);
+        data
     }
 
     /// Creates the source subtree under `src_base` (setup; not timed as a
@@ -374,5 +376,20 @@ mod tests {
             "total {total} vs target {want}"
         );
         assert_eq!(a.file_count(), 70);
+    }
+
+    #[test]
+    fn content_is_its_per_byte_formula() {
+        for size in [0, 1, 250, 251, 252, 502, 4096, 100_000, 2816 * 1024] {
+            for tag in [0, 7, 1000, 2000, 9999] {
+                let want: Vec<u8> = (0..size)
+                    .map(|i| ((i * 131 + tag * 17) % 251) as u8)
+                    .collect();
+                assert!(
+                    AndrewBenchmark::content(size, tag) == want,
+                    "size {size}, tag {tag}"
+                );
+            }
+        }
     }
 }

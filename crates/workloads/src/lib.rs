@@ -21,3 +21,14 @@ pub mod sort;
 pub use andrew::{AndrewBenchmark, AndrewConfig, AndrewParams, AndrewTimes};
 pub use micro::{temp_file_lifetime, write_close_reopen_read, ReopenResult};
 pub use sort::{populate_sort_input, run_sort, SortConfig, SortParams};
+
+/// Fill `out` with `period` repeated from its byte `phase`: a per-byte
+/// formula's bytes, at one copy per period instead of a division per byte.
+fn tile(out: &mut [u8], period: &[u8], phase: usize) {
+    let (head, rest) = out.split_at_mut((period.len() - phase).min(out.len()));
+    head.copy_from_slice(&period[phase..phase + head.len()]);
+    for piece in rest.chunks_mut(period.len()) {
+        let n = piece.len();
+        piece.copy_from_slice(&period[..n]);
+    }
+}

@@ -62,14 +62,18 @@ pub async fn populate_sort_input(p: &Proc, path: &str, bytes: u64) -> Result<()>
     let mut chunk = vec![0u8; CHUNK];
     while written < bytes {
         let n = CHUNK.min((bytes - written) as usize);
-        for (i, b) in chunk[..n].iter_mut().enumerate() {
-            *b = ((written as usize + i) % 253) as u8;
-        }
+        input_bytes(&mut chunk[..n], written);
         p.write(fd, &chunk[..n]).await?;
         written += n as u64;
     }
     p.close(fd).await?;
     Ok(())
+}
+
+/// The input's bytes from `offset` on: byte `o` is `o mod 253`.
+fn input_bytes(out: &mut [u8], offset: u64) {
+    let period: [u8; 253] = std::array::from_fn(|o| o as u8);
+    crate::tile(out, &period, (offset % 253) as usize);
 }
 
 async fn copy_stream(p: &Proc, src: Fd, dst: Fd, limit: u64) -> Result<u64> {
@@ -215,5 +219,21 @@ mod tests {
         assert_eq!(passes(281 * 1024), 1); // ≈ 304 k temp
         assert_eq!(passes(1408 * 1024), 2); // ≈ 2170 k temp
         assert_eq!(passes(2816 * 1024), 3); // ≈ 7764 k temp
+    }
+
+    /// The input, chunk by chunk as `populate_sort_input` writes it.
+    #[test]
+    fn input_is_its_per_byte_formula() {
+        let mut chunk = vec![0; CHUNK];
+        for size in [0, 1, 252, 253, 254, 506, 4096, 100_000, 2816 * 1024] {
+            let mut got = Vec::new();
+            while got.len() < size {
+                let n = CHUNK.min(size - got.len());
+                input_bytes(&mut chunk[..n], got.len() as u64);
+                got.extend_from_slice(&chunk[..n]);
+            }
+            let want: Vec<u8> = (0..size).map(|o| (o % 253) as u8).collect();
+            assert!(got == want, "size {size}");
+        }
     }
 }

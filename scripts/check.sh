@@ -68,7 +68,8 @@ metric() {
 # must have attributed every microsecond and the trace must hold as many
 # events as baselines/trace_events.txt says, so a checker that starts
 # firing, a profiler that drops a claim or an emit site that changes what
-# it records fails here. `--trace 0` prints
+# it records fails here, and so does one whose profile of the run moves
+# (baselines/profile_phases.txt). `--trace 0` prints
 # the end-to-end JSON line, whose host_allocs_per_run is held to
 # baselines/allocs.txt within the benchmark's own 2 % bound, like the line
 # count below: more is a regression, fewer is a stale file, so a layer
@@ -98,7 +99,23 @@ for w in sort_nfs fleet sharing scale16 andrew; do
         echo "FAIL: $w, traced: trace.events is '$events'; baselines/trace_events.txt has '$recorded'"
         exit 1
     fi
-    echo "    trace.violations 0, trace.attributed_share 1, trace.events $events"
+    # What the profiler makes of a real trace: its ten phase totals, means
+    # over the same fixed cycles, are exact too, so a profiler that charges
+    # one microsecond of a real run to another phase fails here, where the
+    # synthetic traces and the one digest of its unit tests would not see it.
+    phases=$(awk -v w="$w" '$1 == w { print $2, $3 }' baselines/profile_phases.txt)
+    if [ "$(wc -l <<<"$phases")" -ne 10 ]; then
+        echo "FAIL: baselines/profile_phases.txt has no ten lines for $w"
+        exit 1
+    fi
+    while read -r key held; do
+        live=$(metric "$key" "$traced")
+        if [ -z "$live" ] || [ "$live" != "$held" ]; then
+            echo "FAIL: $w, traced: $key is '$live'; baselines/profile_phases.txt has '$held'"
+            exit 1
+        fi
+    done <<<"$phases"
+    echo "    trace.violations 0, trace.attributed_share 1, trace.events $events, ten phase totals as recorded"
     echo "==> benchmark: $w, 2 s, host_allocs_per_run and host_peak_heap_mb vs baselines/"
     untraced=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 0 | tail -1)
     # A median of an even number of runs can end in .5; the shell counts whole.

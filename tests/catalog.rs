@@ -105,12 +105,12 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
         }
     }
     for file in baselines {
-        // The eight that are not artifacts: the directory's own README,
+        // The nine that are not artifacts: the directory's own README,
         // the per-crate line-count report, the settable-field,
-        // callerless-function, allocation-count, peak-heap and
-        // event-count ratchets of `scripts/check.sh`, and the ledger of
-        // host-clock claims.
-        const NOT_ARTIFACTS: [&str; 8] = [
+        // callerless-function, allocation-count, peak-heap, event-count
+        // and profiler-phase ratchets of `scripts/check.sh`, and the
+        // ledger of host-clock claims.
+        const NOT_ARTIFACTS: [&str; 9] = [
             "README.md",
             "loc.txt",
             "knobs.txt",
@@ -118,6 +118,7 @@ fn the_committed_record_is_reproduced_and_every_baseline_is_claimed_once() {
             "allocs.txt",
             "peak_heap.txt",
             "trace_events.txt",
+            "profile_phases.txt",
             "host_ledger.jsonl",
         ];
         if NOT_ARTIFACTS.contains(&file.as_str()) {

@@ -1066,9 +1066,10 @@ fn read_trace(n: u64) -> Vec<TraceEvent> {
 
 /// Allocations of one `profile_trace`: its tables, each sized once from
 /// a count of the events' kinds, and the few small vectors that stay
-/// small. 29 at 1,000 RPCs and 29 at 8,000; the parent commit — a map
-/// entry per event, a `Vec` per RPC, every table grown by doubling —
-/// made 13,087 and 104,111.
+/// small. 19 at 1,000 RPCs and 19 at 8,000 (27 while the boundaries,
+/// paints and op children were copied into groups); the map profiler
+/// before the tables — a map entry per event, a `Vec` per RPC, every
+/// table grown by doubling — made 13,087 and 104,111.
 const PROFILE_BUDGET: u64 = 32;
 
 #[test]
@@ -1089,4 +1090,30 @@ fn the_profiler_allocates_its_tables_and_nothing_per_rpc() {
         "the count must not depend on the trace's length"
     );
     assert!(large <= PROFILE_BUDGET, "{large}, budget {PROFILE_BUDGET}");
+}
+
+/// Bytes one `profile_trace` asks the allocator for per RPC of
+/// `read_trace(8_000)`: every table, the scratch buffers and the 128 bytes
+/// of `OpProfile` row it returns. 481 with one `u32` fact per event, a
+/// 16-byte context only per event that opens a record, each RPC's
+/// boundaries and each handler's paints chained in place and each span's
+/// RPCs resolved into a buffer reused span after span; the parent commit,
+/// with a 16-byte fact per event, the boundaries, paints and op children
+/// copied into groups and every RPC's resolved segments kept, requested
+/// 901.
+const PROFILE_BYTES_PER_RPC: u64 = 490;
+
+#[test]
+fn the_profiler_requests_a_bounded_number_of_bytes_per_rpc() {
+    let n = 8_000;
+    let events = read_trace(n);
+    let before = REQUESTED.with(Cell::get);
+    let p = profile_trace(&events);
+    let per_rpc = (REQUESTED.with(Cell::get) - before) / n;
+    assert_eq!(p.claims.op, n);
+    println!("profile_trace requests {per_rpc} bytes per RPC");
+    assert!(
+        per_rpc <= PROFILE_BYTES_PER_RPC,
+        "{per_rpc} bytes per RPC, budget {PROFILE_BYTES_PER_RPC}"
+    );
 }
