@@ -14,6 +14,8 @@
 
 use spritely_proto::{ClientId, Delegation, FileHandle, FileVersion};
 use spritely_sim::Map;
+use spritely_trace::transitions::{open_row, Role};
+use spritely_trace::Cause;
 
 /// The seven file states of paper §4.3.4: the trace's own enum, so a
 /// transition is recorded as the table computes it.
@@ -98,6 +100,19 @@ struct Entry {
 }
 
 impl Entry {
+    fn new(version: FileVersion) -> Entry {
+        Entry {
+            version,
+            prev_version: version,
+            clients: Vec::new(),
+            dirty: None,
+            uncached: false,
+            inconsistent: false,
+            delegs: Vec::new(),
+            fenced: Vec::new(),
+        }
+    }
+
     fn state(&self) -> FileState {
         if self.clients.is_empty() {
             if self.dirty.is_some() {
@@ -121,6 +136,12 @@ impl Entry {
             // have set `uncached`.
             FileState::MultReaders
         }
+    }
+
+    /// `client`'s role in this entry's Table 4-1 rows.
+    fn role(&self, client: ClientId) -> Role {
+        let open = self.clients.iter().any(|c| c.client == client);
+        Role::of(open, self.dirty == Some(client))
     }
 
     fn opens_of(&mut self, client: ClientId) -> &mut ClientOpens {
@@ -245,110 +266,31 @@ impl StateTable {
     pub fn open(&mut self, fh: FileHandle, client: ClientId, write: bool) -> OpenOutcome {
         if !self.entries.contains_key(&fh) {
             let v = self.fresh_version();
-            self.entries.insert(
-                fh,
-                Entry {
-                    version: v,
-                    prev_version: v,
-                    clients: Vec::new(),
-                    dirty: None,
-                    uncached: false,
-                    inconsistent: false,
-                    delegs: Vec::new(),
-                    fenced: Vec::new(),
-                },
-            );
-        }
-        // Compute callbacks against the pre-open state.
-        let mut callbacks = Vec::new();
-        {
-            let e = self.entries.get_mut(&fh).expect("inserted above");
-            match e.state() {
-                FileState::Closed => {}
-                FileState::ClosedDirty => {
-                    let last = e.dirty.expect("ClosedDirty implies a dirty holder");
-                    if last != client {
-                        // The newcomer needs the last writer's data at the
-                        // server. If the newcomer writes, the version will
-                        // change, so the old copy must also be invalidated.
-                        callbacks.push(CallbackNeeded {
-                            target: last,
-                            writeback: true,
-                            invalidate: write,
-                        });
-                    }
-                }
-                FileState::OneReader | FileState::MultReaders => {
-                    // A writer arriving on *other* clients' reads makes the
-                    // file write-shared. A sole reader upgrading itself to
-                    // write keeps its cache (Table 4-1: ONE_READER →
-                    // ONE_WRITER for the same client).
-                    if write && e.clients.iter().any(|c| c.client != client) {
-                        for c in &e.clients {
-                            if c.client != client {
-                                callbacks.push(CallbackNeeded {
-                                    target: c.client,
-                                    writeback: false,
-                                    invalidate: true,
-                                });
-                            }
-                        }
-                        e.uncached = true;
-                    }
-                }
-                FileState::OneRdrDirty => {
-                    let holder = e.dirty.expect("OneRdrDirty implies a dirty holder");
-                    if client != holder || !e.clients.iter().any(|c| c.client == client) {
-                        // A different client arrives (or the dirty holder
-                        // is not among the openers): flush the dirty data.
-                        if write {
-                            for c in &e.clients {
-                                if c.client != client {
-                                    callbacks.push(CallbackNeeded {
-                                        target: c.client,
-                                        writeback: c.client == holder,
-                                        invalidate: true,
-                                    });
-                                }
-                            }
-                            if !e.clients.iter().any(|c| c.client == holder) && holder != client {
-                                callbacks.push(CallbackNeeded {
-                                    target: holder,
-                                    writeback: true,
-                                    invalidate: true,
-                                });
-                            }
-                            e.uncached = true;
-                        } else if holder != client {
-                            callbacks.push(CallbackNeeded {
-                                target: holder,
-                                writeback: true,
-                                invalidate: false,
-                            });
-                        }
-                    }
-                }
-                FileState::OneWriter => {
-                    let w = e.clients[0].client;
-                    if w != client {
-                        // Concurrent sharing with a writer: the writer must
-                        // flush and stop caching; the file becomes
-                        // write-shared and nobody caches.
-                        callbacks.push(CallbackNeeded {
-                            target: w,
-                            writeback: true,
-                            invalidate: true,
-                        });
-                        e.uncached = true;
-                    }
-                }
-                FileState::WriteShared => {}
-            }
+            self.entries.insert(fh, Entry::new(v));
         }
         // Version bump for write opens (paper §4.3.3: "increases every
         // time the file is opened for writing").
         let v = write.then(|| self.fresh_version());
+        // The row the opener's role selects from the pre-open state, and
+        // its asks of every other host: the openers in table order, then
+        // a dirty holder with no open.
+        let cause = [Cause::OpenRead, Cause::OpenWrite][usize::from(write)];
         let e = self.entries.get_mut(&fh).expect("inserted above");
+        let row = open_row(e.state(), cause, e.role(client));
+        let others = e.clients.iter().map(|c| c.client);
+        let holder = e.dirty.filter(|&h| e.role(h) == Role::Holder);
+        let mut callbacks = Vec::new();
+        for target in others.chain(holder).filter(|&t| t != client) {
+            let ask = row.ask(e.role(target));
+            if ask.writeback || ask.invalidate {
+                callbacks.push(CallbackNeeded {
+                    target,
+                    writeback: ask.writeback,
+                    invalidate: ask.invalidate,
+                });
+            }
+        }
+        e.uncached |= row.uncaches();
         if let Some(v) = v {
             e.prev_version = e.version;
             e.version = v;
@@ -362,6 +304,7 @@ impl StateTable {
         } else {
             opens.readers += 1;
         }
+        debug_assert_eq!(e.state(), row.to, "{fh}: {client:?} took another row");
         OpenOutcome {
             cache_enabled: !e.uncached,
             version: e.version,
@@ -559,11 +502,7 @@ impl StateTable {
             return None;
         }
         self.entries.get(&fh)?;
-        let v = if wrote {
-            Some(self.fresh_version())
-        } else {
-            None
-        };
+        let v = wrote.then(|| self.fresh_version());
         let e = self.entries.get_mut(&fh).expect("checked above");
         let had = e.delegs.iter().any(|d| d.holder == client);
         e.delegs.retain(|d| d.holder != client);
@@ -748,21 +687,8 @@ impl StateTable {
             if !needs_entry {
                 continue;
             }
-            let version = f.cached_version.unwrap_or_else(|| {
-                let v = FileVersion(self.next_version);
-                self.next_version += 1;
-                v
-            });
-            let e = self.entries.entry(f.fh).or_insert(Entry {
-                version,
-                prev_version: version,
-                clients: Vec::new(),
-                dirty: None,
-                uncached: false,
-                inconsistent: false,
-                delegs: Vec::new(),
-                fenced: Vec::new(),
-            });
+            let version = f.cached_version.unwrap_or_else(|| self.fresh_version());
+            let e = self.entries.entry(f.fh).or_insert(Entry::new(version));
             if e.version < version {
                 e.prev_version = e.version;
                 e.version = version;

@@ -23,6 +23,7 @@ pub mod check;
 pub mod export;
 pub mod profile;
 mod record;
+pub mod transitions;
 
 pub use check::{check_trace, Violation};
 pub use export::{to_chrome_json, to_jsonl};

@@ -198,7 +198,7 @@ fi
 # tests drive the soft caller beneath the hard mount and are not held.
 echo "==> one hard mount (no insist or re-issue loop in crates/*/src or tests)"
 if git grep -nE '\binsist\b|while .*\.is_(err|ok)\(\)|Err\(_\) => .*\.sleep\(' -- \
-    'crates/*/src' tests ':!crates/rpcnet'; then
+    'crates/*/src/*' tests ':!crates/rpcnet'; then
     echo "FAIL: the lines above re-issue a failed op; ClientBase::call_retx is the hard mount"
     exit 1
 fi
@@ -267,9 +267,25 @@ fi
 # depends on its growth differ from run to run. crates/sim/src/hash.rs
 # defines the alias and is the one file allowed to name them.
 echo "==> one hasher (no std HashMap, HashSet or RandomState outside spritely_sim's alias)"
-if git grep -nE 'collections::.*Hash(Map|Set)|RandomState' -- 'crates/*/src' src \
+if git grep -nE 'collections::.*Hash(Map|Set)|RandomState' -- 'crates/*/src/*' src \
     ':!crates/sim/src/hash.rs'; then
     echo "FAIL: the lines above use a std hash map; use spritely_sim::{Map, Set}"
+    exit 1
+fi
+
+# Table 4-1, once: crates/trace/src/transitions.rs states the server state
+# machine of §4.3.4 as one relation, a row per (from, cause, opener's role)
+# with its to-state and the callbacks the open asks for. StateTable::open
+# expands its rows, the trace checker's legal() looks edges up in it and the
+# proptest checks opens against it. A (from, to) pair of states or a match
+# arm on a state anywhere else in crates/*/src would be a second copy that
+# can drift from it. (git's pathspec 'crates/*/src' matches no file; the
+# trailing /* reaches the files under it.)
+echo "==> Table 4-1, once (no state edge list or per-state match outside transitions.rs)"
+states='(FState|FileState)::[A-Za-z]+|Closed|ClosedDirty|OneReader|OneRdrDirty|MultReaders|OneWriter|WriteShared'
+if git grep -nE -e "\\(($states), *($states)\\)" -e "(FState|FileState)::[A-Za-z]+ *(=>|[|])" -- \
+    'crates/*/src/*' ':!crates/trace/src/transitions.rs'; then
+    echo "FAIL: the lines above spell Table 4-1 again; add a row to crates/trace/src/transitions.rs"
     exit 1
 fi
 
