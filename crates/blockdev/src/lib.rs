@@ -25,7 +25,7 @@ use std::task::{Poll, Waker};
 
 use spritely_metrics::{Histogram, InflightGauge};
 use spritely_sim::{Sim, SimDuration};
-use spritely_trace::{EventKind, Tracer};
+use spritely_trace::{EventKind, Name, Tracer};
 
 /// Bytes per block address: the file system's 4 KB block.
 const BLOCK_BYTES: u64 = 4096;
@@ -108,7 +108,7 @@ pub struct DiskStats {
 #[derive(Clone)]
 pub struct Disk {
     sim: Sim,
-    /// The disk's name as its trace events carry it.
+    /// The disk's name.
     label: Rc<str>,
     params: DiskParams,
     sched: DiskSched,
@@ -120,7 +120,8 @@ pub struct Disk {
     wait_ms: Histogram,
     /// Per-request positioning time charged, in milliseconds.
     pos_ms: Histogram,
-    tracer: Rc<RefCell<Option<Tracer>>>,
+    /// The tracer, and the label interned on its thread.
+    tracer: Rc<RefCell<Option<(Tracer, Name)>>>,
 }
 
 struct DiskState {
@@ -204,14 +205,14 @@ impl Disk {
     /// events from then on. Emission never awaits, so traced runs are
     /// behaviorally identical.
     pub fn set_tracer(&self, tracer: Tracer) {
-        *self.tracer.borrow_mut() = Some(tracer);
+        *self.tracer.borrow_mut() = Some((tracer, Name::from(&*self.label)));
     }
 
     /// Emits the event `kind` builds, if a tracer is attached; an
     /// untraced run builds nothing.
-    fn emit(&self, kind: impl FnOnce(Rc<str>) -> EventKind) {
-        if let Some(t) = self.tracer.borrow().as_ref() {
-            t.emit(0, kind(self.label.clone()));
+    fn emit(&self, kind: impl FnOnce(Name) -> EventKind) {
+        if let Some((t, label)) = self.tracer.borrow().as_ref() {
+            t.emit(0, kind(*label));
         }
     }
 
@@ -495,6 +496,30 @@ mod tests {
             _ => None,
         });
         pos.map(|p| p + transfer).sum()
+    }
+
+    /// The label interned when the tracer is set is the one its text gets:
+    /// every event of a request names the disk by it.
+    #[test]
+    fn a_disk_names_itself_by_the_id_of_its_label() {
+        let sim = Sim::new();
+        let d = Disk::new(&sim, "srv-disk-label", test_params());
+        let tracer = Tracer::new(&sim);
+        d.set_tracer(tracer.clone());
+        sim.block_on({
+            let d = d.clone();
+            async move { d.write(3, 1024).await }
+        });
+        let label = spritely_trace::Name::from("srv-disk-label");
+        let disks: Vec<_> = (tracer.finish().iter())
+            .map(|e| match e.view() {
+                spritely_trace::Event::DiskQueue { disk, .. }
+                | spritely_trace::Event::DiskDone { disk, .. } => disk,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(disks, [label, label]);
+        assert_eq!(label.as_str(), "srv-disk-label");
     }
 
     #[test]

@@ -4,12 +4,10 @@
 //! `rpc_call` with and without a file handle — the event's `name()`,
 //! `fields()` and JSONL line are those of the kind it was built from.
 
-use std::rc::Rc;
-
 use proptest::prelude::*;
 use spritely_metrics::json::Writer;
 use spritely_proto::{ClientId, FileHandle, NfsProc};
-use spritely_trace::{to_jsonl, Cause, EventKind, FState, TraceEvent, Val};
+use spritely_trace::{to_jsonl, Cause, EventKind, FState, Name, TraceEvent, Val};
 
 const KINDS: usize = 36;
 
@@ -191,13 +189,13 @@ fn kind(which: usize, d: &mut Draws<'_>) -> EventKind {
         },
         20 => EventKind::ServerCrash,
         21 => EventKind::DiskQueue {
-            disk: Rc::from(d.text()),
+            disk: Name::from(d.text()),
             req: d.num(),
             block: d.num(),
             write: d.flag(),
         },
         22 => EventKind::DiskDone {
-            disk: Rc::from(d.text()),
+            disk: Name::from(d.text()),
             req: d.num(),
             block: d.num(),
             write: d.flag(),

@@ -3,11 +3,9 @@
 //! `*_trace_fnv` ledger key hashes), and the coverage check that makes a
 //! new variant show up here.
 
-use std::rc::Rc;
-
 use spritely_metrics::json::{self, Value};
 use spritely_proto::{ClientId, FileHandle, Fnv, NfsProc};
-use spritely_trace::{to_chrome_json, to_jsonl, Cause, EventKind, FState, TraceEvent};
+use spritely_trace::{to_chrome_json, to_jsonl, Cause, EventKind, FState, Name, TraceEvent};
 
 /// A string that exercises every escape class: a quote, a backslash, a
 /// named control character and one that needs `\u`.
@@ -64,7 +62,7 @@ const VARIANTS: usize = 36;
 fn kinds() -> Vec<(u64, EventKind)> {
     let c = ClientId(3);
     let fh = FileHandle::new(1, 7, 2);
-    let disk: Rc<str> = Rc::from(NASTY);
+    let disk = Name::from(NASTY);
     vec![
         (
             0,
@@ -168,7 +166,7 @@ fn kinds() -> Vec<(u64, EventKind)> {
         (
             0,
             EventKind::DiskQueue {
-                disk: disk.clone(),
+                disk,
                 req: 1,
                 block: 77,
                 write: true,
