@@ -7,9 +7,12 @@
 //! it. Runs are fully deterministic: identical inputs produce identical event
 //! orders and identical final clocks.
 //!
-//! Tasks are not `Send`; the whole simulation lives on one OS thread. Wakers
-//! only touch a mutex-protected ready queue, which keeps the `Waker`
-//! contract (`Send + Sync`) satisfied without making tasks thread-safe.
+//! Tasks are not `Send`; the whole simulation lives on one OS thread, and
+//! so do its wakers: a waker counts its references without atomics and
+//! pushes onto an unlocked ready queue, and checks first that it is on
+//! the thread that made it. Off that thread a wake or a clone panics and
+//! a drop leaks, which keeps the `Waker` contract (`Send + Sync`) safe
+//! without making anything thread-safe.
 //!
 //! # Hot-path layout
 //!
@@ -40,13 +43,13 @@
 //!   benches is measured, not inferred.
 
 use std::any::{Any, TypeId};
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::thread::{self, ThreadId};
 
 use crate::sync::Waiters;
 use crate::time::{SimDuration, SimTime};
@@ -63,61 +66,122 @@ pub struct TaskId {
 
 /// The queue of tasks made runnable by wakers.
 ///
-/// This is the only piece of executor state shared with [`Waker`]s, so it is
-/// the only piece that needs synchronization.
+/// This is the only piece of executor state shared with [`Waker`]s, and
+/// they never touch it off the simulation's thread (see [`WakerCell`]).
 #[derive(Default)]
 struct ReadyQueue {
-    state: Mutex<ReadyState>,
-}
-
-#[derive(Default)]
-struct ReadyState {
-    queue: VecDeque<TaskId>,
-    peak_depth: usize,
+    queue: RefCell<VecDeque<TaskId>>,
+    peak_depth: Cell<usize>,
 }
 
 impl ReadyQueue {
     fn push(&self, id: TaskId) {
-        let mut s = self.state.lock().expect("ready queue poisoned");
-        s.queue.push_back(id);
-        if s.queue.len() > s.peak_depth {
-            s.peak_depth = s.queue.len();
-        }
+        let mut queue = self.queue.borrow_mut();
+        queue.push_back(id);
+        self.peak_depth.set(self.peak_depth.get().max(queue.len()));
     }
 
     fn pop(&self) -> Option<TaskId> {
-        self.state
-            .lock()
-            .expect("ready queue poisoned")
-            .queue
-            .pop_front()
-    }
-
-    fn peak_depth(&self) -> usize {
-        self.state.lock().expect("ready queue poisoned").peak_depth
-    }
-
-    /// Empties the queue, returning how many entries it held.
-    fn clear(&self) -> usize {
-        let mut s = self.state.lock().expect("ready queue poisoned");
-        let n = s.queue.len();
-        s.queue.clear();
-        n
+        self.queue.borrow_mut().pop_front()
     }
 }
 
-struct TaskWaker {
-    id: TaskId,
-    ready: Arc<ReadyQueue>,
+thread_local! {
+    /// This thread's id, from its first waker on. It needs no destructor,
+    /// so a waker dropped during thread-local teardown still reads it.
+    static THREAD: OnceCell<ThreadId> = const { OnceCell::new() };
 }
 
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.ready.push(self.id);
+/// What a task's [`Waker`] points at. Only the thread that made it touches
+/// its cells, which every vtable function checks first (DESIGN.md §15).
+struct WakerCell {
+    refs: Cell<usize>,
+    id: Cell<TaskId>,
+    ready: Rc<ReadyQueue>,
+    home: ThreadId,
+}
+
+static VTABLE: RawWakerVTable = RawWakerVTable::new(clone_waker, wake, wake_by_ref, drop_waker);
+
+impl WakerCell {
+    /// A waker for task `id`, bound to the calling thread.
+    fn waker(id: TaskId, ready: &Rc<ReadyQueue>) -> Waker {
+        let home = THREAD.with(|t| *t.get_or_init(|| thread::current().id()));
+        let cell = Box::new(WakerCell {
+            refs: Cell::new(1),
+            id: Cell::new(id),
+            ready: Rc::clone(ready),
+            home,
+        });
+        // SAFETY: the vtable's functions take `data` as this cell, which
+        // lives until the last reference is dropped on its thread.
+        unsafe { Waker::from_raw(RawWaker::new(Box::into_raw(cell).cast(), &VTABLE)) }
     }
 
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.push(self.id);
+    /// The cell behind a waker [`WakerCell::waker`] made, on its thread.
+    fn of(waker: &Waker) -> &WakerCell {
+        debug_assert!(std::ptr::eq(waker.vtable(), &VTABLE));
+        // SAFETY: `waker` holds a reference, so the cell is live, and only
+        // the executor calls this, on the simulation's own thread.
+        unsafe { at_home(waker.data()) }.expect("the simulation's own thread")
+    }
+}
+
+const FOREIGN: &str = "a simulation's waker was used off the thread that runs it";
+
+/// The cell behind `data` if the calling thread made it, else `None`.
+///
+/// # Safety
+///
+/// `data` is a live waker's, made by [`WakerCell::waker`] or cloned.
+unsafe fn at_home<'a>(data: *const ()) -> Option<&'a WakerCell> {
+    let cell = data.cast::<WakerCell>();
+    // SAFETY: the cell is live. Off its thread only `home` is read, and it
+    // is written once, before the cell is shared.
+    let home = unsafe { (*cell).home };
+    let here = THREAD.try_with(|t| t.get() == Some(&home)).unwrap_or(false);
+    // SAFETY: on its own thread nothing else is touching the cell.
+    here.then(|| unsafe { &*cell })
+}
+
+/// # Safety
+/// For this and the three below: `data` is as [`at_home`] asks.
+unsafe fn clone_waker(data: *const ()) -> RawWaker {
+    // SAFETY: forwarded from the caller.
+    let cell = unsafe { at_home(data) }.expect(FOREIGN);
+    cell.refs.set(cell.refs.get() + 1);
+    RawWaker::new(data, &VTABLE)
+}
+
+/// # Safety
+/// See [`clone_waker`].
+unsafe fn wake(data: *const ()) {
+    // SAFETY: forwarded; `drop_waker` gives back this waker's reference.
+    unsafe { wake_by_ref(data) };
+    unsafe { drop_waker(data) };
+}
+
+/// # Safety
+/// See [`clone_waker`].
+unsafe fn wake_by_ref(data: *const ()) {
+    // SAFETY: forwarded from the caller.
+    let cell = unsafe { at_home(data) }.expect(FOREIGN);
+    cell.ready.push(cell.id.get());
+}
+
+/// # Safety
+/// See [`clone_waker`].
+unsafe fn drop_waker(data: *const ()) {
+    // Off its thread the reference leaks rather than panic: a drop may run
+    // while unwinding, or at thread-local teardown, where a panic aborts.
+    // SAFETY: forwarded from the caller.
+    let Some(cell) = (unsafe { at_home(data) }) else {
+        return;
+    };
+    match cell.refs.get() {
+        // SAFETY: this was the last reference, and `waker` made the box.
+        1 => drop(unsafe { Box::from_raw(data.cast_mut().cast::<WakerCell>()) }),
+        n => cell.refs.set(n - 1),
     }
 }
 
@@ -129,10 +193,11 @@ struct TaskSlot {
     /// `None` while the slot is free, and while the task is being polled
     /// (user code re-enters the core); put back on `Pending`.
     task: Option<Rc<dyn Task>>,
-    /// Polling clones it (an `Arc` bump), never allocates. Kept when the
-    /// occupant leaves: the next one re-targets it if `Arc::get_mut`
-    /// proves no clone is left in some wait list, else gets a fresh one.
-    waker: Arc<TaskWaker>,
+    /// Polling clones it (a count, not an allocation). Kept when the
+    /// occupant leaves: the next one re-targets it if the slot holds the
+    /// only reference (no clone is left in some wait list), else gets a
+    /// fresh one.
+    waker: Waker,
 }
 
 /// A spawned task as its slot sees it.
@@ -306,7 +371,7 @@ impl Core {
 #[derive(Clone)]
 pub struct Sim {
     core: Rc<RefCell<Core>>,
-    ready: Arc<ReadyQueue>,
+    ready: Rc<ReadyQueue>,
 }
 
 impl Default for Sim {
@@ -320,7 +385,7 @@ impl Sim {
     pub fn new() -> Self {
         Sim {
             core: Rc::default(),
-            ready: Arc::new(ReadyQueue::default()),
+            ready: Rc::default(),
         }
     }
 
@@ -360,16 +425,18 @@ impl Sim {
             let id = TaskId { index, gen };
             match core.tasks.get_mut(index as usize) {
                 Some(slot) => {
-                    match Arc::get_mut(&mut slot.waker) {
-                        Some(waker) => waker.id = id,
-                        None => slot.waker = self.waker_for(id),
+                    let cell = WakerCell::of(&slot.waker);
+                    if cell.refs.get() == 1 {
+                        cell.id.set(id);
+                    } else {
+                        slot.waker = WakerCell::waker(id, &self.ready);
                     }
                     slot.task = Some(task);
                 }
                 None => core.tasks.push(TaskSlot {
                     gen,
                     task: Some(task),
-                    waker: self.waker_for(id),
+                    waker: WakerCell::waker(id, &self.ready),
                 }),
             }
             core.live_tasks += 1;
@@ -379,13 +446,6 @@ impl Sim {
         };
         self.ready.push(id);
         handle
-    }
-
-    fn waker_for(&self, id: TaskId) -> Arc<TaskWaker> {
-        Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.ready),
-        })
     }
 
     /// Returns a future that completes `d` after the current virtual time.
@@ -434,10 +494,9 @@ impl Sim {
             let (task, waker) = {
                 let mut core = self.core.borrow_mut();
                 let taken = match core.tasks.get_mut(id.index as usize) {
-                    Some(slot) if slot.gen == id.gen => slot
-                        .task
-                        .take()
-                        .map(|t| (t, Waker::from(Arc::clone(&slot.waker)))),
+                    Some(slot) if slot.gen == id.gen => {
+                        slot.task.take().map(|t| (t, slot.waker.clone()))
+                    }
                     _ => None,
                 };
                 let Some(taken) = taken else {
@@ -575,7 +634,7 @@ impl Sim {
             for task in &tasks {
                 task.cancel();
             }
-            let queued = self.ready.clear();
+            let queued = self.ready.queue.borrow_mut().drain(..).len();
             if tasks.is_empty() && timers.is_empty() && queued == 0 {
                 return;
             }
@@ -599,7 +658,7 @@ impl Sim {
         s.timer_cancels = core.timers.cancels();
         s.peak_live_tasks = core.peak_live_tasks as u64;
         s.peak_live_timers = core.timers.peak_live() as u64;
-        s.peak_ready_depth = self.ready.peak_depth() as u64;
+        s.peak_ready_depth = self.ready.peak_depth.get() as u64;
         s
     }
 }
@@ -781,7 +840,8 @@ impl Future for YieldNow {
 mod tests {
     use super::*;
     use crate::sync::Event;
-    use std::cell::Cell;
+    use std::sync::Arc;
+    use std::task::Wake;
 
     #[test]
     fn clock_starts_at_zero() {
@@ -1123,7 +1183,7 @@ mod tests {
     #[test]
     fn a_slot_reuses_its_waker_unless_a_clone_outlived_the_task() {
         let sim = Sim::new();
-        let slot_waker = |sim: &Sim| Arc::as_ptr(&sim.core.borrow().tasks[0].waker);
+        let slot_waker = |sim: &Sim| sim.core.borrow().tasks[0].waker.data();
         let polls = Rc::new(Cell::new(0u32));
         // Counts its polls; finishes on the first iff `finish`, stashing
         // a clone of its waker iff `kept` is given.
@@ -1160,6 +1220,75 @@ mod tests {
         assert_eq!(polls.get(), 3, "the late wake polled the slot's new task");
         assert_eq!(sim.stats().stale_wakes, 1);
         assert_eq!(sim.core.borrow().tasks.len(), 1, "one slot throughout");
+    }
+
+    /// A task that stashes a clone of its waker on its first poll and
+    /// finishes once `done` is set (test helper).
+    fn stashing(sim: &Sim, done: Rc<Cell<bool>>) -> Rc<RefCell<Option<Waker>>> {
+        let kept: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let stash = Rc::clone(&kept);
+        sim.spawn(std::future::poll_fn(move |cx| {
+            stash.borrow_mut().get_or_insert_with(|| cx.waker().clone());
+            if done.get() {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        }));
+        kept
+    }
+
+    /// A waker handed to another thread wakes nobody there: a wake or a
+    /// clone panics, a drop returns (leaking its reference), and the
+    /// simulation finishes as if the detour had not happened.
+    #[test]
+    fn a_waker_off_its_thread_panics_on_use_and_leaks_on_drop() {
+        let run = |detour: bool| {
+            let sim = Sim::new();
+            let done = Rc::new(Cell::new(false));
+            let kept = stashing(&sim, Rc::clone(&done));
+            sim.run_to_quiescence();
+            let waker = kept.borrow().clone().expect("stashed");
+            if detour {
+                let (woken, cloned, dropped) = (waker.clone(), waker.clone(), waker.clone());
+                std::thread::scope(|s| {
+                    let woken = s.spawn(move || woken.wake_by_ref());
+                    let cloned = s.spawn(move || drop(cloned.clone()));
+                    let dropped = s.spawn(move || drop(dropped));
+                    assert!(woken.join().is_err(), "a foreign wake panics");
+                    assert!(cloned.join().is_err(), "a foreign clone panics");
+                    assert!(dropped.join().is_ok(), "a foreign drop returns");
+                });
+                sim.run_to_quiescence();
+            }
+            done.set(true);
+            waker.wake();
+            sim.run_to_quiescence();
+            assert_eq!(sim.live_tasks(), 0);
+            sim.stats()
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// A clone parked in another thread's locals is dropped when that
+    /// thread exits: it leaks there instead of panicking, which would
+    /// abort the process.
+    #[test]
+    fn a_waker_in_an_exiting_threads_locals_leaks_quietly() {
+        thread_local! {
+            static PARKED: RefCell<Option<Waker>> = const { RefCell::new(None) };
+        }
+        let sim = Sim::new();
+        let done = Rc::new(Cell::new(false));
+        let kept = stashing(&sim, Rc::clone(&done));
+        sim.run_to_quiescence();
+        let parked = kept.borrow().clone().expect("stashed");
+        let exited = std::thread::spawn(move || PARKED.with(|p| *p.borrow_mut() = Some(parked)));
+        assert!(exited.join().is_ok(), "the thread's teardown did not abort");
+        done.set(true);
+        kept.borrow_mut().take().expect("stashed").wake();
+        sim.run_to_quiescence();
+        assert_eq!((sim.live_tasks(), sim.stats().stale_wakes), (0, 0));
     }
 
     #[test]

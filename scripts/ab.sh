@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# A/B the end-to-end benchmark metrics of two revisions on one workload.
+# A/B the end-to-end benchmark metrics of two revisions on some workloads.
 #
-#   scripts/ab.sh <rev-a> <rev-b> <workload> [pairs] [--seconds S] [--seed N]
+#   scripts/ab.sh <rev-a> <rev-b> <workloads> [pairs] [--seconds S] [--seed N]
+#
+# <workloads> is one workload, a comma-separated list of them, or `all`
+# for every workload BENCHMARK.json names.
 #
 # Each revision's `spritely-benchmark` is built from `git archive` of that
 # commit under ${TMPDIR:-/tmp}/spritely-ab/<commit>, with its own
@@ -9,23 +12,24 @@
 # commit built once is reused. The two binaries then make the benchmark's
 # own measurement, `--workload W --seed N --seconds S --trace 0` (what
 # benchmark/run.sh runs; each metric is already a median over the run's
-# repetitions), in alternating order, A B B A A B …, `pairs` pairs
-# (default 10), S seconds each (default 5), at seed N (default 42).
+# repetitions), `pairs` pairs (default 10), S seconds each (default 5), at
+# seed N (default 42). Each pair runs every listed workload in turn, A then
+# B in even pairs and B then A in odd ones.
 #
-# A run that fails or is not correct stops the script (exit 1). A `sim_*` metric
-# is simulated time or a simulated count, one value per workload and
-# seed: the script fails (exit 1) naming the pairs where A and B differ on
-# one. Otherwise it prints, per other metric (`setup_s`, `host_*`, lower
-# is better), A's and B's median and quartiles over the runs, the change
-# of the medians, and how many pairs B won (read lower in).
+# A run that fails or is not correct stops the script (exit 1), and so
+# does a pair whose A and B differ on a `sim_*` metric (simulated time or a
+# simulated count, one value per workload and seed). Otherwise it prints,
+# per workload and per other metric (`setup_s`, `host_*`, lower is
+# better), A's and B's median and quartiles over the runs, the change of
+# the medians, and how many pairs B won (read lower in).
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 <rev-a> <rev-b> <workload> [pairs] [--seconds S] [--seed N]" >&2
+    echo "usage: $0 <rev-a> <rev-b> <workload[,workload…]|all> [pairs] [--seconds S] [--seed N]" >&2
     exit 2
 }
 [[ $# -ge 3 ]] || usage
-rev_a=$1 rev_b=$2 workload=$3
+rev_a=$1 rev_b=$2 workloads=$3
 shift 3
 pairs=10 seconds=5 seed=42
 if [[ $# -gt 0 && $1 != --* ]]; then
@@ -45,6 +49,11 @@ done
 
 repo="$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)"
 root="${TMPDIR:-/tmp}/spritely-ab"
+if [[ $workloads == all ]]; then
+    workloads=$(grep -o '"name": "[a-z0-9_]*", "why"' "$repo/BENCHMARK.json" | cut -d'"' -f4 | paste -sd,)
+fi
+IFS=, read -ra names <<<"$workloads"
+[[ ${#names[@]} -gt 0 ]] || usage
 
 # The benchmark binary of `rev`, built on first use.
 build() {
@@ -67,48 +76,45 @@ bin_b="$(build "$rev_b")"
 out="$(mktemp -d "${TMPDIR:-/tmp}/spritely-ab-run.XXXXXX")"
 trap 'rm -rf "$out"' EXIT
 
-# One run of side `side` (a or b), pair `i`: its `metric value` lines,
-# from the JSON object on its last line.
+# One run of side `1` (a or b) on workload `2`, pair `3`: its
+# `metric value` lines, from the JSON object on its last line.
 run() {
     local bin=$bin_a
     [[ $1 == b ]] && bin=$bin_b
-    if ! "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-        2>"$out/err" | tail -n 1 >"$out/$1.$2.json" ||
-        ! grep -q '"correct": true' "$out/$1.$2.json"; then
-        echo "ab: pair $2: the $1 run failed or was not correct:" >&2
+    if ! "$bin" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 \
+        2>"$out/err" | tail -n 1 >"$out/$1.$2.$3.json" ||
+        ! grep -q '"correct": true' "$out/$1.$2.$3.json"; then
+        echo "ab: $2, pair $3: the $1 run failed or was not correct:" >&2
         tail -n 3 "$out/err" >&2
         exit 1
     fi
-    grep -o '"[a-z0-9_]*": {"value": [^,}]*' "$out/$1.$2.json" |
-        sed 's/^"\([^"]*\)": {"value": /\1 /' >"$out/$1.$2"
+    grep -o '"[a-z0-9_]*": {"value": [^,}]*' "$out/$1.$2.$3.json" |
+        sed 's/^"\([^"]*\)": {"value": /\1 /' >"$out/$1.$2.$3"
 }
-echo "ab: $workload, seed $seed, $seconds s, $pairs pairs: A = $rev_a, B = $rev_b" >&2
+echo "ab: ${names[*]}, seed $seed, $seconds s, $pairs pairs: A = $rev_a, B = $rev_b" >&2
 for ((i = 0; i < pairs; i++)); do
-    if ((i % 2 == 0)); then
-        run a "$i"
-        run b "$i"
-    else
-        run b "$i"
-        run a "$i"
-    fi
-    echo "ab: pair $i: host_traced_run_ms $(awk '$1 == "host_traced_run_ms" { print $2 }' \
-        "$out/a.$i" "$out/b.$i" | paste -sd' ')" >&2
+    for w in "${names[@]}"; do
+        if ((i % 2 == 0)); then
+            run a "$w" "$i"
+            run b "$w" "$i"
+        else
+            run b "$w" "$i"
+            run a "$w" "$i"
+        fi
+        # The simulated side must not have moved.
+        if ! diff <(grep '^sim_' "$out/a.$w.$i") <(grep '^sim_' "$out/b.$w.$i") >"$out/diff"; then
+            echo "ab: $w, pair $i: sim_* metrics differ (< A, > B):" >&2
+            cat "$out/diff" >&2
+            exit 1
+        fi
+        echo "ab: $w, pair $i: host_run_ms $(awk '$1 == "host_run_ms" { print $2 }' \
+            "$out/a.$w.$i" "$out/b.$w.$i" | paste -sd' ')" >&2
+    done
 done
 
-# The simulated side must not have moved.
-moved=0
-for ((i = 0; i < pairs; i++)); do
-    if ! diff <(grep '^sim_' "$out/a.$i") <(grep '^sim_' "$out/b.$i") >"$out/diff"; then
-        echo "ab: pair $i: sim_* metrics differ (< A, > B):" >&2
-        cat "$out/diff" >&2
-        moved=1
-    fi
-done
-((moved == 0)) || exit 1
-
-# Metric `2`'s values on side `1`, one per pair in pair order.
+# Metric `3`'s values on side `1` of workload `2`, one per pair in pair order.
 col() {
-    for ((i = 0; i < pairs; i++)); do awk -v m="$2" '$1 == m { print $2 }' "$out/$1.$i"; done
+    for ((i = 0; i < pairs; i++)); do awk -v m="$3" '$1 == m { print $2 }' "$out/$1.$2.$i"; done
 }
 # The median and the nearest-rank quartiles of a column.
 quartiles() {
@@ -116,13 +122,16 @@ quartiles() {
         END { print (x[int((NR + 1) / 2)] + x[int(NR / 2) + 1]) / 2, x[int((NR + 3) / 4)],
             x[NR + 1 - int((NR + 3) / 4)] }'
 }
-printf "%-20s %32s %32s %8s %7s\n" metric "A median [q1, q3]" "B median [q1, q3]" change "B won"
-for metric in $(grep -v '^sim_' "$out/a.0" | cut -d' ' -f1); do
-    read -r ma qa1 qa3 < <(col a "$metric" | quartiles)
-    read -r mb qb1 qb3 < <(col b "$metric" | quartiles)
-    won=$(paste <(col a "$metric") <(col b "$metric") | awk '$2 < $1' | wc -l)
-    awk -v m="$metric" -v ma="$ma" -v qa1="$qa1" -v qa3="$qa3" -v mb="$mb" -v qb1="$qb1" \
-        -v qb3="$qb3" -v won="$won" -v pairs="$pairs" 'BEGIN {
-        printf "%-20s %10.6g [%9.6g, %9.6g] %10.6g [%9.6g, %9.6g] %+7.1f%% %3d/%d\n",
-            m, ma, qa1, qa3, mb, qb1, qb3, (ma > 0 ? 100 * (mb - ma) / ma : 0), won, pairs }'
+for w in "${names[@]}"; do
+    echo "$w"
+    printf "%-20s %32s %32s %8s %7s\n" metric "A median [q1, q3]" "B median [q1, q3]" change "B won"
+    for metric in $(grep -v '^sim_' "$out/a.$w.0" | cut -d' ' -f1); do
+        read -r ma qa1 qa3 < <(col a "$w" "$metric" | quartiles)
+        read -r mb qb1 qb3 < <(col b "$w" "$metric" | quartiles)
+        won=$(paste <(col a "$w" "$metric") <(col b "$w" "$metric") | awk '$2 < $1' | wc -l)
+        awk -v m="$metric" -v ma="$ma" -v qa1="$qa1" -v qa3="$qa3" -v mb="$mb" -v qb1="$qb1" \
+            -v qb3="$qb3" -v won="$won" -v pairs="$pairs" 'BEGIN {
+            printf "%-20s %10.6g [%9.6g, %9.6g] %10.6g [%9.6g, %9.6g] %+7.1f%% %3d/%d\n",
+                m, ma, qa1, qa3, mb, qb1, qb3, (ma > 0 ? 100 * (mb - ma) / ma : 0), won, pairs }'
+    done
 done

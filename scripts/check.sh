@@ -273,6 +273,24 @@ if git grep -nE 'collections::.*Hash(Map|Set)|RandomState' -- 'crates/*/src/*' s
     exit 1
 fi
 
+# One thread in the executor (DESIGN.md §15): a simulation, its tasks and
+# its wakers live on the thread that runs it, so crates/sim/src needs no
+# lock, no shared count and no atomic. A Mutex, Arc or Atomic* there puts a
+# cross-thread read-modify-write back on every wake and poll, where the
+# Mutex'd ready queue and Arc'd wakers once paid about eight a poll. A
+# waker checks its thread instead: off it, a wake panics and a drop leaks.
+# Product code is each file before its first column-0 #[cfg(test)], as
+# scripts/loc.sh counts it; tests may hand a waker to another thread.
+echo "==> one thread in the executor (no Mutex, Arc or Atomic in crates/sim/src)"
+shared=$(find crates/sim/src -name '*.rs' -exec \
+    awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /(^|[^A-Za-z0-9_])(Mutex|Arc([^A-Za-z0-9_]|$)|Atomic)/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$shared" ]; then
+    echo "$shared"
+    echo "FAIL: the lines above share executor state across threads; use Rc and Cell"
+    exit 1
+fi
+
 # Table 4-1, once: crates/trace/src/transitions.rs states the server state
 # machine of §4.3.4 as one relation, a row per (from, cause, opener's role)
 # with its to-state and the callbacks the open asks for. StateTable::open
