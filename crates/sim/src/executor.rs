@@ -33,9 +33,9 @@
 //!   The slot's waker outlives its occupant and is re-targeted for the
 //!   next one unless somebody still holds a clone, so a poll never
 //!   allocates either.
-//! * **Timers live in a cancel-aware indexed heap** ([`crate::timer`]):
-//!   dropping a [`Sleep`] before its deadline removes its entry in
-//!   O(log n). The previous `BinaryHeap` accumulated the abandoned guard
+//! * **Timers live in a cancel-aware radix heap** ([`crate::timer`]):
+//!   dropping a [`Sleep`] before its deadline unlinks its entry in
+//!   O(1). The original `BinaryHeap` accumulated the abandoned guard
 //!   timers of every timeout that lost its race, then paid to pop and
 //!   spuriously fire each one.
 //! * **[`SimStats`]** counts what the loop actually did (polls, timer
@@ -331,7 +331,7 @@ pub struct SimStats {
     pub peak_ready_depth: u64,
     /// High-water mark of live tasks (slab occupancy; memory proxy).
     pub peak_live_tasks: u64,
-    /// High-water mark of live timers (heap occupancy; memory proxy).
+    /// High-water mark of live timers (queue occupancy; memory proxy).
     pub peak_live_timers: u64,
 }
 
@@ -733,7 +733,7 @@ impl<T> Future for JoinHandle<T> {
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
 ///
-/// Registration is single-shot (the deadline never moves and the heap
+/// Registration is single-shot (the deadline never moves and the queue
 /// entry wakes the owning task by id, which stays valid across re-polls),
 /// and the entry is *cancelled on drop*: abandoning a `Sleep` mid-wait —
 /// a timeout that lost its race, a dropped retransmission guard — leaves

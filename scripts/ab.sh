@@ -21,7 +21,10 @@
 # simulated count, one value per workload and seed). Otherwise it prints,
 # per workload and per other metric (`setup_s`, `host_*`, lower is
 # better), A's and B's median and quartiles over the runs, the change of
-# the medians, and how many pairs B won (read lower in).
+# the medians, how many pairs B won (read lower in), and a verdict: `win`
+# when B won at least 80 % of the pairs and B's median is below A's q1,
+# `loss` when B lost (read higher in) at least 80 % and its median is above
+# A's q3, `unresolved` otherwise.
 set -euo pipefail
 
 usage() {
@@ -124,14 +127,18 @@ quartiles() {
 }
 for w in "${names[@]}"; do
     echo "$w"
-    printf "%-20s %32s %32s %8s %7s\n" metric "A median [q1, q3]" "B median [q1, q3]" change "B won"
+    printf "%-20s %32s %32s %8s %7s  %s\n" metric "A median [q1, q3]" "B median [q1, q3]" change "B won" verdict
     for metric in $(grep -v '^sim_' "$out/a.$w.0" | cut -d' ' -f1); do
         read -r ma qa1 qa3 < <(col a "$w" "$metric" | quartiles)
         read -r mb qb1 qb3 < <(col b "$w" "$metric" | quartiles)
-        won=$(paste <(col a "$w" "$metric") <(col b "$w" "$metric") | awk '$2 < $1' | wc -l)
+        read -r won lost < <(paste <(col a "$w" "$metric") <(col b "$w" "$metric") |
+            awk '{ won += $2 < $1; lost += $2 > $1 } END { print won + 0, lost + 0 }')
         awk -v m="$metric" -v ma="$ma" -v qa1="$qa1" -v qa3="$qa3" -v mb="$mb" -v qb1="$qb1" \
-            -v qb3="$qb3" -v won="$won" -v pairs="$pairs" 'BEGIN {
-            printf "%-20s %10.6g [%9.6g, %9.6g] %10.6g [%9.6g, %9.6g] %+7.1f%% %3d/%d\n",
-                m, ma, qa1, qa3, mb, qb1, qb3, (ma > 0 ? 100 * (mb - ma) / ma : 0), won, pairs }'
+            -v qb3="$qb3" -v won="$won" -v lost="$lost" -v pairs="$pairs" 'BEGIN {
+            verdict = "unresolved"
+            if (won * 5 >= pairs * 4 && mb < qa1) verdict = "win"
+            if (lost * 5 >= pairs * 4 && mb > qa3) verdict = "loss"
+            printf "%-20s %10.6g [%9.6g, %9.6g] %10.6g [%9.6g, %9.6g] %+7.1f%% %3d/%d  %s\n",
+                m, ma, qa1, qa3, mb, qb1, qb3, (ma > 0 ? 100 * (mb - ma) / ma : 0), won, pairs, verdict }'
     done
 done

@@ -22,6 +22,12 @@ cargo test --workspace -q
 echo "==> data oracle, every layer lattice column (release)"
 cargo test --release -q --test data_oracle -- --ignored
 
+# The timer queue against a sorted map (crates/sim/src/timer.rs): tier-1
+# runs 256 cases of register, cancel, pop and drain steps; this runs the
+# same property at 20,000.
+echo "==> timer queue vs a sorted map, 20,000 cases (release)"
+cargo test --release -q -p spritely-sim --lib timer::tests -- --ignored
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

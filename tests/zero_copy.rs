@@ -14,10 +14,11 @@
 //!   test binary's own allocator, so a per-layer copy that creeps back in
 //!   fails here and not three PRs later in the benchmark;
 //! * **the hot path stays on its allocation diet** (DESIGN.md §15) — a
-//!   task whose type ran before none, a single-waiter wait none, a path
-//!   component none, a background write nobody waits for none in the
-//!   write-behind ledger, an uncontended read miss none, on the server or
-//!   a client, a C-LOOK disk write none,
+//!   task whose type ran before none, a single-waiter wait none, a warm
+//!   timer none at any distance, a path component none, a background
+//!   write nobody waits for none in the write-behind ledger, an
+//!   uncontended read miss none, on the server or a client, a C-LOOK
+//!   disk write none,
 //!   a caller one until it is used, and an echo RPC, foreground or
 //!   batched in the background, a pinned count, which a named RPC, a
 //!   lookup the name cache misses and a gathered write cost too;
@@ -574,6 +575,34 @@ fn a_respawn_and_a_single_waiter_wait_allocate_nothing() {
         ev.set();
         wait.await;
         assert_eq!(allocations() - before, 1, "Event::new + one wait + set");
+    });
+}
+
+/// A timer is a slab slot threaded onto one of the timer queue's bucket
+/// lists (DESIGN.md §15 item 2), so once a pass has made the slots, a
+/// sleep and a timeout that loses its race allocate nothing at any
+/// distance, and so at deadlines that land in buckets the warm-up never
+/// touched. A queue with one `Vec` per bucket allocates in each new one.
+#[test]
+fn a_timer_round_trip_allocates_nothing() {
+    let sim = Sim::new();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let round_trip = |us: u64| {
+            let d = SimDuration::from_micros(us);
+            let s = s.clone();
+            async move {
+                s.sleep(d).await;
+                let lost = s.timeout(d + d, s.sleep(d)).await;
+                assert!(lost.is_ok(), "the sleep wins, the timeout is cancelled");
+            }
+        };
+        round_trip(1).await; // two slots, the wake path's scratch
+        let before = allocations();
+        for shift in 0..=30 {
+            round_trip(1 << shift).await;
+        }
+        assert_eq!(allocations() - before, 0, "31 sleeps and 31 lost races");
     });
 }
 
