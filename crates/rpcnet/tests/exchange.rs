@@ -19,10 +19,10 @@ use spritely_rpcnet::{
     RpcError, TransportParams, TransportStats,
 };
 use spritely_sim::{Resource, Sim, SimDuration, SimStats};
-use spritely_trace::{to_jsonl, Event, TraceEvent, Tracer};
+use spritely_trace::{check_trace, to_jsonl, Event, TraceEvent, Tracer};
 
 /// A traced caller → endpoint pair whose handler takes 3 ms, echoes each
-/// lookup's name back and counts executions per name.
+/// lookup's or create's name back and counts executions per name.
 struct Rig {
     sim: Sim,
     net: Network,
@@ -55,8 +55,10 @@ fn rig(transport: TransportParams) -> Rig {
             let executed = Rc::clone(&executed);
             async move {
                 let name = match req {
-                    NfsRequest::Lookup { name, .. } => name.to_string(),
-                    other => panic!("rig only sends Lookup, got {other:?}"),
+                    NfsRequest::Lookup { name, .. } | NfsRequest::Create { name, .. } => {
+                        name.to_string()
+                    }
+                    other => panic!("rig only sends Lookup and Create, got {other:?}"),
                 };
                 sim.sleep(SimDuration::from_millis(3)).await;
                 *executed.borrow_mut().entry(name.clone()).or_insert(0) += 1;
@@ -109,6 +111,14 @@ fn lookup(name: &str) -> NfsRequest {
     }
 }
 
+/// A non-idempotent twin of [`lookup`], the same size on the wire.
+fn create(name: &str) -> NfsRequest {
+    NfsRequest::Create {
+        dir: FileHandle::new(1, 1, 0),
+        name: name.into(),
+    }
+}
+
 async fn foreground(c: &Caller, req: NfsRequest) -> Result<NfsReply, RpcError> {
     c.call_ctx(0, req).await
 }
@@ -130,6 +140,8 @@ struct Outcome {
     digest: u64,
     events: usize,
     executions: u64,
+    /// Executions past each name's first.
+    again: u64,
     messages: u64,
     completed: usize,
     killed: u64,
@@ -141,9 +153,12 @@ struct Outcome {
 /// 450 ms partition of the calling host from t = 150 ms (longer than the
 /// paper transport's 7 × 60 ms ladder, so calls caught in it give up), and
 /// six concurrent callers — four background (batchable), two foreground —
-/// issuing twelve lookups each. On the batching transport that seed drops,
-/// duplicates, delays and loses the reply of multi-member compounds.
-fn faulted_script(transport: TransportParams) -> Outcome {
+/// issuing twelve requests each, built by `req`. On the batching transport
+/// that seed drops, duplicates, delays and loses the reply of multi-member
+/// compounds. A non-idempotent request executes at most once; an
+/// idempotent one may execute again, never while it runs (the trace
+/// checker's rule 8 holds both).
+fn faulted_script(transport: TransportParams, req: fn(&str) -> NfsRequest) -> Outcome {
     let r = rig(transport);
     r.net.set_faults(FaultParams::chaos(255));
     r.net.lose_next_reply(1, false);
@@ -163,9 +178,9 @@ fn faulted_script(transport: TransportParams) -> Outcome {
             for i in 0..12 {
                 let name = format!("t{task}-{i}");
                 let rep = if task < 4 {
-                    background(&caller, lookup(&name)).await
+                    background(&caller, req(&name)).await
                 } else {
-                    foreground(&caller, lookup(&name)).await
+                    foreground(&caller, req(&name)).await
                 };
                 match rep {
                     Ok(NfsReply::Path(p)) => {
@@ -181,10 +196,10 @@ fn faulted_script(transport: TransportParams) -> Outcome {
     }
     r.sim.run_to_quiescence();
     let executed = r.executed.borrow();
-    assert!(
-        executed.values().all(|&n| n == 1),
-        "at most once: {executed:?}"
-    );
+    let again = executed.values().map(|&n| n - 1).sum();
+    if !req("").proc_id().idempotent() {
+        assert_eq!(again, 0, "at most once: {executed:?}");
+    }
     let completed = completed.borrow();
     assert!(completed.iter().all(|name| executed.contains_key(name)));
     let fs = r.net.fault_stats();
@@ -203,10 +218,12 @@ fn faulted_script(transport: TransportParams) -> Outcome {
         fs.get().retransmit_absorbed + fs.get().outstanding_kills
     );
     let events = r.tracer.finish();
+    assert_eq!(check_trace(&events), []);
     Outcome {
         digest: fnv(&events),
         events: events.len(),
         executions: r.ep.executions(),
+        again,
         messages: r.net.messages(),
         completed: completed.len(),
         killed: fs.get().killed_attempts,
@@ -218,11 +235,12 @@ fn faulted_script(transport: TransportParams) -> Outcome {
 #[test]
 fn faulted_exchange_on_the_paper_transport_is_pinned() {
     assert_eq!(
-        faulted_script(TransportParams::paper()),
+        faulted_script(TransportParams::paper(), create),
         Outcome {
-            digest: 0x14c6_908b_60a1_9258,
+            digest: 0x80ad_20b8_6a07_7f58,
             events: 692,
             executions: 71,
+            again: 0,
             messages: 180,
             completed: 68,
             killed: 38,
@@ -237,15 +255,56 @@ fn faulted_exchange_on_a_batching_transport_is_pinned() {
     let mut t = TransportParams::pipelined();
     t.max_batch = 4;
     assert_eq!(
-        faulted_script(t),
+        faulted_script(t, create),
         Outcome {
-            digest: 0x8333_1b68_9311_ea5e,
+            digest: 0x3594_6f07_7d9e_1476,
             events: 739,
             executions: 72,
+            again: 0,
             messages: 155,
             completed: 72,
             killed: 17,
             absorbed: 17,
+            outstanding: 0,
+        }
+    );
+}
+
+/// The idempotent twins: retransmissions that find their lookup's
+/// execution ended execute it again.
+#[test]
+fn faulted_idempotent_exchange_on_the_paper_transport_is_pinned() {
+    assert_eq!(
+        faulted_script(TransportParams::paper(), lookup),
+        Outcome {
+            digest: 0x168b_bc77_2cfc_338f,
+            events: 679,
+            executions: 72,
+            again: 2,
+            messages: 176,
+            completed: 69,
+            killed: 32,
+            absorbed: 11,
+            outstanding: 21,
+        }
+    );
+}
+
+#[test]
+fn faulted_idempotent_exchange_on_a_batching_transport_is_pinned() {
+    let mut t = TransportParams::pipelined();
+    t.max_batch = 4;
+    assert_eq!(
+        faulted_script(t, lookup),
+        Outcome {
+            digest: 0x45fb_cf64_6d7b_85dd,
+            events: 735,
+            executions: 74,
+            again: 2,
+            messages: 152,
+            completed: 72,
+            killed: 16,
+            absorbed: 16,
             outstanding: 0,
         }
     );

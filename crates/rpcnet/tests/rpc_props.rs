@@ -70,48 +70,81 @@ fn rig(delays: Vec<u64>, timeout_ms: u64) -> (Sim, Caller, Rc<Cell<u64>>) {
     (sim, caller, executed)
 }
 
+/// `n_calls` concurrent calls of `req` against `rig(delays, timeout_ms)`:
+/// the calls that succeeded and failed, the executions and the
+/// retransmissions.
+fn retransmitted(
+    delays: &[u64],
+    n_calls: usize,
+    timeout_ms: u64,
+    req: NfsRequest,
+) -> (u64, u64, u64, u64) {
+    let (sim, caller, executed) = rig(delays.to_vec(), timeout_ms);
+    let caller = Rc::new(caller);
+    let ok = Rc::new(Cell::new(0u64));
+    let err = Rc::new(Cell::new(0u64));
+    for _ in 0..n_calls {
+        let (caller, ok, err, req) = (
+            Rc::clone(&caller),
+            Rc::clone(&ok),
+            Rc::clone(&err),
+            req.clone(),
+        );
+        sim.spawn(async move {
+            match caller.call(req).await {
+                Ok(_) => ok.set(ok.get() + 1),
+                Err(_) => err.set(err.get() + 1),
+            }
+        });
+    }
+    sim.run_to_quiescence();
+    (ok.get(), err.get(), executed.get(), caller.retransmits())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Whatever the handler delays (even ones far beyond the timeout,
-    /// forcing several retransmissions), every call that succeeds was
-    /// executed exactly once, and executions never exceed calls.
+    /// forcing several retransmissions), every non-idempotent call that
+    /// succeeds was executed exactly once, and executions never exceed
+    /// calls.
     #[test]
     fn at_most_once_under_retransmission(
         delays in proptest::collection::vec(0u64..400_000, 1..8),
         n_calls in 1usize..12,
         timeout_ms in 20u64..120,
     ) {
-        let retry_budget = SimDuration::from_millis(timeout_ms * 7);
-        let max_delay = SimDuration::from_micros(*delays.iter().max().unwrap());
-        let (sim, caller, executed) = rig(delays.clone(), timeout_ms);
-        let caller = Rc::new(caller);
-        let ok = Rc::new(Cell::new(0u64));
-        let err = Rc::new(Cell::new(0u64));
-        for _ in 0..n_calls {
-            let caller = Rc::clone(&caller);
-            let ok = Rc::clone(&ok);
-            let err = Rc::clone(&err);
-            sim.spawn(async move {
-                match caller.call(NfsRequest::Null).await {
-                    Ok(_) => ok.set(ok.get() + 1),
-                    Err(_) => err.set(err.get() + 1),
-                }
-            });
-        }
-        sim.run_to_quiescence();
-        prop_assert_eq!(ok.get() + err.get(), n_calls as u64);
+        let req = NfsRequest::Keepalive { client: ClientId(1) };
+        let (ok, err, executed, _) = retransmitted(&delays, n_calls, timeout_ms, req);
+        prop_assert_eq!(ok + err, n_calls as u64);
         // Every call executes at most once (dup cache), and every call's
         // execution eventually runs even if the caller gave up.
-        prop_assert!(executed.get() <= n_calls as u64);
+        prop_assert!(executed <= n_calls as u64);
         // If even the *serial* worst case (every handler execution queued
         // behind every other) fits inside the retry budget, no call may
         // fail.
+        let retry_budget = SimDuration::from_millis(timeout_ms * 7);
+        let max_delay = SimDuration::from_micros(*delays.iter().max().unwrap());
         let serial_worst = max_delay * n_calls as u64 + SimDuration::from_millis(10);
         if serial_worst < retry_budget {
-            prop_assert_eq!(err.get(), 0, "no spurious failures");
+            prop_assert_eq!(err, 0, "no spurious failures");
         }
-        prop_assert_eq!(executed.get(), n_calls as u64, "all executions complete");
+        prop_assert_eq!(executed, n_calls as u64, "all executions complete");
+    }
+
+    /// The idempotent twin: every call executes, and a call executes
+    /// again only for a retransmission that found its execution ended.
+    #[test]
+    fn an_idempotent_call_executes_again_only_for_a_retransmission(
+        delays in proptest::collection::vec(0u64..400_000, 1..8),
+        n_calls in 1usize..12,
+        timeout_ms in 20u64..120,
+    ) {
+        let (ok, err, executed, retransmits) =
+            retransmitted(&delays, n_calls, timeout_ms, NfsRequest::Null);
+        prop_assert_eq!(ok + err, n_calls as u64);
+        prop_assert!(executed >= n_calls as u64);
+        prop_assert!(executed - n_calls as u64 <= retransmits);
     }
 
     /// The entire exchange is deterministic.

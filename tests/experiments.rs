@@ -233,3 +233,21 @@ fn server_capacity_gap_grows_with_clients() {
         "multi-client speedup is substantial: {four:.2}x"
     );
 }
+
+#[test]
+fn after_an_nfs_sort_the_dup_cache_holds_no_idempotent_reply() {
+    // The sort reads back every temp block it wrote; a read keeps no
+    // reply in the server's duplicate-request cache, so the cache holds
+    // one entry per non-idempotent call and none for the reads. (No
+    // entry has aged out: the run is shorter than the retention.)
+    let run = sort(TestbedParams::paper(Protocol::Nfs, true), 281 * 1024);
+    let (tb, ep) = (&run.tb, run.tb.endpoint.as_ref().expect("an NFS server"));
+    assert!(tb.sim.now().as_micros() < ep.dup_retention().as_micros());
+    assert!(tb.counter.get(NfsProc::Read) > 50);
+    let kept: u64 = NfsProc::ALL
+        .iter()
+        .filter(|p| !p.idempotent())
+        .map(|&p| tb.counter.get(p))
+        .sum();
+    assert_eq!(ep.dup_entries() as u64, kept);
+}

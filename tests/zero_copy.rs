@@ -6,9 +6,10 @@
 //!   with offsets and lengths straddling block boundaries, against
 //!   `harness::oracle::ByteModel`, a plain `Vec<u8>`;
 //! * **sharing is not aliasing** — after a partial overwrite of a block,
-//!   everyone who held the old buffer (the stable store, a reply parked
-//!   in the duplicate cache, another client's cache, a request waiting to
-//!   be retransmitted) still reads the old bytes;
+//!   everyone who held the old buffer (the stable store, a reply handed
+//!   out earlier, another client's cache, a request waiting to be
+//!   retransmitted) still reads the old bytes, and a retransmitted read,
+//!   whose reply the duplicate cache does not keep, reads the new ones;
 //! * **the copies stay gone** — a 1 MiB write + fsync + cold read-back
 //!   allocates no more than a pinned number of bytes, counted by this
 //!   test binary's own allocator, so a per-layer copy that creeps back in
@@ -356,7 +357,7 @@ fn store_reply_and_peer_cache_keep_the_old_block_across_a_partial_overwrite() {
 }
 
 #[test]
-fn a_reply_parked_in_the_dup_cache_keeps_the_bytes_it_was_built_from() {
+fn a_retransmitted_read_executes_again_and_reads_the_current_bytes() {
     let tb = testbed(Protocol::Nfs, 1);
     let a = nfs_clients(&tb)[0].clone();
     let server_fs = tb.server_fs.clone();
@@ -371,8 +372,8 @@ fn a_reply_parked_in_the_dup_cache_keeps_the_bytes_it_was_built_from() {
         a.close(fh, true).await.unwrap(); // purges A's cache (the vintage client)
         a.open(fh, false).await.unwrap();
 
-        // The server executes A's read and parks the reply; the reply
-        // itself is lost, so A retransmits after its 1 s timeout.
+        // The server executes A's read; the reply is lost, so A
+        // retransmits after its 1 s timeout.
         net.lose_next_reply(1, false);
         let read = sim.spawn({
             let a = a.clone();
@@ -383,10 +384,47 @@ fn a_reply_parked_in_the_dup_cache_keeps_the_bytes_it_was_built_from() {
         server_fs.write(fh, 100, b"NEW", true).await.unwrap();
         assert_eq!(server_fs.stable_contents(fh).unwrap(), patched(&old));
 
-        // The retransmission is answered from the duplicate cache: the
-        // reply of the one execution, with the bytes it read then.
-        assert_eq!(read.await, old);
+        // A read parks no reply in the duplicate cache: the
+        // retransmission executes again and reads the block as it is now.
+        assert_eq!(read.await, patched(&old));
         a.close(fh, false).await.unwrap();
+    });
+    tb.sim.run_until(h);
+}
+
+#[test]
+fn a_write_reply_parked_in_the_dup_cache_is_replayed_not_executed_again() {
+    let tb = testbed(Protocol::Nfs, 1);
+    let a = nfs_clients(&tb)[0].clone();
+    let server_fs = tb.server_fs.clone();
+    let root = server_fs.root();
+    let net = tb.net.clone();
+    let sim = tb.sim.clone();
+    let h = tb.sim.spawn(async move {
+        let old = pattern(4, 0, BLOCK_SIZE);
+        let (fh, _) = a.create(root, "f").await.unwrap();
+        a.open(fh, true).await.unwrap();
+
+        // The server executes A's write and parks the reply; the reply
+        // itself is lost, so A retransmits after its 1 s timeout.
+        net.lose_next_reply(1, false);
+        let write = sim.spawn({
+            let (a, old) = (a.clone(), old.clone());
+            async move {
+                a.write(fh, 0, &old).await.unwrap();
+                a.fsync(fh).await.unwrap();
+            }
+        });
+        sim.sleep(SimDuration::from_millis(500)).await;
+        assert_eq!(server_fs.stable_contents(fh).unwrap(), old, "executed");
+        // Meanwhile a later write patches the block, and is flushed.
+        server_fs.write(fh, 100, b"NEW", true).await.unwrap();
+
+        // The retransmission is answered from the duplicate cache: the
+        // write is not executed again, so it does not undo the later one.
+        write.await;
+        assert_eq!(server_fs.stable_contents(fh).unwrap(), patched(&old));
+        a.close(fh, true).await.unwrap();
     });
     tb.sim.run_until(h);
 }
@@ -1067,9 +1105,14 @@ fn an_emit_on_warm_names_and_handles_allocates_nothing() {
 }
 
 /// `n` reads, each an op holding one RPC whose handler waits for the disk.
-#[rustfmt::skip]
 fn read_trace(n: u64) -> Vec<TraceEvent> {
-    let (from, proc, ok, op) = (ClientId(1), NfsProc::Read, true, "read");
+    rpc_trace(n, NfsProc::Read)
+}
+
+/// `n` ops, each holding one `proc` RPC whose handler waits for the disk.
+#[rustfmt::skip]
+fn rpc_trace(n: u64, proc: NfsProc) -> Vec<TraceEvent> {
+    let (from, ok, op) = (ClientId(1), true, proc.name());
     let (fh, block, write) = (FileHandle::new(1, 7, 1), 0, false);
     let disk = Name::from("srv");
     let mut events: Vec<TraceEvent> = Vec::new();
@@ -1151,34 +1194,37 @@ fn the_profiler_requests_a_bounded_number_of_bytes_per_rpc() {
 }
 
 /// Bytes one `check_trace` asks the allocator for per 1,000 events of
-/// `read_trace(8_000)` (80,000 events, 8,000 RPCs from one caller): 2,376
-/// bytes in all. Rule 8's at-most-once table is a bitset of each caller's
-/// xids, a word per 64 RPCs; the map of every `(from, xid)` pair it
-/// replaced, rehashed at each doubling, requested 557,408 (6,967 per
-/// 1,000 events).
+/// `rpc_trace(8_000, proc)` (80,000 events, 8,000 RPCs from one caller).
+/// Of writes: 2,376 bytes in all. Rule 8's at-most-once table is a bitset
+/// of each caller's xids, a word per 64 RPCs; the map of every `(from,
+/// xid)` pair it replaced, rehashed at each doubling, requested 557,408
+/// (6,967 per 1,000 events). Of reads: 296 bytes in all, because an
+/// idempotent call is held only while its handler runs.
 const CHECK_BYTES_PER_1000_EVENTS: u64 = 30;
 
 #[test]
 fn the_checker_requests_a_bounded_number_of_bytes_per_event() {
-    let events = read_trace(8_000);
-    let before = REQUESTED.with(Cell::get);
-    let violations = check_trace(&events);
-    let bytes = REQUESTED.with(Cell::get) - before;
-    assert!(violations.is_empty(), "{violations:?}");
-    let per_1000 = bytes * 1_000 / events.len() as u64;
-    println!("check_trace requests {bytes} bytes, {per_1000} per 1,000 events");
-    assert!(
-        per_1000 <= CHECK_BYTES_PER_1000_EVENTS,
-        "{per_1000} bytes per 1,000 events, budget {CHECK_BYTES_PER_1000_EVENTS}"
-    );
+    for proc in [NfsProc::Write, NfsProc::Read] {
+        let events = rpc_trace(8_000, proc);
+        let before = REQUESTED.with(Cell::get);
+        let violations = check_trace(&events);
+        let bytes = REQUESTED.with(Cell::get) - before;
+        assert!(violations.is_empty(), "{violations:?}");
+        let per_1000 = bytes * 1_000 / events.len() as u64;
+        println!("check_trace requests {bytes} bytes of {proc}s, {per_1000} per 1,000 events");
+        assert!(
+            per_1000 <= CHECK_BYTES_PER_1000_EVENTS,
+            "{per_1000} bytes per 1,000 events of {proc}s, budget {CHECK_BYTES_PER_1000_EVENTS}"
+        );
+    }
 }
 
-/// A forged `(from, xid)` pair, both numbers at their maximum, executed
-/// twice: the checker flags it and asks for what any pair costs, not for a
-/// table the size of either number.
+/// A forged `(from, xid)` pair of a non-idempotent procedure, both
+/// numbers at their maximum, executed twice: the checker flags it and asks
+/// for what any pair costs, not for a table the size of either number.
 #[test]
 fn a_forged_execution_costs_the_checker_what_any_pair_costs() {
-    let (from, xid, proc) = (ClientId(u32::MAX), u64::MAX, NfsProc::Read);
+    let (from, xid, proc) = (ClientId(u32::MAX), u64::MAX, NfsProc::Write);
     let begin = |seq| {
         TraceEvent::new(
             seq,
