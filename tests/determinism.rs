@@ -62,7 +62,7 @@ a0e0fe06cd7086af 74ffca42e798467c 8bd92f35eedf9b4c be102e152f609841  shard-scali
 30bb4a42668fd73c 7e2f7145e3025eea f618cdafed82efb8 a06db97d4d39f857  scaling 4
 c50bfc9b2d41b51f 722d5ff83026efae 0da54a3fd5a97302 f17b3ebb46835356  shared-read
 83f8456f9211a9dd 30a4584bc9bba1cb d28289d962410793 728ec371a84a371a  open-churn
-7d178cff0194ba96 4c5909d6a0793ef9 58b714c301c89874 9ebf29ac1a0dcc78  andrew, chaos(7)
+ae3bb9a9ef28ce0a 4c5909d6a0793ef9 ee63daae6cacd2bb 9179b86c6eaa079f  andrew, chaos(7)
 1d94da1c7b25e746 c68588b31222efae bb5e89b67d6476c9 e9a768d34b2341b9  sharing, chaos(11)
 1669f2f6fbd6aadc f1249fe34971a7c2 775c225c4af990c0 f766b1f78c3a327d  delegation, chaos(13)
 ";

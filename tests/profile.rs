@@ -225,7 +225,7 @@ fn sharded_delegated_faulted_profile_is_pinned() {
     digest.write(p.to_json().as_bytes());
     assert_eq!(
         digest.0,
-        0x311f_813a_7f1f_71c2,
+        0x646f_de7f_d801_b81a,
         "{} events, {} spans, claims {:?}",
         trace.events.len(),
         p.ops.len(),
