@@ -21,10 +21,11 @@
 # simulated count, one value per workload and seed). Otherwise it prints,
 # per workload and per other metric (`setup_s`, `host_*`, lower is
 # better), A's and B's median and quartiles over the runs, the change of
-# the medians, how many pairs B won (read lower in), and a verdict: `win`
-# when B won at least 80 % of the pairs and B's median is below A's q1,
-# `loss` when B lost (read higher in) at least 80 % and its median is above
-# A's q3, `unresolved` otherwise.
+# the medians, how many pairs B won (read lower in), and a verdict by the
+# benchmark's claim rule: `win` when B won at least 9 pairs in 10 and the
+# medians are further apart than A's q3 - q1, `loss` when B lost (read
+# higher in) at least 9 in 10 and the medians are as far apart the other
+# way, `unresolved` otherwise, with the condition that failed.
 set -euo pipefail
 
 usage() {
@@ -135,9 +136,17 @@ for w in "${names[@]}"; do
             awk '{ won += $2 < $1; lost += $2 > $1 } END { print won + 0, lost + 0 }')
         awk -v m="$metric" -v ma="$ma" -v qa1="$qa1" -v qa3="$qa3" -v mb="$mb" -v qb1="$qb1" \
             -v qb3="$qb3" -v won="$won" -v lost="$lost" -v pairs="$pairs" 'BEGIN {
-            verdict = "unresolved"
-            if (won * 5 >= pairs * 4 && mb < qa1) verdict = "win"
-            if (lost * 5 >= pairs * 4 && mb > qa3) verdict = "loss"
+            need = int((9 * pairs + 9) / 10)
+            if (mb < ma) {
+                side = "win"; count = "won"; n = won; gap = ma - mb
+            } else {
+                side = "loss"; count = "lost"; n = lost; gap = mb - ma
+            }
+            why = ""
+            if (n < need) why = sprintf("%s %d of %d, needs %d", count, n, pairs, need)
+            if (gap <= qa3 - qa1)
+                why = why (why == "" ? "" : "; ") sprintf("medians %.3g apart, A q3 - q1 %.3g", gap, qa3 - qa1)
+            verdict = why == "" ? side : "unresolved (" why ")"
             printf "%-20s %10.6g [%9.6g, %9.6g] %10.6g [%9.6g, %9.6g] %+7.1f%% %3d/%d  %s\n",
                 m, ma, qa1, qa3, mb, qb1, qb3, (ma > 0 ? 100 * (mb - ma) / ma : 0), won, pairs, verdict }'
     done
