@@ -28,8 +28,8 @@ pub struct FaultParams {
     /// never sees it; the caller's timeout fires and it retransmits).
     pub drop: f64,
     /// Probability a request message is delivered twice. The duplicate
-    /// carries the same xid, so the endpoint's duplicate cache must
-    /// absorb it without a second execution.
+    /// carries the same xid, so the endpoint must absorb it without a
+    /// second execution, unless the call is idempotent and has ended.
     pub duplicate: f64,
     /// Probability a message is held up by extra network delay (drawn
     /// uniformly in `[0, max_delay]`) before transmission.
