@@ -12,11 +12,12 @@ use spritely_sim::SimDuration;
 
 use crate::caller::{Link, Member};
 
-/// The one allocation of a parked call: its reply, and the waker of the
-/// call waiting for it (woken even after a timeout dropped the wait, as a
-/// set `Event` would wake it).
+/// The one allocation of a parked call, kept across its
+/// retransmissions: its reply, and the waker of the attempt waiting for
+/// it. Every flush that carries the call fills it, so the reply of any of
+/// them answers the call, as an xid-matched reply does in real RPC.
 #[derive(Default)]
-struct ReplyCell {
+pub(crate) struct ReplyCell {
     reply: Cell<Option<NfsReply>>,
     waker: Cell<Option<Waker>>,
 }
@@ -59,19 +60,21 @@ pub(crate) struct BatchQueue {
 }
 
 impl Link {
-    /// Parks one background request until a flush has carried it to the
-    /// endpoint and back. Hangs when that flush is lost; the caller's
-    /// timeout drops the wait and parks the retransmission afresh.
+    /// Parks one background request until a flush of it — this one or
+    /// an earlier attempt's — has carried it to the endpoint and back into
+    /// `cell`. Hangs while every such flush is lost or slow; the caller's
+    /// timeout drops the wait and parks the retransmission on the same
+    /// cell.
     pub(crate) async fn park(
         self: &Rc<Self>,
         member: &Member<&NfsRequest>,
         max_batch: usize,
+        cell: &Rc<ReplyCell>,
     ) -> NfsReply {
-        let cell = Rc::new(ReplyCell::default());
         let (xid, parent, req) = (member.xid, member.parent, member.req.clone());
         let req = Parked {
             req,
-            cell: Rc::clone(&cell),
+            cell: Rc::clone(cell),
         };
         let b = &self.batch;
         let len = {
