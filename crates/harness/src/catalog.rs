@@ -140,18 +140,15 @@ pub const CATALOG: &[Entry] = &[
     paper::TABLE_5_5,
     paper::TABLE_5_6,
     paper::MICRO_REOPEN,
-    layers::FLUSH_LATENCY,
     ablations::CLOSE_BUG,
     ablations::DELAYED_CLOSE,
     ablations::WRITE_DELAY,
     ablations::PROBE_INTERVAL,
     ablations::STATE_LIMIT,
     ablations::NAME_CACHE,
+    layers::LAYERS,
     layers::SCALING,
-    layers::SERVER_SCALING,
-    layers::RPC_TRANSPORT,
     layers::CHAOS_ENTRY,
-    layers::OPEN_CHURN,
 ];
 
 /// Looks an entry up by name.
@@ -293,10 +290,7 @@ mod tests {
             slug_of("Table 5-2: RPC calls for the Andrew benchmark"),
             "table_5_2"
         );
-        assert_eq!(
-            slug_of("Flush latency: 64-block write-back"),
-            "flush_latency"
-        );
+        assert_eq!(slug_of("Layers: each opt-in layer off vs on"), "layers");
         assert_eq!(slug_of("Figure 5-1: server utilization"), "figure_5_1");
         assert_eq!(
             slug_of("andrew SNFS tmp-loc seed=1"),

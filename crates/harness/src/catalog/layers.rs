@@ -1,96 +1,394 @@
-//! The opt-in layers and extensions, each against the paper-mode stack:
-//! write-behind pool, server I/O pipeline, transport pipeline, open
-//! delegations, fault injection, and multi-client / sharded scaling.
+//! The opt-in layers and extensions against the paper-mode stack: the
+//! layer lattice (write-behind pool, server I/O pipeline, transport
+//! pipeline and open delegations, each off and on over its signature
+//! workloads), fault injection, and multi-client / sharded scaling.
 
 use spritely_metrics::TextTable;
-use spritely_sim::SimDuration;
 
 use super::{slug_of, Entry, Outcome};
 use crate::chaosx::CHAOS;
-use crate::scripts::{andrew, flush, open_churn, scaling, scaling_shards, shared_read};
+use crate::scripts::{self, scaling, scaling_shards};
 use crate::{
-    report, ChaosVerdict, ClientParams, DelegationParams, Protocol, Run, ServerIoParams,
-    ShardParams, TestbedParams, TransportParams, WriteBehindParams,
+    ChaosVerdict, ClientParams, Protocol, ServerIoParams, ShardParams, StatsSnapshot, Testbed,
+    TestbedParams, TransportParams, WriteBehindParams,
 };
 
-fn reduction_pct(paper: u64, pipelined: u64) -> f64 {
-    100.0 * (1.0 - pipelined as f64 / paper as f64)
+/// An opt-in layer: one field of [`TestbedParams`], off as the paper
+/// stack sets it and on as the composed stack
+/// ([`TestbedParams::composed`]) does, and the floor (%) on the message
+/// cut summed over its rows, if it has one.
+struct Layer {
+    name: &'static str,
+    take: fn(&mut TestbedParams, &TestbedParams),
+    total_cut: Option<f64>,
 }
 
-/// One row of a layer-off vs layer-on comparison: wire messages and
-/// seconds (to `decimals` places) on both sides, and what the layer won.
-fn versus_row(t: &mut TextTable, label: &str, msgs: (u64, u64), secs: (f64, f64), decimals: usize) {
-    t.row(vec![
-        label.to_string(),
-        msgs.0.to_string(),
-        msgs.1.to_string(),
-        format!("{:.0}%", reduction_pct(msgs.0, msgs.1)),
-        format!("{:.decimals$}", secs.0),
-        format!("{:.decimals$}", secs.1),
-        format!("{:.2}x", secs.0 / secs.1),
-    ]);
-}
-
-const FLUSH_BLOCKS: usize = 64;
-
-/// One flush point: an SNFS client with no update daemons, so the
-/// `fsync` is the only flush.
-fn flush_run(write_behind: WriteBehindParams, trace: bool) -> Run<SimDuration> {
-    let params = TestbedParams {
-        update_enabled: false,
-        write_behind,
-        trace,
-        ..TestbedParams::default()
-    };
-    flush(params, FLUSH_BLOCKS)
-}
-
-/// Simulated time to write a 64-block dirty file back to the server,
-/// paper-mode serial flush vs the gathered + pipelined write-behind pool.
-pub(super) const FLUSH_LATENCY: Entry = Entry {
-    name: "flush_latency",
-    title: "Flush latency: 64-block write-back, serial vs gathered+pipelined",
-    run: |_| {
-        let paper = flush_run(WriteBehindParams::default(), false);
-        // Traced: tracing changes nothing the table reads.
-        let pipe = flush_run(WriteBehindParams::pipelined(), true);
-        let serial = paper.first().as_secs_f64();
-        let piped = pipe.first().as_secs_f64();
-        let gain = serial / piped;
-        let rows = [("paper (serial)", &paper), ("pipelined", &pipe)];
-        let mut o = Outcome {
-            body: format!(
-                "{}\nspeedup: {gain:.2}x",
-                report::flush_table(FLUSH_BLOCKS, &rows)
-            ),
-            ..Outcome::default()
+impl Layer {
+    /// `p` with this layer switched `on` or off, every other field kept.
+    fn set(&self, mut p: TestbedParams, on: bool) -> TestbedParams {
+        let from = match on {
+            true => TestbedParams::composed(1),
+            false => TestbedParams::default(),
         };
-        // Its trace: checker-validated, artifacts for Perfetto.
-        let trace = &pipe.tb.finish_trace().expect("tracing was on");
-        o.file("trace_flush_pipelined.jsonl", trace.to_jsonl());
-        o.file("trace_flush_pipelined.chrome.json", trace.to_chrome_json());
-        o.file(
-            "stats_flush_pipelined.json",
-            pipe.tb.stats_snapshot().to_json(),
-        );
-        o.clean_trace("pipelined", "the traced pipelined flush", trace);
+        (self.take)(&mut p, &from);
+        p
+    }
+}
+
+const WRITE_BEHIND: Layer = Layer {
+    name: "write_behind",
+    take: |p, from| p.write_behind = from.write_behind,
+    total_cut: None,
+};
+const SERVER_IO: Layer = Layer {
+    name: "server_io",
+    take: |p, from| p.server_io = from.server_io,
+    total_cut: None,
+};
+const TRANSPORT: Layer = Layer {
+    name: "transport",
+    take: |p, from| p.transport = from.transport,
+    total_cut: Some(25.0),
+};
+const DELEGATION: Layer = Layer {
+    name: "delegation",
+    take: |p, from| p.delegation = from.delegation,
+    total_cut: None,
+};
+
+/// A row's gate: its speedup at least (`Speedup`) or more than
+/// (`SpeedupOver`) a factor, or its message cut at least a percentage.
+enum Floor {
+    Speedup(f64),
+    SpeedupOver(f64),
+    Cut(f64),
+}
+
+/// What a row reads off one run, by its workload's measure.
+#[derive(Clone, Copy)]
+struct Side {
+    secs: f64,
+    msgs: u64,
+}
+
+fn side(secs: f64, msgs: u64, tb: Testbed) -> (Side, Testbed) {
+    (Side { secs, msgs }, tb)
+}
+
+/// A signature workload: what it reads off a run, and the run of
+/// `clients` clients on a stack at a seed.
+struct Workload {
+    measure: &'static str,
+    run: fn(TestbedParams, usize, u64) -> (Side, Testbed),
+}
+
+/// Writes 64 blocks, then times the `fsync` that flushes them.
+const FLUSH64: Workload = Workload {
+    measure: "fsync s, window msgs",
+    run: |p, _, _| {
+        let r = scripts::flush(p, 64);
+        side(r.first().as_secs_f64(), r.messages, r.tb)
+    },
+};
+/// The Andrew benchmark; its messages include set-up and the 120 s
+/// write-back tail.
+const ANDREW: Workload = Workload {
+    measure: "phase total s, whole-run msgs",
+    run: |p, _, seed| {
+        let r = scripts::andrew(p, seed);
+        side(r.first().total().as_secs_f64(), r.tb.net.messages(), r.tb)
+    },
+};
+/// Identical diskless-workstation clients (paper §2.3).
+const DISKLESS: Workload = Workload {
+    measure: "makespan s, window msgs",
+    run: |p, n, seed| window(scaling(p, n, seed)),
+};
+/// Every client reads one shared 256-block file.
+const SHARED_READ: Workload = Workload {
+    measure: "makespan s, window msgs",
+    run: |p, n, _| window(scripts::shared_read(p, n)),
+};
+/// Every client re-opens a private file 30 times, then reads a shared
+/// docroot three times over.
+const CHURN: Workload = Workload {
+    measure: "makespan s, window msgs",
+    run: |p, n, _| window(scripts::open_churn(p, n)),
+};
+
+fn window<T>(r: crate::Run<T>) -> (Side, Testbed) {
+    side(r.makespan.as_secs_f64(), r.messages, r.tb)
+}
+
+/// One row of the lattice: `layer` off and on over `work`, every other
+/// field of the stack as `base` sets it.
+struct Row {
+    layer: Layer,
+    /// The row's name in the table and in its ledger keys.
+    name: &'static str,
+    work: Workload,
+    clients: usize,
+    base: fn() -> TestbedParams,
+    floor: Floor,
+    /// The file the layer-on run's stats document is filed as.
+    stats: Option<&'static str>,
+    /// A layer-on run the invariant checker must find clean: the key its
+    /// ledger fields and profile go under, what it is, and its clients.
+    trace: Option<(&'static str, &'static str, usize)>,
+}
+
+/// The stack under the transport's and delegations' rows: the server I/O
+/// pipeline (and, on SNFS, the write-behind pool) on.
+fn pipelined_io(p: TestbedParams) -> TestbedParams {
+    TestbedParams {
+        server_io: ServerIoParams::pipelined(),
+        write_behind: WriteBehindParams::pipelined(),
+        ..p
+    }
+}
+
+const ROWS: [Row; 7] = [
+    Row {
+        layer: WRITE_BEHIND,
+        name: "flush64",
+        work: FLUSH64,
+        clients: 1,
+        // No update daemons: the `fsync` is the only flush.
+        base: || TestbedParams {
+            update_enabled: false,
+            ..TestbedParams::default()
+        },
         // Met only when a gathered write reaches the server disk as one
         // request: written block by block, the flush is 2.91x.
-        o.gate(gain >= 8.0, || {
-            format!(
-                "a gathered write must reach the server disk as one request: {gain:.2}x, want 8x"
-            )
+        floor: Floor::Speedup(8.0),
+        stats: Some("stats_flush_pipelined.json"),
+        trace: Some(("pipelined", "the traced pipelined flush", 1)),
+    },
+    Row {
+        layer: SERVER_IO,
+        name: "scale4",
+        work: DISKLESS,
+        clients: 4,
+        base: || TestbedParams::paper(Protocol::Snfs, true),
+        floor: Floor::SpeedupOver(1.0),
+        stats: None,
+        // A real C-LOOK schedule for the disk-queue/reorder rule.
+        trace: Some(("pipelined_4", "the traced 4-client pipelined run", 4)),
+    },
+    Row {
+        layer: SERVER_IO,
+        name: "scale8",
+        work: DISKLESS,
+        clients: 8,
+        base: || TestbedParams::paper(Protocol::Snfs, true),
+        floor: Floor::Speedup(1.3),
+        stats: Some("stats_server_scaling.json"),
+        trace: None,
+    },
+    Row {
+        layer: TRANSPORT,
+        name: "andrew_nfs",
+        work: ANDREW,
+        clients: 1,
+        base: || TestbedParams {
+            server_io: ServerIoParams::pipelined(),
+            ..TestbedParams::paper(Protocol::Nfs, true)
+        },
+        // The Nagle batcher must not slow a serial run.
+        floor: Floor::Speedup(0.98),
+        stats: None,
+        trace: None,
+    },
+    Row {
+        layer: TRANSPORT,
+        name: "read8",
+        work: SHARED_READ,
+        clients: 8,
+        base: || TestbedParams {
+            client: ClientParams {
+                read_ahead_window: 8,
+                ..ClientParams::default()
+            },
+            ..pipelined_io(TestbedParams::default())
+        },
+        floor: Floor::Speedup(1.2),
+        stats: Some("stats_rpc_transport.json"),
+        // A real batched schedule for the batch-conservation and
+        // at-most-once rules.
+        trace: Some(("shared_read_2", "the traced 2-client pipelined read", 2)),
+    },
+    Row {
+        layer: DELEGATION,
+        name: "churn6",
+        work: CHURN,
+        clients: 6,
+        base: || TestbedParams {
+            client: ClientParams {
+                name_cache: true,
+                ..ClientParams::default()
+            },
+            transport: TransportParams::pipelined(),
+            ..pipelined_io(TestbedParams::default())
+        },
+        floor: Floor::Cut(30.0),
+        stats: Some("stats_open_churn.json"),
+        // A real grant/recall/return schedule for the delegation rules.
+        trace: Some(("churn_2", "the traced 2-client delegated churn", 2)),
+    },
+    Row {
+        layer: DELEGATION,
+        name: "andrew_snfs",
+        work: ANDREW,
+        clients: 1,
+        base: || TestbedParams {
+            transport: TransportParams::pipelined(),
+            ..pipelined_io(TestbedParams::paper(Protocol::Snfs, true))
+        },
+        // Delegations must not slow a run that writes files once.
+        floor: Floor::Speedup(0.98),
+        stats: None,
+        trace: None,
+    },
+];
+
+fn cut_pct(off: u64, on: u64) -> f64 {
+    100.0 * (1.0 - on as f64 / off as f64)
+}
+
+/// Renders the lattice, files each row's numbers and holds them to the
+/// rows' floors and the layers' total floors; `sides[i]` is `rows[i]`
+/// off and on.
+fn judge(o: &mut Outcome, rows: &[Row], sides: &[(Side, Side)]) {
+    let mut t = TextTable::new(vec![
+        "Layer", "Workload", "clients", "measure", "off msgs", "on msgs", "cut", "off s", "on s",
+        "speedup",
+    ]);
+    for (row, &(off, on)) in rows.iter().zip(sides) {
+        let (gain, cut) = (off.secs / on.secs, cut_pct(off.msgs, on.msgs));
+        let (layer, name) = (row.layer.name, row.name);
+        t.row(vec![
+            layer.to_string(),
+            name.to_string(),
+            row.clients.to_string(),
+            row.work.measure.to_string(),
+            off.msgs.to_string(),
+            on.msgs.to_string(),
+            format!("{cut:.0}%"),
+            format!("{:.2}", off.secs),
+            format!("{:.2}", on.secs),
+            format!("{gain:.2}x"),
+        ]);
+        let key = format!("{layer}_{name}");
+        o.field(format!("{key}_off_msgs"), off.msgs);
+        o.field(format!("{key}_on_msgs"), on.msgs);
+        o.field(format!("{key}_reduction_pct"), format!("{cut:.1}"));
+        o.field(format!("{key}_off_ms"), format!("{:.2}", off.secs * 1e3));
+        o.field(format!("{key}_on_ms"), format!("{:.2}", on.secs * 1e3));
+        o.field(format!("{key}_gain_x"), format!("{gain:.2}"));
+        let (ok, want) = match row.floor {
+            Floor::Speedup(f) => (gain >= f, format!("a speedup >= {f}x")),
+            Floor::SpeedupOver(f) => (gain > f, format!("a speedup > {f}x")),
+            Floor::Cut(f) => (cut >= f, format!("a message cut >= {f}%")),
+        };
+        o.gate(ok, || {
+            format!("{key}: speedup {gain:.2}x, message cut {cut:.1}%; want {want}")
         });
-        o.field("flush_paper_ms", format!("{:.2}", serial * 1e3));
-        o.field("flush_pipelined_ms", format!("{:.2}", piped * 1e3));
-        o.field("flush_gain_x", format!("{gain:.2}"));
-        let write_rpcs = |r: &Run<_>| r.ops.get(spritely_proto::NfsProc::Write);
-        let client = pipe.tb.clients[0].remote.snfs().expect("SNFS client");
-        o.field("paper_write_rpcs", write_rpcs(&paper));
-        o.field("pipelined_write_rpcs", write_rpcs(&pipe));
-        let mean_batch = client.write_stats().mean_blocks();
-        o.field("pipelined_mean_batch", format!("{mean_batch:.2}"));
-        o.field("pipelined_peak_inflight", client.write_stats().peak);
+    }
+    o.body = t.render();
+    // A layer's total is the sum over its rows, filed where it has several.
+    for layer in [WRITE_BEHIND, SERVER_IO, TRANSPORT, DELEGATION] {
+        let (mut n, mut off, mut on) = (0, 0, 0);
+        for (row, (a, b)) in rows.iter().zip(sides) {
+            if row.layer.name == layer.name {
+                (n, off, on) = (n + 1, off + a.msgs, on + b.msgs);
+            }
+        }
+        if n < 2 {
+            continue;
+        }
+        let (name, cut) = (layer.name, cut_pct(off, on));
+        o.body += &format!("\n{name} total messages: {off} -> {on} ({cut:.0}% cut)");
+        o.field(format!("{name}_total_reduction_pct"), format!("{cut:.1}"));
+        if let Some(f) = layer.total_cut {
+            o.gate(cut >= f, || {
+                format!("{name}: its rows' total message cut is {cut:.1}%; want >= {f}%")
+            });
+        }
+    }
+}
+
+/// The delegation economy of a delegated run's stats document: both
+/// kinds granted, each grant amortized over several local opens, the
+/// conflicting opens recalled and every recall returned, nothing
+/// revoked.
+fn delegation_economy(o: &mut Outcome, snap: &StatsSnapshot) {
+    let deleg = |key: &str| snap.num(&format!("delegation.{key}"));
+    let (grants_read, grants_write) = (deleg("grants_read"), deleg("grants_write"));
+    let grants = grants_read + grants_write;
+    let (local_opens, recalls) = (deleg("local_opens"), deleg("recalls"));
+    let (returns, revokes) = (deleg("returns"), deleg("revokes"));
+    o.field("deleg_grants", grants);
+    o.field("deleg_local_opens", local_opens);
+    o.field("deleg_recalls", recalls);
+    o.field("deleg_revokes", revokes);
+    o.gate(grants_read > 0 && grants_write > 0, || {
+        format!("expected both delegation kinds granted: {grants_read} read, {grants_write} write")
+    });
+    o.gate(local_opens > grants, || {
+        format!("each grant must amortize over several local opens: {local_opens} for {grants}")
+    });
+    o.gate(recalls >= 2 && returns == recalls, || {
+        format!(
+            "the conflicting opens must recall, and every recall return: \
+             {recalls} recalls, {returns} returns"
+        )
+    });
+    o.gate(revokes == 0, || {
+        format!("a healthy run must not revoke, got {revokes}")
+    });
+}
+
+/// The layer lattice (DESIGN.md "One layer lattice"): each opt-in layer
+/// off and on over its signature workloads, every other field of the
+/// stack fixed by the row, as the paper holds everything but one
+/// protocol choice fixed. The layer-on runs file their stats documents,
+/// and the traced ones go to the invariant checker and `spritely
+/// profile`.
+pub(super) const LAYERS: Entry = Entry {
+    name: "layers",
+    title: "Layers: each opt-in layer off vs on over its signature workloads (seed 42)",
+    run: |seed| {
+        let mut o = Outcome::default();
+        let (mut sides, mut kept) = (Vec::new(), Vec::new());
+        for row in &ROWS {
+            let run = |on, trace, n| {
+                let params = row.layer.set((row.base)(), on);
+                (row.work.run)(TestbedParams { trace, ..params }, n, seed)
+            };
+            // A trace at the row's own client count is of its layer-on
+            // run: tracing changes nothing a row reads.
+            let trace_clients = row.trace.map(|t| t.2);
+            let (off, _) = run(false, false, row.clients);
+            let (on, tb) = run(true, trace_clients == Some(row.clients), row.clients);
+            let traced = trace_clients.filter(|&n| n != row.clients);
+            let traced = traced.map(|n| run(true, true, n).1);
+            sides.push((off, on));
+            kept.push((tb, traced));
+        }
+        judge(&mut o, &ROWS, &sides);
+        for (row, (tb, traced)) in ROWS.iter().zip(kept) {
+            if let Some((key, what, _)) = row.trace {
+                let report = traced.as_ref().unwrap_or(&tb).finish_trace();
+                o.clean_trace(key, what, &report.expect("tracing was on"));
+            }
+            if let Some(file) = row.stats {
+                let snap = tb.stats_snapshot();
+                o.file(file, snap.to_json());
+                if row.layer.name == DELEGATION.name {
+                    delegation_economy(&mut o, &snap);
+                }
+            }
+        }
         o
     },
 };
@@ -201,231 +499,6 @@ pub(super) const SCALING: Entry = Entry {
     },
 };
 
-/// `n` diskless SNFS clients against a server with the given I/O
-/// pipeline.
-fn server_io_run(io: ServerIoParams, trace: bool, n: usize, seed: u64) -> Run<SimDuration> {
-    let params = TestbedParams {
-        server_io: io,
-        trace,
-        ..TestbedParams::paper(Protocol::Snfs, true)
-    };
-    scaling(params, n, seed)
-}
-
-/// Server scaling with the server I/O pipeline on (paper §2.3 extended):
-/// the same SNFS clients against the paper-faithful FIFO/uncached server
-/// and the pipelined one (C-LOOK arm scheduling, larger block cache,
-/// wider RPC admission). The pipeline only
-/// reorders and absorbs server disk work; writes stay synchronous, so
-/// consistency results are untouched.
-pub(super) const SERVER_SCALING: Entry = Entry {
-    name: "server_scaling",
-    title: "Server scaling: FIFO paper server vs pipelined server I/O (SNFS, seed 42)",
-    run: |seed| {
-        let mut t = TextTable::new(vec![
-            "clients",
-            "paper s",
-            "pipelined s",
-            "speedup",
-            "paper util",
-            "pipe util",
-        ]);
-        let mut o = Outcome::default();
-        let mut runs: Vec<(String, Run<SimDuration>)> = Vec::new();
-        let mut gains = Vec::new();
-        for n in [4, 8] {
-            let paper = server_io_run(ServerIoParams::paper(), false, n, seed);
-            let pipe = server_io_run(ServerIoParams::pipelined(), n == 4, n, seed);
-            let gain = paper.makespan.as_secs_f64() / pipe.makespan.as_secs_f64();
-            t.row(vec![
-                n.to_string(),
-                format!("{:.0}", paper.makespan.as_secs_f64()),
-                format!("{:.0}", pipe.makespan.as_secs_f64()),
-                format!("{gain:.2}x"),
-                format!("{:.2}", paper.server_util),
-                format!("{:.2}", pipe.server_util),
-            ]);
-            gains.push(gain);
-            runs.push((format!("paper/{n}"), paper));
-            runs.push((format!("pipelined/{n}"), pipe));
-        }
-        let labeled: Vec<(&str, &Run<SimDuration>)> =
-            runs.iter().map(|(label, r)| (label.as_str(), r)).collect();
-        o.body = format!(
-            "{}\nserver I/O pipeline observability:\n{}",
-            t.render(),
-            report::server_io_table(&labeled)
-        );
-        // Snapshot of the 8-client pipelined run for offline diffing.
-        let pipe8 = &runs.last().expect("runs recorded").1;
-        o.file(
-            "stats_server_scaling.json",
-            pipe8.tb.stats_snapshot().to_json(),
-        );
-        for (label, r) in &runs {
-            o.field(
-                format!("{}_makespan_s", slug_of(label)),
-                format!("{:.1}", r.makespan.as_secs_f64()),
-            );
-        }
-        let [gain_at_4, gain_at_8] = gains[..] else {
-            unreachable!("two client counts")
-        };
-        o.field("gain_at_8_x", format!("{gain_at_8:.2}"));
-        o.gate(gain_at_4 > 1.0, || {
-            format!("pipelined server I/O must be faster at 4 clients, got {gain_at_4:.2}x")
-        });
-        o.gate(gain_at_8 >= 1.3, || {
-            format!(
-                "pipelined server I/O must cut 8-client makespan by >= 1.3x, got {gain_at_8:.2}x"
-            )
-        });
-        // The traced 4-client pipelined run feeds the disk-queue/reorder
-        // checker rule with a real C-LOOK schedule; any bypass past the
-        // aging limit or an unqueued completion is a violation.
-        o.clean_trace(
-            "pipelined_4",
-            "the traced 4-client pipelined run",
-            &runs[1].1.tb.finish_trace().expect("tracing was on"),
-        );
-        o
-    },
-};
-
-fn transport_andrew_params(t: TransportParams) -> TestbedParams {
-    TestbedParams {
-        protocol: Protocol::Nfs,
-        tmp_remote: true,
-        server_io: ServerIoParams::pipelined(),
-        transport: t,
-        ..TestbedParams::default()
-    }
-}
-
-/// The data-scaling run: `n` SNFS clients read one shared file with an
-/// 8-block read-ahead window over transport `t`.
-fn shared_read_run(t: TransportParams, n: usize, trace: bool) -> Run<()> {
-    let params = TestbedParams {
-        server_io: ServerIoParams::pipelined(),
-        write_behind: WriteBehindParams::pipelined(),
-        client: ClientParams {
-            read_ahead_window: 8,
-            ..ClientParams::default()
-        },
-        transport: t,
-        trace,
-        ..TestbedParams::default()
-    };
-    shared_read(params, n)
-}
-
-/// Transport pipeline (compound batching, piggybacked post-op
-/// attributes, switched full-duplex wire) vs the paper transport, on two
-/// workloads: the single-client Andrew benchmark on plain NFS, where
-/// piggybacked attributes elide the open-time `getattr` probes Table 5-2
-/// complains about and the Nagle batcher coalesces the write-behind
-/// bursts; and an 8-client shared-file read on SNFS, where the shared
-/// 10 Mbit bus serializes every message unless the switched wire splits
-/// it into per-host lanes and the read-ahead burst batches into
-/// compounds. Both sides run the pipelined server I/O and write-behind
-/// pool, so only `TransportParams` varies.
-pub(super) const RPC_TRANSPORT: Entry = Entry {
-    name: "rpc_transport",
-    title: "RPC transport: paper vs pipelined transport (Andrew + 8-client scaling, seed 42)",
-    run: |seed| {
-        let a_paper = andrew(transport_andrew_params(TransportParams::paper()), seed);
-        let a_pipe = andrew(transport_andrew_params(TransportParams::pipelined()), seed);
-        let s_paper = shared_read_run(TransportParams::paper(), 8, false);
-        let s_pipe = shared_read_run(TransportParams::pipelined(), 8, false);
-        let (s_paper_msgs, s_pipe_msgs) = (s_paper.messages, s_pipe.messages);
-        let s_paper_mk = s_paper.makespan.as_secs_f64();
-        let s_pipe_mk = s_pipe.makespan.as_secs_f64();
-
-        let at_paper = a_paper.tb.stats_snapshot();
-        let at_pipe = a_pipe.tb.stats_snapshot();
-        let a_paper_msgs = at_paper.num("transport.net_messages");
-        let a_pipe_msgs = at_pipe.num("transport.net_messages");
-        let a_paper_s = a_paper.first().total().as_secs_f64();
-        let a_pipe_s = a_pipe.first().total().as_secs_f64();
-        let andrew_gain = a_paper_s / a_pipe_s;
-        let scaling_gain = s_paper_mk / s_pipe_mk;
-
-        let mut t = TextTable::new(vec![
-            "Workload",
-            "paper msgs",
-            "pipe msgs",
-            "reduction",
-            "paper s",
-            "pipe s",
-            "speedup",
-        ]);
-        versus_row(
-            &mut t,
-            "Andrew/NFS",
-            (a_paper_msgs, a_pipe_msgs),
-            (a_paper_s, a_pipe_s),
-            0,
-        );
-        versus_row(
-            &mut t,
-            "8-client read/SNFS",
-            (s_paper_msgs, s_pipe_msgs),
-            (s_paper_mk, s_pipe_mk),
-            1,
-        );
-        let total_paper = a_paper_msgs + s_paper_msgs;
-        let total_pipe = a_pipe_msgs + s_pipe_msgs;
-        let total_reduction = reduction_pct(total_paper, total_pipe);
-        let pipe_snapshot = s_pipe.tb.stats_snapshot();
-        let mut o = Outcome {
-            body: format!(
-                "{}\ntotal messages: {total_paper} -> {total_pipe} ({total_reduction:.0}% reduction)\n\
-                 transport observability (whole run, setup included):\n{}",
-                t.render(),
-                report::transport_table(&[
-                    ("andrew/paper", &at_paper),
-                    ("andrew/pipe", &at_pipe),
-                    ("scale8/paper", &s_paper.tb.stats_snapshot()),
-                    ("scale8/pipe", &pipe_snapshot),
-                ])
-            ),
-            ..Outcome::default()
-        };
-        o.file("stats_rpc_transport.json", pipe_snapshot.to_json());
-        o.field("andrew_paper_msgs", a_paper_msgs);
-        o.field("andrew_pipe_msgs", a_pipe_msgs);
-        o.field("scale8_paper_msgs", s_paper_msgs);
-        o.field("scale8_pipe_msgs", s_pipe_msgs);
-        o.field("total_reduction_pct", format!("{total_reduction:.1}"));
-        o.field("andrew_gain_x", format!("{andrew_gain:.2}"));
-        o.field("scale8_gain_x", format!("{scaling_gain:.2}"));
-
-        o.gate(total_reduction >= 25.0, || {
-            format!(
-                "pipelined transport must cut total RPC messages by >= 25%, \
-                 got {total_reduction:.1}%"
-            )
-        });
-        o.gate(scaling_gain >= 1.2, || {
-            format!(
-                "pipelined transport must cut 8-client makespan by >= 1.2x, got {scaling_gain:.2}x"
-            )
-        });
-        o.gate(andrew_gain >= 0.98, || {
-            format!("the Nagle batcher must not slow the serial Andrew run, got {andrew_gain:.2}x")
-        });
-        // A traced pipelined run feeds the batch-conservation and
-        // at-most-once checker rules with a real batched schedule.
-        let traced = shared_read_run(TransportParams::pipelined(), 2, true).tb;
-        o.clean_trace(
-            "shared_read_2",
-            "the traced 2-client pipelined read",
-            &traced.finish_trace().expect("tracing was on"),
-        );
-        o
-    },
-};
-
 /// Files one chaos verdict under `name`: its report, its ledger keys and
 /// its three gates — the schedule injected something, the run went
 /// through what the workload exists to force, and it converged.
@@ -468,172 +541,84 @@ pub(super) const CHAOS_ENTRY: Entry = Entry {
     },
 };
 
-const CHURN_CLIENTS: usize = 6;
-
-/// Both sides of the delegation comparison run the full pipelined stack
-/// (server I/O pipeline, write-behind pool, compound transport) so the
-/// open/close RPCs themselves are the bottleneck under comparison; only
-/// `DelegationParams` varies.
-fn delegation_stack(d: DelegationParams) -> TestbedParams {
-    TestbedParams {
-        protocol: Protocol::Snfs,
-        server_io: ServerIoParams::pipelined(),
-        write_behind: WriteBehindParams::pipelined(),
-        transport: TransportParams::pipelined(),
-        delegation: d,
-        ..TestbedParams::default()
-    }
-}
-
-/// The open-churn mix on `n` name-caching clients of that stack.
-fn churn_run(d: DelegationParams, n: usize, trace: bool) -> Run<()> {
-    let params = TestbedParams {
-        client: ClientParams {
-            name_cache: true,
-            ..ClientParams::default()
-        },
-        trace,
-        ..delegation_stack(d)
-    };
-    open_churn(params, n)
-}
-
-/// Open delegations (DESIGN.md §17) vs the callback-only protocol, on
-/// the open-heavy mix the delegation fast path targets — six clients
-/// each re-open/read/close a private working-set file 30 times, then all
-/// of them read a hot shared docroot three times over; every one of
-/// those opens and closes is an RPC round trip under the paper protocol,
-/// and a delegation holder serves them locally — plus Andrew as the
-/// non-regression guard: delegations must not slow down a workload that
-/// creates and writes files once instead of re-opening them.
-pub(super) const OPEN_CHURN: Entry = Entry {
-    name: "open_churn",
-    title: "Open churn: open delegations vs callback-only protocol \
-            (6-client churn + Andrew, seed 42)",
-    run: |seed| {
-        let andrew = |d| {
-            let params = TestbedParams {
-                tmp_remote: true,
-                ..delegation_stack(d)
-            };
-            andrew(params, seed)
-        };
-        let off = churn_run(DelegationParams::paper(), CHURN_CLIENTS, false);
-        let on = churn_run(DelegationParams::pipelined(), CHURN_CLIENTS, false);
-        let (off_msgs, on_msgs) = (off.messages, on.messages);
-        let (off_mk, on_mk) = (off.makespan.as_secs_f64(), on.makespan.as_secs_f64());
-        let a_off = andrew(DelegationParams::paper());
-        let a_on = andrew(DelegationParams::pipelined());
-
-        let churn_reduction = reduction_pct(off_msgs, on_msgs);
-        let churn_gain = off_mk / on_mk;
-        let a_off_s = a_off.first().total().as_secs_f64();
-        let a_on_s = a_on.first().total().as_secs_f64();
-        let andrew_gain = a_off_s / a_on_s;
-        let (a_off_msgs, a_on_msgs) = (a_off.tb.net.messages(), a_on.tb.net.messages());
-        let total_reduction = reduction_pct(off_msgs + a_off_msgs, on_msgs + a_on_msgs);
-
-        let snap = on.tb.stats_snapshot();
-        let deleg = |key: &str| snap.num(&format!("delegation.{key}"));
-        let (grants_read, grants_write) = (deleg("grants_read"), deleg("grants_write"));
-        let grants = grants_read + grants_write;
-        let (local_opens, recalls) = (deleg("local_opens"), deleg("recalls"));
-        let (returns, revokes) = (deleg("returns"), deleg("revokes"));
-
-        let mut t = TextTable::new(vec![
-            "Workload",
-            "no-deleg msgs",
-            "deleg msgs",
-            "reduction",
-            "no-deleg s",
-            "deleg s",
-            "speedup",
-        ]);
-        versus_row(
-            &mut t,
-            &format!("{CHURN_CLIENTS}-client open churn"),
-            (off_msgs, on_msgs),
-            (off_mk, on_mk),
-            2,
-        );
-        versus_row(
-            &mut t,
-            "Andrew/SNFS",
-            (a_off_msgs, a_on_msgs),
-            (a_off_s, a_on_s),
-            0,
-        );
-        let mut o = Outcome {
-            body: format!(
-                "{}\ntotal messages: {} -> {} ({total_reduction:.0}% reduction)\n\
-                 delegation accounting (churn, whole run):\n{}",
-                t.render(),
-                off_msgs + a_off_msgs,
-                on_msgs + a_on_msgs,
-                report::delegation_table(&[("churn/deleg", &snap)])
-            ),
-            ..Outcome::default()
-        };
-        o.file("stats_open_churn.json", snap.to_json());
-        o.field("churn_paper_msgs", off_msgs);
-        o.field("churn_deleg_msgs", on_msgs);
-        o.field("churn_reduction_pct", format!("{churn_reduction:.1}"));
-        o.field("churn_gain_x", format!("{churn_gain:.2}"));
-        o.field("andrew_paper_msgs", a_off_msgs);
-        o.field("andrew_deleg_msgs", a_on_msgs);
-        o.field("andrew_gain_x", format!("{andrew_gain:.2}"));
-        o.field("total_reduction_pct", format!("{total_reduction:.1}"));
-        o.field("deleg_grants", grants);
-        o.field("deleg_local_opens", local_opens);
-        o.field("deleg_recalls", recalls);
-        o.field("deleg_revokes", revokes);
-
-        // >= 30% fewer wire messages on the open-heavy mix, no Andrew
-        // regression, and a healthy delegation economy: both kinds
-        // granted, each grant amortized over several local opens, the
-        // docroot's write delegations recalled and returned once its
-        // readers arrive, nothing revoked.
-        o.gate(churn_reduction >= 30.0, || {
-            format!(
-                "delegations must cut the open-churn messages by >= 30%, \
-                 got {churn_reduction:.1}%"
-            )
-        });
-        o.gate(andrew_gain >= 0.98, || {
-            format!("delegations must not slow the Andrew run, got {andrew_gain:.2}x")
-        });
-        o.gate(grants_read > 0 && grants_write > 0, || {
-            format!(
-                "expected both delegation kinds granted: {grants_read} read, {grants_write} write"
-            )
-        });
-        o.gate(local_opens > grants, || {
-            format!("each grant must amortize over several local opens: {local_opens} for {grants}")
-        });
-        o.gate(recalls >= 2 && returns == recalls, || {
-            format!(
-                "the conflicting opens must recall, and every recall return: \
-                 {recalls} recalls, {returns} returns"
-            )
-        });
-        o.gate(revokes == 0, || {
-            format!("a healthy run must not revoke, got {revokes}")
-        });
-        // A traced run feeds the delegation-safety checker a real
-        // grant/recall/return schedule.
-        let traced = churn_run(DelegationParams::pipelined(), 2, true).tb;
-        o.clean_trace(
-            "churn_2",
-            "the traced 2-client delegated churn",
-            &traced.finish_trace().expect("tracing was on"),
-        );
-        o
-    },
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every row off at 10 s and 100 messages and on at 1 s and 10:
+    /// each floor met with room to spare.
+    fn healthy() -> Vec<(Side, Side)> {
+        let off = Side {
+            secs: 10.0,
+            msgs: 100,
+        };
+        vec![
+            (
+                off,
+                Side {
+                    secs: 1.0,
+                    msgs: 10
+                }
+            );
+            ROWS.len()
+        ]
+    }
+
+    fn row(name: &str) -> usize {
+        ROWS.iter().position(|r| r.name == name).expect(name)
+    }
+
+    fn judged(sides: &[(Side, Side)]) -> Vec<String> {
+        let mut o = Outcome::default();
+        judge(&mut o, &ROWS, sides);
+        o.failures
+    }
+
+    #[test]
+    fn a_forged_row_under_its_speedup_floor_fails_the_gate() {
+        assert_eq!(judged(&healthy()), Vec::<String>::new());
+        let mut sides = healthy();
+        sides[row("flush64")].1.secs = 2.0;
+        // The 4-client floor is strict: even is not faster.
+        sides[row("scale4")].1.secs = 10.0;
+        assert_eq!(
+            judged(&sides),
+            [
+                "write_behind_flush64: speedup 5.00x, message cut 90.0%; want a speedup >= 8x",
+                "server_io_scale4: speedup 1.00x, message cut 90.0%; want a speedup > 1x",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_forged_row_under_its_reduction_floor_fails_the_gate() {
+        let mut sides = healthy();
+        sides[row("churn6")].1.msgs = 80;
+        // The transport's floor is on its rows' sum: 160 of 200 is 20%.
+        sides[row("andrew_nfs")].1.msgs = 90;
+        sides[row("read8")].1.msgs = 70;
+        assert_eq!(
+            judged(&sides),
+            [
+                "delegation_churn6: speedup 10.00x, message cut 20.0%; want a message cut >= 30%",
+                "transport: its rows' total message cut is 20.0%; want >= 25%",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_forged_delegation_economy_with_a_revoke_fails_the_gate() {
+        let committed = include_str!("../../../../baselines/stats_open_churn.json");
+        let economy = |doc: &str| {
+            let mut o = Outcome::default();
+            delegation_economy(&mut o, &StatsSnapshot::from_json(doc.to_string()));
+            o.failures
+        };
+        assert_eq!(economy(committed), Vec::<String>::new());
+        let forged = committed.replace("\"revokes\":0", "\"revokes\":1");
+        assert_ne!(forged, committed);
+        assert_eq!(economy(&forged), ["a healthy run must not revoke, got 1"]);
+    }
 
     #[test]
     fn a_chaos_run_that_forced_nothing_fails_its_gate_instead_of_panicking() {

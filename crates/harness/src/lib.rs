@@ -15,7 +15,7 @@
 //! | Tables 5-4/5-6 (sort RPCs) | [`scripts::sort`] | [`report::sort_rpc_table`] |
 //! | §5.3 micro | [`scripts::reopen`] | [`report::reopen_table`] |
 //! | §5.4 temp-file lifetime | [`scripts::temp_lifetime`] | — |
-//! | §2.3 server capacity | [`scripts::scaling`], [`scripts::scaling_shards`] | [`report::server_io_table`] |
+//! | §2.3 server capacity | [`scripts::scaling`], [`scripts::scaling_shards`] | the `scaling` and `layers` entries of [`catalog`] |
 
 pub mod catalog;
 pub mod compare;
@@ -178,11 +178,6 @@ mod transport_tests {
         // at-most-once execution hold).
         let report = piped.finish_trace().expect("trace was on");
         assert!(report.ok(), "checker violations: {:?}", report.violations);
-
-        // The table renders both configurations.
-        let table = report::transport_table(&[("paper", &ps), ("pipelined", &xs)]);
-        assert!(table.contains("pipelined"));
-        assert!(table.contains("Saved/proc"));
     }
 }
 

@@ -174,46 +174,6 @@ pub fn latency_table(l: &spritely_metrics::LatencyStats) -> String {
     t.render()
 }
 
-/// Write-behind flush microbenchmark report: one row per labelled pool
-/// configuration flushing `blocks` dirty blocks, including the gathering
-/// factor (mean blocks per write-back RPC), the pipelining depth (peak
-/// concurrent write-back RPCs), the write-back failure count (normally
-/// 0) and the `write` RPC latency distribution.
-pub fn flush_table(blocks: usize, runs: &[(&str, &Run<SimDuration>)]) -> String {
-    let mut t = TextTable::new(vec![
-        "Mode",
-        "blocks",
-        "flush ms",
-        "write RPCs",
-        "blk/RPC",
-        "inflight",
-        "failures",
-        "w p50 ms",
-        "w p95 ms",
-        "w p99 ms",
-    ]);
-    for (label, r) in runs {
-        let client = r.tb.clients[0].remote.snfs().expect("flush runs over SNFS");
-        let pct = |q| {
-            let write = r.tb.latency.percentile(NfsProc::Write, q);
-            format!("{:.1}", write.as_secs_f64() * 1e3)
-        };
-        t.row(vec![
-            label.to_string(),
-            blocks.to_string(),
-            format!("{:.1}", r.first().as_secs_f64() * 1e3),
-            r.ops.get(NfsProc::Write).to_string(),
-            format!("{:.1}", client.write_stats().mean_blocks()),
-            client.write_stats().peak.to_string(),
-            client.stats().writeback_failures.to_string(),
-            pct(0.50),
-            pct(0.95),
-            pct(0.99),
-        ]);
-    }
-    t.render()
-}
-
 /// §5.3 microbenchmark report, from `(reread the same file?, run)` pairs.
 pub fn reopen_table(runs: &[(bool, Run<ReopenResult>)]) -> String {
     let mut t = TextTable::new(vec!["Protocol", "reread", "write s", "read s", "read RPCs"]);
@@ -224,153 +184,6 @@ pub fn reopen_table(runs: &[(bool, Run<ReopenResult>)]) -> String {
             format!("{:.2}", r.first().write_time.as_secs_f64()),
             format!("{:.2}", r.first().read_time.as_secs_f64()),
             r.ops.get(NfsProc::Read).to_string(),
-        ]);
-    }
-    t.render()
-}
-
-/// Server I/O pipeline observability (DESIGN.md §12): per scaling run,
-/// the server block-cache hit rate and the disk-queue shape — peak
-/// depth, mean queue wait and mean arm positioning time per request.
-/// The queue peak and the RPC latencies are the whole run's, set-up
-/// included: the gauge and the recorder have no reset.
-pub fn server_io_table(runs: &[(&str, &Run<SimDuration>)]) -> String {
-    let mut t = TextTable::new(vec![
-        "Config",
-        "clients",
-        "makespan s",
-        "cache hit%",
-        "disk q peak",
-        "wait ms",
-        "pos ms",
-        "rpc p50 ms",
-        "rpc p95 ms",
-        "rpc p99 ms",
-    ]);
-    for (label, r) in runs {
-        let (h, m) = r.server_cache;
-        let hit = if h + m > 0 {
-            100.0 * h as f64 / (h + m) as f64
-        } else {
-            0.0
-        };
-        let pct = |q| {
-            format!(
-                "{:.1}",
-                r.tb.latency.total_percentile(q).as_secs_f64() * 1e3
-            )
-        };
-        t.row(vec![
-            label.to_string(),
-            r.tb.clients.len().to_string(),
-            secs(r.makespan),
-            format!("{hit:.1}"),
-            r.tb.server_fs.disk().queue_depth().peak().to_string(),
-            format!("{:.1}", r.disk_wait_ms_mean),
-            format!("{:.1}", r.disk_pos_ms_mean),
-            pct(0.50),
-            pct(0.95),
-            pct(0.99),
-        ]);
-    }
-    t.render()
-}
-
-/// Transport-pipeline comparison: wire traffic and batching effect per
-/// configuration, followed by the round trips saved per procedure
-/// (procedures with no savings in any configuration are skipped).
-///
-/// Each row is `(label, end-of-run snapshot)`; the table reads its
-/// `transport` section.
-pub fn transport_table(rows: &[(&str, &StatsSnapshot)]) -> String {
-    let mut t = TextTable::new(vec![
-        "Config",
-        "msgs",
-        "kbytes",
-        "busy ms",
-        "batches",
-        "mean batch",
-        "saved RTs",
-        "attr elides",
-    ]);
-    for (label, s) in rows {
-        let tr = |key: &str| s.num(&format!("transport.{key}"));
-        let mean = if tr("batches") > 0 {
-            tr("batched_calls") as f64 / tr("batches") as f64
-        } else {
-            0.0
-        };
-        t.row(vec![
-            label.to_string(),
-            tr("net_messages").to_string(),
-            (tr("net_bytes") / 1024).to_string(),
-            tr("wire_busy_ms").to_string(),
-            tr("batches").to_string(),
-            format!("{mean:.1}"),
-            tr("saved_round_trips").to_string(),
-            tr("attr_elisions").to_string(),
-        ]);
-    }
-    let mut out = t.render();
-    // The document lists only the procedures that saved something.
-    let saved = |s: &StatsSnapshot, p: NfsProc| {
-        s.get(&format!("transport.saved_per_proc.{}", p.name()))
-            .unwrap_or(0)
-    };
-    let procs: Vec<NfsProc> = NfsProc::ALL
-        .into_iter()
-        .filter(|&p| rows.iter().any(|(_, s)| saved(s, p) > 0))
-        .collect();
-    if !procs.is_empty() {
-        let mut headers = vec!["Saved/proc".to_string()];
-        headers.extend(rows.iter().map(|(l, _)| l.to_string()));
-        let mut t2 = TextTable::new(headers);
-        for p in procs {
-            let mut row = vec![p.name().to_string()];
-            row.extend(rows.iter().map(|(_, s)| saved(s, p).to_string()));
-            t2.row(row);
-        }
-        out.push('\n');
-        out.push_str(&t2.render());
-    }
-    out
-}
-
-/// Delegation-subsystem comparison (DESIGN.md §17): per configuration,
-/// the grant/recall/return/revoke accounting, the RPC-free fast-path
-/// counters, and the recall round-trip latency histogram (bucket
-/// upper bounds 1 ms / 10 ms / 100 ms / 1 s / ∞ of virtual time).
-///
-/// Each row is `(label, end-of-run snapshot)`; the table reads its
-/// `delegation` section.
-pub fn delegation_table(rows: &[(&str, &StatsSnapshot)]) -> String {
-    let mut t = TextTable::new(vec![
-        "Config",
-        "grants r/w",
-        "local opens",
-        "local closes",
-        "recalls",
-        "returns",
-        "revokes",
-        "held",
-        "recall <1ms/<10ms/<100ms/<1s/1s+",
-    ]);
-    for (label, s) in rows {
-        let d = |key: &str| s.num(&format!("delegation.{key}")).to_string();
-        let buckets: Vec<String> = (0..)
-            .map_while(|i| s.get(&format!("delegation.recall_latency_buckets.{i}")))
-            .map(|n| n.to_string())
-            .collect();
-        t.row(vec![
-            label.to_string(),
-            format!("{}/{}", d("grants_read"), d("grants_write")),
-            d("local_opens"),
-            d("local_closes"),
-            d("recalls"),
-            d("returns"),
-            d("revokes"),
-            d("held"),
-            buckets.join("/"),
         ]);
     }
     t.render()

@@ -45,14 +45,6 @@ pub struct Run<T> {
     pub served: Vec<u64>,
     /// Server 0's disk activity during the window.
     pub server_disk: DiskStats,
-    /// Mean per-request queue wait at server 0's disk, in ms.
-    pub disk_wait_ms_mean: f64,
-    /// Mean per-request arm positioning time at server 0's disk, in ms.
-    pub disk_pos_ms_mean: f64,
-    /// Mean utilization of server 0's CPU over the makespan.
-    pub server_util: f64,
-    /// Server 0's block-cache (hits, misses) during the window.
-    pub server_cache: (u64, u64),
     /// Writes to client 0's local disk (the "local" cost floor).
     pub client_disk_writes: u64,
     /// Messages the network carried during the window.
@@ -129,8 +121,7 @@ impl Testbed {
         T: 'static,
         Fut: Future<Output = T> + 'static,
     {
-        let fs = self.server_fs.clone();
-        let disk = fs.disk();
+        let disk = self.server_fs.disk();
         let served = |tb: &Testbed| -> Vec<u64> {
             let totals = tb.servers.iter().map(|h| h.counter.snapshot().total());
             totals.collect()
@@ -140,15 +131,11 @@ impl Testbed {
         let ops_before = self.counter.snapshot();
         let served_before = served(&self);
         let disk_before = disk.stats();
-        let (wait_mark, pos_mark) = (disk.wait_ms().mark(), disk.pos_ms().mark());
-        let busy_before = self.server_cpu.busy_permit_micros();
-        let cache_before = fs.cache_stats();
         let local_before = local_writes(&self);
         let messages_before = self.net.messages();
         let per_client = self.together(work);
         let makespan = self.sim.now().duration_since(start);
-        let (disk_after, cache_after) = (disk.stats(), fs.cache_stats());
-        let server_util = self.server_cpu.utilization_since(start, busy_before);
+        let disk_after = disk.stats();
         Run {
             per_client,
             start,
@@ -161,13 +148,6 @@ impl Testbed {
                 reads: disk_after.reads - disk_before.reads,
                 writes: disk_after.writes - disk_before.writes,
             },
-            disk_wait_ms_mean: disk.wait_ms().mean_since(wait_mark),
-            disk_pos_ms_mean: disk.pos_ms().mean_since(pos_mark),
-            server_util,
-            server_cache: (
-                cache_after.0 - cache_before.0,
-                cache_after.1 - cache_before.1,
-            ),
             client_disk_writes: local_writes(&self) - local_before,
             messages: self.net.messages() - messages_before,
             ops_before,

@@ -67,23 +67,11 @@ impl Histogram {
     }
 
     /// `(count, sum)` in one borrow — a mark for windowed means: take one
-    /// before and one after a measured interval, and
-    /// [`mean_since`](Self::mean_since) gives the interval's mean.
+    /// before and one after a measured interval; their differences are
+    /// the interval's count and sum.
     pub fn mark(&self) -> (u64, u64) {
         let h = self.inner.borrow();
         (h.total, h.sum)
-    }
-
-    /// Mean of the observations recorded since `mark` was taken (0 if
-    /// none were).
-    pub fn mean_since(&self, mark: (u64, u64)) -> f64 {
-        let h = self.inner.borrow();
-        let count = h.total - mark.0;
-        if count == 0 {
-            0.0
-        } else {
-            (h.sum - mark.1) as f64 / count as f64
-        }
     }
 
     /// Observations of exactly `value`.
@@ -173,10 +161,10 @@ mod tests {
         let h = Histogram::new();
         h.record(10);
         let m = h.mark();
-        assert_eq!(h.mean_since(m), 0.0, "empty window");
         h.record(2);
         h.record(4);
-        assert!((h.mean_since(m) - 3.0).abs() < 1e-9);
+        let (count, sum) = h.mark();
+        assert_eq!((count - m.0, sum - m.1), (2, 6), "the window's two");
         assert!((h.mean() - 16.0 / 3.0).abs() < 1e-9);
     }
 

@@ -142,32 +142,6 @@ impl LatencyStats {
         SimDuration::from_micros((sum / u128::from(count)) as u64)
     }
 
-    /// Estimated percentile over the merged histogram of every
-    /// procedure: the upper edge of the bucket containing the q-th
-    /// sample. Zero with no samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not within `0.0..=1.0`.
-    pub fn total_percentile(&self, q: f64) -> SimDuration {
-        assert!((0.0..=1.0).contains(&q), "percentile out of range: {q}");
-        let v = self.inner.borrow();
-        let count: u64 = v.iter().map(|e| e.count).sum();
-        if count == 0 {
-            return SimDuration::ZERO;
-        }
-        let rank = ((count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for i in 0..BUCKETS {
-            seen += v.iter().map(|e| e.hist[i]).sum::<u64>();
-            if seen >= rank {
-                return SimDuration::from_micros(1 << (i + 1).min(63));
-            }
-        }
-        let max = v.iter().map(|e| e.max_us).max().unwrap_or(0);
-        SimDuration::from_micros(max)
-    }
-
     /// Procedures with at least one sample, in display order.
     pub fn observed(&self) -> Vec<NfsProc> {
         let v = self.inner.borrow();
@@ -235,9 +209,6 @@ mod tests {
         l.record(NfsProc::Write, us(300));
         assert_eq!(l.total_count(), 2);
         assert_eq!(l.total_mean(), us(200));
-        assert!(l.total_percentile(0.99) >= us(300));
-        assert!(l.total_percentile(0.01) >= us(100));
-        assert_eq!(LatencyStats::new().total_percentile(0.5), SimDuration::ZERO);
     }
 
     #[test]

@@ -41,13 +41,14 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
     cargo doc --no-deps --offline --workspace --quiet
 
 # Every experiment in the catalogue, once, at seed 42: its own gate
-# conditions (trace checker clean, each layer's speedup floor, chaos
+# conditions (trace checker clean, the layer lattice's floors, chaos
 # convergence), its artifacts against baselines/ byte for byte, its
 # ledger against BENCH_<name>.json key for key. Prints per-experiment
 # wall time. Two worker threads, so the parallel path `spritely run` and
 # `spritely gate` take by default is held to the same record as a serial
 # run (tests/catalog.rs holds the serial one).
-echo "==> spritely gate --threads 2 (21 experiments vs baselines/ and BENCH_*.json)"
+experiments=$(cargo run --release --quiet --bin spritely -- list | wc -l)
+echo "==> spritely gate --threads 2 ($experiments experiments vs baselines/ and BENCH_*.json)"
 cargo run --release --quiet --bin spritely -- gate --threads 2
 
 # The benchmark is its own workspace, so nothing above compiles it: an API

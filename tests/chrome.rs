@@ -1,6 +1,7 @@
 //! The Chrome `trace_event` export, held on two real traces: the traced
-//! Andrew run `table_5_2` files and the traced 4-client pipelined run of
-//! `server_scaling` (concurrent handlers, callbacks and pooled flushes).
+//! Andrew run `table_5_2` files and the traced 4-client pipelined run the
+//! `layers` entry checks as `pipelined_4` (concurrent handlers, callbacks
+//! and pooled flushes).
 
 use std::collections::{BTreeSet, HashMap};
 

@@ -9,10 +9,10 @@ use proptest::prelude::*;
 use spritely::harness::catalog::{self, Outcome};
 use spritely::harness::run_matrix;
 
-/// The cheap entries the random lists draw from: a traced run whose
-/// outcome carries files and a profile, an ablation sweep, and a
-/// four-run microbenchmark.
-const POOL: [&str; 3] = ["flush_latency", "ablation_state_limit", "micro_reopen"];
+/// The entries the random lists draw from: a traced run whose outcome
+/// carries files and a profile (the traced Andrew run of `table_5_2`),
+/// an ablation sweep, and a four-run microbenchmark.
+const POOL: [&str; 3] = ["table_5_2", "ablation_state_limit", "micro_reopen"];
 
 fn run(name: &str) -> Outcome {
     (catalog::find(name).expect(name).run)(42)
