@@ -112,7 +112,7 @@ impl RecallHistogram {
 }
 
 /// Counters for the delegation subsystem, aggregated across server and
-/// clients into the stats snapshot (`report::delegation_table`).
+/// clients into the stats snapshot's `delegation` section (the `layers` entry gates it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DelegationStats {
     /// Read delegations granted (server).

@@ -356,7 +356,7 @@ fn delegation_economy(o: &mut Outcome, snap: &StatsSnapshot) {
 /// profile`.
 pub(super) const LAYERS: Entry = Entry {
     name: "layers",
-    title: "Layers: each opt-in layer off vs on over its signature workloads (seed 42)",
+    title: "Layers: each opt-in layer off vs on over its signature workloads",
     run: |seed| {
         let mut o = Outcome::default();
         let (mut sides, mut kept) = (Vec::new(), Vec::new());
