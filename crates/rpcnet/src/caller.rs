@@ -479,15 +479,14 @@ impl Caller {
         req: &NfsRequest,
         background: bool,
     ) -> Result<(NfsReply, bool), RpcError> {
-        let link = &self.link;
         if !self.params.cpu_per_call.is_zero() {
             self.cpu.use_for(self.params.cpu_per_call).await;
         }
         let xid = self.xids.next_xid.get();
         self.xids.next_xid.set(xid + 1);
-        let started = link.sim.now();
-        let (from, proc) = (link.from, req.proc_id());
-        let rpc_seq = link.emit(parent, || {
+        let started = self.link.sim.now();
+        let (from, proc) = (self.link.from, req.proc_id());
+        let rpc_seq = self.link.emit(parent, || {
             let (offset, len) = req.byte_range();
             EventKind::RpcCall {
                 from,
@@ -506,21 +505,29 @@ impl Caller {
         // Only background traffic parks in the batch queue: a compound's
         // reply waits for its slowest member, and a latency-sensitive call
         // must not wait behind a batched disk write. A parked call keeps
-        // one reply cell across its retransmissions.
-        let max_batch = self.transport.get().max_batch;
-        let cell = (background && max_batch > 1).then(Rc::<ReplyCell>::default);
+        // one reply cell across its retransmissions. The call's future
+        // holds it across every wait; the link is read through `self` and
+        // the xid and trace parent back from `member`, so that the future
+        // holds nothing else twice and is no larger for the cell.
+        let batched = background && self.transport.get().max_batch > 1;
+        let cell = batched.then(Rc::<ReplyCell>::default);
         for attempt in 0..=self.params.max_retries {
             if attempt > 0 {
                 self.retransmits.set(self.retransmits.get() + 1);
             }
-            let timeout = self.attempt_timeout(attempt, || link.jitter());
-            let fut = self.attempt(&member, cell.as_ref().map(|c| (c, max_batch)));
-            if let Ok(rep) = link.sim.timeout(timeout, fut).await {
+            let timeout = self.attempt_timeout(attempt, || self.link.jitter());
+            let fut = self.attempt(&member, cell.as_ref());
+            if let Ok(rep) = self.link.sim.timeout(timeout, fut).await {
+                let Member {
+                    xid,
+                    parent: rpc_seq,
+                    ..
+                } = member[0];
                 if let Some(l) = self.latency.borrow().as_ref() {
-                    l.record(proc, link.sim.now().duration_since(started));
+                    l.record(proc, self.link.sim.now().duration_since(started));
                 }
                 let ok = rep.is_ok();
-                link.emit(rpc_seq, || EventKind::RpcReply {
+                self.link.emit(rpc_seq, || EventKind::RpcReply {
                     from,
                     xid,
                     proc,
@@ -528,8 +535,8 @@ impl Caller {
                 });
                 // Any attempts the fault layer killed for this xid
                 // were absorbed by retransmission.
-                let (lh, lc) = link.fault_link.get();
-                link.net.absorb_kills(lh, lc, xid);
+                let (lh, lc) = self.link.fault_link.get();
+                self.link.net.absorb_kills(lh, lc, xid);
                 return Ok((rep, attempt > 0));
             }
         }
@@ -542,9 +549,10 @@ impl Caller {
     async fn attempt(
         &self,
         member: &[Member<&NfsRequest>; 1],
-        parked: Option<(&Rc<ReplyCell>, usize)>,
+        cell: Option<&Rc<ReplyCell>>,
     ) -> NfsReply {
-        if let Some((cell, max_batch)) = parked {
+        if let Some(cell) = cell {
+            let max_batch = self.transport.get().max_batch;
             return self.link.park(&member[0], max_batch, cell).await;
         }
         match self.link.exchange(member, None).await {
