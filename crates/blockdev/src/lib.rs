@@ -34,12 +34,12 @@ const BLOCK_BYTES: u64 = 4096;
 #[derive(Debug, Clone, Copy)]
 pub struct DiskParams {
     /// Average positioning (seek + rotational latency) for a random access.
-    pub avg_position: SimDuration,
+    avg_position: SimDuration,
     /// Positioning charged when the access is sequential to the previous
     /// one (track-to-track / same-track rotation).
-    pub seq_position: SimDuration,
+    seq_position: SimDuration,
     /// Media transfer rate in bytes per second.
-    pub transfer_rate: u64,
+    transfer_rate: u64,
 }
 
 impl DiskParams {
@@ -55,9 +55,6 @@ impl DiskParams {
 
     /// Time to transfer `bytes` at the media rate.
     pub fn transfer_time(&self, bytes: usize) -> SimDuration {
-        if self.transfer_rate == 0 {
-            return SimDuration::ZERO;
-        }
         SimDuration::from_micros((bytes as u64 * 1_000_000).div_ceil(self.transfer_rate))
     }
 }
@@ -539,16 +536,6 @@ mod tests {
         let t = p.transfer_time(4096);
         // 4 KB at 2.2 MB/s ~ 1.86 ms.
         assert!(t.as_micros() > 1_500 && t.as_micros() < 2_200, "{t}");
-    }
-
-    #[test]
-    fn zero_rate_means_free_transfer() {
-        let p = DiskParams {
-            avg_position: SimDuration::ZERO,
-            seq_position: SimDuration::ZERO,
-            transfer_rate: 0,
-        };
-        assert_eq!(p.transfer_time(1 << 20), SimDuration::ZERO);
     }
 
     #[test]

@@ -15,19 +15,17 @@ use spritely_trace::{Event, Tracer};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn params() -> DiskParams {
-    DiskParams {
-        avg_position: SimDuration::from_millis(20),
-        seq_position: SimDuration::from_millis(2),
-        transfer_rate: 1_000_000,
-    }
-}
+/// [`DiskParams::ra81`]'s positioning, in microseconds: a random access
+/// and a sequential one. Its 2.2 MB/s transfer takes 1,862 us for a 4 KB
+/// block, 466 us for 1 KB and 233 us for 512 bytes.
+const AVG_US: u64 = 28_000;
+const SEQ_US: u64 = 2_500;
 
 /// Runs `blocks` as concurrent requests (spawned in order at t = 0) and
 /// returns the completion order of block addresses.
 fn run_all(sched: DiskSched, blocks: &[u64]) -> (Vec<u64>, u64) {
     let sim = Sim::new();
-    let d = Disk::with_sched(&sim, "d0", params(), sched);
+    let d = Disk::with_sched(&sim, "d0", DiskParams::ra81(), sched);
     let order: Rc<RefCell<Vec<u64>>> = Rc::default();
     for (i, &blk) in blocks.iter().enumerate() {
         let d = d.clone();
@@ -47,13 +45,12 @@ fn run_all(sched: DiskSched, blocks: &[u64]) -> (Vec<u64>, u64) {
 /// `seq_position` when the block is the same or adjacent to the previous
 /// one, `avg_position` otherwise, plus transfer time.
 fn fifo_reference_micros(blocks: &[u64]) -> u64 {
-    let p = params();
+    let p = DiskParams::ra81();
     let mut last: Option<u64> = None;
     let mut t = 0;
     for &b in blocks {
         let seq = last == Some(b.wrapping_sub(1)) || last == Some(b);
-        let pos = if seq { p.seq_position } else { p.avg_position };
-        t += pos.as_micros() + p.transfer_time(4096).as_micros();
+        t += if seq { SEQ_US } else { AVG_US } + p.transfer_time(4096).as_micros();
         last = Some(b);
     }
     t
@@ -98,7 +95,7 @@ fn run_script(sched: DiskSched) -> (Vec<Done>, u64, u64) {
     ];
     let sim = Sim::new();
     let tracer = Tracer::new(&sim);
-    let d = Disk::with_sched(&sim, "d0", params(), sched);
+    let d = Disk::with_sched(&sim, "d0", DiskParams::ra81(), sched);
     d.set_tracer(tracer.clone());
     for q in script {
         let (d, s) = (d.clone(), sim.clone());
@@ -151,16 +148,16 @@ fn fifo_script_is_pinned() {
     // Arrival order; only 100 -> 101 and 7 -> 7 are sequential: FIFO calls
     // a step back by one block (101 -> 100, 900 -> 899, 7 -> 6) random.
     let want = vec![
-        (1, 100, 0, 20_000),
-        (2, 101, 24_096, 2_000),
-        (3, 100, 30_192, 20_000),
-        (4, 900, 54_288, 20_000),
-        (5, 50, 77_384, 20_000),
-        (6, 101, 97_896, 20_000),
-        (8, 899, 117_992, 20_000),
-        (9, 7, 0, 20_000),
-        (10, 7, 21_024, 2_000),
-        (11, 6, 0, 20_000),
+        (1, 100, 0, 28_000),
+        (2, 101, 29_862, 2_500),
+        (3, 100, 34_224, 28_000),
+        (4, 900, 64_086, 28_000),
+        (5, 50, 92_948, 28_000),
+        (6, 101, 121_181, 28_000),
+        (8, 899, 147_043, 28_000),
+        (9, 7, 0, 28_000),
+        (10, 7, 28_466, 2_500),
+        (11, 6, 0, 28_000),
     ];
     assert_eq!(done, want);
     assert_eq!((polls, timer_fires), (36, 18));
@@ -175,16 +172,16 @@ fn clook_script_is_pinned() {
     let (done, polls, timer_fires) = run_script(sched);
     // Sweep order from the head; one block either way is sequential.
     let want = vec![
-        (1, 100, 0, 20_000),
-        (3, 100, 24_096, 2_000),
-        (2, 101, 30_192, 2_000),
-        (6, 101, 35_288, 2_000),
-        (8, 899, 37_384, 13_918),
-        (4, 900, 60_398, 2_000),
-        (5, 50, 65_494, 14_300),
-        (9, 7, 0, 4_766),
-        (10, 7, 5_790, 2_000),
-        (11, 6, 0, 2_000),
+        (1, 100, 0, 28_000),
+        (3, 100, 29_862, 2_500),
+        (2, 101, 34_224, 2_500),
+        (6, 101, 37_586, 2_500),
+        (8, 899, 37_948, 19_383),
+        (4, 900, 64_193, 2_500),
+        (5, 50, 67_555, 19_925),
+        (9, 7, 0, 6_419),
+        (10, 7, 6_885, 2_500),
+        (11, 6, 0, 2_500),
     ];
     assert_eq!(done, want);
     assert_eq!((polls, timer_fires), (36, 18));
@@ -195,7 +192,7 @@ fn clook_script_is_pinned() {
 fn positions(sched: DiskSched, reqs: &[(u64, usize)]) -> Vec<u64> {
     let sim = Sim::new();
     let tracer = Tracer::new(&sim);
-    let d = Disk::with_sched(&sim, "d0", params(), sched);
+    let d = Disk::with_sched(&sim, "d0", DiskParams::ra81(), sched);
     d.set_tracer(tracer.clone());
     let reqs = reqs.to_vec();
     sim.block_on(async move {
@@ -218,7 +215,7 @@ fn positions(sched: DiskSched, reqs: &[(u64, usize)]) -> Vec<u64> {
 #[test]
 fn fifo_a_two_block_request_leaves_the_arm_on_its_last_block() {
     let pos = positions(DiskSched::Fifo, &[(100, 8192), (102, 4096)]);
-    assert_eq!(pos, vec![20_000, 2_000]);
+    assert_eq!(pos, vec![AVG_US, SEQ_US]);
 }
 
 #[test]
@@ -228,7 +225,7 @@ fn clook_a_two_block_request_leaves_the_arm_on_its_last_block() {
         stroke_blocks: 1 << 12,
     };
     let pos = positions(sched, &[(100, 8192), (102, 4096)]);
-    assert_eq!(pos, vec![20_000, 2_000]);
+    assert_eq!(pos, vec![AVG_US, SEQ_US]);
 }
 
 proptest! {

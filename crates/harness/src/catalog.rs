@@ -37,6 +37,7 @@ mod ablations;
 mod layers;
 mod paper;
 
+pub use layers::chaos_row;
 pub use paper::andrew_runs;
 
 /// One experiment of the evaluation.
@@ -44,8 +45,7 @@ pub struct Entry {
     /// Stable identifier: the CLI argument and the `<name>` of
     /// `BENCH_<name>.json`.
     pub name: &'static str,
-    /// First line of the artifact; [`slug_of`] it names the artifact file
-    /// (see [`Entry::artifacts`] for the one exception).
+    /// First line of the artifact; [`slug_of`] it names the artifact file.
     pub title: &'static str,
     /// Performs the experiment: a pure function of `seed`.
     pub run: fn(seed: u64) -> Outcome,
@@ -198,14 +198,8 @@ impl Entry {
     /// The files `o` leaves under `artifacts/`, ledger aside: the titled
     /// artifact first, then the auxiliary files.
     pub fn artifacts<'a>(&self, o: &'a Outcome) -> Vec<(String, Cow<'a, str>)> {
-        // The title's slug names the artifact — unless entries share it
-        // (the six `Ablation: ...` titles), where the last to run would
-        // overwrite the others: there the entry's name does.
-        let slug = slug_of(self.title);
-        let shared = CATALOG.iter().filter(|e| slug_of(e.title) == slug).count() > 1;
-        let stem = if shared { self.name } else { &slug };
         let main = (
-            format!("{stem}.txt"),
+            format!("{}.txt", slug_of(self.title)),
             Cow::Owned(rendered(self.title, &o.body)),
         );
         let aux = o

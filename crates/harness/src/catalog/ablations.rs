@@ -1,6 +1,4 @@
 //! Ablations: one mechanism varied at a time on the paper's workloads.
-//! (All six titles start `Ablation:`, so each artifact is named after its
-//! entry — `ablation_close_bug.txt`, ... — not after the shared slug.)
 
 use spritely_metrics::TextTable;
 use spritely_proto::NfsProc;
@@ -15,7 +13,7 @@ use crate::{ClientParams, Protocol, SnfsServerParams, TestbedParams};
 /// rest is the synchronous write-back-on-close the protocol requires.
 pub(super) const CLOSE_BUG: Entry = Entry {
     name: "ablation_close_bug",
-    title: "Ablation: invalidate-on-close bug (sort 1408 KB)",
+    title: "Ablation close bug: invalidate-on-close bug (sort 1408 KB)",
     run: |_| {
         let mut t = TextTable::new(vec!["client", "elapsed s", "reads", "writes"]);
         let mut o = Outcome::default();
@@ -44,7 +42,7 @@ pub(super) const CLOSE_BUG: Entry = Entry {
 /// of those opens into local operations.
 pub(super) const DELAYED_CLOSE: Entry = Entry {
     name: "ablation_delayed_close",
-    title: "Ablation: delayed close (Andrew, /tmp local)",
+    title: "Ablation delayed close: delayed close (Andrew, /tmp local)",
     run: |seed| {
         let mut t = TextTable::new(vec!["variant", "total s", "open", "close", "total ops"]);
         let mut o = Outcome::default();
@@ -75,7 +73,7 @@ pub(super) const DELAYED_CLOSE: Entry = Entry {
 /// benchmark responds directly.
 pub(super) const WRITE_DELAY: Entry = Entry {
     name: "ablation_write_delay",
-    title: "Ablation: SNFS write-delay policy (sort 2816 KB)",
+    title: "Ablation write delay: SNFS write-delay policy (sort 2816 KB)",
     run: |_| {
         let snfs = TestbedParams::paper(Protocol::Snfs, true);
         let variants = [
@@ -123,7 +121,7 @@ pub(super) const WRITE_DELAY: Entry = Entry {
 /// longer floors trade consistency for RPCs.
 pub(super) const PROBE_INTERVAL: Entry = Entry {
     name: "ablation_probe_interval",
-    title: "Ablation: NFS attribute-probe interval (Andrew)",
+    title: "Ablation probe interval: NFS attribute-probe interval (Andrew)",
     run: |seed| {
         let mut t = TextTable::new(vec!["probe floor", "total s", "getattr RPCs"]);
         let mut o = Outcome::default();
@@ -150,7 +148,7 @@ pub(super) const PROBE_INTERVAL: Entry = Entry {
 /// paper sized it) never reclaims on this workload.
 pub(super) const STATE_LIMIT: Entry = Entry {
     name: "ablation_state_limit",
-    title: "Ablation: state-table limit under 256-file churn",
+    title: "Ablation state limit: state-table limit under 256-file churn",
     run: |_| {
         let mut t = TextTable::new(vec![
             "limit",
@@ -194,7 +192,7 @@ pub(super) const STATE_LIMIT: Entry = Entry {
 /// too, but with a stale-name window.
 pub(super) const NAME_CACHE: Entry = Entry {
     name: "ablation_name_cache",
-    title: "Ablation: name caching (Andrew, /tmp remote)",
+    title: "Ablation name cache: name caching (Andrew, /tmp remote)",
     run: |seed| {
         let mut t = TextTable::new(vec!["variant", "total s", "lookups", "total ops"]);
         let mut o = Outcome::default();

@@ -4,13 +4,14 @@
 //! workloads), fault injection, and multi-client / sharded scaling.
 
 use spritely_metrics::TextTable;
+use spritely_sim::SimDuration;
 
 use super::{slug_of, Entry, Outcome};
-use crate::chaosx::CHAOS;
+use crate::report;
 use crate::scripts::{self, scaling, scaling_shards};
 use crate::{
-    ChaosVerdict, ClientParams, Protocol, ServerIoParams, ShardParams, StatsSnapshot, Testbed,
-    TestbedParams, TransportParams, WriteBehindParams,
+    ClientParams, DelegationParams, FaultParams, Protocol, ServerIoParams, ShardParams,
+    StatsSnapshot, Testbed, TestbedParams, TransportParams, WriteBehindParams,
 };
 
 /// An opt-in layer: one field of [`TestbedParams`], off as the paper
@@ -499,43 +500,160 @@ pub(super) const SCALING: Entry = Entry {
     },
 };
 
-/// Files one chaos verdict under `name`: its report, its ledger keys and
-/// its three gates — the schedule injected something, the run went
-/// through what the workload exists to force, and it converged.
-fn chaos_outcome(o: &mut Outcome, name: &str, v: &ChaosVerdict) {
-    o.body.push_str(&v.report());
-    o.body.push_str(&format!(
-        "converged: {}\n\n",
-        if v.converged() { "yes" } else { "NO" }
-    ));
-    o.field(format!("{name}_injected"), v.injected());
-    o.field(format!("{name}_converged"), v.converged());
-    o.gate(v.injected() > 0, || {
+/// A row of the `chaos` entry: a script run twice on the stack `base`
+/// builds, at the seed its convergence argument was checked on — once
+/// fault-free, once traced under [`FaultParams::chaos`].
+struct Chaos {
+    /// The row's label and the stem of its ledger keys.
+    name: &'static str,
+    seed: u64,
+    base: fn() -> TestbedParams,
+    script: fn(TestbedParams, u64) -> Testbed,
+    /// The faulted run's counters, summed, of what the row exists to
+    /// force. A schedule that leaves them at 0 proves nothing, and the
+    /// row's gate fails.
+    forced: &'static [&'static str],
+}
+
+const CHAOS: [Chaos; 4] = [
+    // The retransmission ladder and the duplicate-request cache must
+    // absorb every fault of a long, single-client run.
+    Chaos {
+        name: "andrew",
+        seed: 7,
+        base: TestbedParams::default,
+        script: |p, seed| scripts::andrew(p, seed).tb,
+        forced: &["faults.retransmit_absorbed"],
+    },
+    // The server must retry a write-back callback past a partition.
+    Chaos {
+        name: "sharing",
+        seed: 11,
+        // Keeps the partitioned client's data dirty long enough to matter.
+        base: || TestbedParams {
+            client: ClientParams {
+                write_delay: SimDuration::from_secs(30),
+                ..ClientParams::default()
+            },
+            ..TestbedParams::default()
+        },
+        script: |p, _| scripts::write_sharing(p).tb,
+        forced: &["faults.callback_retries"],
+    },
+    // Recalls re-delivered past a mute holder.
+    Chaos {
+        name: "delegation",
+        seed: 13,
+        base: || TestbedParams {
+            delegation: DelegationParams::pipelined(),
+            ..TestbedParams::default()
+        },
+        script: |p, _| scripts::delegation(p).tb,
+        forced: &["delegation.recalls"],
+    },
+    // The 2PC coordinator holds a cross-shard rename past a partition.
+    Chaos {
+        name: "shard",
+        seed: 21,
+        base: || TestbedParams {
+            shards: ShardParams::sharded(4),
+            ..TestbedParams::default()
+        },
+        script: |p, _| scripts::shard_renames(p).tb,
+        forced: &[
+            "shards.per_shard.0.cross_renames",
+            "shards.per_shard.0.cross_links",
+            "shards.per_shard.1.cross_renames",
+            "shards.per_shard.1.cross_links",
+            "shards.per_shard.2.cross_renames",
+            "shards.per_shard.2.cross_links",
+            "shards.per_shard.3.cross_renames",
+            "shards.per_shard.3.cross_links",
+        ],
+    },
+];
+
+/// Runs `row`'s fault-free and faulted twins and files them.
+fn run_chaos(o: &mut Outcome, row: &Chaos) {
+    let clean = (row.script)((row.base)(), row.seed).digest();
+    let faulted = TestbedParams {
+        trace: true,
+        faults: FaultParams::chaos(row.seed),
+        ..(row.base)()
+    };
+    let faulted = (row.script)(faulted, row.seed);
+    let violations = faulted.finish_trace().map_or(0, |t| t.violations.len());
+    let stats = faulted.stats_snapshot();
+    file_chaos(o, row, [clean, faulted.digest()], violations, &stats);
+}
+
+/// Files one chaos row: its report, `<name>_injected`, `<name>_converged`
+/// and three gates — the schedule injected something, the faulted run
+/// forced what the row exists for, and it converged: the digests of the
+/// servers' stable contents after the `clean` and `faulted` runs match,
+/// the trace checker found nothing, and every killed attempt was absorbed
+/// by a retransmission or is still outstanding.
+fn file_chaos(
+    o: &mut Outcome,
+    row: &Chaos,
+    [clean, faulted]: [u64; 2],
+    violations: usize,
+    stats: &StatsSnapshot,
+) {
+    let name = row.name;
+    let fault = |key: &str| stats.num(&format!("faults.{key}"));
+    let kinds = ["drops", "dups", "delays", "reply_losses", "partition_drops"];
+    let injected: u64 = kinds.map(fault).iter().sum();
+    let forced: u64 = row.forced.iter().map(|key| stats.num(key)).sum();
+    let same = clean == faulted;
+    let converged = same
+        && violations == 0
+        && fault("killed_attempts") == fault("retransmit_absorbed") + fault("outstanding_kills");
+    o.body += &format!(
+        "chaos[{name}]: injected={injected} forced={forced} digest {}: clean={clean:016x} \
+         faulted={faulted:016x} trace_violations={violations}\n{}converged: {}\n\n",
+        if same { "MATCH" } else { "MISMATCH" },
+        report::fault_table(&[(name, stats)]),
+        if converged { "yes" } else { "NO" },
+    );
+    o.field(format!("{name}_injected"), injected);
+    o.field(format!("{name}_converged"), converged);
+    o.gate(injected > 0, || {
         format!("the {name} fault schedule injected nothing")
     });
-    o.gate(v.forced > 0, || {
+    o.gate(forced > 0, || {
         format!("the {name} chaos run never forced what it exists to prove")
     });
-    o.gate(v.converged(), || {
+    o.gate(converged, || {
         format!("the {name} chaos run failed to converge")
     });
 }
 
-/// The four chaos workloads ([`CHAOS`]: the Andrew benchmark, two-client
-/// write-sharing, a recall-heavy delegation sweep and cross-shard
-/// renames) under their seeded fault schedules (drops, duplicates,
-/// delays, reply losses, a partition/heal cycle). Converging means the
-/// duplicate-request cache, retransmission ladder, callback retries and
-/// the 2PC coordinator absorbed every injected fault without corrupting
-/// the servers' stable contents. The schedules are pinned to the seeds
-/// the convergence argument was checked on, whatever `seed` is.
+/// The `chaos` entry's row `name` (`andrew`, `sharing`, `delegation` or
+/// `shard`) alone, filed as the entry files it.
+pub fn chaos_row(name: &str) -> Outcome {
+    let row = CHAOS.iter().find(|r| r.name == name);
+    let mut o = Outcome::default();
+    run_chaos(&mut o, row.unwrap_or_else(|| panic!("no chaos row {name}")));
+    o
+}
+
+/// The paper's workloads under seeded fault schedules (drops, duplicates,
+/// delays, reply losses, a scripted partition/heal cycle), one [`CHAOS`]
+/// row each: the Andrew benchmark, two-client write-sharing, a
+/// recall-heavy delegation sweep and cross-shard renames. Converging
+/// means the duplicate-request cache, retransmission ladder, callback
+/// retries and the 2PC coordinator absorbed every injected fault without
+/// corrupting the servers' stable contents. The clients are hard-mounted
+/// (DESIGN.md §20), so every op of a faulted run succeeds. Each row is
+/// pinned to its own seed, whatever `seed` is.
 pub(super) const CHAOS_ENTRY: Entry = Entry {
     name: "chaos",
     title: "Chaos: fault injection convergence",
     run: |_| {
         let mut o = Outcome::default();
-        for (name, workload) in CHAOS {
-            chaos_outcome(&mut o, name, &workload());
+        for row in &CHAOS {
+            run_chaos(&mut o, row);
         }
         o
     },
@@ -622,28 +740,23 @@ mod tests {
 
     #[test]
     fn a_chaos_run_that_forced_nothing_fails_its_gate_instead_of_panicking() {
-        // Three drops injected, nothing else.
+        // Three drops injected, no recall forced.
         let json = r#"{"faults": {"drops": 3, "dups": 0, "delays": 0, "reply_losses": 0,
             "partition_drops": 0, "killed_attempts": 0, "retransmit_absorbed": 0,
             "outstanding_kills": 0, "dup_cache_hits": 0, "dup_cache_joins": 0,
-            "callback_retries": 0, "callback_dupes": 0}}"#;
-        let mut v = ChaosVerdict {
-            workload: "delegation",
-            digest_clean: 1,
-            digest_faulted: 1,
-            trace_violations: 0,
-            stats: crate::StatsSnapshot::from_json(json.to_string()),
-            forced: 0,
+            "callback_retries": 0, "callback_dupes": 0}, "delegation": {"recalls": 0}}"#;
+        let row = CHAOS.iter().find(|r| r.name == "delegation").unwrap();
+        let filed = |json: &str| {
+            let mut o = Outcome::default();
+            let stats = StatsSnapshot::from_json(json.to_string());
+            file_chaos(&mut o, row, [1, 1], 0, &stats);
+            o
         };
-        let mut o = Outcome::default();
-        chaos_outcome(&mut o, "delegation", &v);
         assert_eq!(
-            o.failures,
+            filed(json).failures,
             ["the delegation chaos run never forced what it exists to prove"]
         );
-        v.forced = 1;
-        let mut o = Outcome::default();
-        chaos_outcome(&mut o, "delegation", &v);
+        let o = filed(&json.replace("\"recalls\": 0", "\"recalls\": 1"));
         assert_eq!(o.failures, Vec::<String>::new());
         let keys: Vec<&str> = o.ledger.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["delegation_injected", "delegation_converged"]);

@@ -26,11 +26,9 @@ pub mod run;
 pub mod scripts;
 pub mod snapshot;
 
-mod chaosx;
 mod matrix;
 mod testbed;
 
-pub use chaosx::{chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, ChaosVerdict};
 pub use compare::{compare_json, CompareReport};
 pub use matrix::run_matrix;
 pub use run::{Run, DRAIN};

@@ -8,7 +8,8 @@
 
 use std::rc::Rc;
 
-use spritely_proto::{Result, BLOCK_SIZE};
+use spritely_proto::{default_shard, Result, BLOCK_SIZE};
+use spritely_rpcnet::PartitionDir;
 use spritely_sim::{Semaphore, SimDuration, SimRng};
 use spritely_vfs::{OpenFlags, Proc};
 use spritely_workloads::{
@@ -19,10 +20,6 @@ use spritely_workloads::{
 use crate::oracle::{filler, stamped, Oracle, Tally};
 use crate::run::{Run, DRAIN};
 use crate::testbed::{Testbed, TestbedParams};
-
-/// Two of the chaos entry's workloads: write-sharing across a partition,
-/// and a delegation recall sweep.
-pub use crate::chaosx::{delegation, write_sharing};
 
 /// The Andrew benchmark (Tables 5-1/5-2, Figures 5-1/5-2), timed phase
 /// by phase from a cold client cache.
@@ -156,9 +153,7 @@ fn small_andrew() -> AndrewParams {
         misc_files: 10,
         total_bytes: 160 * 1024,
         headers_per_compile: 4,
-        compile_cpu_per_kb: SimDuration::from_millis(120),
-        obj_ratio: 1.2,
-        tmp_ratio: 3.0,
+        ..AndrewParams::default()
     }
 }
 
@@ -483,6 +478,245 @@ pub fn sharing(params: TestbedParams, mode: Sharing, seed: u64) -> Run<Tally> {
         }
     }
     run
+}
+
+/// Cross-shard renames with a shard partitioned mid-rename, the `chaos`
+/// entry's `shard` row (DESIGN.md §18.4).
+///
+/// Two clients work disjoint name sets over `params.shards`. Client 0's
+/// first rename is chosen to cross shards; in a faulted run, just before
+/// issuing it, the coordinating shard's inter-shard link (fault host
+/// `200 + s`) is partitioned for 8 s, so the `tx_prepare` to the
+/// destination's owner cannot leave the coordinator. The coordinator must
+/// hold the name locked and retry the prepare past the heal —
+/// Busy-bouncing concurrent touches of either name, the client's own
+/// rename among them once its ladder runs out and its hard mount calls it
+/// again — and then drive the commit to completion.
+pub fn shard_renames(params: TestbedParams) -> Run<()> {
+    const FILES: u32 = 3;
+    let shards = params.shards.n as u32;
+    let tb = Testbed::build_with_clients(params, 2);
+    let net = tb.net.clone();
+    let root = tb.server_fs.root();
+    let clients: Vec<_> = (tb.clients.iter())
+        .map(|host| host.remote.snfs().expect("SNFS testbed").clone())
+        .collect();
+    // First name of the form `{prefix}{i}` owned by `shard`.
+    let name_on = |shard: u32, prefix: &str| -> String {
+        (0u32..)
+            .map(|i| format!("{prefix}{i}"))
+            .find(|s| default_shard(s, shards) == shard)
+            .expect("some index hashes to every shard")
+    };
+    tb.measure(|c, p| {
+        let (client, net) = (clients[c].clone(), net.clone());
+        // Disjoint per-client names; every rename crosses shards so the
+        // digests converge regardless of client interleaving.
+        let pairs: Vec<(String, String)> = (0..FILES)
+            .map(|i| {
+                let src = format!("c{c}w{i}");
+                let s = default_shard(&src, shards);
+                let dst = name_on((s + 1) % shards, &format!("c{c}m{i}_"));
+                (src, dst)
+            })
+            .collect();
+        // A cross-shard hard link on top of the moved set.
+        let ln = name_on(
+            (default_shard(&pairs[0].1, shards) + 1) % shards,
+            &format!("c{c}ln_"),
+        );
+        async move {
+            let sim = p.sim();
+            let fill = |i: usize| [(c as u8) * 16 + i as u8 + 1; BLOCK_SIZE];
+            let mut fhs = Vec::new();
+            for (i, (src, _)) in pairs.iter().enumerate() {
+                let (fh, _) = client.create(root, src).await.expect("create");
+                client.open(fh, true).await.expect("open");
+                let bytes = fill(i);
+                client.write(fh, 0, &bytes).await.expect("write");
+                client.fsync(fh).await.expect("fsync");
+                client.close(fh, true).await.expect("close");
+                fhs.push(fh);
+            }
+            // Client 0's first rename coordinates from the shard that
+            // owns its source name: sever that shard's inter-shard link
+            // just before the renames (scripted; consumes no randomness).
+            if c == 0 && net.faults_active() {
+                net.partition(
+                    200 + default_shard(&pairs[0].0, shards),
+                    PartitionDir::Both,
+                    sim.now() + SimDuration::from_secs(8),
+                );
+            }
+            // A rename whose first call executed (held through the
+            // partition by the coordinator) meets `NoEnt` when called
+            // again, and a link `Exist`: the client reads both as done.
+            for (src, dst) in &pairs {
+                client.rename(root, src, root, dst).await.expect("rename");
+            }
+            client.link(fhs[0], root, &ln).await.expect("link");
+            // Read everything back through the new names.
+            for (i, (_, dst)) in pairs.iter().enumerate() {
+                let (fh, _) = client.lookup(root, dst).await.expect("lookup");
+                client.open(fh, false).await.expect("open");
+                let (data, _) = client.read(fh, 0, BLOCK_SIZE as u32).await.expect("read");
+                assert!(
+                    data[..] == fill(i),
+                    "client {c} reads its own bytes via {dst}"
+                );
+                client.close(fh, false).await.expect("close");
+            }
+            // Let delayed writes, commits and keepalives drain.
+            sim.sleep(SimDuration::from_secs(70)).await;
+        }
+    })
+}
+
+/// A recall sweep, the `chaos` entry's `delegation` row (DESIGN.md
+/// §17.2).
+///
+/// Client A creates a working set of files — earning write delegations —
+/// flushes them, and churns them locally; client B then sweeps every file
+/// for read, forcing a recall per file. In a faulted run A's host is
+/// additionally partitioned outbound for 7 s at the start of B's sweep,
+/// so recall acks and delegation returns are lost and the server's recall
+/// retry loop re-delivers (duplicated recalls hit the client's sequence
+/// guard; a holder that cannot return in time is revoked and fenced).
+/// After the heal A rewrites one file and B re-reads it, exercising the
+/// re-grant path.
+pub fn delegation(params: TestbedParams) -> Run<()> {
+    const FILES: u64 = 4;
+    let tb = Testbed::build_with_clients(params, 2);
+    let [a, b] = [0, 1].map(|i| tb.clients[i].remote.snfs().expect("SNFS testbed").clone());
+    let (root, net) = (tb.server_fs.root(), tb.net.clone());
+    tb.measure(|i, p| {
+        let (a, b, net) = (a.clone(), b.clone(), net.clone());
+        async move {
+            // One script drives both clients in turn, from client 0.
+            if i > 0 {
+                return;
+            }
+            let sim = p.sim();
+            // A builds its delegated working set. Everything is fsynced:
+            // the interesting chaos target is the recall protocol, not
+            // dirty-data recovery, and a revoked holder's unflushed
+            // writes are legitimately fenced away (§17.3) — which would
+            // make the digests diverge by design.
+            let mut fhs = Vec::new();
+            for i in 0..FILES {
+                let name = format!("deleg{i}");
+                let (fh, _) = a.create(root, &name).await.expect("create");
+                a.open(fh, true).await.expect("open");
+                let bytes = [i as u8 + 1; BLOCK_SIZE];
+                a.write(fh, 0, &bytes).await.expect("write");
+                a.fsync(fh).await.expect("fsync");
+                a.close(fh, true).await.expect("close");
+                fhs.push(fh);
+            }
+            // Local churn: re-open/read/close under the delegations.
+            for _ in 0..3 {
+                for &fh in &fhs {
+                    a.open(fh, false).await.expect("open");
+                    a.read(fh, 0, BLOCK_SIZE as u32).await.expect("read");
+                    a.close(fh, false).await.expect("close");
+                }
+            }
+            // A goes mute for 7 s just as B's sweep starts: recall
+            // callbacks still reach A, but its acks and returns are
+            // lost until the heal (scripted, consumes no randomness).
+            if net.faults_active() {
+                net.partition(
+                    1,
+                    PartitionDir::Outbound,
+                    sim.now() + SimDuration::from_secs(7),
+                );
+            }
+            // B sweeps the working set: one recall per file.
+            for &fh in &fhs {
+                b.open(fh, false).await.expect("open");
+                b.read(fh, 0, BLOCK_SIZE as u32).await.expect("read");
+                b.close(fh, false).await.expect("close");
+            }
+            // After the heal: A rewrites one file (re-earning authority
+            // or falling back to RPC if it was fenced), B re-reads it.
+            let fh = fhs[0];
+            a.open(fh, true).await.expect("open");
+            a.write(fh, 0, &[0xAA; BLOCK_SIZE]).await.expect("write");
+            a.fsync(fh).await.expect("fsync");
+            a.close(fh, true).await.expect("close");
+            b.open(fh, false).await.expect("open");
+            let (data, _) = b.read(fh, 0, BLOCK_SIZE as u32).await.expect("read");
+            assert!(
+                data.iter().all(|&x| x == 0xAA),
+                "B sees A's post-heal version"
+            );
+            b.close(fh, false).await.expect("close");
+            // Let delayed writes, lazy returns and keepalives drain.
+            sim.sleep(SimDuration::from_secs(70)).await;
+        }
+    })
+}
+
+/// Two-client write-sharing across a partition, the `chaos` entry's
+/// `sharing` row.
+///
+/// Client B overwrites a file A published and holds the data dirty (run
+/// it with a long write delay), then, in a faulted run, B's host is
+/// partitioned. Client A opens the file while B is unreachable: the
+/// server must *retry* B's write-back callback past the partition instead
+/// of declaring B crashed — when the partition heals, B's dirty data
+/// reaches the server and A reads it.
+pub fn write_sharing(params: TestbedParams) -> Run<()> {
+    let tb = Testbed::build_with_clients(params, 2);
+    let [a, b] = [0, 1].map(|i| tb.clients[i].remote.snfs().expect("SNFS testbed").clone());
+    let (root, net) = (tb.server_fs.root(), tb.net.clone());
+    tb.measure(|i, p| {
+        let (a, b, net) = (a.clone(), b.clone(), net.clone());
+        async move {
+            // One script drives both clients in turn, from client 0.
+            if i > 0 {
+                return;
+            }
+            let sim = p.sim();
+            // A publishes version 1 of the shared file.
+            let (fh, _) = a.create(root, "shared").await.expect("create");
+            a.open(fh, true).await.expect("open");
+            a.write(fh, 0, &[1u8; 2 * BLOCK_SIZE]).await.expect("write");
+            a.fsync(fh).await.expect("fsync");
+            a.close(fh, true).await.expect("close");
+            // B overwrites it and holds the data dirty (30 s delay).
+            b.open(fh, true).await.expect("open");
+            b.write(fh, 0, &[2u8; 2 * BLOCK_SIZE]).await.expect("write");
+            b.close(fh, true).await.expect("close");
+            // Partition B's host for 12 s (faulted run only; scripted
+            // partitions consume no randomness).
+            if net.faults_active() {
+                net.partition(
+                    2,
+                    PartitionDir::Both,
+                    sim.now() + SimDuration::from_secs(12),
+                );
+            }
+            // A reopens while B is unreachable. The server must hold the
+            // open and retry B's write-back callback until the partition
+            // heals; A's own RPC ladder (≈5 s) is shorter than that, so
+            // A's hard mount calls the open again until it goes through.
+            let attr = a.open(fh, false).await.expect("open");
+            assert_eq!(
+                attr.size,
+                (2 * BLOCK_SIZE) as u64,
+                "A sees B's version after the heal"
+            );
+            let (data, _) = a.read(fh, 0, (2 * BLOCK_SIZE) as u32).await.expect("read");
+            assert!(
+                data.iter().all(|&x| x == 2),
+                "B's dirty data survived the partition"
+            );
+            a.close(fh, false).await.expect("close");
+            // Let delayed writes and the server update daemon drain.
+            sim.sleep(SimDuration::from_secs(70)).await;
+        }
+    })
 }
 
 #[cfg(test)]

@@ -38,15 +38,7 @@ mod tests {
     use spritely_sim::{Sim, SimDuration};
 
     fn quick_disk(sim: &Sim) -> Disk {
-        Disk::new(
-            sim,
-            "d0",
-            DiskParams {
-                avg_position: SimDuration::from_millis(20),
-                seq_position: SimDuration::from_millis(2),
-                transfer_rate: 2_000_000,
-            },
-        )
+        Disk::new(sim, "d0", DiskParams::ra81())
     }
 
     fn fs(sim: &Sim) -> LocalFs {

@@ -36,12 +36,7 @@ fn run<F: Future<Output = ()> + 'static>(
 ) -> Seen {
     let sim = Sim::new();
     let tracer = Tracer::new(&sim);
-    let params = DiskParams {
-        avg_position: SimDuration::from_millis(20),
-        seq_position: SimDuration::from_millis(2),
-        transfer_rate: 2_000_000,
-    };
-    let disk = Disk::new(&sim, "d0", params);
+    let disk = Disk::new(&sim, "d0", DiskParams::ra81());
     disk.set_tracer(tracer.clone());
     let fs = LocalFs::new(&sim, 1, disk, FsParams { cache_blocks });
     sim.spawn(script(sim.clone(), fs.clone()));

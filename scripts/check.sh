@@ -4,39 +4,57 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
+# Every "==>" step prints its wall time when it ends (the next step starts
+# or the script exits, passing or failing), so a step that slows down
+# shows in the log.
+step_name='' step_us=0
+step_end() {
+    if [ -n "$step_name" ]; then
+        local us=$((${EPOCHREALTIME/./} - step_us))
+        printf '    %s: %d.%d s\n' "$step_name" $((us / 1000000)) $((us / 100000 % 10))
+    fi
+    step_name=''
+}
+step() {
+    step_end
+    step_name=$1 step_us=${EPOCHREALTIME/./}
+    echo "==> $1"
+}
+trap step_end EXIT
+
+step "cargo build --release"
 cargo build --release
 
 # The benchmark is its own workspace and names harness fields and
 # constructors; building it here fails a renamed one in a minute, not
 # after the whole gate (its tests run further down).
-echo "==> benchmark: cargo build --release --offline"
+step "benchmark: cargo build --release --offline"
 (cd benchmark && cargo build --release --offline)
 
-echo "==> cargo test --workspace -q"
+step "cargo test --workspace -q"
 cargo test --workspace -q
 
 # The data oracle's whole layer lattice (tests/data_oracle.rs): ten
 # columns of concurrent sharing, 120 runs, too slow for a debug run, so
 # tier-1 holds three of its columns and this holds all ten.
-echo "==> data oracle, every layer lattice column (release)"
+step "data oracle, every layer lattice column (release)"
 cargo test --release -q --test data_oracle -- --ignored
 
 # The timer queue against a sorted map (crates/sim/src/timer.rs): tier-1
 # runs 256 cases of register, cancel, pop and drain steps; this runs the
 # same property at 20,000.
-echo "==> timer queue vs a sorted map, 20,000 cases (release)"
+step "timer queue vs a sorted map, 20,000 cases (release)"
 cargo test --release -q -p spritely-sim --lib timer::tests -- --ignored
 
-echo "==> cargo fmt --check"
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -- -D warnings"
+step "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Docs link to public names by path; a deleted or renamed type otherwise
 # leaves a dead link nothing notices.
-echo "==> cargo doc (intra-doc links must resolve)"
+step "cargo doc (intra-doc links must resolve)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
     cargo doc --no-deps --offline --workspace --quiet
 
@@ -48,13 +66,13 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 # `spritely gate` take by default is held to the same record as a serial
 # run (tests/catalog.rs holds the serial one).
 experiments=$(cargo run --release --quiet --bin spritely -- list | wc -l)
-echo "==> spritely gate --threads 2 ($experiments experiments vs baselines/ and BENCH_*.json)"
+step "spritely gate --threads 2 ($experiments experiments vs baselines/ and BENCH_*.json)"
 cargo run --release --quiet --bin spritely -- gate --threads 2
 
 # The benchmark is its own workspace, so nothing above compiles it: an API
 # break it depends on (Proc, Testbed, BlockCache, ...) would otherwise
 # surface only when the driver runs it.
-echo "==> benchmark: cargo test --release --offline"
+step "benchmark: cargo test --release --offline"
 (cd benchmark && cargo test --release --offline --quiet)
 
 # The number a benchmark run's JSON line ($2) gives for metric $1; empty if
@@ -85,7 +103,7 @@ metric() {
 # the benchmark's 5 % bound, so memory kept to save allocations (the
 # executor's free task cells) cannot grow unseen either.
 for w in sort_nfs fleet sharing scale16 andrew; do
-    echo "==> benchmark: $w, 2 s, traced (exit 2 = traced and untraced passes disagree on a simulated-clock number)"
+    step "benchmark: $w, 2 s, traced (exit 2 = traced and untraced passes disagree on a simulated-clock number)"
     traced=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 1 | tail -1)
     for want in trace.violations=0 trace.attributed_share=1; do
         live=$(metric "${want%=*}" "$traced")
@@ -123,7 +141,7 @@ for w in sort_nfs fleet sharing scale16 andrew; do
         fi
     done <<<"$phases"
     echo "    trace.violations 0, trace.attributed_share 1, trace.events $events, ten phase totals as recorded"
-    echo "==> benchmark: $w, 2 s, host_allocs_per_run and host_peak_heap_mb vs baselines/"
+    step "benchmark: $w, 2 s, host_allocs_per_run and host_peak_heap_mb vs baselines/"
     untraced=$(bash benchmark/run.sh --workload "$w" --seed 42 --seconds 2 --trace 0 | tail -1)
     # A median of an even number of runs can end in .5; the shell counts whole.
     live=$(metric host_allocs_per_run "$untraced")
@@ -166,7 +184,7 @@ done
 # distribution. A map hashed under a per-process key grew at other moments
 # in every process and made it one (sharing once read nine values in
 # fifteen runs). Two repetitions of sharing must print one count.
-echo "==> benchmark: sharing, one repetition twice, equal host allocations"
+step "benchmark: sharing, one repetition twice, equal host allocations"
 allocs=()
 for _ in 1 2; do
     allocs+=("$(bash benchmark/run.sh --workload sharing --seed 42 --rep --trace 0 | grep '^host allocs ')")
@@ -179,7 +197,7 @@ fi
 
 # Host time has one owner, benchmark/: a library crate that reads the host
 # clock or counts cores makes some artifact depend on the machine.
-echo "==> no crate reads the host clock"
+step "no crate reads the host clock"
 if grep -rnE 'std::time|available_parallelism' crates/*/src; then
     echo "FAIL: the lines above read the host clock; host cost is measured in benchmark/"
     exit 1
@@ -190,7 +208,7 @@ fi
 # callback's `ok` can wait out everything on the wire. The only other write
 # request a client builds is SnfsClient::write's synchronous write-through
 # of a write-shared file; a third would be a write the ledger cannot see.
-echo "==> one background write send (two NfsRequest::Write in the clients)"
+step "one background write send (two NfsRequest::Write in the clients)"
 sends=$(git grep -n 'NfsRequest::Write' -- crates/nfs/src/base.rs crates/nfs/src/client.rs crates/core/src/client)
 echo "$sends"
 if [ "$(wc -l <<<"$sends")" -ne 2 ]; then
@@ -203,7 +221,7 @@ fi
 # an op that failed. An `insist`, a `while … .is_err()` / `.is_ok()` loop or
 # an `Err(_) => … sleep` arm would be a second place that does. rpcnet's own
 # tests drive the soft caller beneath the hard mount and are not held.
-echo "==> one hard mount (no insist or re-issue loop in crates/*/src or tests)"
+step "one hard mount (no insist or re-issue loop in crates/*/src or tests)"
 if git grep -nE '\binsist\b|while .*\.is_(err|ok)\(\)|Err\(_\) => .*\.sleep\(' -- \
     'crates/*/src/*' tests ':!crates/rpcnet'; then
     echo "FAIL: the lines above re-issue a failed op; ClientBase::call_retx is the hard mount"
@@ -215,7 +233,7 @@ fi
 # literal holding a JSON key (\"name\":) in product code — a file of
 # crates/*/src before its first column-0 #[cfg(test)], as scripts/loc.sh
 # counts it — is a document formatted by hand. json.rs is the writer.
-echo "==> JSON, once (no hand-written JSON key in crates/*/src)"
+step "JSON, once (no hand-written JSON key in crates/*/src)"
 keys=$(find crates/*/src -name '*.rs' ! -path crates/metrics/src/json.rs -exec \
     awk '/^#\[cfg\(test\)\]/ { nextfile } /\\"[A-Za-z0-9_.]+\\":/ { print FILENAME ":" FNR ": " $0 }' {} +)
 if [ -n "$keys" ]; then
@@ -229,7 +247,7 @@ fi
 # other procedure is the clients' shared base (DESIGN.md §20), one arm
 # over FsBackend::Remote. An Nfs(/Snfs( arm in any other function, or a
 # seventh function that dispatches on the protocol, fails here.
-echo "==> the VFS names a protocol in six procedures (twelve Nfs(/Snfs( arms)"
+step "the VFS names a protocol in six procedures (twelve Nfs(/Snfs( arms)"
 arms=$(awk '/fn [a-z_]+[(<]/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
     /(Nfs|Snfs)\(/ { print FILENAME ":" FNR ": " f }' crates/vfs/src/*.rs)
 echo "$arms"
@@ -244,7 +262,7 @@ fi
 # request (DESIGN.md §12, §25); the only other disk write in the file
 # system is the inode/directory update, structural_write. A third would
 # be a data path that writes block by block again.
-echo "==> one run flusher (two disk.write calls in localfs)"
+step "one run flusher (two disk.write calls in localfs)"
 writes=$(git grep -n 'disk.write(' -- crates/localfs/src)
 echo "$writes"
 if [ "$(wc -l <<<"$writes")" -ne 2 ]; then
@@ -257,7 +275,7 @@ fi
 # same pick with an aging bound of 0 (DESIGN.md §25). A Resource or an
 # acquire in blockdev would be a second way to wait for the arm, the FIFO
 # fast path that leaked queue depth when a queued request was dropped.
-echo "==> one wait for the disk arm (one poll_fn, no Resource in blockdev)"
+step "one wait for the disk arm (one poll_fn, no Resource in blockdev)"
 waits=$(git grep -n 'poll_fn' -- crates/blockdev/src)
 echo "$waits"
 if [ "$(wc -l <<<"$waits")" -ne 1 ] || git grep -q -e 'Resource' -e '\.acquire(' -- crates/blockdev/src; then
@@ -273,7 +291,7 @@ fi
 # unsorted (NFS's cold boot once did) and every allocation count that
 # depends on its growth differ from run to run. crates/sim/src/hash.rs
 # defines the alias and is the one file allowed to name them.
-echo "==> one hasher (no std HashMap, HashSet or RandomState outside spritely_sim's alias)"
+step "one hasher (no std HashMap, HashSet or RandomState outside spritely_sim's alias)"
 if git grep -nE 'collections::.*Hash(Map|Set)|RandomState' -- 'crates/*/src/*' src \
     ':!crates/sim/src/hash.rs'; then
     echo "FAIL: the lines above use a std hash map; use spritely_sim::{Map, Set}"
@@ -288,7 +306,7 @@ fi
 # waker checks its thread instead: off it, a wake panics and a drop leaks.
 # Product code is each file before its first column-0 #[cfg(test)], as
 # scripts/loc.sh counts it; tests may hand a waker to another thread.
-echo "==> one thread in the executor (no Mutex, Arc or Atomic in crates/sim/src)"
+step "one thread in the executor (no Mutex, Arc or Atomic in crates/sim/src)"
 shared=$(find crates/sim/src -name '*.rs' -exec \
     awk '/^#\[cfg\(test\)\]/ { nextfile }
         /(^|[^A-Za-z0-9_])(Mutex|Arc([^A-Za-z0-9_]|$)|Atomic)/ { print FILENAME ":" FNR ": " $0 }' {} +)
@@ -306,7 +324,7 @@ fi
 # arm on a state anywhere else in crates/*/src would be a second copy that
 # can drift from it. (git's pathspec 'crates/*/src' matches no file; the
 # trailing /* reaches the files under it.)
-echo "==> Table 4-1, once (no state edge list or per-state match outside transitions.rs)"
+step "Table 4-1, once (no state edge list or per-state match outside transitions.rs)"
 states='(FState|FileState)::[A-Za-z]+|Closed|ClosedDirty|OneReader|OneRdrDirty|MultReaders|OneWriter|WriteShared'
 if git grep -nE -e "\\(($states), *($states)\\)" -e "(FState|FileState)::[A-Za-z]+ *(=>|[|])" -- \
     'crates/*/src/*' ':!crates/trace/src/transitions.rs'; then
@@ -318,7 +336,7 @@ fi
 # own crate's unit tests name is listed by scripts/callerless.sh, and the list
 # may only be what baselines/callerless.txt says (its '#' lines give each
 # entry's reason). A new entry gets a caller, goes, or is committed there.
-echo "==> scripts/callerless.sh (pub fns with no caller) vs baselines/callerless.txt"
+step "scripts/callerless.sh (pub fns with no caller) vs baselines/callerless.txt"
 if ! moved=$(diff <(grep -v '^#' baselines/callerless.txt) <(scripts/callerless.sh)); then
     echo "$moved"
     echo "FAIL: callerless public functions changed ('<' committed, '>' found)"
@@ -330,7 +348,7 @@ fi
 # scripts/knobs.sh, held to baselines/knobs.txt. A change that adds a
 # setting commits its line for a reviewer to weigh; one that removes a
 # setting removes its line.
-echo "==> scripts/knobs.sh (settable Params fields) vs baselines/knobs.txt"
+step "scripts/knobs.sh (settable Params fields) vs baselines/knobs.txt"
 if ! moved=$(diff baselines/knobs.txt <(scripts/knobs.sh)); then
     echo "$moved"
     echo "FAIL: the settable Params fields changed ('<' committed, '>' found): scripts/knobs.sh > baselines/knobs.txt"
@@ -343,7 +361,7 @@ fi
 # — or moves lines between crates — regenerates the file with it: a stale
 # file fails too, so the committed numbers are always the measured ones
 # and the next change is held to them.
-echo "==> scripts/loc.sh (non-test Rust lines per crate) vs baselines/loc.txt"
+step "scripts/loc.sh (non-test Rust lines per crate) vs baselines/loc.txt"
 report=$(scripts/loc.sh)
 echo "$report"
 if ! moved=$(diff baselines/loc.txt - <<<"$report"); then
@@ -358,4 +376,5 @@ if ! moved=$(diff baselines/loc.txt - <<<"$report"); then
     exit 1
 fi
 
+step_end
 echo "==> OK"

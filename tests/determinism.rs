@@ -69,8 +69,8 @@ ae3bb9a9ef28ce0a 4c5909d6a0793ef9 ee63daae6cacd2bb 9179b86c6eaa079f  andrew, cha
 
 /// Every script of the harness, traced, at a small size — plus a
 /// plain-NFS run (client rows without the SNFS half, no `server`
-/// section) and `chaos_andrew`'s faulted run (the `faults` section), so
-/// every section of the stats document is pinned. The faulted
+/// section) and the chaos entry's faulted Andrew run (the `faults`
+/// section), so every section of the stats document is pinned. The faulted
 /// write-sharing and delegation runs of the chaos entry pin what the
 /// callback path does under faults: retried and duplicated callbacks,
 /// recalls, the client's sequence guard and callback replies served from

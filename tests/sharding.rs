@@ -264,16 +264,30 @@ fn cross_shard_ops_converge_under_seeded_faults() {
 
 #[test]
 fn chaos_shard_partition_mid_rename_converges() {
-    // The packaged shard chaos workload: four shards, two clients, a
+    // The chaos entry's shard row: four shards, two clients, a
     // network partition dropped on the coordinating shard's inter-shard
     // links in the middle of a burst of cross-shard renames, on top of
     // seeded drop/dup/delay faults. The faulted run must converge to a
     // server state digest-identical to the clean run, with zero checker
     // violations and every injected fault absorbed.
-    let v = spritely::harness::chaos_shard(21);
-    assert!(v.injected() > 0, "chaos run injected no faults");
-    assert!(v.forced > 0, "no cross-shard operation was coordinated");
-    assert!(v.converged(), "{}", v.report());
+    let o = spritely::harness::catalog::chaos_row("shard");
+    let field = |key: &str| {
+        o.ledger
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    };
+    let injected = field("shard_injected").and_then(|v| v.parse::<u64>().ok());
+    assert!(
+        injected > Some(0),
+        "chaos run injected no faults: {injected:?}"
+    );
+    let forced = "the shard chaos run never forced what it exists to prove";
+    assert!(
+        !o.failures.iter().any(|f| f == forced),
+        "no cross-shard operation was coordinated"
+    );
+    assert_eq!(field("shard_converged"), Some("true"), "{}", o.body);
 }
 
 /// Determinism extends to the sharded build: the same seed gives a
