@@ -613,7 +613,7 @@ fn file_chaos(
         "chaos[{name}]: injected={injected} forced={forced} digest {}: clean={clean:016x} \
          faulted={faulted:016x} trace_violations={violations}\n{}converged: {}\n\n",
         if same { "MATCH" } else { "MISMATCH" },
-        report::fault_table(&[(name, stats)]),
+        report::fault_table(name, stats),
         if converged { "yes" } else { "NO" },
     );
     o.field(format!("{name}_injected"), injected);

@@ -189,11 +189,10 @@ pub fn reopen_table(runs: &[(bool, Run<ReopenResult>)]) -> String {
     t.render()
 }
 
-/// Renders the chaos harness's fault accounting: every injected fault
-/// and where it was absorbed (retransmission or duplicate cache). Each
-/// row is `(label, end-of-run snapshot)`; the table reads its `faults`
-/// section.
-pub fn fault_table(rows: &[(&str, &StatsSnapshot)]) -> String {
+/// Renders one chaos run's fault accounting under `label`: every
+/// injected fault and where it was absorbed (retransmission or duplicate
+/// cache), read off the `faults` section of its end-of-run snapshot.
+pub fn fault_table(label: &str, s: &StatsSnapshot) -> String {
     const COLUMNS: [(&str, &str); 12] = [
         ("drops", "drops"),
         ("dups", "dups"),
@@ -211,11 +210,9 @@ pub fn fault_table(rows: &[(&str, &StatsSnapshot)]) -> String {
     let mut headers = vec!["Config"];
     headers.extend(COLUMNS.map(|(header, _)| header));
     let mut t = TextTable::new(headers);
-    for (label, s) in rows {
-        let mut row = vec![label.to_string()];
-        row.extend(COLUMNS.map(|(_, key)| s.num(&format!("faults.{key}")).to_string()));
-        t.row(row);
-    }
+    let mut row = vec![label.to_string()];
+    row.extend(COLUMNS.map(|(_, key)| s.num(&format!("faults.{key}")).to_string()));
+    t.row(row);
     t.render()
 }
 
